@@ -1,0 +1,10 @@
+"""Make `bench_e2e` and `repro` importable without PYTHONPATH:
+`python -m pytest bench_e2e/tests` from the repository root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
