@@ -6,6 +6,14 @@ structures.  This benchmark quantifies the win on a city-scale cloud: the
 grid classifies whole cells against the frustum, so per-Gaussian support
 tests only run on the boundary shell.
 
+Measured ratio, grid over linear: ~2x on the quick tier's 50 000-Gaussian
+cloud (1.6-3.2x per view) and ~3x on the full tier's 200 000 (2.2-4.7x).
+It was 16-22x and 40-250x while the linear cull put every row through the
+exact ellipsoid test; since the linear cull became two-level (a
+bounding-sphere GEMM ahead of the exact test, see
+:mod:`repro.gaussians.frustum`) the rows the grid skips cost it ~30 ns
+each, and what is left of the grid's win is skipping that O(N) pass.
+
 Thin wrapper: the comparison itself lives in
 :func:`repro.serving.lod.grid_culling_report` (the serving layer culls
 every request through the same grid), this module just sizes the scene
@@ -55,8 +63,9 @@ def compute(ctx):
 def test_extension_spatial_culling(benchmark, bench_ctx):
     rows, summary = benchmark.pedantic(compute, args=(bench_ctx,), rounds=1,
                                        iterations=1)
-    # Exactness was asserted inside grid_culling_report(); the win must be
-    # real on a sparse city-scale scene.
-    assert summary[2] > 2.0
+    # Exactness was asserted inside grid_culling_report(); on a sparse
+    # city-scale scene the grid must still beat the (two-level) linear
+    # cull — by ~2x here, see the module docstring.
+    assert summary[2] > 1.0
     for row in rows:
         assert row[5] < 50.0  # most Gaussians never reach the exact test

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import cull_gaussians
+from repro.gaussians.frustum import cull_batch
 from repro.gaussians.model import GaussianModel
 
 
@@ -40,12 +40,13 @@ class CullingIndex:
         never touches ``model.sh`` / ``model.opacity_logits`` — mirroring
         that culling runs before any non-critical attribute is loaded.
         """
-        index = cls(num_gaussians=model.num_gaussians)
-        for cam in cameras:
-            index.sets[cam.view_id] = cull_gaussians(
-                cam, model.positions, model.log_scales, model.quaternions
-            )
-        return index
+        sets = cull_batch(
+            cameras, model.positions, model.log_scales, model.quaternions
+        )
+        return cls(
+            num_gaussians=model.num_gaussians,
+            sets={cam.view_id: s for cam, s in zip(cameras, sets)},
+        )
 
     @classmethod
     def from_sets(cls, num_gaussians: int, sets: Dict[int, np.ndarray]) -> "CullingIndex":

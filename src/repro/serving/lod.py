@@ -158,7 +158,10 @@ def grid_culling_report(
     code because the serving layer leans on the same grid per request.
 
     Exactness is asserted inline: the grid result must equal the linear
-    support-test cull on every view.
+    support-test cull on every view.  The linear side is the two-level
+    :func:`~repro.gaussians.frustum.cull_gaussians`, so expect an overall
+    speedup of ~2x at 50 000 Gaussians and ~3x at 200 000 (it was 16-22x
+    and 40-250x against the single-level cull).
     """
     grid = CullingGrid(
         model.positions,

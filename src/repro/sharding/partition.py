@@ -72,9 +72,9 @@ def spatial_shard(
     """Partition rows into K contiguous cell runs of near-equal size.
 
     ``grid`` reuses an already-built culling grid; otherwise one is built
-    from the critical attributes.  Deterministic: the grid's cell dict is
-    populated in lexicographic ``(i, j, k)`` coordinate order, and the cut
-    points follow cumulative row counts against the ideal ``N/K`` targets.
+    from the critical attributes.  Deterministic: the grid stores its cells
+    in lexicographic ``(i, j, k)`` coordinate order, and the cut points
+    follow cumulative row counts against the ideal ``N/K`` targets.
     """
     if num_devices < 1:
         raise ValueError(f"num_devices must be >= 1, got {num_devices}")
@@ -90,15 +90,13 @@ def spatial_shard(
             target_cells_per_axis=target_cells_per_axis,
         )
     device = 0
-    assigned = 0
-    for cell in grid.cells.values():
-        owner[cell.indices] = device
-        assigned += cell.indices.size
-        # Advance once the running total reaches this device's cumulative
-        # quota; never past the last device.
+    for start, stop in zip(grid.offsets[:-1], grid.offsets[1:]):
+        owner[grid.members[start:stop]] = device
+        # Advance once the running total (``stop`` rows so far) reaches
+        # this device's cumulative quota; never past the last device.
         while (
             device < num_devices - 1
-            and assigned >= (device + 1) * n / num_devices
+            and stop >= (device + 1) * n / num_devices
         ):
             device += 1
     return ShardAssignment(num_devices=num_devices, owner=owner)

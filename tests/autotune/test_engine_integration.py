@@ -62,6 +62,26 @@ def test_autotuned_results_stamped(setup):
     assert sess.tuner.stats.explored_batches == 2
 
 
+def test_autotuned_batch_culls_once(setup, monkeypatch):
+    """The candidate orderings plan the same index sets: one cull per
+    batch, however many orderings the tuner prices."""
+    from repro.engines import base
+
+    calls = []
+
+    def counting_cull(cameras, *arrays):
+        calls.append(len(cameras))
+        return cull_batch(cameras, *arrays)
+
+    cull_batch = base.cull_batch
+    monkeypatch.setattr(base, "cull_batch", counting_cull)
+    _, results = run(
+        setup, autotune=True, autotune_orderings=("tsp", "gs_count", "identity")
+    )
+    assert all(r.autotuned for r in results)
+    assert calls == [len(batch) for batch in BATCHES]
+
+
 def test_untuned_results_not_stamped(setup):
     _, results = run(setup)
     for result in results:

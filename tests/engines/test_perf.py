@@ -53,6 +53,20 @@ def test_batch_result_splits_forward_backward_time(name, setup):
 
 
 @pytest.mark.parametrize("name", available_engines())
+def test_batch_result_carries_cull_time(name, setup):
+    """Pre-rendering culling is a stage of every engine's batch: its time
+    is stamped per batch and folded into the cumulative counters."""
+    scene, init, targets = setup
+    engine = create_engine(name, init, scene.cameras,
+                           EngineConfig(batch_size=4))
+    r1 = engine.train_batch(BATCH, targets)
+    r2 = engine.train_batch(BATCH, targets)
+    for r in (r1, r2):
+        assert 0.0 < r.cull_s < r.wall_time_s
+    assert engine.perf.cull_s == pytest.approx(r1.cull_s + r2.cull_s)
+
+
+@pytest.mark.parametrize("name", available_engines())
 def test_pool_enforced_engines_drop_blend_cache_without_touching_config(
     name, setup
 ):

@@ -67,6 +67,24 @@ def test_train_batch_returns_unified_result(name, setup):
 
 
 @pytest.mark.parametrize("name", available_engines())
+def test_cull_views_matches_single_level_oracle(name, setup, cull_oracle):
+    """One batched call per batch, for every engine (``clm_sharded``
+    included): the sets are those of the exact per-view cull on wherever
+    the engine keeps its critical attributes — also after they moved."""
+    scene, _, targets = setup
+    engine = build(name, setup)
+    views = [c.view_id for c in scene.cameras]
+    for _ in range(2):
+        sets = engine.cull_views(views)
+        assert len(sets) == len(views)
+        for vid, got in zip(views, sets):
+            want = cull_oracle(engine.cameras[vid], *engine._culling_arrays())
+            assert np.array_equal(got, want)
+        engine.train_batch(BATCH, targets)
+    assert engine.cull_views([]) == []
+
+
+@pytest.mark.parametrize("name", available_engines())
 def test_evaluate_and_render_view(name, setup):
     scene, init, targets = setup
     engine = build(name, setup)

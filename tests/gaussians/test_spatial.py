@@ -74,6 +74,23 @@ def test_grid_prunes_most_cells_on_sparse_scene(scene_cache):
     assert stats["tested"] < 0.3 * scene.model.num_gaussians
 
 
+def test_flat_layout_is_a_partition_of_the_rows(scene_cache):
+    """CSR members: every row in exactly one cell, sorted within its cell,
+    inside the cell's AABB and under its radius bound."""
+    m = scene_cache("rubble", 1e-4, 12).model
+    grid = grid_for(m, cells=8)
+    assert np.array_equal(np.sort(grid.members), np.arange(m.num_gaussians))
+    assert grid.offsets[0] == 0 and grid.offsets[-1] == m.num_gaussians
+    assert grid.offsets.size == grid.num_cells + 1
+    radii = max_support_radius(m.log_scales)
+    for c in range(grid.num_cells):
+        rows = grid.members[grid.offsets[c]:grid.offsets[c + 1]]
+        assert rows.size > 0 and np.all(np.diff(rows) > 0)
+        assert np.array_equal(grid.cell_lo[c], m.positions[rows].min(axis=0))
+        assert np.array_equal(grid.cell_hi[c], m.positions[rows].max(axis=0))
+        assert grid.cell_radius[c] == radii[rows].max()
+
+
 def test_empty_model():
     grid = CullingGrid(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)))
     from repro.gaussians.camera import look_at_camera
