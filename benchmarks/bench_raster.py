@@ -9,14 +9,18 @@ large-scene-shaped workload (many small splats, shallow tile bins):
 - ``legacy_*``: the pre-PR4 per-tile loop at its default settings
   (tile_size 16, float64) — binning via the Python triple loop.
 - ``vectorized_*``: the grouped CSR substrate at the *same* settings
-  (the bit-parity twin the golden tests pin).
-- ``tuned_*``: the substrate at its preferred execution config
-  (tile_size 8 — identical output, tile size is an execution detail —
-  with the shared forward/backward blend cache); ``tuned_f32_*`` adds the
-  float32 compute mode (float64 gradient accumulation).
+  (the parity twin the golden tests pin; it composites on 8x8 compute
+  tiles inside the 16-pixel spans).
+- ``tuned_*``: the substrate with 8-pixel spans (``tile_size=8``: a
+  *different binning* — splats reach fewer pixels — kept as a variant for
+  the px/s trajectory, not part of the headline); ``tuned_f32_*`` adds
+  the float32 compute mode (float64 gradient accumulation).
 
-``combined_speedup`` (legacy vs tuned float64, forward+backward) is the
-headline the CI bench-smoke gate asserts on; the per-variant pixel
+``combined_speedup.speedup`` is legacy vs vectorized at the same default
+settings, forward+backward — the one ratio that compares like with like,
+and the headline the CI bench-smoke gate asserts on;
+``speedup_tile8``/``speedup_f32`` record the cross-setting ratios.  The
+per-variant pixel
 throughputs ride the standard ``compare_results`` regression gate.
 """
 
@@ -113,7 +117,7 @@ def compute(ctx, repeats: int = 5):
             backward_px_per_s=pixels / bwd_s,
         )
 
-    speedup = totals["legacy"] / totals["tuned"]
+    speedup = totals["legacy"] / totals["vectorized"]
     ctx.record(
         variant="binning",
         wall_time_s=bin_csr_s,
@@ -123,14 +127,14 @@ def compute(ctx, repeats: int = 5):
     ctx.record(
         variant="combined_speedup",
         speedup=speedup,
-        speedup_same_settings=totals["legacy"] / totals["vectorized"],
+        speedup_tile8=totals["legacy"] / totals["tuned"],
         speedup_f32=totals["legacy"] / totals["tuned_f32"],
     )
     rows.append(["binning (csr)", bin_csr_s * 1e3, None, None, None])
     rows.append(["binning (loop)", bin_legacy_s * 1e3, None, None, None])
     ctx.emit(
         f"Raster substrate — best-of-{repeats}, combined speedup "
-        f"{speedup:.1f}x (legacy default vs tuned substrate)",
+        f"{speedup:.1f}x (legacy vs substrate, same default settings)",
         format_table(
             ["variant", "fwd ms", "bwd ms", "fwd px/s", "bwd px/s"],
             rows, floatfmt="{:.1f}",
@@ -148,7 +152,7 @@ def raster_results(bench_ctx):
 def test_raster_substrate_speedup(raster_results):
     """The substrate must beat the legacy per-tile loop by a wide margin.
 
-    The committed quick-tier BENCH_results.json carries the >=5x headline;
+    The committed quick-tier BENCH_results.json carries the measured 6.6x;
     this assertion keeps noise headroom for arbitrary test machines (the
     CI bench-smoke gate independently asserts >=3x on the fresh run).
     """

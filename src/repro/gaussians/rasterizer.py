@@ -9,19 +9,36 @@ front-to-back with alpha blending.
 Differences from the CUDA kernels are purely executional.  Since PR 4 the
 hot path is a *vectorized substrate*:
 
-- **CSR tile binning** (:func:`build_tile_bins`): instead of a Python
-  triple loop appending rows into a dict of per-tile lists, the binning is
-  one flat array program — per-Gaussian tile-span counts, ``np.repeat`` to
-  emit ``(tile_id, gauss_row)`` pairs, a single ``np.lexsort`` over
-  ``(tile_id, depth, row)`` and ``np.unique`` offsets.  The result is a
-  :class:`TileBins` CSR structure::
+- **Two-level CSR tile binning** (:func:`build_tile_bins`): instead of a
+  Python triple loop appending rows into a dict of per-tile lists, the
+  binning is one flat array program — per-Gaussian tile counts,
+  ``np.repeat`` to emit ``(tile_id, gauss_row)`` pairs, a single
+  ``np.lexsort`` over ``(tile_id, depth, row)`` and ``np.unique`` offsets.
+  ``RasterSettings.tile_size`` (16) is the *semantic* level: a splat may
+  reach the pixels of the ``tile_size`` tiles its 3-sigma radius spans, and
+  no others.  The bins themselves are built on 8x8 *compute tiles*
+  (``_COMPUTE_TILE``) from each splat's **footprint**: its span, clipped to
+  the image and to the bounding box of ``{alpha_raw >= alpha_threshold}`` —
+  for the conic ``[[a, b], [b, c]]`` the ellipse
+  ``q(d) <= 2 ln(opacity / alpha_threshold)`` with half-extents
+  ``sqrt(level * c / det)`` and ``sqrt(level * a / det)``, inflated by
+  ``_FOOTPRINT_MARGIN``.  A splat with ``opacity < alpha_threshold`` is in
+  no bin; ``alpha_threshold <= 0`` or a non-finite extent keeps the whole
+  span.  A dropped ``(compute tile, splat)`` pair has ``alpha_eff == 0`` on
+  every pixel of that tile, so transmittance, contributor sets and
+  gradients are those of single-level binning (only BLAS summation order
+  differs) while the slabs shed about half of their cells, all of which
+  blended to zero (``bench_e2e`` ``dense``: 481k -> 240k cells per view,
+  share passing the threshold 0.22 -> 0.38), and the canvas padding outside
+  the image shrinks to under one compute tile per edge.
+  The result is a :class:`TileBins` CSR structure over compute tiles::
 
       tile_ids : (T,)   linear ids (ty * tiles_x + tx) of non-empty tiles
       offsets  : (T+1,) CSR offsets into ``order``
       order    : (E,)   rows into the projected arrays, near-to-far per tile
 
 - **Grouped compositing**: tiles are processed in groups of equal *padded*
-  bin length as ``(T, G, P)`` tensors (``P = tile_size**2`` padded pixels,
+  bin length as ``(T, G, P)`` tensors (``P`` the compute tile's pixels,
   ``G`` the power-of-two padded splat count, pad entries carry zero
   opacity), so the forward blend, the ``t_before`` cumprods and the
   backward suffix sums batch across tiles instead of paying one Python
@@ -38,9 +55,10 @@ hot path is a *vectorized substrate*:
   memory-accounted CLM path).
 
 The legacy per-tile loop (``rasterize_forward_legacy`` and the
-``tile_alpha_weights`` contract it is built on) is kept verbatim as the
-golden reference: ``tests/gaussians/test_raster_parity.py`` pins the
-substrate against it and ``benchmarks/bench_raster.py`` records the
+``tile_alpha_weights`` contract it is built on, over the single-level
+``_build_tiles_loop`` binning) is kept verbatim as the golden reference:
+``tests/gaussians/test_raster_parity.py`` and ``test_compute_bins.py`` pin
+the substrate against it and ``benchmarks/bench_raster.py`` records the
 speedup.
 
 The rasterizer deliberately accepts an arbitrary subset of a scene's
@@ -51,8 +69,8 @@ win for compute and activation memory.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +92,30 @@ _MAX_GROUP_CELLS = 1 << 22
 #: Padding budget of a slab: padded entries may exceed real entries by at
 #: most this factor before the slab is cut.
 _MAX_PAD_WASTE = 1.25
+#: Edge, in pixels, of the square *compute tile* the CSR bins and the
+#: ``(T, G, P)`` slabs are built on.  ``RasterSettings.tile_size`` only
+#: defines which splats may reach which pixels; compositing on 8x8 tiles
+#: lets the footprint test below skip most of a 16x16 tile's zero-alpha
+#: cells and wastes less canvas outside the image.  Measured on
+#: ``bench_e2e`` ``dense``: 4 was slower than 8 (more, shallower slabs) and
+#: footprints at 16 gained nothing, so this is a constant, not a knob.  A
+#: ``tile_size`` that 8 does not divide is its own compute tile.
+_COMPUTE_TILE = 8
+#: Margin by which the footprint test is inflated so that rounding can
+#: never drop a ``(compute tile, splat)`` pair the compositing kernels
+#: would have given a non-zero alpha.  The kernels evaluate
+#: ``opacity * exp(-q/2) >= alpha_threshold`` per pixel; the binning
+#: solves the same inequality for the bounding box of the ellipse
+#: ``q <= level``.  Both sides round: the product and the logarithm by a
+#: few ulps of ``level``, the quadratic form ``q`` by a few ulps times the
+#: conic's condition number (<= ~1e8 with the 0.3 px low-pass), the
+#: extents by a few ulps of themselves.  So the level and then the
+#: half-extents are each grown by ``margin * (1 + value)``; at 1e-6 that
+#: is >100x the worst of those errors in float64 and widens a footprint by
+#: about a millionth of its size, i.e. admits no measurable number of
+#: extra pairs.  Fixed, not configurable (the ``frustum._PREFILTER_MARGIN``
+#: idiom): correctness needs only "much larger than rounding".
+_FOOTPRINT_MARGIN = 1e-6
 
 
 @dataclass
@@ -145,12 +187,19 @@ class ProjectedGaussians:
 
 @dataclass
 class TileBins:
-    """CSR tile binning of one view.
+    """CSR binning of one view over *compute tiles*.
 
+    ``tile_size`` here is the compute-tile edge (``_COMPUTE_TILE``, or
+    ``RasterSettings.tile_size`` when 8 does not divide it), not the
+    semantic ``RasterSettings.tile_size``; ``tiles_x``/``tiles_y`` is the
+    compute-tile grid covering the image.
     ``order[offsets[i] : offsets[i + 1]]`` are the rows (into the
-    :class:`ProjectedGaussians` arrays) binned into the tile with linear id
-    ``tile_ids[i]`` (``tile_id = ty * tiles_x + tx``), sorted near-to-far
-    (ties broken by row index, matching the legacy stable sort).
+    :class:`ProjectedGaussians` arrays) whose footprint touches the compute
+    tile with linear id ``tile_ids[i]`` (``tile_id = ty * tiles_x + tx``),
+    sorted near-to-far (ties broken by row index, matching the legacy
+    stable sort).  A row absent from a tile has zero alpha on every pixel
+    of it, so compositing over these bins equals compositing over the full
+    ``tile_size`` spans (see :func:`build_tile_bins`).
     """
 
     tile_size: int
@@ -177,6 +226,24 @@ class TileBins:
     def tile_xy(self) -> "tuple[np.ndarray, np.ndarray]":
         """``(tx, ty)`` tile coordinates of every non-empty tile."""
         return self.tile_ids % self.tiles_x, self.tile_ids // self.tiles_x
+
+    @cached_property
+    def lane_xy(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Pixel-centre offsets ``(lx, ly)``, each ``(P,)``, of a tile's
+        row-major pixels from its corner — the same for every tile, so
+        built once per view rather than once per slab."""
+        lane = np.arange(self.tile_size) + 0.5
+        return np.tile(lane, self.tile_size), np.repeat(lane, self.tile_size)
+
+    @cached_property
+    def centred_monomials(self) -> np.ndarray:
+        """``(P, 6)`` monomials ``[1, x, y, x^2, xy, y^2]`` of a tile's
+        pixel centres relative to the tile centre (the backward pass's
+        moment basis; exact in float32 and float64 alike)."""
+        lx, ly = self.lane_xy
+        x = lx - self.tile_size / 2.0
+        y = ly - self.tile_size / 2.0
+        return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
 
 
 @dataclass
@@ -207,23 +274,10 @@ class RenderContext:
     #: :func:`rasterize_forward`, surfaced through ``PerfCounters`` and
     #: the bench records.
     kernel_backend: str = "numpy"
-    _tiles: Optional[Dict[Tuple[int, int], TileWork]] = field(
-        default=None, repr=False
-    )
-
-    @property
-    def tiles(self) -> Dict[Tuple[int, int], TileWork]:
-        """Legacy ``{(tx, ty): TileWork}`` view of :attr:`bins`.
-
-        Kept for compatibility with pre-substrate callers; new code should
-        read the CSR :attr:`bins` directly.
-        """
-        if self._tiles is None:
-            if self.bins is None:
-                self._tiles = {}
-            else:
-                self._tiles = _tilework_view(self.bins)
-        return self._tiles
+    #: ``{(tx, ty): TileWork}`` of a :func:`rasterize_forward_legacy`
+    #: context (which has no ``bins``); read by
+    #: :func:`~repro.gaussians.rasterizer_grad.rasterize_backward_legacy`.
+    tiles: Optional[Dict[Tuple[int, int], TileWork]] = None
 
     def blend_state_bytes(self) -> int:
         """Bytes retained by the shared forward/backward blend cache."""
@@ -240,12 +294,17 @@ class RenderContext:
         """Actual activation footprint: the per-Gaussian projected state,
         the CSR tile keys, and (when retained) the blend cache.  Tests
         sanity-check the memory model's claim that activations scale with
-        ``|S_i|`` against this."""
+        ``|S_i|`` against this.  Both count ``(compute tile, splat)`` pairs
+        that survive the footprint test: against full ``tile_size`` spans
+        the blend cache roughly halves (fewer zero-alpha cells retained)
+        while the tile keys, 8 bytes a pair, roughly double (four times
+        the tiles).  The analytic pool model (``core/memory_model``) reads
+        neither."""
         per_gaussian = (2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1) * 8
         if self.bins is not None:
             tile_entries = self.bins.num_entries
         else:
-            tile_entries = sum(t.order.size for t in self.tiles.values())
+            tile_entries = sum(t.order.size for t in (self.tiles or {}).values())
         return (
             self.proj.ids.size * per_gaussian
             + tile_entries * 8
@@ -338,9 +397,9 @@ def preprocess(
 
 def _tile_spans(
     camera: Camera, proj: ProjectedGaussians, ts: int
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]":
-    """Clipped per-Gaussian tile rectangles ``(x0, x1, y0, y1)`` plus the
-    tile-grid shape."""
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Per-Gaussian inclusive rectangles ``(x0, x1, y0, y1)`` of the
+    ``ts``-pixel tiles their 3-sigma radius touches, clipped to the grid."""
     tiles_x = (camera.width + ts - 1) // ts
     tiles_y = (camera.height + ts - 1) // ts
     x = proj.means2d[:, 0]
@@ -350,42 +409,96 @@ def _tile_spans(
     x1 = np.clip(((x + r) // ts).astype(np.int64), 0, tiles_x - 1)
     y0 = np.clip(((y - r) // ts).astype(np.int64), 0, tiles_y - 1)
     y1 = np.clip(((y + r) // ts).astype(np.int64), 0, tiles_y - 1)
-    return x0, x1, y0, y1, tiles_x, tiles_y
+    return x0, x1, y0, y1
+
+
+def _compute_tile_rects(
+    camera: Camera, proj: ProjectedGaussians, settings: RasterSettings, sub: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Per-Gaussian compute-tile rectangles ``(rows, cx0, cx1, cy0, cy1)``.
+
+    ``rows`` are the Gaussians with a non-empty *footprint*: the pixels of
+    their semantic tile span (:func:`_tile_spans` at ``settings.tile_size``),
+    inside the image, whose centres lie in the inflated bounding box of
+    ``{alpha_raw >= alpha_threshold}`` (see ``_FOOTPRINT_MARGIN``).  The
+    rectangles are inclusive ranges of ``sub``-pixel compute tiles.
+    """
+    ts = settings.tile_size
+    x0, x1, y0, y1 = _tile_spans(camera, proj, ts)
+    # Inclusive pixel ranges of the semantic span clipped to the image.
+    lo_x = (x0 * ts).astype(np.float64)
+    hi_x = np.minimum((x1 + 1) * ts, camera.width) - 1.0
+    lo_y = (y0 * ts).astype(np.float64)
+    hi_y = np.minimum((y1 + 1) * ts, camera.height) - 1.0
+
+    tau = settings.alpha_threshold
+    opac = proj.opacities
+    keep = np.ones(opac.size, dtype=bool)
+    if tau > 0:
+        a = proj.conics[:, 0, 0]
+        b = proj.conics[:, 0, 1]
+        c = proj.conics[:, 1, 1]
+        # alpha_raw = opacity * exp(-q/2) >= tau  <=>  q <= 2 ln(opacity/tau),
+        # an ellipse whose bounding box has half-extents sqrt(level * c/det),
+        # sqrt(level * a/det).  A non-finite extent (degenerate conic, NaN
+        # opacity) falls back to the whole span.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            level = 2.0 * np.log(opac / tau)
+            level += _FOOTPRINT_MARGIN * (1.0 + level)
+            det = a * c - b * b
+            half_x = np.sqrt(level * c / det)
+            half_y = np.sqrt(level * a / det)
+            half_x += _FOOTPRINT_MARGIN * (1.0 + half_x)
+            half_y += _FOOTPRINT_MARGIN * (1.0 + half_y)
+        half_x = np.where(np.isfinite(half_x), half_x, np.inf)
+        half_y = np.where(np.isfinite(half_y), half_y, np.inf)
+        # Pixel i has its centre at i + 0.5.
+        mx = proj.means2d[:, 0] - 0.5
+        my = proj.means2d[:, 1] - 0.5
+        lo_x = np.maximum(lo_x, np.ceil(mx - half_x))
+        hi_x = np.minimum(hi_x, np.floor(mx + half_x))
+        lo_y = np.maximum(lo_y, np.ceil(my - half_y))
+        hi_y = np.minimum(hi_y, np.floor(my + half_y))
+        # opacity < tau passes the threshold nowhere (exp(.) <= 1).
+        keep &= ~(opac < tau)
+
+    keep &= (lo_x <= hi_x) & (lo_y <= hi_y)
+    rows = np.nonzero(keep)[0]
+
+    def tiles(px: np.ndarray) -> np.ndarray:
+        return px[rows].astype(np.int64) // sub
+
+    return rows, tiles(lo_x), tiles(hi_x), tiles(lo_y), tiles(hi_y)
 
 
 def build_tile_bins(
     camera: Camera, proj: ProjectedGaussians, settings: RasterSettings
 ) -> TileBins:
-    """Bin projected Gaussians into tiles as one flat CSR array program.
+    """Bin projected Gaussians into compute tiles as one flat CSR array
+    program.
 
-    Per-Gaussian tile-span counts -> ``np.repeat`` emits the flat
+    Two levels: ``settings.tile_size`` defines which splats may reach which
+    pixels (the 3-sigma tile span), the bins are built at the compute tile
+    (``_COMPUTE_TILE``, or ``tile_size`` itself when 8 does not divide it)
+    from each splat's thresholded footprint inside that span.  Per-Gaussian
+    compute-tile counts -> ``np.repeat`` emits the flat
     ``(tile_id, gauss_row)`` pair list -> one ``np.lexsort`` over
     ``(tile_id, depth, row)`` -> ``np.unique`` yields the CSR offsets.
     No Python loop over Gaussians or tiles.
     """
     ts = settings.tile_size
-    x0, x1, y0, y1, tiles_x, tiles_y = _tile_spans(camera, proj, ts)
-    m = proj.ids.size
-    if m == 0:
-        return TileBins(
-            tile_size=ts,
-            tiles_x=tiles_x,
-            tiles_y=tiles_y,
-            width=camera.width,
-            height=camera.height,
-            tile_ids=np.empty(0, dtype=np.int64),
-            offsets=np.zeros(1, dtype=np.int64),
-            order=np.empty(0, dtype=np.int64),
-        )
+    sub = _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
+    tiles_x = (camera.width + sub - 1) // sub
+    tiles_y = (camera.height + sub - 1) // sub
+    kept, x0, x1, y0, y1 = _compute_tile_rects(camera, proj, settings, sub)
 
     nx = x1 - x0 + 1
-    ny = y1 - y0 + 1
-    counts = nx * ny
+    counts = nx * (y1 - y0 + 1)
     total = int(counts.sum())
-    rows = np.repeat(np.arange(m, dtype=np.int64), counts)
-    # Local rank of each emitted pair inside its Gaussian's span, then the
-    # (tx, ty) offset within the span rectangle.
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rows = np.repeat(kept, counts)
+    # Local rank of each emitted pair inside its Gaussian's rectangle, then
+    # the (tx, ty) offset within it.
+    starts = np.cumsum(counts) - counts
     local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     nx_flat = np.repeat(nx, counts)
     lx = local % nx_flat
@@ -395,55 +508,17 @@ def build_tile_bins(
     # Primary key: tile id; secondary: depth (near-to-far); tertiary: row
     # index, which reproduces the legacy stable argsort's tie-breaking.
     perm = np.lexsort((rows, proj.depths[rows], tile))
-    order = rows[perm]
-    tile_sorted = tile[perm]
-    tile_ids, first = np.unique(tile_sorted, return_index=True)
-    offsets = np.concatenate([first, [total]]).astype(np.int64)
+    tile_ids, first = np.unique(tile[perm], return_index=True)
     return TileBins(
-        tile_size=ts,
+        tile_size=sub,
         tiles_x=tiles_x,
         tiles_y=tiles_y,
         width=camera.width,
         height=camera.height,
         tile_ids=tile_ids.astype(np.int64),
-        offsets=offsets,
-        order=order,
+        offsets=np.append(first, total).astype(np.int64),
+        order=rows[perm],
     )
-
-
-def _tilework_view(bins: TileBins) -> Dict[Tuple[int, int], TileWork]:
-    """Materialize the legacy ``{(tx, ty): TileWork}`` dict from CSR bins."""
-    ts = bins.tile_size
-    tx, ty = bins.tile_xy()
-    tiles: Dict[Tuple[int, int], TileWork] = {}
-    for i in range(bins.num_tiles):
-        x, y = int(tx[i]), int(ty[i])
-        tiles[(x, y)] = TileWork(
-            x0=x * ts,
-            y0=y * ts,
-            x1=min((x + 1) * ts, bins.width),
-            y1=min((y + 1) * ts, bins.height),
-            order=bins.order[bins.offsets[i] : bins.offsets[i + 1]],
-        )
-    return tiles
-
-
-def build_tiles(
-    camera: Camera, proj: ProjectedGaussians, settings: RasterSettings
-) -> Dict[Tuple[int, int], TileWork]:
-    """Deprecated dict-of-:class:`TileWork` view of the CSR binning.
-
-    Pre-substrate callers iterated ``{(tx, ty): TileWork}``; the binning
-    itself now runs through :func:`build_tile_bins` (bit-identical bins,
-    measured in ``benchmarks/bench_raster.py``).
-    """
-    warnings.warn(
-        "build_tiles is deprecated; use build_tile_bins (CSR TileBins) — "
-        "the dict-of-TileWork view is a compatibility shim",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _tilework_view(build_tile_bins(camera, proj, settings))
 
 
 def _build_tiles_loop(
@@ -453,7 +528,7 @@ def _build_tiles_loop(
     golden reference for the parity tests and the ``raster`` benchmark's
     legacy timings."""
     ts = settings.tile_size
-    x0, x1, y0, y1, _, _ = _tile_spans(camera, proj, ts)
+    x0, x1, y0, y1 = _tile_spans(camera, proj, ts)
     bins: Dict[Tuple[int, int], list] = {}
     for row in range(proj.ids.size):
         for ty in range(y0[row], y1[row] + 1):
@@ -597,18 +672,24 @@ def iter_tile_groups(
         i = j
 
 
+def _tile_origins(
+    bins: TileBins, tix: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Pixel coordinates ``(x0, y0)``, each ``(T,)``, of the corners of the
+    tiles in a slab."""
+    t_ids = bins.tile_ids[tix]
+    ts = bins.tile_size
+    return t_ids % bins.tiles_x * ts, t_ids // bins.tiles_x * ts
+
+
 def _group_pixels(
     bins: TileBins, tix: np.ndarray, dtype: np.dtype
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Pixel-centre coordinates ``(T, P)`` of the padded tiles in a slab."""
-    ts = bins.tile_size
-    t_ids = bins.tile_ids[tix]
-    tx = t_ids % bins.tiles_x
-    ty = t_ids // bins.tiles_x
-    lx = np.tile(np.arange(ts), ts)
-    ly = np.repeat(np.arange(ts), ts)
-    px = ((tx * ts)[:, None] + lx[None, :] + 0.5).astype(dtype)
-    py = ((ty * ts)[:, None] + ly[None, :] + 0.5).astype(dtype)
+    x0, y0 = _tile_origins(bins, tix)
+    lx, ly = bins.lane_xy
+    px = (x0[:, None] + lx).astype(dtype)
+    py = (y0[:, None] + ly).astype(dtype)
     return px, py
 
 
@@ -733,7 +814,7 @@ def rasterize_forward(
     bins = build_tile_bins(camera, proj, settings)
 
     bg = np.asarray(settings.background, dtype=dtype)
-    pixels = settings.tile_size**2
+    pixels = bins.tile_size**2
     num_tiles = bins.tiles_x * bins.tiles_y
     canvas_rgb = np.empty((num_tiles, pixels, 3), dtype=dtype)
     canvas_rgb[:] = bg
@@ -806,6 +887,6 @@ def rasterize_forward_legacy(
         proj=proj,
         bins=None,
         num_input=model.num_gaussians,
-        _tiles=tiles,
+        tiles=tiles,
     )
     return image, transmittance, ctx

@@ -56,7 +56,7 @@ from repro.gaussians.projection import (
 from repro.gaussians.rasterizer import (
     RenderContext,
     _AugArrays,
-    _group_pixels,
+    _tile_origins,
     image_to_tile_major,
     tile_alpha_weights,
 )
@@ -201,25 +201,17 @@ def _accumulate_group(
 
     # power = -0.5 d^T conic d,  d = pix - mean.  The mean/conic gradients
     # only need the weighted pixel moments sum_p d_power * d^k, and
-    # d = pix - mean separates, so one batched (T, G, P) @ (T, P, 6)
-    # matmul against the tile-centred monomials [1, x, y, x^2, xy, y^2]
-    # replaces the per-cell conic-d and outer-product chains of the legacy
-    # path (centring on the tile keeps the expansion's magnitudes at the
-    # tile scale, far from cancellation).
-    px, py = _group_pixels(bins, tix, settings.np_dtype)
+    # d = pix - mean separates, so a (T, G, P) @ (P, 6) matmul against the
+    # tile-centred monomials [1, x, y, x^2, xy, y^2] (the same block for
+    # every tile, built once per ``bins``) replaces the per-cell conic-d
+    # and outer-product chains of the legacy path (centring on the tile
+    # keeps the expansion's magnitudes at the tile scale, far from
+    # cancellation).
+    moments = np.matmul(d_power, bins.centred_monomials)  # (T, G, 6)
     half = bins.tile_size / 2.0
-    cx = px[:, 0] + half - 0.5  # (T,) tile centres (px[:,0] is x0 + 0.5)
-    cy = py[:, 0] + half - 0.5
-    pxc = px - cx[:, None]  # (T, P) in [-ts/2, ts/2]
-    pyc = py - cy[:, None]
-    monomials = np.stack(
-        [
-            np.ones_like(pxc), pxc, pyc,
-            pxc * pxc, pxc * pyc, pyc * pyc,
-        ],
-        axis=-1,
-    )  # (T, P, 6)
-    moments = np.matmul(d_power, monomials)  # (T, G, 6)
+    x0, y0 = _tile_origins(bins, tix)
+    cx = (x0 + half).astype(settings.np_dtype)  # (T,) tile centres
+    cy = (y0 + half).astype(settings.np_dtype)
     s00, sx, sy, sxx, sxy, syy = np.moveaxis(moments, -1, 0)
     mx = aug.means_x[rows] - cx[:, None]  # (T, G), tile-centred means
     my = aug.means_y[rows] - cy[:, None]

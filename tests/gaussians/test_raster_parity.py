@@ -17,7 +17,6 @@ from repro.gaussians.loss import l1_loss
 from repro.gaussians.model import GaussianModel, inverse_sigmoid
 from repro.gaussians.rasterizer import (
     RasterSettings,
-    _build_tiles_loop,
     build_tile_bins,
     iter_tile_groups,
     preprocess,
@@ -103,25 +102,6 @@ def test_parity_empty_model():
                          width=48, height=32, view_id=0)
     g_img = np.ones((32, 48, 3))
     assert_parity(empty, cam, g_img, RasterSettings(background=(0.2, 0.4, 0.6)))
-
-
-def test_csr_bins_match_loop_binning():
-    """The CSR build and the reference triple loop produce identical tiles
-    and identical depth-sorted per-tile orders."""
-    model, cam, _ = make_setup(5)
-    settings = RasterSettings(tile_size=8)
-    proj = preprocess(cam, model, settings)
-    loop_tiles = _build_tiles_loop(cam, proj, settings)
-    bins = build_tile_bins(cam, proj, settings)
-    assert bins.num_entries == sum(t.order.size for t in loop_tiles.values())
-    tx, ty = bins.tile_xy()
-    assert set(zip(tx.tolist(), ty.tolist())) == set(loop_tiles)
-    for i in range(bins.num_tiles):
-        key = (int(tx[i]), int(ty[i]))
-        np.testing.assert_array_equal(
-            bins.order[bins.offsets[i] : bins.offsets[i + 1]],
-            loop_tiles[key].order,
-        )
 
 
 def test_tile_groups_partition_the_bins():

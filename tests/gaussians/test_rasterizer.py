@@ -9,7 +9,6 @@ from repro.gaussians.rasterizer import (
     RasterSettings,
     _splat_on_screen,
     build_tile_bins,
-    build_tiles,
     preprocess,
     rasterize_forward,
 )
@@ -112,8 +111,9 @@ def test_tiles_cover_only_image(cam, tiny_model):
     tx, ty = bins.tile_xy()
     assert np.all((tx >= 0) & (tx < bins.tiles_x))
     assert np.all((ty >= 0) & (ty < bins.tiles_y))
-    assert bins.tiles_x * settings.tile_size >= cam.width
-    assert bins.tiles_y * settings.tile_size >= cam.height
+    assert settings.tile_size % bins.tile_size == 0
+    assert bins.tiles_x * bins.tile_size >= cam.width
+    assert bins.tiles_y * bins.tile_size >= cam.height
 
 
 def test_tile_lists_sorted_by_depth(cam, tiny_model):
@@ -123,25 +123,6 @@ def test_tile_lists_sorted_by_depth(cam, tiny_model):
     for i in range(bins.num_tiles):
         depths = proj.depths[bins.order[bins.offsets[i] : bins.offsets[i + 1]]]
         assert np.all(np.diff(depths) >= 0)
-
-
-def test_build_tiles_shim_warns_and_matches_bins(cam, tiny_model):
-    """The legacy dict-of-TileWork entry point is a deprecation shim over
-    the CSR binning."""
-    settings = RasterSettings()
-    proj = preprocess(cam, tiny_model, settings)
-    bins = build_tile_bins(cam, proj, settings)
-    with pytest.warns(DeprecationWarning, match="build_tile_bins"):
-        tiles = build_tiles(cam, proj, settings)
-    assert len(tiles) == bins.num_tiles
-    tx, ty = bins.tile_xy()
-    for i in range(bins.num_tiles):
-        tile = tiles[(int(tx[i]), int(ty[i]))]
-        assert 0 <= tile.x0 < tile.x1 <= cam.width
-        assert 0 <= tile.y0 < tile.y1 <= cam.height
-        np.testing.assert_array_equal(
-            tile.order, bins.order[bins.offsets[i] : bins.offsets[i + 1]]
-        )
 
 
 def test_tile_size_does_not_change_output(cam, tiny_model):
