@@ -71,10 +71,11 @@ CLM_BUFFER_BPG = 2 * 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT
 #: every engine opts out of retention (``EngineBase.raster_settings``)
 #: whenever a GPU memory pool enforces this model's budget.  The
 #: rasterizer's two-level binning (8x8 compute tiles over thresholded
-#: footprints) moves only those *reported* bytes — on ``bench_e2e``
-#: ``dense`` a view retains 6.0 MB of blend state and 25.6 KB of CSR tile
-#: keys, half and twice what full ``tile_size`` spans hold — and nothing
-#: this analytic model budgets: Figure 8/10 numbers and the engines'
+#: footprints) and its slab kernels (three retained cell tensors, 17 bytes
+#: a cell) move only those *reported* bytes — on ``bench_e2e`` ``dense`` a
+#: view retains 4.1 MB of blend state and 25.6 KB of CSR tile keys, a third
+#: and twice what full ``tile_size`` spans held — and nothing this analytic
+#: model budgets: Figure 8/10 numbers and the engines'
 #: ``gpu_peak_bytes`` do not depend on the binning.
 ACT_PER_GAUSSIAN = 500
 #: Per-pixel activation state (composited colour, transmittance, per-pixel

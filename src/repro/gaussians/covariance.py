@@ -88,9 +88,9 @@ def project_covariance(
     backward pass.
     """
     w = world_to_cam_rot
-    cov_cam = np.einsum("ij,njk,lk->nil", w, cov_world, w)
+    cov_cam = w @ cov_world @ w.T
     jac = perspective_jacobian(t_cam, fx, fy)
-    cov2d = np.einsum("nij,njk,nlk->nil", jac, cov_cam, jac)
+    cov2d = jac @ cov_cam @ np.swapaxes(jac, 1, 2)
     cov2d[:, 0, 0] += LOW_PASS_FILTER
     cov2d[:, 1, 1] += LOW_PASS_FILTER
     return cov2d, cov_cam
@@ -114,11 +114,11 @@ def project_covariance_backward(
     jac = perspective_jacobian(t_cam, fx, fy)
     g = 0.5 * (dL_dcov2d + np.swapaxes(dL_dcov2d, 1, 2))
     # cov2d = J M J^T with M = cov_cam  =>  dL/dM = J^T g J
-    dL_dcov_cam = np.einsum("nji,njk,nkl->nil", jac, g, jac)
+    dL_dcov_cam = np.swapaxes(jac, 1, 2) @ g @ jac
     # dL/dSigma_world = W^T dL/dM W
-    dL_dcov_world = np.einsum("ji,njk,kl->nil", w, dL_dcov_cam, w)
+    dL_dcov_world = w.T @ dL_dcov_cam @ w
     # dL/dJ = 2 g J M (g and M symmetric)
-    dL_djac = 2.0 * np.einsum("nij,njk,nkl->nil", g, jac, cov_cam)
+    dL_djac = 2.0 * (g @ jac @ cov_cam)
     tx, ty, tz = t_cam[:, 0], t_cam[:, 1], t_cam[:, 2]
     inv_z = 1.0 / tz
     inv_z2 = inv_z * inv_z
@@ -162,4 +162,4 @@ def invert_cov2d_backward(
     dL_dconic: np.ndarray, conic: np.ndarray
 ) -> np.ndarray:
     """Backward of matrix inversion: ``dL/dA = -A^{-T} dL/dA^{-1} A^{-T}``."""
-    return -np.einsum("nij,njk,nkl->nil", conic, dL_dconic, conic)
+    return -(conic @ dL_dconic @ conic)

@@ -38,18 +38,25 @@ hot path is a *vectorized substrate*:
       order    : (E,)   rows into the projected arrays, near-to-far per tile
 
 - **Grouped compositing**: tiles are processed in groups of equal *padded*
-  bin length as ``(T, G, P)`` tensors (``P`` the compute tile's pixels,
-  ``G`` the power-of-two padded splat count, pad entries carry zero
-  opacity), so the forward blend, the ``t_before`` cumprods and the
+  bin length (:func:`iter_tile_groups`): ``T`` tiles by ``G`` splats (the
+  slab's longest bin; pad rows carry zero opacity) by the compute tile's
+  ``P`` pixels, so the forward blend, the transmittance scan and the
   backward suffix sums batch across tiles instead of paying one Python
-  iteration per tile.  ``RasterSettings.group_size`` bounds the tiles per
-  slab; ``RasterSettings.dtype`` selects a float32 compute mode (gradient
-  accumulation stays float64 in :mod:`repro.gaussians.rasterizer_grad`).
+  iteration per tile.  The kernels themselves live in
+  :mod:`repro.kernels.numpy_backend` and are two-level: per-``(tile,
+  splat)`` work happens once per view on the flat CSR entries (the lane
+  terms of the separable exponent before the slab loop, all pair math and
+  one segment sum after it), the slabs only do per-cell work.
+  ``RasterSettings.group_size`` bounds the tiles per slab;
+  ``RasterSettings.dtype`` selects a float32 compute mode (gradient
+  accumulation stays float64).
 
 - **Shared blend cache**: with ``RasterSettings.cache_blend_state`` the
-  forward pass retains each group's blending state on the
-  :class:`RenderContext` so the backward pass does not recompute
-  ``tile_alpha_weights`` from scratch.  The retained bytes are reported by
+  forward pass retains, per slab, the three cell tensors the backward pass
+  reads (``weights``, ``odds``, ``gate``; 17 bytes a cell) on the
+  :class:`RenderContext`; without it the forward pass does not even form
+  the two backward-only ones and the backward pass regenerates the state,
+  bit for bit.  The retained bytes are reported by
   :meth:`RenderContext.activation_bytes` (the reference CUDA kernels
   recompute blending backward, which is why retention is opt-out for the
   memory-accounted CLM path).
@@ -57,8 +64,8 @@ hot path is a *vectorized substrate*:
 The legacy per-tile loop (``rasterize_forward_legacy`` and the
 ``tile_alpha_weights`` contract it is built on, over the single-level
 ``_build_tiles_loop`` binning) is kept verbatim as the golden reference:
-``tests/gaussians/test_raster_parity.py`` and ``test_compute_bins.py`` pin
-the substrate against it and ``benchmarks/bench_raster.py`` records the
+``tests/gaussians/test_raster_parity.py``, ``test_compute_bins.py`` and
+``test_slab_kernels.py`` pin the substrate against it and ``benchmarks/bench_raster.py`` records the
 speedup.
 
 The rasterizer deliberately accepts an arbitrary subset of a scene's
@@ -266,8 +273,11 @@ class RenderContext:
     proj: ProjectedGaussians
     bins: Optional[TileBins] = None
     num_input: int = 0
-    #: Per-group blending state retained by the forward pass when
-    #: ``settings.cache_blend_state`` (see :func:`_group_blend_state`).
+    #: Per-slab blending state retained by the forward pass when
+    #: ``settings.cache_blend_state``: one dict of arrays per slab, owned
+    #: by the kernel backend (``repro.kernels.numpy_backend._blend_slab``:
+    #: ``weights``/``odds``/``gate`` cell tensors, ``t_final``, and the
+    #: slab's tile and CSR-entry indices).
     blend_cache: Optional[List[dict]] = None
     #: Name of the kernel backend that actually composited this render
     #: (after auto-selection and per-op fallback) — stamped by
@@ -296,9 +306,9 @@ class RenderContext:
         sanity-check the memory model's claim that activations scale with
         ``|S_i|`` against this.  Both count ``(compute tile, splat)`` pairs
         that survive the footprint test: against full ``tile_size`` spans
-        the blend cache roughly halves (fewer zero-alpha cells retained)
-        while the tile keys, 8 bytes a pair, roughly double (four times
-        the tiles).  The analytic pool model (``core/memory_model``) reads
+        the blend cache roughly halves (fewer zero-alpha cells retained, 17
+        bytes each) while the tile keys, 8 bytes a pair, roughly double
+        (four times the tiles).  The analytic pool model (``core/memory_model``) reads
         neither."""
         per_gaussian = (2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1) * 8
         if self.bins is not None:
@@ -672,97 +682,6 @@ def iter_tile_groups(
         i = j
 
 
-def _tile_origins(
-    bins: TileBins, tix: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Pixel coordinates ``(x0, y0)``, each ``(T,)``, of the corners of the
-    tiles in a slab."""
-    t_ids = bins.tile_ids[tix]
-    ts = bins.tile_size
-    return t_ids % bins.tiles_x * ts, t_ids // bins.tiles_x * ts
-
-
-def _group_pixels(
-    bins: TileBins, tix: np.ndarray, dtype: np.dtype
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Pixel-centre coordinates ``(T, P)`` of the padded tiles in a slab."""
-    x0, y0 = _tile_origins(bins, tix)
-    lx, ly = bins.lane_xy
-    px = (x0[:, None] + lx).astype(dtype)
-    py = (y0[:, None] + ly).astype(dtype)
-    return px, py
-
-
-def _padded_rows(
-    bins: TileBins, tix: np.ndarray, g: int, pad_row: int
-) -> np.ndarray:
-    """``(T, G)`` rows into the augmented arrays, ``pad_row`` for pads."""
-    offs = bins.offsets[tix]
-    cnt = bins.offsets[tix + 1] - offs
-    lane = np.arange(g, dtype=np.int64)
-    valid = lane[None, :] < cnt[:, None]
-    gather = np.where(valid, offs[:, None] + lane[None, :], 0)
-    return np.where(valid, bins.order[gather], pad_row)
-
-
-def _group_blend_state(
-    bins: TileBins,
-    aug: _AugArrays,
-    tix: np.ndarray,
-    g: int,
-    settings: RasterSettings,
-) -> dict:
-    """Blending state of one slab of tiles, the grouped analogue of
-    :func:`tile_alpha_weights`.
-
-    Returns a dict with ``tix``, ``rows`` ``(T, G)``, and the ``(T, G, P)``
-    tensors ``gauss_weight``, ``alpha_eff``, ``t_before`` and ``active`` —
-    exactly what the backward pass consumes (and what the blend cache
-    retains).
-    """
-    dtype = settings.np_dtype
-    pad_row = aug.opac.size - 1
-    rows = _padded_rows(bins, tix, g, pad_row)
-    px, py = _group_pixels(bins, tix, dtype)
-
-    dx = px[:, None, :] - aug.means_x[rows][:, :, None]  # (T, G, P)
-    dy = py[:, None, :] - aug.means_y[rows][:, :, None]
-    a = aug.conic_a[rows][:, :, None]
-    b = aug.conic_b[rows][:, :, None]
-    c = aug.conic_c[rows][:, :, None]
-    # power = -0.5 (a dx^2 + 2 b dx dy + c dy^2), built in place.
-    power = dx * dx
-    power *= a
-    tmp = dx * dy
-    tmp *= b
-    power += tmp
-    power += tmp
-    np.multiply(dy, dy, out=tmp)
-    tmp *= c
-    power += tmp
-    power *= -0.5
-    np.minimum(power, 0.0, out=power)
-    gauss_weight = np.exp(power, out=power)  # reuses the buffer
-    alpha_raw = aug.opac[rows][:, :, None] * gauss_weight
-    thresh = alpha_raw >= settings.alpha_threshold
-    alpha_eff = np.minimum(alpha_raw, settings.max_alpha, out=tmp)
-    alpha_eff *= thresh
-
-    t_after = np.cumprod(1.0 - alpha_eff, axis=1)
-    t_before = np.empty_like(t_after)
-    t_before[:, 0] = 1.0
-    t_before[:, 1:] = t_after[:, :-1]
-    active = thresh & (t_before > settings.transmittance_min)
-    return {
-        "tix": tix,
-        "rows": rows,
-        "gauss_weight": gauss_weight,
-        "alpha_eff": alpha_eff,
-        "t_before": t_before,
-        "active": active,
-    }
-
-
 def _tile_major_to_image(
     canvas: np.ndarray, bins: TileBins
 ) -> np.ndarray:
@@ -822,8 +741,7 @@ def rasterize_forward(
 
     aug = _AugArrays.from_proj(proj, dtype)
     # Compositing runs on the runtime-selected kernel backend (the NumPy
-    # reference reproduces the grouped-slab loop verbatim; JIT backends
-    # fuse it).  Per-op fallback keeps unsupported layouts (e.g. float32
+    # reference runs the two-level slab kernels; JIT backends fuse them).  Per-op fallback keeps unsupported layouts (e.g. float32
     # blend state under the numba backend) on the reference.
     from repro.kernels import compile_with_fallback, raster_spec, resolve_backend
 

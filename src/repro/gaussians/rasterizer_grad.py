@@ -16,14 +16,23 @@ conic -> 2D covariance -> world covariance -> log-scales and quaternion,
 and colour -> SH coefficients and (through the view direction) position
 again.
 
-Execution (PR 4): tiles are processed in the same padded ``(T, G, P)``
-slabs as the forward pass — the per-tile blending state is either taken
-from the forward pass's blend cache (``RasterSettings.cache_blend_state``)
-or recomputed group-wise — the per-pixel reductions are grouped ``einsum``
-contractions, and every scatter into per-Gaussian gradient rows is a
-``np.bincount`` segment sum over the CSR order array instead of an
-``np.add.at`` fetch-add.  In the float32 compute mode the blend state is
-float32 but all gradient accumulators stay float64.
+Execution: tiles are processed in the same padded slabs as the forward
+pass, by the two-level kernel of :mod:`repro.kernels.numpy_backend`.  Per
+slab it reads three cell tensors — ``weights = a T active``, the odds
+``a / (1 - a)`` and the boolean ``gate`` (cap not reached), taken from the
+forward pass's blend cache (``RasterSettings.cache_blend_state``) or
+regenerated slab-wise — and forms, with ``cg_gp = c_g . g_p``::
+
+    d_power_gp = gate * (w cg - (total_p - csum_gp) * odds)
+
+(the alpha gradient above, already times ``alpha_raw``; ``csum`` is the
+running sum of ``w cg`` over splats and ``total_p = csum[-1] + T_final,p
+(g_p . bg)``).  Only its colour sums and tile-centred pixel moments leave
+the slab; the chain to mean, conic and opacity gradients and one
+``np.bincount`` segment sum over the CSR order array (:func:`_segment_sum`,
+instead of ``np.add.at`` fetch-adds) run once per view.  In the float32
+compute mode the blend state is float32 but all gradient accumulators stay
+float64.
 
 The pre-substrate per-tile loop survives as
 :func:`rasterize_backward_legacy`; the parity suite pins the grouped path
@@ -31,7 +40,7 @@ against it for every parameter group.
 
 Since the kernel-backend layer, the compositing gradient dispatches
 through :mod:`repro.kernels`: the NumPy reference backend runs the
-grouped path described above, while JIT backends fuse the recompute +
+slab path described above, while JIT backends fuse the recompute +
 suffix-sum gradient into compiled per-tile loops (``tests/kernels``
 pins every backend to the same 1e-10 bar).
 """
@@ -56,7 +65,6 @@ from repro.gaussians.projection import (
 from repro.gaussians.rasterizer import (
     RenderContext,
     _AugArrays,
-    _tile_origins,
     image_to_tile_major,
     tile_alpha_weights,
 )
@@ -139,99 +147,6 @@ def rasterize_backward(
     return _chain_to_parameters(
         ctx, model, d_colors[:m], d_opac[:m], d_means2d[:m], d_conics[:m]
     )
-
-
-def _accumulate_group(
-    state: dict,
-    bins,
-    aug: _AugArrays,
-    g_tiles: np.ndarray,
-    bg: np.ndarray,
-    settings,
-    d_colors: np.ndarray,
-    d_opac: np.ndarray,
-    d_means2d: np.ndarray,
-    d_conics: np.ndarray,
-) -> None:
-    """Fold one slab's compositing gradient into the padded accumulators."""
-    size = d_opac.size
-    tix = state["tix"]
-    rows = state["rows"]  # (T, G)
-    gauss_weight = state["gauss_weight"]  # (T, G, P)
-    alpha_eff = state["alpha_eff"]
-    t_before = state["t_before"]
-    active = state["active"]
-
-    g = g_tiles[bins.tile_ids[tix]]  # (T, P, 3) float64
-    weights = alpha_eff * t_before
-    weights *= active
-
-    # Colour gradient: dL/dc_g = sum_p w_gp g_p, batched BLAS
-    # (T, G, P) @ (T, P, 3) -> (T, G, 3).
-    d_colors += _segment_sum(rows, np.matmul(weights, g), size)
-
-    # Alpha gradient via emission + transmittance paths.
-    colors = aug.colors[rows]  # (T, G, 3)
-    cg = np.matmul(colors, g.transpose(0, 2, 1))  # (T, G, P): c_g . g_p
-    contrib = weights * cg
-    t_final = t_before[:, -1, :] * (1.0 - alpha_eff[:, -1, :])  # (T, P)
-    bg_term = t_final * (g @ bg)
-    csum = np.cumsum(contrib, axis=1)
-    suffix = (csum[:, -1:, :] - csum) + bg_term[:, None, :]
-    one_minus = np.maximum(1.0 - alpha_eff, 1.0 - settings.max_alpha)
-    d_alpha_eff = t_before * cg
-    d_alpha_eff *= active
-    suffix /= one_minus
-    d_alpha_eff -= suffix
-
-    # Gate through the threshold (alpha_eff == 0 there) and the 0.99 cap.
-    alpha_raw = aug.opac[rows][:, :, None] * gauss_weight
-    gate = (alpha_raw >= settings.alpha_threshold) & (
-        alpha_raw < settings.max_alpha
-    )
-    d_alpha_raw = d_alpha_eff
-    d_alpha_raw *= gate
-
-    # alpha_raw = opacity * exp(power)
-    d_opac += _segment_sum(
-        rows, np.einsum("tgp,tgp->tg", gauss_weight, d_alpha_raw), size
-    )
-    d_power = d_alpha_raw
-    d_power *= alpha_raw  # (T, G, P)
-
-    # power = -0.5 d^T conic d,  d = pix - mean.  The mean/conic gradients
-    # only need the weighted pixel moments sum_p d_power * d^k, and
-    # d = pix - mean separates, so a (T, G, P) @ (P, 6) matmul against the
-    # tile-centred monomials [1, x, y, x^2, xy, y^2] (the same block for
-    # every tile, built once per ``bins``) replaces the per-cell conic-d
-    # and outer-product chains of the legacy path (centring on the tile
-    # keeps the expansion's magnitudes at the tile scale, far from
-    # cancellation).
-    moments = np.matmul(d_power, bins.centred_monomials)  # (T, G, 6)
-    half = bins.tile_size / 2.0
-    x0, y0 = _tile_origins(bins, tix)
-    cx = (x0 + half).astype(settings.np_dtype)  # (T,) tile centres
-    cy = (y0 + half).astype(settings.np_dtype)
-    s00, sx, sy, sxx, sxy, syy = np.moveaxis(moments, -1, 0)
-    mx = aug.means_x[rows] - cx[:, None]  # (T, G), tile-centred means
-    my = aug.means_y[rows] - cy[:, None]
-    s10 = sx - mx * s00  # sum_p d_power * dx, etc.
-    s01 = sy - my * s00
-    s20 = sxx - 2.0 * mx * sx + mx * mx * s00
-    s11 = sxy - mx * sy - my * sx + mx * my * s00
-    s02 = syy - 2.0 * my * sy + my * my * s00
-
-    a = aug.conic_a[rows]
-    b = aug.conic_b[rows]
-    c = aug.conic_c[rows]
-    d_mean = np.stack([a * s10 + b * s01, b * s10 + c * s01], axis=-1)
-    d_means2d += _segment_sum(rows, d_mean, size)
-    d_conic = np.empty(rows.shape + (2, 2))
-    d_conic[..., 0, 0] = -0.5 * s20
-    d_conic[..., 0, 1] = -0.5 * s11
-    d_conic[..., 1, 0] = -0.5 * s11
-    d_conic[..., 1, 1] = -0.5 * s02
-    d_conics += _segment_sum(rows, d_conic, size)
 
 
 def rasterize_backward_legacy(

@@ -1,7 +1,7 @@
 """Optional numba JIT kernel backend — fused single-pass hot loops.
 
-Where the NumPy reference streams each slab through ~10 whole-tensor ops
-(one memory pass per op), these kernels walk the CSR bins once per tile in
+Where the NumPy reference streams each slab through ~15 whole-tensor
+passes forward and ~8 backward, these kernels walk the CSR bins once per tile in
 ``prange`` (tiles write disjoint pixels/entries, so the parallel loop is
 race-free) and keep the entire compositing recurrence in registers:
 
@@ -53,8 +53,9 @@ except Exception:  # pragma: no cover - exercised via monkeypatch in tests
 
 # ----------------------------------------------------------------------
 # Kernel bodies (plain Python at module level, jitted lazily).  The
-# arithmetic mirrors the reference implementations op for op — see the
-# in-place sequence in rasterizer._group_blend_state and
+# arithmetic follows the reference implementations — the per-cell
+# recurrence of the legacy ``rasterizer.tile_alpha_weights`` (which
+# ``numpy_backend._blend_slab`` evaluates slab-wise) and, op for op,
 # optim.kernels.fused_adam_update — so float64 results stay within the
 # 1e-10 parity bar (bit-identical for Adam, reassociation-only differences
 # for the BLAS-reduced raster sums).

@@ -1,12 +1,40 @@
 """The NumPy reference kernel backend.
 
-These are the tuned vectorized implementations the repo has shipped since
-PR 4/5 — grouped ``(T, G, P)`` slab compositing with batched-BLAS blends
-and ``np.bincount`` segment sums, and the ~14-pass in-place
-:func:`repro.optim.kernels.fused_adam_update` — wrapped in the
-:class:`~repro.kernels.registry.KernelBackend` protocol as the
-always-available, priority-0 reference every other backend is pinned
-against (and every per-op fallback lands on).
+The always-available, priority-0 reference every other backend is pinned
+against (and every per-op fallback lands on): the ~14-pass in-place
+:func:`repro.optim.kernels.fused_adam_update`, and the one NumPy
+implementation of grouped slab compositing — a **two-level** kernel over
+the CSR :class:`~repro.gaussians.rasterizer.TileBins`.
+
+*Entry level*, once per view on the ``E`` flat ``(tile, splat)`` entries
+(plus a pad slot ``E`` that padded slab rows point at).  The exponent
+``-0.5 (a dx^2 + 2 b dx dy + c dy^2)`` separates over a tile's pixel lanes,
+``power[y, x] = Bx[x] * dy[y] + A[x] + C[y]`` with ``A = -0.5 a dx^2``,
+``C = -0.5 c dy^2``, ``Bx = -b dx``, so :func:`_lane_terms` builds one
+``(E + 1, 2, 3, ts)`` block before the slab loop and ``power`` is a batched
+``(ts, 3) @ (3, ts)`` product.  After the loop the backward pass turns the
+per-entry colour sums and pixel moments into mean / conic / opacity /
+colour gradients and folds them into the per-Gaussian rows with **one**
+``(E, 10)`` segment sum (:func:`_fold_entries`).
+
+*Cell level*, per slab of ``T`` tiles padded to ``G`` splats
+(:func:`_blend_slab`), on splat-major ``(G, T, P)`` tensors: everything
+after ``power`` runs in place, and the transmittance product is scanned
+into a ``(G + 1)``-deep buffer whose last row is ``t_final``.  The backward
+pass reads three cell tensors per slab — ``weights = alpha_eff * t_before *
+active``, ``odds = alpha_eff / (1 - alpha_eff)`` and the boolean ``gate``
+(cap not reached; 17 bytes a cell) — because, with ``contrib = weights *
+cg`` and ``total = csum[-1] + bg_term``::
+
+    d_power = gate * (contrib - (total - csum) * odds)
+
+Under the cap ``alpha_eff`` is ``alpha_raw`` or (below the threshold) 0,
+where ``weights`` and ``odds`` vanish too, so this is the legacy
+``gate * alpha_raw * (active * t_before * cg - suffix / (1 - alpha_eff))``;
+``d_opacity`` is the zeroth pixel moment of ``d_power`` over the opacity.
+Forward-only renders (``cache_blend_state=False``) never form the odds or
+the gate; a backward pass without a cache regenerates the same state slab
+by slab, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +51,123 @@ from repro.kernels.registry import (
 )
 from repro.optim.kernels import fused_adam_update
 
+#: Row length (tiles x pixels of a slab) from which :func:`_scan` steps row
+#: by row instead of calling ``ufunc.accumulate``.  Measured crossover ~200
+#: elements (a Python-level ufunc call costs ~0.5 us, ``accumulate`` ~3 ns
+#: an element); results are bit-identical either way.
+_ROW_SCAN_MIN = 256
+
+
+def _entry_origins(bins) -> "tuple[np.ndarray, np.ndarray]":
+    """Pixel corner ``(x0, y0)``, each ``(E,)``, of every CSR entry's tile."""
+    counts = bins.counts()
+    tx, ty = bins.tile_xy()
+    return (
+        np.repeat(tx * bins.tile_size, counts),
+        np.repeat(ty * bins.tile_size, counts),
+    )
+
+
+def _per_entry(bins, arr: np.ndarray) -> np.ndarray:
+    """An ``_AugArrays`` field gathered per CSR entry, its pad row last."""
+    return arr[np.append(bins.order, arr.shape[0] - 1)]
+
+
+def _lane_terms(bins, aug, dtype) -> np.ndarray:
+    """``(E + 1, 2, 3, ts)`` lane factors of the separable exponent, one row
+    per CSR entry: ``[:, 0] = [dy, 1, C]`` over a tile's rows and
+    ``[:, 1] = [Bx, A, 1]`` over its columns, so ``power[y, x]`` is the
+    rank-3 product ``sum_k [:, 0, k, y] * [:, 1, k, x]``.  The pad slot's
+    variable lanes stay zero (``power`` 0, and the pad row's zero opacity
+    makes its alpha exactly 0)."""
+    e = bins.num_entries
+    rows = bins.order
+    x0, y0 = _entry_origins(bins)
+    lane = np.arange(bins.tile_size) + 0.5
+    dx = (x0[:, None] + lane).astype(dtype, copy=False) - aug.means_x[rows, None]
+    dy = (y0[:, None] + lane).astype(dtype, copy=False) - aug.means_y[rows, None]
+    # The scalings by -0.5 are exact and a pixel on the mean gets exactly
+    # ``power == 0``, whatever order the three products are summed in.
+    terms = np.zeros((e + 1, 2, 3, bins.tile_size), dtype=dtype)
+    terms[:e, 0, 0] = dy
+    terms[:, 0, 1] = 1.0
+    terms[:e, 0, 2] = dy * dy * (-0.5 * aug.conic_c[rows, None])
+    terms[:e, 1, 0] = dx * -aug.conic_b[rows, None]
+    terms[:e, 1, 1] = dx * dx * (-0.5 * aug.conic_a[rows, None])
+    terms[:, 1, 2] = 1.0
+    return terms
+
+
+def _blend_states(bins, aug, settings, for_backward: bool):
+    """Yield the blend state of every slab of the view, in
+    :func:`~repro.gaussians.rasterizer.iter_tile_groups` order."""
+    from repro.gaussians.rasterizer import iter_tile_groups
+
+    e = bins.num_entries
+    terms = _lane_terms(bins, aug, settings.np_dtype)
+    opac = _per_entry(bins, aug.opac)
+    for tix, g in iter_tile_groups(bins, settings.group_size):
+        # (G, T) flat CSR entry of every slab row; pads -> the pad slot E.
+        offs = bins.offsets[tix]
+        slot = np.arange(g)[:, None]
+        idx = np.where(slot < bins.offsets[tix + 1] - offs, offs + slot, e)
+        state = _blend_slab(terms[idx], opac[idx], settings, for_backward)
+        state["tix"] = tix
+        state["idx"] = idx
+        yield state
+
+
+def _scan(ufunc, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inclusive scan of ``src`` along axis 0 into ``out`` (may be ``src``).
+
+    ``ufunc.accumulate`` walks one pixel column at a time; a row-by-row loop
+    applies the same operations in the same order — bit-identical — and is
+    faster once a row (tiles x pixels) is long enough to vectorise.
+    """
+    if src[0].size < _ROW_SCAN_MIN:
+        return ufunc.accumulate(src, axis=0, out=out)
+    out[0] = src[0]
+    for k in range(1, src.shape[0]):
+        ufunc(out[k - 1], src[k], out=out[k])
+    return out
+
+
+def _blend_slab(terms, opac, settings, for_backward: bool) -> dict:
+    """Blend one slab from its ``(G, T, 2, 3, ts)`` lane terms.
+
+    Cell tensors are splat-major ``(G, T, P)``: a scan step is one
+    contiguous row.  Returns ``weights`` ``(G, T, P)`` and ``t_final``
+    ``(T, P)``, plus — only when the backward pass will read them — the
+    ``odds`` and the boolean ``gate``.
+    """
+    g, t, _, _, ts = terms.shape
+    # One batched (ts, 3) @ (3, ts) product per (splat, tile) row.
+    power = np.matmul(terms[:, :, 0].transpose(0, 1, 3, 2), terms[:, :, 1])
+    alpha = power.reshape(g, t, ts * ts)
+    np.minimum(alpha, 0.0, out=alpha)
+    np.exp(alpha, out=alpha)
+    alpha *= opac[:, :, None]  # alpha_raw
+    thresh = alpha >= settings.alpha_threshold
+    state = {}
+    if for_backward:
+        state["gate"] = alpha < settings.max_alpha
+    np.minimum(alpha, settings.max_alpha, out=alpha)
+    alpha *= thresh  # alpha_eff
+
+    # trans[k] is the transmittance in front of splat k; row G is t_final.
+    trans = np.empty((g + 1, t, ts * ts), dtype=alpha.dtype)
+    trans[0] = 1.0
+    one_minus = np.subtract(1.0, alpha, out=trans[1:])
+    if for_backward:
+        state["odds"] = alpha / one_minus
+    _scan(np.multiply, one_minus, one_minus)
+    t_before = trans[:-1]
+    alpha *= t_before
+    alpha *= t_before > settings.transmittance_min  # with thresh: active
+    state["weights"] = alpha
+    state["t_final"] = trans[-1].copy()  # not a view: frees ``trans``
+    return state
+
 
 def _raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t):
     """Grouped slab compositing into the tile-major canvases, in place.
@@ -32,26 +177,17 @@ def _raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t):
     exactly the blend-cache contract of
     :func:`repro.gaussians.rasterizer.rasterize_forward`.
     """
-    from repro.gaussians.rasterizer import (
-        _group_blend_state,
-        iter_tile_groups,
-    )
-
-    cache: Optional[List[dict]] = [] if settings.cache_blend_state else None
-    for tix, g in iter_tile_groups(bins, settings.group_size):
-        state = _group_blend_state(bins, aug, tix, g, settings)
-        alpha_eff = state["alpha_eff"]
-        t_before = state["t_before"]
-        weights = alpha_eff * t_before
-        weights *= state["active"]
-        colors = aug.colors[state["rows"]]  # (T, G, 3)
+    retain = settings.cache_blend_state
+    cache: Optional[List[dict]] = [] if retain else None
+    colors = _per_entry(bins, aug.colors)
+    for state in _blend_states(bins, aug, settings, for_backward=retain):
+        t_final = state["t_final"]
         # Batched BLAS: (T, P, G) @ (T, G, 3) -> (T, P, 3).
-        rgb = np.matmul(weights.transpose(0, 2, 1), colors)
-        t_final = t_before[:, -1, :] * (1.0 - alpha_eff[:, -1, :])  # (T, P)
-        t_ids = bins.tile_ids[tix]
+        rgb = np.matmul(state["weights"].transpose(1, 2, 0), colors[state["idx"].T])
+        t_ids = bins.tile_ids[state["tix"]]
         canvas_rgb[t_ids] = rgb + t_final[:, :, None] * bg
         canvas_t[t_ids] = t_final
-        if cache is not None:
+        if retain:
             cache.append(state)
     return cache
 
@@ -62,26 +198,78 @@ def _raster_backward(
     blend_cache=None,
 ):
     """Grouped compositing gradient, consuming the forward blend cache
-    when one was retained and recomputing slab-wise otherwise."""
-    from repro.gaussians.rasterizer import (
-        _group_blend_state,
-        iter_tile_groups,
-    )
-    from repro.gaussians.rasterizer_grad import _accumulate_group
-
-    groups = (
+    when one was retained and regenerating it slab-wise otherwise."""
+    e = bins.num_entries
+    colors = _per_entry(bins, aug.colors)
+    # Per-entry colour sums (3) and tile-centred pixel moments of d_power
+    # (6); every entry sits in exactly one slab, row E collects the pads.
+    staged = np.empty((e + 1, 9))
+    states = (
         blend_cache
         if blend_cache is not None
-        else (
-            _group_blend_state(bins, aug, tix, g, settings)
-            for tix, g in iter_tile_groups(bins, settings.group_size)
-        )
+        else _blend_states(bins, aug, settings, for_backward=True)
     )
-    for state in groups:
-        _accumulate_group(
-            state, bins, aug, g_tiles, bg, settings,
-            d_colors, d_opac, d_means2d, d_conics,
+    for state in states:
+        idx = state["idx"]
+        weights = state["weights"]  # (G, T, P)
+        g = g_tiles[bins.tile_ids[state["tix"]]]  # (T, P, 3) float64
+        # dL/dc_g = sum_p w_gp g_p: (T, G, P) @ (T, P, 3) -> (T, G, 3).
+        staged[idx.T, :3] = np.matmul(weights.transpose(1, 0, 2), g)
+        d_power = np.empty(weights.shape)
+        np.matmul(  # c_g . g_p
+            colors[idx.T], g.transpose(0, 2, 1), out=d_power.transpose(1, 0, 2)
         )
+        d_power *= weights  # contrib
+        rest = _scan(np.add, d_power, np.empty_like(d_power))  # csum
+        total = rest[-1] + state["t_final"] * (g @ bg)  # (T, P)
+        np.subtract(total, rest, out=rest)
+        rest *= state["odds"]
+        d_power -= rest
+        d_power *= state["gate"]
+        # power = -0.5 d^T conic d with d = pix - mean separates, so the
+        # mean/conic gradients need only the moments sum_p d_power * m_k
+        # against the tile-centred monomials [1, x, y, x^2, xy, y^2].
+        staged[idx, 3:] = np.matmul(d_power, bins.centred_monomials)
+    _fold_entries(bins, aug, staged[:e], d_colors, d_opac, d_means2d, d_conics)
+
+
+def _fold_entries(bins, aug, staged, d_colors, d_opac, d_means2d, d_conics):
+    """Entry level of the backward pass: per-entry moments -> gradients of
+    opacity, mean and conic, summed with the colour sums into the padded
+    per-Gaussian accumulators by one ``(E, 10)`` segment sum."""
+    from repro.gaussians.rasterizer_grad import _segment_sum
+
+    rows = bins.order
+    half = bins.tile_size / 2.0
+    x0, y0 = _entry_origins(bins)
+    # Tile-centred means (centring keeps the expansion at the tile scale).
+    mx = aug.means_x[rows] - (x0 + half).astype(aug.means_x.dtype)
+    my = aug.means_y[rows] - (y0 + half).astype(aug.means_y.dtype)
+    s00, sx, sy, sxx, sxy, syy = staged[:, 3:].T
+    s10 = sx - mx * s00  # sum_p d_power * dx, etc.
+    s01 = sy - my * s00
+    s20 = sxx - 2.0 * mx * sx + mx * mx * s00
+    s11 = sxy - mx * sy - my * sx + mx * my * s00
+    s02 = syy - 2.0 * my * sy + my * my * s00
+
+    a, b, c, opac = (
+        arr[rows] for arr in (aug.conic_a, aug.conic_b, aug.conic_c, aug.opac)
+    )
+    out = np.zeros((rows.size, 10))
+    out[:, :3] = staged[:, :3]
+    # d_power = alpha_raw * d_alpha_raw and alpha_raw = opacity * weight, so
+    # dL/d_opacity = s00 / opacity (a zero-opacity splat keeps the 0).
+    np.divide(s00, opac, out=out[:, 3], where=opac > 0)
+    out[:, 4] = a * s10 + b * s01
+    out[:, 5] = b * s10 + c * s01
+    out[:, 6] = -0.5 * s20
+    out[:, 7] = out[:, 8] = -0.5 * s11
+    out[:, 9] = -0.5 * s02
+    summed = _segment_sum(rows, out, d_opac.size)
+    d_colors += summed[:, :3]
+    d_opac += summed[:, 3]
+    d_means2d += summed[:, 4:6]
+    d_conics += summed[:, 6:].reshape(-1, 2, 2)
 
 
 @register_backend("numpy")

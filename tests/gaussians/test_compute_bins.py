@@ -208,21 +208,19 @@ def test_generated_projections_keep_every_thresholded_cell(case):
     assert_pruned_semantic_bins(cam, proj, opts, bins)
 
 
-@given(
+#: Arguments of :func:`generated_model` (shared with ``test_slab_kernels``).
+MODEL_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     num=st.integers(1, 40),
     size=st.tuples(st.integers(9, 61), st.integers(9, 45)),
-    tile_size=st.sampled_from([4, 8, 12, 16, 32]),
-    max_alpha=st.sampled_from([0.99, 0.6]),
     scale=st.sampled_from([-3.5, -2.0, -0.5]),
 )
-@settings(max_examples=40, deadline=None)
-def test_generated_models_match_oracle(
-    seed, num, size, tile_size, max_alpha, scale
-):
-    """End to end through ``preprocess``: opacities straddle the threshold
-    (a third below, a third within an ulp-scale band of it), scales run
-    from sub-pixel to larger than the image."""
+
+
+def generated_model(seed, num, size, scale):
+    """``(camera, model)`` through ``preprocess``: opacities straddle the
+    threshold (a third below, a third within an ulp-scale band of it),
+    scales run from sub-pixel to larger than the image."""
     rng = np.random.default_rng(seed)
     model = GaussianModel.random(num, extent=0.9, sh_degree=1, seed=seed)
     model.log_scales[:] = scale + rng.normal(scale=0.8, size=(num, 3))
@@ -235,6 +233,19 @@ def test_generated_models_match_oracle(
         eye=rng.normal(size=3) * 0.4 + (0.2, -2.4, 0.5), target=(0, 0, 0),
         width=size[0], height=size[1],
     )
+    return cam, model
+
+
+@given(
+    tile_size=st.sampled_from([4, 8, 12, 16, 32]),
+    max_alpha=st.sampled_from([0.99, 0.6]),
+    **MODEL_CASES,
+)
+@settings(max_examples=40, deadline=None)
+def test_generated_models_match_oracle(
+    seed, num, size, tile_size, max_alpha, scale
+):
+    cam, model = generated_model(seed, num, size, scale)
     opts = RasterSettings(
         tile_size=tile_size, max_alpha=max_alpha, background=(0.1, 0.2, 0.3)
     )
