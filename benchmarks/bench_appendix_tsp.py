@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.bench import register_benchmark
-from repro.core import scheduler
+from repro.planning import tsp_order
 from repro.utils.setops import as_index_set
 
 
@@ -37,29 +37,29 @@ def compute(ctx):
     rows = []
     for batch in (4, 8, 10, 12):
         sets = random_view_sets(batch, 5000, 600, seed=batch)
-        dist = scheduler.distance_matrix(sets)
+        dist = tsp_order.distance_matrix(sets)
         t0 = time.perf_counter()
-        sls = scheduler.stochastic_local_search(dist, time_limit_s=1e-3,
+        sls = tsp_order.stochastic_local_search(dist, time_limit_s=1e-3,
                                                 seed=0)
         sls_time = time.perf_counter() - t0
-        exact = scheduler.held_karp_path(dist)
-        sls_cost = scheduler.path_cost(dist, sls)
-        opt_cost = scheduler.path_cost(dist, exact)
+        exact = tsp_order.held_karp_path(dist)
+        sls_cost = tsp_order.path_cost(dist, sls)
+        opt_cost = tsp_order.path_cost(dist, exact)
         gap = 0.0 if opt_cost == 0 else 100 * (sls_cost - opt_cost) / opt_cost
         rows.append([batch, sls_cost, opt_cost, gap, sls_time * 1e3])
         ctx.record(variant=f"b{batch}", wall_time_s=sls_time,
                    gap_pct=gap)
     # A paper-scale batch (64 nodes, BigCity) — no oracle, just cost/time.
     sets64 = random_view_sets(64, 20000, 300, seed=64)
-    dist64 = scheduler.distance_matrix(sets64)
+    dist64 = tsp_order.distance_matrix(sets64)
     t0 = time.perf_counter()
-    order = scheduler.stochastic_local_search(dist64, time_limit_s=1e-3,
+    order = tsp_order.stochastic_local_search(dist64, time_limit_s=1e-3,
                                               seed=0)
     t64 = time.perf_counter() - t0
-    nn_cost = scheduler.path_cost(
-        dist64, scheduler.nearest_neighbor_path(dist64)
+    nn_cost = tsp_order.path_cost(
+        dist64, tsp_order.nearest_neighbor_path(dist64)
     )
-    rows.append([64, scheduler.path_cost(dist64, order), nn_cost,
+    rows.append([64, tsp_order.path_cost(dist64, order), nn_cost,
                  float("nan"), t64 * 1e3])
     ctx.record(variant="b64", wall_time_s=t64)
     ctx.emit(

@@ -4,12 +4,14 @@ The loop per training batch:
 
 1. the engine plans the batch once per candidate ordering (memoized by
    the :class:`~repro.planning.PlanCache`, so steady state costs nothing);
-2. :meth:`AutoTuner.choose` builds one :class:`repro.hardware.Simulator`
-   DAG per candidate — the render chain (assemble → forward → backward)
-   serialized on the training thread's ``main`` resource, the finalized
-   Adam chunks fanned out over ``overlap_workers`` CPU lanes (or
-   serialized on ``main`` when 0), the critical GPU Adam closing the
-   batch — and returns the argmin predicted makespan;
+2. :meth:`AutoTuner.choose` prices the batch's
+   :func:`~repro.planning.lower_batch` node list — the very nodes the
+   engine executes — on one :class:`repro.hardware.Simulator` per
+   candidate: ``step`` nodes serialized on the training thread's
+   ``main`` resource, ``adam`` chunks fanned out over
+   ``overlap_workers`` CPU lanes (or serialized on ``main`` when 0),
+   ``critical_adam`` closing the batch — and returns the argmin
+   predicted makespan;
 3. the engine executes the chosen config; :meth:`AutoTuner.observe`
    reconciles predicted vs measured wall time
    (:func:`~repro.planning.adam_overlap.reconcile_predicted_makespan`)
@@ -36,11 +38,12 @@ from repro.planning.adam_overlap import (
     MakespanReconciliation,
     reconcile_predicted_makespan,
 )
+from repro.planning.lowering import lower_batch
 from repro.planning.plan import BatchPlan
 
 #: Resource names of the per-candidate prediction DAG.  ``main`` is the
-#: training thread (render chain + inline Adam); ``cpu.adam{w}`` are the
-#: overlap runtime's worker lanes.
+#: training thread (``step`` nodes + inline Adam); ``cpu.adam{w}`` are
+#: the overlap runtime's worker lanes.
 MAIN_RESOURCE = "main"
 
 
@@ -113,8 +116,12 @@ class AutoTuner:
         model: Optional[CostModel] = None,
         testbed: Testbed = RTX4090_TESTBED,
         num_pixels: int = 1024,
+        overlap_adam: bool = True,
     ) -> None:
         self.space = space or CandidateSpace()
+        #: The engine's ``enable_overlap_adam``: whether ``adam`` nodes
+        #: hang off their own step or all wait for the last one.
+        self.overlap_adam = overlap_adam
         self.model = model or CostModel(testbed=testbed, num_pixels=num_pixels)
         self.stats = TunerStats()
         # (group_size, backend) combinations never yet measured, visited
@@ -230,64 +237,46 @@ class AutoTuner:
     def build_simulator(
         self, plan: BatchPlan, config: TunedConfig
     ) -> Simulator:
-        """The candidate's discrete-event DAG: render chain on ``main``,
-        Adam chunks over the configured worker lanes (round-robin, the
-        pool's deterministic lowest-id-first dispatch approximated by
-        serial lanes), critical Adam after the last retire."""
+        """The candidate's discrete-event DAG: the engine's own
+        :func:`~repro.planning.lower_batch` node list, priced — ``step``
+        and ``critical_adam`` on ``main``, ``adam`` chunks over the
+        configured worker lanes (round-robin, the pool's deterministic
+        lowest-id-first dispatch approximated by serial lanes)."""
         sim = Simulator()
         m = self.model
         workers = config.overlap_workers
         lanes = [f"cpu.adam{w}" for w in range(workers)] or [MAIN_RESOURCE]
         chunk_sizes = plan.adam_chunk_sizes
-        prev: Optional[int] = None
         lane = 0
-        for i, step in enumerate(plan.steps):
-            rows = int(step.working_set.size)
-            traffic = int(
-                step.loads.size + step.stores.size + step.cached.size
-            )
-            asm = sim.add(
-                f"ASM.{i}",
-                MAIN_RESOURCE,
-                m.overhead_s(traffic),
-                deps=(prev,) if prev is not None else (),
-                kind="assemble",
-            )
-            fwd = sim.add(
-                f"FWD.{i}",
-                MAIN_RESOURCE,
-                m.forward_s(rows, config.group_size, config.kernel_backend),
-                deps=(asm,),
-                kind="forward",
-            )
-            bwd = sim.add(
-                f"BWD.{i}",
-                MAIN_RESOURCE,
-                m.backward_s(rows, config.group_size, config.kernel_backend),
-                deps=(fwd,),
-                kind="backward",
-            )
-            prev = bwd
-            chunk = chunk_sizes[i]
-            if chunk:
-                duration = m.adam_s(chunk)
+        for node in lower_batch(plan, self.overlap_adam):
+            resource = MAIN_RESOURCE
+            if node.kind == "step":
+                step = plan.steps[node.index]
+                rows = int(step.working_set.size)
+                traffic = int(
+                    step.loads.size + step.stores.size + step.cached.size
+                )
+                duration = (
+                    m.overhead_s(traffic)
+                    + m.forward_s(
+                        rows, config.group_size, config.kernel_backend
+                    )
+                    + m.backward_s(
+                        rows, config.group_size, config.kernel_backend
+                    )
+                )
+            elif node.kind == "adam":
+                duration = m.adam_s(chunk_sizes[node.index])
                 if workers:
                     duration += DISPATCH_OVERHEAD_S
-                sim.add(
-                    f"ADAM.{i}",
-                    lanes[lane % len(lanes)],
-                    duration,
-                    deps=(bwd,),
-                    kind="adam",
-                )
+                resource = lanes[lane % len(lanes)]
                 lane += 1
-        if prev is not None:
+            else:
+                duration = m.critical_adam_s(int(plan.touched.size))
+            # A fresh simulator numbers tasks in insertion order, so the
+            # node list's positional deps are its task ids.
             sim.add(
-                "CRIT_ADAM",
-                MAIN_RESOURCE,
-                m.critical_adam_s(int(plan.touched.size)),
-                deps=(prev,),
-                kind="critical_adam",
+                node.name, resource, duration, deps=node.deps, kind=node.kind
             )
         return sim
 

@@ -13,13 +13,11 @@ Sparsity-guided CPU offloading for 3DGS training:
   parameter stores (the selective loading kernel equivalents, §5.2);
 - :mod:`repro.core.trainer` — the training loop tying it together.
 
-The engine implementations themselves moved to :mod:`repro.engines`
+The engine implementations themselves live in :mod:`repro.engines`
 (CLM, naive offloading, GPU-only baseline/enhanced behind one
 :class:`~repro.engines.base.Engine` protocol and registry), and the
-planning modules (caching, orders, adam_overlap) moved to
-:mod:`repro.planning` behind the :class:`~repro.planning.BatchPlanner`;
-deprecation shims keep the old import paths alive, and the names
-re-exported here are kept for backward compatibility.
+planning modules (caching, orders, adam_overlap) in
+:mod:`repro.planning` behind the :class:`~repro.planning.BatchPlanner`.
 """
 
 from repro.core.config import EngineConfig, TimingConfig
@@ -41,25 +39,6 @@ from repro.core.checkpoint import (
     save_checkpoint,
 )
 
-#: Engine re-exports resolved lazily (PEP 562) so that importing
-#: ``repro.core`` never drags in ``repro.engines`` — the engines import
-#: core submodules, and eager re-exports here would create a cycle.
-_ENGINE_EXPORTS = {
-    "CLMEngine": "repro.engines.clm",
-    "NaiveOffloadEngine": "repro.engines.naive",
-    "GpuOnlyEngine": "repro.engines.gpu_only",
-    "BatchResult": "repro.engines.base",
-}
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_EXPORTS:
-        import importlib
-
-        return getattr(importlib.import_module(_ENGINE_EXPORTS[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "save_checkpoint",
     "load_model",
@@ -72,10 +51,6 @@ __all__ = [
     "CullingIndex",
     "MicrobatchStep",
     "build_transfer_plan",
-    "BatchResult",
-    "CLMEngine",
-    "NaiveOffloadEngine",
-    "GpuOnlyEngine",
     "SYSTEMS",
     "max_model_size",
     "memory_breakdown",

@@ -68,12 +68,14 @@ class EngineConfig:
     ``RasterSettings`` and ``PackedSparseAdam``, and stamp the resolved
     name into ``PerfCounters.kernel_backend`` and their plan fingerprints.
 
-    ``use_task_graph`` routes the CLM batch through the dependency
-    task-graph executor (:class:`repro.runtime.GraphExecutor`) instead of
-    the submit/barrier overlap loop: assembly, raster forward/backward,
-    retirement and Adam chunks become explicit graph nodes executed in
-    any dependency-respecting order — bit-identical either way, at every
-    worker count (``tests/runtime/test_graph_equivalence.py``).
+    ``use_task_graph`` picks the executor of the batch's
+    :func:`repro.planning.lower_batch` node list (``step`` per
+    microbatch, ``adam`` per finalized chunk, ``critical_adam``): bound
+    into a :class:`repro.runtime.TaskGraph` and run by the
+    :class:`repro.runtime.GraphExecutor` in any dependency-respecting
+    order, instead of walked inline with ``adam`` nodes submitted to the
+    :class:`repro.runtime.OverlapExecutor` — bit-identical either way, at
+    every worker count (``tests/runtime/test_graph_equivalence.py``).
 
     ``autotune`` turns on the plan-guided adaptive runtime
     (:mod:`repro.autotune`): per batch, the engine predicts the makespan

@@ -26,11 +26,12 @@ batch's culling needs all parameters updated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.kernels import KernelCostModel
 from repro.hardware.metrics import CPU_ADAM, CPU_SCHED, GPU_COMM, GPU_COMPUTE
 from repro.hardware.simulator import Simulator
+from repro.planning.caching import MicrobatchStep
 from repro.planning.plan import BatchPlan
 
 LOAD_PRIORITY = 2  # prefetch parameters first ...
@@ -46,6 +47,118 @@ class BatchEndpoints:
     last_comm: Optional[int]
     last_adam: Optional[int]
     barrier: List[int] = field(default_factory=list)  # deps for next batch
+
+
+def device_chain(
+    sim: Simulator,
+    costs: KernelCostModel,
+    steps: Sequence[MicrobatchStep],
+    count_scale: float,
+    num_pixels: int,
+    compute: str,
+    comm: str,
+    tag: str,
+    load_deps: Sequence[int],
+    first_forward_deps: Sequence[int] = (),
+    compute_scale: float = 1.0,
+    prev_cpu_adam: Optional[int] = None,
+    blocked_load_counts: Optional[Sequence[float]] = None,
+) -> Iterator[Tuple[int, int]]:
+    """One device's LD -> FWD -> BWD -> ST chain (Figure 6), one group of
+    tasks per microbatch of ``steps`` on the ``compute`` / ``comm``
+    streams; yields each step's ``(BWD, ST)`` task ids.
+
+    Lazy on purpose: a step's tasks are added when the caller advances,
+    so a caller can hang its own tasks off ``ST`` (CLM's eager Adam)
+    before the next step's and task ids stay in pipeline order.
+
+    Double buffering is ``LD_i`` depending on ``BWD_{i-2}`` (the buffer
+    being overwritten must have been fully consumed).  ``first_forward_deps``
+    gate the first forward (the sharded halo import); ``compute_scale``
+    stretches the compute stream (the straggler model); with
+    ``prev_cpu_adam``, ``blocked_load_counts[i]`` rows of load ``i`` also
+    wait for that task (cross-batch pipelining).
+    """
+    bw = costs.testbed.gpu.dram_bandwidth
+    bwds: List[int] = []
+    for i, step in enumerate(steps):
+        n_load = step.num_loads * count_scale
+        n_cached = step.cached.size * count_scale
+        n_work = step.working_set.size * count_scale
+        n_store = step.num_stores * count_scale
+        n_blocked = 0.0
+        if prev_cpu_adam is not None and blocked_load_counts is not None:
+            n_blocked = min(blocked_load_counts[i] * count_scale, n_load)
+        n_free = n_load - n_blocked
+
+        ld_deps = list(load_deps)
+        if i >= 2:
+            ld_deps.append(bwds[i - 2])  # double buffer reuse
+        fwd_deps = [
+            sim.add(
+                f"LD{tag}.{i}",
+                comm,
+                costs.load_params_time(n_free)
+                + costs.cache_copy_time(n_cached),
+                deps=ld_deps,
+                priority=LOAD_PRIORITY,
+                kind="load",
+                rx_bytes=costs.load_bytes(n_free),
+                dram_write_bytes=costs.load_bytes(n_free + n_cached),
+            )
+        ]
+        if n_blocked > 0:
+            fwd_deps.append(
+                sim.add(
+                    f"LDB{tag}.{i}",
+                    comm,
+                    costs.load_params_time(n_blocked),
+                    deps=ld_deps + [prev_cpu_adam],
+                    priority=LOAD_PRIORITY,
+                    kind="load",
+                    rx_bytes=costs.load_bytes(n_blocked),
+                    dram_write_bytes=costs.load_bytes(n_blocked),
+                )
+            )
+        if i == 0:
+            fwd_deps.extend(first_forward_deps)
+        else:
+            fwd_deps.append(bwds[-1])
+        fwd_time = costs.forward_time(n_work, num_pixels) * compute_scale
+        bwd_time = costs.backward_time(n_work, num_pixels) * compute_scale
+        fwd = sim.add(
+            f"FWD{tag}.{i}",
+            compute,
+            fwd_time + costs.pipeline_sync_overhead,
+            deps=fwd_deps,
+            kind="forward",
+            # Rasterization kernels sustain ~1/3 of DRAM bandwidth
+            # (read-heavy), calibrated against Table 7's DRAM rows.
+            dram_read_bytes=0.25 * fwd_time * bw,
+            dram_write_bytes=0.12 * fwd_time * bw,
+        )
+        bwd = sim.add(
+            f"BWD{tag}.{i}",
+            compute,
+            bwd_time,
+            deps=[fwd],
+            kind="backward",
+            dram_read_bytes=0.25 * bwd_time * bw,
+            dram_write_bytes=0.12 * bwd_time * bw,
+        )
+        bwds.append(bwd)
+        st = sim.add(
+            f"ST{tag}.{i}",
+            comm,
+            costs.store_grads_time(n_store),
+            deps=[bwd],
+            priority=STORE_PRIORITY,
+            kind="store",
+            tx_bytes=costs.store_bytes(n_store),
+            # Accumulating offload reads old gradients back (§5.3).
+            rx_bytes=costs.store_bytes(n_store),
+        )
+        yield bwd, st
 
 
 def add_clm_batch(
@@ -71,9 +184,8 @@ def add_clm_batch(
     CPU-Adam chunk waits for it; the rest starts as soon as culling is done,
     overlapping the previous batch's tail.
     """
-    steps = plan.steps
     adam_chunk_counts = plan.adam_chunk_sizes
-    batch = len(steps)
+    batch = len(plan.steps)
     if blocked_load_counts is not None and len(blocked_load_counts) != batch:
         raise ValueError("one blocked-load count per microbatch required")
 
@@ -95,136 +207,60 @@ def add_clm_batch(
         kind="cull",
     )
 
-    loads: List[int] = []
-    bwds: List[int] = []
-    stores: List[int] = []
     adams: List[int] = []
-    prev_bwd: Optional[int] = None
-    prev_adam: Optional[int] = None
-    first = sched
-
-    for i, step in enumerate(steps):
-        n_load = step.num_loads * count_scale
-        n_cached = step.cached.size * count_scale
-        n_work = step.working_set.size * count_scale
-        n_store = step.num_stores * count_scale
-        n_blocked = 0.0
-        if prev_cpu_adam is not None and blocked_load_counts is not None:
-            n_blocked = min(blocked_load_counts[i] * count_scale, n_load)
-        n_free = n_load - n_blocked
-
-        ld_deps = [sched, cull]
-        if i >= 2:
-            ld_deps.append(bwds[i - 2])  # double buffer reuse
-        ld_free = sim.add(
-            f"LD{batch_tag}.{i}",
-            GPU_COMM,
-            costs.load_params_time(n_free) + costs.cache_copy_time(n_cached),
-            deps=ld_deps,
-            priority=LOAD_PRIORITY,
-            kind="load",
-            rx_bytes=costs.load_bytes(n_free),
-            dram_write_bytes=costs.load_bytes(n_free + n_cached),
-        )
-        ld_parts = [ld_free]
-        if n_blocked > 0:
-            ld_parts.append(
+    chain = device_chain(
+        sim,
+        costs,
+        plan.steps,
+        count_scale,
+        num_pixels,
+        compute=GPU_COMPUTE,
+        comm=GPU_COMM,
+        tag=batch_tag,
+        load_deps=[sched, cull],
+        prev_cpu_adam=prev_cpu_adam,
+        blocked_load_counts=blocked_load_counts,
+    )
+    for i, (last_bwd, last_store) in enumerate(chain):
+        if enable_overlap_adam:
+            adams.append(
                 sim.add(
-                    f"LDB{batch_tag}.{i}",
-                    GPU_COMM,
-                    costs.load_params_time(n_blocked),
-                    deps=ld_deps + [prev_cpu_adam],
-                    priority=LOAD_PRIORITY,
-                    kind="load",
-                    rx_bytes=costs.load_bytes(n_blocked),
-                    dram_write_bytes=costs.load_bytes(n_blocked),
+                    f"ADAM{batch_tag}.{i}",
+                    CPU_ADAM,
+                    costs.cpu_adam_sparse_time(
+                        adam_chunk_counts[i] * count_scale
+                    ),
+                    deps=[last_store] + adams[-1:],
+                    kind="adam",
+                    batch=batch_tag,
                 )
             )
-        loads.append(ld_parts[-1])
 
-        fwd_deps = list(ld_parts)
-        if prev_bwd is not None:
-            fwd_deps.append(prev_bwd)
-        fwd_time = costs.forward_time(n_work, num_pixels)
-        bwd_time = costs.backward_time(n_work, num_pixels)
-        bw = costs.testbed.gpu.dram_bandwidth
-        fwd = sim.add(
-            f"FWD{batch_tag}.{i}",
-            GPU_COMPUTE,
-            fwd_time + costs.pipeline_sync_overhead,
-            deps=fwd_deps,
-            kind="forward",
-            # Rasterization kernels sustain ~1/3 of DRAM bandwidth
-            # (read-heavy), calibrated against Table 7's DRAM rows.
-            dram_read_bytes=0.25 * fwd_time * bw,
-            dram_write_bytes=0.12 * fwd_time * bw,
-        )
-        bwd = sim.add(
-            f"BWD{batch_tag}.{i}",
-            GPU_COMPUTE,
-            bwd_time,
-            deps=[fwd],
-            kind="backward",
-            dram_read_bytes=0.25 * bwd_time * bw,
-            dram_write_bytes=0.12 * bwd_time * bw,
-        )
-        bwds.append(bwd)
-        prev_bwd = bwd
-
-        st = sim.add(
-            f"ST{batch_tag}.{i}",
-            GPU_COMM,
-            costs.store_grads_time(n_store),
-            deps=[bwd],
-            priority=STORE_PRIORITY,
-            kind="store",
-            tx_bytes=costs.store_bytes(n_store),
-            # Accumulating offload reads old gradients back (§5.3).
-            rx_bytes=costs.store_bytes(n_store),
-        )
-        stores.append(st)
-
-        if enable_overlap_adam:
-            ad_deps = [st]
-            if prev_adam is not None:
-                ad_deps.append(prev_adam)
-            ad = sim.add(
-                f"ADAM{batch_tag}.{i}",
+    touched = sum(adam_chunk_counts) * count_scale
+    if not enable_overlap_adam:
+        adams.append(
+            sim.add(
+                f"ADAM{batch_tag}.all",
                 CPU_ADAM,
-                costs.cpu_adam_sparse_time(adam_chunk_counts[i] * count_scale),
-                deps=ad_deps,
+                costs.cpu_adam_sparse_time(touched),
+                deps=[last_store],
                 kind="adam",
                 batch=batch_tag,
             )
-            adams.append(ad)
-            prev_adam = ad
-
-    if not enable_overlap_adam:
-        total = sum(adam_chunk_counts) * count_scale
-        ad = sim.add(
-            f"ADAM{batch_tag}.all",
-            CPU_ADAM,
-            costs.cpu_adam_sparse_time(total),
-            deps=[stores[-1]],
-            kind="adam",
-            batch=batch_tag,
         )
-        adams.append(ad)
-
-    touched = sum(adam_chunk_counts) * count_scale
     gpu_adam = sim.add(
         f"GADAM{batch_tag}",
         GPU_COMPUTE,
         costs.gpu_adam_time(touched),
-        deps=[bwds[-1]],
+        deps=[last_bwd],
         kind="gpu_adam",
     )
     return BatchEndpoints(
-        first_task=first,
+        first_task=sched,
         last_compute=gpu_adam,
-        last_comm=stores[-1],
+        last_comm=last_store,
         last_adam=adams[-1] if adams else None,
-        barrier=[gpu_adam] + ([adams[-1]] if adams else []),
+        barrier=[gpu_adam] + adams[-1:],
     )
 
 

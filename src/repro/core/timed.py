@@ -31,6 +31,7 @@ from repro.hardware.metrics import (
     runtime_decomposition,
 )
 from repro.hardware.simulator import ScheduleResult, Simulator
+from repro.planning.plan import BatchPlan
 from repro.planning.planner import BatchPlanner
 from repro.scenes.datasets import Scene
 from repro.utils.rng import make_rng
@@ -79,6 +80,53 @@ def _sample_batches(
     return batches
 
 
+def _paper_num_gaussians(scene: Scene, config: TimingConfig) -> float:
+    if config.paper_num_gaussians is not None:
+        return config.paper_num_gaussians
+    return float(scene.spec.paper_num_gaussians)
+
+
+class TimedSetup:
+    """What every simulated run derives from ``(scene, index, config)``
+    before it schedules anything: paper-scale counts, the cost model, the
+    sampled batches and the planner.  One RNG seeded from ``config.seed``
+    samples the batches and then feeds the planner, so every driver built
+    on this draws the same sequence."""
+
+    def __init__(
+        self, scene: Scene, index: CullingIndex, config: TimingConfig
+    ) -> None:
+        self.index = index
+        self.paper_num_gaussians = _paper_num_gaussians(scene, config)
+        self.batch_size = config.batch_size or scene.spec.batch_size
+        #: Multiplies every measured set size up to paper scale.
+        self.count_scale = self.paper_num_gaussians / index.num_gaussians
+        self.costs = KernelCostModel(
+            config.testbed, splats_per_pixel=scene.spec.splats_per_pixel
+        )
+        rng = make_rng(config.seed)
+        #: The sampled batches, each a list of view ids.
+        self.batches = _sample_batches(
+            index, self.batch_size, config.num_batches, rng
+        )
+        self.planner = BatchPlanner(
+            ordering=config.ordering,
+            enable_cache=config.enable_cache,
+            cache_size=config.plan_cache_size,
+            seed=rng,
+        )
+        self.cameras = {c.view_id: c for c in scene.cameras}
+
+    def plan(self, view_ids: Sequence[int]) -> BatchPlan:
+        """The :class:`BatchPlan` of one sampled batch."""
+        return self.planner.plan(
+            self.index.sets_for(view_ids),
+            view_ids,
+            cameras=[self.cameras[v] for v in view_ids],
+            num_gaussians=self.index.num_gaussians,
+        )
+
+
 def run_timed(
     system: str,
     scene: Scene,
@@ -92,26 +140,10 @@ def run_timed(
     if index is None:
         index = CullingIndex.build(scene.model, scene.cameras)
 
-    paper_n = (
-        config.paper_num_gaussians
-        if config.paper_num_gaussians is not None
-        else float(scene.spec.paper_num_gaussians)
-    )
-    batch_size = config.batch_size or scene.spec.batch_size
-    count_scale = paper_n / index.num_gaussians
+    setup = TimedSetup(scene, index, config)
+    paper_n, count_scale = setup.paper_num_gaussians, setup.count_scale
+    costs, batches = setup.costs, setup.batches
     pixels = scene.spec.paper_pixels
-    costs = KernelCostModel(
-        config.testbed, splats_per_pixel=scene.spec.splats_per_pixel
-    )
-    rng = make_rng(config.seed)
-    batches = _sample_batches(index, batch_size, config.num_batches, rng)
-    cam_by_id = {c.view_id: c for c in scene.cameras}
-    planner = BatchPlanner(
-        ordering=config.ordering,
-        enable_cache=config.enable_cache,
-        cache_size=config.plan_cache_size,
-        seed=rng,
-    )
 
     sim = Simulator()
     deps: Sequence[int] = ()
@@ -120,13 +152,8 @@ def run_timed(
     prev_cpu_adam = None
     prev_final_chunk = None
     for b, view_ids in enumerate(batches):
-        sets = index.sets_for(view_ids)
         if system == "clm":
-            cams = [cam_by_id[v] for v in view_ids]
-            plan = planner.plan(
-                sets, view_ids, cameras=cams,
-                num_gaussians=index.num_gaussians,
-            )
+            plan = setup.plan(view_ids)
             # Cross-batch pipelining: only the loads whose rows are still
             # pending in the previous batch's final Adam chunk must wait.
             blocked = None
@@ -156,7 +183,8 @@ def run_timed(
             prev_final_chunk = plan.adam_chunks[-1]
             deps = [endpoints.last_compute]
             continue
-        elif system == "naive":
+        sets = index.sets_for(view_ids)
+        if system == "naive":
             endpoints = add_naive_batch(
                 sim,
                 costs,
@@ -203,7 +231,7 @@ def run_timed(
         testbed=config.testbed.name,
         paper_num_gaussians=paper_n,
         num_batches=len(batches),
-        batch_size=batch_size,
+        batch_size=setup.batch_size,
         schedule=schedule,
         images_per_second=total_images / schedule.makespan,
         load_bytes_per_batch=load_bytes,
@@ -225,31 +253,12 @@ def communication_volume_per_batch(
     ``system='naive'`` reports the whole-model volume; for CLM the
     ordering/caching settings of ``config`` select the ablation variant.
     """
-    costs = KernelCostModel(config.testbed)
-    paper_n = (
-        config.paper_num_gaussians
-        if config.paper_num_gaussians is not None
-        else float(scene.spec.paper_num_gaussians)
-    )
     if system == "naive":
-        return costs.load_all_bytes(paper_n)
-    batch_size = config.batch_size or scene.spec.batch_size
-    count_scale = paper_n / index.num_gaussians
-    rng = make_rng(config.seed)
-    batches = _sample_batches(index, batch_size, config.num_batches, rng)
-    cam_by_id = {c.view_id: c for c in scene.cameras}
-    planner = BatchPlanner(
-        ordering=config.ordering,
-        enable_cache=config.enable_cache,
-        cache_size=config.plan_cache_size,
-        seed=rng,
-    )
-    loads = 0
-    for view_ids in batches:
-        sets = index.sets_for(view_ids)
-        cams = [cam_by_id[v] for v in view_ids]
-        plan = planner.plan(
-            sets, view_ids, cameras=cams, num_gaussians=index.num_gaussians
+        return KernelCostModel(config.testbed).load_all_bytes(
+            _paper_num_gaussians(scene, config)
         )
-        loads += plan.total_loads
-    return costs.load_bytes(loads * count_scale) / len(batches)
+    setup = TimedSetup(scene, index, config)
+    loads = sum(setup.plan(view_ids).total_loads for view_ids in setup.batches)
+    return setup.costs.load_bytes(loads * setup.count_scale) / len(
+        setup.batches
+    )

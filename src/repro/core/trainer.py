@@ -15,7 +15,6 @@ the loop implementation underneath it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -32,26 +31,6 @@ from repro.gaussians.model import GaussianModel
 from repro.optim.schedule import ExponentialDecay, ShWarmup
 from repro.scenes.images import TrainableScene
 from repro.utils.rng import make_rng
-
-
-def _registry():
-    # Local import: repro.engines.session imports this module, so a
-    # module-scope import of repro.engines would close an import cycle.
-    from repro.engines import registry
-
-    return registry
-
-
-def __getattr__(name: str):
-    if name == "ENGINE_TYPES":
-        warnings.warn(
-            "repro.core.trainer.ENGINE_TYPES is deprecated; use "
-            "repro.engines.available_engines()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _registry().available_engines()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -102,21 +81,6 @@ class TrainingHistory:
         return len(self.losses) / self.wall_time_s
 
 
-def make_engine(
-    engine_type: str,
-    model: GaussianModel,
-    cameras,
-    config: EngineConfig,
-):
-    """Deprecated alias for :func:`repro.engines.registry.create_engine`."""
-    warnings.warn(
-        "make_engine is deprecated; use repro.engines.create_engine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _registry().create_engine(engine_type, model, cameras, config)
-
-
 class Trainer:
     """Fits a Gaussian model to a :class:`TrainableScene`."""
 
@@ -146,7 +110,11 @@ class Trainer:
                 sh_degree=sh_degree,
                 seed=self.config.seed,
             )
-        self.engine = _registry().create_engine(
+        # Local import: repro.engines.session imports this module, so a
+        # module-scope import of repro.engines would close an import cycle.
+        from repro.engines.registry import create_engine
+
+        self.engine = create_engine(
             engine_type, initial_model, scene.cameras, self.engine_config
         )
         self.targets: Dict[int, np.ndarray] = {

@@ -10,15 +10,16 @@ NumPy arrays:
    (TSP by default, §4.2.3), precise-caching transfer steps (§4.2.1) and
    overlapped-Adam finalization chunks (§4.2.2), memoized by the plan
    cache;
-3. execute the plan's microbatch loop: assemble the working set (cache copies +
-   pinned-store loads), render, compute loss, backprop, accumulate
-   gradients (GPU-resident for critical attributes, working-buffer for
-   non-critical with carried accumulation), offload finalized gradients,
-   and *submit* the eager CPU-Adam chunk to the overlap runtime — with
-   ``config.overlap_workers >= 1`` the fused packed-row update of chunk
-   ``F_j`` executes on a worker thread while the training thread renders
+3. lower the plan to its node list (:func:`repro.planning.lower_batch`)
+   and execute it.  A ``step`` node is one microbatch: assemble the
+   working set (cache copies + pinned-store loads), render, compute loss,
+   backprop, accumulate gradients (GPU-resident for critical attributes,
+   working-buffer for non-critical with carried accumulation) and offload
+   the finalized ones.  An ``adam`` node is the eager CPU Adam of chunk
+   ``F_j`` — with ``config.overlap_workers >= 1`` its fused packed-row
+   update executes on a worker thread while the training thread renders
    microbatch ``j+1`` (§4.2.2 for real, not simulated);
-4. finish the batch: last Adam chunk, the GPU-side fused Adam update of
+4. finish the batch: ``critical_adam``, the GPU-side fused Adam update of
    the critical attributes, then the batch-end barrier that joins every
    in-flight chunk and surfaces worker errors.
 
@@ -34,12 +35,12 @@ the same batch for any worker count — checked by
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.autotune import MeasuredBatch
-from repro.core import attributes
 from repro.core.stores import (
     GpuCriticalStore,
     GpuWorkingSet,
@@ -47,13 +48,28 @@ from repro.core.stores import (
 )
 from repro.engines.base import BatchResult, EngineBase, PositionGradHook
 from repro.engines.registry import register_engine
-from repro.gaussians.loss import photometric_loss
 from repro.gaussians.model import GaussianModel
 from repro.optim.packed_adam import PackedSparseAdam
+from repro.planning.lowering import lower_batch
 from repro.runtime import GraphExecutor, OverlapExecutor, TaskGraph
 
 CRITICAL = ("positions", "log_scales", "quaternions")
-NONCRITICAL = ("sh", "opacity_logits")
+
+
+@dataclass
+class _BatchRun:
+    """What one batch's ``step`` nodes thread from one to the next."""
+
+    targets: Dict[int, np.ndarray]
+    batch: int
+    position_grad_hook: Optional[PositionGradHook]
+    #: The device's working buffers (the sharded engine swaps them per
+    #: device).
+    working: Optional[GpuWorkingSet] = None
+    #: Gradients the last retired step hands to the next assemble.
+    carried: Optional[tuple] = None
+    loss: float = 0.0
+    per_view_loss: Dict[int, float] = field(default_factory=dict)
 
 
 @register_engine(
@@ -111,6 +127,7 @@ class CLMEngine(EngineBase):
             self.tuner = AutoTuner(
                 space=CandidateSpace.from_engine_config(self.config),
                 num_pixels=max(1, self._num_pixels),
+                overlap_adam=self.config.enable_overlap_adam,
             )
 
     # -- runtime pools ---------------------------------------------------
@@ -176,9 +193,9 @@ class CLMEngine(EngineBase):
         tests), the ordering changes the schedule semantics exactly as the
         ``ordering`` config always has.
 
-        ``config.use_task_graph`` selects the dependency task-graph
-        executor instead of the submit/barrier overlap loop — same math,
-        same bit-identical guarantee.
+        ``config.use_task_graph`` selects which executor runs the
+        batch's node list (see :meth:`_execute_plan`) — same math, same
+        bit-identical guarantee.
         """
         cfg = self.config
         self._step_adam_critical_s = 0.0
@@ -212,14 +229,9 @@ class CLMEngine(EngineBase):
         else:
             plan = self.plan_batch(view_ids)
             workers = cfg.overlap_workers
-        if cfg.use_task_graph:
-            result, adam_noncritical_s, hidden_s = self._execute_plan_graph(
-                plan, targets, position_grad_hook, workers
-            )
-        else:
-            result, adam_noncritical_s, hidden_s = self._execute_plan(
-                plan, targets, position_grad_hook, workers
-            )
+        result, adam_noncritical_s, hidden_s = self._execute_plan(
+            plan, targets, position_grad_hook, workers
+        )
         if choice is not None:
             measured = MeasuredBatch(
                 wall_s=time.perf_counter() - batch_start,
@@ -257,242 +269,110 @@ class CLMEngine(EngineBase):
         position_grad_hook: Optional[PositionGradHook],
         workers: int,
     ) -> "tuple[BatchResult, float, float]":
-        """The submit/barrier overlap loop (the pre-graph execution path).
+        """Execute the batch's :func:`~repro.planning.lower_batch` nodes.
 
-        Concurrency contract: every task handed to the runtime updates a
-        *finalized* chunk — rows no later microbatch loads, stores, or
-        re-finalizes (the plan invariants ``validate`` asserts) — so the
-        worker threads and the training thread never touch the same rows,
-        and the barrier below is the only ordering the batch needs.
+        The same node list runs either inline — ``step`` and
+        ``critical_adam`` on the training thread, every ``adam`` handed to
+        the :class:`OverlapExecutor`, one barrier at batch end — or, with
+        ``config.use_task_graph``, bound into a :class:`TaskGraph` for
+        the :class:`GraphExecutor`.
 
-        Returns ``(result, noncritical_adam_s, hidden_s)``.
-        """
-        cfg = self.config
-        runtime = self._overlap_runtime(workers)
-        batch = plan.batch_size
-        touched = plan.touched
-        self.cpu_store.zero_grads(touched)
-        self.gpu_store.zero_grads(touched)
-
-        working = GpuWorkingSet(
-            self.cpu_store,
-            self.gpu_store,
-            pool=self.pool,
-            num_pixels=self._num_pixels,
-        )
-        carried = None
-        total_loss = 0.0
-        per_view_loss: Dict[int, float] = {}
-
-        for step, chunk in zip(plan.steps, plan.adam_chunks):
-            model_i = working.assemble(
-                step.working_set, step.loads, step.cached, carried
-            )
-            cam = self.cameras[step.view_id]
-            loss, grads = self._forward_backward(
-                cam, model_i, targets[step.view_id], batch
-            )
-            per_view_loss[step.view_id] = loss
-            total_loss += loss / batch
-            working.add_grads(grads)
-            if position_grad_hook is not None:
-                position_grad_hook(
-                    step.view_id, step.working_set, grads["positions"]
-                )
-            carried = working.retire(step.stores, step.carried)
-            if cfg.enable_overlap_adam and chunk.size:
-                # Chunk F_j is final: its CPU Adam (+ writeback staging)
-                # runs on the pool while the next microbatch renders.
-                runtime.submit(self._apply_noncritical_adam, chunk)
-
-        if not cfg.enable_overlap_adam:
-            # Ablation: all updates at batch end (functionally identical,
-            # nothing to hide them under — the barrier follows at once).
-            for chunk in plan.adam_chunks:
-                if chunk.size:
-                    runtime.submit(self._apply_noncritical_adam, chunk)
-        # The GPU-side critical update is independent of the pinned store,
-        # so it too proceeds under any still-running noncritical chunks.
-        self._apply_critical_adam(touched)
-        runtime.barrier()
-        stats = runtime.drain_stats()
-        self._step_adam_s += stats.task_s
-        self._step_overlap_hidden_s += stats.hidden_s
-        working.release()
-        result = self._batch_result(plan, working, total_loss, per_view_loss)
-        return result, stats.task_s, stats.hidden_s
-
-    # ------------------------------------------------------------------
-    def _execute_plan_graph(
-        self,
-        plan,
-        targets: Dict[int, np.ndarray],
-        position_grad_hook: Optional[PositionGradHook],
-        workers: int,
-    ) -> "tuple[BatchResult, float, float]":
-        """The dependency task-graph execution path (ROADMAP item 5).
-
-        Per microbatch the chain ``assemble -> forward -> backward ->
-        retire`` is a linear dependency spine (each assemble also depends
-        on the previous retire: they share the double-buffered working
-        set, and backward gradient accumulation across tile slabs is
-        order-sensitive, so the spine must not be reordered).  Each
-        finalized Adam chunk hangs off its step's retire node with *no*
-        edges between chunks — the worker pool runs them in any order,
-        bit-identical by chunk disjointness (§4.2.2), concurrently with
-        later spine nodes.
+        Concurrency contract: every ``adam`` node updates a *finalized*
+        chunk — rows no later microbatch loads, stores, or re-finalizes
+        (the plan invariants ``validate`` asserts) — and the GPU-side
+        critical update is independent of the pinned store, so workers
+        and the training thread never touch the same rows; the ``step``
+        spine is linear, so :class:`_BatchRun` is never accessed
+        concurrently.
 
         Returns ``(result, noncritical_adam_s, hidden_s)``.
         """
-        cfg = self.config
-        runtime = self._graph_runtime(workers)
-        batch = plan.batch_size
         touched = plan.touched
         self.cpu_store.zero_grads(touched)
         self.gpu_store.zero_grads(touched)
-
-        working = GpuWorkingSet(
-            self.cpu_store,
-            self.gpu_store,
-            pool=self.pool,
-            num_pixels=self._num_pixels,
+        run = _BatchRun(
+            targets,
+            plan.batch_size,
+            position_grad_hook,
+            working=self._new_working_set(),
         )
-        # Spine-carried state: only one spine node runs at a time (linear
-        # dependencies), so this dict is never accessed concurrently.
-        state: Dict[str, object] = {"carried": None, "loss": 0.0}
-        per_view_loss: Dict[int, float] = {}
 
-        graph = TaskGraph(name="clm-batch")
-        prev = None
-        for step, chunk in zip(plan.steps, plan.adam_chunks):
-            asm = graph.add(
-                self._graph_assemble,
-                working,
-                step,
-                state,
-                name=f"ASM.{step.position}",
-                kind="assemble",
-                deps=(prev,) if prev is not None else (),
-            )
-            fwd = graph.add(
-                self._graph_forward,
-                step,
-                state,
-                targets[step.view_id],
-                batch,
-                per_view_loss,
-                name=f"FWD.{step.position}",
-                kind="forward",
-                deps=(asm,),
-            )
-            bwd = graph.add(
-                self._graph_backward,
-                working,
-                step,
-                state,
-                position_grad_hook,
-                name=f"BWD.{step.position}",
-                kind="backward",
-                deps=(fwd,),
-            )
-            prev = graph.add(
-                self._graph_retire,
-                working,
-                step,
-                state,
-                name=f"RET.{step.position}",
-                kind="retire",
-                deps=(bwd,),
-            )
-            if cfg.enable_overlap_adam and chunk.size:
+        def bind(node):
+            if node.kind == "step":
+                return self._run_step, (run, plan.steps[node.index])
+            if node.kind == "adam":
+                chunk = plan.adam_chunks[node.index]
+                return self._apply_noncritical_adam, (chunk,)
+            return self._apply_critical_adam, (touched,)
+
+        nodes = lower_batch(plan, self.config.enable_overlap_adam)
+        if self.config.use_task_graph:
+            graph = TaskGraph(name="clm-batch")
+            for node in nodes:
+                fn, args = bind(node)
                 graph.add(
-                    self._apply_noncritical_adam,
-                    chunk,
-                    name=f"ADAM.{step.position}",
-                    kind="adam",
-                    deps=(prev,),
+                    fn, *args, name=node.name, kind=node.kind, deps=node.deps
                 )
-        if not cfg.enable_overlap_adam:
-            for position, chunk in enumerate(plan.adam_chunks):
-                if chunk.size and prev is not None:
-                    graph.add(
-                        self._apply_noncritical_adam,
-                        chunk,
-                        name=f"ADAM.{position}",
-                        kind="adam",
-                        deps=(prev,),
-                    )
-        if prev is not None:
-            graph.add(
-                self._apply_critical_adam,
-                touched,
-                name="CRIT_ADAM",
-                kind="critical_adam",
-                deps=(prev,),
-            )
-        stats = runtime.run(graph)
-        adam_noncritical_s = stats.kind_s.get("adam", 0.0)
+            stats = self._graph_runtime(workers).run(graph)
+            adam_noncritical_s = stats.kind_s.get("adam", 0.0)
+        else:
+            runtime = self._overlap_runtime(workers)
+            for node in nodes:
+                fn, args = bind(node)
+                if node.kind == "adam":
+                    runtime.submit(fn, *args)
+                else:
+                    fn(*args)
+            runtime.barrier()
+            stats = runtime.drain_stats()
+            adam_noncritical_s = stats.task_s
         self._step_adam_s += adam_noncritical_s
         self._step_overlap_hidden_s += stats.hidden_s
-        working.release()
-        result = self._batch_result(
-            plan, working, float(state["loss"]), per_view_loss
+        run.working.release()
+        counters = run.working.counters
+        result = BatchResult(
+            loss=run.loss,
+            per_view_loss=run.per_view_loss,
+            touched_gaussians=int(touched.size),
+            order=list(plan.order),
+            loaded_gaussians=counters.loaded_gaussians,
+            stored_gaussians=counters.stored_gaussians,
+            cached_gaussians=counters.cached_gaussians,
+            loaded_bytes=counters.loaded_bytes(),
+            stored_bytes=counters.stored_bytes(),
+            adam_chunk_sizes=plan.adam_chunk_sizes,
         )
         return result, adam_noncritical_s, stats.hidden_s
 
-    # -- graph node bodies (spine order == classic loop order) -----------
-    def _graph_assemble(self, working, step, state) -> None:
-        state["model"] = working.assemble(
-            step.working_set, step.loads, step.cached, state["carried"]
+    def _new_working_set(self) -> GpuWorkingSet:
+        return GpuWorkingSet(
+            self.cpu_store,
+            self.gpu_store,
+            pool=self.pool,
+            num_pixels=self._num_pixels,
         )
 
-    def _graph_forward(
-        self, step, state, target, batch, per_view_loss
-    ) -> None:
-        cam = self.cameras[step.view_id]
-        start = time.perf_counter()
-        render = self._render(cam, state["model"], self.raster_settings)
-        self._step_forward_s += time.perf_counter() - start
-        loss, g_img = photometric_loss(
-            render.image, target, self.config.ssim_lambda
+    def _run_step(self, run: "_BatchRun", step) -> None:
+        """One microbatch — the body of every ``step`` node: assemble the
+        working set (cache copies + pinned-store loads + carried
+        gradients), render, backpropagate, accumulate, retire."""
+        model_i = run.working.assemble(
+            step.working_set, step.loads, step.cached, run.carried
         )
-        per_view_loss[step.view_id] = loss
-        state["loss"] = float(state["loss"]) + loss / batch
-        state["render"] = (render, g_img / batch)
-
-    def _graph_backward(self, working, step, state, position_grad_hook) -> None:
-        render, g_img = state.pop("render")
-        start = time.perf_counter()
-        grads = self._render_backward(render, state["model"], g_img)
-        self._step_backward_s += time.perf_counter() - start
-        working.add_grads(grads)
-        if position_grad_hook is not None:
-            position_grad_hook(
+        loss, grads = self._forward_backward(
+            self.cameras[step.view_id],
+            model_i,
+            run.targets[step.view_id],
+            run.batch,
+        )
+        run.per_view_loss[step.view_id] = loss
+        run.loss += loss / run.batch
+        run.working.add_grads(grads)
+        if run.position_grad_hook is not None:
+            run.position_grad_hook(
                 step.view_id, step.working_set, grads["positions"]
             )
-
-    def _graph_retire(self, working, step, state) -> None:
-        state["carried"] = working.retire(step.stores, step.carried)
-
-    def _batch_result(
-        self, plan, working, total_loss: float, per_view_loss: Dict[int, float]
-    ) -> BatchResult:
-        return BatchResult(
-            loss=total_loss,
-            per_view_loss=per_view_loss,
-            touched_gaussians=int(plan.touched.size),
-            order=list(plan.order),
-            loaded_gaussians=working.counters.loaded_gaussians,
-            stored_gaussians=working.counters.stored_gaussians,
-            cached_gaussians=working.counters.cached_gaussians,
-            loaded_bytes=attributes.noncritical_bytes(
-                working.counters.loaded_gaussians
-            ),
-            stored_bytes=attributes.noncritical_bytes(
-                working.counters.stored_gaussians
-            ),
-            adam_chunk_sizes=plan.adam_chunk_sizes,
-        )
+        run.carried = run.working.retire(step.stores, step.carried)
 
     # ------------------------------------------------------------------
     def _apply_noncritical_adam(self, rows: np.ndarray) -> None:
@@ -537,10 +417,7 @@ class CLMEngine(EngineBase):
         # nothing from the RNG stream that orders training batches.
         plan = self.plan_batch([view_id], strategy="identity")
         step = plan.steps[0]
-        working = GpuWorkingSet(
-            self.cpu_store, self.gpu_store, pool=self.pool,
-            num_pixels=self._num_pixels,
-        )
+        working = self._new_working_set()
         model_i = working.assemble(step.working_set, step.loads, step.cached)
         result = self._render(
             self.cameras[view_id], model_i, self.raster_settings

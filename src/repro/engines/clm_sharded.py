@@ -75,9 +75,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core import attributes
-from repro.core.stores import GpuWorkingSet
 from repro.engines.base import BatchResult, PositionGradHook
-from repro.engines.clm import CLMEngine
+from repro.engines.clm import CLMEngine, _BatchRun
 from repro.engines.registry import register_engine
 from repro.gaussians.model import GaussianModel
 from repro.hardware.kernels import KernelCostModel
@@ -259,7 +258,6 @@ class ShardedCLMEngine(CLMEngine):
         final until every device's chain has retired.
         """
         cfg = self.config
-        batch = len(view_ids)
         sets = self.cull_views(view_ids)
         cams = [self.cameras[v] for v in view_ids]
         splan = self.planner.plan_sharded(
@@ -275,39 +273,20 @@ class ShardedCLMEngine(CLMEngine):
         self.cpu_store.zero_grads(touched)
         self.gpu_store.zero_grads(touched)
 
-        total_loss = 0.0
-        per_view_loss: Dict[int, float] = {}
+        run = _BatchRun(targets, len(view_ids), position_grad_hook)
         loaded = stored = cached = 0
         for dplan in splan.device_plans:
             if not dplan.steps:
                 continue
-            working = GpuWorkingSet(
-                self.cpu_store,
-                self.gpu_store,
-                pool=self.pool,
-                num_pixels=self._num_pixels,
-            )
-            carried = None
+            # A fresh device: its own working buffers, nothing carried in.
+            run.working, run.carried = self._new_working_set(), None
             for step in dplan.steps:
-                model_i = working.assemble(
-                    step.working_set, step.loads, step.cached, carried
-                )
-                cam = self.cameras[step.view_id]
-                loss, grads = self._forward_backward(
-                    cam, model_i, targets[step.view_id], batch
-                )
-                per_view_loss[step.view_id] = loss
-                total_loss += loss / batch
-                working.add_grads(grads)
-                if position_grad_hook is not None:
-                    position_grad_hook(
-                        step.view_id, step.working_set, grads["positions"]
-                    )
-                carried = working.retire(step.stores, step.carried)
-            working.release()
-            loaded += working.counters.loaded_gaussians
-            stored += working.counters.stored_gaussians
-            cached += working.counters.cached_gaussians
+                self._run_step(run, step)
+            run.working.release()
+            counters = run.working.counters
+            loaded += counters.loaded_gaussians
+            stored += counters.stored_gaussians
+            cached += counters.cached_gaussians
 
         # Batch-end owner updates, one disjoint row set per device.  The
         # non-critical lanes go through the overlap runtime (cpu{k}.adam
@@ -327,8 +306,8 @@ class ShardedCLMEngine(CLMEngine):
             splan, fault_state
         )
         return BatchResult(
-            loss=total_loss,
-            per_view_loss=per_view_loss,
+            loss=run.loss,
+            per_view_loss=run.per_view_loss,
             touched_gaussians=int(touched.size),
             order=list(plan.order),
             loaded_gaussians=loaded,

@@ -18,8 +18,7 @@ Module → paper mapping:
 - :mod:`repro.planning.orders` — microbatch ordering strategies
   (§4.2.3, Table 4);
 - :mod:`repro.planning.tsp_order` — the stochastic-local-search TSP
-  solver behind the ``tsp`` strategy (§4.2.3, Appendix A.1; formerly
-  the misnamed ``repro.core.scheduler``);
+  solver behind the ``tsp`` strategy (§4.2.3, Appendix A.1);
 - :mod:`repro.planning.caching` — precise Gaussian caching: the
   per-microbatch loads/cached/stores/carried partitions (§4.2.1);
 - :mod:`repro.planning.adam_overlap` — finalization maps and eager CPU
@@ -28,10 +27,10 @@ Module → paper mapping:
   tying those together, with the Figure 14 analytics;
 - :mod:`repro.planning.planner` — :class:`BatchPlanner` +
   :class:`PlanCache`: fingerprint-keyed memoization so a repeated batch
-  skips TSP and set algebra (tracked by :class:`PlannerCounters`).
-
-These modules moved here from ``repro.core``; the old import paths remain
-as deprecation shims.
+  skips TSP and set algebra (tracked by :class:`PlannerCounters`);
+- :mod:`repro.planning.lowering` — :func:`lower_batch`: the plan as the
+  ``step`` / ``adam`` / ``critical_adam`` node list the CLM executors
+  run and the auto-tuner prices (§4.2, Figure 6).
 """
 
 from repro.planning.adam_overlap import (
@@ -52,6 +51,7 @@ from repro.planning.caching import (
     total_store_count,
     validate_plan,
 )
+from repro.planning.lowering import BatchNode, lower_batch
 from repro.planning.orders import IDENTITY, STRATEGIES, order_microbatches
 from repro.planning.plan import BatchPlan
 from repro.planning.planner import (
@@ -64,6 +64,8 @@ from repro.planning.planner import (
 
 __all__ = [
     "BatchPlan",
+    "BatchNode",
+    "lower_batch",
     "BatchPlanner",
     "PlanCache",
     "PlannerCounters",

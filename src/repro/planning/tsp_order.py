@@ -3,9 +3,7 @@
 This is the planning-layer *order optimizer* consumed by
 :func:`repro.planning.orders.order_microbatches` — not to be confused with
 the discrete-event :class:`repro.hardware.simulator.Simulator` that
-schedules task DAGs onto device resources.  (It lived at
-``repro.core.scheduler`` through PR 6, a name that conflated the two; that
-module remains as a deprecation shim.)
+schedules task DAGs onto device resources.
 
 Microbatches are nodes; the distance between views ``i`` and ``j`` is the
 symmetric difference ``|S_i ^ S_j|`` of their in-frustum sets — the number

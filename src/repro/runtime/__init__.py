@@ -12,11 +12,14 @@ CPython, and a batch-end barrier guarantees results remain bit-identical
 to sequential execution (chunks touch pairwise-disjoint rows, so no
 ordering between them is observable).
 
-The adaptive runtime (ROADMAP item 5) generalizes this into a dependency
-:class:`TaskGraph` executed by :class:`GraphExecutor`: assembly, raster
-forward/backward, gradient retirement, and Adam chunks become explicit
-nodes, and the worker pool may run them in any dependency-respecting
-order — bit-identical by the same disjointness arguments, pinned by
+Both executors run the same description of a batch:
+:func:`repro.planning.lower_batch` lowers a plan to ``step`` (one whole
+microbatch), ``adam`` (one finalized chunk) and ``critical_adam`` nodes.
+The engine either walks that list inline, handing ``adam`` nodes to
+:meth:`OverlapExecutor.submit`, or binds it into a dependency
+:class:`TaskGraph` for :class:`GraphExecutor`, whose worker pool may run
+ready nodes in any dependency-respecting order — bit-identical by the
+same disjointness argument, pinned by
 ``tests/runtime/test_graph_equivalence.py``.
 """
 

@@ -1,13 +1,10 @@
-"""Dependency task-graph executor — the generalization of the overlap
-runtime (ROADMAP item 5).
+"""Dependency task-graph executor — the general form of the overlap
+runtime.
 
 :class:`OverlapExecutor` hard-codes one pattern: a producer thread renders
-while workers drain a queue of independent CPU-Adam chunks.  The adaptive
-runtime needs the general form: a batch is a *dependency graph* whose
-nodes are the working-set assembly (host→device loads + cache copies),
-raster forward, raster backward, gradient retirement (device→host
-stores), and the per-chunk CPU Adam updates — and any dependency-
-respecting execution order must produce bit-identical arrays.
+while workers drain a queue of independent CPU-Adam chunks.  Here a batch
+is a *dependency graph*, and any dependency-respecting execution order
+must produce bit-identical arrays.
 
 :class:`TaskGraph` declares the nodes (plain callables with integer-id
 dependencies); :class:`GraphExecutor` runs a graph either inline
@@ -15,11 +12,12 @@ dependencies); :class:`GraphExecutor` runs a graph either inline
 on a persistent worker pool (``workers>=1``: ready nodes execute in any
 order, lowest node id first when several are ready).  Correctness never
 depends on the schedule: callers only hand the executor graphs whose
-concurrently-runnable nodes touch disjoint state — for the CLM batch
-graph that is guaranteed by chunk disjointness (§4.2.2) and by keeping
-the render chain (assemble→forward→backward→retire) a linear dependency
-chain, because backward gradient accumulation across tile slabs is
-order-sensitive and must not be reordered (see
+concurrently-runnable nodes touch disjoint state.  The CLM engine binds
+the node list of :func:`repro.planning.lower_batch` — ``step`` nodes (one
+whole microbatch each) in a linear chain, because consecutive microbatches
+share the working buffers and gradient accumulation is order-sensitive;
+``adam`` nodes hanging off them with no edges between chunks, disjoint by
+§4.2.2; ``critical_adam`` after the last step (see
 ``tests/runtime/test_graph_equivalence.py``).
 
 Accounting (:class:`GraphStats`) mirrors :class:`ExecutorStats` where the
@@ -27,11 +25,11 @@ concepts coincide (``tasks``, ``task_s``, ``busy_span_s``, ``cancelled``)
 and differs where the execution model does: in graph mode the producer
 thread blocks in :meth:`GraphExecutor.run` for the whole graph, so
 "hidden" seconds are the wall-clock span during which **two or more**
-nodes genuinely ran concurrently (e.g. an Adam chunk under the next
-microbatch's forward) — 0 inline, 0 with one worker, and never larger
+nodes genuinely ran concurrently (e.g. an ``adam`` chunk under the next
+``step``) — 0 inline, 0 with one worker, and never larger
 than the elapsed wall time.  ``kind_s`` sums execution seconds per node
-kind, which is exactly the per-op measurement the auto-tuner's cost model
-calibrates from (:mod:`repro.autotune`).
+kind; the engine reads a batch's non-critical Adam seconds from
+``kind_s["adam"]``.
 
 Fail-fast matches the overlap executor: once any node raises, every node
 not yet started is cancelled (counted, never executed), the drain
@@ -83,8 +81,7 @@ class GraphStats:
     wall_s: float
     #: Nodes cancelled by fail-fast after an earlier node crashed.
     cancelled: int = 0
-    #: Execution seconds summed per node ``kind`` — the per-op
-    #: measurements the auto-tuner's cost model calibrates from.
+    #: Execution seconds summed per node ``kind``.
     kind_s: Dict[str, float] = field(default_factory=dict)
 
 

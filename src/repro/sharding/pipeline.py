@@ -1,11 +1,12 @@
 """Per-device task-DAG construction for one sharded batch.
 
-Clones the single-device CLM pipeline (:func:`repro.core.pipeline
-.add_clm_batch`) onto every device of a
-:class:`~repro.hardware.specs.DeviceTopology`: device ``k`` runs its
-load/forward/backward/store chain on ``gpu{k}.compute`` /
-``gpu{k}.comm`` and finishes its owned rows on ``cpu{k}.adam``, with two
-extra comm tasks per device for the halo exchange:
+Runs the single-device CLM chain (:func:`repro.core.pipeline
+.device_chain`, the one :func:`~repro.core.pipeline.add_clm_batch` uses)
+on every device of a :class:`~repro.hardware.specs.DeviceTopology`:
+device ``k`` runs its load/forward/backward/store chain on
+``gpu{k}.compute`` / ``gpu{k}.comm`` and finishes its owned rows on
+``cpu{k}.adam``, with two extra comm tasks per device for the halo
+exchange:
 
 - ``HALO_IN`` — before the first forward, device ``k`` pulls the
   critical attributes of the rows it borrows from each owning peer,
@@ -22,12 +23,12 @@ the cross-device synchronization point of the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import attributes
-from repro.core.pipeline import LOAD_PRIORITY, STORE_PRIORITY
+from repro.core.pipeline import LOAD_PRIORITY, STORE_PRIORITY, device_chain
 from repro.hardware.kernels import KernelCostModel
 from repro.hardware.simulator import Simulator
 from repro.hardware.specs import DeviceTopology
@@ -132,7 +133,8 @@ def add_sharded_batch(
     ]
     halo_out_ids: Dict[int, Optional[int]] = {}
 
-    per_device: Dict[int, Dict[str, object]] = {}
+    #: Shard index -> its chain's final (BWD, ST) task ids.
+    per_device: Dict[int, Tuple[int, int]] = {}
     for k, plan in enumerate(splan.device_plans):
         if not plan.steps:
             continue
@@ -140,7 +142,6 @@ def add_sharded_batch(
         scale = max(1.0, float(compute_scale.get(dev, 1.0)))
         compute_res = topology.compute_resource(dev)
         comm_res = topology.comm_resource(dev)
-        bw = costs.testbed.gpu.dram_bandwidth
 
         cull = sim.add(
             f"CULL{batch_tag}.d{k}",
@@ -168,71 +169,21 @@ def add_sharded_batch(
                 rx_bytes=halo_bytes,
             )
 
-        loads: List[int] = []
-        bwds: List[int] = []
-        stores: List[int] = []
-        prev_bwd: Optional[int] = None
-        for i, step in enumerate(plan.steps):
-            n_load = step.num_loads * count_scale
-            n_cached = step.cached.size * count_scale
-            n_work = step.working_set.size * count_scale
-            n_store = step.num_stores * count_scale
-
-            ld_deps = [sched, cull]
-            if i >= 2:
-                ld_deps.append(bwds[i - 2])  # double buffer reuse
-            ld = sim.add(
-                f"LD{batch_tag}.d{k}.{i}",
-                comm_res,
-                costs.load_params_time(n_load)
-                + costs.cache_copy_time(n_cached),
-                deps=ld_deps,
-                priority=LOAD_PRIORITY,
-                kind="load",
-                rx_bytes=costs.load_bytes(n_load),
-                dram_write_bytes=costs.load_bytes(n_load + n_cached),
-            )
-            loads.append(ld)
-
-            fwd_deps = [ld]
-            if halo_in is not None and i == 0:
-                fwd_deps.append(halo_in)
-            if prev_bwd is not None:
-                fwd_deps.append(prev_bwd)
-            fwd_time = costs.forward_time(n_work, num_pixels) * scale
-            bwd_time = costs.backward_time(n_work, num_pixels) * scale
-            fwd = sim.add(
-                f"FWD{batch_tag}.d{k}.{i}",
-                compute_res,
-                fwd_time + costs.pipeline_sync_overhead,
-                deps=fwd_deps,
-                kind="forward",
-                dram_read_bytes=0.25 * fwd_time * bw,
-                dram_write_bytes=0.12 * fwd_time * bw,
-            )
-            bwd = sim.add(
-                f"BWD{batch_tag}.d{k}.{i}",
-                compute_res,
-                bwd_time,
-                deps=[fwd],
-                kind="backward",
-                dram_read_bytes=0.25 * bwd_time * bw,
-                dram_write_bytes=0.12 * bwd_time * bw,
-            )
-            bwds.append(bwd)
-            prev_bwd = bwd
-
-            st = sim.add(
-                f"ST{batch_tag}.d{k}.{i}",
-                comm_res,
-                costs.store_grads_time(n_store),
-                deps=[bwd],
-                priority=STORE_PRIORITY,
-                kind="store",
-                tx_bytes=costs.store_bytes(n_store),
-                rx_bytes=costs.store_bytes(n_store),
-            )
-            stores.append(st)
+        # The chain has no per-step tasks of ours to interleave (owner
+        # Adam waits for every peer's HALO_OUT): only its ends matter.
+        *_, (last_bwd, last_store) = device_chain(
+            sim,
+            costs,
+            plan.steps,
+            count_scale,
+            num_pixels,
+            compute=compute_res,
+            comm=comm_res,
+            tag=f"{batch_tag}.d{k}",
+            load_deps=[sched, cull],
+            first_forward_deps=[halo_in] if halo_in is not None else (),
+            compute_scale=scale,
+        )
 
         halo_out: Optional[int] = None
         if splan.halo[k].size:
@@ -243,7 +194,7 @@ def add_sharded_batch(
                     topology, out_counts[k], k, count_scale, inbound=False,
                     device_ids=device_ids,
                 ),
-                deps=[bwds[-1]],
+                deps=[last_bwd],
                 priority=STORE_PRIORITY,
                 kind="halo",
                 tx_bytes=attributes.critical_bytes(
@@ -251,14 +202,10 @@ def add_sharded_batch(
                 ),
             )
         halo_out_ids[k] = halo_out
-        per_device[k] = {
-            "bwds": bwds,
-            "stores": stores,
-            "cull": cull,
-        }
+        per_device[k] = (last_bwd, last_store)
 
     endpoints = ShardedBatchEndpoints(first_task=sched)
-    for k, state in per_device.items():
+    for k, (last_bwd, last_store) in per_device.items():
         # Peers whose HALO_OUT carries gradients for rows device k owns.
         grad_deps = [
             halo_out_ids[j]
@@ -267,8 +214,6 @@ def add_sharded_batch(
             and halo_out_ids.get(j) is not None
             and out_counts[j][k] > 0
         ]
-        bwds = state["bwds"]
-        stores = state["stores"]
         dev = device_ids[k]
         scale = max(1.0, float(compute_scale.get(dev, 1.0)))
         n_owned = float(splan.adam_rows[k].size) * count_scale
@@ -276,14 +221,14 @@ def add_sharded_batch(
             f"GADAM{batch_tag}.d{k}",
             topology.compute_resource(dev),
             costs.gpu_adam_time(n_owned) * scale,
-            deps=[bwds[-1]] + grad_deps,
+            deps=[last_bwd] + grad_deps,
             kind="gpu_adam",
         )
         adam = sim.add(
             f"ADAM{batch_tag}.d{k}",
             topology.adam_resource(dev),
             costs.cpu_adam_sparse_time(n_owned),
-            deps=[stores[-1]] + grad_deps,
+            deps=[last_store] + grad_deps,
             kind="adam",
             batch=batch_tag,
         )

@@ -15,16 +15,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import TimingConfig
 from repro.core.culling_index import CullingIndex
-from repro.hardware.kernels import KernelCostModel
+from repro.core.timed import TimedSetup
 from repro.hardware.simulator import ScheduleResult, Simulator
 from repro.hardware.specs import DeviceTopology
-from repro.planning.planner import BatchPlanner
 from repro.scenes.datasets import Scene
 from repro.sharding.partition import spatial_shard
 from repro.sharding.pipeline import add_sharded_batch
 from repro.sharding.plan import build_sharded_plan
-from repro.core.timed import _sample_batches
-from repro.utils.rng import make_rng
 
 
 @dataclass
@@ -70,32 +67,15 @@ def run_sharded_timed(
     if index is None:
         index = CullingIndex.build(scene.model, scene.cameras)
 
-    paper_n = (
-        config.paper_num_gaussians
-        if config.paper_num_gaussians is not None
-        else float(scene.spec.paper_num_gaussians)
-    )
-    batch_size = config.batch_size or scene.spec.batch_size
-    count_scale = paper_n / index.num_gaussians
-    pixels = scene.spec.paper_pixels
-    costs = KernelCostModel(
-        config.testbed, splats_per_pixel=scene.spec.splats_per_pixel
-    )
+    setup = TimedSetup(scene, index, config)
+    paper_n = setup.paper_num_gaussians
+    batches = setup.batches
     topology = DeviceTopology.homogeneous(config.testbed, num_devices)
     assignment = spatial_shard(
         scene.model.positions,
         scene.model.log_scales,
         scene.model.quaternions,
         num_devices,
-    )
-    rng = make_rng(config.seed)
-    batches = _sample_batches(index, batch_size, config.num_batches, rng)
-    cam_by_id = {c.view_id: c for c in scene.cameras}
-    planner = BatchPlanner(
-        ordering=config.ordering,
-        enable_cache=config.enable_cache,
-        cache_size=config.plan_cache_size,
-        seed=rng,
     )
 
     sim = Simulator(topology=topology)
@@ -104,27 +84,22 @@ def run_sharded_timed(
     halo_bytes = 0.0
     steals = 0
     for b, view_ids in enumerate(batches):
-        sets = index.sets_for(view_ids)
-        cams = [cam_by_id[v] for v in view_ids]
-        plan = planner.plan(
-            sets, view_ids, cameras=cams, num_gaussians=index.num_gaussians
-        )
         splan = build_sharded_plan(
-            plan, assignment, work_stealing=work_stealing
+            setup.plan(view_ids), assignment, work_stealing=work_stealing
         )
         endpoints = add_sharded_batch(
             sim,
-            costs,
+            setup.costs,
             splan,
             topology,
-            count_scale,
-            pixels,
+            setup.count_scale,
+            scene.spec.paper_pixels,
             paper_n,
             deps=deps,
             batch_tag=f".b{b}",
         )
         halo_gaussians += splan.halo_gaussians
-        halo_bytes += splan.halo_bytes * count_scale
+        halo_bytes += splan.halo_bytes * setup.count_scale
         steals += splan.num_steals
         deps = endpoints.barrier
 
@@ -137,7 +112,7 @@ def run_sharded_timed(
         num_devices=num_devices,
         paper_num_gaussians=paper_n,
         num_batches=len(batches),
-        batch_size=batch_size,
+        batch_size=setup.batch_size,
         schedule=schedule,
         images_per_second=total_images / schedule.makespan,
         device_utilization={

@@ -144,3 +144,40 @@ def test_engine_close_closes_all_warm_runtimes(setup):
         assert runtime._closed
     for runtime in engine._graph_runtimes.values():
         assert runtime._closed
+
+
+def test_prediction_prices_the_overlap_ablation(setup):
+    """``enable_overlap_adam=False`` runs every chunk at batch end; the
+    tuner must price that DAG, not the eager one."""
+    from repro.autotune import TunedConfig
+
+    ablated, _ = run(
+        setup, autotune=True, enable_overlap_adam=False,
+        autotune_orderings=("tsp",),
+    )
+    eager, _ = run(setup, autotune=True, autotune_orderings=("tsp",))
+    plan = ablated.engine.plan_batch(BATCHES[0])
+    assert sum(plan.adam_chunk_sizes[:-1]) > 0  # something to hide
+    config = TunedConfig(2, 64, "tsp")
+
+    schedule = ablated.tuner.build_simulator(plan, config).run()
+    tasks = [rec.task for rec in schedule.records.values()]
+    last_step = max(t.task_id for t in tasks if t.kind == "step")
+    adams = [t for t in tasks if t.kind == "adam"]
+    assert len(adams) == sum(1 for size in plan.adam_chunk_sizes if size)
+    assert all(t.deps == (last_step,) for t in adams)
+
+    # The same Adam-heavy machine on both sides: batch-end Adam has
+    # nothing to hide under, eager Adam does.
+    rates = {
+        ("adam",): 1e-3,
+        ("critical_adam",): 1e-7,
+        ("overhead",): 1e-7,
+        ("forward", 64, None): 1e-6,
+        ("backward", 64, None): 1e-6,
+    }
+    ablated.tuner.model._rates = dict(rates)
+    eager.tuner.model._rates = dict(rates)
+    assert ablated.tuner.predict_makespan(plan, config) > (
+        eager.tuner.predict_makespan(plan, config)
+    )

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.gaussians import rasterizer
 from repro.gaussians.camera import look_at_camera
 from repro.gaussians.covariance import invert_cov2d
+from repro.gaussians.frustum import cull_batch
 from repro.gaussians.model import GaussianModel, inverse_sigmoid
 from repro.gaussians.projection import splat_radii
 from repro.gaussians.rasterizer import (
@@ -36,6 +37,7 @@ from repro.gaussians.rasterizer_grad import (
     rasterize_backward,
     rasterize_backward_legacy,
 )
+from repro.planning import BatchPlanner
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene
 
@@ -234,6 +236,40 @@ def generated_model(seed, num, size, scale):
         width=size[0], height=size[1],
     )
     return cam, model
+
+
+@st.composite
+def batch_plans(draw):
+    """Planner-built :class:`~repro.planning.BatchPlan` over a
+    :func:`generated_model`: one to six views orbiting it (or looking
+    away from it: empty working sets), culled by ``cull_batch`` and
+    planned under a drawn ordering, with and without the cache."""
+    _, model = generated_model(
+        **{name: draw(strategy) for name, strategy in MODEL_CASES.items()}
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cameras = []
+    for view_id in range(draw(st.integers(1, 6))):
+        eye = rng.normal(size=3) * 0.6 + (0.0, -2.4, 0.4)
+        away = draw(st.integers(0, 4)) == 0
+        cameras.append(look_at_camera(
+            eye=eye, target=2.0 * eye if away else rng.normal(size=3) * 0.5,
+            width=24, height=18, fov_y_deg=float(rng.uniform(15.0, 70.0)),
+            view_id=view_id,
+        ))
+    sets = cull_batch(
+        cameras, model.positions, model.log_scales, model.quaternions
+    )
+    planner = BatchPlanner(
+        ordering=draw(st.sampled_from(["identity", "random", "gs_count", "tsp"])),
+        enable_cache=draw(st.booleans()),
+        cache_size=0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return planner.plan(
+        sets, [c.view_id for c in cameras], cameras=cameras,
+        num_gaussians=model.num_gaussians,
+    )
 
 
 @given(

@@ -102,3 +102,51 @@ def test_scaling_curve_is_monotone(index_cache):
     rates = [r.images_per_second for r in curve]
     assert rates == sorted(rates)
     assert all(np.isfinite(rates))
+
+
+def test_single_device_chain_is_the_clm_chain(index_cache):
+    """One device, no halo: ``add_sharded_batch`` schedules the very
+    LD/FWD/BWD/ST chain ``add_clm_batch`` does (batch-end Adam on both
+    sides) — same tasks, same start and end instants, same makespan."""
+    from repro.core.pipeline import add_clm_batch
+
+    scene, index = index_cache("bicycle")
+    ids = list(index.view_ids())[:8]
+    cams = {c.view_id: c for c in scene.cameras}
+    plan = BatchPlanner(ordering="tsp", seed=make_rng(0)).plan(
+        index.sets_for(ids), ids, cameras=[cams[v] for v in ids],
+        num_gaussians=index.num_gaussians,
+    )
+    costs = KernelCostModel(RTX4090_TESTBED)
+    scale, pixels, total = 250.0, 10_000, 250.0 * index.num_gaussians
+
+    clm_sim = Simulator()
+    add_clm_batch(
+        clm_sim, costs, plan, scale, pixels, total, enable_overlap_adam=False
+    )
+    clm = clm_sim.run()
+
+    topology = DeviceTopology.homogeneous(RTX4090_TESTBED, 1)
+    assignment = spatial_shard(
+        scene.model.positions, scene.model.log_scales,
+        scene.model.quaternions, 1,
+    )
+    sharded_sim = Simulator(topology=topology)
+    add_sharded_batch(
+        sharded_sim, costs, build_sharded_plan(plan, assignment), topology,
+        scale, pixels, total,
+    )
+    sharded = sharded_sim.run()
+
+    def chain(schedule, infix):
+        return {
+            rec.task.name.replace(infix, "", 1): (
+                rec.task.duration, rec.start, rec.end
+            )
+            for rec in schedule.records.values()
+            if rec.task.kind in ("load", "forward", "backward", "store")
+        }
+
+    assert len(chain(clm, "")) == 4 * len(ids)
+    assert chain(sharded, ".d0") == chain(clm, "")
+    assert sharded.makespan == clm.makespan
