@@ -76,7 +76,17 @@ CLM_BUFFER_BPG = 2 * 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT
 #: view retains 4.1 MB of blend state and 25.6 KB of CSR tile keys, a third
 #: and twice what full ``tile_size`` spans held — and nothing this analytic
 #: model budgets: Figure 8/10 numbers and the engines'
-#: ``gpu_peak_bytes`` do not depend on the binning.
+#: ``gpu_peak_bytes`` do not depend on the binning.  What *is* inside this
+#: allowance is the per-Gaussian state a render context holds between
+#: forward and backward: 272 bytes of screen-space state (means, depths,
+#: camera-space points and covariances, conics, colours, radii) plus the
+#: 168 bytes of geometry the forward pass retains so that the backward pass
+#: rebuilds none of it (activated scales, quaternion norms, unit
+#: quaternions, rotation matrices; unit view directions and their norms) —
+#: 440 bytes, counted by ``RenderContext.activation_bytes`` and pinned
+#: below this constant by ``tests/gaussians/test_retained_geometry.py``,
+#: so the analytic model stays an upper bound and pool accounting did not
+#: move when the retained geometry was added.
 ACT_PER_GAUSSIAN = 500
 #: Per-pixel activation state (composited colour, transmittance, per-pixel
 #: gradient staging).

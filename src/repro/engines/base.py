@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.config import EngineConfig
 from repro.gaussians.camera import Camera
 from repro.gaussians.frustum import cull_batch
-from repro.gaussians.loss import photometric_loss, psnr
+from repro.gaussians.loss import TargetMoments, photometric_loss, psnr
 from repro.gaussians.model import GaussianModel
 from repro.hardware.memory import MemoryPool
 from repro.planning.plan import BatchPlan
@@ -321,6 +321,11 @@ class EngineBase(Engine):
         #: ``group_size`` (and, when backend tuning is opted into, the
         #: ``kernel_backend``) here instead of mutating the shared config.
         self._raster_overrides: Dict[str, object] = {}
+        #: SSIM moments of each view's target image, computed on first use
+        #: (see :meth:`_target_moments`).  A function of the targets only,
+        #: never of the model — ``rebuild``, restore and recovery leave it
+        #: alone — and host-side like the targets, so not pool-accounted.
+        self._moments: Dict[int, TargetMoments] = {}
         # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
         self._step_cull_s = 0.0
@@ -473,6 +478,16 @@ class EngineBase(Engine):
         sets = self.cull_views(list(self.cameras))
         return max((s.size / n for s in sets), default=0.0)
 
+    def _target_moments(self, view_id: int, target) -> TargetMoments:
+        """The SSIM moments of ``view_id``'s target, computed once per
+        target *object*: a view whose target array was replaced misses (the
+        held moments keep a reference to the array they came from, so the
+        identity test cannot be fooled by a recycled ``id``)."""
+        held = self._moments.get(view_id)
+        if held is None or held.target is not target:
+            held = self._moments[view_id] = TargetMoments.of(target)
+        return held
+
     def _forward_backward(self, cam: Camera, model_like, target, batch: int):
         """Render one view, compute the photometric loss, backpropagate.
 
@@ -484,8 +499,12 @@ class EngineBase(Engine):
         start = time.perf_counter()
         result = self._render(cam, model_like, self.raster_settings)
         self._step_forward_s += time.perf_counter() - start
+        ssim_lambda = self.config.ssim_lambda
         loss, g_img = photometric_loss(
-            result.image, target, self.config.ssim_lambda
+            result.image,
+            target,
+            ssim_lambda,
+            self._target_moments(cam.view_id, target) if ssim_lambda else None,
         )
         start = time.perf_counter()
         grads = self._render_backward(result, model_like, g_img / batch)
@@ -584,11 +603,12 @@ class EngineBase(Engine):
         self, view_ids: Sequence[int], targets: Dict[int, np.ndarray]
     ) -> float:
         model = self._eval_model()
+        # Forward-only: no blend state is formed or retained for a backward
+        # pass that never runs (images are those of ``raster_settings``).
+        settings = self.serving_raster_settings
         values = [
             psnr(
-                self._render(
-                    self.cameras[vid], model, self.raster_settings
-                ).image,
+                self._render(self.cameras[vid], model, settings).image,
                 targets[vid],
             )
             for vid in view_ids

@@ -14,6 +14,8 @@ analytic backward pass used by the rasterizer gradient.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.gaussians import quaternion
@@ -23,36 +25,81 @@ from repro.gaussians import quaternion
 LOW_PASS_FILTER = 0.3
 
 
+@dataclass
+class GaussianShape:
+    """The view-independent geometry of a set of Gaussians: activated
+    scales, quaternion norms, unit quaternions and rotation matrices.
+
+    Everything a view derives from ``(log_scales, raw_quats)`` — the world
+    covariance, the frustum test's support radii, the covariance backward
+    pass — reads these four arrays, so the rasterizer builds them once per
+    view and retains them for the backward pass (17 floats a Gaussian).
+    """
+
+    scales: np.ndarray  # (N, 3) exp(log_scales)
+    quat_norms: np.ndarray  # (N, 1) |raw_quats|, clamped at 1e-12
+    unit_quats: np.ndarray  # (N, 4)
+    rotations: np.ndarray  # (N, 3, 3)
+
+    @classmethod
+    def of(cls, log_scales: np.ndarray, raw_quats: np.ndarray) -> "GaussianShape":
+        unit, norms = quaternion.unit_and_norm(raw_quats)
+        return cls(
+            scales=np.exp(log_scales),
+            quat_norms=norms,
+            unit_quats=unit,
+            rotations=quaternion.to_rotation_matrices(unit),
+        )
+
+    def take(self, rows: np.ndarray) -> "GaussianShape":
+        """The shape of the Gaussians ``rows``."""
+        return GaussianShape(
+            self.scales[rows],
+            self.quat_norms[rows],
+            self.unit_quats[rows],
+            self.rotations[rows],
+        )
+
+    def covariance(self) -> np.ndarray:
+        """World-space covariance ``(N, 3, 3)``: ``M M^T``, ``M = R diag(s)``."""
+        m = self.rotations * self.scales[:, None, :]
+        return m @ np.swapaxes(m, 1, 2)
+
+    def covariance_backward(
+        self, dL_dcov: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Backward of :meth:`covariance`: ``(dL_dlog_scales, dL_draw_quats)``.
+
+        ``dL_dcov`` need not be symmetric; it is symmetrized internally
+        because the covariance itself is symmetric.
+        """
+        scales, rot = self.scales, self.rotations
+        m = rot * scales[:, None, :]
+        sym = dL_dcov + np.swapaxes(dL_dcov, 1, 2)
+        dL_dm = sym @ m  # d(M M^T)/dM contracted with symmetrized upstream grad
+        dL_drot = dL_dm * scales[:, None, :]
+        dL_dscales = np.einsum("nij,nij->nj", rot, dL_dm)
+        dL_dunit = quaternion.backprop_rotation(dL_drot, self.unit_quats)
+        dL_draw = quaternion.backprop_unit(
+            dL_dunit, self.unit_quats, self.quat_norms
+        )
+        return dL_dscales * scales, dL_draw
+
+
 def build_covariance(log_scales: np.ndarray, raw_quats: np.ndarray) -> np.ndarray:
     """World-space covariance ``(N, 3, 3)`` from log-scales and quaternions."""
-    scales = np.exp(log_scales)
-    rot = quaternion.to_rotation_matrices(quaternion.normalize(raw_quats))
-    m = rot * scales[:, None, :]
-    return m @ np.swapaxes(m, 1, 2)
+    return GaussianShape.of(log_scales, raw_quats).covariance()
 
 
 def build_covariance_backward(
     dL_dcov: np.ndarray, log_scales: np.ndarray, raw_quats: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Backward of :func:`build_covariance`.
-
-    ``dL_dcov`` need not be symmetric; it is symmetrized internally because
-    the covariance itself is symmetric.
+    """Backward of :func:`build_covariance`
+    (:meth:`GaussianShape.covariance_backward` from the raw parameters).
 
     Returns ``(dL_dlog_scales, dL_draw_quats)``.
     """
-    scales = np.exp(log_scales)
-    unit = quaternion.normalize(raw_quats)
-    rot = quaternion.to_rotation_matrices(unit)
-    m = rot * scales[:, None, :]
-    sym = dL_dcov + np.swapaxes(dL_dcov, 1, 2)
-    dL_dm = sym @ m  # d(M M^T)/dM contracted with symmetrized upstream grad
-    dL_drot = dL_dm * scales[:, None, :]
-    dL_dscales = np.einsum("nij,nij->nj", rot, dL_dm)
-    dL_dlog_scales = dL_dscales * scales
-    dL_dunit = quaternion.backprop_rotation(dL_drot, unit)
-    dL_draw = quaternion.backprop_normalize(dL_dunit, raw_quats)
-    return dL_dlog_scales, dL_draw
+    return GaussianShape.of(log_scales, raw_quats).covariance_backward(dL_dcov)
 
 
 def perspective_jacobian(

@@ -21,21 +21,43 @@ Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
    necessary for the exact test to pass.  It is one plane-major GEMM for
    every view of a batch at once, blocked so its temporaries do not grow
    with the number of views or Gaussians;
-2. the exact ellipsoid test, arithmetic unchanged, on the survivors only.
+2. the exact ellipsoid test, arithmetic unchanged, on the survivors only
+   (:func:`exact_cull`).
 
 The prefilter only ever removes rows the exact test would remove, so the
 index sets are those of the single-level test, bit for bit.  Nothing is
 cached between calls: positions and scales move every Adam step, and a
 stateless cull has nothing to invalidate on ``rebuild``, checkpoint
-restore or recovery.  On the ``bench_e2e`` ``sparse`` workload (N=20 000,
-a view sees 0.6%) an 8-view batch culls in 2.5 ms where the single-level
-test took 114 ms; on ``dense`` (every view sees most rows, so the exact
-stage still runs on most of them) the cost is unchanged.
+restore or recovery.
+
+The exact test itself is :func:`ellipsoids_in_frustum`, and it has an
+*accept path*: ``r(n) >= 0``, so a row whose centre is on the inner side
+of all six planes is in the set whatever its shape, and only the boundary
+band — centre outside some plane — pays for a rotation and norms.  On
+``bench_e2e`` ``dense`` 83% of the prefilter's survivors have their centre
+inside (36% on ``sparse``), which is what had ``dense`` culling 4 x 1000
+rows in 3.1 ms.  Same sets, bit for bit; a row with a non-finite scale or
+quaternion keeps the full test's verdict by taking the full test.
+
+That one function is also the rasterizer's fused cull: ``preprocess`` calls
+it on every input row with the rotations it has built for the covariance
+anyway, instead of running a second :func:`cull_gaussians` on the
+already-culled working set — so culling and rendering agree on every row
+because they execute the same arithmetic, and a view's geometry is
+computed once (§5.1: the rendering kernels receive ``S_i`` and stop paying
+for the test).
+
+On the ``bench_e2e`` ``sparse`` workload (N=20 000, a view sees 0.6%) an
+8-view batch culls in 2.5 ms where the single-level test took 114 ms; on
+``dense`` (every view sees most rows, so the exact stage runs on most of
+them) a 4-view batch culls in 1.0 ms where it took 3.1 ms before the
+accept path.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +124,17 @@ def frustum_planes(camera: Camera) -> np.ndarray:
     return planes
 
 
+def _support_radii(
+    normals: np.ndarray, scales: np.ndarray, rotations: np.ndarray
+) -> np.ndarray:
+    """:func:`support_radii` from activated scales ``(N, 3)`` and rotation
+    matrices ``(N, 3, 3)``.  Every step is row-wise, so a row's radii do not
+    depend on which other rows are passed with it."""
+    # v[p, n, :] = diag(s_n) R_n^T normal_p
+    v = np.einsum("nji,pj->pni", rotations, normals) * scales[None, :, :]
+    return CULL_SIGMA * np.linalg.norm(v, axis=-1)
+
+
 def support_radii(
     normals: np.ndarray, log_scales: np.ndarray, raw_quats: np.ndarray
 ) -> np.ndarray:
@@ -111,11 +144,8 @@ def support_radii(
     materialized.  Returns shape ``(P, N)`` for ``P`` planes, ``N``
     Gaussians.
     """
-    scales = np.exp(log_scales)
     rot = quaternion.to_rotation_matrices(quaternion.normalize(raw_quats))
-    # v[p, n, :] = diag(s_n) R_n^T normal_p
-    v = np.einsum("nji,pj->pni", rot, normals) * scales[None, :, :]
-    return CULL_SIGMA * np.linalg.norm(v, axis=-1)
+    return _support_radii(normals, np.exp(log_scales), rot)
 
 
 def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
@@ -130,6 +160,58 @@ def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
     return CULL_SIGMA * np.exp(largest)
 
 
+def ellipsoids_in_frustum(
+    planes: np.ndarray,
+    positions: np.ndarray,
+    scales: np.ndarray,
+    raw_quats: np.ndarray,
+    rotations: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Boolean ``(K,)``: which of ``K`` Gaussians have a 3-sigma ellipsoid
+    reaching inside all of ``planes`` — the exact support-function test.
+
+    ``scales`` are activated (``exp(log_scales)``).  The one arithmetic
+    behind :func:`exact_cull` and the rasterizer's fused test
+    (:func:`repro.gaussians.rasterizer.preprocess`, which passes the
+    ``rotations`` it builds anyway), so pre-rendering culling and rendering
+    agree on every row, bit for bit.
+
+    *Accept path*: the reach ``3 |diag(s) R^T n|`` is never negative, so a
+    row whose centre is on the inner side of all six planes passes whatever
+    its shape, and only the *boundary band* — centre outside some plane —
+    pays for a rotation matrix and six norms.  The exception is a row
+    whose scale or quaternion is not finite: its reach may be NaN (a NaN
+    parameter, or ``0 * inf`` once a scale overflows), which the full test
+    rejects, so such a row is sent through the full test here as well.
+    With finite scales and quaternions the reach is in ``[0, inf]`` and
+    the two paths cannot disagree.
+
+    A row's verdict must not depend on which other rows are tested with
+    it.  The arithmetic is row-wise except for the BLAS product of the
+    signed distances, whose per-element result is the same for any number
+    of rows *but one* (see :func:`exact_cull`).
+    """
+    normals = planes[:, :3]
+    signed = positions @ normals.T + planes[:, 3]  # (K, P)
+    # Column by column: NumPy reduces a short trailing axis one row at a
+    # time.  The NaN-propagating sum stands in for seven ``isfinite`` tests
+    # a row; a finite row whose sum overflows merely takes the full test.
+    nearest = functools.reduce(np.minimum, signed.T)
+    finite = np.isfinite(sum(scales.T) + sum(raw_quats.T))
+    inside = (nearest >= 0.0) & finite
+    band = np.flatnonzero(~inside)
+    if band.size:
+        if rotations is None:
+            rot = quaternion.to_rotation_matrices(
+                quaternion.normalize(raw_quats[band])
+            )
+        else:
+            rot = rotations[band]
+        radii = _support_radii(normals, scales[band], rot)  # (P, B)
+        inside[band] = np.all(signed[band].T + radii >= 0.0, axis=0)
+    return inside
+
+
 def exact_cull(
     planes: np.ndarray,
     positions: np.ndarray,
@@ -138,7 +220,7 @@ def exact_cull(
     rows: np.ndarray,
 ) -> np.ndarray:
     """The members of ``rows`` whose 3-sigma ellipsoid reaches inside all
-    of ``planes`` — the exact support-function test, on those rows only.
+    of ``planes`` — :func:`ellipsoids_in_frustum` on those rows only.
 
     A row's verdict must not depend on which other rows are tested with
     it, or a prefiltered cull could disagree with a whole-model one in the
@@ -151,10 +233,9 @@ def exact_cull(
     tested = rows
     if rows.size == 1 and positions.shape[0] > 1:
         tested = np.repeat(rows, 2)
-    normals = planes[:, :3]
-    signed = positions[tested] @ normals.T + planes[:, 3]  # (K, P)
-    radii = support_radii(normals, log_scales[tested], raw_quats[tested])
-    inside = np.all(signed + radii.T >= 0.0, axis=1)
+    inside = ellipsoids_in_frustum(
+        planes, positions[tested], np.exp(log_scales[tested]), raw_quats[tested]
+    )
     return rows[inside[: rows.size]]
 
 

@@ -4,16 +4,35 @@
 ``lambda = 0.2``; evaluation reports PSNR (paper Figure 9).  Both the loss
 values and their analytic image-space gradients are implemented here; the
 SSIM gradient is derived through the raw windowed moments (see
-``_ssim_moments``) and is verified against finite differences in the test
+``ssim_with_grad``) and is verified against finite differences in the test
 suite.
+
+The SSIM window is applied as two matrix products.  Filtering an ``(H, W)``
+plane with the separable, zero-padded 11-tap window is ``A_H @ X @ A_W^T``
+for the banded Toeplitz matrices of the window (:func:`_window_matrix`,
+cached per image size), so every moment map of a pass — all channels of
+``x``, ``x^2`` and ``x y`` forward, of the three moment gradients backward —
+is stacked into one ``(K, H, W)`` block and filtered by two ``np.matmul``
+calls (:func:`_filter_planes`): four GEMM calls an image where a
+per-map, per-axis filter made sixteen.  At the ~1000-pixel images of the
+functional engines the dense products cost less than the per-call overhead
+they replace; ``tests/gaussians/test_loss_gemm.py`` pins value and gradient
+to the ``scipy.ndimage.convolve1d`` form at 1e-15.
+
+What the SSIM map takes from the *target* alone (``E[y]``, ``E[y^2]`` and
+the denominator terms built from them) does not change between epochs:
+:class:`TargetMoments` computes it once per target image and
+:func:`photometric_loss` accepts it back (the engines keep one per view,
+see ``EngineBase._forward_backward``).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import functools
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 DEFAULT_SSIM_LAMBDA = 0.2
 _C1 = 0.01**2
@@ -46,24 +65,99 @@ def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     return w / w.sum()
 
 
-def _filter2d(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable 2D filtering over the leading two (H, W) axes.
+@functools.lru_cache(maxsize=64)
+def _window_matrix(n: int, size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """``(n, n)`` banded Toeplitz matrix ``A`` of the SSIM window: ``A @ v``
+    filters a length-``n`` signal with zero padding ("constant" mode).
 
-    Zero padding ("constant") makes the operator self-adjoint for the
-    symmetric SSIM window, which is what renders the analytic SSIM gradient
-    exact at image borders as well as in the interior.
+    Symmetric, because the window is — which makes the 2D operator
+    self-adjoint and is what renders the analytic SSIM gradient exact at
+    image borders as well as in the interior.  Read-only: the cache hands
+    the same array to every caller.
     """
-    out = convolve1d(img, window, axis=0, mode="constant", cval=0.0)
-    return convolve1d(out, window, axis=1, mode="constant", cval=0.0)
+    if size % 2 == 0:
+        raise ValueError(f"the SSIM window must have an odd size, got {size}")
+    window = _gaussian_window(size, sigma)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None] + (size - 1) // 2
+    inside = (offset >= 0) & (offset < size)
+    matrix = np.where(inside, window[np.clip(offset, 0, size - 1)], 0.0)
+    matrix.setflags(write=False)
+    return matrix
 
 
-def _ssim_moments(x: np.ndarray, y: np.ndarray, window: np.ndarray):
-    ux = _filter2d(x, window)
-    uy = _filter2d(y, window)
-    uxx = _filter2d(x * x, window)
-    uyy = _filter2d(y * y, window)
-    uxy = _filter2d(x * y, window)
-    return ux, uy, uxx, uyy, uxy
+def _to_planes(img: np.ndarray) -> np.ndarray:
+    """An ``(H, W)`` or ``(H, W, C)`` image as contiguous ``(..., H, W)``
+    planes, the layout :func:`_filter_planes` multiplies."""
+    return np.ascontiguousarray(np.moveaxis(img, (0, 1), (-2, -1)))
+
+
+def _from_planes(planes: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_planes` (a view)."""
+    return np.moveaxis(planes, (-2, -1), (0, 1))
+
+
+def _filter_planes(planes: np.ndarray, size: int, sigma: float) -> np.ndarray:
+    """Window-filter every trailing ``(H, W)`` plane of a contiguous
+    ``(..., H, W)`` stack: one product along ``W`` for the whole stack, one
+    broadcast product along ``H``."""
+    h, w = planes.shape[-2:]
+    rows = np.matmul(planes.reshape(-1, w), _window_matrix(w, size, sigma))
+    return np.matmul(
+        _window_matrix(h, size, sigma), rows.reshape(-1, h, w)
+    ).reshape(planes.shape)
+
+
+@dataclass(frozen=True)
+class TargetMoments:
+    """What the SSIM map needs of the target image alone: its planes and,
+    from the windowed moments ``E[y]`` and ``E[y^2]``, the target's share
+    of the two denominators.
+
+    ``target`` is the array they were computed from, held so that "is this
+    still the same target?" is an identity test on a live object (an ``id``
+    alone could be recycled).  In-place edits of that array are not seen.
+    Four times the target's bytes, on the host beside it.
+    """
+
+    target: np.ndarray
+    window: Tuple[int, float]
+    planes: np.ndarray  # y, (..., H, W)
+    uy: np.ndarray  # E[y]
+    uy2_c1: np.ndarray  # E[y]^2 + C1
+    vy_c2: np.ndarray  # E[y^2] - E[y]^2 + C2
+
+    @classmethod
+    def of(
+        cls, target: np.ndarray, window_size: int = 11, sigma: float = 1.5
+    ) -> "TargetMoments":
+        planes = _to_planes(target)
+        uy, uyy = _filter_planes(
+            np.stack([planes, planes * planes]), window_size, sigma
+        )
+        uy2 = uy * uy
+        return cls(
+            target, (window_size, sigma), planes, uy, uy2 + _C1, uyy - uy2 + _C2
+        )
+
+    def matches(self, target: np.ndarray, window_size: int, sigma: float) -> bool:
+        return self.target is target and self.window == (window_size, sigma)
+
+
+def _ssim_terms(x: np.ndarray, moments: TargetMoments):
+    """The SSIM map's factors ``(a1, a2, b1, b2)`` — ``S = a1 a2 / (b1 b2)``
+    — and ``E[x]``, for rendered planes ``x`` against a target's moments."""
+    stack = np.empty((3,) + x.shape)
+    stack[0] = x
+    np.multiply(x, x, out=stack[1])
+    np.multiply(x, moments.planes, out=stack[2])
+    ux, uxx, uxy = _filter_planes(stack, *moments.window)
+    ux2 = ux * ux
+    ux_uy = ux * moments.uy
+    a1 = 2 * ux_uy + _C1
+    a2 = 2 * (uxy - ux_uy) + _C2
+    b1 = ux2 + moments.uy2_c1
+    b2 = (uxx - ux2) + moments.vy_c2
+    return a1, a2, b1, b2, ux
 
 
 def ssim(
@@ -73,14 +167,9 @@ def ssim(
     sigma: float = 1.5,
 ) -> float:
     """Mean structural similarity over all pixels/channels."""
-    window = _gaussian_window(window_size, sigma)
-    ux, uy, uxx, uyy, uxy = _ssim_moments(rendered, target, window)
-    vx = uxx - ux * ux
-    vy = uyy - uy * uy
-    vxy = uxy - ux * uy
-    num = (2 * ux * uy + _C1) * (2 * vxy + _C2)
-    den = (ux * ux + uy * uy + _C1) * (vx + vy + _C2)
-    return float(np.mean(num / den))
+    moments = TargetMoments.of(target, window_size, sigma)
+    a1, a2, b1, b2, _ = _ssim_terms(_to_planes(rendered), moments)
+    return float(np.mean((a1 * a2) / (b1 * b2)))
 
 
 def ssim_with_grad(
@@ -88,6 +177,7 @@ def ssim_with_grad(
     target: np.ndarray,
     window_size: int = 11,
     sigma: float = 1.5,
+    moments: Optional[TargetMoments] = None,
 ) -> Tuple[float, np.ndarray]:
     """SSIM and its analytic gradient with respect to ``rendered``.
 
@@ -99,48 +189,59 @@ def ssim_with_grad(
 
     where ``W *`` denotes filtering with the (symmetric) SSIM window and
     ``g_m = dL/dS . dS/dm``.
+
+    ``moments`` are the target's :class:`TargetMoments` when the caller
+    kept them; anything not computed from this very ``target`` object and
+    window is ignored and recomputed.
     """
-    window = _gaussian_window(window_size, sigma)
-    x, y = rendered, target
-    ux, uy, uxx, uyy, uxy = _ssim_moments(x, y, window)
-    a1 = 2 * ux * uy + _C1
-    a2 = 2 * (uxy - ux * uy) + _C2
-    b1 = ux * ux + uy * uy + _C1
-    b2 = (uxx - ux * ux) + (uyy - uy * uy) + _C2
-    s_map = (a1 * a2) / (b1 * b2)
+    if moments is None or not moments.matches(target, window_size, sigma):
+        moments = TargetMoments.of(target, window_size, sigma)
+    x, y = _to_planes(rendered), moments.planes
+    a1, a2, b1, b2, ux = _ssim_terms(x, moments)
+    inv_b1b2 = 1.0 / (b1 * b2)
+    s_map = a1 * a2 * inv_b1b2
     value = float(np.mean(s_map))
 
-    n = s_map.size
-    # dS/dm for each raw moment m; upstream dL/dS = 1/n for the mean.
-    inv_b1b2 = 1.0 / (b1 * b2)
-    ds_dux = (
-        2 * uy * (a2 - a1) * inv_b1b2
-        - 2 * ux * s_map / b1
-        + 2 * ux * s_map / b2
-    )
-    ds_duxx = -s_map / b2
-    ds_duxy = 2 * a1 * inv_b1b2
-    g_ux = ds_dux / n
-    g_uxx = ds_duxx / n
-    g_uxy = ds_duxy / n
-    grad = (
-        _filter2d(g_ux, window)
-        + 2 * x * _filter2d(g_uxx, window)
-        + y * _filter2d(g_uxy, window)
-    )
-    return value, grad
+    # g_m = dS/dm / n for each raw moment m (upstream dL/dS = 1/n for the
+    # mean):  dS/duxx = -S / b2,  dS/duxy = 2 a1 / (b1 b2),
+    # dS/dux = 2 uy (a2 - a1) / (b1 b2) - 2 ux S / b1 + 2 ux S / b2.
+    s_map /= s_map.size
+    inv_b1b2 /= s_map.size
+    g = np.empty((3,) + x.shape)
+    g_ux, g_uxx, g_uxy = g
+    np.divide(s_map, b2, out=g_uxx)
+    np.negative(g_uxx, out=g_uxx)
+    np.multiply(a1, inv_b1b2, out=g_uxy)
+    g_uxy *= 2
+    np.subtract(a2, a1, out=g_ux)
+    g_ux *= moments.uy
+    g_ux *= inv_b1b2
+    g_ux -= ux * (s_map / b1 + g_uxx)
+    g_ux *= 2
+    f_ux, f_uxx, f_uxy = _filter_planes(g, window_size, sigma)
+    f_uxx *= x
+    f_uxx *= 2
+    f_uxy *= y
+    f_ux += f_uxx
+    f_ux += f_uxy
+    return value, np.ascontiguousarray(_from_planes(f_ux))
 
 
 def photometric_loss(
     rendered: np.ndarray,
     target: np.ndarray,
     ssim_lambda: float = DEFAULT_SSIM_LAMBDA,
+    moments: Optional[TargetMoments] = None,
 ) -> Tuple[float, np.ndarray]:
-    """The 3DGS training loss ``(1-l)*L1 + l*(1-SSIM)`` with gradient."""
+    """The 3DGS training loss ``(1-l)*L1 + l*(1-SSIM)`` with gradient.
+
+    ``moments``: the target's :class:`TargetMoments`, if the caller kept
+    them from an earlier pass over the same target.
+    """
     l1, l1_grad = l1_loss(rendered, target)
     if ssim_lambda == 0.0:
         return l1, l1_grad
-    s_val, s_grad = ssim_with_grad(rendered, target)
+    s_val, s_grad = ssim_with_grad(rendered, target, moments=moments)
     loss = (1.0 - ssim_lambda) * l1 + ssim_lambda * (1.0 - s_val)
     grad = (1.0 - ssim_lambda) * l1_grad - ssim_lambda * s_grad
     return loss, grad

@@ -12,10 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def unit_and_norm(vectors: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(unit, norms)`` of ``(N, D)`` vectors, the ``(N, 1)`` norms clamped
+    at 1e-12 so a zero vector stays zero instead of dividing by zero."""
+    norms = np.maximum(np.linalg.norm(vectors, axis=-1, keepdims=True), 1e-12)
+    return vectors / norms, norms
+
+
 def normalize(quats: np.ndarray) -> np.ndarray:
     """Return unit quaternions; input shape ``(N, 4)`` as ``(w, x, y, z)``."""
-    norms = np.linalg.norm(quats, axis=-1, keepdims=True)
-    return quats / np.maximum(norms, 1e-12)
+    return unit_and_norm(quats)[0]
 
 
 def to_rotation_matrices(quats: np.ndarray) -> np.ndarray:
@@ -84,22 +90,43 @@ def rotation_matrix_jacobian(quats: np.ndarray) -> np.ndarray:
     return jac
 
 
+#: ``dR/dq`` is linear in ``q``: ``dR_ij/dq_k = sum_l C[ij, k, l] q_l``.
+#: The constant ``C`` as a ``(9, 16)`` matrix, read off
+#: :func:`rotation_matrix_jacobian` at the four basis quaternions.
+_ROTATION_JACOBIAN_COEFFS = np.ascontiguousarray(
+    rotation_matrix_jacobian(np.eye(4)).transpose(2, 3, 1, 0).reshape(9, 16)
+)
+
+
 def backprop_rotation(dL_drot: np.ndarray, unit_quats: np.ndarray) -> np.ndarray:
-    """Chain ``dL/dR`` (``(N, 3, 3)``) to ``dL/dq_unit`` (``(N, 4)``)."""
-    jac = rotation_matrix_jacobian(unit_quats)
-    return np.einsum("nqij,nij->nq", jac, dL_drot)
+    """Chain ``dL/dR`` (``(N, 3, 3)``) to ``dL/dq_unit`` (``(N, 4)``).
+
+    The contraction of ``dL/dR`` with :func:`rotation_matrix_jacobian`, in
+    closed form: one ``(N, 9) @ (9, 16)`` product against the constant
+    coefficients, then one batched ``(4, 4) @ (4,)`` product with ``q`` —
+    the ``(N, 4, 3, 3)`` Jacobian is never built.
+    """
+    n = unit_quats.shape[0]
+    per_quat = dL_drot.reshape(n, 9) @ _ROTATION_JACOBIAN_COEFFS
+    return np.einsum("nkl,nl->nk", per_quat.reshape(n, 4, 4), unit_quats)
+
+
+def backprop_unit(
+    dL_dunit: np.ndarray, unit: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
+    """Chain gradients through ``(unit, norms) = unit_and_norm(v)``.
+
+    ``d unit / d v = (I - u u^T) / |v|``, so the raw gradient is the unit
+    gradient projected onto the tangent space of the unit sphere and
+    rescaled.
+    """
+    inner = np.sum(dL_dunit * unit, axis=-1, keepdims=True)
+    return (dL_dunit - unit * inner) / norms
 
 
 def backprop_normalize(
     dL_dunit: np.ndarray, raw_quats: np.ndarray
 ) -> np.ndarray:
-    """Chain gradients through ``q_unit = q_raw / |q_raw|``.
-
-    ``d q_unit / d q_raw = (I - u u^T) / |q_raw|`` with ``u`` the unit
-    quaternion, so the raw gradient is the unit gradient projected onto the
-    tangent space of the unit sphere and rescaled.
-    """
-    norms = np.maximum(np.linalg.norm(raw_quats, axis=-1, keepdims=True), 1e-12)
-    unit = raw_quats / norms
-    inner = np.sum(dL_dunit * unit, axis=-1, keepdims=True)
-    return (dL_dunit - unit * inner) / norms
+    """Chain gradients through ``q_unit = q_raw / |q_raw|``
+    (:func:`backprop_unit` from the raw quaternions)."""
+    return backprop_unit(dL_dunit, *unit_and_norm(raw_quats))

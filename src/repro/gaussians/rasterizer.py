@@ -11,9 +11,9 @@ hot path is a *vectorized substrate*:
 
 - **Two-level CSR tile binning** (:func:`build_tile_bins`): instead of a
   Python triple loop appending rows into a dict of per-tile lists, the
-  binning is one flat array program — per-Gaussian tile counts,
-  ``np.repeat`` to emit ``(tile_id, gauss_row)`` pairs, a single
-  ``np.lexsort`` over ``(tile_id, depth, row)`` and ``np.unique`` offsets.
+  binning is one flat array program — Gaussians sorted near-to-far,
+  per-Gaussian tile counts, ``np.repeat`` to emit ``(tile_id, gauss_row)``
+  pairs, one stable sort by tile id and ``np.bincount`` offsets.
   ``RasterSettings.tile_size`` (16) is the *semantic* level: a splat may
   reach the pixels of the ``tile_size`` tiles its 3-sigma radius spans, and
   no others.  The bins themselves are built on 8x8 *compute tiles*
@@ -77,7 +77,6 @@ win for compute and activation memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -85,12 +84,14 @@ import numpy as np
 from repro.gaussians import sh as sh_module
 from repro.gaussians.camera import Camera
 from repro.gaussians.covariance import (
-    build_covariance,
+    GaussianShape,
     invert_cov2d,
     project_covariance,
 )
+from repro.gaussians.frustum import ellipsoids_in_frustum, frustum_planes
 from repro.gaussians.model import GaussianModel, sigmoid
 from repro.gaussians.projection import project_means, splat_radii
+from repro.gaussians.quaternion import unit_and_norm
 
 #: Upper bound on ``tiles x splats x pixels`` cells materialized per
 #: grouped slab; keeps the (T, G, P) working tensors at tens of MB even
@@ -175,6 +176,13 @@ class ProjectedGaussians:
 
     ``ids`` maps rows of every array here back to the caller's input
     ordering, so gradients can be scattered into full-size tensors.
+
+    ``shapes``, ``dirs`` and ``dir_norms`` are the geometry the forward pass
+    derived from the model and the backward pass needs again (rotation
+    matrices, activated scales, unit quaternions; unit view directions).
+    :func:`preprocess` retains them — 21 floats a Gaussian — so a view's
+    geometry is computed once; a projection built without them makes the
+    backward pass rebuild them from the model, to the same gradients.
     """
 
     ids: np.ndarray  # (M,) indices into the input model
@@ -190,6 +198,9 @@ class ProjectedGaussians:
     opacities: np.ndarray  # (M,) activated
     radii: np.ndarray  # (M,) pixel radii
     sh_degree_used: int = 0
+    shapes: Optional[GaussianShape] = None  # scales, unit quats, rotations
+    dirs: Optional[np.ndarray] = None  # (M, 3) unit camera->Gaussian
+    dir_norms: Optional[np.ndarray] = None  # (M, 1) |offsets|, clamped
 
 
 @dataclass
@@ -233,24 +244,6 @@ class TileBins:
     def tile_xy(self) -> "tuple[np.ndarray, np.ndarray]":
         """``(tx, ty)`` tile coordinates of every non-empty tile."""
         return self.tile_ids % self.tiles_x, self.tile_ids // self.tiles_x
-
-    @cached_property
-    def lane_xy(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Pixel-centre offsets ``(lx, ly)``, each ``(P,)``, of a tile's
-        row-major pixels from its corner — the same for every tile, so
-        built once per view rather than once per slab."""
-        lane = np.arange(self.tile_size) + 0.5
-        return np.tile(lane, self.tile_size), np.repeat(lane, self.tile_size)
-
-    @cached_property
-    def centred_monomials(self) -> np.ndarray:
-        """``(P, 6)`` monomials ``[1, x, y, x^2, xy, y^2]`` of a tile's
-        pixel centres relative to the tile centre (the backward pass's
-        moment basis; exact in float32 and float64 alike)."""
-        lx, ly = self.lane_xy
-        x = lx - self.tile_size / 2.0
-        y = ly - self.tile_size / 2.0
-        return np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
 
 
 @dataclass
@@ -304,19 +297,28 @@ class RenderContext:
         """Actual activation footprint: the per-Gaussian projected state,
         the CSR tile keys, and (when retained) the blend cache.  Tests
         sanity-check the memory model's claim that activations scale with
-        ``|S_i|`` against this.  Both count ``(compute tile, splat)`` pairs
-        that survive the footprint test: against full ``tile_size`` spans
-        the blend cache roughly halves (fewer zero-alpha cells retained, 17
-        bytes each) while the tile keys, 8 bytes a pair, roughly double
-        (four times the tiles).  The analytic pool model (``core/memory_model``) reads
-        neither."""
-        per_gaussian = (2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1) * 8
+        ``|S_i|`` against this.  The per-Gaussian term is 34 floats of
+        screen-space state plus, when :func:`preprocess` retained it, the
+        21 floats of geometry the backward pass reads back
+        (:class:`~repro.gaussians.covariance.GaussianShape` 17, view
+        directions 4) — 440 bytes, inside the analytic pool model's
+        ``ACT_PER_GAUSSIAN`` (``core/memory_model``).  Tile keys and blend
+        cache both count ``(compute tile, splat)`` pairs that survive the
+        footprint test: against full ``tile_size`` spans the blend cache
+        roughly halves (fewer zero-alpha cells retained, 17 bytes each)
+        while the tile keys, 8 bytes a pair, roughly double (four times
+        the tiles).  The analytic pool model reads neither."""
+        floats = 2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1
+        if self.proj.shapes is not None:
+            floats += 3 + 1 + 4 + 9
+        if self.proj.dirs is not None:
+            floats += 3 + 1
         if self.bins is not None:
             tile_entries = self.bins.num_entries
         else:
             tile_entries = sum(t.order.size for t in (self.tiles or {}).values())
         return (
-            self.proj.ids.size * per_gaussian
+            self.proj.ids.size * floats * 8
             + tile_entries * 8
             + self.blend_state_bytes()
         )
@@ -352,10 +354,13 @@ def preprocess(
     )
     degree = min(degree, model.sh_degree)
 
+    # One geometry pass: the scales, unit quaternions and rotations behind
+    # the covariance are also what the frustum test below and the backward
+    # pass read.
+    shapes = GaussianShape.of(model.log_scales, model.quaternions)
     means2d, depths, t_cam = project_means(camera, model.positions)
-    cov_world = build_covariance(model.log_scales, model.quaternions)
     cov2d, cov_cam = project_covariance(
-        cov_world, t_cam, camera.rotation, camera.fx, camera.fy
+        shapes.covariance(), t_cam, camera.rotation, camera.fx, camera.fy
     )
     conics, det = invert_cov2d(cov2d)
     radii = splat_radii(cov2d)
@@ -364,18 +369,18 @@ def preprocess(
     positive = det > 0
     visible = in_front & positive & (radii > 0)
     # Fused frustum culling (§5.1): the rendering kernels apply the same
-    # 3-sigma support test that pre-rendering culling uses, so rendering the
-    # whole model and rendering the pre-culled subset S_i are *identical* —
-    # the property the enhanced baseline and CLM rely on.
-    from repro.gaussians.frustum import cull_gaussians
-
-    in_frustum = np.zeros(model.num_gaussians, dtype=bool)
-    in_frustum[
-        cull_gaussians(
-            camera, model.positions, model.log_scales, model.quaternions
-        )
-    ] = True
-    visible &= in_frustum
+    # 3-sigma support test that pre-rendering culling uses — the same
+    # function, on every row — so rendering the whole model and rendering
+    # the pre-culled subset S_i are *identical*: the property the enhanced
+    # baseline and CLM rely on.  On a pre-culled subset nearly every centre
+    # is inside the frustum and takes the test's accept path.
+    visible &= ellipsoids_in_frustum(
+        frustum_planes(camera),
+        model.positions,
+        shapes.scales,
+        model.quaternions,
+        shapes.rotations,
+    )
     if visible.any():
         visible &= _splat_on_screen(
             means2d[:, 0], means2d[:, 1], radii, camera.width, camera.height
@@ -383,8 +388,7 @@ def preprocess(
     ids = np.nonzero(visible)[0].astype(np.int64)
 
     offsets = model.positions[ids] - camera.center
-    norms = np.maximum(np.linalg.norm(offsets, axis=1, keepdims=True), 1e-12)
-    dirs = offsets / norms
+    dirs, dir_norms = unit_and_norm(offsets)
     colors, clamp_mask = sh_module.sh_to_color(model.sh[ids], dirs, degree)
     opacities = sigmoid(model.opacity_logits[ids])
 
@@ -402,6 +406,9 @@ def preprocess(
         opacities=opacities,
         radii=radii[ids],
         sh_degree_used=degree,
+        shapes=shapes.take(ids),
+        dirs=dirs,
+        dir_norms=dir_norms,
     )
 
 
@@ -415,10 +422,13 @@ def _tile_spans(
     x = proj.means2d[:, 0]
     y = proj.means2d[:, 1]
     r = proj.radii
-    x0 = np.clip(((x - r) // ts).astype(np.int64), 0, tiles_x - 1)
-    x1 = np.clip(((x + r) // ts).astype(np.int64), 0, tiles_x - 1)
-    y0 = np.clip(((y - r) // ts).astype(np.int64), 0, tiles_y - 1)
-    y1 = np.clip(((y + r) // ts).astype(np.int64), 0, tiles_y - 1)
+
+    def tile(coord: np.ndarray, last: int) -> np.ndarray:
+        # min(max()) is np.clip without its per-call dtype-limit checks.
+        return np.minimum(np.maximum((coord // ts).astype(np.int64), 0), last)
+
+    x0, x1 = tile(x - r, tiles_x - 1), tile(x + r, tiles_x - 1)
+    y0, y1 = tile(y - r, tiles_y - 1), tile(y + r, tiles_y - 1)
     return x0, x1, y0, y1
 
 
@@ -490,17 +500,22 @@ def build_tile_bins(
     Two levels: ``settings.tile_size`` defines which splats may reach which
     pixels (the 3-sigma tile span), the bins are built at the compute tile
     (``_COMPUTE_TILE``, or ``tile_size`` itself when 8 does not divide it)
-    from each splat's thresholded footprint inside that span.  Per-Gaussian
-    compute-tile counts -> ``np.repeat`` emits the flat
-    ``(tile_id, gauss_row)`` pair list -> one ``np.lexsort`` over
-    ``(tile_id, depth, row)`` -> ``np.unique`` yields the CSR offsets.
-    No Python loop over Gaussians or tiles.
+    from each splat's thresholded footprint inside that span.  The
+    Gaussians are put in ``(depth, row)`` order first — the legacy stable
+    sort's near-to-far order and tie-breaking — so that after per-Gaussian
+    compute-tile counts and ``np.repeat`` have emitted the flat
+    ``(tile_id, gauss_row)`` pair list, one *stable* sort by tile id alone
+    (a radix sort, the ids being small) yields the CSR order and one
+    ``np.bincount`` the offsets.  No Python loop over Gaussians or tiles.
     """
     ts = settings.tile_size
     sub = _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
     tiles_x = (camera.width + sub - 1) // sub
     tiles_y = (camera.height + sub - 1) // sub
     kept, x0, x1, y0, y1 = _compute_tile_rects(camera, proj, settings, sub)
+    # ``kept`` ascends, so a stable sort by depth breaks ties by row.
+    near_first = np.argsort(proj.depths[kept], kind="stable")
+    kept, x0, x1, y0, y1 = (a[near_first] for a in (kept, x0, x1, y0, y1))
 
     nx = x1 - x0 + 1
     counts = nx * (y1 - y0 + 1)
@@ -515,19 +530,22 @@ def build_tile_bins(
     ly = local // nx_flat
     tile = (np.repeat(y0, counts) + ly) * tiles_x + (np.repeat(x0, counts) + lx)
 
-    # Primary key: tile id; secondary: depth (near-to-far); tertiary: row
-    # index, which reproduces the legacy stable argsort's tie-breaking.
-    perm = np.lexsort((rows, proj.depths[rows], tile))
-    tile_ids, first = np.unique(tile[perm], return_index=True)
+    num_tiles = tiles_x * tiles_y
+    # NumPy's stable sort is a linear-time radix sort on 16-bit keys.
+    key = tile.astype(np.int16) if num_tiles < 2**15 else tile
+    per_tile = np.bincount(tile, minlength=num_tiles)
+    tile_ids = np.flatnonzero(per_tile)
+    offsets = np.zeros(tile_ids.size + 1, dtype=np.int64)
+    np.cumsum(per_tile[tile_ids], out=offsets[1:])
     return TileBins(
         tile_size=sub,
         tiles_x=tiles_x,
         tiles_y=tiles_y,
         width=camera.width,
         height=camera.height,
-        tile_ids=tile_ids.astype(np.int64),
-        offsets=np.append(first, total).astype(np.int64),
-        order=rows[perm],
+        tile_ids=tile_ids,
+        offsets=offsets,
+        order=rows[np.argsort(key, kind="stable")],
     )
 
 
@@ -629,19 +647,18 @@ class _AugArrays:
 
     @classmethod
     def from_proj(cls, proj: ProjectedGaussians, dtype: np.dtype) -> "_AugArrays":
-        def aug(arr):
-            pad = np.zeros((1,) + arr.shape[1:], dtype=arr.dtype)
-            return np.concatenate([arr, pad]).astype(dtype, copy=False)
-
-        return cls(
-            means_x=aug(proj.means2d[:, 0]),
-            means_y=aug(proj.means2d[:, 1]),
-            conic_a=aug(proj.conics[:, 0, 0]),
-            conic_b=aug(proj.conics[:, 0, 1]),
-            conic_c=aug(proj.conics[:, 1, 1]),
-            opac=aug(proj.opacities),
-            colors=aug(proj.colors),
-        )
+        m = proj.ids.size
+        # One zeroed block; each scalar field is a contiguous row of it.
+        fields = np.zeros((6, m + 1), dtype=dtype)
+        fields[0, :m] = proj.means2d[:, 0]
+        fields[1, :m] = proj.means2d[:, 1]
+        fields[2, :m] = proj.conics[:, 0, 0]
+        fields[3, :m] = proj.conics[:, 0, 1]
+        fields[4, :m] = proj.conics[:, 1, 1]
+        fields[5, :m] = proj.opacities
+        colors = np.zeros((m + 1, 3), dtype=dtype)
+        colors[:m] = proj.colors
+        return cls(*fields, colors)
 
 
 def iter_tile_groups(

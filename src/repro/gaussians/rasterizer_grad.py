@@ -34,6 +34,17 @@ instead of ``np.add.at`` fetch-adds) run once per view.  In the float32
 compute mode the blend state is float32 but all gradient accumulators stay
 float64.
 
+The chain from the screen-space gradients to the parameters
+(:func:`_chain_to_parameters`) rebuilds no geometry: the rotation matrices,
+activated scales, unit quaternions and unit view directions it needs were
+built once by the forward pass's ``preprocess`` and ride on the
+:class:`~repro.gaussians.rasterizer.ProjectedGaussians`
+(:class:`~repro.gaussians.covariance.GaussianShape`, ``dirs``), and
+``dL/dR -> dL/dq`` is a contraction with a constant coefficient matrix
+(:func:`repro.gaussians.quaternion.backprop_rotation`), not with a
+materialised ``(M, 4, 3, 3)`` Jacobian.  A projection that carries no
+retained geometry has it rebuilt from the model, to the same gradients.
+
 The pre-substrate per-tile loop survives as
 :func:`rasterize_backward_legacy`; the parity suite pins the grouped path
 against it for every parameter group.
@@ -53,7 +64,7 @@ import numpy as np
 
 from repro.gaussians import sh as sh_module
 from repro.gaussians.covariance import (
-    build_covariance_backward,
+    GaussianShape,
     invert_cov2d_backward,
     project_covariance_backward,
 )
@@ -62,6 +73,7 @@ from repro.gaussians.projection import (
     camera_space_to_world_grad,
     project_means_backward,
 )
+from repro.gaussians.quaternion import backprop_unit, unit_and_norm
 from repro.gaussians.rasterizer import (
     RenderContext,
     _AugArrays,
@@ -229,7 +241,11 @@ def _chain_to_parameters(
     d_conics: np.ndarray,
 ) -> Dict[str, np.ndarray]:
     """Chain the screen-space gradients down to the learnable parameters
-    (shared by the grouped and legacy compositing passes)."""
+    (shared by the grouped and legacy compositing passes).
+
+    Reads the geometry the forward pass retained on the projection
+    (rotations, scales, unit quaternions, view directions); only a
+    projection that carries none has it rebuilt from ``model``."""
     proj = ctx.proj
     camera = ctx.camera
     ids = proj.ids
@@ -237,18 +253,20 @@ def _chain_to_parameters(
     d_cov_world, d_t_cov = project_covariance_backward(
         d_cov2d, proj.cov_cam, proj.t_cam, camera.rotation, camera.fx, camera.fy
     )
-    d_log_scales_sub, d_quats_sub = build_covariance_backward(
-        d_cov_world, model.log_scales[ids], model.quaternions[ids]
-    )
+    shapes = proj.shapes
+    if shapes is None:
+        shapes = GaussianShape.of(model.log_scales[ids], model.quaternions[ids])
+    d_log_scales_sub, d_quats_sub = shapes.covariance_backward(d_cov_world)
     d_t_mean = project_means_backward(camera, proj.t_cam, d_means2d)
     d_pos_sub = camera_space_to_world_grad(camera, d_t_mean + d_t_cov)
 
-    norms = np.maximum(np.linalg.norm(proj.offsets, axis=1, keepdims=True), 1e-12)
-    dirs = proj.offsets / norms
+    dirs, dir_norms = proj.dirs, proj.dir_norms
+    if dirs is None:
+        dirs, dir_norms = unit_and_norm(proj.offsets)
     d_sh_sub, d_dir = sh_module.sh_backward(
         d_colors, model.sh[ids], dirs, proj.sh_degree_used, proj.clamp_mask
     )
-    d_pos_sub = d_pos_sub + sh_module.backprop_direction(d_dir, proj.offsets)
+    d_pos_sub = d_pos_sub + backprop_unit(d_dir, dirs, dir_norms)
 
     d_logit_sub = d_opac * proj.opacities * (1.0 - proj.opacities)
 

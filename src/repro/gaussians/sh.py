@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.gaussians.quaternion import backprop_unit, unit_and_norm
+
 # Basis-function counts per degree: degree d uses (d + 1)^2 functions.
 BASIS_PER_DEGREE = {0: 1, 1: 4, 2: 9, 3: 16}
 MAX_DEGREE = 3
@@ -170,7 +172,4 @@ def backprop_direction(
     ``dir = offset / |offset|`` with ``offset = position - camera_center``,
     so ``ddir/doffset = (I - dir dir^T) / |offset|``.
     """
-    norms = np.maximum(np.linalg.norm(offsets, axis=-1, keepdims=True), 1e-12)
-    unit = offsets / norms
-    inner = np.sum(dL_ddir * unit, axis=-1, keepdims=True)
-    return (dL_ddir - unit * inner) / norms
+    return backprop_unit(dL_ddir, *unit_and_norm(offsets))

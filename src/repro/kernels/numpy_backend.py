@@ -39,6 +39,7 @@ by slab, bit for bit.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -56,6 +57,19 @@ from repro.optim.kernels import fused_adam_update
 #: elements (a Python-level ufunc call costs ~0.5 us, ``accumulate`` ~3 ns
 #: an element); results are bit-identical either way.
 _ROW_SCAN_MIN = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _centred_monomials(tile_size: int) -> np.ndarray:
+    """``(P, 6)`` monomials ``[1, x, y, x^2, xy, y^2]`` of a tile's
+    row-major pixel centres relative to the tile centre (the backward
+    pass's moment basis; exact in float32 and float64 alike).  A function
+    of the tile size alone, so built once per process, read-only."""
+    lane = np.arange(tile_size) + 0.5 - tile_size / 2.0
+    x, y = np.tile(lane, tile_size), np.repeat(lane, tile_size)
+    basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
+    basis.setflags(write=False)
+    return basis
 
 
 def _entry_origins(bins) -> "tuple[np.ndarray, np.ndarray]":
@@ -204,6 +218,7 @@ def _raster_backward(
     # Per-entry colour sums (3) and tile-centred pixel moments of d_power
     # (6); every entry sits in exactly one slab, row E collects the pads.
     staged = np.empty((e + 1, 9))
+    monomials = _centred_monomials(bins.tile_size)
     states = (
         blend_cache
         if blend_cache is not None
@@ -229,7 +244,7 @@ def _raster_backward(
         # power = -0.5 d^T conic d with d = pix - mean separates, so the
         # mean/conic gradients need only the moments sum_p d_power * m_k
         # against the tile-centred monomials [1, x, y, x^2, xy, y^2].
-        staged[idx, 3:] = np.matmul(d_power, bins.centred_monomials)
+        staged[idx, 3:] = np.matmul(d_power, monomials)
     _fold_entries(bins, aug, staged[:e], d_colors, d_opac, d_means2d, d_conics)
 
 

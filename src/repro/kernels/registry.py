@@ -37,6 +37,7 @@ existing ``*_legacy`` comparators at the repo's 1e-10 parity bar by
 from __future__ import annotations
 
 import abc
+import functools
 import os
 import warnings
 from dataclasses import dataclass
@@ -90,11 +91,16 @@ class KernelData:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "KernelData":
         arr = np.asarray(arr)
-        return cls(
-            dtype=str(arr.dtype),
-            rank=int(arr.ndim),
-            contiguous=bool(arr.flags["C_CONTIGUOUS"]),
-        )
+        return _kernel_data(arr.dtype, arr.ndim, arr.flags.c_contiguous)
+
+
+# Specs are dict keys looked up on every render and every Adam chunk, and
+# naming a dtype (``str(np.dtype)``) costs more than the lookup: the
+# descriptors are memoised on the raw ``(dtype, rank, contiguity)`` instead.
+# Frozen, so sharing one instance between callers is safe.
+@functools.lru_cache(maxsize=256)
+def _kernel_data(dtype, rank: int, contiguous: bool) -> KernelData:
+    return KernelData(str(np.dtype(dtype)), int(rank), bool(contiguous))
 
 
 @dataclass(frozen=True)
@@ -108,14 +114,19 @@ class KernelSpec:
         return tuple(d.dtype for d in self.operands)
 
 
+@functools.lru_cache(maxsize=256)
+def _kernel_spec(op: str, operands: Tuple[KernelData, ...]) -> KernelSpec:
+    return KernelSpec(op, operands)
+
+
 def raster_spec(op: str, dtype) -> KernelSpec:
     """Spec of a raster slab op over ``dtype`` blend-state tensors."""
-    return KernelSpec(op, (KernelData(dtype=str(np.dtype(dtype)), rank=3),))
+    return _kernel_spec(op, (_kernel_data(dtype, 3, True),))
 
 
 def adam_spec(*arrays: np.ndarray) -> KernelSpec:
     """Spec of the fused Adam update over the given packed operands."""
-    return KernelSpec(
+    return _kernel_spec(
         "adam_fused_update",
         tuple(KernelData.from_array(a) for a in arrays),
     )

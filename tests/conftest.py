@@ -101,3 +101,47 @@ def single_level_cull(camera, positions, log_scales, raw_quats):
 @pytest.fixture(scope="session")
 def cull_oracle():
     return single_level_cull
+
+
+def scipy_ssim_with_grad(rendered, target, window_size=11, sigma=1.5):
+    """SSIM and its gradient as :mod:`repro.gaussians.loss` computed them
+    before the banded-GEMM filter: ten ``scipy.ndimage.convolve1d`` passes
+    per image, zero padded.
+
+    Test-only oracle, spelled out here rather than imported so a change to
+    the product code cannot move both sides.  Returns ``(value, grad)``.
+    """
+    from scipy.ndimage import convolve1d
+
+    xs = np.arange(window_size) - (window_size - 1) / 2.0
+    window = np.exp(-(xs**2) / (2 * sigma**2))
+    window /= window.sum()
+
+    def filt(img):
+        out = convolve1d(img, window, axis=0, mode="constant", cval=0.0)
+        return convolve1d(out, window, axis=1, mode="constant", cval=0.0)
+
+    c1, c2 = 0.01**2, 0.03**2
+    x, y = rendered, target
+    ux, uy, uxx, uyy, uxy = filt(x), filt(y), filt(x * x), filt(y * y), filt(x * y)
+    a1 = 2 * ux * uy + c1
+    a2 = 2 * (uxy - ux * uy) + c2
+    b1 = ux * ux + uy * uy + c1
+    b2 = (uxx - ux * ux) + (uyy - uy * uy) + c2
+    s_map = (a1 * a2) / (b1 * b2)
+    n = s_map.size
+    inv_b1b2 = 1.0 / (b1 * b2)
+    ds_dux = (
+        2 * uy * (a2 - a1) * inv_b1b2 - 2 * ux * s_map / b1 + 2 * ux * s_map / b2
+    )
+    grad = (
+        filt(ds_dux / n)
+        + 2 * x * filt(-s_map / b2 / n)
+        + y * filt(2 * a1 * inv_b1b2 / n)
+    )
+    return float(np.mean(s_map)), grad
+
+
+@pytest.fixture(scope="session")
+def ssim_oracle():
+    return scipy_ssim_with_grad

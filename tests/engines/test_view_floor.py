@@ -1,0 +1,168 @@
+"""The per-view floor: what one microbatch may compute, and how often.
+
+Deterministic call-count guards on one ``clm`` batch — a view's geometry is
+built once for the cull and once for the render, never again for the
+backward pass; the loss filters with matrix products and reuses the
+target's moments — plus the engine-side behaviours that ride along:
+moments are invalidated by replacing a target, evaluation renders
+forward-only, kernel specs are memoised.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.ndimage
+
+from repro.core.config import EngineConfig
+from repro.engines import available_engines, create_engine
+from repro.gaussians import frustum, quaternion, rasterizer
+from repro.gaussians.loss import TargetMoments
+from repro.gaussians.model import GaussianModel
+from repro.kernels import KernelData, adam_spec, raster_spec
+
+BATCH = [0, 1, 2, 3]
+
+
+@pytest.fixture()
+def setup(trainable_scene):
+    init = GaussianModel.from_point_cloud(
+        trainable_scene.init_points, colors=trainable_scene.init_colors,
+        sh_degree=1, seed=0,
+    )
+    targets = {c.view_id: img for c, img in
+               zip(trainable_scene.cameras, trainable_scene.images)}
+    return trainable_scene, init, targets
+
+
+def build(name, setup, **config):
+    scene, init, _ = setup
+    return create_engine(
+        name, init, scene.cameras, EngineConfig(batch_size=4, **config)
+    )
+
+
+def spy_on(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a counting pass-through; returns the spy."""
+    spy = mock.Mock(wraps=getattr(owner, name))
+    monkeypatch.setattr(owner, name, spy)
+    return spy
+
+
+def test_one_clm_batch_computes_each_views_geometry_once(setup, monkeypatch):
+    _, _, targets = setup
+    engine = build("clm", setup)
+    engine.train_batch(BATCH, targets)  # warm-up: caches, lazy imports
+
+    rotations = spy_on(monkeypatch, quaternion, "to_rotation_matrices")
+    jacobians = spy_on(monkeypatch, quaternion, "rotation_matrix_jacobian")
+    filters = [
+        spy_on(monkeypatch, scipy.ndimage, name)
+        for name in ("convolve1d", "correlate1d")
+    ]
+    moments = spy_on(monkeypatch, TargetMoments, "of")
+    # Culls issued while ``preprocess`` is on the stack.
+    nested_culls = []
+    preprocess = rasterizer.preprocess
+
+    def watched_preprocess(*args):
+        before = culls.call_count + batch_culls.call_count
+        try:
+            return preprocess(*args)
+        finally:
+            nested_culls.append(culls.call_count + batch_culls.call_count - before)
+
+    culls = spy_on(monkeypatch, frustum, "cull_gaussians")
+    batch_culls = spy_on(monkeypatch, frustum, "cull_batch")
+    monkeypatch.setattr(rasterizer, "preprocess", watched_preprocess)
+
+    result = engine.train_batch(BATCH, targets)
+    assert np.isfinite(result.loss)
+    views = len(BATCH)
+    assert len(nested_culls) == views and sum(nested_culls) == 0
+    # Batch cull (band rows only, possibly none) + preprocess; the backward
+    # pass reads the retained matrices.  Four a view before.
+    assert views <= rotations.call_count <= 2 * views
+    assert jacobians.call_count == 0
+    assert all(f.call_count == 0 for f in filters)
+    assert moments.call_count == 0  # every target's moments were kept
+
+
+@pytest.mark.parametrize("name", available_engines())
+def test_replacing_a_target_invalidates_its_moments(name, setup):
+    """Same view, same shape, another array: the held moments must miss —
+    and the loss must be the loss against the new target."""
+    _, _, targets = setup
+    engine = build(name, setup)
+    fresh = build(name, setup)
+    engine.train_batch(BATCH, targets)
+    held = dict(engine._moments)
+    assert set(held) == set(BATCH)
+    assert all(held[v].target is targets[v] for v in BATCH)
+
+    engine.train_batch(BATCH, targets)
+    assert all(engine._moments[v] is held[v] for v in BATCH)  # reused
+
+    replaced = dict(targets)
+    replaced[BATCH[0]] = 1.0 - targets[BATCH[0]]
+    fresh.train_batch(BATCH, targets)
+    fresh.train_batch(BATCH, targets)
+    got = engine.train_batch(BATCH, replaced)
+    want = fresh.train_batch(BATCH, replaced)  # has never seen the old one
+    assert engine._moments[BATCH[0]] is not held[BATCH[0]]
+    assert engine._moments[BATCH[0]].target is replaced[BATCH[0]]
+    assert all(engine._moments[v] is held[v] for v in BATCH[1:])
+    assert got.loss == want.loss
+    assert got.per_view_loss == want.per_view_loss
+
+
+def test_l1_only_training_keeps_no_moments(setup):
+    _, _, targets = setup
+    engine = build("clm", setup, ssim_lambda=0.0)
+    engine.train_batch(BATCH, targets)
+    assert engine._moments == {}
+
+
+@pytest.mark.parametrize("name", available_engines())
+def test_evaluate_renders_forward_only(name, setup):
+    """Evaluation retains no blend state, and scores the same images."""
+    _, _, targets = setup
+    engine = build(name, setup)
+    seen = []
+    render = engine._render
+
+    def recording(camera, model, settings):
+        result = render(camera, model, settings)
+        seen.append((settings.cache_blend_state, result.ctx.blend_cache))
+        return result
+
+    engine._render = recording
+    value = engine.evaluate(BATCH, targets)
+    assert seen and all(s == (False, None) for s in seen)
+    engine._render = render
+    model = engine.snapshot_model()
+    want = np.mean([
+        -10.0 * np.log10(np.mean(
+            (render(engine.cameras[v], model, engine.raster_settings).image
+             - targets[v]) ** 2
+        ))
+        for v in BATCH
+    ])
+    assert engine.raster_settings.cache_blend_state
+    assert value == pytest.approx(want, rel=1e-12)
+
+
+def test_kernel_specs_are_memoised():
+    """One descriptor object per layout: building a spec names no dtype."""
+    a, b = np.zeros((4, 10)), np.zeros((9, 10))
+    assert adam_spec(a, a, a, a) is adam_spec(b, b, b, b)
+    assert KernelData.from_array(a) is KernelData.from_array(b)
+    assert KernelData.from_array(a) == KernelData("float64", 2, True)
+    strided = np.zeros((4, 20))[:, ::2]
+    assert KernelData.from_array(strided) == KernelData("float64", 2, False)
+    assert adam_spec(a, strided) is not adam_spec(a, a)
+    f64 = raster_spec("raster_forward_slab", np.dtype("float64"))
+    assert f64 is raster_spec("raster_forward_slab", np.dtype("float64"))
+    assert f64 == raster_spec("raster_forward_slab", np.float64)
+    assert f64 != raster_spec("raster_forward_slab", np.float32)
+    assert f64 != raster_spec("raster_backward_slab", np.float64)

@@ -129,3 +129,70 @@ def test_sls_no_worse_than_identity_order(sets):
     assert scheduler.path_cost(d, order) <= scheduler.path_cost(
         d, list(range(len(sets)))
     ) + 1e-9
+
+
+def batch_of_views(n, seed):
+    """``n`` overlapping index sets (integer distances, like a culled batch)."""
+    rng = np.random.default_rng(seed)
+    return [
+        setops.as_index_set(rng.integers(40 * i, 40 * i + 400, size=130))
+        for i in rng.permutation(n)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_is_the_best_of_all_restarts_whatever_the_clock_says(
+    monkeypatch, seed
+):
+    """At B = 8 every restart runs and the last restart ends the search:
+    the order is the same whether or not the deadline has passed by then.
+    (A deadline that passes *during* the search still cuts it short.)"""
+    d = scheduler.distance_matrix(batch_of_views(8, seed))
+
+    class Clock:
+        def __init__(self, expires_after):
+            self.reads = 0
+            self.expires_after = expires_after
+
+        def perf_counter(self):
+            self.reads += 1
+            return 0.0 if self.reads <= self.expires_after else 1e9
+
+    def search(clock):
+        monkeypatch.setattr(scheduler, "time", clock)  # its ``time`` module
+        return scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3)
+
+    never = Clock(expires_after=10**9)
+    order = search(never)
+    assert sorted(order) == list(range(8))
+    # The deadline passes at the search's very last look at the clock,
+    # i.e. only once all eight restarts have run: same order.
+    at_the_end = Clock(expires_after=never.reads - 1)
+    assert search(at_the_end) == order
+    assert at_the_end.reads == never.reads
+    # Expired from the start: one restart only, which costs no less.
+    cut_short = Clock(expires_after=1)
+    first_only = search(cut_short)
+    assert cut_short.reads < never.reads
+    assert scheduler.path_cost(d, order) <= scheduler.path_cost(d, first_only)
+    # And it is the exact optimum.
+    assert scheduler.path_cost(d, order) == scheduler.path_cost(
+        d, scheduler.held_karp_path(d)
+    )
+
+
+@given(sets=st.lists(index_sets, min_size=2, max_size=7),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_moves_priced_by_edge_deltas_are_priced_right(sets, seed):
+    """Each pass, from a random order: what it reports as an improvement
+    is one, by the full path cost — on the ndarray and on plain rows."""
+    d = scheduler.distance_matrix(sets)
+    order = list(np.random.default_rng(seed).permutation(len(sets)))
+    before = scheduler.path_cost(d, order)
+    for one_pass in (scheduler.two_opt_pass, scheduler.or_opt_pass):
+        after, improved = one_pass(d, order)
+        assert sorted(after) == sorted(order)
+        assert (scheduler.path_cost(d, after) < before) == improved
+        assert improved or after == order
+        assert one_pass(d.tolist(), order) == (after, improved)
