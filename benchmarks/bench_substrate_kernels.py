@@ -5,7 +5,7 @@ forward/backward, frustum culling, transfer planning, TSP) so regressions
 in the hot paths are visible.  The render and fused-Adam variants run
 through the :mod:`repro.kernels` backend registry — one variant per
 *available* backend, each stamped with its ``kernel_backend`` — so a
-JIT-enabled host reports the compiled kernels alongside the NumPy
+host with a C compiler reports the compiled kernels alongside the NumPy
 reference instead of silently timing whichever backend ``auto`` picked.
 The pytest entry points use pytest-benchmark's real timing loop; the
 registered ``compute`` takes the best of a few repetitions so ``repro
@@ -106,7 +106,7 @@ def compute(ctx, repeats: int = 3):
     rows = []
     for backend in _available_backend_names():
         for name, thunk in _backend_ops(backend):
-            thunk()  # warm-up: JIT backends compile here, untimed
+            thunk()  # warm-up: a first-use build happens here, untimed
             best = _best_of(thunk, repeats)
             rows.append([f"{name}[{backend}]", best * 1e3])
             ctx.record(variant=name, kernel_backend=backend,

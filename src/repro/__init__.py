@@ -45,9 +45,10 @@ Subpackages:
 - :mod:`repro.scenes` — synthetic dataset generators;
 - :mod:`repro.optim` — dense, sparse, and fused packed-row (CPU) Adam,
   all sharing one update kernel;
-- :mod:`repro.kernels` — the compiled kernel backend registry: the NumPy
-  reference and the optional numba JIT kernels behind one
-  :class:`~repro.kernels.KernelBackend` protocol, runtime-selected via
+- :mod:`repro.kernels` — the kernel backend registry: the NumPy reference
+  and the ``native`` fused C kernels (built at first use with the system C
+  compiler) behind one :class:`~repro.kernels.KernelBackend` protocol,
+  runtime-selected via
   ``EngineConfig(kernel_backend=...)`` / ``repro backends``;
 - :mod:`repro.analysis` — sparsity statistics and report rendering.
 """

@@ -9,7 +9,7 @@ Examples::
     python -m repro.cli engines
     python -m repro.cli backends
     python -m repro.cli train --engine clm --batches 20
-    python -m repro.cli train --engine clm --kernel-backend numba
+    python -m repro.cli train --engine clm --kernel-backend numpy
     python -m repro.cli train --engine clm --ordering gs_count --plan-cache 16
     python -m repro.cli serve --stream trajectory --requests 96 --rate 500
     python -m repro.cli bench list
@@ -146,6 +146,7 @@ def cmd_engines(args) -> int:
 def cmd_backends(args) -> int:
     from repro.kernels import backend_status, resolve_backend_name
 
+    status = backend_status()
     rows = [
         [
             s["name"],
@@ -154,7 +155,7 @@ def cmd_backends(args) -> int:
             s["priority"],
             s["description"],
         ]
-        for s in backend_status()
+        for s in status
     ]
     print(format_table(
         ["backend", "available", "version", "priority", "description"],
@@ -162,6 +163,9 @@ def cmd_backends(args) -> int:
         title="Registered kernel backends "
               "(repro train --kernel-backend NAME)",
     ))
+    for s in status:
+        if s["detail"]:
+            print(f"{s['name']}: {s['detail']}")
     print(f"auto resolves to: {resolve_backend_name(None)}")
     return 0
 

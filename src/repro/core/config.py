@@ -65,8 +65,9 @@ class EngineConfig:
     prefers the fastest available backend (honouring the
     ``REPRO_KERNEL_BACKEND`` env override), an explicit name pins one.
     Engines resolve it once at construction, thread it through
-    ``RasterSettings`` and ``PackedSparseAdam``, and stamp the resolved
-    name into ``PerfCounters.kernel_backend`` and their plan fingerprints.
+    ``RasterSettings`` and ``PackedSparseAdam`` and key their plan
+    fingerprints by it; ``PerfCounters.kernel_backend`` names the backend
+    that composited the last batch's renders, after per-op fallback.
 
     ``use_task_graph`` picks the executor of the batch's
     :func:`repro.planning.lower_batch` node list (``step`` per
@@ -125,8 +126,8 @@ class EngineConfig:
     # to a single batch per fail-stop — the CI chaos-gate bound).
     fault_schedule: Optional[FaultSchedule] = None
     recovery_snapshot_every: int = 1
-    # Compiled-kernel backend for the raster/Adam hot loops ("auto",
-    # "numpy", "numba", or any registered plugin backend name).
+    # Kernel backend for the raster/Adam hot loops ("auto", "numpy",
+    # "native", or any registered plugin backend name).
     kernel_backend: str = "auto"
     # Adaptive runtime (ROADMAP item 5).  ``use_task_graph`` selects the
     # dependency task-graph executor for the CLM batch; ``autotune``

@@ -126,17 +126,20 @@ ACT_PER_PIXEL = 240
 #: never resident bytes.  Owners alone step Adam on halo rows, so moments
 #: are never duplicated across devices.
 
-#: Kernel-backend note: the compiled kernel backends (:mod:`repro.kernels`)
-#: change *timing and scratch allocation*, never pool accounting.  A JIT
-#: backend fuses the slab compositing and Adam passes — fewer memory
-#: passes, per-tile scratch and per-CSR-entry gradient staging allocated
+#: Kernel-backend note: the kernel backends (:mod:`repro.kernels`) change
+#: *timing and scratch allocation*, never pool accounting.  The ``native``
+#: backend fuses compositing into one per-tile C loop — per-tile scratch
+#: (20 bytes per thresholded cell of the deepest tile) allocated
 #: transiently inside one kernel call — and, like the paper's CUDA
 #: kernels, *recomputes* blend state backward instead of retaining it
 #: (``retains_blend_state = False``), so its activation footprint matches
-#: the analytic allowance above exactly (no ``blend_state_bytes``).  Every
-#: byte this model budgets — parameters, gradients, moments, double
-#: buffers — is identical under any backend; switching backends moves
-#: wall-clock time, not Figure 8/10 numbers.
+#: the analytic allowance above exactly (no ``blend_state_bytes``) and the
+#: pool-enforced regime, which has to recompute, runs the same path as the
+#: unpooled one at the same speed.  Under the NumPy reference the same
+#: regime pays a second slab forward per view.  Every byte this model
+#: budgets — parameters, gradients, moments, double buffers — is identical
+#: under any backend; switching backends moves wall-clock time, not
+#: Figure 8/10 numbers.
 
 #: Auto-tuning note: the adaptive runtime (:mod:`repro.autotune` +
 #: ``repro.runtime.GraphExecutor``) changes *timing only*, never pool

@@ -333,6 +333,8 @@ class EngineBase(Engine):
         self._step_backward_s = 0.0
         self._step_adam_s = 0.0
         self._step_overlap_hidden_s = 0.0
+        #: ``RenderContext.kernel_backend`` of the last training render.
+        self._rendered_on: Optional[str] = None
         self._setup(model)
 
     @property
@@ -347,7 +349,10 @@ class EngineBase(Engine):
         retaining the blend cache would hold real bytes the pool never
         accounted for, so retention is forced off here on capacity-limited
         runs — as a per-call overlay, without mutating the caller's config
-        (it may be shared across engines).
+        (it may be shared across engines).  Only the NumPy reference pays
+        for that with a second slab forward per view: the ``native``
+        backend never retains blend state, so pool-on and pool-off run the
+        same kernels.
         """
         settings = self.config.raster
         if self.pool is not None and settings.cache_blend_state:
@@ -412,27 +417,13 @@ class EngineBase(Engine):
         result.overlap_hidden_s = self._step_overlap_hidden_s
         self.batches_trained += 1
         self.perf.observe(result, len(view_ids))
-        # Re-stamp the backend identity from what actually executed: a
-        # backend whose compile() failed mid-run falls back per-op to the
-        # reference (see repro.kernels.compile_with_fallback), and the
-        # perf counters must report the post-fallback truth.
-        self.perf.kernel_backend = self._active_kernel_backend()
+        # Re-stamp the backend identity from what actually composited this
+        # batch's renders — the dominant kernel cost — after per-op fallback
+        # (a float32 blend state the compiled kernels decline, a build that
+        # failed: see repro.kernels.compile_with_fallback).  The optimizers
+        # report their own truth as ``active_kernel_backend``.
+        self.perf.kernel_backend = self._rendered_on or self.kernel_backend
         return result
-
-    def _active_kernel_backend(self) -> str:
-        """The backend name the engine's kernels *actually* ran on.
-
-        Defaults to the resolved :attr:`kernel_backend`; when any of the
-        engine's optimizers recorded a per-op fallback (their
-        ``active_kernel_backend`` differs from the resolved name), that
-        post-fallback identity wins — it is what produced the numbers.
-        """
-        for attr in ("adam_critical", "adam_noncritical", "optimizer"):
-            opt = getattr(self, attr, None)
-            active = getattr(opt, "active_kernel_backend", None)
-            if active and active != self.kernel_backend:
-                return active
-        return self.kernel_backend
 
     @abc.abstractmethod
     def _culling_arrays(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -499,6 +490,9 @@ class EngineBase(Engine):
         start = time.perf_counter()
         result = self._render(cam, model_like, self.raster_settings)
         self._step_forward_s += time.perf_counter() - start
+        # A custom renderer's result may carry no context.
+        ctx = getattr(result, "ctx", None)
+        self._rendered_on = getattr(ctx, "kernel_backend", self._rendered_on)
         ssim_lambda = self.config.ssim_lambda
         loss, g_img = photometric_loss(
             result.image,

@@ -149,9 +149,10 @@ class RasterSettings:
       compositing (see :mod:`repro.kernels`).  ``None``/``"auto"`` defers
       to the ``REPRO_KERNEL_BACKEND`` env override, then the fastest
       available backend.  A backend that does not retain blend state (the
-      fused JIT kernels recompute blending backward) leaves
+      fused ``native`` kernels recompute blending backward) leaves
       ``RenderContext.blend_cache`` empty regardless of
-      ``cache_blend_state``.
+      ``cache_blend_state``, and does not slab, so ``group_size`` has no
+      effect under it either.
     """
 
     tile_size: int = 16
@@ -757,9 +758,10 @@ def rasterize_forward(
     canvas_t = np.ones((num_tiles, pixels), dtype=dtype)
 
     aug = _AugArrays.from_proj(proj, dtype)
-    # Compositing runs on the runtime-selected kernel backend (the NumPy
-    # reference runs the two-level slab kernels; JIT backends fuse them).  Per-op fallback keeps unsupported layouts (e.g. float32
-    # blend state under the numba backend) on the reference.
+    # Compositing runs on the runtime-selected kernel backend: the NumPy
+    # reference runs the two-level slab kernels, ``native`` one fused
+    # per-tile C loop.  Per-op fallback keeps what a backend declines (e.g.
+    # float32 blend state under ``native``) on the reference.
     from repro.kernels import compile_with_fallback, raster_spec, resolve_backend
 
     fn, actual = compile_with_fallback(

@@ -51,9 +51,9 @@ against it for every parameter group.
 
 Since the kernel-backend layer, the compositing gradient dispatches
 through :mod:`repro.kernels`: the NumPy reference backend runs the
-slab path described above, while JIT backends fuse the recompute +
-suffix-sum gradient into compiled per-tile loops (``tests/kernels``
-pins every backend to the same 1e-10 bar).
+slab path described above, while the ``native`` backend fuses the
+recompute + suffix-sum gradient into one compiled per-tile loop
+(``tests/kernels`` pins every backend to the same 1e-10 bar).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def rasterize_backward(
         )
         # Same backend resolution as the forward pass: the NumPy reference
         # walks the retained blend cache (or regenerates it slab-wise),
-        # fused JIT backends recompute blending in-kernel and ignore it.
+        # the fused native kernels recompute blending in-kernel and ignore it.
         from repro.kernels import (
             compile_with_fallback,
             raster_spec,

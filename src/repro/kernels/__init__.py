@@ -5,9 +5,10 @@ Public surface of the MOT-style backend layer (ROADMAP item 1): the
 layout descriptors, the decorator registry, and the resolution helpers
 every call site uses (``resolve_backend`` → ``compile_with_fallback``).
 
-The built-in backends are ``numpy`` (always-available reference) and
-``numba`` (optional JIT, graceful fallback when absent) — see
-``repro backends`` and the README's "Kernel backends" section.
+Two backends ship and register on import: ``numpy`` (the always-available
+reference) and ``native`` (fused C kernels built at first use with the
+system C compiler; unavailable, and silently skipped by ``auto``, without
+one) — see ``repro backends`` and the README's "Kernel backends" section.
 """
 
 from repro.kernels.registry import (
@@ -32,6 +33,7 @@ from repro.kernels.registry import (
     resolve_backend_name,
     unregister_backend,
 )
+from repro.kernels import numpy_backend, native_backend  # noqa: F401  (they register)
 
 __all__ = [
     "AUTO",

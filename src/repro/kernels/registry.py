@@ -1,10 +1,11 @@
 """The kernel backend registry — runtime-selected compiled hot paths.
 
-ROADMAP item 1: the substrate's hot loops (slab compositing in
+The substrate's hot loops (tile compositing in
 :mod:`repro.gaussians.rasterizer` / ``rasterizer_grad`` and the fused Adam
-update in :mod:`repro.optim.kernels`) are pure NumPy, which caps each op
-at one memory pass.  This module is the MOT-style answer (cf. the
-``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT): a
+update in :mod:`repro.optim.kernels`) are whole-tensor NumPy passes in the
+reference.  This module is the MOT-style seam for compiled replacements
+(cf. the ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT,
+kernels kept as C source and compiled at run time): a
 :class:`KernelBackend` protocol with *capabilities* and a
 ``compile(spec)`` step, a :class:`KernelData` descriptor capturing the
 dtype/rank/contiguity of the packed operands, and a decorator registry
@@ -22,12 +23,12 @@ Backends are selected at runtime by :func:`resolve_backend`:
    backend with a warning (graceful fallback, never a crash);
 2. otherwise the ``REPRO_KERNEL_BACKEND`` environment variable, when set;
 3. otherwise ``auto``: the highest-priority *available* backend (the
-   NumPy reference has priority 0 and is always available; JIT backends
-   register with higher priorities).
+   NumPy reference has priority 0 and is always available; the compiled
+   ``native`` backend registers above it).
 
 Per-op capability checks run through :meth:`KernelBackend.supports`: a
-backend that cannot execute one spec (e.g. a JIT kernel specialized to
-contiguous float64 rows being handed float32 staging buffers) falls back
+backend that cannot execute one spec (e.g. the C kernels, which index
+contiguous float64 buffers, being handed float32 blend state) falls back
 to the reference implementation for that op only — see
 :func:`compile_with_fallback`.  Every backend is pinned against the
 existing ``*_legacy`` comparators at the repo's 1e-10 parity bar by
@@ -136,7 +137,7 @@ class KernelBackend(abc.ABC):
     """One implementation of the substrate's hot kernels.
 
     Subclasses set :attr:`name` / :attr:`priority` / :attr:`description`,
-    report availability (JIT backends probe their import here), declare
+    report availability (compiled backends probe their toolchain here), declare
     :meth:`capabilities`, and implement :meth:`_compile`.  ``compile``
     itself is final: it runs the capability check and caches the compiled
     callable per spec, so warm-up compilation happens once per signature.
@@ -144,13 +145,13 @@ class KernelBackend(abc.ABC):
 
     name: str = "?"
     #: ``auto`` picks the highest-priority available backend; the NumPy
-    #: reference sits at 0, JIT backends register above it.
+    #: reference sits at 0, compiled backends register above it.
     priority: int = 0
     description: str = ""
     #: Whether this backend's forward pass materializes the per-slab blend
     #: state that ``RasterSettings.cache_blend_state`` retains for the
-    #: backward pass.  Fused JIT kernels recompute blending backward (like
-    #: the paper's CUDA kernels) and set this False.
+    #: backward pass.  Fused kernels recompute blending backward (like the
+    #: paper's CUDA kernels) and set this False.
     retains_blend_state: bool = True
 
     def __init__(self) -> None:
@@ -163,6 +164,11 @@ class KernelBackend(abc.ABC):
 
     def version(self) -> Optional[str]:
         """Version string of the backing implementation, if any."""
+        return None
+
+    def detail(self) -> Optional[str]:
+        """What a status report should add about this backend here (the
+        toolchain found, or why the backend is unavailable), if anything."""
         return None
 
     # -- capability surface ---------------------------------------------
@@ -200,15 +206,9 @@ class KernelBackend(abc.ABC):
         """Build the callable for a supported ``spec``."""
 
 
+#: Name -> instance.  The shipped backends (``numpy``, ``native``) register
+#: when :mod:`repro.kernels` is imported.
 _REGISTRY: Dict[str, KernelBackend] = {}
-
-#: Backends shipped with the package (mirrors ``_BUILTIN_ENGINES``).
-_BUILTIN_BACKENDS = ("numpy", "numba")
-
-
-def _ensure_builtin_backends() -> None:
-    """Import the built-in backend modules so their registrations run."""
-    from repro.kernels import numba_backend, numpy_backend  # noqa: F401
 
 
 def register_backend(name: str):
@@ -234,22 +234,21 @@ def register_backend(name: str):
 
 
 def unregister_backend(name: str) -> None:
-    """Remove a registered backend (tests/plugins only); built-ins stay."""
-    if name in _BUILTIN_BACKENDS:
-        raise ValueError(f"cannot unregister built-in backend '{name}'")
+    """Remove a registered backend (tests/plugins only); the reference
+    every fallback lands on stays."""
+    if name == REFERENCE_BACKEND:
+        raise ValueError(f"cannot unregister the built-in reference '{name}'")
     _REGISTRY.pop(name, None)
 
 
 def available_backends() -> Tuple[str, ...]:
     """Registered backend names, in registration order (availability is a
     separate question — see :func:`backend_status`)."""
-    _ensure_builtin_backends()
     return tuple(_REGISTRY)
 
 
 def backend_descriptions() -> Dict[str, str]:
     """``{name: one-line description}`` for every registered backend."""
-    _ensure_builtin_backends()
     return {name: b.description for name, b in _REGISTRY.items()}
 
 
@@ -259,7 +258,6 @@ def get_backend(name: str) -> KernelBackend:
     Raises :class:`UnknownBackendError` (a ``ValueError``) with the known
     names when ``name`` is not registered.
     """
-    _ensure_builtin_backends()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -270,24 +268,29 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def backend_status() -> "list[dict]":
-    """One row per registered backend for reporting (``repro backends``)."""
-    _ensure_builtin_backends()
-    return [
-        {
-            "name": b.name,
-            "available": b.available(),
-            "version": b.version(),
-            "priority": b.priority,
-            "description": b.description,
-        }
-        for b in _REGISTRY.values()
-    ]
+    """One row per registered backend for reporting (``repro backends``).
+
+    ``detail`` is asked for first: a backend that builds at first use
+    tries to, so ``available`` is what a render would find."""
+    rows = []
+    for b in _REGISTRY.values():
+        detail = b.detail()
+        rows.append(
+            {
+                "name": b.name,
+                "available": b.available(),
+                "version": b.version(),
+                "priority": b.priority,
+                "description": b.description,
+                "detail": detail,
+            }
+        )
+    return rows
 
 
 def _auto_backend() -> KernelBackend:
     """Highest-priority available backend (ties break on registration
     order; the NumPy reference guarantees a non-empty candidate set)."""
-    _ensure_builtin_backends()
     candidates = [b for b in _REGISTRY.values() if b.available()]
     return max(candidates, key=lambda b: b.priority)
 
@@ -300,7 +303,7 @@ def resolve_backend(name: Optional[str] = None) -> KernelBackend:
     registered (else :class:`UnknownBackendError`); a registered but
     unavailable backend — or an env override naming one — degrades to the
     reference backend with a :class:`RuntimeWarning` instead of failing,
-    so a config written for a JIT-enabled host still runs everywhere.
+    so a config written for a host with a compiler still runs everywhere.
     """
     from_env = False
     if name in (None, "", AUTO):
@@ -343,13 +346,13 @@ def compile_with_fallback(
     """Compile ``spec`` on ``backend``, degrading per-op to the reference.
 
     Returns ``(callable, backend_actually_used)``.  This is the per-call
-    capability gate: a JIT backend that cannot execute one particular
+    capability gate: a compiled backend that cannot execute one particular
     layout (say, float32 blend state) hands exactly that op back to the
     NumPy reference while keeping every op it *can* run.
 
     Compilation *failures* degrade the same way: a backend that claims
-    support but raises from ``compile(spec)`` mid-run (a JIT toolchain
-    breaking under it, a driver fault) hands the op to the reference with
+    support but raises from ``compile(spec)`` mid-run (the build of its
+    kernels failing, a driver fault) hands the op to the reference with
     a :class:`RuntimeWarning` instead of killing training — the returned
     backend identity records the fallback so callers can stamp the truth
     into their perf counters.  Only a failing *reference* compile raises.

@@ -55,10 +55,10 @@ class PackedSparseAdam:
 
     ``kernel_backend`` selects the compiled kernel executing the fused
     update (see :mod:`repro.kernels`); ``None``/``"auto"`` resolves to the
-    fastest available backend.  Unsupported operand layouts (e.g. float32
-    gradient staging under a float64-only JIT backend) fall back per-block
-    to the NumPy reference, so results stay within the repo's parity bar
-    on every backend.
+    fastest available backend.  A backend that does not implement the
+    update for these operands (``native`` implements the raster ops only)
+    hands it per-block to the NumPy reference, and
+    ``active_kernel_backend`` says which one ran.
     """
 
     def __init__(

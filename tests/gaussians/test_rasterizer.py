@@ -150,9 +150,12 @@ def test_activation_bytes_scale_with_rendered_set(cam, tiny_model):
 def test_blend_cache_retention_is_accounted_and_optional(cam, tiny_model):
     """cache_blend_state retains real bytes, reported by the context;
     opting out drops both the cache and its accounting."""
-    _, _, ctx_on = rasterize_forward(cam, tiny_model, RasterSettings())
+    _, _, ctx_on = rasterize_forward(
+        cam, tiny_model, RasterSettings(kernel_backend="numpy")
+    )
     _, _, ctx_off = rasterize_forward(
-        cam, tiny_model, RasterSettings(cache_blend_state=False)
+        cam, tiny_model,
+        RasterSettings(cache_blend_state=False, kernel_backend="numpy"),
     )
     assert ctx_on.blend_cache and ctx_on.blend_state_bytes() > 0
     assert ctx_off.blend_cache is None and ctx_off.blend_state_bytes() == 0

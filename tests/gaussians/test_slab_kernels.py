@@ -1,5 +1,8 @@
-"""The two-level slab kernels against the legacy per-tile oracle.
+"""The compositing kernels against the legacy per-tile oracle.
 
+The generated and named oracle cases run on whichever backend ``auto``
+selects and again, through ``tests/kernels/other_backends``, on the one it
+does not; the cases that look inside NumPy's blend state pin it themselves.
 ``repro.kernels.numpy_backend`` composites on ``(G, T, P)`` slabs from
 per-entry lane terms and differentiates through three retained tensors
 (``weights``, ``odds``, ``gate``).  The oracle is the pre-substrate loop
@@ -155,7 +158,7 @@ def test_background_enters_the_suffix_total(background):
 def test_cells_at_the_cap_pass_the_threshold_but_not_the_gate():
     model = make_model(2)
     model.opacity_logits[:] = inverse_sigmoid(np.full(70, 0.95))
-    opts = RasterSettings(max_alpha=0.5)
+    opts = RasterSettings(max_alpha=0.5, kernel_backend="numpy")
     assert_matches_oracle(CAM, model, opts)
     _, _, ctx = rasterize_forward(CAM, model, opts)
     capped = sum(
@@ -170,7 +173,7 @@ def test_terminated_cells_keep_their_odds_term(t_min):
     (``weights == 0``) but still attenuates what is behind it."""
     model = make_model(3)
     model.opacity_logits[:] = inverse_sigmoid(np.full(70, 0.8))
-    opts = RasterSettings(transmittance_min=t_min)
+    opts = RasterSettings(transmittance_min=t_min, kernel_backend="numpy")
     assert_matches_oracle(CAM, model, opts)
     _, _, ctx = rasterize_forward(CAM, model, opts)
     terminated = sum(
@@ -231,7 +234,7 @@ def test_float32_mode_tracks_float64():
 )
 def test_recomputed_backward_is_bit_identical_to_cached(opts):
     (img, t, ctx, grads), (img_off, t_off, ctx_off, grads_off) = render_both_ways(
-        make_model(7), opts
+        make_model(7), replace(opts, kernel_backend="numpy")
     )
     assert ctx.blend_cache and ctx_off.blend_cache is None
     assert np.array_equal(img, img_off) and np.array_equal(t, t_off)
@@ -251,7 +254,8 @@ def test_forward_only_renders_skip_the_backward_operands():
 
     with mock.patch.object(numpy_backend, "_blend_slab", spy):
         _, _, ctx = rasterize_forward(
-            CAM, model, RasterSettings(cache_blend_state=False)
+            CAM, model,
+            RasterSettings(cache_blend_state=False, kernel_backend="numpy"),
         )
         assert seen and all(
             flag is False and keys == ["t_final", "weights"] for flag, keys in seen
@@ -266,7 +270,9 @@ def test_blend_state_bytes_count_every_retained_array():
         reference_gaussians=1000, num_views=24, image_size=(40, 30),
         init_fraction=1.0,
     )
-    _, _, ctx = rasterize_forward(scene.cameras[0], scene.reference)
+    _, _, ctx = rasterize_forward(
+        scene.cameras[0], scene.reference, RasterSettings(kernel_backend="numpy")
+    )
     arrays = [v for s in ctx.blend_cache for v in s.values()]
     assert all(isinstance(v, np.ndarray) for v in arrays)
     assert ctx.blend_state_bytes() == sum(v.nbytes for v in arrays)
@@ -281,7 +287,9 @@ def test_row_scan_and_accumulate_agree_bit_for_bit(monkeypatch):
     results = []
     for row_min in (0, 10**9):
         monkeypatch.setattr(numpy_backend, "_ROW_SCAN_MIN", row_min)
-        (img, t, _, grads), _ = render_both_ways(model, RasterSettings(group_size=4))
+        (img, t, _, grads), _ = render_both_ways(
+            model, RasterSettings(group_size=4, kernel_backend="numpy")
+        )
         results.append((img, t, grads))
     (img_a, t_a, g_a), (img_b, t_b, g_b) = results
     assert np.array_equal(img_a, img_b) and np.array_equal(t_a, t_b)

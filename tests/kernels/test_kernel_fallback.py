@@ -1,11 +1,12 @@
 """Graceful degradation and engine threading of the kernel backends.
 
-The numba backend must register but report unavailable when the import is
-absent (simulated by monkeypatching the module's guarded import), and
-every resolution path must land on the NumPy reference with a warning —
-never an ImportError.  The engine layer must thread the resolved backend
-identity everywhere the ISSUE requires it to be visible: PerfCounters,
-RasterSettings / RenderContext, PackedSparseAdam, and plan fingerprints.
+The native backend must register but report unavailable on a host without
+a C compiler (simulated by making its compiler lookup find nothing), and
+every resolution path must land on the NumPy reference — with a warning
+when the backend was asked for by name, silently under ``auto``.  The
+engine layer must thread the backend identity everywhere it has to be
+visible: PerfCounters (what composited the renders), RasterSettings /
+RenderContext, PackedSparseAdam, and plan fingerprints.
 """
 
 import numpy as np
@@ -14,14 +15,16 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.engines import available_engines, create_engine
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.rasterizer import RasterSettings
 from repro.kernels import (
     ENV_VAR,
     adam_spec,
     compile_with_fallback,
     get_backend,
+    raster_spec,
     resolve_backend,
 )
-from repro.kernels import numba_backend
+from repro.kernels import native_backend
 from repro.optim.adam import AdamConfig
 from repro.optim.packed_adam import PackedSparseAdam
 from repro.planning.planner import plan_fingerprint
@@ -35,10 +38,14 @@ def _clean_env(monkeypatch):
 
 
 @pytest.fixture()
-def no_numba(monkeypatch):
-    """Simulate a host without numba, regardless of what is installed."""
-    monkeypatch.setattr(numba_backend, "_NUMBA", None)
-    return get_backend("numba")
+def no_compiler(monkeypatch):
+    """Simulate a host without a C compiler, whatever is installed: the
+    compiler lookup finds nothing and the backend starts from scratch."""
+    backend = get_backend("native")
+    monkeypatch.setattr(native_backend, "find_compiler", lambda: None)
+    monkeypatch.setattr(backend, "_library", None)
+    monkeypatch.setattr(backend, "_compiled", {})
+    return backend
 
 
 def _engine_setup(trainable_scene):
@@ -52,57 +59,74 @@ def _engine_setup(trainable_scene):
 
 
 # ----------------------------------------------------------------------
-# numba-absence degradation
+# compiler-absence degradation
 # ----------------------------------------------------------------------
 
 
-def test_numba_registers_unavailable_without_import(no_numba):
-    assert no_numba.available() is False
-    assert no_numba.version() is None
+def test_native_registers_unavailable_without_compiler(no_compiler):
+    assert no_compiler.available() is False
+    assert no_compiler.version() is None
+    assert "no C compiler" in no_compiler.detail()
 
 
-def test_explicit_numba_request_falls_back_with_warning(no_numba):
+def test_explicit_native_request_falls_back_with_warning(no_compiler):
     with pytest.warns(RuntimeWarning, match="not available"):
-        backend = resolve_backend("numba")
+        backend = resolve_backend("native")
     assert backend.name == "numpy"
 
 
-def test_auto_skips_unavailable_numba(no_numba):
+def test_auto_skips_unavailable_native(no_compiler, recwarn):
     assert resolve_backend(None).name == "numpy"
     assert resolve_backend("auto").name == "numpy"
+    assert not recwarn.list  # nothing to say: auto just lands on the reference
 
 
-def test_env_requested_numba_falls_back(no_numba, monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "numba")
+def test_env_requested_native_falls_back(no_compiler, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, "native")
     with pytest.warns(RuntimeWarning, match="not available"):
         backend = resolve_backend(None)
     assert backend.name == "numpy"
 
 
-def test_compile_with_fallback_hands_ops_to_reference(no_numba):
+def test_compile_with_fallback_hands_ops_to_reference(no_compiler):
+    fn, used = compile_with_fallback(
+        no_compiler, raster_spec("raster_forward_slab", np.float64)
+    )
+    assert used.name == "numpy"
+    assert fn is get_backend("numpy").compile(
+        raster_spec("raster_forward_slab", np.float64)
+    )
+
+
+def test_float32_operands_decline_the_jit_backend():
+    """Even where a compiler IS found, float32 blend state stays on the
+    reference: the kernels built at first use index raw float64 buffers."""
+    backend = get_backend("native")
+    spec32 = raster_spec("raster_backward_slab", np.float32)
+    assert backend.supports(raster_spec("raster_backward_slab", np.float64))
+    assert backend.supports(spec32) is False
+    fn, used = compile_with_fallback(backend, spec32)
+    assert used.name == "numpy"
+
+
+def test_adam_stays_on_the_reference_by_design():
+    """``native`` implements the raster ops only; the fused Adam update is
+    handed to NumPy per op, without a warning."""
+    backend = get_backend("native")
     ops = [np.zeros((8, 10)) for _ in range(4)]
-    fn, used = compile_with_fallback(no_numba, adam_spec(*ops))
+    assert backend.supports(adam_spec(*ops)) is False
+    fn, used = compile_with_fallback(backend, adam_spec(*ops))
     assert used.name == "numpy"
     fn(ops[0], ops[1], ops[2], ops[3],
        np.ones(8, dtype=np.int64), np.full(10, 1e-2), 0.9, 0.999, 1e-8)
 
 
-def test_float32_operands_decline_the_jit_backend():
-    """Even where numba IS importable, float32 staging stays on the
-    reference (numba promotion differs from NumPy value-based casting)."""
-    backend = get_backend("numba")
-    ops32 = [np.zeros((8, 10), dtype=np.float32) for _ in range(4)]
-    assert backend.supports(adam_spec(*ops32)) is False
-    fn, used = compile_with_fallback(backend, adam_spec(*ops32))
-    assert used.name == "numpy"
-
-
-def test_optimizer_runs_and_reports_reference_under_fallback(no_numba):
+def test_optimizer_runs_and_reports_reference_under_fallback(no_compiler):
     rng = np.random.default_rng(0)
     params = rng.standard_normal((64, 10))
     opt = PackedSparseAdam(
         {"packed": (10,)}, 64, config=AdamConfig(lr=1e-2),
-        kernel_backend="numba",
+        kernel_backend="native",
     )
     with pytest.warns(RuntimeWarning, match="not available"):
         opt.step_packed(params, rng.standard_normal((64, 10)),
@@ -125,6 +149,36 @@ def test_engines_stamp_backend_into_perf(name, trainable_scene):
     assert engine.kernel_backend == "numpy"
     assert engine.perf.kernel_backend == "numpy"
     engine.train_batch(BATCH, targets)
+    assert engine.perf.kernel_backend == "numpy"
+
+
+def test_perf_reports_the_backend_that_composited_the_renders(
+    trainable_scene,
+):
+    """Adam stays on the reference by design; what ``PerfCounters`` names
+    is the backend the batch's renders — the dominant cost — ran on."""
+    if not get_backend("native").available():
+        pytest.skip("no C compiler on this host")
+    init, targets = _engine_setup(trainable_scene)
+    engine = create_engine(
+        "clm", init, trainable_scene.cameras, EngineConfig(batch_size=4)
+    )
+    engine.train_batch(BATCH, targets)
+    assert engine.perf.kernel_backend == "native"
+    assert engine.adam_critical.active_kernel_backend == "numpy"
+
+
+def test_perf_reports_numpy_when_float32_state_is_declined(trainable_scene):
+    """Float32 blend state is declined per op: the renders run on NumPy
+    and the counters must not claim the configured backend."""
+    init, targets = _engine_setup(trainable_scene)
+    engine = create_engine(
+        "clm", init, trainable_scene.cameras,
+        EngineConfig(batch_size=4, raster=RasterSettings(dtype="float32")),
+    )
+    engine.train_batch(BATCH, targets)
+    view = engine.render_view(trainable_scene.cameras[0].view_id)
+    assert view.ctx.kernel_backend == "numpy"
     assert engine.perf.kernel_backend == "numpy"
 
 
@@ -197,8 +251,8 @@ def test_plan_fingerprint_varies_with_backend():
     numpy_key = plan_fingerprint(
         sets, views, "tsp", True, 10, kernel_backend="numpy"
     )
-    numba_key = plan_fingerprint(
-        sets, views, "tsp", True, 10, kernel_backend="numba"
+    native_key = plan_fingerprint(
+        sets, views, "tsp", True, 10, kernel_backend="native"
     )
-    assert len({base, numpy_key, numba_key}) == 3
+    assert len({base, numpy_key, native_key}) == 3
     assert "numpy" in numpy_key

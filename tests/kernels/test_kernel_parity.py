@@ -7,9 +7,8 @@ gradient arrays to 1e-10 across seeds and group sizes.  The fused Adam
 update must likewise match the NumPy reference kernel — parameters,
 both moments and per-row step counts — for every backend.
 
-On NumPy-only hosts this suite pins the reference backend; the CI
-kernel-backend gate runs it again on a numba-enabled leg where the JIT
-kernels face the same bar.
+On hosts without a C compiler this suite pins the reference backend
+alone; everywhere else the ``native`` C kernels face the same bar.
 """
 
 import numpy as np
@@ -82,7 +81,7 @@ def test_raster_parity_across_group_sizes(backend, group_size):
 
 @pytest.mark.parametrize("backend", AVAILABLE)
 def test_raster_parity_without_blend_cache(backend):
-    """The backward recompute route — the one a non-retaining JIT backend
+    """The backward recompute route — the one a non-retaining backend
     always takes — matches the cached route's golden gradients."""
     model, cam, g_img = make_setup(4)
     settings = RasterSettings(

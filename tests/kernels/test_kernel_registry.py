@@ -64,7 +64,7 @@ def _clean_env(monkeypatch):
 
 def test_builtin_backends_registered():
     names = available_backends()
-    assert "numpy" in names and "numba" in names
+    assert names == ("numpy", "native")  # exactly two backends ship
     assert get_backend("numpy").available()  # reference always works
     descriptions = backend_descriptions()
     assert all(descriptions[n] for n in names)
@@ -75,9 +75,10 @@ def test_backend_status_rows():
     assert rows["numpy"]["available"] is True
     assert rows["numpy"]["version"] == np.__version__
     assert rows["numpy"]["priority"] == 0
-    assert set(rows["numba"]) == {
-        "name", "available", "version", "priority", "description"
+    assert set(rows["native"]) == {
+        "name", "available", "version", "priority", "description", "detail"
     }
+    assert rows["native"]["priority"] > rows["numpy"]["priority"]
 
 
 def test_unknown_backend_raises():
