@@ -6,8 +6,10 @@ the parameter chain) in pixels/s and the fused packed-row Adam update in
 rows/s, for every *available* registered backend.  Each thunk runs once
 untimed first so the ``native`` backend's first-use build never pollutes
 the measurements, then best-of-N wall times convert to throughput.
-``native`` implements the raster ops only, so its Adam column is the
-NumPy reference reached through the per-op fallback.
+``native`` runs the whole view in C (projection, binning, compositing, the
+gradient chain — everything in the step but the frustum mask and the loss)
+and no Adam, so its Adam column is the NumPy reference reached through the
+per-op fallback.
 
 The CI ``kernel-backend-gate`` job runs this at the quick tier and asserts
 the ``native`` backend's whole-step speedup over the NumPy reference from

@@ -86,7 +86,12 @@ CLM_BUFFER_BPG = 2 * 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT
 #: 440 bytes, counted by ``RenderContext.activation_bytes`` and pinned
 #: below this constant by ``tests/gaussians/test_retained_geometry.py``,
 #: so the analytic model stays an upper bound and pool accounting did not
-#: move when the retained geometry was added.
+#: move when the retained geometry was added.  The ``native`` view ops
+#: hold the same fields in one block per render, sized by the survivors:
+#: 52 float64 + the int64 id + a 3-byte clamp mask = 427 bytes a Gaussian
+#: (``activation_bytes`` budgets the mask as three floats and the id with
+#: the tile keys, hence its 440), never by the rows that were handed in —
+#: ``tests/kernels/test_native_view.py`` pins both.
 ACT_PER_GAUSSIAN = 500
 #: Per-pixel activation state (composited colour, transmittance, per-pixel
 #: gradient staging).

@@ -160,6 +160,21 @@ def max_support_radius(log_scales: np.ndarray) -> np.ndarray:
     return CULL_SIGMA * np.exp(largest)
 
 
+def signed_distances(planes: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(K, P)`` signed distances ``n . p + d`` of ``K`` centres to ``P``
+    planes — the one step of the exact test that is not row-wise.
+
+    The BLAS product rounds each element the same for any number of rows
+    *but one*: NumPy hands a one-row product to ``gemv``, which rounds
+    differently from ``gemm``.  A lone row is therefore evaluated as two, so
+    a row's distances (and verdict) never depend on which other rows, if
+    any, are tested with it.
+    """
+    if positions.shape[0] == 1:
+        return signed_distances(planes, np.repeat(positions, 2, axis=0))[:1]
+    return positions @ planes[:, :3].T + planes[:, 3]
+
+
 def ellipsoids_in_frustum(
     planes: np.ndarray,
     positions: np.ndarray,
@@ -186,13 +201,12 @@ def ellipsoids_in_frustum(
     With finite scales and quaternions the reach is in ``[0, inf]`` and
     the two paths cannot disagree.
 
-    A row's verdict must not depend on which other rows are tested with
-    it.  The arithmetic is row-wise except for the BLAS product of the
-    signed distances, whose per-element result is the same for any number
-    of rows *but one* (see :func:`exact_cull`).
+    A row's verdict does not depend on which other rows are tested with
+    it: the arithmetic is row-wise except for the BLAS product of the
+    signed distances, which :func:`signed_distances` keeps on one path.
     """
     normals = planes[:, :3]
-    signed = positions @ normals.T + planes[:, 3]  # (K, P)
+    signed = signed_distances(planes, positions)  # (K, P)
     # Column by column: NumPy reduces a short trailing axis one row at a
     # time.  The NaN-propagating sum stands in for seven ``isfinite`` tests
     # a row; a finite row whose sum overflows merely takes the full test.
@@ -220,23 +234,14 @@ def exact_cull(
     rows: np.ndarray,
 ) -> np.ndarray:
     """The members of ``rows`` whose 3-sigma ellipsoid reaches inside all
-    of ``planes`` — :func:`ellipsoids_in_frustum` on those rows only.
-
-    A row's verdict must not depend on which other rows are tested with
-    it, or a prefiltered cull could disagree with a whole-model one in the
-    last bit.  The arithmetic is row-wise except for the BLAS product,
-    whose per-element result is the same for any number of rows *but one*:
-    NumPy hands a one-row product to ``gemv``, which rounds differently
-    from ``gemm``.  A lone candidate of a larger model is therefore tested
-    twice over, which keeps it on the ``gemm`` path.
+    of ``planes`` — :func:`ellipsoids_in_frustum` on those rows only, whose
+    verdict on a row is the same in any company, so a prefiltered cull
+    cannot disagree with a whole-model one in the last bit.
     """
-    tested = rows
-    if rows.size == 1 and positions.shape[0] > 1:
-        tested = np.repeat(rows, 2)
     inside = ellipsoids_in_frustum(
-        planes, positions[tested], np.exp(log_scales[tested]), raw_quats[tested]
+        planes, positions[rows], np.exp(log_scales[rows]), raw_quats[rows]
     )
-    return rows[inside[: rows.size]]
+    return rows[inside]
 
 
 def _prefilter_points(

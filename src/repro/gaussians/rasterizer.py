@@ -68,6 +68,20 @@ The legacy per-tile loop (``rasterize_forward_legacy`` and the
 ``test_slab_kernels.py`` pin the substrate against it and ``benchmarks/bench_raster.py`` records the
 speedup.
 
+Since the whole-view kernel ops, :func:`rasterize_forward` is one backend
+dispatch (``view_forward``, :mod:`repro.kernels`).  The NumPy reference
+implements it as the array programs above — :func:`preprocess`, then
+:func:`build_tile_bins`, then the slab kernels, all of which stay public
+NumPy functions with no dispatch inside them (the oracles and the parity
+suites call them directly) — and ``native`` implements it in C:
+projection, binning and compositing are two calls over one float64 block
+per render, out of which the :class:`ProjectedGaussians`,
+:class:`~repro.gaussians.covariance.GaussianShape` and :class:`TileBins`
+of the :class:`RenderContext` are cut as views (``RenderContext.blocks``).
+The 3-sigma frustum test stays :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
+under either backend — it is the arbiter that keeps pre-rendering culling
+and rendering in agreement, bit for bit.
+
 The rasterizer deliberately accepts an arbitrary subset of a scene's
 Gaussians: CLM's selective loading feeds it exactly the in-frustum set
 ``S_i``, which is what makes pre-rendering frustum culling (§5.1) a pure
@@ -282,6 +296,21 @@ class RenderContext:
     #: context (which has no ``bins``); read by
     #: :func:`~repro.gaussians.rasterizer_grad.rasterize_backward_legacy`.
     tiles: Optional[Dict[Tuple[int, int], TileWork]] = None
+    #: ``(proj, floats, ints, clamp)`` of a render whose backend laid the
+    #: per-Gaussian state out in blocks of its own (``native``: one float64
+    #: block of 52 values a survivor, one int64 block of ids and CSR arrays,
+    #: one byte block) — ``proj`` and ``bins`` are views into them, no other
+    #: context shares them, and they are sized by the survivors, not by the
+    #: input rows.
+    blocks: Optional[tuple] = None
+
+    def view_block(self) -> Optional[np.ndarray]:
+        """The float block a compiled ``view_backward`` may read this
+        context's state from: only while ``proj`` is still the object that
+        was cut out of it (a replaced projection goes to the reference)."""
+        if self.blocks is not None and self.blocks[0] is self.proj:
+            return self.blocks[1]
+        return None
 
     def blend_state_bytes(self) -> int:
         """Bytes retained by the shared forward/backward blend cache."""
@@ -308,7 +337,11 @@ class RenderContext:
         footprint test: against full ``tile_size`` spans the blend cache
         roughly halves (fewer zero-alpha cells retained, 17 bytes each)
         while the tile keys, 8 bytes a pair, roughly double (four times
-        the tiles).  The analytic pool model reads neither."""
+        the tiles).  The analytic pool model reads neither.  A context
+        whose state lives in ``blocks`` holds exactly these fields and no
+        more: 427 bytes a Gaussian (the clamp mask as 3 bytes, not the 3
+        floats budgeted here, plus the 8-byte id, which is not), the tile
+        keys, and a ``2 T + 1`` int64 CSR header."""
         floats = 2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1
         if self.proj.shapes is not None:
             floats += 3 + 1 + 4 + 9
@@ -746,42 +779,19 @@ def rasterize_forward(
     ``settings.cache_blend_state``).
     """
     settings = settings or RasterSettings()
-    dtype = settings.np_dtype
-    proj = preprocess(camera, model, settings)
-    bins = build_tile_bins(camera, proj, settings)
+    # One dispatch per render: the NumPy reference runs ``preprocess``,
+    # ``build_tile_bins`` and the slab kernels; ``native`` runs the whole
+    # view in C.  Per-op fallback keeps what a backend declines (a float32
+    # blend state, model arrays that are not float64 C-contiguous) on the
+    # reference, which still composites on whichever backend takes the
+    # raster ops.
+    from repro.kernels import compile_with_fallback, resolve_backend, view_spec
 
-    bg = np.asarray(settings.background, dtype=dtype)
-    pixels = bins.tile_size**2
-    num_tiles = bins.tiles_x * bins.tiles_y
-    canvas_rgb = np.empty((num_tiles, pixels, 3), dtype=dtype)
-    canvas_rgb[:] = bg
-    canvas_t = np.ones((num_tiles, pixels), dtype=dtype)
-
-    aug = _AugArrays.from_proj(proj, dtype)
-    # Compositing runs on the runtime-selected kernel backend: the NumPy
-    # reference runs the two-level slab kernels, ``native`` one fused
-    # per-tile C loop.  Per-op fallback keeps what a backend declines (e.g.
-    # float32 blend state under ``native``) on the reference.
-    from repro.kernels import compile_with_fallback, raster_spec, resolve_backend
-
-    fn, actual = compile_with_fallback(
+    fn, _ = compile_with_fallback(
         resolve_backend(settings.kernel_backend),
-        raster_spec("raster_forward_slab", dtype),
+        view_spec("view_forward", settings.np_dtype, model),
     )
-    cache: Optional[List[dict]] = fn(bins, aug, settings, bg, canvas_rgb, canvas_t)
-
-    image = _tile_major_to_image(canvas_rgb, bins)
-    transmittance = _tile_major_to_image(canvas_t, bins)
-    ctx = RenderContext(
-        camera=camera,
-        settings=settings,
-        proj=proj,
-        bins=bins,
-        num_input=model.num_gaussians,
-        blend_cache=cache,
-        kernel_backend=actual.name,
-    )
-    return image, transmittance, ctx
+    return fn(camera, model, settings)
 
 
 def rasterize_forward_legacy(

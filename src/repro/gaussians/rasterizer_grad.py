@@ -49,11 +49,15 @@ The pre-substrate per-tile loop survives as
 :func:`rasterize_backward_legacy`; the parity suite pins the grouped path
 against it for every parameter group.
 
-Since the kernel-backend layer, the compositing gradient dispatches
-through :mod:`repro.kernels`: the NumPy reference backend runs the
-slab path described above, while the ``native`` backend fuses the
-recompute + suffix-sum gradient into one compiled per-tile loop
-(``tests/kernels`` pins every backend to the same 1e-10 bar).
+Since the whole-view kernel ops, :func:`rasterize_backward` is one backend
+dispatch (``view_backward``, :mod:`repro.kernels`): the NumPy reference
+runs the slab path described above and then :func:`_chain_to_parameters`
+— which stays a public NumPy function with no dispatch inside it — while
+``native`` fuses the recompute + suffix-sum gradient and the whole chain
+to the 59 parameters into one C call over the block its forward pass laid
+the view out in (``tests/kernels`` pins every backend to the same 1e-10
+bar).  A context without such a block — one NumPy made, or one whose
+projection was replaced — is chained by the reference.
 """
 
 from __future__ import annotations
@@ -76,8 +80,7 @@ from repro.gaussians.projection import (
 from repro.gaussians.quaternion import backprop_unit, unit_and_norm
 from repro.gaussians.rasterizer import (
     RenderContext,
-    _AugArrays,
-    image_to_tile_major,
+    image_to_tile_major,  # noqa: F401  (re-exported: tests and benchmarks)
     tile_alpha_weights,
 )
 
@@ -113,52 +116,23 @@ def rasterize_backward(
     forward; gradients are returned as full-size arrays matching
     ``model.parameters()`` with zeros for Gaussians that did not contribute.
     """
-    proj = ctx.proj
-    settings = ctx.settings
-    bins = ctx.bins
-    if bins is None:
+    if ctx.bins is None:
         # Context produced by the legacy forward pass: no CSR bins to group
         # over, so take the legacy per-tile route.
         return rasterize_backward_legacy(ctx, model, dL_dimage)
-    m = proj.ids.size
+    # Same backend resolution as the forward pass, one dispatch: the NumPy
+    # reference walks the retained blend cache (or regenerates it
+    # slab-wise) and chains through :func:`_chain_to_parameters`; ``native``
+    # recomputes blending and chains in C, from the block its forward pass
+    # laid the view out in — a context without one stays on the reference.
+    from repro.kernels import compile_with_fallback, resolve_backend, view_spec
 
-    # Gradient accumulators are float64 regardless of the compute dtype;
-    # row m is the pad slot, dropped after the segment sums.
-    d_colors = np.zeros((m + 1, 3))
-    d_opac = np.zeros(m + 1)
-    d_means2d = np.zeros((m + 1, 2))
-    d_conics = np.zeros((m + 1, 2, 2))
-
-    bg = np.asarray(settings.background, dtype=np.float64)
-    dtype = settings.np_dtype
-
-    if m and bins.num_tiles:
-        aug = _AugArrays.from_proj(proj, dtype)
-        g_tiles = image_to_tile_major(
-            np.asarray(dL_dimage, dtype=np.float64), bins
-        )
-        # Same backend resolution as the forward pass: the NumPy reference
-        # walks the retained blend cache (or regenerates it slab-wise),
-        # the fused native kernels recompute blending in-kernel and ignore it.
-        from repro.kernels import (
-            compile_with_fallback,
-            raster_spec,
-            resolve_backend,
-        )
-
-        fn, _ = compile_with_fallback(
-            resolve_backend(settings.kernel_backend),
-            raster_spec("raster_backward_slab", dtype),
-        )
-        fn(
-            bins, aug, settings, g_tiles, bg,
-            d_colors, d_opac, d_means2d, d_conics,
-            blend_cache=ctx.blend_cache,
-        )
-
-    return _chain_to_parameters(
-        ctx, model, d_colors[:m], d_opac[:m], d_means2d[:m], d_conics[:m]
+    settings = ctx.settings
+    fn, _ = compile_with_fallback(
+        resolve_backend(settings.kernel_backend),
+        view_spec("view_backward", settings.np_dtype, model, ctx.view_block()),
     )
+    return fn(ctx, model, dL_dimage)
 
 
 def rasterize_backward_legacy(

@@ -6,7 +6,8 @@ layout descriptors, the decorator registry, and the resolution helpers
 every call site uses (``resolve_backend`` → ``compile_with_fallback``).
 
 Two backends ship and register on import: ``numpy`` (the always-available
-reference) and ``native`` (fused C kernels built at first use with the
+reference) and ``native`` (a whole view in C — projection, binning, fused
+per-tile compositing, the gradient chain — built at first use with the
 system C compiler; unavailable, and silently skipped by ``auto``, without
 one) — see ``repro backends`` and the README's "Kernel backends" section.
 """
@@ -32,6 +33,7 @@ from repro.kernels.registry import (
     resolve_backend,
     resolve_backend_name,
     unregister_backend,
+    view_spec,
 )
 from repro.kernels import numpy_backend, native_backend  # noqa: F401  (they register)
 
@@ -56,4 +58,5 @@ __all__ = [
     "resolve_backend",
     "resolve_backend_name",
     "unregister_backend",
+    "view_spec",
 ]

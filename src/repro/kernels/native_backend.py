@@ -1,15 +1,48 @@
-"""The ``native`` kernel backend — fused per-tile C kernels, built at first use.
+"""The ``native`` kernel backend — a view in C, built at first use.
 
-Where the NumPy reference streams a view through ~25 whole-tensor passes
-over padded ``(G, T, P)`` slabs, the two entry points of
-``native_kernels.c`` walk the CSR :class:`~repro.gaussians.rasterizer.TileBins`
-once per tile and keep the compositing recurrence in registers, like the
-paper's CUDA kernels: per ``(tile, splat)`` entry only the pixels of the
-splat's thresholded footprint rectangle are visited, ``exp`` is called only
-where the cell can still pass the alpha threshold, and the backward pass
-*recomputes* blending (no blend state is retained, so
-``RasterSettings.cache_blend_state`` and ``group_size`` have no effect here
-and the pool-enforced regime costs what the unpooled one does).
+Where the NumPy reference streams a view through a few hundred small
+array calls (projection, binning, ~25 whole-tensor passes over padded
+``(G, T, P)`` slabs, the gradient chain), ``native_kernels.c`` runs it as
+three native calls:
+
+- ``view_forward`` is two — ``view_project`` (``preprocess`` for the rows
+  the frustum mask lets through, then the counting half of
+  ``build_tile_bins``: it reports how many rows survived, how many tiles
+  are non-empty and how many ``(tile, splat)`` entries there are) and
+  ``view_composite`` (fills the CSR arrays, composites, crops the image);
+- ``view_backward`` is one: the compositing gradient, then
+  ``_chain_to_parameters`` scattered to the five full-size arrays.
+
+Between the two forward calls Python allocates the render's own buffers,
+sized by what survived: **one float64 block** of 52 values a survivor
+(:data:`_FIELDS`: means2d, depths, t_cam, offsets, cov_cam, cov2d, conics,
+colours, opacities, radii, scales, quat norms, unit quats, rotations, dirs,
+dir norms — field after field, each C-contiguous), one int64 block (ids,
+then ``tile_ids | offsets | order``) and one byte block (the clamp mask).
+``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are views into
+them, they ride on ``RenderContext.blocks``, and nothing else — no other
+render, no cache on the camera, model or engine — ever shares them.  The
+scratch ``view_project`` writes into is sized by the *input* rows and dies
+with the forward call, so a 20 000-row model of which 130 rows survive
+retains 130 rows.  What pays is the few calls over few pointers: ctypes
+marshalling costs 2.8 us an ``ndpointer`` argument, the parent's per-array
+granularity made ~110 of them a view, 18 ``np.empty`` calls cost 0.009 ms.
+
+The 3-sigma frustum verdict is not computed here: it comes from
+:func:`repro.gaussians.frustum.ellipsoids_in_frustum` — the arbiter that
+makes pre-rendering culling and rendering agree bit for bit, whose signed
+distances come out of a BLAS product no C loop reproduces — as a byte mask.
+
+Inside, the view ops call the same two compositing kernels the raster ops
+expose (``raster_forward`` / ``raster_backward``): they walk the CSR
+:class:`~repro.gaussians.rasterizer.TileBins` once per tile and keep the
+compositing recurrence in registers, like the paper's CUDA kernels: per
+``(tile, splat)`` entry only the pixels of the splat's thresholded
+footprint rectangle are visited, ``exp`` is called only where the cell can
+still pass the alpha threshold, and the backward pass *recomputes* blending
+(no blend state is retained, so ``RasterSettings.cache_blend_state`` and
+``group_size`` have no effect here and the pool-enforced regime costs what
+the unpooled one does).
 
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
@@ -38,10 +71,13 @@ lands on NumPy silently.  A build or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  Only the two raster ops are
-implemented, over float64 C-contiguous operands; float32 blend state and
-the fused Adam update stay on NumPy through the registry's per-op fallback
-(a C Adam is not faster through ctypes at the optimizers' chunk sizes).
+and every caller runs on the reference.  Four of the five ops are
+implemented, over float64 C-contiguous operands: a float32 blend state, a
+model array that is float32 or not C-contiguous, a backward pass over a
+context NumPy made, and the fused Adam update stay on NumPy through the
+registry's per-op fallback (a C Adam is not faster through ctypes at the
+optimizers' chunk sizes) — and a view the view ops declined still
+composites on the raster kernels here.
 """
 
 from __future__ import annotations
@@ -71,9 +107,11 @@ CFLAGS = (
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
-_RASTER_OPS = frozenset({"raster_forward_slab", "raster_backward_slab"})
+_OPS = frozenset(
+    {"view_forward", "view_backward", "raster_forward_slab", "raster_backward_slab"}
+)
 
-_I64, _F64 = ctypes.c_int64, ctypes.c_double
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # ndpointer arguments check dtype and contiguity on every call and keep the
 # array alive for its duration; sizes are checked by :func:`_operands`.
 _I64S = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
@@ -84,7 +122,27 @@ _SIGNATURES = {
     "raster_forward": _BINS + _SPLATS + [_F64S, _F64, _F64, _F64, _F64S, _F64S],
     "raster_backward": _BINS + _SPLATS
     + [_F64S, _F64S, _F64, _F64, _F64, _F64S, _F64S, _F64S, _F64S],
+    # The view ops take addresses: their operands are the model's arrays
+    # (checked by :func:`_model_arrays`) and blocks allocated right here,
+    # and 2.8 us of ``ndpointer`` marshalling an argument is what they save.
+    "view_project": [_I64] + [_PTR] * 6 + [_I64, _I64, _PTR] + [_I64] * 4 + [_PTR] * 2,
+    "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 5,
+    "view_backward": [_I64] * 4 + [_PTR] * 4 + [_I64, _I64, _PTR]
+    + [_I64] * 3 + [_PTR] * 6,
 }
+#: Per-Gaussian fields of a render's float64 block, in the order and widths
+#: of ``native_kernels.c``'s ``F_*`` table: field after field, each a
+#: C-contiguous ``(m, *shape)`` array.
+_FIELDS = (
+    ("means2d", (2,)), ("depths", ()), ("t_cam", (3,)), ("offsets", (3,)),
+    ("cov_cam", (3, 3)), ("cov2d", (2, 2)), ("conics", (2, 2)),
+    ("colors", (3,)), ("opacities", ()), ("radii", ()), ("scales", (3,)),
+    ("quat_norms", (1,)), ("unit_quats", (4,)), ("rotations", (3, 3)),
+    ("dirs", (3,)), ("dir_norms", (1,)),
+)
+_WIDTHS = [int(np.prod(shape)) for _, shape in _FIELDS]
+_RETAINED = sum(_WIDTHS)  # 52 doubles
+_SCRATCH = _RETAINED + 5  # + means x / y, conic a / b / c as separate arrays
 
 
 def find_compiler() -> Optional[List[str]]:
@@ -315,14 +373,163 @@ def _bind(lib: ctypes.CDLL, op: str) -> Callable:
     return raster_forward if op == "raster_forward_slab" else raster_backward
 
 
+def _model_arrays(model) -> dict:
+    """``model.parameters()``, after checking what the C loops index by:
+    float64, C-contiguous, one row per Gaussian."""
+    arrays = model.parameters()
+    n, k = model.sh.shape[:2] if model.sh.ndim == 3 else (-1, -1)
+    shapes = ((n, 3), (n, 3), (n, 4), (n, k, 3), (n,))
+    for (name, arr), shape in zip(arrays.items(), shapes):
+        if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"native view operands: {name} is {arr.dtype}{arr.shape}, "
+                f"not C-contiguous float64{shape}"
+            )
+    return arrays
+
+
+def _check(code: int, call: str, wanted: str) -> None:
+    """Turn a view call's status into the exception it stands for."""
+    if code == 1:
+        raise MemoryError(f"native {call} could not allocate {wanted}")
+    if code:
+        raise ValueError(f"native {call}: inconsistent tile bins")
+
+
+def _view_params(camera, settings) -> np.ndarray:
+    """The ``params`` vector of ``native_kernels.c`` (its ``P_*`` table)."""
+    params = np.empty(23)
+    params[:9] = camera.rotation.ravel()
+    params[9:12] = camera.center
+    params[12:] = (
+        camera.fx, camera.fy, camera.cx, camera.cy, camera.znear,
+        settings.alpha_threshold, settings.transmittance_min, settings.max_alpha,
+        *settings.background,
+    )
+    return params
+
+
+def _compute_tile(settings) -> int:
+    from repro.gaussians.rasterizer import _COMPUTE_TILE
+
+    ts = int(settings.tile_size)
+    if ts < 1:
+        raise ValueError(f"tile_size must be positive, got {ts}")
+    return _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
+
+
+def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
+    """The whole-view callables: ``view_forward`` is two calls
+    (``view_project`` sizes the render's blocks, ``view_composite`` fills
+    them and composites), ``view_backward`` one."""
+    from repro.gaussians import sh as sh_module
+    from repro.gaussians.covariance import GaussianShape
+    from repro.gaussians.frustum import ellipsoids_in_frustum, frustum_planes
+    from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
+
+    def view_forward(camera, model, settings):
+        arrays = _model_arrays(model).values()
+        n, stored = model.sh.shape[:2]
+        degree = model.sh_degree
+        if settings.active_sh_degree is not None:
+            degree = min(settings.active_sh_degree, degree)
+        if sh_module.num_basis(degree) > stored:
+            raise ValueError(f"SH degree {degree} needs more than {stored} bases")
+        width, height, sub = camera.width, camera.height, _compute_tile(settings)
+        tiles_x, tiles_y = -(-width // sub), -(-height // sub)
+        # The one arbiter pre-rendering culling and rendering share, on the
+        # bits the cull saw; its verdict goes in as a byte mask.
+        mask = ellipsoids_in_frustum(
+            frustum_planes(camera), model.positions, np.exp(model.log_scales),
+            model.quaternions,
+        )
+        params = _view_params(camera, settings)
+        scratch = np.empty(_SCRATCH * n)
+        work = np.empty(4 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
+        lib.view_project(
+            n, *(a.ctypes.data for a in arrays), mask.ctypes.data, stored,
+            degree, params.ctypes.data, width, height, int(settings.tile_size),
+            sub, scratch.ctypes.data, work.ctypes.data,
+        )
+        m, _, tiles, entries = work[:4].tolist()
+        # The render's own blocks, sized by what survived.
+        floats = np.empty(_RETAINED * m)
+        ints = np.empty(m + 2 * tiles + 1 + entries, np.int64)
+        clamp = np.empty((m, 3), np.bool_)
+        image, trans = np.empty((height, width, 3)), np.empty((height, width))
+        failed = lib.view_composite(
+            n, scratch.ctypes.data, work.ctypes.data, params.ctypes.data,
+            width, height, sub, floats.ctypes.data, ints.ctypes.data,
+            clamp.ctypes.data, image.ctypes.data, trans.ctypes.data,
+        )
+        _check(
+            failed, "view_composite",
+            f"its canvases ({tiles_x * tiles_y} tiles of {sub}x{sub})",
+        )
+        fields, at = {}, 0
+        for (field, shape), size in zip(_FIELDS, _WIDTHS):
+            fields[field] = floats[at : at + m * size].reshape((m,) + shape)
+            at += m * size
+        shapes = GaussianShape(
+            *(fields.pop(f) for f in ("scales", "quat_norms", "unit_quats", "rotations"))
+        )
+        proj = ProjectedGaussians(
+            ids=ints[:m], clamp_mask=clamp, sh_degree_used=degree,
+            shapes=shapes, **fields,
+        )
+        bins = TileBins(
+            tile_size=sub, tiles_x=tiles_x, tiles_y=tiles_y, width=width,
+            height=height, tile_ids=ints[m : m + tiles],
+            offsets=ints[m + tiles : m + 2 * tiles + 1],
+            order=ints[m + 2 * tiles + 1 :],
+        )
+        ctx = RenderContext(
+            camera=camera, settings=settings, proj=proj, bins=bins,
+            num_input=n, kernel_backend=name,
+            blocks=(proj, floats, ints, clamp),
+        )
+        return image, trans, ctx
+
+    def view_backward(ctx, model, dL_dimage):
+        arrays = _model_arrays(model)
+        n, stored = model.sh.shape[:2]
+        proj, floats, ints, clamp = ctx.blocks
+        camera, bins, m = ctx.camera, ctx.bins, proj.ids.size
+        d_image = np.ascontiguousarray(dL_dimage, dtype=np.float64)
+        _require_shapes(d_image=(d_image, (camera.height, camera.width, 3)))
+        if (floats.size, ints.size, clamp.size) != (
+            _RETAINED * m, m + 2 * bins.num_tiles + 1 + bins.num_entries, 3 * m
+        ):
+            raise ValueError("native view operands: not this context's blocks")
+        if n != ctx.num_input or sh_module.num_basis(proj.sh_degree_used) > stored:
+            raise ValueError("native view operands: not the model that was rendered")
+        grads = {name: np.zeros(arr.shape) for name, arr in arrays.items()}
+        params = _view_params(camera, ctx.settings)
+        failed = lib.view_backward(
+            m, n, bins.num_tiles, bins.num_entries, floats.ctypes.data,
+            ints.ctypes.data, clamp.ctypes.data, model.sh.ctypes.data, stored,
+            proj.sh_degree_used, params.ctypes.data, camera.width,
+            camera.height, bins.tile_size, d_image.ctypes.data,
+            *(g.ctypes.data for g in grads.values()),
+        )
+        _check(
+            failed, "view_backward",
+            f"its scratch ({int(bins.counts().max(initial=0))} splats in one tile)",
+        )
+        return grads
+
+    return view_forward if op == "view_forward" else view_backward
+
+
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
-    """Compiled C raster kernels; everything else on the reference."""
+    """Compiled C view and raster kernels; Adam on the reference."""
 
     priority = 10
     description = (
-        "fused per-tile C kernels built at first use with the system C "
-        "compiler (float64 raster ops; everything else on NumPy)"
+        "a view in C (projection, binning, fused per-tile compositing, "
+        "gradient chain), built at first use with the system C compiler "
+        "(float64 view and raster ops; Adam on NumPy)"
     )
     retains_blend_state = False
 
@@ -358,14 +565,18 @@ class NativeKernelBackend(KernelBackend):
         return f"compiler {' '.join(lib.compiler)}; library {lib.path}"
 
     def capabilities(self) -> "frozenset[str]":
-        return _RASTER_OPS
+        return _OPS
 
     def supports(self, spec: KernelSpec) -> bool:
-        # The kernels index raw float64 buffers; float32 blend state and
-        # strided operands stay on the reference.
-        return spec.op in _RASTER_OPS and all(
+        # The kernels index raw float64 buffers; float32 blend state,
+        # strided or float32 model arrays and (``view_backward``) a context
+        # without a block of ours stay on the reference.
+        return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
         )
 
     def _compile(self, spec: KernelSpec) -> Callable:
-        return _bind(self.library().load(), spec.op)
+        lib = self.library().load()
+        if spec.op.startswith("view_"):
+            return _bind_view(lib, spec.op, self.name)
+        return _bind(lib, spec.op)

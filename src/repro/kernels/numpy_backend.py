@@ -35,6 +35,14 @@ where ``weights`` and ``odds`` vanish too, so this is the legacy
 Forward-only renders (``cache_blend_state=False``) never form the odds or
 the gate; a backward pass without a cache regenerates the same state slab
 by slab, bit for bit.
+
+The two *whole-view* ops sit on top: ``view_forward`` is
+``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
+assembly, ``view_backward`` the raster op -> ``_chain_to_parameters`` —
+what ``rasterize_forward`` / ``rasterize_backward`` were before they became
+one dispatch each.  The raster op inside them is resolved again, so a view
+that a compiled backend declined whole (a float32 model array, say) still
+composites on that backend's kernels.
 """
 
 from __future__ import annotations
@@ -48,7 +56,10 @@ from repro.kernels.registry import (
     KERNEL_OPS,
     KernelBackend,
     KernelSpec,
+    compile_with_fallback,
+    raster_spec,
     register_backend,
+    resolve_backend,
 )
 from repro.optim.kernels import fused_adam_update
 
@@ -287,6 +298,84 @@ def _fold_entries(bins, aug, staged, d_colors, d_opac, d_means2d, d_conics):
     d_conics += summed[:, 6:].reshape(-1, 2, 2)
 
 
+def _view_forward(camera, model, settings):
+    """One view end to end on the reference: ``preprocess``, the CSR bins,
+    compositing on whichever backend takes the raster op (the slab kernels
+    above, or ``native``'s per-tile loop when only the view op was
+    declined), and the tile-major canvases cropped into image layout.
+    Returns ``(image, transmittance, ctx)``."""
+    from repro.gaussians import rasterizer
+
+    dtype = settings.np_dtype
+    proj = rasterizer.preprocess(camera, model, settings)
+    bins = rasterizer.build_tile_bins(camera, proj, settings)
+
+    bg = np.asarray(settings.background, dtype=dtype)
+    pixels = bins.tile_size**2
+    num_tiles = bins.tiles_x * bins.tiles_y
+    canvas_rgb = np.empty((num_tiles, pixels, 3), dtype=dtype)
+    canvas_rgb[:] = bg
+    canvas_t = np.ones((num_tiles, pixels), dtype=dtype)
+
+    aug = rasterizer._AugArrays.from_proj(proj, dtype)
+    fn, actual = compile_with_fallback(
+        resolve_backend(settings.kernel_backend),
+        raster_spec("raster_forward_slab", dtype),
+    )
+    cache: Optional[List[dict]] = fn(bins, aug, settings, bg, canvas_rgb, canvas_t)
+
+    image = rasterizer._tile_major_to_image(canvas_rgb, bins)
+    transmittance = rasterizer._tile_major_to_image(canvas_t, bins)
+    ctx = rasterizer.RenderContext(
+        camera=camera,
+        settings=settings,
+        proj=proj,
+        bins=bins,
+        num_input=model.num_gaussians,
+        blend_cache=cache,
+        kernel_backend=actual.name,
+    )
+    return image, transmittance, ctx
+
+
+def _view_backward(ctx, model, dL_dimage):
+    """Parameter gradients of a CSR-binned render: the compositing gradient
+    on whichever backend takes the raster op, then the analytic chain."""
+    from repro.gaussians import rasterizer, rasterizer_grad
+
+    proj, settings, bins = ctx.proj, ctx.settings, ctx.bins
+    m = proj.ids.size
+
+    # Gradient accumulators are float64 regardless of the compute dtype;
+    # row m is the pad slot, dropped after the segment sums.
+    d_colors = np.zeros((m + 1, 3))
+    d_opac = np.zeros(m + 1)
+    d_means2d = np.zeros((m + 1, 2))
+    d_conics = np.zeros((m + 1, 2, 2))
+
+    bg = np.asarray(settings.background, dtype=np.float64)
+    dtype = settings.np_dtype
+
+    if m and bins.num_tiles:
+        aug = rasterizer._AugArrays.from_proj(proj, dtype)
+        g_tiles = rasterizer.image_to_tile_major(
+            np.asarray(dL_dimage, dtype=np.float64), bins
+        )
+        fn, _ = compile_with_fallback(
+            resolve_backend(settings.kernel_backend),
+            raster_spec("raster_backward_slab", dtype),
+        )
+        fn(
+            bins, aug, settings, g_tiles, bg,
+            d_colors, d_opac, d_means2d, d_conics,
+            blend_cache=ctx.blend_cache,
+        )
+
+    return rasterizer_grad._chain_to_parameters(
+        ctx, model, d_colors[:m], d_opac[:m], d_means2d[:m], d_conics[:m]
+    )
+
+
 @register_backend("numpy")
 class NumpyKernelBackend(KernelBackend):
     """Always-available reference: vectorized NumPy, one memory pass/op."""
@@ -305,8 +394,10 @@ class NumpyKernelBackend(KernelBackend):
         return np.__version__
 
     def _compile(self, spec: KernelSpec) -> Callable:
-        if spec.op == "raster_forward_slab":
-            return _raster_forward
-        if spec.op == "raster_backward_slab":
-            return _raster_backward
-        return fused_adam_update
+        return {
+            "view_forward": _view_forward,
+            "view_backward": _view_backward,
+            "raster_forward_slab": _raster_forward,
+            "raster_backward_slab": _raster_backward,
+            "adam_fused_update": fused_adam_update,
+        }[spec.op]

@@ -1,8 +1,9 @@
 """The kernel backend registry — runtime-selected compiled hot paths.
 
-The substrate's hot loops (tile compositing in
-:mod:`repro.gaussians.rasterizer` / ``rasterizer_grad`` and the fused Adam
-update in :mod:`repro.optim.kernels`) are whole-tensor NumPy passes in the
+The substrate's hot loops (a view's projection, binning, tile compositing
+and gradient chain in :mod:`repro.gaussians.rasterizer` /
+``rasterizer_grad``, and the fused Adam update in
+:mod:`repro.optim.kernels`) are whole-tensor NumPy passes in the
 reference.  This module is the MOT-style seam for compiled replacements
 (cf. the ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT,
 kernels kept as C source and compiled at run time): a
@@ -28,8 +29,9 @@ Backends are selected at runtime by :func:`resolve_backend`:
 
 Per-op capability checks run through :meth:`KernelBackend.supports`: a
 backend that cannot execute one spec (e.g. the C kernels, which index
-contiguous float64 buffers, being handed float32 blend state) falls back
-to the reference implementation for that op only — see
+contiguous float64 buffers, being handed float32 blend state or a
+Fortran-ordered model array) falls back to the reference implementation
+for that op only — see
 :func:`compile_with_fallback`.  Every backend is pinned against the
 existing ``*_legacy`` comparators at the repo's 1e-10 parity bar by
 ``tests/kernels/``.
@@ -56,11 +58,16 @@ REFERENCE_BACKEND = "numpy"
 #: Sentinel name meaning "pick the fastest available backend".
 AUTO = "auto"
 
-#: The kernel operations a backend may implement.  ``raster_forward_slab``
-#: composites one padded (T, G, P) tile slab, ``raster_backward_slab``
-#: accumulates its compositing gradients, ``adam_fused_update`` is the
-#: fused packed-row Adam step.
+#: The kernel operations a backend may implement.  ``view_forward`` renders
+#: one view end to end (projection, binning, compositing, assembly) and
+#: ``view_backward`` takes its context and an image gradient to the
+#: parameter gradients; ``raster_forward_slab`` composites the tile bins of
+#: an already projected view, ``raster_backward_slab`` accumulates its
+#: compositing gradients, ``adam_fused_update`` is the fused packed-row
+#: Adam step.
 KERNEL_OPS = (
+    "view_forward",
+    "view_backward",
     "raster_forward_slab",
     "raster_backward_slab",
     "adam_fused_update",
@@ -123,6 +130,22 @@ def _kernel_spec(op: str, operands: Tuple[KernelData, ...]) -> KernelSpec:
 def raster_spec(op: str, dtype) -> KernelSpec:
     """Spec of a raster slab op over ``dtype`` blend-state tensors."""
     return _kernel_spec(op, (_kernel_data(dtype, 3, True),))
+
+
+def view_spec(op: str, dtype, model, *state) -> KernelSpec:
+    """Spec of a whole-view op: the compute dtype, the five model arrays
+    and — for ``view_backward`` — the block the forward pass laid the
+    view's state out in (``None`` when the context has none, which only the
+    reference accepts)."""
+    arrays = (
+        model.positions, model.log_scales, model.quaternions, model.sh,
+        model.opacity_logits,
+    ) + state
+    return _kernel_spec(
+        op,
+        (_kernel_data(dtype, 3, True),)
+        + tuple(KernelData.from_array(a) for a in arrays),
+    )
 
 
 def adam_spec(*arrays: np.ndarray) -> KernelSpec:

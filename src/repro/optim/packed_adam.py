@@ -56,8 +56,8 @@ class PackedSparseAdam:
     ``kernel_backend`` selects the compiled kernel executing the fused
     update (see :mod:`repro.kernels`); ``None``/``"auto"`` resolves to the
     fastest available backend.  A backend that does not implement the
-    update for these operands (``native`` implements the raster ops only)
-    hands it per-block to the NumPy reference, and
+    update for these operands (``native`` implements the view and raster
+    ops only) hands it per-block to the NumPy reference, and
     ``active_kernel_backend`` says which one ran.
     """
 

@@ -51,7 +51,9 @@ def spy_on(monkeypatch, owner, name):
 
 def test_one_clm_batch_computes_each_views_geometry_once(setup, monkeypatch):
     _, _, targets = setup
-    engine = build("clm", setup)
+    # The spies below watch NumPy functions: this counts the reference's
+    # calls (``native`` computes a view's geometry in one C pass).
+    engine = build("clm", setup, kernel_backend="numpy")
     engine.train_batch(BATCH, targets)  # warm-up: caches, lazy imports
 
     rotations = spy_on(monkeypatch, quaternion, "to_rotation_matrices")

@@ -23,7 +23,7 @@ from repro.gaussians.frustum import (
     frustum_planes,
 )
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import RasterSettings, preprocess
+from repro.gaussians.rasterizer import RasterSettings, preprocess, rasterize_forward
 from test_compute_bins import MODEL_CASES, generated_model, projections
 from test_cull_batch import axis_camera, lone_survivor_on_a_rounding_tie
 
@@ -148,8 +148,8 @@ def test_centre_just_outside_with_and_without_a_reaching_ellipsoid(cull_oracle):
 
 def test_lone_candidate_keeps_the_gemm_verdict(cull_oracle, rng):
     """``exact_cull`` on one row of a larger model gives that row the
-    whole-model verdict (it is tested twice over, on the ``gemm`` path),
-    accept path or not."""
+    whole-model verdict (the arbiter tests a lone row twice over, on the
+    ``gemm`` path), accept path or not."""
     case = lone_survivor_on_a_rounding_tie(rng)
     if case is None:
         pytest.skip("one-row and many-row BLAS products agree here")
@@ -164,6 +164,55 @@ def test_lone_candidate_keeps_the_gemm_verdict(cull_oracle, rng):
         planes, positions, log_scales, quats, np.array([5])
     ).tolist() == [5]
     assert_all_paths_match(cull_oracle, cam, positions, log_scales, quats)
+
+
+def test_a_row_is_judged_on_the_same_bits_alone_doubled_and_in_company(rng):
+    """The arbiter itself — not only ``exact_cull`` — keeps a lone row on
+    the ``gemm`` path: its signed distances and its verdict are those it has
+    inside any larger call, so a working set of exactly one Gaussian is
+    rendered on the bits that culled it."""
+    cam = look_at_camera(eye=(0, -5, 0.4), target=(0, 0, 0), zfar=30.0)
+    planes = frustum_planes(cam)
+    n = 400
+    positions = rng.normal(scale=3.0, size=(n, 3))
+    scales = np.exp(rng.uniform(-4.0, 0.0, size=(n, 3)))
+    quats = rng.normal(size=(n, 4))
+    whole = frustum.signed_distances(planes, positions)
+    verdicts = ellipsoids_in_frustum(planes, positions, scales, quats)
+    assert 0 < verdicts.sum() < n
+    for i in range(n):
+        one = slice(i, i + 1)
+        alone = frustum.signed_distances(planes, positions[one])
+        doubled = frustum.signed_distances(planes, np.repeat(positions[one], 2, 0))
+        assert alone.shape == (1, 6) and np.array_equal(alone[0], whole[i])
+        assert np.array_equal(doubled, np.repeat(whole[one], 2, 0))
+        got = ellipsoids_in_frustum(planes, positions[one], scales[one], quats[one])
+        assert got.shape == (1,) and got[0] == verdicts[i]
+    assert frustum.signed_distances(planes, positions[:0]).shape == (0, 6)
+
+
+def test_a_one_row_working_set_keeps_its_whole_model_verdict(rng):
+    """On an exact tie the one-row ``gemv`` product flips the verdict; the
+    arbiter called on that row alone (what ``preprocess`` does with a
+    one-Gaussian working set) must not."""
+    case = lone_survivor_on_a_rounding_tie(rng)
+    if case is None:
+        pytest.skip("one-row and many-row BLAS products agree here")
+    cam, positions, log_scales, quats = case
+    planes = frustum_planes(cam)
+    scales = np.exp(log_scales)
+    whole = ellipsoids_in_frustum(planes, positions, scales, quats)
+    alone = ellipsoids_in_frustum(planes, positions[5:6], scales[5:6], quats[5:6])
+    assert alone[0] == whole[5]
+    model = GaussianModel(
+        positions[5:6], log_scales[5:6], quats[5:6], np.zeros((1, 1, 3)),
+        np.zeros(1), sh_degree=0,
+    )
+    for backend in (None, "numpy"):
+        rendered = rasterize_forward(
+            cam, model, RasterSettings(kernel_backend=backend)
+        )[2].proj.ids
+        assert rendered.size <= int(whole[5])
 
 
 def test_non_finite_shapes_keep_the_full_test_verdict(cull_oracle):

@@ -47,12 +47,18 @@ def test_backward_from_retained_geometry_matches_a_rebuild(seed, num, size, scal
         assert np.abs(kept[name] - rebuilt[name]).max() <= GROUP_TOL * scale_of, name
 
 
+NARROW = look_at_camera(
+    eye=(0.0, -2.5, 0.6), target=(0.3, 0.0, 0.0), fov_y_deg=12.0,
+    width=48, height=40,
+)
+
+
 def test_retained_geometry_is_that_of_the_rendered_rows(tiny_model):
-    narrow = look_at_camera(
-        eye=(0.0, -2.5, 0.6), target=(0.3, 0.0, 0.0), fov_y_deg=12.0,
-        width=48, height=40,
+    # Bit-equality with ``GaussianShape.of`` is the NumPy op's: it *is*
+    # that function.  (``native`` is held to 2 ulp just below.)
+    _, _, ctx = rasterize_forward(
+        NARROW, tiny_model, RasterSettings(kernel_backend="numpy")
     )
-    _, _, ctx = rasterize_forward(narrow, tiny_model, RasterSettings())
     proj = ctx.proj
     assert 0 < proj.ids.size < tiny_model.num_gaussians
     want = GaussianShape.of(
@@ -65,6 +71,24 @@ def test_retained_geometry_is_that_of_the_rendered_rows(tiny_model):
     want_dirs, want_norms = quaternion.unit_and_norm(proj.offsets)
     assert np.array_equal(proj.dirs, want_dirs)
     assert np.array_equal(proj.dir_norms, want_norms)
+
+
+def test_retained_geometry_of_the_resolved_backend_is_within_two_ulp(tiny_model):
+    """The same comparison on whatever ``auto`` resolves to: libm's ``exp``
+    and NumPy's may differ in the last bit, nothing else may."""
+    _, _, ctx = rasterize_forward(NARROW, tiny_model, RasterSettings())
+    proj = ctx.proj
+    assert 0 < proj.ids.size < tiny_model.num_gaussians
+    want = GaussianShape.of(
+        tiny_model.log_scales[proj.ids], tiny_model.quaternions[proj.ids]
+    )
+    for field in dataclasses.fields(GaussianShape):
+        got, ref = getattr(proj.shapes, field.name), getattr(want, field.name)
+        assert got.shape == ref.shape, field.name
+        assert (np.abs(got - ref) <= 2 * np.spacing(np.abs(ref))).all(), field.name
+    want_dirs, want_norms = quaternion.unit_and_norm(proj.offsets)
+    assert (np.abs(proj.dirs - want_dirs) <= 2 * np.spacing(np.abs(want_dirs))).all()
+    assert (np.abs(proj.dir_norms - want_norms) <= 2 * np.spacing(want_norms)).all()
 
 
 def test_activation_bytes_count_every_retained_field(tiny_camera, tiny_model):
