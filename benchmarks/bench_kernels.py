@@ -6,10 +6,15 @@ the parameter chain) in pixels/s and the fused packed-row Adam update in
 rows/s, for every *available* registered backend.  Each thunk runs once
 untimed first so the ``native`` backend's first-use build never pollutes
 the measurements, then best-of-N wall times convert to throughput.
-``native`` runs the whole view in C (projection, binning, compositing, the
-gradient chain — everything in the step but the frustum mask and the loss)
+``native`` runs the whole view in C (frustum test, projection, binning,
+compositing, the gradient chain — everything in the step but the loss)
 and no Adam, so its Adam column is the NumPy reference reached through the
 per-op fallback.
+
+A second record per backend, ``exact_cull``, times the frustum arbiter the
+cull and the render share: the two-level :func:`cull_batch` of an 8-view
+batch over ``bench_e2e``'s ``sparse`` scene (what a training batch pays)
+and the exact test alone on every row of it (the arbiter's rows/s).
 
 The CI ``kernel-backend-gate`` job runs this at the quick tier and asserts
 the ``native`` backend's whole-step speedup over the NumPy reference from
@@ -28,10 +33,12 @@ from repro.kernels import backend_status
 from repro.optim.adam import AdamConfig
 from repro.optim.packed_adam import PackedSparseAdam
 from repro.gaussians.camera import look_at_camera
+from repro.gaussians.frustum import cull_batch, exact_cull, frustum_planes
 from repro.gaussians.loss import photometric_loss
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render, render_backward
+from repro.scenes.datasets import build_scene
 
 
 def _best_of(thunk, repeats: int) -> float:
@@ -60,7 +67,15 @@ def compute(ctx, repeats: int = 5):
     grads = rng.standard_normal((adam_rows, 10))
     all_rows = np.arange(adam_rows)
 
+    city = build_scene("bigcity", scale=2e-4, num_views=8, seed=0)
+    critical = (
+        city.model.positions, city.model.log_scales, city.model.quaternions
+    )
+    every_row = np.arange(city.model.num_gaussians)
+    planes = frustum_planes(city.cameras[0])
+
     rows = []
+    cull_rows = []
     for status in backend_status():
         if not status["available"]:
             continue
@@ -101,6 +116,38 @@ def compute(ctx, repeats: int = 5):
             image_px=width * height,
             adam_rows=adam_rows,
         )
+
+        def batch_cull():
+            return cull_batch(city.cameras, *critical, kernel_backend=backend)
+
+        def single_level():
+            return exact_cull(planes, *critical, every_row, backend)
+
+        kept = sum(s.size for s in batch_cull())  # warm-up
+        batch_s = _best_of(batch_cull, repeats)
+        single_level()
+        exact_s = _best_of(single_level, repeats)
+        cull_rows.append([backend, batch_s * 1e3, exact_s * 1e3,
+                          every_row.size / exact_s / 1e6])
+        ctx.record(
+            variant="exact_cull",
+            kernel_backend=backend,
+            wall_time_s=batch_s,
+            cull_batch_wall_s=batch_s,
+            exact_rows_per_s=every_row.size / exact_s,
+            exact_wall_s=exact_s,
+            num_gaussians=int(every_row.size),
+            views=len(city.cameras),
+            kept_rows=int(kept),
+        )
+    ctx.emit(
+        "Frustum arbiter — 8-view cull_batch and the exact test on "
+        f"{every_row.size} rows (best of {repeats})",
+        format_table(
+            ["backend", "cull_batch ms", "exact ms", "Mrows/s"],
+            cull_rows, floatfmt="{:.2f}",
+        ),
+    )
     ctx.emit(
         "Kernel backends — raster step and fused Adam throughput "
         f"(best of {repeats})",
@@ -109,5 +156,5 @@ def compute(ctx, repeats: int = 5):
             rows, floatfmt="{:.2f}",
         ),
     )
-    ctx.log_raw("kernels", {"rows": rows})
+    ctx.log_raw("kernels", {"rows": rows, "cull_rows": cull_rows})
     return rows

@@ -8,7 +8,12 @@ Three claims backed by records in ``BENCH_results.json``:
     than a rebuild — steady-state consumers skip TSP and set algebra;
 (c) the vectorized one-pass ``intersection_matrix`` (universe + columns
     from a single ``np.unique``, elements hashed once per view) beats the
-    pairwise ``intersect1d`` reference it replaced.
+    pairwise ``intersect1d`` reference it replaced;
+(d) the set algebra behind a plan is linear in what the batch touches: two
+    membership partitions a microbatch beat the four ``intersect1d`` /
+    ``setdiff1d`` calls they replaced (``transfer_plan_b8``), and the Adam
+    chunks of 8 sets of 2 500 rows no longer cost eight scans of a
+    400 000-row model (``adam_chunks_n400k``).
 """
 
 import time
@@ -17,7 +22,8 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.bench import register_benchmark
-from repro.planning import BatchPlanner
+from repro.planning import BatchPlanner, adam_overlap
+from repro.planning.caching import build_transfer_plan
 from repro.utils import setops
 from repro.utils.setops import as_index_set
 
@@ -50,6 +56,33 @@ def pairwise_intersection_matrix(sets):
                 sets[i], sets[j], assume_unique=True
             ).size
     return out
+
+
+def four_setop_transfer_plan(sets):
+    """The pre-partition reference: four sorting set operations a step."""
+    empty = np.empty(0, dtype=np.int64)
+    steps = []
+    for i, current in enumerate(sets):
+        prev_set = sets[i - 1] if i > 0 else empty
+        next_set = sets[i + 1] if i + 1 < len(sets) else empty
+        steps.append((
+            np.setdiff1d(current, prev_set, assume_unique=True),
+            np.intersect1d(current, prev_set, assume_unique=True),
+            np.setdiff1d(current, next_set, assume_unique=True),
+            np.intersect1d(current, next_set, assume_unique=True),
+        ))
+    return steps
+
+
+def dense_adam_chunks(sets, num_gaussians):
+    """The O(B·N) reference: one ``num_gaussians``-long scan a microbatch."""
+    last = np.zeros(num_gaussians, dtype=np.int64)
+    for position, s in enumerate(sets, start=1):
+        last[s] = position
+    return [
+        np.nonzero(last == position)[0].astype(np.int64)
+        for position in range(1, len(sets) + 1)
+    ]
 
 
 def _time(fn, repeats=3):
@@ -103,6 +136,32 @@ def compute(ctx):
     ctx.record(variant="distance_matrix_vectorized_b32", wall_time_s=vec_s,
                speedup=ref_s / vec_s, reference_wall_time_s=ref_s)
 
+    # The set algebra behind a plan, against the constructions it replaced.
+    tsets = clustered_view_sets(8, 20_000, 600, seed=13)
+    part_s, steps = _time(lambda: build_transfer_plan(tsets), repeats=7)
+    four_s, reference = _time(lambda: four_setop_transfer_plan(tsets), repeats=7)
+    for step, (loads, cached, stores, carried) in zip(steps, reference):
+        np.testing.assert_array_equal(step.loads, loads)
+        np.testing.assert_array_equal(step.cached, cached)
+        np.testing.assert_array_equal(step.stores, stores)
+        np.testing.assert_array_equal(step.carried, carried)
+    rows.append(["transfer plan (B=8)", part_s * 1e3, four_s / part_s])
+    ctx.record(variant="transfer_plan_b8", wall_time_s=part_s,
+               speedup=four_s / part_s, reference_wall_time_s=four_s)
+
+    big_n = 400_000
+    csets = clustered_view_sets(8, big_n, 7_500, seed=17)
+    csets = [s[:2_500] for s in csets]
+    chunk_s, chunks = _time(lambda: adam_overlap.adam_chunks(csets, big_n),
+                            repeats=7)
+    dense_s, dense = _time(lambda: dense_adam_chunks(csets, big_n), repeats=7)
+    for got, want in zip(chunks, dense):
+        np.testing.assert_array_equal(got, want)
+    rows.append(["adam chunks (B=8, N=400k)", chunk_s * 1e3, dense_s / chunk_s])
+    ctx.record(variant="adam_chunks_n400k", wall_time_s=chunk_s,
+               speedup=dense_s / chunk_s, reference_wall_time_s=dense_s,
+               num_gaussians=big_n, rows_per_set=2_500)
+
     ctx.emit(
         "Batch-planning microbenchmarks (speedup: vs rebuild / vs "
         "pairwise reference)",
@@ -122,3 +181,7 @@ def test_planner_microbench(benchmark, bench_ctx):
     # The vectorized distance matrix should comfortably beat B^2
     # intersect1d calls at B=32.
     assert rows[2][2] > 1.0
+    # Two partitions beat four set operations; chunks from the touched rows
+    # beat eight scans of the model.
+    assert rows[3][2] > 1.0
+    assert rows[4][2] > 1.0

@@ -433,11 +433,15 @@ class EngineBase(Engine):
     def cull_views(self, view_ids: Sequence[int]) -> List[np.ndarray]:
         """Pre-rendering frustum culling using critical attributes only
         (§5.1) — one in-frustum index set per view, from one batched
-        :func:`repro.gaussians.frustum.cull_batch` call.  Its wall time
-        accumulates into the batch's ``cull_s`` counter."""
+        :func:`repro.gaussians.frustum.cull_batch` call, on the exact test
+        of the backend the renders will run on.  Its wall time accumulates
+        into the batch's ``cull_s`` counter."""
         start = time.perf_counter()
         sets = cull_batch(
-            [self.cameras[vid] for vid in view_ids], *self._culling_arrays()
+            [self.cameras[vid] for vid in view_ids],
+            *self._culling_arrays(),
+            kernel_backend=self.raster_settings.kernel_backend
+            or self.kernel_backend,
         )
         self._step_cull_s += time.perf_counter() - start
         return sets

@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+#: The fields a camera's frustum planes are a function of.
+_FRUSTUM_FIELDS = frozenset(
+    ("rotation", "center", "fx", "fy", "cx", "cy", "width", "height", "znear", "zfar")
+)
+
+
 @dataclass
 class Camera:
     """A posed pinhole camera.
@@ -33,6 +39,12 @@ class Camera:
         Clip distances bounding the view frustum.
     view_id:
         Index of this camera within its dataset (used as the microbatch id).
+
+    :func:`repro.gaussians.frustum.frustum_planes` caches its result on the
+    camera.  The cache is not a constructor field (``dataclasses.replace``
+    starts without it) and assigning any pose, intrinsic or clip field drops
+    it, so a moved camera never keeps its old frustum; writing *into*
+    ``rotation`` / ``center`` in place is not seen — assign a new array.
     """
 
     rotation: np.ndarray
@@ -47,8 +59,13 @@ class Camera:
     zfar: float = 1000.0
     view_id: int = -1
     _cached_planes: "np.ndarray | None" = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _FRUSTUM_FIELDS:
+            object.__setattr__(self, "_cached_planes", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         self.rotation = np.asarray(self.rotation, dtype=np.float64)

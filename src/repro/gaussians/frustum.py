@@ -20,9 +20,13 @@ Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
    rotation, so ``n . p + d + 3 * max(scale) >= 0`` on all six planes is
    necessary for the exact test to pass.  It is one plane-major GEMM for
    every view of a batch at once, blocked so its temporaries do not grow
-   with the number of views or Gaussians;
-2. the exact ellipsoid test, arithmetic unchanged, on the survivors only
-   (:func:`exact_cull`).
+   with the number of views or Gaussians (a scalar C loop over N with a
+   per-view early-out was measured and is no faster: it stays BLAS);
+2. the exact ellipsoid test on the survivors only (:func:`exact_cull`) — a
+   kernel op (:mod:`repro.kernels`): the NumPy reference below, or the C
+   arbiter of the ``native`` backend, which walks the survivors over the
+   full arrays (strided views of a packed block included) without
+   gathering them.
 
 The prefilter only ever removes rows the exact test would remove, so the
 index sets are those of the single-level test, bit for bit.  Nothing is
@@ -30,7 +34,7 @@ cached between calls: positions and scales move every Adam step, and a
 stateless cull has nothing to invalidate on ``rebuild``, checkpoint
 restore or recovery.
 
-The exact test itself is :func:`ellipsoids_in_frustum`, and it has an
+The reference exact test is :func:`ellipsoids_in_frustum`, and it has an
 *accept path*: ``r(n) >= 0``, so a row whose centre is on the inner side
 of all six planes is in the set whatever its shape, and only the boundary
 band — centre outside some plane — pays for a rotation and norms.  On
@@ -39,25 +43,30 @@ inside (36% on ``sparse``), which is what had ``dense`` culling 4 x 1000
 rows in 3.1 ms.  Same sets, bit for bit; a row with a non-finite scale or
 quaternion keeps the full test's verdict by taking the full test.
 
-That one function is also the rasterizer's fused cull: ``preprocess`` calls
-it on every input row with the rotations it has built for the covariance
-anyway, instead of running a second :func:`cull_gaussians` on the
-already-culled working set — so culling and rendering agree on every row
-because they execute the same arithmetic, and a view's geometry is
-computed once (§5.1: the rendering kernels receive ``S_i`` and stop paying
-for the test).
+That one function is also the reference rasterizer's fused cull:
+``preprocess`` calls it on every input row with the rotations it has built
+for the covariance anyway, instead of running a second
+:func:`cull_gaussians` on the already-culled working set — so culling and
+rendering agree on every row because they execute the same arithmetic, and
+a view's geometry is computed once (§5.1: the rendering kernels receive
+``S_i`` and stop paying for the test).  ``native`` keeps the property the
+same way, with one C function behind both its ``exact_cull`` and its
+``view_project``; callers hand every cull the ``kernel_backend`` their
+renders run on.  *Across* backends the sets are equal except on a rounding
+tie (``|n . p + d + r|`` within a few ulps: BLAS and program-order sums
+round differently), which at worst leaves one grazing splat unrendered.
 
 On the ``bench_e2e`` ``sparse`` workload (N=20 000, a view sees 0.6%) an
-8-view batch culls in 2.5 ms where the single-level test took 114 ms; on
-``dense`` (every view sees most rows, so the exact stage runs on most of
-them) a 4-view batch culls in 1.0 ms where it took 3.1 ms before the
-accept path.
+8-view batch culls in 2.0 ms (``native``; 2.8 ms on the reference) where
+the single-level test took 114 ms; on ``dense`` (every view sees most
+rows, so the exact stage runs on most of them) a 4-view batch culls in
+0.24 ms (1.0 ms on the reference, 3.1 ms before the accept path).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +103,9 @@ def frustum_planes(camera: Camera) -> np.ndarray:
 
     Each row encodes the half-space ``n . p + d >= 0`` with ``n`` a unit
     inward normal; a point is inside the frustum iff all six constraints
-    hold.  Plane order: near, far, left, right, top, bottom.
+    hold.  Plane order: near, far, left, right, top, bottom.  Computed once
+    per pose (the camera drops the cache when a field is assigned) and
+    handed out read-only: every caller gets the same array.
     """
     if camera._cached_planes is not None:
         return camera._cached_planes
@@ -120,6 +131,7 @@ def frustum_planes(camera: Camera) -> np.ndarray:
     normals_world = normals_cam @ camera.rotation  # W^T n per row
     d_world = offsets - normals_world @ camera.center
     planes = np.concatenate([normals_world, d_world[:, None]], axis=1)
+    planes.setflags(write=False)
     camera._cached_planes = planes
     return planes
 
@@ -186,10 +198,10 @@ def ellipsoids_in_frustum(
     reaching inside all of ``planes`` — the exact support-function test.
 
     ``scales`` are activated (``exp(log_scales)``).  The one arithmetic
-    behind :func:`exact_cull` and the rasterizer's fused test
-    (:func:`repro.gaussians.rasterizer.preprocess`, which passes the
-    ``rotations`` it builds anyway), so pre-rendering culling and rendering
-    agree on every row, bit for bit.
+    behind the reference :func:`exact_cull` and the reference rasterizer's
+    fused test (:func:`repro.gaussians.rasterizer.preprocess`, which passes
+    the ``rotations`` it builds anyway), so pre-rendering culling and
+    rendering agree on every row, bit for bit.
 
     *Accept path*: the reach ``3 |diag(s) R^T n|`` is never negative, so a
     row whose centre is on the inner side of all six planes passes whatever
@@ -226,22 +238,42 @@ def ellipsoids_in_frustum(
     return inside
 
 
+def _arbiter(
+    kernel_backend: Optional[str],
+    positions: np.ndarray,
+    log_scales: np.ndarray,
+    raw_quats: np.ndarray,
+) -> Callable:
+    """The ``exact_cull`` kernel op of ``kernel_backend`` for these arrays
+    (the reference's where the backend declines their layout)."""
+    from repro.kernels import compile_with_fallback, cull_spec, resolve_backend
+
+    return compile_with_fallback(
+        resolve_backend(kernel_backend),
+        cull_spec(positions, log_scales, raw_quats),
+    )[0]
+
+
 def exact_cull(
     planes: np.ndarray,
     positions: np.ndarray,
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
     rows: np.ndarray,
+    kernel_backend: Optional[str] = None,
 ) -> np.ndarray:
     """The members of ``rows`` whose 3-sigma ellipsoid reaches inside all
-    of ``planes`` — :func:`ellipsoids_in_frustum` on those rows only, whose
-    verdict on a row is the same in any company, so a prefiltered cull
+    of ``planes`` — the arbiter of ``kernel_backend`` on those rows only,
+    whose verdict on a row is the same in any company, so a prefiltered cull
     cannot disagree with a whole-model one in the last bit.
+
+    One kernel-op dispatch (:mod:`repro.kernels`): the reference runs
+    :func:`ellipsoids_in_frustum`, ``native`` the C function its renders
+    call on every input row — a backend's cull and its render always share
+    one arithmetic.
     """
-    inside = ellipsoids_in_frustum(
-        planes, positions[rows], np.exp(log_scales[rows]), raw_quats[rows]
-    )
-    return rows[inside]
+    arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
+    return arbiter(planes, positions, log_scales, raw_quats, rows)
 
 
 def _prefilter_points(
@@ -276,6 +308,7 @@ def cull_batch(
     positions: np.ndarray,
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
+    kernel_backend: Optional[str] = None,
 ) -> List[np.ndarray]:
     """The sorted in-frustum index set ``S_i`` of every camera, in order.
 
@@ -283,10 +316,12 @@ def cull_batch(
     rasterization, producing the explicit index sets that drive CLM's
     selective loading, caching and scheduling.  Two-level (see the module
     docstring): a bounding-sphere prefilter for a block of views at once,
-    then :func:`exact_cull` on each view's survivors.
+    then the exact test of ``kernel_backend`` (:func:`exact_cull`) on each
+    view's survivors.
     """
     cameras = list(cameras)
     n = positions.shape[0]
+    arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
     points = _prefilter_points(positions, log_scales)
     sets: List[np.ndarray] = []
     for first in range(0, len(cameras), _VIEW_BLOCK):
@@ -304,7 +339,7 @@ def cull_batch(
             np.greater_equal(reach.min(axis=1), 0.0, out=survives[:, lo:hi])
         for view_planes, mask in zip(planes, survives):
             sets.append(
-                exact_cull(
+                arbiter(
                     view_planes, positions, log_scales, raw_quats,
                     np.flatnonzero(mask),
                 )
@@ -317,10 +352,13 @@ def cull_gaussians(
     positions: np.ndarray,
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
+    kernel_backend: Optional[str] = None,
 ) -> np.ndarray:
     """Return the sorted indices of Gaussians intersecting the frustum
     (:func:`cull_batch` for a single view)."""
-    return cull_batch([camera], positions, log_scales, raw_quats)[0]
+    return cull_batch(
+        [camera], positions, log_scales, raw_quats, kernel_backend
+    )[0]
 
 
 def sparsity(camera: Camera, positions, log_scales, raw_quats) -> float:

@@ -78,8 +78,9 @@ projection, binning and compositing are two calls over one float64 block
 per render, out of which the :class:`ProjectedGaussians`,
 :class:`~repro.gaussians.covariance.GaussianShape` and :class:`TileBins`
 of the :class:`RenderContext` are cut as views (``RenderContext.blocks``).
-The 3-sigma frustum test stays :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
-under either backend — it is the arbiter that keeps pre-rendering culling
+Each backend applies, per input row, the 3-sigma frustum test its
+``exact_cull`` op applies (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
+here, one C function under ``native``), which keeps pre-rendering culling
 and rendering in agreement, bit for bit.
 
 The rasterizer deliberately accepts an arbitrary subset of a scene's

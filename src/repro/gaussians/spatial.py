@@ -19,8 +19,9 @@ flat-BVH equivalent that vectorizes well):
   * **boundary** — the exact per-Gaussian support test runs on members.
 
 The result is *identical* to :func:`repro.gaussians.frustum.cull_gaussians`
-(verified by tests; the boundary pass is the same
-:func:`repro.gaussians.frustum.exact_cull` the linear cull ends in), while
+under the same ``kernel_backend`` (verified by tests; the boundary pass is
+the same :func:`repro.gaussians.frustum.exact_cull` — one kernel op, NumPy
+or C — the linear cull ends in), while
 touching only the boundary shell of cells for sparse views — exactly the
 BigCity regime the paper worries about.
 
@@ -38,7 +39,7 @@ fixed snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,10 +68,13 @@ class CullingGrid:
         log_scales: np.ndarray,
         raw_quats: np.ndarray,
         target_cells_per_axis: int = 16,
+        kernel_backend: Optional[str] = None,
     ) -> None:
         self.positions = positions
         self.log_scales = log_scales
         self.raw_quats = raw_quats
+        #: Whose exact test the boundary pass runs (see ``exact_cull``).
+        self.kernel_backend = kernel_backend
         n = positions.shape[0]
         self.num_gaussians = n
         self.members = np.empty(0, dtype=np.int64)
@@ -147,7 +151,7 @@ class CullingGrid:
             self._members_of(inside),
             exact_cull(
                 planes, self.positions, self.log_scales, self.raw_quats,
-                self._members_of(boundary),
+                self._members_of(boundary), self.kernel_backend,
             ),
         ))
         accepted.sort()

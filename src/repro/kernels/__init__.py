@@ -27,6 +27,7 @@ from repro.kernels.registry import (
     backend_descriptions,
     backend_status,
     compile_with_fallback,
+    cull_spec,
     get_backend,
     raster_spec,
     register_backend,
@@ -52,6 +53,7 @@ __all__ = [
     "backend_descriptions",
     "backend_status",
     "compile_with_fallback",
+    "cull_spec",
     "get_backend",
     "raster_spec",
     "register_backend",

@@ -5,8 +5,8 @@ array calls (projection, binning, ~25 whole-tensor passes over padded
 ``(G, T, P)`` slabs, the gradient chain), ``native_kernels.c`` runs it as
 three native calls:
 
-- ``view_forward`` is two — ``view_project`` (``preprocess`` for the rows
-  the frustum mask lets through, then the counting half of
+- ``view_forward`` is two — ``view_project`` (the 3-sigma frustum test and
+  ``preprocess`` for the rows it lets through, then the counting half of
   ``build_tile_bins``: it reports how many rows survived, how many tiles
   are non-empty and how many ``(tile, splat)`` entries there are) and
   ``view_composite`` (fills the CSR arrays, composites, crops the image);
@@ -28,10 +28,17 @@ retains 130 rows.  What pays is the few calls over few pointers: ctypes
 marshalling costs 2.8 us an ``ndpointer`` argument, the parent's per-array
 granularity made ~110 of them a view, 18 ``np.empty`` calls cost 0.009 ms.
 
-The 3-sigma frustum verdict is not computed here: it comes from
-:func:`repro.gaussians.frustum.ellipsoids_in_frustum` — the arbiter that
-makes pre-rendering culling and rendering agree bit for bit, whose signed
-distances come out of a BLAS product no C loop reproduces — as a byte mask.
+The 3-sigma frustum verdict is one ``static`` C function, ``in_frustum``,
+called from two places: ``view_project``, per input row, and the
+``exact_cull`` op behind :func:`repro.gaussians.frustum.exact_cull` — so
+under this backend, as under the reference, pre-rendering culling and
+rendering execute one arithmetic and agree on every row bit for bit.
+``exact_cull`` walks the named rows over the *full* critical arrays without
+gathering them and takes a row stride per array, so the strided views of
+``GpuCriticalStore``'s packed ``(N, 10)`` block run here too.  Against the
+reference (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`, whose
+signed distances come out of a BLAS product) the index sets are equal
+except on a rounding tie, ``|n . p + d + r|`` within a few ulps.
 
 Inside, the view ops call the same two compositing kernels the raster ops
 expose (``raster_forward`` / ``raster_backward``): they walk the CSR
@@ -71,10 +78,11 @@ lands on NumPy silently.  A build or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  Four of the five ops are
-implemented, over float64 C-contiguous operands: a float32 blend state, a
-model array that is float32 or not C-contiguous, a backward pass over a
-context NumPy made, and the fused Adam update stay on NumPy through the
+and every caller runs on the reference.  Five of the six ops are
+implemented, over float64 C-contiguous operands (``exact_cull``: float64
+rows, each contiguous): a float32 blend state, a model array that is
+float32 or not C-contiguous, a backward pass over a context NumPy made,
+and the fused Adam update stay on NumPy through the
 registry's per-op fallback (a C Adam is not faster through ctypes at the
 optimizers' chunk sizes) — and a view the view ops declined still
 composites on the raster kernels here.
@@ -97,7 +105,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.kernels.registry import KernelBackend, KernelSpec, register_backend
+from repro.kernels.registry import (
+    KernelBackend,
+    KernelSpec,
+    register_backend,
+    rows_contiguous,
+)
 
 SOURCE = "native_kernels.c"
 #: Everything that decides how the library rounds is here, and keys the
@@ -107,9 +120,10 @@ CFLAGS = (
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
-_OPS = frozenset(
-    {"view_forward", "view_backward", "raster_forward_slab", "raster_backward_slab"}
-)
+_OPS = frozenset({
+    "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
+    "raster_backward_slab",
+})
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # ndpointer arguments check dtype and contiguity on every call and keep the
@@ -125,6 +139,7 @@ _SIGNATURES = {
     # The view ops take addresses: their operands are the model's arrays
     # (checked by :func:`_model_arrays`) and blocks allocated right here,
     # and 2.8 us of ``ndpointer`` marshalling an argument is what they save.
+    "exact_cull": [_I64, _PTR] + [_PTR, _I64] * 3 + [_PTR, _I64, _PTR],
     "view_project": [_I64] + [_PTR] * 6 + [_I64, _I64, _PTR] + [_I64] * 4 + [_PTR] * 2,
     "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 5,
     "view_backward": [_I64] * 4 + [_PTR] * 4 + [_I64, _I64, _PTR]
@@ -373,6 +388,38 @@ def _bind(lib: ctypes.CDLL, op: str) -> Callable:
     return raster_forward if op == "raster_forward_slab" else raster_backward
 
 
+def _bind_cull(lib: ctypes.CDLL) -> Callable:
+    """``exact_cull`` over the loaded library: every shape, dtype and stride
+    the C loop relies on is checked here, row bounds by the loop itself."""
+
+    def exact_cull(planes, positions, log_scales, raw_quats, rows):
+        n = positions.shape[0]
+        planes = np.ascontiguousarray(planes, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        arrays = dict(
+            positions=(positions, (n, 3)), log_scales=(log_scales, (n, 3)),
+            raw_quats=(raw_quats, (n, 4)),
+        )
+        _require_shapes(planes=(planes, (6, 4)), rows=(rows, (rows.size,)), **arrays)
+        strided = []
+        for name, (arr, _) in arrays.items():
+            if arr.dtype != np.float64 or not rows_contiguous(arr):
+                raise ValueError(
+                    f"native exact_cull: {name} is {arr.dtype} with strides "
+                    f"{arr.strides}, not float64 rows"
+                )
+            strided += [arr.ctypes.data, arr.strides[0] // 8]
+        kept = np.empty(rows.size + 1, np.int64)
+        if lib.exact_cull(
+            n, planes.ctypes.data, *strided, rows.ctypes.data, rows.size,
+            kept.ctypes.data,
+        ):
+            raise IndexError(f"native exact_cull: a row outside [0, {n})")
+        return kept[1 : 1 + kept[0]].copy()
+
+    return exact_cull
+
+
 def _model_arrays(model) -> dict:
     """``model.parameters()``, after checking what the C loops index by:
     float64, C-contiguous, one row per Gaussian."""
@@ -424,7 +471,7 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
     them and composites), ``view_backward`` one."""
     from repro.gaussians import sh as sh_module
     from repro.gaussians.covariance import GaussianShape
-    from repro.gaussians.frustum import ellipsoids_in_frustum, frustum_planes
+    from repro.gaussians.frustum import frustum_planes
     from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
 
     def view_forward(camera, model, settings):
@@ -437,17 +484,14 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
             raise ValueError(f"SH degree {degree} needs more than {stored} bases")
         width, height, sub = camera.width, camera.height, _compute_tile(settings)
         tiles_x, tiles_y = -(-width // sub), -(-height // sub)
-        # The one arbiter pre-rendering culling and rendering share, on the
-        # bits the cull saw; its verdict goes in as a byte mask.
-        mask = ellipsoids_in_frustum(
-            frustum_planes(camera), model.positions, np.exp(model.log_scales),
-            model.quaternions,
-        )
+        # ``view_project`` puts every row to the arbiter ``exact_cull`` put
+        # it to, on the same bits.
+        planes = frustum_planes(camera)
         params = _view_params(camera, settings)
         scratch = np.empty(_SCRATCH * n)
         work = np.empty(4 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
         lib.view_project(
-            n, *(a.ctypes.data for a in arrays), mask.ctypes.data, stored,
+            n, *(a.ctypes.data for a in arrays), planes.ctypes.data, stored,
             degree, params.ctypes.data, width, height, int(settings.tile_size),
             sub, scratch.ctypes.data, work.ctypes.data,
         )
@@ -527,9 +571,9 @@ class NativeKernelBackend(KernelBackend):
 
     priority = 10
     description = (
-        "a view in C (projection, binning, fused per-tile compositing, "
-        "gradient chain), built at first use with the system C compiler "
-        "(float64 view and raster ops; Adam on NumPy)"
+        "a view in C (frustum test, projection, binning, fused per-tile "
+        "compositing, gradient chain), built at first use with the system C "
+        "compiler (float64 cull, view and raster ops; Adam on NumPy)"
     )
     retains_blend_state = False
 
@@ -570,13 +614,16 @@ class NativeKernelBackend(KernelBackend):
     def supports(self, spec: KernelSpec) -> bool:
         # The kernels index raw float64 buffers; float32 blend state,
         # strided or float32 model arrays and (``view_backward``) a context
-        # without a block of ours stay on the reference.
+        # without a block of ours stay on the reference.  ``exact_cull``'s
+        # spec reads ``contiguous`` per row (``registry.cull_spec``).
         return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
         )
 
     def _compile(self, spec: KernelSpec) -> Callable:
         lib = self.library().load()
+        if spec.op == "exact_cull":
+            return _bind_cull(lib)
         if spec.op.startswith("view_"):
             return _bind_view(lib, spec.op, self.name)
         return _bind(lib, spec.op)

@@ -340,8 +340,8 @@ int raster_backward(
  * rounding decides something discrete (tile spans, radii, footprints); what
  * NumPy sums through BLAS (3x3 products, the SH contraction) is summed here
  * in index order, so values agree to a few ulps, not bit for bit.  The
- * 3-sigma frustum test is not here: its verdict arrives as a byte mask from
- * frustum.ellipsoids_in_frustum, the one arbiter culling and rendering share.
+ * 3-sigma frustum test is in_frustum() below: the one arbiter that the cull
+ * (exact_cull) and the render (view_project) both call, row by row.
  * ====================================================================== */
 
 #include <string.h>
@@ -477,6 +477,97 @@ static double unit_and_norm(const double *v, int dim, double *unit)
     return norm;
 }
 
+/* quaternion.to_rotation_matrices: row-major R of a unit (w, x, y, z). */
+static void rotation_matrix(const double *q, double *rot)
+{
+    const double qw = q[0], qx = q[1], qy = q[2], qz = q[3];
+    rot[0] = 1 - 2 * (qy * qy + qz * qz);
+    rot[1] = 2 * (qx * qy - qw * qz);
+    rot[2] = 2 * (qx * qz + qw * qy);
+    rot[3] = 2 * (qx * qy + qw * qz);
+    rot[4] = 1 - 2 * (qx * qx + qz * qz);
+    rot[5] = 2 * (qy * qz - qw * qx);
+    rot[6] = 2 * (qx * qz - qw * qy);
+    rot[7] = 2 * (qy * qz + qw * qx);
+    rot[8] = 1 - 2 * (qx * qx + qy * qy);
+}
+
+/* frustum.ellipsoids_in_frustum for one row: does the 3-sigma ellipsoid of
+ * the Gaussian at ``p`` (log-scales ``ls``, raw quaternion ``q``) reach inside
+ * all six ``planes`` (6 x 4 rows (n, d), n . p + d >= 0 inside)?  Writes the
+ * activated scales exp(ls) to ``s`` either way.
+ *
+ * The one arbiter of this backend: exact_cull and view_project both call it
+ * on the same bits, so what the cull accepted the render accepts.  Signed
+ * distances are summed in program order ((nx px + ny py) + nz pz) + d.  Accept
+ * path: the reach 3 |diag(s) R^T n| is never negative, so a centre inside all
+ * six planes is in whatever its shape — unless a scale or the quaternion is
+ * not finite: then the reach may be NaN on some plane (0 * inf), the full test
+ * rejects that, and so every plane is evaluated.  For a finite row the reach
+ * is in [0, inf] and a plane the centre is inside of cannot fail. */
+static int in_frustum(
+    const double *planes, const double *p, const double *ls, const double *q,
+    double *s)
+{
+    double dist[6];
+    int centre_inside = 1;
+    for (int k = 0; k < 6; k++) {
+        const double *pl = planes + 4 * k;
+        dist[k] = pl[0] * p[0] + pl[1] * p[1] + pl[2] * p[2] + pl[3];
+        centre_inside &= dist[k] >= 0.0;
+    }
+    for (int k = 0; k < 3; k++)
+        s[k] = exp(ls[k]);
+    const int finite =
+        isfinite(s[0] + s[1] + s[2] + (q[0] + q[1] + q[2] + q[3]));
+    if (centre_inside && finite)
+        return 1;
+
+    double unit[4], rot[9];
+    unit_and_norm(q, 4, unit);
+    rotation_matrix(unit, rot);
+    for (int k = 0; k < 6; k++) {
+        if (finite && dist[k] >= 0.0)
+            continue;
+        const double *n = planes + 4 * k;
+        double sum = 0.0;
+        for (int i = 0; i < 3; i++) {
+            /* v_i = (R^T n)_i s_i */
+            const double v =
+                (rot[i] * n[0] + rot[3 + i] * n[1] + rot[6 + i] * n[2]) * s[i];
+            sum += v * v;
+        }
+        if (!(dist[k] + 3.0 * sqrt(sum) >= 0.0))
+            return 0;
+    }
+    return 1;
+}
+
+/* frustum.exact_cull: the members of rows[0 .. count) whose ellipsoid reaches
+ * inside all six planes, in order, as kept[1 .. 1 + kept[0]).  The three
+ * arrays are walked in place: row r of each starts ``stride`` doubles after
+ * row r - 1 (3 / 3 / 4 for separate arrays, 10 for the views of one packed
+ * (n, 10) block), its values adjacent.  Returns 2 — before reading anything
+ * of that row — when a row is outside [0, n). */
+int exact_cull(
+    int64_t n, const double *planes, const double *positions, int64_t p_stride,
+    const double *log_scales, int64_t s_stride, const double *quats,
+    int64_t q_stride, const int64_t *rows, int64_t count, int64_t *kept)
+{
+    int64_t m = 0;
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t r = rows[k];
+        double s[3];
+        if (r < 0 || r >= n)
+            return 2;
+        if (in_frustum(planes, positions + r * p_stride,
+                       log_scales + r * s_stride, quats + r * q_stride, s))
+            kept[++m] = r;
+    }
+    kept[0] = m;
+    return 0;
+}
+
 /* quaternion.backprop_unit: through unit = v / |v|. */
 static void backprop_unit(
     const double *d_unit, const double *unit, double norm, int dim, double *out)
@@ -564,7 +655,7 @@ static int64_t *sort_near_to_far(
     return rows;
 }
 
-/* rasterizer.preprocess for the rows the frustum mask lets through, then the
+/* rasterizer.preprocess for the rows in_frustum() lets through, then the
  * counting half of build_tile_bins over the survivors.  Writes the survivors'
  * fields, compacted, into ``f`` (57 * n doubles) and the workspace ``iw``
  * (see work_of; 4 + 7 n + tiles int64 and 3 n bytes), whose header then
@@ -572,7 +663,7 @@ static int64_t *sort_near_to_far(
 int view_project(
     int64_t n, const double *positions, const double *log_scales,
     const double *quats, const double *sh, const double *logits,
-    const uint8_t *in_frustum, int64_t k_stored, int64_t degree,
+    const double *planes, int64_t k_stored, int64_t degree,
     const double *params, int64_t width, int64_t height, int64_t ts,
     int64_t sub, double *f, int64_t *iw)
 {
@@ -591,9 +682,10 @@ int view_project(
 
     int64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
-        if (!in_frustum[i])
+        double s[3], off[3], t[3];
+        if (!in_frustum(planes, positions + 3 * i, log_scales + 3 * i,
+                        quats + 4 * i, s))
             continue;
-        double off[3], t[3];
         for (int k = 0; k < 3; k++)
             off[k] = positions[3 * i + k] - center[k];
         for (int k = 0; k < 3; k++)
@@ -603,20 +695,9 @@ int view_project(
             continue;
 
         /* Sigma = M M^T with M = R diag(exp(log_scales)). */
-        double s[3], q[4], rot[9], mm[9], cov[9], tmp[9], cov_cam[9];
-        for (int k = 0; k < 3; k++)
-            s[k] = exp(log_scales[3 * i + k]);
+        double q[4], rot[9], mm[9], cov[9], tmp[9], cov_cam[9];
         const double q_norm = unit_and_norm(quats + 4 * i, 4, q);
-        const double qw = q[0], qx = q[1], qy = q[2], qz = q[3];
-        rot[0] = 1 - 2 * (qy * qy + qz * qz);
-        rot[1] = 2 * (qx * qy - qw * qz);
-        rot[2] = 2 * (qx * qz + qw * qy);
-        rot[3] = 2 * (qx * qy + qw * qz);
-        rot[4] = 1 - 2 * (qx * qx + qz * qz);
-        rot[5] = 2 * (qy * qz - qw * qx);
-        rot[6] = 2 * (qx * qz - qw * qy);
-        rot[7] = 2 * (qy * qz + qw * qx);
-        rot[8] = 1 - 2 * (qx * qx + qy * qy);
+        rotation_matrix(q, rot);
         for (int k = 0; k < 9; k++)
             mm[k] = rot[k] * s[k % 3];
         mat3(mm, 0, mm, 1, cov);

@@ -36,7 +36,8 @@ Forward-only renders (``cache_blend_state=False``) never form the odds or
 the gate; a backward pass without a cache regenerates the same state slab
 by slab, bit for bit.
 
-The two *whole-view* ops sit on top: ``view_forward`` is
+``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
+on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
 ``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
 assembly, ``view_backward`` the raster op -> ``_chain_to_parameters`` —
 what ``rasterize_forward`` / ``rasterize_backward`` were before they became
@@ -298,6 +299,18 @@ def _fold_entries(bins, aug, staged, d_colors, d_opac, d_means2d, d_conics):
     d_conics += summed[:, 6:].reshape(-1, 2, 2)
 
 
+def _exact_cull(planes, positions, log_scales, raw_quats, rows):
+    """The members of ``rows`` inside ``planes``: the reference arbiter,
+    :func:`~repro.gaussians.frustum.ellipsoids_in_frustum` — the function
+    ``preprocess`` applies again on the render side — on those rows only."""
+    from repro.gaussians.frustum import ellipsoids_in_frustum
+
+    inside = ellipsoids_in_frustum(
+        planes, positions[rows], np.exp(log_scales[rows]), raw_quats[rows]
+    )
+    return rows[inside]
+
+
 def _view_forward(camera, model, settings):
     """One view end to end on the reference: ``preprocess``, the CSR bins,
     compositing on whichever backend takes the raster op (the slab kernels
@@ -395,6 +408,7 @@ class NumpyKernelBackend(KernelBackend):
 
     def _compile(self, spec: KernelSpec) -> Callable:
         return {
+            "exact_cull": _exact_cull,
             "view_forward": _view_forward,
             "view_backward": _view_backward,
             "raster_forward_slab": _raster_forward,

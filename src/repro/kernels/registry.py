@@ -1,7 +1,8 @@
 """The kernel backend registry — runtime-selected compiled hot paths.
 
-The substrate's hot loops (a view's projection, binning, tile compositing
-and gradient chain in :mod:`repro.gaussians.rasterizer` /
+The substrate's hot loops (the exact frustum test of
+:mod:`repro.gaussians.frustum`, a view's projection, binning, tile
+compositing and gradient chain in :mod:`repro.gaussians.rasterizer` /
 ``rasterizer_grad``, and the fused Adam update in
 :mod:`repro.optim.kernels`) are whole-tensor NumPy passes in the
 reference.  This module is the MOT-style seam for compiled replacements
@@ -58,14 +59,17 @@ REFERENCE_BACKEND = "numpy"
 #: Sentinel name meaning "pick the fastest available backend".
 AUTO = "auto"
 
-#: The kernel operations a backend may implement.  ``view_forward`` renders
-#: one view end to end (projection, binning, compositing, assembly) and
-#: ``view_backward`` takes its context and an image gradient to the
-#: parameter gradients; ``raster_forward_slab`` composites the tile bins of
-#: an already projected view, ``raster_backward_slab`` accumulates its
-#: compositing gradients, ``adam_fused_update`` is the fused packed-row
+#: The kernel operations a backend may implement.  ``exact_cull`` is the
+#: exact 3-sigma frustum test on named rows — the arbiter a backend's own
+#: ``view_forward`` applies again, on the same bits; ``view_forward`` renders
+#: one view end to end (frustum test, projection, binning, compositing,
+#: assembly) and ``view_backward`` takes its context and an image gradient
+#: to the parameter gradients; ``raster_forward_slab`` composites the tile
+#: bins of an already projected view, ``raster_backward_slab`` accumulates
+#: its compositing gradients, ``adam_fused_update`` is the fused packed-row
 #: Adam step.
 KERNEL_OPS = (
+    "exact_cull",
     "view_forward",
     "view_backward",
     "raster_forward_slab",
@@ -145,6 +149,30 @@ def view_spec(op: str, dtype, model, *state) -> KernelSpec:
         op,
         (_kernel_data(dtype, 3, True),)
         + tuple(KernelData.from_array(a) for a in arrays),
+    )
+
+
+def rows_contiguous(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is ``(N, D)`` with each row's values adjacent and
+    rows a whole number of elements apart — a C-contiguous array, or the
+    column slice of one (``GpuCriticalStore``'s views of its ``(N, 10)``
+    block), which a kernel taking a row stride walks in place."""
+    return arr.ndim == 2 and (
+        arr.flags.c_contiguous  # whatever strides an empty array reports
+        or (arr.strides[1] == arr.itemsize and arr.strides[0] % arr.itemsize == 0)
+    )
+
+
+def cull_spec(positions, log_scales, raw_quats) -> KernelSpec:
+    """Spec of ``exact_cull`` over the three selection-critical arrays.
+    The op takes a row stride, so ``contiguous`` here is
+    :func:`rows_contiguous`, not whole-array C-contiguity."""
+    return _kernel_spec(
+        "exact_cull",
+        tuple(
+            _kernel_data(a.dtype, a.ndim, rows_contiguous(a))
+            for a in (positions, log_scales, raw_quats)
+        ),
     )
 
 

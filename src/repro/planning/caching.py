@@ -82,10 +82,8 @@ def build_transfer_plan(
     for i, current in enumerate(sets):
         prev_set = sets[i - 1] if (enable_cache and i > 0) else empty
         next_set = sets[i + 1] if (enable_cache and i + 1 < batch) else empty
-        cached = setops.intersect(current, prev_set)
-        loads = setops.difference(current, prev_set)
-        carried = setops.intersect(current, next_set)
-        stores = setops.difference(current, next_set)
+        cached, loads = setops.partition(current, prev_set)
+        carried, stores = setops.partition(current, next_set)
         steps.append(
             MicrobatchStep(
                 position=i,

@@ -75,9 +75,10 @@ class BatchPlan:
     def adam_chunks(self) -> Tuple[np.ndarray, ...]:
         """The finalized sets ``F_1 .. F_B`` (§4.2.2), derived lazily.
 
-        The derivation is O(B·N) — consumers that never overlap Adam
+        The derivation is linear in the rows the batch touches (it was
+        O(B·N) in the model size); consumers that never overlap Adam
         (single-view inference renders, the naive/GPU-only engines, which
-        only read ``steps``/``touched``) must not pay it, so it runs on
+        only read ``steps``/``touched``) still do not pay it: it runs on
         first access and is cached on the (frozen) plan.
         """
         chunks = adam_overlap.adam_chunks(

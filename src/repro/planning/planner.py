@@ -2,7 +2,8 @@
 
 Planning (order optimization + set algebra) dominates CLM's CPU-side
 scheduling cost: TSP alone has a 1 ms budget per batch (§4.2.3) and the
-transfer plan runs four set operations per microbatch (§4.2.1).  The
+transfer plan runs four set operations per microbatch (§4.2.1; here two
+membership partitions, :func:`repro.utils.setops.partition`).  The
 planner therefore memoizes whole plans in a :class:`PlanCache` keyed by a
 content fingerprint of the in-frustum sets — a repeated batch over an
 unchanged model (steady-state simulation, repeated evaluation renders,
@@ -223,8 +224,8 @@ class BatchPlanner:
 
         ``sets[k]`` is the in-frustum set of ``view_ids[k]``; ``cameras``
         (aligned with ``sets``) is only needed by the ``camera`` ordering.
-        ``num_gaussians`` is the model size the indices refer to (Adam
-        chunk derivation scans it).  ``strategy`` overrides the planner's
+        ``num_gaussians`` is the model size the indices refer to (they
+        are checked against it).  ``strategy`` overrides the planner's
         configured ordering — the non-pipelined engines pass
         ``"identity"`` to keep the sampled batch order.  The returned
         plan owns read-only copies of the input sets; the caller's arrays

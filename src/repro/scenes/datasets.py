@@ -244,7 +244,6 @@ def _make_cameras(
     if spec.zfar is not None:
         for cam in cams:
             cam.zfar = spec.zfar
-            cam._cached_planes = None
     return cams
 
 

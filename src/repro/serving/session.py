@@ -119,6 +119,7 @@ class ServingSession:
             model.log_scales,
             model.quaternions,
             target_cells_per_axis=grid_cells_per_axis,
+            kernel_backend=settings.kernel_backend if settings else None,
         )
         self.lod = (
             LodSelector(model.positions, model.log_scales, self.config.lod)
@@ -151,10 +152,12 @@ class ServingSession:
         resume afterwards) and renders go through
         :meth:`repro.engines.base.EngineBase.render_forward`, so serving
         and training share one renderer resolution and one forward-only
-        settings rule.
+        settings rule — and one frustum arbiter: the grid culls on the
+        kernel backend those settings render on.
         """
         return cls(
-            engine.snapshot_model(), config, render_fn=engine.render_forward
+            engine.snapshot_model(), config, render_fn=engine.render_forward,
+            settings=engine.serving_raster_settings,
         )
 
     # ------------------------------------------------------------------

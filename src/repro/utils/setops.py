@@ -60,6 +60,20 @@ def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.setdiff1d(a, b, assume_unique=True)
 
 
+def partition(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(a & b, a \\ b)`` from one membership pass — the cached / loaded
+    (or carried / stored) halves of a working set against its neighbour.
+
+    One ``searchsorted`` of ``a`` into ``b`` and two boolean takes, where
+    ``intersect`` + ``difference`` each concatenate and sort both sets.
+    """
+    if a.size == 0 or b.size == 0:
+        return _EMPTY.copy(), a.copy()
+    slot = np.minimum(np.searchsorted(b, a), b.size - 1)
+    member = b[slot] == a
+    return a[member], a[~member]
+
+
 def symmetric_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a ^ b`` — the TSP edge set between two microbatches."""
     if a.size == 0:

@@ -69,9 +69,9 @@ def test_autotuned_batch_culls_once(setup, monkeypatch):
 
     calls = []
 
-    def counting_cull(cameras, *arrays):
+    def counting_cull(cameras, *arrays, **selection):
         calls.append(len(cameras))
-        return cull_batch(cameras, *arrays)
+        return cull_batch(cameras, *arrays, **selection)
 
     cull_batch = base.cull_batch
     monkeypatch.setattr(base, "cull_batch", counting_cull)

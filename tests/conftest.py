@@ -103,6 +103,61 @@ def cull_oracle():
     return single_level_cull
 
 
+class PlannerOracle:
+    """The planner's set algebra as it was before it became linear in what a
+    batch touches: four sorting set operations a microbatch, B chained
+    unions, and finalization chunks found by scanning ``num_gaussians`` once
+    per microbatch (O(B·N)).
+
+    Test-only oracle, spelled out here rather than imported: every array of
+    every :class:`repro.planning.BatchPlan` must stay ``np.array_equal`` to
+    these.
+    """
+
+    @staticmethod
+    def transfer_sets(sets, enable_cache=True):
+        """``(loads, cached, stores, carried)`` per microbatch."""
+        empty = np.empty(0, dtype=np.int64)
+        out = []
+        for i, current in enumerate(sets):
+            prev_set = sets[i - 1] if enable_cache and i > 0 else empty
+            next_set = sets[i + 1] if enable_cache and i + 1 < len(sets) else empty
+            out.append((
+                np.setdiff1d(current, prev_set, assume_unique=True),
+                np.intersect1d(current, prev_set, assume_unique=True),
+                np.setdiff1d(current, next_set, assume_unique=True),
+                np.intersect1d(current, next_set, assume_unique=True),
+            ))
+        return out
+
+    @staticmethod
+    def touched_union(sets):
+        out = np.empty(0, dtype=np.int64)
+        for s in sets:
+            out = np.union1d(out, s)
+        return out
+
+    @staticmethod
+    def finalization_positions(sets, num_gaussians):
+        last = np.zeros(num_gaussians, dtype=np.int64)
+        for position, s in enumerate(sets, start=1):
+            last[s] = position
+        return last
+
+    @classmethod
+    def adam_chunks(cls, sets, num_gaussians):
+        last = cls.finalization_positions(sets, num_gaussians)
+        return [
+            np.nonzero(last == position)[0].astype(np.int64)
+            for position in range(1, len(sets) + 1)
+        ]
+
+
+@pytest.fixture(scope="session")
+def planner_oracle():
+    return PlannerOracle
+
+
 def scipy_ssim_with_grad(rendered, target, window_size=11, sigma=1.5):
     """SSIM and its gradient as :mod:`repro.gaussians.loss` computed them
     before the banded-GEMM filter: ten ``scipy.ndimage.convolve1d`` passes

@@ -1,11 +1,13 @@
 """Camera model: transforms, projection, look-at construction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.gaussians.camera import Camera, look_at_camera
+from repro.gaussians.frustum import cull_gaussians, frustum_planes
 
 
 def test_look_at_points_forward_at_target():
@@ -84,3 +86,56 @@ def test_invalid_clip_planes_rejected():
 def test_num_pixels():
     cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), width=64, height=48)
     assert cam.num_pixels == 64 * 48
+
+
+# ---------------------------------------------------------------------------
+# The cached frustum follows the camera
+# ---------------------------------------------------------------------------
+def moved_planes(cam, **changes):
+    """The planes of a camera built from scratch with ``changes`` applied."""
+    fields = {f.name: getattr(cam, f.name) for f in dataclasses.fields(cam) if f.init}
+    return frustum_planes(Camera(**{**fields, **changes}))
+
+
+def test_replace_does_not_inherit_the_cached_frustum():
+    cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), zfar=20.0)
+    before = frustum_planes(cam).copy()
+    moved = dataclasses.replace(cam, center=cam.center + 10.0)
+    assert moved._cached_planes is None
+    after = frustum_planes(moved)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, moved_planes(cam, center=cam.center + 10.0))
+    assert np.array_equal(frustum_planes(cam), before)  # the original keeps its own
+
+
+@pytest.mark.parametrize("name, value", [
+    ("center", np.array([10.0, -3.0, 0.0])),
+    ("rotation", look_at_camera(eye=(0, -3, 0), target=(1, 0, 0)).rotation),
+    ("zfar", 5.0), ("znear", 0.5), ("fx", 17.0), ("fy", 23.0), ("cx", 3.0),
+    ("cy", 4.0), ("width", 11), ("height", 13),
+])
+def test_assigning_a_field_drops_the_cached_frustum(name, value):
+    cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), zfar=20.0)
+    before = frustum_planes(cam)
+    assert frustum_planes(cam) is before  # cached while nothing moves
+    setattr(cam, name, value)
+    after = frustum_planes(cam)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, moved_planes(cam))
+    cam.view_id = 7  # not a frustum field: the cache stays
+    assert frustum_planes(cam) is after
+
+
+def test_a_moved_camera_culls_with_its_new_frustum():
+    cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), zfar=20.0)
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
+    shape = (np.full((2, 3), -3.0), np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)))
+    assert cull_gaussians(cam, positions, *shape).tolist() == [0]
+    cam.center = np.array([0.0, 27.0, 0.0])
+    assert cull_gaussians(cam, positions, *shape).tolist() == [1]
+
+
+def test_the_cached_frustum_is_read_only():
+    planes = frustum_planes(look_at_camera(eye=(0, -3, 0), target=(0, 0, 0)))
+    with pytest.raises(ValueError, match="read-only"):
+        planes[0, 3] = 0.0

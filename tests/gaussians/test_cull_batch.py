@@ -5,7 +5,16 @@ every row, as the cull was before the bounding-sphere prefilter.  Every test
 here pins :func:`repro.gaussians.frustum.cull_batch` to it with
 ``np.array_equal``: generated clouds and cameras first, then the named cases
 the prefilter could get wrong.
+
+The oracle is NumPy arithmetic.  The tests that *construct* a rounding tie
+(``n . p + d + r == 0`` to the last bit) therefore pin the NumPy arbiter,
+and each has a ``native`` twin whose ties are found in the C expression
+order (:func:`c_signed` / :func:`c_reach`) and whose single-level cull is
+the C arbiter on every row — two-level == single-level under the same
+arbiter, margin included, for both.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +24,21 @@ from hypothesis.extra.numpy import arrays
 
 from repro.gaussians import frustum
 from repro.gaussians.camera import Camera, look_at_camera
-from repro.gaussians.frustum import cull_batch
+from repro.gaussians.frustum import cull_batch, exact_cull, frustum_planes
+from repro.kernels import get_backend
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene
 
 
-def assert_matches_oracle(cull_oracle, cameras, positions, log_scales, quats):
-    sets = cull_batch(cameras, positions, log_scales, quats)
+needs_native = pytest.mark.skipif(
+    not get_backend("native").available(), reason="no C compiler here"
+)
+
+
+def assert_matches_oracle(
+    cull_oracle, cameras, positions, log_scales, quats, kernel_backend=None
+):
+    sets = cull_batch(cameras, positions, log_scales, quats, kernel_backend)
     assert len(sets) == len(cameras)
     for cam, got in zip(cameras, sets):
         want = cull_oracle(cam, positions, log_scales, quats)
@@ -262,21 +279,66 @@ def outside_left_plane(cam, rng):
     return on_axis - normal * (normal @ on_axis + offset + rng.uniform(0.2, 0.4))
 
 
-def touching_log_scale(cam, quat, distance):
+def c_signed(plane, point):
+    """``n . p + d`` as ``native_kernels.c`` sums it: in program order."""
+    (nx, ny, nz, d), (x, y, z) = plane.tolist(), point.tolist()
+    return nx * x + ny * y + nz * z + d
+
+
+def c_reach(normal, log_scales, quat):
+    """The 3-sigma reach along ``normal`` as ``native_kernels.c`` computes
+    it: libm ``exp``, the 1e-12 norm clamp, every sum in index order."""
+    s = [math.exp(v) for v in log_scales]
+    norm = max(math.sqrt(sum(v * v for v in quat.tolist())), 1e-12)
+    w, x, y, z = (v / norm for v in quat.tolist())
+    rot = [
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]
+    n = normal.tolist()
+    total = 0.0
+    for i in range(3):
+        v = (rot[i] * n[0] + rot[3 + i] * n[1] + rot[6 + i] * n[2]) * s[i]
+        total += v * v
+    return 3.0 * math.sqrt(total)
+
+
+def numpy_reach(normal, log_scales, quat):
+    return frustum.support_radii(normal[None], log_scales[None], quat[None])[0, 0]
+
+
+def touching_log_scale(cam, quat, distance, reach=numpy_reach):
     """The isotropic log-scale whose exact support radius towards the left
-    plane is the float ``distance`` — or ``None`` when bisection steps
-    over that float."""
-    normal = frustum.frustum_planes(cam)[LEFT:LEFT + 1, :3]
+    plane — ``reach``'s arithmetic — is the float ``distance``, or ``None``
+    when bisection steps over that float."""
+    normal = frustum.frustum_planes(cam)[LEFT, :3]
 
     def radius(log_scale):
-        return frustum.support_radii(
-            normal, np.full((1, 3), log_scale), quat[None]
-        )[0, 0]
+        return reach(normal, np.full(3, log_scale), quat)
 
     lo, hi = np.log(distance / 3.0) - 1e-6, np.log(distance / 3.0) + 1e-6
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if radius(mid) <= distance else (lo, mid)
     return next((x for x in (lo, hi) if radius(x) == distance), None)
+
+
+def touching_rows(cam, rng, n, signed, reach):
+    """``n`` rows outside the left plane, each — where bisection finds the
+    float — scaled so that ``signed + reach == 0`` exactly in the given
+    arithmetic.  Returns ``(positions, log_scales, quats, touching)``."""
+    plane = frustum.frustum_planes(cam)[LEFT]
+    positions = np.stack([outside_left_plane(cam, rng) for _ in range(n)])
+    quats = rng.normal(size=(n, 4))
+    log_scales = np.empty((n, 3))
+    touching = []
+    for i in range(n):
+        log_scale = touching_log_scale(
+            cam, quats[i], -signed(plane, positions[i]), reach
+        )
+        touching.append(log_scale is not None)
+        log_scales[i] = -6.0 if log_scale is None else log_scale
+    return positions, log_scales, quats, touching
 
 
 def test_gaussians_exactly_touching_a_plane_survive_the_prefilter(
@@ -300,9 +362,30 @@ def test_gaussians_exactly_touching_a_plane_survive_the_prefilter(
         log_scales[i] = -6.0 if log_scale is None else log_scale
     assert sum(touching) > n // 4
     (kept,) = assert_matches_oracle(
-        cull_oracle, [cam], positions, log_scales, quats
+        cull_oracle, [cam], positions, log_scales, quats, "numpy"
     )
     assert kept.tolist() == np.flatnonzero(touching).tolist()
+
+
+@needs_native
+def test_gaussians_exactly_touching_a_plane_survive_the_prefilter_native(rng):
+    """The same under the C arbiter: ties in *its* expression order, its own
+    verdict on every row as the single-level cull."""
+    cam = tie_camera()
+    n = 64
+    positions, log_scales, quats, touching = touching_rows(
+        cam, rng, n, c_signed, c_reach
+    )
+    assert sum(touching) > n // 4
+    single_level = exact_cull(
+        frustum_planes(cam), positions, log_scales, quats, np.arange(n), "native"
+    )
+    (kept,) = cull_batch([cam], positions, log_scales, quats, "native")
+    assert np.array_equal(kept, single_level)
+    assert kept.tolist() == np.flatnonzero(touching).tolist()
+    # The ties are real: a part in 1e12 less scale and none reaches.
+    (kept,) = cull_batch([cam], positions, log_scales - 1e-12, quats, "native")
+    assert kept.size == 0
 
 
 def lone_survivor_on_a_rounding_tie(rng):
@@ -330,6 +413,28 @@ def lone_survivor_on_a_rounding_tie(rng):
     return None
 
 
+def lone_survivor_on_a_c_order_tie(rng):
+    """The same model with row 5 touching the left plane exactly in the C
+    arbiter's arithmetic (where no row count changes a rounding, so the
+    hazard is the tie itself: walked in a strided block, gathered, alone or
+    in company, the row must get one verdict)."""
+    cam = tie_camera()
+    plane = frustum.frustum_planes(cam)[LEFT]
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    for _ in range(200):
+        positions = rng.normal(scale=400.0, size=(12, 3))
+        positions[:, 1] -= 3000.0
+        positions[5] = outside_left_plane(cam, rng)
+        log_scale = touching_log_scale(
+            cam, identity, -c_signed(plane, positions[5]), c_reach
+        )
+        if log_scale is not None:
+            log_scales = np.full((12, 3), -3.0)
+            log_scales[5] = log_scale
+            return cam, positions, log_scales, np.tile(identity, (12, 1))
+    raise AssertionError("no C-order tie in 200 draws")
+
+
 def test_lone_survivor_gets_the_whole_model_verdict(cull_oracle, rng):
     """NumPy hands a one-row product to BLAS ``gemv``, which can round one
     ulp away from the ``gemm`` every other row count uses.  A lone
@@ -340,11 +445,37 @@ def test_lone_survivor_gets_the_whole_model_verdict(cull_oracle, rng):
         pytest.skip("one-row and many-row BLAS products agree here")
     cam, positions, log_scales, quats = case
     (kept,) = assert_matches_oracle(
-        cull_oracle, [cam], positions, log_scales, quats
+        cull_oracle, [cam], positions, log_scales, quats, "numpy"
     )
     # The hazard is real: testing row 5 by itself flips the verdict.
     alone = cull_oracle(cam, positions[5:6], log_scales[5:6], quats[5:6])
     assert (alone.size == 1) != (kept.size == 1)
+
+
+@needs_native
+def test_lone_survivor_gets_the_whole_model_verdict_native(rng):
+    """Under the C arbiter the lone survivor of the prefilter, on an exact
+    tie of *that* arithmetic, is kept — as in the whole-model test, in the
+    packed block the ``clm`` engine culls on, and alone."""
+    cam, positions, log_scales, quats = lone_survivor_on_a_c_order_tie(rng)
+    planes = frustum_planes(cam)
+    assert c_signed(planes[LEFT], positions[5]) + c_reach(
+        planes[LEFT, :3], log_scales[5], quats[5]
+    ) == 0.0
+    whole = exact_cull(planes, positions, log_scales, quats, np.arange(12), "native")
+    assert whole.tolist() == [5]
+    (kept,) = cull_batch([cam], positions, log_scales, quats, "native")
+    assert kept.tolist() == [5]
+    block = np.concatenate([positions, log_scales, quats], axis=1)
+    packed = (block[:, :3], block[:, 3:6], block[:, 6:])
+    assert cull_batch([cam], *packed, "native")[0].tolist() == [5]
+    alone = exact_cull(
+        planes, positions[5:6], log_scales[5:6], quats[5:6], np.array([0]), "native"
+    )
+    assert alone.tolist() == [0]
+    # The hazard is real: a part in 1e12 less scale flips every one of them.
+    log_scales[5] -= 1e-12
+    assert cull_batch([cam], positions, log_scales, quats, "native")[0].size == 0
 
 
 @pytest.mark.parametrize("delta", [-1, 0, 1])

@@ -25,7 +25,12 @@ from repro.gaussians.frustum import (
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings, preprocess, rasterize_forward
 from test_compute_bins import MODEL_CASES, generated_model, projections
-from test_cull_batch import axis_camera, lone_survivor_on_a_rounding_tie
+from test_cull_batch import (
+    axis_camera,
+    lone_survivor_on_a_c_order_tie,
+    lone_survivor_on_a_rounding_tie,
+    needs_native,
+)
 
 
 def every_path(cam, positions, log_scales, quats):
@@ -156,12 +161,12 @@ def test_lone_candidate_keeps_the_gemm_verdict(cull_oracle, rng):
     cam, positions, log_scales, quats = case
     want = cull_oracle(cam, positions, log_scales, quats)
     planes = frustum_planes(cam)
-    lone = exact_cull(planes, positions, log_scales, quats, np.array([5]))
+    lone = exact_cull(planes, positions, log_scales, quats, np.array([5]), "numpy")
     assert np.array_equal(lone, want[want == 5])
     # A lone row well inside the frustum takes the accept path the same way.
     positions[5] = cam.center + 4.0 * cam.rotation[2]
     assert exact_cull(
-        planes, positions, log_scales, quats, np.array([5])
+        planes, positions, log_scales, quats, np.array([5]), "numpy"
     ).tolist() == [5]
     assert_all_paths_match(cull_oracle, cam, positions, log_scales, quats)
 
@@ -208,11 +213,33 @@ def test_a_one_row_working_set_keeps_its_whole_model_verdict(rng):
         positions[5:6], log_scales[5:6], quats[5:6], np.zeros((1, 1, 3)),
         np.zeros(1), sh_degree=0,
     )
-    for backend in (None, "numpy"):
-        rendered = rasterize_forward(
-            cam, model, RasterSettings(kernel_backend=backend)
-        )[2].proj.ids
-        assert rendered.size <= int(whole[5])
+    rendered = rasterize_forward(
+        cam, model, RasterSettings(kernel_backend="numpy")
+    )[2].proj.ids
+    assert rendered.size <= int(whole[5])
+
+
+@needs_native
+def test_a_one_row_working_set_keeps_its_whole_model_verdict_native(rng):
+    """The C arbiter's own tie: the row the native cull keeps in the whole
+    model passes the test again inside the native render of the gathered
+    one-row working set, and a part in 1e12 less scale fails both."""
+    cam, positions, log_scales, quats = lone_survivor_on_a_c_order_tie(rng)
+    planes = frustum_planes(cam)
+    for shrink, verdict in ((0.0, [5]), (1e-12, [])):
+        log_scales[5] -= shrink
+        whole = exact_cull(
+            planes, positions, log_scales, quats, np.arange(12), "native"
+        )
+        assert whole.tolist() == verdict
+        # Opaque and large on screen, so only the frustum test can drop it.
+        model = GaussianModel(
+            positions[5:6], log_scales[5:6], quats[5:6], np.zeros((1, 1, 3)),
+            np.full(1, 4.0), sh_degree=0,
+        )
+        ctx = rasterize_forward(cam, model, RasterSettings(kernel_backend="native"))[2]
+        assert ctx.kernel_backend == "native"
+        assert ctx.proj.ids.size == len(verdict)
 
 
 def test_non_finite_shapes_keep_the_full_test_verdict(cull_oracle):
@@ -268,13 +295,15 @@ def test_rotations_are_built_for_the_boundary_band_only(monkeypatch, rng):
     quats = rng.normal(size=(n, 4))
     planes = frustum_planes(cam)
     every_row = np.arange(n)
-    assert exact_cull(planes, inside, log_scales, quats, every_row).size == n
+    assert exact_cull(
+        planes, inside, log_scales, quats, every_row, "numpy"
+    ).size == n
     assert built == []
     # Push seven centres just past the left plane: they alone need a reach.
     band = np.arange(0, n, 8)
     positions = inside.copy()
     normal, offset = planes[2, :3], planes[2, 3]
     positions[band] -= normal * (positions[band] @ normal + offset + 0.01)[:, None]
-    kept = exact_cull(planes, positions, log_scales, quats, every_row)
+    kept = exact_cull(planes, positions, log_scales, quats, every_row, "numpy")
     assert built == [band.size]
     assert kept.size == n  # 3 sigma = 0.055 > 0.01: all still reach inside

@@ -473,12 +473,12 @@ def test_operands_are_checked_before_a_pointer_is_taken():
         backward(ctx, model, np.ones((30, 40, 3)))
 
 
-def test_the_backend_declares_four_of_the_five_ops():
+def test_the_backend_declares_five_of_the_six_ops():
     assert KERNEL_OPS == (
-        "view_forward", "view_backward", "raster_forward_slab",
+        "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
         "raster_backward_slab", "adam_fused_update",
     )
-    assert get_backend("native").capabilities() == frozenset(KERNEL_OPS[:4])
+    assert get_backend("native").capabilities() == frozenset(KERNEL_OPS[:5])
     assert get_backend("numpy").capabilities() == frozenset(KERNEL_OPS)
 
 
