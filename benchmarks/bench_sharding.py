@@ -7,10 +7,12 @@ utilization, halo traffic, and work-steal counts.  A fifth record rules
 the work stealer in: the K=4 run with stealing disabled, whose makespan
 the balanced run must beat or match.
 
-Acceptance (and the CI ``sharding-gate``): throughput is monotone in the
-device count and the 4-device speedup clears 2.5x.  The curve is not
-linear — halo exchange and the shared scheduler grow with K — which is
-exactly the effect the simulation exists to expose.
+Acceptance (the declared gates): throughput is monotone in the device
+count, the 4-device speedup clears 2.5x, and work stealing never loses to
+the static split.  The curve is fully simulated (discrete-event, seeded),
+so the gates assert the thresholds directly — no runner-noise slack.  It
+is not linear — halo exchange and the shared scheduler grow with K —
+which is exactly the effect the simulation exists to expose.
 """
 
 from repro.analysis.reporting import format_table
@@ -27,8 +29,25 @@ DEVICE_COUNTS = (1, 2, 4, 8)
 BATCH_SIZE = 32
 
 
-@register_benchmark("sharding", figure="ROADMAP item 2",
-                    tags=("sharding", "scaling"))
+def scaling_is_monotone_and_clears_the_bar(records):
+    by_k = {k: records[f"devices_{k}"] for k in DEVICE_COUNTS}
+    rates = [by_k[k]["images_per_second"] for k in DEVICE_COUNTS]
+    assert rates == sorted(rates), f"non-monotone scaling curve: {rates}"
+    speedup4 = by_k[4]["extra"]["speedup"]
+    assert speedup4 >= 2.5, f"4-device speedup {speedup4:.2f} < 2.5"
+
+
+def work_stealing_never_loses(records):
+    gain = records["devices_4_no_stealing"]["extra"]["stealing_gain"]
+    assert gain >= 1.0, f"work stealing lost to the static split: {gain:.3f}"
+
+
+@register_benchmark(
+    "sharding", figure="ROADMAP item 2", tags=("sharding", "scaling"),
+    variants=tuple(f"devices_{k}" for k in DEVICE_COUNTS)
+    + ("devices_4_no_stealing",),
+    gates=(scaling_is_monotone_and_clears_the_bar, work_stealing_never_loses),
+)
 def compute(ctx):
     """1→8 device scaling curve for the sharded CLM pipeline."""
     scene, index = ctx.scenes("bicycle")
@@ -96,13 +115,12 @@ def compute(ctx):
 
 
 def test_sharding(benchmark, bench_ctx):
-    speedups, curve, stealing_gain = benchmark.pedantic(
+    bench_ctx.drain_records()
+    speedups, _, _ = benchmark.pedantic(
         compute, args=(bench_ctx,), rounds=1, iterations=1
     )
-    # The acceptance bar: monotone scaling, >=2.5x at four devices, and
-    # work stealing never slower than the static split.
-    rates = [r.images_per_second for r in curve]
-    assert rates == sorted(rates)
-    assert speedups[4] >= 2.5
+    # The acceptance bar is the declared gates, held at the full tier too.
+    records = {p["variant"]: p for p in bench_ctx.drain_records()}
+    scaling_is_monotone_and_clears_the_bar(records)
+    work_stealing_never_loses(records)
     assert speedups[8] > speedups[4]
-    assert stealing_gain >= 1.0

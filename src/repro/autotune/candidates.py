@@ -1,28 +1,25 @@
 """Candidate configuration enumeration for the auto-tuner.
 
-A :class:`TunedConfig` bundles the four knobs the adaptive runtime owns;
+A :class:`TunedConfig` bundles the three knobs the adaptive runtime owns;
 a :class:`CandidateSpace` is the grid the tuner searches.  Enumeration
-order is deterministic (workers, then group size, then ordering, then
-backend) and ties in predicted makespan resolve to the *earliest*
-candidate, so tuning is reproducible given the same measurements.
+order is deterministic (workers, then group size, then ordering) and ties
+in predicted makespan resolve to the *earliest* candidate, so tuning is
+reproducible given the same measurements.
 
 Two deliberate exclusions:
 
 - the ``random`` ordering is rejected: it is plan-cache-exempt and draws
   from the engine RNG per plan, so tuning over it would both defeat
   memoization and perturb seeded streams;
-- ``kernel_backends`` defaults to ``(None,)`` — "whatever backend the
-  engine resolved" — because switching numeric backends mid-run changes
-  results within their 1e-10 parity envelope, which would break the
-  bit-identical-training guarantee the runtime otherwise keeps.  Callers
-  that accept that trade list explicit backend names
-  (``EngineConfig.autotune_kernel_backends``).
+- the kernel backend is not a knob: switching numeric backends mid-run
+  changes results within their 1e-10 parity envelope, which would break
+  the bit-identical-training guarantee the runtime otherwise keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,15 +29,12 @@ class TunedConfig:
     overlap_workers: int
     group_size: int
     ordering: str
-    #: ``None`` = keep the engine's resolved backend (no overlay).
-    kernel_backend: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
             "overlap_workers": self.overlap_workers,
             "group_size": self.group_size,
             "ordering": self.ordering,
-            "kernel_backend": self.kernel_backend,
         }
 
 
@@ -51,14 +45,12 @@ class CandidateSpace:
     workers: Tuple[int, ...] = (0, 1, 2)
     group_sizes: Tuple[int, ...] = (64, 256)
     orderings: Tuple[str, ...] = ("tsp", "gs_count", "identity")
-    kernel_backends: Tuple[Optional[str], ...] = (None,)
 
     def __post_init__(self) -> None:
         for name, values in (
             ("workers", self.workers),
             ("group_sizes", self.group_sizes),
             ("orderings", self.orderings),
-            ("kernel_backends", self.kernel_backends),
         ):
             if not values:
                 raise ValueError(f"CandidateSpace.{name} must be non-empty")
@@ -76,7 +68,6 @@ class CandidateSpace:
     def from_engine_config(cls, config) -> "CandidateSpace":
         """Build the space an :class:`~repro.core.config.EngineConfig`
         describes (``autotune_*`` fields, with safe defaults)."""
-        backends = getattr(config, "autotune_kernel_backends", None)
         return cls(
             workers=tuple(getattr(config, "autotune_workers", (0, 1, 2))),
             group_sizes=tuple(
@@ -87,7 +78,6 @@ class CandidateSpace:
                     config, "autotune_orderings", ("tsp", "gs_count", "identity")
                 )
             ),
-            kernel_backends=(None,) if not backends else tuple(backends),
         )
 
     def enumerate(self) -> List[TunedConfig]:
@@ -96,22 +86,15 @@ class CandidateSpace:
         for w in self.workers:
             for g in self.group_sizes:
                 for ordering in self.orderings:
-                    for backend in self.kernel_backends:
-                        out.append(
-                            TunedConfig(
-                                overlap_workers=int(w),
-                                group_size=int(g),
-                                ordering=ordering,
-                                kernel_backend=backend,
-                            )
+                    out.append(
+                        TunedConfig(
+                            overlap_workers=int(w),
+                            group_size=int(g),
+                            ordering=ordering,
                         )
+                    )
         return out
 
     @property
     def size(self) -> int:
-        return (
-            len(self.workers)
-            * len(self.group_sizes)
-            * len(self.orderings)
-            * len(self.kernel_backends)
-        )
+        return len(self.workers) * len(self.group_sizes) * len(self.orderings)

@@ -19,17 +19,16 @@ Two ingredients, exactly as ROADMAP item 5 prescribes:
   load) without forgetting history.
 
 Keys are tuples ``(op, *subkey)``.  Forward/backward rates are keyed by
-``(group_size, kernel_backend)`` because the slab width and the backend
-change the achieved rate per row; an unmeasured combination falls back to
-the measured rate of the nearest group size (same backend preferred)
-before falling back to the prior — so one measured slab width anchors
-its neighbours instead of leaving them on paper-hardware numbers.
+``group_size`` because the slab width changes the achieved rate per row;
+an unmeasured width falls back to the measured rate of the nearest group
+size before falling back to the prior — so one measured slab width
+anchors its neighbours instead of leaving them on paper-hardware numbers.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.hardware.kernels import KernelCostModel
 from repro.hardware.specs import RTX4090_TESTBED, Testbed
@@ -94,22 +93,19 @@ class CostModel:
 
     def _nearest_sibling(self, key: Key) -> Optional[float]:
         """For group-size-keyed ops, the measured rate whose group size is
-        nearest in log space (same-backend matches win ties)."""
-        if key[0] not in ("forward", "backward") or len(key) != 3:
+        nearest in log space."""
+        if key[0] not in ("forward", "backward") or len(key) != 2:
             return None
-        op, group_size, backend = key
-        candidates: List[Tuple[float, int, float]] = []
-        for other, rate in self._rates.items():
-            if len(other) != 3 or other[0] != op:
-                continue
-            distance = abs(
-                math.log(max(1, group_size)) - math.log(max(1, other[1]))
-            )
-            backend_penalty = 0 if other[2] == backend else 1
-            candidates.append((distance, backend_penalty, rate))
+        op, group_size = key
+        candidates = [
+            (abs(math.log(max(1, group_size)) - math.log(max(1, other[1]))),
+             rate)
+            for other, rate in self._rates.items()
+            if len(other) == 2 and other[0] == op
+        ]
         if not candidates:
             return None
-        return min(candidates)[2]
+        return min(candidates)[1]
 
     def _prior(self, key: Key) -> float:
         kc = self.kernel_costs
@@ -131,15 +127,11 @@ class CostModel:
         raise KeyError(f"unknown cost-model op {op!r}")
 
     # -- typed helpers (what the DAG builder calls) ----------------------
-    def forward_s(
-        self, rows: int, group_size: int, kernel_backend: Optional[str]
-    ) -> float:
-        return rows * self.rate(("forward", int(group_size), kernel_backend))
+    def forward_s(self, rows: int, group_size: int) -> float:
+        return rows * self.rate(("forward", int(group_size)))
 
-    def backward_s(
-        self, rows: int, group_size: int, kernel_backend: Optional[str]
-    ) -> float:
-        return rows * self.rate(("backward", int(group_size), kernel_backend))
+    def backward_s(self, rows: int, group_size: int) -> float:
+        return rows * self.rate(("backward", int(group_size)))
 
     def adam_s(self, rows: int) -> float:
         return rows * self.rate(("adam",))

@@ -19,10 +19,10 @@ The loop per training batch:
    the batch's measured per-op seconds.
 
 Exploration: forward/backward rates depend on ``group_size`` (slab
-width) and kernel backend in ways no spec predicts, so combinations that
-have never been measured are visited first — one batch each, in grid
-order — before the tuner switches to pure argmin exploitation.  With one
-group size and one backend there is no exploration phase at all.
+width) in ways no spec predicts, so group sizes that have never been
+measured are visited first — one batch each, in grid order — before the
+tuner switches to pure argmin exploitation.  With one group size there is
+no exploration phase at all.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class TunedChoice:
     config: TunedConfig
     #: Predicted makespan of :attr:`config` (seconds).
     predicted_s: float
-    #: True while the tuner is measuring a never-seen (group size,
-    #: backend) combination instead of exploiting the model.
+    #: True while the tuner is measuring a never-seen group size
+    #: instead of exploiting the model.
     explored: bool
     #: Every candidate's predicted makespan this batch (empty during
     #: exploration) — the per-batch tuning table, cheapest first.
@@ -124,13 +124,9 @@ class AutoTuner:
         self.overlap_adam = overlap_adam
         self.model = model or CostModel(testbed=testbed, num_pixels=num_pixels)
         self.stats = TunerStats()
-        # (group_size, backend) combinations never yet measured, visited
-        # one batch each before exploitation starts.
-        self._unexplored: List[Tuple[int, Optional[str]]] = [
-            (int(g), b)
-            for g in self.space.group_sizes
-            for b in self.space.kernel_backends
-        ]
+        # Group sizes never yet measured, visited one batch each before
+        # exploitation starts.
+        self._unexplored: List[int] = [int(g) for g in self.space.group_sizes]
 
     # -- what the engine asks per batch ----------------------------------
     @property
@@ -144,20 +140,18 @@ class AutoTuner:
         ``plans`` maps each candidate ordering to that ordering's
         :class:`BatchPlan` for the batch (all orderings of the space must
         be present).  Returns the argmin-predicted-makespan candidate, or
-        the next unexplored (group size, backend) probe while calibration
-        samples are still missing.
+        the next unexplored group size while calibration samples are still
+        missing.
         """
         for ordering in self.space.orderings:
             if ordering not in plans:
                 raise KeyError(f"no plan for candidate ordering {ordering!r}")
         self.stats.batches += 1
         if self._unexplored:
-            group_size, backend = self._unexplored[0]
             config = TunedConfig(
                 overlap_workers=int(self.space.workers[-1]),
-                group_size=group_size,
+                group_size=self._unexplored[0],
                 ordering=self.space.orderings[0],
-                kernel_backend=backend,
             )
             self.stats.explored_batches += 1
             predicted = self.predict_makespan(plans[config.ordering], config)
@@ -188,12 +182,12 @@ class AutoTuner:
         config = choice.config
         m = self.model
         m.observe(
-            ("forward", config.group_size, config.kernel_backend),
+            ("forward", config.group_size),
             measured.working_rows,
             measured.forward_s,
         )
         m.observe(
-            ("backward", config.group_size, config.kernel_backend),
+            ("backward", config.group_size),
             measured.working_rows,
             measured.backward_s,
         )
@@ -212,9 +206,8 @@ class AutoTuner:
             + serial_adam
         )
         m.observe(("overhead",), measured.traffic_rows, residual)
-        probe = (config.group_size, config.kernel_backend)
-        if probe in self._unexplored:
-            self._unexplored.remove(probe)
+        if config.group_size in self._unexplored:
+            self._unexplored.remove(config.group_size)
         reconciliation = reconcile_predicted_makespan(
             choice.predicted_s, measured.wall_s
         )
@@ -258,12 +251,8 @@ class AutoTuner:
                 )
                 duration = (
                     m.overhead_s(traffic)
-                    + m.forward_s(
-                        rows, config.group_size, config.kernel_backend
-                    )
-                    + m.backward_s(
-                        rows, config.group_size, config.kernel_backend
-                    )
+                    + m.forward_s(rows, config.group_size)
+                    + m.backward_s(rows, config.group_size)
                 )
             elif node.kind == "adam":
                 duration = m.adam_s(chunk_sizes[node.index])

@@ -4,7 +4,8 @@ The perf counterpart of :mod:`repro.engines`: benchmarks self-register
 with :func:`register_benchmark`, a :class:`BenchRunner` executes them at a
 tier (``quick`` for CI smoke, ``full`` for the paper-shape suite), every
 run emits schema-validated :class:`BenchRecord` rows into
-``BENCH_results.json``, and :func:`compare_results` gates regressions
+``BENCH_results.json``, :func:`check_gates` holds them to the contracts
+the benchmarks declared, and :func:`compare_results` gates regressions
 against a baseline::
 
     from repro.bench import BenchRunner, discover_benchmarks
@@ -12,7 +13,7 @@ against a baseline::
     discover_benchmarks("benchmarks")
     report = BenchRunner(tier="quick").run()
 
-or from a shell: ``repro bench [list|run|compare|validate]``.
+or from a shell: ``repro bench [list|run|validate|gate|compare]``.
 """
 
 from repro.bench.compare import (
@@ -47,6 +48,7 @@ from repro.bench.registry import (
     UnknownBenchmarkError,
     available_benchmarks,
     benchmark_entries,
+    check_gates,
     get_benchmark,
     register_benchmark,
     unregister_benchmark,
@@ -57,6 +59,7 @@ from repro.bench.runner import (
     default_benchmarks_dir,
     discover_benchmarks,
 )
+from repro.bench.timing import median_time, repeats_agree
 
 __all__ = [
     "BENCH_RECORD_SCHEMA",
@@ -78,6 +81,7 @@ __all__ = [
     "UnknownBenchmarkError",
     "available_benchmarks",
     "benchmark_entries",
+    "check_gates",
     "compare_results",
     "default_benchmarks_dir",
     "discover_benchmarks",
@@ -85,7 +89,9 @@ __all__ = [
     "get_benchmark",
     "git_revision",
     "load_results",
+    "median_time",
     "register_benchmark",
+    "repeats_agree",
     "resolve_tier",
     "results_document",
     "unregister_benchmark",

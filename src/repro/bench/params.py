@@ -7,12 +7,7 @@ Two tiers exist (DESIGN.md §5 scaling):
   (2e-4 of the paper Gaussian counts, up to 256 views).  This is what
   ``pytest benchmarks`` runs.
 - ``quick`` — tiny scales for CI smoke runs (``repro bench run --quick``):
-  the same code paths, minutes not tens of minutes, no shape guarantees.
-
-``PAPER_MODEL_SIZES`` (the §6.3 protocol: each figure evaluates systems at
-the *other* systems' maximum trainable sizes) used to live in
-``benchmarks/conftest.py``; it moved here so the registry-driven runner
-can execute benchmarks without pytest.
+  the same code paths, seconds not minutes, no shape guarantees.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """The benchmark registry — ``repro.engines.registry``'s pattern applied
 to performance experiments.
 
-Benchmark modules self-register their ``compute`` function::
+Benchmark modules self-register their ``compute`` function together with
+the contract its records must meet::
 
-    @register_benchmark("fig11", figure="Figure 11",
-                        tags=("throughput", "simulated"))
+    @register_benchmark("sharding", figure="ROADMAP item 2",
+                        variants=("devices_1", "devices_4"),
+                        gates=(scaling_clears_the_bar,))
     def compute(ctx):
         ...
 
@@ -13,13 +15,14 @@ and consumers (the :class:`~repro.bench.runner.BenchRunner`, the
 registered callable takes one argument — a
 :class:`~repro.bench.context.BenchContext` — and returns its raw output
 (tables/rows) for the pytest shape assertions; measured metrics flow out
-through ``ctx.record(...)``.
+through ``ctx.record(...)``.  :func:`check_gates` holds a results
+document to every registered contract (``repro bench gate``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 
 class DuplicateBenchmarkError(ValueError):
@@ -37,6 +40,10 @@ class BenchmarkEntry:
     figure: str
     tags: Tuple[str, ...]
     description: str
+    #: Record variants a run of this benchmark must emit.
+    variants: Tuple[str, ...] = ()
+    #: Plain functions over ``{variant: record dict}`` that ``assert``.
+    gates: Tuple[Callable, ...] = ()
 
 
 _REGISTRY: Dict[str, BenchmarkEntry] = {}
@@ -48,13 +55,18 @@ def register_benchmark(
     figure: str = "",
     tags: Tuple[str, ...] = (),
     description: str = "",
+    variants: Tuple[str, ...] = (),
+    gates: Tuple[Callable, ...] = (),
 ):
     """Decorator adding a ``compute(ctx)`` callable to the registry.
 
     ``figure`` names the paper figure/table the benchmark reproduces;
     ``tags`` are free-form labels for selection (the runner skips
     ``"full-only"``-tagged benchmarks at the quick tier); ``description``
-    defaults to the function's first docstring line.
+    defaults to the function's first docstring line.  ``variants`` and
+    ``gates`` are the benchmark's contract, checked by :func:`check_gates`:
+    the record variants every run must emit, and functions that take the
+    run's ``{variant: record dict}`` and ``assert`` what must hold of it.
     """
 
     def decorator(fn: Callable) -> Callable:
@@ -65,7 +77,8 @@ def register_benchmark(
             )
         summary = description or (fn.__doc__ or "").strip().split("\n")[0]
         _REGISTRY[name] = BenchmarkEntry(
-            name, fn, figure, tuple(tags), summary
+            name, fn, figure, tuple(tags), summary, tuple(variants),
+            tuple(gates),
         )
         return fn
 
@@ -93,3 +106,38 @@ def get_benchmark(name: str) -> BenchmarkEntry:
         raise UnknownBenchmarkError(
             f"unknown benchmark '{name}'; choose from {available_benchmarks()}"
         ) from None
+
+
+def check_gates(doc: Dict) -> List[str]:
+    """Problems of a results document against the registered contracts.
+
+    Every record must belong to a registered benchmark; every benchmark
+    with records in ``doc`` must have its declared variants present and its
+    gates passing (in declared order, stopping at its first failure); one
+    the run did not select is not judged.  Each problem names the
+    benchmark and the missing variant or the failed assertion.
+    """
+    by_benchmark: Dict[str, Dict] = {}
+    for record in doc.get("records", ()):
+        variants = by_benchmark.setdefault(record["benchmark"], {})
+        variants[record.get("variant")] = record
+    problems = []
+    for name, records in by_benchmark.items():
+        entry = _REGISTRY.get(name)
+        if entry is None:
+            problems.append(f"{name}: records of an unregistered benchmark")
+            continue
+        missing = [v for v in entry.variants if v not in records]
+        if missing:
+            problems.append(f"{name}: missing variants {missing}")
+            continue
+        for gate in entry.gates:
+            try:
+                gate(records)
+            except Exception as exc:  # a corrupt record fails by name too
+                problems.append(
+                    f"{name}: gate {gate.__name__} failed: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                break
+    return problems

@@ -128,9 +128,8 @@ class BenchRunner:
         """The benchmark entries a run would execute, in registration order.
 
         ``only`` tokens match registered names exactly first, then as
-        substrings (``repro bench run --only raster`` or ``--only fig`` —
-        the CLI's module discovery used to be all-or-nothing).  A token
-        matching nothing raises :class:`UnknownBenchmarkError`.
+        substrings (``repro bench run --only fig``).  A token matching
+        nothing raises :class:`UnknownBenchmarkError`.
         """
         if only:
             names = available_benchmarks()

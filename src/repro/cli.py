@@ -14,6 +14,7 @@ Examples::
     python -m repro.cli serve --stream trajectory --requests 96 --rate 500
     python -m repro.cli bench list
     python -m repro.cli bench run --quick
+    python -m repro.cli bench gate BENCH_results.json
     python -m repro.cli bench compare --baseline BENCH_results.json
 
 Every subcommand prints a small table; `--scale`/`--views` control the
@@ -381,14 +382,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _bench_tier(args) -> str:
-    if getattr(args, "full", False):
-        return "full"
-    if getattr(args, "quick", False):
-        return "quick"
-    return args.tier
-
-
 def cmd_bench_list(args) -> int:
     from repro.bench import discover_benchmarks, benchmark_entries
 
@@ -416,7 +409,7 @@ def cmd_bench_run(args) -> int:
     )
 
     discover_benchmarks(args.dir)
-    tier = _bench_tier(args)
+    tier = "full" if args.full else "quick"
     runner = BenchRunner(
         tier=tier,
         seed=args.seed,
@@ -510,6 +503,19 @@ def cmd_bench_validate(args) -> int:
     return 0 if not errors else 1
 
 
+def cmd_bench_gate(args) -> int:
+    from repro.bench import check_gates, discover_benchmarks, load_results
+
+    discover_benchmarks(args.dir)
+    doc = load_results(args.path)
+    problems = check_gates(doc)
+    for problem in problems:
+        print(f"GATE FAILED: {problem}", file=sys.stderr)
+    if not problems:
+        print(f"{args.path}: declared variants and gates hold")
+    return 0 if not problems else 1
+
+
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser("bench", help="benchmark orchestration (repro.bench)")
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
@@ -522,11 +528,10 @@ def _add_bench_parser(sub) -> None:
     rp = bench_sub.add_parser("run", help="run benchmarks, write records")
     rp.add_argument("--dir", default=None,
                     help="benchmarks directory (default: auto-detect)")
-    rp.add_argument("--tier", choices=("quick", "full"), default="quick")
     rp.add_argument("--quick", action="store_true",
-                    help="shorthand for --tier quick (the CI smoke tier)")
+                    help="the CI smoke tier (the default)")
     rp.add_argument("--full", action="store_true",
-                    help="shorthand for --tier full (paper-shape scale)")
+                    help="the paper-shape scale")
     rp.add_argument("--only", nargs="*", default=None,
                     help="run only these benchmarks (exact names or "
                          "substrings, e.g. --only raster or --only fig)")
@@ -560,6 +565,14 @@ def _add_bench_parser(sub) -> None:
                               help="schema-check a BENCH_results.json")
     vp.add_argument("path", nargs="?", default="BENCH_results.json")
     vp.set_defaults(func=cmd_bench_validate)
+
+    gp = bench_sub.add_parser(
+        "gate", help="check a BENCH_results.json against the variants and "
+                     "gates its benchmarks declare")
+    gp.add_argument("path", nargs="?", default="BENCH_results.json")
+    gp.add_argument("--dir", default=None,
+                    help="benchmarks directory (default: auto-detect)")
+    gp.set_defaults(func=cmd_bench_gate)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -84,13 +84,12 @@ class EngineConfig:
     and executes the argmin, then reconciles predicted vs measured wall
     time back into the cost model.  ``autotune_workers`` /
     ``autotune_group_sizes`` / ``autotune_orderings`` define the candidate
-    grid (orderings exclude ``random`` — cache-exempt and RNG-consuming).
-    ``autotune_kernel_backends`` defaults to ``None`` = tune everything
-    *except* the backend (backend switches change results within their
-    1e-10 parity envelope, breaking bit-identical training); pass explicit
-    backend names to opt into backend tuning.  Auto-tuning changes timing
-    only — never results for worker/group-size choices, and never pool
-    accounting (see :mod:`repro.core.memory_model`).
+    grid (orderings exclude ``random`` — cache-exempt and RNG-consuming;
+    the kernel backend is not tuned — a switch changes results within the
+    backends' 1e-10 parity envelope, breaking bit-identical training).
+    Auto-tuning changes timing only — never results for worker/group-size
+    choices, and never pool accounting (see
+    :mod:`repro.core.memory_model`).
     """
 
     batch_size: int = 4
@@ -123,7 +122,8 @@ class EngineConfig:
     # engine's injector replays batch by batch; with one attached, the
     # engine keeps an in-memory recovery snapshot refreshed every
     # ``recovery_snapshot_every`` successful batches (1 bounds the loss
-    # to a single batch per fail-stop — the CI chaos-gate bound).
+    # to a single batch per fail-stop, the bound
+    # tests/resilience/test_recovery.py asserts).
     fault_schedule: Optional[FaultSchedule] = None
     recovery_snapshot_every: int = 1
     # Kernel backend for the raster/Adam hot loops ("auto", "numpy",
@@ -138,7 +138,6 @@ class EngineConfig:
     autotune_workers: "tuple[int, ...]" = (0, 1, 2)
     autotune_group_sizes: "tuple[int, ...]" = (64, 256)
     autotune_orderings: "tuple[str, ...]" = ("tsp", "gs_count", "identity")
-    autotune_kernel_backends: Optional["tuple[str, ...]"] = None
 
     def resolve_renderer(self) -> "tuple[Callable, Callable]":
         """The (forward, backward) pair engines should call."""

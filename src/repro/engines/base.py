@@ -113,7 +113,6 @@ class BatchResult:
     tuned_workers: Optional[int] = None
     tuned_group_size: Optional[int] = None
     tuned_ordering: Optional[str] = None
-    tuned_kernel_backend: Optional[str] = None
     predicted_makespan_s: float = 0.0
     autotune_rel_error: float = 0.0
 
@@ -226,7 +225,6 @@ class PerfCounters:
                 "overlap_workers": result.tuned_workers,
                 "group_size": result.tuned_group_size,
                 "ordering": result.tuned_ordering,
-                "kernel_backend": result.tuned_kernel_backend,
             }
 
 
@@ -318,8 +316,7 @@ class EngineBase(Engine):
         self.perf = PerfCounters(kernel_backend=self.kernel_backend)
         #: Per-call raster-settings overlay (field -> value), applied last
         #: by :attr:`raster_settings`.  The auto-tuner writes its per-batch
-        #: ``group_size`` (and, when backend tuning is opted into, the
-        #: ``kernel_backend``) here instead of mutating the shared config.
+        #: ``group_size`` here instead of mutating the shared config.
         self._raster_overrides: Dict[str, object] = {}
         #: SSIM moments of each view's target image, computed on first use
         #: (see :meth:`_target_moments`).  A function of the targets only,
@@ -366,9 +363,9 @@ class EngineBase(Engine):
         requested = getattr(self.config, "kernel_backend", "auto")
         if settings.kernel_backend is None and requested not in (None, "", "auto"):
             settings = dc_replace(settings, kernel_backend=self.kernel_backend)
-        # Tuned overlays last: per-batch settings the adaptive runtime
-        # chose (group_size, opted-in backend) win over the static config
-        # without ever mutating the shared settings object.
+        # Tuned overlays last: the per-batch group_size the adaptive
+        # runtime chose wins over the static config without ever mutating
+        # the shared settings object.
         if self._raster_overrides:
             settings = dc_replace(settings, **self._raster_overrides)
         return settings

@@ -219,10 +219,6 @@ class CLMEngine(EngineBase):
             plan = plans[choice.config.ordering]
             workers = choice.config.overlap_workers
             self._raster_overrides = {"group_size": choice.config.group_size}
-            if choice.config.kernel_backend is not None:
-                self._raster_overrides["kernel_backend"] = (
-                    choice.config.kernel_backend
-                )
             # Key future plans under the tuned slab width (see
             # plan_fingerprint): tuned configs never share a cached plan.
             self.planner.group_size = choice.config.group_size
@@ -254,9 +250,6 @@ class CLMEngine(EngineBase):
             result.tuned_workers = choice.config.overlap_workers
             result.tuned_group_size = choice.config.group_size
             result.tuned_ordering = choice.config.ordering
-            result.tuned_kernel_backend = (
-                choice.config.kernel_backend or self.kernel_backend
-            )
             result.predicted_makespan_s = choice.predicted_s
             result.autotune_rel_error = reconciliation.relative_error
         return result

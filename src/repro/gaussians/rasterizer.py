@@ -65,8 +65,7 @@ The legacy per-tile loop (``rasterize_forward_legacy`` and the
 ``tile_alpha_weights`` contract it is built on, over the single-level
 ``_build_tiles_loop`` binning) is kept verbatim as the golden reference:
 ``tests/gaussians/test_raster_parity.py``, ``test_compute_bins.py`` and
-``test_slab_kernels.py`` pin the substrate against it and ``benchmarks/bench_raster.py`` records the
-speedup.
+``test_slab_kernels.py`` pin the substrate against it.
 
 Since the whole-view kernel ops, :func:`rasterize_forward` is one backend
 dispatch (``view_forward``, :mod:`repro.kernels`).  The NumPy reference
@@ -803,8 +802,7 @@ def rasterize_forward_legacy(
     """The pre-substrate per-tile forward pass, kept as golden reference.
 
     Same contract as :func:`rasterize_forward` (always float64); the parity
-    suite asserts the substrate matches it to ~1e-10 and
-    ``benchmarks/bench_raster.py`` records the speedup over it.
+    suite asserts the substrate matches it to ~1e-10.
     """
     settings = settings or RasterSettings()
     proj = preprocess(camera, model, settings)

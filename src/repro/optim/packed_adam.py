@@ -14,8 +14,7 @@ update is one contiguous row gather per operand, one fused
 -rate vector, and one scatter per mutated operand — updating the pinned
 rows *in place*, no staging cycle at all.
 
-Two execution details carry the measured speedup (see the
-``adam_overlap`` benchmark):
+Two execution details carry the speedup over the per-name loop:
 
 - gathers use ``ndarray.take`` (measurably faster than advanced indexing
   for row gathers) and chunks are processed in cache-sized row *blocks*,

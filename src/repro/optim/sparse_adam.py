@@ -126,11 +126,11 @@ class SparseAdam:
         """The pre-overlap-runtime ``step_rows`` body, kept verbatim.
 
         Like ``rasterize_forward_legacy`` for the raster substrate, this
-        pins the performance baseline the ``adam_overlap`` benchmark
-        measures against: the per-name dict walk with its redundant
-        fancy-indexed moment round-trips and per-name temporaries.  Parity
-        with the fused kernel (same math, different association order) is
-        asserted by ``tests/optim/test_packed_adam.py``.  Do not optimize.
+        is the reference the fused kernel replaced: the per-name dict walk
+        with its redundant fancy-indexed moment round-trips and per-name
+        temporaries.  Parity with the fused kernel (same math, different
+        association order) is asserted by
+        ``tests/optim/test_packed_adam.py``.  Do not optimize.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:

@@ -117,8 +117,7 @@ def reconcile_measured_overlap(
     were derived from; ``adam_s``/``hidden_s`` come from the engine's
     :class:`~repro.engines.base.PerfCounters` (or one batch's
     ``BatchResult``) after running the same schedule on the overlap
-    runtime.  The quick-tier ``adam_overlap`` benchmark records this
-    reconciliation so the analytic model stays tied to reality.
+    runtime.
     """
     measured = 0.0 if adam_s <= 0.0 else max(0.0, hidden_s) / adam_s
     return OverlapReconciliation(

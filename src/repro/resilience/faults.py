@@ -6,7 +6,7 @@ link endpoint pair) and *what* (fail-stop, straggler slowdown, lossy
 link).  A :class:`FaultInjector` walks the schedule batch by batch,
 keeping an append-only :attr:`~FaultInjector.event_log` whose JSON
 serialization is bit-identical across runs of the same schedule — the
-replay contract the chaos benchmark and ``tests/resilience`` pin.
+replay contract ``tests/resilience`` pins.
 
 Fault semantics:
 

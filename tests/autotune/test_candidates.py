@@ -8,7 +8,7 @@ from repro.core.config import EngineConfig
 
 def test_default_space_shape():
     space = CandidateSpace()
-    assert space.size == 3 * 2 * 3 * 1
+    assert space.size == 3 * 2 * 3
     configs = space.enumerate()
     assert len(configs) == space.size
     assert len(set(configs)) == space.size  # hashable + distinct
@@ -19,9 +19,9 @@ def test_enumeration_order_is_deterministic():
         workers=(0, 2), group_sizes=(64, 256), orderings=("tsp",)
     )
     configs = space.enumerate()
-    assert configs[0] == TunedConfig(0, 64, "tsp", None)
-    assert configs[1] == TunedConfig(0, 256, "tsp", None)
-    assert configs[2] == TunedConfig(2, 64, "tsp", None)
+    assert configs[0] == TunedConfig(0, 64, "tsp")
+    assert configs[1] == TunedConfig(0, 256, "tsp")
+    assert configs[2] == TunedConfig(2, 64, "tsp")
     assert configs == space.enumerate()  # stable
 
 
@@ -36,7 +36,6 @@ def test_random_ordering_rejected():
         {"workers": ()},
         {"group_sizes": ()},
         {"orderings": ()},
-        {"kernel_backends": ()},
         {"workers": (-1,)},
         {"group_sizes": (0,)},
     ],
@@ -51,28 +50,25 @@ def test_from_engine_config_defaults():
     assert space.workers == (0, 1, 2)
     assert space.group_sizes == (64, 256)
     assert space.orderings == ("tsp", "gs_count", "identity")
-    # None backends -> "keep the engine's resolved backend" sentinel.
-    assert space.kernel_backends == (None,)
 
 
-def test_from_engine_config_explicit_backends():
+def test_from_engine_config_explicit_grid():
     cfg = EngineConfig(
         autotune_workers=(0, 4),
         autotune_group_sizes=(128,),
         autotune_orderings=("identity",),
-        autotune_kernel_backends=("numpy", "numba"),
     )
     space = CandidateSpace.from_engine_config(cfg)
     assert space.workers == (0, 4)
-    assert space.kernel_backends == ("numpy", "numba")
-    assert space.size == 2 * 1 * 1 * 2
+    assert space.group_sizes == (128,)
+    assert space.orderings == ("identity",)
+    assert space.size == 2 * 1 * 1
 
 
 def test_tuned_config_as_dict_roundtrip():
-    config = TunedConfig(2, 128, "gs_count", "numpy")
+    config = TunedConfig(2, 128, "gs_count")
     assert config.as_dict() == {
         "overlap_workers": 2,
         "group_size": 128,
         "ordering": "gs_count",
-        "kernel_backend": "numpy",
     }

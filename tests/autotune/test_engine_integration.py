@@ -54,7 +54,6 @@ def test_autotuned_results_stamped(setup):
         assert result.tuned_workers in (0, 2)
         assert result.tuned_group_size in (64, 256)
         assert result.tuned_ordering == "tsp"
-        assert result.tuned_kernel_backend == sess.engine.kernel_backend
         assert result.predicted_makespan_s > 0.0
         assert result.autotune_rel_error >= 0.0
     assert sess.tuner.stats.batches == len(BATCHES)
@@ -98,7 +97,7 @@ def test_perf_counters_fold_tuning(setup):
     assert perf.autotune_mean_rel_error >= 0.0
     assert perf.tuned_config  # last chosen config recorded
     assert set(perf.tuned_config) == {
-        "overlap_workers", "group_size", "ordering", "kernel_backend"
+        "overlap_workers", "group_size", "ordering"
     }
 
 
@@ -173,8 +172,8 @@ def test_prediction_prices_the_overlap_ablation(setup):
         ("adam",): 1e-3,
         ("critical_adam",): 1e-7,
         ("overhead",): 1e-7,
-        ("forward", 64, None): 1e-6,
-        ("backward", 64, None): 1e-6,
+        ("forward", 64): 1e-6,
+        ("backward", 64): 1e-6,
     }
     ablated.tuner.model._rates = dict(rates)
     eager.tuner.model._rates = dict(rates)

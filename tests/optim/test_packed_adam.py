@@ -191,8 +191,7 @@ def test_state_bytes_counts_two_moments():
 
 def test_legacy_twin_parity():
     """The verbatim legacy loop and the fused kernel agree numerically
-    (different association order, so allclose rather than bit-equality) —
-    the property that makes the adam_overlap benchmark a fair comparison."""
+    (different association order, so allclose rather than bit-equality)."""
     named = make_named(seed=8)
     cfg = make_config()
     legacy = SparseAdam({k: v.copy() for k, v in named.items()}, cfg)

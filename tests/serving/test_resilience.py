@@ -213,6 +213,27 @@ def test_overload_enters_degraded_mode(model, cams):
     assert "degraded served %" in [row[0] for row in report.summary_rows()]
 
 
+def test_retries_keep_slo_violations_under_the_fault_rate(model, cams):
+    """Seeded transient faults at 15% with two retries: a request is lost
+    only when three attempts in a row fault, so the SLO-violation rate
+    (the budget is generous — a failure is the only way to miss it) stays
+    under the un-retried fault rate.  The deleted chaos benchmark held the
+    wall-clock form of this bar (faulty rate under 2x the fault-free
+    twin's on a bursty stream), which depends on the renderer being slow
+    enough for the twin to miss its SLO at all."""
+    fault_rate, n = 0.15, 96
+    cfg = ServingConfig(
+        max_batch=4, queue_capacity=n, lod=LOD, seed=0,
+        resilience=ResilienceConfig(retry_max=2, retry_backoff_s=2e-3),
+        fault_injector=RenderFaultInjector(fault_rate=fault_rate, seed=21),
+    )
+    report = ServingSession(model, cfg).serve(steady_requests(cams, n))
+    assert report.resilience_stats["injected_faults"] > 0
+    assert report.total_retries > 0
+    assert report.slo_violation_rate == report.failed_count / n
+    assert report.slo_violation_rate < fault_rate
+
+
 def test_fault_aggregates_replay_across_runs(model, cams):
     def run():
         cfg = ServingConfig(

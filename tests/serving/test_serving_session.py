@@ -41,6 +41,9 @@ def test_serve_accounts_for_every_request(model, cams):
     assert len(report.completed) + report.shed_count \
         + report.expired_count == n
     assert report.queue_stats["offered"] == n
+    # A burst of 10 lands within microseconds on a queue of 8: admission
+    # control sheds rather than serving everything late.
+    assert report.shed_count + report.expired_count > 0
     # Served requests carry a full latency breakdown.
     for r in report.completed:
         assert r.done_s >= r.arrival_s
