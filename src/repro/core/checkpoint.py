@@ -36,7 +36,7 @@ import json
 import os
 import re
 import warnings
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -61,9 +61,9 @@ hot path is a *vectorized substrate*:
   recompute blending backward, which is why retention is opt-out for the
   memory-accounted CLM path).
 
-The legacy per-tile loop (``rasterize_forward_legacy`` and the
-``tile_alpha_weights`` contract it is built on, over the single-level
-``_build_tiles_loop`` binning) is kept verbatim as the golden reference:
+The golden reference is the pre-substrate per-tile loop — single-level
+binning, one tile at a time blended by ``tile_alpha_weights`` — kept
+verbatim as a test-only oracle in ``tests/reference/legacy_raster.py``:
 ``tests/gaussians/test_raster_parity.py``, ``test_compute_bins.py`` and
 ``test_slab_kernels.py`` pin the substrate against it.
 
@@ -91,7 +91,7 @@ win for compute and activation memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -262,24 +262,13 @@ class TileBins:
 
 
 @dataclass
-class TileWork:
-    """Depth-sorted splat list of one tile (legacy per-tile view)."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-    order: np.ndarray  # indices into ProjectedGaussians rows, near-to-far
-
-
-@dataclass
 class RenderContext:
     """Everything the backward pass needs (the 'activation state')."""
 
     camera: Camera
     settings: RasterSettings
     proj: ProjectedGaussians
-    bins: Optional[TileBins] = None
+    bins: TileBins
     num_input: int = 0
     #: Per-slab blending state retained by the forward pass when
     #: ``settings.cache_blend_state``: one dict of arrays per slab, owned
@@ -292,10 +281,6 @@ class RenderContext:
     #: :func:`rasterize_forward`, surfaced through ``PerfCounters`` and
     #: the bench records.
     kernel_backend: str = "numpy"
-    #: ``{(tx, ty): TileWork}`` of a :func:`rasterize_forward_legacy`
-    #: context (which has no ``bins``); read by
-    #: :func:`~repro.gaussians.rasterizer_grad.rasterize_backward_legacy`.
-    tiles: Optional[Dict[Tuple[int, int], TileWork]] = None
     #: ``(proj, floats, ints, clamp)`` of a render whose backend laid the
     #: per-Gaussian state out in blocks of its own (``native``: one float64
     #: block of 52 values a survivor, one int64 block of ids and CSR arrays,
@@ -347,13 +332,9 @@ class RenderContext:
             floats += 3 + 1 + 4 + 9
         if self.proj.dirs is not None:
             floats += 3 + 1
-        if self.bins is not None:
-            tile_entries = self.bins.num_entries
-        else:
-            tile_entries = sum(t.order.size for t in (self.tiles or {}).values())
         return (
             self.proj.ids.size * floats * 8
-            + tile_entries * 8
+            + self.bins.num_entries * 8
             + self.blend_state_bytes()
         )
 
@@ -583,80 +564,6 @@ def build_tile_bins(
     )
 
 
-def _build_tiles_loop(
-    camera: Camera, proj: ProjectedGaussians, settings: RasterSettings
-) -> Dict[Tuple[int, int], TileWork]:
-    """The pre-substrate Python triple-loop binning, kept verbatim as the
-    golden reference for the parity tests and the ``raster`` benchmark's
-    legacy timings."""
-    ts = settings.tile_size
-    x0, x1, y0, y1 = _tile_spans(camera, proj, ts)
-    bins: Dict[Tuple[int, int], list] = {}
-    for row in range(proj.ids.size):
-        for ty in range(y0[row], y1[row] + 1):
-            for tx in range(x0[row], x1[row] + 1):
-                bins.setdefault((tx, ty), []).append(row)
-    tiles: Dict[Tuple[int, int], TileWork] = {}
-    for (tx, ty), rows in bins.items():
-        rows_arr = np.asarray(rows, dtype=np.int64)
-        order = rows_arr[np.argsort(proj.depths[rows_arr], kind="stable")]
-        tiles[(tx, ty)] = TileWork(
-            x0=tx * ts,
-            y0=ty * ts,
-            x1=min((tx + 1) * ts, camera.width),
-            y1=min((ty + 1) * ts, camera.height),
-            order=order,
-        )
-    return tiles
-
-
-def tile_alpha_weights(
-    proj: ProjectedGaussians,
-    tile: TileWork,
-    settings: RasterSettings,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
-    """Compute the blending state of one tile (legacy per-tile contract).
-
-    Returns ``(pix, gauss_weight, alpha_eff, t_before, active)``:
-
-    - ``pix``: ``(P, 2)`` pixel centres,
-    - ``gauss_weight``: ``(G, P)`` the un-opacity-scaled Gaussian falloff,
-    - ``alpha_eff``: ``(G, P)`` post-threshold, post-cap alphas,
-    - ``t_before``: ``(G, P)`` transmittance before each splat,
-    - ``active``: ``(G, P)`` contribution mask (threshold & termination).
-
-    Shared verbatim by the legacy forward and backward passes — and pinned
-    against the grouped substrate by the parity suite — this is what makes
-    the analytic gradient exact for this renderer.
-    """
-    ys, xs = np.mgrid[tile.y0 : tile.y1, tile.x0 : tile.x1]
-    pix = np.stack([xs.ravel() + 0.5, ys.ravel() + 0.5], axis=-1)
-    order = tile.order
-    means = proj.means2d[order]
-    conics = proj.conics[order]
-    opac = proj.opacities[order]
-
-    d = pix[None, :, :] - means[:, None, :]  # (G, P, 2)
-    a = conics[:, 0, 0][:, None]
-    b = conics[:, 0, 1][:, None]
-    c = conics[:, 1, 1][:, None]
-    power = -0.5 * (a * d[:, :, 0] ** 2 + 2 * b * d[:, :, 0] * d[:, :, 1] + c * d[:, :, 1] ** 2)
-    power = np.minimum(power, 0.0)
-    gauss_weight = np.exp(power)
-    alpha_raw = opac[:, None] * gauss_weight
-    alpha_cap = np.minimum(alpha_raw, settings.max_alpha)
-    thresh_mask = alpha_raw >= settings.alpha_threshold
-    alpha_eff = np.where(thresh_mask, alpha_cap, 0.0)
-
-    one_minus = 1.0 - alpha_eff
-    t_after = np.cumprod(one_minus, axis=0)
-    t_before = np.empty_like(t_after)
-    t_before[0] = 1.0
-    t_before[1:] = t_after[:-1]
-    active = thresh_mask & (t_before > settings.transmittance_min)
-    return pix, gauss_weight, alpha_eff, t_before, active
-
-
 # ----------------------------------------------------------------------
 # Grouped substrate
 # ----------------------------------------------------------------------
@@ -792,47 +699,3 @@ def rasterize_forward(
         view_spec("view_forward", settings.np_dtype, model),
     )
     return fn(camera, model, settings)
-
-
-def rasterize_forward_legacy(
-    camera: Camera,
-    model: GaussianModel,
-    settings: Optional[RasterSettings] = None,
-) -> "tuple[np.ndarray, np.ndarray, RenderContext]":
-    """The pre-substrate per-tile forward pass, kept as golden reference.
-
-    Same contract as :func:`rasterize_forward` (always float64); the parity
-    suite asserts the substrate matches it to ~1e-10.
-    """
-    settings = settings or RasterSettings()
-    proj = preprocess(camera, model, settings)
-    tiles = _build_tiles_loop(camera, proj, settings)
-
-    bg = np.asarray(settings.background, dtype=np.float64)
-    image = np.empty((camera.height, camera.width, 3), dtype=np.float64)
-    image[:] = bg
-    transmittance = np.ones((camera.height, camera.width), dtype=np.float64)
-
-    for tile in tiles.values():
-        pix, _, alpha_eff, t_before, active = tile_alpha_weights(
-            proj, tile, settings
-        )
-        weights = np.where(active, alpha_eff * t_before, 0.0)  # (G, P)
-        colors = proj.colors[tile.order]  # (G, 3)
-        tile_rgb = weights.T @ colors  # (P, 3)
-        t_final = t_before[-1] * (1.0 - alpha_eff[-1])
-        tile_rgb += t_final[:, None] * bg[None, :]
-        h = tile.y1 - tile.y0
-        w = tile.x1 - tile.x0
-        image[tile.y0 : tile.y1, tile.x0 : tile.x1] = tile_rgb.reshape(h, w, 3)
-        transmittance[tile.y0 : tile.y1, tile.x0 : tile.x1] = t_final.reshape(h, w)
-
-    ctx = RenderContext(
-        camera=camera,
-        settings=settings,
-        proj=proj,
-        bins=None,
-        num_input=model.num_gaussians,
-        tiles=tiles,
-    )
-    return image, transmittance, ctx

@@ -45,9 +45,9 @@ built once by the forward pass's ``preprocess`` and ride on the
 materialised ``(M, 4, 3, 3)`` Jacobian.  A projection that carries no
 retained geometry has it rebuilt from the model, to the same gradients.
 
-The pre-substrate per-tile loop survives as
-:func:`rasterize_backward_legacy`; the parity suite pins the grouped path
-against it for every parameter group.
+The pre-substrate per-tile backward pass is a test-only oracle in
+``tests/reference/legacy_raster.py``; the parity suite pins the grouped
+path against it for every parameter group.
 
 Since the whole-view kernel ops, :func:`rasterize_backward` is one backend
 dispatch (``view_backward``, :mod:`repro.kernels`): the NumPy reference
@@ -81,7 +81,6 @@ from repro.gaussians.quaternion import backprop_unit, unit_and_norm
 from repro.gaussians.rasterizer import (
     RenderContext,
     image_to_tile_major,  # noqa: F401  (re-exported: tests and benchmarks)
-    tile_alpha_weights,
 )
 
 
@@ -91,7 +90,7 @@ def _segment_sum(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     ``values`` may carry trailing dimensions; each flattened column is
     reduced with one ``np.bincount`` over offset indices — the NumPy
     equivalent of the CUDA kernels' segmented reductions, replacing the
-    per-tile ``np.add.at`` scatters of the legacy path.
+    per-tile ``np.add.at`` scatters of the pre-substrate loop.
     """
     trailing = values.shape[rows.ndim :]
     flat_rows = np.ravel(rows)
@@ -116,10 +115,6 @@ def rasterize_backward(
     forward; gradients are returned as full-size arrays matching
     ``model.parameters()`` with zeros for Gaussians that did not contribute.
     """
-    if ctx.bins is None:
-        # Context produced by the legacy forward pass: no CSR bins to group
-        # over, so take the legacy per-tile route.
-        return rasterize_backward_legacy(ctx, model, dL_dimage)
     # Same backend resolution as the forward pass, one dispatch: the NumPy
     # reference walks the retained blend cache (or regenerates it
     # slab-wise) and chains through :func:`_chain_to_parameters`; ``native``
@@ -135,77 +130,6 @@ def rasterize_backward(
     return fn(ctx, model, dL_dimage)
 
 
-def rasterize_backward_legacy(
-    ctx: RenderContext,
-    model: GaussianModel,
-    dL_dimage: np.ndarray,
-) -> Dict[str, np.ndarray]:
-    """The pre-substrate per-tile backward pass (``np.add.at`` scatters),
-    kept verbatim as the golden reference for the parity suite and the
-    ``raster`` benchmark's legacy timings."""
-    proj = ctx.proj
-    settings = ctx.settings
-    m = proj.ids.size
-
-    d_colors = np.zeros((m, 3))
-    d_opac = np.zeros(m)
-    d_means2d = np.zeros((m, 2))
-    d_conics = np.zeros((m, 2, 2))
-
-    bg = np.asarray(settings.background, dtype=np.float64)
-
-    for tile in ctx.tiles.values():
-        order = tile.order
-        pix, gauss_weight, alpha_eff, t_before, active = tile_alpha_weights(
-            proj, tile, settings
-        )
-        g_img = dL_dimage[tile.y0 : tile.y1, tile.x0 : tile.x1].reshape(-1, 3)
-        colors = proj.colors[order]  # (G, 3)
-        weights = np.where(active, alpha_eff * t_before, 0.0)
-
-        # Colour gradient: dL/dc_g = sum_p w_gp g_p
-        np.add.at(d_colors, order, weights @ g_img)
-
-        # Alpha gradient via emission + transmittance paths.
-        cg = colors @ g_img.T  # (G, P): c_g . g_p
-        contrib = weights * cg  # (G, P)
-        t_final = t_before[-1] * (1.0 - alpha_eff[-1])
-        bg_term = t_final * (g_img @ bg)  # (P,)
-        csum = np.cumsum(contrib, axis=0)
-        suffix = (csum[-1][None, :] - csum) + bg_term[None, :]
-        one_minus = np.maximum(1.0 - alpha_eff, 1.0 - settings.max_alpha)
-        d_alpha_eff = np.where(active, t_before * cg, 0.0) - suffix / one_minus
-
-        # Gate through the threshold (alpha_eff == 0 there) and the 0.99 cap.
-        opac = proj.opacities[order]
-        alpha_raw = opac[:, None] * gauss_weight
-        gate = (alpha_raw >= settings.alpha_threshold) & (
-            alpha_raw < settings.max_alpha
-        )
-        d_alpha_raw = np.where(gate, d_alpha_eff, 0.0)
-
-        # alpha_raw = opacity * exp(power)
-        np.add.at(d_opac, order, np.sum(gauss_weight * d_alpha_raw, axis=1))
-        d_power = alpha_raw * d_alpha_raw  # (G, P)
-
-        # power = -0.5 d^T conic d,  d = pix - mean
-        means = proj.means2d[order]
-        conics = proj.conics[order]
-        d_vec = pix[None, :, :] - means[:, None, :]  # (G, P, 2)
-        conic_d = np.einsum("gij,gpj->gpi", conics, d_vec)  # (G, P, 2)
-        np.add.at(
-            d_means2d, order, np.einsum("gp,gpi->gi", d_power, conic_d)
-        )
-        outer = np.einsum("gpi,gpj->gpij", d_vec, d_vec)
-        np.add.at(
-            d_conics,
-            order,
-            -0.5 * np.einsum("gp,gpij->gij", d_power, outer),
-        )
-
-    return _chain_to_parameters(ctx, model, d_colors, d_opac, d_means2d, d_conics)
-
-
 def _chain_to_parameters(
     ctx: RenderContext,
     model: GaussianModel,
@@ -215,7 +139,7 @@ def _chain_to_parameters(
     d_conics: np.ndarray,
 ) -> Dict[str, np.ndarray]:
     """Chain the screen-space gradients down to the learnable parameters
-    (shared by the grouped and legacy compositing passes).
+    (shared by the grouped compositing pass and the per-tile oracle).
 
     Reads the geometry the forward pass retained on the projection
     (rotations, scales, unit quaternions, view directions); only a

@@ -68,9 +68,6 @@ class MemoryPool:
     def usage_breakdown(self) -> Dict[str, float]:
         return dict(self._allocs)
 
-    def reset_peak(self) -> None:
-        self.peak = self.used
-
 
 @dataclass
 class _Block:

@@ -21,12 +21,15 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro.hardware.simulator import ScheduleResult
-from repro.hardware.specs import Testbed
+from repro.hardware.specs import DeviceTopology, Testbed
 
-GPU_COMPUTE = "gpu.compute"
-GPU_COMM = "gpu.comm"
-CPU_ADAM = "cpu.adam"
-CPU_SCHED = "cpu.sched"
+#: The lanes of a single-device schedule: device 0's of a
+#: :class:`DeviceTopology`, so the Figure 15 sampling below reads a classic
+#: schedule and a K=1 topology schedule alike.
+GPU_COMPUTE = DeviceTopology.compute_resource(0)
+GPU_COMM = DeviceTopology.comm_resource(0)
+CPU_ADAM = DeviceTopology.adam_resource(0)
+CPU_SCHED = DeviceTopology.SCHED_RESOURCE
 
 
 def _busy_mask(

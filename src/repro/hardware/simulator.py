@@ -1,7 +1,7 @@
 """Deterministic discrete-event scheduler over serial resources.
 
-A :class:`Task` names a resource (e.g. ``"gpu.compute"``, ``"gpu.comm"``,
-``"cpu.adam"``), a duration, and dependencies.  Each resource runs one task
+A :class:`Task` names a resource (e.g. ``"gpu0.compute"``, ``"gpu0.comm"``,
+``"cpu0.adam"``), a duration, and dependencies.  Each resource runs one task
 at a time — exactly the semantics of a CUDA stream or a dedicated CPU
 thread.  Dependencies model CUDA events / the pinned-memory signal buffer of
 paper §5.3–5.4.  Priorities break ties among tasks that are ready on the
@@ -143,16 +143,15 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        load = sim.add("LD 1", "gpu.comm", 2e-3, priority=1, kind="load")
-        fwd = sim.add("FWD 1", "gpu.compute", 5e-3, deps=[load], kind="forward")
+        load = sim.add("LD 1", "gpu0.comm", 2e-3, priority=1, kind="load")
+        fwd = sim.add("FWD 1", "gpu0.compute", 5e-3, deps=[load], kind="forward")
         result = sim.run()
 
     With a :class:`~repro.hardware.specs.DeviceTopology`, resource names
-    are validated and canonicalized against it — tasks land on
-    ``gpu{k}.compute`` / ``gpu{k}.comm`` / ``cpu{k}.adam`` / ``cpu.sched``,
-    and the pre-topology ad-hoc strings alias device 0 with a
-    :class:`DeprecationWarning`.  Without one (the default), any string is
-    a valid serial resource, exactly as before.
+    are validated against it — tasks land on ``gpu{k}.compute`` /
+    ``gpu{k}.comm`` / ``cpu{k}.adam`` / ``cpu.sched`` and any other name
+    raises.  Without one (the default), any string is a valid serial
+    resource.
     """
 
     def __init__(self, topology: Optional["DeviceTopology"] = None) -> None:

@@ -19,7 +19,6 @@ and Adam trailing times (Table 5b).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -54,16 +53,6 @@ class CpuSpec:
 #: :class:`DeviceTopology` link map.
 HOST = -1
 
-#: Legacy ad-hoc resource strings (pre-topology) and the device-0 canonical
-#: names they alias.  Kept working through :meth:`DeviceTopology.canonicalize`
-#: so single-device task DAGs built before the topology API keep running.
-_LEGACY_RESOURCE_ALIASES = {
-    "gpu.compute": "gpu0.compute",
-    "gpu.comm": "gpu0.comm",
-    "cpu.adam": "cpu0.adam",
-}
-
-
 @dataclass(frozen=True)
 class DeviceTopology:
     """K simulated accelerators + one host, with the links between them.
@@ -81,9 +70,11 @@ class DeviceTopology:
       are costed on the link they actually cross.
 
     :class:`~repro.hardware.simulator.Simulator` accepts a topology and
-    then validates/canonicalizes every task's resource name against it;
-    the pre-topology strings (``"gpu.compute"`` …) keep working as
-    deprecated aliases for device 0.
+    then validates every task's resource name against it.  These names are
+    the simulator's one vocabulary: the single-device DAG builders of
+    :mod:`repro.core.pipeline` schedule on device 0's
+    (:data:`repro.hardware.metrics.GPU_COMPUTE` is ``gpu0.compute``), so a
+    classic schedule and a K=1 topology schedule name the same lanes.
     """
 
     devices: Tuple[GpuSpec, ...]
@@ -139,21 +130,8 @@ class DeviceTopology:
         return tuple(out)
 
     def canonicalize(self, resource: str) -> str:
-        """Map a resource name onto this topology's canonical names.
-
-        Canonical names pass through; the pre-topology ad-hoc strings
-        (``"gpu.compute"``, ``"gpu.comm"``, ``"cpu.adam"``) alias device 0
-        with a :class:`DeprecationWarning`; anything else raises.
-        """
-        if resource in _LEGACY_RESOURCE_ALIASES:
-            warnings.warn(
-                f"ad-hoc resource name '{resource}' is deprecated with a "
-                f"DeviceTopology; use DeviceTopology.compute_resource(k) / "
-                f"comm_resource(k) / adam_resource(k)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            resource = _LEGACY_RESOURCE_ALIASES[resource]
+        """Return ``resource`` if it is one of :meth:`resources`; anything
+        else raises."""
         if resource not in self.resources():
             raise ValueError(
                 f"resource '{resource}' is not part of topology "
@@ -244,10 +222,6 @@ class Testbed:
     gpu: GpuSpec
     cpu: CpuSpec
     pcie: PcieSpec
-
-    @property
-    def short_name(self) -> str:
-        return self.gpu.name
 
     @property
     def topology(self) -> DeviceTopology:

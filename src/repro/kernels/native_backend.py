@@ -59,7 +59,8 @@ time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
   contraction, one thread: every operation rounds as an IEEE double in
   program order, so two runs are ``np.array_equal`` on any x86-64/aarch64
   host and the results sit inside the 1e-12 image / 1e-10 gradient bars of
-  the legacy oracles (not bit-equal to NumPy, which reduces through BLAS);
+  the per-tile oracle in ``tests/reference/`` (not bit-equal to NumPy,
+  which reduces through BLAS);
 - built once per ``sha256(source + flags + "cc --version")`` into
   ``${XDG_CACHE_HOME:-~/.cache}/repro-kernels/`` (created 0700) through a
   temporary file and an atomic rename; the file name also carries the

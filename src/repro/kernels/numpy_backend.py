@@ -29,7 +29,8 @@ cg`` and ``total = csum[-1] + bg_term``::
     d_power = gate * (contrib - (total - csum) * odds)
 
 Under the cap ``alpha_eff`` is ``alpha_raw`` or (below the threshold) 0,
-where ``weights`` and ``odds`` vanish too, so this is the legacy
+where ``weights`` and ``odds`` vanish too, so this is the per-tile
+oracle's (``tests/reference/legacy_raster.py``)
 ``gate * alpha_raw * (active * t_before * cg - suffix / (1 - alpha_eff))``;
 ``d_opacity`` is the zeroth pixel moment of ``d_power`` over the opacity.
 Forward-only renders (``cache_blend_state=False``) never form the odds or

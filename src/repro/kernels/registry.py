@@ -34,8 +34,8 @@ contiguous float64 buffers, being handed float32 blend state or a
 Fortran-ordered model array) falls back to the reference implementation
 for that op only — see
 :func:`compile_with_fallback`.  Every backend is pinned against the
-existing ``*_legacy`` comparators at the repo's 1e-10 parity bar by
-``tests/kernels/``.
+per-tile oracle of ``tests/reference/legacy_raster.py`` at the repo's
+1e-10 parity bar by ``tests/kernels/``.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ class KernelSpec:
 
     op: str
     operands: Tuple[KernelData, ...] = ()
-
-    def dtypes(self) -> Tuple[str, ...]:
-        return tuple(d.dtype for d in self.operands)
 
 
 @functools.lru_cache(maxsize=256)

@@ -134,23 +134,6 @@ class PackedSparseAdam:
         return fn
 
     # ------------------------------------------------------------------
-    @classmethod
-    def for_params(
-        cls,
-        params: Mapping[str, np.ndarray],
-        config: Optional[AdamConfig] = None,
-        **kwargs,
-    ) -> "PackedSparseAdam":
-        """Derive the packed layout from named full-size arrays."""
-        first = next(iter(params.values()))
-        num_rows = first.shape[0]
-        for name, arr in params.items():
-            if arr.shape[0] != num_rows:
-                raise ValueError(f"parameter {name} rows != {num_rows}")
-        columns = {name: arr.shape[1:] for name, arr in params.items()}
-        return cls(columns, num_rows, config, **kwargs)
-
-    # ------------------------------------------------------------------
     def step_packed(
         self,
         packed_params: np.ndarray,
@@ -186,47 +169,6 @@ class PackedSparseAdam:
                 p, g, m, v, t, lr, cfg.beta1, cfg.beta2, cfg.eps
             )
             packed_params[r] = p_rows
-            self.packed_m[r] = m
-            self.packed_v[r] = v
-
-    def step_packed_gathered(
-        self,
-        gathered_params: np.ndarray,
-        gathered_grads: np.ndarray,
-        rows: np.ndarray,
-    ) -> None:
-        """Fused Adam over already-gathered ``(len(rows), >= width)``
-        blocks.
-
-        ``gathered_params`` is updated in place; the caller owns the
-        scatter back to its store (CLM's writeback staging).  Moments are
-        still indexed by the global ``rows``.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        if (
-            gathered_params.shape[0] != rows.size
-            or gathered_params.shape[1] < self.width
-        ):
-            raise ValueError(
-                f"gathered block shape {gathered_params.shape} "
-                f"incompatible with ({rows.size}, >={self.width})"
-            )
-        cfg = self.config
-        lr = self.lr_columns
-        width = self.width
-        for s in range(0, rows.size, self.block_rows):
-            r = rows[s : s + self.block_rows]
-            t = self.steps.take(r) + 1
-            self.steps[r] = t
-            p = gathered_params[s : s + self.block_rows, :width]
-            g = gathered_grads[s : s + self.block_rows, :width]
-            m = self.packed_m.take(r, axis=0)
-            v = self.packed_v.take(r, axis=0)
-            self._adam_kernel(p, g, m, v)(
-                p, g, m, v, t, lr, cfg.beta1, cfg.beta2, cfg.eps
-            )
             self.packed_m[r] = m
             self.packed_v[r] = v
 

@@ -31,9 +31,11 @@ class SparseAdam:
     The update arithmetic is delegated per name to
     :func:`repro.optim.kernels.fused_adam_update` — the same kernel the
     fused :class:`repro.optim.packed_adam.PackedSparseAdam` applies to a
-    whole packed row in one call — so legacy and packed paths agree
+    whole packed row in one call — so per-name and packed paths agree
     bit-for-bit.  This class remains the general-purpose API (arbitrary
-    per-name layouts); the packed variant is the hot path.
+    per-name layouts); the packed variant is the hot path.  The per-name
+    loop the fused kernel replaced is a test-only oracle
+    (``tests/reference/legacy_adam.py``).
     """
 
     def __init__(
@@ -82,103 +84,6 @@ class SparseAdam:
             self.m[name][rows] = m
             self.v[name][rows] = v
             p[rows] = p_rows
-
-    # ------------------------------------------------------------------
-    def step_gathered(
-        self,
-        gathered_params: Dict[str, np.ndarray],
-        gathered_grads: Dict[str, np.ndarray],
-        rows: np.ndarray,
-    ) -> None:
-        """Adam-update *gathered copies* of ``rows`` in place.
-
-        This is the shape of CLM's CPU Adam (§5.4): the finalized rows are
-        gathered from the packed pinned store, updated, and written back by
-        the caller.  Moments and step counts still live full-size in this
-        optimizer, indexed by the global ``rows``.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        cfg = self.config
-        self.steps[rows] += 1
-        t = self.steps[rows]
-        for name, p in gathered_params.items():
-            g = gathered_grads[name]
-            if p.shape != g.shape or p.shape[0] != rows.size:
-                raise ValueError(f"shape mismatch for {name}")
-            m = self.m[name].take(rows, axis=0)
-            v = self.v[name].take(rows, axis=0)
-            fused_adam_update(
-                p, g, m, v, t,
-                cfg.lr_for(name), cfg.beta1, cfg.beta2, cfg.eps,
-            )
-            self.m[name][rows] = m
-            self.v[name][rows] = v
-
-    # -- verbatim pre-runtime loops (benchmark comparators) -------------
-    def step_rows_legacy(
-        self,
-        params: Dict[str, np.ndarray],
-        grads: Dict[str, np.ndarray],
-        rows: np.ndarray,
-    ) -> None:
-        """The pre-overlap-runtime ``step_rows`` body, kept verbatim.
-
-        Like ``rasterize_forward_legacy`` for the raster substrate, this
-        is the reference the fused kernel replaced: the per-name dict walk
-        with its redundant fancy-indexed moment round-trips and per-name
-        temporaries.  Parity with the fused kernel (same math, different
-        association order) is asserted by
-        ``tests/optim/test_packed_adam.py``.  Do not optimize.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        cfg = self.config
-        self.steps[rows] += 1
-        t = self.steps[rows]
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
-        for name, p in params.items():
-            g = grads[name][rows]
-            m = self.m[name]
-            v = self.v[name]
-            m[rows] = cfg.beta1 * m[rows] + (1 - cfg.beta1) * g
-            v[rows] = cfg.beta2 * v[rows] + (1 - cfg.beta2) * g * g
-            shape = (-1,) + (1,) * (p.ndim - 1)
-            m_hat = m[rows] / bc1.reshape(shape)
-            v_hat = v[rows] / bc2.reshape(shape)
-            p[rows] -= cfg.lr_for(name) * m_hat / (np.sqrt(v_hat) + cfg.eps)
-
-    def step_gathered_legacy(
-        self,
-        gathered_params: Dict[str, np.ndarray],
-        gathered_grads: Dict[str, np.ndarray],
-        rows: np.ndarray,
-    ) -> None:
-        """The pre-overlap-runtime ``step_gathered`` body, kept verbatim
-        (see :meth:`step_rows_legacy`).  Do not optimize."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        cfg = self.config
-        self.steps[rows] += 1
-        t = self.steps[rows]
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
-        for name, p in gathered_params.items():
-            g = gathered_grads[name]
-            if p.shape != g.shape or p.shape[0] != rows.size:
-                raise ValueError(f"shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m[rows] = cfg.beta1 * m[rows] + (1 - cfg.beta1) * g
-            v[rows] = cfg.beta2 * v[rows] + (1 - cfg.beta2) * g * g
-            shape = (-1,) + (1,) * (p.ndim - 1)
-            m_hat = m[rows] / bc1.reshape(shape)
-            v_hat = v[rows] / bc2.reshape(shape)
-            p -= cfg.lr_for(name) * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
     # ------------------------------------------------------------------
     def resize(self, params: Dict[str, np.ndarray], keep_rows: np.ndarray) -> None:

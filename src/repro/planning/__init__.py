@@ -35,11 +35,9 @@ Module → paper mapping:
 
 from repro.planning.adam_overlap import (
     MakespanReconciliation,
-    OverlapReconciliation,
     adam_chunks,
     finalization_positions,
     overlap_fraction,
-    reconcile_measured_overlap,
     reconcile_predicted_makespan,
     touched_union,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "adam_chunks",
     "finalization_positions",
     "overlap_fraction",
-    "OverlapReconciliation",
-    "reconcile_measured_overlap",
     "MakespanReconciliation",
     "reconcile_predicted_makespan",
     "touched_union",

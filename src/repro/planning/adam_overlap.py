@@ -79,62 +79,10 @@ def overlap_fraction(sets: Sequence[np.ndarray], num_gaussians: int) -> float:
 
 
 @dataclass(frozen=True)
-class OverlapReconciliation:
-    """Analytic overlap potential vs what the runtime actually hid.
-
-    ``analytic_fraction`` is :func:`overlap_fraction` — the share of Adam
-    *rows* finalized before the last microbatch, i.e. the §4.2.2 upper
-    bound on hideable work under the simplifying assumption that seconds
-    track rows.  ``measured_fraction`` is ``hidden_s / adam_s`` as
-    accounted by :class:`repro.runtime.OverlapExecutor` on a real run.
-    ``utilization`` is their ratio — how much of the analytically hideable
-    Adam time the execution runtime converted into actual wall-clock
-    overlap (1.0 = the Figure 7 ideal; >1 can occur because the barrier
-    also overlaps the GPU-side critical Adam that the row model ignores).
-    """
-
-    analytic_fraction: float
-    measured_fraction: float
-    adam_s: float
-    hidden_s: float
-
-    @property
-    def utilization(self) -> float:
-        if self.analytic_fraction <= 0.0:
-            return 0.0
-        return self.measured_fraction / self.analytic_fraction
-
-
-def reconcile_measured_overlap(
-    sets: Sequence[np.ndarray],
-    num_gaussians: int,
-    adam_s: float,
-    hidden_s: float,
-) -> OverlapReconciliation:
-    """Reconcile the §4.2.2 analytics against *measured* hidden seconds.
-
-    ``sets`` are the scheduled per-microbatch working sets the analytics
-    were derived from; ``adam_s``/``hidden_s`` come from the engine's
-    :class:`~repro.engines.base.PerfCounters` (or one batch's
-    ``BatchResult``) after running the same schedule on the overlap
-    runtime.
-    """
-    measured = 0.0 if adam_s <= 0.0 else max(0.0, hidden_s) / adam_s
-    return OverlapReconciliation(
-        analytic_fraction=overlap_fraction(sets, num_gaussians),
-        measured_fraction=measured,
-        adam_s=float(adam_s),
-        hidden_s=float(hidden_s),
-    )
-
-
-@dataclass(frozen=True)
 class MakespanReconciliation:
     """One batch's predicted vs measured end-to-end makespan.
 
-    The whole-batch generalization of :class:`OverlapReconciliation`: the
-    overlap reconciliation compares one term (hideable Adam seconds), this
-    compares the full schedule — the discrete-event makespan the
+    Compares the full schedule — the discrete-event makespan the
     auto-tuner predicted for the chosen configuration against the wall
     time the batch actually took.  ``relative_error`` is what the tuner
     feeds back (and what ``PerfCounters``/``BenchRecord`` report): under

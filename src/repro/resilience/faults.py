@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.hardware.specs import HOST, DeviceTopology
 from repro.utils.rng import SeedLike, make_rng
@@ -416,15 +416,3 @@ class DegradedTopology:
             self._injector.stats.link_retries += retries
             self._injector.stats.retry_backoff_s += backoff
         return total + retries * base_s * fault.factor + backoff
-
-
-def merge_slowdowns(
-    states: Iterable[BatchFaultState],
-) -> Dict[int, float]:
-    """Max-combine the slowdown maps of several fault states (used when a
-    recovery re-execution inherits the original batch's transients)."""
-    merged: Dict[int, float] = {}
-    for state in states:
-        for device, factor in state.slowdowns.items():
-            merged[device] = max(merged.get(device, 1.0), factor)
-    return merged

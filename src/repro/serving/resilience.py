@@ -30,7 +30,7 @@ replayable bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.utils.rng import make_rng

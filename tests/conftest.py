@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from legacy_cull import single_level_cull
 
 from repro.core.culling_index import CullingIndex
-from repro.gaussians import quaternion
 from repro.gaussians.camera import look_at_camera
-from repro.gaussians.frustum import frustum_planes
 from repro.gaussians.model import GaussianModel
 from repro.scenes.datasets import build_scene
 from repro.scenes.images import make_trainable_scene
@@ -79,27 +78,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def single_level_cull(camera, positions, log_scales, raw_quats):
-    """The frustum cull as it was before the bounding-sphere prefilter:
-    the exact 3-sigma support test on every row of the model.
-
-    Test-only oracle.  :func:`repro.gaussians.frustum.cull_batch` (and
-    everything built on it) must reproduce these index sets with
-    ``np.array_equal`` — the arithmetic is spelled out here rather than
-    imported, so a change to the product code cannot move both sides.
-    """
-    planes = frustum_planes(camera)
-    normals = planes[:, :3]
-    signed = positions @ normals.T + planes[:, 3]  # (N, P)
-    rot = quaternion.to_rotation_matrices(quaternion.normalize(raw_quats))
-    v = np.einsum("nji,pj->pni", rot, normals) * np.exp(log_scales)[None]
-    radii = 3.0 * np.linalg.norm(v, axis=-1)  # (P, N)
-    inside = np.all(signed + radii.T >= 0.0, axis=1)
-    return np.nonzero(inside)[0].astype(np.int64)
-
-
 @pytest.fixture(scope="session")
 def cull_oracle():
+    """The cull before the prefilter (``tests/reference/legacy_cull.py``)."""
     return single_level_cull
 
 

@@ -4,7 +4,7 @@
 alpha-threshold footprint inside the ``tile_size`` span.  The oracle here is
 the single-level binning the rasterizer used before — every splat in every
 ``tile_size`` tile of its 3-sigma span (``_build_tiles_loop``), blended by
-``tile_alpha_weights``.  A dropped ``(compute tile, splat)`` pair must have
+``tile_alpha_weights`` (both in ``tests/reference/legacy_raster.py``).  A dropped ``(compute tile, splat)`` pair must have
 ``alpha_raw < alpha_threshold`` on every pixel of that tile, so the set of
 ``(pixel, splat)`` cells that pass the threshold is ``np.array_equal``
 between the two, and images, transmittance and gradients agree to
@@ -15,6 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_raster import (
+    TileWork,
+    _build_tiles_loop,
+    rasterize_backward_legacy,
+    rasterize_forward_legacy,
+    tile_alpha_weights,
+)
 
 from repro.gaussians import rasterizer
 from repro.gaussians.camera import look_at_camera
@@ -25,18 +32,11 @@ from repro.gaussians.projection import splat_radii
 from repro.gaussians.rasterizer import (
     ProjectedGaussians,
     RasterSettings,
-    TileWork,
-    _build_tiles_loop,
     build_tile_bins,
     preprocess,
     rasterize_forward,
-    rasterize_forward_legacy,
-    tile_alpha_weights,
 )
-from repro.gaussians.rasterizer_grad import (
-    rasterize_backward,
-    rasterize_backward_legacy,
-)
+from repro.gaussians.rasterizer_grad import rasterize_backward
 from repro.planning import BatchPlanner
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene

@@ -1,8 +1,8 @@
 """Golden parity: the grouped CSR substrate vs the legacy per-tile loop.
 
 The legacy forward/backward (``rasterize_forward_legacy`` /
-``rasterize_backward_legacy``, the exact pre-substrate code) is the golden
-reference; the vectorized path must reproduce its images, transmittance
+``rasterize_backward_legacy`` in ``tests/reference/legacy_raster.py``, the
+exact pre-substrate code) is the golden reference; the vectorized path must reproduce its images, transmittance
 and all five gradient arrays to float64 round-off across seeds, tile
 sizes and group sizes, including the empty-model and single-Gaussian edge
 cases.  The float32 compute mode is checked against float64-mode
@@ -11,6 +11,7 @@ gradients and finite differences.
 
 import numpy as np
 import pytest
+from legacy_raster import rasterize_backward_legacy, rasterize_forward_legacy
 
 from repro.gaussians.camera import look_at_camera
 from repro.gaussians.loss import l1_loss
@@ -21,12 +22,8 @@ from repro.gaussians.rasterizer import (
     iter_tile_groups,
     preprocess,
     rasterize_forward,
-    rasterize_forward_legacy,
 )
-from repro.gaussians.rasterizer_grad import (
-    rasterize_backward,
-    rasterize_backward_legacy,
-)
+from repro.gaussians.rasterizer_grad import rasterize_backward
 
 GRAD_NAMES = ("positions", "log_scales", "quaternions", "sh", "opacity_logits")
 

@@ -7,19 +7,23 @@ does not; the cases that look inside NumPy's blend state pin it themselves.
 per-entry lane terms and differentiates through three retained tensors
 (``weights``, ``odds``, ``gate``).  The oracle is the pre-substrate loop
 (``rasterize_forward_legacy`` / ``rasterize_backward_legacy`` over
-``tile_alpha_weights``) at the existing bars: image and transmittance
+``tile_alpha_weights``, ``tests/reference/legacy_raster.py``) at the
+existing bars: image and transmittance
 <= 1e-12, gradients <= 1e-10 — screen-space on generated projections,
 all five parameter arrays on generated models.  Every test here runs with
 ``RuntimeWarning`` as an error.
 """
 
+import contextlib
 from dataclasses import replace
 from unittest import mock
 
+import legacy_raster
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_raster import rasterize_backward_legacy, rasterize_forward_legacy
 from test_compute_bins import (
     GRAD_NAMES,
     MODEL_CASES,
@@ -35,12 +39,8 @@ from repro.gaussians.rasterizer import (
     RasterSettings,
     iter_tile_groups,
     rasterize_forward,
-    rasterize_forward_legacy,
 )
-from repro.gaussians.rasterizer_grad import (
-    rasterize_backward,
-    rasterize_backward_legacy,
-)
+from repro.gaussians.rasterizer_grad import rasterize_backward
 from repro.kernels import numpy_backend
 from repro.scenes.images import make_trainable_scene
 
@@ -76,12 +76,18 @@ def slab_cells(ctx):
 # ---------------------------------------------------------------------------
 def screen_space(forward, backward, cam, proj, opts, g_img):
     """Image, transmittance and the screen-space gradients of one path on a
-    hand-made projection (``preprocess`` and the parameter chain stubbed)."""
+    hand-made projection (``preprocess`` and the parameter chain stubbed,
+    both where the renderer and where the oracle look them up)."""
     stub = mock.Mock(num_gaussians=proj.ids.size)
-    with mock.patch.object(rasterizer, "preprocess", lambda *a: proj), \
-            mock.patch.object(
-                rasterizer_grad, "_chain_to_parameters", lambda ctx, model, *g: g
-            ):
+    with contextlib.ExitStack() as stack:
+        for module in (rasterizer, legacy_raster):
+            stack.enter_context(
+                mock.patch.object(module, "preprocess", lambda *a: proj)
+            )
+        for module in (rasterizer_grad, legacy_raster):
+            stack.enter_context(mock.patch.object(
+                module, "_chain_to_parameters", lambda ctx, model, *g: g
+            ))
         img, trans, ctx = forward(cam, stub, opts)
         d_colors, d_opac, d_means2d, d_conics = backward(ctx, stub, g_img)
     # The logit gradient: what the parameter chain makes of d_opac (a

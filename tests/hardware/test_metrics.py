@@ -1,5 +1,7 @@
 """Schedule metrics: idle CDFs, utilization, trailing time, decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.hardware.metrics import (
     GPU_COMM,
     GPU_COMPUTE,
     CPU_ADAM,
+    CPU_SCHED,
     adam_trailing_time,
     average_gpu_utilization,
     communication_volume,
@@ -16,7 +19,7 @@ from repro.hardware.metrics import (
     sm_active_samples,
 )
 from repro.hardware.simulator import Simulator
-from repro.hardware.specs import RTX4090_TESTBED
+from repro.hardware.specs import RTX4090_TESTBED, DeviceTopology
 
 
 def busy_idle_schedule():
@@ -115,3 +118,50 @@ def test_empty_schedule():
     assert average_gpu_utilization(result) == 0.0
     rates, cdf = gpu_idle_rate_cdf(result)
     assert rates.size == 0
+
+
+def test_classic_and_single_device_topology_schedules_read_alike():
+    """The single-device lanes are device 0's of a topology, so a DAG
+    scheduled without one and on a K=1 topology gives the same Figure 15,
+    Table 7 and Figure 13 numbers — and naming them warns about nothing."""
+
+    def schedule(sim):
+        sched = sim.add("sched", CPU_SCHED, 0.2, kind="sched")
+        ld = sim.add("ld", GPU_COMM, 1e-3, deps=[sched], kind="load",
+                     rx_bytes=4e6)
+        fwd = sim.add("fwd", GPU_COMPUTE, 2e-3, deps=[ld], kind="forward",
+                      dram_read_bytes=1e6)
+        st = sim.add("st", GPU_COMM, 0.5e-3, deps=[fwd], kind="store",
+                     tx_bytes=2e6)
+        sim.add("adam", CPU_ADAM, 1e-3, deps=[st], kind="adam")
+        return sim.run()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        classic = schedule(Simulator())
+        single = schedule(
+            Simulator(topology=DeviceTopology.single(RTX4090_TESTBED))
+        )
+    active = sm_active_samples(classic)
+    assert active.mean() > 0.0
+    np.testing.assert_array_equal(sm_active_samples(single), active)
+    for got, want in zip(gpu_idle_rate_cdf(single), gpu_idle_rate_cdf(classic)):
+        np.testing.assert_array_equal(got, want)
+    assert hardware_utilization(single, RTX4090_TESTBED) == (
+        hardware_utilization(classic, RTX4090_TESTBED)
+    )
+    assert runtime_decomposition(single) == runtime_decomposition(classic)
+
+
+def test_figure15_reads_device_zero_of_a_multi_device_topology():
+    """On a K>1 topology the Figure 15 samples are device 0's compute lane;
+    work on another device does not count as SM-active."""
+    quad = DeviceTopology.homogeneous(RTX4090_TESTBED, 4)
+    sim = Simulator(topology=quad)
+    sim.add("fwd0", quad.compute_resource(0), 1.0, kind="forward")
+    sim.add("fwd1", quad.compute_resource(1), 2.0, kind="forward")
+    result = sim.run()
+    samples = sm_active_samples(result, sample_rate_hz=1000)
+    assert samples.mean() == pytest.approx(50.0, abs=0.2)
+    rates, _ = gpu_idle_rate_cdf(result, sample_rate_hz=1000)
+    assert np.mean(rates == 0.0) == pytest.approx(0.5, abs=0.002)

@@ -1,8 +1,11 @@
-"""DeviceTopology: resource naming, link costing, legacy aliases, and the
+"""DeviceTopology: resource naming, link costing, and the
 ScheduleResult.utilization() summary."""
+
+import warnings
 
 import pytest
 
+from repro.hardware.metrics import GPU_COMM
 from repro.hardware.simulator import Simulator
 from repro.hardware.specs import (
     HOST,
@@ -37,16 +40,17 @@ def test_canonicalize_passes_canonical_names(quad):
     assert quad.canonicalize("gpu3.comm") == "gpu3.comm"
 
 
-def test_canonicalize_warns_on_legacy_alias(quad):
-    with pytest.warns(DeprecationWarning, match="gpu.compute"):
-        assert quad.canonicalize("gpu.compute") == "gpu0.compute"
-    with pytest.warns(DeprecationWarning):
-        assert quad.canonicalize("cpu.adam") == "cpu0.adam"
-
-
 def test_canonicalize_rejects_unknown(quad):
     with pytest.raises(ValueError, match="not part of topology"):
         quad.canonicalize("gpu9.compute")
+
+
+@pytest.mark.parametrize("name", ["gpu.compute", "gpu.comm", "cpu.adam"])
+def test_canonicalize_rejects_unnumbered_names(quad, name):
+    """The pre-topology names are foreign like any other: no device-0
+    alias."""
+    with pytest.raises(ValueError, match="not part of topology"):
+        quad.canonicalize(name)
 
 
 def test_links_cover_host_and_peers(quad):
@@ -81,9 +85,13 @@ def test_homogeneous_rejects_zero_devices():
 
 
 def test_simulator_routes_legacy_names_onto_device_zero(quad):
+    """The single-device lanes (``repro.hardware.metrics``' names) are
+    device 0's of any topology: they route there as they are, with no alias
+    and no warning."""
     sim = Simulator(topology=quad)
-    with pytest.warns(DeprecationWarning):
-        t = sim.add("LD", "gpu.comm", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = sim.add("LD", GPU_COMM, 1.0)
     sim.add("FWD", quad.compute_resource(0), 2.0, deps=[t])
     schedule = sim.run()
     by_name = {
@@ -91,6 +99,20 @@ def test_simulator_routes_legacy_names_onto_device_zero(quad):
         for rec in schedule.records.values()
     }
     assert by_name["LD"] == "gpu0.comm"
+
+
+def test_simulator_without_topology_accepts_any_name():
+    """Without a topology every string is its own serial lane, the
+    unnumbered pre-topology names included."""
+    sim = Simulator()
+    sim.add("A", "gpu.compute", 1.0)
+    sim.add("B", "gpu0.compute", 1.0)
+    schedule = sim.run()
+    assert schedule.makespan == pytest.approx(1.0)
+    assert {rec.task.resource for rec in schedule.records.values()} == {
+        "gpu.compute",
+        "gpu0.compute",
+    }
 
 
 def test_simulator_rejects_foreign_resources(quad):

@@ -13,18 +13,12 @@ alone; everywhere else the ``native`` C kernels face the same bar.
 
 import numpy as np
 import pytest
+from legacy_raster import rasterize_backward_legacy, rasterize_forward_legacy
 
 from repro.gaussians.camera import look_at_camera
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import (
-    RasterSettings,
-    rasterize_forward,
-    rasterize_forward_legacy,
-)
-from repro.gaussians.rasterizer_grad import (
-    rasterize_backward,
-    rasterize_backward_legacy,
-)
+from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
+from repro.gaussians.rasterizer_grad import rasterize_backward
 from repro.kernels import backend_status, get_backend
 from repro.optim.adam import AdamConfig
 from repro.optim.kernels import fused_adam_update

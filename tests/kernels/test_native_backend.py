@@ -1,7 +1,7 @@
 """The ``native`` backend: its cells, its cuts, its determinism, its build.
 
 The C kernels face the legacy per-tile oracle (``rasterize_*_legacy`` over
-``tile_alpha_weights``) at the bars every backend is held to — image and
+``tile_alpha_weights``, ``tests/reference/legacy_raster.py``) at the bars every backend is held to — image and
 transmittance <= 1e-12, gradients <= 1e-10 — on hand-built rows where the
 semantics have an edge: the threshold tie, the cap, termination, zero
 opacity, a footprint with no finite extent, compute tiles other than 8.
@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from legacy_raster import rasterize_backward_legacy, rasterize_forward_legacy
 from test_compute_bins import (
     MODEL_CASES,
     assert_matches_oracle,
@@ -36,15 +37,8 @@ from test_compute_bins import (
 )
 from test_slab_kernels import screen_space
 
-from repro.gaussians.rasterizer import (
-    RasterSettings,
-    rasterize_forward,
-    rasterize_forward_legacy,
-)
-from repro.gaussians.rasterizer_grad import (
-    rasterize_backward,
-    rasterize_backward_legacy,
-)
+from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
+from repro.gaussians.rasterizer_grad import rasterize_backward
 from repro.kernels import (
     ENV_VAR,
     backend_status,
@@ -499,7 +493,8 @@ def test_scratch_allocation_failure_is_a_memory_error():
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.dirname(native_backend.__file__)))
-    paths = [src, os.path.join(os.path.dirname(__file__), "..", "gaussians")]
+    tests = os.path.dirname(os.path.dirname(__file__))
+    paths = [src] + [os.path.join(tests, d) for d in ("gaussians", "reference")]
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),

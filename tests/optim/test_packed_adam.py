@@ -3,6 +3,7 @@ with the per-name SparseAdam it replaces (they share one kernel)."""
 
 import numpy as np
 import pytest
+from legacy_adam import step_rows_legacy
 
 from repro.optim.adam import AdamConfig
 from repro.optim.packed_adam import PackedSparseAdam, pack_named
@@ -63,29 +64,6 @@ def test_step_packed_bitwise_matches_sparse_adam():
     assert np.array_equal(packed_opt.steps, legacy.steps)
 
 
-def test_step_packed_gathered_matches_step_packed():
-    named = make_named(seed=4)
-    cfg = make_config()
-    rows = np.array([1, 5, 9])
-    grads = {
-        k: np.random.default_rng(5).normal(size=v.shape)
-        for k, v in named.items()
-    }
-    a = PackedSparseAdam(COLUMNS, 12, cfg)
-    b = PackedSparseAdam(COLUMNS, 12, cfg)
-    params_a = pack_named(named, ORDER)
-    params_b = pack_named(named, ORDER)
-    packed_grads = pack_named(grads, ORDER)
-
-    a.step_packed(params_a, packed_grads, rows)
-    gathered = params_b[rows]
-    b.step_packed_gathered(gathered, packed_grads[rows], rows)
-    params_b[rows] = gathered
-
-    assert np.array_equal(params_a, params_b)
-    assert np.array_equal(a.packed_m, b.packed_m)
-
-
 def test_step_through_padded_column_view():
     """Scattering through a column view of a padded buffer (the pinned
     store layout) updates only the data columns."""
@@ -100,6 +78,28 @@ def test_step_through_padded_column_view():
     assert not np.array_equal(view[0], np.ones(opt.width))
     np.testing.assert_array_equal(padded[:, opt.width :], 99.0)
     np.testing.assert_array_equal(view[1], 1.0)  # untouched row
+
+
+def test_padded_gathered_block_updates_data_columns_only():
+    """pad_to-style blocks: padding columns travel through unchanged."""
+    opt = PackedSparseAdam(COLUMNS, 4, make_config(), pad_to=16)
+    assert opt.width == 16 and opt.data_width == 11
+    block = np.zeros((4, 16))
+    block[:, 11:] = 7.0  # padding payload must survive
+    grads = np.zeros((4, 16))
+    grads[:, :11] = 1.0
+    rows = np.array([0, 2])
+    opt.step_packed(block, grads, rows)
+    assert np.all(block[rows, :11] != 0.0)
+    np.testing.assert_array_equal(block[[1, 3], :11], 0.0)  # untouched rows
+    np.testing.assert_array_equal(block[:, 11:], 7.0)
+    # padding moments stay exactly zero (zero grads there)
+    assert not np.any(opt.packed_m[:, 11:])
+
+
+def test_pad_to_narrower_than_data_rejected():
+    with pytest.raises(ValueError, match="pad_to"):
+        PackedSparseAdam(COLUMNS, 4, make_config(), pad_to=10)
 
 
 def test_moment_views_alias_packed_arrays():
@@ -142,56 +142,20 @@ def test_empty_rows_noop():
     assert not np.any(opt.steps)
 
 
-def test_gathered_shape_mismatch_rejected():
-    opt = PackedSparseAdam(COLUMNS, 4, make_config())
-    with pytest.raises(ValueError):  # too narrow: missing data columns
-        opt.step_packed_gathered(
-            np.zeros((2, opt.width - 1)),
-            np.zeros((2, opt.width - 1)),
-            np.array([0, 1]),
-        )
-    with pytest.raises(ValueError):  # row count != len(rows)
-        opt.step_packed_gathered(
-            np.zeros((3, opt.width)),
-            np.zeros((3, opt.width)),
-            np.array([0, 1]),
-        )
-
-
-def test_padded_gathered_block_updates_data_columns_only():
-    """pad_to-style blocks: padding columns travel through unchanged."""
-    opt = PackedSparseAdam(COLUMNS, 4, make_config(), pad_to=16)
-    assert opt.width == 16 and opt.data_width == 11
-    block = np.zeros((2, 16))
-    block[:, 11:] = 7.0  # padding payload must survive
-    grads = np.zeros((2, 16))
-    grads[:, :11] = 1.0
-    opt.step_packed_gathered(block, grads, np.array([0, 2]))
-    assert np.any(block[:, :11] != 0.0)
-    np.testing.assert_array_equal(block[:, 11:], 7.0)
-    # padding moments stay exactly zero (zero grads there)
-    assert not np.any(opt.packed_m[:, 11:])
-
-
-def test_for_params_derives_layout():
-    named = make_named(7)
-    opt = PackedSparseAdam.for_params(named, make_config())
-    assert opt.num_rows == 7
-    assert opt.width == 11
-    with pytest.raises(ValueError):
-        PackedSparseAdam.for_params(
-            {"a": np.zeros((3, 2)), "b": np.zeros(4)}
-        )
-
-
 def test_state_bytes_counts_two_moments():
     opt = PackedSparseAdam(COLUMNS, 5, make_config())
     assert opt.state_bytes() == 5 * 11 * 2 * 4
 
 
+def test_state_bytes_exclude_padding():
+    opt = PackedSparseAdam(COLUMNS, 5, make_config(), pad_to=16)
+    assert opt.state_bytes() == 5 * 11 * 2 * 4
+
+
 def test_legacy_twin_parity():
-    """The verbatim legacy loop and the fused kernel agree numerically
-    (different association order, so allclose rather than bit-equality)."""
+    """The verbatim legacy loop (``tests/reference/legacy_adam.py``) and the
+    fused kernel agree numerically (different association order, so
+    allclose rather than bit-equality)."""
     named = make_named(seed=8)
     cfg = make_config()
     legacy = SparseAdam({k: v.copy() for k, v in named.items()}, cfg)
@@ -201,7 +165,7 @@ def test_legacy_twin_parity():
     rng = np.random.default_rng(9)
     for rows in [np.array([0, 2, 5]), np.arange(12), np.array([5])]:
         grads = {k: rng.normal(size=v.shape) for k, v in named.items()}
-        legacy.step_rows_legacy(p_legacy, grads, rows)
+        step_rows_legacy(legacy, p_legacy, grads, rows)
         modern.step_rows(p_modern, grads, rows)
     for k in named:
         np.testing.assert_allclose(
@@ -214,22 +178,3 @@ def test_legacy_twin_parity():
             legacy.v[k], modern.v[k], rtol=1e-10, atol=1e-14
         )
     assert np.array_equal(legacy.steps, modern.steps)
-
-
-def test_legacy_gathered_twin_parity():
-    named = make_named(seed=10)
-    cfg = make_config()
-    rows = np.array([1, 4, 9])
-    grads = {
-        k: np.random.default_rng(11).normal(size=v.shape)
-        for k, v in named.items()
-    }
-    a = SparseAdam({k: v.copy() for k, v in named.items()}, cfg)
-    b = SparseAdam({k: v.copy() for k, v in named.items()}, cfg)
-    ga = {k: named[k][rows].copy() for k in named}
-    gb = {k: named[k][rows].copy() for k in named}
-    gsub = {k: grads[k][rows] for k in grads}
-    a.step_gathered_legacy(ga, gsub, rows)
-    b.step_gathered(gb, gsub, rows)
-    for k in named:
-        np.testing.assert_allclose(ga[k], gb[k], rtol=1e-10, atol=1e-14)

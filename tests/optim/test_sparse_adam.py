@@ -77,23 +77,6 @@ def test_per_row_step_counts():
     assert opt.steps.tolist() == [1, 2, 0, 0, 0, 0]
 
 
-def test_step_gathered_matches_step_rows():
-    params_a = make_params()
-    params_b = clone(params_a)
-    rows = np.array([1, 4])
-    grads = {k: np.random.default_rng(3).normal(size=v.shape)
-             for k, v in params_a.items()}
-    opt_a = SparseAdam(params_a)
-    opt_b = SparseAdam(params_b)
-    opt_a.step_rows(params_a, grads, rows)
-    gathered = {k: params_b[k][rows].copy() for k in params_b}
-    g_sub = {k: grads[k][rows] for k in grads}
-    opt_b.step_gathered(gathered, g_sub, rows)
-    for k in params_a:
-        np.testing.assert_allclose(params_a[k][rows], gathered[k], rtol=1e-14)
-        np.testing.assert_allclose(opt_a.m[k], opt_b.m[k], rtol=1e-14)
-
-
 def test_empty_rows_noop():
     params = make_params()
     before = clone(params)

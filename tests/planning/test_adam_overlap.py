@@ -89,36 +89,3 @@ class TestChunkProperties:
         for j, chunk in enumerate(chunks):
             for later in sets[j + 1:]:
                 assert setops.intersect(chunk, later).size == 0
-
-
-class TestMeasuredReconciliation:
-    """reconcile_measured_overlap ties the §4.2.2 analytics to the
-    execution runtime's measured hidden seconds."""
-
-    SETS = [np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([3, 4])]
-
-    def test_fractions_and_utilization(self):
-        rec = adam_overlap.reconcile_measured_overlap(
-            self.SETS, N, adam_s=0.10, hidden_s=0.04
-        )
-        assert rec.analytic_fraction == pytest.approx(
-            adam_overlap.overlap_fraction(self.SETS, N)
-        )
-        assert rec.measured_fraction == pytest.approx(0.4)
-        assert rec.utilization == pytest.approx(
-            0.4 / rec.analytic_fraction
-        )
-
-    def test_zero_adam_time_is_safe(self):
-        rec = adam_overlap.reconcile_measured_overlap(
-            self.SETS, N, adam_s=0.0, hidden_s=0.0
-        )
-        assert rec.measured_fraction == 0.0
-
-    def test_no_overlap_potential_has_zero_utilization(self):
-        # One microbatch: everything finalizes in the last (only) chunk.
-        rec = adam_overlap.reconcile_measured_overlap(
-            [np.array([0, 1])], N, adam_s=0.1, hidden_s=0.0
-        )
-        assert rec.analytic_fraction == 0.0
-        assert rec.utilization == 0.0

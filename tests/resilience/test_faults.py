@@ -8,7 +8,6 @@ from repro.hardware.simulator import Simulator
 from repro.hardware.specs import HOST, RTX4090_TESTBED, DeviceTopology
 from repro.resilience import (
     FAIL_STOP,
-    LINK_FAULT,
     STRAGGLER,
     FaultEvent,
     FaultInjector,

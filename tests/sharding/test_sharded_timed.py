@@ -1,5 +1,7 @@
 """Sharded pipeline DAG + simulated scaling driver."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -138,15 +140,16 @@ def test_single_device_chain_is_the_clm_chain(index_cache):
     )
     sharded = sharded_sim.run()
 
-    def chain(schedule, infix):
+    def chain(schedule, infix, of=lambda r: (r.task.duration, r.start, r.end)):
         return {
-            rec.task.name.replace(infix, "", 1): (
-                rec.task.duration, rec.start, rec.end
-            )
+            rec.task.name.replace(infix, "", 1): of(rec)
             for rec in schedule.records.values()
             if rec.task.kind in ("load", "forward", "backward", "store")
         }
 
     assert len(chain(clm, "")) == 4 * len(ids)
     assert chain(sharded, ".d0") == chain(clm, "")
+    # One resource vocabulary: both builders schedule on device 0's lanes.
+    lane = operator.attrgetter("task.resource")
+    assert chain(sharded, ".d0", lane) == chain(clm, "", lane)
     assert sharded.makespan == clm.makespan
