@@ -65,17 +65,20 @@ CLM_BUFFER_BPG = 2 * 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT
 #: conics, colours, tile keys, and their saved gradients).  Like the
 #: paper's CUDA kernels, this assumes the backward pass *recomputes* the
 #: per-tile blending state; the functional substrate's optional blend
-#: cache (``RasterSettings.cache_blend_state``) retains extra bytes that
-#: are deliberately outside this analytic allowance — they are reported by
-#: ``RenderContext.activation_bytes``/``blend_state_bytes`` instead, and
-#: every engine opts out of retention (``EngineBase.raster_settings``)
-#: whenever a GPU memory pool enforces this model's budget.  The
+#: state (``RasterSettings.cache_blend_state``, on by default) retains
+#: extra bytes that are deliberately outside this analytic allowance — they
+#: are reported by ``RenderContext.activation_bytes``/``blend_state_bytes``
+#: instead, and every engine opts out of retention
+#: (``EngineBase.raster_settings``) whenever a GPU memory pool enforces
+#: this model's budget.  Both backends retain it: NumPy as its slab cache
+#: (three cell tensors, 17 bytes a cell), ``native`` as blend records (20
+#: bytes for each cell the footprints could pass, plus each tile's final
+#: ``T``: 1.2–1.7 MB a ``dense`` view, 0.3–0.5 MB a ``sparse`` one).  The
 #: rasterizer's two-level binning (8x8 compute tiles over thresholded
-#: footprints) and its slab kernels (three retained cell tensors, 17 bytes
-#: a cell) move only those *reported* bytes — on ``bench_e2e`` ``dense`` a
-#: view retains 4.1 MB of blend state and 25.6 KB of CSR tile keys, a third
-#: and twice what full ``tile_size`` spans held — and nothing this analytic
-#: model budgets: Figure 8/10 numbers and the engines'
+#: footprints) moves only those *reported* bytes — on ``bench_e2e``
+#: ``dense`` a view retains 4.1 MB of NumPy blend cache and 25.6 KB of CSR
+#: tile keys, a third and twice what full ``tile_size`` spans held — and
+#: nothing this analytic model budgets: Figure 8/10 numbers and the engines'
 #: ``gpu_peak_bytes`` do not depend on the binning.  What *is* inside this
 #: allowance is the per-Gaussian state a render context holds between
 #: forward and backward: 272 bytes of screen-space state (means, depths,
@@ -133,18 +136,19 @@ ACT_PER_PIXEL = 240
 
 #: Kernel-backend note: the kernel backends (:mod:`repro.kernels`) change
 #: *timing and scratch allocation*, never pool accounting.  The ``native``
-#: backend fuses compositing into one per-tile C loop — per-tile scratch
-#: (20 bytes per thresholded cell of the deepest tile) allocated
-#: transiently inside one kernel call — and, like the paper's CUDA
-#: kernels, *recomputes* blend state backward instead of retaining it
-#: (``retains_blend_state = False``), so its activation footprint matches
-#: the analytic allowance above exactly (no ``blend_state_bytes``) and the
-#: pool-enforced regime, which has to recompute, runs the same path as the
-#: unpooled one at the same speed.  Under the NumPy reference the same
-#: regime pays a second slab forward per view.  Every byte this model
-#: budgets — parameters, gradients, moments, double buffers — is identical
-#: under any backend; switching backends moves wall-clock time, not
-#: Figure 8/10 numbers.
+#: backend fuses compositing into one per-tile C loop.  Unpooled, it keeps
+#: its blend records (above: outside the analytic allowance, reported by
+#: ``blend_state_bytes``) and its backward pass walks them.  Under a pool
+#: it retains nothing beyond the per-Gaussian state, so its activation
+#: footprint matches the allowance exactly, and, like the paper's CUDA
+#: kernels, its backward pass *recomputes* the blend state instead — a
+#: replay of the forward into per-tile scratch (20 bytes per thresholded
+#: cell of the deepest tile) allocated transiently inside one kernel call.
+#: The NumPy reference pays a second slab forward per view in the same
+#: regime.  The gradients are bit-identical either way.  Every byte this
+#: model budgets — parameters, gradients, moments, double buffers — is
+#: identical under any backend; switching backends moves wall-clock time,
+#: not Figure 8/10 numbers.
 
 #: Auto-tuning note: the adaptive runtime (:mod:`repro.autotune` +
 #: ``repro.runtime.GraphExecutor``) changes *timing only*, never pool

@@ -346,10 +346,10 @@ class EngineBase(Engine):
         retaining the blend cache would hold real bytes the pool never
         accounted for, so retention is forced off here on capacity-limited
         runs — as a per-call overlay, without mutating the caller's config
-        (it may be shared across engines).  Only the NumPy reference pays
-        for that with a second slab forward per view: the ``native``
-        backend never retains blend state, so pool-on and pool-off run the
-        same kernels.
+        (it may be shared across engines).  Both backends pay for that by
+        replaying the forward inside the backward pass (NumPy a second slab
+        forward per view, ``native`` a second compositing sweep instead of
+        a walk over its blend records), to bit-identical gradients.
         """
         settings = self.config.raster
         if self.pool is not None and settings.cache_blend_state:

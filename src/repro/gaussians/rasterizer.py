@@ -56,7 +56,9 @@ hot path is a *vectorized substrate*:
   reads (``weights``, ``odds``, ``gate``; 17 bytes a cell) on the
   :class:`RenderContext`; without it the forward pass does not even form
   the two backward-only ones and the backward pass regenerates the state,
-  bit for bit.  The retained bytes are reported by
+  bit for bit.  ``native`` keeps blend records instead: 20 bytes for each
+  cell its footprints could pass, and each tile's final ``T``.  The
+  retained bytes are reported by
   :meth:`RenderContext.activation_bytes` (the reference CUDA kernels
   recompute blending backward, which is why retention is opt-out for the
   memory-accounted CLM path).
@@ -151,22 +153,23 @@ class RasterSettings:
 
     Substrate knobs:
 
-    - ``group_size``: max tiles batched into one ``(T, G, P)`` slab.
-    - ``dtype``: compute dtype of the blend state (``"float64"`` default,
-      ``"float32"`` for the fast mode; gradients always accumulate in
-      float64).
-    - ``cache_blend_state``: retain the forward blending state on the
-      :class:`RenderContext` for the backward pass.  Opt out to trade the
-      backward recompute for activation memory (what the paper's CUDA
-      kernels do, and what CLM's activation accounting assumes).
+    - ``group_size``: max tiles batched into one ``(T, G, P)`` slab of the
+      NumPy reference (``native`` does not slab: no effect there).
+    - ``dtype``: compute dtype of the blend state (``"float64"`` default;
+      gradients always accumulate in float64).  ``"float32"`` runs on the
+      NumPy reference, because ``native`` declines it, so wherever
+      ``native`` builds it is slower than the default, not faster.
+    - ``cache_blend_state``: the forward pass keeps its blending state on
+      the :class:`RenderContext` (NumPy: the slab cache in
+      ``blend_cache``; ``native``: blend records in ``blocks``) and the
+      backward pass reads it instead of replaying the forward.  Opting out
+      trades that replay for activation memory (what the paper's CUDA
+      kernels do, and what CLM's activation accounting assumes: the
+      engines turn it off under a GPU pool and for forward-only renders).
     - ``kernel_backend``: which registered kernel backend executes the
       compositing (see :mod:`repro.kernels`).  ``None``/``"auto"`` defers
       to the ``REPRO_KERNEL_BACKEND`` env override, then the fastest
-      available backend.  A backend that does not retain blend state (the
-      fused ``native`` kernels recompute blending backward) leaves
-      ``RenderContext.blend_cache`` empty regardless of
-      ``cache_blend_state``, and does not slab, so ``group_size`` has no
-      effect under it either.
+      available backend.
     """
 
     tile_size: int = 16
@@ -286,7 +289,9 @@ class RenderContext:
     #: block of 52 values a survivor, one int64 block of ids and CSR arrays,
     #: one byte block) — ``proj`` and ``bins`` are views into them, no other
     #: context shares them, and they are sized by the survivors, not by the
-    #: input rows.
+    #: input rows.  With ``settings.cache_blend_state`` three more blocks
+    #: follow: the blend records its backward pass reads instead of
+    #: replaying the forward (``native_backend._records``).
     blocks: Optional[tuple] = None
 
     def view_block(self) -> Optional[np.ndarray]:
@@ -298,19 +303,16 @@ class RenderContext:
         return None
 
     def blend_state_bytes(self) -> int:
-        """Bytes retained by the shared forward/backward blend cache."""
-        if not self.blend_cache:
-            return 0
-        total = 0
-        for group in self.blend_cache:
-            for value in group.values():
-                if isinstance(value, np.ndarray):
-                    total += value.nbytes
-        return total
+        """Bytes of blend state retained for the backward pass: the NumPy
+        blend cache or the ``native`` blend records."""
+        arrays = list(self.blocks[4:]) if self.blocks else []
+        for group in self.blend_cache or ():
+            arrays += [v for v in group.values() if isinstance(v, np.ndarray)]
+        return sum(arr.nbytes for arr in arrays)
 
     def activation_bytes(self) -> int:
         """Actual activation footprint: the per-Gaussian projected state,
-        the CSR tile keys, and (when retained) the blend cache.  Tests
+        the CSR tile keys, and (when retained) the blend state.  Tests
         sanity-check the memory model's claim that activations scale with
         ``|S_i|`` against this.  The per-Gaussian term is 34 floats of
         screen-space state plus, when :func:`preprocess` retained it, the
@@ -326,7 +328,7 @@ class RenderContext:
         whose state lives in ``blocks`` holds exactly these fields and no
         more: 427 bytes a Gaussian (the clamp mask as 3 bytes, not the 3
         floats budgeted here, plus the 8-byte id, which is not), the tile
-        keys, and a ``2 T + 1`` int64 CSR header."""
+        keys, a ``2 T + 1`` int64 CSR header and any blend records."""
         floats = 2 + 1 + 3 + 3 + 9 + 4 + 4 + 3 + 3 + 1 + 1
         if self.proj.shapes is not None:
             floats += 3 + 1 + 4 + 9

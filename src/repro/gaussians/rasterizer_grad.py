@@ -53,11 +53,14 @@ Since the whole-view kernel ops, :func:`rasterize_backward` is one backend
 dispatch (``view_backward``, :mod:`repro.kernels`): the NumPy reference
 runs the slab path described above and then :func:`_chain_to_parameters`
 — which stays a public NumPy function with no dispatch inside it — while
-``native`` fuses the recompute + suffix-sum gradient and the whole chain
-to the 59 parameters into one C call over the block its forward pass laid
-the view out in (``tests/kernels`` pins every backend to the same 1e-10
-bar).  A context without such a block — one NumPy made, or one whose
-projection was replaced — is chained by the reference.
+``native`` fuses the suffix-sum gradient and the whole chain to the 59
+parameters into one C call over the blocks its forward pass laid the view
+out in: it walks the blend records the forward kept when
+``cache_blend_state`` is on and replays the forward to regenerate them
+when it is off, to bit-identical gradients (``tests/kernels`` pins every
+backend to the same 1e-10 bar).  A context without such blocks — one
+NumPy made, or one whose projection was replaced — is chained by the
+reference.
 """
 
 from __future__ import annotations
@@ -118,8 +121,9 @@ def rasterize_backward(
     # Same backend resolution as the forward pass, one dispatch: the NumPy
     # reference walks the retained blend cache (or regenerates it
     # slab-wise) and chains through :func:`_chain_to_parameters`; ``native``
-    # recomputes blending and chains in C, from the block its forward pass
-    # laid the view out in — a context without one stays on the reference.
+    # walks its blend records (or replays the forward) and chains in C, from
+    # the blocks its forward pass laid the view out in — a context without
+    # them stays on the reference.
     from repro.kernels import compile_with_fallback, resolve_backend, view_spec
 
     settings = ctx.settings

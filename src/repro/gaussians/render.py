@@ -8,8 +8,10 @@ rasterizer is agnostic — it just sees a smaller model, which is exactly the
 compute/activation saving of pre-rendering frustum culling, §5.1).
 
 Execution runs on the vectorized CSR substrate of
-:mod:`repro.gaussians.rasterizer` (PR 4); backward reuses the forward
-pass's blend cache when ``RasterSettings.cache_blend_state`` is on, and
+:mod:`repro.gaussians.rasterizer`; on every backend, backward reads
+the blend state the forward pass kept when
+``RasterSettings.cache_blend_state`` is on (NumPy's slab cache, ``native``'s
+blend records) instead of regenerating it, and
 :attr:`RenderResult.activation_bytes` reports the context's real retained
 footprint (what the CLM memory model accounts against ``|S_i|``).
 """
@@ -52,7 +54,7 @@ class RenderResult:
     @property
     def activation_bytes(self) -> int:
         """Saved-state footprint of this render (projected arrays, CSR
-        tile keys, and the blend cache when retained)."""
+        tile keys, and the blend state when retained)."""
         return self.ctx.activation_bytes()
 
 

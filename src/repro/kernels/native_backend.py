@@ -18,7 +18,8 @@ sized by what survived: **one float64 block** of 52 values a survivor
 (:data:`_FIELDS`: means2d, depths, t_cam, offsets, cov_cam, cov2d, conics,
 colours, opacities, radii, scales, quat norms, unit quats, rotations, dirs,
 dir norms — field after field, each C-contiguous), one int64 block (ids,
-then ``tile_ids | offsets | order``) and one byte block (the clamp mask).
+then ``tile_ids | offsets | order``) and one byte block (the clamp mask),
+plus the blend records below when the backward pass is to read them.
 ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are views into
 them, they ride on ``RenderContext.blocks``, and nothing else — no other
 render, no cache on the camera, model or engine — ever shares them.  The
@@ -40,16 +41,20 @@ reference (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`, whose
 signed distances come out of a BLAS product) the index sets are equal
 except on a rounding tie, ``|n . p + d + r|`` within a few ulps.
 
-Inside, the view ops call the same two compositing kernels the raster ops
+Inside, the view ops run the same two compositing loops the raster ops
 expose (``raster_forward`` / ``raster_backward``): they walk the CSR
 :class:`~repro.gaussians.rasterizer.TileBins` once per tile and keep the
 compositing recurrence in registers, like the paper's CUDA kernels: per
 ``(tile, splat)`` entry only the pixels of the splat's thresholded
-footprint rectangle are visited, ``exp`` is called only where the cell can
-still pass the alpha threshold, and the backward pass *recomputes* blending
-(no blend state is retained, so ``RasterSettings.cache_blend_state`` and
-``group_size`` have no effect here and the pool-enforced regime costs what
-the unpooled one does).
+footprint rectangle are visited, and ``exp`` is called only where the cell
+can still pass the alpha threshold.  With
+``RasterSettings.cache_blend_state`` ``view_composite`` keeps the exp
+value, ``T_before`` and pixel of every cell that passed — the **blend
+records** (:func:`_records`), sized by the footprint area ``view_project``
+reports — and ``view_backward`` walks them; without it (under a GPU pool,
+for forward-only renders, and in the raster ops) the backward pass
+replays the forward to regenerate them, to bit-identical gradients.
+``group_size`` has no effect here.
 
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
@@ -81,12 +86,12 @@ lands on NumPy silently.  A build or load that fails raises from
 backend reports itself unavailable (``repro backends`` shows the reason)
 and every caller runs on the reference.  Five of the six ops are
 implemented, over float64 C-contiguous operands (``exact_cull``: float64
-rows, each contiguous): a float32 blend state, a model array that is
-float32 or not C-contiguous, a backward pass over a context NumPy made,
-and the fused Adam update stay on NumPy through the
-registry's per-op fallback (a C Adam is not faster through ctypes at the
-optimizers' chunk sizes) — and a view the view ops declined still
-composites on the raster kernels here.
+rows, each contiguous): a float32 blend state (``dtype="float32"``), a
+model array that is float32 or not C-contiguous, a backward pass over a
+context NumPy made or whose projection was replaced, and the fused Adam
+update stay on NumPy through the registry's per-op fallback (a C Adam is
+not faster through ctypes at the optimizers' chunk sizes) — and a view
+the view ops declined still composites on the raster kernels here.
 """
 
 from __future__ import annotations
@@ -142,8 +147,8 @@ _SIGNATURES = {
     # and 2.8 us of ``ndpointer`` marshalling an argument is what they save.
     "exact_cull": [_I64, _PTR] + [_PTR, _I64] * 3 + [_PTR, _I64, _PTR],
     "view_project": [_I64] + [_PTR] * 6 + [_I64, _I64, _PTR] + [_I64] * 4 + [_PTR] * 2,
-    "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 5,
-    "view_backward": [_I64] * 4 + [_PTR] * 4 + [_I64, _I64, _PTR]
+    "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 8,
+    "view_backward": [_I64] * 5 + [_PTR] * 7 + [_I64, _I64, _PTR]
     + [_I64] * 3 + [_PTR] * 6,
 }
 #: Per-Gaussian fields of a render's float64 block, in the order and widths
@@ -361,7 +366,7 @@ def _bind(lib: ctypes.CDLL, op: str) -> Callable:
                 *_operands(bins, aug), *_scalars(settings, bg),
                 canvas_rgb, canvas_t,
             )
-        return None  # no blend state: backward recomputes it
+        return None  # no blend cache: raster_backward replays the forward
 
     def raster_backward(
         bins, aug, settings, g_tiles, bg,
@@ -440,8 +445,27 @@ def _check(code: int, call: str, wanted: str) -> None:
     """Turn a view call's status into the exception it stands for."""
     if code == 1:
         raise MemoryError(f"native {call} could not allocate {wanted}")
+    if code == 3:
+        raise RuntimeError(f"native {call}: more blend records than footprint cells")
     if code:
         raise ValueError(f"native {call}: inconsistent tile bins")
+
+
+def _records(lead: int, cells: int, entries: int) -> tuple:
+    """The three blend-record blocks of ``native_kernels.c``'s ``records_t``:
+    ``lead`` doubles of final ``T`` then the exp values and ``T_before`` of
+    at most ``cells`` cells; their tile-local pixels; ``entries + 1`` ends."""
+    try:
+        return (
+            np.empty(lead + 2 * cells),
+            np.empty(cells, np.int32),
+            np.empty(entries + 1, np.int64),
+        )
+    except MemoryError as exc:
+        raise MemoryError(
+            f"native view_forward could not allocate its blend records "
+            f"({cells} cells)"
+        ) from exc
 
 
 def _view_params(camera, settings) -> np.ndarray:
@@ -490,22 +514,26 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
         planes = frustum_planes(camera)
         params = _view_params(camera, settings)
         scratch = np.empty(_SCRATCH * n)
-        work = np.empty(4 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
+        work = np.empty(5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
         lib.view_project(
             n, *(a.ctypes.data for a in arrays), planes.ctypes.data, stored,
             degree, params.ctypes.data, width, height, int(settings.tile_size),
             sub, scratch.ctypes.data, work.ctypes.data,
         )
-        m, _, tiles, entries = work[:4].tolist()
+        m, _, tiles, entries, area = work[:5].tolist()
         # The render's own blocks, sized by what survived.
         floats = np.empty(_RETAINED * m)
         ints = np.empty(m + 2 * tiles + 1 + entries, np.int64)
         clamp = np.empty((m, 3), np.bool_)
+        records = ()
+        if settings.cache_blend_state:  # for view_backward; never for serving
+            records = _records(tiles * sub * sub, area, entries)
         image, trans = np.empty((height, width, 3)), np.empty((height, width))
         failed = lib.view_composite(
             n, scratch.ctypes.data, work.ctypes.data, params.ctypes.data,
             width, height, sub, floats.ctypes.data, ints.ctypes.data,
-            clamp.ctypes.data, image.ctypes.data, trans.ctypes.data,
+            clamp.ctypes.data, *([b.ctypes.data for b in records] or [None] * 3),
+            image.ctypes.data, trans.ctypes.data,
         )
         _check(
             failed, "view_composite",
@@ -531,31 +559,34 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
         ctx = RenderContext(
             camera=camera, settings=settings, proj=proj, bins=bins,
             num_input=n, kernel_backend=name,
-            blocks=(proj, floats, ints, clamp),
+            blocks=(proj, floats, ints, clamp, *records),
         )
         return image, trans, ctx
 
     def view_backward(ctx, model, dL_dimage):
         arrays = _model_arrays(model)
         n, stored = model.sh.shape[:2]
-        proj, floats, ints, clamp = ctx.blocks
+        proj, floats, ints, clamp, *records = ctx.blocks
         camera, bins, m = ctx.camera, ctx.bins, proj.ids.size
         d_image = np.ascontiguousarray(dL_dimage, dtype=np.float64)
         _require_shapes(d_image=(d_image, (camera.height, camera.width, 3)))
-        if (floats.size, ints.size, clamp.size) != (
-            _RETAINED * m, m + 2 * bins.num_tiles + 1 + bins.num_entries, 3 * m
-        ):
+        tiles, entries = bins.num_tiles, bins.num_entries
+        cap = records[1].size if records else 0
+        want = (_RETAINED * m, m + 2 * tiles + 1 + entries, 3 * m)
+        if records:
+            want += (tiles * bins.tile_size**2 + 2 * cap, cap, entries + 1)
+        if tuple(block.size for block in ctx.blocks[1:]) != want:
             raise ValueError("native view operands: not this context's blocks")
         if n != ctx.num_input or sh_module.num_basis(proj.sh_degree_used) > stored:
             raise ValueError("native view operands: not the model that was rendered")
         grads = {name: np.zeros(arr.shape) for name, arr in arrays.items()}
         params = _view_params(camera, ctx.settings)
         failed = lib.view_backward(
-            m, n, bins.num_tiles, bins.num_entries, floats.ctypes.data,
-            ints.ctypes.data, clamp.ctypes.data, model.sh.ctypes.data, stored,
-            proj.sh_degree_used, params.ctypes.data, camera.width,
-            camera.height, bins.tile_size, d_image.ctypes.data,
-            *(g.ctypes.data for g in grads.values()),
+            m, n, tiles, entries, cap, floats.ctypes.data, ints.ctypes.data,
+            clamp.ctypes.data, *([b.ctypes.data for b in records] or [None] * 3),
+            model.sh.ctypes.data, stored, proj.sh_degree_used,
+            params.ctypes.data, camera.width, camera.height, bins.tile_size,
+            d_image.ctypes.data, *(g.ctypes.data for g in grads.values()),
         )
         _check(
             failed, "view_backward",
@@ -576,7 +607,6 @@ class NativeKernelBackend(KernelBackend):
         "compositing, gradient chain), built at first use with the system C "
         "compiler (float64 cull, view and raster ops; Adam on NumPy)"
     )
-    retains_blend_state = False
 
     def __init__(self) -> None:
         super().__init__()

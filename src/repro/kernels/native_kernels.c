@@ -29,10 +29,21 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* rasterizer._FOOTPRINT_MARGIN: the inflation that keeps rounding from ever
  * dropping a cell the exact threshold test would pass. */
 #define FOOTPRINT_MARGIN 1e-6
+
+/* The blend state a forward pass may leave for its backward pass: per cell
+ * that passed the threshold its exp value, T_before and tile-local pixel
+ * (room for ``cap`` cells); the cells of CSR entry k are [end[k], end[k+1]);
+ * and tile i's final T at t_final[i * ts * ts].  Only the view ops keep it. */
+typedef struct {
+    double *t_final, *w, *t;
+    int32_t *pixel;
+    int64_t *end, cap;
+} records_t;
 
 typedef struct {
     double mx, my, a, b, c, opac;
@@ -93,16 +104,22 @@ static inline double exponent(double a, double cyy, double bdy, double dx)
 
 static inline int64_t min_i64(int64_t a, int64_t b) { return a < b ? a : b; }
 
-/* Composite every non-empty tile into the tile-major canvases. */
-int raster_forward(
+/* Composite every non-empty tile into the tile-major canvases, keeping the
+ * blend state in ``rec`` unless it is NULL.  Returns 3, having written no
+ * record past ``rec->cap``, when more cells pass than that. */
+static int composite(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, const double *mx, const double *my, const double *ca,
     const double *cb, const double *cc, const double *opac,
     const double *colors, const double *bg, double tau, double t_min,
-    double max_alpha, double *canvas_rgb, double *canvas_t)
+    double max_alpha, double *canvas_rgb, double *canvas_t,
+    const records_t *rec)
 {
     const int64_t pixels = ts * ts;
+    int64_t nrec = 0;
+    if (rec != NULL)
+        rec->end[0] = 0;
     for (int64_t i = 0; i < num_tiles; i++) {
         const int64_t t_id = tile_ids[i];
         const int64_t x0 = (t_id % tiles_x) * ts, y0 = (t_id / tiles_x) * ts;
@@ -129,13 +146,21 @@ int raster_forward(
                         exponent(e.a, cyy, bdy, ((double)x + 0.5) - e.mx);
                     if (power < e.cut)
                         continue;
-                    const double alpha_raw = e.opac * exp(power);
+                    const double ex = exp(power);
+                    const double alpha_raw = e.opac * ex;
                     if (!(alpha_raw >= tau))
                         continue;
                     const double alpha =
                         alpha_raw < max_alpha ? alpha_raw : max_alpha;
                     const int64_t p = base + x;
                     const double t = T[p];
+                    if (rec != NULL) {
+                        if (nrec == rec->cap)
+                            return 3;
+                        rec->w[nrec] = ex;
+                        rec->t[nrec] = t;
+                        rec->pixel[nrec++] = (int32_t)p;
+                    }
                     if (t > t_min) {
                         const double w = alpha * t;
                         rgb[3 * p] += w * c0;
@@ -145,7 +170,11 @@ int raster_forward(
                     T[p] = t * (1.0 - alpha);
                 }
             }
+            if (rec != NULL)
+                rec->end[k + 1] = nrec;
         }
+        if (rec != NULL)
+            memcpy(rec->t_final + i * pixels, T, (size_t)pixels * sizeof(double));
         for (int64_t p = 0; p < pixels; p++) {
             rgb[3 * p] += T[p] * bg[0];
             rgb[3 * p + 1] += T[p] * bg[1];
@@ -155,14 +184,30 @@ int raster_forward(
     return 0;
 }
 
-/* Compositing gradient, recomputing the blend state tile by tile.
+int raster_forward(
+    int64_t num_tiles, const int64_t *offsets, const int64_t *order,
+    const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
+    int64_t height, const double *mx, const double *my, const double *ca,
+    const double *cb, const double *cc, const double *opac,
+    const double *colors, const double *bg, double tau, double t_min,
+    double max_alpha, double *canvas_rgb, double *canvas_t)
+{
+    return composite(
+        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, mx,
+        my, ca, cb, cc, opac, colors, bg, tau, t_min, max_alpha, canvas_rgb,
+        canvas_t, NULL);
+}
+
+/* Compositing gradient, tile by tile.
  *
  * Sweep 1 replays the forward recurrence and records (exp value, T_before,
  * pixel) for every cell that passed the threshold — no other cell has a
- * gradient — while summing each pixel's blended contribution.  Sweep 2 walks
- * the records in the same order with a per-pixel running sum, so for a cell
- * under the cap (alpha == alpha_raw; at the cap nothing flows to the splat's
- * geometry or opacity)
+ * gradient — while summing each pixel's blended contribution; given the
+ * forward's records ``rec`` it walks those instead, summing the same terms in
+ * the same order, and reads the final T.  Sweep 2 walks the records in the
+ * same order with a per-pixel running sum, so for a cell under the cap
+ * (alpha == alpha_raw; at the cap nothing flows to the splat's geometry or
+ * opacity)
  *
  *     suffix    = (total - csum) + T_final (g . bg)
  *     dL/dalpha = active T_before (c . g) - suffix / (1 - alpha)
@@ -170,14 +215,14 @@ int raster_forward(
  * and an entry's sums stay in registers until they are added, in CSR order,
  * to its Gaussian's rows of d_colors (M, 3), d_opac (M), d_means (M, 2) and
  * d_conics (M, 2, 2).  Returns 1 when the scratch cannot be allocated. */
-int raster_backward(
+static int composite_backward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, const double *mx, const double *my, const double *ca,
     const double *cb, const double *cc, const double *opac,
     const double *colors, const double *g_tiles, const double *bg, double tau,
     double t_min, double max_alpha, double *d_colors, double *d_opac,
-    double *d_means, double *d_conics)
+    double *d_means, double *d_conics, const records_t *rec)
 {
     const int64_t pixels = ts * ts;
     int64_t deepest = 0;
@@ -187,21 +232,28 @@ int raster_backward(
     if (deepest == 0)
         return 0;
 
-    /* One block: six per-pixel arrays, the records of the deepest tile (at
-     * most one per cell: 20 bytes) and the end of each entry's records. */
-    const size_t px = (size_t)pixels, cells = (size_t)deepest * px;
-    if (cells / px != (size_t)deepest || cells > SIZE_MAX / 128)
+    /* One block: six per-pixel arrays and, without ``rec``, the records of
+     * the deepest tile (at most one per cell: 20 bytes) and their ends. */
+    const size_t px = (size_t)pixels, depth = rec != NULL ? 0 : (size_t)deepest;
+    const size_t cells = depth * px;
+    if (cells / px != depth || cells > SIZE_MAX / 128)
         return 1;
     char *scratch = malloc(
         (6 * px + 2 * cells) * sizeof(double) +
-        (size_t)deepest * sizeof(int64_t) + cells * sizeof(int32_t));
+        (depth + 1) * sizeof(int64_t) + cells * sizeof(int32_t));
     if (scratch == NULL)
         return 1;
     double *T = (double *)scratch, *total = T + px, *csum = total + px;
     double *bg_term = csum + px, *off_x = bg_term + px, *off_y = off_x + px;
-    double *rec_w = off_y + px, *rec_t = rec_w + cells;
-    int64_t *rec_end = (int64_t *)(rec_t + cells);
-    int32_t *rec_p = (int32_t *)(rec_end + deepest);
+    records_t own;
+    own.w = off_y + px;
+    own.t = own.w + cells;
+    own.end = (int64_t *)(own.t + cells);
+    own.pixel = (int32_t *)(own.end + depth + 1);
+    own.end[0] = 0;
+    const double *rec_w = rec != NULL ? rec->w : own.w;
+    const double *rec_t = rec != NULL ? rec->t : own.t;
+    const int32_t *rec_p = rec != NULL ? rec->pixel : own.pixel;
     /* Pixel-centre offsets from the tile corner: exact, so corner + offset is
      * bit for bit the ``x + 0.5`` of sweep 1. */
     for (int64_t p = 0; p < pixels; p++) {
@@ -216,13 +268,30 @@ int raster_backward(
         const int64_t x1 = min_i64(x0 + ts, width) - 1;
         const int64_t y1 = min_i64(y0 + ts, height) - 1;
         const double *g = g_tiles + t_id * pixels * 3;
+        const int64_t *end = rec != NULL ? rec->end + start : own.end;
+        const double *t_final = rec != NULL ? rec->t_final + i * pixels : T;
         for (int64_t p = 0; p < pixels; p++) {
             T[p] = 1.0;
             total[p] = 0.0;
         }
 
+        for (int64_t k = 0; rec != NULL && k < n; k++) {
+            const int64_t row = order[start + k];
+            const double o = opac[row], c0 = colors[3 * row],
+                         c1 = colors[3 * row + 1], c2 = colors[3 * row + 2];
+            for (int64_t r = end[k]; r < end[k + 1]; r++) {
+                const int64_t p = rec_p[r];
+                const double alpha_raw = o * rec_w[r], t = rec_t[r];
+                const double alpha =
+                    alpha_raw < max_alpha ? alpha_raw : max_alpha;
+                if (t > t_min)
+                    total[p] += (alpha * t) * (c0 * g[3 * p] +
+                                               c1 * g[3 * p + 1] +
+                                               c2 * g[3 * p + 2]);
+            }
+        }
         int64_t nrec = 0;
-        for (int64_t k = 0; k < n; k++) {
+        for (int64_t k = 0; rec == NULL && k < n; k++) {
             const int64_t row = order[start + k];
             const entry_t e =
                 footprint(row, mx, my, ca, cb, cc, opac, tau, x0, x1, y0, y1);
@@ -245,10 +314,9 @@ int raster_backward(
                         alpha_raw < max_alpha ? alpha_raw : max_alpha;
                     const int64_t p = base + x;
                     const double t = T[p];
-                    rec_w[nrec] = w;
-                    rec_t[nrec] = t;
-                    rec_p[nrec] = (int32_t)p;
-                    nrec++;
+                    own.w[nrec] = w;
+                    own.t[nrec] = t;
+                    own.pixel[nrec++] = (int32_t)p;
                     if (t > t_min)
                         total[p] += (alpha * t) * (c0 * g[3 * p] +
                                                    c1 * g[3 * p + 1] +
@@ -256,15 +324,15 @@ int raster_backward(
                     T[p] = t * (1.0 - alpha);
                 }
             }
-            rec_end[k] = nrec;
+            own.end[k + 1] = nrec;
         }
         for (int64_t p = 0; p < pixels; p++) {
-            bg_term[p] = T[p] * (g[3 * p] * bg[0] + g[3 * p + 1] * bg[1] +
-                                 g[3 * p + 2] * bg[2]);
+            bg_term[p] = t_final[p] * (g[3 * p] * bg[0] + g[3 * p + 1] * bg[1] +
+                                       g[3 * p + 2] * bg[2]);
             csum[p] = 0.0;
         }
 
-        int64_t r = 0;
+        int64_t r = end[0];
         for (int64_t k = 0; k < n; k++) {
             const int64_t row = order[start + k];
             const double a = ca[row], b = cb[row], c = cc[row];
@@ -273,7 +341,7 @@ int raster_backward(
                          c2 = colors[3 * row + 2];
             double dc0 = 0.0, dc1 = 0.0, dc2 = 0.0, d_o = 0.0;
             double dmx = 0.0, dmy = 0.0, daa = 0.0, dab = 0.0, dcc = 0.0;
-            for (; r < rec_end[k]; r++) {
+            for (; r < end[k + 1]; r++) {
                 const int64_t p = rec_p[r];
                 const double w = rec_w[r], t = rec_t[r];
                 const double g0 = g[3 * p], g1 = g[3 * p + 1],
@@ -321,6 +389,21 @@ int raster_backward(
     return 0;
 }
 
+int raster_backward(
+    int64_t num_tiles, const int64_t *offsets, const int64_t *order,
+    const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
+    int64_t height, const double *mx, const double *my, const double *ca,
+    const double *cb, const double *cc, const double *opac,
+    const double *colors, const double *g_tiles, const double *bg, double tau,
+    double t_min, double max_alpha, double *d_colors, double *d_opac,
+    double *d_means, double *d_conics)
+{
+    return composite_backward(
+        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, mx,
+        my, ca, cb, cc, opac, colors, g_tiles, bg, tau, t_min, max_alpha,
+        d_colors, d_opac, d_means, d_conics, NULL);
+}
+
 /* ======================================================================
  * Whole-view ops: projection, binning and the gradient chain around the
  * two compositing kernels above, so that a render is two calls
@@ -344,8 +427,6 @@ int raster_backward(
  * (exact_cull) and the render (view_project) both call, row by row.
  * ====================================================================== */
 
-#include <string.h>
-
 enum {
     F_MEANS2D = 0, F_DEPTHS = 2, F_TCAM = 3, F_OFFSETS = 6, F_COVCAM = 9,
     F_COV2D = 18, F_CONICS = 22, F_COLORS = 26, F_OPAC = 29, F_RADII = 30,
@@ -363,9 +444,11 @@ enum {
 };
 
 /* Integer workspace of a forward pass: a header (survivors, binned rows,
- * non-empty tiles, entries), the survivors' input rows, the binned rows
- * near-to-far and the merge sort's other half, one compute-tile rectangle
- * per survivor, per-tile counts (then fill cursors), the clamp mask. */
+ * non-empty tiles, entries, and the summed area of the binned rows' clipped
+ * footprint rectangles: the compute tiles partition each, so no more cells
+ * than that can pass), the survivors' input rows, the binned rows near-to-far
+ * and the merge sort's other half, one compute-tile rectangle per survivor,
+ * per-tile counts (then fill cursors), the clamp mask. */
 typedef struct {
     int64_t *head, *ids, *rows, *tmp, *rects, *per_tile;
     uint8_t *clamp;
@@ -375,13 +458,26 @@ static work_t work_of(int64_t *iw, int64_t n, int64_t tiles)
 {
     work_t w;
     w.head = iw;
-    w.ids = iw + 4;
+    w.ids = iw + 5;
     w.rows = w.ids + n;
     w.tmp = w.rows + n;
     w.rects = w.tmp + n;
     w.per_tile = w.rects + 4 * n;
     w.clamp = (uint8_t *)(w.per_tile + tiles);
     return w;
+}
+
+/* The blend records in a render's own blocks: ``rec_f`` is ``lead`` doubles
+ * of final T, then ``cap`` exp values, then ``cap`` T_before. */
+static records_t records_of(
+    double *rec_f, int32_t *rec_p, int64_t *rec_end, int64_t cap, int64_t lead)
+{
+    records_t rec = {rec_f, NULL, NULL, rec_p, rec_end, cap};
+    if (rec_f != NULL) {
+        rec.w = rec_f + lead;
+        rec.t = rec.w + cap;
+    }
+    return rec;
 }
 
 static inline int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
@@ -658,7 +754,7 @@ static int64_t *sort_near_to_far(
 /* rasterizer.preprocess for the rows in_frustum() lets through, then the
  * counting half of build_tile_bins over the survivors.  Writes the survivors'
  * fields, compacted, into ``f`` (57 * n doubles) and the workspace ``iw``
- * (see work_of; 4 + 7 n + tiles int64 and 3 n bytes), whose header then
+ * (see work_of; 5 + 7 n + tiles int64 and 3 n bytes), whose header then
  * says how large the render's own blocks must be. */
 int view_project(
     int64_t n, const double *positions, const double *log_scales,
@@ -783,7 +879,7 @@ int view_project(
      * radius, clipped to the image and to the thresholded footprint (the same
      * footprint() the compositing loops clip by), in compute tiles. */
     const int64_t last_x = ceil_div(width, ts) - 1, last_y = ceil_div(height, ts) - 1;
-    int64_t binned = 0;
+    int64_t binned = 0, area = 0;
     for (int64_t r = 0; r < m; r++) {
         const double x = mx[r], y = my[r], rad = radii[r];
         const int64_t sx0 = tile_of(x - rad, (double)ts, last_x);
@@ -803,6 +899,7 @@ int view_project(
         rect[2] = e.y_lo / sub;
         rect[3] = e.y_hi / sub;
         work.rows[binned++] = r;
+        area += (e.x_hi - e.x_lo + 1) * (e.y_hi - e.y_lo + 1);
     }
     const int64_t *sorted = sort_near_to_far(work.rows, work.tmp, binned, depths);
     if (sorted != work.rows)
@@ -821,19 +918,25 @@ int view_project(
     work.head[1] = binned;
     work.head[2] = tiles;
     work.head[3] = entries;
+    work.head[4] = area;
     return 0;
 }
 
 /* The second forward call, once the render's own blocks exist: ``kept``
  * (52 * m doubles), ``ikept`` (ids m | tile_ids T | offsets T + 1 | order E)
  * and ``clamp`` (3 * m bytes) receive the survivors' fields, the filling half
- * of build_tile_bins writes the CSR arrays, raster_forward composites over
- * them and the tile-major canvases are cropped into ``image`` (H, W, 3) and
- * ``trans`` (H, W).  Returns 1 when the canvases cannot be allocated. */
+ * of build_tile_bins writes the CSR arrays, composite() runs over them and
+ * the tile-major canvases are cropped into ``image`` (H, W, 3) and ``trans``
+ * (H, W).  Unless they are NULL, the blend records go to ``rec_f`` (the final
+ * T of the T non-empty tiles, then exp values and T_before of at most
+ * ``area`` = head[4] cells), ``rec_p`` (their pixels, ``area``) and
+ * ``rec_end`` (E + 1), for view_backward.  Returns 1 when the canvases cannot
+ * be allocated, 3 when more cells pass than ``area``. */
 int view_composite(
     int64_t n, const double *f, int64_t *iw, const double *params,
     int64_t width, int64_t height, int64_t sub, double *kept, int64_t *ikept,
-    uint8_t *clamp, double *image, double *trans)
+    uint8_t *clamp, double *rec_f, int32_t *rec_p, int64_t *rec_end,
+    double *image, double *trans)
 {
     static const int starts[] = {
         F_MEANS2D, F_DEPTHS, F_TCAM, F_OFFSETS, F_COVCAM, F_COV2D, F_CONICS,
@@ -886,11 +989,14 @@ int view_composite(
         canvas_rgb[3 * p + 2] = bg[2];
         canvas_t[p] = 1.0;
     }
-    raster_forward(
+    const records_t rec =
+        records_of(rec_f, rec_p, rec_end, work.head[4], tiles * pixels);
+    const int failed = composite(
         tiles, offsets, order, tile_ids, tiles_x, sub, width, height,
         f + F_MX * n, f + F_MY * n, f + F_CA * n, f + F_CB * n, f + F_CC * n,
         kept + F_OPAC * m, kept + F_COLORS * m, bg, params[P_TAU],
-        params[P_TMIN], params[P_MAX_ALPHA], canvas_rgb, canvas_t);
+        params[P_TMIN], params[P_MAX_ALPHA], canvas_rgb, canvas_t,
+        rec_f != NULL ? &rec : NULL);
     for (int64_t y = 0; y < height; y++)
         for (int64_t x = 0; x < width; x++) {
             const int64_t p = tile_major(x, y, sub, tiles_x);
@@ -899,7 +1005,7 @@ int view_composite(
             trans[y * width + x] = canvas_t[p];
         }
     free(canvas_rgb);
-    return 0;
+    return failed;
 }
 
 /* rasterizer_grad._chain_to_parameters for survivor ``r``: the screen-space
@@ -1027,16 +1133,20 @@ static void view_chain(
 }
 
 /* The whole backward pass of a view_composite render: ``d_image`` (H, W, 3)
- * goes tile-major, raster_backward turns it into screen-space gradients and
- * view_chain scatters those to rows ids of the five zero-filled ``g_*``
- * arrays (n rows each).  Returns 1 when scratch cannot be allocated, 2 when
- * the blocks are not ones view_composite could have written. */
+ * goes tile-major, composite_backward turns it into screen-space gradients
+ * (from the blend records view_composite kept, when ``rec_f`` is not NULL,
+ * ``cap`` being the cells they have room for) and view_chain scatters those
+ * to rows ids of the five zero-filled ``g_*`` arrays (n rows each).  Returns
+ * 1 when scratch cannot be allocated, 2 when the blocks are not ones
+ * view_composite could have written. */
 int view_backward(
-    int64_t m, int64_t n, int64_t tiles, int64_t entries, const double *kept,
-    const int64_t *ikept, const uint8_t *clamp, const double *sh,
-    int64_t k_stored, int64_t degree, const double *params, int64_t width,
-    int64_t height, int64_t sub, const double *d_image, double *g_positions,
-    double *g_log_scales, double *g_quats, double *g_sh, double *g_logits)
+    int64_t m, int64_t n, int64_t tiles, int64_t entries, int64_t cap,
+    const double *kept, const int64_t *ikept, const uint8_t *clamp,
+    const double *rec_f, const int32_t *rec_p, const int64_t *rec_end,
+    const double *sh, int64_t k_stored, int64_t degree, const double *params,
+    int64_t width, int64_t height, int64_t sub, const double *d_image,
+    double *g_positions, double *g_log_scales, double *g_quats, double *g_sh,
+    double *g_logits)
 {
     const int64_t tiles_x = ceil_div(width, sub), tiles_y = ceil_div(height, sub);
     const int64_t num_tiles = tiles_x * tiles_y, pixels = sub * sub;
@@ -1054,6 +1164,17 @@ int view_backward(
     for (int64_t k = 0; k < entries; k++)
         if (order[k] < 0 || order[k] >= m)
             return 2;
+    /* Record ends ascend from 0 and stay within ``cap``; pixels in a tile. */
+    for (int64_t k = 0; rec_f != NULL && k <= entries; k++)
+        if ((k == 0 ? rec_end[0] != 0 : rec_end[k] < rec_end[k - 1]) ||
+            rec_end[k] > cap)
+            return 2;
+    for (int64_t r = 0; rec_f != NULL && r < rec_end[entries]; r++)
+        if (rec_p[r] < 0 || rec_p[r] >= pixels)
+            return 2;
+    /* Read only here: the struct's pointers are writable for view_composite. */
+    const records_t rec = records_of(
+        (double *)rec_f, (int32_t *)rec_p, (int64_t *)rec_end, cap, tiles * pixels);
 
     /* One zeroed block: the raster kernels' separate-array operands (5 m),
      * the screen-space gradients (10 m), the tile-major upstream gradient. */
@@ -1078,11 +1199,11 @@ int view_backward(
             memcpy(g_tiles + 3 * p, d_image + 3 * (y * width + x),
                    3 * sizeof(double));
         }
-    const int failed = raster_backward(
+    const int failed = composite_backward(
         tiles, offsets, order, tile_ids, tiles_x, sub, width, height, mx, my,
         ca, cb, cc, kept + F_OPAC * m, kept + F_COLORS * m, g_tiles,
         params + P_BG, params[P_TAU], params[P_TMIN], params[P_MAX_ALPHA],
-        d_colors, d_opac, d_means, d_conics);
+        d_colors, d_opac, d_means, d_conics, rec_f != NULL ? &rec : NULL);
     if (!failed)
         for (int64_t r = 0; r < m; r++)
             view_chain(r, m, kept, ids, clamp, sh, k_stored, degree, params,

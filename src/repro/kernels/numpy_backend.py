@@ -399,7 +399,6 @@ class NumpyKernelBackend(KernelBackend):
         "vectorized NumPy reference (always available; grouped slab "
         "compositing + fused in-place Adam)"
     )
-    retains_blend_state = True
 
     def capabilities(self) -> "frozenset[str]":
         return frozenset(KERNEL_OPS)

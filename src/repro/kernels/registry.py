@@ -196,11 +196,6 @@ class KernelBackend(abc.ABC):
     #: reference sits at 0, compiled backends register above it.
     priority: int = 0
     description: str = ""
-    #: Whether this backend's forward pass materializes the per-slab blend
-    #: state that ``RasterSettings.cache_blend_state`` retains for the
-    #: backward pass.  Fused kernels recompute blending backward (like the
-    #: paper's CUDA kernels) and set this False.
-    retains_blend_state: bool = True
 
     def __init__(self) -> None:
         self._compiled: Dict[KernelSpec, Callable] = {}

@@ -12,6 +12,7 @@ from repro.gaussians.rasterizer import (
     preprocess,
     rasterize_forward,
 )
+from repro.kernels import backend_status
 
 
 @pytest.fixture()
@@ -147,17 +148,22 @@ def test_activation_bytes_scale_with_rendered_set(cam, tiny_model):
     assert ctx_few.activation_bytes() < ctx_full.activation_bytes()
 
 
-def test_blend_cache_retention_is_accounted_and_optional(cam, tiny_model):
-    """cache_blend_state retains real bytes, reported by the context;
-    opting out drops both the cache and its accounting."""
-    _, _, ctx_on = rasterize_forward(
-        cam, tiny_model, RasterSettings(kernel_backend="numpy")
+@pytest.mark.parametrize(
+    "backend", [s["name"] for s in backend_status() if s["available"]]
+)
+def test_blend_cache_retention_is_accounted_and_optional(cam, tiny_model, backend):
+    """cache_blend_state retains real bytes on every backend (NumPy's slab
+    cache, ``native``'s blend records), reported by the context; opting out
+    drops both the state and its accounting."""
+    ctx_on, ctx_off = (
+        rasterize_forward(
+            cam, tiny_model,
+            RasterSettings(cache_blend_state=cache, kernel_backend=backend),
+        )[2]
+        for cache in (True, False)
     )
-    _, _, ctx_off = rasterize_forward(
-        cam, tiny_model,
-        RasterSettings(cache_blend_state=False, kernel_backend="numpy"),
-    )
-    assert ctx_on.blend_cache and ctx_on.blend_state_bytes() > 0
+    assert ctx_on.blend_state_bytes() > 0
+    assert bool(ctx_on.blend_cache) == (backend == "numpy")
     assert ctx_off.blend_cache is None and ctx_off.blend_state_bytes() == 0
     assert (
         ctx_on.activation_bytes()

@@ -19,7 +19,7 @@ from repro.gaussians.camera import look_at_camera
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
 from repro.gaussians.rasterizer_grad import rasterize_backward
-from repro.kernels import backend_status, get_backend
+from repro.kernels import backend_status
 from repro.optim.adam import AdamConfig
 from repro.optim.kernels import fused_adam_update
 from repro.optim.packed_adam import PackedSparseAdam
@@ -75,8 +75,9 @@ def test_raster_parity_across_group_sizes(backend, group_size):
 
 @pytest.mark.parametrize("backend", AVAILABLE)
 def test_raster_parity_without_blend_cache(backend):
-    """The backward recompute route — the one a non-retaining backend
-    always takes — matches the cached route's golden gradients."""
+    """The backward recompute route — the one every backend takes for a
+    render that kept no blend state (pool-enforced training) — matches the
+    cached route's golden gradients."""
     model, cam, g_img = make_setup(4)
     settings = RasterSettings(
         kernel_backend=backend, cache_blend_state=False,
@@ -99,16 +100,19 @@ def test_raster_parity_empty_model(backend):
 
 
 @pytest.mark.parametrize("backend", AVAILABLE)
-def test_nonretaining_backends_skip_the_blend_cache(backend):
-    """A backend that recomputes blending backward must not leave a stale
-    or partial cache in the context."""
+def test_blend_state_is_retained_exactly_when_asked(backend):
+    """Every backend keeps blend state iff ``cache_blend_state`` (NumPy its
+    slab cache, ``native`` its blend records), and counts it on top of the
+    activation footprint of the same render without it."""
     model, cam, _ = make_setup(5)
-    settings = RasterSettings(kernel_backend=backend)
-    _, _, ctx = rasterize_forward(cam, model, settings)
-    if get_backend(backend).retains_blend_state:
-        assert ctx.blend_cache is not None
-    else:
-        assert ctx.blend_cache is None
+    on, off = (
+        rasterize_forward(
+            cam, model, RasterSettings(kernel_backend=backend, cache_blend_state=cache)
+        )[2]
+        for cache in (True, False)
+    )
+    assert on.blend_state_bytes() > 0 and off.blend_state_bytes() == 0
+    assert on.activation_bytes() == off.activation_bytes() + on.blend_state_bytes()
 
 
 @pytest.mark.parametrize("backend", AVAILABLE)

@@ -433,8 +433,9 @@ def test_a_context_numpy_made_or_a_replaced_projection_goes_to_the_reference():
     g_img = np.ones((30, 40, 3))
     ctx = rasterize_forward(cam, model, RasterSettings())[2]
     want = rasterize_backward(ctx, model, g_img)
-    assert ctx.view_block() is ctx.blocks[1]
-    # Same arrays, another projection object: not what the block was cut for.
+    assert ctx.view_block() is ctx.blocks[1] and ctx.blend_state_bytes() > 0
+    # Same arrays, another projection object: not what the block was cut for
+    # (nor its blend records: NumPy regenerates its own blend state).
     ctx.proj = dataclasses.replace(ctx.proj, shapes=None, dirs=None, dir_norms=None)
     assert ctx.view_block() is None
     rebuilt = rasterize_backward(ctx, model, g_img)
@@ -528,10 +529,11 @@ def test_two_runs_and_two_threads_are_bit_identical():
 
 
 def buffers(ctx):
-    """Every distinct buffer a context's arrays live in."""
+    """Every distinct buffer a context's arrays live in, its blend records
+    included."""
     arrays = list(per_gaussian_fields(ctx.proj).values()) + [
         ctx.proj.ids, ctx.proj.clamp_mask, ctx.bins.tile_ids, ctx.bins.offsets,
-        ctx.bins.order,
+        ctx.bins.order, *ctx.blocks[4:],
     ]
     owners = {}
     for arr in arrays:
@@ -557,6 +559,7 @@ def test_two_contexts_alive_at_once_do_not_alias():
     assert all(np.array_equal(x, y) for x, y in zip(buffers(a), snapshot))
     again = rasterize_backward(a, model, g_img)  # a's blocks, still intact
     assert all(np.array_equal(again[name], want[name]) for name in GRAD_NAMES)
+    assert len(a.blocks) == 7  # the three blend-record blocks included
     assert set(map(id, buffers(a))) == {id(block) for block in a.blocks[1:]}
 
 
@@ -564,20 +567,27 @@ def test_a_render_retains_bytes_in_proportion_to_its_survivors():
     """20 000 input rows, about a hundred survivors: what the context keeps
     alive is sized by the survivors, equals ``activation_bytes`` up to the
     documented budgeting (mask bytes counted as floats, ids as keys, the
-    CSR header) and stays under the pool model's per-Gaussian allowance."""
+    CSR header) and, but for the blend records, stays under the pool
+    model's per-Gaussian allowance."""
     scene = build_scene("bigcity", scale=2e-4, num_views=32, seed=0)
     model, cam = scene.model, scene.cameras[0]
     _, _, ctx = rasterize_forward(cam, model, RasterSettings(kernel_backend="native"))
     m, tiles, entries = ctx.proj.ids.size, ctx.bins.num_tiles, ctx.bins.num_entries
-    assert model.num_gaussians == 20_000 and 0 < m < 400
+    records = ctx.blend_state_bytes()
+    assert model.num_gaussians == 20_000 and 0 < m < 400 and records > 0
     held = sum(block.nbytes for block in buffers(ctx))
-    assert held == (52 * 8 + 8 + 3) * m + 8 * (2 * tiles + 1 + entries)
+    assert held == (52 * 8 + 8 + 3) * m + 8 * (2 * tiles + 1 + entries) + records
     # activation_bytes: 55 floats a Gaussian (the 3-byte mask as 3 floats,
-    # ids not counted) + 8 bytes a tile key.
-    assert ctx.activation_bytes() == 440 * m + 8 * entries
+    # ids not counted) + 8 bytes a tile key + the blend records.
+    assert ctx.activation_bytes() == 440 * m + 8 * entries + records
     assert held - 8 * (2 * tiles + 1) <= ctx.activation_bytes()
-    assert held - 8 * entries - 8 * (2 * tiles + 1) <= ACT_PER_GAUSSIAN * m
-    assert held < 0.05 * (52 * 8 * model.num_gaussians)
+    assert held - records - 8 * (entries + 2 * tiles + 1) <= ACT_PER_GAUSSIAN * m
+    assert held - records < 0.05 * (52 * 8 * model.num_gaussians)
+    # The records: the final T of each binned tile, 20 bytes for each cell
+    # of the footprints (at most the binned cells), one end per entry.
+    cells, pixels = ctx.blocks[5].size, ctx.bins.tile_size**2
+    assert records == 8 * tiles * pixels + 20 * cells + 8 * (entries + 1)
+    assert cells <= entries * pixels
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +597,15 @@ def test_a_render_retains_bytes_in_proportion_to_its_survivors():
 def test_allocation_failure_in_any_of_the_three_calls_is_a_memory_error():
     """With the address space capped 32 MB above what the process has, a
     1000x10 render on 999-pixel compute tiles gets its 320 KB of outputs
-    but not its 64 MB of padded canvases, and the backward
-    pass of 3000 splats deep on one 36x36 tile cannot get its ~78 MB of
-    records: both must arrive as ``MemoryError``, and the process lives on
-    to render again."""
+    but not its 64 MB of padded canvases, the recomputing backward pass of
+    3000 splats deep on one 36x36 tile cannot get its ~78 MB of scratch
+    records, and a render of those splats that keeps its blend state cannot
+    get the ~61 MB of blend records: each must arrive as a ``MemoryError``
+    that names what failed, and the process lives on to render again."""
     script = textwrap.dedent(
         """
         import resource
+        from dataclasses import replace
         import numpy as np
         from repro.gaussians.camera import look_at_camera
         from repro.gaussians.model import GaussianModel
@@ -604,20 +616,24 @@ def test_allocation_failure_in_any_of_the_three_calls_is_a_memory_error():
         model = GaussianModel.random(m, extent=1e-3, sh_degree=0, seed=0)
         model.log_scales[:] = 1.0
         model.opacity_logits[:] = 0.0
-        opts = RasterSettings(tile_size=36, kernel_backend="native")
+        opts = RasterSettings(
+            tile_size=36, kernel_backend="native", cache_blend_state=False
+        )
         small = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), width=32, height=32)
         wide = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0), width=1000, height=10)
-        padded = RasterSettings(tile_size=999, kernel_backend="native")
+        padded = replace(opts, tile_size=999)
         _, _, ctx = rasterize_forward(small, model, opts)
-        assert ctx.kernel_backend == "native" and ctx.blocks is not None
+        assert ctx.kernel_backend == "native" and len(ctx.blocks) == 4
         assert ctx.bins.num_tiles == 1 and ctx.bins.num_entries == m
 
         with open("/proc/self/statm") as handle:
             have = int(handle.read().split()[0]) * resource.getpagesize()
         resource.setrlimit(resource.RLIMIT_AS, (have + (32 << 20), -1))
+        cached = replace(opts, cache_blend_state=True)
         for name, call in (
             ("forward", lambda: rasterize_forward(wide, model, padded)),
             ("backward", lambda: rasterize_backward(ctx, model, np.ones((32, 32, 3)))),
+            ("records", lambda: rasterize_forward(small, model, cached)),
         ):
             try:
                 call()
@@ -634,7 +650,10 @@ def test_allocation_failure_in_any_of_the_three_calls_is_a_memory_error():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
-    assert len(lines) == 3, done.stdout
+    assert len(lines) == 4, done.stdout
     assert lines[0].startswith("forward MemoryError: native view_composite")
     assert lines[1].startswith("backward MemoryError: native view_backward")
-    assert lines[2] == "alive 3000"
+    assert lines[2].startswith(
+        "records MemoryError: native view_forward could not allocate its blend records"
+    )
+    assert lines[3] == "alive 3000"
