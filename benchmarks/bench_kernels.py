@@ -9,8 +9,7 @@ the measurements, then the median of N wall times converts to throughput
 (:func:`repro.bench.median_time`; the spread rides in ``extra``).
 ``native`` runs the whole view in C (frustum test, projection, binning,
 compositing, the gradient chain — everything in the step but the loss)
-and no Adam, so its Adam column is the NumPy reference reached through the
-per-op fallback.
+and the Adam step too (``adam_rows``: one call, the rows updated in place).
 
 A second record per backend, ``exact_cull``, times the frustum arbiter the
 cull and the render share: the two-level :func:`cull_batch` of an 8-view

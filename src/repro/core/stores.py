@@ -17,6 +17,17 @@ These classes move *real* NumPy arrays the way CLM moves tensors
   with transfer-byte accounting that the tests reconcile against the
   analytic transfer plan.
 
+The per-microbatch data movement — ``GpuWorkingSet.assemble`` /
+``add_grads`` / ``retire`` and both stores' ``zero_grads`` — dispatches
+through the kernel backend layer (:mod:`repro.kernels`), one op a method
+over row indices: ``native`` runs each as one C call, the NumPy reference
+(``numpy_backend``) as the gathers, ``searchsorted`` placements and
+fancy-indexed scatters it always was, and the two agree bit for bit.
+Float32 gradient staging runs on the reference.  ``kernel_backend`` picks
+the backend as everywhere else (``EngineConfig.kernel_backend``, then
+``REPRO_KERNEL_BACKEND``, then ``auto``); ``active_kernel_backend`` says
+which one ran the last op (a working set shares its pinned store's).
+
 A :class:`~repro.hardware.memory.MemoryPool` may be attached to the GPU
 side to enforce a capacity: allocations follow the same canonical byte
 accounting as :mod:`repro.core.memory_model`, so a small simulated GPU
@@ -39,6 +50,7 @@ from repro.core.memory_model import (
 )
 from repro.gaussians.model import GaussianModel
 from repro.hardware.memory import MemoryPool
+from repro.kernels.registry import OpDispatch
 
 
 @dataclass
@@ -72,8 +84,12 @@ class PinnedParameterStore:
     """
 
     def __init__(
-        self, model: GaussianModel, grad_dtype: "str | np.dtype" = "float64"
+        self,
+        model: GaussianModel,
+        grad_dtype: "str | np.dtype" = "float64",
+        kernel_backend: Optional[str] = None,
     ) -> None:
+        self._ops = OpDispatch(kernel_backend)
         self.num_rows = model.num_gaussians
         self.sh_basis = model.num_sh_basis
         self.data_floats = self.sh_basis * 3 + 1
@@ -133,15 +149,11 @@ class PinnedParameterStore:
         return {"sh": sh.copy(), "opacity_logits": opacity.copy()}
 
     def zero_grads(self, indices: np.ndarray) -> None:
-        self.grads[indices] = 0.0
+        self._ops("zero_rows", self.grads)(self.grads, indices)
 
     @property
-    def packed_params(self) -> np.ndarray:
-        """``(N, data_floats)`` view of the packed parameter rows (padding
-        columns excluded) — the layout
-        :meth:`repro.optim.packed_adam.PackedSparseAdam.step_packed`
-        gathers, updates and scatters in one fused round-trip."""
-        return self.params[:, : self.data_floats]
+    def active_kernel_backend(self) -> Optional[str]:
+        return self._ops.active
 
     def pinned_bytes(self) -> float:
         """Actual data bytes pinned (params + grads), excluding padding, at
@@ -156,14 +168,14 @@ class GpuCriticalStore:
     Both parameters and gradient accumulators live in packed ``(N, 10)``
     row-major arrays (``[positions 3 | log_scales 3 | quaternions 4]`` —
     the same packed-row idiom :meth:`PinnedParameterStore._pack_into`
-    defines for the non-critical side), so ``accumulate_grads``/
-    ``zero_grads`` are one fused scatter each instead of a per-name Python
-    loop, and the GPU-side Adam update is one fused
-    ``PackedSparseAdam.step_packed`` over :attr:`packed_params` /
-    :attr:`packed_grads`.  :attr:`positions` / :attr:`log_scales` /
-    :attr:`quaternions` and :attr:`grads` expose named views into the
-    packed arrays, so row-indexed consumers (culling, the equivalence
-    tests) are unchanged.
+    defines for the non-critical side), so ``accumulate_grads`` is one
+    fused scatter instead of a per-name Python loop, ``zero_grads`` and
+    ``GpuWorkingSet.add_grads`` walk whole rows, and the GPU-side Adam
+    update is one ``PackedSparseAdam.step_packed`` over
+    :attr:`packed_params` / :attr:`packed_grads`.  :attr:`positions` /
+    :attr:`log_scales` / :attr:`quaternions` and :attr:`grads` expose named
+    views into the packed arrays, so row-indexed consumers (culling, the
+    equivalence tests) are unchanged.
 
     ``grad_dtype`` sizes the gradient accumulators (default float64 for
     bit-parity; see :class:`PinnedParameterStore`).  Parameters and
@@ -182,7 +194,9 @@ class GpuCriticalStore:
         model: GaussianModel,
         pool: Optional[MemoryPool] = None,
         grad_dtype: "str | np.dtype" = "float64",
+        kernel_backend: Optional[str] = None,
     ) -> None:
+        self._ops = OpDispatch(kernel_backend)
         self.num_rows = model.num_gaussians
         self.grad_dtype = np.dtype(grad_dtype)
         self.packed_params = np.empty((self.num_rows, 10))
@@ -232,7 +246,12 @@ class GpuCriticalStore:
         self._packed_grads[indices] += flat
 
     def zero_grads(self, indices: np.ndarray) -> None:
-        self._packed_grads[indices] = 0.0
+        grads = self._packed_grads
+        self._ops("zero_rows", grads)(grads, indices)
+
+    @property
+    def active_kernel_backend(self) -> Optional[str]:
+        return self._ops.active
 
     def release(self) -> None:
         if self.pool is not None:
@@ -256,6 +275,9 @@ class GpuWorkingSet:
         pool: Optional[MemoryPool] = None,
         num_pixels: int = 0,
     ) -> None:
+        # The buffers run on their stores' backend, resolved once per store
+        # (a working set lives one batch).
+        self._ops = cpu_store._ops
         self.cpu_store = cpu_store
         self.gpu_store = gpu_store
         self.pool = pool
@@ -281,49 +303,28 @@ class GpuWorkingSet:
         previous microbatch; those rows start with the accumulated values
         instead of zero (gradient accumulation on the GPU, §4.2.1).
         """
-        prev_indices = self.indices
-        prev_noncrit = self.noncrit
-
-        sh_basis = self.cpu_store.sh_basis
-        m = working_set.size
-        sh = np.zeros((m, sh_basis, 3))
-        opacity = np.zeros(m)
-
-        if cached.size:
-            if prev_indices is None:
-                raise RuntimeError("cache copy requested with no previous buffer")
-            src = np.searchsorted(prev_indices, cached)
-            dst = np.searchsorted(working_set, cached)
-            sh[dst] = prev_noncrit["sh"][src]
-            opacity[dst] = prev_noncrit["opacity_logits"][src]
-            self.counters.cached_gaussians += int(cached.size)
-        if loads.size:
-            fetched = self.cpu_store.gather_params(loads)
-            dst = np.searchsorted(working_set, loads)
-            sh[dst] = fetched["sh"]
-            opacity[dst] = fetched["opacity_logits"]
-            self.counters.loaded_gaussians += int(loads.size)
-
-        crit = self.gpu_store.gather(working_set)
+        if cached.size and self.indices is None:
+            raise RuntimeError("cache copy requested with no previous buffer")
+        cpu = self.cpu_store
+        sh, opacity, crit, grad_sh, grad_opacity = self._ops(
+            "assemble_rows", cpu.params, self.gpu_store.packed_params
+        )(self, working_set, loads, cached, carried_grads)
+        self.counters.cached_gaussians += int(cached.size)
+        self.counters.loaded_gaussians += int(loads.size)
         model = GaussianModel(
             positions=crit["positions"],
             log_scales=crit["log_scales"],
             quaternions=crit["quaternions"],
             sh=sh,
             opacity_logits=opacity,
-            sh_degree=_degree_for_basis(sh_basis),
+            sh_degree=_degree_for_basis(cpu.sh_basis),
         )
 
         self.indices = working_set
         self.noncrit = {"sh": sh, "opacity_logits": opacity}
-        self.grad_sh = np.zeros_like(sh)
-        self.grad_opacity = np.zeros_like(opacity)
-        if carried_grads is not None:
-            carried_idx, carried_sh, carried_op = carried_grads
-            dst = np.searchsorted(working_set, carried_idx)
-            self.grad_sh[dst] = carried_sh
-            self.grad_opacity[dst] = carried_op
-
+        self.grad_sh = grad_sh
+        self.grad_opacity = grad_opacity
+        m = working_set.size
         self._max_rows = max(self._max_rows, m)
         if self.pool is not None:
             self.pool.alloc("clm.double_buffer", CLM_BUFFER_BPG * self._max_rows)
@@ -338,16 +339,10 @@ class GpuWorkingSet:
         """Accumulate a backward pass's gradients into the working buffers
         (non-critical) and the resident accumulators (critical)."""
         assert self.indices is not None
-        self.grad_sh += grads["sh"]
-        self.grad_opacity += grads["opacity_logits"]
-        self.gpu_store.accumulate_grads(
-            self.indices,
-            {
-                "positions": grads["positions"],
-                "log_scales": grads["log_scales"],
-                "quaternions": grads["quaternions"],
-            },
-        )
+        self._ops(
+            "add_grads_rows", self.gpu_store.packed_grads,
+            *(grads[name] for name in _GRAD_ORDER),
+        )(self, grads)
 
     def retire(
         self, stores: np.ndarray, carried: np.ndarray
@@ -355,16 +350,13 @@ class GpuWorkingSet:
         """Offload finalized gradients; return carried grads for the next
         buffer (or None)."""
         assert self.indices is not None
-        if stores.size:
-            src = np.searchsorted(self.indices, stores)
-            self.cpu_store.accumulate_grads(
-                stores, self.grad_sh[src], self.grad_opacity[src]
-            )
-            self.counters.stored_gaussians += int(stores.size)
-        if carried.size:
-            src = np.searchsorted(self.indices, carried)
-            return (carried, self.grad_sh[src].copy(), self.grad_opacity[src].copy())
-        return None
+        out = self._ops("retire_rows", self.cpu_store.grads)(self, stores, carried)
+        self.counters.stored_gaussians += int(stores.size)
+        return out
+
+    @property
+    def active_kernel_backend(self) -> Optional[str]:
+        return self._ops.active
 
     def release(self) -> None:
         if self.pool is not None:
@@ -372,6 +364,10 @@ class GpuWorkingSet:
             self.pool.free("clm.activations")
         self.indices = None
         self.noncrit = {}
+
+
+#: The gradient arrays ``add_grads`` reads, in the order its spec lists them.
+_GRAD_ORDER = ("sh", "opacity_logits", "positions", "log_scales", "quaternions")
 
 
 def _degree_for_basis(basis: int) -> int:

@@ -24,8 +24,9 @@ NumPy arrays:
    in-flight chunk and surfaces worker errors.
 
 Both optimizers are fused :class:`repro.optim.packed_adam.PackedSparseAdam`
-instances over the stores' packed row layouts — one gather, one fused
-update with per-column learning rates, one scatter per chunk.  Because the
+instances over the stores' packed row layouts — one ``adam_rows`` kernel
+op with per-column learning rates per chunk, and the stores' data path is
+one kernel op a method (:mod:`repro.core.stores`).  Because the
 kernel arithmetic is shared with the per-name sparse Adam and the chunks
 are pairwise disjoint, the result is bit-identical to GPU-only training of
 the same batch for any worker count — checked by
@@ -81,13 +82,7 @@ class CLMEngine(EngineBase):
     """Offloaded 3DGS training over split parameter stores."""
 
     def _setup(self, model: GaussianModel) -> None:
-        self.gpu_store = GpuCriticalStore(
-            model, pool=self.pool, grad_dtype=self.config.grad_dtype
-        )
-        self.cpu_store = PinnedParameterStore(
-            model, grad_dtype=self.config.grad_dtype
-        )
-        self.sh_degree = model.sh_degree
+        self._build_stores(model)
         # Fused packed-row optimizers matching the stores' row layouts:
         # critical (N, 10), non-critical (N, 3K+1).
         self.adam_critical = PackedSparseAdam(
@@ -337,6 +332,16 @@ class CLMEngine(EngineBase):
         )
         return result, adam_noncritical_s, stats.hidden_s
 
+    def _build_stores(self, model: GaussianModel) -> None:
+        grad_dtype, backend = self.config.grad_dtype, self.kernel_backend
+        self.gpu_store = GpuCriticalStore(
+            model, pool=self.pool, grad_dtype=grad_dtype, kernel_backend=backend
+        )
+        self.cpu_store = PinnedParameterStore(
+            model, grad_dtype=grad_dtype, kernel_backend=backend
+        )
+        self.sh_degree = model.sh_degree
+
     def _new_working_set(self) -> GpuWorkingSet:
         return GpuWorkingSet(
             self.cpu_store,
@@ -370,13 +375,11 @@ class CLMEngine(EngineBase):
     # ------------------------------------------------------------------
     def _apply_noncritical_adam(self, rows: np.ndarray) -> None:
         """Fused CPU Adam over one finalized chunk (the §5.4 thread's
-        work): one gather from the pinned packed rows, one fused update,
-        one scatter back — run on an :class:`OverlapExecutor` worker when
-        the overlap runtime has one."""
+        work): the pinned packed rows updated in place — run on an
+        :class:`OverlapExecutor` worker when the overlap runtime has one."""
         if rows.size == 0:
             return
-        # Pass the full padded pinned buffer: whole cache-line-aligned rows
-        # gather/scatter as contiguous memcpys (padding rides along).
+        # The full padded pinned buffer: padding columns ride along.
         self.adam_noncritical.step_packed(
             self.cpu_store.params, self.cpu_store.grads, rows
         )
@@ -421,16 +424,9 @@ class CLMEngine(EngineBase):
     def rebuild(self, model: GaussianModel, keep_rows: np.ndarray) -> None:
         # No chunk can be in flight here: rebuild only runs between
         # batches, after train_batch's barrier.
-        pool = self.pool
-        if pool is not None:
+        if self.pool is not None:
             self.gpu_store.release()
-        self.gpu_store = GpuCriticalStore(
-            model, pool=pool, grad_dtype=self.config.grad_dtype
-        )
-        self.cpu_store = PinnedParameterStore(
-            model, grad_dtype=self.config.grad_dtype
-        )
-        self.sh_degree = model.sh_degree
+        self._build_stores(model)
         self.adam_critical.resize(keep_rows)
         self.adam_noncritical.resize(keep_rows)
 

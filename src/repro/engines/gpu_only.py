@@ -53,7 +53,8 @@ class GpuOnlyEngine(EngineBase):
     def _setup(self, model: GaussianModel) -> None:
         self.model = model.clone()
         self.optimizer = SparseAdam(
-            self.model.parameters(), config=self.config.adam
+            self.model.parameters(), config=self.config.adam,
+            kernel_backend=self.kernel_backend,
         )
         if self.pool is not None:
             self._allocate()

@@ -46,7 +46,8 @@ class NaiveOffloadEngine(EngineBase):
         # CPU master copy ("pinned"): all 59 floats live here between steps.
         self.cpu_model = model.clone()
         self.optimizer = SparseAdam(
-            self.cpu_model.parameters(), config=self.config.adam
+            self.cpu_model.parameters(), config=self.config.adam,
+            kernel_backend=self.kernel_backend,
         )
         if self.pool is not None:
             self._allocate()

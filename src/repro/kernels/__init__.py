@@ -7,9 +7,10 @@ every call site uses (``resolve_backend`` → ``compile_with_fallback``).
 
 Two backends ship and register on import: ``numpy`` (the always-available
 reference) and ``native`` (a whole view in C — projection, binning, fused
-per-tile compositing, the gradient chain — built at first use with the
-system C compiler; unavailable, and silently skipped by ``auto``, without
-one) — see ``repro backends`` and the README's "Kernel backends" section.
+per-tile compositing, the gradient chain — and CLM's data path and fused
+Adam over row indices, built at first use with the system C compiler;
+unavailable, and silently skipped by ``auto``, without one) — see
+``repro backends`` and the README's "Kernel backends" section.
 """
 
 from repro.kernels.registry import (
@@ -20,6 +21,7 @@ from repro.kernels.registry import (
     KernelBackend,
     KernelData,
     KernelSpec,
+    OpDispatch,
     UnknownBackendError,
     UnsupportedKernelError,
     adam_spec,
@@ -33,6 +35,7 @@ from repro.kernels.registry import (
     register_backend,
     resolve_backend,
     resolve_backend_name,
+    rows_spec,
     unregister_backend,
     view_spec,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "KernelBackend",
     "KernelData",
     "KernelSpec",
+    "OpDispatch",
     "UnknownBackendError",
     "UnsupportedKernelError",
     "adam_spec",
@@ -59,6 +63,7 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",
+    "rows_spec",
     "unregister_backend",
     "view_spec",
 ]

@@ -56,6 +56,24 @@ for forward-only renders, and in the raster ops) the backward pass
 replays the forward to regenerate them, to bit-identical gradients.
 ``group_size`` has no effect here.
 
+CLM's data path is the third part, one native call per public method of
+the stores and optimizers, over row indices: ``assemble_rows``
+(``GpuWorkingSet.assemble``: cache copies, pinned-row loads and the
+critical gather into one block per working set, gradients zeroed but for
+the carried rows), ``add_grads_rows``, ``retire_rows`` (the offload into
+the padded pinned gradient rows, plus the carried copy), ``zero_rows``
+(both stores' ``zero_grads``) and ``adam_rows`` (``PackedSparseAdam`` /
+``SparseAdam``: the fused Adam step in place over the rows, no gathered
+block).  Where the reference places a set with ``np.searchsorted`` the C
+walks it through the sorted set it indexes, needing no scratch, and each
+call checks every row before it writes: one outside the store raises
+``IndexError``, one that is not a member, in order, of the set it indexes
+(or, for Adam, one that repeats) ``ValueError``.  These calls are copies,
+adds and ``fused_adam_update``'s operations in its order, so unlike the
+view ops they are bit-identical to NumPy.  Their binding cost is the
+addresses (~1.1 us an ``ndarray.ctypes``; a ctypes view of a writable
+buffer, :func:`_address`, ~0.35 us), so each call takes few.
+
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
 ``$CC``, ``cc``, ``gcc``, ``clang`` found on ``PATH``:
@@ -84,14 +102,14 @@ lands on NumPy silently.  A build or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  Five of the six ops are
-implemented, over float64 C-contiguous operands (``exact_cull``: float64
-rows, each contiguous): a float32 blend state (``dtype="float32"``), a
-model array that is float32 or not C-contiguous, a backward pass over a
-context NumPy made or whose projection was replaced, and the fused Adam
-update stay on NumPy through the registry's per-op fallback (a C Adam is
-not faster through ctypes at the optimizers' chunk sizes) — and a view
-the view ops declined still composites on the raster kernels here.
+and every caller runs on the reference.  All ten ops are implemented,
+over float64 C-contiguous operands (``exact_cull``: float64 rows, each
+contiguous): a float32 blend state (``dtype="float32"``), a model array
+that is float32 or not C-contiguous, a backward pass over a context NumPy
+made or whose projection was replaced, and float32 gradient staging
+(``grad_dtype="float32"``) stay on NumPy through the registry's per-op
+fallback — and a view the view ops declined still composites on the
+raster kernels here.
 """
 
 from __future__ import annotations
@@ -126,9 +144,10 @@ CFLAGS = (
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
+_ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam_rows")
 _OPS = frozenset({
     "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-    "raster_backward_slab",
+    "raster_backward_slab", *_ROW_OPS,
 })
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -150,6 +169,17 @@ _SIGNATURES = {
     "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 8,
     "view_backward": [_I64] * 5 + [_PTR] * 7 + [_I64, _I64, _PTR]
     + [_I64] * 3 + [_PTR] * 6,
+    # The data path takes addresses too (``.ctypes.data`` costs ~1.2 us an
+    # array): its buffers are the stores' and the optimizers', checked by
+    # :func:`_buffer`, and index vectors, coerced by :func:`_rows`.
+    "rows_assemble": [_I64] * 3 + [_PTR] * 3 + [_I64, _PTR, _I64, _PTR, _I64]
+    + [_PTR, _I64, _PTR, _PTR] * 2 + [_PTR],
+    "rows_add_grads": [_I64, _I64, _PTR, _I64] + [_PTR] * 8,
+    "rows_retire": [_I64] * 3 + [_PTR] * 2 + [_I64] + [_PTR] * 3
+    + [_I64, _PTR, _I64, _PTR],
+    "rows_zero": [_I64, _I64, _PTR, _PTR, _I64],
+    "adam_rows": [_PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR]
+    + [_I64, _PTR, _F64, _F64, _F64, _PTR, _PTR, _I64, _I64],
 }
 #: Per-Gaussian fields of a render's float64 block, in the order and widths
 #: of ``native_kernels.c``'s ``F_*`` table: field after field, each a
@@ -164,6 +194,7 @@ _FIELDS = (
 _WIDTHS = [int(np.prod(shape)) for _, shape in _FIELDS]
 _RETAINED = sum(_WIDTHS)  # 52 doubles
 _SCRATCH = _RETAINED + 5  # + means x / y, conic a / b / c as separate arrays
+_FLOAT64 = np.dtype(np.float64)
 
 
 def find_compiler() -> Optional[List[str]]:
@@ -597,15 +628,220 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
     return view_forward if op == "view_forward" else view_backward
 
 
+def _rows(arr) -> np.ndarray:
+    """An index vector as the int64 array the C loops walk."""
+    rows = np.ascontiguousarray(arr, dtype=np.int64)
+    if rows.ndim != 1:
+        raise ValueError(f"native data path: rows of shape {rows.shape}")
+    return rows
+
+
+def _buffer(arr: np.ndarray, shape: tuple, write: bool = False) -> int:
+    """The address of ``arr`` once it is the C-contiguous float64 ``shape``
+    the C loops index (and writable, when they write it)."""
+    flags = arr.flags
+    if not (
+        arr.dtype == _FLOAT64
+        and flags.c_contiguous
+        and arr.shape == shape
+        and (flags.writeable or not write)
+    ):
+        raise ValueError(
+            f"native data path: a {arr.dtype}{arr.shape} buffer where "
+            f"{'a writable ' if write else ''}C-contiguous float64{shape} "
+            "is indexed"
+        )
+    return _address(arr)
+
+
+def _address(arr: np.ndarray) -> int:
+    """Where a C-contiguous array's data starts.  ``ndarray.ctypes`` builds
+    an object (~1.1 us); a ctypes view of a writable buffer costs ~0.35 us,
+    and all but the plans' frozen index sets are writable."""
+    if arr.flags.writeable and arr.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def _strided(arr: np.ndarray, n: int, width: int, write: bool = False) -> tuple:
+    """The address and the doubles per row of an ``(n, ...)`` operand whose
+    rows are at least ``width`` wide."""
+    stride = arr.size // n if n else width
+    if arr.shape[:1] != (n,) or stride < width:
+        raise ValueError(
+            f"native adam_rows: a {arr.shape} operand for {n} rows of {width}"
+        )
+    return _buffer(arr, arr.shape, write), stride
+
+
+def _disjoint(*spans: tuple) -> None:
+    """Refuse ``(address, nbytes)`` operands that overlap: ``adam_rows``
+    takes them ``restrict``."""
+    spans = sorted(spans)
+    for (start, size), (following, _) in zip(spans, spans[1:]):
+        if start + size > following:
+            raise ValueError("native adam_rows: operands share memory")
+
+
+def _refuse(code: int, call: str) -> None:
+    """Raise what a data-path call's status stands for (0: done)."""
+    if code == 1:
+        raise MemoryError(f"native {call} could not allocate its row check")
+    if code == 2:
+        raise IndexError(f"native {call}: a row outside the store")
+    if code == 3:
+        raise ValueError(f"native {call}: " + (
+            "a row repeats" if call == "adam_rows"
+            else "a row that is not a member, in order, of the set it indexes"
+        ))
+
+
+def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
+    """The data-path op ``op`` as one call into the loaded library: shapes,
+    dtypes and contiguity are checked here, rows by the C call before it
+    writes anything."""
+    from repro.optim.kernels import tables_for
+
+    def assemble_rows(ws, working_set, loads, cached, carried_grads):
+        cpu, gpu, k = ws.cpu_store, ws.gpu_store, ws.cpu_store.sh_basis
+        n, k3 = cpu.num_rows, 3 * k
+        rows, loads, cached = _rows(working_set), _rows(loads), _rows(cached)
+        m = rows.size
+        prev = carry = (None, 0, None, None)
+        if cached.size:
+            before = _rows(ws.indices)
+            mp = before.size
+            prev = (
+                _address(before), mp, _buffer(ws.noncrit["sh"], (mp, k, 3)),
+                _buffer(ws.noncrit["opacity_logits"], (mp,)),
+            )
+        if carried_grads is not None:
+            carried = _rows(carried_grads[0])
+            nc = carried.size
+            carry = (
+                _address(carried), nc, _buffer(carried_grads[1], (nc, k, 3)),
+                _buffer(carried_grads[2], (nc,)),
+            )
+        block = np.empty(m * (2 * k3 + 12))
+        _refuse(lib.rows_assemble(
+            n, k3, cpu.row_floats, _buffer(cpu.params, (n, cpu.row_floats)),
+            _buffer(gpu.packed_params, (n, 10)), _address(rows), m,
+            _address(loads), loads.size, _address(cached), cached.size,
+            *prev, *carry, _address(block),
+        ), op)
+        at = m * (k3 + 1)  # sh | opacity | grad_sh | grad_opacity | critical
+        crit = at + at
+        critical = {
+            "positions": block[crit : crit + 3 * m].reshape(m, 3),
+            "log_scales": block[crit + 3 * m : crit + 6 * m].reshape(m, 3),
+            "quaternions": block[crit + 6 * m :].reshape(m, 4),
+        }
+        return (
+            block[: m * k3].reshape(m, k, 3), block[m * k3 : at], critical,
+            block[at : at + m * k3].reshape(m, k, 3), block[at + m * k3 : crit],
+        )
+
+    def add_grads_rows(ws, grads):
+        gpu, k = ws.gpu_store, ws.cpu_store.sh_basis
+        rows = _rows(ws.indices)
+        n, m = gpu.num_rows, rows.size
+        shapes = {
+            "sh": (m, k, 3), "opacity_logits": (m,), "positions": (m, 3),
+            "log_scales": (m, 3), "quaternions": (m, 4),
+        }
+        _refuse(lib.rows_add_grads(
+            n, 3 * k, _address(rows), m,
+            _buffer(ws.grad_sh, (m, k, 3), write=True),
+            _buffer(ws.grad_opacity, (m,), write=True),
+            *(_buffer(grads[name], shape) for name, shape in shapes.items()),
+            _buffer(gpu.packed_grads, (n, 10), write=True),
+        ), op)
+
+    def retire_rows(ws, stores, carried):
+        cpu, k = ws.cpu_store, ws.cpu_store.sh_basis
+        n, k3 = cpu.num_rows, 3 * k
+        rows, stored, kept = _rows(ws.indices), _rows(stores), _rows(carried)
+        m, nc = rows.size, kept.size
+        carry = np.empty(nc * (k3 + 1))
+        _refuse(lib.rows_retire(
+            n, k3, cpu.row_floats,
+            _buffer(cpu.grads, (n, cpu.row_floats), write=True),
+            _address(rows), m, _buffer(ws.grad_sh, (m, k, 3)),
+            _buffer(ws.grad_opacity, (m,)), _address(stored), stored.size,
+            _address(kept), nc, _address(carry),
+        ), op)
+        if not nc:
+            return None
+        return carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 :]
+
+    def zero_rows(buffer, rows):
+        rows = _rows(rows)
+        n = buffer.shape[0]
+        _refuse(lib.rows_zero(
+            n, buffer.size // n if n else 0,
+            _buffer(buffer, buffer.shape, write=True), _address(rows),
+            rows.size,
+        ), op)
+
+    def adam_rows(
+        params, grads, m, v, steps, rows, lr, beta1, beta2, eps, bump=True,
+        block_rows=None,  # the C loop walks the rows in place, unblocked
+    ):
+        rows = _rows(rows)
+        n = m.shape[0]
+        width = m.size // n if n else 0
+        if not (
+            steps.dtype == np.int64 and steps.flags.c_contiguous
+            and steps.flags.writeable and steps.shape == (n,)
+        ):
+            raise ValueError(f"native adam_rows: steps {steps.dtype}{steps.shape}")
+        lr = np.asarray(lr, dtype=np.float64)
+        lr = np.full(width, lr) if lr.ndim == 0 else lr
+        p_at, p_stride = _strided(params, n, width, write=True)
+        g_at, g_stride = _strided(grads, n, width)
+        m_at, v_at = _buffer(m, m.shape, write=True), _buffer(v, m.shape, write=True)
+        _disjoint(
+            (p_at, params.nbytes), (g_at, grads.nbytes), (m_at, m.nbytes),
+            (v_at, v.nbytes),
+        )
+        operands = (
+            p_at, p_stride, g_at, g_stride, m_at, v_at, width, _address(steps),
+            n, _address(rows), rows.size,
+            _buffer(np.ascontiguousarray(lr), (width,)), beta1, beta2, eps,
+        )
+        tables, t_max = tables_for(beta1, beta2), 0
+        while True:
+            bc1, rsqrt_bc2 = tables.covering(t_max)
+            code = lib.adam_rows(
+                *operands, _address(bc1), _address(rsqrt_bc2),
+                min(bc1.size, rsqrt_bc2.size), int(bump),
+            )
+            if code != 4:
+                return _refuse(code, op)
+            # A step past the tables' end: grow them, then go again (nothing
+            # was written).  Only a negative step count can fail twice.
+            reached = int(steps[rows].max()) + int(bump)
+            if reached <= t_max:
+                raise ValueError("native adam_rows: a negative step count")
+            t_max = reached
+
+    return {
+        "assemble_rows": assemble_rows, "add_grads_rows": add_grads_rows,
+        "retire_rows": retire_rows, "zero_rows": zero_rows,
+        "adam_rows": adam_rows,
+    }[op]
+
+
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
-    """Compiled C view and raster kernels; Adam on the reference."""
+    """Compiled C view, raster and data-path kernels."""
 
     priority = 10
     description = (
         "a view in C (frustum test, projection, binning, fused per-tile "
-        "compositing, gradient chain), built at first use with the system C "
-        "compiler (float64 cull, view and raster ops; Adam on NumPy)"
+        "compositing, gradient chain) and CLM's data path and fused Adam "
+        "over row indices, built at first use with the system C compiler "
+        "(float64 operands)"
     )
 
     def __init__(self) -> None:
@@ -643,9 +879,10 @@ class NativeKernelBackend(KernelBackend):
         return _OPS
 
     def supports(self, spec: KernelSpec) -> bool:
-        # The kernels index raw float64 buffers; float32 blend state,
-        # strided or float32 model arrays and (``view_backward``) a context
-        # without a block of ours stay on the reference.  ``exact_cull``'s
+        # The kernels index raw float64 buffers; float32 blend state or
+        # gradient staging, strided or float32 model arrays and
+        # (``view_backward``) a context without a block of ours stay on the
+        # reference.  ``exact_cull``'s
         # spec reads ``contiguous`` per row (``registry.cull_spec``).
         return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
@@ -655,6 +892,8 @@ class NativeKernelBackend(KernelBackend):
         lib = self.library().load()
         if spec.op == "exact_cull":
             return _bind_cull(lib)
+        if spec.op in _ROW_OPS:
+            return _bind_rows(lib, spec.op)
         if spec.op.startswith("view_"):
             return _bind_view(lib, spec.op, self.name)
         return _bind(lib, spec.op)

@@ -1,5 +1,6 @@
-/* The ``native`` kernel backend: fused per-tile compositing kernels (this
- * half of the file) and the whole-view ops built around them (the second).
+/* The ``native`` kernel backend: fused per-tile compositing kernels (the
+ * first part of this file), the whole-view ops built around them (the
+ * second) and CLM's data path over row indices (the third).
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -1211,4 +1212,285 @@ int view_backward(
                        g_log_scales, g_quats, g_sh, g_logits);
     free(scratch);
     return failed;
+}
+
+/* ======================================================================
+ * The data path: CLM's selective load, gradient offload and packed CPU Adam
+ * (core/stores.py, optim/packed_adam.py), one call per public method, over
+ * row indices.  The NumPy reference of each call (numpy_backend.py,
+ * optim/kernels.adam_rows) is reproduced bit for bit: the work is copies,
+ * adds, and the Adam update in fused_adam_update's operation order, every
+ * operation rounding as an IEEE double on both sides.
+ *
+ * Index sets are sorted and duplicate-free (repro.utils.setops).  A set is
+ * placed in the set it indexes by a merge walk where the reference calls
+ * np.searchsorted, and every call checks all of its rows before it writes
+ * anything: a row outside [0, n) returns 2, a row that is not a member (in
+ * order) of the set it indexes returns 3.
+ *
+ * The pinned store's rows are ``stride`` doubles: sh (k3 = 3K values), the
+ * opacity, zero padding.  The critical store's are positions 3 | log-scales 3
+ * | quaternions 4.  A working set of m rows is one block laid out field after
+ * field: sh (m, k3) | opacity (m) | grad_sh (m, k3) | grad_opacity (m) |
+ * positions (m, 3) | log_scales (m, 3) | quaternions (m, 4).
+ * ====================================================================== */
+
+/* Position of ``key`` in the sorted s[0 .. ns), searching from ``from`` (the
+ * previous key's position + 1 in a merge walk); -1 when it is not there. */
+static inline int64_t walk(const int64_t *s, int64_t ns, int64_t from, int64_t key)
+{
+    while (from < ns && s[from] < key)
+        from++;
+    return from < ns && s[from] == key ? from : -1;
+}
+
+/* Whether each q[k] is a member of s, in increasing order. */
+static int members(const int64_t *q, int64_t nq, const int64_t *s, int64_t ns)
+{
+    for (int64_t k = 0, j = 0; k < nq; k++, j++)
+        if ((j = walk(s, ns, j, q[k])) < 0)
+            return 0;
+    return 1;
+}
+
+/* Whether every rows[k] lies in [0, n). */
+static int in_range(const int64_t *rows, int64_t count, int64_t n)
+{
+    for (int64_t k = 0; k < count; k++)
+        if (rows[k] < 0 || rows[k] >= n)
+            return 0;
+    return 1;
+}
+
+/* dst[e] += src[e] for e < count, in pairs: -O2 vectorizes this form (not
+ * the one-at-a-time loop), and every sum still rounds on its own. */
+static void add_into(double *dst, const double *src, int64_t count)
+{
+    int64_t e = 0;
+    for (; e + 1 < count; e += 2) {
+        const double a = dst[e] + src[e], b = dst[e + 1] + src[e + 1];
+        dst[e] = a;
+        dst[e + 1] = b;
+    }
+    if (e < count)
+        dst[e] += src[e];
+}
+
+/* Whether s[0 .. ns) strictly increases inside [0, n). */
+static int index_set(const int64_t *s, int64_t ns, int64_t n)
+{
+    for (int64_t k = 0; k < ns; k++)
+        if (s[k] < (k ? s[k - 1] + 1 : 0) || s[k] >= n)
+            return 0;
+    return 1;
+}
+
+/* GpuWorkingSet.assemble: the block of working set ws[0 .. m), in one pass
+ * over it.  A row's sh and opacity come from the pinned rows when it is a
+ * load (loads win: the reference writes them last), else from the previous
+ * buffer (rows prev[0 .. mp) of prev_sh / prev_opacity) when it is cached,
+ * else are zero; its gradients are the carried row when it is carried, else
+ * zero; its critical attributes come from the (n, 10) critical rows. */
+int rows_assemble(
+    int64_t n, int64_t k3, int64_t stride, const double *pinned,
+    const double *critical, const int64_t *ws, int64_t m,
+    const int64_t *loads, int64_t num_loads, const int64_t *cached,
+    int64_t num_cached, const int64_t *prev, int64_t mp,
+    const double *prev_sh, const double *prev_opacity,
+    const int64_t *carried, int64_t num_carried, const double *carried_sh,
+    const double *carried_opacity, double *block)
+{
+    if (!index_set(ws, m, n))
+        return 2;
+    if (!members(cached, num_cached, prev, mp) ||
+        !members(cached, num_cached, ws, m) ||
+        !members(loads, num_loads, ws, m) ||
+        !members(carried, num_carried, ws, m))
+        return 3;
+    const size_t row = (size_t)k3 * sizeof(double);
+    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
+    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
+    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
+    int64_t kl = 0, kc = 0, kr = 0, j = 0;
+    for (int64_t i = 0; i < m; i++) {
+        const int64_t r = ws[i];
+        const int is_cached = kc < num_cached && cached[kc] == r;
+        if (is_cached) {
+            j = walk(prev, mp, j, r);
+            kc++;
+        }
+        if (kl < num_loads && loads[kl] == r) {
+            memcpy(sh + i * k3, pinned + r * stride, row);
+            opacity[i] = pinned[r * stride + k3];
+            kl++;
+        } else if (is_cached) {
+            memcpy(sh + i * k3, prev_sh + j * k3, row);
+            opacity[i] = prev_opacity[j];
+        } else {
+            memset(sh + i * k3, 0, row);
+            opacity[i] = 0.0;
+        }
+        j += is_cached;
+        if (kr < num_carried && carried[kr] == r) {
+            memcpy(grad_sh + i * k3, carried_sh + kr * k3, row);
+            grad_opacity[i] = carried_opacity[kr++];
+        } else {
+            memset(grad_sh + i * k3, 0, row);
+            grad_opacity[i] = 0.0;
+        }
+        memcpy(positions + 3 * i, critical + r * 10, 3 * sizeof(double));
+        memcpy(log_scales + 3 * i, critical + r * 10 + 3, 3 * sizeof(double));
+        memcpy(quats + 4 * i, critical + r * 10 + 6, 4 * sizeof(double));
+    }
+    return 0;
+}
+
+/* GpuWorkingSet.add_grads: a backward pass's gradients of ws[0 .. m) added
+ * to the working set's gradient buffers (non-critical) and to rows ws of the
+ * (n, 10) critical accumulator. */
+int rows_add_grads(
+    int64_t n, int64_t k3, const int64_t *ws, int64_t m, double *grad_sh,
+    double *grad_opacity, const double *d_sh, const double *d_opacity,
+    const double *d_positions, const double *d_log_scales,
+    const double *d_quats, double *critical_grads)
+{
+    if (!index_set(ws, m, n))
+        return 2;
+    add_into(grad_sh, d_sh, m * k3);
+    add_into(grad_opacity, d_opacity, m);
+    for (int64_t i = 0; i < m; i++) {
+        double *dst = critical_grads + ws[i] * 10;
+        add_into(dst, d_positions + 3 * i, 3);
+        add_into(dst + 3, d_log_scales + 3 * i, 3);
+        add_into(dst + 6, d_quats + 4 * i, 4);
+    }
+    return 0;
+}
+
+/* GpuWorkingSet.retire: the gradients of rows stores[0 .. num_stores) of the
+ * working set ws[0 .. m) added into the pinned gradient rows (whose padding
+ * gains +0.0: the reference adds a zero-padded row), and those of carried[0
+ * .. num_carried) copied into ``carry``: sh (num_carried, k3), then opacity. */
+int rows_retire(
+    int64_t n, int64_t k3, int64_t stride, double *pinned_grads,
+    const int64_t *ws, int64_t m, const double *grad_sh,
+    const double *grad_opacity, const int64_t *stores, int64_t num_stores,
+    const int64_t *carried, int64_t num_carried, double *carry)
+{
+    if (!in_range(stores, num_stores, n))
+        return 2;
+    if (!members(stores, num_stores, ws, m) ||
+        !members(carried, num_carried, ws, m))
+        return 3;
+    for (int64_t k = 0, j = 0; k < num_stores; k++, j++) {
+        double *dst = pinned_grads + stores[k] * stride;
+        j = walk(ws, m, j, stores[k]);
+        add_into(dst, grad_sh + j * k3, k3);
+        dst[k3] += grad_opacity[j];
+        for (int64_t c = k3 + 1; c < stride; c++)
+            dst[c] += 0.0;
+    }
+    for (int64_t k = 0, j = 0; k < num_carried; k++, j++) {
+        j = walk(ws, m, j, carried[k]);
+        memcpy(carry + k * k3, grad_sh + j * k3, (size_t)k3 * sizeof(double));
+        carry[num_carried * k3 + k] = grad_opacity[j];
+    }
+    return 0;
+}
+
+/* zero_grads: rows[0 .. count) of an (n, width) buffer set to 0.0, whole. */
+int rows_zero(
+    int64_t n, int64_t width, double *buffer, const int64_t *rows, int64_t count)
+{
+    if (!in_range(rows, count, n))
+        return 2;
+    for (int64_t k = 0; k < count; k++)
+        memset(buffer + rows[k] * width, 0, (size_t)width * sizeof(double));
+    return 0;
+}
+
+/* The fused Adam step over rows[0 .. count) of a packed layout, in place.
+ * Per row r: t = steps[r] + bump (stored back when bump is set), then over
+ * columns c < width of params / grads (rows ``p_stride`` / ``g_stride``
+ * doubles apart) and of the (n, width) moments, fused_adam_update's
+ * operations in its order:
+ *
+ *     m = m b1 + (1 - b1) g          v = v b2 + (g g)(1 - b2)
+ *     p = p - m / (sqrt(v) rsqrt_bc2[t] + eps) lr[c] / bc1[t]
+ *
+ * The rows are checked first.  Returns 2 when one is outside [0, n), 3 when
+ * one repeats (the reference's take / update / scatter updates a repeated
+ * row once, a loop in place would not), 4 when a step falls outside the
+ * ``table`` entries of the bias-correction tables it was handed (they are
+ * swapped for longer ones as steps grow), 1 when the repeat check's bitmap
+ * cannot be allocated; nothing is written then.  The four arrays must not
+ * overlap (the binding refuses that): they are ``restrict``, which is what
+ * lets -O2 vectorize the column loop. */
+int adam_rows(
+    double *restrict params, int64_t p_stride, const double *restrict grads,
+    int64_t g_stride, double *restrict m, double *restrict v, int64_t width,
+    int64_t *restrict steps, int64_t n, const int64_t *rows, int64_t count,
+    const double *restrict lr, double beta1, double beta2, double eps,
+    const double *bc1, const double *rsqrt_bc2, int64_t table, int64_t bump)
+{
+    int sorted = 1, beyond = 0;
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t r = rows[k];
+        if (r < 0 || r >= n)
+            return 2;
+        if (k > 0 && r <= rows[k - 1])
+            sorted = 0;
+        beyond |= steps[r] + bump < 0 || steps[r] + bump >= table;
+    }
+    if (!sorted) {
+        /* Increasing rows cannot repeat; others are marked one bit a row. */
+        uint8_t *seen = calloc((size_t)(n / 8 + 1), 1);
+        if (seen == NULL)
+            return 1;
+        int64_t k = 0;
+        for (; k < count; k++) {
+            const int64_t r = rows[k];
+            if (seen[r / 8] & (1u << (r % 8)))
+                break;
+            seen[r / 8] |= (uint8_t)(1u << (r % 8));
+        }
+        free(seen);
+        if (k < count)
+            return 3;
+    }
+    if (beyond)
+        return 4;
+    const double c1 = 1 - beta1, c2 = 1 - beta2;
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t r = rows[k];
+        const int64_t t = steps[r] + bump;
+        const double bc = bc1[t], rs = rsqrt_bc2[t];
+        double *restrict p = params + r * p_stride;
+        const double *restrict g = grads + r * g_stride;
+        double *restrict mr = m + r * width, *restrict vr = v + r * width;
+        steps[r] = t;
+        /* Column pairs written out, so that -O2's block vectorizer (which
+         * leaves a loop of unknown length scalar) runs them two a lane. */
+        int64_t c = 0;
+        for (; c + 1 < width; c += 2) {
+            const double m0 = mr[c] * beta1 + c1 * g[c];
+            const double m1 = mr[c + 1] * beta1 + c1 * g[c + 1];
+            const double v0 = vr[c] * beta2 + g[c] * g[c] * c2;
+            const double v1 = vr[c + 1] * beta2 + g[c + 1] * g[c + 1] * c2;
+            mr[c] = m0;
+            mr[c + 1] = m1;
+            vr[c] = v0;
+            vr[c + 1] = v1;
+            p[c] = p[c] - m0 / (sqrt(v0) * rs + eps) * lr[c] / bc;
+            p[c + 1] = p[c + 1] - m1 / (sqrt(v1) * rs + eps) * lr[c + 1] / bc;
+        }
+        for (; c < width; c++) {
+            const double mm = mr[c] * beta1 + c1 * g[c];
+            const double vv = vr[c] * beta2 + g[c] * g[c] * c2;
+            mr[c] = mm;
+            vr[c] = vv;
+            p[c] = p[c] - mm / (sqrt(vv) * rs + eps) * lr[c] / bc;
+        }
+    }
+    return 0;
 }

@@ -1,10 +1,11 @@
 """The NumPy reference kernel backend.
 
 The always-available, priority-0 reference every other backend is pinned
-against (and every per-op fallback lands on): the ~14-pass in-place
-:func:`repro.optim.kernels.fused_adam_update`, and the one NumPy
-implementation of grouped slab compositing — a **two-level** kernel over
-the CSR :class:`~repro.gaussians.rasterizer.TileBins`.
+against (and every per-op fallback lands on): the stores' data path, the
+blocked ~14-pass :func:`repro.optim.kernels.fused_adam_update` behind
+``adam_rows``, and the one NumPy implementation of grouped slab
+compositing — a **two-level** kernel over the CSR
+:class:`~repro.gaussians.rasterizer.TileBins`.
 
 *Entry level*, once per view on the ``E`` flat ``(tile, splat)`` entries
 (plus a pad slot ``E`` that padded slab rows point at).  The exponent
@@ -37,6 +38,13 @@ Forward-only renders (``cache_blend_state=False``) never form the odds or
 the gate; a backward pass without a cache regenerates the same state slab
 by slab, bit for bit.
 
+The data-path ops are CLM's stores as they always were: ``assemble_rows``
+places cache copies, pinned-row loads and carried gradients with
+``np.searchsorted`` and gathers the critical rows, ``add_grads_rows`` and
+``retire_rows`` accumulate through fancy-indexed ``+=``, ``zero_rows``
+assigns zero rows, and ``adam_rows`` is
+:func:`repro.optim.kernels.adam_rows`.
+
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
 on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
 ``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
@@ -63,7 +71,7 @@ from repro.kernels.registry import (
     register_backend,
     resolve_backend,
 )
-from repro.optim.kernels import fused_adam_update
+from repro.optim.kernels import adam_rows
 
 #: Row length (tiles x pixels of a slab) from which :func:`_scan` steps row
 #: by row instead of calling ``ufunc.accumulate``.  Measured crossover ~200
@@ -390,6 +398,60 @@ def _view_backward(ctx, model, dL_dimage):
     )
 
 
+def _assemble_rows(ws, working_set, loads, cached, carried_grads):
+    """A :class:`~repro.core.stores.GpuWorkingSet`'s next buffers: cache
+    copies from its previous buffer, loads from the pinned rows, the
+    critical rows, and zeroed gradients holding the carried rows.  Returns
+    ``(sh, opacity, critical, grad_sh, grad_opacity)``."""
+    m = working_set.size
+    sh = np.zeros((m, ws.cpu_store.sh_basis, 3))
+    opacity = np.zeros(m)
+    if cached.size:
+        src = np.searchsorted(ws.indices, cached)
+        dst = np.searchsorted(working_set, cached)
+        sh[dst] = ws.noncrit["sh"][src]
+        opacity[dst] = ws.noncrit["opacity_logits"][src]
+    if loads.size:
+        fetched = ws.cpu_store.gather_params(loads)
+        dst = np.searchsorted(working_set, loads)
+        sh[dst] = fetched["sh"]
+        opacity[dst] = fetched["opacity_logits"]
+    grad_sh = np.zeros_like(sh)
+    grad_opacity = np.zeros_like(opacity)
+    if carried_grads is not None:
+        carried, carried_sh, carried_opacity = carried_grads
+        dst = np.searchsorted(working_set, carried)
+        grad_sh[dst] = carried_sh
+        grad_opacity[dst] = carried_opacity
+    return sh, opacity, ws.gpu_store.gather(working_set), grad_sh, grad_opacity
+
+
+def _add_grads_rows(ws, grads):
+    """A backward pass's gradients into the working set's buffers and the
+    critical store's accumulator rows."""
+    ws.grad_sh += grads["sh"]
+    ws.grad_opacity += grads["opacity_logits"]
+    ws.gpu_store.accumulate_grads(ws.indices, grads)
+
+
+def _retire_rows(ws, stores, carried):
+    """Offload the ``stores`` rows' gradients into the pinned gradient rows;
+    ``(carried, sh, opacity)`` copies for the next buffer, or None."""
+    if stores.size:
+        src = np.searchsorted(ws.indices, stores)
+        ws.cpu_store.accumulate_grads(
+            stores, ws.grad_sh[src], ws.grad_opacity[src]
+        )
+    if carried.size:
+        src = np.searchsorted(ws.indices, carried)
+        return (carried, ws.grad_sh[src].copy(), ws.grad_opacity[src].copy())
+    return None
+
+
+def _zero_rows(buffer, rows):
+    buffer[rows] = 0.0
+
+
 @register_backend("numpy")
 class NumpyKernelBackend(KernelBackend):
     """Always-available reference: vectorized NumPy, one memory pass/op."""
@@ -397,7 +459,8 @@ class NumpyKernelBackend(KernelBackend):
     priority = 0
     description = (
         "vectorized NumPy reference (always available; grouped slab "
-        "compositing + fused in-place Adam)"
+        "compositing, the stores' gather / scatter data path, blocked "
+        "fused Adam)"
     )
 
     def capabilities(self) -> "frozenset[str]":
@@ -413,5 +476,9 @@ class NumpyKernelBackend(KernelBackend):
             "view_backward": _view_backward,
             "raster_forward_slab": _raster_forward,
             "raster_backward_slab": _raster_backward,
-            "adam_fused_update": fused_adam_update,
+            "assemble_rows": _assemble_rows,
+            "add_grads_rows": _add_grads_rows,
+            "retire_rows": _retire_rows,
+            "zero_rows": _zero_rows,
+            "adam_rows": adam_rows,
         }[spec.op]

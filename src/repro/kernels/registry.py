@@ -3,9 +3,9 @@
 The substrate's hot loops (the exact frustum test of
 :mod:`repro.gaussians.frustum`, a view's projection, binning, tile
 compositing and gradient chain in :mod:`repro.gaussians.rasterizer` /
-``rasterizer_grad``, and the fused Adam update in
-:mod:`repro.optim.kernels`) are whole-tensor NumPy passes in the
-reference.  This module is the MOT-style seam for compiled replacements
+``rasterizer_grad``, CLM's data path in :mod:`repro.core.stores`, and the
+fused Adam update of :mod:`repro.optim`) are whole-tensor NumPy passes in
+the reference.  This module is the MOT-style seam for compiled replacements
 (cf. the ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT,
 kernels kept as C source and compiled at run time): a
 :class:`KernelBackend` protocol with *capabilities* and a
@@ -66,15 +66,24 @@ AUTO = "auto"
 #: assembly) and ``view_backward`` takes its context and an image gradient
 #: to the parameter gradients; ``raster_forward_slab`` composites the tile
 #: bins of an already projected view, ``raster_backward_slab`` accumulates
-#: its compositing gradients, ``adam_fused_update`` is the fused packed-row
-#: Adam step.
+#: its compositing gradients.  The ``*_rows`` ops are CLM's data path over
+#: row indices, one per public method: ``assemble_rows``, ``add_grads_rows``
+#: and ``retire_rows`` are :class:`~repro.core.stores.GpuWorkingSet`'s
+#: selective load, gradient accumulation and gradient offload,
+#: ``zero_rows`` both stores' ``zero_grads``, and ``adam_rows`` the fused
+#: Adam step in place over rows of a packed layout (``PackedSparseAdam``,
+#: ``SparseAdam``).
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
     "view_backward",
     "raster_forward_slab",
     "raster_backward_slab",
-    "adam_fused_update",
+    "assemble_rows",
+    "add_grads_rows",
+    "retire_rows",
+    "zero_rows",
+    "adam_rows",
 )
 
 
@@ -173,12 +182,15 @@ def cull_spec(positions, log_scales, raw_quats) -> KernelSpec:
     )
 
 
+def rows_spec(op: str, *arrays: np.ndarray) -> KernelSpec:
+    """Spec of a data-path op over the buffers whose layout decides who can
+    run it (a float32 gradient staging buffer, say)."""
+    return _kernel_spec(op, tuple(KernelData.from_array(a) for a in arrays))
+
+
 def adam_spec(*arrays: np.ndarray) -> KernelSpec:
-    """Spec of the fused Adam update over the given packed operands."""
-    return _kernel_spec(
-        "adam_fused_update",
-        tuple(KernelData.from_array(a) for a in arrays),
-    )
+    """Spec of ``adam_rows`` over ``(params, grads, m, v)``."""
+    return rows_spec("adam_rows", *arrays)
 
 
 class KernelBackend(abc.ABC):
@@ -415,3 +427,33 @@ def compile_with_fallback(
             )
     reference = get_backend(REFERENCE_BACKEND)
     return reference.compile(spec), reference
+
+
+class OpDispatch:
+    """The ops one holder (a store, a working set, an optimizer) runs,
+    resolved once: ``kernel_backend`` at first use (:func:`resolve_backend`)
+    and each op over each operand layout through
+    :func:`compile_with_fallback` the first time it is seen.  The layouts
+    are looked up raw — dtype, rank, C-contiguity — because hashing a
+    :class:`KernelSpec` runs its dataclass fields' hashes in Python, and
+    the data path asks on every call.  :attr:`active` names the backend
+    that ran the last op asked for, after per-op fallback."""
+
+    def __init__(self, kernel_backend: Optional[str] = None) -> None:
+        self.kernel_backend = kernel_backend
+        self.active: Optional[str] = None
+        self._backend: Optional[KernelBackend] = None
+        self._compiled: Dict[tuple, Tuple[Callable, KernelBackend]] = {}
+
+    def __call__(self, op: str, *operands: np.ndarray) -> Callable:
+        """The callable for ``op`` over arrays laid out like ``operands``."""
+        key = (op, *((a.dtype, a.ndim, a.flags.c_contiguous) for a in operands))
+        hit = self._compiled.get(key)
+        if hit is None:
+            if self._backend is None:
+                self._backend = resolve_backend(self.kernel_backend)
+            hit = self._compiled[key] = compile_with_fallback(
+                self._backend, rows_spec(op, *operands)
+            )
+        self.active = hit[1].name
+        return hit[0]

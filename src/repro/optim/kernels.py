@@ -10,6 +10,10 @@ that CLM's overlapped CPU Adam and the GPU-only baselines land on
 performs the same floating-point operations in the same association order
 — they all run this kernel.
 
+:func:`adam_rows` is the sparse optimizers' step over rows of a packed
+layout (the ``adam_rows`` kernel op's NumPy reference): a cache-blocked
+``take`` -> :func:`fused_adam_update` -> scatter round-trip.
+
 The formulation is the low-pass form of Adam::
 
     m      = b1*m + (1-b1)*g
@@ -38,6 +42,10 @@ import numpy as np
 
 ArrayOrScalar = Union[np.ndarray, float, int]
 
+#: Rows per :func:`adam_rows` block — sized so a block's operands and
+#: temporaries (~7 arrays of block x width floats) stay cache-resident.
+DEFAULT_BLOCK_ROWS = 1024
+
 
 class BiasCorrectionTables:
     """Per-step Adam bias-correction factors, precomputed and growable.
@@ -65,13 +73,18 @@ class BiasCorrectionTables:
             rsqrt_bc2 = 1.0 / np.sqrt(1.0 - self.beta2**t)
         self._bc1, self._rsqrt_bc2, self._size = bc1, rsqrt_bc2, size
 
-    def lookup(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        t_max = int(t.max())
+    def covering(self, t_max: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The two whole tables, grown first when ``t_max`` is past their
+        end.  What a caller holds stays valid: growth swaps in new arrays."""
         if t_max >= self._size:
             with self._grow_lock:
                 if t_max >= self._size:
                     self._build(2 * t_max)
-        return self._bc1.take(t), self._rsqrt_bc2.take(t)
+        return self._bc1, self._rsqrt_bc2
+
+    def lookup(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        bc1, rsqrt_bc2 = self.covering(int(t.max()))
+        return bc1.take(t), rsqrt_bc2.take(t)
 
 
 _TABLES: Dict[Tuple[float, float], BiasCorrectionTables] = {}
@@ -149,3 +162,49 @@ def fused_adam_update(
     update *= lr
     update /= bc1
     params -= update
+
+
+def adam_rows(
+    params: np.ndarray,
+    grads: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    steps: np.ndarray,
+    rows: np.ndarray,
+    lr: ArrayOrScalar,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    bump: bool = True,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+) -> None:
+    """Fused Adam over ``rows`` of a packed layout, in place.
+
+    ``m`` / ``v`` are the ``(N, ...)`` moments and ``steps`` the per-row
+    step counts; ``params`` / ``grads`` share their leading axis and may
+    carry trailing padding columns past the moments' width, which travel
+    through unchanged.  Per block of ``block_rows`` rows: the rows' steps
+    advance when ``bump`` is set (a per-name optimizer advances them with
+    its first name only), one ``take`` per operand, one
+    :func:`fused_adam_update`, one scatter per mutated operand.  ``lr`` is a
+    scalar or a per-column vector.
+    """
+    for s in range(0, rows.size, block_rows):
+        r = rows[s : s + block_rows]
+        t = steps.take(r)
+        if bump:
+            t += 1
+            steps[r] = t
+        p_rows = params.take(r, axis=0)
+        g_rows = grads.take(r, axis=0)
+        m_rows = m.take(r, axis=0)
+        v_rows = v.take(r, axis=0)
+        p, g = p_rows, g_rows
+        if p.shape[1:] != m_rows.shape[1:]:
+            p = p_rows[:, : m_rows.shape[1]]
+        if g.shape[1:] != m_rows.shape[1:]:
+            g = g_rows[:, : m_rows.shape[1]]
+        fused_adam_update(p, g, m_rows, v_rows, t, lr, beta1, beta2, eps)
+        params[r] = p_rows
+        m[r] = m_rows
+        v[r] = v_rows

@@ -1,29 +1,26 @@
 """Packed-row sparse Adam — the fused CPU-Adam kernel of the overlap
 runtime.
 
-:class:`repro.optim.sparse_adam.SparseAdam` walks a per-name dict and pays
-four-plus fancy-indexed gather/scatter round-trips per parameter per chunk
-(plus, on CLM's non-critical side, a gather/unpack/repack/writeback
-staging cycle around every update).  CLM's stores, however, already keep
-each side's attributes in one packed row-major array (``GpuCriticalStore``'s
-``(N, 10)`` critical rows, the pinned store's cache-line-padded
-``(N, row_floats)`` non-critical rows), so the optimizer state can match
-that layout: moments live as single ``(N, width)`` arrays and one chunk
-update is one contiguous row gather per operand, one fused
-:func:`repro.optim.kernels.fused_adam_update` with a per-column learning
--rate vector, and one scatter per mutated operand — updating the pinned
-rows *in place*, no staging cycle at all.
+:class:`repro.optim.sparse_adam.SparseAdam` keeps one moment array per
+parameter name.  CLM's stores, however, already keep each side's
+attributes in one packed row-major array (``GpuCriticalStore``'s ``(N, 10)``
+critical rows, the pinned store's cache-line-padded ``(N, row_floats)``
+non-critical rows), so the optimizer state matches that layout: moments
+live as single ``(N, width)`` arrays, a per-column learning-rate vector
+applies every attribute's own rate, and one chunk update is one
+``adam_rows`` kernel op over the chunk's rows, updating the pinned rows
+*in place* — no gather / unpack / repack / writeback staging cycle.
 
-Two execution details carry the speedup over the per-name loop:
-
-- gathers use ``ndarray.take`` (measurably faster than advanced indexing
-  for row gathers) and chunks are processed in cache-sized row *blocks*,
-  so the kernel's ~14 arithmetic passes run over blocks that stay resident
-  instead of streaming the whole chunk through memory per pass;
-- buffers may carry trailing padding columns (``pad_to``): whole padded
-  rows move as contiguous memcpys and the padding columns ride along
-  untouched (their gradients are zero, so their moments and values stay
-  exactly zero).
+The op runs on the backend :mod:`repro.kernels` resolves.  Under
+``native`` it is one C call that walks the rows in place; the NumPy
+reference (:func:`repro.optim.kernels.adam_rows`) processes cache-sized
+row blocks — one ``take`` per operand, one
+:func:`~repro.optim.kernels.fused_adam_update`, one scatter per mutated
+operand.  Both perform ``fused_adam_update``'s operations in its order, so
+they agree bit for bit.
+Buffers may carry trailing padding columns (``pad_to``): the update covers
+them too, and as their gradients are zero their moments and values stay
+exactly zero.
 """
 
 from __future__ import annotations
@@ -32,11 +29,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels.registry import OpDispatch
 from repro.optim.adam import AdamConfig
-
-#: Rows per kernel block — sized so a block's operands and temporaries
-#: (~7 arrays of block x width floats) stay cache-resident.
-DEFAULT_BLOCK_ROWS = 1024
+from repro.optim.kernels import DEFAULT_BLOCK_ROWS
 
 
 class PackedSparseAdam:
@@ -52,11 +47,11 @@ class PackedSparseAdam:
     per-column vector so one fused update applies every attribute's own
     rate.
 
-    ``kernel_backend`` selects the compiled kernel executing the fused
-    update (see :mod:`repro.kernels`); ``None``/``"auto"`` resolves to the
-    fastest available backend.  A backend that does not implement the
-    update for these operands (``native`` implements the view and raster
-    ops only) hands it per-block to the NumPy reference, and
+    ``kernel_backend`` selects the backend executing the update (see
+    :mod:`repro.kernels`); ``None``/``"auto"`` resolves to the fastest
+    available backend.  Operands a backend declines (``native``: float32
+    gradient staging, buffers that are not C-contiguous float64) go to the
+    NumPy reference through the per-op fallback, and
     ``active_kernel_backend`` says which one ran.
     """
 
@@ -72,10 +67,7 @@ class PackedSparseAdam:
     ) -> None:
         self.config = config or AdamConfig()
         self.kernel_backend = kernel_backend
-        self._backend = None  # resolved lazily on first step
-        #: Name of the backend that executed the most recent block (after
-        #: auto-selection and per-op fallback); None before any step.
-        self.active_kernel_backend: Optional[str] = None
+        self._ops = OpDispatch(kernel_backend)
         self.columns: Dict[str, Tuple[int, ...]] = {
             name: tuple(shape) for name, shape in columns.items()
         }
@@ -116,22 +108,11 @@ class PackedSparseAdam:
             out[sl] = self.config.lr_for(name)
         return out
 
-    # ------------------------------------------------------------------
-    def _adam_kernel(self, p, g, m, v):
-        """The compiled fused-update callable for one block's operands.
-
-        The backend resolves once per optimizer (honouring the explicit
-        name, the env override, then auto-selection); the per-spec compile
-        is cached by the backend, so steady-state cost is one descriptor
-        build + dict hit per block.
-        """
-        from repro.kernels import adam_spec, compile_with_fallback, resolve_backend
-
-        if self._backend is None:
-            self._backend = resolve_backend(self.kernel_backend)
-        fn, actual = compile_with_fallback(self._backend, adam_spec(p, g, m, v))
-        self.active_kernel_backend = actual.name
-        return fn
+    @property
+    def active_kernel_backend(self) -> Optional[str]:
+        """The backend that ran the most recent step (after auto-selection
+        and per-op fallback); None before any step."""
+        return self._ops.active
 
     # ------------------------------------------------------------------
     def step_packed(
@@ -144,33 +125,19 @@ class PackedSparseAdam:
 
         ``packed_params``/``packed_grads`` are ``(N, >= width)`` buffers —
         trailing padding columns (the pinned store's cache-line alignment)
-        travel through unchanged.  Per cache-sized block: one contiguous
-        ``take`` per operand, one fused kernel call, one scatter per
-        mutated operand — the whole chunk update is seven vector ops per
-        block regardless of how many named attributes the row packs.
+        travel through unchanged.  One ``adam_rows`` op, however many named
+        attributes the row packs.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
         cfg = self.config
-        lr = self.lr_columns
-        width = self.width
-        for s in range(0, rows.size, self.block_rows):
-            r = rows[s : s + self.block_rows]
-            t = self.steps.take(r) + 1
-            self.steps[r] = t
-            p_rows = packed_params.take(r, axis=0)
-            g_rows = packed_grads.take(r, axis=0)
-            p = p_rows[:, :width] if p_rows.shape[1] > width else p_rows
-            g = g_rows[:, :width] if g_rows.shape[1] > width else g_rows
-            m = self.packed_m.take(r, axis=0)
-            v = self.packed_v.take(r, axis=0)
-            self._adam_kernel(p, g, m, v)(
-                p, g, m, v, t, lr, cfg.beta1, cfg.beta2, cfg.eps
-            )
-            packed_params[r] = p_rows
-            self.packed_m[r] = m
-            self.packed_v[r] = v
+        m, v = self.packed_m, self.packed_v
+        self._ops("adam_rows", packed_params, packed_grads, m, v)(
+            packed_params, packed_grads, m, v, self.steps, rows,
+            self.lr_columns, cfg.beta1, cfg.beta2, cfg.eps,
+            block_rows=self.block_rows,
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -16,8 +16,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.kernels.registry import OpDispatch
 from repro.optim.adam import AdamConfig
-from repro.optim.kernels import fused_adam_update
 
 
 class SparseAdam:
@@ -28,13 +28,13 @@ class SparseAdam:
     training frameworks (untouched Gaussians receive no gradient and no
     moment decay).
 
-    The update arithmetic is delegated per name to
-    :func:`repro.optim.kernels.fused_adam_update` — the same kernel the
-    fused :class:`repro.optim.packed_adam.PackedSparseAdam` applies to a
-    whole packed row in one call — so per-name and packed paths agree
-    bit-for-bit.  This class remains the general-purpose API (arbitrary
-    per-name layouts); the packed variant is the hot path.  The per-name
-    loop the fused kernel replaced is a test-only oracle
+    Each name is one ``adam_rows`` kernel op — the op the fused
+    :class:`repro.optim.packed_adam.PackedSparseAdam` applies to a whole
+    packed row — so per-name and packed paths agree bit-for-bit.  This
+    class remains the general-purpose API (arbitrary per-name layouts); the
+    packed variant is CLM's hot path.  ``kernel_backend`` selects the
+    backend as there (see :mod:`repro.kernels`).  The per-name loop the
+    fused kernel replaced is a test-only oracle
     (``tests/reference/legacy_adam.py``).
     """
 
@@ -42,8 +42,11 @@ class SparseAdam:
         self,
         params: Dict[str, np.ndarray],
         config: Optional[AdamConfig] = None,
+        *,
+        kernel_backend: Optional[str] = None,
     ):
         self.config = config or AdamConfig()
+        self._ops = OpDispatch(kernel_backend)
         first = next(iter(params.values()))
         self.num_rows = first.shape[0]
         for name, arr in params.items():
@@ -70,20 +73,21 @@ class SparseAdam:
         if rows.size == 0:
             return
         cfg = self.config
-        self.steps[rows] += 1
-        t = self.steps[rows]
-        for name, p in params.items():
-            g = grads[name].take(rows, axis=0)
-            m = self.m[name].take(rows, axis=0)
-            v = self.v[name].take(rows, axis=0)
-            p_rows = p.take(rows, axis=0)
-            fused_adam_update(
-                p_rows, g, m, v, t,
+        # The first name advances the rows' steps, the rest read them; the
+        # reference takes all rows as one block, as this update always did.
+        for k, (name, p) in enumerate(params.items()):
+            g, m, v = grads[name], self.m[name], self.v[name]
+            self._ops("adam_rows", p, g, m, v)(
+                p, g, m, v, self.steps, rows,
                 cfg.lr_for(name), cfg.beta1, cfg.beta2, cfg.eps,
+                bump=k == 0, block_rows=rows.size,
             )
-            self.m[name][rows] = m
-            self.v[name][rows] = v
-            p[rows] = p_rows
+
+    @property
+    def active_kernel_backend(self) -> Optional[str]:
+        """The backend that ran the most recent name's update; None before
+        any step."""
+        return self._ops.active
 
     # ------------------------------------------------------------------
     def resize(self, params: Dict[str, np.ndarray], keep_rows: np.ndarray) -> None:

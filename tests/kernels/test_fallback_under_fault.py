@@ -58,8 +58,8 @@ def test_compile_failure_falls_back_per_op(flaky_backend):
     with pytest.warns(RuntimeWarning, match="failed to compile"):
         fn, used = compile_with_fallback(flaky_backend, adam_spec(*ops))
     assert used.name == "numpy"
-    fn(ops[0], ops[1], ops[2], ops[3],
-       np.ones(8, dtype=np.int64), np.full(10, 1e-2), 0.9, 0.999, 1e-8)
+    fn(*ops, np.zeros(8, dtype=np.int64), np.arange(8), np.full(10, 1e-2),
+       0.9, 0.999, 1e-8)
 
 
 def test_reference_compile_failure_still_raises(flaky_backend, monkeypatch):

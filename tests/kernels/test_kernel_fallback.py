@@ -109,16 +109,18 @@ def test_float32_operands_decline_the_jit_backend():
     assert used.name == "numpy"
 
 
-def test_adam_stays_on_the_reference_by_design():
-    """``native`` implements the raster ops only; the fused Adam update is
-    handed to NumPy per op, without a warning."""
+def test_float32_gradients_send_adam_to_the_reference():
+    """``native`` runs ``adam_rows`` over float64 buffers; float32 gradient
+    staging is handed to NumPy per op, without a warning."""
     backend = get_backend("native")
     ops = [np.zeros((8, 10)) for _ in range(4)]
-    assert backend.supports(adam_spec(*ops)) is False
-    fn, used = compile_with_fallback(backend, adam_spec(*ops))
+    staged = [ops[0], ops[1].astype(np.float32), ops[2], ops[3]]
+    assert backend.supports(adam_spec(*ops))
+    assert backend.supports(adam_spec(*staged)) is False
+    fn, used = compile_with_fallback(backend, adam_spec(*staged))
     assert used.name == "numpy"
-    fn(ops[0], ops[1], ops[2], ops[3],
-       np.ones(8, dtype=np.int64), np.full(10, 1e-2), 0.9, 0.999, 1e-8)
+    fn(*staged, np.zeros(8, dtype=np.int64), np.arange(8), np.full(10, 1e-2),
+       0.9, 0.999, 1e-8)
 
 
 def test_optimizer_runs_and_reports_reference_under_fallback(no_compiler):
@@ -155,8 +157,8 @@ def test_engines_stamp_backend_into_perf(name, trainable_scene):
 def test_perf_reports_the_backend_that_composited_the_renders(
     trainable_scene,
 ):
-    """Adam stays on the reference by design; what ``PerfCounters`` names
-    is the backend the batch's renders — the dominant cost — ran on."""
+    """What ``PerfCounters`` names is the backend the batch's renders — the
+    dominant cost — ran on; the optimizers report their own."""
     if not get_backend("native").available():
         pytest.skip("no C compiler on this host")
     init, targets = _engine_setup(trainable_scene)
@@ -165,7 +167,7 @@ def test_perf_reports_the_backend_that_composited_the_renders(
     )
     engine.train_batch(BATCH, targets)
     assert engine.perf.kernel_backend == "native"
-    assert engine.adam_critical.active_kernel_backend == "numpy"
+    assert engine.adam_critical.active_kernel_backend == "native"
 
 
 def test_perf_reports_numpy_when_float32_state_is_declined(trainable_scene):

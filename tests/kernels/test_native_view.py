@@ -474,12 +474,13 @@ def test_operands_are_checked_before_a_pointer_is_taken():
         backward(ctx, model, np.ones((30, 40, 3)))
 
 
-def test_the_backend_declares_five_of_the_six_ops():
+def test_the_backend_declares_all_ten_ops():
     assert KERNEL_OPS == (
         "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-        "raster_backward_slab", "adam_fused_update",
+        "raster_backward_slab", "assemble_rows", "add_grads_rows",
+        "retire_rows", "zero_rows", "adam_rows",
     )
-    assert get_backend("native").capabilities() == frozenset(KERNEL_OPS[:5])
+    assert get_backend("native").capabilities() == frozenset(KERNEL_OPS)
     assert get_backend("numpy").capabilities() == frozenset(KERNEL_OPS)
 
 
