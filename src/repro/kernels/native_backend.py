@@ -46,15 +46,19 @@ expose (``raster_forward`` / ``raster_backward``): they walk the CSR
 :class:`~repro.gaussians.rasterizer.TileBins` once per tile and keep the
 compositing recurrence in registers, like the paper's CUDA kernels: per
 ``(tile, splat)`` entry only the pixels of the splat's thresholded
-footprint rectangle are visited, and ``exp`` is called only where the cell
-can still pass the alpha threshold.  With
+footprint rectangle (computed once per splat) are visited, and along each
+of its rows ``exp`` is taken once at the first cell past the cut, then
+advanced by two multiplies a cell — re-anchored every 8 cells, and
+recomputed with libm wherever the value lies within 1e-12 of the alpha
+threshold, so that libm decides which cells pass.  With
 ``RasterSettings.cache_blend_state`` ``view_composite`` keeps the exp
 value, ``T_before`` and pixel of every cell that passed — the **blend
 records** (:func:`_records`), sized by the footprint area ``view_project``
-reports — and ``view_backward`` walks them; without it (under a GPU pool,
-for forward-only renders, and in the raster ops) the backward pass
-replays the forward to regenerate them, to bit-identical gradients.
-``group_size`` has no effect here.
+reports — and ``view_backward`` walks them back to front in one sweep;
+without it (under a GPU pool, for forward-only renders, and in the raster
+ops) the backward pass first replays the forward through the same walk to
+regenerate them, to bit-identical gradients.  ``group_size`` has no
+effect here.
 
 CLM's data path is the third part, one native call per public method of
 the stores and optimizers, over row indices: ``assemble_rows``
@@ -138,9 +142,11 @@ from repro.kernels.registry import (
 
 SOURCE = "native_kernels.c"
 #: Everything that decides how the library rounds is here, and keys the
-#: cache.  ``-fno-math-errno`` only stops libm calls from writing ``errno``.
+#: cache.  ``-O3`` may vectorize and unroll but, without ``-ffast-math``,
+#: not reorder a floating-point operation; ``-fno-math-errno`` only stops
+#: libm calls from writing ``errno``.
 CFLAGS = (
-    "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off",
+    "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off",
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
@@ -156,7 +162,7 @@ _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _I64S = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 _F64S = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _BINS = [_I64, _I64S, _I64S, _I64S, _I64, _I64, _I64, _I64]
-_SPLATS = [_F64S] * 7  # means x/y, conic a/b/c, opacity, colours
+_SPLATS = [_I64] + [_F64S] * 7  # rows; means x/y, conic a/b/c, opacity, colours
 _SIGNATURES = {
     "raster_forward": _BINS + _SPLATS + [_F64S, _F64, _F64, _F64, _F64S, _F64S],
     "raster_backward": _BINS + _SPLATS
@@ -371,7 +377,7 @@ def _operands(bins, aug) -> list:
     return [
         tiles, offsets, order, tile_ids,
         bins.tiles_x, bins.tile_size, bins.width, bins.height,
-        *splats.values(), aug.colors,
+        rows, *splats.values(), aug.colors,
     ]
 
 
@@ -393,10 +399,14 @@ def _bind(lib: ctypes.CDLL, op: str) -> Callable:
             _require_shapes(
                 canvas_rgb=(canvas_rgb, cells + (3,)), canvas_t=(canvas_t, cells)
             )
-            lib.raster_forward(
+            if lib.raster_forward(
                 *_operands(bins, aug), *_scalars(settings, bg),
                 canvas_rgb, canvas_t,
-            )
+            ):
+                raise MemoryError(
+                    "native raster_forward could not allocate its footprints "
+                    f"({aug.opac.shape[0]} splats)"
+                )
         return None  # no blend cache: raster_backward replays the forward
 
     def raster_backward(

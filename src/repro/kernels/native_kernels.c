@@ -22,9 +22,11 @@
  *     active    = T_before > transmittance_min   (T keeps multiplying after)
  *
  * The loops are entry-outer: per (tile, splat) entry only the pixels of the
- * splat's thresholded footprint rectangle are visited, and exp() is called only
- * where the cell can still pass the threshold.  Both cuts are conservative (the
- * exact test follows), see footprint().
+ * splat's thresholded footprint rectangle are visited, and only the cells
+ * whose exponent reaches the cut can pass the threshold.  Both cuts are
+ * conservative (the exact test follows), see footprint().  Along a footprint
+ * row exp() is taken once and then advanced by two multiplies a cell, see
+ * walk_tile().
  */
 
 #include <math.h>
@@ -36,6 +38,13 @@
  * dropping a cell the exact threshold test would pass. */
 #define FOOTPRINT_MARGIN 1e-6
 
+/* walk_tile()'s row recurrence: it advances at most REANCHOR - 1 cells past an
+ * exact exp(), and recomputes with libm every value within NEAR_THRESHOLD of
+ * alpha_threshold, relative (its own error is ~1e-14), so that libm decides
+ * every threshold verdict. */
+#define REANCHOR 8
+#define NEAR_THRESHOLD 1e-12
+
 /* The blend state a forward pass may leave for its backward pass: per cell
  * that passed the threshold its exp value, T_before and tile-local pixel
  * (room for ``cap`` cells); the cells of CSR entry k are [end[k], end[k+1]);
@@ -46,134 +55,223 @@ typedef struct {
     int64_t *end, cap;
 } records_t;
 
+/* One row of the per-Gaussian arrays and its thresholded footprint: the
+ * unclipped inclusive pixel bounds (image coordinates) of {alpha_raw >= tau},
+ * the exponent below which a cell cannot reach the threshold, and whether
+ * walk_tile() may run its row recurrence, with exp(-a) when it may. */
 typedef struct {
     double mx, my, a, b, c, opac;
-    /* Inclusive pixel rectangle (image coordinates) and the exponent below
-     * which a cell cannot reach the threshold. */
-    int64_t x_lo, x_hi, y_lo, y_hi;
-    double cut;
-} entry_t;
+    double x_lo, x_hi, y_lo, y_hi, cut, ratio;
+    int recur;
+} splat_t;
 
-/* Load one entry and clip the tile's pixel range [x0, x1] x [y0, y1] to the
- * bounding box of {alpha_raw >= tau}: the ellipse q <= 2 ln(opacity / tau),
- * level and half-extents each grown by the margin, exactly as
- * rasterizer._compute_tile_rects bins it.  tau <= 0 keeps the whole range and
- * never cuts; a NaN or non-finite extent leaves its axis unclipped (fmax/fmin
- * drop a NaN operand) and a NaN cut compares false, so neither ever skips. */
-static entry_t footprint(
+/* Load one row and bound {alpha_raw >= tau}: the ellipse q <= 2 ln(opacity /
+ * tau), level and half-extents each grown by the margin, exactly as
+ * rasterizer._compute_tile_rects bins it.  tau <= 0 bounds nothing and never
+ * cuts; a NaN extent leaves its axis unclipped by clip() (fmax/fmin drop a
+ * NaN operand) and a NaN cut compares false, so neither ever skips.  Only a
+ * finite cut over a positive-definite conic recurs: along a row of an
+ * indefinite one the product grows until it overflows. */
+static splat_t footprint(
     int64_t row, const double *mx, const double *my, const double *ca,
-    const double *cb, const double *cc, const double *opac, double tau,
-    int64_t x0, int64_t x1, int64_t y0, int64_t y1)
+    const double *cb, const double *cc, const double *opac, double tau)
 {
-    entry_t e;
-    e.mx = mx[row];
-    e.my = my[row];
-    e.a = ca[row];
-    e.b = cb[row];
-    e.c = cc[row];
-    e.opac = opac[row];
-    e.x_lo = x0;
-    e.x_hi = x1;
-    e.y_lo = y0;
-    e.y_hi = y1;
-    e.cut = -INFINITY;
+    splat_t s = {mx[row], my[row], ca[row], cb[row], cc[row], opac[row],
+                 -INFINITY, INFINITY, -INFINITY, INFINITY, -INFINITY, 0.0, 0};
     if (tau > 0.0) {
-        double level = 2.0 * log(e.opac / tau);
+        double level = 2.0 * log(s.opac / tau);
         level += FOOTPRINT_MARGIN * (1.0 + level);
-        double det = e.a * e.c - e.b * e.b;
-        double half_x = sqrt(level * e.c / det);
-        double half_y = sqrt(level * e.a / det);
+        double det = s.a * s.c - s.b * s.b;
+        double half_x = sqrt(level * s.c / det);
+        double half_y = sqrt(level * s.a / det);
         half_x += FOOTPRINT_MARGIN * (1.0 + half_x);
         half_y += FOOTPRINT_MARGIN * (1.0 + half_y);
         /* Pixel i has its centre at i + 0.5. */
-        e.x_lo = (int64_t)fmax((double)x0, ceil(e.mx - 0.5 - half_x));
-        e.x_hi = (int64_t)fmin((double)x1, floor(e.mx - 0.5 + half_x));
-        e.y_lo = (int64_t)fmax((double)y0, ceil(e.my - 0.5 - half_y));
-        e.y_hi = (int64_t)fmin((double)y1, floor(e.my - 0.5 + half_y));
-        e.cut = -0.5 * level;
+        s.x_lo = ceil(s.mx - 0.5 - half_x);
+        s.x_hi = floor(s.mx - 0.5 + half_x);
+        s.y_lo = ceil(s.my - 0.5 - half_y);
+        s.y_hi = floor(s.my - 0.5 + half_y);
+        s.cut = -0.5 * level;
+        s.recur = isfinite(s.cut) && s.a > 0.0 && det > 0.0;
     }
-    return e;
+    return s;
 }
 
-/* min(power, 0) of one cell; ``cyy = c dy^2`` and ``bdy = b dy`` are per row.
- * A pixel centre on the mean gets exactly 0. */
-static inline double exponent(double a, double cyy, double bdy, double dx)
+/* A footprint clipped to the pixel range [x0, x1] x [y0, y1]: rect = x_lo,
+ * x_hi, y_lo, y_hi. */
+static inline void clip(
+    const splat_t *s, int64_t x0, int64_t x1, int64_t y0, int64_t y1,
+    int64_t *rect)
 {
-    const double power = -0.5 * (a * dx * dx + cyy) - bdy * dx;
-    return power > 0.0 ? 0.0 : power;
+    rect[0] = (int64_t)fmax((double)x0, s->x_lo);
+    rect[1] = (int64_t)fmin((double)x1, s->x_hi);
+    rect[2] = (int64_t)fmax((double)y0, s->y_lo);
+    rect[3] = (int64_t)fmin((double)y1, s->y_hi);
 }
+
+/* The footprints of rows [0, rows), computed once per splat rather than per
+ * (tile, splat) entry; NULL when they cannot be allocated. */
+static splat_t *splats_of(
+    int64_t rows, const double *mx, const double *my, const double *ca,
+    const double *cb, const double *cc, const double *opac, double tau)
+{
+    splat_t *s = malloc((size_t)(rows > 0 ? rows : 1) * sizeof *s);
+    for (int64_t r = 0; s != NULL && r < rows; r++) {
+        s[r] = footprint(r, mx, my, ca, cb, cc, opac, tau);
+        if (s[r].recur)
+            s[r].ratio = exp(-s[r].a);
+    }
+    return s;
+}
+
+/* min(e, 1), in the form that keeps a NaN: exp(min(power, 0)) is
+ * unit(exp(power)) for every power, NaN included. */
+static inline double unit(double e) { return e > 1.0 ? 1.0 : e; }
 
 static inline int64_t min_i64(int64_t a, int64_t b) { return a < b ? a : b; }
 
+/* The pixel range [x0, x1] x [y0, y1] of tile t_id, clipped to the image. */
+typedef struct {
+    int64_t x0, y0, x1, y1;
+} tile_t;
+
+static tile_t tile_at(
+    int64_t t_id, int64_t tiles_x, int64_t ts, int64_t width, int64_t height)
+{
+    tile_t t;
+    t.x0 = (t_id % tiles_x) * ts;
+    t.y0 = (t_id / tiles_x) * ts;
+    t.x1 = min_i64(t.x0 + ts, width) - 1;
+    t.y1 = min_i64(t.y0 + ts, height) - 1;
+    return t;
+}
+
+/* The one compositing walk, over the entries [start, stop) of a tile: its T
+ * (ts * ts pixels, set to 1 here) multiplied down near to far, the colour
+ * blended into ``rgb`` (zeroed here) unless it is NULL, and the blend records
+ * kept in ``rec`` (entry k's end at rec->end[k - start + 1], cells from
+ * *nrec on) unless it is NULL.  The forward pass and the backward pass's
+ * replay both call it, so both see the same cells with the same bits.
+ *
+ * Along a footprint row the exponent is a quadratic in x whose second
+ * difference is -a.  So past an exact exp() at the first cell past the cut,
+ * of the value E and of the ratio D to the next cell, a cell costs two
+ * multiplies: E *= D, D *= exp(-a).  The row re-anchors every REANCHOR cells
+ * and after any cell the cut skips; a splat that does not recur (see
+ * footprint()) takes exp() per cell.  Returns 3, having written no record
+ * past ``rec->cap``, when more cells pass than that. */
+static int walk_tile(
+    const int64_t *order, int64_t start, int64_t stop, const splat_t *splats,
+    const double *colors, tile_t tile, int64_t ts, double tau, double t_min,
+    double max_alpha, double *T, double *rgb, const records_t *rec,
+    int64_t *nrec)
+{
+    int64_t n = *nrec;
+    for (int64_t p = 0; p < ts * ts; p++) {
+        T[p] = 1.0;
+        if (rgb != NULL)
+            rgb[3 * p] = rgb[3 * p + 1] = rgb[3 * p + 2] = 0.0;
+    }
+    for (int64_t k = start; k < stop; k++) {
+        const int64_t row = order[k];
+        const splat_t sp = splats[row], *s = &sp;  /* a copy T cannot alias */
+        const double c0 = colors[3 * row], c1 = colors[3 * row + 1],
+                     c2 = colors[3 * row + 2];
+        int64_t rect[4];
+        clip(s, tile.x0, tile.x1, tile.y0, tile.y1, rect);
+        for (int64_t y = rect[2]; y <= rect[3]; y++) {
+            const double dy = ((double)y + 0.5) - s->my;
+            const double cyy = s->c * dy * dy, bdy = s->b * dy;
+            const int64_t base = (y - tile.y0) * ts - tile.x0;
+            double e = 0.0, d = 0.0;
+            int left = 0;  /* recurrence steps before the next exact exp() */
+            for (int64_t x = rect[0]; x <= rect[1]; x++) {
+                const double dx = ((double)x + 0.5) - s->mx;
+                const double power = -0.5 * (s->a * dx * dx + cyy) - bdy * dx;
+                if (power < s->cut) {
+                    left = 0;
+                    continue;
+                }
+                double w;
+                if (left > 0) {
+                    e *= d;
+                    d *= s->ratio;
+                    left--;
+                    w = unit(e);
+                    if (fabs(s->opac * w - tau) <= NEAR_THRESHOLD * tau)
+                        w = unit(exp(power));
+                } else {
+                    w = unit(e = exp(power));
+                    if (s->recur) {
+                        d = exp(-(s->a * (dx + 0.5) + bdy));
+                        left = REANCHOR - 1;
+                    }
+                }
+                const double alpha_raw = s->opac * w;
+                if (!(alpha_raw >= tau))
+                    continue;
+                const double alpha =
+                    alpha_raw < max_alpha ? alpha_raw : max_alpha;
+                const int64_t p = base + x;
+                const double t = T[p];
+                if (rec != NULL) {
+                    if (n == rec->cap)
+                        return 3;
+                    rec->w[n] = w;
+                    rec->t[n] = t;
+                    rec->pixel[n++] = (int32_t)p;
+                }
+                if (rgb != NULL && t > t_min) {
+                    const double blend = alpha * t;
+                    rgb[3 * p] += blend * c0;
+                    rgb[3 * p + 1] += blend * c1;
+                    rgb[3 * p + 2] += blend * c2;
+                }
+                T[p] = t * (1.0 - alpha);
+            }
+        }
+        if (rec != NULL)
+            rec->end[k - start + 1] = n;
+    }
+    *nrec = n;
+    return 0;
+}
+
 /* Composite every non-empty tile into the tile-major canvases, keeping the
- * blend state in ``rec`` unless it is NULL.  Returns 3, having written no
- * record past ``rec->cap``, when more cells pass than that. */
+ * blend state in ``rec`` unless it is NULL.  Returns 1 when the footprints
+ * cannot be allocated, 3 when walk_tile() runs out of records. */
 static int composite(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, const double *mx, const double *my, const double *ca,
-    const double *cb, const double *cc, const double *opac,
+    int64_t height, int64_t rows, const double *mx, const double *my,
+    const double *ca, const double *cb, const double *cc, const double *opac,
     const double *colors, const double *bg, double tau, double t_min,
     double max_alpha, double *canvas_rgb, double *canvas_t,
     const records_t *rec)
 {
     const int64_t pixels = ts * ts;
+    splat_t *splats = splats_of(rows, mx, my, ca, cb, cc, opac, tau);
+    if (splats == NULL)
+        return 1;
+    int failed = 0;
     int64_t nrec = 0;
     if (rec != NULL)
         rec->end[0] = 0;
     for (int64_t i = 0; i < num_tiles; i++) {
         const int64_t t_id = tile_ids[i];
-        const int64_t x0 = (t_id % tiles_x) * ts, y0 = (t_id / tiles_x) * ts;
-        const int64_t x1 = min_i64(x0 + ts, width) - 1;
-        const int64_t y1 = min_i64(y0 + ts, height) - 1;
         double *T = canvas_t + t_id * pixels;
         double *rgb = canvas_rgb + t_id * pixels * 3;
-        for (int64_t p = 0; p < pixels; p++) {
-            T[p] = 1.0;
-            rgb[3 * p] = rgb[3 * p + 1] = rgb[3 * p + 2] = 0.0;
+        records_t tile_rec = {0};
+        if (rec != NULL) {
+            tile_rec = *rec;
+            tile_rec.end += offsets[i];
         }
-        for (int64_t k = offsets[i]; k < offsets[i + 1]; k++) {
-            const int64_t row = order[k];
-            const entry_t e =
-                footprint(row, mx, my, ca, cb, cc, opac, tau, x0, x1, y0, y1);
-            const double c0 = colors[3 * row], c1 = colors[3 * row + 1],
-                         c2 = colors[3 * row + 2];
-            for (int64_t y = e.y_lo; y <= e.y_hi; y++) {
-                const double dy = ((double)y + 0.5) - e.my;
-                const double cyy = e.c * dy * dy, bdy = e.b * dy;
-                const int64_t base = (y - y0) * ts - x0;
-                for (int64_t x = e.x_lo; x <= e.x_hi; x++) {
-                    const double power =
-                        exponent(e.a, cyy, bdy, ((double)x + 0.5) - e.mx);
-                    if (power < e.cut)
-                        continue;
-                    const double ex = exp(power);
-                    const double alpha_raw = e.opac * ex;
-                    if (!(alpha_raw >= tau))
-                        continue;
-                    const double alpha =
-                        alpha_raw < max_alpha ? alpha_raw : max_alpha;
-                    const int64_t p = base + x;
-                    const double t = T[p];
-                    if (rec != NULL) {
-                        if (nrec == rec->cap)
-                            return 3;
-                        rec->w[nrec] = ex;
-                        rec->t[nrec] = t;
-                        rec->pixel[nrec++] = (int32_t)p;
-                    }
-                    if (t > t_min) {
-                        const double w = alpha * t;
-                        rgb[3 * p] += w * c0;
-                        rgb[3 * p + 1] += w * c1;
-                        rgb[3 * p + 2] += w * c2;
-                    }
-                    T[p] = t * (1.0 - alpha);
-                }
-            }
-            if (rec != NULL)
-                rec->end[k + 1] = nrec;
-        }
+        failed = walk_tile(
+            order, offsets[i], offsets[i + 1], splats, colors,
+            tile_at(t_id, tiles_x, ts, width, height), ts, tau, t_min,
+            max_alpha, T, rgb, rec != NULL ? &tile_rec : NULL, &nrec);
+        if (failed)
+            break;
         if (rec != NULL)
             memcpy(rec->t_final + i * pixels, T, (size_t)pixels * sizeof(double));
         for (int64_t p = 0; p < pixels; p++) {
@@ -182,45 +280,46 @@ static int composite(
             rgb[3 * p + 2] += T[p] * bg[2];
         }
     }
-    return 0;
+    free(splats);
+    return failed;
 }
 
 int raster_forward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, const double *mx, const double *my, const double *ca,
-    const double *cb, const double *cc, const double *opac,
+    int64_t height, int64_t rows, const double *mx, const double *my,
+    const double *ca, const double *cb, const double *cc, const double *opac,
     const double *colors, const double *bg, double tau, double t_min,
     double max_alpha, double *canvas_rgb, double *canvas_t)
 {
     return composite(
-        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, mx,
-        my, ca, cb, cc, opac, colors, bg, tau, t_min, max_alpha, canvas_rgb,
-        canvas_t, NULL);
+        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, rows,
+        mx, my, ca, cb, cc, opac, colors, bg, tau, t_min, max_alpha,
+        canvas_rgb, canvas_t, NULL);
 }
 
-/* Compositing gradient, tile by tile.
- *
- * Sweep 1 replays the forward recurrence and records (exp value, T_before,
- * pixel) for every cell that passed the threshold — no other cell has a
- * gradient — while summing each pixel's blended contribution; given the
- * forward's records ``rec`` it walks those instead, summing the same terms in
- * the same order, and reads the final T.  Sweep 2 walks the records in the
- * same order with a per-pixel running sum, so for a cell under the cap
+/* Compositing gradient, tile by tile, from the blend records (exp value,
+ * T_before, pixel) of every cell that passed the threshold — no other cell
+ * has a gradient: the forward's ``rec`` when given, else the tile's own,
+ * made by replaying the forward through walk_tile().  Entries are walked far
+ * to near (an entry's cells in their own order) with a per-pixel running
+ * suffix seeded with the background term, so for a cell under the cap
  * (alpha == alpha_raw; at the cap nothing flows to the splat's geometry or
  * opacity)
  *
- *     suffix    = (total - csum) + T_final (g . bg)
+ *     suffix    = T_final (g . bg) + sum over the cells behind it of
+ *                 active alpha T_before (c . g)
  *     dL/dalpha = active T_before (c . g) - suffix / (1 - alpha)
  *
- * and an entry's sums stay in registers until they are added, in CSR order,
- * to its Gaussian's rows of d_colors (M, 3), d_opac (M), d_means (M, 2) and
- * d_conics (M, 2, 2).  Returns 1 when the scratch cannot be allocated. */
+ * and an entry's sums stay in registers until they are added to its
+ * Gaussian's rows of d_colors (M, 3), d_opac (M), d_means (M, 2) and
+ * d_conics (M, 2, 2); a row has one entry a tile, and the tiles go in CSR
+ * order.  Returns 1 when the scratch cannot be allocated. */
 static int composite_backward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, const double *mx, const double *my, const double *ca,
-    const double *cb, const double *cc, const double *opac,
+    int64_t height, int64_t rows, const double *mx, const double *my,
+    const double *ca, const double *cb, const double *cc, const double *opac,
     const double *colors, const double *g_tiles, const double *bg, double tau,
     double t_min, double max_alpha, double *d_colors, double *d_opac,
     double *d_means, double *d_conics, const records_t *rec)
@@ -233,30 +332,32 @@ static int composite_backward(
     if (deepest == 0)
         return 0;
 
-    /* One block: six per-pixel arrays and, without ``rec``, the records of
+    /* One block: four per-pixel arrays and, without ``rec``, the records of
      * the deepest tile (at most one per cell: 20 bytes) and their ends. */
     const size_t px = (size_t)pixels, depth = rec != NULL ? 0 : (size_t)deepest;
     const size_t cells = depth * px;
     if (cells / px != depth || cells > SIZE_MAX / 128)
         return 1;
     char *scratch = malloc(
-        (6 * px + 2 * cells) * sizeof(double) +
+        (4 * px + 2 * cells) * sizeof(double) +
         (depth + 1) * sizeof(int64_t) + cells * sizeof(int32_t));
-    if (scratch == NULL)
+    splat_t *splats =
+        rec != NULL ? NULL : splats_of(rows, mx, my, ca, cb, cc, opac, tau);
+    if (scratch == NULL || (rec == NULL && splats == NULL)) {
+        free(scratch);
+        free(splats);
         return 1;
-    double *T = (double *)scratch, *total = T + px, *csum = total + px;
-    double *bg_term = csum + px, *off_x = bg_term + px, *off_y = off_x + px;
-    records_t own;
-    own.w = off_y + px;
+    }
+    double *T = (double *)scratch, *suffix = T + px;
+    double *off_x = suffix + px, *off_y = off_x + px;
+    records_t own = {NULL, off_y + px, NULL, NULL, NULL, (int64_t)cells};
     own.t = own.w + cells;
     own.end = (int64_t *)(own.t + cells);
     own.pixel = (int32_t *)(own.end + depth + 1);
     own.end[0] = 0;
-    const double *rec_w = rec != NULL ? rec->w : own.w;
-    const double *rec_t = rec != NULL ? rec->t : own.t;
-    const int32_t *rec_p = rec != NULL ? rec->pixel : own.pixel;
+    const records_t *from = rec != NULL ? rec : &own;
     /* Pixel-centre offsets from the tile corner: exact, so corner + offset is
-     * bit for bit the ``x + 0.5`` of sweep 1. */
+     * bit for bit the ``x + 0.5`` of the walk. */
     for (int64_t p = 0; p < pixels; p++) {
         off_x[p] = (double)(p % ts) + 0.5;
         off_y[p] = (double)(p / ts) + 0.5;
@@ -265,76 +366,23 @@ static int composite_backward(
     for (int64_t i = 0; i < num_tiles; i++) {
         const int64_t t_id = tile_ids[i], start = offsets[i];
         const int64_t n = offsets[i + 1] - start;
-        const int64_t x0 = (t_id % tiles_x) * ts, y0 = (t_id / tiles_x) * ts;
-        const int64_t x1 = min_i64(x0 + ts, width) - 1;
-        const int64_t y1 = min_i64(y0 + ts, height) - 1;
+        const tile_t tile = tile_at(t_id, tiles_x, ts, width, height);
         const double *g = g_tiles + t_id * pixels * 3;
-        const int64_t *end = rec != NULL ? rec->end + start : own.end;
-        const double *t_final = rec != NULL ? rec->t_final + i * pixels : T;
-        for (int64_t p = 0; p < pixels; p++) {
-            T[p] = 1.0;
-            total[p] = 0.0;
+        const int64_t *end = own.end;
+        const double *t_final = T;
+        if (rec != NULL) {
+            end = rec->end + start;
+            t_final = rec->t_final + i * pixels;
+        } else {
+            int64_t nrec = 0;  /* room for every cell: this cannot fail */
+            (void)walk_tile(order, start, start + n, splats, colors, tile, ts,
+                            tau, t_min, max_alpha, T, NULL, &own, &nrec);
         }
+        for (int64_t p = 0; p < pixels; p++)
+            suffix[p] = t_final[p] * (g[3 * p] * bg[0] + g[3 * p + 1] * bg[1] +
+                                      g[3 * p + 2] * bg[2]);
 
-        for (int64_t k = 0; rec != NULL && k < n; k++) {
-            const int64_t row = order[start + k];
-            const double o = opac[row], c0 = colors[3 * row],
-                         c1 = colors[3 * row + 1], c2 = colors[3 * row + 2];
-            for (int64_t r = end[k]; r < end[k + 1]; r++) {
-                const int64_t p = rec_p[r];
-                const double alpha_raw = o * rec_w[r], t = rec_t[r];
-                const double alpha =
-                    alpha_raw < max_alpha ? alpha_raw : max_alpha;
-                if (t > t_min)
-                    total[p] += (alpha * t) * (c0 * g[3 * p] +
-                                               c1 * g[3 * p + 1] +
-                                               c2 * g[3 * p + 2]);
-            }
-        }
-        int64_t nrec = 0;
-        for (int64_t k = 0; rec == NULL && k < n; k++) {
-            const int64_t row = order[start + k];
-            const entry_t e =
-                footprint(row, mx, my, ca, cb, cc, opac, tau, x0, x1, y0, y1);
-            const double c0 = colors[3 * row], c1 = colors[3 * row + 1],
-                         c2 = colors[3 * row + 2];
-            for (int64_t y = e.y_lo; y <= e.y_hi; y++) {
-                const double dy = ((double)y + 0.5) - e.my;
-                const double cyy = e.c * dy * dy, bdy = e.b * dy;
-                const int64_t base = (y - y0) * ts - x0;
-                for (int64_t x = e.x_lo; x <= e.x_hi; x++) {
-                    const double power =
-                        exponent(e.a, cyy, bdy, ((double)x + 0.5) - e.mx);
-                    if (power < e.cut)
-                        continue;
-                    const double w = exp(power);
-                    const double alpha_raw = e.opac * w;
-                    if (!(alpha_raw >= tau))
-                        continue;
-                    const double alpha =
-                        alpha_raw < max_alpha ? alpha_raw : max_alpha;
-                    const int64_t p = base + x;
-                    const double t = T[p];
-                    own.w[nrec] = w;
-                    own.t[nrec] = t;
-                    own.pixel[nrec++] = (int32_t)p;
-                    if (t > t_min)
-                        total[p] += (alpha * t) * (c0 * g[3 * p] +
-                                                   c1 * g[3 * p + 1] +
-                                                   c2 * g[3 * p + 2]);
-                    T[p] = t * (1.0 - alpha);
-                }
-            }
-            own.end[k + 1] = nrec;
-        }
-        for (int64_t p = 0; p < pixels; p++) {
-            bg_term[p] = t_final[p] * (g[3 * p] * bg[0] + g[3 * p + 1] * bg[1] +
-                                       g[3 * p + 2] * bg[2]);
-            csum[p] = 0.0;
-        }
-
-        int64_t r = end[0];
-        for (int64_t k = 0; k < n; k++) {
+        for (int64_t k = n - 1; k >= 0; k--) {
             const int64_t row = order[start + k];
             const double a = ca[row], b = cb[row], c = cc[row];
             const double o = opac[row], mean_x = mx[row], mean_y = my[row];
@@ -342,36 +390,35 @@ static int composite_backward(
                          c2 = colors[3 * row + 2];
             double dc0 = 0.0, dc1 = 0.0, dc2 = 0.0, d_o = 0.0;
             double dmx = 0.0, dmy = 0.0, daa = 0.0, dab = 0.0, dcc = 0.0;
-            for (; r < end[k + 1]; r++) {
-                const int64_t p = rec_p[r];
-                const double w = rec_w[r], t = rec_t[r];
+            for (int64_t r = end[k]; r < end[k + 1]; r++) {
+                const int64_t p = from->pixel[r];
+                const double w = from->w[r], t = from->t[r];
                 const double g0 = g[3 * p], g1 = g[3 * p + 1],
                              g2 = g[3 * p + 2];
                 const double alpha_raw = o * w;
                 const double cg = c0 * g0 + c1 * g1 + c2 * g2;
                 const int active = t > t_min;
-                if (active) {
-                    const double blend =
-                        (alpha_raw < max_alpha ? alpha_raw : max_alpha) * t;
-                    csum[p] += blend * cg;
-                    dc0 += blend * g0;
-                    dc1 += blend * g1;
-                    dc2 += blend * g2;
-                }
                 if (alpha_raw < max_alpha) {
-                    const double suffix = (total[p] - csum[p]) + bg_term[p];
-                    double d_alpha = -(suffix / (1.0 - alpha_raw));
+                    double d_alpha = -(suffix[p] / (1.0 - alpha_raw));
                     if (active)
                         d_alpha += t * cg;
                     const double d_power = d_alpha * alpha_raw;
-                    const double dx = ((double)x0 + off_x[p]) - mean_x;
-                    const double dy = ((double)y0 + off_y[p]) - mean_y;
+                    const double dx = ((double)tile.x0 + off_x[p]) - mean_x;
+                    const double dy = ((double)tile.y0 + off_y[p]) - mean_y;
                     d_o += w * d_alpha;
                     dmx += d_power * (a * dx + b * dy);
                     dmy += d_power * (b * dx + c * dy);
                     daa += -0.5 * d_power * dx * dx;
                     dab += -0.5 * d_power * dx * dy;
                     dcc += -0.5 * d_power * dy * dy;
+                }
+                if (active) {
+                    const double blend =
+                        (alpha_raw < max_alpha ? alpha_raw : max_alpha) * t;
+                    suffix[p] += blend * cg;
+                    dc0 += blend * g0;
+                    dc1 += blend * g1;
+                    dc2 += blend * g2;
                 }
             }
             d_colors[3 * row] += dc0;
@@ -386,6 +433,7 @@ static int composite_backward(
             d_conics[4 * row + 3] += dcc;
         }
     }
+    free(splats);
     free(scratch);
     return 0;
 }
@@ -393,15 +441,15 @@ static int composite_backward(
 int raster_backward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, const double *mx, const double *my, const double *ca,
-    const double *cb, const double *cc, const double *opac,
+    int64_t height, int64_t rows, const double *mx, const double *my,
+    const double *ca, const double *cb, const double *cc, const double *opac,
     const double *colors, const double *g_tiles, const double *bg, double tau,
     double t_min, double max_alpha, double *d_colors, double *d_opac,
     double *d_means, double *d_conics)
 {
     return composite_backward(
-        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, mx,
-        my, ca, cb, cc, opac, colors, g_tiles, bg, tau, t_min, max_alpha,
+        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, rows,
+        mx, my, ca, cb, cc, opac, colors, g_tiles, bg, tau, t_min, max_alpha,
         d_colors, d_opac, d_means, d_conics, NULL);
 }
 
@@ -887,20 +935,18 @@ int view_project(
         const int64_t sx1 = tile_of(x + rad, (double)ts, last_x);
         const int64_t sy0 = tile_of(y - rad, (double)ts, last_y);
         const int64_t sy1 = tile_of(y + rad, (double)ts, last_y);
-        const entry_t e = footprint(
-            r, mx, my, ca, cb, cc, opac, tau, sx0 * ts,
-            min_i64((sx1 + 1) * ts, width) - 1, sy0 * ts,
-            min_i64((sy1 + 1) * ts, height) - 1);
+        const splat_t s = footprint(r, mx, my, ca, cb, cc, opac, tau);
+        int64_t e[4];
+        clip(&s, sx0 * ts, min_i64((sx1 + 1) * ts, width) - 1, sy0 * ts,
+             min_i64((sy1 + 1) * ts, height) - 1, e);
         /* opacity < tau passes the threshold nowhere (exp(.) <= 1). */
-        if ((tau > 0.0 && opac[r] < tau) || e.x_lo > e.x_hi || e.y_lo > e.y_hi)
+        if ((tau > 0.0 && opac[r] < tau) || e[0] > e[1] || e[2] > e[3])
             continue;
         int64_t *rect = work.rects + 4 * r;
-        rect[0] = e.x_lo / sub;
-        rect[1] = e.x_hi / sub;
-        rect[2] = e.y_lo / sub;
-        rect[3] = e.y_hi / sub;
+        for (int k = 0; k < 4; k++)
+            rect[k] = e[k] / sub;
         work.rows[binned++] = r;
-        area += (e.x_hi - e.x_lo + 1) * (e.y_hi - e.y_lo + 1);
+        area += (e[1] - e[0] + 1) * (e[3] - e[2] + 1);
     }
     const int64_t *sorted = sort_near_to_far(work.rows, work.tmp, binned, depths);
     if (sorted != work.rows)
@@ -931,8 +977,9 @@ int view_project(
  * (H, W).  Unless they are NULL, the blend records go to ``rec_f`` (the final
  * T of the T non-empty tiles, then exp values and T_before of at most
  * ``area`` = head[4] cells), ``rec_p`` (their pixels, ``area``) and
- * ``rec_end`` (E + 1), for view_backward.  Returns 1 when the canvases cannot
- * be allocated, 3 when more cells pass than ``area``. */
+ * ``rec_end`` (E + 1), for view_backward.  Returns 1 when the canvases or the
+ * survivors' footprints cannot be allocated, 3 when more cells pass than
+ * ``area``. */
 int view_composite(
     int64_t n, const double *f, int64_t *iw, const double *params,
     int64_t width, int64_t height, int64_t sub, double *kept, int64_t *ikept,
@@ -993,7 +1040,7 @@ int view_composite(
     const records_t rec =
         records_of(rec_f, rec_p, rec_end, work.head[4], tiles * pixels);
     const int failed = composite(
-        tiles, offsets, order, tile_ids, tiles_x, sub, width, height,
+        tiles, offsets, order, tile_ids, tiles_x, sub, width, height, m,
         f + F_MX * n, f + F_MY * n, f + F_CA * n, f + F_CB * n, f + F_CC * n,
         kept + F_OPAC * m, kept + F_COLORS * m, bg, params[P_TAU],
         params[P_TMIN], params[P_MAX_ALPHA], canvas_rgb, canvas_t,
@@ -1201,7 +1248,7 @@ int view_backward(
                    3 * sizeof(double));
         }
     const int failed = composite_backward(
-        tiles, offsets, order, tile_ids, tiles_x, sub, width, height, mx, my,
+        tiles, offsets, order, tile_ids, tiles_x, sub, width, height, m, mx, my,
         ca, cb, cc, kept + F_OPAC * m, kept + F_COLORS * m, g_tiles,
         params + P_BG, params[P_TAU], params[P_TMIN], params[P_MAX_ALPHA],
         d_colors, d_opac, d_means, d_conics, rec_f != NULL ? &rec : NULL);
