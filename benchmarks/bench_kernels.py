@@ -7,9 +7,9 @@ rows/s, for every *available* registered backend.  Each thunk runs once
 untimed first so the ``native`` backend's first-use build never pollutes
 the measurements, then the median of N wall times converts to throughput
 (:func:`repro.bench.median_time`; the spread rides in ``extra``).
-``native`` runs the whole view in C (frustum test, projection, binning,
-compositing, the gradient chain — everything in the step but the loss)
-and the Adam step too (``adam_rows``: one call, the rows updated in place).
+``native`` runs the whole step in C (frustum test, projection, binning,
+compositing, the loss, the gradient chain) and the Adam step too
+(``adam_rows``: one call, the rows updated in place).
 
 A second record per backend, ``exact_cull``, times the frustum arbiter the
 cull and the render share: the two-level :func:`cull_batch` of an 8-view
@@ -44,12 +44,13 @@ from repro.scenes.datasets import build_scene
 
 def native_clears_its_floors(records):
     """With a C compiler, ``native`` beats the NumPy reference.  The step
-    is a render, the loss and a backward pass, all but the loss in C; its
-    floor is what compiling the compositing alone gave (1.50x), so the gate
-    says the whole-view ops still pay.  On the median-of-5 estimator the
-    ratio read 1.67-2.98x over 21 recorded runs (median 1.9x, the lower
-    half within 0.23x of it), which leaves the floor a tenth under the
-    worst of them.  The frustum arbiter must beat the NumPy one on the
+    is a render, the loss and a backward pass, all three in C; its floor is
+    what compiling the compositing alone gave (1.50x), so the gate says the
+    whole-view ops still pay.  On the median-of-5 estimator the
+    ratio read 1.67-2.98x over 21 recorded runs while the loss was NumPy on
+    both sides (median 1.9x, the lower half within 0.23x of it), which left
+    the floor a tenth under the worst of them; with the loss in C it read
+    3.62-4.50x over five whole-tier runs.  The frustum arbiter must beat the NumPy one on the
     exact test (8.5-26x measured) and not slow the two-level batch cull
     (1.25-2.5x): those floors are the claims themselves, not calibrations.
     """
@@ -105,7 +106,7 @@ def compute(ctx, repeats: int = 5):
 
         def raster_step():
             result = render(cam, model, settings)
-            _, g_img = photometric_loss(result.image, target)
+            _, g_img = photometric_loss(result.image, target, kernel_backend=backend)
             render_backward(result, model, g_img)
 
         # The warm-up call is where a first-use build happens, untimed.

@@ -34,6 +34,7 @@ from repro.gaussians.frustum import cull_batch
 from repro.gaussians.loss import TargetMoments, photometric_loss, psnr
 from repro.gaussians.model import GaussianModel
 from repro.hardware.memory import MemoryPool
+from repro.kernels.registry import OpDispatch
 from repro.planning.plan import BatchPlan
 from repro.planning.planner import BatchPlanner
 from repro.utils.rng import make_rng
@@ -323,6 +324,11 @@ class EngineBase(Engine):
         #: never of the model — ``rebuild``, restore and recovery leave it
         #: alone — and host-side like the targets, so not pool-accounted.
         self._moments: Dict[int, TargetMoments] = {}
+        #: The ``photometric_loss`` op, on the backend the renders run on
+        #: (resolved as :meth:`cull_views` resolves it).
+        self._loss_ops = OpDispatch(
+            self.raster_settings.kernel_backend or self.kernel_backend
+        )
         # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
         self._step_cull_s = 0.0
@@ -500,6 +506,7 @@ class EngineBase(Engine):
             target,
             ssim_lambda,
             self._target_moments(cam.view_id, target) if ssim_lambda else None,
+            kernel_backend=self._loss_ops,
         )
         start = time.perf_counter()
         grads = self._render_backward(result, model_like, g_img / batch)

@@ -7,8 +7,18 @@ SSIM gradient is derived through the raw windowed moments (see
 ``ssim_with_grad``) and is verified against finite differences in the test
 suite.
 
-The SSIM window is applied as two matrix products.  Filtering an ``(H, W)``
-plane with the separable, zero-padded 11-tap window is ``A_H @ X @ A_W^T``
+The training loss is a kernel op, ``photometric_loss``
+(:mod:`repro.kernels`): :func:`photometric_loss` hands the images and the
+target's moments to the backend it is given.  ``native`` computes value
+and gradient in one C call that sums every window in registers, over
+symmetric pairs of taps; the NumPy op is :func:`l1_loss` plus
+:func:`ssim_with_grad` below, the reference the C is held to (see
+:mod:`repro.kernels.native_backend` for how closely), and what grayscale,
+float32 or strided images and L1 alone run on.
+
+In the NumPy op the SSIM window is applied as two matrix products.
+Filtering an ``(H, W)`` plane with the separable, zero-padded 11-tap
+window is ``A_H @ X @ A_W^T``
 for the banded Toeplitz matrices of the window (:func:`_window_matrix`,
 cached per image size), so every moment map of a pass — all channels of
 ``x``, ``x^2`` and ``x y`` forward, of the three moment gradients backward —
@@ -34,9 +44,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.registry import OpDispatch
+
 DEFAULT_SSIM_LAMBDA = 0.2
 _C1 = 0.01**2
 _C2 = 0.03**2
+#: The training loss's SSIM window: size and sigma.
+_WINDOW = (11, 1.5)
 
 
 def l1_loss(rendered: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -232,16 +246,29 @@ def photometric_loss(
     target: np.ndarray,
     ssim_lambda: float = DEFAULT_SSIM_LAMBDA,
     moments: Optional[TargetMoments] = None,
+    *,
+    kernel_backend: str | OpDispatch | None = None,
 ) -> Tuple[float, np.ndarray]:
     """The 3DGS training loss ``(1-l)*L1 + l*(1-SSIM)`` with gradient.
 
     ``moments``: the target's :class:`TargetMoments`, if the caller kept
-    them from an earlier pass over the same target.
+    them from an earlier pass over the same target (anything else is
+    recomputed).  ``kernel_backend`` runs the ``photometric_loss`` kernel
+    op: a backend name (``None``: ``auto``), or the caller's own
+    :class:`~repro.kernels.registry.OpDispatch`, which resolves it once.
     """
-    l1, l1_grad = l1_loss(rendered, target)
+    ops = (
+        kernel_backend
+        if isinstance(kernel_backend, OpDispatch)
+        else OpDispatch(kernel_backend)
+    )
     if ssim_lambda == 0.0:
-        return l1, l1_grad
-    s_val, s_grad = ssim_with_grad(rendered, target, moments=moments)
-    loss = (1.0 - ssim_lambda) * l1 + ssim_lambda * (1.0 - s_val)
-    grad = (1.0 - ssim_lambda) * l1_grad - ssim_lambda * s_grad
-    return loss, grad
+        operands = (rendered, target)
+        moments = None
+    else:
+        if moments is None or not moments.matches(target, *_WINDOW):
+            moments = TargetMoments.of(target, *_WINDOW)
+        operands = (rendered, target, moments.uy)
+    return ops("photometric_loss", *operands)(
+        rendered, target, ssim_lambda, moments
+    )

@@ -1,4 +1,5 @@
-"""The ``native`` kernel backend — a view in C, built at first use.
+"""The ``native`` kernel backend — a view, its loss and CLM's data path in
+C, built at first use.
 
 Where the NumPy reference streams a view through a few hundred small
 array calls (projection, binning, ~25 whole-tensor passes over padded
@@ -78,6 +79,22 @@ view ops they are bit-identical to NumPy.  Their binding cost is the
 addresses (~1.1 us an ``ndarray.ctypes``; a ctypes view of a writable
 buffer, :func:`_address`, ~0.35 us), so each call takes few.
 
+The fourth part is the training loss between a view's two passes,
+``photometric_loss``: ``(1 - l) L1 + l (1 - SSIM)`` and its image
+gradient in one call over the target's kept
+:class:`~repro.gaussians.loss.TargetMoments`.  The separable, zero-padded
+window sums each output in a register, the centre tap and then the
+``(size - 1) / 2`` symmetric pairs of taps, a row pass and then a column
+pass clipped at the image border; the SSIM map and its gradient are
+``ssim_with_grad``'s algebra, term for term.  The scratch is one ``malloc``
+a call.  The reference multiplies by banded matrices, whose zero-padded
+rows BLAS sums in its own order, so the two agree to rounding, not bit for
+bit: the value within 1e-14, the gradient within 1e-13 of its largest
+entry on random images.  On real renders the gradient differs by up to
+3e-13 of it, where a flat window makes it a cancellation and each side is
+~1e-13 from a long-double sum.  A grayscale image and L1 alone (no
+moments) stay on the reference.
+
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
 ``$CC``, ``cc``, ``gcc``, ``clang`` found on ``PATH``:
@@ -106,7 +123,7 @@ lands on NumPy silently.  A build or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All ten ops are implemented,
+and every caller runs on the reference.  All eleven ops are implemented,
 over float64 C-contiguous operands (``exact_cull``: float64 rows, each
 contiguous): a float32 blend state (``dtype="float32"``), a model array
 that is float32 or not C-contiguous, a backward pass over a context NumPy
@@ -120,6 +137,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -153,7 +171,7 @@ _COMPILERS = ("cc", "gcc", "clang")
 _ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam_rows")
 _OPS = frozenset({
     "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-    "raster_backward_slab", *_ROW_OPS,
+    "raster_backward_slab", *_ROW_OPS, "photometric_loss",
 })
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -186,6 +204,8 @@ _SIGNATURES = {
     "rows_zero": [_I64, _I64, _PTR, _PTR, _I64],
     "adam_rows": [_PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR]
     + [_I64, _PTR, _F64, _F64, _F64, _PTR, _PTR, _I64, _I64],
+    "photometric_loss": [_I64] * 3 + [_PTR] * 6 + [_I64] + [_F64] * 3
+    + [_PTR] * 2,
 }
 #: Per-Gaussian fields of a render's float64 block, in the order and widths
 #: of ``native_kernels.c``'s ``F_*`` table: field after field, each a
@@ -657,7 +677,7 @@ def _buffer(arr: np.ndarray, shape: tuple, write: bool = False) -> int:
         and (flags.writeable or not write)
     ):
         raise ValueError(
-            f"native data path: a {arr.dtype}{arr.shape} buffer where "
+            f"native kernel operands: a {arr.dtype}{arr.shape} buffer where "
             f"{'a writable ' if write else ''}C-contiguous float64{shape} "
             "is indexed"
         )
@@ -842,6 +862,43 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
     }[op]
 
 
+@functools.lru_cache(maxsize=8)
+def _window(size: int, sigma: float) -> tuple:
+    """The SSIM window's taps (symmetric, as the C's pairs assume:
+    :func:`~repro.gaussians.loss._gaussian_window` is) and their address."""
+    from repro.gaussians.loss import _gaussian_window
+
+    taps = _gaussian_window(size, sigma)
+    taps.setflags(write=False)
+    return taps, taps.ctypes.data
+
+
+def _bind_loss(lib: ctypes.CDLL) -> Callable:
+    """``photometric_loss`` as one call into the loaded library, over the
+    target's kept moments (which the caller matched to ``target``)."""
+    from repro.gaussians.loss import _C1, _C2
+
+    def photometric_loss(rendered, target, ssim_lambda, moments):
+        h, w, c = rendered.shape
+        planes = (c, h, w)
+        taps, at = _window(*moments.window)
+        grad, value = np.empty(rendered.shape), np.empty(1)
+        if lib.photometric_loss(
+            h, w, c, _buffer(rendered, rendered.shape),
+            _buffer(target, rendered.shape), _buffer(moments.uy, planes),
+            _buffer(moments.uy2_c1, planes), _buffer(moments.vy_c2, planes),
+            at, taps.size, float(ssim_lambda), _C1, _C2, _address(grad),
+            _address(value),
+        ):
+            raise MemoryError(
+                f"native photometric_loss could not allocate its scratch "
+                f"({h}x{w} image)"
+            )
+        return float(value[0]), grad
+
+    return photometric_loss
+
+
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
     """Compiled C view, raster and data-path kernels."""
@@ -849,7 +906,8 @@ class NativeKernelBackend(KernelBackend):
     priority = 10
     description = (
         "a view in C (frustum test, projection, binning, fused per-tile "
-        "compositing, gradient chain) and CLM's data path and fused Adam "
+        "compositing, gradient chain), the L1 + SSIM loss, and CLM's data "
+        "path and fused Adam "
         "over row indices, built at first use with the system C compiler "
         "(float64 operands)"
     )
@@ -893,7 +951,13 @@ class NativeKernelBackend(KernelBackend):
         # gradient staging, strided or float32 model arrays and
         # (``view_backward``) a context without a block of ours stay on the
         # reference.  ``exact_cull``'s
-        # spec reads ``contiguous`` per row (``registry.cull_spec``).
+        # spec reads ``contiguous`` per row (``registry.cull_spec``).  The
+        # loss runs over colour images and the target's moments: a
+        # grayscale image, or no moments (L1 alone), stays on the reference.
+        if spec.op == "photometric_loss" and (
+            len(spec.operands) != 3 or any(d.rank != 3 for d in spec.operands)
+        ):
+            return False
         return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
         )
@@ -902,6 +966,8 @@ class NativeKernelBackend(KernelBackend):
         lib = self.library().load()
         if spec.op == "exact_cull":
             return _bind_cull(lib)
+        if spec.op == "photometric_loss":
+            return _bind_loss(lib)
         if spec.op in _ROW_OPS:
             return _bind_rows(lib, spec.op)
         if spec.op.startswith("view_"):

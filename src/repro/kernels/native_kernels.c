@@ -1,6 +1,7 @@
 /* The ``native`` kernel backend: fused per-tile compositing kernels (the
  * first part of this file), the whole-view ops built around them (the
- * second) and CLM's data path over row indices (the third).
+ * second), CLM's data path over row indices (the third) and the photometric
+ * loss between a view's forward and backward passes (the fourth).
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -1539,5 +1540,209 @@ int adam_rows(
             p[c] = p[c] - mm / (sqrt(vv) * rs + eps) * lr[c] / bc;
         }
     }
+    return 0;
+}
+
+/* ======================================================================
+ * The photometric loss of gaussians/loss.py, (1 - lambda) L1 + lambda
+ * (1 - SSIM), and its gradient with respect to the rendered image, in one
+ * call.  Its reference is numpy_backend._photometric_loss: l1_loss, then
+ * ssim_with_grad's SSIM map and moment gradients, term for term.
+ *
+ * Images are (H, W, C) with interleaved channels; the target's moments
+ * (loss.TargetMoments: E[y], E[y]^2 + C1, E[y^2] - E[y]^2 + C2) are (C, H, W)
+ * planes.  The SSIM window is separable and zero-padded, as
+ * loss._window_matrix defines it, and symmetric: t[k] == t[size - 1 - k].  So
+ * every filtered value is summed in a register, the centre tap first, then
+ * the (size - 1) / 2 symmetric pairs t[k] (r[x + k] + r[x + size - 1 - k])
+ * of a row r padded with (size - 1) / 2 zeros a side; the column pass does the
+ * same over rows, a row outside the image reading a row of zeros.  Three
+ * quantities are filtered at once, interleaved: x, x^2 and x y, then the
+ * three moment gradients.  The reference multiplies by banded matrices and
+ * BLAS sums the zero-padded rows in its own order, so the two agree to
+ * rounding, not bit for bit.
+ * ====================================================================== */
+
+/* out[o] = t[half] c[o] + sum over k < half of t[k] (pair[2k][o] +
+ * pair[2k + 1][o]), for o < n: each output summed in a register, eight at a
+ * time, written out so that the block vectorizer runs them two to a lane
+ * (every sum still rounds on its own, in this order). */
+static void window_sum(
+    const double *c, const double **pair, const double *t, int64_t half,
+    int64_t n, double *out)
+{
+    const double tc = t[half];
+    int64_t o = 0;
+    for (; o + 8 <= n; o += 8) {
+        double s0 = tc * c[o], s1 = tc * c[o + 1], s2 = tc * c[o + 2],
+               s3 = tc * c[o + 3], s4 = tc * c[o + 4], s5 = tc * c[o + 5],
+               s6 = tc * c[o + 6], s7 = tc * c[o + 7];
+        for (int64_t k = 0; k < half; k++) {
+            const double *a = pair[2 * k] + o, *b = pair[2 * k + 1] + o;
+            const double tk = t[k];
+            s0 += tk * (a[0] + b[0]);
+            s1 += tk * (a[1] + b[1]);
+            s2 += tk * (a[2] + b[2]);
+            s3 += tk * (a[3] + b[3]);
+            s4 += tk * (a[4] + b[4]);
+            s5 += tk * (a[5] + b[5]);
+            s6 += tk * (a[6] + b[6]);
+            s7 += tk * (a[7] + b[7]);
+        }
+        out[o] = s0;
+        out[o + 1] = s1;
+        out[o + 2] = s2;
+        out[o + 3] = s3;
+        out[o + 4] = s4;
+        out[o + 5] = s5;
+        out[o + 6] = s6;
+        out[o + 7] = s7;
+    }
+    for (; o < n; o++) {
+        double s = tc * c[o];
+        for (int64_t k = 0; k < half; k++)
+            s += t[k] * (pair[2 * k][o] + pair[2 * k + 1][o]);
+        out[o] = s;
+    }
+}
+
+/* The row pass over w interleaved triples: ``r`` holds them behind half zero
+ * triples and before half more, so sample x + k - half of each quantity is
+ * r[3 (x + k) + q], and the pair of tap k is samples x + k and
+ * x + size - 1 - k. */
+static void filter_row(
+    const double *r, int64_t w, const double *t, int64_t half,
+    const double **pair, double *out)
+{
+    for (int64_t k = 0; k < half; k++) {
+        pair[2 * k] = r + 3 * k;
+        pair[2 * k + 1] = r + 3 * (2 * half - k);
+    }
+    window_sum(r + 3 * half, pair, t, half, 3 * w, out);
+}
+
+/* Row y of the column pass over ``rows`` (h rows of w triples): the pair of
+ * tap k is the rows half - k above and below, a row outside the image
+ * clipped to ``zero``. */
+static void filter_column(
+    const double *rows, int64_t h, int64_t w, int64_t y, const double *zero,
+    const double *t, int64_t half, const double **pair, double *out)
+{
+    const int64_t n = 3 * w;
+    for (int64_t k = 0; k < half; k++) {
+        const int64_t above = y - half + k, below = y + half - k;
+        pair[2 * k] = above >= 0 ? rows + above * n : zero;
+        pair[2 * k + 1] = below < h ? rows + below * n : zero;
+    }
+    window_sum(rows + y * n, pair, t, half, n, out);
+}
+
+/* np.sign: a NaN stays NaN, either zero is +0. */
+static inline double sign_of(double d)
+{
+    return d > 0.0 ? 1.0 : d < 0.0 ? -1.0 : d == 0.0 ? 0.0 : d;
+}
+
+/* The loss of ``x`` against ``y`` (both h x w x channels) into *value and its
+ * gradient into ``grad`` (same shape), over the target's moment planes and
+ * the ``size`` (odd) window taps.  Per channel: the row pass of x, x^2, x y
+ * for every row; then row by row their column pass, the SSIM map and its
+ * three moment gradients, and the row pass of those; then row by row the
+ * column pass of the gradients and the combination with the L1 gradient.
+ * Sums of the map and of |x - y| are kept per row, then added up.
+ *
+ * A non-finite moment gradient anywhere in a channel makes that channel's
+ * whole gradient NaN: so does the reference's zero-padded matrix product,
+ * whose band of zeros meets it (0 inf and 0 NaN are NaN).  Returns 1 when the
+ * scratch cannot be allocated (nothing is written then). */
+int photometric_loss(
+    int64_t h, int64_t w, int64_t channels, const double *x, const double *y,
+    const double *uy, const double *uy2_c1, const double *vy_c2,
+    const double *t, int64_t size, double lambda, double c1, double c2,
+    double *grad, double *value)
+{
+    const int64_t half = (size - 1) / 2, n3 = 3 * w, plane = h * w;
+    const double n = (double)(plane * channels);
+    /* The two passes' row-filtered triples (h rows each), one padded row, one
+     * column-filtered row, the zero row, then the column pass's pointers. */
+    const size_t padded = 3 * (size_t)(w + 2 * half);
+    const size_t doubles = 2 * (size_t)(h * n3) + padded + 2 * (size_t)n3;
+    if (doubles > SIZE_MAX / 16)
+        return 1;
+    char *block =
+        malloc(doubles * sizeof(double) + 2 * (size_t)half * sizeof(double *));
+    if (block == NULL)
+        return 1;
+    double *first = (double *)block, *second = first + h * n3;
+    double *pad = second + h * n3, *row_out = pad + padded, *zero = row_out + n3;
+    const double **pair = (const double **)(zero + n3);
+    double *r = pad + 3 * half;  /* the padded row's first sample */
+    memset(pad, 0, padded * sizeof(double));  /* the margins stay zero */
+    memset(zero, 0, (size_t)n3 * sizeof(double));
+
+    double s_sum = 0.0, l1_sum = 0.0;
+    for (int64_t ch = 0; ch < channels; ch++) {
+        const double *my = uy + ch * plane, *my2 = uy2_c1 + ch * plane;
+        const double *vy = vy_c2 + ch * plane;
+        for (int64_t i = 0; i < h; i++) {
+            for (int64_t j = 0; j < w; j++) {
+                const int64_t at = (i * w + j) * channels + ch;
+                r[3 * j] = x[at];
+                r[3 * j + 1] = x[at] * x[at];
+                r[3 * j + 2] = x[at] * y[at];
+            }
+            filter_row(pad, w, t, half, pair, first + i * n3);
+        }
+
+        double poison = 0.0;  /* stays 0 while every moment gradient is finite */
+        for (int64_t i = 0; i < h; i++) {
+            filter_column(first, h, w, i, zero, t, half, pair, row_out);
+            double s_row = 0.0;
+            for (int64_t j = 0; j < w; j++) {
+                const int64_t p = i * w + j;
+                const double ux = row_out[3 * j], uxx = row_out[3 * j + 1];
+                const double uxy = row_out[3 * j + 2];
+                const double ux2 = ux * ux, ux_uy = ux * my[p];
+                const double a1 = 2 * ux_uy + c1;
+                const double a2 = 2 * (uxy - ux_uy) + c2;
+                const double b1 = ux2 + my2[p];
+                const double b2 = (uxx - ux2) + vy[p];
+                const double inv_b1b2 = 1.0 / (b1 * b2);
+                const double s = a1 * a2 * inv_b1b2;
+                s_row += s;
+                /* dS/dm / n for m = ux, uxx, uxy (see ssim_with_grad). */
+                const double s_n = s / n, inv_n = inv_b1b2 / n;
+                const double g_uxx = -(s_n / b2);
+                const double g_ux =
+                    ((a2 - a1) * my[p] * inv_n - ux * (s_n / b1 + g_uxx)) * 2;
+                const double g_uxy = a1 * inv_n * 2;
+                r[3 * j] = g_ux;
+                r[3 * j + 1] = g_uxx;
+                r[3 * j + 2] = g_uxy;
+                poison += (g_ux - g_ux) + (g_uxx - g_uxx) + (g_uxy - g_uxy);
+            }
+            s_sum += s_row;
+            filter_row(pad, w, t, half, pair, second + i * n3);
+        }
+
+        for (int64_t i = 0; i < h; i++) {
+            filter_column(second, h, w, i, zero, t, half, pair, row_out);
+            double l1_row = 0.0;
+            for (int64_t j = 0; j < w; j++) {
+                const int64_t at = (i * w + j) * channels + ch;
+                const double d = x[at] - y[at];
+                l1_row += fabs(d);
+                const double *f = row_out + 3 * j;  /* f_ux, f_uxx, f_uxy */
+                const double s_grad = (f[0] + f[1] * x[at] * 2) + f[2] * y[at];
+                grad[at] = (1.0 - lambda) * (sign_of(d) / n) - lambda * s_grad;
+            }
+            l1_sum += l1_row;
+        }
+        if (poison != 0.0)
+            for (int64_t p = 0; p < plane; p++)
+                grad[p * channels + ch] = NAN;
+    }
+    *value = (1.0 - lambda) * (l1_sum / n) + lambda * (1.0 - s_sum / n);
+    free(block);
     return 0;
 }

@@ -45,6 +45,11 @@ places cache copies, pinned-row loads and carried gradients with
 assigns zero rows, and ``adam_rows`` is
 :func:`repro.optim.kernels.adam_rows`.
 
+``photometric_loss`` is :func:`~repro.gaussians.loss.l1_loss` plus
+:func:`~repro.gaussians.loss.ssim_with_grad`, whose SSIM window is two
+banded-matrix products a pass (four GEMM calls an image) over the target's
+kept moments.
+
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
 on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
 ``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
@@ -452,6 +457,22 @@ def _zero_rows(buffer, rows):
     buffer[rows] = 0.0
 
 
+def _photometric_loss(rendered, target, ssim_lambda, moments):
+    """``(1 - l) * L1 + l * (1 - SSIM)`` and its image gradient: the SSIM
+    of :func:`~repro.gaussians.loss.ssim_with_grad`, whose window is the
+    banded-matrix product, over the target's ``moments`` (None when
+    ``ssim_lambda`` is 0: L1 alone)."""
+    from repro.gaussians.loss import l1_loss, ssim_with_grad
+
+    l1, l1_grad = l1_loss(rendered, target)
+    if ssim_lambda == 0.0:
+        return l1, l1_grad
+    s_val, s_grad = ssim_with_grad(rendered, target, moments=moments)
+    loss = (1.0 - ssim_lambda) * l1 + ssim_lambda * (1.0 - s_val)
+    grad = (1.0 - ssim_lambda) * l1_grad - ssim_lambda * s_grad
+    return loss, grad
+
+
 @register_backend("numpy")
 class NumpyKernelBackend(KernelBackend):
     """Always-available reference: vectorized NumPy, one memory pass/op."""
@@ -460,7 +481,7 @@ class NumpyKernelBackend(KernelBackend):
     description = (
         "vectorized NumPy reference (always available; grouped slab "
         "compositing, the stores' gather / scatter data path, blocked "
-        "fused Adam)"
+        "fused Adam, the banded-GEMM SSIM loss)"
     )
 
     def capabilities(self) -> "frozenset[str]":
@@ -481,4 +502,5 @@ class NumpyKernelBackend(KernelBackend):
             "retire_rows": _retire_rows,
             "zero_rows": _zero_rows,
             "adam_rows": adam_rows,
+            "photometric_loss": _photometric_loss,
         }[spec.op]

@@ -3,8 +3,9 @@
 The substrate's hot loops (the exact frustum test of
 :mod:`repro.gaussians.frustum`, a view's projection, binning, tile
 compositing and gradient chain in :mod:`repro.gaussians.rasterizer` /
-``rasterizer_grad``, CLM's data path in :mod:`repro.core.stores`, and the
-fused Adam update of :mod:`repro.optim`) are whole-tensor NumPy passes in
+``rasterizer_grad``, CLM's data path in :mod:`repro.core.stores`, the
+fused Adam update of :mod:`repro.optim` and the photometric loss of
+:mod:`repro.gaussians.loss`) are whole-tensor NumPy passes in
 the reference.  This module is the MOT-style seam for compiled replacements
 (cf. the ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT,
 kernels kept as C source and compiled at run time): a
@@ -72,7 +73,9 @@ AUTO = "auto"
 #: selective load, gradient accumulation and gradient offload,
 #: ``zero_rows`` both stores' ``zero_grads``, and ``adam_rows`` the fused
 #: Adam step in place over rows of a packed layout (``PackedSparseAdam``,
-#: ``SparseAdam``).
+#: ``SparseAdam``).  ``photometric_loss`` is the training loss between a
+#: view's two passes, L1 + SSIM over the target's kept moments, value and
+#: image gradient (:func:`repro.gaussians.loss.photometric_loss`).
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
@@ -84,6 +87,7 @@ KERNEL_OPS = (
     "retire_rows",
     "zero_rows",
     "adam_rows",
+    "photometric_loss",
 )
 
 

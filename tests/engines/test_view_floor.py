@@ -2,8 +2,9 @@
 
 Deterministic call-count guards on one ``clm`` batch — a view's geometry is
 built once for the cull and once for the render, never again for the
-backward pass; the loss filters with matrix products and reuses the
-target's moments — plus the engine-side behaviours that ride along:
+backward pass; the loss is one kernel op a view over the target's kept
+moments (on ``native`` one C call, on NumPy matrix products) — plus the
+engine-side behaviours that ride along:
 moments are invalidated by replacing a target, evaluation renders
 forward-only, kernel specs are memoised.
 """
@@ -16,10 +17,10 @@ import scipy.ndimage
 
 from repro.core.config import EngineConfig
 from repro.engines import available_engines, create_engine
-from repro.gaussians import frustum, quaternion, rasterizer
+from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
-from repro.kernels import KernelData, adam_spec, raster_spec
+from repro.kernels import KernelData, adam_spec, get_backend, raster_spec
 
 BATCH = [0, 1, 2, 3]
 
@@ -88,6 +89,26 @@ def test_one_clm_batch_computes_each_views_geometry_once(setup, monkeypatch):
     assert jacobians.call_count == 0
     assert all(f.call_count == 0 for f in filters)
     assert moments.call_count == 0  # every target's moments were kept
+
+
+@pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
+def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
+    """On ``native`` a view's loss is one C call over the kept moments: no
+    matrix filter, no moments recomputed after the warm-up."""
+    _, _, targets = setup
+    engine = build("clm", setup, kernel_backend="native")
+    engine.train_batch(BATCH, targets)  # warm-up: moments, the library
+
+    lib = get_backend("native").library().load()
+    calls = spy_on(monkeypatch, lib, "photometric_loss")
+    filters = spy_on(monkeypatch, loss, "_filter_planes")
+    moments = spy_on(monkeypatch, TargetMoments, "of")
+    result = engine.train_batch(BATCH, targets)
+    assert np.isfinite(result.loss)
+    assert engine._loss_ops.active == "native"
+    assert calls.call_count == len(BATCH)
+    assert filters.call_count == 0
+    assert moments.call_count == 0
 
 
 @pytest.mark.parametrize("name", available_engines())

@@ -4,7 +4,9 @@
 ``scipy.ndimage``; the product code filters with two matrix products and
 reuses the target's moments.  Same value and gradient to rounding, with
 and without the kept moments — and moments kept for another target are
-never used.
+never used.  ``photometric_loss`` is a kernel op: here it runs on whatever
+``auto`` resolves to (``native``'s register sums where a C compiler
+exists), and ``tests/kernels/other_backends`` runs it on the other backend.
 """
 
 import numpy as np
@@ -20,10 +22,13 @@ TOL = 1e-15
 SIZES = [(24, 32), (30, 40), (7, 9)]
 
 
-def image_pair(size, seed=0, channels=3):
+def image_pair(size, seed=0, channels=3, dtype=np.float64):
     rng = np.random.default_rng(seed)
     shape = size + (channels,) if channels else size
-    return rng.uniform(0, 1, size=shape), rng.uniform(0, 1, size=shape)
+    return (
+        rng.uniform(0, 1, size=shape).astype(dtype),
+        rng.uniform(0, 1, size=shape).astype(dtype),
+    )
 
 
 @pytest.mark.parametrize("size", SIZES)
