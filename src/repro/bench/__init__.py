@@ -59,7 +59,7 @@ from repro.bench.runner import (
     default_benchmarks_dir,
     discover_benchmarks,
 )
-from repro.bench.timing import median_time, repeats_agree
+from repro.bench.timing import median_spread, median_time, repeats_agree
 
 __all__ = [
     "BENCH_RECORD_SCHEMA",
@@ -89,6 +89,7 @@ __all__ = [
     "get_benchmark",
     "git_revision",
     "load_results",
+    "median_spread",
     "median_time",
     "register_benchmark",
     "repeats_agree",

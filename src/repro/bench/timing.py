@@ -28,13 +28,19 @@ def median_time(thunk: Callable[[], Any], repeats: int = 5) -> Tuple:
         start = time.perf_counter()
         result = thunk()
         samples.append(time.perf_counter() - start)
+    return (*median_spread(samples), result)
+
+
+def median_spread(samples) -> Tuple[float, float]:
+    """(median, spread) of timed samples, as :func:`median_time` reports
+    them — for a benchmark that times several things inside one thunk."""
     median = statistics.median(samples)
     # The spread is the median absolute deviation over the median, which
     # breaks down where the median does: a stalled minority (a BLAS pool
     # waking up costs the first calls after another workload ~0.4 s each)
     # moves neither, a disturbed majority moves both.
     mad = statistics.median(abs(s - median) for s in samples)
-    return median, mad / median if median else 0.0, result
+    return median, mad / median if median else 0.0
 
 
 def repeats_agree(records: Dict[str, Dict]) -> None:

@@ -264,25 +264,12 @@ def restore_into_engine(
             path=path,
             generation=generation,
         )
+    engine.load_parameters(model.parameters())
     try:
         if hasattr(engine, "adam_critical"):
-            engine.gpu_store.positions[:] = model.positions
-            engine.gpu_store.log_scales[:] = model.log_scales
-            engine.gpu_store.quaternions[:] = model.quaternions
-            engine.cpu_store.write_params(
-                np.arange(model.num_gaussians),
-                {"sh": model.sh, "opacity_logits": model.opacity_logits},
-            )
             _load_optimizer("adam_critical", engine.adam_critical, arrays)
             _load_optimizer("adam_noncritical", engine.adam_noncritical, arrays)
         else:
-            target = (
-                engine.cpu_model
-                if hasattr(engine, "cpu_model")
-                else engine.model
-            )
-            for name, arr in target.parameters().items():
-                arr[:] = model.parameters()[name]
             _load_optimizer("optimizer", engine.optimizer, arrays)
     except KeyError as exc:
         raise CheckpointError(

@@ -29,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import EngineConfig
+from repro.core.culling_index import CullingIndex
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import cull_batch
 from repro.gaussians.loss import TargetMoments, photometric_loss, psnr
 from repro.gaussians.model import GaussianModel
 from repro.hardware.memory import MemoryPool
@@ -338,6 +338,9 @@ class EngineBase(Engine):
         self._step_overlap_hidden_s = 0.0
         #: ``RenderContext.kernel_backend`` of the last training render.
         self._rendered_on: Optional[str] = None
+        #: Every view's in-frustum set, kept across batches and refreshed
+        #: from the rows each Adam step reports (see :meth:`cull_views`).
+        self._culling = CullingIndex(num_gaussians=0)
         self._setup(model)
 
     @property
@@ -435,12 +438,18 @@ class EngineBase(Engine):
     # -- shared machinery ----------------------------------------------
     def cull_views(self, view_ids: Sequence[int]) -> List[np.ndarray]:
         """Pre-rendering frustum culling using critical attributes only
-        (§5.1) — one in-frustum index set per view, from one batched
-        :func:`repro.gaussians.frustum.cull_batch` call, on the exact test
-        of the backend the renders will run on.  Its wall time accumulates
-        into the batch's ``cull_s`` counter."""
+        (§5.1) — one in-frustum index set per view, on the exact test of
+        the backend the renders will run on, equal to a fresh
+        :func:`repro.gaussians.frustum.cull_batch` bit for bit.
+
+        The sets are kept across batches (:class:`CullingIndex`): a view
+        culled before re-tests only the rows an Adam step has written
+        since (every engine's Adam step reports them to
+        :meth:`CullingIndex.moved`).  New arrays (``rebuild``) or another
+        backend reset the index, and so does :meth:`load_parameters`.  Its
+        wall time accumulates into the batch's ``cull_s`` counter."""
         start = time.perf_counter()
-        sets = cull_batch(
+        sets = self._culling.refresh(
             [self.cameras[vid] for vid in view_ids],
             *self._culling_arrays(),
             kernel_backend=self.raster_settings.kernel_backend
@@ -448,6 +457,16 @@ class EngineBase(Engine):
         )
         self._step_cull_s += time.perf_counter() - start
         return sets
+
+    def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter in place from full-model arrays by
+        name — the one writer behind a checkpoint restore and a recovery
+        snapshot.  Row counts must match.  The default writes the resident
+        model :meth:`_eval_model` hands out; engines whose parameters live
+        elsewhere override it."""
+        for name, arr in self._eval_model().parameters().items():
+            arr[:] = params[name]
+        self._culling.reset()
 
     def plan_batch(
         self, view_ids: Sequence[int], strategy: Optional[str] = None
@@ -563,6 +582,7 @@ class EngineBase(Engine):
         start = time.perf_counter()
         optimizer.step_rows(params, grads, touched)
         self._step_adam_s += time.perf_counter() - start
+        self._culling.moved(touched)
         return touched
 
     # -- forward-only (serving/inference) path --------------------------

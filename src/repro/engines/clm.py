@@ -397,6 +397,9 @@ class CLMEngine(EngineBase):
         # Split out for the tuner: critical Adam is serial-on-main in the
         # prediction DAG, unlike the overlappable noncritical chunks.
         self._step_adam_critical_s += elapsed
+        # One critical node a batch, and the next cull runs after the
+        # batch's barrier, so this report never races a refresh.
+        self._culling.moved(rows)
 
     # ------------------------------------------------------------------
     def render_view(self, view_id: int):
@@ -420,6 +423,17 @@ class CLMEngine(EngineBase):
         )
         working.release()
         return result
+
+    def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
+        """The split stores' writer: critical rows into the resident store,
+        the rest into the pinned one."""
+        for name, arr in self.gpu_store.params().items():
+            arr[:] = params[name]
+        self.cpu_store.write_params(
+            np.arange(self.num_gaussians),
+            {name: params[name] for name in ("sh", "opacity_logits")},
+        )
+        self._culling.reset()
 
     def rebuild(self, model: GaussianModel, keep_rows: np.ndarray) -> None:
         # No chunk can be in flight here: rebuild only runs between

@@ -29,10 +29,12 @@ Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
    gathering them.
 
 The prefilter only ever removes rows the exact test would remove, so the
-index sets are those of the single-level test, bit for bit.  Nothing is
-cached between calls: positions and scales move every Adam step, and a
-stateless cull has nothing to invalidate on ``rebuild``, checkpoint
-restore or recovery.
+index sets are those of the single-level test, bit for bit.  This module
+caches nothing between calls.  Training keeps the sets instead, one level
+up (:class:`repro.core.culling_index.CullingIndex`): CLM's Adam is sparse,
+so a batch moves only its touched rows, and :func:`cull_batch`'s ``rows=``
+re-tests just those for every view culled before — the same arbiter on
+the same bits, so the same verdicts.
 
 The reference exact test is :func:`ellipsoids_in_frustum`, and it has an
 *accept path*: ``r(n) >= 0``, so a row whose centre is on the inner side
@@ -56,11 +58,13 @@ renders run on.  *Across* backends the sets are equal except on a rounding
 tie (``|n . p + d + r|`` within a few ulps: BLAS and program-order sums
 round differently), which at worst leaves one grazing splat unrendered.
 
-On the ``bench_e2e`` ``sparse`` workload (N=20 000, a view sees 0.6%) an
-8-view batch culls in 2.0 ms (``native``; 2.8 ms on the reference) where
-the single-level test took 114 ms; on ``dense`` (every view sees most
-rows, so the exact stage runs on most of them) a 4-view batch culls in
-0.24 ms (1.0 ms on the reference, 3.1 ms before the accept path).
+On the ``bench_e2e`` ``sparse`` workload (N=20 000, a view sees 0.6%) a
+fresh 8-view batch cull takes ~2 ms (``native``; 2.8 ms on the reference)
+where the single-level test took 114 ms; the training engines' refresh of
+views culled before re-tests ~0.2 N moved rows instead of N.  On ``dense``
+(every view sees most rows, so the exact stage runs on most of them) a
+4-view batch culls in 0.24 ms (1.0 ms on the reference, 3.1 ms before the
+accept path).
 """
 
 from __future__ import annotations
@@ -277,19 +281,32 @@ def exact_cull(
 
 
 def _prefilter_points(
-    positions: np.ndarray, log_scales: np.ndarray
+    positions: np.ndarray,
+    log_scales: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-Gaussian right-hand side of the prefilter GEMM, ``(5, N)``:
-    ``x, y, z, 1, slack``.
+    """Per-Gaussian right-hand side of the prefilter GEMM, ``(5, K)``:
+    ``x, y, z, 1, slack`` of every row, or of ``rows`` only.
 
-    ``slack`` is the bounding-sphere radius inflated by the margin, plus
-    the margin's share of the centre's magnitude (see
-    :data:`_PREFILTER_MARGIN`).
+    ``slack`` is the bounding-sphere radius (:func:`max_support_radius`)
+    inflated by the margin, plus the margin's share of the centre's
+    magnitude (see :data:`_PREFILTER_MARGIN`).  Rows are gathered a column
+    at a time: gathering whole rows of a strided ``(N, 3)`` view (CLM's
+    packed critical block) is NumPy's slow fancy-indexing path.
     """
-    points = np.empty((5, positions.shape[0]))
-    points[:3] = positions.T
+
+    def column(arr: np.ndarray, j: int) -> np.ndarray:
+        return arr[:, j] if rows is None else arr[:, j][rows]
+
+    points = np.empty((5, positions.shape[0] if rows is None else rows.size))
+    for j in range(3):
+        points[j] = column(positions, j)
     points[3] = 1.0
-    points[4] = max_support_radius(log_scales) * (1.0 + _PREFILTER_MARGIN)
+    largest = np.maximum(
+        np.maximum(column(log_scales, 0), column(log_scales, 1)),
+        column(log_scales, 2),
+    )
+    points[4] = CULL_SIGMA * np.exp(largest) * (1.0 + _PREFILTER_MARGIN)
     points[4] += _PREFILTER_MARGIN * np.abs(points[:3]).sum(axis=0)
     return points
 
@@ -309,6 +326,7 @@ def cull_batch(
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
     kernel_backend: Optional[str] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """The sorted in-frustum index set ``S_i`` of every camera, in order.
 
@@ -318,11 +336,16 @@ def cull_batch(
     docstring): a bounding-sphere prefilter for a block of views at once,
     then the exact test of ``kernel_backend`` (:func:`exact_cull`) on each
     view's survivors.
+
+    ``rows`` (sorted global row ids) restricts the call to those rows: the
+    result is then each view's set intersected with ``rows``, still as
+    global ids — what a maintained index re-tests after an Adam step moved
+    only those rows.
     """
     cameras = list(cameras)
-    n = positions.shape[0]
     arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
-    points = _prefilter_points(positions, log_scales)
+    points = _prefilter_points(positions, log_scales, rows)
+    n = points.shape[1]
     sets: List[np.ndarray] = []
     for first in range(0, len(cameras), _VIEW_BLOCK):
         planes = np.stack(
@@ -338,11 +361,14 @@ def cull_batch(
             reach = (coeffs @ points[:, lo:hi]).reshape(views, 6, hi - lo)
             np.greater_equal(reach.min(axis=1), 0.0, out=survives[:, lo:hi])
         for view_planes, mask in zip(planes, survives):
+            candidates = np.flatnonzero(mask)
+            if rows is not None:
+                candidates = rows[candidates]
+            if candidates.size == 0:
+                sets.append(candidates)
+                continue
             sets.append(
-                arbiter(
-                    view_planes, positions, log_scales, raw_quats,
-                    np.flatnonzero(mask),
-                )
+                arbiter(view_planes, positions, log_scales, raw_quats, candidates)
             )
     return sets
 

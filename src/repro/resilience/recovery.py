@@ -123,23 +123,7 @@ def restore_engine_state(engine, snapshot: EngineSnapshot) -> None:
         raise ValueError(
             f"snapshot has {n} Gaussians, engine has {engine.num_gaussians}"
         )
-    if hasattr(engine, "adam_critical"):  # CLM split stores
-        engine.gpu_store.positions[:] = snapshot.params["positions"]
-        engine.gpu_store.log_scales[:] = snapshot.params["log_scales"]
-        engine.gpu_store.quaternions[:] = snapshot.params["quaternions"]
-        engine.cpu_store.write_params(
-            np.arange(n),
-            {
-                "sh": snapshot.params["sh"],
-                "opacity_logits": snapshot.params["opacity_logits"],
-            },
-        )
-    else:
-        target = (
-            engine.cpu_model if hasattr(engine, "cpu_model") else engine.model
-        )
-        for name, arr in target.parameters().items():
-            arr[:] = snapshot.params[name]
+    engine.load_parameters(snapshot.params)
     for name, opt in _engine_optimizers(engine).items():
         _restore_optimizer(opt, snapshot.optimizers[name])
     engine._rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)

@@ -68,12 +68,12 @@ def test_autotuned_batch_culls_once(setup, monkeypatch):
 
     calls = []
 
-    def counting_cull(cameras, *arrays, **selection):
-        calls.append(len(cameras))
-        return cull_batch(cameras, *arrays, **selection)
+    def counting_cull(self, view_ids):
+        calls.append(len(view_ids))
+        return cull_views(self, view_ids)
 
-    cull_batch = base.cull_batch
-    monkeypatch.setattr(base, "cull_batch", counting_cull)
+    cull_views = base.EngineBase.cull_views
+    monkeypatch.setattr(base.EngineBase, "cull_views", counting_cull)
     _, results = run(
         setup, autotune=True, autotune_orderings=("tsp", "gs_count", "identity")
     )
