@@ -73,7 +73,9 @@ CLM_BUFFER_BPG = 2 * 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT
 #: this model's budget.  Both backends retain it: NumPy as its slab cache
 #: (three cell tensors, 17 bytes a cell), ``native`` as blend records (20
 #: bytes for each cell the footprints could pass, plus each tile's final
-#: ``T``: 1.2–1.7 MB a ``dense`` view, 0.3–0.5 MB a ``sparse`` one).  The
+#: ``T``: 1.2–1.7 MB a ``dense`` view, 0.3–0.5 MB a ``sparse`` one; a
+#: training view keeps them in the engine's workspace, see the
+#: kernel-backend note).  The
 #: rasterizer's two-level binning (8x8 compute tiles over thresholded
 #: footprints) moves only those *reported* bytes — on ``bench_e2e``
 #: ``dense`` a view retains 4.1 MB of NumPy blend cache and 25.6 KB of CSR
@@ -157,6 +159,16 @@ ACT_PER_PIXEL = 240
 #: model budgets — parameters, gradients, moments, double buffers — is
 #: identical under any backend; switching backends moves wall-clock time,
 #: not Figure 8/10 numbers.
+#:
+#: A ``native`` training view holds those bytes in the engine's
+#: :class:`~repro.kernels.workspace.Workspace` rather than in per-render
+#: blocks: grow-only arenas for the projection scratch, the per-Gaussian
+#: and CSR blocks, the blend records, the image, the loss gradient and the
+#: five parameter-gradient arrays of one view.  They are host bytes held
+#: at the largest view seen (plus an eighth), for the engine's lifetime,
+#: outside the pool model like the records: the pool still charges each
+#: view's activations analytically, so ``gpu_peak_bytes`` and Figure 8/10
+#: numbers do not move with them.
 
 #: Auto-tuning note: the adaptive runtime (:mod:`repro.autotune` +
 #: ``repro.runtime.GraphExecutor``) changes *timing only*, never pool

@@ -22,24 +22,30 @@ from __future__ import annotations
 
 import abc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.culling_index import CullingIndex
 from repro.gaussians.camera import Camera
-from repro.gaussians.loss import TargetMoments, photometric_loss, psnr
+from repro.gaussians.loss import TargetMoments, psnr
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.render import render, render_backward, train_view
 from repro.hardware.memory import MemoryPool
-from repro.kernels.registry import OpDispatch
+from repro.kernels.registry import REFERENCE_BACKEND, OpDispatch, train_operands
+from repro.kernels.workspace import Workspace
 from repro.planning.plan import BatchPlan
 from repro.planning.planner import BatchPlanner
 from repro.utils.rng import make_rng
 
-#: Hook signature: ``hook(view_id, working_set, position_grads)``.
+#: Hook signature: ``hook(view_id, working_set, position_grads)``.  The
+#: gradients are valid only during the call: they may be a slice of the
+#: engine's :class:`~repro.kernels.workspace.Workspace`, which the next view
+#: overwrites — copy what is kept.
 PositionGradHook = Callable[[int, np.ndarray, np.ndarray], None]
 
 
@@ -74,9 +80,10 @@ class BatchResult:
     #: Seconds this batch spent in pre-rendering frustum culling
     #: (:meth:`EngineBase.cull_views`), stamped like ``wall_time_s``.
     cull_s: float = 0.0
-    #: Seconds this batch spent inside the renderer's forward pass
-    #: (:meth:`EngineBase._forward_backward` render call), stamped by
-    #: :meth:`EngineBase.train_batch` like ``wall_time_s``.
+    #: Seconds this batch spent inside the renderer's forward pass (the
+    #: render call of :meth:`EngineBase._forward_backward`, or ``native``'s
+    #: project + composite), stamped by :meth:`EngineBase.train_batch` like
+    #: ``wall_time_s``.
     forward_s: float = 0.0
     #: Seconds spent inside the renderer's backward pass.
     backward_s: float = 0.0
@@ -324,11 +331,14 @@ class EngineBase(Engine):
         #: never of the model — ``rebuild``, restore and recovery leave it
         #: alone — and host-side like the targets, so not pool-accounted.
         self._moments: Dict[int, TargetMoments] = {}
-        #: The ``photometric_loss`` op, on the backend the renders run on
-        #: (resolved as :meth:`cull_views` resolves it).
+        #: The ``view_train`` and ``photometric_loss`` ops, on the backend
+        #: the renders run on (resolved as :meth:`cull_views` resolves it).
         self._loss_ops = OpDispatch(
             self.raster_settings.kernel_backend or self.kernel_backend
         )
+        #: The host arenas ``view_train`` runs this engine's views in, and
+        #: the lease on the gradients it returns (see :meth:`_forward_backward`).
+        self._workspace = Workspace()
         # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
         self._step_cull_s = 0.0
@@ -505,32 +515,50 @@ class EngineBase(Engine):
             held = self._moments[view_id] = TargetMoments.of(target)
         return held
 
-    def _forward_backward(self, cam: Camera, model_like, target, batch: int):
-        """Render one view, compute the photometric loss, backpropagate.
+    @contextmanager
+    def _forward_backward(
+        self, cam: Camera, model_like, target, batch: int
+    ) -> Iterator["tuple[float, Dict[str, np.ndarray]]"]:
+        """Render one view, compute the photometric loss, backpropagate:
+        ``with self._forward_backward(...) as (loss, grads):``.
 
-        Returns ``(loss, grads)`` with gradients already scaled by the
-        1/batch gradient-accumulation factor.  Renderer forward and
-        backward wall time is accumulated into the per-batch counters
-        :meth:`train_batch` stamps onto the :class:`BatchResult`.
+        The gradients are already scaled by the 1/batch gradient-accumulation
+        factor and are valid inside the ``with`` block only: ``native`` runs
+        the view as its ``view_train`` op over :attr:`_workspace`, whose
+        arenas hold them under a lease that leaving the block releases.  The
+        reference composition (:func:`~repro.gaussians.render.train_view`)
+        runs wherever ``native`` does not take the op — the NumPy backend, a
+        layout it declines, L1 alone (``ssim_lambda == 0``) — and for a
+        custom renderer pair.  Forward and backward wall time accumulate
+        into the per-batch counters :meth:`train_batch` stamps onto the
+        :class:`BatchResult`.
         """
-        start = time.perf_counter()
-        result = self._render(cam, model_like, self.raster_settings)
-        self._step_forward_s += time.perf_counter() - start
-        # A custom renderer's result may carry no context.
-        ctx = getattr(result, "ctx", None)
-        self._rendered_on = getattr(ctx, "kernel_backend", self._rendered_on)
+        settings = self.raster_settings
         ssim_lambda = self.config.ssim_lambda
-        loss, g_img = photometric_loss(
-            result.image,
-            target,
-            ssim_lambda,
-            self._target_moments(cam.view_id, target) if ssim_lambda else None,
-            kernel_backend=self._loss_ops,
-        )
-        start = time.perf_counter()
-        grads = self._render_backward(result, model_like, g_img / batch)
-        self._step_backward_s += time.perf_counter() - start
-        return loss, grads
+        moments = self._target_moments(cam.view_id, target) if ssim_lambda else None
+        ws = self._workspace
+        fused = None
+        if self._render is render and self._render_backward is render_backward:
+            fused = self._loss_ops(
+                "view_train", *train_operands(settings, model_like, target, moments)
+            )
+        if fused is None or self._loss_ops.active == REFERENCE_BACKEND:
+            loss, grads = train_view(
+                cam, model_like, settings, target, moments, ssim_lambda, batch,
+                ws, renderer=(self._render, self._render_backward),
+                loss_backend=self._loss_ops,
+            )
+        else:
+            loss, grads = fused(
+                cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+            )
+        self._step_forward_s += ws.forward_s
+        self._step_backward_s += ws.backward_s
+        self._rendered_on = ws.rendered_on or self._rendered_on
+        try:
+            yield loss, grads
+        finally:
+            ws.release()
 
     def _accumulate_planned(
         self,
@@ -556,15 +584,15 @@ class EngineBase(Engine):
         for step in plan.steps:
             cam = self.cameras[step.view_id]
             sub = model.gather(step.working_set)
-            loss, sub_grads = self._forward_backward(
+            with self._forward_backward(
                 cam, sub, targets[step.view_id], batch
-            )
-            for name, full in grads.items():
-                full[step.working_set] += sub_grads[name]
-            if position_grad_hook is not None:
-                position_grad_hook(
-                    step.view_id, step.working_set, sub_grads["positions"]
-                )
+            ) as (loss, sub_grads):
+                for name, full in grads.items():
+                    full[step.working_set] += sub_grads[name]
+                if position_grad_hook is not None:
+                    position_grad_hook(
+                        step.view_id, step.working_set, sub_grads["positions"]
+                    )
             per_view_loss[step.view_id] = loss
             total_loss += loss / batch
         return per_view_loss, total_loss

@@ -357,19 +357,19 @@ class CLMEngine(EngineBase):
         model_i = run.working.assemble(
             step.working_set, step.loads, step.cached, run.carried
         )
-        loss, grads = self._forward_backward(
+        with self._forward_backward(
             self.cameras[step.view_id],
             model_i,
             run.targets[step.view_id],
             run.batch,
-        )
+        ) as (loss, grads):
+            run.working.add_grads(grads)
+            if run.position_grad_hook is not None:
+                run.position_grad_hook(
+                    step.view_id, step.working_set, grads["positions"]
+                )
         run.per_view_loss[step.view_id] = loss
         run.loss += loss / run.batch
-        run.working.add_grads(grads)
-        if run.position_grad_hook is not None:
-            run.position_grad_hook(
-                step.view_id, step.working_set, grads["positions"]
-            )
         run.carried = run.working.retire(step.stores, step.carried)
 
     # ------------------------------------------------------------------

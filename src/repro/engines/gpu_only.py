@@ -118,17 +118,17 @@ class GpuOnlyEngine(EngineBase):
             total_loss = 0.0
             for step in plan.steps:
                 cam = self.cameras[step.view_id]
-                loss, full_grads = self._forward_backward(
+                with self._forward_backward(
                     cam, self.model, targets[step.view_id], batch
-                )
-                for name, full in grads.items():
-                    full += full_grads[name]
-                if position_grad_hook is not None:
-                    position_grad_hook(
-                        step.view_id,
-                        step.working_set,
-                        full_grads["positions"][step.working_set],
-                    )
+                ) as (loss, full_grads):
+                    for name, full in grads.items():
+                        full += full_grads[name]
+                    if position_grad_hook is not None:
+                        position_grad_hook(
+                            step.view_id,
+                            step.working_set,
+                            full_grads["positions"][step.working_set],
+                        )
                 per_view_loss[step.view_id] = loss
                 total_loss += loss / batch
 

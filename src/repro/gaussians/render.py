@@ -14,16 +14,22 @@ the blend state the forward pass kept when
 blend records) instead of regenerating it, and
 :attr:`RenderResult.activation_bytes` reports the context's real retained
 footprint (what the CLM memory model accounts against ``|S_i|``).
+
+:func:`train_view` is a training view as the three calls — ``render``, the
+photometric loss, ``render_backward`` — the reference of the ``view_train``
+kernel op, which ``native`` runs as one bound call instead.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.gaussians.camera import Camera
+from repro.gaussians.loss import photometric_loss
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import (
     RasterSettings,
@@ -77,3 +83,48 @@ def render_backward(
             f"gradient shape {dL_dimage.shape} != image shape {result.image.shape}"
         )
     return rasterize_backward(result.ctx, model, dL_dimage)
+
+
+def train_view(
+    camera: Camera,
+    model: GaussianModel,
+    settings: RasterSettings,
+    target: np.ndarray,
+    moments,
+    ssim_lambda: float,
+    batch: int,
+    workspace=None,
+    *,
+    renderer=None,
+    loss_backend=None,
+):
+    """One training view: render, the photometric loss against ``target``
+    (over its kept ``moments``; None for L1 alone), backpropagate.  Returns
+    ``(loss, grads)``, the gradients scaled by ``1 / batch``.
+
+    The reference of the ``view_train`` kernel op and the one composition
+    every engine runs where ``native`` does not take the op: ``renderer``
+    replaces the ``(render, render_backward)`` pair (an engine passes its
+    own), ``loss_backend`` runs the loss op (a name or an ``OpDispatch``;
+    default ``settings.kernel_backend``).  A ``workspace`` receives the
+    two halves' seconds and the backend that composited; the gradients are
+    fresh arrays, so no lease is taken.
+    """
+    forward, backward = renderer or (render, render_backward)
+    start = time.perf_counter()
+    result = forward(camera, model, settings)
+    forward_s = time.perf_counter() - start
+    loss, g_img = photometric_loss(
+        result.image, target, ssim_lambda, moments,
+        kernel_backend=loss_backend or settings.kernel_backend,
+    )
+    start = time.perf_counter()
+    grads = backward(result, model, g_img / batch)
+    if workspace is not None:
+        workspace.backward_s = time.perf_counter() - start
+        workspace.forward_s = forward_s
+        # A custom renderer's result may carry no context.
+        workspace.rendered_on = getattr(
+            getattr(result, "ctx", None), "kernel_backend", None
+        )
+    return loss, grads

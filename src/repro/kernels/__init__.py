@@ -7,8 +7,9 @@ every call site uses (``resolve_backend`` → ``compile_with_fallback``).
 
 Two backends ship and register on import: ``numpy`` (the always-available
 reference) and ``native`` (a whole view in C — projection, binning, fused
-per-tile compositing, the gradient chain — and CLM's data path and fused
-Adam over row indices, built at first use with the system C compiler;
+per-tile compositing, the gradient chain — a training view with its loss
+over an engine's :class:`Workspace`, and CLM's data path and fused Adam
+over row indices, built at first use with the system C compiler;
 unavailable, and silently skipped by ``auto``, without one) — see
 ``repro backends`` and the README's "Kernel backends" section.
 """
@@ -36,9 +37,11 @@ from repro.kernels.registry import (
     resolve_backend,
     resolve_backend_name,
     rows_spec,
+    train_operands,
     unregister_backend,
     view_spec,
 )
+from repro.kernels.workspace import Workspace
 from repro.kernels import numpy_backend, native_backend  # noqa: F401  (they register)
 
 __all__ = [
@@ -64,6 +67,8 @@ __all__ = [
     "resolve_backend",
     "resolve_backend_name",
     "rows_spec",
+    "train_operands",
     "unregister_backend",
     "view_spec",
+    "Workspace",
 ]

@@ -14,21 +14,33 @@ three native calls:
 - ``view_backward`` is one: the compositing gradient, then
   ``_chain_to_parameters`` scattered to the five full-size arrays.
 
-Between the two forward calls Python allocates the render's own buffers,
-sized by what survived: **one float64 block** of 52 values a survivor
-(:data:`_FIELDS`: means2d, depths, t_cam, offsets, cov_cam, cov2d, conics,
-colours, opacities, radii, scales, quat norms, unit quats, rotations, dirs,
-dir norms — field after field, each C-contiguous), one int64 block (ids,
-then ``tile_ids | offsets | order``) and one byte block (the clamp mask),
-plus the blend records below when the backward pass is to read them.
-``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are views into
-them, they ride on ``RenderContext.blocks``, and nothing else — no other
-render, no cache on the camera, model or engine — ever shares them.  The
-scratch ``view_project`` writes into is sized by the *input* rows and dies
-with the forward call, so a 20 000-row model of which 130 rows survive
-retains 130 rows.  What pays is the few calls over few pointers: ctypes
-marshalling costs 2.8 us an ``ndpointer`` argument, the parent's per-array
-granularity made ~110 of them a view, 18 ``np.empty`` calls cost 0.009 ms.
+Between the two forward calls the render's own buffers are sized by what
+survived: **one float64 block** of 52 values a survivor (:data:`_FIELDS`:
+means2d, depths, t_cam, offsets, cov_cam, cov2d, conics, colours,
+opacities, radii, scales, quat norms, unit quats, rotations, dirs, dir
+norms — field after field, each C-contiguous), one int64 block (ids, then
+``tile_ids | offsets | order``) and one byte block (the clamp mask), plus
+the blend records below when the backward pass is to read them.  Where
+they live depends on who renders:
+
+- a ``view_forward`` call — serving, ``evaluate``, ``render_view``, any
+  direct ``render`` — allocates them, and ``view_project``'s scratch (sized
+  by the *input* rows, dead after the call), per call.
+  ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are views into
+  them and ride on ``RenderContext.blocks``, which no other render shares:
+  a 20 000-row model of which 130 rows survive retains 130 rows.
+- an engine's training view is the ``view_train`` op (below): the same
+  calls and the loss's over the engine's
+  :class:`~repro.kernels.workspace.Workspace`, whose grow-only arenas hold
+  the scratch, every block, the image, the loss gradient and the parameter
+  gradients.  They are allocated once per engine (and grown with the
+  largest view seen), their addresses taken then; a view builds no
+  context, projection or bins, and one view at a time holds them, under
+  the workspace's lease.
+
+What pays is few calls over few pointers: ctypes marshalling costs 2.8 us
+an ``ndpointer`` argument and ~1.1 us an ``ndarray.ctypes`` address, so
+every view op passes raw addresses (:func:`_address`, ~0.35 us).
 
 The 3-sigma frustum verdict is one ``static`` C function, ``in_frustum``,
 called from two places: ``view_project``, per input row, and the
@@ -95,6 +107,12 @@ entry on random images.  On real renders the gradient differs by up to
 ~1e-13 from a long-double sum.  A grayscale image and L1 alone (no
 moments) stay on the reference.
 
+``view_train`` (:func:`_bind_train`) is a whole training view as one bound
+op: ``view_project``, ``view_composite``, ``photometric_loss`` and
+``view_backward`` over an engine's workspace, with the operand checks of
+the three ops it replaces, bit-identical to them dispatched one by one
+(:func:`repro.gaussians.render.train_view`, its reference).
+
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
 ``$CC``, ``cc``, ``gcc``, ``clang`` found on ``PATH``:
@@ -123,14 +141,14 @@ lands on NumPy silently.  A build or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All eleven ops are implemented,
+and every caller runs on the reference.  All twelve ops are implemented,
 over float64 C-contiguous operands (``exact_cull``: float64 rows, each
 contiguous): a float32 blend state (``dtype="float32"``), a model array
 that is float32 or not C-contiguous, a backward pass over a context NumPy
-made or whose projection was replaced, and float32 gradient staging
-(``grad_dtype="float32"``) stay on NumPy through the registry's per-op
-fallback — and a view the view ops declined still composites on the
-raster kernels here.
+made or whose projection was replaced, float32 gradient staging
+(``grad_dtype="float32"``) and a training view on L1 alone stay on NumPy
+through the registry's per-op fallback — and a view the view ops declined
+still composites on the raster kernels here.
 """
 
 from __future__ import annotations
@@ -145,6 +163,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from importlib import resources
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -157,6 +176,7 @@ from repro.kernels.registry import (
     register_backend,
     rows_contiguous,
 )
+from repro.kernels.workspace import Workspace
 
 SOURCE = "native_kernels.c"
 #: Everything that decides how the library rounds is here, and keys the
@@ -171,7 +191,7 @@ _COMPILERS = ("cc", "gcc", "clang")
 _ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam_rows")
 _OPS = frozenset({
     "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-    "raster_backward_slab", *_ROW_OPS, "photometric_loss",
+    "raster_backward_slab", *_ROW_OPS, "photometric_loss", "view_train",
 })
 
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -475,11 +495,13 @@ def _bind_cull(lib: ctypes.CDLL) -> Callable:
                     f"native exact_cull: {name} is {arr.dtype} with strides "
                     f"{arr.strides}, not float64 rows"
                 )
+            # ``c_char.from_buffer`` needs a contiguous buffer: a strided
+            # column block keeps ``ctypes.data``.
             strided += [arr.ctypes.data, arr.strides[0] // 8]
         kept = np.empty(rows.size + 1, np.int64)
         if lib.exact_cull(
-            n, planes.ctypes.data, *strided, rows.ctypes.data, rows.size,
-            kept.ctypes.data,
+            n, _address(planes), *strided, _address(rows), rows.size,
+            _address(kept),
         ):
             raise IndexError(f"native exact_cull: a row outside [0, {n})")
         return kept[1 : 1 + kept[0]].copy()
@@ -500,6 +522,19 @@ def _model_arrays(model) -> dict:
                 f"not C-contiguous float64{shape}"
             )
     return arrays
+
+
+def _sh_degree(model, settings) -> int:
+    """The SH degree a render evaluates, once the model stores its bases."""
+    from repro.gaussians.sh import num_basis
+
+    stored = model.sh.shape[1]
+    degree = model.sh_degree
+    if settings.active_sh_degree is not None:
+        degree = min(settings.active_sh_degree, degree)
+    if num_basis(degree) > stored:
+        raise ValueError(f"SH degree {degree} needs more than {stored} bases")
+    return degree
 
 
 def _check(code: int, call: str, wanted: str) -> None:
@@ -555,19 +590,15 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
     """The whole-view callables: ``view_forward`` is two calls
     (``view_project`` sizes the render's blocks, ``view_composite`` fills
     them and composites), ``view_backward`` one."""
-    from repro.gaussians import sh as sh_module
     from repro.gaussians.covariance import GaussianShape
     from repro.gaussians.frustum import frustum_planes
     from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
+    from repro.gaussians.sh import num_basis
 
     def view_forward(camera, model, settings):
         arrays = _model_arrays(model).values()
         n, stored = model.sh.shape[:2]
-        degree = model.sh_degree
-        if settings.active_sh_degree is not None:
-            degree = min(settings.active_sh_degree, degree)
-        if sh_module.num_basis(degree) > stored:
-            raise ValueError(f"SH degree {degree} needs more than {stored} bases")
+        degree = _sh_degree(model, settings)
         width, height, sub = camera.width, camera.height, _compute_tile(settings)
         tiles_x, tiles_y = -(-width // sub), -(-height // sub)
         # ``view_project`` puts every row to the arbiter ``exact_cull`` put
@@ -576,10 +607,11 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
         params = _view_params(camera, settings)
         scratch = np.empty(_SCRATCH * n)
         work = np.empty(5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
+        params_at, work_at = _address(params), _address(work)
         lib.view_project(
-            n, *(a.ctypes.data for a in arrays), planes.ctypes.data, stored,
-            degree, params.ctypes.data, width, height, int(settings.tile_size),
-            sub, scratch.ctypes.data, work.ctypes.data,
+            n, *map(_address, arrays), _address(planes), stored, degree,
+            params_at, width, height, int(settings.tile_size), sub,
+            _address(scratch), work_at,
         )
         m, _, tiles, entries, area = work[:5].tolist()
         # The render's own blocks, sized by what survived.
@@ -591,10 +623,10 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
             records = _records(tiles * sub * sub, area, entries)
         image, trans = np.empty((height, width, 3)), np.empty((height, width))
         failed = lib.view_composite(
-            n, scratch.ctypes.data, work.ctypes.data, params.ctypes.data,
-            width, height, sub, floats.ctypes.data, ints.ctypes.data,
-            clamp.ctypes.data, *([b.ctypes.data for b in records] or [None] * 3),
-            image.ctypes.data, trans.ctypes.data,
+            n, _address(scratch), work_at, params_at, width, height, sub,
+            _address(floats), _address(ints), _address(clamp),
+            *(list(map(_address, records)) or [None] * 3), _address(image),
+            _address(trans),
         )
         _check(
             failed, "view_composite",
@@ -638,16 +670,16 @@ def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
             want += (tiles * bins.tile_size**2 + 2 * cap, cap, entries + 1)
         if tuple(block.size for block in ctx.blocks[1:]) != want:
             raise ValueError("native view operands: not this context's blocks")
-        if n != ctx.num_input or sh_module.num_basis(proj.sh_degree_used) > stored:
+        if n != ctx.num_input or num_basis(proj.sh_degree_used) > stored:
             raise ValueError("native view operands: not the model that was rendered")
         grads = {name: np.zeros(arr.shape) for name, arr in arrays.items()}
         params = _view_params(camera, ctx.settings)
         failed = lib.view_backward(
-            m, n, tiles, entries, cap, floats.ctypes.data, ints.ctypes.data,
-            clamp.ctypes.data, *([b.ctypes.data for b in records] or [None] * 3),
-            model.sh.ctypes.data, stored, proj.sh_degree_used,
-            params.ctypes.data, camera.width, camera.height, bins.tile_size,
-            d_image.ctypes.data, *(g.ctypes.data for g in grads.values()),
+            m, n, tiles, entries, cap, _address(floats), _address(ints),
+            _address(clamp), *(list(map(_address, records)) or [None] * 3),
+            _address(model.sh), stored, proj.sh_degree_used, _address(params),
+            camera.width, camera.height, bins.tile_size, _address(d_image),
+            *map(_address, grads.values()),
         )
         _check(
             failed, "view_backward",
@@ -899,6 +931,105 @@ def _bind_loss(lib: ctypes.CDLL) -> Callable:
     return photometric_loss
 
 
+def _bind_train(lib: ctypes.CDLL, name: str) -> Callable:
+    """``view_train``: ``view_project``, ``view_composite``,
+    ``photometric_loss`` and ``view_backward`` over a
+    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks of
+    the three ops it fuses and no context, projection or bins built."""
+    from repro.gaussians.frustum import frustum_planes
+    from repro.gaussians.loss import _C1, _C2
+
+    def view_train(
+        camera, model, settings, target, moments, ssim_lambda, batch,
+        workspace=None,
+    ):
+        if moments is None:
+            raise ValueError("native view_train: L1 alone stays on the reference")
+        ws = Workspace() if workspace is None else workspace
+        arrays = _model_arrays(model)
+        n, stored = model.sh.shape[:2]
+        degree = _sh_degree(model, settings)
+        width, height, sub = camera.width, camera.height, _compute_tile(settings)
+        tiles_x, tiles_y = -(-width // sub), -(-height // sub)
+        pixels, planes3 = height * width, (3, height, width)
+        loss_operands = (
+            _buffer(target, (height, width, 3)), _buffer(moments.uy, planes3),
+            _buffer(moments.uy2_c1, planes3), _buffer(moments.vy_c2, planes3),
+        )
+        taps, taps_at = _window(*moments.window)
+        planes = frustum_planes(camera)
+        params = _view_params(camera, settings)
+        params_at, sh_at = _address(params), _address(model.sh)
+        ws.lease()
+        try:
+            start = time.perf_counter()
+            scratch_at = ws.arena("project", _SCRATCH * n)[1]
+            work, work_at = ws.arena(
+                "work", 5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64
+            )
+            lib.view_project(
+                n, *map(_address, arrays.values()), _address(planes), stored,
+                degree, params_at, width, height, int(settings.tile_size), sub,
+                scratch_at, work_at,
+            )
+            m, _, tiles, entries, area = work[:5].tolist()
+            floats_at = ws.arena("floats", _RETAINED * m)[1]
+            ints_at = ws.arena("ints", m + 2 * tiles + 1 + entries, np.int64)[1]
+            clamp_at = ws.arena("clamp", 3 * m, np.uint8)[1]
+            records, cap = (None, None, None), 0
+            if settings.cache_blend_state:  # the records view_backward walks
+                records, cap = (
+                    ws.arena("records", tiles * sub * sub + 2 * area)[1],
+                    ws.arena("pixels", area, np.int32)[1],
+                    ws.arena("ends", entries + 1, np.int64)[1],
+                ), area
+            image_at = ws.arena("image", 3 * pixels)[1]
+            _check(lib.view_composite(
+                n, scratch_at, work_at, params_at, width, height, sub,
+                floats_at, ints_at, clamp_at, *records, image_at,
+                ws.arena("trans", pixels)[1],
+            ), "view_composite", f"its canvases ({tiles_x * tiles_y} tiles)")
+            forward_s = time.perf_counter() - start
+
+            d_image, d_image_at = ws.arena("d_image", 3 * pixels)
+            value, value_at = ws.arena("value", 1)
+            if lib.photometric_loss(
+                height, width, 3, image_at, *loss_operands, taps_at, taps.size,
+                float(ssim_lambda), _C1, _C2, d_image_at, value_at,
+            ):
+                raise MemoryError(
+                    f"native view_train could not allocate its loss scratch "
+                    f"({height}x{width} image)"
+                )
+
+            start = time.perf_counter()
+            d_image = d_image[: 3 * pixels]
+            np.divide(d_image, batch, out=d_image)
+            # The five gradient arrays, field after field in one arena,
+            # zeroed: view_backward writes the survivors' rows only.
+            size = (11 + 3 * stored) * n
+            block, block_at = ws.arena("grads", size)
+            ctypes.memset(block_at, 0, 8 * size)
+            grads, addresses, at = {}, [], 0
+            for field, arr in arrays.items():
+                grads[field] = block[at : at + arr.size].reshape(arr.shape)
+                addresses.append(block_at + 8 * at)
+                at += arr.size
+            _check(lib.view_backward(
+                m, n, tiles, entries, cap, floats_at, ints_at, clamp_at,
+                *records, sh_at, stored, degree, params_at, width, height, sub,
+                d_image_at, *addresses,
+            ), "view_backward", "its scratch")
+            ws.backward_s = time.perf_counter() - start
+        except BaseException:
+            ws.release()
+            raise
+        ws.forward_s, ws.rendered_on = forward_s, name
+        return float(value[0]), grads
+
+    return view_train
+
+
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
     """Compiled C view, raster and data-path kernels."""
@@ -906,8 +1037,9 @@ class NativeKernelBackend(KernelBackend):
     priority = 10
     description = (
         "a view in C (frustum test, projection, binning, fused per-tile "
-        "compositing, gradient chain), the L1 + SSIM loss, and CLM's data "
-        "path and fused Adam "
+        "compositing, gradient chain), the L1 + SSIM loss, a training view "
+        "as one op over the engine's arenas, and CLM's data path and fused "
+        "Adam "
         "over row indices, built at first use with the system C compiler "
         "(float64 operands)"
     )
@@ -958,6 +1090,12 @@ class NativeKernelBackend(KernelBackend):
             len(spec.operands) != 3 or any(d.rank != 3 for d in spec.operands)
         ):
             return False
+        # ``view_train``: the compute dtype, the model arrays, then the loss
+        # operands (``registry.train_operands``) — the same two rules.
+        if spec.op == "view_train" and (
+            len(spec.operands) != 8 or any(d.rank != 3 for d in spec.operands[6:])
+        ):
+            return False
         return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
         )
@@ -968,6 +1106,8 @@ class NativeKernelBackend(KernelBackend):
             return _bind_cull(lib)
         if spec.op == "photometric_loss":
             return _bind_loss(lib)
+        if spec.op == "view_train":
+            return _bind_train(lib, self.name)
         if spec.op in _ROW_OPS:
             return _bind_rows(lib, spec.op)
         if spec.op.startswith("view_"):

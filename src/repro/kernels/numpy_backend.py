@@ -48,7 +48,8 @@ assigns zero rows, and ``adam_rows`` is
 ``photometric_loss`` is :func:`~repro.gaussians.loss.l1_loss` plus
 :func:`~repro.gaussians.loss.ssim_with_grad`, whose SSIM window is two
 banded-matrix products a pass (four GEMM calls an image) over the target's
-kept moments.
+kept moments.  ``view_train`` is :func:`~repro.gaussians.render.train_view`:
+the render, the loss and the backward pass, each dispatched on its own.
 
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
 on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
@@ -481,7 +482,8 @@ class NumpyKernelBackend(KernelBackend):
     description = (
         "vectorized NumPy reference (always available; grouped slab "
         "compositing, the stores' gather / scatter data path, blocked "
-        "fused Adam, the banded-GEMM SSIM loss)"
+        "fused Adam, the banded-GEMM SSIM loss, a training view as three "
+        "dispatched calls)"
     )
 
     def capabilities(self) -> "frozenset[str]":
@@ -491,6 +493,10 @@ class NumpyKernelBackend(KernelBackend):
         return np.__version__
 
     def _compile(self, spec: KernelSpec) -> Callable:
+        if spec.op == "view_train":
+            from repro.gaussians.render import train_view
+
+            return train_view
         return {
             "exact_cull": _exact_cull,
             "view_forward": _view_forward,

@@ -76,6 +76,10 @@ AUTO = "auto"
 #: ``SparseAdam``).  ``photometric_loss`` is the training loss between a
 #: view's two passes, L1 + SSIM over the target's kept moments, value and
 #: image gradient (:func:`repro.gaussians.loss.photometric_loss`).
+#: ``view_train`` is a whole training view — forward, loss, backward — to
+#: ``(loss, gradients)``; its reference is the composition of the three
+#: (:func:`repro.gaussians.render.train_view`), ``native`` runs it over an
+#: engine's :class:`~repro.kernels.workspace.Workspace`.
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
@@ -88,6 +92,7 @@ KERNEL_OPS = (
     "zero_rows",
     "adam_rows",
     "photometric_loss",
+    "view_train",
 )
 
 
@@ -160,6 +165,23 @@ def view_spec(op: str, dtype, model, *state) -> KernelSpec:
         (_kernel_data(dtype, 3, True),)
         + tuple(KernelData.from_array(a) for a in arrays),
     )
+
+
+@functools.lru_cache(maxsize=8)
+def _compute_dtype(dtype: str) -> np.ndarray:
+    # An empty rank-3 array: the compute dtype as ``view_spec`` lists it.
+    return np.empty((0, 0, 0), dtype)
+
+
+def train_operands(settings, model, target, moments) -> tuple:
+    """The arrays whose layouts decide who runs ``view_train``, for an
+    :class:`OpDispatch`: the compute dtype (as :func:`view_spec` lists it
+    first), the five model arrays, the target and, unless the loss is L1
+    alone (``moments`` None), the target's first moment plane."""
+    return (
+        _compute_dtype(settings.dtype), model.positions, model.log_scales,
+        model.quaternions, model.sh, model.opacity_logits, target,
+    ) + (() if moments is None else (moments.uy,))
 
 
 def rows_contiguous(arr: np.ndarray) -> bool:

@@ -3,8 +3,10 @@
 Deterministic call-count guards on one ``clm`` batch — a view's geometry is
 built once for the cull and once for the render, never again for the
 backward pass; the loss is one kernel op a view over the target's kept
-moments (on ``native`` one C call, on NumPy matrix products) — plus the
-engine-side behaviours that ride along:
+moments (on ``native`` one C call, on NumPy matrix products); on ``native``
+a view is its four C calls over the engine's workspace, with nothing
+resolved, compiled or allocated again — plus the engine-side behaviours
+that ride along:
 moments are invalidated by replacing a target, evaluation renders
 forward-only, kernel specs are memoised.
 """
@@ -21,6 +23,8 @@ from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
 from repro.kernels import KernelData, adam_spec, get_backend, raster_spec
+from repro import kernels
+from repro.kernels import numpy_backend, registry
 
 BATCH = [0, 1, 2, 3]
 
@@ -109,6 +113,60 @@ def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
     assert calls.call_count == len(BATCH)
     assert filters.call_count == 0
     assert moments.call_count == 0
+
+
+@pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
+def test_a_native_clm_view_is_four_c_calls_and_nothing_else(setup, monkeypatch):
+    """After a warm-up batch, each view of a repeated ``clm`` batch is one
+    call each to the four C functions of ``view_train``: no backend is
+    resolved, no spec built, nothing compiled, no arena grown."""
+    _, _, targets = setup
+    engine = build("clm", setup, kernel_backend="native")
+    engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
+    allocations = engine._workspace.allocations
+    assert allocations > 0
+
+    lib = get_backend("native").library().load()
+    four = ("view_project", "view_composite", "photometric_loss", "view_backward")
+    calls = {name: spy_on(monkeypatch, lib, name) for name in four}
+    in_step, resolved = [False], []
+
+    def watch(owner, name):
+        original = getattr(owner, name)
+
+        def watched(*args, **kwargs):
+            if in_step[0]:
+                resolved.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, watched)
+
+    # Every module that binds the three names (the rasterizer imports them
+    # from ``repro.kernels`` at call time).
+    for owner in (registry, numpy_backend, kernels):
+        for name in ("resolve_backend", "view_spec", "compile_with_fallback"):
+            if hasattr(owner, name):
+                watch(owner, name)
+    run_step = engine._run_step
+
+    def step(*args):
+        in_step[0] = True
+        try:
+            return run_step(*args)
+        finally:
+            in_step[0] = False
+
+    engine._run_step = step
+    result = engine.train_batch(BATCH, targets)
+    assert np.isfinite(result.loss)
+    assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(
+        four, len(BATCH)
+    )
+    assert resolved == []
+    assert engine._workspace.allocations == allocations
+    assert not engine._workspace.leased
+    assert engine._loss_ops.active == "native"
+    assert engine.perf.kernel_backend == "native"
 
 
 @pytest.mark.parametrize("name", available_engines())

@@ -140,45 +140,53 @@ def batch_of_views(n, seed):
     ]
 
 
-@pytest.mark.parametrize("seed", range(4))
+class Clock:
+    """A ``perf_counter`` that reads 0 until ``expires_after`` reads, then
+    far past any deadline."""
+
+    def __init__(self, expires_after):
+        self.reads = 0
+        self.expires_after = expires_after
+
+    def __call__(self):
+        self.reads += 1
+        return 0.0 if self.reads <= self.expires_after else 1e9
+
+
+# Batches whose first restart does not find the best order: a search the
+# clock cut short would return another one.
+@pytest.mark.parametrize("seed", [14, 17, 24, 38])
 def test_order_is_the_best_of_all_restarts_whatever_the_clock_says(
     monkeypatch, seed
 ):
-    """At B = 8 every restart runs and the last restart ends the search:
-    the order is the same whether or not the deadline has passed by then.
-    (A deadline that passes *during* the search still cuts it short.)"""
+    """At B <= 8 every restart runs to convergence: a clock past the
+    deadline from the first look on leaves the order as it is, and the
+    order is the exact optimum."""
     d = scheduler.distance_matrix(batch_of_views(8, seed))
-
-    class Clock:
-        def __init__(self, expires_after):
-            self.reads = 0
-            self.expires_after = expires_after
-
-        def perf_counter(self):
-            self.reads += 1
-            return 0.0 if self.reads <= self.expires_after else 1e9
-
-    def search(clock):
-        monkeypatch.setattr(scheduler, "time", clock)  # its ``time`` module
-        return scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3)
-
-    never = Clock(expires_after=10**9)
-    order = search(never)
+    order = scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3)
     assert sorted(order) == list(range(8))
-    # The deadline passes at the search's very last look at the clock,
-    # i.e. only once all eight restarts have run: same order.
-    at_the_end = Clock(expires_after=never.reads - 1)
-    assert search(at_the_end) == order
-    assert at_the_end.reads == never.reads
-    # Expired from the start: one restart only, which costs no less.
-    cut_short = Clock(expires_after=1)
-    first_only = search(cut_short)
-    assert cut_short.reads < never.reads
-    assert scheduler.path_cost(d, order) <= scheduler.path_cost(d, first_only)
-    # And it is the exact optimum.
+    late = Clock(expires_after=1)  # the deadline is set, then it has passed
+    monkeypatch.setattr(scheduler.time, "perf_counter", late)
+    assert scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3) == order
     assert scheduler.path_cost(d, order) == scheduler.path_cost(
         d, scheduler.held_karp_path(d)
     )
+
+
+def test_above_eight_views_the_deadline_ends_the_search(monkeypatch):
+    """Past :data:`UNTIMED_NODES` the budget binds: expired from the start,
+    the search stops after its first restart, which costs no less."""
+    n = scheduler.UNTIMED_NODES + 1
+    d = scheduler.distance_matrix(batch_of_views(n, 0))
+    never = Clock(expires_after=10**9)
+    monkeypatch.setattr(scheduler.time, "perf_counter", never)
+    order = scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3)
+    cut_short = Clock(expires_after=1)
+    monkeypatch.setattr(scheduler.time, "perf_counter", cut_short)
+    first_only = scheduler.stochastic_local_search(d, time_limit_s=1e-3, seed=3)
+    assert sorted(first_only) == list(range(n))
+    assert cut_short.reads < never.reads
+    assert scheduler.path_cost(d, order) <= scheduler.path_cost(d, first_only)
 
 
 @given(sets=st.lists(index_sets, min_size=2, max_size=7),
