@@ -138,8 +138,20 @@ _COMPUTE_TILE = 8
 #: is >100x the worst of those errors in float64 and widens a footprint by
 #: about a millionth of its size, i.e. admits no measurable number of
 #: extra pairs.  Fixed, not configurable (the ``frustum._PREFILTER_MARGIN``
-#: idiom): correctness needs only "much larger than rounding".
+#: idiom): correctness needs only "much larger than rounding".  The
+#: ``native`` kernels read this value (their generated header's
+#: ``FOOTPRINT_MARGIN``), so both backends bin by one margin.
 _FOOTPRINT_MARGIN = 1e-6
+
+
+def compute_tile(settings: "RasterSettings") -> int:
+    """The compute-tile edge of a render: ``_COMPUTE_TILE``, or
+    ``settings.tile_size`` itself when 8 does not divide it — the one rule
+    both backends bin by.  Raises ``ValueError`` for a tile size below 1."""
+    ts = int(settings.tile_size)
+    if ts < 1:
+        raise ValueError(f"tile_size must be positive, got {ts}")
+    return _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
 
 
 @dataclass
@@ -291,7 +303,7 @@ class RenderContext:
     #: context shares them, and they are sized by the survivors, not by the
     #: input rows.  With ``settings.cache_blend_state`` three more blocks
     #: follow: the blend records its backward pass reads instead of
-    #: replaying the forward (``native_backend._records``).
+    #: replaying the forward (``native_backend._kept_blocks``).
     blocks: Optional[tuple] = None
 
     def view_block(self) -> Optional[np.ndarray]:
@@ -525,8 +537,7 @@ def build_tile_bins(
     (a radix sort, the ids being small) yields the CSR order and one
     ``np.bincount`` the offsets.  No Python loop over Gaussians or tiles.
     """
-    ts = settings.tile_size
-    sub = _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
+    sub = compute_tile(settings)
     tiles_x = (camera.width + sub - 1) // sub
     tiles_y = (camera.height + sub - 1) // sub
     kept, x0, x1, y0, y1 = _compute_tile_rects(camera, proj, settings, sub)

@@ -15,20 +15,22 @@ three native calls:
   ``_chain_to_parameters`` scattered to the five full-size arrays.
 
 Between the two forward calls the render's own buffers are sized by what
-survived: **one float64 block** of 52 values a survivor (:data:`_FIELDS`:
-means2d, depths, t_cam, offsets, cov_cam, cov2d, conics, colours,
-opacities, radii, scales, quat norms, unit quats, rotations, dirs, dir
-norms — field after field, each C-contiguous), one int64 block (ids, then
-``tile_ids | offsets | order``) and one byte block (the clamp mask), plus
-the blend records below when the backward pass is to read them.  Where
-they live depends on who renders:
+survived (:func:`_kept_blocks`): **one float64 block** of 52 values a
+survivor (:data:`_FIELDS`: means2d, depths, t_cam, offsets, cov_cam,
+cov2d, conics, colours, opacities, radii, scales, quat norms, unit quats,
+rotations, dirs, dir norms — field after field, each C-contiguous), one
+int64 block (ids, then ``tile_ids | offsets | order``) and one byte block
+(the clamp mask), plus the blend records below when the backward pass is
+to read them.  One forward body (:func:`_forward`) makes both calls for
+every caller; only where the blocks come from differs:
 
 - a ``view_forward`` call — serving, ``evaluate``, ``render_view``, any
   direct ``render`` — allocates them, and ``view_project``'s scratch (sized
-  by the *input* rows, dead after the call), per call.
-  ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are views into
-  them and ride on ``RenderContext.blocks``, which no other render shares:
-  a 20 000-row model of which 130 rows survive retains 130 rows.
+  by the *input* rows, dead after the call), per call, each at its exact
+  size.  ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are
+  views into them and ride on ``RenderContext.blocks``, which no other
+  render shares: a 20 000-row model of which 130 rows survive retains 130
+  rows.
 - an engine's training view is the ``view_train`` op (below): the same
   calls and the loss's over the engine's
   :class:`~repro.kernels.workspace.Workspace`, whose grow-only arenas hold
@@ -40,7 +42,9 @@ they live depends on who renders:
 
 What pays is few calls over few pointers: ctypes marshalling costs 2.8 us
 an ``ndpointer`` argument and ~1.1 us an ``ndarray.ctypes`` address, so
-every view op passes raw addresses (:func:`_address`, ~0.35 us).
+every call passes raw addresses (:func:`_address`, ~0.35 us) once the
+operand checks (:func:`_buffer`, :func:`_model_arrays`, :func:`_operands`)
+have passed.
 
 The 3-sigma frustum verdict is one ``static`` C function, ``in_frustum``,
 called from two places: ``view_project``, per input row, and the
@@ -66,12 +70,11 @@ recomputed with libm wherever the value lies within 1e-12 of the alpha
 threshold, so that libm decides which cells pass.  With
 ``RasterSettings.cache_blend_state`` ``view_composite`` keeps the exp
 value, ``T_before`` and pixel of every cell that passed — the **blend
-records** (:func:`_records`), sized by the footprint area ``view_project``
-reports — and ``view_backward`` walks them back to front in one sweep;
-without it (under a GPU pool, for forward-only renders, and in the raster
-ops) the backward pass first replays the forward through the same walk to
-regenerate them, to bit-identical gradients.  ``group_size`` has no
-effect here.
+records**, sized by the footprint area ``view_project`` reports — and
+``view_backward`` walks them back to front in one sweep; without it (under
+a GPU pool, for forward-only renders, and in the raster ops) the backward
+pass first replays the forward through the same walk to regenerate them,
+to bit-identical gradients.  ``group_size`` has no effect here.
 
 CLM's data path is the third part, one native call per public method of
 the stores and optimizers, over row indices: ``assemble_rows``
@@ -87,9 +90,7 @@ call checks every row before it writes: one outside the store raises
 ``IndexError``, one that is not a member, in order, of the set it indexes
 (or, for Adam, one that repeats) ``ValueError``.  These calls are copies,
 adds and ``fused_adam_update``'s operations in its order, so unlike the
-view ops they are bit-identical to NumPy.  Their binding cost is the
-addresses (~1.1 us an ``ndarray.ctypes``; a ctypes view of a writable
-buffer, :func:`_address`, ~0.35 us), so each call takes few.
+view ops they are bit-identical to NumPy.
 
 The fourth part is the training loss between a view's two passes,
 ``photometric_loss``: ``(1 - l) L1 + l (1 - SSIM)`` and its image
@@ -113,6 +114,29 @@ op: ``view_project``, ``view_composite``, ``photometric_loss`` and
 the three ops it replaces, bit-identical to them dispatched one by one
 (:func:`repro.gaussians.render.train_view`, its reference).
 
+**The ABI is declared once.**  What the C and Python sides must agree on
+is written in one place each and read by the other:
+
+- every entry point's argument types are read from its own prototype in
+  ``native_kernels.c`` (:func:`prototypes`, the MOT
+  ``_simple_cl_function_parser`` idiom of SNIPPETS.md): ``int64_t`` and
+  ``double`` pass by value, a pointer to one of the array element types
+  of :data:`_ELEMENTS` passes as an address, and any other type is an
+  :class:`AbiError` at load;
+- the field layout of a render's block (:data:`_FIELDS`), the ``params``
+  vector (:data:`_PARAMS`), the status codes (:data:`_STATUS`), and the
+  constants the C shares with the NumPy reference
+  (``rasterizer._FOOTPRINT_MARGIN``, ``sh._C0`` .. ``_C3``) are Python;
+  :func:`header` generates the C for them, which :func:`kernel_source`
+  prepends to the file — that whole text is what is hashed, compiled and
+  parsed;
+- every call goes through one checked binding (:func:`_checked`): the
+  argument count is compared with the prototype's before the call, and a
+  nonzero status raises what :data:`_RAISES` says it stands for.
+
+So a mismatch is an error at load or at the first call, never memory
+corruption, and editing the declaration rebuilds the library.
+
 The kernels are kept as C source inside the package and compiled at run
 time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
 ``$CC``, ``cc``, ``gcc``, ``clang`` found on ``PATH``:
@@ -123,7 +147,7 @@ time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
   host and the results sit inside the 1e-12 image / 1e-10 gradient bars of
   the per-tile oracle in ``tests/reference/`` (not bit-equal to NumPy,
   which reduces through BLAS);
-- built once per ``sha256(source + flags + "cc --version")`` into
+- built once per ``sha256(kernel_source() + flags + "cc --version")`` into
   ``${XDG_CACHE_HOME:-~/.cache}/repro-kernels/`` (created 0700) through a
   temporary file and an atomic rename; the file name also carries the
   digest of the library itself, so a truncated or altered file is rebuilt,
@@ -136,7 +160,7 @@ time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
   under a lock, once per process.
 
 Without a compiler the backend registers as unavailable and ``auto``
-lands on NumPy silently.  A build or load that fails raises from
+lands on NumPy silently.  A build, parse or load that fails raises from
 :meth:`~repro.kernels.registry.KernelBackend.compile`, which
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
@@ -154,22 +178,28 @@ still composites on the raster kernels here.
 from __future__ import annotations
 
 import atexit
+import collections
 import ctypes
 import functools
 import hashlib
+import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import tempfile
 import threading
 import time
+import types
 from importlib import resources
 from pathlib import Path
 from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.gaussians import rasterizer, sh
+from repro.gaussians.frustum import frustum_planes
 from repro.kernels.registry import (
     KernelBackend,
     KernelSpec,
@@ -194,42 +224,11 @@ _OPS = frozenset({
     "raster_backward_slab", *_ROW_OPS, "photometric_loss", "view_train",
 })
 
-_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-# ndpointer arguments check dtype and contiguity on every call and keep the
-# array alive for its duration; sizes are checked by :func:`_operands`.
-_I64S = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_F64S = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_BINS = [_I64, _I64S, _I64S, _I64S, _I64, _I64, _I64, _I64]
-_SPLATS = [_I64] + [_F64S] * 7  # rows; means x/y, conic a/b/c, opacity, colours
-_SIGNATURES = {
-    "raster_forward": _BINS + _SPLATS + [_F64S, _F64, _F64, _F64, _F64S, _F64S],
-    "raster_backward": _BINS + _SPLATS
-    + [_F64S, _F64S, _F64, _F64, _F64, _F64S, _F64S, _F64S, _F64S],
-    # The view ops take addresses: their operands are the model's arrays
-    # (checked by :func:`_model_arrays`) and blocks allocated right here,
-    # and 2.8 us of ``ndpointer`` marshalling an argument is what they save.
-    "exact_cull": [_I64, _PTR] + [_PTR, _I64] * 3 + [_PTR, _I64, _PTR],
-    "view_project": [_I64] + [_PTR] * 6 + [_I64, _I64, _PTR] + [_I64] * 4 + [_PTR] * 2,
-    "view_composite": [_I64, _PTR, _PTR, _PTR, _I64, _I64, _I64] + [_PTR] * 8,
-    "view_backward": [_I64] * 5 + [_PTR] * 7 + [_I64, _I64, _PTR]
-    + [_I64] * 3 + [_PTR] * 6,
-    # The data path takes addresses too (``.ctypes.data`` costs ~1.2 us an
-    # array): its buffers are the stores' and the optimizers', checked by
-    # :func:`_buffer`, and index vectors, coerced by :func:`_rows`.
-    "rows_assemble": [_I64] * 3 + [_PTR] * 3 + [_I64, _PTR, _I64, _PTR, _I64]
-    + [_PTR, _I64, _PTR, _PTR] * 2 + [_PTR],
-    "rows_add_grads": [_I64, _I64, _PTR, _I64] + [_PTR] * 8,
-    "rows_retire": [_I64] * 3 + [_PTR] * 2 + [_I64] + [_PTR] * 3
-    + [_I64, _PTR, _I64, _PTR],
-    "rows_zero": [_I64, _I64, _PTR, _PTR, _I64],
-    "adam_rows": [_PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _I64, _PTR]
-    + [_I64, _PTR, _F64, _F64, _F64, _PTR, _PTR, _I64, _I64],
-    "photometric_loss": [_I64] * 3 + [_PTR] * 6 + [_I64] + [_F64] * 3
-    + [_PTR] * 2,
-}
-#: Per-Gaussian fields of a render's float64 block, in the order and widths
-#: of ``native_kernels.c``'s ``F_*`` table: field after field, each a
-#: C-contiguous ``(m, *shape)`` array.
+# ---------------------------------------------------------------------------
+# The ABI declaration: the C side's F_* / W_*, P_* and STATUS_* come from here
+# ---------------------------------------------------------------------------
+#: Per-Gaussian fields of a render's float64 block, field after field, each a
+#: C-contiguous ``(m, *shape)`` array: ``F_<NAME>`` / ``W_<NAME>`` in C.
 _FIELDS = (
     ("means2d", (2,)), ("depths", ()), ("t_cam", (3,)), ("offsets", (3,)),
     ("cov_cam", (3, 3)), ("cov2d", (2, 2)), ("conics", (2, 2)),
@@ -237,12 +236,208 @@ _FIELDS = (
     ("quat_norms", (1,)), ("unit_quats", (4,)), ("rotations", (3, 3)),
     ("dirs", (3,)), ("dir_norms", (1,)),
 )
-_WIDTHS = [int(np.prod(shape)) for _, shape in _FIELDS]
-_RETAINED = sum(_WIDTHS)  # 52 doubles
-_SCRATCH = _RETAINED + 5  # + means x / y, conic a / b / c as separate arrays
+#: Fields of ``view_project``'s scratch block only, after those: the raster
+#: kernels' separate-array operands (``_AugArrays``' names).
+_SCRATCH_FIELDS = (
+    ("means_x", ()), ("means_y", ()), ("conic_a", ()), ("conic_b", ()),
+    ("conic_c", ()),
+)
+#: The ``params`` vector every view call reads (``P_<NAME>`` in C):
+#: ``(owner, attribute, width)`` slot after slot, the attribute of the
+#: camera or of the render settings; :func:`_view_params` fills it.
+_PARAMS = (
+    ("camera", "rotation", 9), ("camera", "center", 3), ("camera", "fx", 1),
+    ("camera", "fy", 1), ("camera", "cx", 1), ("camera", "cy", 1),
+    ("camera", "znear", 1), ("settings", "alpha_threshold", 1),
+    ("settings", "transmittance_min", 1), ("settings", "max_alpha", 1),
+    ("settings", "background", 3),
+)
+#: What an entry point returns (``STATUS_<NAME>`` in C), numbered from 0:
+#: done; an allocation failed; an index outside its range (a row outside the
+#: store, tile bins that no render wrote); an order or a bound violated (a
+#: row not a member, in order, of its set, a repeated row, more blend
+#: records than footprint cells); a step past the Adam bias-correction
+#: tables.  ``OK`` is 0, so a nonzero status is a failure on both sides.
+_STATUS = ("OK", "NO_MEMORY", "OUT_OF_RANGE", "VIOLATED", "TABLES_SHORT")
+#: Parameter types of an entry point: the scalars ctypes passes by value,
+#: and the element types of the arrays passed by address (``c_void_p``).
+#: Anything else — ``float`` among them, until precision is a parameter of
+#: the source — is an :class:`AbiError` at load.
+_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+_ELEMENTS = frozenset({"double", "int64_t", "int32_t", "uint8_t"})
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(fields: tuple) -> "tuple[list, int]":
+    """``([(name, shape, offset, width), ...], total)``: each field's
+    offset in values a row, cumulative over the widths before it (cached:
+    a view asks for the same few layouts every time)."""
+    out, at = [], 0
+    for name, shape in fields:
+        width = math.prod(shape)
+        out.append((name, shape, at, width))
+        at += width
+    return out, at
+
+
+def _cut(block: np.ndarray, m: int, layout: list) -> dict:
+    """The ``(m, *shape)`` arrays of a :func:`_layout` laid field after field
+    in ``block``: views, not copies."""
+    return {
+        name: block[at * m : (at + width) * m].reshape((m,) + shape)
+        for name, shape, at, width in layout
+    }
+
+
+_RETAINED_LAYOUT, _RETAINED = _layout(_FIELDS)  # 52 doubles
+_SCRATCH = _layout(_FIELDS + _SCRATCH_FIELDS)[1]  # + the five raster operands
+_PARAM_SIZE = sum(width for *_, width in _PARAMS)
 _FLOAT64 = np.dtype(np.float64)
 
 
+def header() -> str:
+    """The C prepended to ``native_kernels.c``: the declaration above as
+    enums, read when called, and ``FOOTPRINT_MARGIN`` / ``SH_C0`` ..
+    ``SH_C3`` from the NumPy reference (``repr`` of a float reads back as
+    the same double)."""
+
+    def enum(names) -> str:
+        return "enum {\n    " + ",\n    ".join(names) + "\n};"
+
+    retained, end = _layout(_FIELDS)
+    fields, total = _layout(_FIELDS + _SCRATCH_FIELDS)
+    params = _layout(tuple((name, (width,)) for _, name, width in _PARAMS))[0]
+    lines = [
+        "/* Generated by repro.kernels.native_backend.header(): edit the",
+        " * declaration there, not this. */",
+        enum(
+            [f"F_{f.upper()} = {at}, W_{f.upper()} = {width}" for f, _, at, width in fields]
+            + [f"F_RETAINED = {end}, F_SCRATCH = {total}"]
+        ),
+        "#define RETAINED_STARTS "
+        + ", ".join(f"F_{f.upper()}" for f, *_ in retained) + ", F_RETAINED",
+        enum(f"P_{p.upper()} = {at}" for p, _, at, _ in params),
+        enum(f"STATUS_{status} = {code}" for code, status in enumerate(_STATUS)),
+        f"#define FOOTPRINT_MARGIN {rasterizer._FOOTPRINT_MARGIN!r}",
+        *(f"#define SH_C{d} {c!r}" for d, c in enumerate((sh._C0, sh._C1))),
+        *(
+            f"static const double SH_C{d}[] = {{{', '.join(map(repr, c))}}};"
+            for d, c in ((2, sh._C2), (3, sh._C3))
+        ),
+    ]
+    return "\n".join(lines) + f'\n#line 1 "{SOURCE}"\n'
+
+
+def kernel_source(source: Optional[str] = None) -> str:
+    """What the backend hashes, parses and compiles: :func:`header`, then
+    ``source`` (default: the package's ``native_kernels.c``).  CI compiles
+    this text warning-free."""
+    if source is None:
+        source = resources.files("repro.kernels").joinpath(SOURCE).read_text(encoding="utf-8")
+    return header() + source
+
+
+class AbiError(RuntimeError):
+    """The Python and C sides of the kernel ABI disagree: a parameter type
+    the binding cannot pass, an entry point missing, or a call with more or
+    fewer arguments than its prototype."""
+
+
+_PROTOTYPE = re.compile(r"^int\s+(\w+)\s*\(([^)]*)\)\s*\{", re.M)
+
+
+def prototypes(source: str) -> dict:
+    """``{name: [(parameter, ctype), ...]}`` of every exported (not
+    ``static``) ``int name(...) {`` definition in ``source``."""
+    found = {}
+    for name, params in _PROTOTYPE.findall(source):
+        found[name] = []
+        for param in params.split(","):
+            *words, arg = param.replace("*", " * ").split() or [""]
+            kind = [w for w in words if w not in ("const", "restrict", "*")]
+            pointer = "*" in words
+            if len(kind) == 1 and kind[0] in (_ELEMENTS if pointer else _SCALARS):
+                ctype = ctypes.c_void_p if pointer else _SCALARS[kind[0]]
+            else:
+                raise AbiError(
+                    f"{name}: parameter `{' '.join(param.split())}` is of a "
+                    "type the binding does not pass"
+                )
+            found[name].append((arg, ctype))
+    missing = sorted(set(_RAISES) - set(found))
+    if missing:
+        raise AbiError(f"no prototype for {', '.join(missing)}")
+    return found
+
+
+# ---------------------------------------------------------------------------
+# What a status raises, and the checked call
+# ---------------------------------------------------------------------------
+class _TablesShort(Exception):
+    """``adam_rows`` met a step past the bias-correction tables it was
+    handed (nothing was written): grow them and call again."""
+
+
+_ROWS = {
+    "NO_MEMORY": (MemoryError, " could not allocate its row check"),
+    "OUT_OF_RANGE": (IndexError, ": a row outside the store"),
+    "VIOLATED": (ValueError, ": a row that is not a member, in order, of the set it indexes"),
+}
+_VIEW = {
+    "OUT_OF_RANGE": (ValueError, ": inconsistent tile bins"),
+    "VIOLATED": (RuntimeError, ": more blend records than footprint cells"),
+}
+
+
+def _no_memory(what: str) -> dict:
+    return {"NO_MEMORY": (MemoryError, f" could not allocate its {what}")}
+
+
+#: What each entry point's nonzero status raises: the exception and the
+#: message after ``native <name>``, formatted with the call's arguments by
+#: their names in its prototype.  A status an entry point has no entry for
+#: raises ``RuntimeError``.
+_RAISES = {
+    "raster_forward": _no_memory("footprints ({rows} splats)"),
+    "raster_backward": _no_memory("blend-state scratch ({rows} splats, {num_tiles} tiles)"),
+    "exact_cull": {"OUT_OF_RANGE": (IndexError, ": a row outside [0, {n})")},
+    "view_project": _VIEW,
+    "view_composite": {**_VIEW, **_no_memory("canvases ({width}x{height} on {sub}x{sub} tiles)")},
+    "view_backward": {**_VIEW, **_no_memory("scratch ({m} splats, {entries} entries)")},
+    **dict.fromkeys(("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows"), _ROWS),
+    "adam_rows": {
+        **_ROWS, "VIOLATED": (ValueError, ": a row repeats"), "TABLES_SHORT": (_TablesShort, ""),
+    },
+    "photometric_loss": _no_memory("scratch ({h}x{w} image)"),
+}
+
+
+def _checked(lib: ctypes.CDLL, name: str, params: list) -> Callable:
+    """Entry point ``name`` of ``lib`` called with exactly the arguments of
+    its prototype, ``[(parameter, ctype), ...]``, its nonzero status
+    raised."""
+    fn = getattr(lib, name)
+    fn.argtypes, fn.restype = [ctype for _, ctype in params], ctypes.c_int
+    params, arity = [arg for arg, _ in params], len(params)
+
+    def call(*args):
+        if len(args) != arity:
+            raise AbiError(f"native {name} takes {arity} arguments, got {len(args)}")
+        status = fn(*args)
+        if status:
+            label = _STATUS[status] if 0 < status < len(_STATUS) else status
+            exc, text = _RAISES.get(name, {}).get(
+                label, (RuntimeError, f" returned status {label}")
+            )
+            raise exc(f"native {name}" + text.format(**dict(zip(params, args))))
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# ---------------------------------------------------------------------------
+# Building and loading
+# ---------------------------------------------------------------------------
 def find_compiler() -> Optional[List[str]]:
     """``argv`` prefix of the C compiler to build with: ``$CC`` (which may
     carry arguments), then ``cc``, ``gcc``, ``clang`` — the first whose
@@ -282,11 +477,13 @@ def _digest(data: bytes) -> str:
 class NativeLibrary:
     """The compiled kernels of one process: found, built and loaded at most
     once.  :attr:`failure` is why the library cannot be used (``None`` while
-    it can, or has not been tried)."""
+    it can, or has not been tried).  ``source`` replaces the text of
+    ``native_kernels.c`` (the header is prepended all the same)."""
 
-    def __init__(self) -> None:
+    def __init__(self, source: Optional[str] = None) -> None:
         self._lock = threading.Lock()
-        self._lib: Optional[ctypes.CDLL] = None
+        self._kernels: Optional[types.SimpleNamespace] = None
+        self._source = source
         self.compiler = find_compiler()
         self.compiler_version: Optional[str] = None
         self.path: Optional[Path] = None
@@ -296,26 +493,29 @@ class NativeLibrary:
             else "no C compiler found ($CC, " + ", ".join(_COMPILERS) + ")"
         )
 
-    def load(self) -> ctypes.CDLL:
-        """The loaded library, building it on first use; raises
-        ``RuntimeError`` (every time) once that has failed."""
+    def load(self) -> types.SimpleNamespace:
+        """Every entry point as a checked call (:func:`_checked`), building
+        the library on first use; raises ``RuntimeError`` (every time) once
+        that has failed."""
         with self._lock:
-            if self._lib is None and self.failure is None:
+            if self._kernels is None and self.failure is None:
                 try:
-                    self._lib = self._build_and_load()
+                    self._kernels = self._build_and_load()
                 except (OSError, subprocess.SubprocessError, RuntimeError) as exc:
                     self.failure = f"{type(exc).__name__}: {exc}"
-            if self._lib is None:
+            if self._kernels is None:
                 raise RuntimeError(f"native kernels unavailable: {self.failure}")
-            return self._lib
+            return self._kernels
 
-    def _build_and_load(self) -> ctypes.CDLL:
+    def _build_and_load(self) -> types.SimpleNamespace:
         version = subprocess.run(
             self.compiler + ["--version"],
             capture_output=True, text=True, timeout=60, check=True,
         ).stdout
         self.compiler_version = version.splitlines()[0] if version else None
-        source = resources.files("repro.kernels").joinpath(SOURCE).read_bytes()
+        text = kernel_source(self._source)
+        signatures = prototypes(text)  # before anything is built
+        source = text.encode()
         key = _digest(source + " ".join(CFLAGS).encode() + version.encode())
         directory = self._directory()
         # The name carries the library's own digest: what is loaded is what
@@ -326,11 +526,10 @@ class NativeLibrary:
         else:
             cached = self._build(source, key, directory)  # replaces a bad file
         lib = ctypes.CDLL(str(cached))
-        for name, argtypes in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, ctypes.c_int
         self.path = cached
-        return lib
+        return types.SimpleNamespace(**{
+            name: _checked(lib, name, params) for name, params in signatures.items()
+        })
 
     @staticmethod
     def _name(key: str, library: bytes) -> str:
@@ -377,6 +576,9 @@ class NativeLibrary:
                 os.unlink(scratch)
 
 
+# ---------------------------------------------------------------------------
+# Operand checks
+# ---------------------------------------------------------------------------
 def _require_shapes(**expected) -> None:
     """``name=(array, shape)``: the sizes the C loops will index by."""
     wrong = [
@@ -386,316 +588,6 @@ def _require_shapes(**expected) -> None:
     ]
     if wrong:
         raise ValueError("native kernel operands: " + "; ".join(wrong))
-
-
-def _operands(bins, aug) -> list:
-    """The leading arguments of both kernels — CSR bins and per-Gaussian
-    arrays — after checking every size and index the C loops rely on."""
-    tiles, entries, rows = bins.num_tiles, bins.num_entries, aug.opac.shape[0]
-    offsets, order, tile_ids = (
-        np.ascontiguousarray(a, dtype=np.int64)
-        for a in (bins.offsets, bins.order, bins.tile_ids)
-    )
-    splats = dict(
-        means_x=aug.means_x, means_y=aug.means_y, conic_a=aug.conic_a,
-        conic_b=aug.conic_b, conic_c=aug.conic_c, opac=aug.opac,
-    )
-    _require_shapes(
-        offsets=(offsets, (tiles + 1,)), order=(order, (entries,)),
-        colors=(aug.colors, (rows, 3)),
-        **{name: (arr, (rows,)) for name, arr in splats.items()},
-    )
-    if not (
-        offsets[0] == 0
-        and offsets[-1] == entries
-        and (np.diff(offsets) >= 0).all()
-        and (entries == 0 or (0 <= order.min() and order.max() < rows))
-        and 0 <= tile_ids.min()
-        and tile_ids.max() < bins.tiles_x * bins.tiles_y
-    ):
-        raise ValueError("native kernel operands: inconsistent tile bins")
-    return [
-        tiles, offsets, order, tile_ids,
-        bins.tiles_x, bins.tile_size, bins.width, bins.height,
-        rows, *splats.values(), aug.colors,
-    ]
-
-
-def _scalars(settings, bg) -> list:
-    return [
-        np.ascontiguousarray(bg, dtype=np.float64).reshape(3),
-        float(settings.alpha_threshold),
-        float(settings.transmittance_min),
-        float(settings.max_alpha),
-    ]
-
-
-def _bind(lib: ctypes.CDLL, op: str) -> Callable:
-    """The backend-contract callable for ``op`` over the loaded library."""
-
-    def raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t):
-        if bins.num_tiles:
-            cells = (bins.tiles_x * bins.tiles_y, bins.tile_size**2)
-            _require_shapes(
-                canvas_rgb=(canvas_rgb, cells + (3,)), canvas_t=(canvas_t, cells)
-            )
-            if lib.raster_forward(
-                *_operands(bins, aug), *_scalars(settings, bg),
-                canvas_rgb, canvas_t,
-            ):
-                raise MemoryError(
-                    "native raster_forward could not allocate its footprints "
-                    f"({aug.opac.shape[0]} splats)"
-                )
-        return None  # no blend cache: raster_backward replays the forward
-
-    def raster_backward(
-        bins, aug, settings, g_tiles, bg,
-        d_colors, d_opac, d_means2d, d_conics,
-        blend_cache=None,
-    ):
-        if not bins.num_tiles:
-            return
-        rows = aug.opac.shape[0]
-        _require_shapes(
-            g_tiles=(g_tiles, (bins.tiles_x * bins.tiles_y, bins.tile_size**2, 3)),
-            d_colors=(d_colors, (rows, 3)), d_opac=(d_opac, (rows,)),
-            d_means2d=(d_means2d, (rows, 2)), d_conics=(d_conics, (rows, 2, 2)),
-        )
-        failed = lib.raster_backward(
-            *_operands(bins, aug), g_tiles, *_scalars(settings, bg),
-            d_colors, d_opac, d_means2d, d_conics,
-        )
-        if failed:
-            raise MemoryError(
-                "native raster_backward could not allocate its blend-state "
-                f"scratch ({int(bins.counts().max())} splats in one tile)"
-            )
-
-    return raster_forward if op == "raster_forward_slab" else raster_backward
-
-
-def _bind_cull(lib: ctypes.CDLL) -> Callable:
-    """``exact_cull`` over the loaded library: every shape, dtype and stride
-    the C loop relies on is checked here, row bounds by the loop itself."""
-
-    def exact_cull(planes, positions, log_scales, raw_quats, rows):
-        n = positions.shape[0]
-        planes = np.ascontiguousarray(planes, dtype=np.float64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        arrays = dict(
-            positions=(positions, (n, 3)), log_scales=(log_scales, (n, 3)),
-            raw_quats=(raw_quats, (n, 4)),
-        )
-        _require_shapes(planes=(planes, (6, 4)), rows=(rows, (rows.size,)), **arrays)
-        strided = []
-        for name, (arr, _) in arrays.items():
-            if arr.dtype != np.float64 or not rows_contiguous(arr):
-                raise ValueError(
-                    f"native exact_cull: {name} is {arr.dtype} with strides "
-                    f"{arr.strides}, not float64 rows"
-                )
-            # ``c_char.from_buffer`` needs a contiguous buffer: a strided
-            # column block keeps ``ctypes.data``.
-            strided += [arr.ctypes.data, arr.strides[0] // 8]
-        kept = np.empty(rows.size + 1, np.int64)
-        if lib.exact_cull(
-            n, _address(planes), *strided, _address(rows), rows.size,
-            _address(kept),
-        ):
-            raise IndexError(f"native exact_cull: a row outside [0, {n})")
-        return kept[1 : 1 + kept[0]].copy()
-
-    return exact_cull
-
-
-def _model_arrays(model) -> dict:
-    """``model.parameters()``, after checking what the C loops index by:
-    float64, C-contiguous, one row per Gaussian."""
-    arrays = model.parameters()
-    n, k = model.sh.shape[:2] if model.sh.ndim == 3 else (-1, -1)
-    shapes = ((n, 3), (n, 3), (n, 4), (n, k, 3), (n,))
-    for (name, arr), shape in zip(arrays.items(), shapes):
-        if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
-            raise ValueError(
-                f"native view operands: {name} is {arr.dtype}{arr.shape}, "
-                f"not C-contiguous float64{shape}"
-            )
-    return arrays
-
-
-def _sh_degree(model, settings) -> int:
-    """The SH degree a render evaluates, once the model stores its bases."""
-    from repro.gaussians.sh import num_basis
-
-    stored = model.sh.shape[1]
-    degree = model.sh_degree
-    if settings.active_sh_degree is not None:
-        degree = min(settings.active_sh_degree, degree)
-    if num_basis(degree) > stored:
-        raise ValueError(f"SH degree {degree} needs more than {stored} bases")
-    return degree
-
-
-def _check(code: int, call: str, wanted: str) -> None:
-    """Turn a view call's status into the exception it stands for."""
-    if code == 1:
-        raise MemoryError(f"native {call} could not allocate {wanted}")
-    if code == 3:
-        raise RuntimeError(f"native {call}: more blend records than footprint cells")
-    if code:
-        raise ValueError(f"native {call}: inconsistent tile bins")
-
-
-def _records(lead: int, cells: int, entries: int) -> tuple:
-    """The three blend-record blocks of ``native_kernels.c``'s ``records_t``:
-    ``lead`` doubles of final ``T`` then the exp values and ``T_before`` of
-    at most ``cells`` cells; their tile-local pixels; ``entries + 1`` ends."""
-    try:
-        return (
-            np.empty(lead + 2 * cells),
-            np.empty(cells, np.int32),
-            np.empty(entries + 1, np.int64),
-        )
-    except MemoryError as exc:
-        raise MemoryError(
-            f"native view_forward could not allocate its blend records "
-            f"({cells} cells)"
-        ) from exc
-
-
-def _view_params(camera, settings) -> np.ndarray:
-    """The ``params`` vector of ``native_kernels.c`` (its ``P_*`` table)."""
-    params = np.empty(23)
-    params[:9] = camera.rotation.ravel()
-    params[9:12] = camera.center
-    params[12:] = (
-        camera.fx, camera.fy, camera.cx, camera.cy, camera.znear,
-        settings.alpha_threshold, settings.transmittance_min, settings.max_alpha,
-        *settings.background,
-    )
-    return params
-
-
-def _compute_tile(settings) -> int:
-    from repro.gaussians.rasterizer import _COMPUTE_TILE
-
-    ts = int(settings.tile_size)
-    if ts < 1:
-        raise ValueError(f"tile_size must be positive, got {ts}")
-    return _COMPUTE_TILE if ts % _COMPUTE_TILE == 0 else ts
-
-
-def _bind_view(lib: ctypes.CDLL, op: str, name: str) -> Callable:
-    """The whole-view callables: ``view_forward`` is two calls
-    (``view_project`` sizes the render's blocks, ``view_composite`` fills
-    them and composites), ``view_backward`` one."""
-    from repro.gaussians.covariance import GaussianShape
-    from repro.gaussians.frustum import frustum_planes
-    from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
-    from repro.gaussians.sh import num_basis
-
-    def view_forward(camera, model, settings):
-        arrays = _model_arrays(model).values()
-        n, stored = model.sh.shape[:2]
-        degree = _sh_degree(model, settings)
-        width, height, sub = camera.width, camera.height, _compute_tile(settings)
-        tiles_x, tiles_y = -(-width // sub), -(-height // sub)
-        # ``view_project`` puts every row to the arbiter ``exact_cull`` put
-        # it to, on the same bits.
-        planes = frustum_planes(camera)
-        params = _view_params(camera, settings)
-        scratch = np.empty(_SCRATCH * n)
-        work = np.empty(5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64)
-        params_at, work_at = _address(params), _address(work)
-        lib.view_project(
-            n, *map(_address, arrays), _address(planes), stored, degree,
-            params_at, width, height, int(settings.tile_size), sub,
-            _address(scratch), work_at,
-        )
-        m, _, tiles, entries, area = work[:5].tolist()
-        # The render's own blocks, sized by what survived.
-        floats = np.empty(_RETAINED * m)
-        ints = np.empty(m + 2 * tiles + 1 + entries, np.int64)
-        clamp = np.empty((m, 3), np.bool_)
-        records = ()
-        if settings.cache_blend_state:  # for view_backward; never for serving
-            records = _records(tiles * sub * sub, area, entries)
-        image, trans = np.empty((height, width, 3)), np.empty((height, width))
-        failed = lib.view_composite(
-            n, _address(scratch), work_at, params_at, width, height, sub,
-            _address(floats), _address(ints), _address(clamp),
-            *(list(map(_address, records)) or [None] * 3), _address(image),
-            _address(trans),
-        )
-        _check(
-            failed, "view_composite",
-            f"its canvases ({tiles_x * tiles_y} tiles of {sub}x{sub})",
-        )
-        fields, at = {}, 0
-        for (field, shape), size in zip(_FIELDS, _WIDTHS):
-            fields[field] = floats[at : at + m * size].reshape((m,) + shape)
-            at += m * size
-        shapes = GaussianShape(
-            *(fields.pop(f) for f in ("scales", "quat_norms", "unit_quats", "rotations"))
-        )
-        proj = ProjectedGaussians(
-            ids=ints[:m], clamp_mask=clamp, sh_degree_used=degree,
-            shapes=shapes, **fields,
-        )
-        bins = TileBins(
-            tile_size=sub, tiles_x=tiles_x, tiles_y=tiles_y, width=width,
-            height=height, tile_ids=ints[m : m + tiles],
-            offsets=ints[m + tiles : m + 2 * tiles + 1],
-            order=ints[m + 2 * tiles + 1 :],
-        )
-        ctx = RenderContext(
-            camera=camera, settings=settings, proj=proj, bins=bins,
-            num_input=n, kernel_backend=name,
-            blocks=(proj, floats, ints, clamp, *records),
-        )
-        return image, trans, ctx
-
-    def view_backward(ctx, model, dL_dimage):
-        arrays = _model_arrays(model)
-        n, stored = model.sh.shape[:2]
-        proj, floats, ints, clamp, *records = ctx.blocks
-        camera, bins, m = ctx.camera, ctx.bins, proj.ids.size
-        d_image = np.ascontiguousarray(dL_dimage, dtype=np.float64)
-        _require_shapes(d_image=(d_image, (camera.height, camera.width, 3)))
-        tiles, entries = bins.num_tiles, bins.num_entries
-        cap = records[1].size if records else 0
-        want = (_RETAINED * m, m + 2 * tiles + 1 + entries, 3 * m)
-        if records:
-            want += (tiles * bins.tile_size**2 + 2 * cap, cap, entries + 1)
-        if tuple(block.size for block in ctx.blocks[1:]) != want:
-            raise ValueError("native view operands: not this context's blocks")
-        if n != ctx.num_input or num_basis(proj.sh_degree_used) > stored:
-            raise ValueError("native view operands: not the model that was rendered")
-        grads = {name: np.zeros(arr.shape) for name, arr in arrays.items()}
-        params = _view_params(camera, ctx.settings)
-        failed = lib.view_backward(
-            m, n, tiles, entries, cap, _address(floats), _address(ints),
-            _address(clamp), *(list(map(_address, records)) or [None] * 3),
-            _address(model.sh), stored, proj.sh_degree_used, _address(params),
-            camera.width, camera.height, bins.tile_size, _address(d_image),
-            *map(_address, grads.values()),
-        )
-        _check(
-            failed, "view_backward",
-            f"its scratch ({int(bins.counts().max(initial=0))} splats in one tile)",
-        )
-        return grads
-
-    return view_forward if op == "view_forward" else view_backward
-
-
-def _rows(arr) -> np.ndarray:
-    """An index vector as the int64 array the C loops walk."""
-    rows = np.ascontiguousarray(arr, dtype=np.int64)
-    if rows.ndim != 1:
-        raise ValueError(f"native data path: rows of shape {rows.shape}")
-    return rows
 
 
 def _buffer(arr: np.ndarray, shape: tuple, write: bool = False) -> int:
@@ -725,6 +617,69 @@ def _address(arr: np.ndarray) -> int:
     return arr.ctypes.data
 
 
+def _rows(arr) -> np.ndarray:
+    """An index vector as the int64 array the C loops walk."""
+    rows = np.ascontiguousarray(arr, dtype=np.int64)
+    if rows.ndim != 1:
+        raise ValueError(f"native data path: rows of shape {rows.shape}")
+    return rows
+
+
+def _operands(bins, aug, settings, bg) -> "tuple[list, tuple]":
+    """The leading arguments of both raster kernels — CSR bins, splats,
+    background, thresholds — once every size, dtype and index the C loops
+    rely on is checked, and the index arrays the caller holds for the call."""
+    tiles, entries, rows = bins.num_tiles, bins.num_entries, aug.opac.shape[0]
+    held = offsets, order, tile_ids = tuple(
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (bins.offsets, bins.order, bins.tile_ids)
+    )
+    _require_shapes(offsets=(offsets, (tiles + 1,)), order=(order, (entries,)))
+    if not (
+        offsets[0] == 0
+        and offsets[-1] == entries
+        and (np.diff(offsets) >= 0).all()
+        and (entries == 0 or (0 <= order.min() and order.max() < rows))
+        and 0 <= tile_ids.min()
+        and tile_ids.max() < bins.tiles_x * bins.tiles_y
+    ):
+        raise ValueError("native kernel operands: inconsistent tile bins")
+    splats = (aug.means_x, aug.means_y, aug.conic_a, aug.conic_b, aug.conic_c, aug.opac)
+    return [
+        tiles, *map(_address, held), bins.tiles_x, bins.tile_size, bins.width,
+        bins.height, rows, *(_buffer(arr, (rows,)) for arr in splats),
+        _buffer(aug.colors, (rows, 3)), _buffer(bg, (3,)),
+        float(settings.alpha_threshold), float(settings.transmittance_min),
+        float(settings.max_alpha),
+    ], held
+
+
+def _model_arrays(model) -> dict:
+    """``model.parameters()``, after checking what the C loops index by:
+    float64, C-contiguous, one row per Gaussian."""
+    arrays = model.parameters()
+    n, k = model.sh.shape[:2] if model.sh.ndim == 3 else (-1, -1)
+    shapes = ((n, 3), (n, 3), (n, 4), (n, k, 3), (n,))
+    for (name, arr), shape in zip(arrays.items(), shapes):
+        if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"native view operands: {name} is {arr.dtype}{arr.shape}, "
+                f"not C-contiguous float64{shape}"
+            )
+    return arrays
+
+
+def _sh_degree(model, settings) -> int:
+    """The SH degree a render evaluates, once the model stores its bases."""
+    stored = model.sh.shape[1]
+    degree = model.sh_degree
+    if settings.active_sh_degree is not None:
+        degree = min(settings.active_sh_degree, degree)
+    if sh.num_basis(degree) > stored:
+        raise ValueError(f"SH degree {degree} needs more than {stored} bases")
+    return degree
+
+
 def _strided(arr: np.ndarray, n: int, width: int, write: bool = False) -> tuple:
     """The address and the doubles per row of an ``(n, ...)`` operand whose
     rows are at least ``width`` wide."""
@@ -745,20 +700,255 @@ def _disjoint(*spans: tuple) -> None:
             raise ValueError("native adam_rows: operands share memory")
 
 
-def _refuse(code: int, call: str) -> None:
-    """Raise what a data-path call's status stands for (0: done)."""
-    if code == 1:
-        raise MemoryError(f"native {call} could not allocate its row check")
-    if code == 2:
-        raise IndexError(f"native {call}: a row outside the store")
-    if code == 3:
-        raise ValueError(f"native {call}: " + (
-            "a row repeats" if call == "adam_rows"
-            else "a row that is not a member, in order, of the set it indexes"
-        ))
+# ---------------------------------------------------------------------------
+# The raster and cull ops
+# ---------------------------------------------------------------------------
+def _bind(lib, op: str) -> Callable:
+    """The backend-contract callable for ``op`` over the loaded library."""
+
+    def raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t):
+        if bins.num_tiles:
+            cells = (bins.tiles_x * bins.tiles_y, bins.tile_size**2)
+            operands, held = _operands(bins, aug, settings, bg)  # held through the call
+            lib.raster_forward(
+                *operands, _buffer(canvas_rgb, cells + (3,), write=True),
+                _buffer(canvas_t, cells, write=True), None, None, None, 0,
+            )
+        return None  # no blend cache: raster_backward replays the forward
+
+    def raster_backward(
+        bins, aug, settings, g_tiles, bg,
+        d_colors, d_opac, d_means2d, d_conics,
+        blend_cache=None,
+    ):
+        if not bins.num_tiles:
+            return
+        rows = aug.opac.shape[0]
+        operands, held = _operands(bins, aug, settings, bg)
+        lib.raster_backward(
+            *operands,
+            _buffer(g_tiles, (bins.tiles_x * bins.tiles_y, bins.tile_size**2, 3)),
+            _buffer(d_colors, (rows, 3), write=True),
+            _buffer(d_opac, (rows,), write=True),
+            _buffer(d_means2d, (rows, 2), write=True),
+            _buffer(d_conics, (rows, 2, 2), write=True), None, None, None, 0,
+        )
+
+    return raster_forward if op == "raster_forward_slab" else raster_backward
 
 
-def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
+def _bind_cull(lib) -> Callable:
+    """``exact_cull`` over the loaded library: every shape, dtype and stride
+    the C loop relies on is checked here, row bounds by the loop itself."""
+
+    def exact_cull(planes, positions, log_scales, raw_quats, rows):
+        n = positions.shape[0]
+        planes = np.ascontiguousarray(planes, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        arrays = dict(
+            positions=(positions, (n, 3)), log_scales=(log_scales, (n, 3)),
+            raw_quats=(raw_quats, (n, 4)),
+        )
+        _require_shapes(planes=(planes, (6, 4)), rows=(rows, (rows.size,)), **arrays)
+        strided = []
+        for name, (arr, _) in arrays.items():
+            if arr.dtype != np.float64 or not rows_contiguous(arr):
+                raise ValueError(
+                    f"native exact_cull: {name} is {arr.dtype} with strides "
+                    f"{arr.strides}, not float64 rows"
+                )
+            # ``c_char.from_buffer`` needs a contiguous buffer: a strided
+            # column block keeps ``ctypes.data``.
+            strided += [arr.ctypes.data, arr.strides[0] // 8]
+        kept = np.empty(rows.size + 1, np.int64)
+        lib.exact_cull(
+            n, _address(planes), *strided, _address(rows), rows.size,
+            _address(kept),
+        )
+        return kept[1 : 1 + kept[0]].copy()
+
+    return exact_cull
+
+
+# ---------------------------------------------------------------------------
+# The view ops: one forward body, one backward call
+# ---------------------------------------------------------------------------
+def _view_params(camera, settings) -> np.ndarray:
+    """The ``params`` vector of the view calls, slot by slot of
+    :data:`_PARAMS`."""
+    owners, values = {"camera": camera, "settings": settings}, []
+    for owner, name, width in _PARAMS:
+        value = getattr(owners[owner], name)
+        values.extend(np.asarray(value).flat if width > 1 else (value,))
+    if len(values) != _PARAM_SIZE:
+        raise ValueError(f"native view operands: {len(values)} camera and settings values")
+    return np.fromiter(values, np.float64, _PARAM_SIZE)
+
+
+#: The three blend-record blocks, which follow a render's other three in
+#: ``RenderContext.blocks``.
+_BLEND_RECORDS = ("blend records", "blend pixels", "blend ends")
+
+
+def _kept_blocks(m, tiles, entries, lead, cells, records) -> list:
+    """``[(name, size, dtype), ...]`` of a render's own blocks: the fields,
+    ids and CSR arrays, the clamp mask; with ``records`` the C's
+    ``records_t``: ``lead`` doubles of final ``T`` then the exp values and
+    ``T_before`` of at most ``cells`` cells, their tile-local pixels,
+    ``entries + 1`` ends."""
+    blocks = [
+        ("floats", _RETAINED * m, np.float64),
+        ("ints", m + 2 * tiles + 1 + entries, np.int64),
+        ("clamp", 3 * m, np.bool_),
+    ]
+    if records:
+        sizes = (lead + 2 * cells, cells, entries + 1)
+        blocks += zip(_BLEND_RECORDS, sizes, (np.float64, np.int32, np.int64))
+    return blocks
+
+
+#: A view the two forward calls rendered, as ``view_backward`` reads it:
+#: ``kept`` is the addresses of its blocks (``None`` for blend records it
+#: did not keep), ``cap`` the cells they have room for.
+_View = collections.namedtuple(
+    "_View", "m n tiles entries cap kept sh_at stored degree params width height sub"
+)
+
+
+def _backward(lib, view: _View, d_image_at: int, grads_at) -> None:
+    """``view_backward`` of ``view`` into the five zeroed gradient arrays at
+    ``grads_at``, from the image gradient at ``d_image_at``."""
+    lib.view_backward(
+        *view[:5], *view.kept, view.sh_at, view.stored, view.degree,
+        _address(view.params), view.width, view.height, view.sub, d_image_at,
+        *grads_at,
+    )
+
+
+def _forward(lib, camera, model, settings, take) -> "tuple[_View, dict]":
+    """A view's two forward calls: ``view_project`` sizes its blocks,
+    ``view_composite`` fills them, composites and crops the image.  Every
+    block is ``take(name, size, dtype)`` — ``(array, address)`` of at least
+    ``size`` elements; returns the view and ``{name: (array, address)}``."""
+    arrays = _model_arrays(model)
+    n, stored = model.sh.shape[:2]
+    degree = _sh_degree(model, settings)
+    width, height, sub = camera.width, camera.height, rasterizer.compute_tile(settings)
+    tiles_x, tiles_y = -(-width // sub), -(-height // sub)
+    # ``view_project`` puts every row to the arbiter ``exact_cull`` put it
+    # to, on the same bits.
+    planes = frustum_planes(camera)
+    params = _view_params(camera, settings)
+    params_at, model_at = _address(params), list(map(_address, arrays.values()))
+    blocks = {
+        "scratch": take("scratch", _SCRATCH * n, np.float64),
+        "work": take("work", 5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64),
+    }
+    work_at = blocks["work"][1]
+    lib.view_project(
+        n, *model_at, _address(planes), stored, degree, params_at, width,
+        height, int(settings.tile_size), sub, blocks["scratch"][1], work_at,
+    )
+    m, _, tiles, entries, area = blocks["work"][0][:5].tolist()
+    records = bool(settings.cache_blend_state)  # for view_backward only
+    kept_at = [None] * 6
+    for k, (name, size, dtype) in enumerate(
+        _kept_blocks(m, tiles, entries, tiles * sub * sub, area, records)
+    ):
+        blocks[name] = take(name, size, dtype)
+        kept_at[k] = blocks[name][1]
+    blocks["image"] = take("image", 3 * height * width, np.float64)
+    blocks["trans"] = take("trans", height * width, np.float64)
+    lib.view_composite(
+        n, blocks["scratch"][1], work_at, params_at, width, height, sub,
+        *kept_at, blocks["image"][1], blocks["trans"][1],
+    )
+    view = _View(
+        m, n, tiles, entries, area if records else 0, kept_at, model_at[3],
+        stored, degree, params, width, height, sub,
+    )
+    return view, blocks
+
+
+def _fresh(name: str, size: int, dtype) -> tuple:
+    """A render's own block: a new array of exactly ``size`` elements, and
+    its address."""
+    try:
+        block = np.empty(size, dtype)
+    except MemoryError as exc:
+        raise MemoryError(
+            f"native view_forward could not allocate its {name} ({size} values)"
+        ) from exc
+    return block, _address(block)
+
+
+def _bind_view(lib, op: str, name: str) -> Callable:
+    """The whole-view callables: ``view_forward`` is :func:`_forward` over
+    fresh blocks, cut into a context; ``view_backward`` one call over it."""
+    from repro.gaussians.covariance import GaussianShape
+    from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
+    from repro.gaussians.sh import num_basis
+
+    def view_forward(camera, model, settings):
+        view, blocks = _forward(lib, camera, model, settings, _fresh)
+        m, tiles, floats, ints = view.m, view.tiles, blocks["floats"][0], blocks["ints"][0]
+        clamp = blocks["clamp"][0]
+        fields = _cut(floats, m, _RETAINED_LAYOUT)
+        shapes = GaussianShape(
+            *(fields.pop(f) for f in ("scales", "quat_norms", "unit_quats", "rotations"))
+        )
+        proj = ProjectedGaussians(
+            ids=ints[:m], clamp_mask=clamp.reshape(m, 3), sh_degree_used=view.degree,
+            shapes=shapes, **fields,
+        )
+        bins = TileBins(
+            tile_size=view.sub, tiles_x=-(-view.width // view.sub),
+            tiles_y=-(-view.height // view.sub),
+            width=view.width, height=view.height, tile_ids=ints[m : m + tiles],
+            offsets=ints[m + tiles : m + 2 * tiles + 1],
+            order=ints[m + 2 * tiles + 1 :],
+        )
+        records = [blocks[block][0] for block in _BLEND_RECORDS if block in blocks]
+        ctx = RenderContext(
+            camera=camera, settings=settings, proj=proj, bins=bins,
+            num_input=view.n, kernel_backend=name,
+            blocks=(proj, floats, ints, clamp, *records),
+        )
+        image = blocks["image"][0].reshape(view.height, view.width, 3)
+        return image, blocks["trans"][0].reshape(view.height, view.width), ctx
+
+    def view_backward(ctx, model, dL_dimage):
+        arrays = _model_arrays(model)
+        n, stored = model.sh.shape[:2]
+        proj, *kept = ctx.blocks
+        camera, bins, m = ctx.camera, ctx.bins, proj.ids.size
+        d_image = np.ascontiguousarray(dL_dimage, dtype=np.float64)
+        _require_shapes(d_image=(d_image, (camera.height, camera.width, 3)))
+        tiles, entries, sub = bins.num_tiles, bins.num_entries, bins.tile_size
+        records = len(kept) > 3
+        cap = kept[4].size if records else 0
+        want = _kept_blocks(m, tiles, entries, tiles * sub * sub, cap, records)
+        if [block.size for block in kept] != [size for _, size, _ in want]:
+            raise ValueError("native view operands: not this context's blocks")
+        if n != ctx.num_input or num_basis(proj.sh_degree_used) > stored:
+            raise ValueError("native view operands: not the model that was rendered")
+        grads = {field: np.zeros(arr.shape) for field, arr in arrays.items()}
+        kept_at = tuple(map(_address, kept)) + (None,) * (6 - len(kept))
+        view = _View(
+            m, n, tiles, entries, cap, kept_at, _address(model.sh), stored,
+            proj.sh_degree_used, _view_params(camera, ctx.settings),
+            camera.width, camera.height, sub,
+        )
+        _backward(lib, view, _address(d_image), list(map(_address, grads.values())))
+        return grads
+
+    return view_forward if op == "view_forward" else view_backward
+
+
+# ---------------------------------------------------------------------------
+# The data path
+# ---------------------------------------------------------------------------
+def _bind_rows(lib, op: str) -> Callable:
     """The data-path op ``op`` as one call into the loaded library: shapes,
     dtypes and contiguity are checked here, rows by the C call before it
     writes anything."""
@@ -785,23 +975,18 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
                 _buffer(carried_grads[2], (nc,)),
             )
         block = np.empty(m * (2 * k3 + 12))
-        _refuse(lib.rows_assemble(
+        lib.assemble_rows(
             n, k3, cpu.row_floats, _buffer(cpu.params, (n, cpu.row_floats)),
             _buffer(gpu.packed_params, (n, 10)), _address(rows), m,
             _address(loads), loads.size, _address(cached), cached.size,
             *prev, *carry, _address(block),
-        ), op)
-        at = m * (k3 + 1)  # sh | opacity | grad_sh | grad_opacity | critical
-        crit = at + at
-        critical = {
-            "positions": block[crit : crit + 3 * m].reshape(m, 3),
-            "log_scales": block[crit + 3 * m : crit + 6 * m].reshape(m, 3),
-            "quaternions": block[crit + 6 * m :].reshape(m, 4),
-        }
-        return (
-            block[: m * k3].reshape(m, k, 3), block[m * k3 : at], critical,
-            block[at : at + m * k3].reshape(m, k, 3), block[at + m * k3 : crit],
         )
+        out = _cut(block, m, _layout((
+            ("sh", (k, 3)), ("opacity", ()), ("grad_sh", (k, 3)), ("grad_opacity", ()),
+            ("positions", (3,)), ("log_scales", (3,)), ("quaternions", (4,)),
+        ))[0])
+        critical = {name: out.pop(name) for name in ("positions", "log_scales", "quaternions")}
+        return out["sh"], out["opacity"], critical, out["grad_sh"], out["grad_opacity"]
 
     def add_grads_rows(ws, grads):
         gpu, k = ws.gpu_store, ws.cpu_store.sh_basis
@@ -811,13 +996,13 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
             "sh": (m, k, 3), "opacity_logits": (m,), "positions": (m, 3),
             "log_scales": (m, 3), "quaternions": (m, 4),
         }
-        _refuse(lib.rows_add_grads(
+        lib.add_grads_rows(
             n, 3 * k, _address(rows), m,
             _buffer(ws.grad_sh, (m, k, 3), write=True),
             _buffer(ws.grad_opacity, (m,), write=True),
             *(_buffer(grads[name], shape) for name, shape in shapes.items()),
             _buffer(gpu.packed_grads, (n, 10), write=True),
-        ), op)
+        )
 
     def retire_rows(ws, stores, carried):
         cpu, k = ws.cpu_store, ws.cpu_store.sh_basis
@@ -825,13 +1010,13 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
         rows, stored, kept = _rows(ws.indices), _rows(stores), _rows(carried)
         m, nc = rows.size, kept.size
         carry = np.empty(nc * (k3 + 1))
-        _refuse(lib.rows_retire(
+        lib.retire_rows(
             n, k3, cpu.row_floats,
             _buffer(cpu.grads, (n, cpu.row_floats), write=True),
             _address(rows), m, _buffer(ws.grad_sh, (m, k, 3)),
             _buffer(ws.grad_opacity, (m,)), _address(stored), stored.size,
             _address(kept), nc, _address(carry),
-        ), op)
+        )
         if not nc:
             return None
         return carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 :]
@@ -839,11 +1024,11 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
     def zero_rows(buffer, rows):
         rows = _rows(rows)
         n = buffer.shape[0]
-        _refuse(lib.rows_zero(
+        lib.zero_rows(
             n, buffer.size // n if n else 0,
             _buffer(buffer, buffer.shape, write=True), _address(rows),
             rows.size,
-        ), op)
+        )
 
     def adam_rows(
         params, grads, m, v, steps, rows, lr, beta1, beta2, eps, bump=True,
@@ -858,7 +1043,7 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
         ):
             raise ValueError(f"native adam_rows: steps {steps.dtype}{steps.shape}")
         lr = np.asarray(lr, dtype=np.float64)
-        lr = np.full(width, lr) if lr.ndim == 0 else lr
+        lr = np.full(width, lr) if lr.ndim == 0 else np.ascontiguousarray(lr)
         p_at, p_stride = _strided(params, n, width, write=True)
         g_at, g_stride = _strided(grads, n, width)
         m_at, v_at = _buffer(m, m.shape, write=True), _buffer(v, m.shape, write=True)
@@ -869,17 +1054,18 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
         operands = (
             p_at, p_stride, g_at, g_stride, m_at, v_at, width, _address(steps),
             n, _address(rows), rows.size,
-            _buffer(np.ascontiguousarray(lr), (width,)), beta1, beta2, eps,
+            _buffer(lr, (width,)), beta1, beta2, eps,
         )
         tables, t_max = tables_for(beta1, beta2), 0
         while True:
             bc1, rsqrt_bc2 = tables.covering(t_max)
-            code = lib.adam_rows(
-                *operands, _address(bc1), _address(rsqrt_bc2),
-                min(bc1.size, rsqrt_bc2.size), int(bump),
-            )
-            if code != 4:
-                return _refuse(code, op)
+            try:
+                return lib.adam_rows(
+                    *operands, _address(bc1), _address(rsqrt_bc2),
+                    min(bc1.size, rsqrt_bc2.size), int(bump),
+                )
+            except _TablesShort:
+                pass
             # A step past the tables' end: grow them, then go again (nothing
             # was written).  Only a negative step count can fail twice.
             reached = int(steps[rows].max()) + int(bump)
@@ -894,6 +1080,9 @@ def _bind_rows(lib: ctypes.CDLL, op: str) -> Callable:
     }[op]
 
 
+# ---------------------------------------------------------------------------
+# The loss and the training view
+# ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=8)
 def _window(size: int, sigma: float) -> tuple:
     """The SSIM window's taps (symmetric, as the C's pairs assume:
@@ -905,7 +1094,7 @@ def _window(size: int, sigma: float) -> tuple:
     return taps, taps.ctypes.data
 
 
-def _bind_loss(lib: ctypes.CDLL) -> Callable:
+def _bind_loss(lib) -> Callable:
     """``photometric_loss`` as one call into the loaded library, over the
     target's kept moments (which the caller matched to ``target``)."""
     from repro.gaussians.loss import _C1, _C2
@@ -915,28 +1104,23 @@ def _bind_loss(lib: ctypes.CDLL) -> Callable:
         planes = (c, h, w)
         taps, at = _window(*moments.window)
         grad, value = np.empty(rendered.shape), np.empty(1)
-        if lib.photometric_loss(
+        lib.photometric_loss(
             h, w, c, _buffer(rendered, rendered.shape),
             _buffer(target, rendered.shape), _buffer(moments.uy, planes),
             _buffer(moments.uy2_c1, planes), _buffer(moments.vy_c2, planes),
             at, taps.size, float(ssim_lambda), _C1, _C2, _address(grad),
             _address(value),
-        ):
-            raise MemoryError(
-                f"native photometric_loss could not allocate its scratch "
-                f"({h}x{w} image)"
-            )
+        )
         return float(value[0]), grad
 
     return photometric_loss
 
 
-def _bind_train(lib: ctypes.CDLL, name: str) -> Callable:
-    """``view_train``: ``view_project``, ``view_composite``,
-    ``photometric_loss`` and ``view_backward`` over a
-    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks of
+def _bind_train(lib, name: str) -> Callable:
+    """``view_train``: :func:`_forward` over a
+    :class:`~repro.kernels.workspace.Workspace`'s arenas, then
+    ``photometric_loss`` and ``view_backward`` there, with the checks of
     the three ops it fuses and no context, projection or bins built."""
-    from repro.gaussians.frustum import frustum_planes
     from repro.gaussians.loss import _C1, _C2
 
     def view_train(
@@ -946,80 +1130,40 @@ def _bind_train(lib: ctypes.CDLL, name: str) -> Callable:
         if moments is None:
             raise ValueError("native view_train: L1 alone stays on the reference")
         ws = Workspace() if workspace is None else workspace
-        arrays = _model_arrays(model)
-        n, stored = model.sh.shape[:2]
-        degree = _sh_degree(model, settings)
-        width, height, sub = camera.width, camera.height, _compute_tile(settings)
-        tiles_x, tiles_y = -(-width // sub), -(-height // sub)
+        height, width = camera.height, camera.width
         pixels, planes3 = height * width, (3, height, width)
         loss_operands = (
             _buffer(target, (height, width, 3)), _buffer(moments.uy, planes3),
             _buffer(moments.uy2_c1, planes3), _buffer(moments.vy_c2, planes3),
         )
         taps, taps_at = _window(*moments.window)
-        planes = frustum_planes(camera)
-        params = _view_params(camera, settings)
-        params_at, sh_at = _address(params), _address(model.sh)
         ws.lease()
         try:
             start = time.perf_counter()
-            scratch_at = ws.arena("project", _SCRATCH * n)[1]
-            work, work_at = ws.arena(
-                "work", 5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64
-            )
-            lib.view_project(
-                n, *map(_address, arrays.values()), _address(planes), stored,
-                degree, params_at, width, height, int(settings.tile_size), sub,
-                scratch_at, work_at,
-            )
-            m, _, tiles, entries, area = work[:5].tolist()
-            floats_at = ws.arena("floats", _RETAINED * m)[1]
-            ints_at = ws.arena("ints", m + 2 * tiles + 1 + entries, np.int64)[1]
-            clamp_at = ws.arena("clamp", 3 * m, np.uint8)[1]
-            records, cap = (None, None, None), 0
-            if settings.cache_blend_state:  # the records view_backward walks
-                records, cap = (
-                    ws.arena("records", tiles * sub * sub + 2 * area)[1],
-                    ws.arena("pixels", area, np.int32)[1],
-                    ws.arena("ends", entries + 1, np.int64)[1],
-                ), area
-            image_at = ws.arena("image", 3 * pixels)[1]
-            _check(lib.view_composite(
-                n, scratch_at, work_at, params_at, width, height, sub,
-                floats_at, ints_at, clamp_at, *records, image_at,
-                ws.arena("trans", pixels)[1],
-            ), "view_composite", f"its canvases ({tiles_x * tiles_y} tiles)")
+            view, blocks = _forward(lib, camera, model, settings, ws.arena)
             forward_s = time.perf_counter() - start
 
             d_image, d_image_at = ws.arena("d_image", 3 * pixels)
             value, value_at = ws.arena("value", 1)
-            if lib.photometric_loss(
-                height, width, 3, image_at, *loss_operands, taps_at, taps.size,
-                float(ssim_lambda), _C1, _C2, d_image_at, value_at,
-            ):
-                raise MemoryError(
-                    f"native view_train could not allocate its loss scratch "
-                    f"({height}x{width} image)"
-                )
+            lib.photometric_loss(
+                height, width, 3, blocks["image"][1], *loss_operands, taps_at,
+                taps.size, float(ssim_lambda), _C1, _C2, d_image_at, value_at,
+            )
 
             start = time.perf_counter()
             d_image = d_image[: 3 * pixels]
             np.divide(d_image, batch, out=d_image)
             # The five gradient arrays, field after field in one arena,
             # zeroed: view_backward writes the survivors' rows only.
-            size = (11 + 3 * stored) * n
+            size = (11 + 3 * view.stored) * view.n
             block, block_at = ws.arena("grads", size)
             ctypes.memset(block_at, 0, 8 * size)
             grads, addresses, at = {}, [], 0
-            for field, arr in arrays.items():
+            for field, arr in model.parameters().items():
                 grads[field] = block[at : at + arr.size].reshape(arr.shape)
                 addresses.append(block_at + 8 * at)
                 at += arr.size
-            _check(lib.view_backward(
-                m, n, tiles, entries, cap, floats_at, ints_at, clamp_at,
-                *records, sh_at, stored, degree, params_at, width, height, sub,
-                d_image_at, *addresses,
-            ), "view_backward", "its scratch")
+            _backward(lib, view, d_image_at, addresses)
             ws.backward_s = time.perf_counter() - start
         except BaseException:
             ws.release()

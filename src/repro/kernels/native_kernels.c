@@ -28,16 +28,20 @@
  * conservative (the exact test follows), see footprint().  Along a footprint
  * row exp() is taken once and then advanced by two multiplies a cell, see
  * walk_tile().
+ *
+ * What this file shares with Python is not written here: the backend
+ * prepends a header it generates from one declaration (native_backend.header:
+ * the F_* / W_* field offsets and widths of a render's block, the P_* slots
+ * of the params vector, the STATUS_* codes every entry point returns, and
+ * FOOTPRINT_MARGIN and SH_C0..SH_C3 taken from rasterizer and sh), and reads
+ * every entry point's argument types from its prototype below.
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-/* rasterizer._FOOTPRINT_MARGIN: the inflation that keeps rounding from ever
- * dropping a cell the exact threshold test would pass. */
-#define FOOTPRINT_MARGIN 1e-6
 
 /* walk_tile()'s row recurrence: it advances at most REANCHOR - 1 cells past an
  * exact exp(), and recomputes with libm every value within NEAR_THRESHOLD of
@@ -55,6 +59,19 @@ typedef struct {
     int32_t *pixel;
     int64_t *end, cap;
 } records_t;
+
+/* The blend records in a render's own blocks: ``rec_f`` is ``lead`` doubles
+ * of final T, then ``cap`` exp values, then ``cap`` T_before. */
+static records_t records_of(
+    double *rec_f, int32_t *rec_p, int64_t *rec_end, int64_t cap, int64_t lead)
+{
+    records_t rec = {rec_f, NULL, NULL, rec_p, rec_end, cap};
+    if (rec_f != NULL) {
+        rec.w = rec_f + lead;
+        rec.t = rec.w + cap;
+    }
+    return rec;
+}
 
 /* One row of the per-Gaussian arrays and its thresholded footprint: the
  * unclipped inclusive pixel bounds (image coordinates) of {alpha_raw >= tau},
@@ -159,8 +176,8 @@ static tile_t tile_at(
  * of the value E and of the ratio D to the next cell, a cell costs two
  * multiplies: E *= D, D *= exp(-a).  The row re-anchors every REANCHOR cells
  * and after any cell the cut skips; a splat that does not recur (see
- * footprint()) takes exp() per cell.  Returns 3, having written no record
- * past ``rec->cap``, when more cells pass than that. */
+ * footprint()) takes exp() per cell.  Returns STATUS_VIOLATED, having
+ * written no record past ``rec->cap``, when more cells pass than that. */
 static int walk_tile(
     const int64_t *order, int64_t start, int64_t stop, const splat_t *splats,
     const double *colors, tile_t tile, int64_t ts, double tau, double t_min,
@@ -217,7 +234,7 @@ static int walk_tile(
                 const double t = T[p];
                 if (rec != NULL) {
                     if (n == rec->cap)
-                        return 3;
+                        return STATUS_VIOLATED;
                     rec->w[n] = w;
                     rec->t[n] = t;
                     rec->pixel[n++] = (int32_t)p;
@@ -235,26 +252,31 @@ static int walk_tile(
             rec->end[k - start + 1] = n;
     }
     *nrec = n;
-    return 0;
+    return STATUS_OK;
 }
 
 /* Composite every non-empty tile into the tile-major canvases, keeping the
- * blend state in ``rec`` unless it is NULL.  Returns 1 when the footprints
- * cannot be allocated, 3 when walk_tile() runs out of records. */
-static int composite(
+ * blend state in the records (see records_of(), room for ``cap`` cells)
+ * unless ``rec_f`` is NULL.  Returns STATUS_NO_MEMORY when the footprints
+ * cannot be allocated, STATUS_VIOLATED when walk_tile() runs out of
+ * records. */
+int raster_forward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, int64_t rows, const double *mx, const double *my,
     const double *ca, const double *cb, const double *cc, const double *opac,
     const double *colors, const double *bg, double tau, double t_min,
-    double max_alpha, double *canvas_rgb, double *canvas_t,
-    const records_t *rec)
+    double max_alpha, double *canvas_rgb, double *canvas_t, double *rec_f,
+    int32_t *rec_p, int64_t *rec_end, int64_t cap)
 {
     const int64_t pixels = ts * ts;
+    const records_t kept =
+        records_of(rec_f, rec_p, rec_end, cap, num_tiles * pixels);
+    const records_t *rec = rec_f != NULL ? &kept : NULL;
     splat_t *splats = splats_of(rows, mx, my, ca, cb, cc, opac, tau);
     if (splats == NULL)
-        return 1;
-    int failed = 0;
+        return STATUS_NO_MEMORY;
+    int failed = STATUS_OK;
     int64_t nrec = 0;
     if (rec != NULL)
         rec->end[0] = 0;
@@ -285,25 +307,12 @@ static int composite(
     return failed;
 }
 
-int raster_forward(
-    int64_t num_tiles, const int64_t *offsets, const int64_t *order,
-    const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, int64_t rows, const double *mx, const double *my,
-    const double *ca, const double *cb, const double *cc, const double *opac,
-    const double *colors, const double *bg, double tau, double t_min,
-    double max_alpha, double *canvas_rgb, double *canvas_t)
-{
-    return composite(
-        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, rows,
-        mx, my, ca, cb, cc, opac, colors, bg, tau, t_min, max_alpha,
-        canvas_rgb, canvas_t, NULL);
-}
-
 /* Compositing gradient, tile by tile, from the blend records (exp value,
  * T_before, pixel) of every cell that passed the threshold — no other cell
- * has a gradient: the forward's ``rec`` when given, else the tile's own,
- * made by replaying the forward through walk_tile().  Entries are walked far
- * to near (an entry's cells in their own order) with a per-pixel running
+ * has a gradient: the forward's records when ``rec_f`` is not NULL (``cap``
+ * cells, as raster_forward() kept them), else the tile's own, made by
+ * replaying the forward through walk_tile().  Entries are walked far to near
+ * (an entry's cells in their own order) with a per-pixel running
  * suffix seeded with the background term, so for a cell under the cap
  * (alpha == alpha_raw; at the cap nothing flows to the splat's geometry or
  * opacity)
@@ -315,30 +324,36 @@ int raster_forward(
  * and an entry's sums stay in registers until they are added to its
  * Gaussian's rows of d_colors (M, 3), d_opac (M), d_means (M, 2) and
  * d_conics (M, 2, 2); a row has one entry a tile, and the tiles go in CSR
- * order.  Returns 1 when the scratch cannot be allocated. */
-static int composite_backward(
+ * order.  Returns STATUS_NO_MEMORY when the scratch cannot be allocated. */
+int raster_backward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, int64_t rows, const double *mx, const double *my,
     const double *ca, const double *cb, const double *cc, const double *opac,
-    const double *colors, const double *g_tiles, const double *bg, double tau,
-    double t_min, double max_alpha, double *d_colors, double *d_opac,
-    double *d_means, double *d_conics, const records_t *rec)
+    const double *colors, const double *bg, double tau, double t_min,
+    double max_alpha, const double *g_tiles, double *d_colors, double *d_opac,
+    double *d_means, double *d_conics, const double *rec_f,
+    const int32_t *rec_p, const int64_t *rec_end, int64_t cap)
 {
     const int64_t pixels = ts * ts;
+    /* Read only here: the struct's pointers are writable for the forward. */
+    const records_t given = records_of(
+        (double *)rec_f, (int32_t *)rec_p, (int64_t *)rec_end, cap,
+        num_tiles * pixels);
+    const records_t *rec = rec_f != NULL ? &given : NULL;
     int64_t deepest = 0;
     for (int64_t i = 0; i < num_tiles; i++)
         if (offsets[i + 1] - offsets[i] > deepest)
             deepest = offsets[i + 1] - offsets[i];
     if (deepest == 0)
-        return 0;
+        return STATUS_OK;
 
     /* One block: four per-pixel arrays and, without ``rec``, the records of
      * the deepest tile (at most one per cell: 20 bytes) and their ends. */
     const size_t px = (size_t)pixels, depth = rec != NULL ? 0 : (size_t)deepest;
     const size_t cells = depth * px;
     if (cells / px != depth || cells > SIZE_MAX / 128)
-        return 1;
+        return STATUS_NO_MEMORY;
     char *scratch = malloc(
         (4 * px + 2 * cells) * sizeof(double) +
         (depth + 1) * sizeof(int64_t) + cells * sizeof(int32_t));
@@ -347,7 +362,7 @@ static int composite_backward(
     if (scratch == NULL || (rec == NULL && splats == NULL)) {
         free(scratch);
         free(splats);
-        return 1;
+        return STATUS_NO_MEMORY;
     }
     double *T = (double *)scratch, *suffix = T + px;
     double *off_x = suffix + px, *off_y = off_x + px;
@@ -436,22 +451,7 @@ static int composite_backward(
     }
     free(splats);
     free(scratch);
-    return 0;
-}
-
-int raster_backward(
-    int64_t num_tiles, const int64_t *offsets, const int64_t *order,
-    const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
-    int64_t height, int64_t rows, const double *mx, const double *my,
-    const double *ca, const double *cb, const double *cc, const double *opac,
-    const double *colors, const double *g_tiles, const double *bg, double tau,
-    double t_min, double max_alpha, double *d_colors, double *d_opac,
-    double *d_means, double *d_conics)
-{
-    return composite_backward(
-        num_tiles, offsets, order, tile_ids, tiles_x, ts, width, height, rows,
-        mx, my, ca, cb, cc, opac, colors, g_tiles, bg, tau, t_min, max_alpha,
-        d_colors, d_opac, d_means, d_conics, NULL);
+    return STATUS_OK;
 }
 
 /* ======================================================================
@@ -460,13 +460,14 @@ int raster_backward(
  * (view_project, view_composite) and a backward pass one (view_backward).
  *
  * Every per-Gaussian field of a render lives in one float64 block laid out
- * field after field: field F of row r starts at block[F * cap + r * width],
- * cap being the rows the block was sized for.  view_project writes the
+ * field after field: field F of row r starts at block[F_F * cap + W_F * r],
+ * cap being the rows the block was sized for (the generated header's offsets
+ * and widths, from native_backend._FIELDS).  view_project writes the
  * survivors, compacted, into a scratch block sized for every input row (plus
- * the raster kernels' separate-array operands, which nothing retains);
- * view_composite copies them into the block sized for the survivors that the
- * render keeps, and the Python side cuts ProjectedGaussians / GaussianShape
- * views out of it (native_backend._FIELDS repeats this table).
+ * the raster kernels' separate-array operands, which nothing retains, up to
+ * F_SCRATCH); view_composite copies the fields up to F_RETAINED into the
+ * block sized for the survivors that the render keeps, and the Python side
+ * cuts ProjectedGaussians / GaussianShape views out of it.
  *
  * The arithmetic is that of rasterizer.preprocess / build_tile_bins and
  * rasterizer_grad._chain_to_parameters, operation for operation where a
@@ -476,22 +477,6 @@ int raster_backward(
  * 3-sigma frustum test is in_frustum() below: the one arbiter that the cull
  * (exact_cull) and the render (view_project) both call, row by row.
  * ====================================================================== */
-
-enum {
-    F_MEANS2D = 0, F_DEPTHS = 2, F_TCAM = 3, F_OFFSETS = 6, F_COVCAM = 9,
-    F_COV2D = 18, F_CONICS = 22, F_COLORS = 26, F_OPAC = 29, F_RADII = 30,
-    F_SCALES = 31, F_QNORM = 34, F_UQUAT = 35, F_ROT = 39, F_DIRS = 48,
-    F_DNORM = 51, F_RETAINED = 52,
-    /* Scratch only: means x / y and conic a / b / c as separate arrays. */
-    F_MX = 52, F_MY = 53, F_CA = 54, F_CB = 55, F_CC = 56
-};
-
-/* The ``params`` vector of all three calls: world->camera rotation
- * (row-major), camera centre, intrinsics, near plane, then the settings. */
-enum {
-    P_ROT = 0, P_CENTER = 9, P_FX = 12, P_FY, P_CX, P_CY, P_ZNEAR, P_TAU,
-    P_TMIN, P_MAX_ALPHA, P_BG
-};
 
 /* Integer workspace of a forward pass: a header (survivors, binned rows,
  * non-empty tiles, entries, and the summed area of the binned rows' clipped
@@ -517,19 +502,6 @@ static work_t work_of(int64_t *iw, int64_t n, int64_t tiles)
     return w;
 }
 
-/* The blend records in a render's own blocks: ``rec_f`` is ``lead`` doubles
- * of final T, then ``cap`` exp values, then ``cap`` T_before. */
-static records_t records_of(
-    double *rec_f, int32_t *rec_p, int64_t *rec_end, int64_t cap, int64_t lead)
-{
-    records_t rec = {rec_f, NULL, NULL, rec_p, rec_end, cap};
-    if (rec_f != NULL) {
-        rec.w = rec_f + lead;
-        rec.t = rec.w + cap;
-    }
-    return rec;
-}
-
 static inline int64_t ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
 /* Where image pixel (x, y) sits in a tile-major (tiles, sub * sub) canvas. */
@@ -539,16 +511,6 @@ static inline int64_t tile_major(int64_t x, int64_t y, int64_t sub, int64_t tile
 }
 
 /* sh.eval_basis: the real SH basis up to ``degree`` at a unit direction. */
-#define SH_C0 0.28209479177387814
-#define SH_C1 0.4886025119029199
-static const double SH_C2[5] = {
-    1.0925484305920792, -1.0925484305920792, 0.31539156525252005,
-    -1.0925484305920792, 0.5462742152960396};
-static const double SH_C3[7] = {
-    -0.5900435899266435, 2.890611442640554, -0.4570457994644658,
-    0.3731763325901154, -0.4570457994644658, 1.445305721320277,
-    -0.5900435899266435};
-
 static void sh_basis(double x, double y, double z, int64_t degree, double *b)
 {
     const double xx = x * x, yy = y * y, zz = z * z;
@@ -651,7 +613,7 @@ static void rotation_matrix(const double *q, double *rot)
  * not finite: then the reach may be NaN on some plane (0 * inf), the full test
  * rejects that, and so every plane is evaluated.  For a finite row the reach
  * is in [0, inf] and a plane the centre is inside of cannot fail. */
-static int in_frustum(
+static bool in_frustum(
     const double *planes, const double *p, const double *ls, const double *q,
     double *s)
 {
@@ -667,7 +629,7 @@ static int in_frustum(
     const int finite =
         isfinite(s[0] + s[1] + s[2] + (q[0] + q[1] + q[2] + q[3]));
     if (centre_inside && finite)
-        return 1;
+        return true;
 
     double unit[4], rot[9];
     unit_and_norm(q, 4, unit);
@@ -684,17 +646,17 @@ static int in_frustum(
             sum += v * v;
         }
         if (!(dist[k] + 3.0 * sqrt(sum) >= 0.0))
-            return 0;
+            return false;
     }
-    return 1;
+    return true;
 }
 
 /* frustum.exact_cull: the members of rows[0 .. count) whose ellipsoid reaches
  * inside all six planes, in order, as kept[1 .. 1 + kept[0]).  The three
  * arrays are walked in place: row r of each starts ``stride`` doubles after
  * row r - 1 (3 / 3 / 4 for separate arrays, 10 for the views of one packed
- * (n, 10) block), its values adjacent.  Returns 2 — before reading anything
- * of that row — when a row is outside [0, n). */
+ * (n, 10) block), its values adjacent.  Returns STATUS_OUT_OF_RANGE — before
+ * reading anything of that row — when a row is outside [0, n). */
 int exact_cull(
     int64_t n, const double *planes, const double *positions, int64_t p_stride,
     const double *log_scales, int64_t s_stride, const double *quats,
@@ -705,13 +667,13 @@ int exact_cull(
         const int64_t r = rows[k];
         double s[3];
         if (r < 0 || r >= n)
-            return 2;
+            return STATUS_OUT_OF_RANGE;
         if (in_frustum(planes, positions + r * p_stride,
                        log_scales + r * s_stride, quats + r * q_stride, s))
             kept[++m] = r;
     }
     kept[0] = m;
-    return 0;
+    return STATUS_OK;
 }
 
 /* quaternion.backprop_unit: through unit = v / |v|. */
@@ -803,9 +765,9 @@ static int64_t *sort_near_to_far(
 
 /* rasterizer.preprocess for the rows in_frustum() lets through, then the
  * counting half of build_tile_bins over the survivors.  Writes the survivors'
- * fields, compacted, into ``f`` (57 * n doubles) and the workspace ``iw``
- * (see work_of; 5 + 7 n + tiles int64 and 3 n bytes), whose header then
- * says how large the render's own blocks must be. */
+ * fields, compacted, into ``f`` (F_SCRATCH * n doubles) and the workspace
+ * ``iw`` (see work_of; 5 + 7 n + tiles int64 and 3 n bytes), whose header
+ * then says how large the render's own blocks must be. */
 int view_project(
     int64_t n, const double *positions, const double *log_scales,
     const double *quats, const double *sh, const double *logits,
@@ -813,18 +775,20 @@ int view_project(
     const double *params, int64_t width, int64_t height, int64_t ts,
     int64_t sub, double *f, int64_t *iw)
 {
-    const double *w = params + P_ROT, *center = params + P_CENTER;
+    const double *w = params + P_ROTATION, *center = params + P_CENTER;
     const double fx = params[P_FX], fy = params[P_FY];
     const double cx = params[P_CX], cy = params[P_CY];
-    const double znear = params[P_ZNEAR], tau = params[P_TAU];
+    const double znear = params[P_ZNEAR], tau = params[P_ALPHA_THRESHOLD];
     const int64_t tiles_x = ceil_div(width, sub), tiles_y = ceil_div(height, sub);
     const int64_t k_active = (degree + 1) * (degree + 1);
     const work_t work = work_of(iw, n, tiles_x * tiles_y);
-#define FIELD(name) (f + (name) * n)
-    double *means = FIELD(F_MEANS2D), *depths = FIELD(F_DEPTHS);
-    double *mx = FIELD(F_MX), *my = FIELD(F_MY);
-    double *ca = FIELD(F_CA), *cb = FIELD(F_CB), *cc = FIELD(F_CC);
-    double *opac = FIELD(F_OPAC), *radii = FIELD(F_RADII);
+/* Field ``name`` of the block, and of survivor m in it. */
+#define FIELD(name) (f + F_##name * n)
+#define ROW(name) (FIELD(name) + W_##name * m)
+    double *means = FIELD(MEANS2D), *depths = FIELD(DEPTHS);
+    double *mx = FIELD(MEANS_X), *my = FIELD(MEANS_Y);
+    double *ca = FIELD(CONIC_A), *cb = FIELD(CONIC_B), *cc = FIELD(CONIC_C);
+    double *opac = FIELD(OPACITIES), *radii = FIELD(RADII);
 
     int64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -883,10 +847,10 @@ int view_project(
         means[2 * m + 1] = my[m] = v;
         depths[m] = t[2];
         radii[m] = radius;
-        memcpy(FIELD(F_TCAM) + 3 * m, t, sizeof t);
-        memcpy(FIELD(F_OFFSETS) + 3 * m, off, sizeof off);
-        memcpy(FIELD(F_COVCAM) + 9 * m, cov_cam, sizeof cov_cam);
-        double *cov2d = FIELD(F_COV2D) + 4 * m, *conic = FIELD(F_CONICS) + 4 * m;
+        memcpy(ROW(T_CAM), t, sizeof t);
+        memcpy(ROW(OFFSETS), off, sizeof off);
+        memcpy(ROW(COV_CAM), cov_cam, sizeof cov_cam);
+        double *cov2d = ROW(COV2D), *conic = ROW(CONICS);
         cov2d[0] = a;
         cov2d[1] = b;
         cov2d[2] = b_t;
@@ -894,12 +858,12 @@ int view_project(
         conic[0] = ca[m] = c / det;
         conic[1] = conic[2] = cb[m] = -b / det;
         conic[3] = cc[m] = a / det;
-        memcpy(FIELD(F_SCALES) + 3 * m, s, sizeof s);
-        FIELD(F_QNORM)[m] = q_norm;
-        memcpy(FIELD(F_UQUAT) + 4 * m, q, sizeof q);
-        memcpy(FIELD(F_ROT) + 9 * m, rot, sizeof rot);
-        double *dir = FIELD(F_DIRS) + 3 * m;
-        FIELD(F_DNORM)[m] = unit_and_norm(off, 3, dir);
+        memcpy(ROW(SCALES), s, sizeof s);
+        *ROW(QUAT_NORMS) = q_norm;
+        memcpy(ROW(UNIT_QUATS), q, sizeof q);
+        memcpy(ROW(ROTATIONS), rot, sizeof rot);
+        double *dir = ROW(DIRS);
+        *ROW(DIR_NORMS) = unit_and_norm(off, 3, dir);
 
         /* sh.sh_to_color: basis . coefficients + 0.5, clamped at zero. */
         double basis[16];
@@ -911,7 +875,7 @@ int view_project(
                 raw += basis[k] * coeffs[3 * k + ch];
             raw += 0.5;
             work.clamp[3 * m + ch] = raw < 0.0;
-            FIELD(F_COLORS)[3 * m + ch] = raw < 0.0 ? 0.0 : raw;
+            ROW(COLORS)[ch] = raw < 0.0 ? 0.0 : raw;
         }
         /* model.sigmoid, the numerically stable form. */
         const double logit = logits[i];
@@ -923,6 +887,7 @@ int view_project(
         }
         m++;
     }
+#undef ROW
 #undef FIELD
 
     /* rasterizer._compute_tile_rects: the semantic tile span of the 3-sigma
@@ -967,30 +932,28 @@ int view_project(
     work.head[2] = tiles;
     work.head[3] = entries;
     work.head[4] = area;
-    return 0;
+    return STATUS_OK;
 }
 
 /* The second forward call, once the render's own blocks exist: ``kept``
- * (52 * m doubles), ``ikept`` (ids m | tile_ids T | offsets T + 1 | order E)
- * and ``clamp`` (3 * m bytes) receive the survivors' fields, the filling half
- * of build_tile_bins writes the CSR arrays, composite() runs over them and
- * the tile-major canvases are cropped into ``image`` (H, W, 3) and ``trans``
- * (H, W).  Unless they are NULL, the blend records go to ``rec_f`` (the final
+ * (F_RETAINED * m doubles), ``ikept`` (ids m | tile_ids T | offsets T + 1 |
+ * order E) and ``clamp`` (3 * m bytes) receive the survivors' fields, the
+ * filling half of build_tile_bins writes the CSR arrays, raster_forward()
+ * runs over them and the tile-major canvases are cropped into ``image``
+ * (H, W, 3) and ``trans`` (H, W).  Unless they are NULL, the blend records go to ``rec_f`` (the final
  * T of the T non-empty tiles, then exp values and T_before of at most
  * ``area`` = head[4] cells), ``rec_p`` (their pixels, ``area``) and
- * ``rec_end`` (E + 1), for view_backward.  Returns 1 when the canvases or the
- * survivors' footprints cannot be allocated, 3 when more cells pass than
- * ``area``. */
+ * ``rec_end`` (E + 1), for view_backward.  Returns STATUS_NO_MEMORY when
+ * the canvases or the survivors' footprints cannot be allocated,
+ * STATUS_OUT_OF_RANGE when the counts are not view_project's and
+ * STATUS_VIOLATED when more cells pass than ``area``. */
 int view_composite(
     int64_t n, const double *f, int64_t *iw, const double *params,
     int64_t width, int64_t height, int64_t sub, double *kept, int64_t *ikept,
     uint8_t *clamp, double *rec_f, int32_t *rec_p, int64_t *rec_end,
     double *image, double *trans)
 {
-    static const int starts[] = {
-        F_MEANS2D, F_DEPTHS, F_TCAM, F_OFFSETS, F_COVCAM, F_COV2D, F_CONICS,
-        F_COLORS, F_OPAC, F_RADII, F_SCALES, F_QNORM, F_UQUAT, F_ROT, F_DIRS,
-        F_DNORM, F_RETAINED};
+    static const int starts[] = {RETAINED_STARTS};  /* ..., F_RETAINED */
     const int64_t tiles_x = ceil_div(width, sub), tiles_y = ceil_div(height, sub);
     const int64_t num_tiles = tiles_x * tiles_y, pixels = sub * sub;
     const work_t work = work_of(iw, n, num_tiles);
@@ -1019,7 +982,7 @@ int view_composite(
     }
     offsets[found] = run;
     if (found != tiles || run != entries)
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     for (int64_t k = 0; k < binned; k++) {
         const int64_t row = work.rows[k], *rect = work.rects + 4 * row;
         for (int64_t ty = rect[2]; ty <= rect[3]; ty++)
@@ -1027,10 +990,10 @@ int view_composite(
                 order[work.per_tile[ty * tiles_x + tx]++] = row;
     }
 
-    const double *bg = params + P_BG;
+    const double *bg = params + P_BACKGROUND;
     double *canvas_rgb = malloc((size_t)(num_tiles * pixels) * 4 * sizeof(double));
     if (canvas_rgb == NULL)
-        return 1;
+        return STATUS_NO_MEMORY;
     double *canvas_t = canvas_rgb + 3 * num_tiles * pixels;
     for (int64_t p = 0; p < num_tiles * pixels; p++) {
         canvas_rgb[3 * p] = bg[0];
@@ -1038,14 +1001,13 @@ int view_composite(
         canvas_rgb[3 * p + 2] = bg[2];
         canvas_t[p] = 1.0;
     }
-    const records_t rec =
-        records_of(rec_f, rec_p, rec_end, work.head[4], tiles * pixels);
-    const int failed = composite(
+    const int failed = raster_forward(
         tiles, offsets, order, tile_ids, tiles_x, sub, width, height, m,
-        f + F_MX * n, f + F_MY * n, f + F_CA * n, f + F_CB * n, f + F_CC * n,
-        kept + F_OPAC * m, kept + F_COLORS * m, bg, params[P_TAU],
-        params[P_TMIN], params[P_MAX_ALPHA], canvas_rgb, canvas_t,
-        rec_f != NULL ? &rec : NULL);
+        f + F_MEANS_X * n, f + F_MEANS_Y * n, f + F_CONIC_A * n,
+        f + F_CONIC_B * n, f + F_CONIC_C * n, kept + F_OPACITIES * m,
+        kept + F_COLORS * m, bg, params[P_ALPHA_THRESHOLD],
+        params[P_TRANSMITTANCE_MIN], params[P_MAX_ALPHA], canvas_rgb, canvas_t,
+        rec_f, rec_p, rec_end, work.head[4]);
     for (int64_t y = 0; y < height; y++)
         for (int64_t x = 0; x < width; x++) {
             const int64_t p = tile_major(x, y, sub, tiles_x);
@@ -1067,11 +1029,11 @@ static void view_chain(
     const double *d_means, const double *d_conics, double *g_positions,
     double *g_log_scales, double *g_quats, double *g_sh, double *g_logits)
 {
-#define FIELD(name, width) (kept + (name) * m + (width) * r)
-    const double *w = params + P_ROT;
+#define FIELD(name) (kept + F_##name * m + W_##name * r)
+    const double *w = params + P_ROTATION;
     const double fx = params[P_FX], fy = params[P_FY];
-    const double *t = FIELD(F_TCAM, 3), *cov_cam = FIELD(F_COVCAM, 9);
-    const double *conic = FIELD(F_CONICS, 4), *d_conic = d_conics + 4 * r;
+    const double *t = FIELD(T_CAM), *cov_cam = FIELD(COV_CAM);
+    const double *conic = FIELD(CONICS), *d_conic = d_conics + 4 * r;
     const int64_t id = ids[r];
 
     /* covariance.invert_cov2d_backward: -(conic d_conic conic), then its
@@ -1115,8 +1077,8 @@ static void view_chain(
              d_jac[5] * (2 * fy * t[1] * inv_z3);
 
     /* GaussianShape.covariance_backward: Sigma = M M^T, M = R diag(s). */
-    const double *s = FIELD(F_SCALES, 3), *rot = FIELD(F_ROT, 9);
-    const double *q = FIELD(F_UQUAT, 4);
+    const double *s = FIELD(SCALES), *rot = FIELD(ROTATIONS);
+    const double *q = FIELD(UNIT_QUATS);
     double mm[9], sym[9], d_m[9], d_rot[9], d_scale[3] = {0.0, 0.0, 0.0};
     for (int k = 0; k < 9; k++) {
         mm[k] = rot[k] * s[k % 3];
@@ -1141,7 +1103,7 @@ static void view_chain(
              2 * qy * (d[0] + d[8])),
         2 * (qw * (d[3] - d[1]) + qx * (d[2] + d[6]) + qy * (d[5] + d[7]) -
              2 * qz * (d[0] + d[4]))};
-    backprop_unit(d_unit, q, *FIELD(F_QNORM, 1), 4, g_quats + 4 * id);
+    backprop_unit(d_unit, q, *FIELD(QUAT_NORMS), 4, g_quats + 4 * id);
 
     /* projection.project_means_backward, plus the Jacobian's own dependence
      * on the camera point, rotated back to the world. */
@@ -1155,7 +1117,7 @@ static void view_chain(
 
     /* sh.sh_backward: coefficients of the active degree, and through the
      * basis Jacobian and the normalised view direction the position again. */
-    const double *dir = FIELD(F_DIRS, 3), *coeffs = sh + 3 * k_stored * id;
+    const double *dir = FIELD(DIRS), *coeffs = sh + 3 * k_stored * id;
     const int64_t k_active = (degree + 1) * (degree + 1);
     double basis[16], jac[16][3], gated[3], d_dir[3] = {0.0, 0.0, 0.0};
     sh_basis(dir[0], dir[1], dir[2], degree, basis);
@@ -1172,22 +1134,22 @@ static void view_chain(
             d_dir[c] += through * jac[k][c];
     }
     double d_offset[3];
-    backprop_unit(d_dir, dir, *FIELD(F_DNORM, 1), 3, d_offset);
+    backprop_unit(d_dir, dir, *FIELD(DIR_NORMS), 3, d_offset);
     for (int k = 0; k < 3; k++)
         g_positions[3 * id + k] = d_pos[k] + d_offset[k];
 
-    const double o = *FIELD(F_OPAC, 1);
+    const double o = *FIELD(OPACITIES);
     g_logits[id] = d_opac[r] * o * (1.0 - o);
 #undef FIELD
 }
 
 /* The whole backward pass of a view_composite render: ``d_image`` (H, W, 3)
- * goes tile-major, composite_backward turns it into screen-space gradients
+ * goes tile-major, raster_backward() turns it into screen-space gradients
  * (from the blend records view_composite kept, when ``rec_f`` is not NULL,
  * ``cap`` being the cells they have room for) and view_chain scatters those
  * to rows ids of the five zero-filled ``g_*`` arrays (n rows each).  Returns
- * 1 when scratch cannot be allocated, 2 when the blocks are not ones
- * view_composite could have written. */
+ * STATUS_NO_MEMORY when scratch cannot be allocated, STATUS_OUT_OF_RANGE when
+ * the blocks are not ones view_composite could have written. */
 int view_backward(
     int64_t m, int64_t n, int64_t tiles, int64_t entries, int64_t cap,
     const double *kept, const int64_t *ikept, const uint8_t *clamp,
@@ -1203,34 +1165,31 @@ int view_backward(
     const int64_t *offsets = tile_ids + tiles, *order = offsets + tiles + 1;
     for (int64_t r = 0; r < m; r++)
         if (ids[r] < 0 || ids[r] >= n)
-            return 2;
+            return STATUS_OUT_OF_RANGE;
     for (int64_t i = 0; i < tiles; i++)
         if (tile_ids[i] < 0 || tile_ids[i] >= num_tiles ||
             offsets[i] > offsets[i + 1])
-            return 2;
+            return STATUS_OUT_OF_RANGE;
     if (tiles > 0 && (offsets[0] != 0 || offsets[tiles] != entries))
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     for (int64_t k = 0; k < entries; k++)
         if (order[k] < 0 || order[k] >= m)
-            return 2;
+            return STATUS_OUT_OF_RANGE;
     /* Record ends ascend from 0 and stay within ``cap``; pixels in a tile. */
     for (int64_t k = 0; rec_f != NULL && k <= entries; k++)
         if ((k == 0 ? rec_end[0] != 0 : rec_end[k] < rec_end[k - 1]) ||
             rec_end[k] > cap)
-            return 2;
+            return STATUS_OUT_OF_RANGE;
     for (int64_t r = 0; rec_f != NULL && r < rec_end[entries]; r++)
         if (rec_p[r] < 0 || rec_p[r] >= pixels)
-            return 2;
-    /* Read only here: the struct's pointers are writable for view_composite. */
-    const records_t rec = records_of(
-        (double *)rec_f, (int32_t *)rec_p, (int64_t *)rec_end, cap, tiles * pixels);
+            return STATUS_OUT_OF_RANGE;
 
     /* One zeroed block: the raster kernels' separate-array operands (5 m),
      * the screen-space gradients (10 m), the tile-major upstream gradient. */
     double *scratch =
         calloc((size_t)(15 * m + 3 * num_tiles * pixels) + 1, sizeof(double));
     if (scratch == NULL)
-        return 1;
+        return STATUS_NO_MEMORY;
     double *mx = scratch, *my = mx + m, *ca = my + m, *cb = ca + m, *cc = cb + m;
     double *d_colors = cc + m, *d_opac = d_colors + 3 * m;
     double *d_means = d_opac + m, *d_conics = d_means + 2 * m;
@@ -1248,11 +1207,12 @@ int view_backward(
             memcpy(g_tiles + 3 * p, d_image + 3 * (y * width + x),
                    3 * sizeof(double));
         }
-    const int failed = composite_backward(
+    const int failed = raster_backward(
         tiles, offsets, order, tile_ids, tiles_x, sub, width, height, m, mx, my,
-        ca, cb, cc, kept + F_OPAC * m, kept + F_COLORS * m, g_tiles,
-        params + P_BG, params[P_TAU], params[P_TMIN], params[P_MAX_ALPHA],
-        d_colors, d_opac, d_means, d_conics, rec_f != NULL ? &rec : NULL);
+        ca, cb, cc, kept + F_OPACITIES * m, kept + F_COLORS * m,
+        params + P_BACKGROUND, params[P_ALPHA_THRESHOLD],
+        params[P_TRANSMITTANCE_MIN], params[P_MAX_ALPHA], g_tiles,
+        d_colors, d_opac, d_means, d_conics, rec_f, rec_p, rec_end, cap);
     if (!failed)
         for (int64_t r = 0; r < m; r++)
             view_chain(r, m, kept, ids, clamp, sh, k_stored, degree, params,
@@ -1273,8 +1233,8 @@ int view_backward(
  * Index sets are sorted and duplicate-free (repro.utils.setops).  A set is
  * placed in the set it indexes by a merge walk where the reference calls
  * np.searchsorted, and every call checks all of its rows before it writes
- * anything: a row outside [0, n) returns 2, a row that is not a member (in
- * order) of the set it indexes returns 3.
+ * anything: a row outside [0, n) returns STATUS_OUT_OF_RANGE, a row that is
+ * not a member (in order) of the set it indexes STATUS_VIOLATED.
  *
  * The pinned store's rows are ``stride`` doubles: sh (k3 = 3K values), the
  * opacity, zero padding.  The critical store's are positions 3 | log-scales 3
@@ -1293,21 +1253,21 @@ static inline int64_t walk(const int64_t *s, int64_t ns, int64_t from, int64_t k
 }
 
 /* Whether each q[k] is a member of s, in increasing order. */
-static int members(const int64_t *q, int64_t nq, const int64_t *s, int64_t ns)
+static bool members(const int64_t *q, int64_t nq, const int64_t *s, int64_t ns)
 {
     for (int64_t k = 0, j = 0; k < nq; k++, j++)
         if ((j = walk(s, ns, j, q[k])) < 0)
-            return 0;
-    return 1;
+            return false;
+    return true;
 }
 
 /* Whether every rows[k] lies in [0, n). */
-static int in_range(const int64_t *rows, int64_t count, int64_t n)
+static bool in_range(const int64_t *rows, int64_t count, int64_t n)
 {
     for (int64_t k = 0; k < count; k++)
         if (rows[k] < 0 || rows[k] >= n)
-            return 0;
-    return 1;
+            return false;
+    return true;
 }
 
 /* dst[e] += src[e] for e < count, in pairs: -O2 vectorizes this form (not
@@ -1325,12 +1285,12 @@ static void add_into(double *dst, const double *src, int64_t count)
 }
 
 /* Whether s[0 .. ns) strictly increases inside [0, n). */
-static int index_set(const int64_t *s, int64_t ns, int64_t n)
+static bool index_set(const int64_t *s, int64_t ns, int64_t n)
 {
     for (int64_t k = 0; k < ns; k++)
         if (s[k] < (k ? s[k - 1] + 1 : 0) || s[k] >= n)
-            return 0;
-    return 1;
+            return false;
+    return true;
 }
 
 /* GpuWorkingSet.assemble: the block of working set ws[0 .. m), in one pass
@@ -1339,7 +1299,7 @@ static int index_set(const int64_t *s, int64_t ns, int64_t n)
  * buffer (rows prev[0 .. mp) of prev_sh / prev_opacity) when it is cached,
  * else are zero; its gradients are the carried row when it is carried, else
  * zero; its critical attributes come from the (n, 10) critical rows. */
-int rows_assemble(
+int assemble_rows(
     int64_t n, int64_t k3, int64_t stride, const double *pinned,
     const double *critical, const int64_t *ws, int64_t m,
     const int64_t *loads, int64_t num_loads, const int64_t *cached,
@@ -1349,12 +1309,12 @@ int rows_assemble(
     const double *carried_opacity, double *block)
 {
     if (!index_set(ws, m, n))
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     if (!members(cached, num_cached, prev, mp) ||
         !members(cached, num_cached, ws, m) ||
         !members(loads, num_loads, ws, m) ||
         !members(carried, num_carried, ws, m))
-        return 3;
+        return STATUS_VIOLATED;
     const size_t row = (size_t)k3 * sizeof(double);
     double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
     double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
@@ -1390,20 +1350,20 @@ int rows_assemble(
         memcpy(log_scales + 3 * i, critical + r * 10 + 3, 3 * sizeof(double));
         memcpy(quats + 4 * i, critical + r * 10 + 6, 4 * sizeof(double));
     }
-    return 0;
+    return STATUS_OK;
 }
 
 /* GpuWorkingSet.add_grads: a backward pass's gradients of ws[0 .. m) added
  * to the working set's gradient buffers (non-critical) and to rows ws of the
  * (n, 10) critical accumulator. */
-int rows_add_grads(
+int add_grads_rows(
     int64_t n, int64_t k3, const int64_t *ws, int64_t m, double *grad_sh,
     double *grad_opacity, const double *d_sh, const double *d_opacity,
     const double *d_positions, const double *d_log_scales,
     const double *d_quats, double *critical_grads)
 {
     if (!index_set(ws, m, n))
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     add_into(grad_sh, d_sh, m * k3);
     add_into(grad_opacity, d_opacity, m);
     for (int64_t i = 0; i < m; i++) {
@@ -1412,24 +1372,24 @@ int rows_add_grads(
         add_into(dst + 3, d_log_scales + 3 * i, 3);
         add_into(dst + 6, d_quats + 4 * i, 4);
     }
-    return 0;
+    return STATUS_OK;
 }
 
 /* GpuWorkingSet.retire: the gradients of rows stores[0 .. num_stores) of the
  * working set ws[0 .. m) added into the pinned gradient rows (whose padding
  * gains +0.0: the reference adds a zero-padded row), and those of carried[0
  * .. num_carried) copied into ``carry``: sh (num_carried, k3), then opacity. */
-int rows_retire(
+int retire_rows(
     int64_t n, int64_t k3, int64_t stride, double *pinned_grads,
     const int64_t *ws, int64_t m, const double *grad_sh,
     const double *grad_opacity, const int64_t *stores, int64_t num_stores,
     const int64_t *carried, int64_t num_carried, double *carry)
 {
     if (!in_range(stores, num_stores, n))
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     if (!members(stores, num_stores, ws, m) ||
         !members(carried, num_carried, ws, m))
-        return 3;
+        return STATUS_VIOLATED;
     for (int64_t k = 0, j = 0; k < num_stores; k++, j++) {
         double *dst = pinned_grads + stores[k] * stride;
         j = walk(ws, m, j, stores[k]);
@@ -1443,18 +1403,18 @@ int rows_retire(
         memcpy(carry + k * k3, grad_sh + j * k3, (size_t)k3 * sizeof(double));
         carry[num_carried * k3 + k] = grad_opacity[j];
     }
-    return 0;
+    return STATUS_OK;
 }
 
 /* zero_grads: rows[0 .. count) of an (n, width) buffer set to 0.0, whole. */
-int rows_zero(
+int zero_rows(
     int64_t n, int64_t width, double *buffer, const int64_t *rows, int64_t count)
 {
     if (!in_range(rows, count, n))
-        return 2;
+        return STATUS_OUT_OF_RANGE;
     for (int64_t k = 0; k < count; k++)
         memset(buffer + rows[k] * width, 0, (size_t)width * sizeof(double));
-    return 0;
+    return STATUS_OK;
 }
 
 /* The fused Adam step over rows[0 .. count) of a packed layout, in place.
@@ -1466,12 +1426,13 @@ int rows_zero(
  *     m = m b1 + (1 - b1) g          v = v b2 + (g g)(1 - b2)
  *     p = p - m / (sqrt(v) rsqrt_bc2[t] + eps) lr[c] / bc1[t]
  *
- * The rows are checked first.  Returns 2 when one is outside [0, n), 3 when
- * one repeats (the reference's take / update / scatter updates a repeated
- * row once, a loop in place would not), 4 when a step falls outside the
- * ``table`` entries of the bias-correction tables it was handed (they are
- * swapped for longer ones as steps grow), 1 when the repeat check's bitmap
- * cannot be allocated; nothing is written then.  The four arrays must not
+ * The rows are checked first.  Returns STATUS_OUT_OF_RANGE when one is
+ * outside [0, n), STATUS_VIOLATED when one repeats (the reference's take /
+ * update / scatter updates a repeated row once, a loop in place would not),
+ * STATUS_TABLES_SHORT when a step falls outside the ``table`` entries of the
+ * bias-correction tables it was handed (they are swapped for longer ones as
+ * steps grow), STATUS_NO_MEMORY when the repeat check's bitmap cannot be
+ * allocated; nothing is written then.  The four arrays must not
  * overlap (the binding refuses that): they are ``restrict``, which is what
  * lets -O2 vectorize the column loop. */
 int adam_rows(
@@ -1485,7 +1446,7 @@ int adam_rows(
     for (int64_t k = 0; k < count; k++) {
         const int64_t r = rows[k];
         if (r < 0 || r >= n)
-            return 2;
+            return STATUS_OUT_OF_RANGE;
         if (k > 0 && r <= rows[k - 1])
             sorted = 0;
         beyond |= steps[r] + bump < 0 || steps[r] + bump >= table;
@@ -1494,7 +1455,7 @@ int adam_rows(
         /* Increasing rows cannot repeat; others are marked one bit a row. */
         uint8_t *seen = calloc((size_t)(n / 8 + 1), 1);
         if (seen == NULL)
-            return 1;
+            return STATUS_NO_MEMORY;
         int64_t k = 0;
         for (; k < count; k++) {
             const int64_t r = rows[k];
@@ -1504,10 +1465,10 @@ int adam_rows(
         }
         free(seen);
         if (k < count)
-            return 3;
+            return STATUS_VIOLATED;
     }
     if (beyond)
-        return 4;
+        return STATUS_TABLES_SHORT;
     const double c1 = 1 - beta1, c2 = 1 - beta2;
     for (int64_t k = 0; k < count; k++) {
         const int64_t r = rows[k];
@@ -1540,7 +1501,7 @@ int adam_rows(
             p[c] = p[c] - mm / (sqrt(vv) * rs + eps) * lr[c] / bc;
         }
     }
-    return 0;
+    return STATUS_OK;
 }
 
 /* ======================================================================
@@ -1653,8 +1614,9 @@ static inline double sign_of(double d)
  *
  * A non-finite moment gradient anywhere in a channel makes that channel's
  * whole gradient NaN: so does the reference's zero-padded matrix product,
- * whose band of zeros meets it (0 inf and 0 NaN are NaN).  Returns 1 when the
- * scratch cannot be allocated (nothing is written then). */
+ * whose band of zeros meets it (0 inf and 0 NaN are NaN).  Returns
+ * STATUS_NO_MEMORY when the scratch cannot be allocated (nothing is written
+ * then). */
 int photometric_loss(
     int64_t h, int64_t w, int64_t channels, const double *x, const double *y,
     const double *uy, const double *uy2_c1, const double *vy_c2,
@@ -1668,11 +1630,11 @@ int photometric_loss(
     const size_t padded = 3 * (size_t)(w + 2 * half);
     const size_t doubles = 2 * (size_t)(h * n3) + padded + 2 * (size_t)n3;
     if (doubles > SIZE_MAX / 16)
-        return 1;
+        return STATUS_NO_MEMORY;
     char *block =
         malloc(doubles * sizeof(double) + 2 * (size_t)half * sizeof(double *));
     if (block == NULL)
-        return 1;
+        return STATUS_NO_MEMORY;
     double *first = (double *)block, *second = first + h * n3;
     double *pad = second + h * n3, *row_out = pad + padded, *zero = row_out + n3;
     const double **pair = (const double **)(zero + n3);
@@ -1744,5 +1706,5 @@ int photometric_loss(
     }
     *value = (1.0 - lambda) * (l1_sum / n) + lambda * (1.0 - s_sum / n);
     free(block);
-    return 0;
+    return STATUS_OK;
 }

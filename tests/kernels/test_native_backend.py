@@ -192,6 +192,19 @@ def test_any_compute_tile_size(tile_size):
     assert bins.tile_size == (8 if tile_size % 8 == 0 else tile_size)
 
 
+@strict
+@pytest.mark.parametrize("backend", ["numpy", pytest.param("native", marks=needs_compiler)])
+@pytest.mark.parametrize("tile_size", [0, -3])
+def test_an_invalid_tile_size_is_one_error_on_both_backends(backend, tile_size):
+    """``rasterizer.compute_tile`` is the one compute-tile rule: the NumPy
+    binning and the C view ops refuse a tile size below 1 alike (NumPy once
+    divided by zero at 0 and failed to allocate at -3)."""
+    cam, model = generated_model(seed=1, num=10, size=(24, 18), scale=-2.0)
+    opts = RasterSettings(tile_size=tile_size, kernel_backend=backend)
+    with pytest.raises(ValueError, match=f"^tile_size must be positive, got {tile_size}$"):
+        rasterize_forward(cam, model, opts)
+
+
 @needs_compiler
 @strict
 def test_empty_projection():
