@@ -2,14 +2,15 @@
 
 Three claims backed by records in ``BENCH_results.json``:
 
-(a) building a :class:`repro.planning.BatchPlan` (TSP + set algebra) fits
-    the paper's per-batch scheduling budget at batch-scale inputs;
+(a) building a :class:`repro.planning.BatchPlan` (the ``plan_batch``
+    kernel op on the planner's backend: TSP + set algebra) fits the
+    paper's per-batch scheduling budget at batch-scale inputs;
 (b) a :class:`repro.planning.PlanCache` hit is orders of magnitude cheaper
     than a rebuild — steady-state consumers skip TSP and set algebra;
-(c) the vectorized one-pass ``intersection_matrix`` (universe + columns
-    from a single ``np.unique``, elements hashed once per view) beats the
-    pairwise ``intersect1d`` reference it replaced;
-(d) the set algebra behind a plan is linear in what the batch touches: two
+(c) the NumPy reference's vectorized one-pass ``intersection_matrix``
+    (universe + columns from a single ``np.unique``, elements hashed once
+    per view) beats the pairwise ``intersect1d`` construction it replaced;
+(d) the reference's set algebra is linear in what the batch touches: two
     membership partitions a microbatch beat the four ``intersect1d`` /
     ``setdiff1d`` calls they replaced (``transfer_plan_b8``), and the Adam
     chunks of 8 sets of 2 500 rows no longer cost eight scans of a
@@ -133,8 +134,9 @@ def compute(ctx):
                spread=hit_spread, speedup=build_s / hit_s,
                cache_hit_rate=hit_rate)
 
-    # Satellite: the vectorized set-algebra hot path vs the pairwise
-    # reference (the TSP distance matrix dominates plan-build CPU time).
+    # The NumPy reference's distance matrix vs the pairwise construction
+    # it replaced (the records below time the reference's functions, so
+    # they name its backend; the plan records above inherit ``auto``).
     dsets = clustered_view_sets(32, 20_000, 600, seed=11)
     vec_s, vec_spread, vec = median_time(
         lambda: setops.intersection_matrix(dsets))
@@ -142,7 +144,8 @@ def compute(ctx):
     np.testing.assert_array_equal(vec, ref)
     rows.append(["distance matrix vectorized (B=32)", vec_s * 1e3,
                  ref_s / vec_s])
-    ctx.record(variant="distance_matrix_vectorized_b32", wall_time_s=vec_s,
+    ctx.record(variant="distance_matrix_vectorized_b32", kernel_backend="numpy",
+               wall_time_s=vec_s,
                spread=vec_spread, speedup=ref_s / vec_s,
                reference_wall_time_s=ref_s)
 
@@ -158,7 +161,8 @@ def compute(ctx):
         np.testing.assert_array_equal(step.stores, stores)
         np.testing.assert_array_equal(step.carried, carried)
     rows.append(["transfer plan (B=8)", part_s * 1e3, four_s / part_s])
-    ctx.record(variant="transfer_plan_b8", wall_time_s=part_s,
+    ctx.record(variant="transfer_plan_b8", kernel_backend="numpy",
+               wall_time_s=part_s,
                spread=part_spread, speedup=four_s / part_s,
                reference_wall_time_s=four_s)
 
@@ -172,7 +176,8 @@ def compute(ctx):
     for got, want in zip(chunks, dense):
         np.testing.assert_array_equal(got, want)
     rows.append(["adam chunks (B=8, N=400k)", chunk_s * 1e3, dense_s / chunk_s])
-    ctx.record(variant="adam_chunks_n400k", wall_time_s=chunk_s,
+    ctx.record(variant="adam_chunks_n400k", kernel_backend="numpy",
+               wall_time_s=chunk_s,
                spread=chunk_spread, speedup=dense_s / chunk_s,
                reference_wall_time_s=dense_s,
                num_gaussians=big_n, rows_per_set=2_500)

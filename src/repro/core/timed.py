@@ -109,11 +109,16 @@ class TimedSetup:
         self.batches = _sample_batches(
             index, self.batch_size, config.num_batches, rng
         )
+        # A simulated run repeats exactly: above ``tsp_order.UNTIMED_NODES``
+        # views a wall-clock budget would let the host's speed decide how
+        # many restarts the order search gets, so it gets none past the
+        # first (which always runs to convergence).
         self.planner = BatchPlanner(
             ordering=config.ordering,
             enable_cache=config.enable_cache,
             cache_size=config.plan_cache_size,
             seed=rng,
+            tsp_time_limit_s=0.0,
         )
         self.cameras = {c.view_id: c for c in scene.cameras}
 

@@ -1,5 +1,5 @@
-"""The ``native`` kernel backend — a view, its loss and CLM's data path in
-C, built at first use.
+"""The ``native`` kernel backend — a view, its loss, CLM's data path and a
+batch's plan in C, built at first use.
 
 Where the NumPy reference streams a view through a few hundred small
 array calls (projection, binning, ~25 whole-tensor passes over padded
@@ -114,6 +114,18 @@ op: ``view_project``, ``view_composite``, ``photometric_loss`` and
 the three ops it replaces, bit-identical to them dispatched one by one
 (:func:`repro.gaussians.render.train_view`, its reference).
 
+The fifth part is a batch's plan, ``plan_batch`` (:func:`_bind_plan`): the
+sets concatenated into one buffer with offsets, one call checks that each
+is sorted, duplicate-free and inside the model, searches the order when it
+is not given (``|S_i ^ S_j|`` from merges of the sorted runs, then
+:mod:`repro.planning.tsp_order`'s local search move for move, priced in
+int64, its restarts drawn in Python from the planner's generator), and
+writes the order, every step's working set and partitions, the touched
+union and the Adam chunks into one int64 buffer the plan owns; every array
+of the plan is a read-only slice of it.  It is the reference's index
+algebra, so the plans are ``np.array_equal`` wherever both searches run to
+convergence.
+
 **The ABI is declared once.**  What the C and Python sides must agree on
 is written in one place each and read by the other:
 
@@ -165,7 +177,7 @@ lands on NumPy silently.  A build, parse or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All twelve ops are implemented,
+and every caller runs on the reference.  All thirteen ops are implemented,
 over float64 C-contiguous operands (``exact_cull``: float64 rows, each
 contiguous): a float32 blend state (``dtype="float32"``), a model array
 that is float32 or not C-contiguous, a backward pass over a context NumPy
@@ -182,6 +194,7 @@ import collections
 import ctypes
 import functools
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -222,6 +235,7 @@ _ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam
 _OPS = frozenset({
     "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
     "raster_backward_slab", *_ROW_OPS, "photometric_loss", "view_train",
+    "plan_batch",
 })
 
 # ---------------------------------------------------------------------------
@@ -378,6 +392,12 @@ class _TablesShort(Exception):
     handed (nothing was written): grow them and call again."""
 
 
+class _Malformed(Exception):
+    """``plan_batch`` met an index set that is not sorted, duplicate-free
+    and inside the model, at the entry it reported (or an order that is
+    not a permutation, reported as -1)."""
+
+
 _ROWS = {
     "NO_MEMORY": (MemoryError, " could not allocate its row check"),
     "OUT_OF_RANGE": (IndexError, ": a row outside the store"),
@@ -409,6 +429,10 @@ _RAISES = {
         **_ROWS, "VIOLATED": (ValueError, ": a row repeats"), "TABLES_SHORT": (_TablesShort, ""),
     },
     "photometric_loss": _no_memory("scratch ({h}x{w} image)"),
+    "plan_batch": {
+        **_no_memory("scratch ({count} sets)"),
+        "OUT_OF_RANGE": (_Malformed, ""), "VIOLATED": (_Malformed, ""),
+    },
 }
 
 
@@ -1174,6 +1198,81 @@ def _bind_train(lib, name: str) -> Callable:
     return view_train
 
 
+# ---------------------------------------------------------------------------
+# The batch plan
+# ---------------------------------------------------------------------------
+#: ``plan_batch``'s leading values: the malformed entry, the nanoseconds the
+#: order took, the size of the touched union.
+_PLAN_HEAD = 3
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _not_an_order(order) -> ValueError:
+    return ValueError(f"native plan_batch: {list(order)} is not an order")
+
+
+def _bind_plan(lib) -> Callable:
+    """``plan_batch`` as one call into the loaded library: the sets
+    concatenated into one buffer with offsets, the plan written into one
+    plan-owned int64 buffer whose read-only slices are every array of the
+    returned :class:`~repro.planning.planner.PlannedBatch`."""
+    from repro.planning.caching import MicrobatchStep
+    from repro.planning.planner import PlannedBatch, malformed
+    from repro.planning.tsp_order import UNTIMED_NODES
+    from repro.utils.rng import make_rng
+
+    def plan_batch(sets, view_ids, order, rng, time_limit_s, enable_cache, num_gaussians):
+        b = len(sets)
+        sizes = [s.size for s in sets]
+        rows = np.concatenate([_NO_ROWS, *sets]).astype(np.int64, copy=False)
+        offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, b + 1)
+        search = order is None
+        if search:  # the reference's draw: one permutation, from two sets on
+            order = make_rng(rng).permutation(b) if b > 1 else range(b)
+        if len(order) != b:
+            raise _not_an_order(order)
+        seq = np.fromiter(order, np.int64, b)
+        out = np.empty(_PLAN_HEAD + 4 * b + 5 * rows.size, dtype=np.int64)
+        try:
+            lib.plan_batch(
+                b, _address(rows), _address(offsets), int(num_gaussians),
+                _address(seq), int(search), float(time_limit_s), UNTIMED_NODES,
+                int(bool(enable_cache)), _address(out),
+            )
+        except _Malformed:
+            if out[0] < 0:
+                raise _not_an_order(order) from None
+            raise malformed(rows, offsets, int(out[0]), num_gaussians) from None
+        out.setflags(write=False)
+        head = out[:_PLAN_HEAD + 4 * b].tolist()
+        search_ns, num_touched = head[1], head[2]
+        order = head[_PLAN_HEAD : _PLAN_HEAD + b]
+        num_loads = head[_PLAN_HEAD + b : _PLAN_HEAD + 2 * b]
+        num_stores = head[_PLAN_HEAD + 2 * b : _PLAN_HEAD + 3 * b]
+        at, steps = _PLAN_HEAD + 4 * b, []
+        for i, k in enumerate(order):
+            m, loads, stores = sizes[k], num_loads[i], num_stores[i]
+            steps.append(MicrobatchStep(
+                position=i, view_id=int(view_ids[k]), working_set=out[at : at + m],
+                loads=out[at + m : at + m + loads],
+                cached=out[at + m + loads : at + 2 * m],
+                stores=out[at + 2 * m : at + 2 * m + stores],
+                carried=out[at + 2 * m + stores : at + 3 * m],
+            ))
+            at += 3 * m
+        touched = out[at : at + num_touched]
+        at, chunks = at + num_touched, []
+        for size in head[_PLAN_HEAD + 3 * b : _PLAN_HEAD + 4 * b]:
+            chunks.append(out[at : at + size])
+            at += size
+        return PlannedBatch(
+            order=tuple(order), steps=tuple(steps), touched=touched,
+            adam_chunks=tuple(chunks), search_s=search_ns * 1e-9 if search else 0.0,
+        )
+
+    return plan_batch
+
+
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
     """Compiled C view, raster and data-path kernels."""
@@ -1182,10 +1281,10 @@ class NativeKernelBackend(KernelBackend):
     description = (
         "a view in C (frustum test, projection, binning, fused per-tile "
         "compositing, gradient chain), the L1 + SSIM loss, a training view "
-        "as one op over the engine's arenas, and CLM's data path and fused "
-        "Adam "
-        "over row indices, built at first use with the system C compiler "
-        "(float64 operands)"
+        "as one op over the engine's arenas, CLM's data path and fused Adam "
+        "over row indices, and a batch's plan (TSP order, transfer "
+        "partitions, Adam chunks), built at first use with the system C "
+        "compiler (float64 operands)"
     )
 
     def __init__(self) -> None:
@@ -1252,6 +1351,8 @@ class NativeKernelBackend(KernelBackend):
             return _bind_loss(lib)
         if spec.op == "view_train":
             return _bind_train(lib, self.name)
+        if spec.op == "plan_batch":
+            return _bind_plan(lib)
         if spec.op in _ROW_OPS:
             return _bind_rows(lib, spec.op)
         if spec.op.startswith("view_"):

@@ -1,7 +1,8 @@
 /* The ``native`` kernel backend: fused per-tile compositing kernels (the
  * first part of this file), the whole-view ops built around them (the
- * second), CLM's data path over row indices (the third) and the photometric
- * loss between a view's forward and backward passes (the fourth).
+ * second), CLM's data path over row indices (the third), the photometric
+ * loss between a view's forward and backward passes (the fourth) and a
+ * batch's plan (the fifth).
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -37,11 +38,14 @@
  * every entry point's argument types from its prototype below.
  */
 
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime, for plan_batch's deadline */
+
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 /* walk_tile()'s row recurrence: it advances at most REANCHOR - 1 cells past an
  * exact exp(), and recomputes with libm every value within NEAR_THRESHOLD of
@@ -1706,5 +1710,374 @@ int photometric_loss(
     }
     *value = (1.0 - lambda) * (l1_sum / n) + lambda * (1.0 - s_sum / n);
     free(block);
+    return STATUS_OK;
+}
+
+/* ======================================================================
+ * A batch's plan (planning/planner.py, paper §4.2): the microbatch order, each
+ * step's transfer partitions, the touched union and the Adam chunks, in one
+ * call.  Its reference is planner.plan_batch: tsp_order.tsp_order (when the
+ * order is searched), caching.build_transfer_plan, adam_overlap.touched_union
+ * and adam_overlap.adam_chunks, composed.
+ *
+ * The ``count`` index sets are sets[offsets[k] .. offsets[k + 1]), each
+ * sorted and duplicate-free in [0, n): that is checked first, in one pass in
+ * input order, and the first entry that breaks it is reported at out[0]
+ * (STATUS_OUT_OF_RANGE for an index outside [0, n), STATUS_VIOLATED for one
+ * that does not increase).  ``seq`` is a permutation of the sets: the order
+ * itself, or with ``search`` the start nodes of the local search (drawn by the
+ * caller, so its random stream is the reference's); out[0] is -1 when it is
+ * not one.
+ *
+ * The search is tsp_order.stochastic_local_search move for move: |S_i ^ S_j|
+ * from merges of the sorted runs, nearest-neighbour construction (the lowest
+ * node on ties), then 2-opt and or-opt passes (segments of at most 3) until
+ * neither improves, an or-opt pass that found nothing not repeated on the
+ * order it left; the best restart wins, the earliest on ties.  Moves are
+ * priced in int64, exactly (the reference's ``delta + 1e-12 < 0`` on
+ * integers).  Above ``untimed`` sets the search stops at the first check past
+ * a CLOCK_MONOTONIC deadline ``time_limit`` seconds after the distances, as
+ * the reference does on its clock.
+ *
+ * ``out`` holds 3 + 4 count + 5 T values for T = offsets[count]:
+ *
+ *     [0] the malformed entry   [1] nanoseconds spent ordering   [2] U
+ *     order (count) | loads per step (count) | stores per step (count)
+ *     | Adam chunk sizes (count)
+ *     | per step, in order: the working set S | loads S \ prev | cached
+ *       S & prev | stores S \ next | carried S & next   (3 |S| values)
+ *     | the touched union (U) | the chunks F_1 .. F_count, each sorted (U)
+ *
+ * prev / next are the neighbouring steps' sets, empty at the ends and
+ * without ``enable_cache``.  The partitions keep the working set's order.
+ * ====================================================================== */
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* |a & b| of two sorted runs. */
+static int64_t common(const int64_t *a, int64_t na, const int64_t *b, int64_t nb)
+{
+    int64_t i = 0, j = 0, both = 0;
+    while (i < na && j < nb) {
+        const int64_t x = a[i], y = b[j];
+        both += x == y;
+        i += x <= y;
+        j += y <= x;
+    }
+    return both;
+}
+
+/* The path from ``start`` that always steps to the nearest unvisited node,
+ * the lowest-numbered one on ties. */
+static void nearest_neighbour(
+    const int64_t *d, int64_t b, int64_t start, int64_t *path, uint8_t *seen)
+{
+    memset(seen, 0, (size_t)b);
+    path[0] = start;
+    seen[start] = 1;
+    for (int64_t k = 1; k < b; k++) {
+        const int64_t *row = d + path[k - 1] * b;
+        int64_t next = -1;
+        for (int64_t j = 0; j < b; j++)
+            if (!seen[j] && (next < 0 || row[j] < row[next]))
+                next = j;
+        path[k] = next;
+        seen[next] = 1;
+    }
+}
+
+/* One 2-opt sweep over path[0 .. b): every span path[i .. j] whose reversal
+ * shortens the path is reversed as it is found.  Whether one was. */
+static bool two_opt(const int64_t *d, int64_t b, int64_t *path)
+{
+    bool improved = false;
+    for (int64_t i = 0; i + 1 < b; i++) {
+        const int64_t *before = i > 0 ? d + path[i - 1] * b : NULL;
+        for (int64_t j = i + 1; j < b; j++) {
+            const int64_t head = path[i], tail = path[j];
+            int64_t delta = 0;
+            if (before != NULL)
+                delta += before[tail] - before[head];
+            if (j < b - 1) {
+                const int64_t *after = d + path[j + 1] * b;
+                delta += after[head] - after[tail];
+            }
+            if (delta < 0) {
+                for (int64_t lo = i, hi = j; lo < hi; lo++, hi--) {
+                    const int64_t swap = path[lo];
+                    path[lo] = path[hi];
+                    path[hi] = swap;
+                }
+                improved = true;
+            }
+        }
+    }
+    return improved;
+}
+
+/* One or-opt sweep: segments of 1, 2, then 3 nodes, every start in turn, each
+ * moved to the place that shortens the path most (the first such place on
+ * ties), if any does.  ``rest`` and ``splice`` hold b + 1 values each. */
+static bool or_opt(
+    const int64_t *d, int64_t b, int64_t *path, int64_t *rest, int64_t *splice)
+{
+    bool improved = false;
+    for (int64_t len = 1; len <= min_i64(3, b - 1); len++) {
+        const int64_t r = b - len;
+        for (int64_t i = 0; i <= r; i++) {
+            int64_t segment[3];
+            memcpy(segment, path + i, (size_t)len * sizeof(int64_t));
+            memcpy(rest, path, (size_t)i * sizeof(int64_t));
+            memcpy(rest + i, path + i + len, (size_t)(r - i) * sizeof(int64_t));
+            const int64_t *to_first = d + segment[0] * b;
+            const int64_t *from_last = d + segment[len - 1] * b;
+            /* The change in length from splicing the segment in before
+             * rest[p], for every p; where it sits now (p == i) is no move. */
+            splice[0] = from_last[rest[0]];
+            for (int64_t p = 1; p < r; p++)
+                splice[p] = to_first[rest[p - 1]] + from_last[rest[p]] -
+                            d[rest[p - 1] * b + rest[p]];
+            splice[r] = to_first[rest[r - 1]];
+            int64_t at = -1;
+            for (int64_t p = 0; p <= r; p++)
+                if (p != i && (at < 0 || splice[p] < splice[at]))
+                    at = p;
+            if (splice[at] - splice[i] < 0) {
+                memcpy(path, rest, (size_t)at * sizeof(int64_t));
+                memcpy(path + at, segment, (size_t)len * sizeof(int64_t));
+                memcpy(path + at + len, rest + at, (size_t)(r - at) * sizeof(int64_t));
+                improved = true;
+            }
+        }
+    }
+    return improved;
+}
+
+/* The local search from each start node starts[0 .. b) in turn, into
+ * ``best``; ``deadline`` (ns) ends it when ``timed``. */
+static void local_search(
+    const int64_t *d, int64_t b, const int64_t *starts, bool timed,
+    int64_t deadline, int64_t *best, int64_t *path, int64_t *rest,
+    int64_t *splice, uint8_t *seen)
+{
+    int64_t best_cost = 0;
+    bool have_best = false;
+    for (int64_t s = 0; s < b; s++) {
+        nearest_neighbour(d, b, starts[s], path, seen);
+        bool or_settled = false;
+        for (;;) {
+            const bool improved2 = two_opt(d, b, path);
+            bool improved3 = false;
+            if (improved2 || !or_settled) {
+                improved3 = or_opt(d, b, path, rest, splice);
+                or_settled = !improved3;
+            }
+            if (!(improved2 || improved3))
+                break;
+            if (have_best && timed && now_ns() > deadline)
+                break;
+        }
+        int64_t cost = 0;
+        for (int64_t k = 1; k < b; k++)
+            cost += d[path[k - 1] * b + path[k]];
+        if (!have_best || cost < best_cost) {
+            best_cost = cost;
+            have_best = true;
+            memcpy(best, path, (size_t)b * sizeof(int64_t));
+        }
+        if (timed && now_ns() > deadline)
+            break;
+    }
+}
+
+/* Two neighbouring steps' sets in one merge: the rows of ``a`` that ``b``
+ * lacks to a_out[0 ..) (step i's stores), the rows of ``b`` that ``a`` lacks
+ * to b_out[0 ..) (step i + 1's loads), and the rows they share, in order, to
+ * the ends of a_out[0 .. na) (carried) and b_out[0 .. nb) (cached).  The
+ * first two counts go to *a_lacks and *b_lacks.  Free of data-dependent
+ * branches (the sets interleave unpredictably): each step of the merge writes
+ * its rows to every slot they may claim and advances only the counts that
+ * claim one; a slot left unclaimed is written again later.  The shared rows
+ * go backward from the end of a_out, then are reversed and copied. */
+static void merge_pair(
+    const int64_t *a, int64_t na, const int64_t *b, int64_t nb, int64_t *a_out,
+    int64_t *b_out, int64_t *a_lacks, int64_t *b_lacks)
+{
+    int64_t i = 0, j = 0, ka = 0, kb = 0, shared = 0;
+    while (i < na && j < nb) {
+        const int64_t x = a[i], y = b[j];
+        a_out[ka] = x;
+        b_out[kb] = y;
+        a_out[na - 1 - shared] = x;
+        ka += x < y;
+        kb += y < x;
+        shared += x == y;
+        i += x <= y;
+        j += y <= x;
+    }
+    memcpy(a_out + ka, a + i, (size_t)(na - i) * sizeof(int64_t));
+    memcpy(b_out + kb, b + j, (size_t)(nb - j) * sizeof(int64_t));
+    int64_t *common = a_out + (na - shared);
+    for (int64_t lo = 0, hi = shared - 1; lo < hi; lo++, hi--) {
+        const int64_t swap = common[lo];
+        common[lo] = common[hi];
+        common[hi] = swap;
+    }
+    memcpy(b_out + (nb - shared), common, (size_t)shared * sizeof(int64_t));
+    *a_lacks = na - i + ka;
+    *b_lacks = nb - j + kb;
+}
+
+/* The step-ordered cursors of the touched-union merge: a binary heap on
+ * (next row, step). */
+typedef struct {
+    const int64_t *at, *end;
+    int64_t step;
+} cursor_t;
+
+static inline bool before(const cursor_t *a, const cursor_t *b)
+{
+    return *a->at < *b->at || (*a->at == *b->at && a->step < b->step);
+}
+
+static void sift_down(cursor_t *heap, int64_t size, int64_t k)
+{
+    for (;;) {
+        int64_t low = k;
+        const int64_t left = 2 * k + 1, right = left + 1;
+        if (left < size && before(&heap[left], &heap[low]))
+            low = left;
+        if (right < size && before(&heap[right], &heap[low]))
+            low = right;
+        if (low == k)
+            return;
+        const cursor_t swap = heap[k];
+        heap[k] = heap[low];
+        heap[low] = swap;
+        k = low;
+    }
+}
+
+int plan_batch(
+    int64_t count, const int64_t *sets, const int64_t *offsets, int64_t n,
+    const int64_t *seq, int64_t search, double time_limit, int64_t untimed,
+    int64_t enable_cache, int64_t *out)
+{
+    out[0] = -1;
+    for (int64_t k = 0; k < count; k++)
+        for (int64_t p = offsets[k]; p < offsets[k + 1]; p++) {
+            const int64_t row = sets[p];
+            out[0] = p;
+            if (row < 0 || row >= n)
+                return STATUS_OUT_OF_RANGE;
+            if (p > offsets[k] && row <= sets[p - 1])
+                return STATUS_VIOLATED;
+        }
+    out[0] = -1;
+    const int64_t b = count, total = offsets[count];
+    const size_t words = (size_t)(b * b + 3 * b + 2 + total) +
+                         (size_t)b * (sizeof(cursor_t) / sizeof(int64_t));
+    int64_t *scratch = malloc(words * sizeof(int64_t) + (size_t)b + 1);
+    if (scratch == NULL)
+        return STATUS_NO_MEMORY;
+    int64_t *d = scratch, *path = d + b * b, *rest = path + b;
+    int64_t *splice = rest + b + 1, *last = splice + b + 1;
+    cursor_t *heap = (cursor_t *)(last + total);
+    uint8_t *seen = (uint8_t *)(scratch + words);
+    memset(seen, 0, (size_t)b);
+    for (int64_t k = 0; k < b; k++) {
+        if (seq[k] < 0 || seq[k] >= b || seen[seq[k]]) {
+            free(scratch);
+            return STATUS_VIOLATED;
+        }
+        seen[seq[k]] = 1;
+    }
+
+    int64_t *order = out + 3, *num_loads = order + b, *num_stores = num_loads + b;
+    int64_t *chunk_sizes = num_stores + b, *steps = chunk_sizes + b;
+    const int64_t start = now_ns();
+    if (search && b > 1) {
+        for (int64_t i = 0; i < b; i++) {
+            d[i * b + i] = 0;
+            for (int64_t j = i + 1; j < b; j++) {
+                const int64_t ni = offsets[i + 1] - offsets[i];
+                const int64_t nj = offsets[j + 1] - offsets[j];
+                d[i * b + j] = d[j * b + i] =
+                    ni + nj - 2 * common(sets + offsets[i], ni, sets + offsets[j], nj);
+            }
+        }
+        /* A budget past any clock reading (or NaN) never binds, as a
+         * deadline of +inf (or NaN) never does in the reference; one below
+         * any (-inf) has passed by the end of the first restart. */
+        const double budget = time_limit * 1e9;
+        const bool timed = b > untimed && budget < 4e18;
+        const int64_t deadline =
+            !timed ? 0 : budget > -4e18 ? now_ns() + (int64_t)budget : INT64_MIN;
+        local_search(d, b, seq, timed, deadline, order, path, rest, splice, seen);
+    } else {
+        memcpy(order, seq, (size_t)b * sizeof(int64_t));
+    }
+    out[1] = now_ns() - start;
+
+    /* The steps: each working set, its loads (all of it at the first step
+     * or without the cache) and its stores (likewise at the last), the rest
+     * from one merge a pair of neighbours; and the cursors of the
+     * touched-union merge over the working sets. */
+    int64_t *at = steps, *prev = NULL, live = 0, n_prev = 0;
+    for (int64_t i = 0; i < b; i++) {
+        const int64_t *s = sets + offsets[order[i]];
+        const int64_t ns = offsets[order[i] + 1] - offsets[order[i]];
+        memcpy(at, s, (size_t)ns * sizeof(int64_t));
+        if (enable_cache && i > 0) {
+            merge_pair(prev, n_prev, at, ns, prev + 2 * n_prev, at + ns,
+                       &num_stores[i - 1], &num_loads[i]);
+        } else {
+            memcpy(at + ns, s, (size_t)ns * sizeof(int64_t));
+            num_loads[i] = ns;
+        }
+        if (!enable_cache || i == b - 1) {
+            memcpy(at + 2 * ns, s, (size_t)ns * sizeof(int64_t));
+            num_stores[i] = ns;
+        }
+        if (ns)
+            heap[live++] = (cursor_t){at, at + ns, i};
+        prev = at;
+        n_prev = ns;
+        at += 3 * ns;
+    }
+    for (int64_t k = live / 2 - 1; k >= 0; k--)
+        sift_down(heap, live, k);
+
+    /* The touched union, each row with the last step holding it: the heap
+     * yields equal rows in step order. */
+    int64_t *touched = at, u = 0;
+    while (live) {
+        const int64_t row = *heap[0].at;
+        if (u == 0 || touched[u - 1] != row)
+            touched[u++] = row;
+        last[u - 1] = heap[0].step;
+        if (++heap[0].at == heap[0].end)
+            heap[0] = heap[--live];
+        sift_down(heap, live, 0);
+    }
+    out[2] = u;
+
+    /* The chunks: the touched rows grouped by their last step, in order. */
+    int64_t *chunks = touched + u;
+    memset(chunk_sizes, 0, (size_t)b * sizeof(int64_t));
+    for (int64_t k = 0; k < u; k++)
+        chunk_sizes[last[k]]++;
+    for (int64_t i = 0, sum = 0; i < b; i++) {
+        path[i] = sum;
+        sum += chunk_sizes[i];
+    }
+    for (int64_t k = 0; k < u; k++)
+        chunks[path[last[k]]++] = touched[k];
+    free(scratch);
     return STATUS_OK;
 }

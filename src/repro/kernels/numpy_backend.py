@@ -51,6 +51,11 @@ banded-matrix products a pass (four GEMM calls an image) over the target's
 kept moments.  ``view_train`` is :func:`~repro.gaussians.render.train_view`:
 the render, the loss and the backward pass, each dispatched on its own.
 
+``plan_batch`` is :func:`repro.planning.planner.plan_batch`: the TSP
+search of :mod:`repro.planning.tsp_order` over a BLAS intersection
+matrix (when the order is searched), then the planning modules' set
+algebra, step by step.
+
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
 on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
 ``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
@@ -483,7 +488,7 @@ class NumpyKernelBackend(KernelBackend):
         "vectorized NumPy reference (always available; grouped slab "
         "compositing, the stores' gather / scatter data path, blocked "
         "fused Adam, the banded-GEMM SSIM loss, a training view as three "
-        "dispatched calls)"
+        "dispatched calls, a batch's plan as the planning modules composed)"
     )
 
     def capabilities(self) -> "frozenset[str]":
@@ -497,6 +502,10 @@ class NumpyKernelBackend(KernelBackend):
             from repro.gaussians.render import train_view
 
             return train_view
+        if spec.op == "plan_batch":
+            from repro.planning.planner import plan_batch
+
+            return plan_batch
         return {
             "exact_cull": _exact_cull,
             "view_forward": _view_forward,

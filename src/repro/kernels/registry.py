@@ -4,11 +4,12 @@ The substrate's hot loops (the exact frustum test of
 :mod:`repro.gaussians.frustum`, a view's projection, binning, tile
 compositing and gradient chain in :mod:`repro.gaussians.rasterizer` /
 ``rasterizer_grad``, CLM's data path in :mod:`repro.core.stores`, the
-fused Adam update of :mod:`repro.optim` and the photometric loss of
-:mod:`repro.gaussians.loss`) are whole-tensor NumPy passes in
-the reference.  This module is the MOT-style seam for compiled replacements
-(cf. the ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT,
-kernels kept as C source and compiled at run time): a
+fused Adam update of :mod:`repro.optim`, the photometric loss of
+:mod:`repro.gaussians.loss` and a batch's plan, :mod:`repro.planning`) are
+whole-tensor NumPy passes (the plan: Python) in the reference.  This
+module is the MOT-style seam for compiled replacements (cf. the
+``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT, kernels
+kept as C source and compiled at run time): a
 :class:`KernelBackend` protocol with *capabilities* and a
 ``compile(spec)`` step, a :class:`KernelData` descriptor capturing the
 dtype/rank/contiguity of the packed operands, and a decorator registry
@@ -79,7 +80,12 @@ AUTO = "auto"
 #: ``view_train`` is a whole training view — forward, loss, backward — to
 #: ``(loss, gradients)``; its reference is the composition of the three
 #: (:func:`repro.gaussians.render.train_view`), ``native`` runs it over an
-#: engine's :class:`~repro.kernels.workspace.Workspace`.
+#: engine's :class:`~repro.kernels.workspace.Workspace`.  ``plan_batch`` is
+#: a batch's CPU-side schedule: from the in-frustum sets (and the order, or
+#: the RNG the order search draws its restarts from) to the
+#: :class:`~repro.planning.planner.PlannedBatch` — order, each step's
+#: working set and loads / cached / stores / carried, the touched union and
+#: the Adam chunks; its reference is :func:`repro.planning.planner.plan_batch`.
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
@@ -93,6 +99,7 @@ KERNEL_OPS = (
     "adam_rows",
     "photometric_loss",
     "view_train",
+    "plan_batch",
 )
 
 

@@ -22,7 +22,6 @@ transfer volumes reconcile by construction — asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -65,26 +64,14 @@ class BatchPlan:
     view_ids: Tuple[int, ...]
     steps: Tuple[MicrobatchStep, ...]
     touched: np.ndarray
+    #: The finalized sets ``F_1 .. F_B`` (§4.2.2): chunk ``j`` holds the
+    #: rows whose last touching microbatch is ``j``, sorted.
+    adam_chunks: Tuple[np.ndarray, ...]
 
     # -- shape ----------------------------------------------------------
     @property
     def batch_size(self) -> int:
         return len(self.steps)
-
-    @cached_property
-    def adam_chunks(self) -> Tuple[np.ndarray, ...]:
-        """The finalized sets ``F_1 .. F_B`` (§4.2.2), derived lazily.
-
-        The derivation is linear in the rows the batch touches (it was
-        O(B·N) in the model size); consumers that never overlap Adam
-        (single-view inference renders, the naive/GPU-only engines, which
-        only read ``steps``/``touched``) still do not pay it: it runs on
-        first access and is cached on the (frozen) plan.
-        """
-        chunks = adam_overlap.adam_chunks(
-            [s.working_set for s in self.steps], self.num_gaussians
-        )
-        return tuple(freeze_array(c) for c in chunks)
 
     @property
     def adam_chunk_sizes(self) -> List[int]:

@@ -1,13 +1,17 @@
 """`BatchPlanner` — one place where culling results become a `BatchPlan`.
 
-Planning (order optimization + set algebra) dominates CLM's CPU-side
-scheduling cost: TSP alone has a 1 ms budget per batch (§4.2.3) and the
-transfer plan runs four set operations per microbatch (§4.2.1; here two
-membership partitions, :func:`repro.utils.setops.partition`).  The
-planner therefore memoizes whole plans in a :class:`PlanCache` keyed by a
+Planning is CLM's CPU-side schedule (§4.2): the microbatch order (the TSP
+search of §4.2.3, whose budget is 1 ms per batch above
+:data:`~repro.planning.tsp_order.UNTIMED_NODES` views), four set
+operations per microbatch for the transfer plan (§4.2.1; two membership
+partitions) and the touched union with its finalization chunks (§4.2.2).
+All of it is one kernel op, ``plan_batch``, run on the planner's kernel
+backend: :func:`plan_batch` below is its reference, the composition of
+the planning modules, and ``native`` runs it as one C call.  The
+planner memoizes whole plans in a :class:`PlanCache` keyed by a
 content fingerprint of the in-frustum sets — a repeated batch over an
 unchanged model (steady-state simulation, repeated evaluation renders,
-plan-driven experiments) skips TSP and set algebra entirely, observable
+plan-driven experiments) skips the op entirely, observable
 through :class:`PlannerCounters`.  The ``random`` ordering is exempt: a
 memoized shuffle would replay itself on a repeated batch, so random plans
 always rebuild (and always consume one RNG draw, keeping seeded streams
@@ -25,12 +29,13 @@ import hashlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.planning import adam_overlap, orders
-from repro.planning.caching import build_transfer_plan
+from repro.kernels.registry import OpDispatch
+from repro.planning import adam_overlap, orders, tsp_order
+from repro.planning.caching import MicrobatchStep, build_transfer_plan
 from repro.planning.plan import BatchPlan, freeze_array
 from repro.utils.rng import SeedLike, make_rng
 
@@ -93,6 +98,88 @@ def plan_fingerprint(
         None if group_size is None else int(group_size),
         tuple(int(v) for v in view_ids),
         tuple(set_fingerprint(s) for s in sets),
+    )
+
+
+class PlannedBatch(NamedTuple):
+    """What the ``plan_batch`` op returns: the order (input positions in
+    scheduled order), the :class:`MicrobatchStep` of each slot, the touched
+    union, the Adam chunks ``F_1 .. F_B`` (all read-only) and the seconds
+    the order search took (0 when the order was given)."""
+
+    order: Tuple[int, ...]
+    steps: Tuple[MicrobatchStep, ...]
+    touched: np.ndarray
+    adam_chunks: Tuple[np.ndarray, ...]
+    search_s: float
+
+
+def malformed(rows: np.ndarray, offsets: np.ndarray, at: int, num_gaussians: int) -> ValueError:
+    """The error for entry ``at`` of ``rows``, the concatenated index sets
+    (set ``k`` is ``rows[offsets[k]:offsets[k + 1]]``), which is outside
+    ``[0, num_gaussians)`` or does not increase."""
+    k = int(np.searchsorted(offsets, at, side="right")) - 1
+    where = f"set {k}: index {int(rows[at])} at position {at - int(offsets[k])}"
+    if 0 <= rows[at] < num_gaussians:
+        return ValueError(
+            f"{where} follows {int(rows[at - 1])}: index sets are sorted and "
+            "duplicate-free"
+        )
+    return ValueError(f"{where} out of range for num_gaussians={num_gaussians}")
+
+
+def plan_batch(
+    sets: Sequence[np.ndarray],
+    view_ids: Sequence[int],
+    order: Optional[Sequence[int]],
+    rng: SeedLike,
+    time_limit_s: float,
+    enable_cache: bool,
+    num_gaussians: int,
+) -> PlannedBatch:
+    """The ``plan_batch`` kernel op's reference: one batch's plan from its
+    in-frustum sets.
+
+    ``order`` is the schedule as input positions, or ``None`` to search
+    it (:func:`~repro.planning.tsp_order.tsp_order`, its restarts drawn
+    from ``rng``); then :func:`~repro.planning.caching.build_transfer_plan`,
+    :func:`~repro.planning.adam_overlap.touched_union` and
+    :func:`~repro.planning.adam_overlap.adam_chunks` over plan-owned copies
+    of the sets in that order.  Every set must be sorted, duplicate-free
+    and inside ``[0, num_gaussians)``: the first entry that is not raises
+    :func:`malformed`'s ``ValueError``.
+    """
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *sets]).astype(np.int64, copy=False)
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=offsets[1:])
+    rising = np.ones(rows.size, dtype=bool)
+    rising[1:] = np.diff(rows) > 0
+    rising[offsets[:-1][offsets[:-1] < rows.size]] = True  # a set's first entry
+    bad = ~rising | (rows < 0) | (rows >= num_gaussians)
+    if bad.any():
+        raise malformed(rows, offsets, int(bad.argmax()), num_gaussians)
+    search_s = 0.0
+    if order is None:
+        start = time.perf_counter()
+        order = tsp_order.tsp_order(sets, time_limit_s=time_limit_s, seed=rng)
+        search_s = time.perf_counter() - start
+    # Plan-owned copies: the working sets are frozen below, and doing
+    # that to the caller's arrays (e.g. a long-lived CullingIndex)
+    # would leak read-only flags into caller state.
+    ordered = [np.array(sets[k], dtype=np.int64, copy=True) for k in order]
+    steps = build_transfer_plan(
+        ordered, [int(view_ids[k]) for k in order], enable_cache=enable_cache
+    )
+    for step in steps:
+        for arr in (step.working_set, step.loads, step.cached, step.stores, step.carried):
+            freeze_array(arr)
+    chunks = adam_overlap.adam_chunks(ordered, num_gaussians)
+    return PlannedBatch(
+        order=tuple(int(k) for k in order),
+        steps=tuple(steps),
+        touched=freeze_array(adam_overlap.touched_union(ordered)),
+        adam_chunks=tuple(freeze_array(c) for c in chunks),
+        search_s=search_s,
     )
 
 
@@ -185,6 +272,8 @@ class BatchPlanner:
         #: configurations never share a cached plan's measured timings.
         self.group_size = group_size
         self._rng = make_rng(seed)
+        #: Runs ``plan_batch`` on ``kernel_backend`` (``auto`` when None).
+        self._ops = OpDispatch(kernel_backend)
         self.cache = PlanCache(cache_size)
         self.counters = PlannerCounters()
 
@@ -224,8 +313,10 @@ class BatchPlanner:
 
         ``sets[k]`` is the in-frustum set of ``view_ids[k]``; ``cameras``
         (aligned with ``sets``) is only needed by the ``camera`` ordering.
-        ``num_gaussians`` is the model size the indices refer to (they
-        are checked against it).  ``strategy`` overrides the planner's
+        ``num_gaussians`` is the model size the indices refer to: each set
+        must be sorted, duplicate-free and inside ``[0, num_gaussians)``,
+        and the first entry that is not raises a ``ValueError`` naming its
+        set and position.  ``strategy`` overrides the planner's
         configured ordering — the non-pipelined engines pass
         ``"identity"`` to keep the sampled batch order.  The returned
         plan owns read-only copies of the input sets; the caller's arrays
@@ -233,11 +324,8 @@ class BatchPlanner:
         """
         if len(sets) != len(view_ids):
             raise ValueError("sets and view_ids must align")
-        top = max((int(s.max()) for s in sets if s.size), default=-1)
-        if top >= num_gaussians:
-            raise ValueError(
-                f"index {top} out of range for num_gaussians={num_gaussians}"
-            )
+        if cameras is not None and len(cameras) != len(sets):
+            raise ValueError("sets and cameras must align")
         strategy = self.ordering if strategy is None else strategy
         self.counters.requests += 1
         # A memoized 'random' plan would replay an earlier shuffle (and
@@ -259,40 +347,24 @@ class BatchPlanner:
                 return cached
 
         start = time.perf_counter()
-        order = orders.order_microbatches(
-            strategy,
-            sets,
-            cameras,
-            seed=self._rng,
-            tsp_time_limit_s=self.tsp_time_limit_s,
+        order = None  # the op searches the 'tsp' order itself
+        if strategy != "tsp":
+            order = orders.order_microbatches(strategy, sets, cameras, seed=self._rng)
+        order_s = time.perf_counter() - start
+        planned = self._ops("plan_batch")(
+            sets, view_ids, order, self._rng, self.tsp_time_limit_s,
+            self.enable_cache, num_gaussians,
         )
-        self.counters.order_time_s += time.perf_counter() - start
-
-        # Plan-owned copies: the working sets are frozen below, and doing
-        # that to the caller's arrays (e.g. a long-lived CullingIndex)
-        # would leak read-only flags into caller state.
-        ordered_sets = [
-            np.array(sets[k], dtype=np.int64, copy=True) for k in order
-        ]
-        ordered_views = [int(view_ids[k]) for k in order]
-        steps = build_transfer_plan(
-            ordered_sets, ordered_views, enable_cache=self.enable_cache
-        )
-        for step in steps:
-            freeze_array(step.working_set)
-            freeze_array(step.loads)
-            freeze_array(step.cached)
-            freeze_array(step.stores)
-            freeze_array(step.carried)
-        touched = freeze_array(adam_overlap.touched_union(ordered_sets))
+        self.counters.order_time_s += order_s + planned.search_s
         plan = BatchPlan(
             strategy=strategy,
             enable_cache=self.enable_cache,
             num_gaussians=int(num_gaussians),
-            order=tuple(int(k) for k in order),
-            view_ids=tuple(ordered_views),
-            steps=tuple(steps),
-            touched=touched,
+            order=planned.order,
+            view_ids=tuple(int(view_ids[k]) for k in planned.order),
+            steps=planned.steps,
+            touched=planned.touched,
+            adam_chunks=planned.adam_chunks,
         )
         self.counters.plans_built += 1
         self.counters.build_time_s += time.perf_counter() - start
@@ -333,7 +405,8 @@ class BatchPlanner:
             strategy=strategy,
         )
         return build_sharded_plan(
-            plan, assignment, work_stealing=work_stealing
+            plan, assignment, work_stealing=work_stealing,
+            plan_batch=self._ops("plan_batch"),
         )
 
     # ------------------------------------------------------------------

@@ -24,6 +24,14 @@ Following Appendix A.1 we implement:
   order there does not depend on the clock,
 - an exact Held-Karp dynamic program for small instances, used by tests to
   certify that SLS finds optimal tours at the paper's batch sizes.
+
+This module is the reference of the search inside the ``plan_batch`` kernel
+op (:func:`repro.planning.planner.plan_batch`).  The ``native`` backend runs
+the same search in C, move for move and tie for tie, with moves priced in
+exact integers, its restarts drawn in Python from the same generator —
+so wherever both run to convergence their orders are identical.  On a
+2-vCPU x86-64 host a B = 8 search over ``bench_e2e`` ``sparse`` sets costs
+about a millisecond in this module and a few tens of microseconds in C.
 """
 
 from __future__ import annotations
@@ -149,7 +157,6 @@ def stochastic_local_search(
     dist: np.ndarray,
     time_limit_s: float = 1e-3,
     seed: SeedLike = 0,
-    use_or_opt: bool = True,
 ) -> List[int]:
     """SLS over Hamiltonian paths: NN starts + 2-opt/or-opt improvement.
 
@@ -158,10 +165,9 @@ def stochastic_local_search(
     :data:`UNTIMED_NODES` nodes the time budget may expire first, which
     ends the search after the restart in progress.  Up to it every restart
     runs to convergence whatever the clock says, so the order does not
-    depend on how fast the machine is: a B = 8 search measured 1.05 ms
-    median over 1000 ``sparse`` batch sets (one BLAS thread, 2-vCPU x86-64
-    host), past the 1 ms default, which would otherwise have cut its last
-    restart.  With the paper's batch sizes (<= 64 nodes) the search
+    depend on how fast the machine is — in Python a B = 8 search can
+    outlast the 1 ms default, which would otherwise cut its last restart.
+    With the paper's batch sizes (<= 64 nodes) the search
     routinely reaches the Held-Karp optimum (the claim of Appendix A.1,
     certified by our tests at B <= 12).
     """
@@ -185,7 +191,7 @@ def stochastic_local_search(
         while True:
             order, improved2 = two_opt_pass(d, order)
             improved3 = False
-            if use_or_opt and (improved2 or not or_settled):
+            if improved2 or not or_settled:
                 order, improved3 = or_opt_pass(d, order)
                 or_settled = not improved3
             if not (improved2 or improved3):

@@ -8,9 +8,9 @@ single-device ``clm`` engine: at K=1 the derivation collapses to the
 global plan itself.
 
 Per-device plans are real :class:`~repro.planning.BatchPlan` objects
-(identity order over that device's microbatches, transfer steps rebuilt
-by :func:`~repro.planning.caching.build_transfer_plan` over the device's
-execution order), so every downstream consumer — the working-set
+(identity order over that device's microbatches, transfer steps, touched
+union and Adam chunks rebuilt by the ``plan_batch`` kernel op over the
+device's execution order), so every downstream consumer — the working-set
 assembler, the Figure-14 analytics, the simulator DAG builder — works
 unchanged on a shard.
 
@@ -23,13 +23,12 @@ single set *is* ``touched`` in the same order ``clm`` uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import attributes
-from repro.planning.adam_overlap import touched_union
-from repro.planning.caching import build_transfer_plan
+from repro.kernels.registry import OpDispatch
 from repro.planning.plan import BatchPlan, freeze_array
 from repro.sharding.partition import ShardAssignment, assign_views, halo_rows
 from repro.sharding.worker import run_work_stealing
@@ -97,14 +96,19 @@ def build_sharded_plan(
     *,
     work_stealing: bool = True,
     steal_cost_factor: float = 0.0,
+    plan_batch: Optional[Callable] = None,
 ) -> ShardedBatchPlan:
     """Derive per-device plans from an already-built global plan.
 
     Deterministic: home devices come from :func:`assign_views` plurality
     voting, the stealing simulation breaks every tie by device id, and no
     RNG is consumed — so the global plan's RNG stream is untouched and
-    matches the single-device engine draw-for-draw.
+    matches the single-device engine draw-for-draw.  ``plan_batch`` is the
+    kernel op that builds the device plans (the planner passes its own;
+    by default it runs on the ``auto`` backend).
     """
+    if plan_batch is None:
+        plan_batch = OpDispatch()("plan_batch")
     k_devices = assignment.num_devices
     sets = [s.working_set for s in global_plan.steps]
     homes = assign_views(sets, assignment)
@@ -130,27 +134,23 @@ def build_sharded_plan(
             device_of_step[position] = k
         device_sets = [sets[p] for p in positions]
         device_views = [global_plan.view_ids[p] for p in positions]
-        steps = build_transfer_plan(
-            device_sets, device_views, enable_cache=global_plan.enable_cache
+        planned = plan_batch(
+            device_sets, device_views, range(len(positions)), None, 0.0,
+            global_plan.enable_cache, global_plan.num_gaussians,
         )
-        for step in steps:
-            freeze_array(step.loads)
-            freeze_array(step.cached)
-            freeze_array(step.stores)
-            freeze_array(step.carried)
-        touched_k = freeze_array(touched_union(device_sets))
         device_plans.append(
             BatchPlan(
                 strategy=global_plan.strategy,
                 enable_cache=global_plan.enable_cache,
                 num_gaussians=global_plan.num_gaussians,
-                order=tuple(range(len(positions))),
+                order=planned.order,
                 view_ids=tuple(device_views),
-                steps=tuple(steps),
-                touched=touched_k,
+                steps=planned.steps,
+                touched=planned.touched,
+                adam_chunks=planned.adam_chunks,
             )
         )
-        halo.append(freeze_array(halo_rows(touched_k, assignment, k)))
+        halo.append(freeze_array(halo_rows(planned.touched, assignment, k)))
 
     touched = global_plan.touched
     adam_rows = tuple(

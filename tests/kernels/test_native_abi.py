@@ -55,10 +55,10 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_twelve_entry_points():
+def test_the_parsed_prototypes_are_the_thirteen_entry_points():
     signatures = native_backend.prototypes(kernel_source())
     assert set(signatures) == set(native_backend._RAISES)
-    assert len(signatures) == 12
+    assert len(signatures) == 13
     assert [ctype for _, ctype in signatures["zero_rows"]] == [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64,

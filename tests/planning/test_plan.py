@@ -110,14 +110,13 @@ def test_mismatched_lengths_rejected(rng):
         planner.plan(make_sets(rng, 3), [0, 1], num_gaussians=200)
 
 
-def test_adam_chunks_derived_lazily(rng):
-    """Consumers that only read steps/touched (inference renders, the
-    non-overlapping engines) must not pay the O(B*N) chunk derivation."""
+def test_adam_chunks_come_with_the_plan(rng):
+    """The chunks are built with the rest of the plan (linear in the rows
+    the batch touches), read-only, one per step, partitioning ``touched``."""
     sets = make_sets(rng, 4)
     planner = BatchPlanner(ordering="identity", cache_size=0)
-    lazy_plan = planner.plan(sets, list(range(4)), num_gaussians=200)
-    assert "adam_chunks" not in lazy_plan.__dict__
-    chunks = lazy_plan.adam_chunks  # first access computes and caches
-    assert "adam_chunks" in lazy_plan.__dict__
-    assert lazy_plan.adam_chunks is chunks
-    assert sum(c.size for c in chunks) == lazy_plan.touched.size
+    plan = planner.plan(sets, list(range(4)), num_gaussians=200)
+    assert len(plan.adam_chunks) == plan.batch_size
+    assert not any(c.flags.writeable for c in plan.adam_chunks)
+    assert sum(c.size for c in plan.adam_chunks) == plan.touched.size
+    plan.validate()
