@@ -164,11 +164,14 @@ ACT_PER_PIXEL = 240
 #: :class:`~repro.kernels.workspace.Workspace` rather than in per-render
 #: blocks: grow-only arenas for the projection scratch, the per-Gaussian
 #: and CSR blocks, the blend records, the image, the loss gradient and the
-#: five parameter-gradient arrays of one view.  They are host bytes held
-#: at the largest view seen (plus an eighth), for the engine's lifetime,
-#: outside the pool model like the records: the pool still charges each
-#: view's activations analytically, so ``gpu_peak_bytes`` and Figure 8/10
-#: numbers do not move with them.
+#: five parameter-gradient arrays of one view — and, for a CLM microbatch
+#: run as ``train_step``, the working set's block and carried gradients,
+#: two of each (the double buffer ``CLM_BUFFER_BPG`` charges twice).  They
+#: are host bytes held at the largest step seen (plus an eighth), for the
+#: engine's lifetime, outside the pool model like the records: the pool
+#: still charges each step's double buffer and activations analytically
+#: (``GpuWorkingSet.reserve``, on either path), so ``gpu_peak_bytes`` and
+#: Figure 8/10 numbers do not move with them.
 
 #: Auto-tuning note: the adaptive runtime (:mod:`repro.autotune` +
 #: ``repro.runtime.GraphExecutor``) changes *timing only*, never pool

@@ -28,6 +28,17 @@ the backend as everywhere else (``EngineConfig.kernel_backend``, then
 ``REPRO_KERNEL_BACKEND``, then ``auto``); ``active_kernel_backend`` says
 which one ran the last op (a working set shares its pinned store's).
 
+A whole microbatch — ``assemble``, the training view, ``add_grads``,
+``retire`` — is the ``train_step`` kernel op, whose reference is
+:func:`train_step` below: on ``native`` one C call over the engine's
+:class:`~repro.kernels.workspace.Workspace`, which binds the stores'
+packed buffers once (again when a store is replaced by a ``rebuild``; a
+restore writes them in place) and double-buffers the working set's block
+and carried gradients in its arenas.  The pool accounting
+(:meth:`GpuWorkingSet.reserve`), the current buffers
+(:meth:`GpuWorkingSet.hold`) and the transfer counters stay here, on
+either path.
+
 A :class:`~repro.hardware.memory.MemoryPool` may be attached to the GPU
 side to enforce a capacity: allocations follow the same canonical byte
 accounting as :mod:`repro.core.memory_model`, so a small simulated GPU
@@ -319,20 +330,35 @@ class GpuWorkingSet:
             opacity_logits=opacity,
             sh_degree=_degree_for_basis(cpu.sh_basis),
         )
+        self.hold(working_set, sh, opacity, grad_sh, grad_opacity)
+        self.reserve(working_set.size)
+        return model
 
+    def hold(
+        self,
+        working_set: np.ndarray,
+        sh: np.ndarray,
+        opacity: np.ndarray,
+        grad_sh: np.ndarray,
+        grad_opacity: np.ndarray,
+    ) -> None:
+        """Make ``working_set``'s buffers the current ones: what the next
+        step's cache copies read, and ``add_grads`` / ``retire`` work on."""
         self.indices = working_set
         self.noncrit = {"sh": sh, "opacity_logits": opacity}
         self.grad_sh = grad_sh
         self.grad_opacity = grad_opacity
-        m = working_set.size
-        self._max_rows = max(self._max_rows, m)
+
+    def reserve(self, rows: int) -> None:
+        """Account a working set of ``rows`` rows in the pool: the double
+        buffer at the largest working set seen, and its activations."""
+        self._max_rows = max(self._max_rows, rows)
         if self.pool is not None:
             self.pool.alloc("clm.double_buffer", CLM_BUFFER_BPG * self._max_rows)
             self.pool.alloc(
                 "clm.activations",
-                ACT_PER_GAUSSIAN * m + ACT_PER_PIXEL * self.num_pixels,
+                ACT_PER_GAUSSIAN * rows + ACT_PER_PIXEL * self.num_pixels,
             )
-        return model
 
     # ------------------------------------------------------------------
     def add_grads(self, grads: Dict[str, np.ndarray]) -> None:
@@ -364,6 +390,42 @@ class GpuWorkingSet:
             self.pool.free("clm.activations")
         self.indices = None
         self.noncrit = {}
+
+
+def train_step(
+    working: GpuWorkingSet,
+    step,
+    carried: "Optional[tuple]",
+    camera,
+    settings,
+    target: np.ndarray,
+    moments,
+    ssim_lambda: float,
+    batch: int,
+    workspace=None,
+    *,
+    view=None,
+) -> "tuple[float, Dict[str, np.ndarray], Optional[tuple]]":
+    """One CLM microbatch on ``working``: assemble ``step``'s working set
+    (with the ``carried`` gradients of the step before), the training view
+    of ``camera`` against ``target``, accumulate its gradients, retire the
+    step.  Returns ``(loss, grads, carried)``: the gradients scaled by
+    ``1 / batch`` and the carried gradients for the next step.
+
+    The reference of the ``train_step`` kernel op and the composition an
+    engine runs wherever ``native`` does not take the op.  ``view`` runs
+    the training view (default
+    :func:`~repro.gaussians.render.train_view`; an engine passes its own,
+    which may return gradients leased on ``workspace`` — the caller
+    releases it)."""
+    if view is None:
+        from repro.gaussians.render import train_view as view
+    model = working.assemble(step.working_set, step.loads, step.cached, carried)
+    loss, grads = view(
+        camera, model, settings, target, moments, ssim_lambda, batch, workspace
+    )
+    working.add_grads(grads)
+    return loss, grads, working.retire(step.stores, step.carried)
 
 
 #: The gradient arrays ``add_grads`` reads, in the order its spec lists them.

@@ -537,28 +537,47 @@ class EngineBase(Engine):
         ssim_lambda = self.config.ssim_lambda
         moments = self._target_moments(cam.view_id, target) if ssim_lambda else None
         ws = self._workspace
-        fused = None
-        if self._render is render and self._render_backward is render_backward:
-            fused = self._loss_ops(
-                "view_train", *train_operands(settings, model_like, target, moments)
-            )
-        if fused is None or self._loss_ops.active == REFERENCE_BACKEND:
-            loss, grads = train_view(
-                cam, model_like, settings, target, moments, ssim_lambda, batch,
-                ws, renderer=(self._render, self._render_backward),
-                loss_backend=self._loss_ops,
-            )
-        else:
-            loss, grads = fused(
-                cam, model_like, settings, target, moments, ssim_lambda, batch, ws
-            )
-        self._step_forward_s += ws.forward_s
-        self._step_backward_s += ws.backward_s
-        self._rendered_on = ws.rendered_on or self._rendered_on
+        loss, grads = self._train_view(
+            cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+        )
+        self._tally_view(ws)
         try:
             yield loss, grads
         finally:
             ws.release()
+
+    def _own_renderer(self) -> bool:
+        """Whether this engine renders with the library's renderer pair —
+        the condition for the fused ops, which run its kernels themselves."""
+        return self._render is render and self._render_backward is render_backward
+
+    def _train_view(
+        self, cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+    ) -> "tuple[float, Dict[str, np.ndarray]]":
+        """One training view, ``train_view``'s signature: the ``view_train``
+        op where it runs (gradients leased on ``ws``), else the reference
+        composition with this engine's renderer pair and loss op."""
+        fused = None
+        if self._own_renderer():
+            fused = self._loss_ops(
+                "view_train", *train_operands(settings, model_like, target, moments)
+            )
+        if fused is None or self._loss_ops.active == REFERENCE_BACKEND:
+            return train_view(
+                cam, model_like, settings, target, moments, ssim_lambda, batch,
+                ws, renderer=(self._render, self._render_backward),
+                loss_backend=self._loss_ops,
+            )
+        return fused(
+            cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+        )
+
+    def _tally_view(self, ws: Workspace) -> None:
+        """Fold the last view's forward / backward seconds and backend,
+        which ``ws`` holds, into the batch's counters."""
+        self._step_forward_s += ws.forward_s
+        self._step_backward_s += ws.backward_s
+        self._rendered_on = ws.rendered_on or self._rendered_on
 
     def _accumulate_planned(
         self,
@@ -666,6 +685,7 @@ class EngineBase(Engine):
         return float(np.mean(values)) if values else 0.0
 
     def render_view(self, view_id: int):
+        # Forward-only, like ``evaluate``: no blend records are kept.
         return self._render(
-            self.cameras[view_id], self._eval_model(), self.raster_settings
+            self.cameras[view_id], self._eval_model(), self.serving_raster_settings
         )

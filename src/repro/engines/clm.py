@@ -15,7 +15,10 @@ NumPy arrays:
    working set (cache copies + pinned-store loads), render, compute loss,
    backprop, accumulate gradients (GPU-resident for critical attributes,
    working-buffer for non-critical with carried accumulation) and offload
-   the finalized ones.  An ``adam`` node is the eager CPU Adam of chunk
+   the finalized ones — on ``native`` one ``train_step`` kernel call, like
+   the paper's one stream per microbatch (§5.2–5.4), with the pool
+   accounting, the transfer counters, the loss and the densify hook left
+   in Python.  An ``adam`` node is the eager CPU Adam of chunk
    ``F_j`` — with ``config.overlap_workers >= 1`` its fused packed-row
    update executes on a worker thread while the training thread renders
    microbatch ``j+1`` (§4.2.2 for real, not simulated);
@@ -46,10 +49,13 @@ from repro.core.stores import (
     GpuCriticalStore,
     GpuWorkingSet,
     PinnedParameterStore,
+    train_step,
 )
 from repro.engines.base import BatchResult, EngineBase, PositionGradHook
 from repro.engines.registry import register_engine
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.rasterizer import RasterSettings
+from repro.kernels.registry import REFERENCE_BACKEND, step_operands
 from repro.optim.packed_adam import PackedSparseAdam
 from repro.planning.lowering import lower_batch
 from repro.runtime import GraphExecutor, OverlapExecutor, TaskGraph
@@ -69,6 +75,8 @@ class _BatchRun:
     working: Optional[GpuWorkingSet] = None
     #: Gradients the last retired step hands to the next assemble.
     carried: Optional[tuple] = None
+    #: The raster settings of the batch, read at its first step.
+    settings: Optional[RasterSettings] = None
     loss: float = 0.0
     per_view_loss: Dict[int, float] = field(default_factory=dict)
 
@@ -353,24 +361,48 @@ class CLMEngine(EngineBase):
     def _run_step(self, run: "_BatchRun", step) -> None:
         """One microbatch — the body of every ``step`` node: assemble the
         working set (cache copies + pinned-store loads + carried
-        gradients), render, backpropagate, accumulate, retire."""
-        model_i = run.working.assemble(
-            step.working_set, step.loads, step.cached, run.carried
-        )
-        with self._forward_backward(
-            self.cameras[step.view_id],
-            model_i,
-            run.targets[step.view_id],
-            run.batch,
-        ) as (loss, grads):
-            run.working.add_grads(grads)
+        gradients), render, backpropagate, accumulate, retire.
+
+        On ``native`` that is the ``train_step`` op, one C call over
+        :attr:`_workspace`; everywhere else — NumPy, a layout ``native``
+        declines, L1 alone, a custom renderer pair, renders pinned to
+        another backend than the stores' — the reference composition
+        :func:`repro.core.stores.train_step`, with this engine's training
+        view.  The densify hook runs after either, on the gradients still
+        leased, and the lease ends here."""
+        cam, target = self.cameras[step.view_id], run.targets[step.view_id]
+        settings, ssim_lambda = run.settings, self.config.ssim_lambda
+        if settings is None:
+            settings = run.settings = self.raster_settings
+        moments = self._target_moments(cam.view_id, target) if ssim_lambda else None
+        ws, working = self._workspace, run.working
+        fused = None
+        if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
+            fused = working._ops(
+                "train_step", *step_operands(settings, working, target, moments)
+            )
+            if working._ops.active == REFERENCE_BACKEND:
+                fused = None
+        try:
+            if fused is None:
+                loss, grads, run.carried = train_step(
+                    working, step, run.carried, cam, settings, target, moments,
+                    ssim_lambda, run.batch, ws, view=self._train_view,
+                )
+            else:
+                loss, grads, run.carried = fused(
+                    working, step, run.carried, cam, settings, target, moments,
+                    ssim_lambda, run.batch, ws,
+                )
+            self._tally_view(ws)
             if run.position_grad_hook is not None:
                 run.position_grad_hook(
                     step.view_id, step.working_set, grads["positions"]
                 )
+        finally:
+            ws.release()
         run.per_view_loss[step.view_id] = loss
         run.loss += loss / run.batch
-        run.carried = run.working.retire(step.stores, step.carried)
 
     # ------------------------------------------------------------------
     def _apply_noncritical_adam(self, rows: np.ndarray) -> None:
@@ -417,12 +449,14 @@ class CLMEngine(EngineBase):
         plan = self.plan_batch([view_id], strategy="identity")
         step = plan.steps[0]
         working = self._new_working_set()
-        model_i = working.assemble(step.working_set, step.loads, step.cached)
-        result = self._render(
-            self.cameras[view_id], model_i, self.raster_settings
-        )
-        working.release()
-        return result
+        try:
+            model_i = working.assemble(step.working_set, step.loads, step.cached)
+            # Forward-only: no blend records are kept for a backward pass.
+            return self._render(
+                self.cameras[view_id], model_i, self.serving_raster_settings
+            )
+        finally:
+            working.release()
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
         """The split stores' writer: critical rows into the resident store,

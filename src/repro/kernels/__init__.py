@@ -9,8 +9,8 @@ Two backends ship and register on import: ``numpy`` (the always-available
 reference) and ``native`` (a whole view in C — projection, binning, fused
 per-tile compositing, the gradient chain — a training view with its loss
 over an engine's :class:`Workspace`, CLM's data path and fused Adam
-over row indices, and a batch's plan, built at first use with the system
-C compiler;
+over row indices, a CLM microbatch step as one call, and a batch's plan,
+built at first use with the system C compiler;
 unavailable, and silently skipped by ``auto``, without one) — see
 ``repro backends`` and the README's "Kernel backends" section.
 """

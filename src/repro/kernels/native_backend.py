@@ -1,5 +1,5 @@
-"""The ``native`` kernel backend — a view, its loss, CLM's data path and a
-batch's plan in C, built at first use.
+"""The ``native`` kernel backend — a view, its loss, CLM's data path, a
+batch's plan and a whole CLM microbatch in C, built at first use.
 
 Where the NumPy reference streams a view through a few hundred small
 array calls (projection, binning, ~25 whole-tensor passes over padded
@@ -126,6 +126,28 @@ of the plan is a read-only slice of it.  It is the reference's index
 algebra, so the plans are ``np.array_equal`` wherever both searches run to
 convergence.
 
+``train_step`` (:func:`_bind_step`) is a whole CLM microbatch as one C
+call, the sixth part of the file: ``assemble_rows``, the four calls of the
+training view (the image gradient divided by the batch between them),
+``add_grads_rows`` and ``retire_rows``, one after the other inside C — the
+entry points themselves, not copies — over the engine's workspace.  The
+working set's block and the carried gradients are double-buffered arenas
+(the last step's stay readable while the next is written), the render's
+blocks are checked against their arenas' capacities once ``view_project``
+has counted them, before any store is written, and a shortfall
+(``STATUS_ARENA_SHORT``) is grown in Python and the call made again, as
+``adam_rows`` does with its tables.  The C stamps the forward and backward
+halves from ``CLOCK_MONOTONIC``; a failing call names its stage
+(:data:`_STEP_STAGES`), and the binding raises what that entry point would.
+The stores' packed buffers, each view's camera vectors and each target's
+moments are checked and their addresses taken once
+(:meth:`~repro.kernels.workspace.Workspace.binding`), again only when one
+of them is replaced — a ``rebuild`` builds new stores; a restore writes
+them in place.  The working set's pool accounting and transfer counters
+stay in Python (``GpuWorkingSet.reserve`` / ``hold``), as in the reference
+composition :func:`repro.core.stores.train_step`, to which it is
+bit-identical.
+
 **The ABI is declared once.**  What the C and Python sides must agree on
 is written in one place each and read by the other:
 
@@ -177,12 +199,12 @@ lands on NumPy silently.  A build, parse or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All thirteen ops are implemented,
+and every caller runs on the reference.  All fourteen ops are implemented,
 over float64 C-contiguous operands (``exact_cull``: float64 rows, each
 contiguous): a float32 blend state (``dtype="float32"``), a model array
 that is float32 or not C-contiguous, a backward pass over a context NumPy
 made or whose projection was replaced, float32 gradient staging
-(``grad_dtype="float32"``) and a training view on L1 alone stay on NumPy
+(``grad_dtype="float32"``) and a training view or step on L1 alone stay on NumPy
 through the registry's per-op fallback — and a view the view ops declined
 still composites on the raster kernels here.
 """
@@ -235,11 +257,12 @@ _ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam
 _OPS = frozenset({
     "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
     "raster_backward_slab", *_ROW_OPS, "photometric_loss", "view_train",
-    "plan_batch",
+    "plan_batch", "train_step",
 })
 
 # ---------------------------------------------------------------------------
-# The ABI declaration: the C side's F_* / W_*, P_* and STATUS_* come from here
+# The ABI declaration: the C side's F_* / W_*, P_*, STATUS_*, STAGE_* and OUT_*
+# come from here
 # ---------------------------------------------------------------------------
 #: Per-Gaussian fields of a render's float64 block, field after field, each a
 #: C-contiguous ``(m, *shape)`` array: ``F_<NAME>`` / ``W_<NAME>`` in C.
@@ -271,8 +294,22 @@ _PARAMS = (
 #: store, tile bins that no render wrote); an order or a bound violated (a
 #: row not a member, in order, of its set, a repeated row, more blend
 #: records than footprint cells); a step past the Adam bias-correction
-#: tables.  ``OK`` is 0, so a nonzero status is a failure on both sides.
-_STATUS = ("OK", "NO_MEMORY", "OUT_OF_RANGE", "VIOLATED", "TABLES_SHORT")
+#: tables; a render's blocks larger than the arenas ``train_step`` was
+#: handed.  ``OK`` is 0, so a nonzero status is a failure on both sides.
+_STATUS = ("OK", "NO_MEMORY", "OUT_OF_RANGE", "VIOLATED", "TABLES_SHORT", "ARENA_SHORT")
+#: The entry points ``train_step`` calls, in order (``STAGE_<NAME>`` in C):
+#: the one that failed is reported at ``out[OUT_STAGE]``.
+_STEP_STAGES = (
+    "assemble_rows", "view_project", "view_composite", "photometric_loss",
+    "view_backward", "add_grads_rows", "retire_rows",
+)
+#: ``train_step``'s ``out`` vector, slot by slot (``OUT_<NAME>`` in C): the
+#: failing stage and its status, ``view_project``'s five counts, the
+#: nanoseconds of the forward and backward halves.
+_STEP_OUT = (
+    "stage", "status", "survivors", "binned", "tiles", "entries", "area",
+    "forward_ns", "backward_ns",
+)
 #: Parameter types of an entry point: the scalars ctypes passes by value,
 #: and the element types of the arrays passed by address (``c_void_p``).
 #: Anything else — ``float`` among them, until precision is a parameter of
@@ -332,6 +369,8 @@ def header() -> str:
         + ", ".join(f"F_{f.upper()}" for f, *_ in retained) + ", F_RETAINED",
         enum(f"P_{p.upper()} = {at}" for p, _, at, _ in params),
         enum(f"STATUS_{status} = {code}" for code, status in enumerate(_STATUS)),
+        enum(f"STAGE_{stage.upper()} = {k}" for k, stage in enumerate(_STEP_STAGES)),
+        enum(f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_STEP_OUT)),
         f"#define FOOTPRINT_MARGIN {rasterizer._FOOTPRINT_MARGIN!r}",
         *(f"#define SH_C{d} {c!r}" for d, c in enumerate((sh._C0, sh._C1))),
         *(
@@ -392,6 +431,16 @@ class _TablesShort(Exception):
     handed (nothing was written): grow them and call again."""
 
 
+class _ArenaShort(Exception):
+    """``train_step`` counted a render larger than the arenas it was handed
+    (before writing any store): grow them and call again."""
+
+
+class _StageFailed(Exception):
+    """A call inside ``train_step`` failed: ``out`` names it and its status,
+    and the binding raises what that call raises."""
+
+
 class _Malformed(Exception):
     """``plan_batch`` met an index set that is not sorted, duplicate-free
     and inside the model, at the entry it reported (or an order that is
@@ -432,6 +481,10 @@ _RAISES = {
     "plan_batch": {
         **_no_memory("scratch ({count} sets)"),
         "OUT_OF_RANGE": (_Malformed, ""), "VIOLATED": (_Malformed, ""),
+    },
+    "train_step": {
+        **dict.fromkeys(_STATUS[1:], (_StageFailed, "")),
+        "ARENA_SHORT": (_ArenaShort, ""),
     },
 }
 
@@ -1199,6 +1252,242 @@ def _bind_train(lib, name: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
+# The microbatch step
+# ---------------------------------------------------------------------------
+#: ``train_step``'s double-buffered arenas — the working set's block and the
+#: gradients it carries to the next step — by the parity of the step: a step
+#: writes one pair while the block and carry it reads, the last step's, sit
+#: in the other.
+_STEP_ARENAS = (("block 0", "carry 0"), ("block 1", "carry 1"))
+#: The render's own arenas, ``(name, dtype)`` in ``_kept_blocks``' order —
+#: with and without the blend records — whose capacities are
+#: ``train_step``'s ``caps``.
+_KEPT = {
+    records: tuple((name, dtype) for name, _, dtype in _kept_blocks(0, 0, 0, 0, 0, records))
+    for records in (False, True)
+}
+_DEGREE = {k: d for d, k in sh.BASIS_PER_DEGREE.items()}
+
+
+def _bind_stores(cpu, gpu) -> tuple:
+    """``train_step``'s leading arguments over a pinned and a critical
+    store: the sizes, then the packed buffers' addresses, each checked."""
+    n, stride = cpu.num_rows, cpu.row_floats
+    return (
+        n, 3 * cpu.sh_basis, stride, _buffer(cpu.params, (n, stride)),
+        _buffer(cpu.grads, (n, stride), write=True),
+        _buffer(gpu.packed_params, (n, 10)),
+        _buffer(gpu.packed_grads, (n, 10), write=True),
+    )
+
+
+def _bind_camera(camera, settings) -> tuple:
+    """What ``train_step`` reads of a view and the render settings: the
+    ``planes`` and ``params`` addresses, the image and tile sizes, and the
+    two arrays, kept alive."""
+    planes, params = frustum_planes(camera), _view_params(camera, settings)
+    width, height, sub = camera.width, camera.height, rasterizer.compute_tile(settings)
+    return (
+        _address(planes), _address(params), width, height,
+        int(settings.tile_size), sub, -(-width // sub) * -(-height // sub),
+        planes, params,
+    )
+
+
+def _bind_target(target, moments) -> tuple:
+    """The loss's operands over a target and its kept moments: the four
+    planes' addresses, then the SSIM window's and its size."""
+    height, width = target.shape[:2]
+    planes3 = (3, height, width)
+    taps, taps_at = _window(*moments.window)
+    return (
+        _buffer(target, (height, width, 3)), _buffer(moments.uy, planes3),
+        _buffer(moments.uy2_c1, planes3), _buffer(moments.vy_c2, planes3),
+        taps_at, taps.size,
+    )
+
+
+def _bind_reports(ws) -> tuple:
+    """``train_step``'s fixed-size arenas, ``(array, address)`` each: the
+    loss value, the ``out`` report and the render's ``caps``."""
+    return (
+        ws.arena("value", 1), ws.arena("step out", len(_STEP_OUT), np.int64),
+        ws.arena("step caps", len(_KEPT[True]), np.int64),
+    )
+
+
+def _index_at(rows: np.ndarray):
+    """An index vector's address, ``None`` when it is empty (the C walks
+    none of it): plans hand their sets out read-only, whose address costs
+    ~2.4 us."""
+    return _address(rows) if rows.size else None
+
+
+def _bind_step(lib, name: str) -> Callable:
+    """``train_step``: one call over a
+    :class:`~repro.core.stores.GpuWorkingSet`, its stores and a
+    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks
+    of the ops it fuses.  The stores' buffers, a view's camera vectors and a
+    target's moments are checked and their addresses taken once each
+    (:meth:`Workspace.binding`: again when one is replaced); the working
+    set's accounting is the reference's."""
+    from repro.gaussians.loss import _C1, _C2
+
+    def train_step(
+        working, step, carried, camera, settings, target, moments,
+        ssim_lambda, batch, workspace=None,
+    ):
+        if moments is None:
+            raise ValueError("native train_step: L1 alone stays on the reference")
+        ws = Workspace() if workspace is None else workspace
+        cpu, gpu = working.cpu_store, working.gpu_store
+        # A store never replaces its buffers: a new store (rebuild) rebinds.
+        stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
+        view = ws.binding(
+            id(camera),
+            (camera, frustum_planes(camera), settings.alpha_threshold,
+             settings.transmittance_min, settings.max_alpha, settings.background,
+             settings.tile_size),
+            _bind_camera, camera, settings,
+        )
+        planes_at, params_at, width, height, ts, sub, tiles = view[:7]
+        if target.shape != (height, width, 3):
+            raise ValueError(
+                f"native train_step: a {target.shape} target for a "
+                f"{width}x{height} view"
+            )
+        loss = ws.binding(id(moments), (moments, target), _bind_target, target, moments)
+        k3 = stores[1]
+        k = k3 // 3
+        rows, loads, cached = _rows(step.working_set), _rows(step.loads), _rows(step.cached)
+        stored, carries = _rows(step.stores), _rows(step.carried)
+        m, nc = rows.size, carries.size
+        block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
+        block, block_at = ws.arena(block_name, m * (2 * k3 + 12))
+        carry, carry_at = ws.arena(carry_name, nc * (k3 + 1))
+        # What assemble_rows reads: the last step's block (cached rows) and
+        # carry.  Neither may share memory with the block or carry this one
+        # writes, or a call that is run again would read what it wrote.
+        prev = carry_in = (None, 0, None, None)
+        reads = []
+        if cached.size:
+            if working.indices is None:
+                raise RuntimeError("cache copy requested with no previous buffer")
+            before = _rows(working.indices)
+            mp = before.size
+            prev = (
+                _address(before), mp, _buffer(working.noncrit["sh"], (mp, k, 3)),
+                _buffer(working.noncrit["opacity_logits"], (mp,)),
+            )
+            reads += ((prev[2], mp * k3), (prev[3], mp))
+        if carried is not None:
+            held = _rows(carried[0])
+            nh = held.size
+            carry_in = (
+                _address(held), nh, _buffer(carried[1], (nh, k, 3)),
+                _buffer(carried[2], (nh,)),
+            )
+            reads += ((carry_in[2], nh * k3), (carry_in[3], nh))
+        for at, size in reads:
+            if at < block_at + 8 * block.size and block_at < at + 8 * size or (
+                at < carry_at + 8 * carry.size and carry_at < at + 8 * size
+            ):
+                raise ValueError("native train_step: operands share memory")
+        degree = _DEGREE[k]
+        if settings.active_sh_degree is not None:
+            degree = min(settings.active_sh_degree, degree)
+        pixels, records = height * width, bool(settings.cache_blend_state)
+        kept_arenas = _KEPT[records]
+        (value, value_at), (out, out_at), (caps, caps_at) = ws.binding(
+            "train_step", (), _bind_reports, ws
+        )
+        arenas = (
+            ws.arena("scratch", _SCRATCH * m)[1],
+            ws.arena("work", 5 + 7 * m + tiles + (3 * m + 7) // 8, np.int64)[1],
+        )
+        grads, grads_at = ws.arena("grads", (11 + k3) * m)
+        pixel_arenas = (
+            ws.arena("image", 3 * pixels)[1], ws.arena("trans", pixels)[1],
+            ws.arena("d_image", 3 * pixels)[1], grads_at, value_at, out_at,
+        )
+        operands = (
+            *stores, _index_at(rows), m, _index_at(loads), loads.size,
+            _index_at(cached), cached.size, _index_at(stored), stored.size,
+            _index_at(carries), nc, *prev, *carry_in, planes_at, degree, params_at,
+            width, height, ts, sub, int(records), *loss,
+            float(ssim_lambda), _C1, _C2, float(batch), block_at, carry_at,
+            *arenas,
+        )
+        ws.lease()
+        try:
+            working.reserve(m)
+            sizes = (0,) * len(kept_arenas)
+            while True:
+                blocks = [
+                    ws.arena(arena, size, dtype)
+                    for (arena, dtype), size in zip(kept_arenas, sizes)
+                ]
+                caps[: len(blocks)] = [block.size for block, _ in blocks]
+                try:
+                    lib.train_step(
+                        *operands, *(at for _, at in blocks),
+                        *(None,) * (6 - len(blocks)), caps_at, *pixel_arenas,
+                    )
+                    break
+                except _ArenaShort:
+                    # Only the block, scratch and work were written: size
+                    # the render's blocks by its counts and go again.
+                    survivors, _, busy, entries, area = out[2:7].tolist()
+                    sizes = [size for _, size, _ in _kept_blocks(
+                        survivors, busy, entries, busy * sub * sub, area, records
+                    )]
+        except _StageFailed:
+            ws.release()
+            stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
+            exc, text = _RAISES[stage].get(status, (RuntimeError, f" returned status {status}"))
+            raise exc(
+                f"native train_step: {stage}" + text.format(
+                    width=width, height=height, sub=sub, h=height, w=width,
+                    m=m, entries=int(out[5]), rows=m, num_tiles=int(out[4]),
+                )
+            ) from None
+        except BaseException:
+            ws.release()
+            raise
+        ws.steps += 1
+        forward_ns, backward_ns = out[7:9].tolist()
+        ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
+        ws.rendered_on = name
+        # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
+        mk = m * k3
+        working.hold(
+            step.working_set, block[:mk].reshape(m, k, 3), block[mk : mk + m],
+            block[mk + m : 2 * mk + m].reshape(m, k, 3),
+            block[2 * mk + m : 2 * mk + 2 * m],
+        )
+        counters = working.counters
+        counters.cached_gaussians += cached.size
+        counters.loaded_gaussians += loads.size
+        counters.stored_gaussians += stored.size
+        # The five gradients, field after field in model.parameters() order.
+        grads = {
+            "positions": grads[: 3 * m].reshape(m, 3),
+            "log_scales": grads[3 * m : 6 * m].reshape(m, 3),
+            "quaternions": grads[6 * m : 10 * m].reshape(m, 4),
+            "sh": grads[10 * m : 10 * m + mk].reshape(m, k, 3),
+            "opacity_logits": grads[10 * m + mk : 11 * m + mk],
+        }
+        loss_value = float(value[0])
+        if not nc:
+            return loss_value, grads, None
+        return loss_value, grads, (
+            step.carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 : nc * (k3 + 1)],
+        )
+
+    return train_step
+
+
+# ---------------------------------------------------------------------------
 # The batch plan
 # ---------------------------------------------------------------------------
 #: ``plan_batch``'s leading values: the malformed entry, the nanoseconds the
@@ -1282,9 +1571,10 @@ class NativeKernelBackend(KernelBackend):
         "a view in C (frustum test, projection, binning, fused per-tile "
         "compositing, gradient chain), the L1 + SSIM loss, a training view "
         "as one op over the engine's arenas, CLM's data path and fused Adam "
-        "over row indices, and a batch's plan (TSP order, transfer "
-        "partitions, Adam chunks), built at first use with the system C "
-        "compiler (float64 operands)"
+        "over row indices, a CLM microbatch (load, view, offload) as one "
+        "call, and a batch's plan (TSP order, transfer partitions, Adam "
+        "chunks), built at first use with the system C compiler (float64 "
+        "operands)"
     )
 
     def __init__(self) -> None:
@@ -1339,6 +1629,12 @@ class NativeKernelBackend(KernelBackend):
             len(spec.operands) != 8 or any(d.rank != 3 for d in spec.operands[6:])
         ):
             return False
+        # ``train_step``: the compute dtype, the stores' four packed buffers,
+        # then the loss operands (``registry.step_operands``) — the same.
+        if spec.op == "train_step" and (
+            len(spec.operands) != 7 or any(d.rank != 3 for d in spec.operands[5:])
+        ):
+            return False
         return spec.op in _OPS and all(
             d.dtype == "float64" and d.contiguous for d in spec.operands
         )
@@ -1353,6 +1649,8 @@ class NativeKernelBackend(KernelBackend):
             return _bind_train(lib, self.name)
         if spec.op == "plan_batch":
             return _bind_plan(lib)
+        if spec.op == "train_step":
+            return _bind_step(lib, self.name)
         if spec.op in _ROW_OPS:
             return _bind_rows(lib, spec.op)
         if spec.op.startswith("view_"):

@@ -1,8 +1,9 @@
 /* The ``native`` kernel backend: fused per-tile compositing kernels (the
  * first part of this file), the whole-view ops built around them (the
  * second), CLM's data path over row indices (the third), the photometric
- * loss between a view's forward and backward passes (the fourth) and a
- * batch's plan (the fifth).
+ * loss between a view's forward and backward passes (the fourth), a batch's
+ * plan (the fifth) and a CLM microbatch step calling the others (the
+ * sixth).
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -33,12 +34,13 @@
  * What this file shares with Python is not written here: the backend
  * prepends a header it generates from one declaration (native_backend.header:
  * the F_* / W_* field offsets and widths of a render's block, the P_* slots
- * of the params vector, the STATUS_* codes every entry point returns, and
+ * of the params vector, the STATUS_* codes every entry point returns, the
+ * STAGE_* and OUT_* slots of train_step's report, and
  * FOOTPRINT_MARGIN and SH_C0..SH_C3 taken from rasterizer and sh), and reads
  * every entry point's argument types from its prototype below.
  */
 
-#define _POSIX_C_SOURCE 199309L  /* clock_gettime, for plan_batch's deadline */
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime: plan_batch, train_step */
 
 #include <math.h>
 #include <stdbool.h>
@@ -2079,5 +2081,127 @@ int plan_batch(
     for (int64_t k = 0; k < u; k++)
         chunks[path[last[k]]++] = touched[k];
     free(scratch);
+    return STATUS_OK;
+}
+
+/* ======================================================================
+ * A CLM microbatch step (engines/clm.py, CLMEngine._run_step; paper
+ * §5.2-5.4): the selective load, the training view and the gradient offload
+ * of one microbatch in one call.  Its reference is stores.train_step, the
+ * composition of GpuWorkingSet.assemble, render.train_view, add_grads and
+ * retire; this calls the same entry points in the same order, so the two are
+ * bit-identical:
+ *
+ *     assemble_rows -> view_project -> view_composite -> photometric_loss
+ *     -> (/ batch) -> view_backward -> add_grads_rows -> retire_rows
+ *
+ * Every buffer is the caller's (an engine's Workspace arenas): ``block`` the
+ * working set's (see assemble_rows), ``carry`` the carried gradients
+ * retire_rows writes, ``scratch`` / ``work`` view_project's, ``kept`` ..
+ * ``rec_end`` the render's own blocks, ``image`` .. ``d_image`` the view's
+ * pixels, ``grads`` the five gradient arrays field after field (positions,
+ * log-scales, quaternions, sh, logits; zeroed here).  The previous step's
+ * block (``prev_sh`` / ``prev_opacity``) and carry (``carried_sh`` /
+ * ``carried_opacity``) are read by assemble_rows and must not share memory
+ * with ``block``: the caller double-buffers both.
+ *
+ * The render's own blocks are sized by what view_project counted, so their
+ * capacities (``caps``: six counts of values, ``kept`` .. ``rec_end`` in
+ * order) are checked then, before any store is written: a shortfall returns
+ * STATUS_ARENA_SHORT with the counts at out[OUT_SURVIVORS ..], having
+ * written only the block, scratch and work, and the caller grows the arenas
+ * and calls again.  Any other failure returns the failing call's status,
+ * also at out[OUT_STATUS], with its STAGE_* at out[OUT_STAGE].  The two
+ * halves' CLOCK_MONOTONIC nanoseconds go to out[OUT_FORWARD_NS]
+ * (view_project + view_composite) and out[OUT_BACKWARD_NS] (the division by
+ * ``batch`` + view_backward), the loss to *value.
+ * ====================================================================== */
+
+int train_step(
+    int64_t n, int64_t k3, int64_t stride, const double *pinned,
+    double *pinned_grads, const double *critical, double *critical_grads,
+    const int64_t *ws, int64_t m, const int64_t *loads, int64_t num_loads,
+    const int64_t *cached, int64_t num_cached, const int64_t *stores,
+    int64_t num_stores, const int64_t *carried, int64_t num_carried,
+    const int64_t *prev, int64_t mp, const double *prev_sh,
+    const double *prev_opacity, const int64_t *carried_in,
+    int64_t num_carried_in, const double *carried_sh,
+    const double *carried_opacity, const double *planes, int64_t degree,
+    const double *params, int64_t width, int64_t height, int64_t ts,
+    int64_t sub, int64_t records, const double *target, const double *uy,
+    const double *uy2_c1, const double *vy_c2, const double *taps,
+    int64_t size, double lambda, double c1, double c2, double batch,
+    double *block, double *carry, double *scratch, int64_t *work,
+    double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
+    int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
+    double *trans, double *d_image, double *grads, double *value,
+    int64_t *out)
+{
+#define STAGE(name, call)                                                   \
+    do {                                                                    \
+        const int failed = (call);                                         \
+        if (failed) {                                                       \
+            out[OUT_STAGE] = STAGE_##name;                                  \
+            out[OUT_STATUS] = failed;                                       \
+            return failed;                                                  \
+        }                                                                   \
+    } while (0)
+    const int64_t k_stored = k3 / 3;
+    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
+    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
+    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
+    STAGE(ASSEMBLE_ROWS, assemble_rows(
+        n, k3, stride, pinned, critical, ws, m, loads, num_loads, cached,
+        num_cached, prev, mp, prev_sh, prev_opacity, carried_in,
+        num_carried_in, carried_sh, carried_opacity, block));
+
+    int64_t start = now_ns();
+    STAGE(VIEW_PROJECT, view_project(
+        m, positions, log_scales, quats, sh, opacity, planes, k_stored, degree,
+        params, width, height, ts, sub, scratch, work));
+    const int64_t survivors = work[0], tiles = work[2], entries = work[3];
+    const int64_t area = work[4], lead = tiles * sub * sub;
+    const int64_t need[] = {
+        F_RETAINED * survivors, survivors + 2 * tiles + 1 + entries,
+        3 * survivors, records ? lead + 2 * area : 0, records ? area : 0,
+        records ? entries + 1 : 0,
+    };
+    int short_of = 0;
+    for (int k = 0; k < (int)(sizeof need / sizeof *need); k++)
+        short_of |= need[k] > caps[k];
+    memcpy(out + OUT_SURVIVORS, work, 5 * sizeof(int64_t));
+    if (short_of)
+        return STATUS_ARENA_SHORT;
+    if (!records)
+        rec_f = NULL, rec_p = NULL, rec_end = NULL;
+    STAGE(VIEW_COMPOSITE, view_composite(
+        m, scratch, work, params, width, height, sub, kept, ikept, clamp,
+        rec_f, rec_p, rec_end, image, trans));
+    out[OUT_FORWARD_NS] = now_ns() - start;
+
+    STAGE(PHOTOMETRIC_LOSS, photometric_loss(
+        height, width, 3, image, target, uy, uy2_c1, vy_c2, taps, size,
+        lambda, c1, c2, d_image, value));
+
+    start = now_ns();
+    for (int64_t k = 0; k < 3 * width * height; k++)
+        d_image[k] = d_image[k] / batch;
+    double *g_positions = grads, *g_log_scales = g_positions + 3 * m;
+    double *g_quats = g_log_scales + 3 * m, *g_sh = g_quats + 4 * m;
+    double *g_logits = g_sh + m * k3;
+    memset(grads, 0, (size_t)((11 + k3) * m) * sizeof(double));
+    STAGE(VIEW_BACKWARD, view_backward(
+        survivors, m, tiles, entries, records ? area : 0, kept, ikept, clamp,
+        rec_f, rec_p, rec_end, sh, k_stored, degree, params, width, height,
+        sub, d_image, g_positions, g_log_scales, g_quats, g_sh, g_logits));
+    out[OUT_BACKWARD_NS] = now_ns() - start;
+
+    STAGE(ADD_GRADS_ROWS, add_grads_rows(
+        n, k3, ws, m, grad_sh, grad_opacity, g_sh, g_logits, g_positions,
+        g_log_scales, g_quats, critical_grads));
+    STAGE(RETIRE_ROWS, retire_rows(
+        n, k3, stride, pinned_grads, ws, m, grad_sh, grad_opacity, stores,
+        num_stores, carried, num_carried, carry));
+#undef STAGE
     return STATUS_OK;
 }

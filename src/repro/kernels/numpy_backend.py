@@ -49,7 +49,9 @@ assigns zero rows, and ``adam_rows`` is
 :func:`~repro.gaussians.loss.ssim_with_grad`, whose SSIM window is two
 banded-matrix products a pass (four GEMM calls an image) over the target's
 kept moments.  ``view_train`` is :func:`~repro.gaussians.render.train_view`:
-the render, the loss and the backward pass, each dispatched on its own.
+the render, the loss and the backward pass, each dispatched on its own;
+``train_step`` is :func:`~repro.core.stores.train_step`: the working set's
+``assemble``, that view, ``add_grads`` and ``retire``.
 
 ``plan_batch`` is :func:`repro.planning.planner.plan_batch`: the TSP
 search of :mod:`repro.planning.tsp_order` over a BLAS intersection
@@ -488,7 +490,8 @@ class NumpyKernelBackend(KernelBackend):
         "vectorized NumPy reference (always available; grouped slab "
         "compositing, the stores' gather / scatter data path, blocked "
         "fused Adam, the banded-GEMM SSIM loss, a training view as three "
-        "dispatched calls, a batch's plan as the planning modules composed)"
+        "dispatched calls, a CLM microbatch as the data path around it, a "
+        "batch's plan as the planning modules composed)"
     )
 
     def capabilities(self) -> "frozenset[str]":
@@ -506,6 +509,10 @@ class NumpyKernelBackend(KernelBackend):
             from repro.planning.planner import plan_batch
 
             return plan_batch
+        if spec.op == "train_step":
+            from repro.core.stores import train_step
+
+            return train_step
         return {
             "exact_cull": _exact_cull,
             "view_forward": _view_forward,

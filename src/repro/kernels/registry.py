@@ -86,6 +86,11 @@ AUTO = "auto"
 #: :class:`~repro.planning.planner.PlannedBatch` — order, each step's
 #: working set and loads / cached / stores / carried, the touched union and
 #: the Adam chunks; its reference is :func:`repro.planning.planner.plan_batch`.
+#: ``train_step`` is a CLM microbatch: ``assemble_rows``, the training view
+#: and ``add_grads_rows`` / ``retire_rows`` over a
+#: :class:`~repro.core.stores.GpuWorkingSet`, to ``(loss, gradients,
+#: carried)``; its reference is the composition
+#: (:func:`repro.core.stores.train_step`).
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
@@ -100,6 +105,7 @@ KERNEL_OPS = (
     "photometric_loss",
     "view_train",
     "plan_batch",
+    "train_step",
 )
 
 
@@ -188,6 +194,18 @@ def train_operands(settings, model, target, moments) -> tuple:
     return (
         _compute_dtype(settings.dtype), model.positions, model.log_scales,
         model.quaternions, model.sh, model.opacity_logits, target,
+    ) + (() if moments is None else (moments.uy,))
+
+
+def step_operands(settings, working, target, moments) -> tuple:
+    """The arrays whose layouts decide who runs ``train_step``: the compute
+    dtype, the stores' packed buffers (the pinned rows and gradients, the
+    critical rows and gradients), the target and, unless the loss is L1
+    alone, the target's first moment plane."""
+    cpu, gpu = working.cpu_store, working.gpu_store
+    return (
+        _compute_dtype(settings.dtype), cpu.params, cpu.grads,
+        gpu.packed_params, gpu.packed_grads, target,
     ) + (() if moments is None else (moments.uy,))
 
 

@@ -1,44 +1,71 @@
-"""The host memory one engine's training views run in, allocated once.
+"""The host memory one engine's training steps run in, allocated once.
 
 A :class:`Workspace` belongs to one engine (``EngineBase._workspace``) and
 outlives its batches.  The ``native`` backend's ``view_train`` op runs a
 view's four C calls (project, composite, loss, backward) over its
-**arenas**: one grow-only buffer per kind of block, named by the op, of
-which a view takes a prefix.  An arena is replaced only when a view needs
-more than it holds (a larger working set, a densified model, a larger
-image), and then with an eighth of headroom, so it is held at about the
-largest view seen and nothing multi-MB is allocated or freed between
-views.  Each arena's address is taken once, when it is allocated.
+**arenas**, and its ``train_step`` op a whole CLM microbatch — the working
+set's selective load, that view, the gradient accumulation and offload —
+as one C call over the same arenas plus the working set's own: one
+grow-only buffer per kind of block, named by the op, of which a step takes
+a prefix.  An arena is replaced only when a step needs more than it holds
+(a larger working set, a densified model, a larger image), and then with
+an eighth of headroom, so it is held at about the largest step seen and
+nothing multi-MB is allocated or freed between steps.  Each arena's
+address is taken once, when it is allocated; a name keeps the dtype it was
+first allocated with (asking for another raises ``TypeError``: its
+capacity is counted in elements of that dtype).
 
-The gradients ``view_train`` returns are slices of an arena, so they are
-valid only until the next view overwrites them.  The op takes a **lease**
-before it writes and the caller releases it once the gradients are
-consumed (``EngineBase._forward_backward`` does, on leaving its ``with``
-block): a second ``view_train`` while the lease is live raises instead of
-overwriting gradients still being read.
+``train_step`` double-buffers the working set's block and the gradients
+it carries to the next step (two arenas of each, used in turn by
+:attr:`Workspace.steps`' parity), so the block and carry of the last step,
+which it reads, are never the ones it writes — and a call that finds a
+render's arenas too small can grow them and run again.
+
+What a step reads that outlives it — the stores' packed buffers, a view's
+camera vectors, a target's moments — is checked and its address taken
+once, then kept as a **binding** (:meth:`Workspace.binding`) until one of
+the objects it was taken from is replaced: a ``rebuild`` (densify, prune)
+builds new stores, so the next step binds again; a restore writes the
+stores in place, so the addresses stand.
+
+The gradients ``view_train`` and ``train_step`` return are slices of an
+arena, so they are valid only until the next step overwrites them.  The
+op takes a **lease** before it writes and the caller releases it once the
+gradients are consumed (``EngineBase._forward_backward`` does, on leaving
+its ``with`` block; ``CLMEngine._run_step`` after the densify hook): a
+second op while the lease is live raises instead of overwriting gradients
+still being read.
 
 Arenas are host bytes outside :class:`~repro.hardware.memory.MemoryPool`'s
-model: the pool accounts a view's activations analytically
+model: the pool accounts a step's working set and activations analytically
 (:mod:`repro.core.memory_model`), as before.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 
 class Workspace:
-    """Grow-only arenas, a lease, and what the last view measured."""
+    """Grow-only arenas, bindings, a lease, and what the last view measured."""
 
     def __init__(self) -> None:
-        self._arenas: Dict[str, Tuple[np.ndarray, int]] = {}
+        #: name -> (array, address, the dtype it was asked for).
+        self._arenas: Dict[str, tuple] = {}
+        self._bindings: Dict[Hashable, tuple] = {}
         self._lease = threading.Lock()
         #: Arenas allocated so far, replacements included: flat once every
         #: view of a repeated schedule has been seen.
         self.allocations = 0
+        #: Bindings made so far, remade ones included: flat while no store,
+        #: camera or target is replaced.
+        self.bindings = 0
+        #: ``train_step`` calls completed: the parity picks the pair of
+        #: double-buffered arenas the next one writes.
+        self.steps = 0
         #: Seconds of the last view's forward half (project + composite, or
         #: the render) and backward half (gradient scaling + backward).
         self.forward_s = 0.0
@@ -49,24 +76,45 @@ class Workspace:
 
     def arena(self, name: str, size: int, dtype=np.float64) -> Tuple[np.ndarray, int]:
         """Arena ``name`` — at least ``size`` elements of ``dtype`` — and its
-        address, replaced by a larger one when it is too small.  A caller
-        passes each name one dtype."""
+        address, replaced by a larger one when it is too small.  Raises
+        ``TypeError`` when ``name`` holds another dtype."""
         held = self._arenas.get(name)
+        if held is not None and held[2] is not dtype and held[0].dtype != dtype:
+            raise TypeError(
+                f"workspace arena {name!r} holds {held[0].dtype}, not "
+                f"{np.dtype(dtype)}"
+            )
         if held is None or held[0].size < size:
             # An eighth of headroom: a view a few rows larger than the
             # largest seen (the model moved) does not replace the arena.
             arena = np.empty(size + size // 8 + 1, dtype)
-            held = self._arenas[name] = (arena, arena.ctypes.data)
+            held = self._arenas[name] = (arena, arena.ctypes.data, dtype)
             self.allocations += 1
-        return held
+        return held[:2]
+
+    def binding(self, key: Hashable, owners: tuple, bind: Callable, *args):
+        """What ``bind(*args)`` returned for ``key``, kept while ``owners`` are
+        the objects it was last made for (compared by identity) and made
+        again when any of them has been replaced.  The binding holds
+        ``owners``, so what its addresses point into stays alive with it."""
+        held = self._bindings.get(key)
+        if held is not None and len(held[0]) == len(owners):
+            for kept, owner in zip(held[0], owners):
+                if kept is not owner:
+                    break
+            else:
+                return held[1]
+        self._bindings[key] = (owners, bind(*args))
+        self.bindings += 1
+        return self._bindings[key][1]
 
     @property
     def leased(self) -> bool:
         return self._lease.locked()
 
     def lease(self) -> None:
-        """Claim the arenas for one view; raises ``RuntimeError`` while the
-        last view's gradients are still leased."""
+        """Claim the arenas for one step; raises ``RuntimeError`` while the
+        last step's gradients are still leased."""
         if not self._lease.acquire(blocking=False):
             raise RuntimeError(
                 "workspace already leased: the last view's gradients are "

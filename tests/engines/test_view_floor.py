@@ -3,10 +3,11 @@
 Deterministic call-count guards on one ``clm`` batch — a view's geometry is
 built once for the cull and once for the render, never again for the
 backward pass; the loss is one kernel op a view over the target's kept
-moments (on ``native`` one C call, on NumPy matrix products); on ``native``
-a view is its four C calls over the engine's workspace, with nothing
-resolved, compiled or allocated again — plus the engine-side behaviours
-that ride along:
+moments (on ``native`` inside the step's C call, on NumPy matrix products);
+on ``native`` a ``clm`` microbatch is one C call over the engine's
+workspace, and a view of the other engines its four C calls, with nothing
+resolved, compiled, bound or allocated again — plus the engine-side
+behaviours that ride along:
 moments are invalidated by replacing a target, evaluation renders
 forward-only, kernel specs are memoised.
 """
@@ -97,38 +98,69 @@ def test_one_clm_batch_computes_each_views_geometry_once(setup, monkeypatch):
 
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
 def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
-    """On ``native`` a view's loss is one C call over the kept moments: no
-    matrix filter, no moments recomputed after the warm-up."""
+    """On ``native`` a view's loss is one C call over the kept moments —
+    inside the step's ``train_step`` call, which makes it: no matrix
+    filter, no moments recomputed after the warm-up."""
     _, _, targets = setup
     engine = build("clm", setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: moments, the library
 
     lib = get_backend("native").library().load()
+    steps = spy_on(monkeypatch, lib, "train_step")
     calls = spy_on(monkeypatch, lib, "photometric_loss")
     filters = spy_on(monkeypatch, loss, "_filter_planes")
     moments = spy_on(monkeypatch, TargetMoments, "of")
     result = engine.train_batch(BATCH, targets)
     assert np.isfinite(result.loss)
-    assert engine._loss_ops.active == "native"
-    assert calls.call_count == len(BATCH)
+    assert engine.perf.kernel_backend == "native"
+    assert steps.call_count == len(BATCH)
+    assert calls.call_count == 0  # from Python: train_step makes it
     assert filters.call_count == 0
     assert moments.call_count == 0
 
 
+#: The entry points a ``native`` training view or step may call.
+ENTRY_POINTS = (
+    "assemble_rows", "view_project", "view_composite", "photometric_loss",
+    "view_backward", "add_grads_rows", "retire_rows", "train_step",
+)
+
+
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
-def test_a_native_clm_view_is_four_c_calls_and_nothing_else(setup, monkeypatch):
-    """After a warm-up batch, each view of a repeated ``clm`` batch is one
-    call each to the four C functions of ``view_train``: no backend is
-    resolved, no spec built, nothing compiled, no arena grown."""
+@pytest.mark.parametrize("name", ["naive", "enhanced"])
+def test_a_native_view_is_four_c_calls(name, setup, monkeypatch):
+    """The engines that scatter a gathered view's gradients run it as
+    ``view_train``: its four C calls a view, over the arenas the warm-up
+    grew."""
+    _, _, targets = setup
+    engine = build(name, setup, kernel_backend="native")
+    engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
+    allocations = engine._workspace.allocations
+    lib = get_backend("native").library().load()
+    calls = {entry: spy_on(monkeypatch, lib, entry) for entry in ENTRY_POINTS}
+    assert np.isfinite(engine.train_batch(BATCH, targets).loss)
+    four = ("view_project", "view_composite", "photometric_loss", "view_backward")
+    assert {entry: spy.call_count for entry, spy in calls.items()} == {
+        entry: len(BATCH) if entry in four else 0 for entry in ENTRY_POINTS
+    }
+    assert engine._workspace.allocations == allocations
+    assert engine._loss_ops.active == "native"
+
+
+@pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
+def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
+    """After a warm-up batch, each microbatch of a repeated ``clm`` batch
+    is one ``train_step`` call and no other C call: no backend is resolved,
+    no spec built, nothing compiled, nothing bound again, no arena grown."""
     _, _, targets = setup
     engine = build("clm", setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
-    allocations = engine._workspace.allocations
-    assert allocations > 0
+    ws = engine._workspace
+    allocations, bindings = ws.allocations, ws.bindings
+    assert allocations > 0 and bindings > 0
 
     lib = get_backend("native").library().load()
-    four = ("view_project", "view_composite", "photometric_loss", "view_backward")
-    calls = {name: spy_on(monkeypatch, lib, name) for name in four}
+    calls = {name: spy_on(monkeypatch, lib, name) for name in ENTRY_POINTS}
     in_step, resolved = [False], []
 
     def watch(owner, name):
@@ -159,13 +191,12 @@ def test_a_native_clm_view_is_four_c_calls_and_nothing_else(setup, monkeypatch):
     engine._run_step = step
     result = engine.train_batch(BATCH, targets)
     assert np.isfinite(result.loss)
-    assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(
-        four, len(BATCH)
-    )
+    assert {name: spy.call_count for name, spy in calls.items()} == {
+        name: len(BATCH) if name == "train_step" else 0 for name in ENTRY_POINTS
+    }
     assert resolved == []
-    assert engine._workspace.allocations == allocations
-    assert not engine._workspace.leased
-    assert engine._loss_ops.active == "native"
+    assert (ws.allocations, ws.bindings) == (allocations, bindings)
+    assert not ws.leased
     assert engine.perf.kernel_backend == "native"
 
 
@@ -231,6 +262,46 @@ def test_evaluate_renders_forward_only(name, setup):
     ])
     assert engine.raster_settings.cache_blend_state
     assert value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", available_engines())
+def test_render_view_renders_forward_only(name, setup):
+    """``render_view`` keeps no blend state — on ``native`` its context holds
+    no blend-record blocks — and renders the training settings' image."""
+    engine = build(name, setup)
+    seen = []
+    render = engine._render
+
+    def recording(camera, model, settings):
+        result = render(camera, model, settings)
+        seen.append((model, settings.cache_blend_state, result))
+        return result
+
+    engine._render = recording
+    image = engine.render_view(BATCH[0]).image
+    [(model, cached, result)] = seen
+    assert not cached and result.ctx.blend_cache is None
+    if result.ctx.kernel_backend == "native":
+        assert len(result.ctx.blocks) == 4  # projection, fields, ints, clamp
+    assert engine.raster_settings.cache_blend_state
+    want = render(engine.cameras[BATCH[0]], model, engine.raster_settings).image
+    assert np.array_equal(image, want)
+
+
+def test_a_render_view_that_raises_leaves_the_pool_as_it_was(setup):
+    _, _, targets = setup
+    engine = build("clm", setup, gpu_capacity_bytes=1e12)
+    engine.train_batch(BATCH, targets)
+    used = engine.pool.used
+
+    def failing(camera, model, settings):
+        assert engine.pool.used > used  # the working set is accounted
+        raise RuntimeError("render failed")
+
+    engine._render = failing
+    with pytest.raises(RuntimeError, match="render failed"):
+        engine.render_view(BATCH[0])
+    assert engine.pool.used == used
 
 
 def test_kernel_specs_are_memoised():

@@ -55,10 +55,10 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_thirteen_entry_points():
+def test_the_parsed_prototypes_are_the_fourteen_entry_points():
     signatures = native_backend.prototypes(kernel_source())
     assert set(signatures) == set(native_backend._RAISES)
-    assert len(signatures) == 13
+    assert len(signatures) == 14
     assert [ctype for _, ctype in signatures["zero_rows"]] == [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64,
@@ -141,7 +141,10 @@ def test_the_generated_offsets_are_the_cumulative_field_widths():
         if name == native_backend._FIELDS[-1][0]:
             assert generated["F_RETAINED"] == at == native_backend._RETAINED == 52
     assert generated["F_SCRATCH"] == at == native_backend._SCRATCH == 57
-    assert [generated[f"STATUS_{s}"] for s in native_backend._STATUS] == [0, 1, 2, 3, 4]
+    assert [generated[f"STATUS_{s}"] for s in native_backend._STATUS] == [0, 1, 2, 3, 4, 5]
+    stages = [generated[f"STAGE_{s.upper()}"] for s in native_backend._STEP_STAGES]
+    slots = [generated[f"OUT_{s.upper()}"] for s in native_backend._STEP_OUT]
+    assert stages == list(range(7)) and slots == list(range(9))
 
 
 def test_the_params_vector_fills_the_generated_slots():

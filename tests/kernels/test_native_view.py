@@ -474,12 +474,12 @@ def test_operands_are_checked_before_a_pointer_is_taken():
         backward(ctx, model, np.ones((30, 40, 3)))
 
 
-def test_the_backend_declares_all_thirteen_ops():
+def test_the_backend_declares_all_fourteen_ops():
     assert KERNEL_OPS == (
         "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
         "raster_backward_slab", "assemble_rows", "add_grads_rows",
         "retire_rows", "zero_rows", "adam_rows", "photometric_loss",
-        "view_train", "plan_batch",
+        "view_train", "plan_batch", "train_step",
     )
     assert get_backend("native").capabilities() == frozenset(KERNEL_OPS)
     assert get_backend("numpy").capabilities() == frozenset(KERNEL_OPS)
