@@ -1307,15 +1307,6 @@ def _bind_target(target, moments) -> tuple:
     )
 
 
-def _bind_reports(ws) -> tuple:
-    """``train_step``'s fixed-size arenas, ``(array, address)`` each: the
-    loss value, the ``out`` report and the render's ``caps``."""
-    return (
-        ws.arena("value", 1), ws.arena("step out", len(_STEP_OUT), np.int64),
-        ws.arena("step caps", len(_KEPT[True]), np.int64),
-    )
-
-
 def _index_at(rows: np.ndarray):
     """An index vector's address, ``None`` when it is empty (the C walks
     none of it): plans hand their sets out read-only, whose address costs
@@ -1343,8 +1334,10 @@ def _bind_step(lib, name: str) -> Callable:
         cpu, gpu = working.cpu_store, working.gpu_store
         # A store never replaces its buffers: a new store (rebuild) rebinds.
         stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
+        # Keyed by view, so a replaced camera or target overwrites its
+        # binding rather than pinning the old one.
         view = ws.binding(
-            id(camera),
+            ("view", camera.view_id),
             (camera, frustum_planes(camera), settings.alpha_threshold,
              settings.transmittance_min, settings.max_alpha, settings.background,
              settings.tile_size),
@@ -1356,7 +1349,9 @@ def _bind_step(lib, name: str) -> Callable:
                 f"native train_step: a {target.shape} target for a "
                 f"{width}x{height} view"
             )
-        loss = ws.binding(id(moments), (moments, target), _bind_target, target, moments)
+        loss = ws.binding(
+            ("target", camera.view_id), (moments, target), _bind_target, target, moments
+        )
         k3 = stores[1]
         k = k3 // 3
         rows, loads, cached = _rows(step.working_set), _rows(step.loads), _rows(step.cached)
@@ -1398,9 +1393,9 @@ def _bind_step(lib, name: str) -> Callable:
             degree = min(settings.active_sh_degree, degree)
         pixels, records = height * width, bool(settings.cache_blend_state)
         kept_arenas = _KEPT[records]
-        (value, value_at), (out, out_at), (caps, caps_at) = ws.binding(
-            "train_step", (), _bind_reports, ws
-        )
+        value, value_at = ws.arena("value", 1)
+        out, out_at = ws.arena("step out", len(_STEP_OUT), np.int64)
+        caps, caps_at = ws.arena("step caps", len(_KEPT[True]), np.int64)
         arenas = (
             ws.arena("scratch", _SCRATCH * m)[1],
             ws.arena("work", 5 + 7 * m + tiles + (3 * m + 7) // 8, np.int64)[1],
@@ -1427,6 +1422,9 @@ def _bind_step(lib, name: str) -> Callable:
                     ws.arena(arena, size, dtype)
                     for (arena, dtype), size in zip(kept_arenas, sizes)
                 ]
+                # Every slot: the C checks all six, and an arena is not
+                # cleared when it is allocated.
+                caps[:] = 0
                 caps[: len(blocks)] = [block.size for block, _ in blocks]
                 try:
                     lib.train_step(

@@ -26,7 +26,9 @@ camera vectors, a target's moments — is checked and its address taken
 once, then kept as a **binding** (:meth:`Workspace.binding`) until one of
 the objects it was taken from is replaced: a ``rebuild`` (densify, prune)
 builds new stores, so the next step binds again; a restore writes the
-stores in place, so the addresses stand.
+stores in place, so the addresses stand.  A binding's key names its slot
+(the stores, a view's camera, a view's target), so a replacement overwrites
+the slot and the objects it held are freed.
 
 The gradients ``view_train`` and ``train_step`` return are slices of an
 arena, so they are valid only until the next step overwrites them.  The

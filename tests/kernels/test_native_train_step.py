@@ -359,6 +359,64 @@ def test_a_short_arena_is_grown_and_the_step_run_again(recipes):
     engine.close()
 
 
+@pytest.mark.parametrize("records", [False, True], ids=["no-records", "records"])
+def test_stale_capacities_in_the_caps_arena_are_overwritten(recipes, records):
+    """An arena is not cleared when it is allocated: a ``caps`` arena that
+    held negative numbers must not read as a shortfall of the record blocks
+    a step without records never asks for (it would be re-run forever)."""
+    engine, plan, targets = working_sets(recipes)
+    settings = replace(engine.raster_settings, cache_blend_state=records)
+    ws = Workspace()
+    ws.arena("step caps", len(native_backend._KEPT[True]), np.int64)[0][:] = -1
+    lib = get_backend("native").library().load()
+    calls = []
+
+    def bounded(*args):
+        calls.append(1)
+        if len(calls) > 2 * len(plan.steps):
+            raise AssertionError("train_step re-run without end")
+        return lib.train_step(*args)
+
+    op = native_backend._bind_step(
+        type("Lib", (), {"train_step": staticmethod(bounded)}), "native"
+    )
+    working = engine._new_working_set()
+    carried = None
+    for step in plan.steps:
+        target = targets[step.view_id]
+        _, _, carried = op(
+            working, step, carried, engine.cameras[step.view_id], settings,
+            target, TargetMoments.of(target), 0.2, plan.batch_size, ws,
+        )
+        ws.release()
+    assert len(calls) <= len(plan.steps) + 1
+    engine.close()
+
+
+def test_a_replaced_camera_or_target_overwrites_its_binding(recipes):
+    """Bindings are keyed by view: a fresh target or camera for the same
+    view rebinds in place instead of pinning the old one."""
+    engine, plan, targets = working_sets(recipes)
+    step, op, ws = plan.steps[0], step_op(), Workspace()
+
+    def run(camera, target):
+        op(
+            engine._new_working_set(), step, None, camera, engine.raster_settings,
+            target, TargetMoments.of(target), 0.2, plan.batch_size, ws,
+        )
+        ws.release()
+
+    camera, target = engine.cameras[step.view_id], targets[step.view_id]
+    run(camera, target)
+    held, made = len(ws._bindings), ws.bindings
+    for turn in range(1, 4):
+        run(camera, target.copy())
+        assert (len(ws._bindings), ws.bindings) == (held, made + turn)
+    run(replace(camera), target)
+    assert (len(ws._bindings), ws.bindings) == (held, made + 5)
+    engine.close()
+
+
 def test_a_failing_call_raises_what_its_stage_raises_and_ends_the_lease(recipes):
     engine, plan, targets = working_sets(recipes)
     step = plan.steps[0]
