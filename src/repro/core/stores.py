@@ -17,13 +17,15 @@ These classes move *real* NumPy arrays the way CLM moves tensors
   with transfer-byte accounting that the tests reconcile against the
   analytic transfer plan.
 
-The per-microbatch data movement — ``GpuWorkingSet.assemble`` /
-``add_grads`` / ``retire`` and both stores' ``zero_grads`` — dispatches
+``GpuWorkingSet.assemble`` and both stores' ``zero_grads`` dispatch
 through the kernel backend layer (:mod:`repro.kernels`), one op a method
 over row indices: ``native`` runs each as one C call, the NumPy reference
 (``numpy_backend``) as the gathers, ``searchsorted`` placements and
-fancy-indexed scatters it always was, and the two agree bit for bit.
-Float32 gradient staging runs on the reference.  ``kernel_backend`` picks
+scatters it always was, and the two agree bit for bit.  Float32 gradient
+staging runs on the reference.  ``add_grads`` and ``retire`` are NumPy
+here, fancy-indexed ``+=`` in place: the composition below calls them
+directly, and ``native``'s microbatch step runs their C twins, which add
+and copy in the same order, to the same bits.  ``kernel_backend`` picks
 the backend as everywhere else (``EngineConfig.kernel_backend``, then
 ``REPRO_KERNEL_BACKEND``, then ``auto``); ``active_kernel_backend`` says
 which one ran the last op (a working set shares its pinned store's).
@@ -365,10 +367,9 @@ class GpuWorkingSet:
         """Accumulate a backward pass's gradients into the working buffers
         (non-critical) and the resident accumulators (critical)."""
         assert self.indices is not None
-        self._ops(
-            "add_grads_rows", self.gpu_store.packed_grads,
-            *(grads[name] for name in _GRAD_ORDER),
-        )(self, grads)
+        self.grad_sh += grads["sh"]
+        self.grad_opacity += grads["opacity_logits"]
+        self.gpu_store.accumulate_grads(self.indices, grads)
 
     def retire(
         self, stores: np.ndarray, carried: np.ndarray
@@ -376,9 +377,16 @@ class GpuWorkingSet:
         """Offload finalized gradients; return carried grads for the next
         buffer (or None)."""
         assert self.indices is not None
-        out = self._ops("retire_rows", self.cpu_store.grads)(self, stores, carried)
+        if stores.size:
+            src = np.searchsorted(self.indices, stores)
+            self.cpu_store.accumulate_grads(
+                stores, self.grad_sh[src], self.grad_opacity[src]
+            )
         self.counters.stored_gaussians += int(stores.size)
-        return out
+        if carried.size:
+            src = np.searchsorted(self.indices, carried)
+            return (carried, self.grad_sh[src].copy(), self.grad_opacity[src].copy())
+        return None
 
     @property
     def active_kernel_backend(self) -> Optional[str]:
@@ -426,10 +434,6 @@ def train_step(
     )
     working.add_grads(grads)
     return loss, grads, working.retire(step.stores, step.carried)
-
-
-#: The gradient arrays ``add_grads`` reads, in the order its spec lists them.
-_GRAD_ORDER = ("sh", "opacity_logits", "positions", "log_scales", "quaternions")
 
 
 def _degree_for_basis(basis: int) -> int:

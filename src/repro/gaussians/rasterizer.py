@@ -93,7 +93,7 @@ win for compute and activation memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -305,14 +305,22 @@ class RenderContext:
     #: follow: the blend records its backward pass reads instead of
     #: replaying the forward (``native_backend._kept_blocks``).
     blocks: Optional[tuple] = None
+    #: The backward pass of the backend that laid the state out in
+    #: ``blocks`` (``native``: one C call over them), ``(ctx, model,
+    #: dL_dimage) -> gradients``; ``None`` when the NumPy reference made the
+    #: context.
+    backward: Optional[Callable] = None
 
-    def view_block(self) -> Optional[np.ndarray]:
-        """The float block a compiled ``view_backward`` may read this
-        context's state from: only while ``proj`` is still the object that
-        was cut out of it (a replaced projection goes to the reference)."""
-        if self.blocks is not None and self.blocks[0] is self.proj:
-            return self.blocks[1]
-        return None
+    def backward_pass(self) -> Callable:
+        """The backward pass for this context: its maker's, while ``proj`` is
+        still the object that was cut out of the maker's blocks; the NumPy
+        reference for a context NumPy made or whose projection was
+        replaced."""
+        if self.backward is not None and self.blocks[0] is self.proj:
+            return self.backward
+        from repro.kernels.numpy_backend import view_backward
+
+        return view_backward
 
     def blend_state_bytes(self) -> int:
         """Bytes of blend state retained for the backward pass: the NumPy
@@ -700,11 +708,10 @@ def rasterize_forward(
     """
     settings = settings or RasterSettings()
     # One dispatch per render: the NumPy reference runs ``preprocess``,
-    # ``build_tile_bins`` and the slab kernels; ``native`` runs the whole
+    # ``build_tile_bins`` and its slab kernels; ``native`` runs the whole
     # view in C.  Per-op fallback keeps what a backend declines (a float32
     # blend state, model arrays that are not float64 C-contiguous) on the
-    # reference, which still composites on whichever backend takes the
-    # raster ops.
+    # reference, whole.
     from repro.kernels import compile_with_fallback, resolve_backend, view_spec
 
     fn, _ = compile_with_fallback(

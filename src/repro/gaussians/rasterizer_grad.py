@@ -49,16 +49,17 @@ The pre-substrate per-tile backward pass is a test-only oracle in
 ``tests/reference/legacy_raster.py``; the parity suite pins the grouped
 path against it for every parameter group.
 
-Since the whole-view kernel ops, :func:`rasterize_backward` is one backend
-dispatch (``view_backward``, :mod:`repro.kernels`): the NumPy reference
-runs the slab path described above and then :func:`_chain_to_parameters`
-— which stays a public NumPy function with no dispatch inside it — while
-``native`` fuses the suffix-sum gradient and the whole chain to the 59
-parameters into one C call over the blocks its forward pass laid the view
-out in: it walks the blend records the forward kept when
-``cache_blend_state`` is on and replays the forward to regenerate them
-when it is off, to bit-identical gradients (``tests/kernels`` pins every
-backend to the same 1e-10 bar).  A context without such blocks — one
+Since the whole-view kernel ops, :func:`rasterize_backward` runs the
+backward pass of the backend that made its context
+(:meth:`~repro.gaussians.rasterizer.RenderContext.backward_pass`): the NumPy
+reference runs the slab path described above and then
+:func:`_chain_to_parameters` — which stays a public NumPy function with no
+dispatch inside it — while ``native`` fuses the suffix-sum gradient and
+the whole chain to the 59 parameters into one C call over the blocks its
+forward pass laid the view out in: it walks the blend records the forward
+kept when ``cache_blend_state`` is on and replays the forward to regenerate
+them when it is off, to bit-identical gradients (``tests/kernels`` pins
+every backend to the same 1e-10 bar).  A context without such blocks — one
 NumPy made, or one whose projection was replaced — is chained by the
 reference.
 """
@@ -118,20 +119,12 @@ def rasterize_backward(
     forward; gradients are returned as full-size arrays matching
     ``model.parameters()`` with zeros for Gaussians that did not contribute.
     """
-    # Same backend resolution as the forward pass, one dispatch: the NumPy
-    # reference walks the retained blend cache (or regenerates it
-    # slab-wise) and chains through :func:`_chain_to_parameters`; ``native``
-    # walks its blend records (or replays the forward) and chains in C, from
-    # the blocks its forward pass laid the view out in — a context without
-    # them stays on the reference.
-    from repro.kernels import compile_with_fallback, resolve_backend, view_spec
-
-    settings = ctx.settings
-    fn, _ = compile_with_fallback(
-        resolve_backend(settings.kernel_backend),
-        view_spec("view_backward", settings.np_dtype, model, ctx.view_block()),
-    )
-    return fn(ctx, model, dL_dimage)
+    # The context carries its maker's backward: ``native`` walks its blend
+    # records (or replays the forward) and chains in C, from the blocks its
+    # forward pass laid the view out in; the NumPy reference walks the
+    # retained blend cache (or regenerates it slab-wise) and chains through
+    # :func:`_chain_to_parameters`.
+    return ctx.backward_pass()(ctx, model, dL_dimage)
 
 
 def _chain_to_parameters(

@@ -33,7 +33,6 @@ from repro.kernels.registry import (
     compile_with_fallback,
     cull_spec,
     get_backend,
-    raster_spec,
     register_backend,
     resolve_backend,
     resolve_backend_name,
@@ -63,7 +62,6 @@ __all__ = [
     "compile_with_fallback",
     "cull_spec",
     "get_backend",
-    "raster_spec",
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",

@@ -43,8 +43,7 @@ every caller; only where the blocks come from differs:
 What pays is few calls over few pointers: ctypes marshalling costs 2.8 us
 an ``ndpointer`` argument and ~1.1 us an ``ndarray.ctypes`` address, so
 every call passes raw addresses (:func:`_address`, ~0.35 us) once the
-operand checks (:func:`_buffer`, :func:`_model_arrays`, :func:`_operands`)
-have passed.
+operand checks (:func:`_buffer`, :func:`_model_arrays`) have passed.
 
 The 3-sigma frustum verdict is one ``static`` C function, ``in_frustum``,
 called from two places: ``view_project``, per input row, and the
@@ -58,8 +57,9 @@ reference (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`, whose
 signed distances come out of a BLAS product) the index sets are equal
 except on a rounding tie, ``|n . p + d + r|`` within a few ulps.
 
-Inside, the view ops run the same two compositing loops the raster ops
-expose (``raster_forward`` / ``raster_backward``): they walk the CSR
+Inside, the view calls run two ``static`` compositing loops
+(``raster_forward`` / ``raster_backward``, called by ``view_composite`` and
+``view_backward`` only): they walk the CSR
 :class:`~repro.gaussians.rasterizer.TileBins` once per tile and keep the
 compositing recurrence in registers, like the paper's CUDA kernels: per
 ``(tile, splat)`` entry only the pixels of the splat's thresholded
@@ -72,25 +72,29 @@ threshold, so that libm decides which cells pass.  With
 value, ``T_before`` and pixel of every cell that passed — the **blend
 records**, sized by the footprint area ``view_project`` reports — and
 ``view_backward`` walks them back to front in one sweep; without it (under
-a GPU pool, for forward-only renders, and in the raster ops) the backward
-pass first replays the forward through the same walk to regenerate them,
-to bit-identical gradients.  ``group_size`` has no effect here.
+a GPU pool and for forward-only renders) the backward pass first replays
+the forward through the same walk to regenerate them, to bit-identical
+gradients.  ``group_size`` has no effect here.  The context
+``view_forward`` returns carries that backward call
+(``RenderContext.backward``), so ``rasterize_backward`` runs it with no
+dispatch of its own.
 
-CLM's data path is the third part, one native call per public method of
-the stores and optimizers, over row indices: ``assemble_rows``
-(``GpuWorkingSet.assemble``: cache copies, pinned-row loads and the
-critical gather into one block per working set, gradients zeroed but for
-the carried rows), ``add_grads_rows``, ``retire_rows`` (the offload into
-the padded pinned gradient rows, plus the carried copy), ``zero_rows``
-(both stores' ``zero_grads``) and ``adam_rows`` (``PackedSparseAdam`` /
-``SparseAdam``: the fused Adam step in place over the rows, no gathered
-block).  Where the reference places a set with ``np.searchsorted`` the C
-walks it through the sorted set it indexes, needing no scratch, and each
-call checks every row before it writes: one outside the store raises
-``IndexError``, one that is not a member, in order, of the set it indexes
-(or, for Adam, one that repeats) ``ValueError``.  These calls are copies,
-adds and ``fused_adam_update``'s operations in its order, so unlike the
-view ops they are bit-identical to NumPy.
+CLM's data path is the third part, one native call per op over row
+indices: ``assemble_rows`` (``GpuWorkingSet.assemble``: cache copies,
+pinned-row loads and the critical gather into one block per working set,
+gradients zeroed but for the carried rows), ``zero_rows`` (both stores'
+``zero_grads``) and ``adam_rows`` (``PackedSparseAdam`` / ``SparseAdam``:
+the fused Adam step in place over the rows, no gathered block).  Where the
+reference places a set with ``np.searchsorted`` the C walks it through the
+sorted set it indexes, needing no scratch, and each call checks every row
+before it writes: one outside the store raises ``IndexError``, one that is
+not a member, in order, of the set it indexes (or, for Adam, one that
+repeats) ``ValueError``.  These calls are copies, adds and
+``fused_adam_update``'s operations in its order, so unlike the view ops
+they are bit-identical to NumPy; so are the ``static`` ``add_grads_rows``
+and ``retire_rows`` (``GpuWorkingSet.add_grads`` / ``retire``: the
+gradient accumulation, the offload into the padded pinned gradient rows
+and the carried copy), which only ``train_step`` calls.
 
 The fourth part is the training loss between a view's two passes,
 ``photometric_loss``: ``(1 - l) L1 + l (1 - SSIM)`` and its image
@@ -130,7 +134,7 @@ convergence.
 call, the sixth part of the file: ``assemble_rows``, the four calls of the
 training view (the image gradient divided by the batch between them),
 ``add_grads_rows`` and ``retire_rows``, one after the other inside C — the
-entry points themselves, not copies — over the engine's workspace.  The
+functions themselves, not copies — over the engine's workspace.  The
 working set's block and the carried gradients are double-buffered arenas
 (the last step's stay readable while the next is written), the render's
 blocks are checked against their arenas' capacities once ``view_project``
@@ -166,7 +170,8 @@ is written in one place each and read by the other:
   parsed;
 - every call goes through one checked binding (:func:`_checked`): the
   argument count is compared with the prototype's before the call, and a
-  nonzero status raises what :data:`_RAISES` says it stands for.
+  nonzero status raises what :data:`_RAISES` says it stands for (a
+  failing stage of ``train_step``: :data:`_STAGE_RAISES`).
 
 So a mismatch is an error at load or at the first call, never memory
 corruption, and editing the declaration rebuilds the library.
@@ -199,14 +204,13 @@ lands on NumPy silently.  A build, parse or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; the failure is remembered, so from then on the
 backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All fourteen ops are implemented,
+and every caller runs on the reference.  All nine ops are implemented,
 over float64 C-contiguous operands (``exact_cull``: float64 rows, each
 contiguous): a float32 blend state (``dtype="float32"``), a model array
-that is float32 or not C-contiguous, a backward pass over a context NumPy
-made or whose projection was replaced, float32 gradient staging
-(``grad_dtype="float32"``) and a training view or step on L1 alone stay on NumPy
-through the registry's per-op fallback — and a view the view ops declined
-still composites on the raster kernels here.
+that is float32 or not C-contiguous, float32 gradient staging
+(``grad_dtype="float32"``) and a training view or step on L1 alone stay on
+NumPy, whole, through the registry's per-op fallback; a backward pass over
+a context NumPy made or whose projection was replaced runs the reference's.
 """
 
 from __future__ import annotations
@@ -253,10 +257,9 @@ CFLAGS = (
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
-_ROW_OPS = ("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows", "adam_rows")
+_ROW_OPS = ("assemble_rows", "zero_rows", "adam_rows")
 _OPS = frozenset({
-    "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-    "raster_backward_slab", *_ROW_OPS, "photometric_loss", "view_train",
+    "exact_cull", "view_forward", *_ROW_OPS, "photometric_loss", "view_train",
     "plan_batch", "train_step",
 })
 
@@ -273,8 +276,8 @@ _FIELDS = (
     ("quat_norms", (1,)), ("unit_quats", (4,)), ("rotations", (3, 3)),
     ("dirs", (3,)), ("dir_norms", (1,)),
 )
-#: Fields of ``view_project``'s scratch block only, after those: the raster
-#: kernels' separate-array operands (``_AugArrays``' names).
+#: Fields of ``view_project``'s scratch block only, after those: the
+#: compositing loops' separate-array operands (``_AugArrays``' names).
 _SCRATCH_FIELDS = (
     ("means_x", ()), ("means_y", ()), ("conic_a", ()), ("conic_b", ()),
     ("conic_c", ()),
@@ -301,7 +304,7 @@ _STATUS = ("OK", "NO_MEMORY", "OUT_OF_RANGE", "VIOLATED", "TABLES_SHORT", "ARENA
 #: the one that failed is reported at ``out[OUT_STAGE]``.
 _STEP_STAGES = (
     "assemble_rows", "view_project", "view_composite", "photometric_loss",
-    "view_backward", "add_grads_rows", "retire_rows",
+    "view_backward", "retire_rows",
 )
 #: ``train_step``'s ``out`` vector, slot by slot (``OUT_<NAME>`` in C): the
 #: failing stage and its status, ``view_project``'s five counts, the
@@ -462,18 +465,16 @@ def _no_memory(what: str) -> dict:
     return {"NO_MEMORY": (MemoryError, f" could not allocate its {what}")}
 
 
-#: What each entry point's nonzero status raises: the exception and the
-#: message after ``native <name>``, formatted with the call's arguments by
-#: their names in its prototype.  A status an entry point has no entry for
-#: raises ``RuntimeError``.
+#: What each exported entry point's nonzero status raises: the exception and
+#: the message after ``native <name>``, formatted with the call's arguments
+#: by their names in its prototype.  A status an entry point has no entry
+#: for raises ``RuntimeError``.
 _RAISES = {
-    "raster_forward": _no_memory("footprints ({rows} splats)"),
-    "raster_backward": _no_memory("blend-state scratch ({rows} splats, {num_tiles} tiles)"),
     "exact_cull": {"OUT_OF_RANGE": (IndexError, ": a row outside [0, {n})")},
     "view_project": _VIEW,
     "view_composite": {**_VIEW, **_no_memory("canvases ({width}x{height} on {sub}x{sub} tiles)")},
     "view_backward": {**_VIEW, **_no_memory("scratch ({m} splats, {entries} entries)")},
-    **dict.fromkeys(("assemble_rows", "add_grads_rows", "retire_rows", "zero_rows"), _ROWS),
+    **dict.fromkeys(("assemble_rows", "zero_rows"), _ROWS),
     "adam_rows": {
         **_ROWS, "VIOLATED": (ValueError, ": a row repeats"), "TABLES_SHORT": (_TablesShort, ""),
     },
@@ -487,6 +488,9 @@ _RAISES = {
         "ARENA_SHORT": (_ArenaShort, ""),
     },
 }
+#: What a failing stage of ``train_step`` (:data:`_STEP_STAGES`) raises: its
+#: entry point's entry, or the ``static`` ``retire_rows``'s.
+_STAGE_RAISES = {**_RAISES, "retire_rows": _ROWS}
 
 
 def _checked(lib: ctypes.CDLL, name: str, params: list) -> Callable:
@@ -702,35 +706,6 @@ def _rows(arr) -> np.ndarray:
     return rows
 
 
-def _operands(bins, aug, settings, bg) -> "tuple[list, tuple]":
-    """The leading arguments of both raster kernels — CSR bins, splats,
-    background, thresholds — once every size, dtype and index the C loops
-    rely on is checked, and the index arrays the caller holds for the call."""
-    tiles, entries, rows = bins.num_tiles, bins.num_entries, aug.opac.shape[0]
-    held = offsets, order, tile_ids = tuple(
-        np.ascontiguousarray(a, dtype=np.int64)
-        for a in (bins.offsets, bins.order, bins.tile_ids)
-    )
-    _require_shapes(offsets=(offsets, (tiles + 1,)), order=(order, (entries,)))
-    if not (
-        offsets[0] == 0
-        and offsets[-1] == entries
-        and (np.diff(offsets) >= 0).all()
-        and (entries == 0 or (0 <= order.min() and order.max() < rows))
-        and 0 <= tile_ids.min()
-        and tile_ids.max() < bins.tiles_x * bins.tiles_y
-    ):
-        raise ValueError("native kernel operands: inconsistent tile bins")
-    splats = (aug.means_x, aug.means_y, aug.conic_a, aug.conic_b, aug.conic_c, aug.opac)
-    return [
-        tiles, *map(_address, held), bins.tiles_x, bins.tile_size, bins.width,
-        bins.height, rows, *(_buffer(arr, (rows,)) for arr in splats),
-        _buffer(aug.colors, (rows, 3)), _buffer(bg, (3,)),
-        float(settings.alpha_threshold), float(settings.transmittance_min),
-        float(settings.max_alpha),
-    ], held
-
-
 def _model_arrays(model) -> dict:
     """``model.parameters()``, after checking what the C loops index by:
     float64, C-contiguous, one row per Gaussian."""
@@ -778,42 +753,8 @@ def _disjoint(*spans: tuple) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The raster and cull ops
+# The cull op
 # ---------------------------------------------------------------------------
-def _bind(lib, op: str) -> Callable:
-    """The backend-contract callable for ``op`` over the loaded library."""
-
-    def raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t):
-        if bins.num_tiles:
-            cells = (bins.tiles_x * bins.tiles_y, bins.tile_size**2)
-            operands, held = _operands(bins, aug, settings, bg)  # held through the call
-            lib.raster_forward(
-                *operands, _buffer(canvas_rgb, cells + (3,), write=True),
-                _buffer(canvas_t, cells, write=True), None, None, None, 0,
-            )
-        return None  # no blend cache: raster_backward replays the forward
-
-    def raster_backward(
-        bins, aug, settings, g_tiles, bg,
-        d_colors, d_opac, d_means2d, d_conics,
-        blend_cache=None,
-    ):
-        if not bins.num_tiles:
-            return
-        rows = aug.opac.shape[0]
-        operands, held = _operands(bins, aug, settings, bg)
-        lib.raster_backward(
-            *operands,
-            _buffer(g_tiles, (bins.tiles_x * bins.tiles_y, bins.tile_size**2, 3)),
-            _buffer(d_colors, (rows, 3), write=True),
-            _buffer(d_opac, (rows,), write=True),
-            _buffer(d_means2d, (rows, 2), write=True),
-            _buffer(d_conics, (rows, 2, 2), write=True), None, None, None, 0,
-        )
-
-    return raster_forward if op == "raster_forward_slab" else raster_backward
-
-
 def _bind_cull(lib) -> Callable:
     """``exact_cull`` over the loaded library: every shape, dtype and stride
     the C loop relies on is checked here, row bounds by the loop itself."""
@@ -959,9 +900,10 @@ def _fresh(name: str, size: int, dtype) -> tuple:
     return block, _address(block)
 
 
-def _bind_view(lib, op: str, name: str) -> Callable:
-    """The whole-view callables: ``view_forward`` is :func:`_forward` over
-    fresh blocks, cut into a context; ``view_backward`` one call over it."""
+def _bind_view(lib, name: str) -> Callable:
+    """``view_forward``: :func:`_forward` over fresh blocks, cut into a
+    context that carries its backward pass, one ``view_backward`` call over
+    those blocks."""
     from repro.gaussians.covariance import GaussianShape
     from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
     from repro.gaussians.sh import num_basis
@@ -989,7 +931,7 @@ def _bind_view(lib, op: str, name: str) -> Callable:
         ctx = RenderContext(
             camera=camera, settings=settings, proj=proj, bins=bins,
             num_input=view.n, kernel_backend=name,
-            blocks=(proj, floats, ints, clamp, *records),
+            blocks=(proj, floats, ints, clamp, *records), backward=view_backward,
         )
         image = blocks["image"][0].reshape(view.height, view.width, 3)
         return image, blocks["trans"][0].reshape(view.height, view.width), ctx
@@ -1019,7 +961,7 @@ def _bind_view(lib, op: str, name: str) -> Callable:
         _backward(lib, view, _address(d_image), list(map(_address, grads.values())))
         return grads
 
-    return view_forward if op == "view_forward" else view_backward
+    return view_forward
 
 
 # ---------------------------------------------------------------------------
@@ -1064,39 +1006,6 @@ def _bind_rows(lib, op: str) -> Callable:
         ))[0])
         critical = {name: out.pop(name) for name in ("positions", "log_scales", "quaternions")}
         return out["sh"], out["opacity"], critical, out["grad_sh"], out["grad_opacity"]
-
-    def add_grads_rows(ws, grads):
-        gpu, k = ws.gpu_store, ws.cpu_store.sh_basis
-        rows = _rows(ws.indices)
-        n, m = gpu.num_rows, rows.size
-        shapes = {
-            "sh": (m, k, 3), "opacity_logits": (m,), "positions": (m, 3),
-            "log_scales": (m, 3), "quaternions": (m, 4),
-        }
-        lib.add_grads_rows(
-            n, 3 * k, _address(rows), m,
-            _buffer(ws.grad_sh, (m, k, 3), write=True),
-            _buffer(ws.grad_opacity, (m,), write=True),
-            *(_buffer(grads[name], shape) for name, shape in shapes.items()),
-            _buffer(gpu.packed_grads, (n, 10), write=True),
-        )
-
-    def retire_rows(ws, stores, carried):
-        cpu, k = ws.cpu_store, ws.cpu_store.sh_basis
-        n, k3 = cpu.num_rows, 3 * k
-        rows, stored, kept = _rows(ws.indices), _rows(stores), _rows(carried)
-        m, nc = rows.size, kept.size
-        carry = np.empty(nc * (k3 + 1))
-        lib.retire_rows(
-            n, k3, cpu.row_floats,
-            _buffer(cpu.grads, (n, cpu.row_floats), write=True),
-            _address(rows), m, _buffer(ws.grad_sh, (m, k, 3)),
-            _buffer(ws.grad_opacity, (m,)), _address(stored), stored.size,
-            _address(kept), nc, _address(carry),
-        )
-        if not nc:
-            return None
-        return carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 :]
 
     def zero_rows(buffer, rows):
         rows = _rows(rows)
@@ -1151,8 +1060,7 @@ def _bind_rows(lib, op: str) -> Callable:
             t_max = reached
 
     return {
-        "assemble_rows": assemble_rows, "add_grads_rows": add_grads_rows,
-        "retire_rows": retire_rows, "zero_rows": zero_rows,
+        "assemble_rows": assemble_rows, "zero_rows": zero_rows,
         "adam_rows": adam_rows,
     }[op]
 
@@ -1442,11 +1350,13 @@ def _bind_step(lib, name: str) -> Callable:
         except _StageFailed:
             ws.release()
             stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
-            exc, text = _RAISES[stage].get(status, (RuntimeError, f" returned status {status}"))
+            exc, text = _STAGE_RAISES[stage].get(
+                status, (RuntimeError, f" returned status {status}")
+            )
             raise exc(
                 f"native train_step: {stage}" + text.format(
                     width=width, height=height, sub=sub, h=height, w=width,
-                    m=m, entries=int(out[5]), rows=m, num_tiles=int(out[4]),
+                    m=m, entries=int(out[5]),
                 )
             ) from None
         except BaseException:
@@ -1562,7 +1472,7 @@ def _bind_plan(lib) -> Callable:
 
 @register_backend("native")
 class NativeKernelBackend(KernelBackend):
-    """Compiled C view, raster and data-path kernels."""
+    """Compiled C view, loss, data-path, plan and microbatch kernels."""
 
     priority = 10
     description = (
@@ -1611,12 +1521,11 @@ class NativeKernelBackend(KernelBackend):
 
     def supports(self, spec: KernelSpec) -> bool:
         # The kernels index raw float64 buffers; float32 blend state or
-        # gradient staging, strided or float32 model arrays and
-        # (``view_backward``) a context without a block of ours stay on the
-        # reference.  ``exact_cull``'s
-        # spec reads ``contiguous`` per row (``registry.cull_spec``).  The
-        # loss runs over colour images and the target's moments: a
-        # grayscale image, or no moments (L1 alone), stays on the reference.
+        # gradient staging and strided or float32 model arrays stay on the
+        # reference.  ``exact_cull``'s spec reads ``contiguous`` per row
+        # (``registry.cull_spec``).  The loss runs over colour images and
+        # the target's moments: a grayscale image, or no moments (L1
+        # alone), stays on the reference.
         if spec.op == "photometric_loss" and (
             len(spec.operands) != 3 or any(d.rank != 3 for d in spec.operands)
         ):
@@ -1649,8 +1558,6 @@ class NativeKernelBackend(KernelBackend):
             return _bind_plan(lib)
         if spec.op == "train_step":
             return _bind_step(lib, self.name)
-        if spec.op in _ROW_OPS:
-            return _bind_rows(lib, spec.op)
-        if spec.op.startswith("view_"):
-            return _bind_view(lib, spec.op, self.name)
-        return _bind(lib, spec.op)
+        if spec.op == "view_forward":
+            return _bind_view(lib, self.name)
+        return _bind_rows(lib, spec.op)

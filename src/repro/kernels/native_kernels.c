@@ -1,9 +1,9 @@
 /* The ``native`` kernel backend: fused per-tile compositing kernels (the
- * first part of this file), the whole-view ops built around them (the
- * second), CLM's data path over row indices (the third), the photometric
- * loss between a view's forward and backward passes (the fourth), a batch's
- * plan (the fifth) and a CLM microbatch step calling the others (the
- * sixth).
+ * first part of this file, static: only the view calls use them), the
+ * whole-view ops built around them (the second), CLM's data path over row
+ * indices (the third), the photometric loss between a view's forward and
+ * backward passes (the fourth), a batch's plan (the fifth) and a CLM
+ * microbatch step calling the others (the sixth).
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -266,7 +266,7 @@ static int walk_tile(
  * unless ``rec_f`` is NULL.  Returns STATUS_NO_MEMORY when the footprints
  * cannot be allocated, STATUS_VIOLATED when walk_tile() runs out of
  * records. */
-int raster_forward(
+static int raster_forward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, int64_t rows, const double *mx, const double *my,
@@ -331,7 +331,7 @@ int raster_forward(
  * Gaussian's rows of d_colors (M, 3), d_opac (M), d_means (M, 2) and
  * d_conics (M, 2, 2); a row has one entry a tile, and the tiles go in CSR
  * order.  Returns STATUS_NO_MEMORY when the scratch cannot be allocated. */
-int raster_backward(
+static int raster_backward(
     int64_t num_tiles, const int64_t *offsets, const int64_t *order,
     const int64_t *tile_ids, int64_t tiles_x, int64_t ts, int64_t width,
     int64_t height, int64_t rows, const double *mx, const double *my,
@@ -1240,7 +1240,8 @@ int view_backward(
  * placed in the set it indexes by a merge walk where the reference calls
  * np.searchsorted, and every call checks all of its rows before it writes
  * anything: a row outside [0, n) returns STATUS_OUT_OF_RANGE, a row that is
- * not a member (in order) of the set it indexes STATUS_VIOLATED.
+ * not a member (in order) of the set it indexes STATUS_VIOLATED.  The static
+ * add_grads_rows and retire_rows are train_step's stages only.
  *
  * The pinned store's rows are ``stride`` doubles: sh (k3 = 3K values), the
  * opacity, zero padding.  The critical store's are positions 3 | log-scales 3
@@ -1361,15 +1362,14 @@ int assemble_rows(
 
 /* GpuWorkingSet.add_grads: a backward pass's gradients of ws[0 .. m) added
  * to the working set's gradient buffers (non-critical) and to rows ws of the
- * (n, 10) critical accumulator. */
-int add_grads_rows(
-    int64_t n, int64_t k3, const int64_t *ws, int64_t m, double *grad_sh,
+ * critical accumulator, (rows, 10).  train_step's assemble_rows has checked
+ * ws (the same index_set test) before. */
+static void add_grads_rows(
+    int64_t k3, const int64_t *ws, int64_t m, double *grad_sh,
     double *grad_opacity, const double *d_sh, const double *d_opacity,
     const double *d_positions, const double *d_log_scales,
     const double *d_quats, double *critical_grads)
 {
-    if (!index_set(ws, m, n))
-        return STATUS_OUT_OF_RANGE;
     add_into(grad_sh, d_sh, m * k3);
     add_into(grad_opacity, d_opacity, m);
     for (int64_t i = 0; i < m; i++) {
@@ -1378,14 +1378,13 @@ int add_grads_rows(
         add_into(dst + 3, d_log_scales + 3 * i, 3);
         add_into(dst + 6, d_quats + 4 * i, 4);
     }
-    return STATUS_OK;
 }
 
 /* GpuWorkingSet.retire: the gradients of rows stores[0 .. num_stores) of the
  * working set ws[0 .. m) added into the pinned gradient rows (whose padding
  * gains +0.0: the reference adds a zero-padded row), and those of carried[0
  * .. num_carried) copied into ``carry``: sh (num_carried, k3), then opacity. */
-int retire_rows(
+static int retire_rows(
     int64_t n, int64_t k3, int64_t stride, double *pinned_grads,
     const int64_t *ws, int64_t m, const double *grad_sh,
     const double *grad_opacity, const int64_t *stores, int64_t num_stores,
@@ -2089,7 +2088,8 @@ int plan_batch(
  * §5.2-5.4): the selective load, the training view and the gradient offload
  * of one microbatch in one call.  Its reference is stores.train_step, the
  * composition of GpuWorkingSet.assemble, render.train_view, add_grads and
- * retire; this calls the same entry points in the same order, so the two are
+ * retire; this calls the same functions in the same order (add_grads_rows and
+ * retire_rows are static, called from here only), so the two are
  * bit-identical:
  *
  *     assemble_rows -> view_project -> view_composite -> photometric_loss
@@ -2196,9 +2196,9 @@ int train_step(
         sub, d_image, g_positions, g_log_scales, g_quats, g_sh, g_logits));
     out[OUT_BACKWARD_NS] = now_ns() - start;
 
-    STAGE(ADD_GRADS_ROWS, add_grads_rows(
-        n, k3, ws, m, grad_sh, grad_opacity, g_sh, g_logits, g_positions,
-        g_log_scales, g_quats, critical_grads));
+    add_grads_rows(
+        k3, ws, m, grad_sh, grad_opacity, g_sh, g_logits, g_positions,
+        g_log_scales, g_quats, critical_grads);
     STAGE(RETIRE_ROWS, retire_rows(
         n, k3, stride, pinned_grads, ws, m, grad_sh, grad_opacity, stores,
         num_stores, carried, num_carried, carry));

@@ -40,18 +40,18 @@ by slab, bit for bit.
 
 The data-path ops are CLM's stores as they always were: ``assemble_rows``
 places cache copies, pinned-row loads and carried gradients with
-``np.searchsorted`` and gathers the critical rows, ``add_grads_rows`` and
-``retire_rows`` accumulate through fancy-indexed ``+=``, ``zero_rows``
-assigns zero rows, and ``adam_rows`` is
-:func:`repro.optim.kernels.adam_rows`.
+``np.searchsorted`` and gathers the critical rows, ``zero_rows`` assigns
+zero rows, and ``adam_rows`` is :func:`repro.optim.kernels.adam_rows`.
 
 ``photometric_loss`` is :func:`~repro.gaussians.loss.l1_loss` plus
 :func:`~repro.gaussians.loss.ssim_with_grad`, whose SSIM window is two
 banded-matrix products a pass (four GEMM calls an image) over the target's
 kept moments.  ``view_train`` is :func:`~repro.gaussians.render.train_view`:
-the render, the loss and the backward pass, each dispatched on its own;
+the render and the loss, each dispatched on its own, and the backward pass
+the render's context carries;
 ``train_step`` is :func:`~repro.core.stores.train_step`: the working set's
-``assemble``, that view, ``add_grads`` and ``retire``.
+``assemble``, that view, and ``add_grads`` / ``retire``, which accumulate
+through fancy-indexed ``+=`` in place.
 
 ``plan_batch`` is :func:`repro.planning.planner.plan_batch`: the TSP
 search of :mod:`repro.planning.tsp_order` over a BLAS intersection
@@ -59,13 +59,12 @@ matrix (when the order is searched), then the planning modules' set
 algebra, step by step.
 
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
-on the named rows.  The two *whole-view* ops sit on top: ``view_forward`` is
-``rasterizer.preprocess`` -> ``build_tile_bins`` -> the raster op -> image
-assembly, ``view_backward`` the raster op -> ``_chain_to_parameters`` —
-what ``rasterize_forward`` / ``rasterize_backward`` were before they became
-one dispatch each.  The raster op inside them is resolved again, so a view
-that a compiled backend declined whole (a float32 model array, say) still
-composites on that backend's kernels.
+on the named rows.  The *whole-view* op sits on top: ``view_forward`` is
+``rasterizer.preprocess`` -> ``build_tile_bins`` -> :func:`_raster_forward`
+-> image assembly, and the backward pass of the context it makes is
+:func:`view_backward`, :func:`_raster_backward` ->
+``_chain_to_parameters`` — plain calls, so a view that a compiled backend
+declined (a float32 model array, say) runs here whole.
 """
 
 from __future__ import annotations
@@ -79,10 +78,8 @@ from repro.kernels.registry import (
     KERNEL_OPS,
     KernelBackend,
     KernelSpec,
-    compile_with_fallback,
-    raster_spec,
+    REFERENCE_BACKEND,
     register_backend,
-    resolve_backend,
 )
 from repro.optim.kernels import adam_rows
 
@@ -335,10 +332,8 @@ def _exact_cull(planes, positions, log_scales, raw_quats, rows):
 
 def _view_forward(camera, model, settings):
     """One view end to end on the reference: ``preprocess``, the CSR bins,
-    compositing on whichever backend takes the raster op (the slab kernels
-    above, or ``native``'s per-tile loop when only the view op was
-    declined), and the tile-major canvases cropped into image layout.
-    Returns ``(image, transmittance, ctx)``."""
+    the slab kernels above, and the tile-major canvases cropped into image
+    layout.  Returns ``(image, transmittance, ctx)``."""
     from repro.gaussians import rasterizer
 
     dtype = settings.np_dtype
@@ -353,11 +348,7 @@ def _view_forward(camera, model, settings):
     canvas_t = np.ones((num_tiles, pixels), dtype=dtype)
 
     aug = rasterizer._AugArrays.from_proj(proj, dtype)
-    fn, actual = compile_with_fallback(
-        resolve_backend(settings.kernel_backend),
-        raster_spec("raster_forward_slab", dtype),
-    )
-    cache: Optional[List[dict]] = fn(bins, aug, settings, bg, canvas_rgb, canvas_t)
+    cache = _raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t)
 
     image = rasterizer._tile_major_to_image(canvas_rgb, bins)
     transmittance = rasterizer._tile_major_to_image(canvas_t, bins)
@@ -368,14 +359,16 @@ def _view_forward(camera, model, settings):
         bins=bins,
         num_input=model.num_gaussians,
         blend_cache=cache,
-        kernel_backend=actual.name,
+        kernel_backend=REFERENCE_BACKEND,
     )
     return image, transmittance, ctx
 
 
-def _view_backward(ctx, model, dL_dimage):
+def view_backward(ctx, model, dL_dimage):
     """Parameter gradients of a CSR-binned render: the compositing gradient
-    on whichever backend takes the raster op, then the analytic chain."""
+    of the slab kernels, then the analytic chain.  The backward pass of
+    every context this backend makes, and of any whose projection was
+    replaced (:meth:`~repro.gaussians.rasterizer.RenderContext.backward_pass`)."""
     from repro.gaussians import rasterizer, rasterizer_grad
 
     proj, settings, bins = ctx.proj, ctx.settings, ctx.bins
@@ -396,11 +389,7 @@ def _view_backward(ctx, model, dL_dimage):
         g_tiles = rasterizer.image_to_tile_major(
             np.asarray(dL_dimage, dtype=np.float64), bins
         )
-        fn, _ = compile_with_fallback(
-            resolve_backend(settings.kernel_backend),
-            raster_spec("raster_backward_slab", dtype),
-        )
-        fn(
+        _raster_backward(
             bins, aug, settings, g_tiles, bg,
             d_colors, d_opac, d_means2d, d_conics,
             blend_cache=ctx.blend_cache,
@@ -439,28 +428,6 @@ def _assemble_rows(ws, working_set, loads, cached, carried_grads):
     return sh, opacity, ws.gpu_store.gather(working_set), grad_sh, grad_opacity
 
 
-def _add_grads_rows(ws, grads):
-    """A backward pass's gradients into the working set's buffers and the
-    critical store's accumulator rows."""
-    ws.grad_sh += grads["sh"]
-    ws.grad_opacity += grads["opacity_logits"]
-    ws.gpu_store.accumulate_grads(ws.indices, grads)
-
-
-def _retire_rows(ws, stores, carried):
-    """Offload the ``stores`` rows' gradients into the pinned gradient rows;
-    ``(carried, sh, opacity)`` copies for the next buffer, or None."""
-    if stores.size:
-        src = np.searchsorted(ws.indices, stores)
-        ws.cpu_store.accumulate_grads(
-            stores, ws.grad_sh[src], ws.grad_opacity[src]
-        )
-    if carried.size:
-        src = np.searchsorted(ws.indices, carried)
-        return (carried, ws.grad_sh[src].copy(), ws.grad_opacity[src].copy())
-    return None
-
-
 def _zero_rows(buffer, rows):
     buffer[rows] = 0.0
 
@@ -489,8 +456,9 @@ class NumpyKernelBackend(KernelBackend):
     description = (
         "vectorized NumPy reference (always available; grouped slab "
         "compositing, the stores' gather / scatter data path, blocked "
-        "fused Adam, the banded-GEMM SSIM loss, a training view as three "
-        "dispatched calls, a CLM microbatch as the data path around it, a "
+        "fused Adam, the banded-GEMM SSIM loss, a training view as the "
+        "render, the loss and its context's backward, a CLM microbatch as "
+        "the data path around it, a "
         "batch's plan as the planning modules composed)"
     )
 
@@ -516,12 +484,7 @@ class NumpyKernelBackend(KernelBackend):
         return {
             "exact_cull": _exact_cull,
             "view_forward": _view_forward,
-            "view_backward": _view_backward,
-            "raster_forward_slab": _raster_forward,
-            "raster_backward_slab": _raster_backward,
             "assemble_rows": _assemble_rows,
-            "add_grads_rows": _add_grads_rows,
-            "retire_rows": _retire_rows,
             "zero_rows": _zero_rows,
             "adam_rows": adam_rows,
             "photometric_loss": _photometric_loss,

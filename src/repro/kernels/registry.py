@@ -61,24 +61,22 @@ REFERENCE_BACKEND = "numpy"
 #: Sentinel name meaning "pick the fastest available backend".
 AUTO = "auto"
 
-#: The kernel operations a backend may implement.  ``exact_cull`` is the
-#: exact 3-sigma frustum test on named rows — the arbiter a backend's own
-#: ``view_forward`` applies again, on the same bits; ``view_forward`` renders
-#: one view end to end (frustum test, projection, binning, compositing,
-#: assembly) and ``view_backward`` takes its context and an image gradient
-#: to the parameter gradients; ``raster_forward_slab`` composites the tile
-#: bins of an already projected view, ``raster_backward_slab`` accumulates
-#: its compositing gradients.  The ``*_rows`` ops are CLM's data path over
-#: row indices, one per public method: ``assemble_rows``, ``add_grads_rows``
-#: and ``retire_rows`` are :class:`~repro.core.stores.GpuWorkingSet`'s
-#: selective load, gradient accumulation and gradient offload,
-#: ``zero_rows`` both stores' ``zero_grads``, and ``adam_rows`` the fused
-#: Adam step in place over rows of a packed layout (``PackedSparseAdam``,
-#: ``SparseAdam``).  ``photometric_loss`` is the training loss between a
-#: view's two passes, L1 + SSIM over the target's kept moments, value and
-#: image gradient (:func:`repro.gaussians.loss.photometric_loss`).
-#: ``view_train`` is a whole training view — forward, loss, backward — to
-#: ``(loss, gradients)``; its reference is the composition of the three
+#: The kernel operations a backend may implement: the units the callers
+#: dispatch, nothing below them.  ``exact_cull`` is the exact 3-sigma
+#: frustum test on named rows — the arbiter a backend's own ``view_forward``
+#: applies again, on the same bits; ``view_forward`` renders one view end to
+#: end (frustum test, projection, binning, compositing, assembly) to a
+#: context that carries its maker's backward pass
+#: (:attr:`~repro.gaussians.rasterizer.RenderContext.backward`).
+#: ``assemble_rows`` is :class:`~repro.core.stores.GpuWorkingSet`'s selective
+#: load over row indices, ``zero_rows`` both stores' ``zero_grads``, and
+#: ``adam_rows`` the fused Adam step in place over rows of a packed layout
+#: (``PackedSparseAdam``, ``SparseAdam``).  ``photometric_loss`` is the
+#: training loss between a view's two passes, L1 + SSIM over the target's
+#: kept moments, value and image gradient
+#: (:func:`repro.gaussians.loss.photometric_loss`).  ``view_train`` is a
+#: whole training view — forward, loss, backward — to ``(loss,
+#: gradients)``; its reference is the composition of the three
 #: (:func:`repro.gaussians.render.train_view`), ``native`` runs it over an
 #: engine's :class:`~repro.kernels.workspace.Workspace`.  ``plan_batch`` is
 #: a batch's CPU-side schedule: from the in-frustum sets (and the order, or
@@ -86,20 +84,16 @@ AUTO = "auto"
 #: :class:`~repro.planning.planner.PlannedBatch` — order, each step's
 #: working set and loads / cached / stores / carried, the touched union and
 #: the Adam chunks; its reference is :func:`repro.planning.planner.plan_batch`.
-#: ``train_step`` is a CLM microbatch: ``assemble_rows``, the training view
-#: and ``add_grads_rows`` / ``retire_rows`` over a
-#: :class:`~repro.core.stores.GpuWorkingSet`, to ``(loss, gradients,
-#: carried)``; its reference is the composition
-#: (:func:`repro.core.stores.train_step`).
+#: ``train_step`` is a CLM microbatch: the load, the training view and the
+#: gradient offload over a :class:`~repro.core.stores.GpuWorkingSet`, to
+#: ``(loss, gradients, carried)``; its reference is the composition
+#: (:func:`repro.core.stores.train_step`).  The compositions call the stages
+#: below a unit (the slab compositing, ``add_grads`` / ``retire``) as plain
+#: functions.
 KERNEL_OPS = (
     "exact_cull",
     "view_forward",
-    "view_backward",
-    "raster_forward_slab",
-    "raster_backward_slab",
     "assemble_rows",
-    "add_grads_rows",
-    "retire_rows",
     "zero_rows",
     "adam_rows",
     "photometric_loss",
@@ -159,20 +153,13 @@ def _kernel_spec(op: str, operands: Tuple[KernelData, ...]) -> KernelSpec:
     return KernelSpec(op, operands)
 
 
-def raster_spec(op: str, dtype) -> KernelSpec:
-    """Spec of a raster slab op over ``dtype`` blend-state tensors."""
-    return _kernel_spec(op, (_kernel_data(dtype, 3, True),))
-
-
-def view_spec(op: str, dtype, model, *state) -> KernelSpec:
-    """Spec of a whole-view op: the compute dtype, the five model arrays
-    and — for ``view_backward`` — the block the forward pass laid the
-    view's state out in (``None`` when the context has none, which only the
-    reference accepts)."""
+def view_spec(op: str, dtype, model) -> KernelSpec:
+    """Spec of a whole-view op: the compute dtype and the five model
+    arrays."""
     arrays = (
         model.positions, model.log_scales, model.quaternions, model.sh,
         model.opacity_logits,
-    ) + state
+    )
     return _kernel_spec(
         op,
         (_kernel_data(dtype, 3, True),)

@@ -23,7 +23,7 @@ from repro.engines import available_engines, create_engine
 from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
-from repro.kernels import KernelData, adam_spec, get_backend, raster_spec
+from repro.kernels import KernelData, adam_spec, get_backend, rows_spec
 from repro import kernels
 from repro.kernels import numpy_backend, registry
 
@@ -122,7 +122,7 @@ def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
 #: The entry points a ``native`` training view or step may call.
 ENTRY_POINTS = (
     "assemble_rows", "view_project", "view_composite", "photometric_loss",
-    "view_backward", "add_grads_rows", "retire_rows", "train_step",
+    "view_backward", "train_step",
 )
 
 
@@ -313,8 +313,59 @@ def test_kernel_specs_are_memoised():
     strided = np.zeros((4, 20))[:, ::2]
     assert KernelData.from_array(strided) == KernelData("float64", 2, False)
     assert adam_spec(a, strided) is not adam_spec(a, a)
-    f64 = raster_spec("raster_forward_slab", np.dtype("float64"))
-    assert f64 is raster_spec("raster_forward_slab", np.dtype("float64"))
-    assert f64 == raster_spec("raster_forward_slab", np.float64)
-    assert f64 != raster_spec("raster_forward_slab", np.float32)
-    assert f64 != raster_spec("raster_backward_slab", np.float64)
+    f64 = rows_spec("zero_rows", a)
+    assert f64 is rows_spec("zero_rows", b)
+    assert f64 != rows_spec("zero_rows", a.astype(np.float32))
+    assert f64 != rows_spec("adam_rows", a)
+
+
+#: The variants the ruler trains: ``(engine, EngineConfig overrides)``.
+TRAINED = {
+    "clm": ("clm", {}),
+    "clm_overlap": ("clm", {"overlap_workers": 1}),
+    "clm_graph": ("clm", {"use_task_graph": True, "overlap_workers": 2}),
+    "clm_sharded": ("clm_sharded", {"num_devices": 2}),
+    "naive": ("naive", {}),
+    "enhanced": ("enhanced", {}),
+    "baseline": ("baseline", {}),
+}
+
+
+@pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
+def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
+    """A batch of every engine, ``evaluate``, a CLM ``render_view``, a
+    served request and a composed step (a wrapped renderer pair), all on
+    ``native``: the ops they resolve are exactly ``KERNEL_OPS``, so the
+    registry carries no op that no caller dispatches."""
+    from repro.gaussians.render import render, render_backward
+    from repro.serving import RenderRequest, ServingConfig, ServingSession
+
+    scene, _, targets = setup
+    resolved = set()
+    compile_spec = registry.KernelBackend.compile
+
+    def recording(backend, spec):
+        resolved.add(spec.op)
+        return compile_spec(backend, spec)
+
+    monkeypatch.setattr(registry.KernelBackend, "compile", recording)
+    wrapped = {
+        "renderer": lambda *args: render(*args),
+        "renderer_backward": lambda *args: render_backward(*args),
+    }
+    runs = [(engine, overrides) for engine, overrides in TRAINED.values()]
+    for engine_name, overrides in runs + [("clm", wrapped)]:
+        engine = build(engine_name, setup, kernel_backend="native", **overrides)
+        assert np.isfinite(engine.train_batch(BATCH, targets).loss)
+        if engine_name == "clm" and not overrides:
+            engine.evaluate(BATCH, targets)
+            engine.render_view(BATCH[0])
+            camera = scene.cameras[0]
+            served = ServingSession.from_engine(engine, ServingConfig(seed=0)).serve(
+                [RenderRequest(0, camera.view_id, camera, 0.0, 1.0)]
+            )
+            assert len(served.completed) == 1
+        close = getattr(engine, "close", None)
+        if close is not None:
+            close()
+    assert resolved == set(kernels.KERNEL_OPS)

@@ -21,8 +21,9 @@ from repro.kernels import (
     adam_spec,
     compile_with_fallback,
     get_backend,
-    raster_spec,
     resolve_backend,
+    rows_spec,
+    view_spec,
 )
 from repro.kernels import native_backend
 from repro.optim.adam import AdamConfig
@@ -89,21 +90,19 @@ def test_env_requested_native_falls_back(no_compiler, monkeypatch):
 
 
 def test_compile_with_fallback_hands_ops_to_reference(no_compiler):
-    fn, used = compile_with_fallback(
-        no_compiler, raster_spec("raster_forward_slab", np.float64)
-    )
+    spec = rows_spec("zero_rows", np.zeros((4, 10)))
+    fn, used = compile_with_fallback(no_compiler, spec)
     assert used.name == "numpy"
-    assert fn is get_backend("numpy").compile(
-        raster_spec("raster_forward_slab", np.float64)
-    )
+    assert fn is get_backend("numpy").compile(spec)
 
 
 def test_float32_operands_decline_the_jit_backend():
-    """Even where a compiler IS found, float32 blend state stays on the
+    """Even where a compiler IS found, a float32 blend state stays on the
     reference: the kernels built at first use index raw float64 buffers."""
     backend = get_backend("native")
-    spec32 = raster_spec("raster_backward_slab", np.float32)
-    assert backend.supports(raster_spec("raster_backward_slab", np.float64))
+    model = GaussianModel.random(4, sh_degree=1, seed=0)
+    spec32 = view_spec("view_forward", np.float32, model)
+    assert backend.supports(view_spec("view_forward", np.float64, model))
     assert backend.supports(spec32) is False
     fn, used = compile_with_fallback(backend, spec32)
     assert used.name == "numpy"

@@ -23,10 +23,10 @@ from repro.kernels import (
     backend_status,
     compile_with_fallback,
     get_backend,
-    raster_spec,
     register_backend,
     resolve_backend,
     resolve_backend_name,
+    rows_spec,
     unregister_backend,
 )
 
@@ -132,9 +132,9 @@ def test_unavailable_backend_falls_back_with_warning(fake_backend):
 
 def test_compile_is_cached_per_spec():
     backend = get_backend("numpy")
-    spec = raster_spec("raster_forward_slab", np.float64)
+    spec = rows_spec("zero_rows", np.zeros((4, 10)))
     assert backend.compile(spec) is backend.compile(spec)
-    other = raster_spec("raster_forward_slab", np.float32)
+    other = rows_spec("zero_rows", np.zeros((4, 10), np.float32))
     assert backend.compile(other) is backend.compile(spec)  # same impl fn
 
 
@@ -167,4 +167,4 @@ def test_specs_are_hashable_cache_keys():
     b = adam_spec(np.zeros((9, 10)), np.zeros((9, 10)),
                   np.zeros((9, 10)), np.zeros((9, 10)))
     assert a == b and hash(a) == hash(b)  # rank/dtype, not shape
-    assert a != raster_spec("raster_forward_slab", np.float64)
+    assert a != rows_spec("zero_rows", *(np.zeros((4, 10)),) * 4)

@@ -55,10 +55,13 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_fourteen_entry_points():
+def test_the_parsed_prototypes_are_the_ten_entry_points_python_calls():
     signatures = native_backend.prototypes(kernel_source())
-    assert set(signatures) == set(native_backend._RAISES)
-    assert len(signatures) == 14
+    assert set(signatures) == set(native_backend._RAISES) == {
+        "exact_cull", "view_project", "view_composite", "view_backward",
+        "assemble_rows", "zero_rows", "adam_rows", "photometric_loss",
+        "plan_batch", "train_step",
+    }
     assert [ctype for _, ctype in signatures["zero_rows"]] == [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64,
@@ -112,7 +115,7 @@ def test_a_nonzero_status_from_view_project_raises(quick):
         "    work.head[4] = area;\n    return STATUS_NO_MEMORY;",
     )).load()
     cam, model = generated_model(seed=1, num=10, size=(24, 18), scale=-2.0)
-    forward = native_backend._bind_view(lib, "view_forward", "native")
+    forward = native_backend._bind_view(lib, "native")
     with pytest.raises(RuntimeError, match="native view_project returned status NO_MEMORY"):
         forward(cam, model, RasterSettings())
 
@@ -144,7 +147,7 @@ def test_the_generated_offsets_are_the_cumulative_field_widths():
     assert [generated[f"STATUS_{s}"] for s in native_backend._STATUS] == [0, 1, 2, 3, 4, 5]
     stages = [generated[f"STAGE_{s.upper()}"] for s in native_backend._STEP_STAGES]
     slots = [generated[f"OUT_{s.upper()}"] for s in native_backend._STEP_OUT]
-    assert stages == list(range(7)) and slots == list(range(9))
+    assert stages == list(range(6)) and slots == list(range(9))
 
 
 def test_the_params_vector_fills_the_generated_slots():

@@ -1,22 +1,20 @@
 """The ``native`` backend: its cells, its cuts, its determinism, its build.
 
-The C kernels face the legacy per-tile oracle (``rasterize_*_legacy`` over
+The C view ops face the legacy per-tile oracle (``rasterize_*_legacy`` over
 ``tile_alpha_weights``, ``tests/reference/legacy_raster.py``) at the bars every backend is held to — image and
-transmittance <= 1e-12, gradients <= 1e-10 — on hand-built rows where the
-semantics have an edge: the threshold tie, the cap, termination, zero
-opacity, a footprint with no finite extent, compute tiles other than 8.
+transmittance <= 1e-12, gradients <= 1e-10 — on hand-built models where the
+semantics have an edge: the threshold tie on a pixel centre, the cap,
+termination, zero opacity, compute tiles other than 8.
 One thresholded cell dropped by the footprint rectangle or the ``exp`` cut
 moves a pixel or its transmittance by >= alpha_threshold * colour (4e-7 at
 the very least), so the same bars show that neither cut is ever wrong.
 The build half drives :class:`NativeLibrary` through every way a host can
 be: no cache, a damaged cache, somebody else's cache, a compiler that
-fails, two threads arriving at once, no memory for the scratch.
+fails, two threads arriving at once.
 """
 
 import os
-import subprocess
 import sys
-import textwrap
 import threading
 import warnings
 from dataclasses import replace
@@ -26,25 +24,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from legacy_raster import rasterize_backward_legacy, rasterize_forward_legacy
-from test_compute_bins import (
-    MODEL_CASES,
-    assert_matches_oracle,
-    generated_model,
-    image_camera,
-    make_proj,
-    projections,
-)
-from test_slab_kernels import screen_space
+from test_compute_bins import MODEL_CASES, assert_matches_oracle, generated_model
 
+from repro.gaussians.camera import Camera
+from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
 from repro.gaussians.rasterizer_grad import rasterize_backward
+from repro.gaussians.sh import _C0 as SH_C0
 from repro.kernels import (
     ENV_VAR,
     backend_status,
     get_backend,
     native_backend,
-    raster_spec,
+    rows_spec,
 )
 from repro.kernels.native_backend import CFLAGS, NativeLibrary
 
@@ -63,22 +55,41 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
 
 
-def assert_matches_legacy(cam, proj, opts, seed=0):
-    """Screen-space parity of ``native`` with the legacy loop on a
-    hand-made projection; returns native's image and transmittance."""
-    g_img = np.random.default_rng(seed).normal(size=(cam.height, cam.width, 3))
-    img_o, t_o, grads_o = screen_space(
-        rasterize_forward_legacy, rasterize_backward_legacy, cam, proj, opts, g_img
+def on_axis(width, height, centre, logits, log_scales, offsets=None, colors=None):
+    """A camera looking down +z, its principal point at ``centre``, and one
+    degree-0 Gaussian a logit at the origin 3 units in front of it — every
+    mean projects exactly onto ``centre`` (a pixel centre on half-integers)
+    — or ``offsets`` (x, y) beside it.  ``colors`` rows of 0 / 1 set each
+    channel to 1 or clamp it to 0."""
+    cam = Camera(
+        rotation=np.eye(3), center=np.array([0.0, 0.0, -3.0]), fx=20.0, fy=20.0,
+        cx=centre[0], cy=centre[1], width=width, height=height,
     )
-    img, t, grads = screen_space(
-        rasterize_forward, rasterize_backward, cam, proj,
-        replace(opts, kernel_backend="native"), g_img,
+    m = len(logits)
+    positions = np.zeros((m, 3))
+    if offsets is not None:
+        positions[:, :2] = offsets
+    sh = np.zeros((m, 1, 3))
+    if colors is not None:
+        sh[:, 0] = np.where(np.asarray(colors) > 0, 0.5, -1.0) / SH_C0
+    model = GaussianModel(
+        positions=positions,
+        log_scales=np.repeat(np.asarray(log_scales, dtype=np.float64)[:, None], 3, axis=1),
+        quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (m, 1)), sh=sh,
+        opacity_logits=np.asarray(logits, dtype=np.float64), sh_degree=0,
     )
-    np.testing.assert_allclose(img, img_o, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(t, t_o, rtol=0, atol=1e-12)
-    for got, want in zip(grads, grads_o):
-        assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+    return cam, model
+
+
+def assert_native_matches_oracle(cam, model, opts):
+    """The view ops on ``native`` against the per-tile oracle (cells, image,
+    transmittance, gradients), the backward walking the blend records and
+    replaying the forward; returns native's image and transmittance."""
+    opts = replace(opts, kernel_backend="native")
+    for records in (True, False):
+        assert_matches_oracle(cam, model, replace(opts, cache_blend_state=records))
+    img, t, ctx = rasterize_forward(cam, model, opts)
+    assert ctx.kernel_backend == "native" and ctx.blocks is not None
     return img, t
 
 
@@ -88,33 +99,31 @@ def assert_matches_legacy(cam, proj, opts, seed=0):
 @needs_compiler
 @strict
 @pytest.mark.parametrize(
-    "opacity, passes",
+    "threshold, passes",
     [
-        (np.nextafter(TAU, 0.0), False),
-        (TAU, True),  # alpha_raw == opacity * exp(0) == threshold: >= keeps it
-        (np.nextafter(TAU, 1.0), True),
+        (np.nextafter(0.5, 1.0), False),
+        (0.5, True),  # alpha_raw == opacity * exp(0) == threshold: >= keeps it
+        (np.nextafter(0.5, 0.0), True),
     ],
     ids=["below", "at", "above"],
 )
-def test_threshold_tie_on_a_pixel_centre(opacity, passes):
+def test_threshold_tie_on_a_pixel_centre(threshold, passes):
     """A pixel centre exactly on the mean has ``power == 0``: the cell's
-    alpha is the opacity itself, and the tie falls where the loop puts it."""
-    cam = image_camera(16, 16)
-    proj = make_proj([[4.5, 9.5]], 0.4 * np.eye(2), [opacity])
-    _, t = assert_matches_legacy(cam, proj, RasterSettings())
-    assert t[9, 4] == (1.0 - opacity if passes else 1.0)
+    alpha is the opacity itself (logit 0: exactly 0.5 on either side), and
+    the tie falls where the loop puts it."""
+    cam, model = on_axis(16, 16, (4.5, 9.5), [0.0], [-2.5])
+    _, t = assert_native_matches_oracle(cam, model, RasterSettings(alpha_threshold=threshold))
+    assert t[9, 4] == (0.5 if passes else 1.0)
     assert np.count_nonzero(t != 1.0) == int(passes)
 
 
 @needs_compiler
 @strict
 def test_cells_at_the_cap_blend_without_a_gate():
-    cam = image_camera(24, 16)
-    proj = make_proj(
-        [[8.5, 8.5], [8.5, 8.5]], [4.0 * np.eye(2), 9.0 * np.eye(2)], [1.0, 0.995]
-    )
+    """Opacities 1 (logit 40) and 0.995 on one pixel centre, capped at 0.5."""
+    cam, model = on_axis(24, 16, (8.5, 8.5), [40.0, 5.3], [-1.2, -0.8])
     opts = RasterSettings(max_alpha=0.5, background=(0.2, 0.4, 0.6))
-    _, t = assert_matches_legacy(cam, proj, opts)
+    _, t = assert_native_matches_oracle(cam, model, opts)
     assert t[8, 8] == 0.5 * 0.5  # both splats capped on that pixel
 
 
@@ -124,10 +133,9 @@ def test_cells_at_the_cap_blend_without_a_gate():
 def test_transmittance_keeps_multiplying_after_termination(t_min):
     """Four 0.9 splats on one pixel: past ``transmittance_min`` they stop
     emitting, but the transmittance image still carries all four."""
-    cam = image_camera(16, 16)
-    proj = make_proj([[8.5, 8.5]] * 4, [6.0 * np.eye(2)] * 4, [0.9] * 4)
-    proj.colors[:] = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    img, t = assert_matches_legacy(cam, proj, RasterSettings(transmittance_min=t_min))
+    colors = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    cam, model = on_axis(16, 16, (8.5, 8.5), [np.log(9.0)] * 4, [-1.0] * 4, colors=colors)
+    img, t = assert_native_matches_oracle(cam, model, RasterSettings(transmittance_min=t_min))
     assert t[8, 8] == pytest.approx(1e-4, rel=1e-12)
     emitted = 1 if t_min == 0.5 else 4  # T_before: 1, 0.1, 0.01, 0.001
     assert np.count_nonzero(img[8, 8]) == min(emitted, 3)
@@ -137,47 +145,14 @@ def test_transmittance_keeps_multiplying_after_termination(t_min):
 @needs_compiler
 @strict
 def test_zero_opacity_rows_under_a_zero_threshold():
-    """``alpha_threshold=0`` passes every cell, ``0 >= 0`` included."""
-    cam = image_camera(20, 12)
-    proj = make_proj(
-        [[5.0, 5.0], [9.5, 6.5], [14.0, 4.0]],
-        [3.0 * np.eye(2), 5.0 * np.eye(2), 2.0 * np.eye(2)],
-        [0.0, 0.7, 0.0],
+    """``alpha_threshold=0`` passes every cell, ``0 >= 0`` included: the
+    logits of -inf are opacities of exactly 0."""
+    cam, model = on_axis(
+        20, 12, (10.0, 6.0), [-np.inf, 0.85, -np.inf], [-1.6, -1.2, -1.8],
+        offsets=[[-0.75, -0.15], [-0.08, 0.08], [0.6, -0.3]],
     )
     opts = RasterSettings(alpha_threshold=0.0, transmittance_min=0.0)
-    assert_matches_legacy(cam, proj, opts)
-
-
-@needs_compiler
-@strict
-@pytest.mark.parametrize(
-    "conic",
-    [
-        [[2e-3, 2e-3], [2e-3, 2e-3]],  # det == 0: extents divide by zero
-        [[1e-3, 4e-3], [4e-3, 1e-3]],  # det < 0: extents are sqrt(negative)
-        [[np.nan, 0.0], [0.0, 1e-2]],
-    ],
-    ids=["singular", "indefinite", "nan"],
-)
-def test_footprint_without_a_finite_extent_is_the_whole_tile(conic):
-    cam = image_camera(24, 16)
-    proj = make_proj(
-        [[11.3, 7.2], [6.0, 6.0]], [400.0 * np.eye(2), 5.0 * np.eye(2)], [0.6, 0.8]
-    )
-    proj.conics[0] = conic
-    g_img = np.ones((16, 24, 3))
-    img_o, t_o, _ = screen_space(
-        rasterize_forward_legacy, rasterize_backward_legacy, cam, proj,
-        RasterSettings(), g_img,
-    )
-    with np.errstate(all="ignore"):  # the binning's own NaN arithmetic
-        img, t, _ = screen_space(
-            rasterize_forward, rasterize_backward, cam, proj, NATIVE, g_img
-        )
-    np.testing.assert_allclose(img, img_o, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(t, t_o, rtol=0, atol=1e-12)
-    if not np.isnan(conic).any():
-        assert np.count_nonzero(t_o != 1.0) > 100  # a ridge across the image
+    assert_native_matches_oracle(cam, model, opts)
 
 
 @needs_compiler
@@ -205,46 +180,28 @@ def test_an_invalid_tile_size_is_one_error_on_both_backends(backend, tile_size):
         rasterize_forward(cam, model, opts)
 
 
-@needs_compiler
-@strict
-def test_empty_projection():
-    cam = image_camera(16, 16)
-    proj = make_proj(np.empty((0, 2)), np.empty((0, 2, 2)), [])
-    img, t = assert_matches_legacy(cam, proj, RasterSettings(background=(0.2, 0.4, 0.6)))
-    assert np.all(img == (0.2, 0.4, 0.6)) and np.all(t == 1.0)
-
-
 # ---------------------------------------------------------------------------
 # The cuts never drop a passing cell
 # ---------------------------------------------------------------------------
 @needs_compiler
 @strict
 @given(
-    case=projections(),
-    background=st.sampled_from([(0.0, 0.0, 0.0), (0.3, 0.6, 0.9)]),
-    t_min=st.sampled_from([1e-4, 0.0, 0.5]),
-)
-@settings(max_examples=150, deadline=None)
-def test_generated_projections_match_legacy(case, background, t_min):
-    cam, proj, opts = case
-    opts.background, opts.transmittance_min = background, t_min
-    assert_matches_legacy(cam, proj, opts, seed=proj.ids.size)
-
-
-@needs_compiler
-@strict
-@given(
     t_min=st.sampled_from([1e-4, 0.0, 0.5]),
     max_alpha=st.sampled_from([0.99, 0.5]),
     tau=st.sampled_from([TAU, 0.0]),
+    records=st.booleans(),
     **MODEL_CASES,
 )
 @settings(max_examples=40, deadline=None)
-def test_generated_models_match_legacy(seed, num, size, scale, t_min, max_alpha, tau):
+def test_generated_models_match_legacy(
+    seed, num, size, scale, t_min, max_alpha, tau, records
+):
+    """The backward pass walks the blend records, or replays the forward
+    (``cache_blend_state=False``)."""
     cam, model = generated_model(seed, num, size, scale)
     opts = replace(
         NATIVE, background=(0.3, 0.6, 0.9), transmittance_min=t_min,
-        max_alpha=max_alpha, alpha_threshold=tau,
+        max_alpha=max_alpha, alpha_threshold=tau, cache_blend_state=records,
     )
     assert_matches_oracle(cam, model, opts, seed=seed % 1000)
 
@@ -313,7 +270,7 @@ def test_source_ships_inside_the_package():
     non-editable install; the backend reads it the same way."""
     source = resources.files("repro.kernels").joinpath(native_backend.SOURCE)
     text = source.read_text()
-    assert "int raster_forward(" in text and "int raster_backward(" in text
+    assert "int view_composite(" in text and "int train_step(" in text
     tomllib = pytest.importorskip("tomllib")
     root = os.path.join(os.path.dirname(__file__), "..", "..", "pyproject.toml")
     with open(root, "rb") as handle:
@@ -412,7 +369,7 @@ def test_two_threads_racing_the_first_use_compile_once(fresh, monkeypatch):
     def first_use():
         try:
             gate.wait(timeout=60)
-            kernels.append(fresh.compile(raster_spec("raster_forward_slab", np.float64)))
+            kernels.append(fresh.compile(rows_spec("zero_rows", np.zeros((4, 10)))))
         except BaseException as exc:
             errors.append(exc)
             raise
@@ -467,50 +424,3 @@ def test_failed_build_warns_once_then_runs_on_numpy(
     # Asking for it by name now says so, like any unavailable backend.
     with pytest.warns(RuntimeWarning, match="not available"):
         assert tiny_render(NATIVE).kernel_backend == "numpy"
-
-
-@needs_compiler
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
-def test_scratch_allocation_failure_is_a_memory_error():
-    """3000 splats deep on one 36x36 compute tile want ~78 MB of records;
-    with the address space capped 32 MB above what the process already has,
-    the kernel's malloc fails and that must arrive as MemoryError."""
-    script = textwrap.dedent(
-        """
-        import resource
-        import numpy as np
-        from test_compute_bins import image_camera, make_proj
-        from repro.gaussians.rasterizer import RasterSettings, _AugArrays, build_tile_bins
-        from repro.gaussians.rasterizer_grad import image_to_tile_major
-        from repro.kernels import get_backend, raster_spec
-
-        m = 3000
-        cam = image_camera(32, 32)
-        proj = make_proj([[16.0, 16.0]] * m, [900.0 * np.eye(2)] * m, [0.5] * m)
-        opts = RasterSettings(tile_size=36, kernel_backend="native")
-        bins = build_tile_bins(cam, proj, opts)
-        assert bins.tile_size == 36 and bins.num_tiles == 1
-        aug = _AugArrays.from_proj(proj, np.float64)
-        g_tiles = image_to_tile_major(np.ones((32, 32, 3)), bins)
-        outputs = [np.zeros((m + 1,) + s) for s in ((3,), (), (2,), (2, 2))]
-        backward = get_backend("native").compile(
-            raster_spec("raster_backward_slab", np.float64)
-        )
-        with open("/proc/self/statm") as handle:
-            have = int(handle.read().split()[0]) * resource.getpagesize()
-        resource.setrlimit(resource.RLIMIT_AS, (have + (32 << 20), -1))
-        try:
-            backward(bins, aug, opts, g_tiles, np.zeros(3), *outputs)
-        except MemoryError as exc:
-            print("MemoryError:", exc)
-        """
-    )
-    src = os.path.dirname(os.path.dirname(os.path.dirname(native_backend.__file__)))
-    tests = os.path.dirname(os.path.dirname(__file__))
-    paths = [src] + [os.path.join(tests, d) for d in ("gaussians", "reference")]
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.startswith("MemoryError: native raster_backward"), done.stdout

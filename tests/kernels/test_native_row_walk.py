@@ -8,23 +8,21 @@ the same footprint, the same ``power`` arithmetic and ``math.exp`` — the
 libm ``exp`` the C calls — on every cell.  Which cells pass decides
 everything discrete, so survivors, bins and the blend records' pixels and
 ends are ``array_equal`` to the oracle's; each record's exp value is within
-1e-13 relative.  A splat that does not recur — no threshold, a conic that
-is not positive definite — takes ``exp`` per cell, so its image and
-transmittance are the oracle's bits.
+1e-13 relative.  A splat that does not recur — no threshold — takes
+``exp`` per cell, so its image and transmittance are the oracle's bits.
+Every render here is a model through ``native``'s view ops, and the oracle
+walks the projection and bins that render made.
 """
 
-import contextlib
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_compute_bins import MODEL_CASES, generated_model, image_camera, make_proj
+from test_compute_bins import MODEL_CASES, generated_model, image_camera
 
-from repro.gaussians import rasterizer
 from repro.gaussians.model import GaussianModel, inverse_sigmoid
 from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
 from repro.kernels import ENV_VAR, backend_status
@@ -136,6 +134,22 @@ def oracle_walk(bins, proj, opts):
     return image, trans, (np.array(w), np.array(pixel, np.int32), np.array(end))
 
 
+def one_splat(seed=0, log_scale=-0.5, opacity=0.6):
+    """A one-Gaussian model at the origin, seen by ``image_camera``."""
+    model = GaussianModel.random(1, extent=0.1, sh_degree=0, seed=seed)
+    model.positions[:] = 0.0
+    model.log_scales[:] = log_scale
+    model.opacity_logits[:] = inverse_sigmoid(np.array([opacity]))
+    return model
+
+
+def native_render(cam, model, opts):
+    """Image, transmittance and context of a ``native`` render."""
+    img, trans, ctx = rasterize_forward(cam, model, replace(opts, kernel_backend="native"))
+    assert ctx.kernel_backend == "native"
+    return img, trans, ctx
+
+
 # ---------------------------------------------------------------------------
 # Generated models: the discrete outputs are the oracle's
 # ---------------------------------------------------------------------------
@@ -173,12 +187,8 @@ def test_rows_longer_than_the_re_anchor_stay_at_libms_precision():
     cut.  Re-anchored every 8 cells the values stay within a few ulps of
     libm's; run on unanchored they drift ~k^2 ulps, past 1e-14 here."""
     cam = image_camera(44, 30)
-    model = GaussianModel.random(1, extent=0.1, sh_degree=0, seed=0)
-    model.positions[:] = 0.0
-    model.log_scales[:] = -0.5
-    model.opacity_logits[:] = inverse_sigmoid(np.array([0.9]))
     opts = RasterSettings(tile_size=44, cache_blend_state=True)
-    ctx = rasterize_forward(cam, model, replace(opts, kernel_backend="native"))[2]
+    ctx = native_render(cam, one_splat(opacity=0.9), opts)[2]
     o_w, o_pixel, o_end = oracle_walk(ctx.bins, ctx.proj, opts)[2]
     rec_f, pixel, end = ctx.blocks[4:]
     assert np.array_equal(end, o_end) and np.array_equal(pixel[: end[-1]], o_pixel)
@@ -190,41 +200,15 @@ def test_rows_longer_than_the_re_anchor_stay_at_libms_precision():
 # ---------------------------------------------------------------------------
 # Splats that do not recur walk per-cell exp: the oracle's bits
 # ---------------------------------------------------------------------------
-def native_raster(cam, proj, opts):
-    """Image, transmittance and bins of the raster kernels on a hand-made
-    projection (``preprocess`` stubbed: the view ops decline the stub)."""
-    stub = mock.Mock(num_gaussians=proj.ids.size)
-    with contextlib.ExitStack() as stack, np.errstate(all="ignore"):
-        stack.enter_context(mock.patch.object(rasterizer, "preprocess", lambda *a: proj))
-        img, trans, ctx = rasterize_forward(
-            cam, stub, replace(opts, kernel_backend="native")
-        )
-    assert ctx.kernel_backend == "native"
-    return img, trans, ctx.bins
-
-
-@pytest.mark.parametrize(
-    "conic, tau",
-    [
-        ([[2e-3, 2e-3], [2e-3, 2e-3]], TAU),  # det == 0
-        ([[1e-3, 4e-3], [4e-3, 1e-3]], TAU),  # det < 0: along a row exp grows
-        ([[np.nan, 0.0], [0.0, 1e-2]], TAU),
-        ([[0.2, 0.05], [0.05, 0.1]], 0.0),  # no threshold, no cut
-    ],
-    ids=["singular", "indefinite", "nan", "zero-threshold"],
-)
-def test_splats_that_do_not_recur_are_the_oracles_bits(conic, tau):
+def test_a_splat_without_a_threshold_is_the_oracles_bits():
+    """No threshold, no cut: ``exp`` on every cell."""
     cam = image_camera(44, 30)
-    proj = make_proj([[21.3, 14.2]], 40.0 * np.eye(2), [0.6])
-    proj.conics[0] = conic
-    opts = RasterSettings(alpha_threshold=tau, tile_size=44, background=(0.3, 0.6, 0.9))
-    img, trans, bins = native_raster(cam, proj, opts)
-    assert bins.tile_size == 44
-    o_img, o_trans, (o_w, _, _) = oracle_walk(bins, proj, opts)
-    assert np.array_equal(img, o_img, equal_nan=True)
-    assert np.array_equal(trans, o_trans, equal_nan=True)
-    if not np.isnan(conic).any():
-        assert o_w.size > 100  # a ridge across the image
+    opts = RasterSettings(alpha_threshold=0.0, tile_size=44, background=(0.3, 0.6, 0.9))
+    img, trans, ctx = native_render(cam, one_splat(), opts)
+    assert ctx.bins.tile_size == 44
+    o_img, o_trans, (o_w, _, _) = oracle_walk(ctx.bins, ctx.proj, opts)
+    assert np.array_equal(img, o_img) and np.array_equal(trans, o_trans)
+    assert o_w.size == 44 * 30  # every cell of the image
 
 
 # ---------------------------------------------------------------------------
@@ -259,46 +243,44 @@ def row_values(splat, tau, y, xs, recheck=True):
     return values
 
 
-def straddling_splat(libm_passes):
-    """A splat and a cell the recurrence reaches (not an anchor) whose
-    opacity puts libm's ``exp`` on one side of the threshold and the
-    recurrence's on the other: ``(splat, (x, y))``."""
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        mx, my = rng.uniform(6.0, 14.0, size=2)
-        var_x, var_y = rng.uniform(4.0, 12.0, size=2)
-        cov_xy = rng.uniform(-2.0, 2.0)
-        det = var_x * var_y - cov_xy * cov_xy
-        a, b, c = var_y / det, -cov_xy / det, var_x / det
-        y = int(my) + int(rng.integers(-3, 4))
-        x = int(mx) + int(rng.integers(2, 6))  # right of the mean: a row's tail
-        dy, dx = (y + 0.5) - my, (x + 0.5) - mx
-        ex = _exp(-0.5 * (a * dx * dx + c * dy * dy) - b * dy * dx)
-        # The faintest opacity libm passes at (x, y), or the one below it.
-        opac = TAU / ex
-        while opac * ex >= TAU:
-            opac = np.nextafter(opac, 0.0)
-        while not opac * ex >= TAU:
-            opac = np.nextafter(opac, 1.0)
-        if not libm_passes:
-            opac = np.nextafter(opac, 0.0)
-        splat = (mx, my, a, b, c, float(opac))
-        rec = row_values(splat, TAU, y, range(20), recheck=False)
-        if x in rec and x - 1 in rec and (opac * rec[x] >= TAU) != libm_passes:
-            assert row_values(splat, TAU, y, range(20))[x] == ex
-            return splat, (x, y)
+def straddling_threshold(libm_passes):
+    """A one-splat render, a threshold and a cell the recurrence reaches
+    (not an anchor) at which libm's ``exp`` passes and the recurrence's
+    fails, or the other way round: ``(cam, model, tau, (x, y))``."""
+    cam = image_camera(20, 20)
+    for seed in range(50):
+        model = one_splat(seed, log_scale=-1.0)
+        proj = native_render(cam, model, RasterSettings(tile_size=20))[2].proj
+        splat = (
+            *proj.means2d[0], proj.conics[0, 0, 0], proj.conics[0, 0, 1],
+            proj.conics[0, 1, 1], float(proj.opacities[0]),
+        )
+        mx, my, a, b, c, opac = splat
+        for y in range(20):
+            rec = row_values(splat, TAU, y, range(20), recheck=False)
+            for x in sorted(rec):
+                if x - 1 not in rec:
+                    continue
+                dy, dx = (y + 0.5) - my, (x + 0.5) - mx
+                ex = _exp(-0.5 * (a * dx * dx + c * dy * dy) - b * dy * dx)
+                # The faintest threshold libm fails, or the highest it passes.
+                tau = opac * ex
+                if not libm_passes:
+                    tau = np.nextafter(tau, 1.0)
+                again = row_values((*splat[:5], opac), tau, y, range(20), recheck=False)
+                if x in again and x - 1 in again and (
+                    opac * again[x] >= tau
+                ) != libm_passes:
+                    assert row_values(splat, tau, y, range(20))[x] == ex
+                    return cam, model, float(tau), (x, y)
     pytest.fail("no straddling cell found")
 
 
 @pytest.mark.parametrize("libm_passes", [True, False], ids=["libm-passes", "libm-fails"])
 def test_a_cell_at_the_threshold_gets_libms_verdict(libm_passes):
-    splat, (x, y) = straddling_splat(libm_passes)
-    mx, my, a, b, c, opac = splat
-    cam = image_camera(20, 20)
-    proj = make_proj([[mx, my]], np.eye(2), [opac])
-    proj.conics[0] = [[a, b], [b, c]]
-    opts = RasterSettings(tile_size=20)
-    _, trans, bins = native_raster(cam, proj, opts)
-    _, o_trans, _ = oracle_walk(bins, proj, opts)
+    cam, model, tau, (x, y) = straddling_threshold(libm_passes)
+    opts = RasterSettings(tile_size=20, alpha_threshold=tau)
+    _, trans, ctx = native_render(cam, model, opts)
+    _, o_trans, _ = oracle_walk(ctx.bins, ctx.proj, opts)
     assert (trans[y, x] < 1.0) == (o_trans[y, x] < 1.0) == libm_passes
     assert np.array_equal(trans < 1.0, o_trans < 1.0)

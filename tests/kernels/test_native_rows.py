@@ -1,14 +1,16 @@
 """CLM's data path in C against the NumPy reference, op by op.
 
-``GpuWorkingSet.assemble`` / ``add_grads`` / ``retire``, both stores'
-``zero_grads`` and the sparse optimizers' Adam step are kernel ops over row
-indices (``assemble_rows`` ... ``adam_rows``).  ``native`` runs each as one
-C call, the reference as NumPy gathers, ``searchsorted`` placements and
-scatters; both do the same copies, adds and Adam arithmetic in the same
-order, so everything here is ``np.array_equal``, not close.  ``native``
-refuses rows outside the store and rows that are not members of the set
-they index before it writes anything, and declines float32 gradient
-staging, which the reference runs.
+``GpuWorkingSet.assemble``, both stores' ``zero_grads`` and the sparse
+optimizers' Adam step are kernel ops over row indices (``assemble_rows``,
+``zero_rows``, ``adam_rows``).  ``native`` runs each as one C call, the
+reference as NumPy gathers, ``searchsorted`` placements and scatters; both
+do the same copies, adds and Adam arithmetic in the same order, so
+everything here is ``np.array_equal``, not close.  ``add_grads`` and
+``retire`` are NumPy on either backend (their C twins run inside
+``train_step``: ``test_native_train_step``).  ``native`` refuses rows
+outside the store and rows that are not members of the set they index
+before it writes anything, and declines float32 gradient staging, which
+the reference runs.
 """
 
 import threading
@@ -246,16 +248,13 @@ def test_float32_staging_runs_on_the_reference():
     for side in sides.values():
         side.cpu.zero_grads(rows)
         side.gpu.zero_grads(rows)
+        assert side.gpu.active_kernel_backend == "numpy"
         side.ws.assemble(rows, rows, np.empty(0, np.int64))
         assert side.ws.active_kernel_backend == (
             "native" if side is sides["native"] else "numpy"
         )
         side.ws.add_grads(grads)
-        assert side.ws.active_kernel_backend == "numpy"
         side.ws.retire(rows[::2], rows[1::2])
-    for side in sides.values():
-        assert side.ws.active_kernel_backend == "numpy"
-        assert side.gpu.active_kernel_backend == "numpy"
     assert_equal(sides["numpy"].state(), sides["native"].state())
     opt = PackedSparseAdam({"sh": (12,), "opacity_logits": ()}, 40,
                            pad_to=16, kernel_backend="native")
@@ -286,19 +285,6 @@ def test_native_refuses_rows_before_writing():
         cpu.zero_grads(np.array([3, 20]))
     with pytest.raises(IndexError):
         gpu.zero_grads(np.array([-1]))
-    with pytest.raises(ValueError, match="member"):
-        ws.retire(np.array([1, 5]), np.array([4]))
-    with pytest.raises(ValueError, match="member"):
-        ws.retire(rows, np.array([5]))  # every store valid, a carried row not
-    with pytest.raises(ValueError, match="member"):
-        ws.retire(np.array([9, 1]), np.empty(0, np.int64))  # out of order
-    with pytest.raises(IndexError):
-        ws.retire(np.array([25]), np.empty(0, np.int64))
-    ws.indices = np.array([1, 4, 7, 20])  # a row past the store's end
-    with pytest.raises(IndexError):
-        ws.add_grads(gradients(np.random.default_rng(2), 4, model.num_sh_basis))
-    assert_unchanged(before, buffers)
-    ws.indices = rows
     for loads, cached in (([2], []), ([1, 4, 7, 9, 11], []), ([1, 4], [7, 12])):
         with pytest.raises((IndexError, ValueError)):
             ws.assemble(rows, np.array(loads), np.array(cached, dtype=np.int64))

@@ -4,8 +4,9 @@ On ``native`` every CLM engine runs each microbatch as the ``train_step``
 op — ``assemble_rows``, the training view, ``add_grads_rows`` and
 ``retire_rows`` in one C call over the engine's
 :class:`~repro.kernels.Workspace` — and everywhere else the reference
-composition :func:`repro.core.stores.train_step`, which calls the same C
-functions one by one.  So the two are bit-identical: 40 batches of the
+composition :func:`repro.core.stores.train_step`, which dispatches the
+load and the view's calls one by one and adds and retires in NumPy, in the
+C's order.  So the two are bit-identical: 40 batches of the
 benchmark's two recipes (smoke size) through ``clm``, ``clm_overlap``,
 ``clm_graph`` and ``clm_sharded``, pooled and not, across a checkpoint
 restore, a densify/prune rebuild and (sharded) a removed device, give the
@@ -417,13 +418,46 @@ def test_a_replaced_camera_or_target_overwrites_its_binding(recipes):
     engine.close()
 
 
-def test_a_failing_call_raises_what_its_stage_raises_and_ends_the_lease(recipes):
+#: A step made bad one way, and what its failing stage raises.  The
+#: working set's rows are checked by ``assemble_rows``, before the ``static``
+#: ``add_grads_rows`` accumulates over the same rows.
+BAD_STEPS = {
+    "store-outside": (
+        lambda step, n, absent: replace(step, stores=np.array([n + 5])),
+        IndexError, "retire_rows: a row outside the store",
+    ),
+    "store-not-a-member": (
+        lambda step, n, absent: replace(step, stores=absent),
+        ValueError, "retire_rows: a row that is not a member",
+    ),
+    "stores-out-of-order": (
+        lambda step, n, absent: replace(step, stores=step.working_set[1::-1]),
+        ValueError, "retire_rows: a row that is not a member",
+    ),
+    "carried-not-a-member": (
+        lambda step, n, absent: replace(step, carried=absent),
+        ValueError, "retire_rows: a row that is not a member",
+    ),
+    "working-set-outside": (
+        lambda step, n, absent: replace(
+            step, working_set=np.append(step.working_set, n + 5)
+        ),
+        IndexError, "assemble_rows: a row outside the store",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_STEPS))
+def test_a_failing_call_raises_what_its_stage_raises_and_ends_the_lease(recipes, bad):
     engine, plan, targets = working_sets(recipes)
     step = plan.steps[0]
-    bad = replace(step, stores=np.array([engine.num_gaussians + 5]))
+    make, exc, message = BAD_STEPS[bad]
+    absent = np.setdiff1d(np.arange(engine.num_gaussians), step.working_set)[:1]
+    assert absent.size and step.working_set.size > 1
+    bad = make(step, engine.num_gaussians, absent)
     ws = Workspace()
     target = targets[step.view_id]
-    with pytest.raises(IndexError, match="native train_step: retire_rows: a row outside"):
+    with pytest.raises(exc, match="native train_step: " + message):
         step_op()(
             engine._new_working_set(), bad, None, engine.cameras[step.view_id],
             engine.raster_settings, target, TargetMoments.of(target), 0.2, 4, ws,
@@ -519,7 +553,7 @@ def test_a_capacity_check_after_the_first_store_write_is_caught(recipes, monkeyp
         native_backend.SOURCE
     ).read_text("utf-8")
     check = "    if (short_of)\n        return STATUS_ARENA_SHORT;\n"
-    write = "        g_log_scales, g_quats, critical_grads));\n"
+    write = "        g_log_scales, g_quats, critical_grads);\n"
     assert source.count(check) == 1 and source.count(write) == 1
     source = source.replace(check, "").replace(write, write + check)
     lib = NativeLibrary(source).load()

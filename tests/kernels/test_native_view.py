@@ -12,9 +12,10 @@ discrete decision of the NumPy pipeline sits within 1e-9 (relative) of
 flipping is set aside — there the two roundings may legitimately disagree —
 and the suite asserts that this happens to fewer than 1% of examples.
 
-What the ops decline (float32 or Fortran-ordered model arrays, a context
-NumPy made) stays on the reference, and the render still names what
-composited it; renders repeat bit for bit, also from several threads at
+What the ops decline (float32 or Fortran-ordered model arrays) stays on
+the reference, whole, and the render names what composited it; a context
+carries its maker's backward pass, and one NumPy made or whose projection
+was replaced runs the reference's; renders repeat bit for bit, also from several threads at
 once; a render keeps bytes in proportion to its survivors, in buffers no
 other render shares; running out of memory is a ``MemoryError``.
 """
@@ -26,6 +27,7 @@ import sys
 import textwrap
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,12 +51,16 @@ from repro.gaussians.rasterizer import (
     rasterize_forward,
 )
 from repro.gaussians.rasterizer_grad import rasterize_backward
+from repro.gaussians.render import render, render_backward
+from repro import kernels
 from repro.kernels import (
     ENV_VAR,
     KERNEL_OPS,
     backend_status,
     get_backend,
     native_backend,
+    numpy_backend,
+    registry,
     view_spec,
 )
 from repro.scenes.datasets import build_scene, scene_names
@@ -403,16 +409,16 @@ def test_finite_differences_through_the_native_ops(param):
     ],
     ids=["float32-positions", "fortran-positions", "fortran-quaternions", "fortran-sh"],
 )
-def test_other_layouts_take_the_numpy_op_and_still_composite_natively(field, convert, tol):
-    """A model array that is not float64 C-contiguous: the view ops decline
-    (no warning: declining is not failing), the NumPy op runs — and its
-    compositing still resolves to ``native``, which the context names."""
+def test_other_layouts_take_the_numpy_op_whole(field, convert, tol):
+    """A model array that is not float64 C-contiguous: the view op declines
+    (no warning: declining is not failing) and the NumPy op runs whole,
+    which the context names."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
     odd = dataclasses.replace(model, **{field: convert(getattr(model, field))})
     arr = getattr(odd, field)
     assert not (arr.dtype == np.float64 and arr.flags.c_contiguous)
     img, _, ctx = rasterize_forward(cam, odd, RasterSettings())
-    assert ctx.blocks is None and ctx.kernel_backend == "native"
+    assert ctx.blocks is None and ctx.kernel_backend == "numpy"
     ref_img, _, ref = rasterize_forward(cam, model, RasterSettings())
     assert ref.blocks is not None
     np.testing.assert_allclose(img, ref_img, rtol=0, atol=tol)
@@ -433,14 +439,16 @@ def test_a_context_numpy_made_or_a_replaced_projection_goes_to_the_reference():
     g_img = np.ones((30, 40, 3))
     ctx = rasterize_forward(cam, model, RasterSettings())[2]
     want = rasterize_backward(ctx, model, g_img)
-    assert ctx.view_block() is ctx.blocks[1] and ctx.blend_state_bytes() > 0
+    assert ctx.backward_pass() is ctx.backward and ctx.blend_state_bytes() > 0
     # Same arrays, another projection object: not what the block was cut for
     # (nor its blend records: NumPy regenerates its own blend state).
     ctx.proj = dataclasses.replace(ctx.proj, shapes=None, dirs=None, dir_norms=None)
-    assert ctx.view_block() is None
+    assert ctx.backward_pass() is numpy_backend.view_backward
     rebuilt = rasterize_backward(ctx, model, g_img)
     made_by_numpy = rasterize_forward(cam, model, pinned(RasterSettings(), "numpy"))[2]
-    made_by_numpy.settings = RasterSettings()  # backward resolves ``auto``
+    made_by_numpy.settings = RasterSettings()  # ``auto``: not what decides
+    assert made_by_numpy.backward is None
+    assert made_by_numpy.backward_pass() is numpy_backend.view_backward
     crossed = rasterize_backward(made_by_numpy, model, g_img)
     for name in GRAD_NAMES:
         np.testing.assert_allclose(rebuilt[name], want[name], rtol=1e-10, atol=1e-10)
@@ -462,9 +470,7 @@ def test_operands_are_checked_before_a_pointer_is_taken():
     with pytest.raises(ValueError, match="tile_size"):
         forward(cam, model, RasterSettings(tile_size=0))
     ctx = forward(cam, model, RasterSettings())[2]
-    backward = backend.compile(
-        view_spec("view_backward", np.float64, model, ctx.view_block())
-    )
+    backward = ctx.backward
     with pytest.raises(ValueError, match="d_image"):
         backward(ctx, model, np.ones((30, 41, 3)))
     with pytest.raises(ValueError, match="not the model"):
@@ -474,12 +480,35 @@ def test_operands_are_checked_before_a_pointer_is_taken():
         backward(ctx, model, np.ones((30, 40, 3)))
 
 
-def test_the_backend_declares_all_fourteen_ops():
+def test_the_backward_follows_the_context(monkeypatch):
+    """``render_backward`` on a ``native`` context: one C ``view_backward``
+    call over its blocks, no backend resolved, no spec built, nothing
+    compiled."""
+    cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
+    result = render(cam, model, RasterSettings(kernel_backend="native"))
+    assert result.ctx.kernel_backend == "native"
+    lib = get_backend("native").library().load()
+    c_backward = mock.Mock(wraps=lib.view_backward)
+    monkeypatch.setattr(lib, "view_backward", c_backward)
+    resolved = []
+    for owner, name in (
+        (registry, "resolve_backend"), (registry, "compile_with_fallback"),
+        (registry, "_kernel_spec"), (kernels, "resolve_backend"),
+        (kernels, "compile_with_fallback"), (kernels, "view_spec"),
+    ):
+        monkeypatch.setattr(
+            owner, name, lambda *a, _name=name, **k: resolved.append(_name)
+        )
+    grads = render_backward(result, model, np.ones((30, 40, 3)))
+    assert c_backward.call_count == 1 and resolved == []
+    assert np.abs(grads["positions"]).sum() > 0
+
+
+def test_the_backend_declares_the_nine_units():
     assert KERNEL_OPS == (
-        "exact_cull", "view_forward", "view_backward", "raster_forward_slab",
-        "raster_backward_slab", "assemble_rows", "add_grads_rows",
-        "retire_rows", "zero_rows", "adam_rows", "photometric_loss",
-        "view_train", "plan_batch", "train_step",
+        "exact_cull", "view_forward", "assemble_rows", "zero_rows",
+        "adam_rows", "photometric_loss", "view_train", "plan_batch",
+        "train_step",
     )
     assert get_backend("native").capabilities() == frozenset(KERNEL_OPS)
     assert get_backend("numpy").capabilities() == frozenset(KERNEL_OPS)
