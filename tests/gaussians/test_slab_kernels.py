@@ -29,6 +29,8 @@ from test_compute_bins import (
     MODEL_CASES,
     assert_matches_oracle,
     generated_model,
+    image_camera,
+    make_proj,
     projections,
 )
 
@@ -199,6 +201,35 @@ def test_exact_mode_with_vanishing_opacities_has_no_nan():
     assert_matches_oracle(CAM, model, opts)
     for _, _, _, grads in render_both_ways(model, opts):
         assert all(np.isfinite(grads[name]).all() for name in GRAD_NAMES)
+
+
+@pytest.mark.parametrize(
+    "conic",
+    [
+        [[2e-3, 2e-3], [2e-3, 2e-3]],  # det == 0: extents divide by zero
+        [[1e-3, 4e-3], [4e-3, 1e-3]],  # det < 0: extents are sqrt(negative)
+    ],
+    ids=["singular", "indefinite"],
+)
+def test_footprint_without_a_finite_extent_is_the_whole_tile(conic):
+    """A conic whose footprint has no finite extent keeps its whole span:
+    the compute bins drop none of the oracle's cells."""
+    cam = image_camera(24, 16)
+    proj = make_proj(
+        [[11.3, 7.2], [6.0, 6.0]], [400.0 * np.eye(2), 5.0 * np.eye(2)], [0.6, 0.8]
+    )
+    proj.conics[0] = conic
+    g_img = np.ones((16, 24, 3))
+    img_o, t_o, _ = screen_space(
+        rasterize_forward_legacy, rasterize_backward_legacy, cam, proj,
+        RasterSettings(), g_img,
+    )
+    img, t, _ = screen_space(
+        rasterize_forward, rasterize_backward, cam, proj, RasterSettings(), g_img
+    )
+    np.testing.assert_allclose(img, img_o, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t, t_o, rtol=0, atol=1e-12)
+    assert np.count_nonzero(t_o != 1.0) > 100  # a ridge across the image
 
 
 def test_one_tile_per_slab():
