@@ -716,6 +716,6 @@ def rasterize_forward(
 
     fn, _ = compile_with_fallback(
         resolve_backend(settings.kernel_backend),
-        view_spec("view_forward", settings.np_dtype, model),
+        view_spec(settings.np_dtype, model),
     )
     return fn(camera, model, settings)

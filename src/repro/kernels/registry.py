@@ -153,15 +153,15 @@ def _kernel_spec(op: str, operands: Tuple[KernelData, ...]) -> KernelSpec:
     return KernelSpec(op, operands)
 
 
-def view_spec(op: str, dtype, model) -> KernelSpec:
-    """Spec of a whole-view op: the compute dtype and the five model
+def view_spec(dtype, model) -> KernelSpec:
+    """Spec of ``view_forward``: the compute dtype and the five model
     arrays."""
     arrays = (
         model.positions, model.log_scales, model.quaternions, model.sh,
         model.opacity_logits,
     )
     return _kernel_spec(
-        op,
+        "view_forward",
         (_kernel_data(dtype, 3, True),)
         + tuple(KernelData.from_array(a) for a in arrays),
     )

@@ -101,8 +101,8 @@ def test_float32_operands_decline_the_jit_backend():
     reference: the kernels built at first use index raw float64 buffers."""
     backend = get_backend("native")
     model = GaussianModel.random(4, sh_degree=1, seed=0)
-    spec32 = view_spec("view_forward", np.float32, model)
-    assert backend.supports(view_spec("view_forward", np.float64, model))
+    spec32 = view_spec(np.float32, model)
+    assert backend.supports(view_spec(np.float64, model))
     assert backend.supports(spec32) is False
     fn, used = compile_with_fallback(backend, spec32)
     assert used.name == "numpy"

@@ -8,8 +8,9 @@ the same footprint, the same ``power`` arithmetic and ``math.exp`` — the
 libm ``exp`` the C calls — on every cell.  Which cells pass decides
 everything discrete, so survivors, bins and the blend records' pixels and
 ends are ``array_equal`` to the oracle's; each record's exp value is within
-1e-13 relative.  A splat that does not recur — no threshold — takes
-``exp`` per cell, so its image and transmittance are the oracle's bits.
+1e-13 relative.  A splat that does not recur — no threshold, a conic
+``view_project`` hands on singular, a NaN opacity — takes ``exp`` per cell,
+so its image, transmittance and records are the oracle's bits.
 Every render here is a model through ``native``'s view ops, and the oracle
 walks the projection and bins that render made.
 """
@@ -25,6 +26,7 @@ from test_compute_bins import MODEL_CASES, generated_model, image_camera
 
 from repro.gaussians.model import GaussianModel, inverse_sigmoid
 from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
+from repro.gaussians.rasterizer_grad import rasterize_backward
 from repro.kernels import ENV_VAR, backend_status
 
 BUILDS = {row["name"]: row for row in backend_status()}["native"]["available"]
@@ -200,15 +202,70 @@ def test_rows_longer_than_the_re_anchor_stay_at_libms_precision():
 # ---------------------------------------------------------------------------
 # Splats that do not recur walk per-cell exp: the oracle's bits
 # ---------------------------------------------------------------------------
-def test_a_splat_without_a_threshold_is_the_oracles_bits():
-    """No threshold, no cut: ``exp`` on every cell."""
+def singular_splat(cam):
+    """A one-splat model whose conic, as ``view_project`` hands it to the
+    walk, has a recomputed determinant of exactly 0.  One log-scale of 16-30
+    and two of -30 to -20 make a 2D covariance of rank one to rounding:
+    its own ``det > 0`` passes, but ``c / det``, ``-b / det``, ``a / det``
+    recompute to ``ca * cc == cb * cb`` for a few orientations in ten
+    thousand, which the search finds (none it has tried recomputes below 0)."""
+    for seed in range(50_000):
+        rng = np.random.default_rng(seed)
+        model = one_splat()
+        model.log_scales[0] = [rng.uniform(16.0, 30.0), *rng.uniform(-30.0, -20.0, 2)]
+        model.quaternions[0] = rng.normal(size=4)
+        proj = native_render(cam, model, RasterSettings())[2].proj
+        if proj.ids.size:
+            a, b, c = proj.conics[0, 0, 0], proj.conics[0, 0, 1], proj.conics[0, 1, 1]
+            if a * c - b * b == 0.0:
+                return model
+    pytest.fail("no singular conic found")
+
+
+def nan_opacity_splat(cam):
+    """A NaN opacity: ``view_project`` keeps the row, and its footprint's
+    level, extents and cut are NaN — unclipped, never cut, no cell passes."""
+    model = one_splat()
+    model.opacity_logits[0] = np.nan
+    return model
+
+
+@pytest.mark.parametrize(
+    "make, tau",
+    [(singular_splat, TAU), (nan_opacity_splat, TAU), (lambda cam: one_splat(), 0.0)],
+    ids=["singular", "nan", "zero-threshold"],
+)
+def test_splats_that_do_not_recur_are_the_oracles_bits(make, tau):
+    """A footprint with no finite extent covers the whole tile, and a splat
+    that does not recur — no finite cut over a positive-definite conic —
+    takes ``exp`` per cell: image, transmittance and every blend record are
+    the oracle's bits, and the backward replaying the forward
+    (``cache_blend_state=False``) is the one walking the records."""
     cam = image_camera(44, 30)
-    opts = RasterSettings(alpha_threshold=0.0, tile_size=44, background=(0.3, 0.6, 0.9))
-    img, trans, ctx = native_render(cam, one_splat(), opts)
-    assert ctx.bins.tile_size == 44
-    o_img, o_trans, (o_w, _, _) = oracle_walk(ctx.bins, ctx.proj, opts)
+    model = make(cam)
+    opts = RasterSettings(
+        alpha_threshold=tau, tile_size=44, background=(0.3, 0.6, 0.9),
+        cache_blend_state=True,
+    )
+    img, trans, ctx = native_render(cam, model, opts)
+    assert ctx.bins.tile_size == 44 and ctx.bins.order.size == 1  # walked
+    o_img, o_trans, (o_w, o_pixel, o_end) = oracle_walk(ctx.bins, ctx.proj, opts)
     assert np.array_equal(img, o_img) and np.array_equal(trans, o_trans)
-    assert o_w.size == 44 * 30  # every cell of the image
+    rec_f, pixel, end = ctx.blocks[4:]
+    assert np.array_equal(end, o_end) and np.array_equal(pixel[: end[-1]], o_pixel)
+    assert np.array_equal(rec_f[44 * 44 :][: end[-1]], o_w)
+    if make is nan_opacity_splat:
+        assert o_w.size == 0 and np.all(trans == 1.0)
+    elif tau == 0.0:
+        assert o_w.size == 44 * 30  # every cell of the image
+    else:
+        assert o_w.size > 1000  # a ridge across the image
+    g_img = np.random.default_rng(0).normal(size=img.shape)
+    replay = native_render(cam, model, replace(opts, cache_blend_state=False))[2]
+    got = rasterize_backward(ctx, model, g_img)
+    want = rasterize_backward(replay, model, g_img)
+    for name in got:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
 
 
 # ---------------------------------------------------------------------------

@@ -457,12 +457,15 @@ def test_a_failing_call_raises_what_its_stage_raises_and_ends_the_lease(recipes,
     bad = make(step, engine.num_gaussians, absent)
     ws = Workspace()
     target = targets[step.view_id]
+    pinned = engine.cpu_store.grads.copy()
     with pytest.raises(exc, match="native train_step: " + message):
         step_op()(
             engine._new_working_set(), bad, None, engine.cameras[step.view_id],
             engine.raster_settings, target, TargetMoments.of(target), 0.2, 4, ws,
         )
     assert not ws.leased
+    # Every row is checked before the pinned store is written.
+    assert np.array_equal(engine.cpu_store.grads, pinned)
     with pytest.raises(ValueError, match="L1 alone"):
         step_op()(engine._new_working_set(), step, None, None, None, target, None, 0.0, 4)
     engine.close()

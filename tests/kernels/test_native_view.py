@@ -458,7 +458,7 @@ def test_a_context_numpy_made_or_a_replaced_projection_goes_to_the_reference():
 def test_operands_are_checked_before_a_pointer_is_taken():
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
     backend = get_backend("native")
-    spec = view_spec("view_forward", np.float64, model)
+    spec = view_spec(np.float64, model)
     forward = backend.compile(spec)
     bad = dataclasses.replace(model)
     bad.log_scales = model.log_scales[:-1]  # assigned after validation
