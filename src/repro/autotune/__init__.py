@@ -1,10 +1,10 @@
 """`repro.autotune` — simulator-driven configuration auto-tuning.
 
-Closes the predict/measure loop ROADMAP item 5 calls for.  Every
-performance knob the stack has grown stays hand-tuned without this
-package: ``overlap_workers`` (the overlap runtime), raster ``group_size``
-(the slab substrate), microbatch ordering (the planner), kernel backend
-(the registry).  The auto-tuner picks them per batch:
+Closes the predict/measure loop ROADMAP item 5 calls for.  Two knobs
+stay hand-tuned without this package: ``overlap_workers`` (the overlap
+runtime) and the microbatch ordering (the planner).  The auto-tuner picks
+both per batch (the kernel backend is never tuned, see
+:mod:`repro.autotune.candidates`):
 
 1. :class:`CostModel` holds seconds-per-unit rates for every pipeline op
    (assemble/forward/backward/Adam), seeded from ``hardware/specs``

@@ -1,8 +1,8 @@
 """Candidate configuration enumeration for the auto-tuner.
 
-A :class:`TunedConfig` bundles the three knobs the adaptive runtime owns;
+A :class:`TunedConfig` bundles the two knobs the adaptive runtime owns;
 a :class:`CandidateSpace` is the grid the tuner searches.  Enumeration
-order is deterministic (workers, then group size, then ordering) and ties
+order is deterministic (workers, then ordering) and ties
 in predicted makespan resolve to the *earliest* candidate, so tuning is
 reproducible given the same measurements.
 
@@ -27,13 +27,11 @@ class TunedConfig:
     """One point of the tuning grid (hashable, fingerprint-friendly)."""
 
     overlap_workers: int
-    group_size: int
     ordering: str
 
     def as_dict(self) -> dict:
         return {
             "overlap_workers": self.overlap_workers,
-            "group_size": self.group_size,
             "ordering": self.ordering,
         }
 
@@ -43,21 +41,17 @@ class CandidateSpace:
     """The grid of candidate configurations the tuner predicts over."""
 
     workers: Tuple[int, ...] = (0, 1, 2)
-    group_sizes: Tuple[int, ...] = (64, 256)
     orderings: Tuple[str, ...] = ("tsp", "gs_count", "identity")
 
     def __post_init__(self) -> None:
         for name, values in (
             ("workers", self.workers),
-            ("group_sizes", self.group_sizes),
             ("orderings", self.orderings),
         ):
             if not values:
                 raise ValueError(f"CandidateSpace.{name} must be non-empty")
         if any(w < 0 for w in self.workers):
             raise ValueError("negative worker counts are not candidates")
-        if any(g <= 0 for g in self.group_sizes):
-            raise ValueError("group sizes must be positive")
         if "random" in self.orderings:
             raise ValueError(
                 "the 'random' ordering is cache-exempt and RNG-consuming; "
@@ -70,9 +64,6 @@ class CandidateSpace:
         describes (``autotune_*`` fields, with safe defaults)."""
         return cls(
             workers=tuple(getattr(config, "autotune_workers", (0, 1, 2))),
-            group_sizes=tuple(
-                getattr(config, "autotune_group_sizes", (64, 256))
-            ),
             orderings=tuple(
                 getattr(
                     config, "autotune_orderings", ("tsp", "gs_count", "identity")
@@ -82,19 +73,12 @@ class CandidateSpace:
 
     def enumerate(self) -> List[TunedConfig]:
         """Every candidate, in deterministic tie-break order."""
-        out: List[TunedConfig] = []
-        for w in self.workers:
-            for g in self.group_sizes:
-                for ordering in self.orderings:
-                    out.append(
-                        TunedConfig(
-                            overlap_workers=int(w),
-                            group_size=int(g),
-                            ordering=ordering,
-                        )
-                    )
-        return out
+        return [
+            TunedConfig(overlap_workers=int(w), ordering=ordering)
+            for w in self.workers
+            for ordering in self.orderings
+        ]
 
     @property
     def size(self) -> int:
-        return len(self.workers) * len(self.group_sizes) * len(self.orderings)
+        return len(self.workers) * len(self.orderings)

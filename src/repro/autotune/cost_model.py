@@ -18,17 +18,13 @@ Two ingredients, exactly as ROADMAP item 5 prescribes:
   machine, and the EMA tracks drift (thermal throttling, competing
   load) without forgetting history.
 
-Keys are tuples ``(op, *subkey)``.  Forward/backward rates are keyed by
-``group_size`` because the slab width changes the achieved rate per row;
-an unmeasured width falls back to the measured rate of the nearest group
-size before falling back to the prior — so one measured slab width
-anchors its neighbours instead of leaving them on paper-hardware numbers.
+Keys are one-element tuples ``(op,)``: no tuned knob changes the rate of
+an op per unit, so an op has one rate.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.hardware.kernels import KernelCostModel
 from repro.hardware.specs import RTX4090_TESTBED, Testbed
@@ -81,31 +77,11 @@ class CostModel:
 
     # -- rate lookup -----------------------------------------------------
     def rate(self, key: Key) -> float:
-        """Seconds per unit for ``key``: measured → nearest measured
-        sibling (same op) → specs prior."""
+        """Seconds per unit for ``key``: measured, else the specs prior."""
         hit = self._rates.get(key)
         if hit is not None:
             return hit
-        sibling = self._nearest_sibling(key)
-        if sibling is not None:
-            return sibling
         return self._prior(key)
-
-    def _nearest_sibling(self, key: Key) -> Optional[float]:
-        """For group-size-keyed ops, the measured rate whose group size is
-        nearest in log space."""
-        if key[0] not in ("forward", "backward") or len(key) != 2:
-            return None
-        op, group_size = key
-        candidates = [
-            (abs(math.log(max(1, group_size)) - math.log(max(1, other[1]))),
-             rate)
-            for other, rate in self._rates.items()
-            if len(other) == 2 and other[0] == op
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[1]
 
     def _prior(self, key: Key) -> float:
         kc = self.kernel_costs
@@ -127,11 +103,11 @@ class CostModel:
         raise KeyError(f"unknown cost-model op {op!r}")
 
     # -- typed helpers (what the DAG builder calls) ----------------------
-    def forward_s(self, rows: int, group_size: int) -> float:
-        return rows * self.rate(("forward", int(group_size)))
+    def forward_s(self, rows: int) -> float:
+        return rows * self.rate(("forward",))
 
-    def backward_s(self, rows: int, group_size: int) -> float:
-        return rows * self.rate(("backward", int(group_size)))
+    def backward_s(self, rows: int) -> float:
+        return rows * self.rate(("backward",))
 
     def adam_s(self, rows: int) -> float:
         return rows * self.rate(("adam",))

@@ -18,17 +18,16 @@ The loop per training batch:
    and calibrates the :class:`~repro.autotune.cost_model.CostModel` from
    the batch's measured per-op seconds.
 
-Exploration: forward/backward rates depend on ``group_size`` (slab
-width) in ways no spec predicts, so group sizes that have never been
-measured are visited first — one batch each, in grid order — before the
-tuner switches to pure argmin exploitation.  With one group size there is
-no exploration phase at all.
+Calibration probe: until the cost model has measured a forward rate it
+prices every step from paper-hardware priors, so the first batch runs a
+fixed probe configuration (the most workers, the first ordering) instead
+of the argmin; every later batch exploits the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.autotune.candidates import CandidateSpace, TunedConfig
 from repro.autotune.cost_model import DISPATCH_OVERHEAD_S, CostModel
@@ -54,11 +53,11 @@ class TunedChoice:
     config: TunedConfig
     #: Predicted makespan of :attr:`config` (seconds).
     predicted_s: float
-    #: True while the tuner is measuring a never-seen group size
-    #: instead of exploiting the model.
+    #: True on the calibration probe, which measures the model's first
+    #: forward/backward rates instead of exploiting the model.
     explored: bool
-    #: Every candidate's predicted makespan this batch (empty during
-    #: exploration) — the per-batch tuning table, cheapest first.
+    #: Every candidate's predicted makespan this batch (empty on the
+    #: probe) — the per-batch tuning table, cheapest first.
     table: Tuple[Tuple[TunedConfig, float], ...] = ()
 
 
@@ -124,9 +123,6 @@ class AutoTuner:
         self.overlap_adam = overlap_adam
         self.model = model or CostModel(testbed=testbed, num_pixels=num_pixels)
         self.stats = TunerStats()
-        # Group sizes never yet measured, visited one batch each before
-        # exploitation starts.
-        self._unexplored: List[int] = [int(g) for g in self.space.group_sizes]
 
     # -- what the engine asks per batch ----------------------------------
     @property
@@ -140,17 +136,16 @@ class AutoTuner:
         ``plans`` maps each candidate ordering to that ordering's
         :class:`BatchPlan` for the batch (all orderings of the space must
         be present).  Returns the argmin-predicted-makespan candidate, or
-        the next unexplored group size while calibration samples are still
-        missing.
+        the calibration probe while the model has no measured forward
+        rate.
         """
         for ordering in self.space.orderings:
             if ordering not in plans:
                 raise KeyError(f"no plan for candidate ordering {ordering!r}")
         self.stats.batches += 1
-        if self._unexplored:
+        if not self.model.measured(("forward",)):
             config = TunedConfig(
                 overlap_workers=int(self.space.workers[-1]),
-                group_size=self._unexplored[0],
                 ordering=self.space.orderings[0],
             )
             self.stats.explored_batches += 1
@@ -181,16 +176,8 @@ class AutoTuner:
         and calibrate the cost model from its per-op seconds."""
         config = choice.config
         m = self.model
-        m.observe(
-            ("forward", config.group_size),
-            measured.working_rows,
-            measured.forward_s,
-        )
-        m.observe(
-            ("backward", config.group_size),
-            measured.working_rows,
-            measured.backward_s,
-        )
+        m.observe(("forward",), measured.working_rows, measured.forward_s)
+        m.observe(("backward",), measured.working_rows, measured.backward_s)
         m.observe(("adam",), measured.chunk_rows, measured.adam_s)
         m.observe(
             ("critical_adam",), measured.touched_rows, measured.critical_adam_s
@@ -206,8 +193,6 @@ class AutoTuner:
             + serial_adam
         )
         m.observe(("overhead",), measured.traffic_rows, residual)
-        if config.group_size in self._unexplored:
-            self._unexplored.remove(config.group_size)
         reconciliation = reconcile_predicted_makespan(
             choice.predicted_s, measured.wall_s
         )
@@ -216,8 +201,8 @@ class AutoTuner:
         self.stats.last = reconciliation
         self.stats.choices[config] = self.stats.choices.get(config, 0) + 1
         if not choice.explored:
-            # Exploration batches predict off raw priors by design; folding
-            # their error in would misreport the calibrated model's skill.
+            # The probe predicts off raw priors by design; folding its
+            # error in would misreport the calibrated model's skill.
             self.stats.reconciled += 1
             self.stats.rel_error_sum += reconciliation.relative_error
         return reconciliation
@@ -250,9 +235,7 @@ class AutoTuner:
                     step.loads.size + step.stores.size + step.cached.size
                 )
                 duration = (
-                    m.overhead_s(traffic)
-                    + m.forward_s(rows, config.group_size)
-                    + m.backward_s(rows, config.group_size)
+                    m.overhead_s(traffic) + m.forward_s(rows) + m.backward_s(rows)
                 )
             elif node.kind == "adam":
                 duration = m.adam_s(chunk_sizes[node.index])

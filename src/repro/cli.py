@@ -285,10 +285,9 @@ def cmd_train(args) -> int:
         print(
             f"autotune: {summary['batches']} batches tuned over "
             f"{summary['candidates']} candidates "
-            f"({summary['explored_batches']} exploration probes), "
+            f"({summary['explored_batches']} calibration probe(s)), "
             f"mean |pred-meas|/meas = {100 * summary['mean_rel_error']:.1f}%; "
             f"most chosen: workers={chosen.get('overlap_workers')}, "
-            f"group_size={chosen.get('group_size')}, "
             f"ordering={chosen.get('ordering')}"
         )
     return 0

@@ -64,9 +64,9 @@ class EngineConfig:
     raster/Adam hot loops (:mod:`repro.kernels`): ``"auto"`` (default)
     prefers the fastest available backend (honouring the
     ``REPRO_KERNEL_BACKEND`` env override), an explicit name pins one.
-    Engines resolve it once at construction, thread it through
-    ``RasterSettings`` and ``PackedSparseAdam`` and key their plan
-    fingerprints by it; ``PerfCounters.kernel_backend`` names the backend
+    Engines resolve it once at construction and thread it through
+    ``RasterSettings``, ``PackedSparseAdam`` and their planner's
+    ``plan_batch`` op; ``PerfCounters.kernel_backend`` names the backend
     that composited the last batch's renders, after per-op fallback.
 
     ``use_task_graph`` picks the executor of the batch's
@@ -83,13 +83,12 @@ class EngineConfig:
     of every candidate configuration through the discrete-event simulator
     and executes the argmin, then reconciles predicted vs measured wall
     time back into the cost model.  ``autotune_workers`` /
-    ``autotune_group_sizes`` / ``autotune_orderings`` define the candidate
-    grid (orderings exclude ``random`` — cache-exempt and RNG-consuming;
-    the kernel backend is not tuned — a switch changes results within the
-    backends' 1e-10 parity envelope, breaking bit-identical training).
-    Auto-tuning changes timing only — never results for worker/group-size
-    choices, and never pool accounting (see
-    :mod:`repro.core.memory_model`).
+    ``autotune_orderings`` define the candidate grid (orderings exclude
+    ``random`` — cache-exempt and RNG-consuming; the kernel backend is not
+    tuned — a switch changes results within the backends' 1e-10 parity
+    envelope, breaking bit-identical training).  Auto-tuning changes
+    timing only — never results for worker choices, and never pool
+    accounting (see :mod:`repro.core.memory_model`).
     """
 
     batch_size: int = 4
@@ -136,7 +135,6 @@ class EngineConfig:
     use_task_graph: bool = False
     autotune: bool = False
     autotune_workers: "tuple[int, ...]" = (0, 1, 2)
-    autotune_group_sizes: "tuple[int, ...]" = (64, 256)
     autotune_orderings: "tuple[str, ...]" = ("tsp", "gs_count", "identity")
 
     def resolve_renderer(self) -> "tuple[Callable, Callable]":

@@ -178,11 +178,10 @@ ACT_PER_PIXEL = 240
 #: accounting.  Every knob the tuner turns is an execution detail of the
 #: same plans this model already budgets: ``overlap_workers`` moves Adam
 #: chunks between threads (worker pools hold row-*index* arrays, not
-#: parameter copies), ``group_size`` changes slab blocking inside the
-#: fixed per-slab scratch allowance, ordering permutes which microbatch
-#: occupies the same two-slot double buffer, and backend choice defers to
-#: the kernel-backend note above.  Cost-model calibration state is a few
-#: dozen scalar rates.  Auto-tuned runs therefore report bit-identical
+#: parameter copies) and ordering permutes which microbatch occupies the
+#: same two-slot double buffer; the kernel backend is never tuned (see the
+#: kernel-backend note above).  Cost-model calibration state is a handful
+#: of scalar rates.  Auto-tuned runs therefore report bit-identical
 #: pool budgets — the tuner optimizes the schedule through the
 #: :mod:`repro.hardware` simulator, not the memory plan.
 

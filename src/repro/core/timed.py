@@ -96,6 +96,10 @@ class TimedSetup:
     def __init__(
         self, scene: Scene, index: CullingIndex, config: TimingConfig
     ) -> None:
+        if config.num_batches < 1:
+            raise ValueError(
+                f"num_batches must be at least 1, got {config.num_batches}"
+            )
         self.index = index
         self.paper_num_gaussians = _paper_num_gaussians(scene, config)
         self.batch_size = config.batch_size or scene.spec.batch_size

@@ -119,7 +119,6 @@ class BatchResult:
     #: that prediction against the measured wall time.
     autotuned: bool = False
     tuned_workers: Optional[int] = None
-    tuned_group_size: Optional[int] = None
     tuned_ordering: Optional[str] = None
     predicted_makespan_s: float = 0.0
     autotune_rel_error: float = 0.0
@@ -231,7 +230,6 @@ class PerfCounters:
             self.autotune_rel_error_sum += result.autotune_rel_error
             self.tuned_config = {
                 "overlap_workers": result.tuned_workers,
-                "group_size": result.tuned_group_size,
                 "ordering": result.tuned_ordering,
             }
 
@@ -322,10 +320,6 @@ class EngineBase(Engine):
             self.pool = MemoryPool(self.config.gpu_capacity_bytes, name="gpu")
         self.batches_trained = 0
         self.perf = PerfCounters(kernel_backend=self.kernel_backend)
-        #: Per-call raster-settings overlay (field -> value), applied last
-        #: by :attr:`raster_settings`.  The auto-tuner writes its per-batch
-        #: ``group_size`` here instead of mutating the shared config.
-        self._raster_overrides: Dict[str, object] = {}
         #: SSIM moments of each view's target image, computed on first use
         #: (see :meth:`_target_moments`).  A function of the targets only,
         #: never of the model — ``rebuild``, restore and recovery leave it
@@ -382,11 +376,6 @@ class EngineBase(Engine):
         requested = getattr(self.config, "kernel_backend", "auto")
         if settings.kernel_backend is None and requested not in (None, "", "auto"):
             settings = dc_replace(settings, kernel_backend=self.kernel_backend)
-        # Tuned overlays last: the per-batch group_size the adaptive
-        # runtime chose wins over the static config without ever mutating
-        # the shared settings object.
-        if self._raster_overrides:
-            settings = dc_replace(settings, **self._raster_overrides)
         return settings
 
     # -- subclass hooks -------------------------------------------------

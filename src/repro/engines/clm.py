@@ -121,7 +121,7 @@ class CLMEngine(EngineBase):
         #: ``_step_adam_s`` for the tuner's calibration samples.
         self._step_adam_critical_s = 0.0
         #: The auto-tuner (None unless ``config.autotune``): chooses
-        #: workers/group_size/ordering per batch by predicted makespan and
+        #: workers/ordering per batch by predicted makespan and
         #: reconciles predictions against measured wall time.
         self.tuner = None
         if self.config.autotune:
@@ -191,10 +191,9 @@ class CLMEngine(EngineBase):
         picks the configuration with the smallest simulator-predicted
         makespan, and after execution the prediction is reconciled against
         the measured wall time and fed back into the cost model.  The
-        tuned knobs are execution details only: worker count and slab
-        ``group_size`` never change results (bit-identical, pinned by
-        tests), the ordering changes the schedule semantics exactly as the
-        ``ordering`` config always has.
+        worker count is an execution detail only (bit-identical results,
+        pinned by tests); the ordering changes the schedule semantics
+        exactly as the ``ordering`` config always has.
 
         ``config.use_task_graph`` selects which executor runs the
         batch's node list (see :meth:`_execute_plan`) — same math, same
@@ -221,10 +220,6 @@ class CLMEngine(EngineBase):
             choice = self.tuner.choose(plans)
             plan = plans[choice.config.ordering]
             workers = choice.config.overlap_workers
-            self._raster_overrides = {"group_size": choice.config.group_size}
-            # Key future plans under the tuned slab width (see
-            # plan_fingerprint): tuned configs never share a cached plan.
-            self.planner.group_size = choice.config.group_size
         else:
             plan = self.plan_batch(view_ids)
             workers = cfg.overlap_workers
@@ -251,7 +246,6 @@ class CLMEngine(EngineBase):
             reconciliation = self.tuner.observe(choice, plan, measured)
             result.autotuned = True
             result.tuned_workers = choice.config.overlap_workers
-            result.tuned_group_size = choice.config.group_size
             result.tuned_ordering = choice.config.ordering
             result.predicted_makespan_s = choice.predicted_s
             result.autotune_rel_error = reconciliation.relative_error

@@ -47,7 +47,7 @@ hot path is a *vectorized substrate*:
   splat)`` work happens once per view on the flat CSR entries (the lane
   terms of the separable exponent before the slab loop, all pair math and
   one segment sum after it), the slabs only do per-cell work.
-  ``RasterSettings.group_size`` bounds the tiles per slab;
+  ``_MAX_GROUP_TILES`` bounds the tiles per slab;
   ``RasterSettings.dtype`` selects a float32 compute mode (gradient
   accumulation stays float64).
 
@@ -113,6 +113,9 @@ from repro.gaussians.quaternion import unit_and_norm
 #: grouped slab; keeps the (T, G, P) working tensors at tens of MB even
 #: when a single tile's bin is very deep.
 _MAX_GROUP_CELLS = 1 << 22
+#: Upper bound on the tiles of one grouped slab.  Slab width is pure
+#: blocking: it never changes a result, and ``native`` does not slab.
+_MAX_GROUP_TILES = 256
 #: Padding budget of a slab: padded entries may exceed real entries by at
 #: most this factor before the slab is cut.
 _MAX_PAD_WASTE = 1.25
@@ -165,8 +168,6 @@ class RasterSettings:
 
     Substrate knobs:
 
-    - ``group_size``: max tiles batched into one ``(T, G, P)`` slab of the
-      NumPy reference (``native`` does not slab: no effect there).
     - ``dtype``: compute dtype of the blend state (``"float64"`` default;
       gradients always accumulate in float64).  ``"float32"`` runs on the
       NumPy reference, because ``native`` declines it, so wherever
@@ -190,7 +191,6 @@ class RasterSettings:
     transmittance_min: float = 1e-4
     max_alpha: float = 0.99
     active_sh_degree: Optional[int] = None
-    group_size: int = 256
     dtype: str = "float64"
     cache_blend_state: bool = True
     kernel_backend: Optional[str] = None
@@ -623,13 +623,11 @@ class _AugArrays:
         return cls(*fields, colors)
 
 
-def iter_tile_groups(
-    bins: TileBins, group_size: int
-) -> Iterator["tuple[np.ndarray, int]"]:
+def iter_tile_groups(bins: TileBins) -> Iterator["tuple[np.ndarray, int]"]:
     """Yield ``(tile_indices, padded_len)`` slabs over the CSR bins.
 
     Tiles are sorted by bin length and chunked greedily: a slab holds at
-    most ``group_size`` tiles, at most ``_MAX_GROUP_CELLS``
+    most ``_MAX_GROUP_TILES`` tiles, at most ``_MAX_GROUP_CELLS``
     ``tiles x splats x pixels`` cells, and each tile is padded to the
     slab's longest bin with the padded total capped at ``_MAX_PAD_WASTE``
     of the real entries.  Sorting keeps neighbouring bin lengths close, so
@@ -650,7 +648,7 @@ def iter_tile_groups(
         j = i + 1
         while (
             j < n
-            and (j - i) < group_size
+            and (j - i) < _MAX_GROUP_TILES
             and (j - i + 1) * int(sorted_counts[j]) * pixels
             <= _MAX_GROUP_CELLS
             and (j - i + 1) * int(sorted_counts[j])

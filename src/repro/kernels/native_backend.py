@@ -74,10 +74,10 @@ records**, sized by the footprint area ``view_project`` reports — and
 ``view_backward`` walks them back to front in one sweep; without it (under
 a GPU pool and for forward-only renders) the backward pass first replays
 the forward through the same walk to regenerate them, to bit-identical
-gradients.  ``group_size`` has no effect here.  The context
-``view_forward`` returns carries that backward call
-(``RenderContext.backward``), so ``rasterize_backward`` runs it with no
-dispatch of its own.
+gradients.  Nothing here is grouped into slabs, so the NumPy reference's
+tiles-per-slab cap has no counterpart.  The context ``view_forward``
+returns carries that backward call (``RenderContext.backward``), so
+``rasterize_backward`` runs it with no dispatch of its own.
 
 CLM's data path is the third part, one native call per op over row
 indices: ``assemble_rows`` (``GpuWorkingSet.assemble``: cache copies,

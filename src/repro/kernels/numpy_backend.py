@@ -151,7 +151,7 @@ def _blend_states(bins, aug, settings, for_backward: bool):
     e = bins.num_entries
     terms = _lane_terms(bins, aug, settings.np_dtype)
     opac = _per_entry(bins, aug.opac)
-    for tix, g in iter_tile_groups(bins, settings.group_size):
+    for tix, g in iter_tile_groups(bins):
         # (G, T) flat CSR entry of every slab row; pads -> the pad slot E.
         offs = bins.offsets[tix]
         slot = np.arange(g)[:, None]

@@ -54,32 +54,18 @@ def plan_fingerprint(
     sets: Sequence[np.ndarray],
     view_ids: Sequence[int],
     strategy: str,
-    enable_cache: bool,
     num_gaussians: int,
     cameras=None,
-    kernel_backend: Optional[str] = None,
-    group_size: Optional[int] = None,
 ) -> Tuple:
     """The :class:`PlanCache` key: per-view set digests plus every input
-    that changes the resulting plan.
+    that can change the resulting plan between two ``plan()`` calls on one
+    planner.  What a planner fixes when it is built (``enable_cache``, its
+    kernel backend) stays out: each :class:`PlanCache` belongs to one
+    planner.
 
     ``cameras`` only enters the key when given — callers pass it for the
     strategies that read camera geometry (``camera``), so a moved camera
     with unchanged in-frustum sets still misses the cache.
-
-    ``kernel_backend`` is the resolved kernel-backend identity of the
-    planning engine: plans themselves are backend-agnostic index algebra,
-    but downstream consumers attribute measured per-plan timings (the
-    reconciliation loop, serving SLO reports) to the backend that executed
-    them, so a backend switch must miss rather than revive plans observed
-    under different kernels.
-
-    ``group_size`` is the raster slab width the plan will execute under —
-    an execution detail (bit-identical results either way), keyed for the
-    same attribution reason: the auto-tuner retunes it per batch, and two
-    tuned configurations whose measured timings feed the cost model must
-    never collide on one cached plan.  The scheduled ordering is already
-    keyed as ``strategy``.
     """
     camera_digest = None
     if cameras is not None:
@@ -91,11 +77,8 @@ def plan_fingerprint(
         ).digest()
     return (
         strategy,
-        enable_cache,
         int(num_gaussians),
         camera_digest,
-        kernel_backend,
-        None if group_size is None else int(group_size),
         tuple(int(v) for v in view_ids),
         tuple(set_fingerprint(s) for s in sets),
     )
@@ -258,19 +241,10 @@ class BatchPlanner:
         seed: SeedLike = 0,
         tsp_time_limit_s: float = 1e-3,
         kernel_backend: Optional[str] = None,
-        group_size: Optional[int] = None,
     ) -> None:
         self.ordering = ordering
         self.enable_cache = enable_cache
         self.tsp_time_limit_s = tsp_time_limit_s
-        #: Resolved kernel-backend identity keyed into every fingerprint
-        #: (None for standalone planners — keys simply omit the backend).
-        self.kernel_backend = kernel_backend
-        #: Raster slab width plans are attributed to.  A mutable attribute
-        #: on purpose: the auto-tuner retunes it per batch, and the next
-        #: ``plan()`` call keys the cache under the new value so tuned
-        #: configurations never share a cached plan's measured timings.
-        self.group_size = group_size
         self._rng = make_rng(seed)
         #: Runs ``plan_batch`` on ``kernel_backend`` (``auto`` when None).
         self._ops = OpDispatch(kernel_backend)
@@ -287,16 +261,13 @@ class BatchPlanner:
         """Planner configured from an :class:`repro.core.config.EngineConfig`
         (or anything with ``ordering`` / ``enable_cache`` /
         ``plan_cache_size`` attributes).  ``kernel_backend`` is the
-        engine's resolved backend name, keyed into plan fingerprints."""
+        engine's resolved backend name, which runs ``plan_batch``."""
         return cls(
             ordering=config.ordering,
             enable_cache=config.enable_cache,
             cache_size=getattr(config, "plan_cache_size", 8),
             seed=config.seed if seed is None else seed,
             kernel_backend=kernel_backend,
-            group_size=getattr(
-                getattr(config, "raster", None), "group_size", None
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -336,10 +307,8 @@ class BatchPlanner:
         key = None
         if use_cache:
             key = plan_fingerprint(
-                sets, view_ids, strategy, self.enable_cache, num_gaussians,
+                sets, view_ids, strategy, num_gaussians,
                 cameras=cameras if strategy == "camera" else None,
-                kernel_backend=self.kernel_backend,
-                group_size=self.group_size,
             )
             cached = self.cache.get(key)
             if cached is not None:

@@ -1,4 +1,4 @@
-"""CostModel unit tests: priors, calibration, sibling fallback."""
+"""CostModel unit tests: priors and calibration."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.autotune.cost_model import DISPATCH_OVERHEAD_S, CostModel
 
 def test_priors_are_positive_before_any_measurement():
     m = CostModel()
-    assert m.forward_s(1000, 256) > 0.0
-    assert m.backward_s(1000, 256) > 0.0
+    assert m.forward_s(1000) > 0.0
+    assert m.backward_s(1000) > 0.0
     assert m.adam_s(1000) > 0.0
     assert m.critical_adam_s(1000) > 0.0
     assert m.overhead_s(1000) > 0.0
@@ -18,7 +18,7 @@ def test_priors_are_positive_before_any_measurement():
 def test_prior_shape_backward_slower_than_forward():
     """The specs encode the relative shape the argmin relies on."""
     m = CostModel()
-    assert m.backward_s(1000, 256) > m.forward_s(1000, 256)
+    assert m.backward_s(1000) > m.forward_s(1000)
 
 
 def test_first_observation_replaces_prior():
@@ -52,21 +52,11 @@ def test_invalid_ema_rejected():
         CostModel(ema=1.5)
 
 
-def test_nearest_sibling_group_size_fallback():
-    """One measured slab width anchors unmeasured neighbours."""
+def test_rates_never_cross_ops():
     m = CostModel()
-    m.observe(("forward", 64), 1000, 1.0)
-    m.observe(("forward", 1024), 1000, 9.0)
-    # 128 is nearer 64 than 1024 in log space.
-    assert m.rate(("forward", 128)) == pytest.approx(1e-3)
-    assert m.rate(("forward", 768)) == pytest.approx(9e-3)
-
-
-def test_sibling_never_crosses_ops():
-    m = CostModel()
-    m.observe(("forward", 64), 1000, 1.0)
-    prior_backward = CostModel().rate(("backward", 64))
-    assert m.rate(("backward", 64)) == pytest.approx(prior_backward)
+    m.observe(("forward",), 1000, 1.0)
+    prior_backward = CostModel().rate(("backward",))
+    assert m.rate(("backward",)) == pytest.approx(prior_backward)
 
 
 def test_unknown_op_raises():
@@ -76,11 +66,11 @@ def test_unknown_op_raises():
 
 def test_snapshot_flat_keys():
     m = CostModel()
-    m.observe(("forward", 64), 1000, 1.0)
+    m.observe(("forward",), 1000, 1.0)
     m.observe(("adam",), 1000, 2.0)
     snap = m.snapshot()
     assert snap["adam"] == pytest.approx(2e-3)
-    assert snap["forward.64"] == pytest.approx(1e-3)
+    assert snap["forward"] == pytest.approx(1e-3)
 
 
 def test_dispatch_overhead_is_small_but_nonzero():

@@ -46,19 +46,17 @@ def test_autotuned_results_stamped(setup):
         setup,
         autotune=True,
         autotune_workers=(0, 2),
-        autotune_group_sizes=(64, 256),
         autotune_orderings=("tsp",),
     )
     for result in results:
         assert result.autotuned
         assert result.tuned_workers in (0, 2)
-        assert result.tuned_group_size in (64, 256)
         assert result.tuned_ordering == "tsp"
         assert result.predicted_makespan_s > 0.0
         assert result.autotune_rel_error >= 0.0
     assert sess.tuner.stats.batches == len(BATCHES)
-    # 2 group sizes x 1 backend = 2 exploration probes.
-    assert sess.tuner.stats.explored_batches == 2
+    # One calibration probe, then the model decides.
+    assert sess.tuner.stats.explored_batches == 1
 
 
 def test_autotuned_batch_culls_once(setup, monkeypatch):
@@ -96,14 +94,12 @@ def test_perf_counters_fold_tuning(setup):
     assert perf.predicted_makespan_s > 0.0
     assert perf.autotune_mean_rel_error >= 0.0
     assert perf.tuned_config  # last chosen config recorded
-    assert set(perf.tuned_config) == {
-        "overlap_workers", "group_size", "ordering"
-    }
+    assert set(perf.tuned_config) == {"overlap_workers", "ordering"}
 
 
 def test_autotune_bit_identical_to_plain_run(setup):
-    """With the ordering pinned, tuning workers/group_size (and never the
-    backend, the default) changes timing only — not one bit of results.
+    """With the ordering pinned, tuning workers (and never the backend,
+    the default) changes timing only — not one bit of results.
     Ordering stays a *semantic* knob: tuning over several orderings
     changes results exactly as the ``ordering`` config always has."""
     plain, _ = run(setup)
@@ -127,9 +123,11 @@ def test_autotune_composes_with_task_graph(setup):
         assert np.array_equal(a.parameters()[name], b.parameters()[name])
 
 
-def test_tuner_updates_planner_group_size(setup):
-    sess, results = run(setup, autotune=True, autotune_orderings=("tsp",))
-    assert sess.planner.group_size == results[-1].tuned_group_size
+def test_tuned_batches_render_with_the_live_settings(setup):
+    """Tuning overlays nothing on the raster settings: the engine renders
+    with ``config.raster`` itself."""
+    sess, _ = run(setup, autotune=True, autotune_orderings=("tsp",))
+    assert sess.engine.raster_settings is sess.engine.config.raster
 
 
 def test_engine_close_closes_all_warm_runtimes(setup):
@@ -157,7 +155,7 @@ def test_prediction_prices_the_overlap_ablation(setup):
     eager, _ = run(setup, autotune=True, autotune_orderings=("tsp",))
     plan = ablated.engine.plan_batch(BATCHES[0])
     assert sum(plan.adam_chunk_sizes[:-1]) > 0  # something to hide
-    config = TunedConfig(2, 64, "tsp")
+    config = TunedConfig(2, "tsp")
 
     schedule = ablated.tuner.build_simulator(plan, config).run()
     tasks = [rec.task for rec in schedule.records.values()]
@@ -172,8 +170,8 @@ def test_prediction_prices_the_overlap_ablation(setup):
         ("adam",): 1e-3,
         ("critical_adam",): 1e-7,
         ("overhead",): 1e-7,
-        ("forward", 64): 1e-6,
-        ("backward", 64): 1e-6,
+        ("forward",): 1e-6,
+        ("backward",): 1e-6,
     }
     ablated.tuner.model._rates = dict(rates)
     eager.tuner.model._rates = dict(rates)

@@ -1,4 +1,5 @@
-"""AutoTuner unit tests: exploration, argmin exploitation, calibration."""
+"""AutoTuner unit tests: the calibration probe, argmin exploitation,
+calibration."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from repro.autotune import (
     AutoTuner,
     CandidateSpace,
+    CostModel,
     MeasuredBatch,
     TunedConfig,
 )
@@ -47,9 +49,7 @@ def measured_for(plan, wall_s=0.1):
 
 @pytest.fixture
 def space():
-    return CandidateSpace(
-        workers=(0, 2), group_sizes=(64, 256), orderings=("tsp", "identity")
-    )
+    return CandidateSpace(workers=(0, 2), orderings=("tsp", "identity"))
 
 
 def test_choose_requires_every_candidate_ordering(space):
@@ -59,22 +59,27 @@ def test_choose_requires_every_candidate_ordering(space):
         tuner.choose(plans)
 
 
-def test_exploration_visits_each_group_size_once_then_exploits(space):
+def test_the_first_batch_probes_and_the_second_exploits(space):
     tuner = AutoTuner(space=space)
     plans = make_plans(space.orderings)
-    probes = []
-    for _ in range(2):  # 2 group sizes x 1 backend
-        choice = tuner.choose(plans)
-        assert choice.explored
-        assert choice.table == ()
-        # Probes pin the most-parallel workers and the first ordering.
-        assert choice.config.overlap_workers == space.workers[-1]
-        assert choice.config.ordering == "tsp"
-        probes.append(choice.config.group_size)
-        tuner.observe(choice, plans[choice.config.ordering],
-                      measured_for(plans[choice.config.ordering]))
-    assert probes == [64, 256]  # grid order
+    probe = tuner.choose(plans)
+    assert probe.explored
+    assert probe.table == ()
+    # The probe pins the most-parallel workers and the first ordering.
+    assert probe.config == TunedConfig(space.workers[-1], "tsp")
+    plan = plans[probe.config.ordering]
+    tuner.observe(probe, plan, measured_for(plan))
     choice = tuner.choose(plans)
+    assert not choice.explored
+    assert len(choice.table) == space.size
+    assert tuner.stats.explored_batches == 1
+
+
+def test_a_calibrated_model_skips_the_probe(space):
+    model = CostModel()
+    model.observe(("forward",), 1000, 1e-3)
+    tuner = AutoTuner(space=space, model=model)
+    choice = tuner.choose(make_plans(space.orderings))
     assert not choice.explored
     assert len(choice.table) == space.size
 
@@ -82,10 +87,9 @@ def test_exploration_visits_each_group_size_once_then_exploits(space):
 def test_exploitation_returns_argmin_of_table(space):
     tuner = AutoTuner(space=space)
     plans = make_plans(space.orderings)
-    for _ in range(2):
-        choice = tuner.choose(plans)
-        tuner.observe(choice, plans[choice.config.ordering],
-                      measured_for(plans[choice.config.ordering]))
+    choice = tuner.choose(plans)
+    tuner.observe(choice, plans[choice.config.ordering],
+                  measured_for(plans[choice.config.ordering]))
     choice = tuner.choose(plans)
     best = min(predicted for _, predicted in choice.table)
     assert choice.predicted_s == best
@@ -95,21 +99,16 @@ def test_exploitation_returns_argmin_of_table(space):
 
 
 def test_ties_resolve_to_earliest_candidate():
-    space = CandidateSpace(
-        workers=(0,), group_sizes=(64, 256), orderings=("identity",)
-    )
+    space = CandidateSpace(workers=(0,), orderings=("tsp", "identity"))
     tuner = AutoTuner(space=space)
-    plans = make_plans(("identity",))
-    for _ in range(2):
-        choice = tuner.choose(plans)
-        plan = plans[choice.config.ordering]
-        tuner.observe(choice, plan, measured_for(plan))
-    # Force both group sizes to the same measured rates -> tie.
-    for g in (64, 256):
-        tuner.model._rates[("forward", g)] = 1e-6
-        tuner.model._rates[("backward", g)] = 1e-6
+    # One plan under both orderings prices both candidates the same.
+    plan = make_plans(("identity",))["identity"]
+    plans = {ordering: plan for ordering in space.orderings}
     choice = tuner.choose(plans)
-    assert choice.config.group_size == 64  # earliest in enumeration order
+    tuner.observe(choice, plan, measured_for(plan))
+    choice = tuner.choose(plans)
+    assert choice.table[0][1] == choice.table[1][1]
+    assert choice.config.ordering == "tsp"  # earliest in enumeration order
 
 
 def test_more_workers_hide_heavy_adam_in_prediction():
@@ -118,26 +117,22 @@ def test_more_workers_hide_heavy_adam_in_prediction():
     plan = plans["identity"]
     # Calibrate an Adam-dominated machine.
     tuner.model.observe(("adam",), 1, 1e-3)      # very slow per-row Adam
-    tuner.model.observe(("forward", 64), 1, 1e-6)
-    tuner.model.observe(("backward", 64), 1, 1e-6)
-    serial = tuner.predict_makespan(plan, TunedConfig(0, 64, "identity"))
-    overlapped = tuner.predict_makespan(plan, TunedConfig(2, 64, "identity"))
+    tuner.model.observe(("forward",), 1, 1e-6)
+    tuner.model.observe(("backward",), 1, 1e-6)
+    serial = tuner.predict_makespan(plan, TunedConfig(0, "identity"))
+    overlapped = tuner.predict_makespan(plan, TunedConfig(2, "identity"))
     assert overlapped < serial
 
 
 def test_prediction_dag_resources():
     tuner = AutoTuner()
     plan = make_plans(("identity",))["identity"]
-    result = tuner.build_simulator(
-        plan, TunedConfig(2, 64, "identity")
-    ).run()
+    result = tuner.build_simulator(plan, TunedConfig(2, "identity")).run()
     resources = set(result.resources())
     assert "main" in resources
     assert any(r.startswith("cpu.adam") for r in resources)
     assert result.makespan > 0.0
-    inline = tuner.build_simulator(
-        plan, TunedConfig(0, 64, "identity")
-    ).run()
+    inline = tuner.build_simulator(plan, TunedConfig(0, "identity")).run()
     assert set(inline.resources()) == {"main"}
 
 
@@ -149,11 +144,10 @@ def test_observe_reconciles_and_calibrates(space):
     rec = tuner.observe(choice, plan, measured_for(plan, wall_s=0.2))
     assert rec.measured_s == pytest.approx(0.2)
     assert rec.relative_error >= 0.0
-    key = ("forward", choice.config.group_size)
-    assert tuner.model.measured(key)
+    assert tuner.model.measured(("forward",))
     assert tuner.model.measured(("adam",))
     assert tuner.model.measured(("overhead",))
-    # Exploration batches never fold into the calibrated-error mean.
+    # The probe never folds into the calibrated-error mean.
     assert tuner.stats.reconciled == 0
     assert tuner.stats.mean_rel_error == 0.0
     assert tuner.stats.explored_batches == 1
@@ -166,11 +160,8 @@ def test_exploited_batches_fold_error(space):
         choice = tuner.choose(plans)
         plan = plans[choice.config.ordering]
         tuner.observe(choice, plan, measured_for(plan))
-    choice = tuner.choose(plans)
-    plan = plans[choice.config.ordering]
-    tuner.observe(choice, plan, measured_for(plan))
     assert tuner.stats.reconciled == 1
-    assert tuner.stats.batches == 3
+    assert tuner.stats.batches == 2
     assert tuner.stats.last is not None
 
 
@@ -188,16 +179,15 @@ def test_summary_shape(space):
 
 
 # -- ROADMAP item 5's acceptance bars, off the clock ----------------------
-# The settled configuration is within 10% of the best grid point, the
-# settled slab width within 10% of the fastest, and the calibrated model's
-# reconciliation error stays under 0.75.  The machine is scripted, so the
-# bars are exact; the wall-clock readings are `bench_e2e`'s `autotune.*`.
+# The settled configuration is within 10% of the best grid point and the
+# calibrated model's reconciliation error stays under 0.75.  The machine is
+# scripted, so the bars are exact; the wall-clock readings are
+# `bench_e2e`'s `autotune.*`.
 
-#: Seconds per row on the scripted machine: the wide slab renders faster
-#: and Adam is heavy enough for worker lanes to pay.
+#: Seconds per row on the scripted machine: Adam is heavy enough for
+#: worker lanes to pay.
 MACHINE_RATES = {
-    ("forward", 64): 4.0e-6, ("forward", 256): 2.5e-6,
-    ("backward", 64): 8.0e-6, ("backward", 256): 5.0e-6,
+    ("forward",): 2.5e-6, ("backward",): 5.0e-6,
     ("adam",): 6.0e-6, ("critical_adam",): 1.0e-6, ("overhead",): 5.0e-7,
 }
 #: The box's speed from batch to batch (shared runners drift).
@@ -217,8 +207,8 @@ def run_on(machine, plan, config, drift):
     m = machine.model
     working = sum(int(s.working_set.size) for s in plan.steps)
     traffic = plan.total_loads + plan.total_stores + plan.total_cached
-    forward = m.forward_s(working, config.group_size)
-    backward = m.backward_s(working, config.group_size)
+    forward = m.forward_s(working)
+    backward = m.backward_s(working)
     adam = m.adam_s(sum(plan.adam_chunk_sizes))
     critical = m.critical_adam_s(int(plan.touched.size))
     wall = machine.predict_makespan(plan, config)
@@ -264,14 +254,7 @@ def test_settled_config_within_10pct_of_the_grid_best(space, settled):
     assert grid[chosen] <= 1.10 * min(grid.values())
 
 
-def test_settled_slab_width_within_10pct_of_the_fastest(space, settled):
-    tuner, machine, _ = settled
-    render = {g: machine.model.forward_s(1, g) for g in space.group_sizes}
-    tuned = tuner.summary()["most_chosen"]["group_size"]
-    assert render[tuned] <= 1.10 * min(render.values())
-
-
 def test_calibrated_prediction_error_is_bounded(settled):
     tuner, _, _ = settled
-    assert tuner.stats.reconciled == len(DRIFT) - 2  # two slab-width probes
+    assert tuner.stats.reconciled == len(DRIFT) - 1  # one calibration probe
     assert 0.0 < tuner.stats.mean_rel_error <= 0.75

@@ -7,11 +7,14 @@ read-only instances and clone before mutating.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from legacy_cull import single_level_cull
 
 from repro.core.culling_index import CullingIndex
+from repro.gaussians import rasterizer
 from repro.gaussians.camera import look_at_camera
 from repro.gaussians.model import GaussianModel
 from repro.scenes.datasets import build_scene
@@ -76,6 +79,22 @@ def index_cache(scene_cache):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@contextmanager
+def _slab_tiles(tiles):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rasterizer, "_MAX_GROUP_TILES", tiles)
+        yield
+
+
+@pytest.fixture(scope="session")
+def slab_tiles():
+    """``with slab_tiles(n):`` caps the NumPy reference's slabs at ``n``
+    tiles (``rasterizer._MAX_GROUP_TILES``, 256) inside the block, so a
+    small render still spans several slabs.  A context manager, not a
+    setter, so a Hypothesis example can narrow its own slabs."""
+    return _slab_tiles
 
 
 @pytest.fixture(scope="session")

@@ -40,10 +40,27 @@ def test_comm_volume_command(capsys):
         assert ordering in out
 
 
+@pytest.mark.parametrize("command", ["throughput", "comm-volume"])
+def test_zero_batches_rejected(command):
+    with pytest.raises(ValueError, match="num_batches"):
+        main([command, "--scene", "bigcity", "--batches", "0",
+              "--batch-size", "8"] + FAST_SCENE)
+
+
 def test_train_command(capsys):
     assert main(["train", "--batches", "3", "--gaussians", "80"]) == 0
     out = capsys.readouterr().out
     assert "PSNR" in out
+
+
+def test_train_autotune_summary_names_workers_and_ordering(capsys):
+    assert main(["train", "--engine", "clm", "--batches", "3",
+                 "--gaussians", "60", "--autotune"]) == 0
+    out = capsys.readouterr().out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("autotune: ")]
+    assert "3 batches tuned" in line and "1 calibration probe(s)" in line
+    assert "workers=" in line and "ordering=" in line
+    assert "group" not in line
 
 
 def test_train_command_engine_flag(capsys):

@@ -151,3 +151,27 @@ def test_too_few_views_rejected(index_cache):
     scene, index = index_cache("bigcity", 1e-4, 80)
     with pytest.raises(ValueError):
         run_timed("clm", scene, index, cfg(batch_size=1000))
+
+
+@pytest.mark.parametrize("num_batches", [0, -1])
+@pytest.mark.parametrize(
+    "entry", ["run_timed", "communication_volume_per_batch", "run_sharded_timed"]
+)
+def test_fewer_than_one_batch_rejected(index_cache, entry, num_batches):
+    """Each per-batch average divides by the batch count: an empty run is
+    refused by name instead of dividing by zero."""
+    from repro.sharding.timed import run_sharded_timed
+
+    scene, index = index_cache("bigcity", 1e-4, 80)
+    config = cfg(num_batches=num_batches)
+    run = {
+        "run_timed": lambda: run_timed("clm", scene, index, config),
+        "communication_volume_per_batch": lambda: communication_volume_per_batch(
+            scene, index, config
+        ),
+        "run_sharded_timed": lambda: run_sharded_timed(
+            scene, index=index, config=config, num_devices=2
+        ),
+    }[entry]
+    with pytest.raises(ValueError, match="num_batches"):
+        run()

@@ -18,6 +18,7 @@ from repro.gaussians.loss import l1_loss
 from repro.gaussians.model import GaussianModel, inverse_sigmoid
 from repro.gaussians.rasterizer import (
     RasterSettings,
+    TileBins,
     build_tile_bins,
     iter_tile_groups,
     preprocess,
@@ -61,11 +62,11 @@ def test_parity_across_seeds_and_tile_sizes(seed, tile_size):
     assert_parity(model, cam, g_img, settings)
 
 
-@pytest.mark.parametrize("group_size", [1, 3, 64])
-def test_parity_across_group_sizes(group_size):
+@pytest.mark.parametrize("tiles", [1, 3, 64])
+def test_parity_across_group_sizes(slab_tiles, tiles):
     model, cam, g_img = make_setup(3)
-    settings = RasterSettings(group_size=group_size)
-    assert_parity(model, cam, g_img, settings)
+    with slab_tiles(tiles):
+        assert_parity(model, cam, g_img, RasterSettings())
 
 
 def test_parity_exact_mode_and_no_cache():
@@ -101,20 +102,32 @@ def test_parity_empty_model():
     assert_parity(empty, cam, g_img, RasterSettings(background=(0.2, 0.4, 0.6)))
 
 
-def test_tile_groups_partition_the_bins():
+def test_tile_groups_partition_the_bins(slab_tiles):
     """Every non-empty tile appears in exactly one slab, padded to at
     least its bin length."""
     model, cam, _ = make_setup(6, num=150)
-    settings = RasterSettings(tile_size=8, group_size=4)
+    settings = RasterSettings(tile_size=8)
     proj = preprocess(cam, model, settings)
     bins = build_tile_bins(cam, proj, settings)
     seen = []
     counts = bins.counts()
-    for tix, g in iter_tile_groups(bins, settings.group_size):
-        assert len(tix) <= settings.group_size
+    with slab_tiles(4):
+        groups = list(iter_tile_groups(bins))
+    for tix, g in groups:
+        assert len(tix) <= 4
         assert int(counts[tix].max()) <= g
         seen.extend(tix.tolist())
     assert sorted(seen) == list(range(bins.num_tiles))
+
+
+def test_a_slab_holds_at_most_256_tiles():
+    """600 one-entry tiles: neither the cell nor the padding cap binds, so
+    the tile cap alone cuts the slabs."""
+    bins = TileBins(
+        tile_size=8, tiles_x=30, tiles_y=20, width=240, height=160,
+        tile_ids=np.arange(600), offsets=np.arange(601), order=np.arange(600),
+    )
+    assert [len(tix) for tix, _ in iter_tile_groups(bins)] == [256, 256, 88]
 
 
 def test_float32_mode_matches_float64_gradients():

@@ -69,7 +69,7 @@ def render_both_ways(model, opts, cam=CAM, seed=0):
 
 def slab_cells(ctx):
     pixels = ctx.bins.tile_size**2
-    groups = iter_tile_groups(ctx.bins, ctx.settings.group_size)
+    groups = iter_tile_groups(ctx.bins)
     return sum(len(tix) * g * pixels for tix, g in groups)
 
 
@@ -102,24 +102,26 @@ def screen_space(forward, backward, cam, proj, opts, g_img):
     case=projections(),
     background=st.sampled_from([(0.0, 0.0, 0.0), (0.3, 0.6, 0.9)]),
     t_min=st.sampled_from([1e-4, 0.0, 0.5]),
-    group_size=st.sampled_from([1, 3, 256]),
+    tiles=st.sampled_from([1, 3, 256]),
 )
 @settings(max_examples=150, deadline=None)
-def test_generated_projections_match_oracle(case, background, t_min, group_size):
+def test_generated_projections_match_oracle(
+    slab_tiles, case, background, t_min, tiles
+):
     """Opacities at, one ulp around and below the threshold, means on pixel
     centres, caps at 0.5: the kernels keep and gate the oracle's cells."""
     cam, proj, opts = case
     opts.background, opts.transmittance_min = background, t_min
-    opts.group_size = group_size
     g_img = np.random.default_rng(proj.ids.size).normal(
         size=(cam.height, cam.width, 3)
     )
     img_o, t_o, grads_o = screen_space(
         rasterize_forward_legacy, rasterize_backward_legacy, cam, proj, opts, g_img
     )
-    img, t, grads = screen_space(
-        rasterize_forward, rasterize_backward, cam, proj, opts, g_img
-    )
+    with slab_tiles(tiles):
+        img, t, grads = screen_space(
+            rasterize_forward, rasterize_backward, cam, proj, opts, g_img
+        )
     np.testing.assert_allclose(img, img_o, rtol=0, atol=1e-12)
     np.testing.assert_allclose(t, t_o, rtol=0, atol=1e-12)
     for got, want in zip(grads, grads_o):
@@ -232,8 +234,9 @@ def test_footprint_without_a_finite_extent_is_the_whole_tile(conic):
     assert np.count_nonzero(t_o != 1.0) > 100  # a ridge across the image
 
 
-def test_one_tile_per_slab():
-    assert_matches_oracle(CAM, make_model(5), RasterSettings(group_size=1))
+def test_one_tile_per_slab(slab_tiles):
+    with slab_tiles(1):
+        assert_matches_oracle(CAM, make_model(5), RasterSettings())
 
 
 def test_float32_mode_tracks_float64():
@@ -260,19 +263,26 @@ def test_float32_mode_tracks_float64():
 # The blend cache
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "opts",
+    "opts, tiles",
     [
-        RasterSettings(),
-        RasterSettings(background=(0.2, 0.4, 0.6), max_alpha=0.5, group_size=2),
-        RasterSettings(alpha_threshold=0.0, transmittance_min=0.0),
-        RasterSettings(dtype="float32", transmittance_min=0.5),
+        (RasterSettings(), rasterizer._MAX_GROUP_TILES),
+        (RasterSettings(background=(0.2, 0.4, 0.6), max_alpha=0.5), 2),
+        (
+            RasterSettings(alpha_threshold=0.0, transmittance_min=0.0),
+            rasterizer._MAX_GROUP_TILES,
+        ),
+        (
+            RasterSettings(dtype="float32", transmittance_min=0.5),
+            rasterizer._MAX_GROUP_TILES,
+        ),
     ],
     ids=["default", "bg-cap-groups", "exact", "float32"],
 )
-def test_recomputed_backward_is_bit_identical_to_cached(opts):
-    (img, t, ctx, grads), (img_off, t_off, ctx_off, grads_off) = render_both_ways(
-        make_model(7), replace(opts, kernel_backend="numpy")
-    )
+def test_recomputed_backward_is_bit_identical_to_cached(slab_tiles, opts, tiles):
+    with slab_tiles(tiles):
+        (img, t, ctx, grads), (img_off, t_off, ctx_off, grads_off) = (
+            render_both_ways(make_model(7), replace(opts, kernel_backend="numpy"))
+        )
     assert ctx.blend_cache and ctx_off.blend_cache is None
     assert np.array_equal(img, img_off) and np.array_equal(t, t_off)
     for name in GRAD_NAMES:
@@ -319,14 +329,15 @@ def test_blend_state_bytes_count_every_retained_array():
     assert 17.0 < per_cell < 17.5
 
 
-def test_row_scan_and_accumulate_agree_bit_for_bit(monkeypatch):
+def test_row_scan_and_accumulate_agree_bit_for_bit(monkeypatch, slab_tiles):
     model = make_model(9)
     results = []
     for row_min in (0, 10**9):
         monkeypatch.setattr(numpy_backend, "_ROW_SCAN_MIN", row_min)
-        (img, t, _, grads), _ = render_both_ways(
-            model, RasterSettings(group_size=4, kernel_backend="numpy")
-        )
+        with slab_tiles(4):
+            (img, t, _, grads), _ = render_both_ways(
+                model, RasterSettings(kernel_backend="numpy")
+            )
         results.append((img, t, grads))
     (img_a, t_a, g_a), (img_b, t_b, g_b) = results
     assert np.array_equal(img_a, img_b) and np.array_equal(t_a, t_b)

@@ -28,7 +28,6 @@ from repro.kernels import (
 from repro.kernels import native_backend
 from repro.optim.adam import AdamConfig
 from repro.optim.packed_adam import PackedSparseAdam
-from repro.planning.planner import plan_fingerprint
 
 BATCH = [0, 1, 2, 3]
 
@@ -234,26 +233,3 @@ def test_clm_threads_backend_into_both_optimizers(trainable_scene):
     engine.train_batch(BATCH, targets)
     assert engine.adam_critical.active_kernel_backend == "numpy"
     assert engine.adam_noncritical.active_kernel_backend == "numpy"
-
-
-def test_planner_keys_backend_into_fingerprints(trainable_scene):
-    init, _ = _engine_setup(trainable_scene)
-    engine = create_engine(
-        "clm", init, trainable_scene.cameras,
-        EngineConfig(batch_size=4, kernel_backend="numpy"),
-    )
-    assert engine.planner.kernel_backend == "numpy"
-
-
-def test_plan_fingerprint_varies_with_backend():
-    sets = [np.array([0, 3, 5]), np.array([1, 2])]
-    views = [0, 1]
-    base = plan_fingerprint(sets, views, "tsp", True, 10)
-    numpy_key = plan_fingerprint(
-        sets, views, "tsp", True, 10, kernel_backend="numpy"
-    )
-    native_key = plan_fingerprint(
-        sets, views, "tsp", True, 10, kernel_backend="native"
-    )
-    assert len({base, numpy_key, native_key}) == 3
-    assert "numpy" in numpy_key

@@ -66,11 +66,12 @@ def test_raster_parity_across_seeds(backend, seed):
 
 
 @pytest.mark.parametrize("backend", AVAILABLE)
-@pytest.mark.parametrize("group_size", [1, 3, 64])
-def test_raster_parity_across_group_sizes(backend, group_size):
+@pytest.mark.parametrize("tiles", [1, 3, 64])
+def test_raster_parity_across_group_sizes(slab_tiles, backend, tiles):
     model, cam, g_img = make_setup(3)
-    settings = RasterSettings(kernel_backend=backend, group_size=group_size)
-    assert_raster_parity(model, cam, g_img, settings)
+    settings = RasterSettings(kernel_backend=backend)
+    with slab_tiles(tiles):
+        assert_raster_parity(model, cam, g_img, settings)
 
 
 @pytest.mark.parametrize("backend", AVAILABLE)

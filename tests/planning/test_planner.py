@@ -98,10 +98,9 @@ def test_set_fingerprint_content_based(rng):
 
 def test_plan_fingerprint_distinguishes_flags(rng):
     sets = make_sets(rng, 2)
-    base = plan_fingerprint(sets, [0, 1], "tsp", True, 300)
-    assert base == plan_fingerprint(sets, [0, 1], "tsp", True, 300)
-    assert base != plan_fingerprint(sets, [0, 1], "tsp", False, 300)
-    assert base != plan_fingerprint(sets, [0, 1], "random", True, 300)
+    base = plan_fingerprint(sets, [0, 1], "tsp", 300)
+    assert base == plan_fingerprint(sets, [0, 1], "tsp", 300)
+    assert base != plan_fingerprint(sets, [0, 1], "random", 300)
 
 
 def test_from_engine_config_reads_planning_knobs():

@@ -1,6 +1,6 @@
-"""Plan fingerprints must separate tuned configurations (ROADMAP item 5
-satellite): two per-batch tuned raster settings may never collide on one
-cached plan, because measured per-plan timings feed the cost model."""
+"""Plan fingerprints separate the tuner's candidate orderings: each
+ordering is keyed as the plan strategy, so per-batch tuned orderings
+never collide on one cached plan."""
 
 import numpy as np
 import pytest
@@ -16,41 +16,10 @@ def sets():
     ]
 
 
-def fp(sets, **kwargs):
-    return plan_fingerprint(
-        sets, [0, 1, 2, 3], "tsp", True, 300, **kwargs
-    )
-
-
-def test_group_size_keys_fingerprint(sets):
-    assert fp(sets, group_size=64) != fp(sets, group_size=256)
-    assert fp(sets, group_size=64) == fp(sets, group_size=64)
-    # Unset stays distinct from any explicit width.
-    assert fp(sets) != fp(sets, group_size=64)
-
-
 def test_ordering_keys_fingerprint(sets):
-    a = plan_fingerprint(sets, [0, 1, 2, 3], "tsp", True, 300)
-    b = plan_fingerprint(sets, [0, 1, 2, 3], "gs_count", True, 300)
+    a = plan_fingerprint(sets, [0, 1, 2, 3], "tsp", 300)
+    b = plan_fingerprint(sets, [0, 1, 2, 3], "gs_count", 300)
     assert a != b
-
-
-def test_two_tuned_configs_get_distinct_cache_entries(sets):
-    """The regression the satellite asks for: retuning group_size between
-    batches must miss (and later re-hit) rather than collide."""
-    planner = BatchPlanner(ordering="identity", cache_size=8, group_size=64)
-    planner.plan(sets, [0, 1, 2, 3], num_gaussians=300)
-    assert planner.counters.plans_built == 1
-
-    planner.group_size = 256  # the tuner's per-batch update
-    planner.plan(sets, [0, 1, 2, 3], num_gaussians=300)
-    assert planner.counters.plans_built == 2  # miss, not a stale hit
-    assert len(planner.cache) == 2
-
-    planner.group_size = 64  # back to the first tuned config: a real hit
-    planner.plan(sets, [0, 1, 2, 3], num_gaussians=300)
-    assert planner.counters.plans_built == 2
-    assert planner.counters.cache_hits == 1
 
 
 def test_tuned_orderings_get_distinct_cache_entries(sets):
@@ -62,12 +31,3 @@ def test_tuned_orderings_get_distinct_cache_entries(sets):
     assert planner.counters.plans_built == 2
     planner.plan(sets, [0, 1, 2, 3], num_gaussians=300, strategy="tsp")
     assert planner.counters.cache_hits == 1
-
-
-def test_from_engine_config_reads_raster_group_size():
-    from repro.core.config import EngineConfig
-    from repro.gaussians.rasterizer import RasterSettings
-
-    cfg = EngineConfig(raster=RasterSettings(group_size=128))
-    planner = BatchPlanner.from_engine_config(cfg)
-    assert planner.group_size == 128

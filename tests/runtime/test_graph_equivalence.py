@@ -1,12 +1,12 @@
 """The task-graph execution path must be *bit-identical* to the classic
-submit/barrier loop — at every worker count, every group size, and under
-the overlap ablation.
+submit/barrier loop — at every worker count and under the overlap
+ablation.
 
 Same §4.2.2 argument as ``test_overlap_equivalence``: concurrently
 runnable graph nodes touch disjoint rows (chunk disjointness), and the
 render spine stays a linear dependency chain, so no schedule can change a
-bit.  ``group_size`` and ``overlap_workers`` are execution details the
-auto-tuner varies per batch — this suite is what licenses it to do so.
+bit.  ``overlap_workers`` is an execution detail the auto-tuner varies
+per batch — this suite is what licenses it to do so.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 import repro
 from repro.core.config import EngineConfig
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import RasterSettings
 from repro.runtime import WorkerError
 
 BATCHES = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 1, 3]]
@@ -32,10 +31,8 @@ def setup(trainable_scene):
     return trainable_scene, init
 
 
-def run(setup, seed=0, workers=0, group_size=None, **cfg_kwargs):
+def run(setup, seed=0, workers=0, **cfg_kwargs):
     scene, init = setup
-    if group_size is not None:
-        cfg_kwargs["raster"] = RasterSettings(group_size=group_size)
     sess = repro.session(
         scene,
         engine="clm",
@@ -61,16 +58,6 @@ def test_graph_equals_classic_at_every_worker_count(setup, workers):
     classic = run(setup, workers=0)
     graph = run(setup, workers=workers, use_task_graph=True)
     assert_bit_identical(classic.snapshot_model(), graph.snapshot_model())
-
-
-@pytest.mark.parametrize("group_size", [32, 64, 256])
-def test_group_size_never_changes_results(setup, group_size):
-    """The raster slab width is pure blocking — any choice, either
-    executor, same bits (what lets the tuner retune it per batch)."""
-    reference = run(setup, workers=0)
-    sized = run(setup, workers=2, group_size=group_size,
-                use_task_graph=True)
-    assert_bit_identical(reference.snapshot_model(), sized.snapshot_model())
 
 
 def test_graph_ablation_batch_end_adam_identical(setup):
