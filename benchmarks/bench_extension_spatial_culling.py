@@ -6,13 +6,19 @@ structures.  This benchmark quantifies the win on a city-scale cloud: the
 grid classifies whole cells against the frustum, so per-Gaussian support
 tests only run on the boundary shell.
 
-Measured ratio, grid over linear: ~2x on the quick tier's 50 000-Gaussian
-cloud (1.6-3.2x per view) and ~3x on the full tier's 200 000 (2.2-4.7x).
-It was 16-22x and 40-250x while the linear cull put every row through the
-exact ellipsoid test; since the linear cull became two-level (a
+Measured ratio, linear over grid (one BLAS thread, a 2-vCPU Xeon):
+16.1-17.0x overall on the quick tier's 50 000-Gaussian cloud (12.8-25.5x
+per view, the grid at 0.13-0.19 ms a view) and 32.2-34.7x on the full
+tier's 200 000 (20.1-50.2x per view, 0.18-0.49 ms).  A query is one
+native call (``grid_cull``) over the cells and a copy of the rows in cell
+order; while the grid classified its cells in NumPy and called
+``exact_cull`` on the boundary rows in place it read 5.5-5.9x and
+6.7-7.7x (the grid at 0.70-0.94 and 1.07-2.03 ms a view).  It was 16-22x
+and 40-250x against a single-level linear cull, which put every row
+through the exact ellipsoid test; the linear cull is two-level now (a
 bounding-sphere GEMM ahead of the exact test, see
-:mod:`repro.gaussians.frustum`) the rows the grid skips cost it ~30 ns
-each, and what is left of the grid's win is skipping that O(N) pass.
+:mod:`repro.gaussians.frustum`), so the rows the grid skips cost it ~30 ns
+each.
 
 Thin wrapper: the comparison itself lives in
 :func:`repro.serving.lod.grid_culling_report` (the serving layer culls
@@ -65,7 +71,7 @@ def test_extension_spatial_culling(benchmark, bench_ctx):
                                        iterations=1)
     # Exactness was asserted inside grid_culling_report(); on a sparse
     # city-scale scene the grid must still beat the (two-level) linear
-    # cull — by ~2x here, see the module docstring.
+    # cull — by ~16x here, see the module docstring.
     assert summary[2] > 1.0
     for row in rows:
         assert row[5] < 50.0  # most Gaussians never reach the exact test

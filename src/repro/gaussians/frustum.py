@@ -21,7 +21,11 @@ Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
    necessary for the exact test to pass.  It is one plane-major GEMM for
    every view of a batch at once, blocked so its temporaries do not grow
    with the number of views or Gaussians (a scalar C loop over N with a
-   per-view early-out was measured and is no faster: it stays BLAS);
+   per-view early-out was measured and is no faster: it stays BLAS.  Run
+   as one C loop per view, the prefilter made ``clm``'s cull of a
+   ``sparse`` batch slower at N = 400 000, 12.6-13.4 ms against the GEMM's
+   9.8-10.0 ms; serving's grid, which skips whole cells, is the cull that
+   went to C, see :mod:`repro.gaussians.spatial`);
 2. the exact ellipsoid test on the survivors only (:func:`exact_cull`) — a
    kernel op (:mod:`repro.kernels`): the NumPy reference below, or the C
    arbiter of the ``native`` backend, which walks the survivors over the

@@ -202,13 +202,10 @@ class GaussianModel:
     # Structural ops
     # ------------------------------------------------------------------
     def gather(self, indices: np.ndarray) -> "GaussianModel":
-        """A new model containing only ``indices`` (used by working sets)."""
+        """A new model containing only ``indices`` (used by working sets):
+        each array gathered once, into a C-contiguous array of its own."""
         return GaussianModel(
-            self.positions[indices].copy(),
-            self.log_scales[indices].copy(),
-            self.quaternions[indices].copy(),
-            self.sh[indices].copy(),
-            self.opacity_logits[indices].copy(),
+            *(np.take(arr, indices, axis=0) for arr in self.parameters().values()),
             self.sh_degree,
         )
 

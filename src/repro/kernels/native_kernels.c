@@ -480,8 +480,9 @@ static int raster_backward(
  * rounding decides something discrete (tile spans, radii, footprints); what
  * NumPy sums through BLAS (3x3 products, the SH contraction) is summed here
  * in index order, so values agree to a few ulps, not bit for bit.  The
- * 3-sigma frustum test is in_frustum() below: the one arbiter that the cull
- * (exact_cull) and the render (view_project) both call, row by row.
+ * 3-sigma frustum test is in_frustum() below: the one arbiter that the culls
+ * (exact_cull, and grid_cull on a grid's boundary cells) and the render
+ * (view_project) all call, row by row.
  * ====================================================================== */
 
 /* Integer workspace of a forward pass: a header (survivors, binned rows,
@@ -677,6 +678,69 @@ int exact_cull(
         if (in_frustum(planes, positions + r * p_stride,
                        log_scales + r * s_stride, quats + r * q_stride, s))
             kept[++m] = r;
+    }
+    kept[0] = m;
+    return STATUS_OK;
+}
+
+/* spatial.CullingGrid.query over the grid's flat cells: cell c holds the
+ * member slots [offsets[c], offsets[c+1]), whose centres span the AABB
+ * [cell_lo, cell_hi] (3 doubles a cell) and whose 3-sigma reach is at most
+ * cell_radius[c]; slot i is row members[i] of the model, and its position,
+ * log-scales and raw quaternion are the 10 doubles at rows + 10 i (a copy in
+ * slot order, so a cell's rows are adjacent in memory).  Per cell, as
+ * spatial.CullingGrid._classify: *outside* when some plane is farther than
+ * the radius below the AABB's farthest corner (no member read), *inside*
+ * when the AABB's nearest corner is inside all six planes and cell_finite[c]
+ * says every member's activated scales and quaternion are finite (every
+ * member taken, as in_frustum()'s accept path would take it), else
+ * *boundary*: in_frustum() on each member.  The kept rows go to
+ * kept[1 .. 1 + kept[0]), cell by cell, so sorted within a cell only.
+ * Returns STATUS_OUT_OF_RANGE — before reading a slot — when an offset is
+ * outside [0, count] or below its predecessor, or a member is outside
+ * [0, n). */
+int grid_cull(
+    int64_t n, const double *planes, int64_t cells, const double *cell_lo,
+    const double *cell_hi, const double *cell_radius,
+    const uint8_t *cell_finite, const int64_t *offsets, const int64_t *members,
+    const double *rows, int64_t count, int64_t *kept)
+{
+    /* Per plane and axis, the bound the AABB's farthest corner takes (hi
+     * where the normal's component is >= 0) and the one its nearest takes. */
+    const double *far[6][3], *near[6][3];
+    for (int k = 0; k < 6; k++)
+        for (int i = 0; i < 3; i++) {
+            const int up = planes[4 * k + i] >= 0.0;
+            far[k][i] = (up ? cell_hi : cell_lo) + i;
+            near[k][i] = (up ? cell_lo : cell_hi) + i;
+        }
+    int64_t m = 0;
+    for (int64_t c = 0; c < cells; c++) {
+        const int64_t first = offsets[c], last = offsets[c + 1], at = 3 * c;
+        if (first < 0 || last < first || last > count)
+            return STATUS_OUT_OF_RANGE;
+        int outside = 0, inside = cell_finite[c] != 0;
+        for (int k = 0; k < 6 && !outside; k++) {
+            /* Summed as in_frustum() sums a centre's distance: rounding is
+             * monotone, so every member's distance lies between the two
+             * corners'. */
+            const double *pl = planes + 4 * k;
+            outside = pl[0] * far[k][0][at] + pl[1] * far[k][1][at]
+                + pl[2] * far[k][2][at] + pl[3] + cell_radius[c] < 0.0;
+            inside &= pl[0] * near[k][0][at] + pl[1] * near[k][1][at]
+                + pl[2] * near[k][2][at] + pl[3] >= 0.0;
+        }
+        if (outside)
+            continue;
+        for (int64_t i = first; i < last; i++) {
+            const int64_t r = members[i];
+            const double *row = rows + 10 * i;
+            double s[3];
+            if (r < 0 || r >= n)
+                return STATUS_OUT_OF_RANGE;
+            if (inside || in_frustum(planes, row, row + 3, row + 6, s))
+                kept[++m] = r;
+        }
     }
     kept[0] = m;
     return STATUS_OK;

@@ -59,9 +59,12 @@ matrix (when the order is searched), then the planning modules' set
 algebra, step by step.
 
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
-on the named rows.  The *whole-view* op sits on top: ``view_forward`` is
-``rasterizer.preprocess`` -> ``build_tile_bins`` -> :func:`_raster_forward`
--> image assembly, and the backward pass of the context it makes is
+on the named rows, and ``grid_cull`` is
+:func:`repro.gaussians.spatial.grid_cull`: a grid's cells classified by
+matrix products, then ``exact_cull`` on the boundary cells' members.  The
+*whole-view* op sits on top: ``view_forward`` is ``rasterizer.preprocess``
+-> ``build_tile_bins`` -> :func:`_raster_forward` -> image assembly, and
+the backward pass of the context it makes is
 :func:`view_backward`, :func:`_raster_backward` ->
 ``_chain_to_parameters`` — plain calls, so a view that a compiled backend
 declined (a float32 model array, say) runs here whole.
@@ -455,7 +458,8 @@ class NumpyKernelBackend(KernelBackend):
     priority = 0
     description = (
         "vectorized NumPy reference (always available; grouped slab "
-        "compositing, the stores' gather / scatter data path, blocked "
+        "compositing, a culling grid's query as cell masks and the exact "
+        "test, the stores' gather / scatter data path, blocked "
         "fused Adam, the banded-GEMM SSIM loss, a training view as the "
         "render, the loss and its context's backward, a CLM microbatch as "
         "the data path around it, a "
@@ -477,6 +481,10 @@ class NumpyKernelBackend(KernelBackend):
             from repro.planning.planner import plan_batch
 
             return plan_batch
+        if spec.op == "grid_cull":
+            from repro.gaussians.spatial import grid_cull
+
+            return grid_cull
         if spec.op == "train_step":
             from repro.core.stores import train_step
 

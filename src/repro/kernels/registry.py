@@ -1,7 +1,8 @@
 """The kernel backend registry — runtime-selected compiled hot paths.
 
 The substrate's hot loops (the exact frustum test of
-:mod:`repro.gaussians.frustum`, a view's projection, binning, tile
+:mod:`repro.gaussians.frustum` and serving's grid cull,
+:mod:`repro.gaussians.spatial`, a view's projection, binning, tile
 compositing and gradient chain in :mod:`repro.gaussians.rasterizer` /
 ``rasterizer_grad``, CLM's data path in :mod:`repro.core.stores`, the
 fused Adam update of :mod:`repro.optim`, the photometric loss of
@@ -64,7 +65,12 @@ AUTO = "auto"
 #: The kernel operations a backend may implement: the units the callers
 #: dispatch, nothing below them.  ``exact_cull`` is the exact 3-sigma
 #: frustum test on named rows — the arbiter a backend's own ``view_forward``
-#: applies again, on the same bits; ``view_forward`` renders one view end to
+#: applies again, on the same bits — which training's culls dispatch;
+#: ``grid_cull`` is serving's cull, :class:`~repro.gaussians.spatial.CullingGrid`'s
+#: query: it binds one grid, and the query it returns classifies the grid's
+#: cells against a view's planes and puts the boundary cells' members to
+#: the same arbiter (its reference is :func:`repro.gaussians.spatial.grid_cull`,
+#: over ``exact_cull``'s reference); ``view_forward`` renders one view end to
 #: end (frustum test, projection, binning, compositing, assembly) to a
 #: context that carries its maker's backward pass
 #: (:attr:`~repro.gaussians.rasterizer.RenderContext.backward`).
@@ -92,6 +98,7 @@ AUTO = "auto"
 #: functions.
 KERNEL_OPS = (
     "exact_cull",
+    "grid_cull",
     "view_forward",
     "assemble_rows",
     "zero_rows",
@@ -207,12 +214,13 @@ def rows_contiguous(arr: np.ndarray) -> bool:
     )
 
 
-def cull_spec(positions, log_scales, raw_quats) -> KernelSpec:
-    """Spec of ``exact_cull`` over the three selection-critical arrays.
-    The op takes a row stride, so ``contiguous`` here is
-    :func:`rows_contiguous`, not whole-array C-contiguity."""
+def cull_spec(positions, log_scales, raw_quats, op: str = "exact_cull") -> KernelSpec:
+    """Spec of a cull op (``exact_cull``, ``grid_cull``) over the three
+    selection-critical arrays.  Both take the layouts a walk with a row
+    stride can read, so ``contiguous`` here is :func:`rows_contiguous`, not
+    whole-array C-contiguity."""
     return _kernel_spec(
-        "exact_cull",
+        op,
         tuple(
             _kernel_data(a.dtype, a.ndim, rows_contiguous(a))
             for a in (positions, log_scales, raw_quats)

@@ -159,9 +159,10 @@ def grid_culling_report(
 
     Exactness is asserted inline: the grid result must equal the linear
     support-test cull on every view.  The linear side is the two-level
-    :func:`~repro.gaussians.frustum.cull_gaussians`, so expect an overall
-    speedup of ~2x at 50 000 Gaussians and ~3x at 200 000 (it was 16-22x
-    and 40-250x against the single-level cull).
+    :func:`~repro.gaussians.frustum.cull_gaussians`; with the grid's query
+    one native call, expect an overall speedup of ~16x at 50 000
+    Gaussians and ~33x at 200 000 (~6x and ~7x while the grid classified
+    its cells in NumPy; 16-22x and 40-250x against the single-level cull).
     """
     grid = CullingGrid(
         model.positions,

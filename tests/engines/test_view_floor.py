@@ -334,18 +334,20 @@ TRAINED = {
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
 def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
     """A batch of every engine, ``evaluate``, a CLM ``render_view``, a
-    served request and a composed step (a wrapped renderer pair), all on
-    ``native``: the ops they resolve are exactly ``KERNEL_OPS``, so the
-    registry carries no op that no caller dispatches."""
+    served request (whose grid resolves ``grid_cull``) and a composed step
+    (a wrapped renderer pair), all on ``native``: the ops they resolve are
+    exactly ``KERNEL_OPS``, so the registry carries no op that no caller
+    dispatches."""
     from repro.gaussians.render import render, render_backward
     from repro.serving import RenderRequest, ServingConfig, ServingSession
 
     scene, _, targets = setup
-    resolved = set()
+    resolved, log = set(), []
     compile_spec = registry.KernelBackend.compile
 
     def recording(backend, spec):
         resolved.add(spec.op)
+        log.append((backend.name, spec.op))
         return compile_spec(backend, spec)
 
     monkeypatch.setattr(registry.KernelBackend, "compile", recording)
@@ -361,10 +363,13 @@ def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
             engine.evaluate(BATCH, targets)
             engine.render_view(BATCH[0])
             camera = scene.cameras[0]
+            mark = len(log)
             served = ServingSession.from_engine(engine, ServingConfig(seed=0)).serve(
                 [RenderRequest(0, camera.view_id, camera, 0.0, 1.0)]
             )
             assert len(served.completed) == 1
+            # Serving culls through its grid: one native call a request.
+            assert ("native", "grid_cull") in log[mark:]
         close = getattr(engine, "close", None)
         if close is not None:
             close()

@@ -64,6 +64,20 @@ def test_gather_and_clone_are_copies():
     assert sub.num_gaussians == 2
 
 
+def test_gather_takes_each_array_once_into_its_own_buffer():
+    m = GaussianModel.random(1000, sh_degree=1, seed=4)
+    rows = np.random.default_rng(0).choice(1000, size=675, replace=False)
+    rows.sort()
+    sub = m.gather(rows)
+    for name, arr in sub.parameters().items():
+        source = m.parameters()[name]
+        np.testing.assert_array_equal(arr, source[rows])
+        assert arr.flags.c_contiguous and arr.flags.owndata, name
+        before = source.copy()
+        arr[...] = -7.0
+        np.testing.assert_array_equal(source, before)
+
+
 def test_extend_concatenates():
     a = GaussianModel.random(3, seed=1)
     b = GaussianModel.random(2, seed=2)

@@ -55,10 +55,10 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_ten_entry_points_python_calls():
+def test_the_parsed_prototypes_are_the_eleven_entry_points_python_calls():
     signatures = native_backend.prototypes(kernel_source())
     assert set(signatures) == set(native_backend._RAISES) == {
-        "exact_cull", "view_project", "view_composite", "view_backward",
+        "exact_cull", "grid_cull", "view_project", "view_composite", "view_backward",
         "assemble_rows", "zero_rows", "adam_rows", "photometric_loss",
         "plan_batch", "train_step",
     }

@@ -8,10 +8,11 @@ except on a rounding tie (``|n . p + d + r|`` within a few ulps: the signed
 distances come out of a BLAS product on one side and a program-order sum on
 the other); :func:`compare` filters those and counts them, and every test
 here asserts the count — 0.  Within ``native`` the verdict of a row is one
-function of its bits: contiguous or strided, alone or in company, culled or
-rendered, on any thread.
+function of its bits: contiguous or strided, alone or in company, culled
+linearly, by a grid (``grid_cull``) or rendered, on any thread.
 """
 
+import os
 import sys
 import threading
 
@@ -32,9 +33,16 @@ from repro.kernels import (
     get_backend,
     resolve_backend,
 )
+from repro.bench.params import SCENE_SEED
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene
 from test_cull_batch import axis_camera, clouds, posed_cameras
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
+from bench_e2e.workloads import (  # noqa: E402  (the ruler's recipes, read only)
+    build_serve_inputs,
+    get_workload,
+)
 
 pytestmark = pytest.mark.skipif(
     not get_backend("native").available(), reason="no C compiler here"
@@ -76,9 +84,10 @@ def ties_between(cam, positions, log_scales, quats, got, want):
     return int(rows.size)
 
 
-def compare(cameras, positions, log_scales, quats):
-    """Native vs NumPy through all three entry points, on contiguous arrays
-    and on the packed block; returns the number of tie rows filtered."""
+def compare(cameras, positions, log_scales, quats, cells=8):
+    """Native vs NumPy through all four entry points, on contiguous arrays
+    and on the packed block; returns the number of tie rows filtered.  Each
+    backend's grid (``grid_cull``) returns that backend's linear cull."""
     arrays = (positions, log_scales, quats)
     strided = packed(*arrays)
     every_row = np.arange(positions.shape[0])
@@ -86,26 +95,27 @@ def compare(cameras, positions, log_scales, quats):
     reference = cull_batch(cameras, *arrays, "numpy")
     for layout in (arrays, strided):
         assert ran_on("native", *layout) == "native"
+        grids = {
+            backend: CullingGrid(
+                *layout, target_cells_per_axis=cells, kernel_backend=backend
+            )
+            for backend in BACKENDS
+        }
         for cam, want, got in zip(
             cameras, reference, cull_batch(cameras, *layout, "native")
         ):
             assert got.dtype == np.int64
             ties += ties_between(cam, *arrays, got, want)
             planes = frustum_planes(cam)
-            # Single-level == two-level under either arbiter.
+            # Single-level == two-level == grid under either arbiter.
             assert np.array_equal(
                 exact_cull(planes, *layout, every_row, "native"), got
             )
             assert np.array_equal(
                 exact_cull(planes, *layout, every_row, "numpy"), want
             )
-    grids = {
-        backend: CullingGrid(*arrays, target_cells_per_axis=8, kernel_backend=backend)
-        for backend in BACKENDS
-    }
-    for cam, want in zip(cameras, reference):
-        assert np.array_equal(grids["numpy"].query(cam), want)
-        ties += ties_between(cam, *arrays, grids["native"].query(cam), want)
+            assert np.array_equal(grids["native"].query(cam), got)
+            assert np.array_equal(grids["numpy"].query(cam), want)
     return ties
 
 
@@ -132,6 +142,27 @@ def test_bench_e2e_dense_scene():
     )
     m = scene.reference
     assert compare(scene.cameras, m.positions, m.log_scales, m.quaternions) == 0
+
+
+@pytest.mark.parametrize("workload", ["dense", "sparse"])
+def test_every_camera_of_the_bench_e2e_served_models(workload):
+    """Every camera a ``bench_e2e`` serving phase may ask for, on the grid
+    a :class:`~repro.serving.ServingSession` builds (16 cells an axis)."""
+    served = build_serve_inputs(get_workload(workload).serve)
+    m = served.model
+    assert compare(
+        served.cameras, m.positions, m.log_scales, m.quaternions, cells=16
+    ) == 0
+
+
+def test_a_city_scale_cloud_at_24_cells():
+    """The §8 benchmark's quick-tier cloud: 50 000 Gaussians."""
+    scene = build_scene("bigcity", scale=5e-4, num_views=8, seed=SCENE_SEED)
+    m = scene.model
+    assert m.num_gaussians == 50_000
+    assert compare(
+        scene.cameras, m.positions, m.log_scales, m.quaternions, cells=24
+    ) == 0
 
 
 @given(cloud=clouds(), cameras=st.lists(posed_cameras(), max_size=4))
@@ -215,6 +246,46 @@ def test_wrong_shapes_and_rows_are_refused_before_an_address_is_taken(rng):
                np.repeat(np.arange(50, dtype=np.int32), 2)[::2]),
         native(planes, positions, log_scales, quats, rows),
     )
+
+
+def test_a_corrupted_grid_table_is_refused(rng):
+    """``grid_cull`` checks each offset and member before it reads a row:
+    a corrupted table raises ``IndexError``, as ``exact_cull``'s rows do;
+    layouts it cannot walk are refused when the grid is bound."""
+    cam = look_at_camera(eye=(0, -5, 0.4), target=(0, 0, 0), zfar=30.0)
+    arrays = cloud_around(cam, rng, n=300)
+    grid = CullingGrid(*arrays, target_cells_per_axis=4, kernel_backend="native")
+    assert grid.query(cam).size > 0
+    corruptions = [
+        ("members", 0, 300), ("members", -1, -1), ("offsets", -1, 301),
+        ("offsets", 1, -1), ("offsets", 2, grid.offsets[1] - 1),
+    ]
+    for table, at, value in corruptions:
+        bad = CullingGrid(*arrays, target_cells_per_axis=4, kernel_backend="native")
+        if table == "members":
+            bad.members[:] = value  # every cell the view reaches is corrupt
+        else:
+            getattr(bad, table)[at] = value
+        with pytest.raises(IndexError, match="native grid_cull: .*outside"):
+            bad.query(cam)
+    bind = get_backend("native").compile(cull_spec(*arrays, "grid_cull"))
+    for table, wrong in [
+        ("members", lambda a: a.astype(np.int32)),
+        ("offsets", lambda a: a[:-1]),
+        ("cell_lo", lambda a: np.asfortranarray(a)),
+        ("cell_finite", lambda a: a.astype(np.uint16)),
+    ]:
+        bad = CullingGrid(*arrays, target_cells_per_axis=4, kernel_backend="native")
+        setattr(bad, table, wrong(getattr(bad, table)))
+        with pytest.raises(ValueError, match="native kernel operands"):
+            bind(bad)
+    with pytest.raises(ValueError, match="native grid_cull: positions"):
+        bind(CullingGrid(
+            *(a.astype(np.float32) for a in arrays), target_cells_per_axis=4,
+            kernel_backend="native",
+        ))
+    with pytest.raises(ValueError, match="native"):
+        bind(grid)(frustum_planes(cam)[:5])
 
 
 # ---------------------------------------------------------------------------

@@ -504,9 +504,9 @@ def test_the_backward_follows_the_context(monkeypatch):
     assert np.abs(grads["positions"]).sum() > 0
 
 
-def test_the_backend_declares_the_nine_units():
+def test_the_backend_declares_the_ten_units():
     assert KERNEL_OPS == (
-        "exact_cull", "view_forward", "assemble_rows", "zero_rows",
+        "exact_cull", "grid_cull", "view_forward", "assemble_rows", "zero_rows",
         "adam_rows", "photometric_loss", "view_train", "plan_batch",
         "train_step",
     )
