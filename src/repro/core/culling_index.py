@@ -10,33 +10,33 @@ scheduler (symmetric differences), the overlapped-Adam planner
 An index is used two ways:
 
 - :meth:`CullingIndex.build` culls every camera once over a model snapshot
-  (the simulator, the CLI, :mod:`repro.core.memory_model`);
+  (the simulator, the CLI, :mod:`repro.core.memory_model`), through
+  :func:`~repro.gaussians.frustum.cull_batch`;
 - a training engine keeps one across batches and calls
-  :meth:`CullingIndex.refresh` with the batch's cameras.  CLM's Adam is
-  sparse — a batch writes only the critical rows of its touched union —
-  and a row's verdict depends on that row's bits alone
-  (:func:`repro.gaussians.frustum.exact_cull`), so a view culled before
-  needs only the rows written since re-tested.  The engine reports each
-  write through :meth:`CullingIndex.moved`; the refreshed sets are those
-  of a fresh :func:`~repro.gaussians.frustum.cull_batch`, bit for bit.
+  :meth:`CullingIndex.refresh` with the batch's cameras.  It answers them
+  from one :class:`~repro.gaussians.spatial.CullingGrid` over the engine's
+  culling arrays (paper §8's spatial structure), built once per array set
+  and queried for the whole batch in one ``grid_cull`` call.  An Adam step
+  writes only the critical rows of its touched union and reports them
+  (:meth:`CullingIndex.moved`); the next refresh refits the grid to those
+  rows instead of rebuilding it, widening the cells that hold them, and
+  rebuilds only when a refit left a cell too wide.  A query of a refit grid
+  puts every row it does not skip to the same arbiter as
+  :func:`~repro.gaussians.frustum.cull_batch`, so the sets are a fresh
+  cull's, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.gaussians.camera import Camera
-from repro.gaussians.frustum import cull_batch, frustum_planes
+from repro.gaussians.frustum import cull_batch
 from repro.gaussians.model import GaussianModel
-
-#: A refresh whose moved rows are at least this share of the model culls
-#: every row instead: re-testing a subset that large costs a gather on top
-#: of the same scan.  (``dense`` training touches ~all rows every batch and
-#: takes this path each time.)  Fixed, not a knob: it moves only cost.
-FULL_CULL_SHARE = 0.5
+from repro.gaussians.spatial import CullingGrid
 
 
 @dataclass
@@ -44,24 +44,16 @@ class CullingIndex:
     """Per-view in-frustum index sets.
 
     ``sets`` maps a view id to its sorted set.  An index that
-    :meth:`refresh` maintains also records, per view, the
-    :func:`~repro.gaussians.frustum.frustum_planes` array its set was
-    culled under and the :attr:`tick` at that moment (``culled_under``),
-    and per row the tick of the last :meth:`moved` report that wrote it
-    (``row_ticks``).  It is host-side bookkeeping: 8 bytes a row plus the
-    sets, never charged to the simulated GPU pool.
+    :meth:`refresh` maintains also holds the grid it culls through and the
+    rows :meth:`moved` reported since the grid was last refit.  It is
+    host-side bookkeeping — the grid's 11 doubles and two int64 a row plus
+    the sets — never charged to the simulated GPU pool.
     """
 
     num_gaussians: int
     sets: Dict[int, np.ndarray] = field(default_factory=dict)
-    culled_under: Dict[int, Tuple[np.ndarray, int]] = field(
-        default_factory=dict
-    )
-    row_ticks: Optional[np.ndarray] = None
-    tick: int = 0
-    #: The three culling arrays and the kernel backend the held sets were
-    #: culled over; another array object or backend resets the index.
-    _culled_over: Tuple = field(default=(), repr=False)
+    _grid: Optional[CullingGrid] = field(default=None, repr=False)
+    _moved: List[np.ndarray] = field(default_factory=list, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -90,20 +82,20 @@ class CullingIndex:
 
     # -- maintained across training batches ----------------------------
     def reset(self) -> None:
-        """Forget every held set: the next :meth:`refresh` culls fresh.
-        For writers that replace the critical rows in place (a checkpoint
-        restore, a recovery snapshot)."""
+        """Forget every held set and the grid: the next :meth:`refresh`
+        builds afresh.  For writers that replace the critical rows in place
+        (a checkpoint restore, a recovery snapshot)."""
         self.sets.clear()
-        self.culled_under.clear()
-        self.row_ticks = None
-        self._culled_over = ()
+        self._grid = None
+        self._moved.clear()
 
     def moved(self, rows: np.ndarray) -> None:
         """Record that an optimizer step has written ``rows``' critical
-        attributes (after any :meth:`refresh` of the batch)."""
-        if self.row_ticks is not None:
-            self.tick += 1
-            self.row_ticks[rows] = self.tick
+        attributes (after any :meth:`refresh` of the batch); the next
+        refresh refits the grid to them.  Callers must not write to
+        ``rows`` afterwards."""
+        if self._grid is not None:
+            self._moved.append(rows)
 
     def refresh(
         self,
@@ -115,59 +107,34 @@ class CullingIndex:
     ) -> List[np.ndarray]:
         """The sorted in-frustum set of every camera, in order — equal to
         ``cull_batch(cameras, positions, log_scales, raw_quats,
-        kernel_backend)``, from as few re-tested rows as the held sets
-        allow.
+        kernel_backend)``.
 
-        A view is re-culled whole when it is new or its planes are not the
-        array ``frustum_planes`` returns now (the camera drops that cache
-        when a field is assigned).  The others keep the rows of their set
-        that no :meth:`moved` report has written since they were culled,
-        and re-test only the written rows — in one ``cull_batch(rows=)``
-        call for all of them, unless those rows are
-        :data:`FULL_CULL_SHARE` of the model or more.  Callers must not
-        write to the returned arrays: the index holds them.
+        The grid is built when there is none or it was built over other
+        array objects or another backend, refit to the rows reported
+        since the last refresh otherwise, and rebuilt when that refit left
+        it :attr:`~repro.gaussians.spatial.CullingGrid.bloated`.  Callers
+        must not write to the returned arrays: the index holds them.
         """
-        cameras = list(cameras)
         arrays = (positions, log_scales, raw_quats)
-        if (
-            not self._culled_over
-            or self._culled_over[3] != kernel_backend
-            or any(a is not b for a, b in zip(arrays, self._culled_over))
+        grid = self._grid
+        if grid is not None and (
+            grid.kernel_backend != kernel_backend
+            or any(
+                a is not b
+                for a, b in zip(arrays, (grid.positions, grid.log_scales, grid.raw_quats))
+            )
         ):
             self.reset()
-            self._culled_over = (*arrays, kernel_backend)
+            grid = None
+        if grid is not None and self._moved:
+            grid.refit(np.concatenate(self._moved))
+            self._moved.clear()
+        if grid is None or grid.bloated:
+            grid = self._grid = CullingGrid(*arrays, kernel_backend=kernel_backend)
             self.num_gaussians = positions.shape[0]
-            self.row_ticks = np.zeros(self.num_gaussians, dtype=np.int64)
-        planes = [frustum_planes(cam) for cam in cameras]
-        held = [self.culled_under.get(cam.view_id) for cam in cameras]
-        known = [
-            k for k, (p, h) in enumerate(zip(planes, held))
-            if h is not None and h[0] is p
-        ]
-        out: List[Optional[np.ndarray]] = [None] * len(cameras)
-        if known:
-            moved = self.row_ticks > min(held[k][1] for k in known)
-            if np.count_nonzero(moved) < FULL_CULL_SHARE * self.num_gaussians:
-                accepted = cull_batch(
-                    [cameras[k] for k in known],
-                    positions, log_scales, raw_quats,
-                    kernel_backend=kernel_backend, rows=np.flatnonzero(moved),
-                )
-                for k, new in zip(known, accepted):
-                    old = self.sets[cameras[k].view_id]
-                    out[k] = np.sort(np.concatenate((old[~moved[old]], new)))
-        fresh = [k for k, s in enumerate(out) if s is None]
-        if fresh:
-            culled = cull_batch(
-                [cameras[k] for k in fresh],
-                positions, log_scales, raw_quats,
-                kernel_backend=kernel_backend,
-            )
-            for k, s in zip(fresh, culled):
-                out[k] = s
-        for cam, p, s in zip(cameras, planes, out):
+        out = grid.query_views(list(cameras))
+        for cam, s in zip(cameras, out):
             self.sets[cam.view_id] = s
-            self.culled_under[cam.view_id] = (p, self.tick)
         return out
 
     # ------------------------------------------------------------------

@@ -113,10 +113,12 @@ ACT_PER_PIXEL = 240
 #: start — so taking or restoring a snapshot never double-counts pool
 #: bytes, and Figure 8/10 numbers are identical with recovery on or off.
 
-#: Culling-index note: every training engine keeps its views' in-frustum
-#: sets across batches (``EngineBase.cull_views`` over a
-#: :class:`repro.core.culling_index.CullingIndex`) — one int64 tick per
-#: row plus the held index sets, ``8 N + 8 sum_i |S_i|`` host bytes.  That
+#: Culling-index note: every training engine keeps a culling grid and its
+#: views' in-frustum sets across batches (``EngineBase.cull_views`` over a
+#: :class:`repro.core.culling_index.CullingIndex`) — per row a cell-ordered
+#: copy of its 10 critical doubles and reach bound plus two int64 (member
+#: and slot), and the held index sets, ``104 N + 8 sum_i |S_i|`` host
+#: bytes (plus a few KB of cell tables).  That
 #: is bookkeeping on the host, outside the simulated GPU pool and this
 #: model, like the index :func:`profile_from_scene` builds: Figure 8/10
 #: numbers and ``gpu_peak_bytes`` do not change with it.

@@ -342,8 +342,9 @@ class EngineBase(Engine):
         self._step_overlap_hidden_s = 0.0
         #: ``RenderContext.kernel_backend`` of the last training render.
         self._rendered_on: Optional[str] = None
-        #: Every view's in-frustum set, kept across batches and refreshed
-        #: from the rows each Adam step reports (see :meth:`cull_views`).
+        #: Every view's in-frustum set and the grid they are culled
+        #: through, kept across batches and refit to the rows each Adam
+        #: step reports (see :meth:`cull_views`).
         self._culling = CullingIndex(num_gaussians=0)
         self._setup(model)
 
@@ -441,12 +442,13 @@ class EngineBase(Engine):
         the backend the renders will run on, equal to a fresh
         :func:`repro.gaussians.frustum.cull_batch` bit for bit.
 
-        The sets are kept across batches (:class:`CullingIndex`): a view
-        culled before re-tests only the rows an Adam step has written
-        since (every engine's Adam step reports them to
-        :meth:`CullingIndex.moved`).  New arrays (``rebuild``) or another
-        backend reset the index, and so does :meth:`load_parameters`.  Its
-        wall time accumulates into the batch's ``cull_s`` counter."""
+        The batch's views are one query of a culling grid kept across
+        batches (:class:`CullingIndex`): every engine's Adam step reports
+        the rows it wrote (:meth:`CullingIndex.moved`), and the next call
+        refits the grid to them instead of rebuilding it.  New arrays
+        (``rebuild``) or another backend rebuild the grid, and so does
+        :meth:`load_parameters`.  Its wall time accumulates into the
+        batch's ``cull_s`` counter."""
         start = time.perf_counter()
         sets = self._culling.refresh(
             [self.cameras[vid] for vid in view_ids],

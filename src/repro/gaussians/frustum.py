@@ -34,11 +34,13 @@ Gaussian" is the bottleneck on city-scale scenes, where a view keeps under
 
 The prefilter only ever removes rows the exact test would remove, so the
 index sets are those of the single-level test, bit for bit.  This module
-caches nothing between calls.  Training keeps the sets instead, one level
-up (:class:`repro.core.culling_index.CullingIndex`): CLM's Adam is sparse,
-so a batch moves only its touched rows, and :func:`cull_batch`'s ``rows=``
-re-tests just those for every view culled before — the same arbiter on
-the same bits, so the same verdicts.
+caches nothing between calls.  It culls snapshots — the simulator's, the
+CLI's and the memory model's index (:meth:`CullingIndex.build
+<repro.core.culling_index.CullingIndex.build>`).  Training and serving
+cull through a :class:`~repro.gaussians.spatial.CullingGrid` instead,
+which skips whole cells and puts every row it does not skip to the same
+arbiter, so the same verdicts; training keeps its grid across batches and
+refits it to the rows CLM's sparse Adam moved.
 
 The reference exact test is :func:`ellipsoids_in_frustum`, and it has an
 *accept path*: ``r(n) >= 0``, so a row whose centre is on the inner side
@@ -64,8 +66,7 @@ round differently), which at worst leaves one grazing splat unrendered.
 
 On the ``bench_e2e`` ``sparse`` workload (N=20 000, a view sees 0.6%) a
 fresh 8-view batch cull takes ~2 ms (``native``; 2.8 ms on the reference)
-where the single-level test took 114 ms; the training engines' refresh of
-views culled before re-tests ~0.2 N moved rows instead of N.  On ``dense``
+where the single-level test took 114 ms.  On ``dense``
 (every view sees most rows, so the exact stage runs on most of them) a
 4-view batch culls in 0.24 ms (1.0 ms on the reference, 3.1 ms before the
 accept path).
@@ -284,31 +285,22 @@ def exact_cull(
     return arbiter(planes, positions, log_scales, raw_quats, rows)
 
 
-def _prefilter_points(
-    positions: np.ndarray,
-    log_scales: np.ndarray,
-    rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-Gaussian right-hand side of the prefilter GEMM, ``(5, K)``:
-    ``x, y, z, 1, slack`` of every row, or of ``rows`` only.
+def _prefilter_points(positions: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
+    """Per-Gaussian right-hand side of the prefilter GEMM, ``(5, N)``:
+    ``x, y, z, 1, slack`` of every row.
 
     ``slack`` is the bounding-sphere radius (:func:`max_support_radius`)
     inflated by the margin, plus the margin's share of the centre's
-    magnitude (see :data:`_PREFILTER_MARGIN`).  Rows are gathered a column
-    at a time: gathering whole rows of a strided ``(N, 3)`` view (CLM's
-    packed critical block) is NumPy's slow fancy-indexing path.
+    magnitude (see :data:`_PREFILTER_MARGIN`).  Columns are copied one at a
+    time, which reads a strided ``(N, 3)`` view (CLM's packed critical
+    block) as fast as a contiguous one.
     """
-
-    def column(arr: np.ndarray, j: int) -> np.ndarray:
-        return arr[:, j] if rows is None else arr[:, j][rows]
-
-    points = np.empty((5, positions.shape[0] if rows is None else rows.size))
+    points = np.empty((5, positions.shape[0]))
     for j in range(3):
-        points[j] = column(positions, j)
+        points[j] = positions[:, j]
     points[3] = 1.0
     largest = np.maximum(
-        np.maximum(column(log_scales, 0), column(log_scales, 1)),
-        column(log_scales, 2),
+        np.maximum(log_scales[:, 0], log_scales[:, 1]), log_scales[:, 2]
     )
     points[4] = CULL_SIGMA * np.exp(largest) * (1.0 + _PREFILTER_MARGIN)
     points[4] += _PREFILTER_MARGIN * np.abs(points[:3]).sum(axis=0)
@@ -330,7 +322,6 @@ def cull_batch(
     log_scales: np.ndarray,
     raw_quats: np.ndarray,
     kernel_backend: Optional[str] = None,
-    rows: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """The sorted in-frustum index set ``S_i`` of every camera, in order.
 
@@ -340,15 +331,10 @@ def cull_batch(
     docstring): a bounding-sphere prefilter for a block of views at once,
     then the exact test of ``kernel_backend`` (:func:`exact_cull`) on each
     view's survivors.
-
-    ``rows`` (sorted global row ids) restricts the call to those rows: the
-    result is then each view's set intersected with ``rows``, still as
-    global ids — what a maintained index re-tests after an Adam step moved
-    only those rows.
     """
     cameras = list(cameras)
     arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
-    points = _prefilter_points(positions, log_scales, rows)
+    points = _prefilter_points(positions, log_scales)
     n = points.shape[1]
     sets: List[np.ndarray] = []
     for first in range(0, len(cameras), _VIEW_BLOCK):
@@ -366,8 +352,6 @@ def cull_batch(
             np.greater_equal(reach.min(axis=1), 0.0, out=survives[:, lo:hi])
         for view_planes, mask in zip(planes, survives):
             candidates = np.flatnonzero(mask)
-            if rows is not None:
-                candidates = rows[candidates]
             if candidates.size == 0:
                 sets.append(candidates)
                 continue

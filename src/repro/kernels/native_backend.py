@@ -53,15 +53,18 @@ under this backend, as under the reference, pre-rendering culling and
 rendering execute one arithmetic and agree on every row bit for bit.
 ``exact_cull`` walks the named rows over the *full* critical arrays without
 gathering them and takes a row stride per array, so the strided views of
-``GpuCriticalStore``'s packed ``(N, 10)`` block run here too.  Serving's
-cull, ``grid_cull`` (:class:`~repro.gaussians.spatial.CullingGrid`'s query),
-is one call over the grid's cell tables and a copy of the critical rows in
-cell order, made and their addresses taken once a grid (:func:`_bind_grid`):
-it classifies each cell against the six planes, takes the members of cells
-wholly inside them and puts the members of boundary cells to
-``in_frustum``.  Its corner distances are summed as ``in_frustum`` sums a
-centre's, so a cell it finds inside holds only rows the arbiter accepts on
-its accept path.  Against the
+``GpuCriticalStore``'s packed ``(N, 10)`` block run here too.  Training's
+and serving's cull, ``grid_cull`` (:class:`~repro.gaussians.spatial.CullingGrid`),
+is three entry points over the grid's cell tables and a copy of the
+critical rows in cell order (:func:`_bind_grid`): ``grid_build`` bins the
+rows by a counting sort and fills the tables, ``grid_refit`` refills the
+slots of rows an optimizer moved and widens their cells, and
+``grid_cull`` answers a batch of views in one call — it classifies each
+cell against each view's six planes, takes the members of cells wholly
+inside them and puts the members of boundary cells to ``in_frustum``,
+after a bounding-sphere test of each member's own.  Its distances are
+summed as ``in_frustum`` sums a centre's, so a cell it finds inside holds
+only rows the arbiter accepts on its accept path.  Against the
 reference (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`, whose
 signed distances come out of a BLAS product) the index sets are equal
 except on a rounding tie, ``|n . p + d + r|`` within a few ulps.
@@ -246,8 +249,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.gaussians import rasterizer, sh
-from repro.gaussians.frustum import frustum_planes
+from repro.gaussians import rasterizer, sh, spatial
+from repro.gaussians.frustum import _PREFILTER_MARGIN, frustum_planes
 from repro.kernels.registry import (
     KernelBackend,
     KernelSpec,
@@ -360,8 +363,8 @@ _FLOAT64 = np.dtype(np.float64)
 
 def header() -> str:
     """The C prepended to ``native_kernels.c``: the declaration above as
-    enums, read when called, and ``FOOTPRINT_MARGIN`` / ``SH_C0`` ..
-    ``SH_C3`` from the NumPy reference (``repr`` of a float reads back as
+    enums, read when called, and ``FOOTPRINT_MARGIN`` / ``PREFILTER_MARGIN``
+    / ``SH_C0`` .. ``SH_C3`` from the NumPy reference (``repr`` of a float reads back as
     the same double)."""
 
     def enum(names) -> str:
@@ -384,6 +387,7 @@ def header() -> str:
         enum(f"STAGE_{stage.upper()} = {k}" for k, stage in enumerate(_STEP_STAGES)),
         enum(f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_STEP_OUT)),
         f"#define FOOTPRINT_MARGIN {rasterizer._FOOTPRINT_MARGIN!r}",
+        f"#define PREFILTER_MARGIN {_PREFILTER_MARGIN!r}",
         *(f"#define SH_C{d} {c!r}" for d, c in enumerate((sh._C0, sh._C1))),
         *(
             f"static const double SH_C{d}[] = {{{', '.join(map(repr, c))}}};"
@@ -445,7 +449,8 @@ class _TablesShort(Exception):
 
 class _ArenaShort(Exception):
     """``train_step`` counted a render larger than the arenas it was handed
-    (before writing any store): grow them and call again."""
+    (before writing any store), or ``grid_cull`` more rows than its output
+    buffer holds: grow them and call again."""
 
 
 class _StageFailed(Exception):
@@ -480,10 +485,16 @@ def _no_memory(what: str) -> dict:
 #: for raises ``RuntimeError``.
 _RAISES = {
     "exact_cull": {"OUT_OF_RANGE": (IndexError, ": a row outside [0, {n})")},
+    "grid_build": {
+        **_no_memory("bin counts"),
+        "OUT_OF_RANGE": (ValueError, ": {per_axis} cells per axis, not 1 to 2^20 - 1"),
+    },
+    "grid_refit": {"OUT_OF_RANGE": (IndexError, ": a row outside [0, {n})")},
     "grid_cull": {
         "OUT_OF_RANGE": (
-            IndexError, ": a member outside [0, {n}) or an offset outside [0, {count}]",
+            IndexError, ": a member outside [0, {n}) or an offset outside [0, {n}]",
         ),
+        "ARENA_SHORT": (_ArenaShort, ""),
     },
     "view_project": _VIEW,
     "view_composite": {**_VIEW, **_no_memory("canvases ({width}x{height} on {sub}x{sub} tiles)")},
@@ -818,47 +829,107 @@ def _bind_cull(lib) -> Callable:
 
 def _bind_grid(lib) -> Callable:
     """``grid_cull``: binds a :class:`~repro.gaussians.spatial.CullingGrid`
-    — its critical arrays checked as ``exact_cull`` checks them, copied in
-    member order into one ``(members, 10)`` block, and the addresses of that
-    block and the cell tables taken — to its query, which then checks the
-    planes, allocates the output and makes one call.  The copy makes a
-    boundary cell's rows adjacent: the arrays' own order scatters them,
-    and at 200 000 rows the walk was bound by those cache misses.  Member
-    and offset bounds are checked by the loop."""
+    — its critical arrays checked as ``exact_cull`` checks them, its tables
+    built by ``grid_build`` unless it has them, and the addresses of the
+    tables and of its ``(members, 11)`` cell-ordered ``block`` taken — to
+    its :class:`~repro.gaussians.spatial.GridOps`.  The copy makes a
+    boundary cell's rows adjacent: the arrays' own order scatters them, and
+    at 200 000 rows the walk was bound by those cache misses.  Member and
+    offset bounds are checked by the loop."""
+
+    def build(grid, strided) -> None:
+        n, per_axis = grid.num_gaussians, max(grid.target_cells_per_axis, 1)
+        cap = min(n, (per_axis + 1) ** 3 + 1)  # bins per axis <= per_axis + 1
+        frame, head = np.empty(4), np.empty(2, np.int64)
+        members, slots = np.empty(n, np.int64), np.empty(n, np.int64)
+        offsets = np.empty(cap + 1, np.int64)
+        lo, hi, radius = np.empty((cap, 3)), np.empty((cap, 3)), np.empty(cap)
+        finite, block = np.empty(cap, np.bool_), np.empty((n, 11))
+        lib.grid_build(
+            n, *strided, per_axis, cap, *map(_address, (
+                frame, head, members, offsets, slots, lo, hi, radius, finite, block,
+            )),
+        )
+        cells, grid.regular_cells = int(head[0]), int(head[1])
+        grid.origin, grid.cell_size = frame[:3], float(frame[3])
+        grid.members, grid.offsets, grid.slots = members, offsets[: cells + 1], slots
+        grid.cell_lo, grid.cell_hi = lo[:cells], hi[:cells]
+        grid.cell_radius, grid.cell_finite, grid.block = radius[:cells], finite[:cells], block
 
     def bind(grid):
-        n, cells, count = grid.num_gaussians, grid.num_cells, grid.members.size
-        critical = (grid.positions, grid.log_scales, grid.raw_quats)
-        _critical_rows("grid_cull", *critical)
-        block = np.concatenate(
-            [np.take(a, grid.members, axis=0) for a in critical], axis=1
+        n = grid.num_gaussians
+        strided = _critical_rows(
+            "grid_cull", grid.positions, grid.log_scales, grid.raw_quats
         )
-        tables = (
-            cells, _buffer(grid.cell_lo, (cells, 3)),
-            _buffer(grid.cell_hi, (cells, 3)),
+        if grid.offsets is None:
+            build(grid, strided)
+        cells = grid.num_cells
+        lo, hi, radius, finite, offsets, _, block = held = (
+            _buffer(grid.cell_lo, (cells, 3)), _buffer(grid.cell_hi, (cells, 3)),
             _buffer(grid.cell_radius, (cells,)),
             _buffer(grid.cell_finite, (cells,), dtype=np.bool_),
             _buffer(grid.offsets, (cells + 1,), dtype=np.int64),
-            _buffer(grid.members, (count,), dtype=np.int64),
-            _buffer(block, (count, 10)), count,
+            _buffer(grid.members, (n,), dtype=np.int64),  # every row is one
+            _buffer(grid.block, (n, 11)),
         )
-        # The addresses point into these: the query keeps them alive.
-        held = (
+        slots = _buffer(grid.slots, (n,), dtype=np.int64)
+        # The addresses point into these: the ops keep them alive, and the
+        # output buffers (grown when a batch keeps more rows) with them.
+        arrays = (
             grid.cell_lo, grid.cell_hi, grid.cell_radius, grid.cell_finite,
-            grid.offsets, grid.members, block,
+            grid.offsets, grid.members, grid.block, grid.slots,
         )
+        # The output buffers (each view's count, then its rows) and the
+        # call's arguments after the planes, remade when a batch outgrows
+        # them: a call passes ready integers.
+        out = {}
 
-        def grid_cull(planes, _held=held):
+        def grow(rows: int, views: int) -> None:
+            out["kept"], out["counts"] = np.empty(rows, np.int64), np.empty(views, np.int64)
+            out["tail"] = (
+                cells, *held, _address(out["counts"]), _address(out["kept"]), rows,
+            )
+
+        grow(n, 1)
+        lock = threading.Lock()
+
+        def cull(planes, _arrays=arrays):
             planes = np.ascontiguousarray(planes, dtype=np.float64)
-            if planes.shape != (6, 4):
-                _require_shapes(planes=(planes, (6, 4)))
-            kept = np.empty(count + 1, np.int64)
-            lib.grid_cull(n, _address(planes), *tables, _address(kept))
-            # NumPy's sort, not the C library's ``qsort``: 10-14x faster on
-            # 1 000 to 200 000 rows in runs (2-vCPU Xeon).
-            return np.sort(kept[1 : 1 + kept[0]])
+            if planes.ndim != 3 or planes.shape[1:] != (6, 4):
+                _require_shapes(planes=(planes, (*planes.shape[:1], 6, 4)))
+            views = planes.shape[0]
+            with lock:
+                if out["counts"].size < views:
+                    grow(out["kept"].size, views)
+                try:
+                    lib.grid_cull(n, _address(planes), views, *out["tail"])
+                except _ArenaShort:
+                    grow(int(out["counts"][:views].sum()), views)
+                    lib.grid_cull(n, _address(planes), views, *out["tail"])
+                kept, counts = out["kept"], out["counts"]
+                # NumPy's sort, not the C library's ``qsort``: 10-14x faster
+                # on 1 000 to 200 000 rows in runs (2-vCPU Xeon).
+                if views == 1:  # a served request: no list to cut
+                    return [np.sort(kept[: counts[0]])]
+                sizes = counts[:views].tolist()
+                return [
+                    np.sort(kept[end - size : end])
+                    for size, end in zip(sizes, itertools.accumulate(sizes))
+                ]
 
-        return grid_cull
+        limit = spatial._MAX_CELL_WIDTH * grid.cell_size
+
+        def refit(rows, _arrays=arrays) -> bool:
+            rows = _rows(rows)
+            bloated = np.zeros(1, np.int64)
+            lib.grid_refit(
+                n, *strided, _address(rows), rows.size, slots, cells,
+                grid.regular_cells, offsets, limit, lo, hi, radius, finite, block,
+                _address(bloated),
+            )
+            return bool(bloated[0])
+
+        return spatial.GridOps(cull, refit)
 
     return bind
 
@@ -1552,7 +1623,8 @@ class NativeKernelBackend(KernelBackend):
     priority = 10
     description = (
         "a view in C (frustum test, projection, binning, fused per-tile "
-        "compositing, gradient chain), a culling grid's query as one call, "
+        "compositing, gradient chain), a culling grid's build, refit and "
+        "batched query, "
         "the L1 + SSIM loss, a training view "
         "as one op over the engine's arenas, CLM's data path and fused Adam "
         "over row indices, a CLM microbatch (load, view, offload) as one "

@@ -35,9 +35,9 @@
  * prepends a header it generates from one declaration (native_backend.header:
  * the F_* / W_* field offsets and widths of a render's block, the P_* slots
  * of the params vector, the STATUS_* codes every entry point returns, the
- * STAGE_* and OUT_* slots of train_step's report, and
- * FOOTPRINT_MARGIN and SH_C0..SH_C3 taken from rasterizer and sh), and reads
- * every entry point's argument types from its prototype below.
+ * STAGE_* and OUT_* slots of train_step's report, and FOOTPRINT_MARGIN,
+ * PREFILTER_MARGIN and SH_C0..SH_C3 taken from rasterizer, frustum and sh),
+ * and reads every entry point's argument types from its prototype below.
  */
 
 #define _POSIX_C_SOURCE 199309L  /* clock_gettime: plan_batch, train_step */
@@ -481,7 +481,7 @@ static int raster_backward(
  * NumPy sums through BLAS (3x3 products, the SH contraction) is summed here
  * in index order, so values agree to a few ulps, not bit for bit.  The
  * 3-sigma frustum test is in_frustum() below: the one arbiter that the culls
- * (exact_cull, and grid_cull on a grid's boundary cells) and the render
+ * (exact_cull, and grid_cull on a grid's boundary members) and the render
  * (view_project) all call, row by row.
  * ====================================================================== */
 
@@ -683,67 +683,368 @@ int exact_cull(
     return STATUS_OK;
 }
 
-/* spatial.CullingGrid.query over the grid's flat cells: cell c holds the
- * member slots [offsets[c], offsets[c+1]), whose centres span the AABB
- * [cell_lo, cell_hi] (3 doubles a cell) and whose 3-sigma reach is at most
- * cell_radius[c]; slot i is row members[i] of the model, and its position,
- * log-scales and raw quaternion are the 10 doubles at rows + 10 i (a copy in
- * slot order, so a cell's rows are adjacent in memory).  Per cell, as
- * spatial.CullingGrid._classify: *outside* when some plane is farther than
- * the radius below the AABB's farthest corner (no member read), *inside*
- * when the AABB's nearest corner is inside all six planes and cell_finite[c]
- * says every member's activated scales and quaternion are finite (every
- * member taken, as in_frustum()'s accept path would take it), else
- * *boundary*: in_frustum() on each member.  The kept rows go to
- * kept[1 .. 1 + kept[0]), cell by cell, so sorted within a cell only.
- * Returns STATUS_OUT_OF_RANGE — before reading a slot — when an offset is
- * outside [0, count] or below its predecessor, or a member is outside
- * [0, n). */
-int grid_cull(
-    int64_t n, const double *planes, int64_t cells, const double *cell_lo,
-    const double *cell_hi, const double *cell_radius,
-    const uint8_t *cell_finite, const int64_t *offsets, const int64_t *members,
-    const double *rows, int64_t count, int64_t *kept)
+/* NumPy's maximum / minimum: NaN when either operand is NaN. */
+static inline double nan_max(double a, double b) { return a > b || a != a ? a : b; }
+static inline double nan_min(double a, double b) { return a < b || a != a ? a : b; }
+
+/* A culling grid's slot (spatial.CullingGrid.block): row r's position,
+ * log-scales and raw quaternion, read with their row strides, then its
+ * reach bound: frustum.max_support_radius (3 exp of the largest log-scale,
+ * NaN-propagating as np.maximum) inflated by PREFILTER_MARGIN, which covers
+ * both the ulps by which in_frustum()'s reach can pass 3 exp(max) and the
+ * ulp by which libm's exp can pass NumPy's. */
+static void fill_slot(
+    double *slot, const double *p, const double *ls, const double *q)
 {
-    /* Per plane and axis, the bound the AABB's farthest corner takes (hi
-     * where the normal's component is >= 0) and the one its nearest takes. */
-    const double *far[6][3], *near[6][3];
-    for (int k = 0; k < 6; k++)
-        for (int i = 0; i < 3; i++) {
-            const int up = planes[4 * k + i] >= 0.0;
-            far[k][i] = (up ? cell_hi : cell_lo) + i;
-            near[k][i] = (up ? cell_lo : cell_hi) + i;
-        }
-    int64_t m = 0;
-    for (int64_t c = 0; c < cells; c++) {
-        const int64_t first = offsets[c], last = offsets[c + 1], at = 3 * c;
-        if (first < 0 || last < first || last > count)
-            return STATUS_OUT_OF_RANGE;
-        int outside = 0, inside = cell_finite[c] != 0;
-        for (int k = 0; k < 6 && !outside; k++) {
-            /* Summed as in_frustum() sums a centre's distance: rounding is
-             * monotone, so every member's distance lies between the two
-             * corners'. */
-            const double *pl = planes + 4 * k;
-            outside = pl[0] * far[k][0][at] + pl[1] * far[k][1][at]
-                + pl[2] * far[k][2][at] + pl[3] + cell_radius[c] < 0.0;
-            inside &= pl[0] * near[k][0][at] + pl[1] * near[k][1][at]
-                + pl[2] * near[k][2][at] + pl[3] >= 0.0;
-        }
-        if (outside)
+    for (int k = 0; k < 3; k++) {
+        slot[k] = p[k];
+        slot[3 + k] = ls[k];
+    }
+    for (int k = 0; k < 4; k++)
+        slot[6 + k] = q[k];
+    slot[10] = 3.0 * exp(nan_max(nan_max(ls[0], ls[1]), ls[2]))
+        * (1.0 + PREFILTER_MARGIN);
+}
+
+/* How far ahead grid_build and grid_refit prefetch the scattered rows they
+ * read: the walk is otherwise bound by one cache miss after another. */
+#define PREFETCH 16
+
+static inline void prefetch_row(
+    int64_t r, const double *positions, int64_t p_stride,
+    const double *log_scales, int64_t s_stride, const double *quats,
+    int64_t q_stride, const int64_t *slots)
+{
+    __builtin_prefetch(positions + r * p_stride);
+    __builtin_prefetch(log_scales + r * s_stride);
+    __builtin_prefetch(quats + r * q_stride + 3);
+    __builtin_prefetch(slots + r);
+}
+
+/* Whether a slot may take in_frustum()'s accept path: its reach bound and
+ * raw quaternion are finite (spatial's cell_finite, per member). */
+static bool slot_finite(const double *slot)
+{
+    return isfinite(slot[10]) && isfinite(slot[6]) && isfinite(slot[7])
+        && isfinite(slot[8]) && isfinite(slot[9]);
+}
+
+/* spatial.CullingGrid._build as a counting sort.  Rows with a finite centre
+ * are binned at floor((p - origin) / size) with origin the least finite
+ * centre and size max(extent / per_axis, 1e-9), extent the largest axis of
+ * the finite centres' AABB (frame = origin, size); cells are the non-empty
+ * bins in lexicographic (i, j, k) order, members in row order within each
+ * (members[offsets[c] .. offsets[c+1])), and the rows with a non-finite
+ * centre follow in one extra cell whose bounds are NaN, so every query
+ * walks it.  Per cell: the AABB of the centres (cell_lo, cell_hi), the
+ * largest reach bound and whether every member is slot_finite(); per row
+ * its slot (slots[r]: members[slots[r]] == r) and the slot's 11 doubles in
+ * block.  head = (cells, regular cells).  Returns STATUS_OUT_OF_RANGE unless
+ * 1 <= per_axis < 2^20, STATUS_NO_MEMORY when the bin counts cannot be
+ * allocated and STATUS_TABLES_SHORT when more than ``cap`` cells are
+ * non-empty. */
+int grid_build(
+    int64_t n, const double *positions, int64_t p_stride,
+    const double *log_scales, int64_t s_stride, const double *quats,
+    int64_t q_stride, int64_t per_axis, int64_t cap, double *frame,
+    int64_t *head, int64_t *members, int64_t *offsets, int64_t *slots,
+    double *cell_lo, double *cell_hi, double *cell_radius,
+    uint8_t *cell_finite, double *block)
+{
+    double lo[3] = {INFINITY, INFINITY, INFINITY};
+    double hi[3] = {-INFINITY, -INFINITY, -INFINITY};
+    int64_t finite = 0;
+    if (per_axis < 1 || per_axis >= (int64_t)1 << 20)
+        return STATUS_OUT_OF_RANGE;
+    for (int64_t r = 0; r < n; r++) {
+        const double *p = positions + r * p_stride;
+        if (!(isfinite(p[0]) && isfinite(p[1]) && isfinite(p[2])))
             continue;
-        for (int64_t i = first; i < last; i++) {
-            const int64_t r = members[i];
-            const double *row = rows + 10 * i;
-            double s[3];
-            if (r < 0 || r >= n)
-                return STATUS_OUT_OF_RANGE;
-            if (inside || in_frustum(planes, row, row + 3, row + 6, s))
-                kept[++m] = r;
+        finite++;
+        for (int k = 0; k < 3; k++) {
+            lo[k] = p[k] < lo[k] ? p[k] : lo[k];
+            hi[k] = p[k] > hi[k] ? p[k] : hi[k];
         }
     }
-    kept[0] = m;
+    double size = 1.0;
+    if (finite) {
+        double extent = hi[0] - lo[0];
+        for (int k = 1; k < 3; k++)
+            extent = hi[k] - lo[k] > extent ? hi[k] - lo[k] : extent;
+        size = extent / (double)per_axis;
+        if (size < 1e-9)
+            size = 1e-9;
+    } else {
+        lo[0] = lo[1] = lo[2] = 0.0;
+    }
+    for (int k = 0; k < 3; k++)
+        frame[k] = lo[k];
+    frame[3] = size;
+
+    /* Each row's bin coordinates, packed 21 bits an axis into slots[r] (-1
+     * off the grid), and the extents of the bins. */
+    int64_t dims[3] = {1, 1, 1};
+    for (int64_t r = 0; r < n; r++) {
+        const double *p = positions + r * p_stride;
+        slots[r] = -1;
+        if (!(isfinite(p[0]) && isfinite(p[1]) && isfinite(p[2])))
+            continue;
+        int64_t packed = 0;
+        for (int k = 0; k < 3; k++) {
+            const int64_t at = (int64_t)floor((p[k] - lo[k]) / size);
+            dims[k] = at + 1 > dims[k] ? at + 1 : dims[k];
+            packed = packed << 21 | at;
+        }
+        slots[r] = packed;
+    }
+    const int64_t bins = dims[0] * dims[1] * dims[2];
+    int64_t *start = calloc((size_t)bins, sizeof *start);
+    if (!start)
+        return STATUS_NO_MEMORY;
+    /* Each row's linear bin id replaces its coordinates. */
+    const int64_t mask = ((int64_t)1 << 21) - 1;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t packed = slots[r];
+        if (packed < 0)
+            continue;
+        const int64_t id = ((packed >> 42) * dims[1] + (packed >> 21 & mask))
+            * dims[2] + (packed & mask);
+        slots[r] = id;
+        start[id]++;
+    }
+    /* The non-empty bins, in id order, become the cells; start[] turns from
+     * counts into each bin's fill cursor. */
+    int64_t cells = 0, at = 0;
+    for (int64_t id = 0; id < bins; id++) {
+        const int64_t count = start[id];
+        if (!count)
+            continue;
+        if (cells == cap) {
+            free(start);
+            return STATUS_TABLES_SHORT;
+        }
+        offsets[cells++] = at;
+        start[id] = at;
+        at += count;
+    }
+    const int64_t regular = cells;
+    if (finite < n) {
+        if (cells == cap) {
+            free(start);
+            return STATUS_TABLES_SHORT;
+        }
+        offsets[cells++] = finite;
+    }
+    offsets[cells] = n;
+    /* Rows in order: stable, so members are sorted within each cell. */
+    int64_t loose = finite;
+    for (int64_t r = 0; r < n; r++)
+        members[slots[r] < 0 ? loose++ : start[slots[r]]++] = r;
+    free(start);
+
+    /* Slot by slot (the block's writes sequential), cell by cell.  The rows
+     * read are scattered, so each is prefetched PREFETCH slots ahead. */
+    for (int64_t c = 0; c < cells; c++) {
+        double *clo = cell_lo + 3 * c, *chi = cell_hi + 3 * c;
+        int all_finite = 1;
+        for (int k = 0; k < 3; k++)
+            clo[k] = chi[k] = NAN;
+        cell_radius[c] = NAN;
+        for (int64_t i = offsets[c]; i < offsets[c + 1]; i++) {
+            const int64_t r = members[i];
+            double *slot = block + 11 * i;
+            if (i + PREFETCH < n)
+                prefetch_row(members[i + PREFETCH], positions, p_stride,
+                             log_scales, s_stride, quats, q_stride, slots);
+            slots[r] = i;
+            fill_slot(slot, positions + r * p_stride, log_scales + r * s_stride,
+                      quats + r * q_stride);
+            all_finite &= slot_finite(slot);
+            if (c >= regular)
+                continue;
+            const int first = i == offsets[c];
+            for (int k = 0; k < 3; k++) {
+                clo[k] = first ? slot[k] : nan_min(clo[k], slot[k]);
+                chi[k] = first ? slot[k] : nan_max(chi[k], slot[k]);
+            }
+            cell_radius[c] = first ? slot[10] : nan_max(cell_radius[c], slot[10]);
+        }
+        cell_finite[c] = (uint8_t)(all_finite && c < regular);
+    }
+    head[0] = cells;
+    head[1] = regular;
     return STATUS_OK;
+}
+
+/* spatial.CullingGrid.refit: rows[0 .. count) have moved.  Each one's slot
+ * is refilled from the arrays and its cell (the last c with offsets[c] <=
+ * slot) grows to take it: the AABB and the reach bound only widen
+ * (NaN-propagating, as np.minimum.at / np.maximum.at), and a member that is
+ * not slot_finite() or has a non-finite centre clears cell_finite.  Every
+ * cell's bounds then still hold its members, so a query stays exact.  Sets
+ * *bloated when a regular cell it widened is more than ``limit`` across on
+ * some axis (or not finite).  Returns STATUS_OUT_OF_RANGE — before writing
+ * anything — when a row is outside [0, n). */
+int grid_refit(
+    int64_t n, const double *positions, int64_t p_stride,
+    const double *log_scales, int64_t s_stride, const double *quats,
+    int64_t q_stride, const int64_t *rows, int64_t count,
+    const int64_t *slots, int64_t cells, int64_t regular,
+    const int64_t *offsets, double limit, double *cell_lo, double *cell_hi,
+    double *cell_radius, uint8_t *cell_finite, double *block,
+    int64_t *bloated)
+{
+    for (int64_t k = 0; k < count; k++)
+        if (rows[k] < 0 || rows[k] >= n)
+            return STATUS_OUT_OF_RANGE;
+    for (int64_t k = 0; k < count; k++) {
+        const int64_t r = rows[k], slot = slots[r];
+        double *b = block + 11 * slot;
+        if (k + PREFETCH < count) {
+            prefetch_row(rows[k + PREFETCH], positions, p_stride, log_scales,
+                         s_stride, quats, q_stride, slots);
+            const int64_t ahead = slots[rows[k + PREFETCH / 2]];
+            __builtin_prefetch(block + 11 * ahead, 1);
+            __builtin_prefetch(block + 11 * ahead + 10, 1);
+        }
+        fill_slot(b, positions + r * p_stride, log_scales + r * s_stride,
+                  quats + r * q_stride);
+        int64_t c = 0, past = cells;  /* offsets[c] <= slot < offsets[past] */
+        while (past - c > 1) {
+            const int64_t mid = c + (past - c) / 2;
+            if (offsets[mid] <= slot)
+                c = mid;
+            else
+                past = mid;
+        }
+        double *clo = cell_lo + 3 * c, *chi = cell_hi + 3 * c;
+        int centred = 1;
+        for (int i = 0; i < 3; i++) {
+            clo[i] = nan_min(clo[i], b[i]);
+            chi[i] = nan_max(chi[i], b[i]);
+            centred &= isfinite(b[i]);
+        }
+        cell_radius[c] = nan_max(cell_radius[c], b[10]);
+        if (!(centred && slot_finite(b)))
+            cell_finite[c] = 0;
+        if (c < regular)
+            for (int i = 0; i < 3; i++)
+                if (!(chi[i] - clo[i] <= limit))
+                    *bloated = 1;
+    }
+    return STATUS_OK;
+}
+
+/* grid_cull's walk of a boundary cell of two or more members, slots
+ * [first, last): a member whose own sphere — its centre distance, summed as
+ * in_frustum() sums it, plus its reach bound — is below some plane is
+ * rejected, as in_frustum() would reject it; the others go to in_frustum().
+ * Kept rows go to kept[m ..) while m < cap.  Returns the new m, or -1 at a
+ * member outside [0, n).  (A function of its own: inline in the cell loop
+ * it slowed the one-member cells a served view walks by ~10%.) */
+static int64_t walk_spheres(
+    const double *view, const int64_t *members, const double *rows,
+    int64_t first, int64_t last, int64_t n, int64_t *kept, int64_t m,
+    int64_t cap)
+{
+    for (int64_t i = first; i < last; i++) {
+        const int64_t r = members[i];
+        const double *row = rows + 11 * i;
+        double s[3];
+        int below = 0;
+        if (r < 0 || r >= n)
+            return -1;
+        for (int k = 0; k < 6 && !below; k++) {
+            const double *pl = view + 4 * k;
+            below = pl[0] * row[0] + pl[1] * row[1] + pl[2] * row[2] + pl[3]
+                + row[10] < 0.0;
+        }
+        if (below || !in_frustum(view, row, row + 3, row + 6, s))
+            continue;
+        if (m < cap)
+            kept[m] = r;
+        m++;
+    }
+    return m;
+}
+
+/* spatial.CullingGrid's query for ``views`` views at once (planes: views x
+ * 6 x 4) over the grid's flat cells: cell c holds the slots [offsets[c],
+ * offsets[c+1]), slot i is row members[i] and its 11 doubles are at
+ * rows + 11 i (fill_slot(): a copy in slot order, so a cell's rows are
+ * adjacent in memory).  Per view and cell, as spatial.CullingGrid._classify:
+ * *outside* when some plane is farther than the reach bound below the
+ * AABB's farthest corner (no member read), *inside* when the AABB's nearest
+ * corner is inside all six planes and cell_finite[c] says every member may
+ * take in_frustum()'s accept path (every member taken), else *boundary*:
+ * each member goes to in_frustum(), after its own sphere's test when the
+ * cell holds two or more (walk_spheres(); in a one-member cell the cell
+ * test was that test).  View v's
+ * rows go to kept[] after view v - 1's, cell by cell, so sorted within a
+ * cell only, and their number to counts[v]; past ``cap`` rows are counted
+ * and not written, and the call returns STATUS_ARENA_SHORT.  Every row is
+ * a member, so there are n slots.  Returns STATUS_OUT_OF_RANGE — before
+ * reading a slot — when an offset is outside [0, n] or below its
+ * predecessor, or a member is outside [0, n). */
+int grid_cull(
+    int64_t n, const double *planes, int64_t views, int64_t cells,
+    const double *cell_lo, const double *cell_hi, const double *cell_radius,
+    const uint8_t *cell_finite, const int64_t *offsets, const int64_t *members,
+    const double *rows, int64_t *counts, int64_t *kept, int64_t cap)
+{
+    int64_t m = 0;
+    for (int64_t v = 0; v < views; v++) {
+        const double *view = planes + 24 * v;
+        const int64_t before = m;
+        /* Per plane and axis, the bound the AABB's farthest corner takes (hi
+         * where the normal's component is >= 0) and the one its nearest
+         * takes. */
+        const double *far[6][3], *near[6][3];
+        for (int k = 0; k < 6; k++)
+            for (int i = 0; i < 3; i++) {
+                const int up = view[4 * k + i] >= 0.0;
+                far[k][i] = (up ? cell_hi : cell_lo) + i;
+                near[k][i] = (up ? cell_lo : cell_hi) + i;
+            }
+        for (int64_t c = 0; c < cells; c++) {
+            const int64_t first = offsets[c], last = offsets[c + 1], at = 3 * c;
+            if (first < 0 || last < first || last > n)
+                return STATUS_OUT_OF_RANGE;
+            int outside = 0, inside = cell_finite[c] != 0;
+            for (int k = 0; k < 6 && !outside; k++) {
+                /* Summed as in_frustum() sums a centre's distance: rounding
+                 * is monotone, so every member's distance lies between the
+                 * two corners'. */
+                const double *pl = view + 4 * k;
+                outside = pl[0] * far[k][0][at] + pl[1] * far[k][1][at]
+                    + pl[2] * far[k][2][at] + pl[3] + cell_radius[c] < 0.0;
+                inside &= pl[0] * near[k][0][at] + pl[1] * near[k][1][at]
+                    + pl[2] * near[k][2][at] + pl[3] >= 0.0;
+            }
+            if (outside)
+                continue;
+            if (!inside && last - first > 1) {
+                m = walk_spheres(view, members, rows, first, last, n, kept, m, cap);
+                if (m < 0)
+                    return STATUS_OUT_OF_RANGE;
+                continue;
+            }
+            for (int64_t i = first; i < last; i++) {
+                const int64_t r = members[i];
+                const double *row = rows + 11 * i;
+                double s[3];
+                if (r < 0 || r >= n)
+                    return STATUS_OUT_OF_RANGE;
+                if (inside || in_frustum(view, row, row + 3, row + 6, s)) {
+                    if (m < cap)
+                        kept[m] = r;
+                    m++;
+                }
+            }
+        }
+        counts[v] = m - before;
+    }
+    return m > cap ? STATUS_ARENA_SHORT : STATUS_OK;
 }
 
 /* quaternion.backprop_unit: through unit = v / |v|. */

@@ -60,8 +60,10 @@ algebra, step by step.
 
 ``exact_cull`` is :func:`~repro.gaussians.frustum.ellipsoids_in_frustum`
 on the named rows, and ``grid_cull`` is
-:func:`repro.gaussians.spatial.grid_cull`: a grid's cells classified by
-matrix products, then ``exact_cull`` on the boundary cells' members.  The
+:func:`repro.gaussians.spatial.grid_cull`: a grid built by ``lexsort``,
+its cells classified by matrix products, then ``exact_cull`` on the
+boundary cells' members, and refit with ``np.minimum.at`` /
+``np.maximum.at``.  The
 *whole-view* op sits on top: ``view_forward`` is ``rasterizer.preprocess``
 -> ``build_tile_bins`` -> :func:`_raster_forward` -> image assembly, and
 the backward pass of the context it makes is

@@ -65,12 +65,15 @@ AUTO = "auto"
 #: The kernel operations a backend may implement: the units the callers
 #: dispatch, nothing below them.  ``exact_cull`` is the exact 3-sigma
 #: frustum test on named rows — the arbiter a backend's own ``view_forward``
-#: applies again, on the same bits — which training's culls dispatch;
-#: ``grid_cull`` is serving's cull, :class:`~repro.gaussians.spatial.CullingGrid`'s
-#: query: it binds one grid, and the query it returns classifies the grid's
-#: cells against a view's planes and puts the boundary cells' members to
-#: the same arbiter (its reference is :func:`repro.gaussians.spatial.grid_cull`,
-#: over ``exact_cull``'s reference); ``view_forward`` renders one view end to
+#: applies again, on the same bits — which a snapshot's cull dispatches
+#: (:func:`~repro.gaussians.frustum.cull_batch`: the simulator, the CLI);
+#: ``grid_cull`` is training's and serving's cull, a
+#: :class:`~repro.gaussians.spatial.CullingGrid`: it builds and binds one
+#: grid, whose cull classifies the grid's cells against a batch of views'
+#: planes and puts the boundary cells' members to the same arbiter, and
+#: whose refit widens the cells of moved rows (its reference is
+#: :func:`repro.gaussians.spatial.grid_cull`, over ``exact_cull``'s
+#: reference); ``view_forward`` renders one view end to
 #: end (frustum test, projection, binning, compositing, assembly) to a
 #: context that carries its maker's backward pass
 #: (:attr:`~repro.gaussians.rasterizer.RenderContext.backward`).

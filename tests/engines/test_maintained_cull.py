@@ -1,8 +1,8 @@
-"""The maintained culling index against a fresh cull, batch by batch.
+"""The maintained culling grid against a fresh cull, batch by batch.
 
-``EngineBase.cull_views`` keeps every view's in-frustum set across batches
-and re-tests only the rows an Adam step reported since the view was last
-culled (:class:`repro.core.culling_index.CullingIndex`).  Here every
+``EngineBase.cull_views`` answers every batch from one culling grid kept
+across batches and refit to the rows each Adam step reported
+(:class:`repro.core.culling_index.CullingIndex`).  Here every
 ``cull_views`` call of long training runs is checked against a fresh
 ``cull_batch`` on the same arrays — ``array_equal``, every view, every
 batch — for every engine family and both kernel backends, through the
@@ -12,8 +12,9 @@ events that replace or move rows without an Adam step: a densify/prune
 
 The renderer is a stand-in (``EngineConfig.renderer``): the index does not
 look at images, and a pseudo-random gradient per row with a large learning
-rate moves enough rows across frustum planes every batch that a stale row
-anywhere shows as a mismatch within a few batches.
+rate moves enough rows across frustum planes (and cell bounds) every batch
+that a stale row or cell anywhere shows as a mismatch within a few
+batches.
 """
 
 import copy
@@ -24,6 +25,7 @@ import pytest
 
 from repro.core import culling_index
 from repro.core.config import EngineConfig
+from repro.core.culling_index import CullingIndex
 from repro.core.trainer import TrainerConfig
 from repro.engines.clm import CRITICAL
 from repro.engines.session import TrainingSession
@@ -31,6 +33,7 @@ from repro.gaussians.camera import look_at_camera
 from repro.gaussians.densify import DensifyConfig
 from repro.gaussians.frustum import cull_batch
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.spatial import CullingGrid
 from repro.optim.adam import AdamConfig
 from repro.resilience.faults import FaultEvent, FaultSchedule
 from repro.scenes.datasets import build_scene
@@ -94,19 +97,54 @@ def city():
 
 
 @pytest.fixture()
-def refreshes(monkeypatch):
-    """How many of the index's ``cull_batch`` calls were restricted to
-    moved rows."""
-    counts = {"rows": 0}
-    original = culling_index.cull_batch
+def grid_events(monkeypatch):
+    """What the maintained grids did — ``builds`` and ``refits`` — and the
+    events that call for a build: a refresh over an array set (or backend)
+    not seen before, a ``reset`` from outside ``refresh``, and a refit that
+    left the grid bloated."""
+    events = dict(builds=0, refits=0, array_sets=0, resets=0, bloats=0)
+    seen, refreshing = [], []
+    refresh, reset = CullingIndex.refresh, CullingIndex.reset
 
-    def counting(cameras, *arrays, rows=None, **kwargs):
-        if rows is not None:
-            counts["rows"] += 1
-        return original(cameras, *arrays, rows=rows, **kwargs)
+    class CountingGrid(CullingGrid):
+        def __init__(self, *args, **kwargs):
+            events["builds"] += 1
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(culling_index, "cull_batch", counting)
-    return counts
+        def refit(self, rows):
+            events["refits"] += 1
+            was = self.bloated
+            super().refit(rows)
+            events["bloats"] += self.bloated and not was
+
+    def counting_refresh(self, cameras, *arrays, kernel_backend=None):
+        key = (*arrays, kernel_backend)
+        if not any(
+            all(a is b for a, b in zip(key[:3], old[:3])) and key[3] == old[3]
+            for old in seen
+        ):
+            seen.append(key)
+            events["array_sets"] += 1
+        refreshing.append(True)
+        try:
+            return refresh(self, cameras, *arrays, kernel_backend=kernel_backend)
+        finally:
+            refreshing.pop()
+
+    def counting_reset(self):
+        events["resets"] += not refreshing
+        reset(self)
+
+    monkeypatch.setattr(culling_index, "CullingGrid", CountingGrid)
+    monkeypatch.setattr(CullingIndex, "refresh", counting_refresh)
+    monkeypatch.setattr(CullingIndex, "reset", counting_reset)
+    return events
+
+
+def assert_built_only_when_due(events):
+    """At most one build per array set, reset or bloat event."""
+    due = events["array_sets"] + events["resets"] + events["bloats"]
+    assert events["builds"] <= due, events
 
 
 def check_every_cull(engine, backend):
@@ -156,7 +194,7 @@ def turn_the_first_camera(session):
     "engine", ["clm", "naive", "enhanced", "baseline", "clm_sharded"]
 )
 def test_maintained_sets_equal_a_fresh_cull_every_batch(
-    engine, backend, city, refreshes, tmp_path
+    engine, backend, city, grid_events, tmp_path
 ):
     scene, initial = city
     scene = copy.deepcopy(scene)  # the run assigns a camera field
@@ -197,16 +235,15 @@ def test_maintained_sets_equal_a_fresh_cull_every_batch(
     session.train(60)
 
     assert len(calls) >= 200
-    # The refresh path ran: at least half the batches re-tested moved rows
-    # only (a view that sees much of the city sends the rest down the
-    # all-rows path).
-    assert refreshes["rows"] >= 100
+    # The grid was refit, not rebuilt, between the events that replace it.
+    assert grid_events["refits"] >= 100
+    assert_built_only_when_due(grid_events)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_dense_regime_takes_the_all_rows_path(backend, refreshes):
-    """Every view sees most of a yard scene, so a batch moves most rows:
-    past :data:`FULL_CULL_SHARE` a refresh culls every row instead."""
+def test_dense_regime_sets_equal_a_fresh_cull_every_batch(backend, grid_events):
+    """Every view sees most of a yard scene, so a batch moves most rows and
+    the refit widens most cells: the sets still equal a fresh cull's."""
     scene = make_trainable_scene(
         reference_gaussians=120, num_views=8, image_size=(8, 6), seed=0
     )
@@ -217,4 +254,5 @@ def test_dense_regime_takes_the_all_rows_path(backend, refreshes):
     calls = check_every_cull(session.engine, backend)
     session.train(30)
     assert len(calls) >= 30
-    assert refreshes["rows"] == 0
+    assert grid_events["refits"] >= 20
+    assert_built_only_when_due(grid_events)

@@ -334,10 +334,13 @@ TRAINED = {
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
 def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
     """A batch of every engine, ``evaluate``, a CLM ``render_view``, a
-    served request (whose grid resolves ``grid_cull``) and a composed step
-    (a wrapped renderer pair), all on ``native``: the ops they resolve are
+    served request, a composed step (a wrapped renderer pair) and a
+    simulator's culling index, all on ``native``: the ops they resolve are
     exactly ``KERNEL_OPS``, so the registry carries no op that no caller
-    dispatches."""
+    dispatches.  Training and serving cull through grids (``grid_cull``);
+    the index a simulator, the CLI or the memory model builds is
+    ``cull_batch``'s (``exact_cull``)."""
+    from repro.core.culling_index import CullingIndex
     from repro.gaussians.render import render, render_backward
     from repro.serving import RenderRequest, ServingConfig, ServingSession
 
@@ -373,4 +376,6 @@ def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
         close = getattr(engine, "close", None)
         if close is not None:
             close()
+    assert "exact_cull" not in resolved  # no training or serving cull
+    CullingIndex.build(setup[1], scene.cameras)
     assert resolved == set(kernels.KERNEL_OPS)

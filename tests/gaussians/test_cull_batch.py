@@ -119,26 +119,6 @@ def test_random_clouds_match_oracle(cull_oracle, seed, n, spread):
     assert_matches_oracle(cull_oracle, cameras, positions, log_scales, quats)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "native"])
-@pytest.mark.parametrize("share", [0.0, 0.01, 0.3, 1.0])
-def test_rows_restrict_the_cull_to_a_subset(backend, share):
-    """``rows=`` gives each view's whole-model set intersected with the
-    subset, as global ids, on strided views of a packed block too (what
-    a maintained index re-tests after an Adam step)."""
-    scene = build_scene("bigcity", scale=2e-5, num_views=8, seed=0)
-    m = scene.model
-    packed = np.concatenate([m.positions, m.log_scales, m.quaternions], axis=1)
-    arrays = (packed[:, 0:3], packed[:, 3:6], packed[:, 6:10])
-    rng = np.random.default_rng(7)
-    rows = np.flatnonzero(rng.uniform(size=m.num_gaussians) < share)
-    whole = cull_batch(scene.cameras, *arrays, kernel_backend=backend)
-    subset = cull_batch(scene.cameras, *arrays, kernel_backend=backend, rows=rows)
-    assert sum(s.size for s in whole) > 0
-    for full, part in zip(whole, subset):
-        assert part.dtype == full.dtype
-        assert np.array_equal(part, np.intersect1d(full, rows))
-
-
 # ---------------------------------------------------------------------------
 # Scenes
 # ---------------------------------------------------------------------------

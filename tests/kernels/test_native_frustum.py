@@ -285,7 +285,7 @@ def test_a_corrupted_grid_table_is_refused(rng):
             kernel_backend="native",
         ))
     with pytest.raises(ValueError, match="native"):
-        bind(grid)(frustum_planes(cam)[:5])
+        bind(grid).cull(frustum_planes(cam)[None, :5])
 
 
 # ---------------------------------------------------------------------------
