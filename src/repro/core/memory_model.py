@@ -128,8 +128,14 @@ ACT_PER_PIXEL = 240
 #: ``cache_blend_state=False`` (``EngineBase.serving_raster_settings``) so
 #: no per-tile blending state is retained, and it never materializes
 #: gradient buffers, Adam moments, or the CLM double buffers — a served
-#: model costs one read-only parameter copy plus transient per-request
-#: activations for the (frustum ∩ LOD) working set.
+#: model costs one read-only parameter copy plus the per-request
+#: activations of the (frustum ∩ LOD) working set.  With the library
+#: renderer those activations live in the session's workspace arenas: the
+#: working set is read through its rows, not copied, and the arenas grow to
+#: the largest request seen (~510 bytes an input row of projection scratch
+#: and work, 52 doubles a survivor, the image) and stay.
+#: They are host bytes outside the simulated pool, like a training
+#: engine's workspace.
 
 #: Sharding note: the ``clm_sharded`` engine (:mod:`repro.sharding`)
 #: divides the budgets above by owned rows, not evenly.  Each of the K

@@ -119,6 +119,15 @@ class Camera:
         return self.rotation[2]
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors as three scalar expressions: the
+    products and differences ``np.cross`` rounds, in its order, so the same
+    bits — without its ~40 us of broadcasting a call."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def look_at_camera(
     eye,
     target,
@@ -150,9 +159,9 @@ def look_at_camera(
             if abs(forward[0]) < 0.9
             else np.array([0.0, 1.0, 0.0])
         )
-    right = np.cross(forward, up)
+    right = _cross(forward, up)
     right = right / np.linalg.norm(right)
-    down = np.cross(forward, right)
+    down = _cross(forward, right)
     rotation = np.stack([right, down, forward], axis=0)
     fov_y = math.radians(fov_y_deg)
     fy = height / (2.0 * math.tan(fov_y / 2.0))

@@ -10,7 +10,14 @@ three native calls:
   ``preprocess`` for the rows it lets through, then the counting half of
   ``build_tile_bins``: it reports how many rows survived, how many tiles
   are non-empty and how many ``(tile, splat)`` entries there are) and
-  ``view_composite`` (fills the CSR arrays, composites, crops the image);
+  ``view_composite`` (fills the CSR arrays, composites, crops the image).
+  ``view_project``'s input is the model's arrays and a ``rows`` operand:
+  ``NULL`` means every row in order (training, a direct ``render``), and
+  a working set — ``view_forward(..., rows=)`` — is read through in place,
+  each row checked to lie inside the model before anything is written
+  (``IndexError`` otherwise, as ``exact_cull``).  Survivor ids are
+  positions in the working set, so the render is ``model.gather(rows)``'s
+  bit for bit, without the copy;
 - ``view_backward`` is one: the compositing gradient, then
   ``_chain_to_parameters`` scattered to the five full-size arrays.
 
@@ -24,13 +31,21 @@ int64 block (ids, then ``tile_ids | offsets | order``) and one byte block
 to read them.  One forward body (:func:`_forward`) makes both calls for
 every caller; only where the blocks come from differs:
 
-- a ``view_forward`` call — serving, ``evaluate``, ``render_view``, any
-  direct ``render`` — allocates them, and ``view_project``'s scratch (sized
-  by the *input* rows, dead after the call), per call, each at its exact
+- a direct ``view_forward`` call — ``evaluate``, ``render_view``, any
+  ``render`` — allocates them, and ``view_project``'s scratch (sized by
+  the *input* rows, dead after the call), per call, each at its exact
   size.  ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are
   views into them and ride on ``RenderContext.blocks``, which no other
   render shares: a 20 000-row model of which 130 rows survive retains 130
   rows.
+- a served request is ``view_forward(..., rows=, workspace=)`` over a
+  :class:`~repro.serving.session.ServingSession`'s
+  :class:`~repro.kernels.workspace.Workspace`: the scratch, every block,
+  the image and the transmittance are grow-only arenas, the served
+  model's arrays are checked and their addresses taken once
+  (:meth:`~repro.kernels.workspace.Workspace.binding`), and the call
+  returns a copy of the image and the survivor count — no context,
+  projection or bins.
 - an engine's training view is the ``view_train`` op (below): the same
   calls and the loss's over the engine's
   :class:`~repro.kernels.workspace.Workspace`, whose grow-only arenas hold
@@ -496,7 +511,7 @@ _RAISES = {
         ),
         "ARENA_SHORT": (_ArenaShort, ""),
     },
-    "view_project": _VIEW,
+    "view_project": {**_VIEW, "OUT_OF_RANGE": (IndexError, ": a row outside [0, {total})")},
     "view_composite": {**_VIEW, **_no_memory("canvases ({width}x{height} on {sub}x{sub} tiles)")},
     "view_backward": {**_VIEW, **_no_memory("scratch ({m} splats, {entries} entries)")},
     **dict.fromkeys(("assemble_rows", "zero_rows"), _ROWS),
@@ -727,11 +742,23 @@ def _address(arr: np.ndarray) -> int:
 
 
 def _rows(arr) -> np.ndarray:
-    """An index vector as the int64 array the C loops walk."""
-    rows = np.ascontiguousarray(arr, dtype=np.int64)
+    """An index vector as the int64 array the C loops walk: integer indices
+    are converted, any other kind (a float array) raises ``IndexError``, as
+    NumPy refuses to index by it."""
+    rows = np.asarray(arr)
+    if rows.dtype.kind not in "iu" and rows.size:
+        raise IndexError(f"native data path: {rows.dtype} rows, not integers")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.ndim != 1:
         raise ValueError(f"native data path: rows of shape {rows.shape}")
     return rows
+
+
+def _index_at(rows: np.ndarray):
+    """An index vector's address, ``None`` when it is empty (the C walks
+    none of it): plans hand their sets out read-only, whose address costs
+    ~2.4 us."""
+    return _address(rows) if rows.size else None
 
 
 def _model_arrays(model) -> dict:
@@ -747,6 +774,11 @@ def _model_arrays(model) -> dict:
                 f"not C-contiguous float64{shape}"
             )
     return arrays
+
+
+def _model_at(model) -> list:
+    """The addresses of the five checked :func:`_model_arrays`."""
+    return list(map(_address, _model_arrays(model).values()))
 
 
 def _sh_degree(model, settings) -> int:
@@ -989,13 +1021,20 @@ def _backward(lib, view: _View, d_image_at: int, grads_at) -> None:
     )
 
 
-def _forward(lib, camera, model, settings, take) -> "tuple[_View, dict]":
+def _forward(
+    lib, camera, model, settings, take, rows=None, model_at=None
+) -> "tuple[_View, dict]":
     """A view's two forward calls: ``view_project`` sizes its blocks,
-    ``view_composite`` fills them, composites and crops the image.  Every
-    block is ``take(name, size, dtype)`` — ``(array, address)`` of at least
-    ``size`` elements; returns the view and ``{name: (array, address)}``."""
-    arrays = _model_arrays(model)
-    n, stored = model.sh.shape[:2]
+    ``view_composite`` fills them, composites and crops the image.  The
+    input is ``model``'s rows ``rows`` (an int64 vector, read in place), or
+    every row when it is None; ``model_at`` is :func:`_model_at` of the
+    model, when it is bound already.  Every block is ``take(name, size,
+    dtype)`` — ``(array, address)`` of at least ``size`` elements; returns
+    the view and ``{name: (array, address)}``."""
+    if model_at is None:
+        model_at = _model_at(model)
+    total, stored = model.sh.shape[:2]
+    n = total if rows is None else rows.size
     degree = _sh_degree(model, settings)
     width, height, sub = camera.width, camera.height, rasterizer.compute_tile(settings)
     tiles_x, tiles_y = -(-width // sub), -(-height // sub)
@@ -1003,15 +1042,16 @@ def _forward(lib, camera, model, settings, take) -> "tuple[_View, dict]":
     # to, on the same bits.
     planes = frustum_planes(camera)
     params = _view_params(camera, settings)
-    params_at, model_at = _address(params), list(map(_address, arrays.values()))
+    params_at = _address(params)
     blocks = {
         "scratch": take("scratch", _SCRATCH * n, np.float64),
         "work": take("work", 5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64),
     }
     work_at = blocks["work"][1]
     lib.view_project(
-        n, *model_at, _address(planes), stored, degree, params_at, width,
-        height, int(settings.tile_size), sub, blocks["scratch"][1], work_at,
+        n, None if rows is None else _index_at(rows), total, *model_at,
+        _address(planes), stored, degree, params_at, width, height,
+        int(settings.tile_size), sub, blocks["scratch"][1], work_at,
     )
     m, _, tiles, entries, area = blocks["work"][0][:5].tolist()
     records = bool(settings.cache_blend_state)  # for view_backward only
@@ -1049,13 +1089,38 @@ def _fresh(name: str, size: int, dtype) -> tuple:
 def _bind_view(lib, name: str) -> Callable:
     """``view_forward``: :func:`_forward` over fresh blocks, cut into a
     context that carries its backward pass, one ``view_backward`` call over
-    those blocks."""
+    those blocks — or, with a ``workspace``, over its arenas, to a copy of
+    the image and the survivor count, with no context built.  ``rows``
+    renders those rows of ``model`` as ``model.gather(rows)``, read in
+    place: the context (and its backward pass) is then the gathered
+    model's."""
     from repro.gaussians.covariance import GaussianShape
     from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
     from repro.gaussians.sh import num_basis
 
-    def view_forward(camera, model, settings):
-        view, blocks = _forward(lib, camera, model, settings, _fresh)
+    def served(camera, model, settings, rows, ws):
+        # The served model's arrays are checked and their addresses taken
+        # once; a replaced array binds again.
+        model_at = ws.binding(
+            "model", (model.positions, model.log_scales, model.quaternions,
+                      model.sh, model.opacity_logits),
+            _model_at, model,
+        )
+        ws.lease()
+        try:
+            view, blocks = _forward(lib, camera, model, settings, ws.arena, rows, model_at)
+            height, width = view.height, view.width
+            image = blocks["image"][0][: 3 * height * width].reshape(height, width, 3).copy()
+        finally:
+            ws.release()
+        return image, view.m
+
+    def view_forward(camera, model, settings, rows=None, workspace=None):
+        if rows is not None:
+            rows = _rows(rows)
+        if workspace is not None:
+            return served(camera, model, settings, rows, workspace)
+        view, blocks = _forward(lib, camera, model, settings, _fresh, rows)
         m, tiles, floats, ints = view.m, view.tiles, blocks["floats"][0], blocks["ints"][0]
         clamp = blocks["clamp"][0]
         fields = _cut(floats, m, _RETAINED_LAYOUT)
@@ -1361,13 +1426,6 @@ def _bind_target(target, moments) -> tuple:
     )
 
 
-def _index_at(rows: np.ndarray):
-    """An index vector's address, ``None`` when it is empty (the C walks
-    none of it): plans hand their sets out read-only, whose address costs
-    ~2.4 us."""
-    return _address(rows) if rows.size else None
-
-
 def _bind_step(lib, name: str) -> Callable:
     """``train_step``: one call over a
     :class:`~repro.core.stores.GpuWorkingSet`, its stores and a
@@ -1502,7 +1560,7 @@ def _bind_step(lib, name: str) -> Callable:
             raise exc(
                 f"native train_step: {stage}" + text.format(
                     width=width, height=height, sub=sub, h=height, w=width,
-                    m=m, entries=int(out[5]),
+                    m=m, entries=int(out[5]), total=m,
                 )
             ) from None
         except BaseException:

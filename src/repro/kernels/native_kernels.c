@@ -1109,6 +1109,15 @@ static int64_t tile_of(double coord, double ts, int64_t last)
     return tile > (double)last ? last : (int64_t)tile;
 }
 
+/* Whether every rows[k] lies in [0, n). */
+static bool in_range(const int64_t *rows, int64_t count, int64_t n)
+{
+    for (int64_t k = 0; k < count; k++)
+        if (rows[k] < 0 || rows[k] >= n)
+            return false;
+    return true;
+}
+
 /* Stable merge sort of ``rows`` by depth, ties by position; returns the
  * array (``rows`` or ``tmp``) that holds the result. */
 static int64_t *sort_near_to_far(
@@ -1135,17 +1144,24 @@ static int64_t *sort_near_to_far(
 }
 
 /* rasterizer.preprocess for the rows in_frustum() lets through, then the
- * counting half of build_tile_bins over the survivors.  Writes the survivors'
- * fields, compacted, into ``f`` (F_SCRATCH * n doubles) and the workspace
- * ``iw`` (see work_of; 5 + 7 n + tiles int64 and 3 n bytes), whose header
- * then says how large the render's own blocks must be. */
+ * counting half of build_tile_bins over the survivors.  The n input rows are
+ * rows[0 .. n) of the ``total``-row model arrays — a working set read in
+ * place, as preprocess reads model.gather(rows) — or, when ``rows`` is NULL,
+ * every row in order (n == total).  Survivor ids are positions among the n
+ * input rows either way.  Writes the survivors' fields, compacted, into
+ * ``f`` (F_SCRATCH * n doubles) and the workspace ``iw`` (see work_of;
+ * 5 + 7 n + tiles int64 and 3 n bytes), whose header then says how large
+ * the render's own blocks must be.  Returns STATUS_OUT_OF_RANGE, having
+ * written nothing, when a row is outside [0, total). */
 int view_project(
-    int64_t n, const double *positions, const double *log_scales,
-    const double *quats, const double *sh, const double *logits,
-    const double *planes, int64_t k_stored, int64_t degree,
-    const double *params, int64_t width, int64_t height, int64_t ts,
-    int64_t sub, double *f, int64_t *iw)
+    int64_t n, const int64_t *rows, int64_t total, const double *positions,
+    const double *log_scales, const double *quats, const double *sh,
+    const double *logits, const double *planes, int64_t k_stored,
+    int64_t degree, const double *params, int64_t width, int64_t height,
+    int64_t ts, int64_t sub, double *f, int64_t *iw)
 {
+    if (rows != NULL && !in_range(rows, n, total))
+        return STATUS_OUT_OF_RANGE;
     const double *w = params + P_ROTATION, *center = params + P_CENTER;
     const double fx = params[P_FX], fy = params[P_FY];
     const double cx = params[P_CX], cy = params[P_CY];
@@ -1163,12 +1179,13 @@ int view_project(
 
     int64_t m = 0;
     for (int64_t i = 0; i < n; i++) {
+        const int64_t row = rows != NULL ? rows[i] : i;
         double s[3], off[3], t[3];
-        if (!in_frustum(planes, positions + 3 * i, log_scales + 3 * i,
-                        quats + 4 * i, s))
+        if (!in_frustum(planes, positions + 3 * row, log_scales + 3 * row,
+                        quats + 4 * row, s))
             continue;
         for (int k = 0; k < 3; k++)
-            off[k] = positions[3 * i + k] - center[k];
+            off[k] = positions[3 * row + k] - center[k];
         for (int k = 0; k < 3; k++)
             t[k] = off[0] * w[3 * k] + off[1] * w[3 * k + 1] +
                    off[2] * w[3 * k + 2];
@@ -1177,7 +1194,7 @@ int view_project(
 
         /* Sigma = M M^T with M = R diag(exp(log_scales)). */
         double q[4], rot[9], mm[9], cov[9], tmp[9], cov_cam[9];
-        const double q_norm = unit_and_norm(quats + 4 * i, 4, q);
+        const double q_norm = unit_and_norm(quats + 4 * row, 4, q);
         rotation_matrix(q, rot);
         for (int k = 0; k < 9; k++)
             mm[k] = rot[k] * s[k % 3];
@@ -1239,7 +1256,7 @@ int view_project(
         /* sh.sh_to_color: basis . coefficients + 0.5, clamped at zero. */
         double basis[16];
         sh_basis(dir[0], dir[1], dir[2], degree, basis);
-        const double *coeffs = sh + 3 * k_stored * i;
+        const double *coeffs = sh + 3 * k_stored * row;
         for (int ch = 0; ch < 3; ch++) {
             double raw = 0.0;
             for (int64_t k = 0; k < k_active; k++)
@@ -1249,7 +1266,7 @@ int view_project(
             ROW(COLORS)[ch] = raw < 0.0 ? 0.0 : raw;
         }
         /* model.sigmoid, the numerically stable form. */
-        const double logit = logits[i];
+        const double logit = logits[row];
         if (logit >= 0.0) {
             opac[m] = 1.0 / (1.0 + exp(-logit));
         } else {
@@ -1629,15 +1646,6 @@ static bool members(const int64_t *q, int64_t nq, const int64_t *s, int64_t ns)
 {
     for (int64_t k = 0, j = 0; k < nq; k++, j++)
         if ((j = walk(s, ns, j, q[k])) < 0)
-            return false;
-    return true;
-}
-
-/* Whether every rows[k] lies in [0, n). */
-static bool in_range(const int64_t *rows, int64_t count, int64_t n)
-{
-    for (int64_t k = 0; k < count; k++)
-        if (rows[k] < 0 || rows[k] >= n)
             return false;
     return true;
 }
@@ -2522,8 +2530,8 @@ int train_step(
 
     int64_t start = now_ns();
     STAGE(VIEW_PROJECT, view_project(
-        m, positions, log_scales, quats, sh, opacity, planes, k_stored, degree,
-        params, width, height, ts, sub, scratch, work));
+        m, NULL, m, positions, log_scales, quats, sh, opacity, planes,
+        k_stored, degree, params, width, height, ts, sub, scratch, work));
     const int64_t survivors = work[0], tiles = work[2], entries = work[3];
     const int64_t area = work[4], lead = tiles * sub * sub;
     const int64_t need[] = {

@@ -65,7 +65,9 @@ its cells classified by matrix products, then ``exact_cull`` on the
 boundary cells' members, and refit with ``np.minimum.at`` /
 ``np.maximum.at``.  The
 *whole-view* op sits on top: ``view_forward`` is ``rasterizer.preprocess``
--> ``build_tile_bins`` -> :func:`_raster_forward` -> image assembly, and
+-> ``build_tile_bins`` -> :func:`_raster_forward` -> image assembly (of
+``model.gather(rows)`` when it is handed a working set; a workspace it
+ignores, having no arenas), and
 the backward pass of the context it makes is
 :func:`view_backward`, :func:`_raster_backward` ->
 ``_chain_to_parameters`` — plain calls, so a view that a compiled backend
@@ -335,12 +337,32 @@ def _exact_cull(planes, positions, log_scales, raw_quats, rows):
     return rows[inside]
 
 
-def _view_forward(camera, model, settings):
+def _working_set(model, rows):
+    """``model.gather(rows)``, once ``rows`` are integer indices inside the
+    model: a negative row raises ``IndexError`` here, as in the C, where
+    ``np.take`` would wrap it."""
+    rows = np.asarray(rows)
+    if rows.size and (
+        rows.dtype.kind not in "iu" or rows.min() < 0
+        or rows.max() >= model.num_gaussians
+    ):
+        raise IndexError(
+            f"view_forward: rows must be integers in [0, {model.num_gaussians})"
+        )
+    return model.gather(rows.astype(np.int64, copy=False))
+
+
+def _view_forward(camera, model, settings, rows=None, workspace=None):
     """One view end to end on the reference: ``preprocess``, the CSR bins,
     the slab kernels above, and the tile-major canvases cropped into image
-    layout.  Returns ``(image, transmittance, ctx)``."""
+    layout.  Returns ``(image, transmittance, ctx)``.  ``rows`` renders
+    ``model.gather(rows)``; with a ``workspace`` (the served form) it
+    returns ``(image, survivors)`` instead — the reference keeps no arenas,
+    so it renders as it does without one."""
     from repro.gaussians import rasterizer
 
+    if rows is not None:
+        model = _working_set(model, rows)
     dtype = settings.np_dtype
     proj = rasterizer.preprocess(camera, model, settings)
     bins = rasterizer.build_tile_bins(camera, proj, settings)
@@ -366,6 +388,8 @@ def _view_forward(camera, model, settings):
         blend_cache=cache,
         kernel_backend=REFERENCE_BACKEND,
     )
+    if workspace is not None:
+        return image, int(proj.ids.size)
     return image, transmittance, ctx
 
 

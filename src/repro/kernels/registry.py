@@ -76,7 +76,11 @@ AUTO = "auto"
 #: reference); ``view_forward`` renders one view end to
 #: end (frustum test, projection, binning, compositing, assembly) to a
 #: context that carries its maker's backward pass
-#: (:attr:`~repro.gaussians.rasterizer.RenderContext.backward`).
+#: (:attr:`~repro.gaussians.rasterizer.RenderContext.backward`) — of the
+#: model, or of the working set ``rows=`` names, which is read as
+#: ``model.gather(rows)``; over a serving session's
+#: :class:`~repro.kernels.workspace.Workspace` (``workspace=``) it returns
+#: only the image and the survivor count.
 #: ``assemble_rows`` is :class:`~repro.core.stores.GpuWorkingSet`'s selective
 #: load over row indices, ``zero_rows`` both stores' ``zero_grads``, and
 #: ``adam_rows`` the fused Adam step in place over rows of a packed layout

@@ -1,7 +1,12 @@
-"""The host memory one engine's training steps run in, allocated once.
+"""The host memory one engine's training steps — or one serving session's
+renders — run in, allocated once.
 
-A :class:`Workspace` belongs to one engine (``EngineBase._workspace``) and
-outlives its batches.  The ``native`` backend's ``view_train`` op runs a
+A :class:`Workspace` belongs to one engine (``EngineBase._workspace``) or
+one :class:`~repro.serving.session.ServingSession` (``.workspace``) and
+outlives its batches.  A served request is the ``view_forward`` op with a
+workspace: its scratch, blocks, image and transmittance are arenas, the
+served model's arrays one binding, and the image it returns a copy, so
+nothing stays leased after the call.  The ``native`` backend's ``view_train`` op runs a
 view's four C calls (project, composite, loss, backward) over its
 **arenas**, and its ``train_step`` op a whole CLM microbatch — the working
 set's selective load, that view, the gradient accumulation and offload —

@@ -10,11 +10,17 @@ fingerprint-keyed :class:`repro.planning.PlanCache` — a recurring batch
 composition (viewers dwelling on a guided tour, a hot viewpoint) skips
 culling-set algebra and ordering entirely.
 
-Execution is forward-only: each step gathers its working set and renders
-through a callable with the :class:`EngineBase <repro.engines.base.EngineBase>`
-forward contract (``fn(camera, model_like) -> RenderResult``), normally
-:meth:`repro.engines.base.EngineBase.render_forward` — blend-state
+Execution is forward-only: each step renders its working set through one
+callable, ``render_rows(camera, rows)``, that the session fixes when it is
+built (:class:`~repro.serving.session.ServingSession`) — blend-state
 retention off, no gradient buffers (see :mod:`repro.core.memory_model`).
+With the library's renderer it is the ``view_forward`` kernel op reading
+the served model through the rows, into the session's workspace arenas,
+and it returns a :class:`ServedImage`: the image is the caller's own copy,
+while every other block stays in the arenas, valid until the next render.
+With a custom renderer (the :class:`EngineBase
+<repro.engines.base.EngineBase>` forward contract, ``fn(camera, model_like)
+-> RenderResult``) it is that function over ``model.gather(rows)``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,19 @@ from repro.serving.resilience import (
 
 #: The forward-render contract shared with ``EngineBase``.
 ForwardRenderFn = Callable[[Camera, object], object]
+#: How a batcher renders a step: ``fn(camera, rows)`` over the working set's
+#: rows of the served model, to a result with ``.image`` and
+#: ``.num_rendered``.
+RowsRenderFn = Callable[[Camera, np.ndarray], object]
+
+
+@dataclass(frozen=True)
+class ServedImage:
+    """A served render: the image (a copy the caller owns) and how many of
+    the working set's rows survived preprocessing."""
+
+    image: np.ndarray
+    num_rendered: int
 
 
 @dataclass
@@ -64,7 +83,7 @@ class ServingBatcher:
         self,
         model,
         planner: BatchPlanner,
-        render_fn: ForwardRenderFn,
+        render_rows: RowsRenderFn,
         cull_fn: Callable[[Camera], np.ndarray],
         lod: Optional[LodSelector] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -72,7 +91,7 @@ class ServingBatcher:
     ) -> None:
         self.model = model
         self.planner = planner
-        self.render_fn = render_fn
+        self.render_rows = render_rows
         self.cull_fn = cull_fn
         self.lod = lod
         self.resilience = resilience or ResilienceConfig()
@@ -186,8 +205,7 @@ class ServingBatcher:
                     retries = attempt + 1
                     continue
                 t1 = time.perf_counter()
-                sub = self.model.gather(step.working_set)
-                result = self.render_fn(group[0].camera, sub)
+                result = self.render_rows(group[0].camera, step.working_set)
                 render_s = time.perf_counter() - t1
                 clock += render_s
                 retries = attempt
@@ -231,5 +249,4 @@ class ServingBatcher:
         (the parity-test entry point; also handy for warmup)."""
         plan, groups, _levels = self.plan_requests([request])
         step = plan.steps[0]
-        sub = self.model.gather(step.working_set)
-        return self.render_fn(groups[step.view_id][0].camera, sub)
+        return self.render_rows(groups[step.view_id][0].camera, step.working_set)

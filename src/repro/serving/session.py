@@ -15,6 +15,17 @@ a whole arrival stream through the loop and returns a
     report = sess.serve(stream)
     print(report.p99_ms, report.plan_cache_hit_rate)
 
+One render path: the batcher renders every step through one
+``render_rows(camera, rows)`` fixed when the session is built.  With the
+library's renderer (a standalone session, or :meth:`ServingSession.from_engine`
+over an engine that renders with it) that is the ``view_forward`` kernel op
+over the session's :class:`~repro.kernels.workspace.Workspace`: the served
+model is read through the working set's rows — no gathered copy — into
+grow-only arenas, valid until the next render, and the image handed back is
+a copy (a :class:`~repro.serving.batcher.ServedImage`).  A custom
+``render_fn(camera, model_like)`` is wrapped once as ``render_fn(camera,
+model.gather(rows))``.
+
 Time model: arrivals live on a *virtual* clock (the stream's seeded
 arrival process); service advances that clock by the **measured** wall
 seconds of each plan/render call.  Request latency is therefore real
@@ -33,9 +44,17 @@ import numpy as np
 
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
+from repro.gaussians.render import render
 from repro.gaussians.spatial import CullingGrid
+from repro.kernels import compile_with_fallback, resolve_backend, view_spec
+from repro.kernels.workspace import Workspace
 from repro.planning.planner import BatchPlanner
-from repro.serving.batcher import ForwardRenderFn, ServingBatcher
+from repro.serving.batcher import (
+    ForwardRenderFn,
+    RowsRenderFn,
+    ServedImage,
+    ServingBatcher,
+)
 from repro.serving.lod import LodConfig, LodSelector
 from repro.serving.metrics import (
     STATUS_EXPIRED,
@@ -102,17 +121,16 @@ class ServingSession:
     ) -> None:
         self.model = model
         self.config = config or ServingConfig()
+        #: The arenas every served render runs in (the library renderer's).
+        self.workspace = Workspace()
         if render_fn is None:
-            # Standalone path: the library renderer with forward-only
-            # settings.  Engine-backed sessions pass
-            # ``engine.render_forward`` instead (the shared EngineBase
-            # path), which applies the same cache_blend_state=False rule.
-            from repro.gaussians.render import render
+            # The library renderer with forward-only settings, reading the
+            # served model through the rows.
+            render_rows = self._bind_rows(forward_only_settings(settings or RasterSettings()))
+        else:
 
-            resolved = forward_only_settings(settings or RasterSettings())
-
-            def render_fn(camera, model_like, _s=resolved):
-                return render(camera, model_like, _s)
+            def render_rows(camera, rows):
+                return render_fn(camera, model.gather(rows))
 
         self.grid = CullingGrid(
             model.positions,
@@ -135,12 +153,26 @@ class ServingSession:
         self.batcher = ServingBatcher(
             model,
             self.planner,
-            render_fn,
+            render_rows,
             cull_fn=self.grid.query,
             lod=self.lod,
             resilience=self.config.resilience,
             fault_injector=self.config.fault_injector,
         )
+
+    def _bind_rows(self, settings: RasterSettings) -> RowsRenderFn:
+        """``render_rows`` over the ``view_forward`` op, resolved once for
+        the served model's layout on ``settings``' kernel backend."""
+        op, _ = compile_with_fallback(
+            resolve_backend(settings.kernel_backend),
+            view_spec(settings.np_dtype, self.model),
+        )
+        model, workspace = self.model, self.workspace
+
+        def render_rows(camera, rows):
+            return ServedImage(*op(camera, model, settings, rows, workspace))
+
+        return render_rows
 
     @classmethod
     def from_engine(
@@ -149,14 +181,20 @@ class ServingSession:
         """Serve an engine's model through its own forward path.
 
         The model is snapshotted once (serving is read-only; training may
-        resume afterwards) and renders go through
-        :meth:`repro.engines.base.EngineBase.render_forward`, so serving
-        and training share one renderer resolution and one forward-only
-        settings rule — and one frustum arbiter: the grid culls on the
-        kernel backend those settings render on.
+        resume afterwards) and rendered with the engine's forward-only
+        settings (:attr:`~repro.engines.base.EngineBase.serving_raster_settings`),
+        so serving and training share one renderer resolution and one
+        forward-only settings rule — and one frustum arbiter: the grid
+        culls on the kernel backend those settings render on.  An engine
+        that renders with the library's ``render`` is served by the bound
+        op, as a standalone session is; one with a custom renderer through
+        :meth:`~repro.engines.base.EngineBase.render_forward` over the
+        gathered working set.
         """
+        own = getattr(engine, "_render", None) is render
         return cls(
-            engine.snapshot_model(), config, render_fn=engine.render_forward,
+            engine.snapshot_model(), config,
+            render_fn=None if own else engine.render_forward,
             settings=engine.serving_raster_settings,
         )
 
@@ -242,8 +280,8 @@ class ServingSession:
     # ------------------------------------------------------------------
     def render_request(self, request: RenderRequest):
         """Render one request immediately (no queueing) through the same
-        cull/LOD/plan/render path ``serve`` uses; returns the
-        ``RenderResult``."""
+        cull/LOD/plan/render path ``serve`` uses; returns what
+        ``render_rows`` does (``.image``, ``.num_rendered``)."""
         return self.batcher.render_one(request)
 
     def mean_composited(

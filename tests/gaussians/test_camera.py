@@ -67,6 +67,33 @@ def test_degenerate_up_vector_handled():
     assert np.isfinite(cam.rotation).all()
 
 
+def np_cross_rotation(eye, target, up):
+    """``look_at_camera``'s rotation built with ``np.cross``, as it was."""
+    eye, target, up = (np.asarray(v, dtype=np.float64) for v in (eye, target, up))
+    forward = target - eye
+    forward = forward / np.linalg.norm(forward)
+    if abs(np.dot(forward, up) / max(np.linalg.norm(up), 1e-12)) > 0.999:
+        up = np.array([1.0, 0.0, 0.0]) if abs(forward[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    right = np.cross(forward, up)
+    right = right / np.linalg.norm(right)
+    return np.stack([right, np.cross(forward, right), forward], axis=0)
+
+
+def test_look_at_rotation_is_the_np_cross_construction_bit_for_bit():
+    rng = np.random.default_rng(7)
+    poses = [
+        (rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2), rng.standard_normal(3),
+         rng.standard_normal(3))
+        for _ in range(500)
+    ]
+    # The degenerate-up branch, both of its fallback axes.
+    poses += [((0, 0, 5), (0, 0, 0), (0, 0, 1)), ((5, 0, 0), (0, 0, 0), (1, 0, 0))]
+    poses += [((0, 0, 0), (1e-3, 0, 1), (0, 0, 1)), ((0, 0, 0), (1, 1e-4, 0), (-1, 0, 0))]
+    for eye, target, up in poses:
+        cam = look_at_camera(eye=eye, target=target, up=up)
+        assert np.array_equal(cam.rotation, np_cross_rotation(eye, target, up))
+
+
 def test_coincident_eye_target_rejected():
     with pytest.raises(ValueError):
         look_at_camera(eye=(1, 1, 1), target=(1, 1, 1))

@@ -109,8 +109,9 @@ def test_a_missing_entry_point_fails_at_load():
 
 
 def test_a_nonzero_status_from_view_project_raises(quick):
-    """``view_project`` has no failure of its own today; its status is
-    checked all the same, so a mutant that returns one fails the render."""
+    """``view_project``'s one failure of its own is a working-set row outside
+    the model (``IndexError``); every status it returns is checked, so a
+    mutant that returns another fails the render."""
     lib = NativeLibrary(mutant(
         "    work.head[4] = area;\n    return STATUS_OK;",
         "    work.head[4] = area;\n    return STATUS_NO_MEMORY;",
