@@ -292,6 +292,8 @@ def grid_cull(grid: CullingGrid) -> GridOps:
     (:func:`~repro.gaussians.frustum.exact_cull` on ``numpy``).  Its refit
     widens the moved rows' cells with ``np.minimum.at`` /
     ``np.maximum.at``."""
+    from repro.kernels.numpy_backend import index_rows
+
     if grid.offsets is None:
         grid._build()
 
@@ -314,9 +316,7 @@ def grid_cull(grid: CullingGrid) -> GridOps:
         return [cull_one(p) for p in planes]
 
     def refit(rows: np.ndarray) -> bool:
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size and not 0 <= rows.min() <= rows.max() < grid.num_gaussians:
-            raise IndexError(f"grid_cull refit: a row outside [0, {grid.num_gaussians})")
+        rows = index_rows(rows, grid.num_gaussians, "grid_cull refit")
         slots = grid.slots[rows]
         cells = np.searchsorted(grid.offsets, slots, side="right") - 1
         moved = _slots_of(grid, rows)

@@ -1,227 +1,107 @@
 """The ``native`` kernel backend — a view, its loss, CLM's data path, a
 batch's plan and a whole CLM microbatch in C, built at first use.
 
-Where the NumPy reference streams a view through a few hundred small
-array calls (projection, binning, ~25 whole-tensor passes over padded
-``(G, T, P)`` slabs, the gradient chain), ``native_kernels.c`` runs it as
-three native calls:
+``native_kernels.c`` exports thirteen entry points; each of its sections
+documents its loops and the NumPy reference it reproduces.  Python binds
+them to the ten kernel ops:
 
-- ``view_forward`` is two — ``view_project`` (the 3-sigma frustum test and
-  ``preprocess`` for the rows it lets through, then the counting half of
-  ``build_tile_bins``: it reports how many rows survived, how many tiles
-  are non-empty and how many ``(tile, splat)`` entries there are) and
-  ``view_composite`` (fills the CSR arrays, composites, crops the image).
-  ``view_project``'s input is the model's arrays and a ``rows`` operand:
-  ``NULL`` means every row in order (training, a direct ``render``), and
-  a working set — ``view_forward(..., rows=)`` — is read through in place,
-  each row checked to lie inside the model before anything is written
-  (``IndexError`` otherwise, as ``exact_cull``).  Survivor ids are
-  positions in the working set, so the render is ``model.gather(rows)``'s
-  bit for bit, without the copy;
-- ``view_backward`` is one: the compositing gradient, then
-  ``_chain_to_parameters`` scattered to the five full-size arrays.
+- ``exact_cull`` — the 3-sigma frustum verdict (``static in_frustum``, the
+  one arithmetic ``view_project`` and ``grid_cull`` apply too) on named
+  rows of the full critical arrays, each walked with its own row stride,
+  so ``GpuCriticalStore``'s column views of its ``(N, 10)`` block run in
+  place.  ``grid_cull`` is a :class:`~repro.gaussians.spatial.CullingGrid`
+  (:func:`_bind_grid`): ``grid_build`` bins the rows by a counting sort,
+  ``grid_refit`` refills the slots of moved rows and widens their cells,
+  ``grid_cull`` answers a batch of views in one call.  Against the
+  reference the index sets are equal except on a rounding tie, a signed
+  distance within a few ulps of a plane;
+- ``view_forward`` — ``view_project`` (frustum test, projection and the
+  counting half of binning, over every row or a working set ``rows`` read
+  in place) then ``view_composite`` (the CSR bins, compositing, the crop)
+  (:func:`_forward`), and ``view_backward`` for the context's backward
+  pass.  Between the two forward calls a render's own blocks are sized by
+  what survived: one float64 block of 52 values a survivor (:data:`_FIELDS`),
+  one int64 block (ids, then ``tile_ids | offsets | order``), the clamp
+  mask and, when the backward pass reads them
+  (``RasterSettings.cache_blend_state``), the blend records.  A direct
+  call allocates them, exactly sized, and cuts them into the
+  ``RenderContext``; a served request (``rows=``, ``workspace=``) takes
+  them from a :class:`~repro.kernels.workspace.Workspace`'s arenas and
+  returns a copy of the image and the survivor count;
+- ``assemble_rows``, ``zero_rows``, ``adam_rows`` — CLM's data path over
+  row indices, bit-identical to NumPy: each call checks every row before it
+  writes (one outside the store: ``IndexError``; one not a member, in
+  order, of the set it indexes, or a repeated Adam row: ``ValueError``);
+- ``photometric_loss`` — L1 + SSIM and its image gradient over the
+  target's kept moments, within 1e-14 (value) and 1e-13 of the largest
+  gradient entry of the reference's banded-matrix GEMMs;
+- ``view_train`` — a training view (:func:`_bind_train`): the four view
+  and loss calls over an engine's workspace, no context built;
+- ``plan_batch`` — a batch's plan in one call (:func:`_bind_plan`), into
+  one int64 buffer of which every array of the plan is a read-only slice;
+- ``train_step`` — a CLM microbatch in one call (:func:`_bind_step`):
+  load, view, loss, backward, gradient offload, over the engine's
+  workspace, the working set's block and carried gradients double-buffered
+  so a call can be run again when its render outgrows the arenas
+  (``STATUS_ARENA_SHORT``); a failing stage (:data:`_STEP_STAGES`) raises
+  what that entry point would.
 
-Between the two forward calls the render's own buffers are sized by what
-survived (:func:`_kept_blocks`): **one float64 block** of 52 values a
-survivor (:data:`_FIELDS`: means2d, depths, t_cam, offsets, cov_cam,
-cov2d, conics, colours, opacities, radii, scales, quat norms, unit quats,
-rotations, dirs, dir norms — field after field, each C-contiguous), one
-int64 block (ids, then ``tile_ids | offsets | order``) and one byte block
-(the clamp mask), plus the blend records below when the backward pass is
-to read them.  One forward body (:func:`_forward`) makes both calls for
-every caller; only where the blocks come from differs:
-
-- a direct ``view_forward`` call — ``evaluate``, ``render_view``, any
-  ``render`` — allocates them, and ``view_project``'s scratch (sized by
-  the *input* rows, dead after the call), per call, each at its exact
-  size.  ``ProjectedGaussians``, ``GaussianShape`` and ``TileBins`` are
-  views into them and ride on ``RenderContext.blocks``, which no other
-  render shares: a 20 000-row model of which 130 rows survive retains 130
-  rows.
-- a served request is ``view_forward(..., rows=, workspace=)`` over a
-  :class:`~repro.serving.session.ServingSession`'s
-  :class:`~repro.kernels.workspace.Workspace`: the scratch, every block,
-  the image and the transmittance are grow-only arenas, the served
-  model's arrays are checked and their addresses taken once
-  (:meth:`~repro.kernels.workspace.Workspace.binding`), and the call
-  returns a copy of the image and the survivor count — no context,
-  projection or bins.
-- an engine's training view is the ``view_train`` op (below): the same
-  calls and the loss's over the engine's
-  :class:`~repro.kernels.workspace.Workspace`, whose grow-only arenas hold
-  the scratch, every block, the image, the loss gradient and the parameter
-  gradients.  They are allocated once per engine (and grown with the
-  largest view seen), their addresses taken then; a view builds no
-  context, projection or bins, and one view at a time holds them, under
-  the workspace's lease.
-
-What pays is few calls over few pointers: ctypes marshalling costs 2.8 us
-an ``ndpointer`` argument and ~1.1 us an ``ndarray.ctypes`` address, so
-every call passes raw addresses (:func:`_address`, ~0.35 us) once the
-operand checks (:func:`_buffer`, :func:`_model_arrays`) have passed.
-
-The 3-sigma frustum verdict is one ``static`` C function, ``in_frustum``,
-called from three places: ``view_project``, per input row, the
-``exact_cull`` op behind :func:`repro.gaussians.frustum.exact_cull`, and
-``grid_cull`` (below) — so
-under this backend, as under the reference, pre-rendering culling and
-rendering execute one arithmetic and agree on every row bit for bit.
-``exact_cull`` walks the named rows over the *full* critical arrays without
-gathering them and takes a row stride per array, so the strided views of
-``GpuCriticalStore``'s packed ``(N, 10)`` block run here too.  Training's
-and serving's cull, ``grid_cull`` (:class:`~repro.gaussians.spatial.CullingGrid`),
-is three entry points over the grid's cell tables and a copy of the
-critical rows in cell order (:func:`_bind_grid`): ``grid_build`` bins the
-rows by a counting sort and fills the tables, ``grid_refit`` refills the
-slots of rows an optimizer moved and widens their cells, and
-``grid_cull`` answers a batch of views in one call — it classifies each
-cell against each view's six planes, takes the members of cells wholly
-inside them and puts the members of boundary cells to ``in_frustum``,
-after a bounding-sphere test of each member's own.  Its distances are
-summed as ``in_frustum`` sums a centre's, so a cell it finds inside holds
-only rows the arbiter accepts on its accept path.  Against the
-reference (:func:`~repro.gaussians.frustum.ellipsoids_in_frustum`, whose
-signed distances come out of a BLAS product) the index sets are equal
-except on a rounding tie, ``|n . p + d + r|`` within a few ulps.
-
-Inside, the view calls run two ``static`` compositing loops
-(``raster_forward`` / ``raster_backward``, called by ``view_composite`` and
-``view_backward`` only): they walk the CSR
-:class:`~repro.gaussians.rasterizer.TileBins` once per tile and keep the
-compositing recurrence in registers, like the paper's CUDA kernels: per
-``(tile, splat)`` entry only the pixels of the splat's thresholded
-footprint rectangle (computed once per splat) are visited, and along each
-of its rows ``exp`` is taken once at the first cell past the cut, then
-advanced by two multiplies a cell — re-anchored every 8 cells, and
-recomputed with libm wherever the value lies within 1e-12 of the alpha
-threshold, so that libm decides which cells pass.  With
-``RasterSettings.cache_blend_state`` ``view_composite`` keeps the exp
-value, ``T_before`` and pixel of every cell that passed — the **blend
-records**, sized by the footprint area ``view_project`` reports — and
-``view_backward`` walks them back to front in one sweep; without it (under
-a GPU pool and for forward-only renders) the backward pass first replays
-the forward through the same walk to regenerate them, to bit-identical
-gradients.  Nothing here is grouped into slabs, so the NumPy reference's
-tiles-per-slab cap has no counterpart.  The context ``view_forward``
-returns carries that backward call (``RenderContext.backward``), so
-``rasterize_backward`` runs it with no dispatch of its own.
-
-CLM's data path is the third part, one native call per op over row
-indices: ``assemble_rows`` (``GpuWorkingSet.assemble``: cache copies,
-pinned-row loads and the critical gather into one block per working set,
-gradients zeroed but for the carried rows), ``zero_rows`` (both stores'
-``zero_grads``) and ``adam_rows`` (``PackedSparseAdam`` / ``SparseAdam``:
-the fused Adam step in place over the rows, no gathered block).  Where the
-reference places a set with ``np.searchsorted`` the C walks it through the
-sorted set it indexes, needing no scratch, and each call checks every row
-before it writes: one outside the store raises ``IndexError``, one that is
-not a member, in order, of the set it indexes (or, for Adam, one that
-repeats) ``ValueError``.  These calls are copies, adds and
-``fused_adam_update``'s operations in its order, so unlike the view ops
-they are bit-identical to NumPy; so are the ``static`` ``add_grads_rows``
-and ``retire_rows`` (``GpuWorkingSet.add_grads`` / ``retire``: the
-gradient accumulation, the offload into the padded pinned gradient rows
-and the carried copy), which only ``train_step`` calls.
-
-The fourth part is the training loss between a view's two passes,
-``photometric_loss``: ``(1 - l) L1 + l (1 - SSIM)`` and its image
-gradient in one call over the target's kept
-:class:`~repro.gaussians.loss.TargetMoments`.  The separable, zero-padded
-window sums each output in a register, the centre tap and then the
-``(size - 1) / 2`` symmetric pairs of taps, a row pass and then a column
-pass clipped at the image border; the SSIM map and its gradient are
-``ssim_with_grad``'s algebra, term for term.  The scratch is one ``malloc``
-a call.  The reference multiplies by banded matrices, whose zero-padded
-rows BLAS sums in its own order, so the two agree to rounding, not bit for
-bit: the value within 1e-14, the gradient within 1e-13 of its largest
-entry on random images.  On real renders the gradient differs by up to
-3e-13 of it, where a flat window makes it a cancellation and each side is
-~1e-13 from a long-double sum.  A grayscale image and L1 alone (no
-moments) stay on the reference.
-
-``view_train`` (:func:`_bind_train`) is a whole training view as one bound
-op: ``view_project``, ``view_composite``, ``photometric_loss`` and
-``view_backward`` over an engine's workspace, with the operand checks of
-the three ops it replaces, bit-identical to them dispatched one by one
-(:func:`repro.gaussians.render.train_view`, its reference).
-
-The fifth part is a batch's plan, ``plan_batch`` (:func:`_bind_plan`): the
-sets concatenated into one buffer with offsets, one call checks that each
-is sorted, duplicate-free and inside the model, searches the order when it
-is not given (``|S_i ^ S_j|`` from merges of the sorted runs, then
-:mod:`repro.planning.tsp_order`'s local search move for move, priced in
-int64, its restarts drawn in Python from the planner's generator), and
-writes the order, every step's working set and partitions, the touched
-union and the Adam chunks into one int64 buffer the plan owns; every array
-of the plan is a read-only slice of it.  It is the reference's index
-algebra, so the plans are ``np.array_equal`` wherever both searches run to
-convergence.
-
-``train_step`` (:func:`_bind_step`) is a whole CLM microbatch as one C
-call, the sixth part of the file: ``assemble_rows``, the four calls of the
-training view (the image gradient divided by the batch between them),
-``add_grads_rows`` and ``retire_rows``, one after the other inside C — the
-functions themselves, not copies — over the engine's workspace.  The
-working set's block and the carried gradients are double-buffered arenas
-(the last step's stay readable while the next is written), the render's
-blocks are checked against their arenas' capacities once ``view_project``
-has counted them, before any store is written, and a shortfall
-(``STATUS_ARENA_SHORT``) is grown in Python and the call made again, as
-``adam_rows`` does with its tables.  The C stamps the forward and backward
-halves from ``CLOCK_MONOTONIC``; a failing call names its stage
-(:data:`_STEP_STAGES`), and the binding raises what that entry point would.
-The stores' packed buffers, each view's camera vectors and each target's
-moments are checked and their addresses taken once
-(:meth:`~repro.kernels.workspace.Workspace.binding`), again only when one
-of them is replaced — a ``rebuild`` builds new stores; a restore writes
-them in place.  The working set's pool accounting and transfer counters
-stay in Python (``GpuWorkingSet.reserve`` / ``hold``), as in the reference
-composition :func:`repro.core.stores.train_step`, to which it is
-bit-identical.
+The view calls are not bit-equal to NumPy (which reduces through BLAS);
+they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
+oracle in ``tests/reference/``.
 
 **The ABI is declared once.**  What the C and Python sides must agree on
 is written in one place each and read by the other:
 
-- every entry point's argument types are read from its own prototype in
-  ``native_kernels.c`` (:func:`prototypes`, the MOT
-  ``_simple_cl_function_parser`` idiom of SNIPPETS.md): ``int64_t`` and
-  ``double`` pass by value, a pointer to one of the array element types
-  of :data:`_ELEMENTS` passes as an address, and any other type is an
-  :class:`AbiError` at load;
-- the field layout of a render's block (:data:`_FIELDS`), the ``params``
-  vector (:data:`_PARAMS`), the status codes (:data:`_STATUS`), and the
-  constants the C shares with the NumPy reference
-  (``rasterizer._FOOTPRINT_MARGIN``, ``sh._C0`` .. ``_C3``) are Python;
-  :func:`header` generates the C for them, which :func:`kernel_source`
-  prepends to the file — that whole text is what is hashed, compiled and
-  parsed;
-- every call goes through one checked binding (:func:`_checked`): the
-  argument count is compared with the prototype's before the call, and a
-  nonzero status raises what :data:`_RAISES` says it stands for (a
-  failing stage of ``train_step``: :data:`_STAGE_RAISES`).
+- each entry point's parameters are read from its prototype
+  (:func:`prototypes`, the MOT ``_simple_cl_function_parser`` idiom of
+  SNIPPETS.md) with their C types: ``int64_t`` and ``double`` by value, a
+  pointer to an element type of :data:`_ELEMENTS` by address, anything
+  else an :class:`AbiError`;
+- each entry point's operands are declared once, in prototype order
+  (:data:`_OPERANDS`, the MOT ``KernelInputBuffer`` / ``KernelInputScalar``
+  idiom): an :class:`Operand` is a name, a C type and, for an array, a
+  symbolic shape (``[n, 3]``, ``[m * (2 * k3 + 12)]``) and whether the C
+  writes it, walks it row-strided, reads it as an index vector, takes it
+  ``restrict`` or converts it.  A declaration that is not its prototype —
+  a name, the count, the order, an element type — is an :class:`AbiError`
+  before anything is built;
+- one binder (:class:`_Binder`) checks and converts what a caller hands an
+  op, by the operands' declared names, into an argument list in prototype
+  order, and sizes the blocks and arenas a binding allocates.  A refusal
+  is ``ValueError("native <entry>: <operand> is ..., not ...")``, but
+  ``IndexError`` for an index vector of another kind than integers, as
+  NumPy's.  What a binding makes itself — an arena's address, a count —
+  goes into its slot unchecked; what it checks once (the stores, a view's
+  vectors, a target's moments, a grid's tables, a served model) it keeps
+  in a :meth:`~repro.kernels.workspace.Workspace.binding`.  The hot calls
+  (a view's forward and backward, ``train_step``) are made over
+  positional lists, which :func:`_checked` counts;
+- a nonzero status raises what :data:`_RAISES` says it stands for;
+- the layout of a render's block (:data:`_FIELDS`), the ``params`` vector
+  (:data:`_PARAMS`), the status codes (:data:`_STATUS`) and the constants
+  the C shares with the reference (``rasterizer._FOOTPRINT_MARGIN``,
+  ``sh._C0`` .. ``_C3``) are Python: :func:`header` generates their C,
+  which :func:`kernel_source` prepends to the file — that text is what is
+  hashed, compiled and parsed.
 
-So a mismatch is an error at load or at the first call, never memory
-corruption, and editing the declaration rebuilds the library.
+So a mismatch is an error at load or a refusal at the call, never memory
+corruption, and editing a declaration rebuilds the library.  ctypes
+marshalling costs 2.8 us an ``ndpointer`` argument, so every call passes
+raw addresses (:func:`_address`, ~0.35 us).
 
-The kernels are kept as C source inside the package and compiled at run
-time (the MOT ``CLFunction`` idiom of SNIPPETS.md) with the first of
-``$CC``, ``cc``, ``gcc``, ``clang`` found on ``PATH``:
+The library is built at run time (the MOT ``CLFunction`` idiom) with the
+first of ``$CC``, ``cc``, ``gcc``, ``clang`` on ``PATH``:
 
 - flags :data:`CFLAGS` — no ``-ffast-math``, no ``-march``, no FMA
   contraction, one thread: every operation rounds as an IEEE double in
-  program order, so two runs are ``np.array_equal`` on any x86-64/aarch64
-  host and the results sit inside the 1e-12 image / 1e-10 gradient bars of
-  the per-tile oracle in ``tests/reference/`` (not bit-equal to NumPy,
-  which reduces through BLAS);
+  program order, so two runs are ``np.array_equal`` on any host;
 - built once per ``sha256(kernel_source() + flags + "cc --version")`` into
   ``${XDG_CACHE_HOME:-~/.cache}/repro-kernels/`` (created 0700) through a
-  temporary file and an atomic rename; the file name also carries the
-  digest of the library itself, so a truncated or altered file is rebuilt,
-  never loaded;
-- a cache that is not the user's own — the directory cannot be created or
-  written, or it or a cached file is owned by someone else or writable by
-  others — is not used: the library is built into a private ``mkdtemp``
-  for this process instead;
+  temporary file and an atomic rename; the file name carries the digest of
+  the library itself, so a truncated or altered file is rebuilt, never
+  loaded; a cache that is not the user's own is not used (a private
+  ``mkdtemp`` instead);
 - loaded through :mod:`ctypes` (which releases the GIL around each call)
   under a lock, once per process.
 
@@ -229,15 +109,13 @@ Without a compiler the backend registers as unavailable and ``auto``
 lands on NumPy silently.  A build, parse or load that fails raises from
 :meth:`~repro.kernels.registry.KernelBackend.compile`, which
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
-:class:`RuntimeWarning`; the failure is remembered, so from then on the
-backend reports itself unavailable (``repro backends`` shows the reason)
-and every caller runs on the reference.  All ten ops are implemented,
-over float64 C-contiguous operands (``exact_cull`` and ``grid_cull``:
-float64 rows, each contiguous): a float32 blend state (``dtype="float32"``), a model array
-that is float32 or not C-contiguous, float32 gradient staging
-(``grad_dtype="float32"``) and a training view or step on L1 alone stay on
-NumPy, whole, through the registry's per-op fallback; a backward pass over
-a context NumPy made or whose projection was replaced runs the reference's.
+:class:`RuntimeWarning`; from then on the backend reports itself
+unavailable (``repro backends`` shows why).  A spec whose operands are
+not the declared ones — a float32 model, blend state or gradient staging,
+a strided model array, a grayscale image, a loss without moments (L1
+alone) — stays on NumPy, whole, through the registry's per-op fallback;
+a backward pass over a context NumPy made, or whose projection was
+replaced, runs the reference's.
 """
 
 from __future__ import annotations
@@ -258,20 +136,16 @@ import tempfile
 import threading
 import time
 import types
+import weakref
 from importlib import resources
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.gaussians import rasterizer, sh, spatial
 from repro.gaussians.frustum import _PREFILTER_MARGIN, frustum_planes
-from repro.kernels.registry import (
-    KernelBackend,
-    KernelSpec,
-    register_backend,
-    rows_contiguous,
-)
+from repro.kernels.registry import KernelBackend, KernelSpec, register_backend
 from repro.kernels.workspace import Workspace
 
 SOURCE = "native_kernels.c"
@@ -284,11 +158,6 @@ CFLAGS = (
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
-_ROW_OPS = ("assemble_rows", "zero_rows", "adam_rows")
-_OPS = frozenset({
-    "exact_cull", "grid_cull", "view_forward", *_ROW_OPS, "photometric_loss", "view_train",
-    "plan_batch", "train_step",
-})
 
 # ---------------------------------------------------------------------------
 # The ABI declaration: the C side's F_* / W_*, P_*, STATUS_*, STAGE_* and OUT_*
@@ -341,11 +210,15 @@ _STEP_OUT = (
     "forward_ns", "backward_ns",
 )
 #: Parameter types of an entry point: the scalars ctypes passes by value,
-#: and the element types of the arrays passed by address (``c_void_p``).
-#: Anything else — ``float`` among them, until precision is a parameter of
-#: the source — is an :class:`AbiError` at load.
+#: and the element types of the arrays passed by address (``c_void_p``),
+#: each with the NumPy dtype it is on this side (a ``uint8_t`` array is a
+#: boolean mask).  Anything else — ``float`` among them, until precision is
+#: a parameter of the source — is an :class:`AbiError` at load.
 _SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
-_ELEMENTS = frozenset({"double", "int64_t", "int32_t", "uint8_t"})
+_ELEMENTS = {
+    "double": np.dtype(np.float64), "int64_t": np.dtype(np.int64),
+    "int32_t": np.dtype(np.int32), "uint8_t": np.dtype(np.bool_),
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -373,7 +246,240 @@ def _cut(block: np.ndarray, m: int, layout: list) -> dict:
 _RETAINED_LAYOUT, _RETAINED = _layout(_FIELDS)  # 52 doubles
 _SCRATCH = _layout(_FIELDS + _SCRATCH_FIELDS)[1]  # + the five raster operands
 _PARAM_SIZE = sum(width for *_, width in _PARAMS)
-_FLOAT64 = np.dtype(np.float64)
+
+
+# ---------------------------------------------------------------------------
+# The operands of every entry point, declared once
+# ---------------------------------------------------------------------------
+class Operand(NamedTuple):
+    """One parameter of an exported entry point, as :class:`_Binder` checks,
+    converts and passes it (the ``KernelInputBuffer`` /
+    ``KernelInputScalar`` idiom of SNIPPETS.md).
+
+    ``ctype`` is the C type: a scalar's, passed by value, when ``shape`` is
+    None; else an array's element type, passed by address.  A shape entry
+    is an ``int``; a dimension's name, taken from the first operand that
+    has it (or from a scalar of that name) and checked against every other;
+    an expression over names, checked once they are known; or, last,
+    ``"*name"``: the remaining axes, whose product is that dimension.  A
+    scalar that names a dimension is passed its extent."""
+
+    name: str
+    ctype: str
+    shape: Optional[tuple] = None
+    #: The C writes it: it must be writable.
+    write: bool = False
+    #: Row-strided: each row's values are adjacent and rows a whole number
+    #: of elements apart (``GpuCriticalStore``'s column views), the stride
+    #: passed as this parameter, next.
+    stride: Optional[str] = None
+    #: Its rows hold at least the declared row (a packed layout's padding
+    #: travels through); the leading extent is exact.
+    padded: bool = False
+    #: An index vector into this dimension: integer rows are converted to
+    #: int64, any other kind refused with ``IndexError``; the C checks
+    #: their bounds before it writes.
+    index: Optional[str] = None
+    #: May share no memory with another ``restrict`` operand of the call.
+    restrict: bool = False
+    #: May be absent: passed as NULL (a scalar: 0).
+    optional: bool = False
+    #: Converted to the declared element type and C order (a scalar
+    #: broadcast to the declared shape) rather than refused.
+    cast: bool = False
+
+    def layout(self) -> tuple:
+        """``(dtype, lowest rank, highest rank)`` of the arrays this operand
+        takes, as a spec's :class:`~repro.kernels.registry.KernelData`
+        names them."""
+        rank = len(self.shape)
+        if self.padded:
+            return _ELEMENTS[self.ctype].name, 1, 64
+        if str(self.shape[-1]).startswith("*"):
+            return _ELEMENTS[self.ctype].name, rank - 1, 64
+        return _ELEMENTS[self.ctype].name, rank, rank
+
+
+_PARAMETER = re.compile(r"\s*(\w+)\s+(\w+)\s*(?:\[(.*?)\])?\s*(.*)")
+_FLAG = re.compile(r"(\w+)(?:\((\w+)\))?")
+
+
+def _declare(text: str) -> tuple:
+    """The :class:`Operand` of each ``;``-separated parameter of ``text``:
+    ``ctype name``, an array's ``[shape]`` after its name, then its flags —
+    ``write``, ``cast``, ``restrict``, ``optional``, ``padded``,
+    ``index(dimension)``, ``stride(parameter)``."""
+    operands = []
+    for param in text.split(";"):
+        ctype, name, shape, flags = _PARAMETER.fullmatch(param).groups()
+        if shape is not None:
+            shape = tuple(int(e) if e.strip().isdigit() else e.strip() for e in shape.split(","))
+        flags = {flag: value or True for flag, value in _FLAG.findall(flags)}
+        operands.append(Operand(name, ctype, shape, **flags))
+    return tuple(operands)
+
+
+#: The selection-critical arrays, each walked with its own row stride.
+_CRITICAL = (
+    "double positions[n, 3] stride(p_stride); double log_scales[n, 3] stride(s_stride);"
+    " double quats[n, 4] stride(q_stride)"
+)
+#: A culling grid's per-cell tables.
+_CELLS = (
+    "double cell_lo[{0}, 3] {1}; double cell_hi[{0}, 3] {1}; double cell_radius[{0}] {1};"
+    " uint8_t cell_finite[{0}] {1}"
+)
+#: ``view_project``'s int64 work block over ``n`` input rows: five counts,
+#: per-row ids / footprints / tile spans, a per-tile count, the clamp bits.
+_WORK = "5 + 7 * {0} + -(-width // sub) * -(-height // sub) + (3 * {0} + 7) // 8"
+#: A render's own blocks, sized by what survived: the fields, the ids and
+#: CSR arrays (``tile_ids | offsets | order``), the clamp mask and —
+#: optional — the C's ``records_t``: ``tiles * sub * sub`` final ``T``
+#: values then the exp values and ``T_before`` of at most ``cap`` cells,
+#: their tile-local pixels, ``entries + 1`` ends.
+_RENDER = (
+    f"double kept[{_RETAINED} * m] {{0}}; int64_t ikept[m + 2 * tiles + 1 + entries] {{0}};"
+    " uint8_t clamp[3 * m] {0}; double rec_f[tiles * sub * sub + 2 * cap] optional {0};"
+    " int32_t rec_p[cap] optional {0}; int64_t rec_end[entries + 1] optional {0}"
+)
+#: Rows the last step held and its values over them (absent: none).
+_HELD = (
+    "int64_t {0}[{1}] index(n) optional; int64_t {1} optional;"
+    " double {2}[{1}, k, 3] optional {4}; double {3}[{1}] optional {4}"
+)
+_MOMENTS = "double uy[{0}]; double uy2_c1[{0}]; double vy_c2[{0}]"
+
+#: Every exported entry point's parameters, in prototype order: the names,
+#: count, order and element types are checked against the parsed prototype
+#: when the library loads (:func:`_binders`).
+_OPERANDS = {name: _declare(text) for name, text in {
+    "exact_cull": (
+        f"int64_t n; double planes[6, 4] cast; {_CRITICAL}; int64_t rows[count] index(n);"
+        " int64_t count; int64_t kept[count + 1] write"
+    ),
+    "grid_build": (
+        f"int64_t n; {_CRITICAL}; int64_t per_axis; int64_t cap; double frame[4] write;"
+        " int64_t head[2] write; int64_t members[n] write; int64_t offsets[cap + 1] write;"
+        f" int64_t slots[n] write; {_CELLS.format('cap', 'write')}; double block[n, 11] write"
+    ),
+    "grid_refit": (
+        f"int64_t n; {_CRITICAL}; int64_t rows[count] index(n); int64_t count;"
+        " int64_t slots[n]; int64_t cells; int64_t regular; int64_t offsets[cells + 1];"
+        f" double limit; {_CELLS.format('cells', 'write')}; double block[n, 11] write;"
+        " int64_t bloated[1] write"
+    ),
+    "grid_cull": (
+        "int64_t n; double planes[views, 6, 4] cast; int64_t views; int64_t cells;"
+        f" {_CELLS.format('cells', '')}; int64_t offsets[cells + 1]; int64_t members[n];"
+        " double rows[n, 11]; int64_t counts[views] write; int64_t kept[cap] write; int64_t cap"
+    ),
+    "view_project": (
+        "int64_t n; int64_t rows[n] index(total) optional; int64_t total;"
+        " double positions[total, 3]; double log_scales[total, 3]; double quats[total, 4];"
+        " double sh[total, k_stored, 3]; double logits[total]; double planes[6, 4] cast;"
+        f" int64_t k_stored; int64_t degree; double params[{_PARAM_SIZE}]; int64_t width;"
+        f" int64_t height; int64_t ts; int64_t sub; double f[{_SCRATCH} * n] write;"
+        f" int64_t iw[{_WORK.format('n')}] write"
+    ),
+    "view_composite": (
+        f"int64_t n; double f[{_SCRATCH} * n]; int64_t iw[{_WORK.format('n')}] write;"
+        f" double params[{_PARAM_SIZE}]; int64_t width; int64_t height; int64_t sub;"
+        f" {_RENDER.format('write')}; double image[height, width, 3] write;"
+        " double trans[height, width] write"
+    ),
+    "view_backward": (
+        "int64_t m; int64_t n; int64_t tiles; int64_t entries; int64_t cap optional;"
+        f" {_RENDER.format('')}; double sh[n, k_stored, 3]; int64_t k_stored; int64_t degree;"
+        f" double params[{_PARAM_SIZE}]; int64_t width; int64_t height; int64_t sub;"
+        " double d_image[height, width, 3] cast; double g_positions[n, 3] write;"
+        " double g_log_scales[n, 3] write; double g_quats[n, 4] write;"
+        " double g_sh[n, k_stored, 3] write; double g_logits[n] write"
+    ),
+    "assemble_rows": (
+        "int64_t n; int64_t k3; int64_t stride; double pinned[n, stride];"
+        " double critical[n, 10]; int64_t ws[m] index(n); int64_t m;"
+        " int64_t loads[num_loads] index(n); int64_t num_loads;"
+        " int64_t cached[num_cached] index(n); int64_t num_cached;"
+        f" {_HELD.format('prev', 'mp', 'prev_sh', 'prev_opacity', '')};"
+        f" {_HELD.format('carried', 'num_carried', 'carried_sh', 'carried_opacity', '')};"
+        " double block[m * (2 * k3 + 12)] write"
+    ),
+    "zero_rows": (
+        "int64_t n; int64_t width; double buffer[n, *width] write;"
+        " int64_t rows[count] index(n); int64_t count"
+    ),
+    "adam_rows": (
+        "double params[n, width] write stride(p_stride) padded restrict;"
+        " double grads[n, width] stride(g_stride) padded restrict;"
+        " double m[n, *width] write restrict; double v[n, *width] write restrict;"
+        " int64_t width; int64_t steps[n] write restrict; int64_t n;"
+        " int64_t rows[count] index(n); int64_t count; double lr[width] cast; double beta1;"
+        " double beta2; double eps; double bc1[table]; double rsqrt_bc2[table];"
+        " int64_t table; int64_t bump"
+    ),
+    "photometric_loss": (
+        "int64_t h; int64_t w; int64_t channels; double x[h, w, channels];"
+        f" double y[h, w, channels]; {_MOMENTS.format('channels, h, w')}; double t[size];"
+        " int64_t size; double ssim_lambda; double c1; double c2;"
+        " double grad[h, w, channels] write; double value[1] write"
+    ),
+    "plan_batch": (
+        "int64_t count; int64_t sets[total]; int64_t offsets[count + 1]; int64_t n;"
+        " int64_t seq[count]; int64_t search; double time_limit; int64_t untimed;"
+        " int64_t enable_cache; int64_t out[3 + 4 * count + 5 * total] write"
+    ),
+    "train_step": (
+        "int64_t n; int64_t k3; int64_t stride; double pinned[n, stride];"
+        " double pinned_grads[n, stride] write; double critical[n, 10];"
+        " double critical_grads[n, 10] write; int64_t ws[m] index(n); int64_t m;"
+        " int64_t loads[num_loads] index(n); int64_t num_loads;"
+        " int64_t cached[num_cached] index(n); int64_t num_cached;"
+        " int64_t stores[num_stores] index(n); int64_t num_stores;"
+        " int64_t carried[num_carried] index(n); int64_t num_carried;"
+        f" {_HELD.format('prev', 'mp', 'prev_sh', 'prev_opacity', 'restrict')};"
+        f" {_HELD.format('carried_in', 'num_carried_in', 'carried_sh', 'carried_opacity', 'restrict')};"
+        f" double planes[6, 4]; int64_t degree; double params[{_PARAM_SIZE}]; int64_t width;"
+        " int64_t height; int64_t ts; int64_t sub; int64_t records;"
+        f" double target[height, width, 3]; {_MOMENTS.format('3, height, width')};"
+        " double taps[size]; int64_t size; double ssim_lambda; double c1; double c2;"
+        " double batch; double block[m * (2 * k3 + 12)] write restrict;"
+        " double carry[num_carried * (k3 + 1)] write restrict;"
+        f" double scratch[{_SCRATCH} * m] write; int64_t work[{_WORK.format('m')}] write;"
+        f" {_RENDER.format('write')}; int64_t caps[6]; double image[height, width, 3] write;"
+        " double trans[height, width] write; double d_image[height, width, 3] write;"
+        f" double grads[(11 + k3) * m] write; double value[1] write;"
+        f" int64_t out[{len(_STEP_OUT)}] write"
+    ),
+}.items()}
+
+#: The model arrays ``view_project`` reads, by the names a model has them.
+_MODEL = {
+    "positions": "positions", "log_scales": "log_scales", "quats": "quaternions",
+    "sh": "sh", "logits": "opacity_logits",
+}
+#: What each op's spec lists (``registry.view_spec``, ``cull_spec``,
+#: ``train_operands``, ``step_operands``, ``rows_spec``), in its order, as
+#: the declared operands ``entry.operand`` they are — the compute dtype as
+#: the image.  An op runs here when every one of them is there with its
+#: declared element type and rank, laid out as declared (``cull_spec``'s
+#: ``contiguous`` is a row-strided walk's).
+_SPECS = {
+    "exact_cull": ("exact_cull.positions", "exact_cull.log_scales", "exact_cull.quats"),
+    "grid_cull": ("grid_build.positions", "grid_build.log_scales", "grid_build.quats"),
+    "view_forward": ("view_composite.image", *(f"view_project.{a}" for a in _MODEL)),
+    "assemble_rows": ("assemble_rows.pinned", "assemble_rows.critical"),
+    "zero_rows": ("zero_rows.buffer",),
+    "adam_rows": tuple(f"adam_rows.{a}" for a in ("params", "grads", "m", "v")),
+    "photometric_loss": ("photometric_loss.x", "photometric_loss.y", "photometric_loss.uy"),
+    "view_train": (
+        "view_composite.image", *(f"view_project.{a}" for a in _MODEL),
+        "photometric_loss.y", "photometric_loss.uy",
+    ),
+    "plan_batch": (),
+    "train_step": tuple(f"train_step.{a}" for a in (
+        "image", "pinned", "pinned_grads", "critical", "critical_grads", "target", "uy",
+    )),
+}
 
 
 def header() -> str:
@@ -427,12 +533,14 @@ class AbiError(RuntimeError):
     fewer arguments than its prototype."""
 
 
+
 _PROTOTYPE = re.compile(r"^int\s+(\w+)\s*\(([^)]*)\)\s*\{", re.M)
 
 
 def prototypes(source: str) -> dict:
-    """``{name: [(parameter, ctype), ...]}`` of every exported (not
-    ``static``) ``int name(...) {`` definition in ``source``."""
+    """``{name: [(parameter, C type, pointer), ...]}`` of every exported (not
+    ``static``) ``int name(...) {`` definition in ``source``: a pointer's C
+    type is its element type."""
     found = {}
     for name, params in _PROTOTYPE.findall(source):
         found[name] = []
@@ -440,14 +548,12 @@ def prototypes(source: str) -> dict:
             *words, arg = param.replace("*", " * ").split() or [""]
             kind = [w for w in words if w not in ("const", "restrict", "*")]
             pointer = "*" in words
-            if len(kind) == 1 and kind[0] in (_ELEMENTS if pointer else _SCALARS):
-                ctype = ctypes.c_void_p if pointer else _SCALARS[kind[0]]
-            else:
+            if not (len(kind) == 1 and kind[0] in (_ELEMENTS if pointer else _SCALARS)):
                 raise AbiError(
                     f"{name}: parameter `{' '.join(param.split())}` is of a "
                     "type the binding does not pass"
                 )
-            found[name].append((arg, ctype))
+            found[name].append((arg, kind[0], pointer))
     missing = sorted(set(_RAISES) - set(found))
     if missing:
         raise AbiError(f"no prototype for {', '.join(missing)}")
@@ -455,7 +561,7 @@ def prototypes(source: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# What a status raises, and the checked call
+# What a status raises
 # ---------------------------------------------------------------------------
 class _TablesShort(Exception):
     """``adam_rows`` met a step past the bias-correction tables it was
@@ -533,13 +639,343 @@ _RAISES = {
 _STAGE_RAISES = {**_RAISES, "retire_rows": _ROWS}
 
 
-def _checked(lib: ctypes.CDLL, name: str, params: list) -> Callable:
-    """Entry point ``name`` of ``lib`` called with exactly the arguments of
-    its prototype, ``[(parameter, ctype), ...]``, its nonzero status
-    raised."""
+# ---------------------------------------------------------------------------
+# The binder: one for every entry point, from its declaration
+# ---------------------------------------------------------------------------
+def _address(arr: np.ndarray) -> int:
+    """Where an array's data starts.  ``ndarray.ctypes`` builds an object
+    (~1.1 us); a ctypes view of a writable contiguous buffer costs ~0.35
+    us, and all but the plans' frozen index sets and the critical store's
+    column views are that."""
+    flags = arr.flags
+    if flags.writeable and flags.c_contiguous and arr.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
+
+
+def _row_stride(arr: np.ndarray) -> Optional[int]:
+    """Elements between the rows of an array whose rows each hold their
+    values adjacent, in C order, rows a whole number of elements apart and
+    not overlapping (None otherwise)."""
+    size = arr.itemsize
+    if arr.flags.c_contiguous:
+        return math.prod(arr.shape[1:])
+    for extent, step in zip(reversed(arr.shape[1:]), reversed(arr.strides[1:])):
+        if extent > 1 and step != size:
+            return None
+        size *= extent
+    lead = arr.strides[0]
+    if lead % arr.itemsize or (arr.shape[0] > 1 and lead < size):
+        return None
+    return lead // arr.itemsize
+
+
+_NAME = re.compile(r"[A-Za-z_]\w*")
+_UNSET = object()
+#: How :meth:`_Binder.bind` takes an array: as it is, as an index vector,
+#: or converted (:attr:`Operand.cast`).
+_PLAIN, _INDEX, _CAST = "plain", "index", "cast"
+_INT64 = np.dtype(np.int64)
+
+
+class _Taken(NamedTuple):
+    """Operands a binding checks once (:meth:`_Binder.take`): each
+    parameter's value by name, the dimensions they resolved, and the
+    arrays their addresses point into."""
+
+    values: dict
+    dims: dict
+    held: list
+
+
+class _Binder:
+    """The declared operands of one entry point.  :meth:`bind` checks and
+    converts a caller's operands into their slots of an argument list in
+    prototype order (:meth:`blank`), which the library's entry point is
+    called over; what a binding produces itself — an arena's address, a
+    count it computed — it writes into :attr:`slot` unchecked
+    (:meth:`put`).  Every refusal is ``ValueError("native <entry>:
+    <operand> is <what it is>, not <what is declared>")``, but for an index
+    vector of another kind than integers, ``IndexError``, as NumPy refuses
+    to index by it."""
+
+    def __init__(self, name: str, operands: tuple) -> None:
+        self.name = name
+        self.operands = {op.name: op for op in operands}
+        self.params, self.signature = [], []
+        for op in operands:
+            self.params.append(op.name)
+            self.signature.append((op.name, op.ctype, op.shape is not None))
+            if op.stride:
+                self.params.append(op.stride)
+                self.signature.append((op.stride, "int64_t", False))
+        self.slot = {param: k for k, param in enumerate(self.params)}
+        # Each shape (and its size) as one function of the dimensions,
+        # compiled once from the declared arithmetic; and each array's check,
+        # read once a call: what its own axes say, ``(axis, extent or
+        # name)`` (a ``*name``: the product of the axes from there; a padded
+        # operand: its leading extent only), the ranks it may have, and
+        # whether an expression (or a padded row) waits until every
+        # dimension is known.
+        self._shapes, self._sizes, self._checks = {}, {}, {}
+        for op in operands:
+            if op.shape is None:
+                continue
+            extents = [
+                "(" + _NAME.sub(lambda name: f"d[{name[0]!r}]", str(e).lstrip("*")) + ")"
+                for e in op.shape
+            ]
+            self._shapes[op.name] = eval(f"lambda d: ({', '.join(extents)},)", {})
+            self._sizes[op.name] = eval(f"lambda d: {' * '.join(extents)}", {})
+            shape = op.shape[:1] if op.padded else op.shape
+            axes = tuple(
+                (axis, e) for axis, e in enumerate(shape)
+                if isinstance(e, int) or e.isidentifier() or e[0] == "*"
+            )
+            rank = len(op.shape)
+            ranks = (1, 64) if op.padded else (
+                (rank - 1, 64) if str(op.shape[-1])[0] == "*" else (rank, rank)
+            )
+            self._checks[op.name] = (
+                op, self.slot[op.name], _ELEMENTS[op.ctype],
+                _INDEX if op.index is not None else _CAST if op.cast else _PLAIN, *ranks,
+                tuple((axis, e) for axis, e in axes if isinstance(e, int)),
+                tuple((axis, e) for axis, e in axes if isinstance(e, str) and e[0] != "*"),
+                next(((axis, e[1:]) for axis, e in axes if isinstance(e, str) and e[0] == "*"), None),
+                op.padded or len(axes) < len(shape), self.slot.get(op.stride), op.write,
+                op.restrict,
+            )
+
+    def blank(self) -> list:
+        """An argument list, every parameter 0 (an absent optional operand
+        is NULL)."""
+        return [0] * len(self.params)
+
+    def shape(self, name: str, dims: dict) -> tuple:
+        """Operand ``name``'s shape at dimensions ``dims``."""
+        return self._shapes[name](dims)
+
+    def size(self, name: str, dims: dict) -> int:
+        """The elements of operand ``name`` at ``dims``: what an arena for
+        it must hold."""
+        return self._sizes[name](dims)
+
+    def dtype(self, name: str) -> np.dtype:
+        return _ELEMENTS[self.operands[name].ctype]
+
+    def take(self, given: dict, dims: Optional[dict] = None) -> _Taken:
+        """:meth:`bind` of ``given`` once, for a binding to keep."""
+        args, dims = [_UNSET] * len(self.params), dict(dims or ())
+        held = self.bind(args, given, dims)
+        values = {p: a for p, a in zip(self.params, args) if a is not _UNSET}
+        return _Taken(values, dims, held)
+
+    def prepare(self, given: dict, dims: Optional[dict] = None) -> tuple:
+        """An argument list with ``given`` bound, for calls that fill in
+        the rest: the list, the dimensions resolved, the arrays held."""
+        args, dims = self.blank(), dict(dims or ())
+        return args, dims, self.bind(args, given, dims)
+
+    def put(self, args: list, values: dict) -> None:
+        """``values`` — what a binding made itself: an arena's address, a
+        count, an earlier :meth:`take`'s — into their slots, unchecked."""
+        slot = self.slot
+        for name, value in values.items():
+            args[slot[name]] = value
+
+    def bind(self, args, given: dict, dims: Optional[dict] = None) -> list:
+        """Check and convert ``given`` — operands by their declared names —
+        into their slots of ``args``: an array's address (row-strided, and
+        its stride), a scalar as it is, and each dimension the arrays
+        resolve into the scalar of its name.  ``dims`` are dimensions known
+        already (the ones resolved are added).  Returns the arrays the
+        addresses point into: they must outlive the call."""
+        dims = {} if dims is None else dims
+        slot, checks = self.slot, self._checks
+        arrays, held, spans, later, resolved = [], [], [], [], []
+        for name, value in given.items():
+            check = checks.get(name)
+            if check is None:
+                args[slot[name]] = dims[name] = value
+            else:
+                arrays.append((check, value))
+        for (
+            op, at, dtype, kind, low, high, fixed, named, star, waits, stride_at, write,
+            restrict,
+        ), v in arrays:
+            if v is None:
+                if not op.optional:
+                    raise ValueError(f"native {self.name}: no {op.name}, which is not optional")
+                args[at] = None
+                continue
+            if kind is _INDEX:
+                held.append(self._rows(op, at, named[0][1], v, args, dims, resolved))
+                continue
+            if kind is _CAST:
+                v = np.asarray(v, dtype)
+                if not v.ndim:  # broadcast to the declared shape, once it is known
+                    later.append((op, v))
+                    continue
+                if not v.flags.c_contiguous:
+                    v = np.ascontiguousarray(v)
+            elif v.__class__ is not np.ndarray or v.dtype is not dtype and v.dtype != dtype:
+                self._refuse(op, v, dims)
+            shape = v.shape
+            if stride_at is None:
+                laid = v.flags.c_contiguous
+            else:
+                stride = args[stride_at] = _row_stride(v) if shape else None
+                laid = stride is not None
+            if not (laid and low <= len(shape) <= high) or write and not v.flags.writeable:
+                self._refuse(op, v, dims)
+            for axis, want in fixed:
+                if shape[axis] != want:
+                    self._refuse(op, v, dims)
+            for axis, want in named:
+                known = dims.get(want)
+                if known is None:
+                    dims[want] = shape[axis]
+                    resolved.append(want)
+                elif known != shape[axis]:
+                    self._refuse(op, v, dims)
+            if star is not None:
+                axis, want = star
+                known, got = dims.get(want), math.prod(shape[axis:])
+                if known is None:
+                    dims[want] = got
+                    resolved.append(want)
+                elif known != got:
+                    self._refuse(op, v, dims)
+            if waits:
+                later.append((op, v))
+            address = args[at] = _address(v)
+            held.append(v)
+            if restrict and v.size:
+                extent = v.nbytes if v.flags.c_contiguous else (
+                    (shape[0] - 1) * v.strides[0] + v[0].nbytes
+                )
+                spans.append((address, extent, op.name))
+        for op, v in later:  # every dimension is known now
+            want = self.shape(op.name, dims)
+            if not v.ndim:
+                v = np.full(want, v)
+                args[slot[op.name]] = _address(v)
+                held.append(v)
+            elif not (
+                v.shape[0] == want[0] and math.prod(v.shape[1:]) >= math.prod(want[1:])
+                if op.padded else v.shape == want
+            ):
+                self._refuse(op, v, dims)
+        if len(spans) > 1:
+            spans.sort()
+            for (start, size, first), (following, _, second) in zip(spans, spans[1:]):
+                if start + size > following:
+                    raise ValueError(
+                        f"native {self.name}: operands share memory ({first}, {second})"
+                    )
+        for dim in resolved:
+            if dim in slot:
+                args[slot[dim]] = dims[dim]
+        return held
+
+    def rows(self, args: list, name: str, value, dims: dict) -> np.ndarray:
+        """:meth:`bind` of the one index vector ``name`` (a served view's
+        rows, say): the int64 rows its slot points into."""
+        op, at, *_, named, _, _, _, _, _ = self._checks[name]
+        resolved = []
+        rows = self._rows(op, at, named[0][1], value, args, dims, resolved)
+        for dim in resolved:
+            if dim in self.slot:
+                args[self.slot[dim]] = dims[dim]
+        return rows
+
+    def _rows(self, op, at, count, v, args, dims, resolved) -> np.ndarray:
+        """Index vector ``op`` — rows into a dimension, ``[count]`` of them,
+        whose bounds the C checks — into slot ``at``: integers converted
+        to int64, any other kind refused with ``IndexError``; none: NULL."""
+        v = np.asarray(v)
+        if v.dtype is not _INT64 and v.dtype != _INT64:
+            if v.dtype.kind not in "iu" and v.size:
+                raise IndexError(f"native {self.name}: {op.name} is {v.dtype} rows, not integers")
+            v = v.astype(_INT64)
+        if not v.flags.c_contiguous:
+            v = np.ascontiguousarray(v)
+        if v.ndim != 1:
+            self._refuse(op, v, dims)
+        n = v.shape[0]
+        known = dims.get(count)
+        if known is None:
+            dims[count] = n
+            resolved.append(count)
+        elif known != n:
+            self._refuse(op, v, dims)
+        args[at] = _address(v) if n else 0
+        return v
+
+    def _refuse(self, op: Operand, value, dims: dict):
+        if isinstance(value, np.ndarray):
+            layout = "C-contiguous" if value.flags.c_contiguous else "strided"
+            state = "" if value.flags.writeable else "read-only "
+            what = f"a {state}{layout} {value.dtype}{value.shape}"
+        else:
+            what = f"a {type(value).__name__}"
+        try:
+            extents = ", ".join(map(str, self.shape(op.name, dims)))
+        except KeyError:
+            extents = ", ".join(map(str, op.shape))
+        raise ValueError(
+            f"native {self.name}: {op.name} is {what}, not a "
+            f"{'writable ' if op.write else ''}"
+            f"{'row-strided' if op.stride else 'C-contiguous'} {_ELEMENTS[op.ctype]}"
+            f"{' with rows of at least' if op.padded else ''}({extents})"
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _binder(name: str) -> _Binder:
+    """The binder of entry point ``name``'s declaration."""
+    return _Binder(name, _OPERANDS[name])
+
+
+def _binders(signatures: dict) -> dict:
+    """``{name: binder}`` of every parsed prototype's declaration; one that
+    differs from its prototype — a name, the count, the order or an
+    element type — is an :class:`AbiError`."""
+    binders = {}
+    for name, parsed in signatures.items():
+        binders[name] = _Binder(name, _OPERANDS.get(name, ()))
+        declared = binders[name].signature
+        if declared != parsed:
+            at = next((k for k, (a, b) in enumerate(zip(declared, parsed)) if a != b), None)
+            raise AbiError(f"{name}: the declaration is not the prototype: " + (
+                f"parameter {at + 1} is declared {declared[at]}, the prototype has {parsed[at]}"
+                if at is not None else
+                f"{len(declared)} parameters declared, {len(parsed)} in the prototype"
+            ))
+    return binders
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts(op: str) -> Optional[tuple]:
+    """:meth:`Operand.layout` of each declared operand ``op``'s spec lists
+    (:data:`_SPECS`; ``cull_spec``'s ``contiguous`` is a row-strided
+    walk's), or None for an op this backend does not run."""
+    if op not in _SPECS:
+        return None
+    return tuple(
+        _binder(entry).operands[operand].layout()
+        for entry, operand in (name.split(".") for name in _SPECS[op])
+    )
+
+
+def _checked(lib: ctypes.CDLL, binder: _Binder, prototype: list) -> Callable:
+    """Entry point ``binder.name`` of ``lib``, called over an argument list
+    in prototype order (positionally), its nonzero status raised as
+    :data:`_RAISES` says."""
+    name, params, arity = binder.name, binder.params, len(binder.params)
     fn = getattr(lib, name)
-    fn.argtypes, fn.restype = [ctype for _, ctype in params], ctypes.c_int
-    params, arity = [arg for arg, _ in params], len(params)
+    fn.argtypes = [ctypes.c_void_p if pointer else _SCALARS[ctype] for _, ctype, pointer in prototype]
+    fn.restype = ctypes.c_int
 
     def call(*args):
         if len(args) != arity:
@@ -554,6 +990,40 @@ def _checked(lib: ctypes.CDLL, name: str, params: list) -> Callable:
 
     call.__name__ = call.__qualname__ = name
     return call
+
+
+class _Kept:
+    """An op's last few :meth:`_Binder.prepare` lists of plain arrays (an
+    optimizer's state), by the arrays' identity: a call over the same
+    arrays checks only its own rows, as
+    :meth:`~repro.kernels.workspace.Workspace.binding` does for a view.
+    The arrays are held weakly — the op outlives any engine — and a list
+    whose arrays are gone is made again."""
+
+    def __init__(self, binder: _Binder, size: int = 4) -> None:
+        self._binder, self._size, self._kept = binder, size, collections.OrderedDict()
+
+    def __call__(self, given: dict) -> "tuple[list, dict]":
+        owners = tuple(given.values())
+        key = tuple(map(id, owners))
+        kept = self._kept.get(key)
+        if kept is None or any(ref() is not owner for ref, owner in zip(kept[0], owners)):
+            args, dims, _ = self._binder.prepare(given)
+            kept = self._kept[key] = (tuple(map(weakref.ref, owners)), args, dims)
+            while len(self._kept) > self._size:
+                self._kept.popitem(last=False)
+        return kept[1], kept[2]
+
+
+def _run(lib, name: str, given: dict, dims: Optional[dict] = None) -> list:
+    """Entry point ``name`` called once over ``given`` (and dimensions
+    ``dims``), bound as declared; returns the arrays the call read and
+    wrote."""
+    binder = _binder(name)
+    args = binder.blank()
+    held = binder.bind(args, given, dims)
+    getattr(lib, name)(*args)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +1106,7 @@ class NativeLibrary:
         self.compiler_version = version.splitlines()[0] if version else None
         text = kernel_source(self._source)
         signatures = prototypes(text)  # before anything is built
+        binders = _binders(signatures)
         source = text.encode()
         key = _digest(source + " ".join(CFLAGS).encode() + version.encode())
         directory = self._directory()
@@ -649,7 +1120,7 @@ class NativeLibrary:
         lib = ctypes.CDLL(str(cached))
         self.path = cached
         return types.SimpleNamespace(**{
-            name: _checked(lib, name, params) for name, params in signatures.items()
+            name: _checked(lib, binders[name], params) for name, params in signatures.items()
         })
 
     @staticmethod
@@ -697,247 +1168,108 @@ class NativeLibrary:
                 os.unlink(scratch)
 
 
-# ---------------------------------------------------------------------------
-# Operand checks
-# ---------------------------------------------------------------------------
-def _require_shapes(**expected) -> None:
-    """``name=(array, shape)``: the sizes the C loops will index by."""
-    wrong = [
-        f"{name} is {arr.shape}, not {shape}"
-        for name, (arr, shape) in expected.items()
-        if arr.shape != shape
-    ]
-    if wrong:
-        raise ValueError("native kernel operands: " + "; ".join(wrong))
-
-
-def _buffer(
-    arr: np.ndarray, shape: tuple, write: bool = False, dtype=_FLOAT64
-) -> int:
-    """The address of ``arr`` once it is the C-contiguous ``dtype`` (float64
-    unless named) ``shape`` the C loops index (and writable, when they
-    write it)."""
-    flags = arr.flags
-    if not (
-        arr.dtype == dtype
-        and flags.c_contiguous
-        and arr.shape == shape
-        and (flags.writeable or not write)
-    ):
-        raise ValueError(
-            f"native kernel operands: a {arr.dtype}{arr.shape} buffer where "
-            f"{'a writable ' if write else ''}C-contiguous "
-            f"{np.dtype(dtype)}{shape} is indexed"
-        )
-    return _address(arr)
-
-
-def _address(arr: np.ndarray) -> int:
-    """Where a C-contiguous array's data starts.  ``ndarray.ctypes`` builds
-    an object (~1.1 us); a ctypes view of a writable buffer costs ~0.35 us,
-    and all but the plans' frozen index sets are writable."""
-    if arr.flags.writeable and arr.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-    return arr.ctypes.data
-
-
-def _rows(arr) -> np.ndarray:
-    """An index vector as the int64 array the C loops walk: integer indices
-    are converted, any other kind (a float array) raises ``IndexError``, as
-    NumPy refuses to index by it."""
-    rows = np.asarray(arr)
-    if rows.dtype.kind not in "iu" and rows.size:
-        raise IndexError(f"native data path: {rows.dtype} rows, not integers")
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if rows.ndim != 1:
-        raise ValueError(f"native data path: rows of shape {rows.shape}")
-    return rows
-
-
-def _index_at(rows: np.ndarray):
-    """An index vector's address, ``None`` when it is empty (the C walks
-    none of it): plans hand their sets out read-only, whose address costs
-    ~2.4 us."""
-    return _address(rows) if rows.size else None
-
-
-def _model_arrays(model) -> dict:
-    """``model.parameters()``, after checking what the C loops index by:
-    float64, C-contiguous, one row per Gaussian."""
-    arrays = model.parameters()
-    n, k = model.sh.shape[:2] if model.sh.ndim == 3 else (-1, -1)
-    shapes = ((n, 3), (n, 3), (n, 4), (n, k, 3), (n,))
-    for (name, arr), shape in zip(arrays.items(), shapes):
-        if arr.shape != shape or arr.dtype != np.float64 or not arr.flags.c_contiguous:
-            raise ValueError(
-                f"native view operands: {name} is {arr.dtype}{arr.shape}, "
-                f"not C-contiguous float64{shape}"
-            )
-    return arrays
-
-
-def _model_at(model) -> list:
-    """The addresses of the five checked :func:`_model_arrays`."""
-    return list(map(_address, _model_arrays(model).values()))
-
-
-def _sh_degree(model, settings) -> int:
-    """The SH degree a render evaluates, once the model stores its bases."""
-    stored = model.sh.shape[1]
-    degree = model.sh_degree
-    if settings.active_sh_degree is not None:
-        degree = min(settings.active_sh_degree, degree)
-    if sh.num_basis(degree) > stored:
-        raise ValueError(f"SH degree {degree} needs more than {stored} bases")
-    return degree
-
-
-def _strided(arr: np.ndarray, n: int, width: int, write: bool = False) -> tuple:
-    """The address and the doubles per row of an ``(n, ...)`` operand whose
-    rows are at least ``width`` wide."""
-    stride = arr.size // n if n else width
-    if arr.shape[:1] != (n,) or stride < width:
-        raise ValueError(
-            f"native adam_rows: a {arr.shape} operand for {n} rows of {width}"
-        )
-    return _buffer(arr, arr.shape, write), stride
-
-
-def _disjoint(*spans: tuple) -> None:
-    """Refuse ``(address, nbytes)`` operands that overlap: ``adam_rows``
-    takes them ``restrict``."""
-    spans = sorted(spans)
-    for (start, size), (following, _) in zip(spans, spans[1:]):
-        if start + size > following:
-            raise ValueError("native adam_rows: operands share memory")
-
 
 # ---------------------------------------------------------------------------
-# The cull op
+# The cull ops
 # ---------------------------------------------------------------------------
-def _critical_rows(op: str, positions, log_scales, raw_quats, **more) -> list:
-    """``[address, row stride]`` of each selection-critical array, once it
-    holds float64 rows of the shape the C loop indexes (and ``more``,
-    ``name=(array, shape)``, has its shape)."""
-    n = positions.shape[0]
-    arrays = dict(
-        positions=(positions, (n, 3)), log_scales=(log_scales, (n, 3)),
-        raw_quats=(raw_quats, (n, 4)),
-    )
-    _require_shapes(**more, **arrays)
-    strided = []
-    for name, (arr, _) in arrays.items():
-        if arr.dtype != np.float64 or not rows_contiguous(arr):
-            raise ValueError(
-                f"native {op}: {name} is {arr.dtype} with strides "
-                f"{arr.strides}, not float64 rows"
-            )
-        # ``c_char.from_buffer`` needs a contiguous buffer: a strided
-        # column block keeps ``ctypes.data``.
-        strided += [arr.ctypes.data, arr.strides[0] // 8]
-    return strided
-
-
 def _bind_cull(lib) -> Callable:
-    """``exact_cull`` over the loaded library: every shape, dtype and stride
-    the C loop relies on is checked here, row bounds by the loop itself."""
+    """``exact_cull`` over the loaded library: its operands checked as
+    declared, row bounds by the loop itself."""
 
     def exact_cull(planes, positions, log_scales, raw_quats, rows):
-        planes = np.ascontiguousarray(planes, dtype=np.float64)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        strided = _critical_rows(
-            "exact_cull", positions, log_scales, raw_quats,
-            planes=(planes, (6, 4)), rows=(rows, (rows.size,)),
-        )
-        kept = np.empty(rows.size + 1, np.int64)
-        lib.exact_cull(
-            positions.shape[0], _address(planes), *strided, _address(rows),
-            rows.size, _address(kept),
-        )
+        kept = np.empty(np.size(rows) + 1, np.int64)
+        _run(lib, "exact_cull", dict(
+            planes=planes, positions=positions, log_scales=log_scales, quats=raw_quats,
+            rows=rows, kept=kept,
+        ))
         return kept[1 : 1 + kept[0]].copy()
 
     return exact_cull
 
 
+#: A :class:`~repro.gaussians.spatial.CullingGrid`'s per-cell tables, by
+#: their declared names.
+_GRID_TABLES = ("cell_lo", "cell_hi", "cell_radius", "cell_finite", "offsets")
+
+
 def _bind_grid(lib) -> Callable:
     """``grid_cull``: binds a :class:`~repro.gaussians.spatial.CullingGrid`
-    — its critical arrays checked as ``exact_cull`` checks them, its tables
-    built by ``grid_build`` unless it has them, and the addresses of the
-    tables and of its ``(members, 11)`` cell-ordered ``block`` taken — to
-    its :class:`~repro.gaussians.spatial.GridOps`.  The copy makes a
-    boundary cell's rows adjacent: the arrays' own order scatters them, and
-    at 200 000 rows the walk was bound by those cache misses.  Member and
+    — its tables built by ``grid_build`` unless it has them, its critical
+    arrays, tables and ``(members, 11)`` cell-ordered ``block`` checked as
+    the three entry points declare them, once — to its
+    :class:`~repro.gaussians.spatial.GridOps`.  The copy makes a boundary
+    cell's rows adjacent: the arrays' own order scatters them, and at
+    200 000 rows the walk was bound by those cache misses.  Member and
     offset bounds are checked by the loop."""
+    culler, refitter = _binder("grid_cull"), _binder("grid_refit")
 
-    def build(grid, strided) -> None:
+    def build(grid, critical: _Taken) -> None:
         n, per_axis = grid.num_gaussians, max(grid.target_cells_per_axis, 1)
-        cap = min(n, (per_axis + 1) ** 3 + 1)  # bins per axis <= per_axis + 1
-        frame, head = np.empty(4), np.empty(2, np.int64)
-        members, slots = np.empty(n, np.int64), np.empty(n, np.int64)
-        offsets = np.empty(cap + 1, np.int64)
-        lo, hi, radius = np.empty((cap, 3)), np.empty((cap, 3)), np.empty(cap)
-        finite, block = np.empty(cap, np.bool_), np.empty((n, 11))
-        lib.grid_build(
-            n, *strided, per_axis, cap, *map(_address, (
-                frame, head, members, offsets, slots, lo, hi, radius, finite, block,
-            )),
-        )
-        cells, grid.regular_cells = int(head[0]), int(head[1])
-        grid.origin, grid.cell_size = frame[:3], float(frame[3])
-        grid.members, grid.offsets, grid.slots = members, offsets[: cells + 1], slots
-        grid.cell_lo, grid.cell_hi = lo[:cells], hi[:cells]
-        grid.cell_radius, grid.cell_finite, grid.block = radius[:cells], finite[:cells], block
+        dims = dict(n=n, cap=min(n, (per_axis + 1) ** 3 + 1))  # bins per axis <= per_axis + 1
+        binder = _binder("grid_build")
+        out = {
+            name: np.empty(binder.shape(name, dims), binder.dtype(name))
+            for name in ("frame", "head", "members", "slots", "block", *_GRID_TABLES)
+        }
+        args = binder.blank()
+        binder.put(args, critical.values)
+        binder.bind(args, dict(per_axis=per_axis, **dims, **out))
+        lib.grid_build(*args)
+        cells, grid.regular_cells = out["head"].tolist()
+        grid.origin, grid.cell_size = out["frame"][:3], float(out["frame"][3])
+        grid.members, grid.slots, grid.block = out["members"], out["slots"], out["block"]
+        grid.offsets = out["offsets"][: cells + 1]
+        for name in _GRID_TABLES[:4]:
+            setattr(grid, name, out[name][:cells])
 
     def bind(grid):
         n = grid.num_gaussians
-        strided = _critical_rows(
-            "grid_cull", grid.positions, grid.log_scales, grid.raw_quats
+        critical = _binder("grid_build").take(
+            dict(positions=grid.positions, log_scales=grid.log_scales, quats=grid.raw_quats)
         )
         if grid.offsets is None:
-            build(grid, strided)
-        cells = grid.num_cells
-        lo, hi, radius, finite, offsets, _, block = held = (
-            _buffer(grid.cell_lo, (cells, 3)), _buffer(grid.cell_hi, (cells, 3)),
-            _buffer(grid.cell_radius, (cells,)),
-            _buffer(grid.cell_finite, (cells,), dtype=np.bool_),
-            _buffer(grid.offsets, (cells + 1,), dtype=np.int64),
-            _buffer(grid.members, (n,), dtype=np.int64),  # every row is one
-            _buffer(grid.block, (n, 11)),
-        )
-        slots = _buffer(grid.slots, (n,), dtype=np.int64)
-        # The addresses point into these: the ops keep them alive, and the
-        # output buffers (grown when a batch keeps more rows) with them.
-        arrays = (
-            grid.cell_lo, grid.cell_hi, grid.cell_radius, grid.cell_finite,
-            grid.offsets, grid.members, grid.block, grid.slots,
-        )
-        # The output buffers (each view's count, then its rows) and the
-        # call's arguments after the planes, remade when a batch outgrows
-        # them: a call passes ready integers.
+            build(grid, critical)
+        tables = {name: getattr(grid, name) for name in _GRID_TABLES}
+        culled, refitted = culler.blank(), refitter.blank()
+        # The addresses point into the grid's arrays: the ops keep them
+        # (``held``) alive, and the output buffers (grown when a batch keeps
+        # more rows) with them.
+        held = [critical.held, culler.bind(culled, dict(
+            n=n, cells=grid.num_cells, members=grid.members, rows=grid.block, **tables,
+        ))]
+        refitter.put(refitted, critical.values)
+        held.append(refitter.bind(refitted, dict(
+            slots=grid.slots, cells=grid.num_cells, regular=grid.regular_cells,
+            limit=spatial._MAX_CELL_WIDTH * grid.cell_size, block=grid.block, **tables,
+        ), dict(critical.dims)))
+        # The output buffers, each view's count, then its rows: remade when
+        # a batch outgrows them.
         out = {}
 
         def grow(rows: int, views: int) -> None:
             out["kept"], out["counts"] = np.empty(rows, np.int64), np.empty(views, np.int64)
-            out["tail"] = (
-                cells, *held, _address(out["counts"]), _address(out["kept"]), rows,
-            )
+            out["at"] = _address(out["counts"]), _address(out["kept"]), rows
 
         grow(n, 1)
         lock = threading.Lock()
 
-        def cull(planes, _arrays=arrays):
-            planes = np.ascontiguousarray(planes, dtype=np.float64)
-            if planes.ndim != 3 or planes.shape[1:] != (6, 4):
-                _require_shapes(planes=(planes, (*planes.shape[:1], 6, 4)))
-            views = planes.shape[0]
+        # Where the output buffers go: each view's count, its rows, their room.
+        counts_at, kept_at, cap_at = (culler.slot[name] for name in ("counts", "kept", "cap"))
+
+        def cull(planes, _held=held):
+            args = culled.copy()
+            alive = culler.bind(args, {"planes": planes})  # what the call reads
+            views = args[culler.slot["views"]]
             with lock:
                 if out["counts"].size < views:
                     grow(out["kept"].size, views)
+                args[counts_at], args[kept_at], args[cap_at] = out["at"]
                 try:
-                    lib.grid_cull(n, _address(planes), views, *out["tail"])
+                    lib.grid_cull(*args)
                 except _ArenaShort:
                     grow(int(out["counts"][:views].sum()), views)
-                    lib.grid_cull(n, _address(planes), views, *out["tail"])
+                    args[counts_at], args[kept_at], args[cap_at] = out["at"]
+                    lib.grid_cull(*args)
                 kept, counts = out["kept"], out["counts"]
                 # NumPy's sort, not the C library's ``qsort``: 10-14x faster
                 # on 1 000 to 200 000 rows in runs (2-vCPU Xeon).
@@ -949,16 +1281,10 @@ def _bind_grid(lib) -> Callable:
                     for size, end in zip(sizes, itertools.accumulate(sizes))
                 ]
 
-        limit = spatial._MAX_CELL_WIDTH * grid.cell_size
-
-        def refit(rows, _arrays=arrays) -> bool:
-            rows = _rows(rows)
-            bloated = np.zeros(1, np.int64)
-            lib.grid_refit(
-                n, *strided, _address(rows), rows.size, slots, cells,
-                grid.regular_cells, offsets, limit, lo, hi, radius, finite, block,
-                _address(bloated),
-            )
+        def refit(rows, _held=held) -> bool:
+            args, bloated = refitted.copy(), np.zeros(1, np.int64)
+            alive = refitter.bind(args, dict(rows=rows, bloated=bloated), dict(critical.dims))
+            lib.grid_refit(*args)
             return bool(bloated[0])
 
         return spatial.GridOps(cull, refit)
@@ -975,102 +1301,129 @@ def _view_params(camera, settings) -> np.ndarray:
     owners, values = {"camera": camera, "settings": settings}, []
     for owner, name, width in _PARAMS:
         value = getattr(owners[owner], name)
-        values.extend(np.asarray(value).flat if width > 1 else (value,))
+        if width > 1:
+            values += np.ravel(value).tolist()
+        else:
+            values.append(value)
     if len(values) != _PARAM_SIZE:
         raise ValueError(f"native view operands: {len(values)} camera and settings values")
-    return np.fromiter(values, np.float64, _PARAM_SIZE)
+    return np.array(values, np.float64)
 
 
-#: The three blend-record blocks, which follow a render's other three in
-#: ``RenderContext.blocks``.
-_BLEND_RECORDS = ("blend records", "blend pixels", "blend ends")
+def _model(model) -> dict:
+    """A model's five arrays by their ``view_project`` names."""
+    return {name: getattr(model, attr) for name, attr in _MODEL.items()}
 
 
-def _kept_blocks(m, tiles, entries, lead, cells, records) -> list:
-    """``[(name, size, dtype), ...]`` of a render's own blocks: the fields,
-    ids and CSR arrays, the clamp mask; with ``records`` the C's
-    ``records_t``: ``lead`` doubles of final ``T`` then the exp values and
-    ``T_before`` of at most ``cells`` cells, their tile-local pixels,
-    ``entries + 1`` ends."""
-    blocks = [
-        ("floats", _RETAINED * m, np.float64),
-        ("ints", m + 2 * tiles + 1 + entries, np.int64),
-        ("clamp", 3 * m, np.bool_),
-    ]
-    if records:
-        sizes = (lead + 2 * cells, cells, entries + 1)
-        blocks += zip(_BLEND_RECORDS, sizes, (np.float64, np.int32, np.int64))
-    return blocks
+def _sh_degree(model, settings) -> int:
+    """The SH degree a render evaluates, once the model stores its bases."""
+    stored = model.sh.shape[1]
+    degree = model.sh_degree
+    if settings.active_sh_degree is not None:
+        degree = min(settings.active_sh_degree, degree)
+    if sh.num_basis(degree) > stored:
+        raise ValueError(f"SH degree {degree} needs more than {stored} bases")
+    return degree
 
 
-#: A view the two forward calls rendered, as ``view_backward`` reads it:
-#: ``kept`` is the addresses of its blocks (``None`` for blend records it
-#: did not keep), ``cap`` the cells they have room for.
-_View = collections.namedtuple(
-    "_View", "m n tiles entries cap kept sh_at stored degree params width height sub"
-)
+#: A render's own blocks — ``view_composite``'s operands, by the name of
+#: the block (or arena) each is held in — the three blend-record blocks
+#: last, kept only when the backward pass is to read them.
+_BLOCKS = {
+    "floats": "kept", "ints": "ikept", "clamp": "clamp",
+    "blend records": "rec_f", "blend pixels": "rec_p", "blend ends": "rec_end",
+}
+_BLEND_RECORDS = tuple(_BLOCKS)[3:]
+#: The gradient arrays of ``view_backward``, in ``model.parameters()`` order.
+_GRADS = ("g_positions", "g_log_scales", "g_quats", "g_sh", "g_logits")
 
 
-def _backward(lib, view: _View, d_image_at: int, grads_at) -> None:
-    """``view_backward`` of ``view`` into the five zeroed gradient arrays at
-    ``grads_at``, from the image gradient at ``d_image_at``."""
-    lib.view_backward(
-        *view[:5], *view.kept, view.sh_at, view.stored, view.degree,
-        _address(view.params), view.width, view.height, view.sub, d_image_at,
-        *grads_at,
+@functools.lru_cache(maxsize=2)
+def _render_blocks(records: bool) -> tuple:
+    """``(block, size, dtype)`` of each of a render's own blocks, as
+    ``view_composite`` declares them (the blend records with ``records``):
+    ``size`` of the counts."""
+    binder = _binder("view_composite")
+    return tuple(
+        (block, binder._sizes[operand], binder.dtype(operand))
+        for block, operand in tuple(_BLOCKS.items())[: 6 if records else 3]
     )
 
 
-def _forward(
-    lib, camera, model, settings, take, rows=None, model_at=None
-) -> "tuple[_View, dict]":
+def _kept_blocks(records: bool, dims: dict) -> list:
+    """``[(block, size, dtype), ...]`` of a render's own blocks at its
+    counts ``dims`` (``m``, ``tiles``, ``entries``, ``cap``, ``sub``)."""
+    return [(block, size(dims), dtype) for block, size, dtype in _render_blocks(records)]
+
+
+def _model_at(model) -> tuple:
+    """A model's five arrays bound as ``view_project`` declares them: their
+    addresses in prototype order, the rows and the stored SH bases, the
+    arrays."""
+    project = _binder("view_project")
+    args, dims, held = project.prepare(_model(model))
+    addresses = tuple(args[project.slot[name]] for name in _MODEL)
+    return addresses, dims["total"], dims["k_stored"], held
+
+
+#: A view the two forward calls rendered: ``view_backward``'s arguments
+#: before the image gradient, in its declared order.
+_View = collections.namedtuple("_View", _binder("view_backward").params[:-6])
+
+
+def _forward(lib, camera, model, settings, take, rows=None, model_at=None) -> "tuple[_View, dict]":
     """A view's two forward calls: ``view_project`` sizes its blocks,
     ``view_composite`` fills them, composites and crops the image.  The
-    input is ``model``'s rows ``rows`` (an int64 vector, read in place), or
-    every row when it is None; ``model_at`` is :func:`_model_at` of the
-    model, when it is bound already.  Every block is ``take(name, size,
-    dtype)`` — ``(array, address)`` of at least ``size`` elements; returns
-    the view and ``{name: (array, address)}``."""
-    if model_at is None:
-        model_at = _model_at(model)
-    total, stored = model.sh.shape[:2]
-    n = total if rows is None else rows.size
+    input is ``model``'s rows ``rows`` (read in place), or every row when
+    it is None; ``model_at`` is :func:`_model_at` of the model, when it is
+    bound already.  Every block is ``take(name, size, dtype)`` — ``(array,
+    address)`` of at least ``size`` elements, as the calls declare it;
+    returns ``view_backward``'s operands of the view and ``{name: (array,
+    address)}``.  Both calls are made over positional lists (``_checked``
+    counts them; the order is the declaration's, checked at load): a
+    served request pays for no more than its rows' check."""
+    project, composite = _binder("view_project"), _binder("view_composite")
+    addresses, total, stored, _ = _model_at(model) if model_at is None else model_at
     degree = _sh_degree(model, settings)
     width, height, sub = camera.width, camera.height, rasterizer.compute_tile(settings)
-    tiles_x, tiles_y = -(-width // sub), -(-height // sub)
     # ``view_project`` puts every row to the arbiter ``exact_cull`` put it
-    # to, on the same bits.
-    planes = frustum_planes(camera)
-    params = _view_params(camera, settings)
+    # to, on the same bits.  Both vectors are made here, to their declared
+    # shapes.
+    planes, params = frustum_planes(camera), _view_params(camera, settings)
     params_at = _address(params)
+    args = [
+        total, None, total, *addresses, _address(planes), stored, degree, params_at,
+        width, height, int(settings.tile_size), sub, None, None,
+    ]
+    dims = dict(width=width, height=height, sub=sub)
+    if rows is None:
+        dims["n"] = total
+    else:
+        rows = project.rows(args, "rows", rows, dims)
     blocks = {
-        "scratch": take("scratch", _SCRATCH * n, np.float64),
-        "work": take("work", 5 + 7 * n + tiles_x * tiles_y + (3 * n + 7) // 8, np.int64),
+        "scratch": take("scratch", project.size("f", dims), np.float64),
+        "work": take("work", project.size("iw", dims), np.int64),
     }
-    work_at = blocks["work"][1]
-    lib.view_project(
-        n, None if rows is None else _index_at(rows), total, *model_at,
-        _address(planes), stored, degree, params_at, width, height,
-        int(settings.tile_size), sub, blocks["scratch"][1], work_at,
-    )
+    args[-2:] = blocks["scratch"][1], blocks["work"][1]
+    lib.view_project(*args)
     m, _, tiles, entries, area = blocks["work"][0][:5].tolist()
     records = bool(settings.cache_blend_state)  # for view_backward only
-    kept_at = [None] * 6
-    for k, (name, size, dtype) in enumerate(
-        _kept_blocks(m, tiles, entries, tiles * sub * sub, area, records)
-    ):
-        blocks[name] = take(name, size, dtype)
-        kept_at[k] = blocks[name][1]
-    blocks["image"] = take("image", 3 * height * width, np.float64)
-    blocks["trans"] = take("trans", height * width, np.float64)
+    kept_at = [None] * len(_BLOCKS)
+    counts = dict(m=m, tiles=tiles, entries=entries, cap=area, sub=sub)
+    for k, (block, size, dtype) in enumerate(_render_blocks(records)):
+        blocks[block] = take(block, size(counts), dtype)
+        kept_at[k] = blocks[block][1]
+    for block in ("image", "trans"):
+        blocks[block] = take(block, composite.size(block, dims), np.float64)
     lib.view_composite(
-        n, blocks["scratch"][1], work_at, params_at, width, height, sub,
+        dims["n"], blocks["scratch"][1], blocks["work"][1], params_at, width, height, sub,
         *kept_at, blocks["image"][1], blocks["trans"][1],
     )
     view = _View(
-        m, n, tiles, entries, area if records else 0, kept_at, model_at[3],
-        stored, degree, params, width, height, sub,
+        m, dims["n"], tiles, entries, area if records else 0, *kept_at, addresses[3], stored,
+        degree, params_at, width, height, sub,
     )
+    blocks["held"] = (rows, params)
     return view, blocks
 
 
@@ -1096,14 +1449,13 @@ def _bind_view(lib, name: str) -> Callable:
     model's."""
     from repro.gaussians.covariance import GaussianShape
     from repro.gaussians.rasterizer import ProjectedGaussians, RenderContext, TileBins
-    from repro.gaussians.sh import num_basis
 
     def served(camera, model, settings, rows, ws):
         # The served model's arrays are checked and their addresses taken
         # once; a replaced array binds again.
         model_at = ws.binding(
-            "model", (model.positions, model.log_scales, model.quaternions,
-                      model.sh, model.opacity_logits),
+            "model", (model.positions, model.log_scales, model.quaternions, model.sh,
+                      model.opacity_logits),
             _model_at, model,
         )
         ws.lease()
@@ -1116,8 +1468,6 @@ def _bind_view(lib, name: str) -> Callable:
         return image, view.m
 
     def view_forward(camera, model, settings, rows=None, workspace=None):
-        if rows is not None:
-            rows = _rows(rows)
         if workspace is not None:
             return served(camera, model, settings, rows, workspace)
         view, blocks = _forward(lib, camera, model, settings, _fresh, rows)
@@ -1131,12 +1481,11 @@ def _bind_view(lib, name: str) -> Callable:
             ids=ints[:m], clamp_mask=clamp.reshape(m, 3), sh_degree_used=view.degree,
             shapes=shapes, **fields,
         )
+        width, height, sub = view.width, view.height, view.sub
         bins = TileBins(
-            tile_size=view.sub, tiles_x=-(-view.width // view.sub),
-            tiles_y=-(-view.height // view.sub),
-            width=view.width, height=view.height, tile_ids=ints[m : m + tiles],
-            offsets=ints[m + tiles : m + 2 * tiles + 1],
-            order=ints[m + 2 * tiles + 1 :],
+            tile_size=sub, tiles_x=-(-width // sub), tiles_y=-(-height // sub),
+            width=width, height=height, tile_ids=ints[m : m + tiles],
+            offsets=ints[m + tiles : m + 2 * tiles + 1], order=ints[m + 2 * tiles + 1 :],
         )
         records = [blocks[block][0] for block in _BLEND_RECORDS if block in blocks]
         ctx = RenderContext(
@@ -1144,32 +1493,22 @@ def _bind_view(lib, name: str) -> Callable:
             num_input=view.n, kernel_backend=name,
             blocks=(proj, floats, ints, clamp, *records), backward=view_backward,
         )
-        image = blocks["image"][0].reshape(view.height, view.width, 3)
-        return image, blocks["trans"][0].reshape(view.height, view.width), ctx
+        image = blocks["image"][0].reshape(height, width, 3)
+        return image, blocks["trans"][0].reshape(height, width), ctx
 
     def view_backward(ctx, model, dL_dimage):
-        arrays = _model_arrays(model)
-        n, stored = model.sh.shape[:2]
         proj, *kept = ctx.blocks
-        camera, bins, m = ctx.camera, ctx.bins, proj.ids.size
-        d_image = np.ascontiguousarray(dL_dimage, dtype=np.float64)
-        _require_shapes(d_image=(d_image, (camera.height, camera.width, 3)))
-        tiles, entries, sub = bins.num_tiles, bins.num_entries, bins.tile_size
-        records = len(kept) > 3
-        cap = kept[4].size if records else 0
-        want = _kept_blocks(m, tiles, entries, tiles * sub * sub, cap, records)
-        if [block.size for block in kept] != [size for _, size, _ in want]:
-            raise ValueError("native view operands: not this context's blocks")
-        if n != ctx.num_input or num_basis(proj.sh_degree_used) > stored:
-            raise ValueError("native view operands: not the model that was rendered")
-        grads = {field: np.zeros(arr.shape) for field, arr in arrays.items()}
-        kept_at = tuple(map(_address, kept)) + (None,) * (6 - len(kept))
-        view = _View(
-            m, n, tiles, entries, cap, kept_at, _address(model.sh), stored,
-            proj.sh_degree_used, _view_params(camera, ctx.settings),
-            camera.width, camera.height, sub,
-        )
-        _backward(lib, view, _address(d_image), list(map(_address, grads.values())))
+        camera, bins = ctx.camera, ctx.bins
+        if sh.num_basis(proj.sh_degree_used) > model.sh.shape[1]:
+            raise ValueError("native view_backward: not the model that was rendered")
+        grads = {field: np.zeros(arr.shape) for field, arr in model.parameters().items()}
+        _run(lib, "view_backward", dict(
+            zip(_BLOCKS.values(), kept), m=proj.ids.size, n=ctx.num_input,
+            tiles=bins.num_tiles, entries=bins.num_entries, sh=model.sh,
+            degree=proj.sh_degree_used, params=_view_params(camera, ctx.settings),
+            width=camera.width, height=camera.height, sub=bins.tile_size, d_image=dL_dimage,
+            **dict(zip(_GRADS, grads.values())),
+        ))
         return grads
 
     return view_forward
@@ -1178,39 +1517,33 @@ def _bind_view(lib, name: str) -> Callable:
 # ---------------------------------------------------------------------------
 # The data path
 # ---------------------------------------------------------------------------
+def _held_rows(cached: int, prev, carried, names=("carried", "carried_sh", "carried_opacity")) -> dict:
+    """The rows a working set held last step that a load reads: its
+    previous buffer when ``cached`` rows are, the gradients it carries."""
+    held = {}
+    if cached:
+        rows, noncrit = prev
+        held.update(prev=rows, prev_sh=noncrit["sh"], prev_opacity=noncrit["opacity_logits"])
+    if carried is not None:
+        held.update(zip(names, carried))
+    return held
+
+
 def _bind_rows(lib, op: str) -> Callable:
-    """The data-path op ``op`` as one call into the loaded library: shapes,
-    dtypes and contiguity are checked here, rows by the C call before it
-    writes anything."""
+    """The data-path op ``op`` as one call into the loaded library: its
+    operands checked as declared, rows by the C call before it writes
+    anything."""
     from repro.optim.kernels import tables_for
 
     def assemble_rows(ws, working_set, loads, cached, carried_grads):
-        cpu, gpu, k = ws.cpu_store, ws.gpu_store, ws.cpu_store.sh_basis
-        n, k3 = cpu.num_rows, 3 * k
-        rows, loads, cached = _rows(working_set), _rows(loads), _rows(cached)
-        m = rows.size
-        prev = carry = (None, 0, None, None)
-        if cached.size:
-            before = _rows(ws.indices)
-            mp = before.size
-            prev = (
-                _address(before), mp, _buffer(ws.noncrit["sh"], (mp, k, 3)),
-                _buffer(ws.noncrit["opacity_logits"], (mp,)),
-            )
-        if carried_grads is not None:
-            carried = _rows(carried_grads[0])
-            nc = carried.size
-            carry = (
-                _address(carried), nc, _buffer(carried_grads[1], (nc, k, 3)),
-                _buffer(carried_grads[2], (nc,)),
-            )
-        block = np.empty(m * (2 * k3 + 12))
-        lib.assemble_rows(
-            n, k3, cpu.row_floats, _buffer(cpu.params, (n, cpu.row_floats)),
-            _buffer(gpu.packed_params, (n, 10)), _address(rows), m,
-            _address(loads), loads.size, _address(cached), cached.size,
-            *prev, *carry, _address(block),
-        )
+        cpu, k = ws.cpu_store, ws.cpu_store.sh_basis
+        m = np.size(working_set)
+        block = np.empty(m * (6 * k + 12))
+        _run(lib, "assemble_rows", dict(
+            _held_rows(np.size(cached), (ws.indices, ws.noncrit), carried_grads),
+            k3=3 * k, pinned=cpu.params, critical=ws.gpu_store.packed_params,
+            ws=working_set, loads=loads, cached=cached, block=block,
+        ), {"k": k})
         out = _cut(block, m, _layout((
             ("sh", (k, 3)), ("opacity", ()), ("grad_sh", (k, 3)), ("grad_opacity", ()),
             ("positions", (3,)), ("log_scales", (3,)), ("quaternions", (4,)),
@@ -1218,54 +1551,35 @@ def _bind_rows(lib, op: str) -> Callable:
         critical = {name: out.pop(name) for name in ("positions", "log_scales", "quaternions")}
         return out["sh"], out["opacity"], critical, out["grad_sh"], out["grad_opacity"]
 
+    adam = _binder("adam_rows")
+    state = _Kept(adam)
+
     def zero_rows(buffer, rows):
-        rows = _rows(rows)
-        n = buffer.shape[0]
-        lib.zero_rows(
-            n, buffer.size // n if n else 0,
-            _buffer(buffer, buffer.shape, write=True), _address(rows),
-            rows.size,
-        )
+        _run(lib, "zero_rows", dict(buffer=buffer, rows=rows))
 
     def adam_rows(
         params, grads, m, v, steps, rows, lr, beta1, beta2, eps, bump=True,
         block_rows=None,  # the C loop walks the rows in place, unblocked
     ):
-        rows = _rows(rows)
-        n = m.shape[0]
-        width = m.size // n if n else 0
-        if not (
-            steps.dtype == np.int64 and steps.flags.c_contiguous
-            and steps.flags.writeable and steps.shape == (n,)
-        ):
-            raise ValueError(f"native adam_rows: steps {steps.dtype}{steps.shape}")
-        lr = np.asarray(lr, dtype=np.float64)
-        lr = np.full(width, lr) if lr.ndim == 0 else np.ascontiguousarray(lr)
-        p_at, p_stride = _strided(params, n, width, write=True)
-        g_at, g_stride = _strided(grads, n, width)
-        m_at, v_at = _buffer(m, m.shape, write=True), _buffer(v, m.shape, write=True)
-        _disjoint(
-            (p_at, params.nbytes), (g_at, grads.nbytes), (m_at, m.nbytes),
-            (v_at, v.nbytes),
-        )
-        operands = (
-            p_at, p_stride, g_at, g_stride, m_at, v_at, width, _address(steps),
-            n, _address(rows), rows.size,
-            _buffer(lr, (width,)), beta1, beta2, eps,
-        )
+        bound, dims = state(dict(params=params, grads=grads, m=m, v=v, steps=steps))
+        args = bound.copy()
+        held = adam.bind(args, dict(
+            beta1=beta1, beta2=beta2, eps=eps, bump=int(bump), rows=rows, lr=lr,
+        ), dict(dims))
         tables, t_max = tables_for(beta1, beta2), 0
         while True:
             bc1, rsqrt_bc2 = tables.covering(t_max)
+            adam.put(args, dict(
+                bc1=_address(bc1), rsqrt_bc2=_address(rsqrt_bc2),
+                table=min(bc1.size, rsqrt_bc2.size),
+            ))
             try:
-                return lib.adam_rows(
-                    *operands, _address(bc1), _address(rsqrt_bc2),
-                    min(bc1.size, rsqrt_bc2.size), int(bump),
-                )
+                return lib.adam_rows(*args)
             except _TablesShort:
                 pass
             # A step past the tables' end: grow them, then go again (nothing
             # was written).  Only a negative step count can fail twice.
-            reached = int(steps[rows].max()) + int(bump)
+            reached = int(steps[np.asarray(rows, np.int64)].max()) + int(bump)
             if reached <= t_max:
                 raise ValueError("native adam_rows: a negative step count")
             t_max = reached
@@ -1290,26 +1604,48 @@ def _window(size: int, sigma: float) -> tuple:
     return taps, taps.ctypes.data
 
 
+def _moments(moments) -> "tuple[dict, int]":
+    """A target's kept moments as the loss takes them, and the address of
+    the SSIM window."""
+    taps, at = _window(*moments.window)
+    return dict(uy=moments.uy, uy2_c1=moments.uy2_c1, vy_c2=moments.vy_c2, size=taps.size), at
+
+
 def _bind_loss(lib) -> Callable:
     """``photometric_loss`` as one call into the loaded library, over the
     target's kept moments (which the caller matched to ``target``)."""
     from repro.gaussians.loss import _C1, _C2
 
+    binder = _binder("photometric_loss")
+
     def photometric_loss(rendered, target, ssim_lambda, moments):
-        h, w, c = rendered.shape
-        planes = (c, h, w)
-        taps, at = _window(*moments.window)
-        grad, value = np.empty(rendered.shape), np.empty(1)
-        lib.photometric_loss(
-            h, w, c, _buffer(rendered, rendered.shape),
-            _buffer(target, rendered.shape), _buffer(moments.uy, planes),
-            _buffer(moments.uy2_c1, planes), _buffer(moments.vy_c2, planes),
-            at, taps.size, float(ssim_lambda), _C1, _C2, _address(grad),
-            _address(value),
-        )
+        loss, taps_at = _moments(moments)
+        grad, value = np.empty(np.shape(rendered)), np.empty(1)
+        args = binder.blank()
+        held = binder.bind(args, dict(
+            loss, x=rendered, y=target, ssim_lambda=float(ssim_lambda), c1=_C1, c2=_C2,
+            grad=grad, value=value,
+        ))
+        binder.put(args, {"t": taps_at})
+        lib.photometric_loss(*args)
         return float(value[0]), grad
 
     return photometric_loss
+
+
+def _bind_loss_target(target, moments, camera) -> tuple:
+    """``photometric_loss``'s argument list over a target and its kept
+    moments (the four planes, the SSIM window) for ``camera``'s image,
+    checked once, and the arrays it points into."""
+    from repro.gaussians.loss import _C1, _C2
+
+    binder = _binder("photometric_loss")
+    loss, taps_at = _moments(moments)
+    args, _, held = binder.prepare(dict(
+        loss, h=camera.height, w=camera.width, channels=3, c1=_C1, c2=_C2, y=target,
+    ))
+    binder.put(args, {"t": taps_at})
+    return args, held
 
 
 def _bind_train(lib, name: str) -> Callable:
@@ -1317,7 +1653,7 @@ def _bind_train(lib, name: str) -> Callable:
     :class:`~repro.kernels.workspace.Workspace`'s arenas, then
     ``photometric_loss`` and ``view_backward`` there, with the checks of
     the three ops it fuses and no context, projection or bins built."""
-    from repro.gaussians.loss import _C1, _C2
+    loss_binder = _binder("photometric_loss")
 
     def view_train(
         camera, model, settings, target, moments, ssim_lambda, batch,
@@ -1327,12 +1663,14 @@ def _bind_train(lib, name: str) -> Callable:
             raise ValueError("native view_train: L1 alone stays on the reference")
         ws = Workspace() if workspace is None else workspace
         height, width = camera.height, camera.width
-        pixels, planes3 = height * width, (3, height, width)
-        loss_operands = (
-            _buffer(target, (height, width, 3)), _buffer(moments.uy, planes3),
-            _buffer(moments.uy2_c1, planes3), _buffer(moments.vy_c2, planes3),
+        pixels = height * width
+        # Keyed by view, as ``train_step``'s: a replaced target or camera
+        # binds again.
+        bound, _ = ws.binding(
+            ("loss", camera.view_id), (moments, target, camera), _bind_loss_target,
+            target, moments, camera,
         )
-        taps, taps_at = _window(*moments.window)
+        args = bound.copy()
         ws.lease()
         try:
             start = time.perf_counter()
@@ -1341,17 +1679,18 @@ def _bind_train(lib, name: str) -> Callable:
 
             d_image, d_image_at = ws.arena("d_image", 3 * pixels)
             value, value_at = ws.arena("value", 1)
-            lib.photometric_loss(
-                height, width, 3, blocks["image"][1], *loss_operands, taps_at,
-                taps.size, float(ssim_lambda), _C1, _C2, d_image_at, value_at,
-            )
+            loss_binder.put(args, dict(
+                x=blocks["image"][1], ssim_lambda=float(ssim_lambda), grad=d_image_at,
+                value=value_at,
+            ))
+            lib.photometric_loss(*args)
 
             start = time.perf_counter()
             d_image = d_image[: 3 * pixels]
             np.divide(d_image, batch, out=d_image)
             # The five gradient arrays, field after field in one arena,
             # zeroed: view_backward writes the survivors' rows only.
-            size = (11 + 3 * view.stored) * view.n
+            size = (11 + 3 * view.k_stored) * view.n
             block, block_at = ws.arena("grads", size)
             ctypes.memset(block_at, 0, 8 * size)
             grads, addresses, at = {}, [], 0
@@ -1359,7 +1698,7 @@ def _bind_train(lib, name: str) -> Callable:
                 grads[field] = block[at : at + arr.size].reshape(arr.shape)
                 addresses.append(block_at + 8 * at)
                 at += arr.size
-            _backward(lib, view, d_image_at, addresses)
+            lib.view_backward(*view, d_image_at, *addresses)
             ws.backward_s = time.perf_counter() - start
         except BaseException:
             ws.release()
@@ -1378,52 +1717,46 @@ def _bind_train(lib, name: str) -> Callable:
 #: writes one pair while the block and carry it reads, the last step's, sit
 #: in the other.
 _STEP_ARENAS = (("block 0", "carry 0"), ("block 1", "carry 1"))
-#: The render's own arenas, ``(name, dtype)`` in ``_kept_blocks``' order —
-#: with and without the blend records — whose capacities are
-#: ``train_step``'s ``caps``.
-_KEPT = {
-    records: tuple((name, dtype) for name, _, dtype in _kept_blocks(0, 0, 0, 0, 0, records))
-    for records in (False, True)
-}
 _DEGREE = {k: d for d, k in sh.BASIS_PER_DEGREE.items()}
 
 
-def _bind_stores(cpu, gpu) -> tuple:
-    """``train_step``'s leading arguments over a pinned and a critical
-    store: the sizes, then the packed buffers' addresses, each checked."""
-    n, stride = cpu.num_rows, cpu.row_floats
-    return (
-        n, 3 * cpu.sh_basis, stride, _buffer(cpu.params, (n, stride)),
-        _buffer(cpu.grads, (n, stride), write=True),
-        _buffer(gpu.packed_params, (n, 10)),
-        _buffer(gpu.packed_grads, (n, 10), write=True),
-    )
+def _bind_stores(cpu, gpu) -> _Taken:
+    """``train_step``'s take of a pinned and a critical store: the sizes,
+    the packed buffers' addresses."""
+    return _binder("train_step").take(dict(
+        k3=3 * cpu.sh_basis, pinned=cpu.params, pinned_grads=cpu.grads,
+        critical=gpu.packed_params, critical_grads=gpu.packed_grads,
+    ), {"k": cpu.sh_basis})
 
 
-def _bind_camera(camera, settings) -> tuple:
+def _bind_camera(camera, settings) -> _Taken:
     """What ``train_step`` reads of a view and the render settings: the
-    ``planes`` and ``params`` addresses, the image and tile sizes, and the
-    two arrays, kept alive."""
-    planes, params = frustum_planes(camera), _view_params(camera, settings)
-    width, height, sub = camera.width, camera.height, rasterizer.compute_tile(settings)
-    return (
-        _address(planes), _address(params), width, height,
-        int(settings.tile_size), sub, -(-width // sub) * -(-height // sub),
-        planes, params,
-    )
+    ``planes`` and ``params`` vectors, the image and tile sizes."""
+    return _binder("train_step").take(dict(
+        planes=frustum_planes(camera), params=_view_params(camera, settings),
+        width=camera.width, height=camera.height, ts=int(settings.tile_size),
+        sub=rasterizer.compute_tile(settings),
+    ))
 
 
-def _bind_target(target, moments) -> tuple:
-    """The loss's operands over a target and its kept moments: the four
-    planes' addresses, then the SSIM window's and its size."""
-    height, width = target.shape[:2]
-    planes3 = (3, height, width)
-    taps, taps_at = _window(*moments.window)
-    return (
-        _buffer(target, (height, width, 3)), _buffer(moments.uy, planes3),
-        _buffer(moments.uy2_c1, planes3), _buffer(moments.vy_c2, planes3),
-        taps_at, taps.size,
-    )
+def _bind_target(target, moments, camera, *bound: _Taken) -> tuple:
+    """``train_step``'s arguments for a target: the loss's operands over it,
+    for ``camera``'s image, and its kept moments (the four planes, the SSIM
+    window), checked, with the ``bound`` takes (the stores', the view's) in
+    place; the dimensions they resolved; the arrays they point into."""
+    from repro.gaussians.loss import _C1, _C2
+
+    binder = _binder("train_step")
+    args, dims = binder.blank(), {}
+    for taken in bound:
+        binder.put(args, taken.values)
+        dims.update(taken.dims)
+    loss, _ = _moments(moments)
+    held = binder.bind(args, dict(
+        loss, height=camera.height, width=camera.width, c1=_C1, c2=_C2, target=target,
+        taps=_window(*moments.window)[0],
+    ), dims)
+    return args, dims, held
 
 
 def _bind_step(lib, name: str) -> Callable:
@@ -1434,7 +1767,21 @@ def _bind_step(lib, name: str) -> Callable:
     target's moments are checked and their addresses taken once each
     (:meth:`Workspace.binding`: again when one is replaced); the working
     set's accounting is the reference's."""
-    from repro.gaussians.loss import _C1, _C2
+    binder = _binder("train_step")
+    slot = binder.slot
+    # Where the render's own arenas go in the argument list, set per
+    # attempt; at first whatever they hold (the C reports a shortfall).
+    blocks_at = [slot[operand] for operand in _BLOCKS.values()]
+    counts = dict.fromkeys(("m", "tiles", "entries", "cap", "sub"), 0)
+    unsized = {records: _kept_blocks(records, counts) for records in (False, True)}
+    arenas = tuple(
+        (arena, slot[arena], binder.dtype(arena))
+        for arena in ("scratch", "work", "image", "trans", "d_image", "grads")
+    )
+    # What a call sets itself: the SH degree, the settings, its arenas.
+    per_call = [
+        slot[p] for p in ("degree", "records", "ssim_lambda", "batch", "caps", "value", "out")
+    ]
 
     def train_step(
         working, step, carried, camera, settings, target, moments,
@@ -1455,102 +1802,68 @@ def _bind_step(lib, name: str) -> Callable:
              settings.tile_size),
             _bind_camera, camera, settings,
         )
-        planes_at, params_at, width, height, ts, sub, tiles = view[:7]
-        if target.shape != (height, width, 3):
-            raise ValueError(
-                f"native train_step: a {target.shape} target for a "
-                f"{width}x{height} view"
-            )
-        loss = ws.binding(
-            ("target", camera.view_id), (moments, target), _bind_target, target, moments
+        bound, dims, _ = ws.binding(
+            ("target", camera.view_id), (moments, target, camera, stores, view),
+            _bind_target, target, moments, camera, stores, view,
         )
-        k3 = stores[1]
-        k = k3 // 3
-        rows, loads, cached = _rows(step.working_set), _rows(step.loads), _rows(step.cached)
-        stored, carries = _rows(step.stores), _rows(step.carried)
-        m, nc = rows.size, carries.size
+        args, dims = bound.copy(), dict(dims)
+        k3, width, height, sub = dims["k3"], dims["width"], dims["height"], dims["sub"]
+        held = binder.bind(args, dict(
+            ws=step.working_set, loads=step.loads, cached=step.cached, stores=step.stores,
+            carried=step.carried,
+        ), dims)
+        m, nc, cached = dims["m"], dims["num_carried"], dims["num_cached"]
+        if cached and working.indices is None:
+            raise RuntimeError("cache copy requested with no previous buffer")
         block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
-        block, block_at = ws.arena(block_name, m * (2 * k3 + 12))
-        carry, carry_at = ws.arena(carry_name, nc * (k3 + 1))
-        # What assemble_rows reads: the last step's block (cached rows) and
-        # carry.  Neither may share memory with the block or carry this one
-        # writes, or a call that is run again would read what it wrote.
-        prev = carry_in = (None, 0, None, None)
-        reads = []
-        if cached.size:
-            if working.indices is None:
-                raise RuntimeError("cache copy requested with no previous buffer")
-            before = _rows(working.indices)
-            mp = before.size
-            prev = (
-                _address(before), mp, _buffer(working.noncrit["sh"], (mp, k, 3)),
-                _buffer(working.noncrit["opacity_logits"], (mp,)),
-            )
-            reads += ((prev[2], mp * k3), (prev[3], mp))
-        if carried is not None:
-            held = _rows(carried[0])
-            nh = held.size
-            carry_in = (
-                _address(held), nh, _buffer(carried[1], (nh, k, 3)),
-                _buffer(carried[2], (nh,)),
-            )
-            reads += ((carry_in[2], nh * k3), (carry_in[3], nh))
-        for at, size in reads:
-            if at < block_at + 8 * block.size and block_at < at + 8 * size or (
-                at < carry_at + 8 * carry.size and carry_at < at + 8 * size
-            ):
-                raise ValueError("native train_step: operands share memory")
-        degree = _DEGREE[k]
+        size, carried_size = binder.size("block", dims), binder.size("carry", dims)
+        block, args[slot["block"]] = ws.arena(block_name, size)
+        carry, args[slot["carry"]] = ws.arena(carry_name, carried_size)
+        block, carry = block[:size], carry[:carried_size]
+        reads = _held_rows(
+            cached, (working.indices, working.noncrit), carried,
+            ("carried_in", "carried_sh", "carried_opacity"),
+        )
+        if reads:
+            # The last step's block (cached rows) and carry, which
+            # assemble_rows reads, may share no memory with the block and
+            # carry this one writes (``restrict``), or a call that is run
+            # again would read what it wrote.
+            held += binder.bind(args, dict(reads, block=block, carry=carry), dims)
+        degree = _DEGREE[k3 // 3]
         if settings.active_sh_degree is not None:
             degree = min(settings.active_sh_degree, degree)
-        pixels, records = height * width, bool(settings.cache_blend_state)
-        kept_arenas = _KEPT[records]
+        records = bool(settings.cache_blend_state)
         value, value_at = ws.arena("value", 1)
         out, out_at = ws.arena("step out", len(_STEP_OUT), np.int64)
-        caps, caps_at = ws.arena("step caps", len(_KEPT[True]), np.int64)
-        arenas = (
-            ws.arena("scratch", _SCRATCH * m)[1],
-            ws.arena("work", 5 + 7 * m + tiles + (3 * m + 7) // 8, np.int64)[1],
-        )
-        grads, grads_at = ws.arena("grads", (11 + k3) * m)
-        pixel_arenas = (
-            ws.arena("image", 3 * pixels)[1], ws.arena("trans", pixels)[1],
-            ws.arena("d_image", 3 * pixels)[1], grads_at, value_at, out_at,
-        )
-        operands = (
-            *stores, _index_at(rows), m, _index_at(loads), loads.size,
-            _index_at(cached), cached.size, _index_at(stored), stored.size,
-            _index_at(carries), nc, *prev, *carry_in, planes_at, degree, params_at,
-            width, height, ts, sub, int(records), *loss,
-            float(ssim_lambda), _C1, _C2, float(batch), block_at, carry_at,
-            *arenas,
-        )
+        caps, caps_at = ws.arena("step caps", len(_BLOCKS), np.int64)
+        for arena, at, dtype in arenas:
+            args[at] = ws.arena(arena, binder.size(arena, dims), dtype)[1]
+        settled = (degree, int(records), float(ssim_lambda), float(batch), caps_at, value_at, out_at)
+        for at, item in zip(per_call, settled):
+            args[at] = item
         ws.lease()
         try:
             working.reserve(m)
-            sizes = (0,) * len(kept_arenas)
+            kept = unsized[records]
             while True:
-                blocks = [
-                    ws.arena(arena, size, dtype)
-                    for (arena, dtype), size in zip(kept_arenas, sizes)
-                ]
+                blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
                 # Every slot: the C checks all six, and an arena is not
                 # cleared when it is allocated.
                 caps[:] = 0
                 caps[: len(blocks)] = [block.size for block, _ in blocks]
+                for k, at in enumerate(blocks_at):
+                    args[at] = blocks[k][1] if k < len(blocks) else None
                 try:
-                    lib.train_step(
-                        *operands, *(at for _, at in blocks),
-                        *(None,) * (6 - len(blocks)), caps_at, *pixel_arenas,
-                    )
+                    lib.train_step(*args)
                     break
                 except _ArenaShort:
                     # Only the block, scratch and work were written: size
                     # the render's blocks by its counts and go again.
                     survivors, _, busy, entries, area = out[2:7].tolist()
-                    sizes = [size for _, size, _ in _kept_blocks(
-                        survivors, busy, entries, busy * sub * sub, area, records
-                    )]
+                    kept = _kept_blocks(records, dict(
+                        m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
+                    ))
         except _StageFailed:
             ws.release()
             stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
@@ -1571,17 +1884,18 @@ def _bind_step(lib, name: str) -> Callable:
         ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
         ws.rendered_on = name
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
-        mk = m * k3
+        k, mk = k3 // 3, m * k3
         working.hold(
             step.working_set, block[:mk].reshape(m, k, 3), block[mk : mk + m],
             block[mk + m : 2 * mk + m].reshape(m, k, 3),
             block[2 * mk + m : 2 * mk + 2 * m],
         )
         counters = working.counters
-        counters.cached_gaussians += cached.size
-        counters.loaded_gaussians += loads.size
-        counters.stored_gaussians += stored.size
+        counters.cached_gaussians += cached
+        counters.loaded_gaussians += dims["num_loads"]
+        counters.stored_gaussians += dims["num_stores"]
         # The five gradients, field after field in model.parameters() order.
+        grads = ws.arena("grads", 0)[0]
         grads = {
             "positions": grads[: 3 * m].reshape(m, 3),
             "log_scales": grads[3 * m : 6 * m].reshape(m, 3),
@@ -1633,13 +1947,15 @@ def _bind_plan(lib) -> Callable:
         if len(order) != b:
             raise _not_an_order(order)
         seq = np.fromiter(order, np.int64, b)
-        out = np.empty(_PLAN_HEAD + 4 * b + 5 * rows.size, dtype=np.int64)
+        dims = dict(count=b, total=rows.size)
+        out = np.empty(_binder("plan_batch").size("out", dims), dtype=np.int64)
         try:
-            lib.plan_batch(
-                b, _address(rows), _address(offsets), int(num_gaussians),
-                _address(seq), int(search), float(time_limit_s), UNTIMED_NODES,
-                int(bool(enable_cache)), _address(out),
-            )
+            _run(lib, "plan_batch", dict(
+                count=b, sets=rows, offsets=offsets, n=int(num_gaussians), seq=seq,
+                search=int(search),
+                time_limit=float(time_limit_s), untimed=UNTIMED_NODES,
+                enable_cache=int(bool(enable_cache)), out=out,
+            ), dims)
         except _Malformed:
             if out[0] < 0:
                 raise _not_an_order(order) from None
@@ -1672,6 +1988,8 @@ def _bind_plan(lib) -> Callable:
         )
 
     return plan_batch
+
+
 
 
 @register_backend("native")
@@ -1723,33 +2041,20 @@ class NativeKernelBackend(KernelBackend):
         return f"compiler {' '.join(lib.compiler)}; library {lib.path}"
 
     def capabilities(self) -> "frozenset[str]":
-        return _OPS
+        return frozenset(_SPECS)
 
     def supports(self, spec: KernelSpec) -> bool:
-        # The kernels index raw float64 buffers; float32 blend state or
-        # gradient staging and strided or float32 model arrays stay on the
-        # reference.  ``exact_cull``'s spec reads ``contiguous`` per row
-        # (``registry.cull_spec``).  The loss runs over colour images and
-        # the target's moments: a grayscale image, or no moments (L1
-        # alone), stays on the reference.
-        if spec.op == "photometric_loss" and (
-            len(spec.operands) != 3 or any(d.rank != 3 for d in spec.operands)
-        ):
-            return False
-        # ``view_train``: the compute dtype, the model arrays, then the loss
-        # operands (``registry.train_operands``) — the same two rules.
-        if spec.op == "view_train" and (
-            len(spec.operands) != 8 or any(d.rank != 3 for d in spec.operands[6:])
-        ):
-            return False
-        # ``train_step``: the compute dtype, the stores' four packed buffers,
-        # then the loss operands (``registry.step_operands``) — the same.
-        if spec.op == "train_step" and (
-            len(spec.operands) != 7 or any(d.rank != 3 for d in spec.operands[5:])
-        ):
-            return False
-        return spec.op in _OPS and all(
-            d.dtype == "float64" and d.contiguous for d in spec.operands
+        """Whether ``spec``'s operands are the declared ones its op lists
+        (:data:`_SPECS`), each of its declared element type and rank and
+        contiguous: a float32 model, blend state or gradient staging, a
+        strided model array, a grayscale image or a loss without moments
+        (L1 alone) stays on the reference."""
+        layouts = _layouts(spec.op)
+        return (
+            layouts is not None and len(layouts) == len(spec.operands) and all(
+                data.contiguous and data.dtype == dtype and low <= data.rank <= high
+                for (dtype, low, high), data in zip(layouts, spec.operands)
+            )
         )
 
     def _compile(self, spec: KernelSpec) -> Callable:

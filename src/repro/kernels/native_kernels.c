@@ -1998,7 +1998,7 @@ static inline double sign_of(double d)
 int photometric_loss(
     int64_t h, int64_t w, int64_t channels, const double *x, const double *y,
     const double *uy, const double *uy2_c1, const double *vy_c2,
-    const double *t, int64_t size, double lambda, double c1, double c2,
+    const double *t, int64_t size, double ssim_lambda, double c1, double c2,
     double *grad, double *value)
 {
     const int64_t half = (size - 1) / 2, n3 = 3 * w, plane = h * w;
@@ -2074,7 +2074,7 @@ int photometric_loss(
                 l1_row += fabs(d);
                 const double *f = row_out + 3 * j;  /* f_ux, f_uxx, f_uxy */
                 const double s_grad = (f[0] + f[1] * x[at] * 2) + f[2] * y[at];
-                grad[at] = (1.0 - lambda) * (sign_of(d) / n) - lambda * s_grad;
+                grad[at] = (1.0 - ssim_lambda) * (sign_of(d) / n) - ssim_lambda * s_grad;
             }
             l1_sum += l1_row;
         }
@@ -2082,7 +2082,7 @@ int photometric_loss(
             for (int64_t p = 0; p < plane; p++)
                 grad[p * channels + ch] = NAN;
     }
-    *value = (1.0 - lambda) * (l1_sum / n) + lambda * (1.0 - s_sum / n);
+    *value = (1.0 - ssim_lambda) * (l1_sum / n) + ssim_lambda * (1.0 - s_sum / n);
     free(block);
     return STATUS_OK;
 }
@@ -2503,7 +2503,7 @@ int train_step(
     const double *params, int64_t width, int64_t height, int64_t ts,
     int64_t sub, int64_t records, const double *target, const double *uy,
     const double *uy2_c1, const double *vy_c2, const double *taps,
-    int64_t size, double lambda, double c1, double c2, double batch,
+    int64_t size, double ssim_lambda, double c1, double c2, double batch,
     double *block, double *carry, double *scratch, int64_t *work,
     double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
     int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
@@ -2554,7 +2554,7 @@ int train_step(
 
     STAGE(PHOTOMETRIC_LOSS, photometric_loss(
         height, width, 3, image, target, uy, uy2_c1, vy_c2, taps, size,
-        lambda, c1, c2, d_image, value));
+        ssim_lambda, c1, c2, d_image, value));
 
     start = now_ns();
     for (int64_t k = 0; k < 3 * width * height; k++)

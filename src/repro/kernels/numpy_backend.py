@@ -325,31 +325,34 @@ def _fold_entries(bins, aug, staged, d_colors, d_opac, d_means2d, d_conics):
     d_conics += summed[:, 6:].reshape(-1, 2, 2)
 
 
+def index_rows(rows, n: Optional[int], op: str) -> np.ndarray:
+    """``rows`` as the int64 vector the reference indexes by, refused as
+    ``native`` refuses it, before anything is written: rows of another kind
+    than integers, or (unless ``n`` is None) one outside ``[0, n)``, where
+    NumPy would wrap a negative one, raise ``IndexError``; rows that are
+    not a vector, ``ValueError``."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu" and rows.size:
+        raise IndexError(f"{op}: {rows.dtype} rows, not integers")
+    if rows.ndim != 1:
+        raise ValueError(f"{op}: rows of shape {rows.shape}, not a vector")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.size and n is not None and not 0 <= rows.min() <= rows.max() < n:
+        raise IndexError(f"{op}: a row outside [0, {n})")
+    return rows
+
+
 def _exact_cull(planes, positions, log_scales, raw_quats, rows):
     """The members of ``rows`` inside ``planes``: the reference arbiter,
     :func:`~repro.gaussians.frustum.ellipsoids_in_frustum` — the function
     ``preprocess`` applies again on the render side — on those rows only."""
     from repro.gaussians.frustum import ellipsoids_in_frustum
 
+    rows = index_rows(rows, len(positions), "exact_cull")
     inside = ellipsoids_in_frustum(
         planes, positions[rows], np.exp(log_scales[rows]), raw_quats[rows]
     )
     return rows[inside]
-
-
-def _working_set(model, rows):
-    """``model.gather(rows)``, once ``rows`` are integer indices inside the
-    model: a negative row raises ``IndexError`` here, as in the C, where
-    ``np.take`` would wrap it."""
-    rows = np.asarray(rows)
-    if rows.size and (
-        rows.dtype.kind not in "iu" or rows.min() < 0
-        or rows.max() >= model.num_gaussians
-    ):
-        raise IndexError(
-            f"view_forward: rows must be integers in [0, {model.num_gaussians})"
-        )
-    return model.gather(rows.astype(np.int64, copy=False))
 
 
 def _view_forward(camera, model, settings, rows=None, workspace=None):
@@ -362,7 +365,7 @@ def _view_forward(camera, model, settings, rows=None, workspace=None):
     from repro.gaussians import rasterizer
 
     if rows is not None:
-        model = _working_set(model, rows)
+        model = model.gather(index_rows(rows, model.num_gaussians, "view_forward"))
     dtype = settings.np_dtype
     proj = rasterizer.preprocess(camera, model, settings)
     bins = rasterizer.build_tile_bins(camera, proj, settings)
@@ -434,6 +437,13 @@ def _assemble_rows(ws, working_set, loads, cached, carried_grads):
     copies from its previous buffer, loads from the pinned rows, the
     critical rows, and zeroed gradients holding the carried rows.  Returns
     ``(sh, opacity, critical, grad_sh, grad_opacity)``."""
+    working_set = index_rows(working_set, ws.cpu_store.num_rows, "assemble_rows")
+    loads, cached = (index_rows(rows, None, "assemble_rows") for rows in (loads, cached))
+    sets = [(loads, working_set), (cached, working_set)]
+    if ws.indices is not None:
+        sets.append((cached, ws.indices))
+    if not all(np.isin(rows, within).all() for rows, within in sets):
+        raise ValueError("assemble_rows: a row that is not a member of the set it indexes")
     m = working_set.size
     sh = np.zeros((m, ws.cpu_store.sh_basis, 3))
     opacity = np.zeros(m)
@@ -458,7 +468,11 @@ def _assemble_rows(ws, working_set, loads, cached, carried_grads):
 
 
 def _zero_rows(buffer, rows):
-    buffer[rows] = 0.0
+    buffer[index_rows(rows, len(buffer), "zero_rows")] = 0.0
+
+
+def _adam_rows(params, grads, m, v, steps, rows, *args, **kwargs):
+    adam_rows(params, grads, m, v, steps, index_rows(rows, len(steps), "adam_rows"), *args, **kwargs)
 
 
 def _photometric_loss(rendered, target, ssim_lambda, moments):
@@ -520,6 +534,6 @@ class NumpyKernelBackend(KernelBackend):
             "view_forward": _view_forward,
             "assemble_rows": _assemble_rows,
             "zero_rows": _zero_rows,
-            "adam_rows": adam_rows,
+            "adam_rows": _adam_rows,
             "photometric_loss": _photometric_loss,
         }[spec.op]

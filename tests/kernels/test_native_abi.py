@@ -12,7 +12,6 @@ a raised status — never a library loaded stale or a call that reads past its
 arguments.
 """
 
-import ctypes
 import re
 from importlib import resources
 
@@ -63,26 +62,74 @@ def test_the_parsed_prototypes_are_the_thirteen_entry_points_python_calls():
         "assemble_rows", "zero_rows", "adam_rows", "photometric_loss",
         "plan_batch", "train_step",
     }
-    assert [ctype for _, ctype in signatures["zero_rows"]] == [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64,
+    assert signatures["zero_rows"] == [
+        ("n", "int64_t", False), ("width", "int64_t", False), ("buffer", "double", True),
+        ("rows", "int64_t", True), ("count", "int64_t", False),
     ]
-    assert [arg for arg, _ in signatures["photometric_loss"]][:3] == ["h", "w", "channels"]
+    assert [arg for arg, *_ in signatures["photometric_loss"]][:3] == ["h", "w", "channels"]
+    # Each is declared, operand for operand: what the binder passes.
+    for name, parsed in signatures.items():
+        assert native_backend._binder(name).signature == parsed, name
 
 
-def test_a_dropped_parameter_fails_at_its_first_call(quick):
+def test_a_dropped_parameter_fails_at_load(quick):
     """``zero_rows`` without ``count`` (the body keeps a local of that
-    name): the binding passes five arguments to a four-parameter prototype,
-    which ctypes alone would accept."""
-    lib = NativeLibrary(mutant(
+    name): the declaration has five parameters, the prototype four —
+    refused before anything is built, where ctypes alone would have taken
+    the call."""
+    source = mutant(
         "const int64_t *rows, int64_t count)\n{",
         "const int64_t *rows)\n{\n    const int64_t count = 0;",
-    )).load()
-    zero_rows = native_backend._bind_rows(lib, "zero_rows")
-    buffer = np.ones((4, 3))
-    with pytest.raises(AbiError, match="zero_rows takes 4 arguments, got 5"):
-        zero_rows(buffer, np.array([1, 2]))
-    assert (buffer == 1.0).all()  # nothing was called
+    )
+    with pytest.raises(
+        RuntimeError, match="AbiError: zero_rows: .*5 parameters declared, 4 in the prototype"
+    ):
+        NativeLibrary(source).load()
+    assert not quick.exists() or not list(quick.glob("*.so"))
+
+
+def swapped(operands: tuple, first: str, second: str) -> tuple:
+    at = [op.name for op in operands].index
+    out = list(operands)
+    out[at(first)], out[at(second)] = out[at(second)], out[at(first)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "entry, mutate, named",
+    [
+        ("zero_rows", lambda ops: swapped(ops, "n", "width"), "parameter 1 is declared"),
+        ("adam_rows", lambda ops: swapped(ops, "beta1", "beta2"), "parameter 13 is declared"),
+        ("view_project", lambda ops: swapped(ops, "positions", "log_scales"), "parameter 4"),
+        (
+            "train_step", lambda ops: tuple(
+                op._replace(ctype="int32_t") if op.name == "rec_f" else op for op in ops
+            ),
+            r"\('rec_f', 'int32_t', True\), the prototype has \('rec_f', 'double', True\)",
+        ),
+        (
+            "photometric_loss", lambda ops: tuple(
+                op._replace(ctype="double") if op.name == "size" else op for op in ops
+            ),
+            "'size', 'double', False",
+        ),
+        ("exact_cull", lambda ops: ops[:-1], "10 parameters declared, 11 in the prototype"),
+    ],
+    ids=["swap-scalars", "swap-doubles", "swap-arrays", "element-type", "scalar-type", "count"],
+)
+def test_a_declaration_that_is_not_its_prototype_fails_at_load(monkeypatch, entry, mutate, named):
+    """Mutants of the Python side: two declared operands swapped, an
+    element or scalar type changed, one dropped — each refused when the
+    library loads, before a call could pass an operand where another is
+    read."""
+    operands = dict(native_backend._OPERANDS)
+    operands[entry] = mutate(operands[entry])
+    monkeypatch.setattr(native_backend, "_OPERANDS", operands)
+    with pytest.raises(AbiError, match=f"{entry}: the declaration is not the prototype: .*{named}"):
+        native_backend._binders(native_backend.prototypes(kernel_source()))
+    library = NativeLibrary()
+    with pytest.raises(RuntimeError, match=f"AbiError: {entry}: the declaration"):
+        library.load()
 
 
 @pytest.mark.parametrize(
@@ -120,6 +167,60 @@ def test_a_nonzero_status_from_view_project_raises(quick):
     forward = native_backend._bind_view(lib, "native")
     with pytest.raises(RuntimeError, match="native view_project returned status NO_MEMORY"):
         forward(cam, model, RasterSettings())
+
+
+def test_the_positional_calls_put_each_operand_in_its_declared_slot():
+    """A view's two forward calls and its backward are made over positional
+    lists (``_checked`` only counts them): every operand a binding places
+    there sits in the slot of its declared name."""
+    from repro.gaussians.loss import TargetMoments
+    from repro.kernels.workspace import Workspace
+
+    real, calls = get_backend("native").library().load(), {}
+
+    def recording(name):
+        def call(*args):
+            calls[name] = dict(zip(native_backend._binder(name).params, args))
+            return getattr(real, name)(*args)
+        return call
+
+    lib = type("Lib", (), {
+        name: staticmethod(recording(name))
+        for name in ("view_project", "view_composite", "photometric_loss", "view_backward")
+    })
+    cam, model = generated_model(seed=3, num=40, size=(40, 30), scale=-2.0)
+    settings, rows = RasterSettings(), np.arange(0, 40, 3)
+    native_backend._bind_view(lib, "native")(cam, model, settings, rows=rows, workspace=Workspace())
+    project, composite = calls["view_project"], calls["view_composite"]
+    model_arrays = dict(
+        positions=model.positions, log_scales=model.log_scales, quats=model.quaternions,
+        sh=model.sh, logits=model.opacity_logits,
+    )
+    assert {name: project[name] for name in model_arrays} == {
+        name: arr.ctypes.data for name, arr in model_arrays.items()
+    }
+    sub = rasterizer.compute_tile(settings)
+    assert (project["n"], project["total"], project["k_stored"], project["degree"]) == (
+        rows.size, model.num_gaussians, model.sh.shape[1], model.sh_degree,
+    )
+    view = dict(width=cam.width, height=cam.height, sub=sub)
+    assert {k: project[k] for k in view} == view == {k: composite[k] for k in view}
+    assert project["ts"] == settings.tile_size and project["planes"] and project["rows"]
+    for name in ("n", "f", "iw", "params"):
+        assert composite[name] == project[name], name
+
+    target = np.random.default_rng(0).uniform(size=(cam.height, cam.width, 3))
+    native_backend._bind_train(lib, "native")(
+        cam, model, settings, target, TargetMoments.of(target), 0.2, 1, Workspace(),
+    )
+    composite, backward = calls["view_composite"], calls["view_backward"]
+    assert calls["photometric_loss"]["x"] == composite["image"]
+    for name in ("kept", "ikept", "clamp", "params", "width", "height", "sub"):
+        assert backward[name] == composite[name], name
+    assert (backward["n"], backward["sh"], backward["k_stored"]) == (
+        model.num_gaussians, model.sh.ctypes.data, model.sh.shape[1],
+    )
+    assert backward["d_image"] == calls["photometric_loss"]["grad"]
 
 
 def test_the_source_declares_none_of_the_shared_abi():

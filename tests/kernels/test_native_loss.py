@@ -143,16 +143,6 @@ def test_what_native_declines_runs_on_the_reference(case):
     assert value == want_value and np.array_equal(grad, want_grad)
 
 
-def test_operands_are_checked_before_a_pointer_is_taken():
-    fn = native_backend._bind_loss(get_backend("native").library().load())
-    x, y = image_pair((24, 32), seed=8)
-    moments = TargetMoments.of(y)
-    with pytest.raises(ValueError, match="float64"):
-        fn(x, y[:, :-1].copy(), 0.2, moments)
-    with pytest.raises(ValueError, match="float64"):
-        fn(x[:, :-1].copy(), y, 0.2, moments)
-
-
 def test_threads_at_once_agree_with_serial_calls():
     """The C keeps its scratch per call: calls from two threads at once (the
     pooled executors' workers compute losses) get the serial results."""

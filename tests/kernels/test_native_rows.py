@@ -272,7 +272,9 @@ def assert_unchanged(before, arrays):
 
 
 def test_native_refuses_rows_before_writing():
-    """Out-of-range and non-member rows raise, and no buffer moved."""
+    """Non-member and repeated rows raise, and no buffer moved (rows
+    outside the store, of another kind or shape, and operands that share
+    memory: ``test_native_refusals``)."""
     model = GaussianModel.random(20, sh_degree=1, seed=2)
     side = Side(model, "native")
     cpu, gpu, ws = side.cpu, side.gpu, side.ws
@@ -281,27 +283,17 @@ def test_native_refuses_rows_before_writing():
     ws.add_grads(gradients(np.random.default_rng(2), 4, model.num_sh_basis))
     buffers = [cpu.grads, gpu.packed_grads, ws.grad_sh, ws.grad_opacity]
     before = snapshot(*buffers)
-    with pytest.raises(IndexError):
-        cpu.zero_grads(np.array([3, 20]))
-    with pytest.raises(IndexError):
-        gpu.zero_grads(np.array([-1]))
     for loads, cached in (([2], []), ([1, 4, 7, 9, 11], []), ([1, 4], [7, 12])):
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(ValueError, match="not a member"):
             ws.assemble(rows, np.array(loads), np.array(cached, dtype=np.int64))
-    with pytest.raises(IndexError):
-        ws.assemble(np.array([3, 30]), np.array([3]), np.array([], np.int64))
     assert_unchanged(before, buffers)
 
     opt = PackedSparseAdam({"p": (10,)}, 20, kernel_backend="native")
     params = np.ones((20, 10))
     state = [params, opt.packed_m, opt.packed_v, opt.steps]
     before = snapshot(*state)
-    with pytest.raises(IndexError):
-        opt.step_packed(params, np.ones((20, 10)), np.array([2, 20]))
     with pytest.raises(ValueError, match="repeats"):
         opt.step_packed(params, np.ones((20, 10)), np.array([5, 2, 5]))
-    with pytest.raises(ValueError, match="share memory"):
-        opt.step_packed(opt.packed_m, np.ones((20, 10)), np.array([2]))
     assert_unchanged(before, state)
 
 

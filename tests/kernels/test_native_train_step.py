@@ -215,7 +215,8 @@ def test_a_restore_writes_in_place_and_keeps_the_binding(recipes, tmp_path):
     bound = ws._bindings["stores"][1]
     cpu, gpu = engine.cpu_store, engine.gpu_store
     addresses = [a.ctypes.data for a in (cpu.params, cpu.grads, gpu.packed_params, gpu.packed_grads)]
-    assert list(bound[3:]) == addresses
+    names = ("pinned", "pinned_grads", "critical", "critical_grads")
+    assert [bound.values[name] for name in names] == addresses
     for view_ids in schedule[3:]:
         sess.train_batch(view_ids)
     bindings = ws.bindings
@@ -368,7 +369,7 @@ def test_stale_capacities_in_the_caps_arena_are_overwritten(recipes, records):
     engine, plan, targets = working_sets(recipes)
     settings = replace(engine.raster_settings, cache_blend_state=records)
     ws = Workspace()
-    ws.arena("step caps", len(native_backend._KEPT[True]), np.int64)[0][:] = -1
+    ws.arena("step caps", len(native_backend._BLOCKS), np.int64)[0][:] = -1
     lib = get_backend("native").library().load()
     calls = []
 

@@ -455,26 +455,16 @@ def test_a_context_numpy_made_or_a_replaced_projection_goes_to_the_reference():
         np.testing.assert_allclose(crossed[name], want[name], rtol=1e-10, atol=1e-10)
 
 
-def test_operands_are_checked_before_a_pointer_is_taken():
+def test_a_bad_tile_size_and_inconsistent_bins_are_refused():
+    """What no operand declaration says (``test_native_refusals`` has the
+    operands): a tile size the settings refuse, bins the C finds
+    inconsistent with the blocks they index."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
-    backend = get_backend("native")
-    spec = view_spec(np.float64, model)
-    forward = backend.compile(spec)
-    bad = dataclasses.replace(model)
-    bad.log_scales = model.log_scales[:-1]  # assigned after validation
-    with pytest.raises(ValueError, match="log_scales"):
-        forward(cam, bad, RasterSettings())
-    bad.log_scales = model.log_scales.astype(np.float32)
-    with pytest.raises(ValueError, match="log_scales"):
-        forward(cam, bad, RasterSettings())
+    forward = get_backend("native").compile(view_spec(np.float64, model))
     with pytest.raises(ValueError, match="tile_size"):
         forward(cam, model, RasterSettings(tile_size=0))
     ctx = forward(cam, model, RasterSettings())[2]
     backward = ctx.backward
-    with pytest.raises(ValueError, match="d_image"):
-        backward(ctx, model, np.ones((30, 41, 3)))
-    with pytest.raises(ValueError, match="not the model"):
-        backward(ctx, model.gather(np.arange(10)), np.ones((30, 40, 3)))
     ctx.bins.order[0] = ctx.proj.ids.size  # a row the block does not have
     with pytest.raises(ValueError, match="inconsistent"):
         backward(ctx, model, np.ones((30, 40, 3)))
