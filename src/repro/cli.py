@@ -173,8 +173,8 @@ def cmd_backends(args) -> int:
     for s in status:
         if s["detail"]:
             print(f"{s['name']}: {s['detail']}")
-    # Which of the kernel ops each backend runs itself; the rest reach the
-    # reference through the per-op fallback.
+    # Which of the kernel ops each backend runs itself; the rest run on the
+    # reference.
     for s in status:
         own = get_backend(s["name"]).capabilities()
         rest = [op for op in KERNEL_OPS if op not in own]

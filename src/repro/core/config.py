@@ -49,11 +49,6 @@ class EngineConfig:
     are pairwise disjoint and a batch-end barrier orders the boundary) —
     asserted engine-by-engine in ``tests/runtime``.
 
-    ``grad_dtype`` sizes the stores' packed gradient staging buffers
-    (``float64`` default for bit-parity with GPU-side accumulation;
-    ``float32`` halves offload staging bytes — optimizer moments always
-    accumulate in float64).
-
     ``renderer`` / ``renderer_backward`` select the rendering backend
     (paper §8: CLM is backend-agnostic).  ``None`` means the full tile
     rasterizer; any pair with the same ``(camera, model, settings) ->
@@ -67,7 +62,8 @@ class EngineConfig:
     Engines resolve it once at construction and thread it through
     ``RasterSettings``, ``PackedSparseAdam`` and their planner's
     ``plan_batch`` op; ``PerfCounters.kernel_backend`` names the backend
-    that composited the last batch's renders, after per-op fallback.
+    that composited the last batch's renders (the reference, after a
+    failed build).
 
     ``use_task_graph`` picks the executor of the batch's
     :func:`repro.planning.lower_batch` node list (``step`` per
@@ -96,7 +92,6 @@ class EngineConfig:
     enable_cache: bool = True
     enable_overlap_adam: bool = True
     overlap_workers: int = 0
-    grad_dtype: str = "float64"
     plan_cache_size: int = 8
     ssim_lambda: float = 0.2
     adam: AdamConfig = field(default_factory=default_adam_config)

@@ -21,8 +21,9 @@ These classes move *real* NumPy arrays the way CLM moves tensors
 through the kernel backend layer (:mod:`repro.kernels`), one op a method
 over row indices: ``native`` runs each as one C call, the NumPy reference
 (``numpy_backend``) as the gathers, ``searchsorted`` placements and
-scatters it always was, and the two agree bit for bit.  Float32 gradient
-staging runs on the reference.  ``add_grads`` and ``retire`` are NumPy
+scatters it always was, and the two agree bit for bit.  Every buffer is
+float64: parameters, gradient staging and the working set's block alike.
+``add_grads`` and ``retire`` are NumPy
 here, fancy-indexed ``+=`` in place: the composition below calls them
 directly, and ``native``'s microbatch step runs their C twins, which add
 and copy in the same order, to the same bits.  ``kernel_backend`` picks
@@ -87,19 +88,11 @@ class PinnedParameterStore:
 
     Row layout: ``[sh (K*3 floats) | opacity (1 float) | padding]`` with
     the row padded to whole cache lines (§5.2).
-
-    ``grad_dtype`` sizes the pinned gradient staging buffer — like
-    ``RasterSettings.dtype`` it defaults to float64 (bit-parity with the
-    historical behavior) and may be dropped to float32 to halve offload
-    staging traffic; optimizer moments always accumulate in float64
-    (:class:`repro.optim.packed_adam.PackedSparseAdam`), so only the
-    staged gradient rows lose precision, never the optimizer state.
     """
 
     def __init__(
         self,
         model: GaussianModel,
-        grad_dtype: "str | np.dtype" = "float64",
         kernel_backend: Optional[str] = None,
     ) -> None:
         self._ops = OpDispatch(kernel_backend)
@@ -107,16 +100,13 @@ class PinnedParameterStore:
         self.sh_basis = model.num_sh_basis
         self.data_floats = self.sh_basis * 3 + 1
         self.row_floats = attributes.padded_row_floats(self.data_floats)
-        self.grad_dtype = np.dtype(grad_dtype)
         self.params = np.zeros((self.num_rows, self.row_floats))
         self._pack_into(self.params, np.arange(self.num_rows), model.sh,
                         model.opacity_logits)
         # Pinned gradient buffer (accumulated, full-size like the paper's),
         # padded to the same cache-line-aligned row width as the params so
         # the fused packed Adam moves whole rows as contiguous memcpys.
-        self.grads = np.zeros(
-            (self.num_rows, self.row_floats), dtype=self.grad_dtype
-        )
+        self.grads = np.zeros((self.num_rows, self.row_floats))
 
     # -- layout helpers -------------------------------------------------
     def _pack_into(self, dest, rows, sh, opacity) -> None:
@@ -147,7 +137,7 @@ class PinnedParameterStore:
         runs on whole contiguous rows (padding adds zeros to zeros).
         """
         m = indices.shape[0]
-        flat = np.zeros((m, self.row_floats), dtype=self.grad_dtype)
+        flat = np.zeros((m, self.row_floats))
         flat[:, : self.sh_basis * 3] = sh_grads.reshape(m, -1)
         flat[:, self.sh_basis * 3] = opacity_grads
         self.grads[indices] += flat
@@ -162,7 +152,7 @@ class PinnedParameterStore:
         return {"sh": sh.copy(), "opacity_logits": opacity.copy()}
 
     def zero_grads(self, indices: np.ndarray) -> None:
-        self._ops("zero_rows", self.grads)(self.grads, indices)
+        self._ops("zero_rows")(self.grads, indices)
 
     @property
     def active_kernel_backend(self) -> Optional[str]:
@@ -189,10 +179,6 @@ class GpuCriticalStore:
     :attr:`log_scales` / :attr:`quaternions` and :attr:`grads` expose named
     views into the packed arrays, so row-indexed consumers (culling, the
     equivalence tests) are unchanged.
-
-    ``grad_dtype`` sizes the gradient accumulators (default float64 for
-    bit-parity; see :class:`PinnedParameterStore`).  Parameters and
-    optimizer moments stay float64 regardless.
     """
 
     #: Packed row layout (params and grads share it), in accumulation order.
@@ -206,12 +192,10 @@ class GpuCriticalStore:
         self,
         model: GaussianModel,
         pool: Optional[MemoryPool] = None,
-        grad_dtype: "str | np.dtype" = "float64",
         kernel_backend: Optional[str] = None,
     ) -> None:
         self._ops = OpDispatch(kernel_backend)
         self.num_rows = model.num_gaussians
-        self.grad_dtype = np.dtype(grad_dtype)
         self.packed_params = np.empty((self.num_rows, 10))
         self.positions = self.packed_params[:, self.GRAD_COLUMNS["positions"]]
         self.log_scales = self.packed_params[:, self.GRAD_COLUMNS["log_scales"]]
@@ -221,9 +205,7 @@ class GpuCriticalStore:
         self.positions[:] = model.positions
         self.log_scales[:] = model.log_scales
         self.quaternions[:] = model.quaternions
-        self._packed_grads = np.zeros(
-            (self.num_rows, 10), dtype=self.grad_dtype
-        )
+        self._packed_grads = np.zeros((self.num_rows, 10))
         self.grads = {
             name: self._packed_grads[:, cols]
             for name, cols in self.GRAD_COLUMNS.items()
@@ -259,8 +241,7 @@ class GpuCriticalStore:
         self._packed_grads[indices] += flat
 
     def zero_grads(self, indices: np.ndarray) -> None:
-        grads = self._packed_grads
-        self._ops("zero_rows", grads)(grads, indices)
+        self._ops("zero_rows")(self._packed_grads, indices)
 
     @property
     def active_kernel_backend(self) -> Optional[str]:
@@ -319,9 +300,9 @@ class GpuWorkingSet:
         if cached.size and self.indices is None:
             raise RuntimeError("cache copy requested with no previous buffer")
         cpu = self.cpu_store
-        sh, opacity, crit, grad_sh, grad_opacity = self._ops(
-            "assemble_rows", cpu.params, self.gpu_store.packed_params
-        )(self, working_set, loads, cached, carried_grads)
+        sh, opacity, crit, grad_sh, grad_opacity = self._ops("assemble_rows")(
+            self, working_set, loads, cached, carried_grads
+        )
         self.counters.cached_gaussians += int(cached.size)
         self.counters.loaded_gaussians += int(loads.size)
         model = GaussianModel(

@@ -36,7 +36,7 @@ from repro.gaussians.loss import TargetMoments, psnr
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.render import render, render_backward, train_view
 from repro.hardware.memory import MemoryPool
-from repro.kernels.registry import REFERENCE_BACKEND, OpDispatch, train_operands
+from repro.kernels.registry import REFERENCE_BACKEND, OpDispatch
 from repro.kernels.workspace import Workspace
 from repro.planning.plan import BatchPlan
 from repro.planning.planner import BatchPlanner
@@ -424,10 +424,10 @@ class EngineBase(Engine):
         self.batches_trained += 1
         self.perf.observe(result, len(view_ids))
         # Re-stamp the backend identity from what actually composited this
-        # batch's renders — the dominant kernel cost — after per-op fallback
-        # (a float32 blend state the compiled kernels decline, a build that
-        # failed: see repro.kernels.compile_with_fallback).  The optimizers
-        # report their own truth as ``active_kernel_backend``.
+        # batch's renders — the dominant kernel cost — after a build that
+        # failed handed them to the reference (see
+        # repro.kernels.compile_with_fallback).  The optimizers report their
+        # own truth as ``active_kernel_backend``.
         self.perf.kernel_backend = self._rendered_on or self.kernel_backend
         return result
 
@@ -518,15 +518,13 @@ class EngineBase(Engine):
         the view as its ``view_train`` op over :attr:`_workspace`, whose
         arenas hold them under a lease that leaving the block releases.  The
         reference composition (:func:`~repro.gaussians.render.train_view`)
-        runs wherever ``native`` does not take the op — the NumPy backend, a
-        layout it declines, L1 alone (``ssim_lambda == 0``) — and for a
-        custom renderer pair.  Forward and backward wall time accumulate
-        into the per-batch counters :meth:`train_batch` stamps onto the
-        :class:`BatchResult`.
+        runs on the NumPy backend and for a custom renderer pair.  Forward
+        and backward wall time accumulate into the per-batch counters
+        :meth:`train_batch` stamps onto the :class:`BatchResult`.
         """
         settings = self.raster_settings
         ssim_lambda = self.config.ssim_lambda
-        moments = self._target_moments(cam.view_id, target) if ssim_lambda else None
+        moments = self._target_moments(cam.view_id, target)
         ws = self._workspace
         loss, grads = self._train_view(
             cam, model_like, settings, target, moments, ssim_lambda, batch, ws
@@ -550,9 +548,7 @@ class EngineBase(Engine):
         composition with this engine's renderer pair and loss op."""
         fused = None
         if self._own_renderer():
-            fused = self._loss_ops(
-                "view_train", *train_operands(settings, model_like, target, moments)
-            )
+            fused = self._loss_ops("view_train")
         if fused is None or self._loss_ops.active == REFERENCE_BACKEND:
             return train_view(
                 cam, model_like, settings, target, moments, ssim_lambda, batch,

@@ -55,7 +55,7 @@ from repro.engines.base import BatchResult, EngineBase, PositionGradHook
 from repro.engines.registry import register_engine
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
-from repro.kernels.registry import REFERENCE_BACKEND, step_operands
+from repro.kernels.registry import REFERENCE_BACKEND
 from repro.optim.packed_adam import PackedSparseAdam
 from repro.planning.lowering import lower_batch
 from repro.runtime import GraphExecutor, OverlapExecutor, TaskGraph
@@ -335,13 +335,9 @@ class CLMEngine(EngineBase):
         return result, adam_noncritical_s, stats.hidden_s
 
     def _build_stores(self, model: GaussianModel) -> None:
-        grad_dtype, backend = self.config.grad_dtype, self.kernel_backend
-        self.gpu_store = GpuCriticalStore(
-            model, pool=self.pool, grad_dtype=grad_dtype, kernel_backend=backend
-        )
-        self.cpu_store = PinnedParameterStore(
-            model, grad_dtype=grad_dtype, kernel_backend=backend
-        )
+        backend = self.kernel_backend
+        self.gpu_store = GpuCriticalStore(model, pool=self.pool, kernel_backend=backend)
+        self.cpu_store = PinnedParameterStore(model, kernel_backend=backend)
         self.sh_degree = model.sh_degree
 
     def _new_working_set(self) -> GpuWorkingSet:
@@ -358,9 +354,9 @@ class CLMEngine(EngineBase):
         gradients), render, backpropagate, accumulate, retire.
 
         On ``native`` that is the ``train_step`` op, one C call over
-        :attr:`_workspace`; everywhere else — NumPy, a layout ``native``
-        declines, L1 alone, a custom renderer pair, renders pinned to
-        another backend than the stores' — the reference composition
+        :attr:`_workspace`; everywhere else — NumPy, a custom renderer
+        pair, renders pinned to another backend than the stores' — the
+        reference composition
         :func:`repro.core.stores.train_step`, with this engine's training
         view.  The densify hook runs after either, on the gradients still
         leased, and the lease ends here."""
@@ -368,13 +364,11 @@ class CLMEngine(EngineBase):
         settings, ssim_lambda = run.settings, self.config.ssim_lambda
         if settings is None:
             settings = run.settings = self.raster_settings
-        moments = self._target_moments(cam.view_id, target) if ssim_lambda else None
+        moments = self._target_moments(cam.view_id, target)
         ws, working = self._workspace, run.working
         fused = None
         if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
-            fused = working._ops(
-                "train_step", *step_operands(settings, working, target, moments)
-            )
+            fused = working._ops("train_step")
             if working._ops.active == REFERENCE_BACKEND:
                 fused = None
         try:

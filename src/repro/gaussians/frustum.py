@@ -247,20 +247,11 @@ def ellipsoids_in_frustum(
     return inside
 
 
-def _arbiter(
-    kernel_backend: Optional[str],
-    positions: np.ndarray,
-    log_scales: np.ndarray,
-    raw_quats: np.ndarray,
-) -> Callable:
-    """The ``exact_cull`` kernel op of ``kernel_backend`` for these arrays
-    (the reference's where the backend declines their layout)."""
-    from repro.kernels import compile_with_fallback, cull_spec, resolve_backend
+def _arbiter(kernel_backend: Optional[str]) -> Callable:
+    """The ``exact_cull`` kernel op of ``kernel_backend``."""
+    from repro.kernels import compile_with_fallback, resolve_backend
 
-    return compile_with_fallback(
-        resolve_backend(kernel_backend),
-        cull_spec(positions, log_scales, raw_quats),
-    )[0]
+    return compile_with_fallback(resolve_backend(kernel_backend), "exact_cull")[0]
 
 
 def exact_cull(
@@ -281,8 +272,7 @@ def exact_cull(
     call on every input row — a backend's cull and its render always share
     one arithmetic.
     """
-    arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
-    return arbiter(planes, positions, log_scales, raw_quats, rows)
+    return _arbiter(kernel_backend)(planes, positions, log_scales, raw_quats, rows)
 
 
 def _prefilter_points(positions: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
@@ -333,7 +323,7 @@ def cull_batch(
     view's survivors.
     """
     cameras = list(cameras)
-    arbiter = _arbiter(kernel_backend, positions, log_scales, raw_quats)
+    arbiter = _arbiter(kernel_backend)
     points = _prefilter_points(positions, log_scales)
     n = points.shape[1]
     sets: List[np.ndarray] = []

@@ -13,8 +13,10 @@ target's moments to the backend it is given.  ``native`` computes value
 and gradient in one C call that sums every window in registers, over
 symmetric pairs of taps; the NumPy op is :func:`l1_loss` plus
 :func:`ssim_with_grad` below, the reference the C is held to (see
-:mod:`repro.kernels.native_backend` for how closely), and what grayscale,
-float32 or strided images and L1 alone run on.
+:mod:`repro.kernels.native_backend` for how closely).  Both take the same
+operands: float64 ``(H, W, 3)`` images and the target's moments, L1 alone
+(``ssim_lambda == 0``) included; ``native`` refuses a grayscale image,
+which only the reference, named, computes.
 
 In the NumPy op the SSIM window is applied as two matrix products.
 Filtering an ``(H, W)`` plane with the separable, zero-padded 11-tap
@@ -262,13 +264,6 @@ def photometric_loss(
         if isinstance(kernel_backend, OpDispatch)
         else OpDispatch(kernel_backend)
     )
-    if ssim_lambda == 0.0:
-        operands = (rendered, target)
-        moments = None
-    else:
-        if moments is None or not moments.matches(target, *_WINDOW):
-            moments = TargetMoments.of(target, *_WINDOW)
-        operands = (rendered, target, moments.uy)
-    return ops("photometric_loss", *operands)(
-        rendered, target, ssim_lambda, moments
-    )
+    if moments is None or not moments.matches(target, *_WINDOW):
+        moments = TargetMoments.of(target, *_WINDOW)
+    return ops("photometric_loss")(rendered, target, ssim_lambda, moments)

@@ -65,11 +65,8 @@ def point_render(
     """Forward pass: normalized additive splatting.
 
     ``settings`` is accepted for interface parity with the tile
-    rasterizer; only its ``dtype`` knob is honoured (the heavy ``(G, P)``
-    falloff field is computed in that dtype, float64 by default — the
-    backward pass promotes to float64 accumulation either way).
+    rasterizer and ignored.
     """
-    dtype = np.dtype(getattr(settings, "dtype", "float64") or "float64")
     ids = cull_gaussians(
         camera, model.positions, model.log_scales, model.quaternions
     )
@@ -86,13 +83,11 @@ def point_render(
     ys, xs = np.mgrid[0:h, 0:w]
     pix = np.stack([xs.ravel() + 0.5, ys.ravel() + 0.5], axis=-1)  # (P, 2)
 
-    diff = pix[None, :, :].astype(dtype) - means2d[:, None, :].astype(dtype)
+    diff = pix[None, :, :] - means2d[:, None, :]
     d2 = (diff**2).sum(-1)  # (G, P)
-    sigma2 = (np.maximum(radius, 0.5)[:, None] ** 2).astype(dtype)
+    sigma2 = np.maximum(radius, 0.5)[:, None] ** 2
     weight = np.where(
-        in_front[:, None],
-        opac.astype(dtype)[:, None] * np.exp(-0.5 * d2 / sigma2),
-        dtype.type(0.0),
+        in_front[:, None], opac[:, None] * np.exp(-0.5 * d2 / sigma2), 0.0
     )
     total = weight.sum(axis=0) + EPS  # (P,)
     rgb = (weight.T @ colors) / total[:, None]

@@ -47,9 +47,8 @@ hot path is a *vectorized substrate*:
   splat)`` work happens once per view on the flat CSR entries (the lane
   terms of the separable exponent before the slab loop, all pair math and
   one segment sum after it), the slabs only do per-cell work.
-  ``_MAX_GROUP_TILES`` bounds the tiles per slab;
-  ``RasterSettings.dtype`` selects a float32 compute mode (gradient
-  accumulation stays float64).
+  ``_MAX_GROUP_TILES`` bounds the tiles per slab.  Every array is
+  float64, on both backends.
 
 - **Shared blend cache**: with ``RasterSettings.cache_blend_state`` the
   forward pass retains, per slab, the three cell tensors the backward pass
@@ -168,10 +167,6 @@ class RasterSettings:
 
     Substrate knobs:
 
-    - ``dtype``: compute dtype of the blend state (``"float64"`` default;
-      gradients always accumulate in float64).  ``"float32"`` runs on the
-      NumPy reference, because ``native`` declines it, so wherever
-      ``native`` builds it is slower than the default, not faster.
     - ``cache_blend_state``: the forward pass keeps its blending state on
       the :class:`RenderContext` (NumPy: the slab cache in
       ``blend_cache``; ``native``: blend records in ``blocks``) and the
@@ -191,13 +186,8 @@ class RasterSettings:
     transmittance_min: float = 1e-4
     max_alpha: float = 0.99
     active_sh_degree: Optional[int] = None
-    dtype: str = "float64"
     cache_blend_state: bool = True
     kernel_backend: Optional[str] = None
-
-    @property
-    def np_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)
 
 
 @dataclass
@@ -292,7 +282,7 @@ class RenderContext:
     #: slab's tile and CSR-entry indices).
     blend_cache: Optional[List[dict]] = None
     #: Name of the kernel backend that actually composited this render
-    #: (after auto-selection and per-op fallback) — stamped by
+    #: (after auto-selection and a failed build's fallback) — stamped by
     #: :func:`rasterize_forward`, surfaced through ``PerfCounters`` and
     #: the bench records.
     kernel_backend: str = "numpy"
@@ -608,17 +598,17 @@ class _AugArrays:
     colors: np.ndarray
 
     @classmethod
-    def from_proj(cls, proj: ProjectedGaussians, dtype: np.dtype) -> "_AugArrays":
+    def from_proj(cls, proj: ProjectedGaussians) -> "_AugArrays":
         m = proj.ids.size
         # One zeroed block; each scalar field is a contiguous row of it.
-        fields = np.zeros((6, m + 1), dtype=dtype)
+        fields = np.zeros((6, m + 1))
         fields[0, :m] = proj.means2d[:, 0]
         fields[1, :m] = proj.means2d[:, 1]
         fields[2, :m] = proj.conics[:, 0, 0]
         fields[3, :m] = proj.conics[:, 0, 1]
         fields[4, :m] = proj.conics[:, 1, 1]
         fields[5, :m] = proj.opacities
-        colors = np.zeros((m + 1, 3), dtype=dtype)
+        colors = np.zeros((m + 1, 3))
         colors[:m] = proj.colors
         return cls(*fields, colors)
 
@@ -699,7 +689,7 @@ def rasterize_forward(
     """Render ``model`` through ``camera`` on the grouped substrate.
 
     Returns ``(image, transmittance, ctx)`` where ``image`` is
-    ``(H, W, 3)`` in the compute dtype, ``transmittance`` the per-pixel
+    ``(H, W, 3)`` float64, ``transmittance`` the per-pixel
     residual ``T`` (1 where nothing rendered) and ``ctx`` the saved state
     for the backward pass (including the blend cache when
     ``settings.cache_blend_state``).
@@ -707,13 +697,8 @@ def rasterize_forward(
     settings = settings or RasterSettings()
     # One dispatch per render: the NumPy reference runs ``preprocess``,
     # ``build_tile_bins`` and its slab kernels; ``native`` runs the whole
-    # view in C.  Per-op fallback keeps what a backend declines (a float32
-    # blend state, model arrays that are not float64 C-contiguous) on the
-    # reference, whole.
-    from repro.kernels import compile_with_fallback, resolve_backend, view_spec
+    # view in C.
+    from repro.kernels import compile_with_fallback, resolve_backend
 
-    fn, _ = compile_with_fallback(
-        resolve_backend(settings.kernel_backend),
-        view_spec(settings.np_dtype, model),
-    )
+    fn, _ = compile_with_fallback(resolve_backend(settings.kernel_backend), "view_forward")
     return fn(camera, model, settings)

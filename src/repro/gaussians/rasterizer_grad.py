@@ -30,9 +30,7 @@ running sum of ``w cg`` over splats and ``total_p = csum[-1] + T_final,p
 (g_p . bg)``).  Only its colour sums and tile-centred pixel moments leave
 the slab; the chain to mean, conic and opacity gradients and one
 ``np.bincount`` segment sum over the CSR order array (:func:`_segment_sum`,
-instead of ``np.add.at`` fetch-adds) run once per view.  In the float32
-compute mode the blend state is float32 but all gradient accumulators stay
-float64.
+instead of ``np.add.at`` fetch-adds) run once per view.
 
 The chain from the screen-space gradients to the parameters
 (:func:`_chain_to_parameters`) rebuilds no geometry: the rotation matrices,

@@ -99,7 +99,7 @@ def train_view(
     loss_backend=None,
 ):
     """One training view: render, the photometric loss against ``target``
-    (over its kept ``moments``; None for L1 alone), backpropagate.  Returns
+    (over its kept ``moments``; None: computed here), backpropagate.  Returns
     ``(loss, grads)``, the gradients scaled by ``1 / batch``.
 
     The reference of the ``view_train`` kernel op and the one composition

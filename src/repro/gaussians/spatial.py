@@ -143,11 +143,10 @@ class CullingGrid:
         self.members = self.offsets = self.slots = self.block = None
         if n == 0:
             self._adopt(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), 0)
-        from repro.kernels import compile_with_fallback, cull_spec, resolve_backend
+        from repro.kernels import compile_with_fallback, resolve_backend
 
         self._ops: GridOps = compile_with_fallback(
-            resolve_backend(kernel_backend),
-            cull_spec(positions, log_scales, raw_quats, "grid_cull"),
+            resolve_backend(kernel_backend), "grid_cull"
         )[0](self)
 
     def _build(self) -> None:

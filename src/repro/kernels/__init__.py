@@ -1,9 +1,10 @@
 """Runtime-selected kernel backends for the substrate's hot loops.
 
 Public surface of the MOT-style backend layer (ROADMAP item 1): the
-:class:`KernelBackend` protocol, the :class:`KernelData`/:class:`KernelSpec`
-layout descriptors, the decorator registry, and the resolution helpers
-every call site uses (``resolve_backend`` → ``compile_with_fallback``).
+:class:`KernelBackend` protocol, whose ops are dispatched by name alone,
+the decorator registry, and the resolution helpers every call site uses
+(``resolve_backend`` → ``compile_with_fallback``, or an
+:class:`OpDispatch` holding both).
 
 Two backends ship and register on import: ``numpy`` (the always-available
 reference) and ``native`` (a whole view in C — projection, binning, fused
@@ -21,25 +22,18 @@ from repro.kernels.registry import (
     KERNEL_OPS,
     REFERENCE_BACKEND,
     KernelBackend,
-    KernelData,
-    KernelSpec,
     OpDispatch,
     UnknownBackendError,
     UnsupportedKernelError,
-    adam_spec,
     available_backends,
     backend_descriptions,
     backend_status,
     compile_with_fallback,
-    cull_spec,
     get_backend,
     register_backend,
     resolve_backend,
     resolve_backend_name,
-    rows_spec,
-    train_operands,
     unregister_backend,
-    view_spec,
 )
 from repro.kernels.workspace import Workspace
 from repro.kernels import numpy_backend, native_backend  # noqa: F401  (they register)
@@ -50,24 +44,17 @@ __all__ = [
     "KERNEL_OPS",
     "REFERENCE_BACKEND",
     "KernelBackend",
-    "KernelData",
-    "KernelSpec",
     "OpDispatch",
     "UnknownBackendError",
     "UnsupportedKernelError",
-    "adam_spec",
     "available_backends",
     "backend_descriptions",
     "backend_status",
     "compile_with_fallback",
-    "cull_spec",
     "get_backend",
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",
-    "rows_spec",
-    "train_operands",
     "unregister_backend",
-    "view_spec",
     "Workspace",
 ]

@@ -110,12 +110,14 @@ lands on NumPy silently.  A build, parse or load that fails raises from
 :meth:`~repro.kernels.registry.KernelBackend.compile`, which
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; from then on the backend reports itself
-unavailable (``repro backends`` shows why).  A spec whose operands are
-not the declared ones — a float32 model, blend state or gradient staging,
-a strided model array, a grayscale image, a loss without moments (L1
-alone) — stays on NumPy, whole, through the registry's per-op fallback;
-a backward pass over a context NumPy made, or whose projection was
-replaced, runs the reference's.
+unavailable (``repro backends`` shows why).  That is the only way an op
+leaves this backend: it runs all ten, by name, over whatever it is handed
+— an operand its declaration does not take (a float32 or strided model
+array, a grayscale image) is converted where the declaration says
+``cast`` and otherwise refused by the binder, never rerouted.  L1 alone
+(``ssim_lambda == 0``) is the loss over the same moments.  A backward
+pass over a context NumPy made, or whose projection was replaced, runs
+the reference's.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ import numpy as np
 
 from repro.gaussians import rasterizer, sh, spatial
 from repro.gaussians.frustum import _PREFILTER_MARGIN, frustum_planes
-from repro.kernels.registry import KernelBackend, KernelSpec, register_backend
+from repro.kernels.registry import KERNEL_OPS, KernelBackend, register_backend
 from repro.kernels.workspace import Workspace
 
 SOURCE = "native_kernels.c"
@@ -288,17 +290,6 @@ class Operand(NamedTuple):
     #: broadcast to the declared shape) rather than refused.
     cast: bool = False
 
-    def layout(self) -> tuple:
-        """``(dtype, lowest rank, highest rank)`` of the arrays this operand
-        takes, as a spec's :class:`~repro.kernels.registry.KernelData`
-        names them."""
-        rank = len(self.shape)
-        if self.padded:
-            return _ELEMENTS[self.ctype].name, 1, 64
-        if str(self.shape[-1]).startswith("*"):
-            return _ELEMENTS[self.ctype].name, rank - 1, 64
-        return _ELEMENTS[self.ctype].name, rank, rank
-
 
 _PARAMETER = re.compile(r"\s*(\w+)\s+(\w+)\s*(?:\[(.*?)\])?\s*(.*)")
 _FLAG = re.compile(r"(\w+)(?:\((\w+)\))?")
@@ -424,7 +415,7 @@ _OPERANDS = {name: _declare(text) for name, text in {
         " double grad[h, w, channels] write; double value[1] write"
     ),
     "plan_batch": (
-        "int64_t count; int64_t sets[total]; int64_t offsets[count + 1]; int64_t n;"
+        "int64_t count; int64_t sets[total] index(n); int64_t offsets[count + 1]; int64_t n;"
         " int64_t seq[count]; int64_t search; double time_limit; int64_t untimed;"
         " int64_t enable_cache; int64_t out[3 + 4 * count + 5 * total] write"
     ),
@@ -457,31 +448,6 @@ _MODEL = {
     "positions": "positions", "log_scales": "log_scales", "quats": "quaternions",
     "sh": "sh", "logits": "opacity_logits",
 }
-#: What each op's spec lists (``registry.view_spec``, ``cull_spec``,
-#: ``train_operands``, ``step_operands``, ``rows_spec``), in its order, as
-#: the declared operands ``entry.operand`` they are — the compute dtype as
-#: the image.  An op runs here when every one of them is there with its
-#: declared element type and rank, laid out as declared (``cull_spec``'s
-#: ``contiguous`` is a row-strided walk's).
-_SPECS = {
-    "exact_cull": ("exact_cull.positions", "exact_cull.log_scales", "exact_cull.quats"),
-    "grid_cull": ("grid_build.positions", "grid_build.log_scales", "grid_build.quats"),
-    "view_forward": ("view_composite.image", *(f"view_project.{a}" for a in _MODEL)),
-    "assemble_rows": ("assemble_rows.pinned", "assemble_rows.critical"),
-    "zero_rows": ("zero_rows.buffer",),
-    "adam_rows": tuple(f"adam_rows.{a}" for a in ("params", "grads", "m", "v")),
-    "photometric_loss": ("photometric_loss.x", "photometric_loss.y", "photometric_loss.uy"),
-    "view_train": (
-        "view_composite.image", *(f"view_project.{a}" for a in _MODEL),
-        "photometric_loss.y", "photometric_loss.uy",
-    ),
-    "plan_batch": (),
-    "train_step": tuple(f"train_step.{a}" for a in (
-        "image", "pinned", "pinned_grads", "critical", "critical_grads", "target", "uy",
-    )),
-}
-
-
 def header() -> str:
     """The C prepended to ``native_kernels.c``: the declaration above as
     enums, read when called, and ``FOOTPRINT_MARGIN`` / ``PREFILTER_MARGIN``
@@ -955,19 +921,6 @@ def _binders(signatures: dict) -> dict:
     return binders
 
 
-@functools.lru_cache(maxsize=None)
-def _layouts(op: str) -> Optional[tuple]:
-    """:meth:`Operand.layout` of each declared operand ``op``'s spec lists
-    (:data:`_SPECS`; ``cull_spec``'s ``contiguous`` is a row-strided
-    walk's), or None for an op this backend does not run."""
-    if op not in _SPECS:
-        return None
-    return tuple(
-        _binder(entry).operands[operand].layout()
-        for entry, operand in (name.split(".") for name in _SPECS[op])
-    )
-
-
 def _checked(lib: ctypes.CDLL, binder: _Binder, prototype: list) -> Callable:
     """Entry point ``binder.name`` of ``lib``, called over an argument list
     in prototype order (positionally), its nonzero status raised as
@@ -998,9 +951,11 @@ class _Kept:
     arrays checks only its own rows, as
     :meth:`~repro.kernels.workspace.Workspace.binding` does for a view.
     The arrays are held weakly — the op outlives any engine — and a list
-    whose arrays are gone is made again."""
+    whose arrays are gone is made again.  One op serves every optimizer of
+    the process (a per-name one holds five sets, a CLM engine two), so a
+    few engines trained side by side fit in ``size``."""
 
-    def __init__(self, binder: _Binder, size: int = 4) -> None:
+    def __init__(self, binder: _Binder, size: int = 16) -> None:
         self._binder, self._size, self._kept = binder, size, collections.OrderedDict()
 
     def __call__(self, given: dict) -> "tuple[list, dict]":
@@ -1622,8 +1577,8 @@ def _bind_loss(lib) -> Callable:
         loss, taps_at = _moments(moments)
         grad, value = np.empty(np.shape(rendered)), np.empty(1)
         args = binder.blank()
-        held = binder.bind(args, dict(
-            loss, x=rendered, y=target, ssim_lambda=float(ssim_lambda), c1=_C1, c2=_C2,
+        held = binder.bind(args, dict(  # the images first: a refusal names them
+            x=rendered, y=target, **loss, ssim_lambda=float(ssim_lambda), c1=_C1, c2=_C2,
             grad=grad, value=value,
         ))
         binder.put(args, {"t": taps_at})
@@ -1653,14 +1608,16 @@ def _bind_train(lib, name: str) -> Callable:
     :class:`~repro.kernels.workspace.Workspace`'s arenas, then
     ``photometric_loss`` and ``view_backward`` there, with the checks of
     the three ops it fuses and no context, projection or bins built."""
+    from repro.gaussians.loss import TargetMoments
+
     loss_binder = _binder("photometric_loss")
 
     def view_train(
         camera, model, settings, target, moments, ssim_lambda, batch,
         workspace=None,
     ):
-        if moments is None:
-            raise ValueError("native view_train: L1 alone stays on the reference")
+        if moments is None:  # as the reference's loss: the target's own
+            moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
         height, width = camera.height, camera.width
         pixels = height * width
@@ -1767,6 +1724,8 @@ def _bind_step(lib, name: str) -> Callable:
     target's moments are checked and their addresses taken once each
     (:meth:`Workspace.binding`: again when one is replaced); the working
     set's accounting is the reference's."""
+    from repro.gaussians.loss import TargetMoments
+
     binder = _binder("train_step")
     slot = binder.slot
     # Where the render's own arenas go in the argument list, set per
@@ -1787,8 +1746,8 @@ def _bind_step(lib, name: str) -> Callable:
         working, step, carried, camera, settings, target, moments,
         ssim_lambda, batch, workspace=None,
     ):
-        if moments is None:
-            raise ValueError("native train_step: L1 alone stays on the reference")
+        if moments is None:  # as the reference's loss: the target's own
+            moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
         cpu, gpu = working.cpu_store, working.gpu_store
         # A store never replaces its buffers: a new store (rebuild) rebinds.
@@ -1938,8 +1897,9 @@ def _bind_plan(lib) -> Callable:
 
     def plan_batch(sets, view_ids, order, rng, time_limit_s, enable_cache, num_gaussians):
         b = len(sets)
-        sizes = [s.size for s in sets]
-        rows = np.concatenate([_NO_ROWS, *sets]).astype(np.int64, copy=False)
+        sizes = [np.size(s) for s in sets]
+        # As given: the binder refuses sets that are not integers.
+        rows = np.concatenate(sets) if b else _NO_ROWS
         offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, b + 1)
         search = order is None
         if search:  # the reference's draw: one permutation, from two sets on
@@ -2041,36 +2001,22 @@ class NativeKernelBackend(KernelBackend):
         return f"compiler {' '.join(lib.compiler)}; library {lib.path}"
 
     def capabilities(self) -> "frozenset[str]":
-        return frozenset(_SPECS)
+        return frozenset(KERNEL_OPS)
 
-    def supports(self, spec: KernelSpec) -> bool:
-        """Whether ``spec``'s operands are the declared ones its op lists
-        (:data:`_SPECS`), each of its declared element type and rank and
-        contiguous: a float32 model, blend state or gradient staging, a
-        strided model array, a grayscale image or a loss without moments
-        (L1 alone) stays on the reference."""
-        layouts = _layouts(spec.op)
-        return (
-            layouts is not None and len(layouts) == len(spec.operands) and all(
-                data.contiguous and data.dtype == dtype and low <= data.rank <= high
-                for (dtype, low, high), data in zip(layouts, spec.operands)
-            )
-        )
-
-    def _compile(self, spec: KernelSpec) -> Callable:
+    def _compile(self, op: str) -> Callable:
         lib = self.library().load()
-        if spec.op == "exact_cull":
+        if op == "exact_cull":
             return _bind_cull(lib)
-        if spec.op == "grid_cull":
+        if op == "grid_cull":
             return _bind_grid(lib)
-        if spec.op == "photometric_loss":
+        if op == "photometric_loss":
             return _bind_loss(lib)
-        if spec.op == "view_train":
+        if op == "view_train":
             return _bind_train(lib, self.name)
-        if spec.op == "plan_batch":
+        if op == "plan_batch":
             return _bind_plan(lib)
-        if spec.op == "train_step":
+        if op == "train_step":
             return _bind_step(lib, self.name)
-        if spec.op == "view_forward":
+        if op == "view_forward":
             return _bind_view(lib, self.name)
-        return _bind_rows(lib, spec.op)
+        return _bind_rows(lib, op)

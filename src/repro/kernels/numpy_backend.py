@@ -1,7 +1,8 @@
 """The NumPy reference kernel backend.
 
 The always-available, priority-0 reference every other backend is pinned
-against (and every per-op fallback lands on): the stores' data path, the
+against (and what a backend whose build failed hands its ops to): the
+stores' data path, the
 blocked ~14-pass :func:`repro.optim.kernels.fused_adam_update` behind
 ``adam_rows``, and the one NumPy implementation of grouped slab
 compositing — a **two-level** kernel over the CSR
@@ -70,8 +71,9 @@ boundary cells' members, and refit with ``np.minimum.at`` /
 ignores, having no arenas), and
 the backward pass of the context it makes is
 :func:`view_backward`, :func:`_raster_backward` ->
-``_chain_to_parameters`` — plain calls, so a view that a compiled backend
-declined (a float32 model array, say) runs here whole.
+``_chain_to_parameters`` — plain calls.  Every array is float64, as on
+``native``; the row-indexed ops refuse what ``native`` refuses of their
+rows (:func:`index_rows`), before anything is written.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ import numpy as np
 from repro.kernels.registry import (
     KERNEL_OPS,
     KernelBackend,
-    KernelSpec,
     REFERENCE_BACKEND,
     register_backend,
 )
@@ -101,7 +102,7 @@ _ROW_SCAN_MIN = 256
 def _centred_monomials(tile_size: int) -> np.ndarray:
     """``(P, 6)`` monomials ``[1, x, y, x^2, xy, y^2]`` of a tile's
     row-major pixel centres relative to the tile centre (the backward
-    pass's moment basis; exact in float32 and float64 alike).  A function
+    pass's moment basis, exact in float64).  A function
     of the tile size alone, so built once per process, read-only."""
     lane = np.arange(tile_size) + 0.5 - tile_size / 2.0
     x, y = np.tile(lane, tile_size), np.repeat(lane, tile_size)
@@ -125,7 +126,7 @@ def _per_entry(bins, arr: np.ndarray) -> np.ndarray:
     return arr[np.append(bins.order, arr.shape[0] - 1)]
 
 
-def _lane_terms(bins, aug, dtype) -> np.ndarray:
+def _lane_terms(bins, aug) -> np.ndarray:
     """``(E + 1, 2, 3, ts)`` lane factors of the separable exponent, one row
     per CSR entry: ``[:, 0] = [dy, 1, C]`` over a tile's rows and
     ``[:, 1] = [Bx, A, 1]`` over its columns, so ``power[y, x]`` is the
@@ -136,11 +137,11 @@ def _lane_terms(bins, aug, dtype) -> np.ndarray:
     rows = bins.order
     x0, y0 = _entry_origins(bins)
     lane = np.arange(bins.tile_size) + 0.5
-    dx = (x0[:, None] + lane).astype(dtype, copy=False) - aug.means_x[rows, None]
-    dy = (y0[:, None] + lane).astype(dtype, copy=False) - aug.means_y[rows, None]
+    dx = (x0[:, None] + lane) - aug.means_x[rows, None]
+    dy = (y0[:, None] + lane) - aug.means_y[rows, None]
     # The scalings by -0.5 are exact and a pixel on the mean gets exactly
     # ``power == 0``, whatever order the three products are summed in.
-    terms = np.zeros((e + 1, 2, 3, bins.tile_size), dtype=dtype)
+    terms = np.zeros((e + 1, 2, 3, bins.tile_size))
     terms[:e, 0, 0] = dy
     terms[:, 0, 1] = 1.0
     terms[:e, 0, 2] = dy * dy * (-0.5 * aug.conic_c[rows, None])
@@ -156,7 +157,7 @@ def _blend_states(bins, aug, settings, for_backward: bool):
     from repro.gaussians.rasterizer import iter_tile_groups
 
     e = bins.num_entries
-    terms = _lane_terms(bins, aug, settings.np_dtype)
+    terms = _lane_terms(bins, aug)
     opac = _per_entry(bins, aug.opac)
     for tix, g in iter_tile_groups(bins):
         # (G, T) flat CSR entry of every slab row; pads -> the pad slot E.
@@ -265,7 +266,7 @@ def _raster_backward(
     for state in states:
         idx = state["idx"]
         weights = state["weights"]  # (G, T, P)
-        g = g_tiles[bins.tile_ids[state["tix"]]]  # (T, P, 3) float64
+        g = g_tiles[bins.tile_ids[state["tix"]]]  # (T, P, 3)
         # dL/dc_g = sum_p w_gp g_p: (T, G, P) @ (T, P, 3) -> (T, G, 3).
         staged[idx.T, :3] = np.matmul(weights.transpose(1, 0, 2), g)
         d_power = np.empty(weights.shape)
@@ -296,8 +297,8 @@ def _fold_entries(bins, aug, staged, d_colors, d_opac, d_means2d, d_conics):
     half = bins.tile_size / 2.0
     x0, y0 = _entry_origins(bins)
     # Tile-centred means (centring keeps the expansion at the tile scale).
-    mx = aug.means_x[rows] - (x0 + half).astype(aug.means_x.dtype)
-    my = aug.means_y[rows] - (y0 + half).astype(aug.means_y.dtype)
+    mx = aug.means_x[rows] - (x0 + half)
+    my = aug.means_y[rows] - (y0 + half)
     s00, sx, sy, sxx, sxy, syy = staged[:, 3:].T
     s10 = sx - mx * s00  # sum_p d_power * dx, etc.
     s01 = sy - my * s00
@@ -366,18 +367,17 @@ def _view_forward(camera, model, settings, rows=None, workspace=None):
 
     if rows is not None:
         model = model.gather(index_rows(rows, model.num_gaussians, "view_forward"))
-    dtype = settings.np_dtype
     proj = rasterizer.preprocess(camera, model, settings)
     bins = rasterizer.build_tile_bins(camera, proj, settings)
 
-    bg = np.asarray(settings.background, dtype=dtype)
+    bg = np.asarray(settings.background, dtype=np.float64)
     pixels = bins.tile_size**2
     num_tiles = bins.tiles_x * bins.tiles_y
-    canvas_rgb = np.empty((num_tiles, pixels, 3), dtype=dtype)
+    canvas_rgb = np.empty((num_tiles, pixels, 3))
     canvas_rgb[:] = bg
-    canvas_t = np.ones((num_tiles, pixels), dtype=dtype)
+    canvas_t = np.ones((num_tiles, pixels))
 
-    aug = rasterizer._AugArrays.from_proj(proj, dtype)
+    aug = rasterizer._AugArrays.from_proj(proj)
     cache = _raster_forward(bins, aug, settings, bg, canvas_rgb, canvas_t)
 
     image = rasterizer._tile_major_to_image(canvas_rgb, bins)
@@ -406,18 +406,17 @@ def view_backward(ctx, model, dL_dimage):
     proj, settings, bins = ctx.proj, ctx.settings, ctx.bins
     m = proj.ids.size
 
-    # Gradient accumulators are float64 regardless of the compute dtype;
-    # row m is the pad slot, dropped after the segment sums.
+    # Row m of the gradient accumulators is the pad slot, dropped after the
+    # segment sums.
     d_colors = np.zeros((m + 1, 3))
     d_opac = np.zeros(m + 1)
     d_means2d = np.zeros((m + 1, 2))
     d_conics = np.zeros((m + 1, 2, 2))
 
     bg = np.asarray(settings.background, dtype=np.float64)
-    dtype = settings.np_dtype
 
     if m and bins.num_tiles:
-        aug = rasterizer._AugArrays.from_proj(proj, dtype)
+        aug = rasterizer._AugArrays.from_proj(proj)
         g_tiles = rasterizer.image_to_tile_major(
             np.asarray(dL_dimage, dtype=np.float64), bins
         )
@@ -478,8 +477,8 @@ def _adam_rows(params, grads, m, v, steps, rows, *args, **kwargs):
 def _photometric_loss(rendered, target, ssim_lambda, moments):
     """``(1 - l) * L1 + l * (1 - SSIM)`` and its image gradient: the SSIM
     of :func:`~repro.gaussians.loss.ssim_with_grad`, whose window is the
-    banded-matrix product, over the target's ``moments`` (None when
-    ``ssim_lambda`` is 0: L1 alone)."""
+    banded-matrix product, over the target's ``moments`` (L1 alone, when
+    ``ssim_lambda`` is 0, reads none of them)."""
     from repro.gaussians.loss import l1_loss, ssim_with_grad
 
     l1, l1_grad = l1_loss(rendered, target)
@@ -512,20 +511,20 @@ class NumpyKernelBackend(KernelBackend):
     def version(self) -> Optional[str]:
         return np.__version__
 
-    def _compile(self, spec: KernelSpec) -> Callable:
-        if spec.op == "view_train":
+    def _compile(self, op: str) -> Callable:
+        if op == "view_train":
             from repro.gaussians.render import train_view
 
             return train_view
-        if spec.op == "plan_batch":
+        if op == "plan_batch":
             from repro.planning.planner import plan_batch
 
             return plan_batch
-        if spec.op == "grid_cull":
+        if op == "grid_cull":
             from repro.gaussians.spatial import grid_cull
 
             return grid_cull
-        if spec.op == "train_step":
+        if op == "train_step":
             from repro.core.stores import train_step
 
             return train_step
@@ -536,4 +535,4 @@ class NumpyKernelBackend(KernelBackend):
             "zero_rows": _zero_rows,
             "adam_rows": _adam_rows,
             "photometric_loss": _photometric_loss,
-        }[spec.op]
+        }[op]

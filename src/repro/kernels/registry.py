@@ -11,10 +11,9 @@ whole-tensor NumPy passes (the plan: Python) in the reference.  This
 module is the MOT-style seam for compiled replacements (cf. the
 ``CLFunctionEvaluator`` / ``CLFunction`` pattern from cbclab/MOT, kernels
 kept as C source and compiled at run time): a
-:class:`KernelBackend` protocol with *capabilities* and a
-``compile(spec)`` step, a :class:`KernelData` descriptor capturing the
-dtype/rank/contiguity of the packed operands, and a decorator registry
-mirroring :func:`repro.engines.registry.register_engine`::
+:class:`KernelBackend` protocol with *capabilities* — the op names it
+runs — and a ``compile(op)`` step, and a decorator registry mirroring
+:func:`repro.engines.registry.register_engine`::
 
     @register_backend("numpy")
     class NumpyKernelBackend(KernelBackend):
@@ -31,26 +30,25 @@ Backends are selected at runtime by :func:`resolve_backend`:
    NumPy reference has priority 0 and is always available; the compiled
    ``native`` backend registers above it).
 
-Per-op capability checks run through :meth:`KernelBackend.supports`: a
-backend that cannot execute one spec (e.g. the C kernels, which index
-contiguous float64 buffers, being handed float32 blend state or a
-Fortran-ordered model array) falls back to the reference implementation
-for that op only — see
-:func:`compile_with_fallback`.  Every backend is pinned against the
-per-tile oracle of ``tests/reference/legacy_raster.py`` at the repo's
-1e-10 parity bar by ``tests/kernels/``.
+An op is dispatched by its name alone.  Every compute and staging buffer
+is float64, the one precision both backends run, so what an op is handed
+never decides who runs it: an operand a backend's declaration does not
+take is converted or refused by that backend (``native``'s binder), never
+rerouted.  A backend whose build fails hands its ops to the reference
+with one :class:`RuntimeWarning` (:func:`compile_with_fallback`); an op
+outside a backend's declared capabilities runs on the reference, as
+``repro backends`` lists (both shipped backends run every op).  Every
+backend is pinned against the per-tile oracle of
+``tests/reference/legacy_raster.py`` at the repo's 1e-10 parity bar by
+``tests/kernels/``.
 """
 
 from __future__ import annotations
 
 import abc
-import functools
 import os
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
 
 #: Environment override consulted by :func:`resolve_backend` when the
 #: caller asks for ``auto`` (or passes no name at all).
@@ -122,128 +120,8 @@ class UnknownBackendError(ValueError):
 
 
 class UnsupportedKernelError(ValueError):
-    """Raised by :meth:`KernelBackend.compile` for specs the backend's
+    """Raised by :meth:`KernelBackend.compile` for an op the backend's
     :meth:`~KernelBackend.supports` rejects."""
-
-
-@dataclass(frozen=True)
-class KernelData:
-    """Layout descriptor of one kernel operand.
-
-    Captures what a compiled kernel specializes on — element dtype, array
-    rank, and C-contiguity — without holding the array itself, so specs
-    are hashable compile-cache keys.
-    """
-
-    dtype: str
-    rank: int = 0
-    contiguous: bool = True
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "KernelData":
-        arr = np.asarray(arr)
-        return _kernel_data(arr.dtype, arr.ndim, arr.flags.c_contiguous)
-
-
-# Specs are dict keys looked up on every render and every Adam chunk, and
-# naming a dtype (``str(np.dtype)``) costs more than the lookup: the
-# descriptors are memoised on the raw ``(dtype, rank, contiguity)`` instead.
-# Frozen, so sharing one instance between callers is safe.
-@functools.lru_cache(maxsize=256)
-def _kernel_data(dtype, rank: int, contiguous: bool) -> KernelData:
-    return KernelData(str(np.dtype(dtype)), int(rank), bool(contiguous))
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """What to compile: an op name plus its operand layouts."""
-
-    op: str
-    operands: Tuple[KernelData, ...] = ()
-
-
-@functools.lru_cache(maxsize=256)
-def _kernel_spec(op: str, operands: Tuple[KernelData, ...]) -> KernelSpec:
-    return KernelSpec(op, operands)
-
-
-def view_spec(dtype, model) -> KernelSpec:
-    """Spec of ``view_forward``: the compute dtype and the five model
-    arrays."""
-    arrays = (
-        model.positions, model.log_scales, model.quaternions, model.sh,
-        model.opacity_logits,
-    )
-    return _kernel_spec(
-        "view_forward",
-        (_kernel_data(dtype, 3, True),)
-        + tuple(KernelData.from_array(a) for a in arrays),
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def _compute_dtype(dtype: str) -> np.ndarray:
-    # An empty rank-3 array: the compute dtype as ``view_spec`` lists it.
-    return np.empty((0, 0, 0), dtype)
-
-
-def train_operands(settings, model, target, moments) -> tuple:
-    """The arrays whose layouts decide who runs ``view_train``, for an
-    :class:`OpDispatch`: the compute dtype (as :func:`view_spec` lists it
-    first), the five model arrays, the target and, unless the loss is L1
-    alone (``moments`` None), the target's first moment plane."""
-    return (
-        _compute_dtype(settings.dtype), model.positions, model.log_scales,
-        model.quaternions, model.sh, model.opacity_logits, target,
-    ) + (() if moments is None else (moments.uy,))
-
-
-def step_operands(settings, working, target, moments) -> tuple:
-    """The arrays whose layouts decide who runs ``train_step``: the compute
-    dtype, the stores' packed buffers (the pinned rows and gradients, the
-    critical rows and gradients), the target and, unless the loss is L1
-    alone, the target's first moment plane."""
-    cpu, gpu = working.cpu_store, working.gpu_store
-    return (
-        _compute_dtype(settings.dtype), cpu.params, cpu.grads,
-        gpu.packed_params, gpu.packed_grads, target,
-    ) + (() if moments is None else (moments.uy,))
-
-
-def rows_contiguous(arr: np.ndarray) -> bool:
-    """Whether ``arr`` is ``(N, D)`` with each row's values adjacent and
-    rows a whole number of elements apart — a C-contiguous array, or the
-    column slice of one (``GpuCriticalStore``'s views of its ``(N, 10)``
-    block), which a kernel taking a row stride walks in place."""
-    return arr.ndim == 2 and (
-        arr.flags.c_contiguous  # whatever strides an empty array reports
-        or (arr.strides[1] == arr.itemsize and arr.strides[0] % arr.itemsize == 0)
-    )
-
-
-def cull_spec(positions, log_scales, raw_quats, op: str = "exact_cull") -> KernelSpec:
-    """Spec of a cull op (``exact_cull``, ``grid_cull``) over the three
-    selection-critical arrays.  Both take the layouts a walk with a row
-    stride can read, so ``contiguous`` here is :func:`rows_contiguous`, not
-    whole-array C-contiguity."""
-    return _kernel_spec(
-        op,
-        tuple(
-            _kernel_data(a.dtype, a.ndim, rows_contiguous(a))
-            for a in (positions, log_scales, raw_quats)
-        ),
-    )
-
-
-def rows_spec(op: str, *arrays: np.ndarray) -> KernelSpec:
-    """Spec of a data-path op over the buffers whose layout decides who can
-    run it (a float32 gradient staging buffer, say)."""
-    return _kernel_spec(op, tuple(KernelData.from_array(a) for a in arrays))
-
-
-def adam_spec(*arrays: np.ndarray) -> KernelSpec:
-    """Spec of ``adam_rows`` over ``(params, grads, m, v)``."""
-    return rows_spec("adam_rows", *arrays)
 
 
 class KernelBackend(abc.ABC):
@@ -253,7 +131,7 @@ class KernelBackend(abc.ABC):
     report availability (compiled backends probe their toolchain here), declare
     :meth:`capabilities`, and implement :meth:`_compile`.  ``compile``
     itself is final: it runs the capability check and caches the compiled
-    callable per spec, so warm-up compilation happens once per signature.
+    callable per op, so warm-up compilation happens once.
     """
 
     name: str = "?"
@@ -263,7 +141,7 @@ class KernelBackend(abc.ABC):
     description: str = ""
 
     def __init__(self) -> None:
-        self._compiled: Dict[KernelSpec, Callable] = {}
+        self._compiled: Dict[str, Callable] = {}
 
     # -- identity -------------------------------------------------------
     def available(self) -> bool:
@@ -284,34 +162,30 @@ class KernelBackend(abc.ABC):
     def capabilities(self) -> "frozenset[str]":
         """The :data:`KERNEL_OPS` names this backend implements."""
 
-    def supports(self, spec: KernelSpec) -> bool:
-        """Whether :meth:`compile` would accept ``spec``.
-
-        The base check is op membership; backends with layout
-        restrictions (dtype, contiguity) refine this.
-        """
-        return spec.op in self.capabilities()
+    def supports(self, op: str) -> bool:
+        """Whether :meth:`compile` would accept ``op``: it is one of the
+        :meth:`capabilities`."""
+        return op in self.capabilities()
 
     # -- compilation ----------------------------------------------------
-    def compile(self, spec: KernelSpec) -> Callable:
-        """The compiled callable for ``spec``, cached per signature."""
-        fn = self._compiled.get(spec)
+    def compile(self, op: str) -> Callable:
+        """The compiled callable for ``op``, cached."""
+        fn = self._compiled.get(op)
         if fn is None:
             if not self.available():
                 raise UnsupportedKernelError(
                     f"backend '{self.name}' is not available"
                 )
-            if not self.supports(spec):
+            if not self.supports(op):
                 raise UnsupportedKernelError(
-                    f"backend '{self.name}' does not support {spec}"
+                    f"backend '{self.name}' does not support {op!r}"
                 )
-            fn = self._compile(spec)
-            self._compiled[spec] = fn
+            fn = self._compiled[op] = self._compile(op)
         return fn
 
     @abc.abstractmethod
-    def _compile(self, spec: KernelSpec) -> Callable:
-        """Build the callable for a supported ``spec``."""
+    def _compile(self, op: str) -> Callable:
+        """Build the callable for a supported ``op``."""
 
 
 #: Name -> instance.  The shipped backends (``numpy``, ``native``) register
@@ -449,64 +323,56 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 def compile_with_fallback(
-    backend: KernelBackend, spec: KernelSpec
+    backend: KernelBackend, op: str
 ) -> Tuple[Callable, KernelBackend]:
-    """Compile ``spec`` on ``backend``, degrading per-op to the reference.
+    """Compile ``op`` on ``backend``, or on the reference where it cannot.
 
-    Returns ``(callable, backend_actually_used)``.  This is the per-call
-    capability gate: a compiled backend that cannot execute one particular
-    layout (say, float32 blend state) hands exactly that op back to the
-    NumPy reference while keeping every op it *can* run.
-
-    Compilation *failures* degrade the same way: a backend that claims
-    support but raises from ``compile(spec)`` mid-run (the build of its
-    kernels failing, a driver fault) hands the op to the reference with
-    a :class:`RuntimeWarning` instead of killing training — the returned
-    backend identity records the fallback so callers can stamp the truth
-    into their perf counters.  Only a failing *reference* compile raises.
+    Returns ``(callable, backend_actually_used)``.  An unavailable backend
+    (already warned about by :func:`resolve_backend`) or one whose
+    :meth:`~KernelBackend.capabilities` lack ``op`` (``repro backends``
+    lists them) hands the op to the reference.  A backend that claims the
+    op but raises from ``compile(op)`` (the build of its kernels failing,
+    a driver fault) hands it over too, with a :class:`RuntimeWarning`
+    instead of killing training — the returned backend identity records
+    the fallback so callers can stamp the truth into their perf counters.
+    Only a failing *reference* compile raises.
     """
-    if backend.available() and backend.supports(spec):
+    if backend.available() and backend.supports(op):
         try:
-            return backend.compile(spec), backend
+            return backend.compile(op), backend
         except Exception as exc:
             if backend.name == REFERENCE_BACKEND:
                 raise
             warnings.warn(
                 f"kernel backend '{backend.name}' failed to compile "
-                f"'{spec.op}' ({exc!r}); falling back to "
+                f"'{op}' ({exc!r}); falling back to "
                 f"'{REFERENCE_BACKEND}' for this op",
                 RuntimeWarning,
                 stacklevel=2,
             )
     reference = get_backend(REFERENCE_BACKEND)
-    return reference.compile(spec), reference
+    return reference.compile(op), reference
 
 
 class OpDispatch:
     """The ops one holder (a store, a working set, an optimizer) runs,
     resolved once: ``kernel_backend`` at first use (:func:`resolve_backend`)
-    and each op over each operand layout through
-    :func:`compile_with_fallback` the first time it is seen.  The layouts
-    are looked up raw — dtype, rank, C-contiguity — because hashing a
-    :class:`KernelSpec` runs its dataclass fields' hashes in Python, and
-    the data path asks on every call.  :attr:`active` names the backend
-    that ran the last op asked for, after per-op fallback."""
+    and each op through :func:`compile_with_fallback` the first time it is
+    asked for, keyed by its name alone.  :attr:`active` names the backend
+    that ran the last op asked for (the reference, after a failed build)."""
 
     def __init__(self, kernel_backend: Optional[str] = None) -> None:
         self.kernel_backend = kernel_backend
         self.active: Optional[str] = None
         self._backend: Optional[KernelBackend] = None
-        self._compiled: Dict[tuple, Tuple[Callable, KernelBackend]] = {}
+        self._compiled: Dict[str, Tuple[Callable, KernelBackend]] = {}
 
-    def __call__(self, op: str, *operands: np.ndarray) -> Callable:
-        """The callable for ``op`` over arrays laid out like ``operands``."""
-        key = (op, *((a.dtype, a.ndim, a.flags.c_contiguous) for a in operands))
-        hit = self._compiled.get(key)
+    def __call__(self, op: str) -> Callable:
+        """The callable for ``op``."""
+        hit = self._compiled.get(op)
         if hit is None:
             if self._backend is None:
                 self._backend = resolve_backend(self.kernel_backend)
-            hit = self._compiled[key] = compile_with_fallback(
-                self._backend, rows_spec(op, *operands)
-            )
+            hit = self._compiled[op] = compile_with_fallback(self._backend, op)
         self.active = hit[1].name
         return hit[0]

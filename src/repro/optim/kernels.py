@@ -144,9 +144,7 @@ def fused_adam_update(
     scalar or a per-column vector broadcasting against the trailing axis —
     the packed layouts use that to apply per-attribute learning rates in a
     single update.  Moments are updated in place (the caller owns whether
-    they are gathered copies or direct views).  ``grads`` may be a lower
-    precision dtype (float32 staging buffers); moments and parameters stay
-    in their own dtype — ufunc upcasting handles the mix.
+    they are gathered copies or direct views).
     """
     np.multiply(m, beta1, out=m)
     m += (1 - beta1) * grads

@@ -49,10 +49,8 @@ class PackedSparseAdam:
 
     ``kernel_backend`` selects the backend executing the update (see
     :mod:`repro.kernels`); ``None``/``"auto"`` resolves to the fastest
-    available backend.  Operands a backend declines (``native``: float32
-    gradient staging, buffers that are not C-contiguous float64) go to the
-    NumPy reference through the per-op fallback, and
-    ``active_kernel_backend`` says which one ran.
+    available backend, and ``active_kernel_backend`` says which one ran
+    (the reference, after a failed build).  Every operand is float64.
     """
 
     def __init__(
@@ -84,10 +82,8 @@ class PackedSparseAdam:
         self.width = pad_to if pad_to is not None else start
         self.block_rows = max(1, int(block_rows))
         self.num_rows = int(num_rows)
-        # Moments accumulate in float64 regardless of the gradient buffer
-        # dtype — the stores may stage float32 grads, the optimizer state
-        # never loses precision.  Padding columns only ever see zero
-        # gradients, so their moments stay exactly zero.
+        # Padding columns only ever see zero gradients, so their moments
+        # stay exactly zero.
         self.packed_m = np.zeros((self.num_rows, self.width))
         self.packed_v = np.zeros((self.num_rows, self.width))
         self.steps = np.zeros(self.num_rows, dtype=np.int64)
@@ -111,7 +107,7 @@ class PackedSparseAdam:
     @property
     def active_kernel_backend(self) -> Optional[str]:
         """The backend that ran the most recent step (after auto-selection
-        and per-op fallback); None before any step."""
+        and a failed build's fallback); None before any step."""
         return self._ops.active
 
     # ------------------------------------------------------------------
@@ -128,12 +124,13 @@ class PackedSparseAdam:
         travel through unchanged.  One ``adam_rows`` op, however many named
         attributes the row packs.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        # As given: the op refuses rows that are not integers.
+        rows = np.asarray(rows)
         if rows.size == 0:
             return
         cfg = self.config
         m, v = self.packed_m, self.packed_v
-        self._ops("adam_rows", packed_params, packed_grads, m, v)(
+        self._ops("adam_rows")(
             packed_params, packed_grads, m, v, self.steps, rows,
             self.lr_columns, cfg.beta1, cfg.beta2, cfg.eps,
             block_rows=self.block_rows,

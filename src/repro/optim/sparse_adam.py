@@ -69,7 +69,9 @@ class SparseAdam:
         this is the shape in which the gradient-offload kernels deposit
         accumulated gradients into pinned CPU memory.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        # Rows reach the op as given: one that is not an integer is refused
+        # there, with ``IndexError``, not truncated here.
+        rows = np.asarray(rows)
         if rows.size == 0:
             return
         cfg = self.config
@@ -77,7 +79,7 @@ class SparseAdam:
         # reference takes all rows as one block, as this update always did.
         for k, (name, p) in enumerate(params.items()):
             g, m, v = grads[name], self.m[name], self.v[name]
-            self._ops("adam_rows", p, g, m, v)(
+            self._ops("adam_rows")(
                 p, g, m, v, self.steps, rows,
                 cfg.lr_for(name), cfg.beta1, cfg.beta2, cfg.eps,
                 bump=k == 0, block_rows=rows.size,

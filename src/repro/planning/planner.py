@@ -128,11 +128,14 @@ def plan_batch(
     from ``rng``); then :func:`~repro.planning.caching.build_transfer_plan`,
     :func:`~repro.planning.adam_overlap.touched_union` and
     :func:`~repro.planning.adam_overlap.adam_chunks` over plan-owned copies
-    of the sets in that order.  Every set must be sorted, duplicate-free
+    of the sets in that order.  Every set must be a vector of integers
+    (else ``IndexError``, as ``native`` refuses it), sorted, duplicate-free
     and inside ``[0, num_gaussians)``: the first entry that is not raises
     :func:`malformed`'s ``ValueError``.
     """
-    rows = np.concatenate([np.empty(0, dtype=np.int64), *sets]).astype(np.int64, copy=False)
+    from repro.kernels.numpy_backend import index_rows
+
+    rows = index_rows(np.concatenate(sets) if len(sets) else (), None, "plan_batch")
     offsets = np.zeros(len(sets) + 1, dtype=np.int64)
     np.cumsum([s.size for s in sets], out=offsets[1:])
     rising = np.ones(rows.size, dtype=bool)

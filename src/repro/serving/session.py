@@ -46,7 +46,7 @@ from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render
 from repro.gaussians.spatial import CullingGrid
-from repro.kernels import compile_with_fallback, resolve_backend, view_spec
+from repro.kernels import compile_with_fallback, resolve_backend
 from repro.kernels.workspace import Workspace
 from repro.planning.planner import BatchPlanner
 from repro.serving.batcher import (
@@ -163,10 +163,7 @@ class ServingSession:
     def _bind_rows(self, settings: RasterSettings) -> RowsRenderFn:
         """``render_rows`` over the ``view_forward`` op, resolved once for
         the served model's layout on ``settings``' kernel backend."""
-        op, _ = compile_with_fallback(
-            resolve_backend(settings.kernel_backend),
-            view_spec(settings.np_dtype, self.model),
-        )
+        op, _ = compile_with_fallback(resolve_backend(settings.kernel_backend), "view_forward")
         model, workspace = self.model, self.workspace
 
         def render_rows(camera, rows):

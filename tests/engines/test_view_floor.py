@@ -9,7 +9,7 @@ workspace, and a view of the other engines its four C calls, with nothing
 resolved, compiled, bound or allocated again — plus the engine-side
 behaviours that ride along:
 moments are invalidated by replacing a target, evaluation renders
-forward-only, kernel specs are memoised.
+forward-only.
 """
 
 from unittest import mock
@@ -23,7 +23,7 @@ from repro.engines import available_engines, create_engine
 from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
-from repro.kernels import KernelData, adam_spec, get_backend, rows_spec
+from repro.kernels import get_backend
 from repro import kernels
 from repro.kernels import numpy_backend, registry
 
@@ -151,7 +151,7 @@ def test_a_native_view_is_four_c_calls(name, setup, monkeypatch):
 def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
     """After a warm-up batch, each microbatch of a repeated ``clm`` batch
     is one ``train_step`` call and no other C call: no backend is resolved,
-    no spec built, nothing compiled, nothing bound again, no arena grown."""
+    nothing compiled, nothing bound again, no arena grown."""
     _, _, targets = setup
     engine = build("clm", setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
@@ -173,10 +173,10 @@ def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
 
         monkeypatch.setattr(owner, name, watched)
 
-    # Every module that binds the three names (the rasterizer imports them
+    # Every module that binds the two names (the rasterizer imports them
     # from ``repro.kernels`` at call time).
     for owner in (registry, numpy_backend, kernels):
-        for name in ("resolve_backend", "view_spec", "compile_with_fallback"):
+        for name in ("resolve_backend", "compile_with_fallback"):
             if hasattr(owner, name):
                 watch(owner, name)
     run_step = engine._run_step
@@ -228,11 +228,13 @@ def test_replacing_a_target_invalidates_its_moments(name, setup):
     assert got.per_view_loss == want.per_view_loss
 
 
-def test_l1_only_training_keeps_no_moments(setup):
+def test_l1_only_training_runs_the_loss_over_the_kept_moments(setup):
+    """L1 alone is the loss at ``ssim_lambda == 0``: it takes the default
+    loss's path, over the same kept moments, on every backend."""
     _, _, targets = setup
     engine = build("clm", setup, ssim_lambda=0.0)
     engine.train_batch(BATCH, targets)
-    assert engine._moments == {}
+    assert sorted(engine._moments) == sorted(BATCH)
 
 
 @pytest.mark.parametrize("name", available_engines())
@@ -304,21 +306,6 @@ def test_a_render_view_that_raises_leaves_the_pool_as_it_was(setup):
     assert engine.pool.used == used
 
 
-def test_kernel_specs_are_memoised():
-    """One descriptor object per layout: building a spec names no dtype."""
-    a, b = np.zeros((4, 10)), np.zeros((9, 10))
-    assert adam_spec(a, a, a, a) is adam_spec(b, b, b, b)
-    assert KernelData.from_array(a) is KernelData.from_array(b)
-    assert KernelData.from_array(a) == KernelData("float64", 2, True)
-    strided = np.zeros((4, 20))[:, ::2]
-    assert KernelData.from_array(strided) == KernelData("float64", 2, False)
-    assert adam_spec(a, strided) is not adam_spec(a, a)
-    f64 = rows_spec("zero_rows", a)
-    assert f64 is rows_spec("zero_rows", b)
-    assert f64 != rows_spec("zero_rows", a.astype(np.float32))
-    assert f64 != rows_spec("adam_rows", a)
-
-
 #: The variants the ruler trains: ``(engine, EngineConfig overrides)``.
 TRAINED = {
     "clm": ("clm", {}),
@@ -346,12 +333,12 @@ def test_the_callers_resolve_every_kernel_op_and_no_other(setup, monkeypatch):
 
     scene, _, targets = setup
     resolved, log = set(), []
-    compile_spec = registry.KernelBackend.compile
+    compile_op = registry.KernelBackend.compile
 
-    def recording(backend, spec):
-        resolved.add(spec.op)
-        log.append((backend.name, spec.op))
-        return compile_spec(backend, spec)
+    def recording(backend, op):
+        resolved.add(op)
+        log.append((backend.name, op))
+        return compile_op(backend, op)
 
     monkeypatch.setattr(registry.KernelBackend, "compile", recording)
     wrapped = {

@@ -11,7 +11,7 @@ without leaving the analytic pool model's per-Gaussian allowance.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.memory_model import ACT_PER_GAUSSIAN
 from repro.gaussians import quaternion
@@ -24,8 +24,8 @@ from test_compute_bins import MODEL_CASES, generated_model
 GROUP_TOL = 1e-13
 
 
-def forward_backward(cam, model, seed, drop_retained=False):
-    img, _, ctx = rasterize_forward(cam, model, RasterSettings())
+def forward_backward(cam, model, seed, drop_retained=False, settings_=None):
+    img, _, ctx = rasterize_forward(cam, model, settings_ or RasterSettings())
     if drop_retained:
         ctx.proj = dataclasses.replace(
             ctx.proj, shapes=None, dirs=None, dir_norms=None
@@ -35,12 +35,20 @@ def forward_backward(cam, model, seed, drop_retained=False):
 
 
 @given(**MODEL_CASES)
+@example(seed=5101, num=23, size=(56, 39), scale=-0.5)
 @settings(max_examples=30, deadline=None)
 def test_backward_from_retained_geometry_matches_a_rebuild(seed, num, size, scale):
+    """On the NumPy reference, where both sides run the same backward.  A
+    projection whose geometry was dropped is differentiated by the
+    reference's backward pass, so on ``native`` the two sides would be its
+    C backward against the reference's — the rounding the parity suites
+    hold to 1e-10 — and not retained geometry against rebuilt geometry.
+    ``native``'s retained geometry is held to 2 ulp below."""
     cam, model = generated_model(seed, num, size, scale)
-    ctx, kept = forward_backward(cam, model, seed)
+    reference = RasterSettings(kernel_backend="numpy")
+    ctx, kept = forward_backward(cam, model, seed, settings_=reference)
     assert ctx.proj.shapes is not None and ctx.proj.dirs is not None
-    _, rebuilt = forward_backward(cam, model, seed, drop_retained=True)
+    _, rebuilt = forward_backward(cam, model, seed, drop_retained=True, settings_=reference)
     assert kept.keys() == rebuilt.keys()
     for name in kept:
         scale_of = max(1.0, float(np.abs(rebuilt[name]).max()))

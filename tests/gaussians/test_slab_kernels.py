@@ -79,8 +79,10 @@ def slab_cells(ctx):
 def screen_space(forward, backward, cam, proj, opts, g_img):
     """Image, transmittance and the screen-space gradients of one path on a
     hand-made projection (``preprocess`` and the parameter chain stubbed,
-    both where the renderer and where the oracle look them up)."""
+    both where the renderer and where the oracle look them up), so on the
+    NumPy reference, whose ``preprocess`` that is."""
     stub = mock.Mock(num_gaussians=proj.ids.size)
+    opts = replace(opts, kernel_backend="numpy")
     with contextlib.ExitStack() as stack:
         for module in (rasterizer, legacy_raster):
             stack.enter_context(
@@ -239,26 +241,6 @@ def test_one_tile_per_slab(slab_tiles):
         assert_matches_oracle(CAM, make_model(5), RasterSettings())
 
 
-def test_float32_mode_tracks_float64():
-    model = make_model(6)
-    (_, _, _, g64), _ = render_both_ways(model, RasterSettings())
-    (img, _, ctx, g32), (img_off, _, _, g32_off) = render_both_ways(
-        model, RasterSettings(dtype="float32")
-    )
-    assert img.dtype == np.float32 and np.array_equal(img, img_off)
-    assert all(
-        s[key].dtype == np.float32
-        for s in ctx.blend_cache for key in ("weights", "odds", "t_final")
-    )
-    for name in GRAD_NAMES:
-        assert g32[name].dtype == np.float64
-        assert np.array_equal(g32[name], g32_off[name])
-        scale = max(1e-6, float(np.abs(g64[name]).max()))
-        np.testing.assert_allclose(
-            g32[name] / scale, g64[name] / scale, atol=5e-4, err_msg=name
-        )
-
-
 # ---------------------------------------------------------------------------
 # The blend cache
 # ---------------------------------------------------------------------------
@@ -272,11 +254,11 @@ def test_float32_mode_tracks_float64():
             rasterizer._MAX_GROUP_TILES,
         ),
         (
-            RasterSettings(dtype="float32", transmittance_min=0.5),
+            RasterSettings(transmittance_min=0.5),
             rasterizer._MAX_GROUP_TILES,
         ),
     ],
-    ids=["default", "bg-cap-groups", "exact", "float32"],
+    ids=["default", "bg-cap-groups", "exact", "early-stop"],
 )
 def test_recomputed_backward_is_bit_identical_to_cached(slab_tiles, opts, tiles):
     with slab_tiles(tiles):

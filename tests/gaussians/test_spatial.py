@@ -14,7 +14,7 @@ from repro.gaussians.frustum import (
 )
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.spatial import _MAX_CELL_WIDTH, CullingGrid, max_support_radius
-from repro.kernels import compile_with_fallback, cull_spec, get_backend, resolve_backend
+from repro.kernels import compile_with_fallback, get_backend, resolve_backend
 from repro.scenes.datasets import scene_names
 from repro.serving import ring_cameras
 
@@ -37,9 +37,7 @@ def grid_for(model, cells=12, backend=None):
 def assert_grid_is_linear(arrays, cameras, backend, cells=12):
     """The grid over ``arrays`` runs ``backend``'s ``grid_cull`` and returns
     the same backend's linear cull on every camera, bit for bit."""
-    ran_on = compile_with_fallback(
-        resolve_backend(backend), cull_spec(*arrays, "grid_cull")
-    )[1].name
+    ran_on = compile_with_fallback(resolve_backend(backend), "grid_cull")[1].name
     assert ran_on == backend
     grid = CullingGrid(*arrays, target_cells_per_axis=cells, kernel_backend=backend)
     for cam in cameras:
@@ -387,7 +385,7 @@ def test_grid_keeps_rows_touching_a_plane_native(rng):
     arrays = touching_rows(cam, rng, 64, c_signed, c_reach)[:3]
     want = cull_gaussians(cam, *arrays, "native")
     assert want.size > 16
-    bind = get_backend("native").compile(cull_spec(*arrays, "grid_cull"))
+    bind = get_backend("native").compile("grid_cull")
     for cells in (1, 3):
         grid = CullingGrid(*arrays, target_cells_per_axis=cells, kernel_backend="native")
         assert np.diff(grid.offsets).max() > 1

@@ -11,7 +11,6 @@ from repro.engines import CLMEngine
 from repro.gaussians.model import GaussianModel
 from repro.kernels import (
     KernelBackend,
-    adam_spec,
     compile_with_fallback,
     get_backend,
     register_backend,
@@ -56,7 +55,7 @@ def _setup(trainable_scene):
 def test_compile_failure_falls_back_per_op(flaky_backend):
     ops = [np.zeros((8, 10)) for _ in range(4)]
     with pytest.warns(RuntimeWarning, match="failed to compile"):
-        fn, used = compile_with_fallback(flaky_backend, adam_spec(*ops))
+        fn, used = compile_with_fallback(flaky_backend, "adam_rows")
     assert used.name == "numpy"
     fn(*ops, np.zeros(8, dtype=np.int64), np.arange(8), np.full(10, 1e-2),
        0.9, 0.999, 1e-8)
@@ -71,7 +70,7 @@ def test_reference_compile_failure_still_raises(flaky_backend, monkeypatch):
     )
     monkeypatch.setattr(reference, "_compiled", {})
     with pytest.raises(RuntimeError, match="boom"):
-        compile_with_fallback(reference, adam_spec(np.zeros((4, 3))))
+        compile_with_fallback(reference, "adam_rows")
 
 
 def test_engine_trains_through_flaky_backend_identically(

@@ -3,7 +3,8 @@
 The native backend must register but report unavailable on a host without
 a C compiler (simulated by making its compiler lookup find nothing), and
 every resolution path must land on the NumPy reference — with a warning
-when the backend was asked for by name, silently under ``auto``.  The
+when the backend was asked for by name, silently under ``auto``.  Where
+it is available, no driver path hands an op to the reference.  The
 engine layer must thread the backend identity everywhere it has to be
 visible: PerfCounters (what composited the renders), RasterSettings /
 RenderContext, PackedSparseAdam, and plan fingerprints.
@@ -15,15 +16,11 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.engines import available_engines, create_engine
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import RasterSettings
 from repro.kernels import (
     ENV_VAR,
-    adam_spec,
     compile_with_fallback,
     get_backend,
     resolve_backend,
-    rows_spec,
-    view_spec,
 )
 from repro.kernels import native_backend
 from repro.optim.adam import AdamConfig
@@ -89,36 +86,9 @@ def test_env_requested_native_falls_back(no_compiler, monkeypatch):
 
 
 def test_compile_with_fallback_hands_ops_to_reference(no_compiler):
-    spec = rows_spec("zero_rows", np.zeros((4, 10)))
-    fn, used = compile_with_fallback(no_compiler, spec)
+    fn, used = compile_with_fallback(no_compiler, "zero_rows")
     assert used.name == "numpy"
-    assert fn is get_backend("numpy").compile(spec)
-
-
-def test_float32_operands_decline_the_jit_backend():
-    """Even where a compiler IS found, a float32 blend state stays on the
-    reference: the kernels built at first use index raw float64 buffers."""
-    backend = get_backend("native")
-    model = GaussianModel.random(4, sh_degree=1, seed=0)
-    spec32 = view_spec(np.float32, model)
-    assert backend.supports(view_spec(np.float64, model))
-    assert backend.supports(spec32) is False
-    fn, used = compile_with_fallback(backend, spec32)
-    assert used.name == "numpy"
-
-
-def test_float32_gradients_send_adam_to_the_reference():
-    """``native`` runs ``adam_rows`` over float64 buffers; float32 gradient
-    staging is handed to NumPy per op, without a warning."""
-    backend = get_backend("native")
-    ops = [np.zeros((8, 10)) for _ in range(4)]
-    staged = [ops[0], ops[1].astype(np.float32), ops[2], ops[3]]
-    assert backend.supports(adam_spec(*ops))
-    assert backend.supports(adam_spec(*staged)) is False
-    fn, used = compile_with_fallback(backend, adam_spec(*staged))
-    assert used.name == "numpy"
-    fn(*staged, np.zeros(8, dtype=np.int64), np.arange(8), np.full(10, 1e-2),
-       0.9, 0.999, 1e-8)
+    assert fn is get_backend("numpy").compile("zero_rows")
 
 
 def test_optimizer_runs_and_reports_reference_under_fallback(no_compiler):
@@ -152,34 +122,61 @@ def test_engines_stamp_backend_into_perf(name, trainable_scene):
     assert engine.perf.kernel_backend == "numpy"
 
 
+#: Every driver path that trains: each registered engine, and the two CLM
+#: runtime configurations the benchmark trains, as ``(engine, overrides)``.
+DRIVERS = {
+    **{name: (name, {}) for name in available_engines()},
+    "clm_sharded": ("clm_sharded", {"num_devices": 2}),
+    "clm_overlap": ("clm", {"overlap_workers": 1}),
+    "clm_graph": ("clm", {"use_task_graph": True, "overlap_workers": 2}),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("driver", [*DRIVERS, "serving"])
 def test_perf_reports_the_backend_that_composited_the_renders(
-    trainable_scene,
+    driver, trainable_scene, monkeypatch
 ):
-    """What ``PerfCounters`` names is the backend the batch's renders — the
-    dominant cost — ran on; the optimizers report their own."""
+    """No driver path hands an op to the reference: with ``native``
+    available, every op any engine, runtime configuration or served session
+    resolves is ``native``'s, and what ``PerfCounters``, each optimizer and
+    each render context name is ``native`` — the backend the batch's
+    renders, the dominant cost, ran on."""
+    from repro.kernels import registry
+    from repro.serving import RenderRequest, ServingSession
+
     if not get_backend("native").available():
         pytest.skip("no C compiler on this host")
+    compiled, compile_op = set(), registry.KernelBackend.compile
+
+    def recording(backend, *args):
+        compiled.add(backend.name)
+        return compile_op(backend, *args)
+
+    monkeypatch.setattr(registry.KernelBackend, "compile", recording)
     init, targets = _engine_setup(trainable_scene)
+    engine_name, overrides = DRIVERS.get(driver, ("clm", {}))
     engine = create_engine(
-        "clm", init, trainable_scene.cameras, EngineConfig(batch_size=4)
+        engine_name, init, trainable_scene.cameras,
+        EngineConfig(batch_size=4, **overrides),
     )
     engine.train_batch(BATCH, targets)
-    assert engine.perf.kernel_backend == "native"
-    assert engine.adam_critical.active_kernel_backend == "native"
-
-
-def test_perf_reports_numpy_when_float32_state_is_declined(trainable_scene):
-    """Float32 blend state is declined per op: the renders run on NumPy
-    and the counters must not claim the configured backend."""
-    init, targets = _engine_setup(trainable_scene)
-    engine = create_engine(
-        "clm", init, trainable_scene.cameras,
-        EngineConfig(batch_size=4, raster=RasterSettings(dtype="float32")),
-    )
-    engine.train_batch(BATCH, targets)
-    view = engine.render_view(trainable_scene.cameras[0].view_id)
-    assert view.ctx.kernel_backend == "numpy"
-    assert engine.perf.kernel_backend == "numpy"
+    if driver == "serving":
+        session = ServingSession.from_engine(engine)
+        camera = trainable_scene.cameras[0]
+        session.render_request(RenderRequest(0, camera.view_id, camera, 0.0, 1.0))
+    else:
+        assert engine.perf.kernel_backend == "native"
+        optimizers = [
+            getattr(engine, name) for name in ("adam_critical", "adam_noncritical", "optimizer")
+            if hasattr(engine, name)
+        ]
+        assert optimizers
+        for optimizer in optimizers:
+            assert optimizer.active_kernel_backend == "native"
+        for camera in trainable_scene.cameras[:2]:
+            assert engine.render_view(camera.view_id).ctx.kernel_backend == "native"
+    assert compiled == {"native"}
 
 
 def test_engine_env_override_resolves_at_construction(

@@ -2,8 +2,9 @@
 
 Selection precedence (explicit name > env override > auto priority) is the
 contract every engine relies on; the fallback paths (unknown env name,
-registered-but-unavailable backend, per-op capability miss) must degrade
-to the NumPy reference with a warning, never crash.
+registered-but-unavailable backend) must degrade to the NumPy reference
+with a warning, never crash.  An op is compiled, cached and dispatched by
+its name alone.
 """
 
 import numpy as np
@@ -13,11 +14,9 @@ from repro.kernels import (
     ENV_VAR,
     KERNEL_OPS,
     KernelBackend,
-    KernelData,
-    KernelSpec,
+    OpDispatch,
     UnknownBackendError,
     UnsupportedKernelError,
-    adam_spec,
     available_backends,
     backend_descriptions,
     backend_status,
@@ -26,7 +25,6 @@ from repro.kernels import (
     register_backend,
     resolve_backend,
     resolve_backend_name,
-    rows_spec,
     unregister_backend,
 )
 
@@ -42,7 +40,7 @@ class _FakeBackend(KernelBackend):
     def capabilities(self):
         return frozenset(KERNEL_OPS)
 
-    def _compile(self, spec):
+    def _compile(self, op):
         return lambda *a, **k: None
 
 
@@ -130,41 +128,29 @@ def test_unavailable_backend_falls_back_with_warning(fake_backend):
     assert backend.name == "numpy"
 
 
-def test_compile_is_cached_per_spec():
+def test_compile_is_cached_per_op():
     backend = get_backend("numpy")
-    spec = rows_spec("zero_rows", np.zeros((4, 10)))
-    assert backend.compile(spec) is backend.compile(spec)
-    other = rows_spec("zero_rows", np.zeros((4, 10), np.float32))
-    assert backend.compile(other) is backend.compile(spec)  # same impl fn
+    assert backend.compile("zero_rows") is backend.compile("zero_rows")
 
 
 def test_compile_rejects_unsupported_op():
     backend = get_backend("numpy")
     with pytest.raises(UnsupportedKernelError):
-        backend.compile(KernelSpec("no_such_op"))
+        backend.compile("no_such_op")
 
 
 def test_compile_with_fallback_degrades_per_op(fake_backend):
-    spec = adam_spec(np.zeros((4, 10)), np.zeros((4, 10)),
-                     np.zeros((4, 10)), np.zeros((4, 10)))
-    fn, used = compile_with_fallback(fake_backend, spec)
+    fn, used = compile_with_fallback(fake_backend, "adam_rows")
     assert used is fake_backend
     fake_backend.is_available = False
-    fn, used = compile_with_fallback(fake_backend, spec)
+    fn, used = compile_with_fallback(fake_backend, "adam_rows")
     assert used.name == "numpy"
 
 
-def test_kernel_data_from_array():
-    data = KernelData.from_array(np.zeros((3, 4), dtype=np.float32))
-    assert data == KernelData(dtype="float32", rank=2, contiguous=True)
-    strided = np.zeros((8, 8))[:, ::2]
-    assert KernelData.from_array(strided).contiguous is False
-
-
-def test_specs_are_hashable_cache_keys():
-    a = adam_spec(np.zeros((4, 10)), np.zeros((4, 10)),
-                  np.zeros((4, 10)), np.zeros((4, 10)))
-    b = adam_spec(np.zeros((9, 10)), np.zeros((9, 10)),
-                  np.zeros((9, 10)), np.zeros((9, 10)))
-    assert a == b and hash(a) == hash(b)  # rank/dtype, not shape
-    assert a != rows_spec("zero_rows", *(np.zeros((4, 10)),) * 4)
+def test_op_dispatch_keys_on_the_op_name_alone(fake_backend):
+    """One resolution an op, whatever arrays the call is then handed."""
+    ops = OpDispatch("fake_test_backend")
+    assert ops.active is None
+    zero = ops("zero_rows")
+    assert ops("zero_rows") is zero and ops.active == "fake_test_backend"
+    assert list(ops._compiled) == ["zero_rows"]

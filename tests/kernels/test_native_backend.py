@@ -36,7 +36,6 @@ from repro.kernels import (
     backend_status,
     get_backend,
     native_backend,
-    rows_spec,
 )
 from repro.kernels.native_backend import CFLAGS, NativeLibrary
 
@@ -369,7 +368,7 @@ def test_two_threads_racing_the_first_use_compile_once(fresh, monkeypatch):
     def first_use():
         try:
             gate.wait(timeout=60)
-            kernels.append(fresh.compile(rows_spec("zero_rows", np.zeros((4, 10)))))
+            kernels.append(fresh.compile("zero_rows"))
         except BaseException as exc:
             errors.append(exc)
             raise

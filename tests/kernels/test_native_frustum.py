@@ -27,12 +27,7 @@ from repro.gaussians.frustum import cull_batch, exact_cull, frustum_planes
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings, rasterize_forward
 from repro.gaussians.spatial import CullingGrid
-from repro.kernels import (
-    compile_with_fallback,
-    cull_spec,
-    get_backend,
-    resolve_backend,
-)
+from repro.kernels import get_backend
 from repro.bench.params import SCENE_SEED
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene
@@ -49,14 +44,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 BACKENDS = ("numpy", "native")
-
-
-def ran_on(backend, positions, log_scales, quats):
-    """The backend that executes ``exact_cull`` over these arrays when
-    ``backend`` is asked for it."""
-    return compile_with_fallback(
-        resolve_backend(backend), cull_spec(positions, log_scales, quats)
-    )[1].name
 
 
 def packed(positions, log_scales, quats):
@@ -94,7 +81,6 @@ def compare(cameras, positions, log_scales, quats, cells=8):
     ties = 0
     reference = cull_batch(cameras, *arrays, "numpy")
     for layout in (arrays, strided):
-        assert ran_on("native", *layout) == "native"
         grids = {
             backend: CullingGrid(
                 *layout, target_cells_per_axis=cells, kernel_backend=backend
@@ -172,7 +158,7 @@ def test_generated_clouds_and_cameras(cloud, cameras):
 
 
 # ---------------------------------------------------------------------------
-# Layouts the C loop takes, declines and refuses
+# Layouts the C loop takes and refuses
 # ---------------------------------------------------------------------------
 def cloud_around(cam, rng, n=200):
     """Centres inside, in the boundary band and outside ``cam``'s frustum."""
@@ -189,21 +175,21 @@ def test_contiguous_and_packed_rows_both_run_native(rng):
     arrays = cloud_around(cam, rng)
     strided = packed(*arrays)
     assert not strided[0].flags.c_contiguous
-    assert ran_on("native", *arrays) == ran_on("native", *strided) == "native"
     (a,), (b,) = cull_batch([cam], *arrays, "native"), cull_batch([cam], *strided, "native")
     assert 0 < a.size < 200 and np.array_equal(a, b)
     # Every other row of the block: the row stride doubles, rows renumber.
     halved = tuple(x[::2] for x in strided)
-    assert ran_on("native", *halved) == "native"
     (c,) = cull_batch([cam], *halved, "native")
     assert np.array_equal(c, a[a % 2 == 0] // 2)
 
 
-def test_layouts_the_kernel_cannot_walk_are_declined(rng):
+def test_layouts_the_kernel_cannot_walk_are_refused(rng):
+    """A layout the C loop cannot walk is refused by ``native``'s binder,
+    never handed to the reference; the reference culls any layout."""
     cam = look_at_camera(eye=(0, -5, 0.4), target=(0, 0, 0), zfar=30.0)
     arrays = cloud_around(cam, rng)
     (want,) = cull_batch([cam], *arrays, "numpy")
-    declined = {
+    refused = {
         "float32": tuple(a.astype(np.float32) for a in arrays),
         "fortran": tuple(np.asfortranarray(a) for a in arrays),
         "one float32": (arrays[0], arrays[1].astype(np.float32), arrays[2]),
@@ -211,10 +197,10 @@ def test_layouts_the_kernel_cannot_walk_are_declined(rng):
             np.repeat(a, 2, axis=1)[:, ::2] for a in arrays
         ),
     }
-    for name, layout in declined.items():
-        assert ran_on("native", *layout) == "numpy", name
-    # Declined means the reference ran it, not that it failed.
-    (got,) = cull_batch([cam], *declined["fortran"], "native")
+    for name, layout in refused.items():
+        with pytest.raises(ValueError, match="native exact_cull: "):
+            cull_batch([cam], *layout, "native")
+    (got,) = cull_batch([cam], *refused["fortran"], "numpy")
     assert np.array_equal(got, want)
 
 
@@ -239,7 +225,7 @@ def test_a_corrupted_grid_table_is_refused(rng):
             getattr(bad, table)[at] = value
         with pytest.raises(IndexError, match="native grid_cull: .*outside"):
             bad.query(cam)
-    bind = get_backend("native").compile(cull_spec(*arrays, "grid_cull"))
+    bind = get_backend("native").compile("grid_cull")
     with pytest.raises(ValueError, match="native grid_build: positions"):
         bind(CullingGrid(
             *(a.astype(np.float32) for a in arrays), target_cells_per_axis=4,
@@ -301,7 +287,6 @@ def test_a_lone_row_empty_rows_and_an_empty_model(rng):
     )
     assert none.dtype == np.int64 and none.shape == (0,)
     empty = (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 4)))
-    assert ran_on("native", *empty) == "native"
     assert compare([cam], *empty) == 0
     assert cull_batch([cam], *empty, "native")[0].shape == (0,)
     with pytest.raises(IndexError):

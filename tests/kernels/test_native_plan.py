@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import ENV_VAR, get_backend, rows_spec
+from repro.kernels import ENV_VAR, get_backend
 from repro.planning import BatchPlanner, tsp_order
 from repro.utils import setops
 
@@ -216,7 +216,7 @@ def test_malformed_sets_are_refused(sets, message, backend, strategy):
 
 
 def test_the_op_refuses_an_order_that_is_not_one():
-    op = get_backend("native").compile(rows_spec("plan_batch"))
+    op = get_backend("native").compile("plan_batch")
     for order in ([0, 0], [1], [1, 0, 2], [0, 2]):
         with pytest.raises(ValueError, match="is not an order"):
             op([arr(1), arr(2)], [0, 1], order, None, 1e-3, True, 80)

@@ -20,15 +20,18 @@ implies, through the op's public callable:
 ``native`` raises ``ValueError`` for every layout it refuses and
 ``IndexError`` for rows that are not integers or not inside their
 dimension; no operand a refused call could write has changed.  The NumPy
-reference indexes any layout, so layout mutants are ``native``'s alone:
-its ``supports`` hands those layouts to the reference before a call is
-made.  ``plan_batch``'s operands are made by its binding from the sets it
-is given, and ``train_step``'s index vectors reach the C as a plan's step
-(their refusals are ``test_native_train_step``'s ``BAD_STEPS``).
+reference indexes any layout, so layout mutants are ``native``'s alone: a
+layout ``native`` does not take is refused, never handed to the reference.
+The index-vector cells also run through the callers that hand rows on
+(``SparseAdam.step_rows``, ``PackedSparseAdam.step_packed``) and through
+``plan_batch``, whose ``sets`` its binding concatenates: none of them
+converts rows before the op's own check.  ``train_step``'s index vectors
+reach the C as a plan's step (their refusals are
+``test_native_train_step``'s ``BAD_STEPS``).
 """
 
 import dataclasses
-from typing import Callable, Dict, NamedTuple
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -40,17 +43,11 @@ from repro.gaussians.frustum import frustum_planes
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.spatial import CullingGrid
-from repro.kernels import (
-    adam_spec,
-    cull_spec,
-    get_backend,
-    native_backend,
-    rows_spec,
-    train_operands,
-    view_spec,
-)
-from repro.kernels.registry import KernelData, KernelSpec
+from repro.kernels import get_backend, native_backend
 from repro.kernels.workspace import Workspace
+from repro.optim.adam import AdamConfig
+from repro.optim.packed_adam import PackedSparseAdam
+from repro.optim.sparse_adam import SparseAdam
 
 pytestmark = pytest.mark.skipif(
     not get_backend("native").available(), reason="no C compiler here"
@@ -59,11 +56,13 @@ pytestmark = pytest.mark.skipif(
 
 class Case(NamedTuple):
     """One op called with good ``operands`` (by their declared names in
-    ``entry``): ``run(op, operands)`` calls it, ``spec`` compiles it,
-    ``dims`` is the extent of each dimension an index vector indexes."""
+    ``entry``): ``run(op, operands)`` calls kernel op ``op`` compiled on the
+    backend under test — or, when ``op`` is None, drives a caller of it and
+    is handed the backend's name; ``dims`` is the extent of each dimension
+    an index vector indexes."""
 
     entry: str
-    spec: KernelSpec
+    op: Optional[str]
     operands: Dict[str, object]
     run: Callable
     dims: Dict[str, int] = {}
@@ -94,7 +93,7 @@ def exact_cull_case():
     def run(op, o):
         return op(o["planes"], o["positions"], o["log_scales"], o["quats"], o["rows"])
 
-    return Case("exact_cull", cull_spec(*arrays.values()), operands, run, {"n": 60})
+    return Case("exact_cull", "exact_cull", operands, run, {"n": 60})
 
 
 def grid_cull_case():
@@ -111,7 +110,7 @@ def grid_cull_case():
         bound.block = o["rows"]
         return bind(bound).cull(o["planes"])[0]
 
-    return Case("grid_cull", cull_spec(*arrays.values(), "grid_cull"), operands, run)
+    return Case("grid_cull", "grid_cull", operands, run)
 
 
 def _copy(grid):
@@ -131,8 +130,7 @@ def grid_refit_case():
         bind(grid).refit(o["rows"])
         return grid.block
 
-    spec = cull_spec(*arrays.values(), "grid_cull")
-    return Case("grid_refit", spec, {"rows": np.arange(0, 60, 3)}, run, {"n": 60})
+    return Case("grid_refit", "grid_cull", {"rows": np.arange(0, 60, 3)}, run, {"n": 60})
 
 
 def model_case(served: bool):
@@ -149,7 +147,7 @@ def model_case(served: bool):
             return op(cam, bad, RasterSettings(), rows=o["rows"], workspace=Workspace())[0]
         return op(cam, bad, RasterSettings(), rows=o["rows"])[0]
 
-    return Case("view_project", view_spec(np.float64, model), operands, run, {"total": 30})
+    return Case("view_project", "view_forward", operands, run, {"total": 30})
 
 
 def view_backward_case():
@@ -163,7 +161,7 @@ def view_backward_case():
         return ctx.backward_pass()(ctx, bad, o["d_image"])["positions"]
 
     # The context fixes the rows of the model it rendered.
-    return Case("view_backward", view_spec(np.float64, model), operands, run, fixed=("n",))
+    return Case("view_backward", "view_forward", operands, run, fixed=("n",))
 
 
 def assemble_rows_case():
@@ -179,8 +177,7 @@ def assemble_rows_case():
     operands = {
         "ws": np.array([1, 4, 7, 9, 11]), "loads": np.array([11]), "cached": np.array([1, 4, 7, 9]),
     }
-    spec = rows_spec("assemble_rows", np.zeros((20, 16)), np.zeros((20, 10)))
-    return Case("assemble_rows", spec, operands, run, {"n": 20}, ("loads", "cached"))
+    return Case("assemble_rows", "assemble_rows", operands, run, {"n": 20}, ("loads", "cached"))
 
 
 def zero_rows_case():
@@ -191,7 +188,7 @@ def zero_rows_case():
         op(o["buffer"], o["rows"])
         return o["buffer"]
 
-    return Case("zero_rows", rows_spec("zero_rows", operands["buffer"]), operands, run, {"n": 20})
+    return Case("zero_rows", "zero_rows", operands, run, {"n": 20})
 
 
 def adam_rows_case():
@@ -208,8 +205,69 @@ def adam_rows_case():
            0.9, 0.999, 1e-8)
         return o["params"]
 
-    spec = adam_spec(*(operands[k] for k in ("params", "grads", "m", "v")))
-    return Case("adam_rows", spec, operands, run, {"n": 20})
+    return Case("adam_rows", "adam_rows", operands, run, {"n": 20})
+
+
+def untouched_on_refusal(step, state):
+    """``step()``, asserting that when it raises every array of ``state``
+    is as it was: the rows are refused before anything is written."""
+    before = [np.copy(a) for a in state]
+    try:
+        return step()
+    except Exception:
+        assert all(np.array_equal(a, b) for a, b in zip(state, before))
+        raise
+
+
+def sparse_adam_case():
+    """``SparseAdam.step_rows``: the rows reach ``adam_rows`` as given."""
+    rng = np.random.default_rng(8)
+    names = {"a": (20, 3), "b": (20, 2, 3), "c": (20,)}
+    params = {name: rng.normal(size=shape) for name, shape in names.items()}
+    grads = {name: rng.normal(size=shape) for name, shape in names.items()}
+
+    def run(backend, o):
+        got = {name: p.copy() for name, p in params.items()}
+        opt = SparseAdam(got, AdamConfig(lr=1e-2), kernel_backend=backend)
+        untouched_on_refusal(
+            lambda: opt.step_rows(got, grads, o["rows"]), [*got.values(), opt.steps]
+        )
+        return np.concatenate([p.ravel() for p in got.values()])
+
+    return Case("adam_rows", None, {"rows": np.array([0, 3, 8, 19])}, run, {"n": 20})
+
+
+def packed_adam_case():
+    """``PackedSparseAdam.step_packed``: the rows reach ``adam_rows`` as
+    given."""
+    rng = np.random.default_rng(9)
+    params, grads = rng.normal(size=(20, 12)), rng.normal(size=(20, 12))
+
+    def run(backend, o):
+        got = params.copy()
+        opt = PackedSparseAdam(
+            {"x": (4,), "y": (2, 3)}, 20, AdamConfig(lr=1e-2), pad_to=12,
+            kernel_backend=backend,
+        )
+        untouched_on_refusal(
+            lambda: opt.step_packed(got, grads, o["rows"]), [got, opt.steps]
+        )
+        return got
+
+    return Case("adam_rows", None, {"rows": np.array([0, 3, 8, 19])}, run, {"n": 20})
+
+
+def plan_batch_case():
+    """``plan_batch`` over one set, which its binding hands on as ``sets``
+    (the concatenation of one set is that set).  A set must be inside the
+    model: a row outside it is the malformed-set ``ValueError``."""
+
+    def run(op, o):
+        plan = op([o["sets"]], [0], None, 0, 1e-3, True, 30)
+        return np.concatenate([plan.touched, *plan.adam_chunks])
+
+    sets = {"sets": np.array([1, 4, 7, 9, 11])}
+    return Case("plan_batch", "plan_batch", sets, run, {"n": 30}, ("sets",))
 
 
 def loss_case():
@@ -222,7 +280,7 @@ def loss_case():
         kept = dataclasses.replace(moments, uy=o["uy"], uy2_c1=o["uy2_c1"], vy_c2=o["vy_c2"])
         return op(o["x"], o["y"], 0.2, kept)[1]
 
-    return Case("photometric_loss", rows_spec("photometric_loss", x, y, moments.uy), operands, run)
+    return Case("photometric_loss", "photometric_loss", operands, run)
 
 
 def view_train_case():
@@ -230,14 +288,11 @@ def view_train_case():
     target = np.random.default_rng(6).uniform(size=(30, 40, 3))
     moments = TargetMoments.of(target)
     settings = RasterSettings()
-    spec = KernelSpec("view_train", tuple(
-        map(KernelData.from_array, train_operands(settings, model, target, moments))
-    ))
 
     def run(op, o):
         return op(cam, model, settings, o["y"], moments, 0.2, 4)[1]["positions"].copy()
 
-    return Case("photometric_loss", spec, {"y": target}, run)
+    return Case("photometric_loss", "view_train", {"y": target}, run)
 
 
 CASES = {
@@ -245,7 +300,8 @@ CASES = {
     "view_forward": lambda: model_case(False), "view_forward-served": lambda: model_case(True),
     "view_backward": view_backward_case, "assemble_rows": assemble_rows_case,
     "zero_rows": zero_rows_case, "adam_rows": adam_rows_case, "photometric_loss": loss_case,
-    "view_train": view_train_case,
+    "view_train": view_train_case, "SparseAdam.step_rows": sparse_adam_case,
+    "PackedSparseAdam.step_packed": packed_adam_case, "plan_batch": plan_batch_case,
 }
 def other_dtype(arr: np.ndarray) -> np.dtype:
     return {"f": np.float32, "i": np.int32, "b": np.uint16}[arr.dtype.kind]
@@ -334,7 +390,7 @@ def converted(case: Case):
 
 def calling(case_name: str, backend: str):
     case = CASES[case_name]()
-    return case, get_backend(backend).compile(case.spec)
+    return case, backend if case.op is None else get_backend(backend).compile(case.op)
 
 
 def fresh(case: Case, **changed) -> dict:
@@ -396,7 +452,7 @@ def test_every_exported_entry_point_has_a_case_or_a_reason():
     """The cases cover the entry points a kernel op's caller hands arrays
     to; the rest get their operands from the binding itself."""
     covered = {CASES[c]().entry for c in CASES}
-    by_binding = {"grid_build", "view_composite", "plan_batch", "train_step"}
+    by_binding = {"grid_build", "view_composite", "train_step"}
     assert covered | by_binding == set(native_backend._OPERANDS)
 
 

@@ -9,8 +9,8 @@ everything here is ``np.array_equal``, not close.  ``add_grads`` and
 ``retire`` are NumPy on either backend (their C twins run inside
 ``train_step``: ``test_native_train_step``).  ``native`` refuses rows
 outside the store and rows that are not members of the set they index
-before it writes anything, and declines float32 gradient staging, which
-the reference runs.
+before it writes anything (the operands it refuses:
+``test_native_refusals``).
 """
 
 import threading
@@ -52,13 +52,9 @@ def _clean_env(monkeypatch):
 class Side:
     """One backend's stores and working set over a copy of ``model``."""
 
-    def __init__(self, model, backend, grad_dtype="float64"):
-        self.cpu = PinnedParameterStore(
-            model, grad_dtype=grad_dtype, kernel_backend=backend
-        )
-        self.gpu = GpuCriticalStore(
-            model, grad_dtype=grad_dtype, kernel_backend=backend
-        )
+    def __init__(self, model, backend):
+        self.cpu = PinnedParameterStore(model, kernel_backend=backend)
+        self.gpu = GpuCriticalStore(model, kernel_backend=backend)
         self.ws = GpuWorkingSet(self.cpu, self.gpu)
 
     def state(self):
@@ -232,35 +228,6 @@ def test_sparse_adam_routes_every_name_through_the_op():
             (opts["native"].v[name], opts["numpy"].v[name]),
         ):
             assert np.array_equal(got, want), name
-
-
-def test_float32_staging_runs_on_the_reference():
-    """What touches a float32 gradient buffer runs NumPy under ``native``,
-    and the backends that ran say so; the loads still run in C."""
-    model = GaussianModel.random(40, sh_degree=1, seed=1)
-    rng = np.random.default_rng(1)
-    sides = {
-        "numpy": Side(model, "numpy", grad_dtype="float32"),
-        "native": Side(model, "native", grad_dtype="float32"),
-    }
-    rows = np.arange(0, 40, 3)
-    grads = gradients(rng, rows.size, model.num_sh_basis)
-    for side in sides.values():
-        side.cpu.zero_grads(rows)
-        side.gpu.zero_grads(rows)
-        assert side.gpu.active_kernel_backend == "numpy"
-        side.ws.assemble(rows, rows, np.empty(0, np.int64))
-        assert side.ws.active_kernel_backend == (
-            "native" if side is sides["native"] else "numpy"
-        )
-        side.ws.add_grads(grads)
-        side.ws.retire(rows[::2], rows[1::2])
-    assert_equal(sides["numpy"].state(), sides["native"].state())
-    opt = PackedSparseAdam({"sh": (12,), "opacity_logits": ()}, 40,
-                           pad_to=16, kernel_backend="native")
-    side = sides["native"]
-    opt.step_packed(side.cpu.params, side.cpu.grads, rows)
-    assert opt.active_kernel_backend == "numpy"
 
 
 def snapshot(*arrays):

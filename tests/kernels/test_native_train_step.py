@@ -11,7 +11,8 @@ benchmark's two recipes (smoke size) through ``clm``, ``clm_overlap``,
 ``clm_graph`` and ``clm_sharded``, pooled and not, across a checkpoint
 restore, a densify/prune rebuild and (sharded) a removed device, give the
 same losses, parameters, Adam state, transfer counts, pool peak and
-densify-hook gradients.  The fallbacks take the composition, and each
+densify-hook gradients.  The NumPy backend, a renderer of the engine's own
+and renders pinned to another backend take the composition, and each
 mutant of the binding below fails the comparison or raises.
 """
 
@@ -32,7 +33,7 @@ from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render
-from repro.kernels import KernelData, KernelSpec, Workspace, get_backend, native_backend
+from repro.kernels import Workspace, get_backend, native_backend
 from repro.kernels.native_backend import NativeKernelBackend, NativeLibrary
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
@@ -76,7 +77,7 @@ def compose(monkeypatch) -> None:
     supports = NativeKernelBackend.supports
     monkeypatch.setattr(
         NativeKernelBackend, "supports",
-        lambda self, spec: spec.op != "train_step" and supports(self, spec),
+        lambda self, op: op != "train_step" and supports(self, op),
     )
 
 
@@ -229,19 +230,13 @@ def test_a_restore_writes_in_place_and_keeps_the_binding(recipes, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fallbacks
+# Where the engine composes the step
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "case",
-    ["numpy", "float32", "float32 grads", "l1 alone", "renderer", "renders pinned"],
-)
+@pytest.mark.parametrize("case", ["numpy", "renderer", "renders pinned"])
 def test_the_fallbacks_take_the_composition(recipes, case, monkeypatch):
     spec, inputs = recipes["sparse"]
     config = {
         "numpy": dict(kernel_backend="numpy"),
-        "float32": dict(raster=RasterSettings(dtype="float32")),
-        "float32 grads": dict(grad_dtype="float32"),
-        "l1 alone": dict(ssim_lambda=0.0),
         "renderer": dict(),
         "renders pinned": dict(raster=RasterSettings(kernel_backend="numpy")),
     }[case]
@@ -296,11 +291,7 @@ def targets_of(inputs):
 
 
 def step_op():
-    return get_backend("native").compile(KernelSpec(
-        "train_step",
-        (KernelData("float64", 3),) + (KernelData("float64", 2),) * 4
-        + (KernelData("float64", 3),) * 2,
-    ))
+    return get_backend("native").compile("train_step")
 
 
 def run_steps(engine, plan, targets, op, ws=None):
@@ -467,8 +458,6 @@ def test_a_failing_call_raises_what_its_stage_raises_and_ends_the_lease(recipes,
     assert not ws.leased
     # Every row is checked before the pinned store is written.
     assert np.array_equal(engine.cpu_store.grads, pinned)
-    with pytest.raises(ValueError, match="L1 alone"):
-        step_op()(engine._new_working_set(), step, None, None, None, target, None, 0.0, 4)
     engine.close()
 
 

@@ -12,8 +12,9 @@ discrete decision of the NumPy pipeline sits within 1e-9 (relative) of
 flipping is set aside — there the two roundings may legitimately disagree —
 and the suite asserts that this happens to fewer than 1% of examples.
 
-What the ops decline (float32 or Fortran-ordered model arrays) stays on
-the reference, whole, and the render names what composited it; a context
+What the ops refuse (float32 or Fortran-ordered model arrays) the NumPy
+op renders when it is asked for; the render names what composited it; a
+context
 carries its maker's backward pass, and one NumPy made or whose projection
 was replaced runs the reference's; renders repeat bit for bit, also from several threads at
 once; a render keeps bytes in proportion to its survivors, in buffers no
@@ -61,7 +62,6 @@ from repro.kernels import (
     native_backend,
     numpy_backend,
     registry,
-    view_spec,
 )
 from repro.scenes.datasets import build_scene, scene_names
 from repro.scenes.images import make_trainable_scene
@@ -397,27 +397,29 @@ def test_finite_differences_through_the_native_ops(param):
 
 
 # ---------------------------------------------------------------------------
-# What the ops decline
+# What the ops refuse
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "field, convert, tol",
+    "field, declared, convert, tol",
     [
-        ("positions", lambda arr: arr.astype(np.float32), 1e-3),
-        ("positions", np.asfortranarray, 1e-10),
-        ("quaternions", np.asfortranarray, 1e-10),
-        ("sh", np.asfortranarray, 1e-10),
+        ("positions", "positions", lambda arr: arr.astype(np.float32), 1e-3),
+        ("positions", "positions", np.asfortranarray, 1e-10),
+        ("quaternions", "quats", np.asfortranarray, 1e-10),
+        ("sh", "sh", np.asfortranarray, 1e-10),
     ],
     ids=["float32-positions", "fortran-positions", "fortran-quaternions", "fortran-sh"],
 )
-def test_other_layouts_take_the_numpy_op_whole(field, convert, tol):
-    """A model array that is not float64 C-contiguous: the view op declines
-    (no warning: declining is not failing) and the NumPy op runs whole,
-    which the context names."""
+def test_other_layouts_are_refused_by_native_and_rendered_by_numpy(field, declared, convert, tol):
+    """A model array that is not float64 C-contiguous: ``native``'s binder
+    refuses it, naming the operand — it is never handed to the reference —
+    and the NumPy op, asked for by name, renders it."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
     odd = dataclasses.replace(model, **{field: convert(getattr(model, field))})
     arr = getattr(odd, field)
     assert not (arr.dtype == np.float64 and arr.flags.c_contiguous)
-    img, _, ctx = rasterize_forward(cam, odd, RasterSettings())
+    with pytest.raises(ValueError, match=f"native view_project: {declared} is "):
+        rasterize_forward(cam, odd, pinned(RasterSettings(), "native"))
+    img, _, ctx = rasterize_forward(cam, odd, pinned(RasterSettings(), "numpy"))
     assert ctx.blocks is None and ctx.kernel_backend == "numpy"
     ref_img, _, ref = rasterize_forward(cam, model, RasterSettings())
     assert ref.blocks is not None
@@ -426,12 +428,6 @@ def test_other_layouts_take_the_numpy_op_whole(field, convert, tol):
     grads, want = (rasterize_backward(c, m, g_img) for c, m in ((ctx, odd), (ref, model)))
     for name in GRAD_NAMES:
         np.testing.assert_allclose(grads[name], want[name], rtol=tol, atol=tol)
-
-
-def test_float32_compute_dtype_is_declined_whole():
-    cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
-    _, _, ctx = rasterize_forward(cam, model, RasterSettings(dtype="float32"))
-    assert ctx.blocks is None and ctx.kernel_backend == "numpy"
 
 
 def test_a_context_numpy_made_or_a_replaced_projection_goes_to_the_reference():
@@ -460,7 +456,7 @@ def test_a_bad_tile_size_and_inconsistent_bins_are_refused():
     operands): a tile size the settings refuse, bins the C finds
     inconsistent with the blocks they index."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
-    forward = get_backend("native").compile(view_spec(np.float64, model))
+    forward = get_backend("native").compile("view_forward")
     with pytest.raises(ValueError, match="tile_size"):
         forward(cam, model, RasterSettings(tile_size=0))
     ctx = forward(cam, model, RasterSettings())[2]
@@ -472,8 +468,7 @@ def test_a_bad_tile_size_and_inconsistent_bins_are_refused():
 
 def test_the_backward_follows_the_context(monkeypatch):
     """``render_backward`` on a ``native`` context: one C ``view_backward``
-    call over its blocks, no backend resolved, no spec built, nothing
-    compiled."""
+    call over its blocks, no backend resolved, nothing compiled."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
     result = render(cam, model, RasterSettings(kernel_backend="native"))
     assert result.ctx.kernel_backend == "native"
@@ -483,8 +478,7 @@ def test_the_backward_follows_the_context(monkeypatch):
     resolved = []
     for owner, name in (
         (registry, "resolve_backend"), (registry, "compile_with_fallback"),
-        (registry, "_kernel_spec"), (kernels, "resolve_backend"),
-        (kernels, "compile_with_fallback"), (kernels, "view_spec"),
+        (kernels, "resolve_backend"), (kernels, "compile_with_fallback"),
     ):
         monkeypatch.setattr(
             owner, name, lambda *a, _name=name, **k: resolved.append(_name)

@@ -26,7 +26,6 @@ from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render, train_view
 from repro.kernels import Workspace, get_backend
-from repro.kernels.registry import KernelData, KernelSpec, train_operands
 
 pytestmark = pytest.mark.skipif(
     not get_backend("native").available(), reason="no C compiler here"
@@ -48,10 +47,7 @@ ENGINES = {
 
 
 def native_op():
-    return get_backend("native").compile(
-        # The compute dtype, the five model arrays, the target and its moments.
-        KernelSpec("view_train", tuple(KernelData("float64", r) for r in (3, 2, 2, 2, 3, 1, 3, 3)))
-    )
+    return get_backend("native").compile("view_train")
 
 
 @pytest.fixture(scope="module")
@@ -125,20 +121,23 @@ def test_a_second_live_lease_raises(scene):
     assert not ws.leased
 
 
-def test_native_declines_l1_alone_and_float32(scene):
+def test_l1_alone_is_the_op_over_the_same_moments(scene):
+    """``ssim_lambda == 0`` runs as the op, over the target's moments: the
+    composition's bits, and the NumPy composition's to the raster bars."""
     init, cameras, targets, _ = scene
-    native = get_backend("native")
     moments = TargetMoments.of(targets[0])
-
-    def spec(settings, m):
-        operands = train_operands(settings, init, targets[0], m)
-        return KernelSpec("view_train", tuple(map(KernelData.from_array, operands)))
-
-    assert native.supports(spec(RasterSettings(), moments))
-    assert not native.supports(spec(RasterSettings(), None))
-    assert not native.supports(spec(RasterSettings(dtype="float32"), moments))
-    with pytest.raises(ValueError, match="L1 alone"):
-        native_op()(cameras[0], init, RasterSettings(), targets[0], None, 0.0, 4)
+    args = (cameras[0], init, NATIVE, targets[0], moments, 0.0, 4)
+    loss, grads = native_op()(*args)
+    want_loss, want = train_view(*args)
+    assert loss == want_loss
+    assert all(np.array_equal(grads[name], want[name]) for name in NAMES)
+    # No moments: the target's own, as the reference's loss computes them.
+    assert native_op()(*args[:4], None, *args[5:])[0] == loss
+    reference = replace(NATIVE, kernel_backend="numpy")
+    ref_loss, ref = train_view(*args[:2], reference, *args[3:])
+    assert abs(loss - ref_loss) <= 1e-12
+    for name in NAMES:
+        np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +194,13 @@ def test_fused_and_composed_engines_train_to_the_same_bits(scene, name, pool, ss
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(grads, want_grads)
     assert all(np.array_equal(params[k], want_params[k]) for k in NAMES)
+    # A fused op ran, L1 alone too, and the densify grew its arenas: CLM
+    # engines run each microbatch as train_step, the others each view as
+    # view_train.
     ws = engine._workspace
-    if ssim:  # a fused op ran, and the densify grew its arenas
-        # CLM engines run each microbatch as train_step, the others each
-        # view as view_train.
-        assert (ws.steps > 0) == name.startswith("clm")
-        assert engine._rendered_on == "native"
-        assert 0 < grown < ws.allocations
-    else:  # L1 alone: the composition ran, and nothing was allocated
-        assert ws.allocations == 0
+    assert (ws.steps > 0) == name.startswith("clm")
+    assert engine._rendered_on == "native"
+    assert 0 < grown < ws.allocations
     assert not ws.leased and engine.perf.kernel_backend == "native"
 
 

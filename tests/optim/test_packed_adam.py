@@ -110,16 +110,6 @@ def test_moment_views_alias_packed_arrays():
     assert opt.packed_m[1, opt.slices["a"].stop - 1] == 42.0
 
 
-def test_float32_grads_accumulate_float64_moments():
-    opt = PackedSparseAdam(COLUMNS, 4, make_config())
-    params = np.zeros((4, opt.width))
-    grads = np.ones((4, opt.width), dtype=np.float32)
-    opt.step_packed(params, grads, np.arange(4))
-    assert opt.packed_m.dtype == np.float64
-    assert opt.packed_v.dtype == np.float64
-    assert np.all(opt.steps == 1)
-
-
 def test_resize_carries_state():
     opt = PackedSparseAdam(COLUMNS, 4, make_config())
     params = np.random.default_rng(0).normal(size=(4, opt.width))

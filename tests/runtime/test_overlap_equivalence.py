@@ -128,24 +128,6 @@ def test_worker_crash_surfaces_at_barrier(setup, monkeypatch):
     assert "poisoned chunk" in str(excinfo.value.__cause__)
 
 
-def test_grad_dtype_float32_engine_path(setup):
-    """The float32 staging knob trains end-to-end: grad buffers drop to
-    float32, optimizer moments stay float64, and parameters land close to
-    (not bitwise equal to) the float64 run."""
-    f64 = run(setup, "clm", 0, workers=0)
-    f32 = run(setup, "clm", 0, workers=2, grad_dtype="float32")
-    engine = f32.engine
-    assert engine.cpu_store.grads.dtype == np.float32
-    assert engine.gpu_store.packed_grads.dtype == np.float32
-    assert engine.adam_noncritical.packed_m.dtype == np.float64
-    assert engine.adam_critical.packed_v.dtype == np.float64
-    for name in f64.snapshot_model().parameters():
-        a = f64.snapshot_model().parameters()[name]
-        b = f32.snapshot_model().parameters()[name]
-        np.testing.assert_allclose(a, b, rtol=2e-4, atol=2e-5,
-                                   err_msg=name)
-
-
 def test_engine_close_stops_workers(setup):
     scene, init = setup
     engine = CLMEngine(

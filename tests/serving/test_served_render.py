@@ -11,7 +11,7 @@ from repro.engines import create_engine
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render
-from repro.kernels import compile_with_fallback, get_backend, registry, view_spec
+from repro.kernels import compile_with_fallback, get_backend, registry
 from repro.scenes.images import make_trainable_scene
 from repro.serving import (
     LodConfig,
@@ -143,7 +143,7 @@ def test_a_row_outside_the_model_is_refused_before_anything_is_written(
     assert not sess.workspace.leased
     # Without a workspace too: the op, as ``render`` dispatches it.
     settings = RasterSettings(kernel_backend=backend)
-    op, used = compile_with_fallback(get_backend(backend), view_spec(settings.np_dtype, model))
+    op, used = compile_with_fallback(get_backend(backend), "view_forward")
     assert used.name == backend
     with pytest.raises(IndexError):
         op(camera, model, settings, np.array(rows))
@@ -154,7 +154,7 @@ def test_rows_without_a_workspace_render_the_gathered_model(model, cams, backend
     """The op's context form: image, transmittance and context are the
     gathered model's, and so is the backward pass it carries."""
     settings = RasterSettings(kernel_backend=backend)
-    op, _ = compile_with_fallback(get_backend(backend), view_spec(settings.np_dtype, model))
+    op, _ = compile_with_fallback(get_backend(backend), "view_forward")
     camera = cams[1]
     rows = np.flatnonzero(np.arange(model.num_gaussians) % 3 != 1)[::-1].copy()
     sub = model.gather(rows)
@@ -182,11 +182,11 @@ def test_from_engine_binds_the_op_for_the_library_renderer(scene, backend, monke
         "clm", scene.reference, scene.cameras,
         EngineConfig(batch_size=2, seed=0, kernel_backend=backend),
     )
-    compiled, compile_spec = [], registry.KernelBackend.compile
+    compiled, compile_op = [], registry.KernelBackend.compile
 
-    def recording(kernels, spec):
-        compiled.append((kernels.name, spec.op))
-        return compile_spec(kernels, spec)
+    def recording(kernels, op):
+        compiled.append((kernels.name, op))
+        return compile_op(kernels, op)
 
     monkeypatch.setattr(registry.KernelBackend, "compile", recording)
     sess = ServingSession.from_engine(engine, ServingConfig(lod=None, seed=0))
