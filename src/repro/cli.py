@@ -147,7 +147,6 @@ def cmd_engines(args) -> int:
 def cmd_backends(args) -> int:
     from repro.kernels import (
         KERNEL_OPS,
-        REFERENCE_BACKEND,
         backend_status,
         get_backend,
         resolve_backend_name,
@@ -173,15 +172,11 @@ def cmd_backends(args) -> int:
     for s in status:
         if s["detail"]:
             print(f"{s['name']}: {s['detail']}")
-    # Which of the kernel ops each backend runs itself; the rest run on the
-    # reference.
+    # The kernel ops each backend runs: every one (a backend that lacks an
+    # op is refused at registration).
     for s in status:
         own = get_backend(s["name"]).capabilities()
-        rest = [op for op in KERNEL_OPS if op not in own]
-        print(
-            f"{s['name']} runs: {', '.join(op for op in KERNEL_OPS if op in own)}"
-            + (f" ({', '.join(rest)} on {REFERENCE_BACKEND})" if rest else "")
-        )
+        print(f"{s['name']} runs: {', '.join(op for op in KERNEL_OPS if op in own)}")
     print(f"auto resolves to: {resolve_backend_name(None)}")
     return 0
 

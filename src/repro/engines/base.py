@@ -13,19 +13,21 @@ Three pieces live here:
   the checkpoint machinery program against this interface only.
 - :class:`EngineBase` — the shared skeleton: camera bookkeeping, renderer
   resolution, the simulated GPU memory pool, pre-rendering frustum culling
-  (§5.1), the per-view forward/backward step, gather/scatter gradient
-  accumulation, and the batch-end sparse-Adam finalization.  Concrete
-  engines shrink to their actual policy differences.
+  (§5.1), the microbatch loop of the engines whose model is resident — one
+  C step a microbatch on ``native``, which reads the working set in place
+  and adds its gradients into the full-size ones, as CLM's ``train_step``
+  is one C step a microbatch — and the batch-end sparse-Adam finalization.
+  Concrete engines shrink to their actual policy differences: their plan,
+  what they transfer, and where Adam runs.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,9 +83,9 @@ class BatchResult:
     #: (:meth:`EngineBase.cull_views`), stamped like ``wall_time_s``.
     cull_s: float = 0.0
     #: Seconds this batch spent inside the renderer's forward pass (the
-    #: render call of :meth:`EngineBase._forward_backward`, or ``native``'s
-    #: project + composite), stamped by :meth:`EngineBase.train_batch` like
-    #: ``wall_time_s``.
+    #: render call of a composed training view, or ``native``'s project +
+    #: composite inside a step), stamped by :meth:`EngineBase.train_batch`
+    #: like ``wall_time_s``.
     forward_s: float = 0.0
     #: Seconds spent inside the renderer's backward pass.
     backward_s: float = 0.0
@@ -331,7 +333,7 @@ class EngineBase(Engine):
             self.raster_settings.kernel_backend or self.kernel_backend
         )
         #: The host arenas ``view_train`` runs this engine's views in, and
-        #: the lease on the gradients it returns (see :meth:`_forward_backward`).
+        #: the lease on the gradients it returns (see :meth:`_accumulate_planned`).
         self._workspace = Workspace()
         # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
@@ -506,42 +508,14 @@ class EngineBase(Engine):
             held = self._moments[view_id] = TargetMoments.of(target)
         return held
 
-    @contextmanager
-    def _forward_backward(
-        self, cam: Camera, model_like, target, batch: int
-    ) -> Iterator["tuple[float, Dict[str, np.ndarray]]"]:
-        """Render one view, compute the photometric loss, backpropagate:
-        ``with self._forward_backward(...) as (loss, grads):``.
-
-        The gradients are already scaled by the 1/batch gradient-accumulation
-        factor and are valid inside the ``with`` block only: ``native`` runs
-        the view as its ``view_train`` op over :attr:`_workspace`, whose
-        arenas hold them under a lease that leaving the block releases.  The
-        reference composition (:func:`~repro.gaussians.render.train_view`)
-        runs on the NumPy backend and for a custom renderer pair.  Forward
-        and backward wall time accumulate into the per-batch counters
-        :meth:`train_batch` stamps onto the :class:`BatchResult`.
-        """
-        settings = self.raster_settings
-        ssim_lambda = self.config.ssim_lambda
-        moments = self._target_moments(cam.view_id, target)
-        ws = self._workspace
-        loss, grads = self._train_view(
-            cam, model_like, settings, target, moments, ssim_lambda, batch, ws
-        )
-        self._tally_view(ws)
-        try:
-            yield loss, grads
-        finally:
-            ws.release()
-
     def _own_renderer(self) -> bool:
         """Whether this engine renders with the library's renderer pair —
         the condition for the fused ops, which run its kernels themselves."""
         return self._render is render and self._render_backward is render_backward
 
     def _train_view(
-        self, cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+        self, cam, model_like, settings, target, moments, ssim_lambda, batch, ws,
+        rows=None, into=None,
     ) -> "tuple[float, Dict[str, np.ndarray]]":
         """One training view, ``train_view``'s signature: the ``view_train``
         op where it runs (gradients leased on ``ws``), else the reference
@@ -552,11 +526,12 @@ class EngineBase(Engine):
         if fused is None or self._loss_ops.active == REFERENCE_BACKEND:
             return train_view(
                 cam, model_like, settings, target, moments, ssim_lambda, batch,
-                ws, renderer=(self._render, self._render_backward),
+                ws, rows, into, renderer=(self._render, self._render_backward),
                 loss_backend=self._loss_ops,
             )
         return fused(
-            cam, model_like, settings, target, moments, ssim_lambda, batch, ws
+            cam, model_like, settings, target, moments, ssim_lambda, batch, ws,
+            rows, into,
         )
 
     def _tally_view(self, ws: Workspace) -> None:
@@ -573,32 +548,39 @@ class EngineBase(Engine):
         model: GaussianModel,
         grads: Dict[str, np.ndarray],
         position_grad_hook: Optional[PositionGradHook],
+        whole: bool = False,
     ):
-        """The gather -> render -> backprop -> scatter-add loop over a
-        planned batch.
-
-        Shared by the naive offloader and the enhanced GPU-only engine:
-        per microbatch step, only the in-frustum working set enters the
-        rasterizer and its gradients are scatter-added into the
-        full-model ``grads``.
-
-        Returns ``(per_view_loss, total_loss)``.
-        """
+        """The microbatch loop of the engines whose model is resident: per
+        planned step one training view of ``model`` that reads the step's
+        working set in place (``whole``: every row, the fused-culling
+        baseline) and adds its 1/batch-scaled gradients into ``grads`` at
+        those rows — on ``native`` one ``view_train`` call over
+        :attr:`_workspace`, else its reference composition.  The densify
+        hook reads the position gradients while they are leased.  Returns
+        ``(per_view_loss, total_loss)``."""
         batch = plan.batch_size
+        settings, ssim_lambda = self.raster_settings, self.config.ssim_lambda
+        ws = self._workspace
         per_view_loss: Dict[int, float] = {}
         total_loss = 0.0
         for step in plan.steps:
-            cam = self.cameras[step.view_id]
-            sub = model.gather(step.working_set)
-            with self._forward_backward(
-                cam, sub, targets[step.view_id], batch
-            ) as (loss, sub_grads):
-                for name, full in grads.items():
-                    full[step.working_set] += sub_grads[name]
+            target = targets[step.view_id]
+            moments = self._target_moments(step.view_id, target)
+            rows = None if whole else step.working_set
+            loss, view_grads = self._train_view(
+                self.cameras[step.view_id], model, settings, target, moments,
+                ssim_lambda, batch, ws, rows, grads,
+            )
+            try:
+                self._tally_view(ws)
                 if position_grad_hook is not None:
+                    positions = view_grads["positions"]
                     position_grad_hook(
-                        step.view_id, step.working_set, sub_grads["positions"]
+                        step.view_id, step.working_set,
+                        positions[step.working_set] if whole else positions,
                     )
+            finally:
+                ws.release()
             per_view_loss[step.view_id] = loss
             total_loss += loss / batch
         return per_view_loss, total_loss
@@ -640,7 +622,7 @@ class EngineBase(Engine):
 
         The shared entry point of :mod:`repro.serving`: same renderer and
         settings resolution as the training-time forward of
-        :meth:`_forward_backward`, so serving images are bit-identical to
+        :meth:`_train_view`, so serving images are bit-identical to
         training-batch renders of the same working set — pinned by
         ``tests/serving/test_forward_parity.py``.
         """

@@ -9,8 +9,10 @@
 
 Functionally the two produce identical gradients (out-of-frustum Gaussians
 contribute nothing); they differ in the simulated cost/memory models and —
-in this functional implementation — in whether the rasterizer input is
-pre-gathered.  The equivalence test relies on exactly that property.
+in this functional implementation — in which rows each microbatch's one C
+step reads in place from the resident model: the view's working set, or
+every row.  Either step adds its gradients into the full-size ones.  The
+equivalence test relies on exactly that property.
 """
 
 from __future__ import annotations
@@ -99,38 +101,20 @@ class GpuOnlyEngine(EngineBase):
     ) -> BatchResult:
         """One batch with gradient accumulation and a single sparse-Adam
         update over the touched union at batch end."""
-        batch = len(view_ids)
         grads = self.model.zero_gradients()
         # GPU-only engines run the sampled order; the planner still builds
         # the (identity-order) plan so working sets and the touched union
         # come from the same layer every engine uses.
         plan = self.plan_batch(view_ids, strategy="identity")
 
-        if self.enhanced:
-            per_view_loss, total_loss = self._accumulate_planned(
-                plan, targets, self.model, grads, position_grad_hook
-            )
-        else:
-            # Fused-culling path: every kernel streams the full model; the
-            # plan's per-view in-frustum sets still feed the touched union
-            # and the densification hook.
-            per_view_loss = {}
-            total_loss = 0.0
-            for step in plan.steps:
-                cam = self.cameras[step.view_id]
-                with self._forward_backward(
-                    cam, self.model, targets[step.view_id], batch
-                ) as (loss, full_grads):
-                    for name, full in grads.items():
-                        full += full_grads[name]
-                    if position_grad_hook is not None:
-                        position_grad_hook(
-                            step.view_id,
-                            step.working_set,
-                            full_grads["positions"][step.working_set],
-                        )
-                per_view_loss[step.view_id] = loss
-                total_loss += loss / batch
+        # The enhanced engine renders each view's in-frustum working set;
+        # the fused-culling baseline streams the full model through every
+        # kernel, and the plan's in-frustum sets still feed the touched
+        # union and the densification hook.
+        per_view_loss, total_loss = self._accumulate_planned(
+            plan, targets, self.model, grads, position_grad_hook,
+            whole=not self.enhanced,
+        )
 
         touched = self._finalize_sparse_adam(
             self.optimizer, self.model.parameters(), grads, plan.touched

@@ -5,7 +5,9 @@ a time with gradient accumulation (activation saving), transfer *all*
 gradients GPU->CPU, then run CPU Adam.  No sparsity, no pipelining, no
 caching — the comparison point that isolates what CLM's techniques buy
 (§6.1 "Naive Offloading" is configured identically: pinned memory, the same
-CPU Adam, pre-rendering frustum culling for the kernels).
+CPU Adam, pre-rendering frustum culling for the kernels) — and here the same
+substrate: one C step a microbatch, as CLM's, so the measured Figure 11
+ratio compares offloading strategies, not NumPy against C.
 
 Functional note: the paper's naive system runs CPU Adam over every
 Gaussian; with per-row sparse-Adam state that is *numerically equivalent*
@@ -97,8 +99,9 @@ class NaiveOffloadEngine(EngineBase):
         gpu_model = self.cpu_model.clone()
         grads = gpu_model.zero_gradients()
 
-        # Step 2: per-image training with gradient accumulation; the naive
-        # system also adopts pre-rendering frustum culling (§6.1).
+        # Step 2: per-image training with gradient accumulation into the
+        # full-size gradients; the naive system also adopts pre-rendering
+        # frustum culling (§6.1).
         per_view_loss, total_loss = self._accumulate_planned(
             plan, targets, gpu_model, grads, position_grad_hook
         )

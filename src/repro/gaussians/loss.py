@@ -35,7 +35,7 @@ What the SSIM map takes from the *target* alone (``E[y]``, ``E[y^2]`` and
 the denominator terms built from them) does not change between epochs:
 :class:`TargetMoments` computes it once per target image and
 :func:`photometric_loss` accepts it back (the engines keep one per view,
-see ``EngineBase._forward_backward``).
+see ``EngineBase._target_moments``).
 """
 
 from __future__ import annotations

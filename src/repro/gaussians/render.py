@@ -94,13 +94,18 @@ def train_view(
     ssim_lambda: float,
     batch: int,
     workspace=None,
+    rows=None,
+    into=None,
     *,
     renderer=None,
     loss_backend=None,
 ):
     """One training view: render, the photometric loss against ``target``
     (over its kept ``moments``; None: computed here), backpropagate.  Returns
-    ``(loss, grads)``, the gradients scaled by ``1 / batch``.
+    ``(loss, grads)``, the gradients scaled by ``1 / batch``.  ``rows``
+    trains the working set ``model.gather(rows)`` (None: the whole model),
+    and ``into`` — the five full-size gradient arrays by name — receives
+    the gradients at those rows (``full[rows] += grads``).
 
     The reference of the ``view_train`` kernel op and the one composition
     every engine runs where ``native`` does not take the op: ``renderer``
@@ -110,6 +115,11 @@ def train_view(
     two halves' seconds and the backend that composited; the gradients are
     fresh arrays, so no lease is taken.
     """
+    if rows is not None:
+        from repro.kernels.numpy_backend import index_rows
+
+        rows = index_rows(rows, model.num_gaussians, "view_train")
+        model = model.gather(rows)
     forward, backward = renderer or (render, render_backward)
     start = time.perf_counter()
     result = forward(camera, model, settings)
@@ -127,4 +137,7 @@ def train_view(
         workspace.rendered_on = getattr(
             getattr(result, "ctx", None), "kernel_backend", None
         )
+    at = slice(None) if rows is None else rows
+    for name, full in (into or {}).items():
+        full[at] += grads[name]
     return loss, grads

@@ -1,7 +1,7 @@
 """The ``native`` kernel backend — a view, its loss, CLM's data path, a
 batch's plan and a whole CLM microbatch in C, built at first use.
 
-``native_kernels.c`` exports thirteen entry points; each of its sections
+``native_kernels.c`` exports fourteen entry points; each of its sections
 documents its loops and the NumPy reference it reproduces.  Python binds
 them to the ten kernel ops:
 
@@ -35,8 +35,9 @@ them to the ten kernel ops:
 - ``photometric_loss`` — L1 + SSIM and its image gradient over the
   target's kept moments, within 1e-14 (value) and 1e-13 of the largest
   gradient entry of the reference's banded-matrix GEMMs;
-- ``view_train`` — a training view (:func:`_bind_train`): the four view
-  and loss calls over an engine's workspace, no context built;
+- ``view_train`` — a resident engine's microbatch in one call
+  (:func:`_bind_train`): the working set's rows of the model read in place,
+  their gradients added into the full-size ones, over its workspace;
 - ``plan_batch`` — a batch's plan in one call (:func:`_bind_plan`), into
   one int64 buffer of which every array of the plan is a read-only slice;
 - ``train_step`` — a CLM microbatch in one call (:func:`_bind_step`):
@@ -44,7 +45,8 @@ them to the ten kernel ops:
   workspace, the working set's block and carried gradients double-buffered
   so a call can be run again when its render outgrows the arenas
   (``STATUS_ARENA_SHORT``); a failing stage (:data:`_STEP_STAGES`) raises
-  what that entry point would.
+  what that entry point would.  Both steps share ``static view_step`` in C
+  and :func:`_stepper` here.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -340,6 +342,24 @@ _HELD = (
 )
 _MOMENTS = "double uy[{0}]; double uy2_c1[{0}]; double vy_c2[{0}]"
 
+#: The training view both steps run (``view_step`` in C), after their
+#: inputs: the view, the target and its moments, the loss, the batch.
+_VIEW_STEP = (
+    f"double planes[6, 4]; int64_t degree; double params[{_PARAM_SIZE}]; int64_t width;"
+    " int64_t height; int64_t ts; int64_t sub; int64_t records;"
+    f" double target[height, width, 3]; {_MOMENTS.format('3, height, width')};"
+    " double taps[size]; int64_t size; double ssim_lambda; double c1; double c2;"
+    " double batch"
+)
+#: The arenas a step renders in, last: ``{0}`` is the SH values a row.
+_STEP_ARENAS_OF = (
+    f"double scratch[{_SCRATCH} * m] write; int64_t work[{_WORK.format('m')}] write;"
+    f" {_RENDER.format('write')}; int64_t caps[6]; double image[height, width, 3] write;"
+    " double trans[height, width] write; double d_image[height, width, 3] write;"
+    " double grads[(11 + {0}) * m] write; double value[1] write;"
+    f" int64_t out[{len(_STEP_OUT)}] write"
+)
+
 #: Every exported entry point's parameters, in prototype order: the names,
 #: count, order and element types are checked against the parsed prototype
 #: when the library loads (:func:`_binders`).
@@ -429,17 +449,18 @@ _OPERANDS = {name: _declare(text) for name, text in {
         " int64_t carried[num_carried] index(n); int64_t num_carried;"
         f" {_HELD.format('prev', 'mp', 'prev_sh', 'prev_opacity', 'restrict')};"
         f" {_HELD.format('carried_in', 'num_carried_in', 'carried_sh', 'carried_opacity', 'restrict')};"
-        f" double planes[6, 4]; int64_t degree; double params[{_PARAM_SIZE}]; int64_t width;"
-        " int64_t height; int64_t ts; int64_t sub; int64_t records;"
-        f" double target[height, width, 3]; {_MOMENTS.format('3, height, width')};"
-        " double taps[size]; int64_t size; double ssim_lambda; double c1; double c2;"
-        " double batch; double block[m * (2 * k3 + 12)] write restrict;"
+        f" {_VIEW_STEP}; double block[m * (2 * k3 + 12)] write restrict;"
         " double carry[num_carried * (k3 + 1)] write restrict;"
-        f" double scratch[{_SCRATCH} * m] write; int64_t work[{_WORK.format('m')}] write;"
-        f" {_RENDER.format('write')}; int64_t caps[6]; double image[height, width, 3] write;"
-        " double trans[height, width] write; double d_image[height, width, 3] write;"
-        f" double grads[(11 + k3) * m] write; double value[1] write;"
-        f" int64_t out[{len(_STEP_OUT)}] write"
+        f" {_STEP_ARENAS_OF.format('k3')}"
+    ),
+    "view_train": (
+        "int64_t m; int64_t rows[m] index(n) optional; int64_t n; double positions[n, 3];"
+        " double log_scales[n, 3]; double quats[n, 4]; double sh[n, k_stored, 3];"
+        " double logits[n]; int64_t k_stored; double into_positions[n, 3] write optional;"
+        " double into_log_scales[n, 3] write optional; double into_quats[n, 4] write optional;"
+        " double into_sh[n, k_stored, 3] write optional; double into_logits[n] write optional;"
+        f" {_VIEW_STEP}; double sh_rows[m, k_stored, 3] write optional;"
+        f" {_STEP_ARENAS_OF.format('3 * k_stored')}"
     ),
 }.items()}
 
@@ -595,13 +616,13 @@ _RAISES = {
         **_no_memory("scratch ({count} sets)"),
         "OUT_OF_RANGE": (_Malformed, ""), "VIOLATED": (_Malformed, ""),
     },
-    "train_step": {
+    **dict.fromkeys(("train_step", "view_train"), {
         **dict.fromkeys(_STATUS[1:], (_StageFailed, "")),
         "ARENA_SHORT": (_ArenaShort, ""),
-    },
+    }),
 }
-#: What a failing stage of ``train_step`` (:data:`_STEP_STAGES`) raises: its
-#: entry point's entry, or the ``static`` ``retire_rows``'s.
+#: What a failing stage of a step (:data:`_STEP_STAGES`) raises: its entry
+#: point's entry, or the ``static`` ``retire_rows``'s.
 _STAGE_RAISES = {**_RAISES, "retire_rows": _ROWS}
 
 
@@ -1546,7 +1567,7 @@ def _bind_rows(lib, op: str) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# The loss and the training view
+# The loss
 # ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=8)
 def _window(size: int, sigma: float) -> tuple:
@@ -1588,86 +1609,8 @@ def _bind_loss(lib) -> Callable:
     return photometric_loss
 
 
-def _bind_loss_target(target, moments, camera) -> tuple:
-    """``photometric_loss``'s argument list over a target and its kept
-    moments (the four planes, the SSIM window) for ``camera``'s image,
-    checked once, and the arrays it points into."""
-    from repro.gaussians.loss import _C1, _C2
-
-    binder = _binder("photometric_loss")
-    loss, taps_at = _moments(moments)
-    args, _, held = binder.prepare(dict(
-        loss, h=camera.height, w=camera.width, channels=3, c1=_C1, c2=_C2, y=target,
-    ))
-    binder.put(args, {"t": taps_at})
-    return args, held
-
-
-def _bind_train(lib, name: str) -> Callable:
-    """``view_train``: :func:`_forward` over a
-    :class:`~repro.kernels.workspace.Workspace`'s arenas, then
-    ``photometric_loss`` and ``view_backward`` there, with the checks of
-    the three ops it fuses and no context, projection or bins built."""
-    from repro.gaussians.loss import TargetMoments
-
-    loss_binder = _binder("photometric_loss")
-
-    def view_train(
-        camera, model, settings, target, moments, ssim_lambda, batch,
-        workspace=None,
-    ):
-        if moments is None:  # as the reference's loss: the target's own
-            moments = TargetMoments.of(target)
-        ws = Workspace() if workspace is None else workspace
-        height, width = camera.height, camera.width
-        pixels = height * width
-        # Keyed by view, as ``train_step``'s: a replaced target or camera
-        # binds again.
-        bound, _ = ws.binding(
-            ("loss", camera.view_id), (moments, target, camera), _bind_loss_target,
-            target, moments, camera,
-        )
-        args = bound.copy()
-        ws.lease()
-        try:
-            start = time.perf_counter()
-            view, blocks = _forward(lib, camera, model, settings, ws.arena)
-            forward_s = time.perf_counter() - start
-
-            d_image, d_image_at = ws.arena("d_image", 3 * pixels)
-            value, value_at = ws.arena("value", 1)
-            loss_binder.put(args, dict(
-                x=blocks["image"][1], ssim_lambda=float(ssim_lambda), grad=d_image_at,
-                value=value_at,
-            ))
-            lib.photometric_loss(*args)
-
-            start = time.perf_counter()
-            d_image = d_image[: 3 * pixels]
-            np.divide(d_image, batch, out=d_image)
-            # The five gradient arrays, field after field in one arena,
-            # zeroed: view_backward writes the survivors' rows only.
-            size = (11 + 3 * view.k_stored) * view.n
-            block, block_at = ws.arena("grads", size)
-            ctypes.memset(block_at, 0, 8 * size)
-            grads, addresses, at = {}, [], 0
-            for field, arr in model.parameters().items():
-                grads[field] = block[at : at + arr.size].reshape(arr.shape)
-                addresses.append(block_at + 8 * at)
-                at += arr.size
-            lib.view_backward(*view, d_image_at, *addresses)
-            ws.backward_s = time.perf_counter() - start
-        except BaseException:
-            ws.release()
-            raise
-        ws.forward_s, ws.rendered_on = forward_s, name
-        return float(value[0]), grads
-
-    return view_train
-
-
 # ---------------------------------------------------------------------------
-# The microbatch step
+# The microbatch steps
 # ---------------------------------------------------------------------------
 #: ``train_step``'s double-buffered arenas — the working set's block and the
 #: gradients it carries to the next step — by the parity of the step: a step
@@ -1687,8 +1630,9 @@ def _bind_stores(cpu, gpu) -> _Taken:
 
 
 def _bind_camera(camera, settings) -> _Taken:
-    """What ``train_step`` reads of a view and the render settings: the
-    ``planes`` and ``params`` vectors, the image and tile sizes."""
+    """What a step reads of a view and the render settings: the ``planes``
+    and ``params`` vectors, the image and tile sizes (the same operands of
+    both steps)."""
     return _binder("train_step").take(dict(
         planes=frustum_planes(camera), params=_view_params(camera, settings),
         width=camera.width, height=camera.height, ts=int(settings.tile_size),
@@ -1696,14 +1640,14 @@ def _bind_camera(camera, settings) -> _Taken:
     ))
 
 
-def _bind_target(target, moments, camera, *bound: _Taken) -> tuple:
-    """``train_step``'s arguments for a target: the loss's operands over it,
+def _bind_target(entry, target, moments, camera, *bound: _Taken) -> tuple:
+    """Step ``entry``'s arguments for a target: the loss's operands over it,
     for ``camera``'s image, and its kept moments (the four planes, the SSIM
     window), checked, with the ``bound`` takes (the stores', the view's) in
     place; the dimensions they resolved; the arrays they point into."""
     from repro.gaussians.loss import _C1, _C2
 
-    binder = _binder("train_step")
+    binder = _binder(entry)
     args, dims = binder.blank(), {}
     for taken in bound:
         binder.put(args, taken.values)
@@ -1716,17 +1660,35 @@ def _bind_target(target, moments, camera, *bound: _Taken) -> tuple:
     return args, dims, held
 
 
-def _bind_step(lib, name: str) -> Callable:
-    """``train_step``: one call over a
-    :class:`~repro.core.stores.GpuWorkingSet`, its stores and a
-    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks
-    of the ops it fuses.  The stores' buffers, a view's camera vectors and a
-    target's moments are checked and their addresses taken once each
-    (:meth:`Workspace.binding`: again when one is replaced); the working
-    set's accounting is the reference's."""
-    from repro.gaussians.loss import TargetMoments
+def _bound_view(ws, entry, camera, settings, target, moments, *bound) -> tuple:
+    """Step ``entry``'s argument list for a view and its target, with the
+    ``bound`` takes: bound once each (:meth:`Workspace.binding`: again
+    when one is replaced), keyed by view, so a replaced camera or target
+    overwrites its binding rather than pinning the old one; a copy of the
+    list and of its dimensions."""
+    view = ws.binding(
+        ("view", camera.view_id),
+        (camera, frustum_planes(camera), settings.alpha_threshold,
+         settings.transmittance_min, settings.max_alpha, settings.background,
+         settings.tile_size),
+        _bind_camera, camera, settings,
+    )
+    args, dims, _ = ws.binding(
+        ("target", entry, camera.view_id), (moments, target, camera, view, *bound),
+        _bind_target, entry, target, moments, camera, view, *bound,
+    )
+    return args.copy(), dict(dims)
 
-    binder = _binder("train_step")
+
+def _stepper(lib, entry: str, name: str) -> Callable:
+    """The call of step ``entry`` (``train_step``, ``view_train``) over a
+    workspace's arenas, once a binding has bound its inputs: ``run(ws,
+    args, dims, degree, settings, ssim_lambda, batch, before)`` places the
+    arenas, takes the lease, calls ``before()`` and the step — again, with
+    the render's blocks grown, while it reports them short — and returns
+    the loss, the lease held.  A failing stage (:data:`_STEP_STAGES`) raises
+    what that entry point would, the lease released."""
+    binder = _binder(entry)
     slot = binder.slot
     # Where the render's own arenas go in the argument list, set per
     # attempt; at first whatever they hold (the C reports a shortfall).
@@ -1742,6 +1704,123 @@ def _bind_step(lib, name: str) -> Callable:
         slot[p] for p in ("degree", "records", "ssim_lambda", "batch", "caps", "value", "out")
     ]
 
+    def run(ws, args, dims, degree, settings, ssim_lambda, batch, before=None) -> float:
+        records = bool(settings.cache_blend_state)
+        value, value_at = ws.arena("value", 1)
+        out, out_at = ws.arena("step out", len(_STEP_OUT), np.int64)
+        caps, caps_at = ws.arena("step caps", len(_BLOCKS), np.int64)
+        for arena, at, dtype in arenas:
+            args[at] = ws.arena(arena, binder.size(arena, dims), dtype)[1]
+        settled = (degree, int(records), float(ssim_lambda), float(batch), caps_at, value_at, out_at)
+        for at, item in zip(per_call, settled):
+            args[at] = item
+        ws.lease()
+        try:
+            if before is not None:
+                before()
+            kept = unsized[records]
+            while True:
+                blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
+                # Every slot: the C checks all six, and an arena is not
+                # cleared when it is allocated.
+                caps[:] = 0
+                caps[: len(blocks)] = [block.size for block, _ in blocks]
+                for k, at in enumerate(blocks_at):
+                    args[at] = blocks[k][1] if k < len(blocks) else None
+                try:
+                    getattr(lib, entry)(*args)
+                    break
+                except _ArenaShort:
+                    # Nothing the caller reads was written: size the
+                    # render's blocks by its counts and go again.
+                    survivors, _, busy, entries, area = out[2:7].tolist()
+                    kept = _kept_blocks(records, dict(
+                        m=survivors, tiles=busy, entries=entries, cap=area, sub=dims["sub"],
+                    ))
+        except _StageFailed:
+            ws.release()
+            stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
+            exc, text = _STAGE_RAISES[stage].get(
+                status, (RuntimeError, f" returned status {status}")
+            )
+            width, height, m = dims["width"], dims["height"], dims["m"]
+            raise exc(
+                f"native {entry}: {stage}" + text.format(
+                    width=width, height=height, sub=dims["sub"], h=height, w=width,
+                    m=m, entries=int(out[5]), total=dims["n"],
+                )
+            ) from None
+        except BaseException:
+            ws.release()
+            raise
+        forward_ns, backward_ns = out[7:9].tolist()
+        ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
+        ws.rendered_on = name
+        return float(value[0])
+
+    return run
+
+
+def _step_grads(ws, m: int, k: int) -> dict:
+    """The five gradients a step left in the ``grads`` arena, field after
+    field in ``model.parameters()`` order, for ``m`` rows of ``k`` SH bases."""
+    return _cut(ws.arena("grads", 0)[0], m, _layout((
+        ("positions", (3,)), ("log_scales", (3,)), ("quaternions", (4,)), ("sh", (k, 3)),
+        ("opacity_logits", ()),
+    ))[0])
+
+
+def _bind_train(lib, name: str) -> Callable:
+    """``view_train``: one call over a
+    :class:`~repro.kernels.workspace.Workspace`'s arenas, which reads the
+    working set ``rows`` of the model (every row when None) in place and
+    adds its gradients into ``into`` at those rows.  The model and ``into``
+    are checked and their addresses taken once (again when one is
+    replaced), and so are a view's camera vectors and a target's moments."""
+    from repro.gaussians.loss import TargetMoments
+
+    binder = _binder("view_train")
+    run = _stepper(lib, "view_train", name)
+
+    def view_train(
+        camera, model, settings, target, moments, ssim_lambda, batch,
+        workspace=None, rows=None, into=None,
+    ):
+        if moments is None:  # as the reference's loss: the target's own
+            moments = TargetMoments.of(target)
+        ws = Workspace() if workspace is None else workspace
+        # The model and the full-size gradients (absent: NULL), by name.
+        given, into = _model(model), into or {}
+        given.update((f"into_{field}", into.get(attr)) for field, attr in _MODEL.items())
+        resident = ws.binding("resident", tuple(given.values()), binder.take, given)
+        args, dims = _bound_view(ws, "view_train", camera, settings, target, moments)
+        binder.put(args, resident.values)
+        dims.update(resident.dims)
+        if rows is None:  # every row, read where it is: no SH rows to copy
+            dims["m"] = args[binder.slot["m"]] = dims["n"]
+        else:
+            rows = binder.rows(args, "rows", rows, dims)
+            args[binder.slot["sh_rows"]] = ws.arena("sh_rows", binder.size("sh_rows", dims))[1]
+        loss = run(ws, args, dims, _sh_degree(model, settings), settings, ssim_lambda, batch)
+        return loss, _step_grads(ws, dims["m"], dims["k_stored"])
+
+    return view_train
+
+
+def _bind_step(lib, name: str) -> Callable:
+    """``train_step``: one call over a
+    :class:`~repro.core.stores.GpuWorkingSet`, its stores and a
+    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks
+    of the ops it fuses.  The stores' buffers, a view's camera vectors and a
+    target's moments are checked and their addresses taken once each
+    (:meth:`Workspace.binding`: again when one is replaced); the working
+    set's accounting is the reference's."""
+    from repro.gaussians.loss import TargetMoments
+
+    binder = _binder("train_step")
+    slot = binder.slot
+    run = _stepper(lib, "train_step", name)
+
     def train_step(
         working, step, carried, camera, settings, target, moments,
         ssim_lambda, batch, workspace=None,
@@ -1752,21 +1831,8 @@ def _bind_step(lib, name: str) -> Callable:
         cpu, gpu = working.cpu_store, working.gpu_store
         # A store never replaces its buffers: a new store (rebuild) rebinds.
         stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
-        # Keyed by view, so a replaced camera or target overwrites its
-        # binding rather than pinning the old one.
-        view = ws.binding(
-            ("view", camera.view_id),
-            (camera, frustum_planes(camera), settings.alpha_threshold,
-             settings.transmittance_min, settings.max_alpha, settings.background,
-             settings.tile_size),
-            _bind_camera, camera, settings,
-        )
-        bound, dims, _ = ws.binding(
-            ("target", camera.view_id), (moments, target, camera, stores, view),
-            _bind_target, target, moments, camera, stores, view,
-        )
-        args, dims = bound.copy(), dict(dims)
-        k3, width, height, sub = dims["k3"], dims["width"], dims["height"], dims["sub"]
+        args, dims = _bound_view(ws, "train_step", camera, settings, target, moments, stores)
+        k3 = dims["k3"]
         held = binder.bind(args, dict(
             ws=step.working_set, loads=step.loads, cached=step.cached, stores=step.stores,
             carried=step.carried,
@@ -1792,56 +1858,10 @@ def _bind_step(lib, name: str) -> Callable:
         degree = _DEGREE[k3 // 3]
         if settings.active_sh_degree is not None:
             degree = min(settings.active_sh_degree, degree)
-        records = bool(settings.cache_blend_state)
-        value, value_at = ws.arena("value", 1)
-        out, out_at = ws.arena("step out", len(_STEP_OUT), np.int64)
-        caps, caps_at = ws.arena("step caps", len(_BLOCKS), np.int64)
-        for arena, at, dtype in arenas:
-            args[at] = ws.arena(arena, binder.size(arena, dims), dtype)[1]
-        settled = (degree, int(records), float(ssim_lambda), float(batch), caps_at, value_at, out_at)
-        for at, item in zip(per_call, settled):
-            args[at] = item
-        ws.lease()
-        try:
-            working.reserve(m)
-            kept = unsized[records]
-            while True:
-                blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
-                # Every slot: the C checks all six, and an arena is not
-                # cleared when it is allocated.
-                caps[:] = 0
-                caps[: len(blocks)] = [block.size for block, _ in blocks]
-                for k, at in enumerate(blocks_at):
-                    args[at] = blocks[k][1] if k < len(blocks) else None
-                try:
-                    lib.train_step(*args)
-                    break
-                except _ArenaShort:
-                    # Only the block, scratch and work were written: size
-                    # the render's blocks by its counts and go again.
-                    survivors, _, busy, entries, area = out[2:7].tolist()
-                    kept = _kept_blocks(records, dict(
-                        m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
-                    ))
-        except _StageFailed:
-            ws.release()
-            stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
-            exc, text = _STAGE_RAISES[stage].get(
-                status, (RuntimeError, f" returned status {status}")
-            )
-            raise exc(
-                f"native train_step: {stage}" + text.format(
-                    width=width, height=height, sub=sub, h=height, w=width,
-                    m=m, entries=int(out[5]), total=m,
-                )
-            ) from None
-        except BaseException:
-            ws.release()
-            raise
+        loss_value = run(
+            ws, args, dims, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
+        )
         ws.steps += 1
-        forward_ns, backward_ns = out[7:9].tolist()
-        ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
-        ws.rendered_on = name
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
         k, mk = k3 // 3, m * k3
         working.hold(
@@ -1853,16 +1873,7 @@ def _bind_step(lib, name: str) -> Callable:
         counters.cached_gaussians += cached
         counters.loaded_gaussians += dims["num_loads"]
         counters.stored_gaussians += dims["num_stores"]
-        # The five gradients, field after field in model.parameters() order.
-        grads = ws.arena("grads", 0)[0]
-        grads = {
-            "positions": grads[: 3 * m].reshape(m, 3),
-            "log_scales": grads[3 * m : 6 * m].reshape(m, 3),
-            "quaternions": grads[6 * m : 10 * m].reshape(m, 4),
-            "sh": grads[10 * m : 10 * m + mk].reshape(m, k, 3),
-            "opacity_logits": grads[10 * m + mk : 11 * m + mk],
-        }
-        loss_value = float(value[0])
+        grads = _step_grads(ws, m, k)
         if not nc:
             return loss_value, grads, None
         return loss_value, grads, (
@@ -1961,10 +1972,10 @@ class NativeKernelBackend(KernelBackend):
         "a view in C (frustum test, projection, binning, fused per-tile "
         "compositing, gradient chain), a culling grid's build, refit and "
         "batched query, "
-        "the L1 + SSIM loss, a training view "
-        "as one op over the engine's arenas, CLM's data path and fused Adam "
-        "over row indices, a CLM microbatch (load, view, offload) as one "
-        "call, and a batch's plan (TSP order, transfer partitions, Adam "
+        "the L1 + SSIM loss, CLM's data path and fused Adam "
+        "over row indices, a microbatch as one call over the engine's "
+        "arenas (a CLM one: load, view, offload; a resident model's: "
+        "view, gradients added in place), and a batch's plan (TSP order, transfer partitions, Adam "
         "chunks), built at first use with the system C compiler (float64 "
         "operands)"
     )

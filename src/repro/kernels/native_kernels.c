@@ -2,8 +2,9 @@
  * first part of this file, static: only the view calls use them), the
  * whole-view ops built around them (the second), CLM's data path over row
  * indices (the third), the photometric loss between a view's forward and
- * backward passes (the fourth), a batch's plan (the fifth) and a CLM
- * microbatch step calling the others (the sixth).
+ * backward passes (the fourth), a batch's plan (the fifth) and a
+ * microbatch step calling the others (the sixth): a CLM one, and one over a
+ * resident model.
  *
  * Plain C99 over libm: no Python headers, no threads, no static state (the
  * caller releases the GIL, so several calls may be inside a kernel at once).
@@ -40,7 +41,7 @@
  * and reads every entry point's argument types from its prototype below.
  */
 
-#define _POSIX_C_SOURCE 199309L  /* clock_gettime: plan_batch, train_step */
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime: plan_batch, the steps */
 
 #include <math.h>
 #include <stdbool.h>
@@ -2457,59 +2458,58 @@ int plan_batch(
 }
 
 /* ======================================================================
- * A CLM microbatch step (engines/clm.py, CLMEngine._run_step; paper
- * §5.2-5.4): the selective load, the training view and the gradient offload
- * of one microbatch in one call.  Its reference is stores.train_step, the
- * composition of GpuWorkingSet.assemble, render.train_view, add_grads and
- * retire; this calls the same functions in the same order (add_grads_rows and
- * retire_rows are static, called from here only), so the two are
- * bit-identical:
+ * A microbatch step: the training view every engine runs, in one call.
  *
- *     assemble_rows -> view_project -> view_composite -> photometric_loss
- *     -> (/ batch) -> view_backward -> add_grads_rows -> retire_rows
+ * view_step is the view: the m input rows (rows[0 .. m) of n, read in place,
+ * or all n when ``rows`` is NULL) rendered, the loss taken, the image
+ * gradient divided by ``batch`` and backpropagated into ``grads``, the five
+ * gradient arrays of the m rows field after field (positions, log-scales,
+ * quaternions, sh, logits; zeroed here):
  *
- * Every buffer is the caller's (an engine's Workspace arenas): ``block`` the
- * working set's (see assemble_rows), ``carry`` the carried gradients
- * retire_rows writes, ``scratch`` / ``work`` view_project's, ``kept`` ..
- * ``rec_end`` the render's own blocks, ``image`` .. ``d_image`` the view's
- * pixels, ``grads`` the five gradient arrays field after field (positions,
- * log-scales, quaternions, sh, logits; zeroed here).  The previous step's
- * block (``prev_sh`` / ``prev_opacity``) and carry (``carried_sh`` /
- * ``carried_opacity``) are read by assemble_rows and must not share memory
- * with ``block``: the caller double-buffers both.
+ *     view_project -> view_composite -> photometric_loss -> (/ batch)
+ *     -> view_backward
+ *
+ * Two entry points call it.  train_step (engines/clm.py, CLMEngine._run_step;
+ * paper §5.2-5.4) is a CLM microbatch: the selective load before it, the
+ * gradient accumulation and offload after.  Its reference is
+ * stores.train_step, the composition of GpuWorkingSet.assemble,
+ * render.train_view, add_grads and retire; this calls the same functions in
+ * the same order (add_grads_rows and retire_rows are static, called from here
+ * only), so the two are bit-identical:
+ *
+ *     assemble_rows -> view_step -> add_grads_rows -> retire_rows
+ *
+ * view_train (engines/base.py, the naive and GPU-only engines) is a view of a
+ * resident full-size model: the working set's rows are read where they are,
+ * and its gradients added into the five full-size arrays ``into_*`` at those
+ * rows, every row, zeros included (an added +0.0 turns a -0.0 into +0.0, as
+ * NumPy's ``full[rows] += sub`` does).  Its reference is render.train_view:
+ * model.gather(rows), the view, the scatter-add.
+ *
+ * Every buffer is the caller's (an engine's Workspace arenas): ``scratch`` /
+ * ``work`` view_project's, ``kept`` .. ``rec_end`` the render's own blocks,
+ * ``image`` .. ``d_image`` the view's pixels, ``grads`` the gradients, and
+ * for view_train over ``rows`` ``sh_rows`` (m rows of the model's sh), where
+ * the survivors' SH rows are copied for the backward pass.  train_step's
+ * ``block`` is the working set's (see assemble_rows), ``carry`` the carried
+ * gradients retire_rows writes; the previous step's block (``prev_sh`` /
+ * ``prev_opacity``) and carry (``carried_sh`` / ``carried_opacity``) are read
+ * by assemble_rows and must not share memory with ``block``: the caller
+ * double-buffers both.
  *
  * The render's own blocks are sized by what view_project counted, so their
  * capacities (``caps``: six counts of values, ``kept`` .. ``rec_end`` in
- * order) are checked then, before any store is written: a shortfall returns
- * STATUS_ARENA_SHORT with the counts at out[OUT_SURVIVORS ..], having
- * written only the block, scratch and work, and the caller grows the arenas
- * and calls again.  Any other failure returns the failing call's status,
- * also at out[OUT_STATUS], with its STAGE_* at out[OUT_STAGE].  The two
- * halves' CLOCK_MONOTONIC nanoseconds go to out[OUT_FORWARD_NS]
- * (view_project + view_composite) and out[OUT_BACKWARD_NS] (the division by
- * ``batch`` + view_backward), the loss to *value.
+ * order) are checked then, before any store or full-size array is written: a
+ * shortfall returns STATUS_ARENA_SHORT with the counts at
+ * out[OUT_SURVIVORS ..], having written only train_step's block, scratch and
+ * work, and the caller grows the arenas and calls again.  Any other failure
+ * returns the failing call's status, also at out[OUT_STATUS], with its
+ * STAGE_* at out[OUT_STAGE].  The two halves' CLOCK_MONOTONIC nanoseconds go
+ * to out[OUT_FORWARD_NS] (view_project + view_composite) and
+ * out[OUT_BACKWARD_NS] (the division by ``batch`` + view_backward), the loss
+ * to *value.
  * ====================================================================== */
 
-int train_step(
-    int64_t n, int64_t k3, int64_t stride, const double *pinned,
-    double *pinned_grads, const double *critical, double *critical_grads,
-    const int64_t *ws, int64_t m, const int64_t *loads, int64_t num_loads,
-    const int64_t *cached, int64_t num_cached, const int64_t *stores,
-    int64_t num_stores, const int64_t *carried, int64_t num_carried,
-    const int64_t *prev, int64_t mp, const double *prev_sh,
-    const double *prev_opacity, const int64_t *carried_in,
-    int64_t num_carried_in, const double *carried_sh,
-    const double *carried_opacity, const double *planes, int64_t degree,
-    const double *params, int64_t width, int64_t height, int64_t ts,
-    int64_t sub, int64_t records, const double *target, const double *uy,
-    const double *uy2_c1, const double *vy_c2, const double *taps,
-    int64_t size, double ssim_lambda, double c1, double c2, double batch,
-    double *block, double *carry, double *scratch, int64_t *work,
-    double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
-    int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
-    double *trans, double *d_image, double *grads, double *value,
-    int64_t *out)
-{
 #define STAGE(name, call)                                                   \
     do {                                                                    \
         const int failed = (call);                                         \
@@ -2519,18 +2519,24 @@ int train_step(
             return failed;                                                  \
         }                                                                   \
     } while (0)
-    const int64_t k_stored = k3 / 3;
-    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
-    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
-    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
-    STAGE(ASSEMBLE_ROWS, assemble_rows(
-        n, k3, stride, pinned, critical, ws, m, loads, num_loads, cached,
-        num_cached, prev, mp, prev_sh, prev_opacity, carried_in,
-        num_carried_in, carried_sh, carried_opacity, block));
 
+static int view_step(
+    int64_t m, const int64_t *rows, int64_t n, const double *positions,
+    const double *log_scales, const double *quats, const double *sh,
+    const double *logits, int64_t k_stored, const double *planes,
+    int64_t degree, const double *params, int64_t width, int64_t height,
+    int64_t ts, int64_t sub, int64_t records, const double *target,
+    const double *uy, const double *uy2_c1, const double *vy_c2,
+    const double *taps, int64_t size, double ssim_lambda, double c1,
+    double c2, double batch, double *sh_rows, double *scratch, int64_t *work,
+    double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
+    int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
+    double *trans, double *d_image, double *grads, double *value,
+    int64_t *out)
+{
     int64_t start = now_ns();
     STAGE(VIEW_PROJECT, view_project(
-        m, NULL, m, positions, log_scales, quats, sh, opacity, planes,
+        m, rows, n, positions, log_scales, quats, sh, logits, planes,
         k_stored, degree, params, width, height, ts, sub, scratch, work));
     const int64_t survivors = work[0], tiles = work[2], entries = work[3];
     const int64_t area = work[4], lead = tiles * sub * sub;
@@ -2559,22 +2565,116 @@ int train_step(
     start = now_ns();
     for (int64_t k = 0; k < 3 * width * height; k++)
         d_image[k] = d_image[k] / batch;
+    const int64_t k3 = 3 * k_stored;
     double *g_positions = grads, *g_log_scales = g_positions + 3 * m;
     double *g_quats = g_log_scales + 3 * m, *g_sh = g_quats + 4 * m;
     double *g_logits = g_sh + m * k3;
     memset(grads, 0, (size_t)((11 + k3) * m) * sizeof(double));
+    /* The backward pass reads survivor r's SH at input row ids[r]. */
+    if (rows != NULL) {
+        for (int64_t r = 0; r < survivors; r++)
+            memcpy(sh_rows + ikept[r] * k3, sh + rows[ikept[r]] * k3,
+                   (size_t)k3 * sizeof(double));
+        sh = sh_rows;
+    }
     STAGE(VIEW_BACKWARD, view_backward(
         survivors, m, tiles, entries, records ? area : 0, kept, ikept, clamp,
         rec_f, rec_p, rec_end, sh, k_stored, degree, params, width, height,
         sub, d_image, g_positions, g_log_scales, g_quats, g_sh, g_logits));
     out[OUT_BACKWARD_NS] = now_ns() - start;
+    return STATUS_OK;
+}
 
+int train_step(
+    int64_t n, int64_t k3, int64_t stride, const double *pinned,
+    double *pinned_grads, const double *critical, double *critical_grads,
+    const int64_t *ws, int64_t m, const int64_t *loads, int64_t num_loads,
+    const int64_t *cached, int64_t num_cached, const int64_t *stores,
+    int64_t num_stores, const int64_t *carried, int64_t num_carried,
+    const int64_t *prev, int64_t mp, const double *prev_sh,
+    const double *prev_opacity, const int64_t *carried_in,
+    int64_t num_carried_in, const double *carried_sh,
+    const double *carried_opacity, const double *planes, int64_t degree,
+    const double *params, int64_t width, int64_t height, int64_t ts,
+    int64_t sub, int64_t records, const double *target, const double *uy,
+    const double *uy2_c1, const double *vy_c2, const double *taps,
+    int64_t size, double ssim_lambda, double c1, double c2, double batch,
+    double *block, double *carry, double *scratch, int64_t *work,
+    double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
+    int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
+    double *trans, double *d_image, double *grads, double *value,
+    int64_t *out)
+{
+    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
+    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
+    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
+    STAGE(ASSEMBLE_ROWS, assemble_rows(
+        n, k3, stride, pinned, critical, ws, m, loads, num_loads, cached,
+        num_cached, prev, mp, prev_sh, prev_opacity, carried_in,
+        num_carried_in, carried_sh, carried_opacity, block));
+    const int failed = view_step(
+        m, NULL, m, positions, log_scales, quats, sh, opacity, k3 / 3, planes,
+        degree, params, width, height, ts, sub, records, target, uy, uy2_c1,
+        vy_c2, taps, size, ssim_lambda, c1, c2, batch, NULL, scratch, work,
+        kept, ikept, clamp, rec_f, rec_p, rec_end, caps, image, trans,
+        d_image, grads, value, out);
+    if (failed)
+        return failed;
+    double *g_positions = grads, *g_log_scales = g_positions + 3 * m;
+    double *g_quats = g_log_scales + 3 * m, *g_sh = g_quats + 4 * m;
     add_grads_rows(
-        k3, ws, m, grad_sh, grad_opacity, g_sh, g_logits, g_positions,
+        k3, ws, m, grad_sh, grad_opacity, g_sh, g_sh + m * k3, g_positions,
         g_log_scales, g_quats, critical_grads);
     STAGE(RETIRE_ROWS, retire_rows(
         n, k3, stride, pinned_grads, ws, m, grad_sh, grad_opacity, stores,
         num_stores, carried, num_carried, carry));
-#undef STAGE
     return STATUS_OK;
 }
+
+/* into[rows[i]] += g[i] over ``width`` values a row, for i < m (rows NULL:
+ * into[i] += g[i], one pass). */
+static void add_rows(
+    double *into, const double *g, const int64_t *rows, int64_t m, int64_t width)
+{
+    if (into == NULL)
+        return;
+    if (rows == NULL) {
+        add_into(into, g, m * width);
+        return;
+    }
+    for (int64_t i = 0; i < m; i++)
+        add_into(into + rows[i] * width, g + i * width, width);
+}
+
+int view_train(
+    int64_t m, const int64_t *rows, int64_t n, const double *positions,
+    const double *log_scales, const double *quats, const double *sh,
+    const double *logits, int64_t k_stored, double *into_positions,
+    double *into_log_scales, double *into_quats, double *into_sh,
+    double *into_logits, const double *planes, int64_t degree,
+    const double *params, int64_t width, int64_t height, int64_t ts,
+    int64_t sub, int64_t records, const double *target, const double *uy,
+    const double *uy2_c1, const double *vy_c2, const double *taps,
+    int64_t size, double ssim_lambda, double c1, double c2, double batch,
+    double *sh_rows, double *scratch, int64_t *work, double *kept,
+    int64_t *ikept, uint8_t *clamp, double *rec_f, int32_t *rec_p,
+    int64_t *rec_end, const int64_t *caps, double *image, double *trans,
+    double *d_image, double *grads, double *value, int64_t *out)
+{
+    const int failed = view_step(
+        m, rows, n, positions, log_scales, quats, sh, logits, k_stored,
+        planes, degree, params, width, height, ts, sub, records, target, uy,
+        uy2_c1, vy_c2, taps, size, ssim_lambda, c1, c2, batch, sh_rows,
+        scratch, work, kept, ikept, clamp, rec_f, rec_p, rec_end, caps, image,
+        trans, d_image, grads, value, out);
+    if (failed)
+        return failed;
+    const int64_t k3 = 3 * k_stored;
+    add_rows(into_positions, grads, rows, m, 3);
+    add_rows(into_log_scales, grads + 3 * m, rows, m, 3);
+    add_rows(into_quats, grads + 6 * m, rows, m, 4);
+    add_rows(into_sh, grads + 10 * m, rows, m, k3);
+    add_rows(into_logits, grads + 10 * m + k3 * m, rows, m, 1);
+    return STATUS_OK;
+}
+#undef STAGE

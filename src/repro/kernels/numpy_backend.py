@@ -48,8 +48,9 @@ zero rows, and ``adam_rows`` is :func:`repro.optim.kernels.adam_rows`.
 :func:`~repro.gaussians.loss.ssim_with_grad`, whose SSIM window is two
 banded-matrix products a pass (four GEMM calls an image) over the target's
 kept moments.  ``view_train`` is :func:`~repro.gaussians.render.train_view`:
-the render and the loss, each dispatched on its own, and the backward pass
-the render's context carries;
+the working set gathered, the render and the loss, each dispatched on its
+own, the backward pass the render's context carries, and the gradients
+scatter-added into the full-size ones through fancy-indexed ``+=``;
 ``train_step`` is :func:`~repro.core.stores.train_step`: the working set's
 ``assemble``, that view, and ``add_grads`` / ``retire``, which accumulate
 through fancy-indexed ``+=`` in place.

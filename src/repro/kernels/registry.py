@@ -35,9 +35,9 @@ is float64, the one precision both backends run, so what an op is handed
 never decides who runs it: an operand a backend's declaration does not
 take is converted or refused by that backend (``native``'s binder), never
 rerouted.  A backend whose build fails hands its ops to the reference
-with one :class:`RuntimeWarning` (:func:`compile_with_fallback`); an op
-outside a backend's declared capabilities runs on the reference, as
-``repro backends`` lists (both shipped backends run every op).  Every
+with one :class:`RuntimeWarning` (:func:`compile_with_fallback`); a
+backend that does not run every op is refused at registration
+(:func:`register_backend`), so no op leaves a backend silently.  Every
 backend is pinned against the per-tile oracle of
 ``tests/reference/legacy_raster.py`` at the repo's 1e-10 parity bar by
 ``tests/kernels/``.
@@ -86,10 +86,11 @@ AUTO = "auto"
 #: training loss between a view's two passes, L1 + SSIM over the target's
 #: kept moments, value and image gradient
 #: (:func:`repro.gaussians.loss.photometric_loss`).  ``view_train`` is a
-#: whole training view — forward, loss, backward — to ``(loss,
-#: gradients)``; its reference is the composition of the three
-#: (:func:`repro.gaussians.render.train_view`), ``native`` runs it over an
-#: engine's :class:`~repro.kernels.workspace.Workspace`.  ``plan_batch`` is
+#: resident engine's microbatch — forward, loss, backward of the working
+#: set ``rows=`` of its model, the gradients added into ``into=`` at those
+#: rows — to ``(loss, gradients)``; its reference is the composition
+#: (:func:`repro.gaussians.render.train_view`), ``native`` runs it as one
+#: call over an engine's :class:`~repro.kernels.workspace.Workspace`.  ``plan_batch`` is
 #: a batch's CPU-side schedule: from the in-frustum sets (and the order, or
 #: the RNG the order search draws its restarts from) to the
 #: :class:`~repro.planning.planner.PlannedBatch` — order, each step's
@@ -120,8 +121,8 @@ class UnknownBackendError(ValueError):
 
 
 class UnsupportedKernelError(ValueError):
-    """Raised by :meth:`KernelBackend.compile` for an op the backend's
-    :meth:`~KernelBackend.supports` rejects."""
+    """Raised by :meth:`KernelBackend.compile` for an op outside the
+    backend's :meth:`~KernelBackend.capabilities`."""
 
 
 class KernelBackend(abc.ABC):
@@ -162,11 +163,6 @@ class KernelBackend(abc.ABC):
     def capabilities(self) -> "frozenset[str]":
         """The :data:`KERNEL_OPS` names this backend implements."""
 
-    def supports(self, op: str) -> bool:
-        """Whether :meth:`compile` would accept ``op``: it is one of the
-        :meth:`capabilities`."""
-        return op in self.capabilities()
-
     # -- compilation ----------------------------------------------------
     def compile(self, op: str) -> Callable:
         """The compiled callable for ``op``, cached."""
@@ -176,7 +172,7 @@ class KernelBackend(abc.ABC):
                 raise UnsupportedKernelError(
                     f"backend '{self.name}' is not available"
                 )
-            if not self.supports(op):
+            if op not in self.capabilities():
                 raise UnsupportedKernelError(
                     f"backend '{self.name}' does not support {op!r}"
                 )
@@ -198,7 +194,10 @@ def register_backend(name: str):
 
     The class is instantiated immediately (construction must be cheap and
     must not import optional dependencies — probe those in
-    :meth:`KernelBackend.available`).
+    :meth:`KernelBackend.available`).  A backend whose
+    :meth:`~KernelBackend.capabilities` lack any of :data:`KERNEL_OPS` is
+    refused (``ValueError`` naming the ops): no op is ever handed to
+    another backend because the one asked for does not run it.
     """
 
     def decorator(cls):
@@ -208,6 +207,12 @@ def register_backend(name: str):
                 f"(by {type(_REGISTRY[name]).__name__})"
             )
         backend = cls()
+        missing = [op for op in KERNEL_OPS if op not in backend.capabilities()]
+        if missing:
+            raise ValueError(
+                f"kernel backend '{name}' does not run {', '.join(missing)}: "
+                f"a backend runs every one of {KERNEL_OPS}"
+            )
         backend.name = name
         _REGISTRY[name] = backend
         return cls
@@ -328,16 +333,14 @@ def compile_with_fallback(
     """Compile ``op`` on ``backend``, or on the reference where it cannot.
 
     Returns ``(callable, backend_actually_used)``.  An unavailable backend
-    (already warned about by :func:`resolve_backend`) or one whose
-    :meth:`~KernelBackend.capabilities` lack ``op`` (``repro backends``
-    lists them) hands the op to the reference.  A backend that claims the
-    op but raises from ``compile(op)`` (the build of its kernels failing,
-    a driver fault) hands it over too, with a :class:`RuntimeWarning`
+    (already warned about by :func:`resolve_backend`) hands the op to the
+    reference; so does one that raises from ``compile(op)`` (the build of
+    its kernels failing, a driver fault), with a :class:`RuntimeWarning`
     instead of killing training — the returned backend identity records
     the fallback so callers can stamp the truth into their perf counters.
     Only a failing *reference* compile raises.
     """
-    if backend.available() and backend.supports(op):
+    if backend.available():
         try:
             return backend.compile(op), backend
         except Exception as exc:

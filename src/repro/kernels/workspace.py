@@ -6,13 +6,15 @@ one :class:`~repro.serving.session.ServingSession` (``.workspace``) and
 outlives its batches.  A served request is the ``view_forward`` op with a
 workspace: its scratch, blocks, image and transmittance are arenas, the
 served model's arrays one binding, and the image it returns a copy, so
-nothing stays leased after the call.  The ``native`` backend's ``view_train`` op runs a
-view's four C calls (project, composite, loss, backward) over its
-**arenas**, and its ``train_step`` op a whole CLM microbatch — the working
-set's selective load, that view, the gradient accumulation and offload —
-as one C call over the same arenas plus the working set's own: one
-grow-only buffer per kind of block, named by the op, of which a step takes
-a prefix.  An arena is replaced only when a step needs more than it holds
+nothing stays leased after the call.  Every engine's microbatch is one C
+call over the **arenas**: the ``native`` backend's ``view_train`` op — the
+microbatch of the engines whose model is resident — renders the working
+set's rows of that model in place, takes the loss, backpropagates and adds
+the gradients into the full-size ones; its ``train_step`` op is a whole
+CLM microbatch — the working set's selective load, that view, the gradient
+accumulation and offload — over the same arenas plus the working set's
+own: one grow-only buffer per kind of block, named by the op, of which a
+step takes a prefix.  An arena is replaced only when a step needs more than it holds
 (a larger working set, a densified model, a larger image), and then with
 an eighth of headroom, so it is held at about the largest step seen and
 nothing multi-MB is allocated or freed between steps.  Each arena's
@@ -35,13 +37,13 @@ stores in place, so the addresses stand.  A binding's key names its slot
 (the stores, a view's camera, a view's target), so a replacement overwrites
 the slot and the objects it held are freed.
 
-The gradients ``view_train`` and ``train_step`` return are slices of an
-arena, so they are valid only until the next step overwrites them.  The
-op takes a **lease** before it writes and the caller releases it once the
-gradients are consumed (``EngineBase._forward_backward`` does, on leaving
-its ``with`` block; ``CLMEngine._run_step`` after the densify hook): a
-second op while the lease is live raises instead of overwriting gradients
-still being read.
+The per-view gradients ``view_train`` and ``train_step`` return (the
+full-size ones are already added into) are slices of an arena, so they
+are valid only until the next step overwrites them.  The op takes a
+**lease** before it writes and the caller releases it once the densify
+hook has read them (``EngineBase._accumulate_planned`` and
+``CLMEngine._run_step`` do): a second op while the lease is live raises
+instead of overwriting gradients still being read.
 
 Arenas are host bytes outside :class:`~repro.hardware.memory.MemoryPool`'s
 model: the pool accounts a step's working set and activations analytically

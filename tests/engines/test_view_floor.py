@@ -4,12 +4,10 @@ Deterministic call-count guards on one ``clm`` batch — a view's geometry is
 built once for the cull and once for the render, never again for the
 backward pass; the loss is one kernel op a view over the target's kept
 moments (on ``native`` inside the step's C call, on NumPy matrix products);
-on ``native`` a ``clm`` microbatch is one C call over the engine's
-workspace, and a view of the other engines its four C calls, with nothing
-resolved, compiled, bound or allocated again — plus the engine-side
-behaviours that ride along:
-moments are invalidated by replacing a target, evaluation renders
-forward-only.
+on ``native`` a microbatch of every engine is one C call over the engine's
+workspace, with nothing resolved, compiled or allocated again — plus the
+engine-side behaviours that ride along: moments are invalidated by
+replacing a target, evaluation renders forward-only.
 """
 
 from unittest import mock
@@ -20,6 +18,7 @@ import scipy.ndimage
 
 from repro.core.config import EngineConfig
 from repro.engines import available_engines, create_engine
+from repro.engines import base as engine_base
 from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
@@ -122,45 +121,40 @@ def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
 #: The entry points a ``native`` training view or step may call.
 ENTRY_POINTS = (
     "assemble_rows", "view_project", "view_composite", "photometric_loss",
-    "view_backward", "train_step",
+    "view_backward", "train_step", "view_train",
 )
+#: Each engine's microbatch: the one entry point it calls, and the engine
+#: method around that call.
+STEPS = {
+    "clm": ("train_step", "_run_step"),
+    **dict.fromkeys(("naive", "enhanced", "baseline"), ("view_train", "_train_view")),
+}
 
 
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
-@pytest.mark.parametrize("name", ["naive", "enhanced"])
-def test_a_native_view_is_four_c_calls(name, setup, monkeypatch):
-    """The engines that scatter a gathered view's gradients run it as
-    ``view_train``: its four C calls a view, over the arenas the warm-up
-    grew."""
+@pytest.mark.parametrize("name", list(STEPS))
+def test_a_native_microbatch_is_one_c_call_and_nothing_else(name, setup, monkeypatch):
+    """After a warm-up batch, each microbatch of a repeated batch is one C
+    call — ``train_step`` on ``clm``, ``view_train`` on the engines whose
+    model is resident — and no other: no backend is resolved, nothing
+    compiled or allocated again, no working set gathered and no gradient
+    scattered in NumPy.  Nothing is bound again but, on the resident
+    engines, their model and full-size gradients once a batch (the naive
+    engine loads a fresh copy, and every engine zeroes fresh gradients)."""
     _, _, targets = setup
+    entry, method = STEPS[name]
     engine = build(name, setup, kernel_backend="native")
-    engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
-    allocations = engine._workspace.allocations
-    lib = get_backend("native").library().load()
-    calls = {entry: spy_on(monkeypatch, lib, entry) for entry in ENTRY_POINTS}
-    assert np.isfinite(engine.train_batch(BATCH, targets).loss)
-    four = ("view_project", "view_composite", "photometric_loss", "view_backward")
-    assert {entry: spy.call_count for entry, spy in calls.items()} == {
-        entry: len(BATCH) if entry in four else 0 for entry in ENTRY_POINTS
-    }
-    assert engine._workspace.allocations == allocations
-    assert engine._loss_ops.active == "native"
-
-
-@pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
-def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
-    """After a warm-up batch, each microbatch of a repeated ``clm`` batch
-    is one ``train_step`` call and no other C call: no backend is resolved,
-    nothing compiled, nothing bound again, no arena grown."""
-    _, _, targets = setup
-    engine = build("clm", setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
     ws = engine._workspace
     allocations, bindings = ws.allocations, ws.bindings
     assert allocations > 0 and bindings > 0
 
     lib = get_backend("native").library().load()
-    calls = {name: spy_on(monkeypatch, lib, name) for name in ENTRY_POINTS}
+    calls = {entry_point: spy_on(monkeypatch, lib, entry_point) for entry_point in ENTRY_POINTS}
+    gathers, gather = [], GaussianModel.gather
+    monkeypatch.setattr(
+        GaussianModel, "gather", lambda model, rows: gathers.append(1) or gather(model, rows)
+    )
     in_step, resolved = [False], []
 
     def watch(owner, name):
@@ -176,10 +170,11 @@ def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
     # Every module that binds the two names (the rasterizer imports them
     # from ``repro.kernels`` at call time).
     for owner in (registry, numpy_backend, kernels):
-        for name in ("resolve_backend", "compile_with_fallback"):
-            if hasattr(owner, name):
-                watch(owner, name)
-    run_step = engine._run_step
+        for fn in ("resolve_backend", "compile_with_fallback"):
+            if hasattr(owner, fn):
+                watch(owner, fn)
+    watch(engine_base, "train_view")  # the reference composition
+    run_step = getattr(engine, method)
 
     def step(*args):
         in_step[0] = True
@@ -188,14 +183,17 @@ def test_a_native_clm_step_is_one_c_call_and_nothing_else(setup, monkeypatch):
         finally:
             in_step[0] = False
 
-    engine._run_step = step
+    setattr(engine, method, step)
     result = engine.train_batch(BATCH, targets)
     assert np.isfinite(result.loss)
-    assert {name: spy.call_count for name, spy in calls.items()} == {
-        name: len(BATCH) if name == "train_step" else 0 for name in ENTRY_POINTS
+    assert {e: spy.call_count for e, spy in calls.items()} == {
+        e: len(BATCH) if e == entry else 0 for e in ENTRY_POINTS
     }
     assert resolved == []
-    assert (ws.allocations, ws.bindings) == (allocations, bindings)
+    # The naive engine's one gather is its modelled whole-model load.
+    assert len(gathers) == (1 if name == "naive" else 0)
+    assert ws.allocations == allocations
+    assert ws.bindings == bindings + (name != "clm")
     assert not ws.leased
     assert engine.perf.kernel_backend == "native"
 

@@ -154,3 +154,24 @@ def test_op_dispatch_keys_on_the_op_name_alone(fake_backend):
     zero = ops("zero_rows")
     assert ops("zero_rows") is zero and ops.active == "fake_test_backend"
     assert list(ops._compiled) == ["zero_rows"]
+
+
+def test_a_backend_that_lacks_an_op_is_refused():
+    """A plugin backend runs every kernel op or does not register: an op it
+    lacks would otherwise be handed to the reference without a word."""
+    missing = KERNEL_OPS[3]
+
+    class Partial(_FakeBackend):
+        def capabilities(self):
+            return frozenset(KERNEL_OPS) - {missing}
+
+    with pytest.raises(ValueError, match=f"does not run {missing}:"):
+        register_backend("partial_test_backend")(Partial)
+    assert "partial_test_backend" not in available_backends()
+
+
+def test_a_backend_that_runs_every_op_registers(fake_backend):
+    assert fake_backend.capabilities() == frozenset(KERNEL_OPS)
+    assert "fake_test_backend" in available_backends()
+    fn, used = compile_with_fallback(fake_backend, "zero_rows")
+    assert used is fake_backend

@@ -54,13 +54,13 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_thirteen_entry_points_python_calls():
+def test_the_parsed_prototypes_are_the_fourteen_entry_points_python_calls():
     signatures = native_backend.prototypes(kernel_source())
     assert set(signatures) == set(native_backend._RAISES) == {
         "exact_cull", "grid_build", "grid_refit", "grid_cull",
         "view_project", "view_composite", "view_backward",
         "assemble_rows", "zero_rows", "adam_rows", "photometric_loss",
-        "plan_batch", "train_step",
+        "plan_batch", "train_step", "view_train",
     }
     assert signatures["zero_rows"] == [
         ("n", "int64_t", False), ("width", "int64_t", False), ("buffer", "double", True),
@@ -170,9 +170,9 @@ def test_a_nonzero_status_from_view_project_raises(quick):
 
 
 def test_the_positional_calls_put_each_operand_in_its_declared_slot():
-    """A view's two forward calls and its backward are made over positional
-    lists (``_checked`` only counts them): every operand a binding places
-    there sits in the slot of its declared name."""
+    """A view's two forward calls and a training view's one call are made
+    over positional lists (``_checked`` only counts them): every operand a
+    binding places there sits in the slot of its declared name."""
     from repro.gaussians.loss import TargetMoments
     from repro.kernels.workspace import Workspace
 
@@ -186,7 +186,7 @@ def test_the_positional_calls_put_each_operand_in_its_declared_slot():
 
     lib = type("Lib", (), {
         name: staticmethod(recording(name))
-        for name in ("view_project", "view_composite", "photometric_loss", "view_backward")
+        for name in ("view_project", "view_composite", "view_train")
     })
     cam, model = generated_model(seed=3, num=40, size=(40, 30), scale=-2.0)
     settings, rows = RasterSettings(), np.arange(0, 40, 3)
@@ -210,17 +210,25 @@ def test_the_positional_calls_put_each_operand_in_its_declared_slot():
         assert composite[name] == project[name], name
 
     target = np.random.default_rng(0).uniform(size=(cam.height, cam.width, 3))
+    into = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
     native_backend._bind_train(lib, "native")(
         cam, model, settings, target, TargetMoments.of(target), 0.2, 1, Workspace(),
+        rows=rows, into=into,
     )
-    composite, backward = calls["view_composite"], calls["view_backward"]
-    assert calls["photometric_loss"]["x"] == composite["image"]
-    for name in ("kept", "ikept", "clamp", "params", "width", "height", "sub"):
-        assert backward[name] == composite[name], name
-    assert (backward["n"], backward["sh"], backward["k_stored"]) == (
-        model.num_gaussians, model.sh.ctypes.data, model.sh.shape[1],
+    step = calls["view_train"]
+    assert {name: step[name] for name in model_arrays} == {
+        name: arr.ctypes.data for name, arr in model_arrays.items()
+    }
+    assert {f"into_{name}": step[f"into_{name}"] for name in model_arrays} == {
+        f"into_{name}": arr.ctypes.data
+        for name, arr in zip(model_arrays, into.values())
+    }
+    assert (step["m"], step["n"], step["k_stored"], step["degree"]) == (
+        rows.size, model.num_gaussians, model.sh.shape[1], model.sh_degree,
     )
-    assert backward["d_image"] == calls["photometric_loss"]["grad"]
+    assert {k: step[k] for k in view} == view and step["ts"] == settings.tile_size
+    assert step["target"] == target.ctypes.data and step["batch"] == 1.0
+    assert step["rows"] and step["planes"] and step["params"]
 
 
 def test_the_source_declares_none_of_the_shared_abi():

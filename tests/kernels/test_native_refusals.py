@@ -25,9 +25,11 @@ layout ``native`` does not take is refused, never handed to the reference.
 The index-vector cells also run through the callers that hand rows on
 (``SparseAdam.step_rows``, ``PackedSparseAdam.step_packed``) and through
 ``plan_batch``, whose ``sets`` its binding concatenates: none of them
-converts rows before the op's own check.  ``train_step``'s index vectors
-reach the C as a plan's step (their refusals are
-``test_native_train_step``'s ``BAD_STEPS``).
+converts rows before the op's own check.  ``view_train``'s are the working
+set it reads of a resident model and adds its gradients back into, its
+``into_*`` the full-size gradients.  ``train_step``'s index vectors reach
+the C as a plan's step (their refusals are ``test_native_train_step``'s
+``BAD_STEPS``).
 """
 
 import dataclasses
@@ -283,16 +285,34 @@ def loss_case():
     return Case("photometric_loss", "photometric_loss", operands, run)
 
 
-def view_train_case():
+def view_train_case(resident: bool):
+    """A training view: its target, or (``resident``) the model it reads in
+    place, the working set's rows and the full-size gradients it adds into."""
     cam, model = generated_model(seed=2, num=30, size=(40, 30), scale=-2.0)
     target = np.random.default_rng(6).uniform(size=(30, 40, 3))
     moments = TargetMoments.of(target)
     settings = RasterSettings()
+    fields = native_backend._MODEL
+    rng = np.random.default_rng(7)
+    operands = {"target": target}
+    if resident:
+        operands = {name: getattr(model, attr) for name, attr in fields.items()}
+        operands.update(
+            {f"into_{name}": rng.normal(size=arr.shape) for name, arr in operands.items()},
+            rows=np.arange(0, 30, 2),
+        )
 
     def run(op, o):
-        return op(cam, model, settings, o["y"], moments, 0.2, 4)[1]["positions"].copy()
+        if not resident:
+            return op(cam, model, settings, o["target"], moments, 0.2, 4)[1]["positions"].copy()
+        bad = dataclasses.replace(model)
+        for name, attr in fields.items():
+            setattr(bad, attr, o[name])  # assigned after validation
+        into = {attr: o[f"into_{name}"] for name, attr in fields.items()}
+        grads = op(cam, bad, settings, target, moments, 0.2, 4, rows=o["rows"], into=into)[1]
+        return np.concatenate([grads["positions"].ravel(), *(a.ravel() for a in into.values())])
 
-    return Case("photometric_loss", "view_train", {"y": target}, run)
+    return Case("view_train", "view_train", operands, run, {"n": 30})
 
 
 CASES = {
@@ -300,7 +320,8 @@ CASES = {
     "view_forward": lambda: model_case(False), "view_forward-served": lambda: model_case(True),
     "view_backward": view_backward_case, "assemble_rows": assemble_rows_case,
     "zero_rows": zero_rows_case, "adam_rows": adam_rows_case, "photometric_loss": loss_case,
-    "view_train": view_train_case, "SparseAdam.step_rows": sparse_adam_case,
+    "view_train": lambda: view_train_case(False),
+    "view_train-resident": lambda: view_train_case(True), "SparseAdam.step_rows": sparse_adam_case,
     "PackedSparseAdam.step_packed": packed_adam_case, "plan_batch": plan_batch_case,
 }
 def other_dtype(arr: np.ndarray) -> np.dtype:

@@ -33,8 +33,8 @@ from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render
-from repro.kernels import Workspace, get_backend, native_backend
-from repro.kernels.native_backend import NativeKernelBackend, NativeLibrary
+from repro.kernels import Workspace, get_backend, native_backend, registry
+from repro.kernels.native_backend import NativeLibrary
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 from bench_e2e.workloads import (  # noqa: E402  (the ruler's recipes, read only)
@@ -72,13 +72,14 @@ def recipes():
 
 
 def compose(monkeypatch) -> None:
-    """``native`` without ``train_step``: the engines compose the step
+    """``train_step`` handed to the reference: the engines compose the step
     (with the fused training view)."""
-    supports = NativeKernelBackend.supports
-    monkeypatch.setattr(
-        NativeKernelBackend, "supports",
-        lambda self, op: op != "train_step" and supports(self, op),
-    )
+    handed = registry.compile_with_fallback
+
+    def without_step(backend, op):
+        return handed(get_backend("numpy") if op == "train_step" else backend, op)
+
+    monkeypatch.setattr(registry, "compile_with_fallback", without_step)
 
 
 def densify(sess) -> None:
@@ -548,7 +549,11 @@ def test_a_capacity_check_after_the_first_store_write_is_caught(recipes, monkeyp
     check = "    if (short_of)\n        return STATUS_ARENA_SHORT;\n"
     write = "        g_log_scales, g_quats, critical_grads);\n"
     assert source.count(check) == 1 and source.count(write) == 1
-    source = source.replace(check, "").replace(write, write + check)
+    # The shortfall left in ``out`` by the view, reported by the step once
+    # it has added the gradients.
+    source = source.replace(check, "    out[OUT_STAGE] = short_of;\n").replace(
+        write, write + "    if (out[OUT_STAGE])\n        return STATUS_ARENA_SHORT;\n"
+    )
     lib = NativeLibrary(source).load()
     engine, plan, targets = working_sets(recipes)
     got = run_steps(engine, plan, targets, native_backend._bind_step(lib, "native"), Roomy())

@@ -2,7 +2,8 @@
 
 On ``native`` an engine runs each training view as the ``view_train`` op:
 ``view_project``, ``view_composite``, ``photometric_loss`` and
-``view_backward`` over the engine's :class:`~repro.kernels.Workspace`.  The
+``view_backward`` in one C call over the engine's
+:class:`~repro.kernels.Workspace`.  The
 composition — ``render``, the loss op, ``render_backward`` — is its
 reference, and runs the same C functions, so the two are ``array_equal``:
 the op on three views, and every engine trained both ways, pooled and not,
@@ -116,7 +117,7 @@ def test_a_second_live_lease_raises(scene):
     ws.release()
     # An operand the op refuses leaves no lease behind.
     bad = args[:3] + (targets[0][:-1],) + args[4:]
-    with pytest.raises(ValueError, match="native photometric_loss: y is"):
+    with pytest.raises(ValueError, match="native view_train: target is"):
         native_op()(*bad)
     assert not ws.leased
 
@@ -138,6 +139,60 @@ def test_l1_alone_is_the_op_over_the_same_moments(scene):
     assert abs(loss - ref_loss) <= 1e-12
     for name in NAMES:
         np.testing.assert_allclose(grads[name], ref[name], rtol=1e-10, atol=1e-10)
+
+
+def signed_zeros(model, seed):
+    """Full-size gradients to add into: values and ``-0.0`` entries mixed,
+    so a skipped add (``-0.0`` stays) differs from NumPy's ``+= 0.0``."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: np.where(rng.uniform(size=arr.shape) < 0.5, -0.0, rng.normal(size=arr.shape))
+        for name, arr in model.parameters().items()
+    }
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("rows", ["working set", "empty", "no survivors", "whole model"])
+def test_the_resident_step_is_the_gather_view_scatter_bit_for_bit(scene, rows, cache):
+    """``rows=`` read in place and ``into=`` added at those rows: the loss,
+    the per-view gradients and every full-size array are the composition's
+    bits — gather, the view, ``full[rows] += sub`` (``full += sub`` for the
+    whole model) — signs of zeros included."""
+    init, cameras, targets, away = scene
+    init = init.clone()  # higher SH degrees set: the backward reads them
+    init.sh[:, 1:] = np.random.default_rng(2).normal(scale=0.2, size=init.sh[:, 1:].shape)
+    view = away if rows == "no survivors" else 3
+    picked = {
+        "working set": np.arange(1, init.num_gaussians, 3),
+        "empty": np.arange(0),
+        "no survivors": np.arange(0, init.num_gaussians, 2),
+        "whole model": None,
+    }[rows]
+    settings = RasterSettings(cache_blend_state=cache, kernel_backend="native")
+    args = (cameras[view], init, settings, targets[view], TargetMoments.of(targets[view]), 0.2, 4)
+    into, want_into = signed_zeros(init, 1), signed_zeros(init, 1)
+    ws = Workspace()
+    loss, grads = native_op()(*args, ws, rows=picked, into=into)
+    gathered = init if picked is None else init.gather(picked)
+    want_loss, want = train_view(cameras[view], gathered, *args[2:])
+    for name, full in want_into.items():
+        if picked is None:
+            full += want[name]
+        else:
+            full[picked] += want[name]
+    assert loss == want_loss
+    for name in NAMES:
+        assert np.array_equal(grads[name], want[name]), name
+        assert np.array_equal(into[name], want_into[name]), name
+        assert np.array_equal(np.signbit(into[name]), np.signbit(want_into[name])), name
+    if rows in ("empty", "no survivors"):
+        assert not any(grads[name].any() for name in NAMES)
+    assert ws.leased
+    ws.release()
+    # The reference op is the same composition, on the same operands.
+    ref_into = signed_zeros(init, 1)
+    train_view(*args, None, picked, ref_into)
+    assert all(np.array_equal(ref_into[name], want_into[name]) for name in NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +280,53 @@ def test_the_lease_lasts_until_the_gradients_are_consumed(scene, name, monkeypat
     )
     assert leased == [True] * 4
     assert not ws.leased
+
+
+def train_twenty(scene, name, composed):
+    """20 batches of ``name`` on ``native``, densifying every five: the
+    per-view losses, every position gradient the densify hook saw, the
+    final parameters."""
+    init, cameras, targets, _ = scene
+    config = EngineConfig(batch_size=4, kernel_backend="native", seed=0)
+    engine = create_engine(name, init, cameras[:-1], config)
+    if composed:  # a renderer of its own: the engine composes each view
+        engine._render = functools.partial(render)
+    assert engine._own_renderer() is not composed
+    losses, seen = [], []
+
+    def hook(view_id, rows, position_grads):
+        seen.append((view_id, rows.copy(), position_grads.copy()))
+
+    views = len(cameras) - 1
+    for k in range(20):
+        batch = [(3 * k + i) % views for i in range(4)]
+        losses.append(engine.train_batch(batch, targets, hook).per_view_loss)
+        if k % 5 == 4:  # a densify: clone every fourth row, moved
+            model = engine.snapshot_model()
+            clones = model.gather(np.arange(0, model.num_gaussians, 4))
+            clones.positions += 1e-3
+            n = model.num_gaussians
+            engine.rebuild(
+                model.extend(clones),
+                np.concatenate([np.arange(n), -np.ones(clones.num_gaussians, int)]),
+            )
+    return losses, seen, engine.snapshot_model().parameters(), engine
+
+
+@pytest.mark.parametrize("name", ["naive", "enhanced", "baseline"])
+def test_twenty_resident_batches_train_to_the_compositions_bits(scene, name):
+    """Each microbatch one ``view_train`` call against the composition a
+    wrapped renderer pair forces: the same per-view losses, densify-hook
+    position gradients and parameters, bit for bit, over 20 batches and
+    four densifies."""
+    losses, seen, params, engine = train_twenty(scene, name, False)
+    want_losses, want_seen, want_params, composed = train_twenty(scene, name, True)
+    assert losses == want_losses
+    assert len(seen) == len(want_seen) == 80
+    for (view, rows, grads), (want_view, want_rows, want_grads) in zip(seen, want_seen):
+        assert view == want_view
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(grads, want_grads)
+    assert all(np.array_equal(params[k], want_params[k]) for k in NAMES)
+    assert engine._workspace.bindings > 0 and composed._workspace.bindings == 0
+    assert engine._rendered_on == composed._rendered_on == "native"
