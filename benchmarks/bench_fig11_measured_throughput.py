@@ -20,6 +20,9 @@ added in the full tier, which peaks near 2.5 GB of RAM) it records:
   its :class:`~repro.engines.base.PerfCounters` (median over the rounds),
   and the cull's share of the batch;
 - the first batch's ms per engine and the scene build seconds;
+- one ``clm`` ``evaluate`` over 16 views after the timed rounds, in ms
+  (each view's in-frustum rows from the maintained grid, rendered
+  forward-only);
 - the simulator's Figure 11 prediction for the same scene at the same N
   (:func:`repro.core.timed.run_timed` on ``TrainInputs.sim_scene``) and the
   measured-to-predicted ratio of the ``clm`` over ``naive`` speedup.
@@ -149,6 +152,9 @@ def _measure_size(ctx, spec, n, repeats):
         out[f"rest_ms_{name}"] = (batch_s - staged) * 1e3
         out[f"cull_share_{name}"] = out[f"cull_ms_{name}"] / out[f"batch_ms_{name}"]
     out["clm_over_naive"] = out["batch_ms_naive"] / out["batch_ms_clm"]
+    start = time.perf_counter()
+    engines["clm"].evaluate([cam.view_id for cam in scene.cameras[:16]], targets)
+    out["evaluate_ms_clm"] = (time.perf_counter() - start) * 1e3
     for engine in engines.values():
         close = getattr(engine, "close", None)
         if close is not None:
@@ -196,7 +202,7 @@ def compute(ctx, repeats: int = 5):
             n, out["batch_ms_clm"], out["batch_ms_naive"],
             out["batch_ms_enhanced"], out["clm_over_naive"],
             out["cull_ms_clm"], out["cull_share_clm"],
-            out["first_batch_ms_clm"], out["build_s"],
+            out["first_batch_ms_clm"], out["evaluate_ms_clm"], out["build_s"],
             out["sim_clm_over_naive"], out["measured_over_predicted"],
         ])
     ctx.emit(
@@ -204,7 +210,7 @@ def compute(ctx, repeats: int = 5):
         f"median of {repeats} interleaved rounds",
         format_table(
             ["N", "clm ms", "naive ms", "enhanced ms", "clm/naive",
-             "clm cull ms", "cull share", "first clm ms", "build s",
+             "clm cull ms", "cull share", "first clm ms", "clm eval16 ms", "build s",
              "sim clm/naive", "measured/sim"],
             rows, floatfmt="{:.2f}",
         ),

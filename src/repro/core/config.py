@@ -51,9 +51,9 @@ class EngineConfig:
 
     ``renderer`` / ``renderer_backward`` select the rendering backend
     (paper §8: CLM is backend-agnostic).  ``None`` means the full tile
-    rasterizer; any pair with the same ``(camera, model, settings) ->
-    result`` / ``(result, model, dL_dimage) -> grads`` contract works —
-    see :mod:`repro.gaussians.point_renderer` for an alternative.
+    rasterizer; any pair with the ``(camera, model, settings) -> result``
+    (``.image``, ``.num_rendered``) / ``(result, model, dL_dimage) ->
+    grads`` contract works — see :mod:`repro.gaussians.point_renderer`.
 
     ``kernel_backend`` selects the compiled kernel backend executing the
     raster/Adam hot loops (:mod:`repro.kernels`): ``"auto"`` (default)

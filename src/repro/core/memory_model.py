@@ -124,18 +124,18 @@ ACT_PER_PIXEL = 240
 #: numbers and ``gpu_peak_bytes`` do not change with it.
 
 #: Serving note: forward-only render serving (:mod:`repro.serving`) sits
-#: entirely outside the training budgets above.  The serving path forces
-#: ``cache_blend_state=False`` (``EngineBase.serving_raster_settings``) so
-#: no per-tile blending state is retained, and it never materializes
-#: gradient buffers, Adam moments, or the CLM double buffers — a served
-#: model costs one read-only parameter copy plus the per-request
-#: activations of the (frustum ∩ LOD) working set.  With the library
-#: renderer those activations live in the session's workspace arenas: the
-#: working set is read through its rows, not copied, and the arenas grow to
-#: the largest request seen (~510 bytes an input row of projection scratch
-#: and work, 52 doubles a survivor, the image) and stay.
-#: They are host bytes outside the simulated pool, like a training
-#: engine's workspace.
+#: entirely outside the training budgets above.  Every forward-only render
+#: (also ``evaluate``, ``render_view``) forces ``cache_blend_state=False``
+#: (``rasterizer.forward_only_settings``) so no per-tile blending state is
+#: retained, and it never materializes gradient buffers, Adam moments, or
+#: the CLM double buffers — a served model costs one read-only parameter
+#: copy plus the per-request activations of the (frustum ∩ LOD) working
+#: set.  With the library renderer those activations live in the session's
+#: (or engine's) workspace arenas: the working set is read through its
+#: rows, not copied, and the arenas grow to the largest request seen (~510
+#: bytes an input row of projection scratch and work, 52 doubles a
+#: survivor, the image) and stay.  They are host bytes outside the
+#: simulated pool, like a training engine's workspace.
 
 #: Sharding note: the ``clm_sharded`` engine (:mod:`repro.sharding`)
 #: divides the budgets above by owned rows, not evenly.  Each of the K

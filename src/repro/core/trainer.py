@@ -26,7 +26,6 @@ from repro.gaussians.densify import (
     DensifyConfig,
     densify_and_prune,
 )
-from repro.gaussians.loss import psnr
 from repro.gaussians.model import GaussianModel
 from repro.optim.schedule import ExponentialDecay, ShWarmup
 from repro.scenes.images import TrainableScene
@@ -132,14 +131,9 @@ class Trainer:
         return [int(self._pool.pop()) for _ in range(self.config.batch_size)]
 
     def evaluate(self) -> float:
-        """Mean PSNR over the training views (the Figure 9 metric)."""
-        model = self.engine.snapshot_model()
-        renderer, _ = self.engine_config.resolve_renderer()
-        values = []
-        for cam in self.scene.cameras:
-            img = renderer(cam, model, self.engine_config.raster).image
-            values.append(psnr(img, self.targets[cam.view_id]))
-        return float(np.mean(values))
+        """Mean PSNR over the training views (the Figure 9 metric): the
+        engine's ``evaluate``, on its renderer, settings and backend."""
+        return self.engine.evaluate([c.view_id for c in self.scene.cameras], self.targets)
 
     # ------------------------------------------------------------------
     def _apply_schedules(self, step: int) -> None:

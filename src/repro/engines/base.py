@@ -16,7 +16,11 @@ Three pieces live here:
   (§5.1), the microbatch loop of the engines whose model is resident — one
   C step a microbatch on ``native``, which reads the working set in place
   and adds its gradients into the full-size ones, as CLM's ``train_step``
-  is one C step a microbatch — and the batch-end sparse-Adam finalization.
+  is one C step a microbatch — the batch-end sparse-Adam finalization, and
+  the forward-only renders (``evaluate``, ``render_view``): each view's
+  in-frustum rows from the maintained culling grid, rendered through the
+  binding a served request renders through
+  (:func:`repro.gaussians.render.bind_forward`).
   Concrete engines shrink to their actual policy differences: their plan,
   what they transfer, and where Adam runs.
 """
@@ -36,7 +40,8 @@ from repro.core.culling_index import CullingIndex
 from repro.gaussians.camera import Camera
 from repro.gaussians.loss import TargetMoments, psnr
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.render import render, render_backward, train_view
+from repro.gaussians.rasterizer import forward_only_settings
+from repro.gaussians.render import bind_forward, render, render_backward, train_view
 from repro.hardware.memory import MemoryPool
 from repro.kernels.registry import REFERENCE_BACKEND, OpDispatch
 from repro.kernels.workspace import Workspace
@@ -263,7 +268,8 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def render_view(self, view_id: int):
-        """Render one view; returns the renderer result (``.image``)."""
+        """Render one view forward-only; returns what a served request
+        does (``.image``, ``.num_rendered``)."""
 
     @abc.abstractmethod
     def snapshot_model(self) -> GaussianModel:
@@ -286,7 +292,8 @@ class EngineBase(Engine):
     :meth:`snapshot_model` and :meth:`rebuild`.  The public
     :meth:`train_batch` wraps :meth:`_train_batch` with wall-clock timing
     and the cumulative :class:`PerfCounters`.  ``evaluate`` and
-    ``render_view`` have snapshot-based defaults; CLM overrides
+    ``render_view`` render each view's rows of :meth:`_eval_model` that
+    :meth:`cull_views` finds, through :meth:`_forward_rows`; CLM overrides
     ``render_view`` with its offloaded working-set path.
     """
 
@@ -335,6 +342,8 @@ class EngineBase(Engine):
         #: The host arenas ``view_train`` runs this engine's views in, and
         #: the lease on the gradients it returns (see :meth:`_accumulate_planned`).
         self._workspace = Workspace()
+        #: The arenas its forward-only renders run in (see :meth:`_forward_rows`).
+        self._forward_workspace = Workspace()
         # Per-batch cull/renderer/optimizer timing accumulators, reset by
         # train_batch.
         self._step_cull_s = 0.0
@@ -601,60 +610,37 @@ class EngineBase(Engine):
         self._culling.moved(touched)
         return touched
 
-    # -- forward-only (serving/inference) path --------------------------
-    @property
-    def serving_raster_settings(self):
-        """Raster settings for forward-only renders (the serving layer).
-
-        Identical imaging math to :attr:`raster_settings`, but the
-        blend-state cache is never retained: serving runs no backward
-        pass, so keeping forward blending state would hold activation
-        bytes nothing ever reads (see the serving note in
-        :mod:`repro.core.memory_model`).
-        """
-        settings = self.raster_settings
-        if settings.cache_blend_state:
-            settings = dc_replace(settings, cache_blend_state=False)
-        return settings
-
-    def render_forward(self, camera: Camera, model_like):
-        """Forward-only render through the engine's resolved renderer.
-
-        The shared entry point of :mod:`repro.serving`: same renderer and
-        settings resolution as the training-time forward of
-        :meth:`_train_view`, so serving images are bit-identical to
-        training-batch renders of the same working set — pinned by
-        ``tests/serving/test_forward_parity.py``.
-        """
-        return self._render(camera, model_like, self.serving_raster_settings)
-
-    # -- default evaluation / inference --------------------------------
+    # -- forward-only renders (evaluation, inference) -------------------
     def _eval_model(self) -> GaussianModel:
-        """Read-only model used by the default ``evaluate``/``render_view``.
-
-        Defaults to a snapshot; engines whose full model is already
-        resident override this to avoid copying N Gaussians per call.
-        """
+        """Read-only model the forward-only renders read: a snapshot, which
+        engines whose full model is resident override to avoid a copy."""
         return self.snapshot_model()
+
+    def _forward_rows(self, model: GaussianModel):
+        """:func:`~repro.gaussians.render.bind_forward` of ``model`` with this
+        engine's renderer, its :attr:`raster_settings` made forward-only
+        (the same images, no blend state) and :attr:`_forward_workspace`."""
+        return bind_forward(
+            model, forward_only_settings(self.raster_settings), self._forward_workspace,
+            None if self._render is render else self._render,
+        )
 
     def evaluate(
         self, view_ids: Sequence[int], targets: Dict[int, np.ndarray]
     ) -> float:
-        model = self._eval_model()
-        # Forward-only: no blend state is formed or retained for a backward
-        # pass that never runs (images are those of ``raster_settings``).
-        settings = self.serving_raster_settings
+        """Mean PSNR over ``view_ids``: each view's in-frustum rows of one
+        :meth:`_eval_model`, from one :meth:`cull_views` query of the
+        maintained grid — the full model's images, bit for bit."""
+        view_ids = list(view_ids)
+        if not view_ids:
+            return 0.0
+        render_rows = self._forward_rows(self._eval_model())
         values = [
-            psnr(
-                self._render(self.cameras[vid], model, settings).image,
-                targets[vid],
-            )
-            for vid in view_ids
+            psnr(render_rows(self.cameras[vid], rows).image, targets[vid])
+            for vid, rows in zip(view_ids, self.cull_views(view_ids))
         ]
-        return float(np.mean(values)) if values else 0.0
+        return float(np.mean(values))
 
     def render_view(self, view_id: int):
-        # Forward-only, like ``evaluate``: no blend records are kept.
-        return self._render(
-            self.cameras[view_id], self._eval_model(), self.serving_raster_settings
-        )
+        (rows,) = self.cull_views([view_id])
+        return self._forward_rows(self._eval_model())(self.cameras[view_id], rows)

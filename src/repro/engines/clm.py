@@ -429,7 +429,8 @@ class CLMEngine(EngineBase):
         The paper's abstract claim ("render a large scene that requires 102
         million Gaussians on a single RTX 4090") is exactly this path —
         GPU memory holds critical attributes plus one view's non-critical
-        slice, never the full model.
+        slice, never the full model.  The pool-accounted working set is
+        rendered whole through the forward-only binding.
         """
         # Ordering is meaningless for one view; identity keeps the plan
         # cacheable (the 'random' strategy is cache-exempt) and draws
@@ -439,10 +440,7 @@ class CLMEngine(EngineBase):
         working = self._new_working_set()
         try:
             model_i = working.assemble(step.working_set, step.loads, step.cached)
-            # Forward-only: no blend records are kept for a backward pass.
-            return self._render(
-                self.cameras[view_id], model_i, self.serving_raster_settings
-            )
+            return self._forward_rows(model_i)(self.cameras[view_id], None)
         finally:
             working.release()
 

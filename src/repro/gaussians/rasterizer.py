@@ -92,6 +92,7 @@ win for compute and activation memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -188,6 +189,16 @@ class RasterSettings:
     active_sh_degree: Optional[int] = None
     cache_blend_state: bool = True
     kernel_backend: Optional[str] = None
+
+
+def forward_only_settings(settings: RasterSettings) -> RasterSettings:
+    """``settings`` for a render no backward pass follows — an evaluation,
+    an inference view, a served request: the same images, with the
+    blend-state cache forced off, so no blending state is retained (the
+    :mod:`repro.core.memory_model` serving note)."""
+    if settings.cache_blend_state:
+        settings = dc_replace(settings, cache_blend_state=False)
+    return settings
 
 
 @dataclass

@@ -18,13 +18,16 @@ footprint (what the CLM memory model accounts against ``|S_i|``).
 :func:`train_view` is a training view as the three calls — ``render``, the
 photometric loss, ``render_backward`` — the reference of the ``view_train``
 kernel op, which ``native`` runs as one bound call instead.
+:func:`bind_forward` is every forward-only render — an engine's
+``evaluate`` and ``render_view``, a served request — as one
+``render_rows(camera, rows)``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -62,6 +65,15 @@ class RenderResult:
         """Saved-state footprint of this render (projected arrays, CSR
         tile keys, and the blend state when retained)."""
         return self.ctx.activation_bytes()
+
+
+@dataclass(frozen=True)
+class ServedImage:
+    """A forward-only render: the image (a copy the caller owns) and how
+    many of the rendered rows survived preprocessing."""
+
+    image: np.ndarray
+    num_rendered: int
 
 
 def render(
@@ -141,3 +153,33 @@ def train_view(
     for name, full in (into or {}).items():
         full[at] += grads[name]
     return loss, grads
+
+
+def bind_forward(
+    model: GaussianModel,
+    settings: RasterSettings,
+    workspace,
+    renderer: Optional[Callable] = None,
+) -> Callable[[Camera, Optional[np.ndarray]], ServedImage]:
+    """``render_rows(camera, rows) -> ServedImage``: renders of ``model``'s
+    rows ``rows`` (None: every row) on forward-only ``settings``
+    (:func:`~repro.gaussians.rasterizer.forward_only_settings`) — the
+    ``view_forward`` op of their backend, resolved here once, over
+    ``workspace`` (``native`` reads the rows in place into its arenas and
+    binds ``model`` once), or a custom ``renderer(camera, model_like,
+    settings)`` over ``model.gather(rows)``."""
+    if renderer is not None:
+
+        def render_rows(camera, rows):
+            result = renderer(camera, model if rows is None else model.gather(rows), settings)
+            return ServedImage(result.image, result.num_rendered)
+
+        return render_rows
+    from repro.kernels import compile_with_fallback, resolve_backend
+
+    op, _ = compile_with_fallback(resolve_backend(settings.kernel_backend), "view_forward")
+
+    def render_rows(camera, rows):
+        return ServedImage(*op(camera, model, settings, rows, workspace))
+
+    return render_rows

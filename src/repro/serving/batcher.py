@@ -12,15 +12,16 @@ culling-set algebra and ordering entirely.
 
 Execution is forward-only: each step renders its working set through one
 callable, ``render_rows(camera, rows)``, that the session fixes when it is
-built (:class:`~repro.serving.session.ServingSession`) — blend-state
-retention off, no gradient buffers (see :mod:`repro.core.memory_model`).
-With the library's renderer it is the ``view_forward`` kernel op reading
-the served model through the rows, into the session's workspace arenas,
-and it returns a :class:`ServedImage`: the image is the caller's own copy,
-while every other block stays in the arenas, valid until the next render.
-With a custom renderer (the :class:`EngineBase
-<repro.engines.base.EngineBase>` forward contract, ``fn(camera, model_like)
--> RenderResult``) it is that function over ``model.gather(rows)``.
+built (:class:`~repro.serving.session.ServingSession`) — the binding every
+forward-only render goes through (:func:`repro.gaussians.render.bind_forward`,
+an engine's ``evaluate`` and ``render_view`` too): blend-state retention
+off, no gradient buffers (see :mod:`repro.core.memory_model`).  With the
+library's renderer it is the ``view_forward`` kernel op reading the served
+model through the rows, into the session's workspace arenas; with a custom
+``fn(camera, model_like) -> RenderResult`` it is that function over
+``model.gather(rows)``.  Either returns a
+:class:`~repro.gaussians.render.ServedImage` (``.image``, the caller's own,
+and ``.num_rendered``).
 """
 
 from __future__ import annotations
@@ -42,21 +43,11 @@ from repro.serving.resilience import (
     ResilienceConfig,
 )
 
-#: The forward-render contract shared with ``EngineBase``.
+#: A custom forward render: ``fn(camera, model_like) -> RenderResult``.
 ForwardRenderFn = Callable[[Camera, object], object]
 #: How a batcher renders a step: ``fn(camera, rows)`` over the working set's
-#: rows of the served model, to a result with ``.image`` and
-#: ``.num_rendered``.
+#: rows of the served model, to a ``ServedImage``.
 RowsRenderFn = Callable[[Camera, np.ndarray], object]
-
-
-@dataclass(frozen=True)
-class ServedImage:
-    """A served render: the image (a copy the caller owns) and how many of
-    the working set's rows survived preprocessing."""
-
-    image: np.ndarray
-    num_rendered: int
 
 
 @dataclass

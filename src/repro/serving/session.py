@@ -16,15 +16,16 @@ a whole arrival stream through the loop and returns a
     print(report.p99_ms, report.plan_cache_hit_rate)
 
 One render path: the batcher renders every step through one
-``render_rows(camera, rows)`` fixed when the session is built.  With the
+``render_rows(camera, rows)`` fixed when the session is built — the
+forward-only binding an engine's ``evaluate`` and ``render_view`` render
+through too (:func:`repro.gaussians.render.bind_forward`).  With the
 library's renderer (a standalone session, or :meth:`ServingSession.from_engine`
 over an engine that renders with it) that is the ``view_forward`` kernel op
 over the session's :class:`~repro.kernels.workspace.Workspace`: the served
 model is read through the working set's rows — no gathered copy — into
 grow-only arenas, valid until the next render, and the image handed back is
-a copy (a :class:`~repro.serving.batcher.ServedImage`).  A custom
-``render_fn(camera, model_like)`` is wrapped once as ``render_fn(camera,
-model.gather(rows))``.
+a copy (a :class:`~repro.gaussians.render.ServedImage`).  A custom
+``render_fn(camera, model_like)`` renders ``model.gather(rows)``.
 
 Time model: arrivals live on a *virtual* clock (the stream's seeded
 arrival process); service advances that clock by the **measured** wall
@@ -37,24 +38,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from dataclasses import replace as dc_replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.rasterizer import RasterSettings
-from repro.gaussians.render import render
+from repro.gaussians.rasterizer import RasterSettings, forward_only_settings
+from repro.gaussians.render import bind_forward, render
 from repro.gaussians.spatial import CullingGrid
-from repro.kernels import compile_with_fallback, resolve_backend
 from repro.kernels.workspace import Workspace
 from repro.planning.planner import BatchPlanner
-from repro.serving.batcher import (
-    ForwardRenderFn,
-    RowsRenderFn,
-    ServedImage,
-    ServingBatcher,
-)
+from repro.serving.batcher import ForwardRenderFn, ServingBatcher
 from repro.serving.lod import LodConfig, LodSelector
 from repro.serving.metrics import (
     STATUS_EXPIRED,
@@ -98,15 +92,6 @@ class ServingConfig:
     fault_injector: Optional[RenderFaultInjector] = None
 
 
-def forward_only_settings(settings: RasterSettings) -> RasterSettings:
-    """Serving renders never run a backward pass, so the blend-state cache
-    is forced off — no retained blending state, no gradient buffers (the
-    :mod:`repro.core.memory_model` serving note)."""
-    if settings.cache_blend_state:
-        settings = dc_replace(settings, cache_blend_state=False)
-    return settings
-
-
 class ServingSession:
     """Serve concurrent render-request streams against one static model."""
 
@@ -123,15 +108,15 @@ class ServingSession:
         self.config = config or ServingConfig()
         #: The arenas every served render runs in (the library renderer's).
         self.workspace = Workspace()
-        if render_fn is None:
-            # The library renderer with forward-only settings, reading the
-            # served model through the rows.
-            render_rows = self._bind_rows(forward_only_settings(settings or RasterSettings()))
-        else:
+        renderer = None
+        if render_fn is not None:
 
-            def render_rows(camera, rows):
-                return render_fn(camera, model.gather(rows))
+            def renderer(camera, model_like, _settings):
+                return render_fn(camera, model_like)
 
+        render_rows = bind_forward(
+            model, forward_only_settings(settings or RasterSettings()), self.workspace, renderer
+        )
         self.grid = CullingGrid(
             model.positions,
             model.log_scales,
@@ -160,17 +145,6 @@ class ServingSession:
             fault_injector=self.config.fault_injector,
         )
 
-    def _bind_rows(self, settings: RasterSettings) -> RowsRenderFn:
-        """``render_rows`` over the ``view_forward`` op, resolved once for
-        the served model's layout on ``settings``' kernel backend."""
-        op, _ = compile_with_fallback(resolve_backend(settings.kernel_backend), "view_forward")
-        model, workspace = self.model, self.workspace
-
-        def render_rows(camera, rows):
-            return ServedImage(*op(camera, model, settings, rows, workspace))
-
-        return render_rows
-
     @classmethod
     def from_engine(
         cls, engine, config: Optional[ServingConfig] = None
@@ -178,21 +152,21 @@ class ServingSession:
         """Serve an engine's model through its own forward path.
 
         The model is snapshotted once (serving is read-only; training may
-        resume afterwards) and rendered with the engine's forward-only
-        settings (:attr:`~repro.engines.base.EngineBase.serving_raster_settings`),
-        so serving and training share one renderer resolution and one
-        forward-only settings rule — and one frustum arbiter: the grid
-        culls on the kernel backend those settings render on.  An engine
-        that renders with the library's ``render`` is served by the bound
-        op, as a standalone session is; one with a custom renderer through
-        :meth:`~repro.engines.base.EngineBase.render_forward` over the
-        gathered working set.
+        resume afterwards) and rendered with the engine's raster settings
+        made forward-only (:func:`forward_only_settings`, the one rule),
+        so serving and training share one renderer resolution — and one
+        frustum arbiter: the grid culls on the kernel backend those
+        settings render on.  An engine that renders with the library's
+        ``render`` is served by the bound op, as a standalone session is;
+        one with a custom renderer by that renderer over the gathered
+        working set.
         """
-        own = getattr(engine, "_render", None) is render
+        settings, renderer = forward_only_settings(engine.raster_settings), engine._render
+        if renderer is render:
+            return cls(engine.snapshot_model(), config, settings=settings)
         return cls(
-            engine.snapshot_model(), config,
-            render_fn=None if own else engine.render_forward,
-            settings=engine.serving_raster_settings,
+            engine.snapshot_model(), config, settings=settings,
+            render_fn=lambda camera, model_like: renderer(camera, model_like, settings),
         )
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.memory_model import MODEL_STATE_FULL_BPG
 from repro.engines import CLMEngine
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.render import render
+from test_view_floor import BACKENDS, record_forward
 
 
 @pytest.fixture()
@@ -19,24 +20,36 @@ def setup(trainable_scene):
     return trainable_scene, init
 
 
-def test_render_view_matches_full_model_render(setup):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_render_view_matches_full_model_render(setup, backend, monkeypatch):
+    """Each view is one bound ``view_forward`` of the working set CLM
+    assembled (every row of it) in the engine's forward workspace, with the
+    full model's image, bit for bit."""
     scene, init = setup
-    engine = CLMEngine(init, scene.cameras, EngineConfig(batch_size=4))
+    engine = CLMEngine(init, scene.cameras, EngineConfig(batch_size=4, kernel_backend=backend))
+    calls = record_forward(monkeypatch)
     for cam in scene.cameras[:3]:
-        offloaded = engine.render_view(cam.view_id).image
-        direct = render(cam, init, engine.config.raster).image
-        np.testing.assert_allclose(offloaded, direct, atol=1e-12)
+        offloaded = engine.render_view(cam.view_id)
+        [(used, _, model, settings, rows, workspace, _)] = calls
+        assert used == backend and rows is None and workspace is engine._forward_workspace
+        assert not settings.cache_blend_state
+        assert model.num_gaussians == engine._culling.set_for(cam.view_id).size
+        direct = render(cam, init, engine.raster_settings)
+        assert np.array_equal(offloaded.image, direct.image)
+        assert offloaded.num_rendered == direct.num_rendered
+        del calls[:]
 
 
-def test_render_view_after_training(setup):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_render_view_after_training(setup, backend):
     scene, init = setup
     targets = {c.view_id: img for c, img in zip(scene.cameras, scene.images)}
-    engine = CLMEngine(init, scene.cameras, EngineConfig(batch_size=4))
+    engine = CLMEngine(init, scene.cameras, EngineConfig(batch_size=4, kernel_backend=backend))
     engine.train_batch([0, 1, 2, 3], targets)
     snapshot = engine.snapshot_model()
     offloaded = engine.render_view(0).image
-    direct = render(scene.cameras[0], snapshot, engine.config.raster).image
-    np.testing.assert_allclose(offloaded, direct, atol=1e-12)
+    direct = render(scene.cameras[0], snapshot, engine.raster_settings).image
+    assert np.array_equal(offloaded, direct)
 
 
 def test_render_view_fits_under_tight_budget(setup):

@@ -8,7 +8,9 @@ across batches and refit to the rows each Adam step reported
 batch — for every engine family and both kernel backends, through the
 events that replace or move rows without an Adam step: a densify/prune
 ``rebuild``, a checkpoint restore, a fail-stop recovery, a
-``remove_device`` and a camera field assignment.
+``remove_device`` and a camera field assignment.  An ``evaluate`` culls
+through the same grid, so an evaluation after every batch must train to
+the same bits as none.
 
 The renderer is a stand-in (``EngineConfig.renderer``): the index does not
 look at images, and a pseudo-random gradient per row with a large learning
@@ -43,7 +45,9 @@ BACKENDS = ("numpy", "native")
 
 
 def stand_in_render(camera, model, settings):
-    return SimpleNamespace(image=np.zeros((camera.height, camera.width, 3)))
+    return SimpleNamespace(
+        image=np.zeros((camera.height, camera.width, 3)), num_rendered=model.num_gaussians
+    )
 
 
 def stand_in_backward(result, model, dL_dimage):
@@ -256,3 +260,40 @@ def test_dense_regime_sets_equal_a_fresh_cull_every_batch(backend, grid_events):
     assert len(calls) >= 30
     assert grid_events["refits"] >= 20
     assert_built_only_when_due(grid_events)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "engine", ["clm", "naive", "enhanced", "baseline", "clm_sharded"]
+)
+def test_an_evaluate_between_batches_leaves_training_unchanged(engine, backend, city):
+    """``evaluate`` culls through the maintained grid, refitting it to the
+    rows the last Adam step moved: an evaluation after every batch trains
+    to the same bits as none, through a densify/prune ``rebuild``."""
+    scene, initial = city
+    runs = []
+    for eval_every in (1, 0):
+        # The library renderer: ``evaluate`` renders through the bound op.
+        cfg = config(backend, **({"num_devices": 2} if engine == "clm_sharded" else {}))
+        cfg.renderer = cfg.renderer_backward = None
+        session = TrainingSession(
+            scene,
+            engine=engine,
+            config=cfg,
+            trainer_config=TrainerConfig(
+                batch_size=4, eval_every=eval_every, densify_every=10,
+                densify_start=10, densify_stop=10, seed=1,
+            ),
+            densify_config=DensifyConfig(
+                grad_threshold=0.0, max_gaussians=initial.num_gaussians + 64
+            ),
+            initial_model=initial,
+        )
+        session.train(20)
+        runs.append((session.metrics, session.snapshot_model().parameters()))
+    (evaluated, params), (plain, want) = runs
+    assert evaluated.eval_batches == list(range(1, 21)) and plain.eval_batches == [20]
+    assert evaluated.gaussian_counts[-1] != initial.num_gaussians  # densified
+    assert evaluated.losses == plain.losses
+    assert evaluated.psnrs[-1] == plain.psnrs[-1]
+    assert all(np.array_equal(params[name], want[name]) for name in want)

@@ -1,5 +1,7 @@
 """TrainingSession facade: train/evaluate/checkpoint/metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import repro
 from repro.core.config import EngineConfig
 from repro.core.trainer import TrainerConfig
 from repro.engines import BatchResult, TrainingSession, UnknownEngineError
+from test_view_floor import record_forward
 
 
 def make_session(scene, engine="clm", **kwargs):
@@ -92,6 +95,38 @@ def test_session_evaluate_and_render(trainable_scene):
     image = sess.render_view(0).image
     assert np.isfinite(image).all()
     assert sess.snapshot_model().num_gaussians == sess.num_gaussians
+
+
+@pytest.mark.parametrize("capacity", [None, 1e12], ids=["unpooled", "pooled"])
+def test_session_evaluate_is_the_engines_evaluate(trainable_scene, capacity, monkeypatch):
+    """``TrainingSession.evaluate()`` renders on the engine's backend and
+    forward-only settings — a ``numpy`` engine makes no ``native`` call and
+    keeps no blend state, pooled or not — and scores what
+    ``engine.evaluate`` over every view does."""
+    from repro.kernels import get_backend, native_backend
+
+    sess = repro.session(
+        trainable_scene, engine="clm",
+        config=EngineConfig(
+            batch_size=4, seed=0, kernel_backend="numpy", gpu_capacity_bytes=capacity
+        ),
+        trainer_config=TrainerConfig(batch_size=4, seed=0),
+    )
+    sess.train(batches=2)
+    native = {}
+    if get_backend("native").available():
+        lib = get_backend("native").library().load()
+        for entry in native_backend._OPERANDS:
+            native[entry] = mock.Mock(wraps=getattr(lib, entry))
+            monkeypatch.setattr(lib, entry, native[entry])
+    calls = record_forward(monkeypatch)
+    value = sess.evaluate()
+    assert not [entry for entry, spy in native.items() if spy.called]
+    assert len(calls) == len(trainable_scene.cameras)
+    assert all(used == "numpy" and not settings.cache_blend_state
+               for used, _, _, settings, *_ in calls)
+    views = [c.view_id for c in trainable_scene.cameras]
+    assert value == sess.engine.evaluate(views, sess.targets())
 
 
 def test_session_checkpoint_roundtrip(tmp_path, trainable_scene):

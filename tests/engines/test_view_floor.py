@@ -17,11 +17,12 @@ import pytest
 import scipy.ndimage
 
 from repro.core.config import EngineConfig
-from repro.engines import available_engines, create_engine
+from repro.engines import CLMEngine, available_engines, create_engine
 from repro.engines import base as engine_base
 from repro.gaussians import frustum, loss, quaternion, rasterizer
 from repro.gaussians.loss import TargetMoments
 from repro.gaussians.model import GaussianModel
+from repro.gaussians.render import render
 from repro.kernels import get_backend
 from repro import kernels
 from repro.kernels import numpy_backend, registry
@@ -235,70 +236,113 @@ def test_l1_only_training_runs_the_loss_over_the_kept_moments(setup):
     assert sorted(engine._moments) == sorted(BATCH)
 
 
+BACKENDS = [
+    "numpy",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not get_backend("native").available(), reason="no C compiler here"
+        ),
+    ),
+]
+
+
+def record_forward(monkeypatch, fail=None):
+    """Record every ``view_forward`` call of an op resolved from now on —
+    ``(backend, camera, model, settings, rows, workspace, result)`` — or
+    call ``fail()`` instead of the op, when given."""
+    calls, compile_op = [], registry.KernelBackend.compile
+
+    def compiling(backend, op):
+        fn = compile_op(backend, op)
+        if op != "view_forward":
+            return fn
+
+        def recorded(camera, model, settings, rows=None, workspace=None):
+            if fail is not None:
+                return fail()
+            out = fn(camera, model, settings, rows, workspace)
+            calls.append((backend.name, camera, model, settings, rows, workspace, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(registry.KernelBackend, "compile", compiling)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", available_engines())
-def test_evaluate_renders_forward_only(name, setup):
-    """Evaluation retains no blend state, and scores the same images."""
+def test_evaluate_renders_forward_only(name, backend, setup, monkeypatch):
+    """Evaluation is one cull of the maintained grid and one bound
+    ``view_forward`` a view over the engine's forward workspace — each
+    view's in-frustum rows, no blend state kept — and scores the full
+    model's images, bit for bit."""
     _, _, targets = setup
-    engine = build(name, setup)
-    seen = []
-    render = engine._render
-
-    def recording(camera, model, settings):
-        result = render(camera, model, settings)
-        seen.append((settings.cache_blend_state, result.ctx.blend_cache))
-        return result
-
-    engine._render = recording
+    engine = build(name, setup, kernel_backend=backend)
+    engine.train_batch(BATCH, targets)
+    engine.evaluate(BATCH, targets)  # warm-up: the grid's output buffers grow
+    engine.train_batch(BATCH, targets)
+    calls = record_forward(monkeypatch)
+    grid_culls = view_projects = None
+    if backend == "native":
+        lib = get_backend("native").library().load()
+        grid_culls = spy_on(monkeypatch, lib, "grid_cull")
+        view_projects = spy_on(monkeypatch, lib, "view_project")
     value = engine.evaluate(BATCH, targets)
-    assert seen and all(s == (False, None) for s in seen)
-    engine._render = render
+    calls = list(calls)  # the renders below are recorded too
+    if grid_culls is not None:
+        # One C query of the refit grid for the k views, k renders in the
+        # arenas and no per-call render.
+        assert grid_culls.call_count == 1
+        assert view_projects.call_count == len(BATCH)
+    assert len(calls) == len(BATCH)
     model = engine.snapshot_model()
-    want = np.mean([
-        -10.0 * np.log10(np.mean(
-            (render(engine.cameras[v], model, engine.raster_settings).image
-             - targets[v]) ** 2
-        ))
-        for v in BATCH
-    ])
+    want = []
+    for vid, (used, camera, _, settings, rows, workspace, out) in zip(BATCH, calls):
+        assert used == backend and camera is engine.cameras[vid]
+        assert workspace is engine._forward_workspace
+        assert not settings.cache_blend_state
+        assert np.array_equal(rows, engine._culling.set_for(vid))
+        want.append(render(camera, model, engine.raster_settings).image)
+        assert np.array_equal(out[0], want[-1])
     assert engine.raster_settings.cache_blend_state
-    assert value == pytest.approx(want, rel=1e-12)
+    assert value == np.mean([loss.psnr(image, targets[v]) for v, image in zip(BATCH, want)])
+    assert not engine._forward_workspace.leased
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", available_engines())
-def test_render_view_renders_forward_only(name, setup):
-    """``render_view`` keeps no blend state — on ``native`` its context holds
-    no blend-record blocks — and renders the training settings' image."""
-    engine = build(name, setup)
-    seen = []
-    render = engine._render
-
-    def recording(camera, model, settings):
-        result = render(camera, model, settings)
-        seen.append((model, settings.cache_blend_state, result))
-        return result
-
-    engine._render = recording
-    image = engine.render_view(BATCH[0]).image
-    [(model, cached, result)] = seen
-    assert not cached and result.ctx.blend_cache is None
-    if result.ctx.kernel_backend == "native":
-        assert len(result.ctx.blocks) == 4  # projection, fields, ints, clamp
-    assert engine.raster_settings.cache_blend_state
-    want = render(engine.cameras[BATCH[0]], model, engine.raster_settings).image
-    assert np.array_equal(image, want)
+def test_render_view_renders_forward_only(name, backend, setup, monkeypatch):
+    """``render_view`` is one bound ``view_forward`` over the engine's
+    forward workspace, keeping no blend state, and returns what a served
+    request does: the full model's image, bit for bit, and the survivors."""
+    _, _, targets = setup
+    engine = build(name, setup, kernel_backend=backend)
+    engine.train_batch(BATCH, targets)
+    calls = record_forward(monkeypatch)
+    served = engine.render_view(BATCH[0])
+    [(used, camera, _, settings, rows, workspace, _)] = calls
+    assert used == backend and workspace is engine._forward_workspace
+    assert not settings.cache_blend_state and engine.raster_settings.cache_blend_state
+    # CLM renders the working set it assembled; the others their rows.
+    assert (rows is None) == isinstance(engine, CLMEngine)
+    want = render(camera, engine.snapshot_model(), engine.raster_settings)
+    assert np.array_equal(served.image, want.image)
+    assert served.num_rendered == want.num_rendered
 
 
-def test_a_render_view_that_raises_leaves_the_pool_as_it_was(setup):
+def test_a_render_view_that_raises_leaves_the_pool_as_it_was(setup, monkeypatch):
     _, _, targets = setup
     engine = build("clm", setup, gpu_capacity_bytes=1e12)
     engine.train_batch(BATCH, targets)
     used = engine.pool.used
 
-    def failing(camera, model, settings):
+    def failing():
         assert engine.pool.used > used  # the working set is accounted
         raise RuntimeError("render failed")
 
-    engine._render = failing
+    record_forward(monkeypatch, fail=failing)
     with pytest.raises(RuntimeError, match="render failed"):
         engine.render_view(BATCH[0])
     assert engine.pool.used == used

@@ -1,6 +1,10 @@
 """``tests/reference/variant_digest.py``: the digest two trees are compared
 by repeats on one tree, so an equal digest means equal bits, not luck."""
 
+import os
+import shutil
+import subprocess
+
 import pytest
 from variant_digest import VARIANTS, digests, main
 
@@ -23,3 +27,15 @@ def test_the_script_prints_a_line_a_variant(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == [*VARIANTS, "all"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_the_digest_against_head_reports_no_difference(capsys):
+    """``--against HEAD`` digests the committed package in a subprocess: on
+    a checkout whose ``src`` is HEAD's it finds every variant equal."""
+    top = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    if shutil.which("git") is None or not os.path.exists(os.path.join(top, ".git")):
+        pytest.skip("not a git checkout")
+    if subprocess.run(["git", "-C", top, "diff", "--quiet", "HEAD", "--", "src"]).returncode:
+        pytest.skip("src differs from HEAD")
+    assert main(["--backend", "numpy", "--batches", "3", "--size", "smoke", "--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"all {len(VARIANTS)} variants equal HEAD"

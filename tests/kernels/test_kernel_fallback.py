@@ -147,11 +147,11 @@ def test_perf_reports_the_backend_that_composited_the_renders(
 
     if not get_backend("native").available():
         pytest.skip("no C compiler on this host")
-    compiled, compile_op = set(), registry.KernelBackend.compile
+    compiled, compile_op = [], registry.KernelBackend.compile
 
-    def recording(backend, *args):
-        compiled.add(backend.name)
-        return compile_op(backend, *args)
+    def recording(backend, op):
+        compiled.append((backend.name, op))
+        return compile_op(backend, op)
 
     monkeypatch.setattr(registry.KernelBackend, "compile", recording)
     init, targets = _engine_setup(trainable_scene)
@@ -174,9 +174,11 @@ def test_perf_reports_the_backend_that_composited_the_renders(
         assert optimizers
         for optimizer in optimizers:
             assert optimizer.active_kernel_backend == "native"
+        del compiled[:]
         for camera in trainable_scene.cameras[:2]:
-            assert engine.render_view(camera.view_id).ctx.kernel_backend == "native"
-    assert compiled == {"native"}
+            engine.render_view(camera.view_id)
+        assert compiled.count(("native", "view_forward")) == 2  # one bound op a view
+    assert {name for name, _ in compiled} == {"native"}
 
 
 def test_engine_env_override_resolves_at_construction(
@@ -209,14 +211,23 @@ def test_auto_config_keeps_live_settings_identity(trainable_scene):
     assert engine.raster_settings is engine.config.raster
 
 
-def test_render_context_reports_executing_backend(trainable_scene):
+def test_render_view_renders_on_the_pinned_backend(trainable_scene, monkeypatch):
+    from repro.kernels import registry
+
     init, _ = _engine_setup(trainable_scene)
     engine = create_engine(
         "clm", init, trainable_scene.cameras,
         EngineConfig(batch_size=4, kernel_backend="numpy"),
     )
-    result = engine.render_view(trainable_scene.cameras[0].view_id)
-    assert result.ctx.kernel_backend == "numpy"
+    compiled, compile_op = [], registry.KernelBackend.compile
+
+    def recording(backend, op):
+        compiled.append((backend.name, op))
+        return compile_op(backend, op)
+
+    monkeypatch.setattr(registry.KernelBackend, "compile", recording)
+    engine.render_view(trainable_scene.cameras[0].view_id)
+    assert [name for name, op in compiled if op == "view_forward"] == ["numpy"]
 
 
 def test_clm_threads_backend_into_both_optimizers(trainable_scene):

@@ -250,7 +250,7 @@ def test_forward_only_renders_keep_no_records(dense):
         return result
 
     engine._render = recording
-    engine.render_forward(engine.cameras[0], engine.snapshot_model())
+    engine.render_view(0)
     engine.evaluate([0, 1], {v: dense.images[v] for v in (0, 1)})
     serving = ServingSession.from_engine(engine, ServingConfig(lod=None, seed=0))
     serving.render_request(

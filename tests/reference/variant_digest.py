@@ -10,7 +10,13 @@ rewritten) is checked by running this on both trees::
     PYTHONPATH=src python tests/reference/variant_digest.py --backend numpy --batches 20
 
 It prints one ``<variant> <digest>`` line per variant, then ``all`` and the
-digest of those lines.  The seven variants are the engines and executors the
+digest of those lines.  ``--against REV`` runs the same digest on the
+package of another commit as well — ``git archive REV src``, extracted into a
+temporary directory and put first on ``PYTHONPATH`` of a subprocess — and
+exits non-zero naming every variant whose digest differs::
+
+    PYTHONPATH=src python tests/reference/variant_digest.py --backend native --against HEAD~1
+  The seven variants are the engines and executors the
 benchmark trains (``clm`` inline, with one overlap worker and as a task
 graph, ``clm_sharded`` on two devices, ``naive``, ``enhanced``,
 ``baseline``); every one plans with the ``camera`` ordering, whose order is
@@ -24,7 +30,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -94,14 +105,52 @@ def digests(
     return out
 
 
+def digests_at(rev: str, backend: str, batches: int, size: str = "default") -> Dict[str, str]:
+    """:func:`digests` of the package at commit ``rev`` of this script's
+    repository, run by this script in a subprocess; ``.git`` is only read."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    top = subprocess.run(
+        ["git", "-C", here, "rev-parse", "--show-toplevel"], check=True, capture_output=True,
+        text=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", top, "archive", "--format=tar", rev, "src"], check=True,
+        capture_output=True,
+    ).stdout
+    with tempfile.TemporaryDirectory(prefix="variant-digest-") as tree:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(tree, "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--backend", backend,
+             "--batches", str(batches), "--size", size],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+    return dict(line.split() for line in out.splitlines())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--backend", default="native", help="kernel backend (default: native)")
     parser.add_argument("--batches", type=int, default=20, help="batches a variant trains (default: 20)")
+    parser.add_argument("--size", default="default", choices=sorted(SIZES), help="scene size (default: default)")
+    parser.add_argument("--against", metavar="REV", help="also digest commit REV and compare")
     args = parser.parse_args(argv)
-    for name, value in digests(args.backend, args.batches).items():
+    ours = digests(args.backend, args.batches, args.size)
+    for name, value in ours.items():
         print(f"{name} {value}")
-    return 0
+    if args.against is None:
+        return 0
+    theirs = digests_at(args.against, args.backend, args.batches, args.size)
+    differ = [v for v in VARIANTS if ours[v] != theirs.get(v)]
+    for variant in differ:
+        print(f"differs from {args.against}: {variant}")
+    if not differ:
+        print(f"all {len(VARIANTS)} variants equal {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from repro.core.config import EngineConfig
 from repro.engines import available_engines, create_engine
 from repro.scenes.images import make_trainable_scene
 from repro.serving import RenderRequest, ServingConfig, ServingSession
+from test_view_floor import record_forward
 
 SEEDS = (0, 7)
 
@@ -58,12 +59,18 @@ def test_serving_matches_training_forward(scenes, name, seed):
 
 
 @pytest.mark.parametrize("name", available_engines())
-def test_serving_settings_never_retain_blend_state(scenes, name):
+def test_serving_settings_never_retain_blend_state(scenes, name, monkeypatch):
+    """A served request renders on the engine's raster settings made
+    forward-only: no blend state, the imaging knobs untouched."""
     scene = scenes[SEEDS[0]]
     engine = create_engine(name, scene.reference, scene.cameras,
                            EngineConfig(batch_size=2, seed=0))
-    assert engine.serving_raster_settings.cache_blend_state is False
-    # The imaging knobs are untouched.
-    train, serve = engine.raster_settings, engine.serving_raster_settings
+    calls = record_forward(monkeypatch)
+    sess = ServingSession.from_engine(engine, ServingConfig(lod=None, seed=0))
+    cam = engine.cameras[0]
+    sess.render_request(RenderRequest(0, cam.view_id, cam, 0.0, 1.0))
+    [(_, _, _, serve, _, workspace, _)], train = calls, engine.raster_settings
+    assert workspace is sess.workspace
+    assert serve.cache_blend_state is False and train.cache_blend_state
     assert serve.active_sh_degree == train.active_sh_degree
     assert serve.tile_size == train.tile_size

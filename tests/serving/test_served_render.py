@@ -10,7 +10,7 @@ from repro.core.config import EngineConfig
 from repro.engines import create_engine
 from repro.gaussians.model import GaussianModel
 from repro.gaussians.rasterizer import RasterSettings
-from repro.gaussians.render import render
+from repro.gaussians.render import ServedImage, render
 from repro.kernels import compile_with_fallback, get_backend, registry
 from repro.scenes.images import make_trainable_scene
 from repro.serving import (
@@ -22,7 +22,6 @@ from repro.serving import (
     poisson_stream,
     ring_cameras,
 )
-from repro.serving.batcher import ServedImage
 
 BACKENDS = [
     "numpy",
@@ -195,7 +194,8 @@ def test_from_engine_binds_the_op_for_the_library_renderer(scene, backend, monke
     camera = engine.cameras[0]
     served = sess.render_request(request(camera))
     assert isinstance(served, ServedImage)
-    want = engine.render_forward(camera, engine.snapshot_model().gather(sess.grid.query(camera)))
+    settings = forward_only_settings(engine.raster_settings)
+    want = render(camera, engine.snapshot_model().gather(sess.grid.query(camera)), settings)
     assert np.array_equal(served.image, want.image)
     assert served.num_rendered == want.num_rendered
     assert (sess.workspace.bindings > 0) == (backend == "native")
@@ -218,7 +218,9 @@ def test_from_engine_wraps_a_custom_renderer_over_the_gathered_rows(scene, backe
     served = sess.render_request(request(camera))
     rows = sess.grid.query(camera)
     assert seen == [(rows.size, False)]
-    assert not isinstance(served, ServedImage)  # the renderer's own result
-    want = render(camera, engine.snapshot_model().gather(rows), engine.serving_raster_settings)
+    assert isinstance(served, ServedImage)  # as the bound op's
+    settings = forward_only_settings(engine.raster_settings)
+    want = render(camera, engine.snapshot_model().gather(rows), settings)
     assert np.array_equal(served.image, want.image)
+    assert served.num_rendered == want.num_rendered
     assert sess.workspace.allocations == sess.workspace.bindings == 0
