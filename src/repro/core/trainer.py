@@ -170,7 +170,7 @@ class Trainer:
             self._apply_schedules(step - 1)
             batch = self._next_batch()
             result = self.engine.train_batch(
-                batch, self.targets, position_grad_hook=self._record_grads
+                batch, self.targets, position_grad_hook=self._densify_hook()
             )
             history.losses.append(result.loss)
             history.gaussian_counts.append(self.engine.num_gaussians)
@@ -196,6 +196,11 @@ class Trainer:
             history.psnrs.append(self.evaluate())
             history.eval_batches.append(last_step)
         return history
+
+    def _densify_hook(self):
+        """:meth:`_record_grads` while densification is on, else None:
+        nothing reads :attr:`densify_state` then."""
+        return self._record_grads if self.config.densify_every > 0 else None
 
     def _record_grads(self, view_id, working_set, position_grads) -> None:
         self.densify_state.record(np.asarray(position_grads), working_set)

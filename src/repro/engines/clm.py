@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -75,8 +75,10 @@ class _BatchRun:
     working: Optional[GpuWorkingSet] = None
     #: Gradients the last retired step hands to the next assemble.
     carried: Optional[tuple] = None
-    #: The raster settings of the batch, read at its first step.
+    #: The raster settings of the batch and the ``train_step`` op it runs
+    #: (None: the composition), read at its first step.
     settings: Optional[RasterSettings] = None
+    fused: Optional[Callable] = None
     loss: float = 0.0
     per_view_loss: Dict[int, float] = field(default_factory=dict)
 
@@ -362,15 +364,15 @@ class CLMEngine(EngineBase):
         leased, and the lease ends here."""
         cam, target = self.cameras[step.view_id], run.targets[step.view_id]
         settings, ssim_lambda = run.settings, self.config.ssim_lambda
+        ws, working = self._workspace, run.working
         if settings is None:
             settings = run.settings = self.raster_settings
+            if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
+                run.fused = working._ops("train_step")
+                if working._ops.active == REFERENCE_BACKEND:
+                    run.fused = None
         moments = self._target_moments(cam.view_id, target)
-        ws, working = self._workspace, run.working
-        fused = None
-        if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
-            fused = working._ops("train_step")
-            if working._ops.active == REFERENCE_BACKEND:
-                fused = None
+        fused = run.fused
         try:
             if fused is None:
                 loss, grads, run.carried = train_step(

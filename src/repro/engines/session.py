@@ -132,7 +132,7 @@ class TrainingSession:
         result = self.engine.train_batch(
             list(view_ids),
             self._trainer.targets,
-            position_grad_hook=self._trainer._record_grads,
+            position_grad_hook=self._trainer._densify_hook(),
         )
         self.metrics.losses.append(result.loss)
         self.metrics.gaussian_counts.append(self.engine.num_gaussians)

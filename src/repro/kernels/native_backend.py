@@ -46,7 +46,7 @@ them to the ten kernel ops:
   so a call can be run again when its render outgrows the arenas
   (``STATUS_ARENA_SHORT``); a failing stage (:data:`_STEP_STAGES`) raises
   what that entry point would.  Both steps share ``static view_step`` in C
-  and :func:`_stepper` here.
+  and :func:`_stepper` here: a prepared call, whose warmed calls bind only rows.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -77,8 +77,9 @@ is written in one place each and read by the other:
   goes into its slot unchecked; what it checks once (the stores, a view's
   vectors, a target's moments, a grid's tables, a served model) it keeps
   in a :meth:`~repro.kernels.workspace.Workspace.binding`.  The hot calls
-  (a view's forward and backward, ``train_step``) are made over
-  positional lists, which :func:`_checked` counts;
+  (a view's, the steps, ``adam_rows``, ``zero_rows``, a grid's refit,
+  ``plan_batch``) bind only their rows into kept positional lists, which
+  :func:`_checked` counts;
 - a nonzero status raises what :data:`_RAISES` says it stands for;
 - the layout of a render's block (:data:`_FIELDS`), the ``params`` vector
   (:data:`_PARAMS`), the status codes (:data:`_STATUS`) and the constants
@@ -131,6 +132,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import re
 import shlex
@@ -141,6 +143,7 @@ import threading
 import time
 import types
 import weakref
+from collections.abc import Mapping
 from importlib import resources
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional
@@ -854,12 +857,7 @@ class _Binder:
             ):
                 self._refuse(op, v, dims)
         if len(spans) > 1:
-            spans.sort()
-            for (start, size, first), (following, _, second) in zip(spans, spans[1:]):
-                if start + size > following:
-                    raise ValueError(
-                        f"native {self.name}: operands share memory ({first}, {second})"
-                    )
+            _disjoint(self.name, spans)
         for dim in resolved:
             if dim in slot:
                 args[slot[dim]] = dims[dim]
@@ -918,6 +916,14 @@ class _Binder:
         )
 
 
+def _disjoint(entry: str, spans: list) -> None:
+    """Raise unless the ``(address, bytes, operand)`` spans share no memory."""
+    spans = sorted(spans)
+    for (start, size, first), (following, _, second) in zip(spans, spans[1:]):
+        if start + size > following:
+            raise ValueError(f"native {entry}: operands share memory ({first}, {second})")
+
+
 @functools.lru_cache(maxsize=None)
 def _binder(name: str) -> _Binder:
     """The binder of entry point ``name``'s declaration."""
@@ -967,28 +973,28 @@ def _checked(lib: ctypes.CDLL, binder: _Binder, prototype: list) -> Callable:
 
 
 class _Kept:
-    """An op's last few :meth:`_Binder.prepare` lists of plain arrays (an
-    optimizer's state), by the arrays' identity: a call over the same
-    arrays checks only its own rows, as
-    :meth:`~repro.kernels.workspace.Workspace.binding` does for a view.
-    The arrays are held weakly — the op outlives any engine — and a list
-    whose arrays are gone is made again.  One op serves every optimizer of
-    the process (a per-name one holds five sets, a CLM engine two), so a
-    few engines trained side by side fit in ``size``."""
+    """An op's last few prepared argument lists over plain arrays (an
+    optimizer's state, a gradient buffer), by the arrays' identity.  A call
+    copies its list (``call``: the list and the arrays it points into,
+    replaced whole when a slot changes) and binds only its rows into the
+    copy, so calls side by side (Adam chunks on workers) share none.  The
+    arrays are held weakly — the op outlives any engine — and a list whose
+    arrays are gone is made again; ``size`` fits a few engines' optimizers."""
 
     def __init__(self, binder: _Binder, size: int = 16) -> None:
         self._binder, self._size, self._kept = binder, size, collections.OrderedDict()
 
-    def __call__(self, given: dict) -> "tuple[list, dict]":
+    def __call__(self, given: dict) -> types.SimpleNamespace:
         owners = tuple(given.values())
         key = tuple(map(id, owners))
         kept = self._kept.get(key)
         if kept is None or any(ref() is not owner for ref, owner in zip(kept[0], owners)):
             args, dims, _ = self._binder.prepare(given)
-            kept = self._kept[key] = (tuple(map(weakref.ref, owners)), args, dims)
+            prepared = types.SimpleNamespace(call=(args, ()), dims=dims, settled=None)
+            kept = self._kept[key] = (tuple(map(weakref.ref, owners)), prepared)
             while len(self._kept) > self._size:
                 self._kept.popitem(last=False)
-        return kept[1], kept[2]
+        return kept[1]
 
 
 def _run(lib, name: str, given: dict, dims: Optional[dict] = None) -> list:
@@ -1257,9 +1263,12 @@ def _bind_grid(lib) -> Callable:
                     for size, end in zip(sizes, itertools.accumulate(sizes))
                 ]
 
+        bloated_at = refitter.slot["bloated"]
+
         def refit(rows, _held=held) -> bool:
             args, bloated = refitted.copy(), np.zeros(1, np.int64)
-            alive = refitter.bind(args, dict(rows=rows, bloated=bloated), dict(critical.dims))
+            rows = refitter.rows(args, "rows", rows, {})
+            args[bloated_at] = _address(bloated)
             lib.grid_refit(*args)
             return bool(bloated[0])
 
@@ -1527,38 +1536,51 @@ def _bind_rows(lib, op: str) -> Callable:
         critical = {name: out.pop(name) for name in ("positions", "log_scales", "quaternions")}
         return out["sh"], out["opacity"], critical, out["grad_sh"], out["grad_opacity"]
 
-    adam = _binder("adam_rows")
-    state = _Kept(adam)
+    zeroer, adam = _binder("zero_rows"), _binder("adam_rows")
+    buffers, state = _Kept(zeroer), _Kept(adam)
+    bump_at, table_at = adam.slot["bump"], adam.slot["table"]
+    tables_at = slice(adam.slot["bc1"], table_at + 1)
 
     def zero_rows(buffer, rows):
-        _run(lib, "zero_rows", dict(buffer=buffer, rows=rows))
+        args = buffers(dict(buffer=buffer)).call[0].copy()
+        rows = zeroer.rows(args, "rows", rows, {})
+        lib.zero_rows(*args)
+
+    def settle(kept, lr, beta1, beta2, eps, t_max=0) -> None:
+        # Rates, betas and tables into a new list: a call copying the old
+        # one meanwhile holds its arrays.
+        args = list(kept.call[0])
+        held = adam.bind(args, dict(beta1=beta1, beta2=beta2, eps=eps, lr=lr), dict(kept.dims))
+        bc1, rsqrt_bc2 = tables_for(beta1, beta2).covering(t_max)
+        adam.put(args, dict(
+            bc1=_address(bc1), rsqrt_bc2=_address(rsqrt_bc2), table=min(bc1.size, rsqrt_bc2.size),
+        ))
+        kept.call, kept.settled = (args, (held, bc1, rsqrt_bc2)), (lr, beta1, beta2, eps)
 
     def adam_rows(
         params, grads, m, v, steps, rows, lr, beta1, beta2, eps, bump=True,
         block_rows=None,  # the C loop walks the rows in place, unblocked
     ):
-        bound, dims = state(dict(params=params, grads=grads, m=m, v=v, steps=steps))
-        args = bound.copy()
-        held = adam.bind(args, dict(
-            beta1=beta1, beta2=beta2, eps=eps, bump=int(bump), rows=rows, lr=lr,
-        ), dict(dims))
-        tables, t_max = tables_for(beta1, beta2), 0
-        while True:
-            bc1, rsqrt_bc2 = tables.covering(t_max)
-            adam.put(args, dict(
-                bc1=_address(bc1), rsqrt_bc2=_address(rsqrt_bc2),
-                table=min(bc1.size, rsqrt_bc2.size),
-            ))
+        kept = state(dict(params=params, grads=grads, m=m, v=v, steps=steps))
+        settled = kept.settled
+        if settled is None or settled[0] is not lr or settled[1:] != (beta1, beta2, eps):
+            settle(kept, lr, beta1, beta2, eps)
+        args, held = kept.call
+        args = args.copy()
+        rows = adam.rows(args, "rows", rows, {})
+        args[bump_at] = int(bump)
+        for attempt in range(2):
             try:
                 return lib.adam_rows(*args)
             except _TablesShort:
-                pass
-            # A step past the tables' end: grow them, then go again (nothing
-            # was written).  Only a negative step count can fail twice.
-            reached = int(steps[np.asarray(rows, np.int64)].max()) + int(bump)
-            if reached <= t_max:
-                raise ValueError("native adam_rows: a negative step count")
-            t_max = reached
+                # A step past the tables' end: grow them, then go again
+                # (nothing was written); tables that cover the rows' steps
+                # fall short only of a negative one.
+                reached = int(steps[rows].max()) + int(bump)
+                if attempt or reached < args[table_at]:
+                    raise ValueError("native adam_rows: a negative step count") from None
+                settle(kept, lr, beta1, beta2, eps, reached)
+                args[tables_at], held = kept.call[0][tables_at], kept.call[1]
 
     return {
         "assemble_rows": assemble_rows, "zero_rows": zero_rows,
@@ -1618,6 +1640,10 @@ def _bind_loss(lib) -> Callable:
 #: in the other.
 _STEP_ARENAS = (("block 0", "carry 0"), ("block 1", "carry 1"))
 _DEGREE = {k: d for d, k in sh.BASIS_PER_DEGREE.items()}
+#: The ``(arena, operand)`` a step renders in, sized by its rows and image.
+_SIZED = tuple((a, a) for a in ("scratch", "work", "image", "trans", "d_image", "grads"))
+#: The model's and the full-size gradients' operands of ``view_train``.
+_RESIDENT = (*_MODEL, *(f"into_{name}" for name in _MODEL))
 
 
 def _bind_stores(cpu, gpu) -> _Taken:
@@ -1640,93 +1666,143 @@ def _bind_camera(camera, settings) -> _Taken:
     ))
 
 
-def _bind_target(entry, target, moments, camera, *bound: _Taken) -> tuple:
-    """Step ``entry``'s arguments for a target: the loss's operands over it,
-    for ``camera``'s image, and its kept moments (the four planes, the SSIM
-    window), checked, with the ``bound`` takes (the stores', the view's) in
-    place; the dimensions they resolved; the arrays they point into."""
+def _bind_target(entry, target, moments, view: _Taken) -> tuple:
+    """Step ``entry``'s slots from ``planes`` to ``batch``: the ``view`` take,
+    ``target`` and its kept moments, checked; ``(width, height, sub)``; the
+    arrays they point into."""
     from repro.gaussians.loss import _C1, _C2
 
     binder = _binder(entry)
-    args, dims = binder.blank(), {}
-    for taken in bound:
-        binder.put(args, taken.values)
-        dims.update(taken.dims)
+    args, dims = binder.blank(), dict(view.dims)
+    binder.put(args, view.values)
     loss, _ = _moments(moments)
     held = binder.bind(args, dict(
-        loss, height=camera.height, width=camera.width, c1=_C1, c2=_C2, target=target,
+        loss, height=dims["height"], width=dims["width"], c1=_C1, c2=_C2, target=target,
         taps=_window(*moments.window)[0],
     ), dims)
-    return args, dims, held
+    frame = (dims["width"], dims["height"], dims["sub"])
+    return args[binder.slot["planes"] : binder.slot["batch"] + 1], frame, held
 
 
-def _bound_view(ws, entry, camera, settings, target, moments, *bound) -> tuple:
-    """Step ``entry``'s argument list for a view and its target, with the
-    ``bound`` takes: bound once each (:meth:`Workspace.binding`: again
-    when one is replaced), keyed by view, so a replaced camera or target
-    overwrites its binding rather than pinning the old one; a copy of the
-    list and of its dimensions."""
-    view = ws.binding(
-        ("view", camera.view_id),
-        (camera, frustum_planes(camera), settings.alpha_threshold,
-         settings.transmittance_min, settings.max_alpha, settings.background,
-         settings.tile_size),
-        _bind_camera, camera, settings,
-    )
-    args, dims, _ = ws.binding(
-        ("target", entry, camera.view_id), (moments, target, camera, view, *bound),
-        _bind_target, entry, target, moments, camera, view, *bound,
-    )
-    return args.copy(), dict(dims)
+class _StepGrads(Mapping):
+    """A step's five gradients in its ``grads`` arena (``m`` rows, ``k`` SH
+    bases, ``model.parameters()`` order), each cut when it is read."""
+
+    __slots__ = ("_arena", "_m", "_layout")
+
+    def __init__(self, arena: np.ndarray, m: int, k: int) -> None:
+        self._arena, self._m, self._layout = arena, m, _grad_layout(k)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        shape, at, width = self._layout[name]
+        return self._arena[at * self._m : (at + width) * self._m].reshape((self._m,) + shape)
+
+    def __iter__(self):
+        return iter(self._layout)
+
+    def __len__(self) -> int:
+        return len(self._layout)
 
 
-def _stepper(lib, entry: str, name: str) -> Callable:
-    """The call of step ``entry`` (``train_step``, ``view_train``) over a
-    workspace's arenas, once a binding has bound its inputs: ``run(ws,
-    args, dims, degree, settings, ssim_lambda, batch, before)`` places the
-    arenas, takes the lease, calls ``before()`` and the step — again, with
-    the render's blocks grown, while it reports them short — and returns
-    the loss, the lease held.  A failing stage (:data:`_STEP_STAGES`) raises
-    what that entry point would, the lease released."""
+@functools.lru_cache(maxsize=8)
+def _grad_layout(k: int) -> dict:
+    fields = ("positions", (3,)), ("log_scales", (3,)), ("quaternions", (4,)), ("sh", (k, 3))
+    return {f: (shape, at, w) for f, shape, at, w in _layout(fields + (("opacity_logits", ()),))[0]}
+
+
+def _stepper(lib, entry: str, name: str) -> types.SimpleNamespace:
+    """The prepared call of step ``entry`` on a workspace.  ``prepare(ws)``
+    takes the lease and returns the workspace's call: ``args``; the stores
+    or model bound (``owners``, ``dims``); by view id, what its slots came
+    from and their values (``views``); the ``(frame, rows, extra)`` the
+    ``arenas`` (at ``at``) were placed for (``fit``); the render blocks'
+    blend-record flag; what the last ``train_step`` handed on (``lent``).
+    ``view`` writes a view's slots, ``fits`` / ``place`` the arenas, and
+    ``run`` the per-call scalars, then calls ``before()`` and the step —
+    again, its render's blocks grown, while it reports them short; a failing
+    stage (:data:`_STEP_STAGES`) raises what that entry point would."""
     binder = _binder(entry)
     slot = binder.slot
-    # Where the render's own arenas go in the argument list, set per
-    # attempt; at first whatever they hold (the C reports a shortfall).
+    lo, hi = slot["planes"], slot["batch"] + 1
     blocks_at = [slot[operand] for operand in _BLOCKS.values()]
     counts = dict.fromkeys(("m", "tiles", "entries", "cap", "sub"), 0)
     unsized = {records: _kept_blocks(records, counts) for records in (False, True)}
-    arenas = tuple(
-        (arena, slot[arena], binder.dtype(arena))
-        for arena in ("scratch", "work", "image", "trans", "d_image", "grads")
-    )
-    # What a call sets itself: the SH degree, the settings, its arenas.
-    per_call = [
-        slot[p] for p in ("degree", "records", "ssim_lambda", "batch", "caps", "value", "out")
-    ]
+    per_call = [slot[p] for p in ("degree", "records", "ssim_lambda", "batch")]
 
-    def run(ws, args, dims, degree, settings, ssim_lambda, batch, before=None) -> float:
-        records = bool(settings.cache_blend_state)
-        value, value_at = ws.arena("value", 1)
-        out, out_at = ws.arena("step out", len(_STEP_OUT), np.int64)
-        caps, caps_at = ws.arena("step caps", len(_BLOCKS), np.int64)
-        for arena, at, dtype in arenas:
-            args[at] = ws.arena(arena, binder.size(arena, dims), dtype)[1]
-        settled = (degree, int(records), float(ssim_lambda), float(batch), caps_at, value_at, out_at)
-        for at, item in zip(per_call, settled):
-            args[at] = item
+    def prepare(ws) -> types.SimpleNamespace:
+        call = ws.calls.get(entry)
+        if call is None:
+            call = ws.calls[entry] = types.SimpleNamespace(
+                args=binder.blank(), owners=(), dims={}, views={}, arenas={}, at={}, fit=None,
+                records=None, lent=None,
+            )
+            for operand, arena, size, dtype in (
+                ("value", "value", 1, np.float64), ("out", "step out", len(_STEP_OUT), np.int64),
+                ("caps", "step caps", len(_BLOCKS), np.int64),
+            ):
+                call.arenas[operand], call.args[slot[operand]] = ws.arena(arena, size, dtype)
         ws.lease()
+        return call
+
+    def view(ws, call, camera, settings, target, moments) -> tuple:
+        owners = (
+            camera, frustum_planes(camera), settings.alpha_threshold,
+            settings.transmittance_min, settings.max_alpha, settings.background,
+            settings.tile_size, target, moments,
+        )
+        kept = call.views.get(camera.view_id)
+        if kept is None or any(map(operator.is_not, kept[0], owners)):
+            # Keyed by view: a replaced camera or target overwrites its
+            # binding rather than pinning the old one.
+            bound = ws.binding(
+                ("view", camera.view_id), owners[:7], _bind_camera, camera, settings,
+            )
+            values, frame, held = ws.binding(
+                ("target", entry, camera.view_id), (moments, target, camera, bound),
+                _bind_target, entry, target, moments, bound,
+            )
+            kept = call.views[camera.view_id] = (owners, values, frame, (bound, held))
+        call.args[lo:hi] = kept[1]
+        return kept[2]
+
+    def fits(call, frame, m, extra) -> bool:
+        fit = call.fit
+        return fit is not None and fit[0] == frame and fit[1] >= m and fit[2] >= extra
+
+    def place(ws, call, frame, m, extra, arenas, **dims) -> None:
+        width, height, sub = frame
+        dims.update(call.dims, m=m, width=width, height=height, sub=sub)
+        for arena, operand in arenas:
+            array, at = ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
+            call.arenas[arena], call.at[arena] = array, at
+            if arena == operand:
+                call.args[slot[arena]] = at
+        call.fit = (frame, m, extra)
+
+    def place_blocks(ws, call, kept) -> None:
+        blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
+        # Every slot: the C checks all six, and an arena is not cleared
+        # when it is allocated.
+        caps = call.arenas["caps"]
+        caps[:] = 0
+        caps[: len(blocks)] = [block.size for block, _ in blocks]
+        for k, at in enumerate(blocks_at):
+            call.args[at] = blocks[k][1] if k < len(blocks) else None
+        call.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
+
+    def run(ws, call, frame, m, n, degree, settings, ssim_lambda, batch, before=None) -> float:
+        args, records = call.args, bool(settings.cache_blend_state)
+        if records is not call.records:
+            place_blocks(ws, call, unsized[records])
+            call.records = records
+        for at, value in zip(per_call, (degree, int(records), float(ssim_lambda), float(batch))):
+            args[at] = value
+        if before is not None:
+            before()
+        out = call.arenas["out"]
+        width, height, sub = frame
         try:
-            if before is not None:
-                before()
-            kept = unsized[records]
             while True:
-                blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
-                # Every slot: the C checks all six, and an arena is not
-                # cleared when it is allocated.
-                caps[:] = 0
-                caps[: len(blocks)] = [block.size for block, _ in blocks]
-                for k, at in enumerate(blocks_at):
-                    args[at] = blocks[k][1] if k < len(blocks) else None
                 try:
                     getattr(lib, entry)(*args)
                     break
@@ -1734,53 +1810,39 @@ def _stepper(lib, entry: str, name: str) -> Callable:
                     # Nothing the caller reads was written: size the
                     # render's blocks by its counts and go again.
                     survivors, _, busy, entries, area = out[2:7].tolist()
-                    kept = _kept_blocks(records, dict(
-                        m=survivors, tiles=busy, entries=entries, cap=area, sub=dims["sub"],
-                    ))
+                    place_blocks(ws, call, _kept_blocks(records, dict(
+                        m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
+                    )))
         except _StageFailed:
-            ws.release()
             stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
             exc, text = _STAGE_RAISES[stage].get(
                 status, (RuntimeError, f" returned status {status}")
             )
-            width, height, m = dims["width"], dims["height"], dims["m"]
             raise exc(
                 f"native {entry}: {stage}" + text.format(
-                    width=width, height=height, sub=dims["sub"], h=height, w=width,
-                    m=m, entries=int(out[5]), total=dims["n"],
+                    width=width, height=height, sub=sub, h=height, w=width, m=m,
+                    entries=int(out[5]), total=n,
                 )
             ) from None
-        except BaseException:
-            ws.release()
-            raise
         forward_ns, backward_ns = out[7:9].tolist()
         ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
         ws.rendered_on = name
-        return float(value[0])
+        return float(call.arenas["value"][0])
 
-    return run
-
-
-def _step_grads(ws, m: int, k: int) -> dict:
-    """The five gradients a step left in the ``grads`` arena, field after
-    field in ``model.parameters()`` order, for ``m`` rows of ``k`` SH bases."""
-    return _cut(ws.arena("grads", 0)[0], m, _layout((
-        ("positions", (3,)), ("log_scales", (3,)), ("quaternions", (4,)), ("sh", (k, 3)),
-        ("opacity_logits", ()),
-    ))[0])
+    return types.SimpleNamespace(prepare=prepare, view=view, fits=fits, place=place, run=run)
 
 
 def _bind_train(lib, name: str) -> Callable:
-    """``view_train``: one call over a
-    :class:`~repro.kernels.workspace.Workspace`'s arenas, which reads the
-    working set ``rows`` of the model (every row when None) in place and
-    adds its gradients into ``into`` at those rows.  The model and ``into``
-    are checked and their addresses taken once (again when one is
-    replaced), and so are a view's camera vectors and a target's moments."""
+    """``view_train``: one prepared call over a workspace's arenas that reads
+    the working set ``rows`` of the model (every row when None) in place and
+    adds its gradients into ``into`` at those rows; a warmed call binds only
+    its rows."""
     from repro.gaussians.loss import TargetMoments
 
     binder = _binder("view_train")
-    run = _stepper(lib, "view_train", name)
+    slot = binder.slot
+    step = _stepper(lib, "view_train", name)
+    rows_at, m_at, sh_rows_at = slot["rows"], slot["m"], slot["sh_rows"]
 
     def view_train(
         camera, model, settings, target, moments, ssim_lambda, batch,
@@ -1789,83 +1851,141 @@ def _bind_train(lib, name: str) -> Callable:
         if moments is None:  # as the reference's loss: the target's own
             moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
-        # The model and the full-size gradients (absent: NULL), by name.
-        given, into = _model(model), into or {}
-        given.update((f"into_{field}", into.get(attr)) for field, attr in _MODEL.items())
-        resident = ws.binding("resident", tuple(given.values()), binder.take, given)
-        args, dims = _bound_view(ws, "view_train", camera, settings, target, moments)
-        binder.put(args, resident.values)
-        dims.update(resident.dims)
-        if rows is None:  # every row, read where it is: no SH rows to copy
-            dims["m"] = args[binder.slot["m"]] = dims["n"]
-        else:
-            rows = binder.rows(args, "rows", rows, dims)
-            args[binder.slot["sh_rows"]] = ws.arena("sh_rows", binder.size("sh_rows", dims))[1]
-        loss = run(ws, args, dims, _sh_degree(model, settings), settings, ssim_lambda, batch)
-        return loss, _step_grads(ws, dims["m"], dims["k_stored"])
+        call = step.prepare(ws)
+        try:
+            # The model and the full-size gradients (absent: NULL).
+            into = into or {}
+            owners = (
+                model.positions, model.log_scales, model.quaternions, model.sh,
+                model.opacity_logits, *[into.get(attr) for attr in _MODEL.values()],
+            )
+            if len(call.owners) != len(owners) or any(map(operator.is_not, call.owners, owners)):
+                resident = ws.binding(
+                    "resident", owners, binder.take, dict(zip(_RESIDENT, owners)),
+                )
+                binder.put(call.args, resident.values)
+                call.owners, call.dims = owners, resident.dims
+            frame = step.view(ws, call, camera, settings, target, moments)
+            args, n = call.args, call.dims["n"]
+            if rows is None:  # every row, read where it is: no SH rows to copy
+                m, extra = n, -1
+                args[m_at], args[rows_at] = n, None
+            else:
+                counted = {}
+                rows = binder.rows(args, "rows", rows, counted)
+                m = extra = counted["m"]
+            if not step.fits(call, frame, m, extra):
+                sized = _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),)
+                step.place(ws, call, frame, m, extra, sized)
+            args[sh_rows_at] = None if rows is None else call.at["sh_rows"]
+            loss = step.run(
+                ws, call, frame, m, n, _sh_degree(model, settings), settings, ssim_lambda,
+                batch,
+            )
+        except BaseException:
+            ws.release()
+            raise
+        return loss, _StepGrads(call.arenas["grads"], m, call.dims["k_stored"])
 
     return view_train
 
 
+#: ``train_step``'s four slots of the last step's rows, or its carried ones, absent.
+_NOT_HELD = (None, 0, None, None)
+
+
 def _bind_step(lib, name: str) -> Callable:
-    """``train_step``: one call over a
-    :class:`~repro.core.stores.GpuWorkingSet`, its stores and a
-    :class:`~repro.kernels.workspace.Workspace`'s arenas, with the checks
-    of the ops it fuses.  The stores' buffers, a view's camera vectors and a
-    target's moments are checked and their addresses taken once each
-    (:meth:`Workspace.binding`: again when one is replaced); the working
-    set's accounting is the reference's."""
+    """``train_step``: one prepared call over a
+    :class:`~repro.core.stores.GpuWorkingSet`, its stores and a workspace's
+    arenas, with the checks of the ops it fuses; the last step's cached rows
+    and carried gradients are read where this binding put them, so a warmed
+    call binds only its rows.  The working set's accounting is the
+    reference's."""
     from repro.gaussians.loss import TargetMoments
 
     binder = _binder("train_step")
     slot = binder.slot
-    run = _stepper(lib, "train_step", name)
+    step = _stepper(lib, "train_step", name)
+    held_lo, held_hi = slot["prev"], slot["carried_opacity"] + 1
+    block_at, carry_at = slot["block"], slot["carry"]
 
     def train_step(
-        working, step, carried, camera, settings, target, moments,
+        working, step_rows, carried, camera, settings, target, moments,
         ssim_lambda, batch, workspace=None,
     ):
         if moments is None:  # as the reference's loss: the target's own
             moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
-        cpu, gpu = working.cpu_store, working.gpu_store
-        # A store never replaces its buffers: a new store (rebuild) rebinds.
-        stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
-        args, dims = _bound_view(ws, "train_step", camera, settings, target, moments, stores)
-        k3 = dims["k3"]
-        held = binder.bind(args, dict(
-            ws=step.working_set, loads=step.loads, cached=step.cached, stores=step.stores,
-            carried=step.carried,
-        ), dims)
-        m, nc, cached = dims["m"], dims["num_carried"], dims["num_cached"]
-        if cached and working.indices is None:
-            raise RuntimeError("cache copy requested with no previous buffer")
-        block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
-        size, carried_size = binder.size("block", dims), binder.size("carry", dims)
-        block, args[slot["block"]] = ws.arena(block_name, size)
-        carry, args[slot["carry"]] = ws.arena(carry_name, carried_size)
-        block, carry = block[:size], carry[:carried_size]
-        reads = _held_rows(
-            cached, (working.indices, working.noncrit), carried,
-            ("carried_in", "carried_sh", "carried_opacity"),
-        )
-        if reads:
-            # The last step's block (cached rows) and carry, which
-            # assemble_rows reads, may share no memory with the block and
-            # carry this one writes (``restrict``), or a call that is run
-            # again would read what it wrote.
-            held += binder.bind(args, dict(reads, block=block, carry=carry), dims)
-        degree = _DEGREE[k3 // 3]
-        if settings.active_sh_degree is not None:
-            degree = min(settings.active_sh_degree, degree)
-        loss_value = run(
-            ws, args, dims, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
-        )
+        call = step.prepare(ws)
+        try:
+            cpu, gpu = working.cpu_store, working.gpu_store
+            owners = call.owners
+            # A store never replaces its buffers: a new store (rebuild) rebinds.
+            if len(owners) != 2 or owners[0] is not cpu or owners[1] is not gpu:
+                stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
+                binder.put(call.args, stores.values)
+                call.owners, call.dims, call.lent = (cpu, gpu), stores.dims, None
+            frame = step.view(ws, call, camera, settings, target, moments)
+            args, dims = call.args, dict(call.dims)
+            held = binder.bind(args, dict(
+                ws=step_rows.working_set, loads=step_rows.loads, cached=step_rows.cached,
+                stores=step_rows.stores, carried=step_rows.carried,
+            ), dims)
+            m, nc, cached = dims["m"], dims["num_carried"], dims["num_cached"]
+            if cached and working.indices is None:
+                raise RuntimeError("cache copy requested with no previous buffer")
+            if not step.fits(call, frame, m, nc):
+                pairs = tuple(
+                    (arena, operand) for pair in _STEP_ARENAS
+                    for arena, operand in zip(pair, ("block", "carry"))
+                )
+                step.place(ws, call, frame, m, nc, _SIZED + pairs, num_carried=nc)
+                # The two pairs may share no memory: a step reads one and
+                # writes the other (``restrict``), and a call run again must
+                # not read what it wrote.
+                _disjoint("train_step", [
+                    (call.at[arena], call.arenas[arena].nbytes, operand) for arena, operand in pairs
+                ])
+            block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
+            block, carry = call.arenas[block_name], call.arenas[carry_name]
+            args[block_at], args[carry_at] = call.at[block_name], call.at[carry_name]
+            lent = call.lent
+            if lent is not None and (not cached or working.noncrit is lent[0]) and (
+                carried is None or carried is lent[1]
+            ):
+                # What the last call handed on, where it wrote it.
+                args[held_lo:held_hi] = (lent[2] if cached else _NOT_HELD) + (
+                    _NOT_HELD if carried is None else lent[3]
+                )
+            else:
+                args[held_lo:held_hi] = _NOT_HELD + _NOT_HELD
+                reads = _held_rows(
+                    cached, (working.indices, working.noncrit), carried,
+                    ("carried_in", "carried_sh", "carried_opacity"),
+                )
+                if reads:
+                    # Bound as declared: ``restrict`` against the block and
+                    # carry this step writes.
+                    size, carried_size = binder.size("block", dims), binder.size("carry", dims)
+                    held += binder.bind(
+                        args, dict(reads, block=block[:size], carry=carry[:carried_size]), dims,
+                    )
+            k3 = dims["k3"]
+            degree = _DEGREE[k3 // 3]
+            if settings.active_sh_degree is not None:
+                degree = min(settings.active_sh_degree, degree)
+            loss_value = step.run(
+                ws, call, frame, m, dims["n"], degree, settings, ssim_lambda, batch,
+                lambda: working.reserve(m),
+            )
+        except BaseException:
+            ws.release()
+            raise
         ws.steps += 1
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
         k, mk = k3 // 3, m * k3
         working.hold(
-            step.working_set, block[:mk].reshape(m, k, 3), block[mk : mk + m],
+            step_rows.working_set, block[:mk].reshape(m, k, 3), block[mk : mk + m],
             block[mk + m : 2 * mk + m].reshape(m, k, 3),
             block[2 * mk + m : 2 * mk + 2 * m],
         )
@@ -1873,12 +1993,15 @@ def _bind_step(lib, name: str) -> Callable:
         counters.cached_gaussians += cached
         counters.loaded_gaussians += dims["num_loads"]
         counters.stored_gaussians += dims["num_stores"]
-        grads = _step_grads(ws, m, k)
-        if not nc:
-            return loss_value, grads, None
-        return loss_value, grads, (
-            step.carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 : nc * (k3 + 1)],
+        handed = None if not nc else (
+            step_rows.carried, carry[: nc * k3].reshape(nc, k, 3), carry[nc * k3 : nc * (k3 + 1)],
         )
+        at, carry_from = args[block_at], args[carry_at]
+        call.lent = (
+            working.noncrit, handed, (args[slot["ws"]], m, at, at + 8 * mk),
+            (args[slot["carried"]], nc, carry_from, carry_from + 8 * nc * k3), held,
+        )
+        return loss_value, _StepGrads(call.arenas["grads"], m, k), handed
 
     return train_step
 
@@ -1906,6 +2029,8 @@ def _bind_plan(lib) -> Callable:
     from repro.planning.tsp_order import UNTIMED_NODES
     from repro.utils.rng import make_rng
 
+    planner = _binder("plan_batch")
+
     def plan_batch(sets, view_ids, order, rng, time_limit_s, enable_cache, num_gaussians):
         b = len(sets)
         sizes = [np.size(s) for s in sets]
@@ -1918,15 +2043,17 @@ def _bind_plan(lib) -> Callable:
         if len(order) != b:
             raise _not_an_order(order)
         seq = np.fromiter(order, np.int64, b)
-        dims = dict(count=b, total=rows.size)
-        out = np.empty(_binder("plan_batch").size("out", dims), dtype=np.int64)
+        # The sets bound; the rest is what the call made itself.
+        args = planner.blank()
+        rows = planner.rows(args, "sets", rows, {})
+        out = np.empty(planner.size("out", dict(count=b, total=rows.size)), dtype=np.int64)
+        planner.put(args, dict(
+            count=b, offsets=_address(offsets), n=int(num_gaussians), seq=_address(seq),
+            search=int(search), time_limit=float(time_limit_s),
+            enable_cache=int(bool(enable_cache)), out=_address(out), untimed=UNTIMED_NODES,
+        ))
         try:
-            _run(lib, "plan_batch", dict(
-                count=b, sets=rows, offsets=offsets, n=int(num_gaussians), seq=seq,
-                search=int(search),
-                time_limit=float(time_limit_s), untimed=UNTIMED_NODES,
-                enable_cache=int(bool(enable_cache)), out=out,
-            ), dims)
+            lib.plan_batch(*args)
         except _Malformed:
             if out[0] < 0:
                 raise _not_an_order(order) from None

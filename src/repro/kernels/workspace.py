@@ -37,6 +37,12 @@ stores in place, so the addresses stand.  A binding's key names its slot
 (the stores, a view's camera, a view's target), so a replacement overwrites
 the slot and the objects it held are freed.
 
+Each step op keeps a **prepared call** here (:attr:`Workspace.calls`): an
+argument list whose store or model, view, target and arena slots are
+written only when their source changes (a ``rebuild``, fresh model or
+gradient arrays, a replaced camera or target, a larger view; a restore
+writes in place), so a warmed step writes only its rows, counts and scalars.
+
 The per-view gradients ``view_train`` and ``train_step`` return (the
 full-size ones are already added into) are slices of an arena, so they
 are valid only until the next step overwrites them.  The op takes a
@@ -65,6 +71,8 @@ class Workspace:
         #: name -> (array, address, the dtype it was asked for).
         self._arenas: Dict[str, tuple] = {}
         self._bindings: Dict[Hashable, tuple] = {}
+        #: Each step op's prepared call on these arenas, by entry point.
+        self.calls: Dict[str, object] = {}
         self._lease = threading.Lock()
         #: Arenas allocated so far, replacements included: flat once every
         #: view of a repeated schedule has been seen.

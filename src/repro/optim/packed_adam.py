@@ -87,6 +87,7 @@ class PackedSparseAdam:
         self.packed_m = np.zeros((self.num_rows, self.width))
         self.packed_v = np.zeros((self.num_rows, self.width))
         self.steps = np.zeros(self.num_rows, dtype=np.int64)
+        self._rates: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
@@ -94,15 +95,18 @@ class PackedSparseAdam:
         """Per-column learning rates — the packed form of ``lr_overrides``
         (padding columns get 0, they multiply zero updates anyway).
 
-        Rebuilt from :attr:`config` on every access (it is a handful of
-        floats) because learning-rate schedules mutate ``lr_overrides`` in
-        place mid-training; a construction-time snapshot would silently
-        freeze them.
+        Rebuilt from :attr:`config` when a rate has changed (schedules
+        mutate ``lr_overrides`` in place mid-training), else the same
+        read-only array, which the ``adam_rows`` op keeps bound.
         """
-        out = np.zeros(self.width, dtype=np.float64)
-        for name, sl in self.slices.items():
-            out[sl] = self.config.lr_for(name)
-        return out
+        rates = tuple(self.config.lr_for(name) for name in self.slices)
+        if rates != self._rates:
+            out = np.zeros(self.width, dtype=np.float64)
+            for sl, rate in zip(self.slices.values(), rates):
+                out[sl] = rate
+            out.setflags(write=False)
+            self._lr_columns, self._rates = out, rates
+        return self._lr_columns
 
     @property
     def active_kernel_backend(self) -> Optional[str]:

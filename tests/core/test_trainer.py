@@ -123,3 +123,58 @@ def test_baseline_and_clm_same_history(trainable_scene):
                           num_batches=6).train()
     np.testing.assert_allclose(h_clm.losses, h_base.losses, atol=1e-10)
     assert h_clm.final_psnr == pytest.approx(h_base.final_psnr, abs=1e-8)
+
+
+def test_densify_state_accumulates_as_linalg_norm_did(trainable_scene):
+    """``densify_state`` after a densifying ``train`` is the accumulation of
+    ``np.linalg.norm(g, axis=1)`` over every hook call since the last
+    densification, bit for bit."""
+    trainer = make_trainer(
+        trainable_scene, num_batches=7, densify_every=3, densify_start=1,
+    )
+    trainer.densify_config.grad_threshold = 1e-7
+    calls, record = [], trainer._record_grads
+
+    def hook(view_id, rows, grads):
+        calls.append((trainer.densify_state, rows.copy(), np.array(grads)))
+        record(view_id, rows, grads)
+
+    trainer._record_grads = hook
+    trainer.train()
+    state = trainer.densify_state
+    since = [(rows, grads) for owner, rows, grads in calls if owner is state]
+    assert since and len(since) < len(calls)  # densified, then recorded again
+    accum = np.zeros(state.grad_accum.shape)
+    count = np.zeros(state.grad_count.shape, dtype=np.int64)
+    for rows, grads in since:
+        np.add.at(accum, rows, np.linalg.norm(grads, axis=1))
+        np.add.at(count, rows, 1)
+    assert np.array_equal(state.grad_accum, accum)
+    assert np.array_equal(state.grad_count, count)
+
+
+@pytest.mark.parametrize("engine_type", ["clm", "enhanced"])
+def test_without_densification_no_batch_runs_the_hook(trainable_scene, engine_type, monkeypatch):
+    """``densify_every == 0``: nothing reads ``densify_state``, so neither
+    ``Trainer.train`` nor ``TrainingSession.train_batch`` hands the engine
+    the densify hook."""
+    from repro.engines.session import TrainingSession
+
+    sess = TrainingSession(
+        trainable_scene, engine=engine_type, config=EngineConfig(batch_size=5, seed=0),
+        trainer_config=TrainerConfig(batch_size=5, seed=0, num_batches=2),
+    )
+    trainer, hooks = sess._trainer, []
+    monkeypatch.setattr(trainer, "_record_grads", lambda *args: hooks.append(args))
+    train_batch = trainer.engine.train_batch
+
+    def spy(view_ids, targets, position_grad_hook=None):
+        hooks.append(position_grad_hook)
+        return train_batch(view_ids, targets, position_grad_hook)
+
+    monkeypatch.setattr(trainer.engine, "train_batch", spy)
+    sess.train(2)
+    sess.train_batch([0, 1, 2, 3, 4])
+    assert hooks == [None, None, None]
+    assert not trainer.densify_state.grad_count.any()
+    getattr(sess.engine, "close", lambda: None)()

@@ -26,6 +26,7 @@ import pytest
 
 import repro
 from repro.core.config import EngineConfig
+from repro.core.trainer import TrainerConfig
 from repro.core.stores import train_step
 from repro.engines.clm import CLMEngine
 from repro.gaussians.densify import DensificationState
@@ -56,6 +57,9 @@ VARIANTS = {
     "clm_sharded": ("clm_sharded", {"num_devices": 2}),
 }
 BATCHES = 40
+#: A densification cadence the drives never reach through ``train_batch``
+#: (which does not densify) but which turns the densify hook on.
+DENSIFY = 1000
 #: Batches after which the drive checkpoints, restores that checkpoint,
 #: densifies and prunes, and (sharded) removes a device.
 CHECKPOINT, RESTORE, DENSIFY, REMOVE = 8, 14, 22, 30
@@ -109,8 +113,11 @@ def drive(recipes, recipe, variant, tmp_path, pool=True, **config):
     )
     if pool:
         cfg.gpu_capacity_bytes = 1e12
+    # Densifying (though ``train_batch`` never densifies itself), so the
+    # session hands every batch the densify hook, which records here.
     sess = repro.session(
         inputs.scene, engine=engine_name, config=cfg,
+        trainer_config=TrainerConfig(densify_every=DENSIFY),
         initial_model=None if inputs.initial_model is None else inputs.initial_model.clone(),
     )
     seen, record = [], sess._trainer._record_grads
@@ -132,7 +139,10 @@ def drive(recipes, recipe, variant, tmp_path, pool=True, **config):
                 densify(sess)
             if k == REMOVE and variant == "clm_sharded":
                 sess.engine.remove_device(1)
+            hooked = len(seen)
             result = sess.train_batch(view_ids)
+            # The hook saw every view of the batch, once.
+            assert sorted(view for view, *_ in seen[hooked:]) == sorted(view_ids)
             batches.append((
                 result.loss.hex(),
                 sorted((v, x.hex()) for v, x in result.per_view_loss.items()),
@@ -319,6 +329,27 @@ def test_the_op_is_its_reference_step_by_step(recipes):
     engine, plan, targets = working_sets(recipes)
     assert any(step.carried.size for step in plan.steps)
     got = run_steps(engine, plan, targets, step_op())
+    want = run_steps(engine, plan, targets, train_step)
+    assert [loss for loss, _ in got[0]] == [loss for loss, _ in want[0]]
+    for (_, grads), (_, want_grads) in zip(got[0], want[0]):
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in want_grads)
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    engine.close()
+
+
+def test_a_step_after_the_composition_binds_the_buffers_it_left(recipes):
+    """The first step composed, the rest through the op: the op reads the
+    cached rows and carried gradients the composition left (bound as
+    declared, not where a step of its own wrote them), to the
+    composition's bits."""
+    engine, plan, targets = working_sets(recipes)
+    first, op = plan.steps[0], step_op()
+    assert plan.steps[1].cached.size and first.carried.size
+
+    def mixed(working, step, *args):
+        return (train_step if step is first else op)(working, step, *args)
+
+    got = run_steps(engine, plan, targets, mixed)
     want = run_steps(engine, plan, targets, train_step)
     assert [loss for loss, _ in got[0]] == [loss for loss, _ in want[0]]
     for (_, grads), (_, want_grads) in zip(got[0], want[0]):
@@ -515,6 +546,11 @@ def test_a_restore_that_rebinds_to_a_copy_is_caught(recipes, stepped, tmp_path, 
         ))
         bound = native_backend._bind_stores(copies[-1], copies[-1])
         self._workspace._bindings["stores"] = ((cpu, gpu), bound)
+        # The prepared call's store slots, which a warmed step does not
+        # write again, rebound with them.
+        native_backend._binder("train_step").put(
+            self._workspace.calls["train_step"].args, bound.values
+        )
 
     monkeypatch.setattr(CLMEngine, "load_parameters", load_parameters)
     with pytest.raises(AssertionError):
@@ -594,3 +630,220 @@ def test_a_carry_arena_shared_with_the_block_it_is_read_into_is_caught(
     )
     with pytest.raises(ValueError, match="native train_step: operands share memory"):
         drive(recipes, "dense", "clm", tmp_path, True)
+
+
+# ---------------------------------------------------------------------------
+# The prepared call: what a warmed step pays for, and when it re-prepares
+# ---------------------------------------------------------------------------
+#: The operands a warmed ``train_step`` binds: the step's rows.
+ROWS = ("cached", "carried", "loads", "stores", "ws")
+
+
+def count_preparation(monkeypatch, ws):
+    """Counters the preparation of a step writes into: the operands of each
+    ``_Binder.bind`` call of the two step entry points, and the
+    ``Workspace.arena`` and ``Workspace.binding`` calls on ``ws``."""
+    seen = {"bind": [], "arena": [], "binding": []}
+    bind, arena, binding = native_backend._Binder.bind, Workspace.arena, Workspace.binding
+
+    def counted_bind(self, args, given, dims=None):
+        if self.name in ("train_step", "view_train"):
+            seen["bind"].append(tuple(sorted(given)))
+        return bind(self, args, given, dims)
+
+    def counted_arena(self, name, *args, **kwargs):
+        if self is ws:
+            seen["arena"].append(name)
+        return arena(self, name, *args, **kwargs)
+
+    def counted_binding(self, key, *args):
+        if self is ws:
+            seen["binding"].append(key)
+        return binding(self, key, *args)
+
+    monkeypatch.setattr(native_backend._Binder, "bind", counted_bind)
+    monkeypatch.setattr(Workspace, "arena", counted_arena)
+    monkeypatch.setattr(Workspace, "binding", counted_binding)
+    return seen
+
+
+def pass_of(engine, plan, targets, ws, moments=None):
+    """Every step of ``plan`` through the ``train_step`` op over ``ws``, with
+    each target's moments kept as an engine keeps them: ``(losses and
+    gradients, the critical and pinned gradient stores)``."""
+    moments = {} if moments is None else moments
+    engine.cpu_store.zero_grads(plan.touched)
+    engine.gpu_store.zero_grads(plan.touched)
+    working, carried, out = engine._new_working_set(), None, []
+    for step in plan.steps:
+        target = targets[step.view_id]
+        if moments.get(step.view_id, (None,))[0] is not target:
+            moments[step.view_id] = (target, TargetMoments.of(target))
+        loss, grads, carried = step_op()(
+            working, step, carried, engine.cameras[step.view_id], engine.raster_settings,
+            target, moments[step.view_id][1], 0.2, plan.batch_size, ws,
+        )
+        out.append((loss.hex(), {k: v.copy() for k, v in grads.items()}))
+        ws.release()
+    return out, engine.gpu_store.packed_grads.copy(), engine.cpu_store.grads.copy()
+
+
+def assert_passes_equal(got, want) -> None:
+    assert [loss for loss, _ in got[0]] == [loss for loss, _ in want[0]]
+    for (_, grads), (_, want_grads) in zip(got[0], want[0]):
+        assert set(grads) == set(want_grads)
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in want_grads)
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def test_a_warmed_step_binds_only_its_rows_and_allocates_nothing(recipes, monkeypatch):
+    spec, inputs = recipes["sparse"]
+    engine, plan, targets = working_sets(recipes, "sparse")
+    ws, moments = Workspace(), {}
+    want = pass_of(engine, plan, targets, ws, moments)
+    allocations, steps = ws.allocations, len(plan.steps)
+    assert steps == spec.batch_size
+    seen = count_preparation(monkeypatch, ws)
+    got = pass_of(engine, plan, targets, ws, moments)
+    assert seen == {"bind": [ROWS] * steps, "arena": [], "binding": []}
+    assert ws.allocations == allocations
+    assert_passes_equal(got, want)
+    engine.close()
+
+
+@pytest.mark.parametrize("event", ["arena growth", "rebuild", "replaced target"])
+def test_each_change_re_prepares_once_and_the_step_after_is_a_fresh_ones(
+    recipes, event, monkeypatch
+):
+    """A view larger than any before places the arenas again (each once);
+    a rebuild binds the new stores once; a replaced target binds once.  The
+    pass after each is the pass a fresh workspace makes, bit for bit, and
+    the pass after that is warm again."""
+    engine, plan, targets = working_sets(recipes, "sparse")
+    ws, moments = Workspace(), {}
+    if event == "arena growth":
+        # Every view but the largest, which the pass then renders first.
+        big = max(plan.steps, key=lambda step: step.working_set.size)
+        rest = [step.view_id for step in plan.steps if step is not big]
+        pass_of(engine, engine.plan_batch(rest), targets, ws, moments)
+        assert all(step.working_set.size < big.working_set.size for step in plan.steps if step is not big)
+        plan = engine.plan_batch([big.view_id] + rest, strategy="identity")
+    else:
+        pass_of(engine, plan, targets, ws, moments)
+    if event == "rebuild":
+        model = engine.snapshot_model()
+        n = model.num_gaussians
+        keep = np.flatnonzero(np.arange(n) % 9 != 4)
+        engine.rebuild(model.gather(keep), keep)
+        plan = engine.plan_batch(list(plan.view_ids))
+    if event == "replaced target":
+        view = plan.steps[3].view_id
+        targets = {**targets, view: targets[view].copy()}
+    allocations, made = ws.allocations, ws.bindings
+    seen = count_preparation(monkeypatch, ws)
+    got = pass_of(engine, plan, targets, ws, moments)
+    rows = [ROWS] * len(plan.steps)
+    if event == "arena growth":
+        assert seen["binding"] == [("view", big.view_id), ("target", "train_step", big.view_id)]
+        # The new view's camera and target, then every step's rows.
+        assert seen["bind"][2:] == rows and len(seen["bind"]) == len(rows) + 2
+        assert ws.allocations > allocations
+        assert len(seen["arena"]) == len(set(seen["arena"])) > 0
+    elif event == "rebuild":
+        assert seen["binding"] == ["stores"]
+        assert sorted(seen["bind"]) == sorted(
+            rows + [("critical", "critical_grads", "k3", "pinned", "pinned_grads")]
+        )
+    else:
+        # Asked for the view's bindings (the camera's is kept), made one.
+        assert seen["binding"] == [("view", view), ("target", "train_step", view)]
+        assert ws.bindings == made + 1
+        assert len(seen["bind"]) == len(rows) + 1 and seen["arena"] == []
+    assert_passes_equal(got, pass_of(engine, plan, targets, Workspace(), {}))
+    for found in seen.values():
+        found.clear()
+    pass_of(engine, plan, targets, ws, moments)
+    assert seen == {"bind": rows, "arena": [], "binding": []}
+    engine.close()
+
+
+def test_a_restore_re_prepares_nothing_and_trains_as_a_fresh_engine(recipes, tmp_path, monkeypatch):
+    """A restore writes the stores in place: the batch after it binds only
+    its rows and trains to a freshly restored engine's bits (per-view
+    losses and densify-hook gradients, which no microbatch order moves)."""
+    spec, inputs = recipes["sparse"]
+    schedule = batch_schedule(spec, 0, 6)
+    path = str(tmp_path / "ckpt.npz")
+
+    def session():
+        return repro.session(
+            inputs.scene, engine="clm", trainer_config=TrainerConfig(densify_every=DENSIFY),
+            config=EngineConfig(batch_size=spec.batch_size, kernel_backend="native"),
+            initial_model=starting_model(inputs),
+        )
+
+    def hooked(sess):
+        seen = []
+        sess._trainer._record_grads = lambda view, rows, grads: seen.append(
+            (view, rows.copy(), grads.copy())
+        )
+        return seen
+
+    sess = session()
+    for view_ids in schedule[:3]:
+        sess.train_batch(view_ids)
+    sess.checkpoint(path)
+    for view_ids in schedule[3:5]:
+        sess.train_batch(view_ids)
+    sess.restore(path)
+    ws = sess.engine._workspace
+    seen, grads = count_preparation(monkeypatch, ws), hooked(sess)
+    got = sess.train_batch(schedule[5])
+    assert seen["binding"] == [] and seen["arena"] == []
+    assert seen["bind"] == [ROWS] * spec.batch_size
+    monkeypatch.undo()
+    fresh = session()
+    fresh.restore(path)
+    fresh_grads = hooked(fresh)
+    want = fresh.train_batch(schedule[5])
+    assert {v: x.hex() for v, x in got.per_view_loss.items()} == {
+        v: x.hex() for v, x in want.per_view_loss.items()
+    }
+    assert sorted(grads, key=lambda s: s[0]) and len(grads) == len(fresh_grads) == spec.batch_size
+    for (view, rows, g), (want_view, want_rows, want_g) in zip(
+        sorted(grads, key=lambda s: s[0]), sorted(fresh_grads, key=lambda s: s[0])
+    ):
+        assert view == want_view
+        assert np.array_equal(rows, want_rows) and np.array_equal(g, want_g)
+    sess.engine.close()
+    fresh.engine.close()
+
+
+def test_the_concurrent_variants_train_to_clms_bits(recipes):
+    """``clm_overlap`` (two Adam workers) and ``clm_graph`` run Adam chunks
+    on worker threads beside the training thread's steps, each call over its
+    own copy of the prepared list: the same bits as ``clm``."""
+    spec, inputs = recipes["sparse"]
+    runs = {}
+    for variant, overrides in {
+        "clm": {}, "clm_overlap": {"overlap_workers": 2},
+        "clm_graph": {"use_task_graph": True, "overlap_workers": 2},
+    }.items():
+        engine = repro.create_engine(
+            "clm", starting_model(inputs), inputs.scene.cameras,
+            EngineConfig(batch_size=spec.batch_size, kernel_backend="native", **overrides),
+        )
+        losses = [
+            engine.train_batch(view_ids, targets_of(inputs)).loss.hex()
+            for view_ids in batch_schedule(spec, 0, 12)
+        ]
+        engine.close()
+        runs[variant] = losses, engine.snapshot_model().parameters(), [
+            opt.packed_m.copy() for opt in (engine.adam_critical, engine.adam_noncritical)
+        ]
+    want_losses, want_params, want_m = runs["clm"]
+    for variant in ("clm_overlap", "clm_graph"):
+        losses, params, m = runs[variant]
+        assert losses == want_losses, variant
+        assert all(np.array_equal(params[k], want_params[k]) for k in want_params), variant
+        assert all(np.array_equal(a, b) for a, b in zip(m, want_m)), variant

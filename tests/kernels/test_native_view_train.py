@@ -330,3 +330,139 @@ def test_twenty_resident_batches_train_to_the_compositions_bits(scene, name):
     assert all(np.array_equal(params[k], want_params[k]) for k in NAMES)
     assert engine._workspace.bindings > 0 and composed._workspace.bindings == 0
     assert engine._rendered_on == composed._rendered_on == "native"
+
+
+# ---------------------------------------------------------------------------
+# The prepared call: what a warmed step pays for, and when it re-prepares
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sparse():
+    """An ``enhanced`` engine on the ruler's ``sparse`` recipe (smoke size),
+    a plan of one batch, the targets."""
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
+    from bench_e2e.workloads import batch_schedule, build_train_inputs, get_workload
+
+    spec = get_workload("sparse", smoke=True).train
+    inputs = build_train_inputs(spec, 0)
+    scene = inputs.scene
+    model = inputs.initial_model or GaussianModel.from_point_cloud(
+        scene.init_points, colors=scene.init_colors, sh_degree=1, seed=0
+    )
+    engine = create_engine(
+        "enhanced", model.clone(), scene.cameras,
+        EngineConfig(batch_size=spec.batch_size, kernel_backend="native"),
+    )
+    targets = dict(zip((c.view_id for c in scene.cameras), scene.images))
+    return engine, engine.plan_batch(batch_schedule(spec, 0, 1)[0]), targets
+
+
+def count_preparation(monkeypatch, ws):
+    """The operands of each ``_Binder.bind`` call of ``view_train``, its
+    ``_Binder.rows`` calls, and the ``Workspace.arena`` and
+    ``Workspace.binding`` calls on ``ws``."""
+    from repro.kernels import native_backend
+
+    seen = {"bind": [], "rows": [], "arena": [], "binding": []}
+    binder = native_backend._Binder
+    bind, rows, arena, binding = binder.bind, binder.rows, Workspace.arena, Workspace.binding
+
+    def counted_bind(self, args, given, dims=None):
+        if self.name == "view_train":
+            seen["bind"].append(tuple(sorted(given)))
+        return bind(self, args, given, dims)
+
+    def counted_rows(self, args, name, *rest):
+        if self.name == "view_train":
+            seen["rows"].append(name)
+        return rows(self, args, name, *rest)
+
+    def counted_arena(self, name, *args, **kwargs):
+        if self is ws:
+            seen["arena"].append(name)
+        return arena(self, name, *args, **kwargs)
+
+    def counted_binding(self, key, *args):
+        if self is ws:
+            seen["binding"].append(key)
+        return binding(self, key, *args)
+
+    monkeypatch.setattr(binder, "bind", counted_bind)
+    monkeypatch.setattr(binder, "rows", counted_rows)
+    monkeypatch.setattr(Workspace, "arena", counted_arena)
+    monkeypatch.setattr(Workspace, "binding", counted_binding)
+    return seen
+
+
+def resident_pass(engine, steps, targets, ws, into, moments):
+    """Every one of ``steps`` (of one batch) through the ``view_train`` op over ``ws``, as
+    ``_accumulate_planned`` runs it: the losses, each step's gradients and
+    ``into``."""
+    out = []
+    for step in steps:
+        target = targets[step.view_id]
+        if moments.get(step.view_id, (None,))[0] is not target:
+            moments[step.view_id] = (target, TargetMoments.of(target))
+        loss, grads = native_op()(
+            engine.cameras[step.view_id], engine.model, engine.raster_settings, target,
+            moments[step.view_id][1], 0.2, 8, ws, step.working_set, into,
+        )
+        out.append((loss.hex(), {k: v.copy() for k, v in grads.items()}))
+        ws.release()
+    return out, {k: v.copy() for k, v in into.items()}
+
+
+def assert_passes_equal(got, want) -> None:
+    assert [loss for loss, _ in got[0]] == [loss for loss, _ in want[0]]
+    for (_, grads), (_, want_grads) in zip(got[0], want[0]):
+        assert all(np.array_equal(grads[k], want_grads[k]) for k in NAMES)
+    assert all(np.array_equal(got[1][k], want[1][k]) for k in NAMES)
+
+
+@pytest.mark.parametrize("event", ["warmed", "fresh gradients", "arena growth", "replaced target"])
+def test_a_resident_step_binds_only_its_rows_until_something_changes(
+    sparse, event, monkeypatch
+):
+    """A warmed ``view_train`` binds only its rows and allocates nothing;
+    fresh full-size gradients (every batch of ``enhanced``), a view larger
+    than any before and a replaced target each re-prepare once, and the
+    pass is a fresh workspace's bit for bit."""
+    engine, plan, targets = sparse
+    ws, moments, into = Workspace(), {}, engine.model.zero_gradients()
+    steps = list(plan.steps)
+    big = max(steps, key=lambda step: step.working_set.size)
+    if event == "arena growth":
+        warm = [step for step in steps if step is not big]
+        resident_pass(engine, warm, targets, ws, into, moments)
+        assert all(step.working_set.size < big.working_set.size for step in warm)
+        steps = [big, *warm]
+    else:
+        resident_pass(engine, steps, targets, ws, into, moments)
+    if event == "fresh gradients":
+        into = engine.model.zero_gradients()
+    if event == "replaced target":
+        view = steps[3].view_id
+        targets = {**targets, view: targets[view].copy()}
+    allocations, made = ws.allocations, ws.bindings
+    seen = count_preparation(monkeypatch, ws)
+    want_into = {k: v.copy() for k, v in into.items()}
+    got = resident_pass(engine, steps, targets, ws, into, moments)
+    rows = ["rows"] * len(steps)
+    assert seen["rows"] == rows
+    if event == "warmed":
+        assert seen == {"bind": [], "rows": rows, "arena": [], "binding": []}
+        assert ws.allocations == allocations
+    elif event == "fresh gradients":
+        assert seen["binding"] == ["resident"] and ws.bindings == made + 1
+        assert len(seen["bind"]) == 1 and seen["arena"] == []
+    elif event == "arena growth":
+        assert seen["binding"] == [("view", big.view_id), ("target", "view_train", big.view_id)]
+        # Placed again, each arena once (within an arena's headroom, a
+        # placement allocates nothing).
+        assert len(seen["arena"]) == len(set(seen["arena"])) > 0
+    else:
+        assert seen["binding"] == [("view", view), ("target", "view_train", view)]
+        assert ws.bindings == made + 1 and seen["arena"] == []
+    assert_passes_equal(got, resident_pass(engine, steps, targets, Workspace(), want_into, {}))
