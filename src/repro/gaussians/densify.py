@@ -72,10 +72,7 @@ class DensificationState:
         rows = np.asarray(rows, dtype=np.int64)
         if position_grads.shape[0] != rows.shape[0]:
             raise ValueError("gathered grads must align with rows")
-        if not issubclass(position_grads.dtype.type, np.inexact):
-            position_grads = position_grads.astype(float)
-        # ``np.linalg.norm(g, axis=1)``'s arithmetic, without its dispatch.
-        norms = np.sqrt(np.add.reduce(position_grads * position_grads, axis=1))
+        norms = np.linalg.norm(position_grads, axis=1)
         np.add.at(self.grad_accum, rows, norms)
         np.add.at(self.grad_count, rows, 1)
 

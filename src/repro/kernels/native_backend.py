@@ -46,7 +46,7 @@ them to the ten kernel ops:
   so a call can be run again when its render outgrows the arenas
   (``STATUS_ARENA_SHORT``); a failing stage (:data:`_STEP_STAGES`) raises
   what that entry point would.  Both steps share ``static view_step`` in C
-  and :func:`_stepper` here: a prepared call, whose warmed calls bind only rows.
+  and :class:`_Prepared` here: a prepared call, whose warmed calls bind only rows.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -132,7 +132,6 @@ import functools
 import hashlib
 import itertools
 import math
-import operator
 import os
 import re
 import shlex
@@ -1655,29 +1654,20 @@ def _bind_stores(cpu, gpu) -> _Taken:
     ), {"k": cpu.sh_basis})
 
 
-def _bind_camera(camera, settings) -> _Taken:
-    """What a step reads of a view and the render settings: the ``planes``
-    and ``params`` vectors, the image and tile sizes (the same operands of
-    both steps)."""
-    return _binder("train_step").take(dict(
-        planes=frustum_planes(camera), params=_view_params(camera, settings),
-        width=camera.width, height=camera.height, ts=int(settings.tile_size),
-        sub=rasterizer.compute_tile(settings),
-    ))
-
-
-def _bind_target(entry, target, moments, view: _Taken) -> tuple:
-    """Step ``entry``'s slots from ``planes`` to ``batch``: the ``view`` take,
-    ``target`` and its kept moments, checked; ``(width, height, sub)``; the
-    arrays they point into."""
+def _bind_target(entry, camera, settings, target, moments) -> tuple:
+    """Step ``entry``'s slots from ``planes`` to ``batch`` for a view: the
+    ``planes`` and ``params`` vectors, the image and tile sizes, ``target``
+    and its kept moments, checked; ``(width, height, sub)``; the arrays
+    they point into."""
     from repro.gaussians.loss import _C1, _C2
 
     binder = _binder(entry)
-    args, dims = binder.blank(), dict(view.dims)
-    binder.put(args, view.values)
+    args, dims = binder.blank(), {}
     loss, _ = _moments(moments)
     held = binder.bind(args, dict(
-        loss, height=dims["height"], width=dims["width"], c1=_C1, c2=_C2, target=target,
+        loss, planes=frustum_planes(camera), params=_view_params(camera, settings),
+        width=camera.width, height=camera.height, ts=int(settings.tile_size),
+        sub=rasterizer.compute_tile(settings), c1=_C1, c2=_C2, target=target,
         taps=_window(*moments.window)[0],
     ), dims)
     frame = (dims["width"], dims["height"], dims["sub"])
@@ -1710,139 +1700,158 @@ def _grad_layout(k: int) -> dict:
     return {f: (shape, at, w) for f, shape, at, w in _layout(fields + (("opacity_logits", ()),))[0]}
 
 
-def _stepper(lib, entry: str, name: str) -> types.SimpleNamespace:
-    """The prepared call of step ``entry`` on a workspace.  ``prepare(ws)``
-    takes the lease and returns the workspace's call: ``args``; the stores
-    or model bound (``owners``, ``dims``); by view id, what its slots came
-    from and their values (``views``); the ``(frame, rows, extra)`` the
-    ``arenas`` (at ``at``) were placed for (``fit``); the render blocks'
-    blend-record flag; what the last ``train_step`` handed on (``lent``).
-    ``view`` writes a view's slots, ``fits`` / ``place`` the arenas, and
-    ``run`` the per-call scalars, then calls ``before()`` and the step —
-    again, its render's blocks grown, while it reports them short; a failing
-    stage (:data:`_STEP_STAGES`) raises what that entry point would."""
-    binder = _binder(entry)
-    slot = binder.slot
-    lo, hi = slot["planes"], slot["batch"] + 1
-    blocks_at = [slot[operand] for operand in _BLOCKS.values()]
-    counts = dict.fromkeys(("m", "tiles", "entries", "cap", "sub"), 0)
-    unsized = {records: _kept_blocks(records, counts) for records in (False, True)}
-    per_call = [slot[p] for p in ("degree", "records", "ssim_lambda", "batch")]
+class _Prepared:
+    """Step ``entry``'s prepared call on one workspace (its
+    :attr:`~repro.kernels.workspace.Workspace.calls` entry): the argument
+    list; the take whose slots it holds (the stores, or the model and the
+    full-size gradients) and its ``dims``; the arenas placed (``arenas``,
+    their addresses ``at``) and the ``(frame, dims, rows, extra)`` they
+    ``fit``; the render blocks' blend-record flag; what the last
+    ``train_step`` handed on (``lent``).  A slot is written when its source
+    changes, so a warmed step writes only its rows and per-call scalars."""
 
-    def prepare(ws) -> types.SimpleNamespace:
+    __slots__ = (
+        "ws", "lib", "name", "binder", "args", "taken", "dims", "arenas", "at", "fit",
+        "records", "lent",
+    )
+
+    @classmethod
+    def of(cls, ws, lib, entry: str, name: str) -> "_Prepared":
         call = ws.calls.get(entry)
         if call is None:
-            call = ws.calls[entry] = types.SimpleNamespace(
-                args=binder.blank(), owners=(), dims={}, views={}, arenas={}, at={}, fit=None,
-                records=None, lent=None,
-            )
-            for operand, arena, size, dtype in (
-                ("value", "value", 1, np.float64), ("out", "step out", len(_STEP_OUT), np.int64),
-                ("caps", "step caps", len(_BLOCKS), np.int64),
-            ):
-                call.arenas[operand], call.args[slot[operand]] = ws.arena(arena, size, dtype)
-        ws.lease()
+            call = ws.calls[entry] = cls(ws, lib, entry, name)
         return call
 
-    def view(ws, call, camera, settings, target, moments) -> tuple:
-        owners = (
-            camera, frustum_planes(camera), settings.alpha_threshold,
-            settings.transmittance_min, settings.max_alpha, settings.background,
-            settings.tile_size, target, moments,
+    def __init__(self, ws, lib, entry: str, name: str) -> None:
+        binder = _binder(entry)
+        self.ws, self.lib, self.name, self.binder = ws, lib, name, binder
+        self.args, self.taken, self.dims, self.arenas, self.at = binder.blank(), None, {}, {}, {}
+        self.fit = self.records = self.lent = None
+        for operand, arena, size, dtype in (
+            ("value", "value", 1, np.float64), ("out", "step out", len(_STEP_OUT), np.int64),
+            ("caps", "step caps", len(_BLOCKS), np.int64),
+        ):
+            self.arenas[operand], self.args[binder.slot[operand]] = ws.arena(arena, size, dtype)
+
+    def rebind(self, taken: _Taken) -> None:
+        """Write ``taken``'s slots unless they are the ones written; a new
+        take (a rebuild, fresh arrays) reads nothing the last step handed
+        on."""
+        if taken is not self.taken:
+            self.binder.put(self.args, taken.values)
+            self.taken, self.dims, self.lent = taken, taken.dims, None
+
+    def view(self, camera, settings, target, moments) -> tuple:
+        """Write a view's slots (:func:`_bind_target`, kept by
+        :meth:`Workspace.binding`); its ``(width, height, sub)``."""
+        entry, slot = self.binder.name, self.binder.slot
+        # Keyed by view: a replaced camera or target overwrites its binding
+        # rather than pinning the old one.
+        values, frame, _ = self.ws.binding(
+            ("view", entry, camera.view_id),
+            (camera, frustum_planes(camera), settings.alpha_threshold,
+             settings.transmittance_min, settings.max_alpha, settings.background,
+             settings.tile_size, target, moments),
+            _bind_target, entry, camera, settings, target, moments,
         )
-        kept = call.views.get(camera.view_id)
-        if kept is None or any(map(operator.is_not, kept[0], owners)):
-            # Keyed by view: a replaced camera or target overwrites its
-            # binding rather than pinning the old one.
-            bound = ws.binding(
-                ("view", camera.view_id), owners[:7], _bind_camera, camera, settings,
-            )
-            values, frame, held = ws.binding(
-                ("target", entry, camera.view_id), (moments, target, camera, bound),
-                _bind_target, entry, target, moments, bound,
-            )
-            kept = call.views[camera.view_id] = (owners, values, frame, (bound, held))
-        call.args[lo:hi] = kept[1]
-        return kept[2]
+        self.args[slot["planes"] : slot["batch"] + 1] = values
+        return frame
 
-    def fits(call, frame, m, extra) -> bool:
-        fit = call.fit
-        return fit is not None and fit[0] == frame and fit[1] >= m and fit[2] >= extra
-
-    def place(ws, call, frame, m, extra, arenas, **dims) -> None:
+    def ensure(self, frame, m: int, extra: int, arenas, **dims) -> bool:
+        """Place ``arenas`` — ``(arena, operand)`` pairs — for a view of
+        ``frame`` and ``m`` rows (and ``extra``, another count they are
+        sized by) unless the placement in force holds them: made for the
+        same frame and take dims (the SH width), at least as many rows;
+        True when placed."""
+        fit = self.fit
+        if (
+            fit is not None and fit[0] == frame and fit[1] == self.dims and fit[2] >= m
+            and fit[3] >= extra
+        ):
+            return False
         width, height, sub = frame
-        dims.update(call.dims, m=m, width=width, height=height, sub=sub)
+        dims.update(self.dims, m=m, width=width, height=height, sub=sub)
+        binder = self.binder
         for arena, operand in arenas:
-            array, at = ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
-            call.arenas[arena], call.at[arena] = array, at
+            array, at = self.ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
+            self.arenas[arena], self.at[arena] = array, at
             if arena == operand:
-                call.args[slot[arena]] = at
-        call.fit = (frame, m, extra)
+                self.args[binder.slot[arena]] = at
+        self.fit = (frame, self.dims, m, extra)
+        return True
 
-    def place_blocks(ws, call, kept) -> None:
-        blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
+    def _place_blocks(self, kept) -> None:
+        blocks = [self.ws.arena(block, size, dtype) for block, size, dtype in kept]
         # Every slot: the C checks all six, and an arena is not cleared
         # when it is allocated.
-        caps = call.arenas["caps"]
+        caps = self.arenas["caps"]
         caps[:] = 0
         caps[: len(blocks)] = [block.size for block, _ in blocks]
-        for k, at in enumerate(blocks_at):
-            call.args[at] = blocks[k][1] if k < len(blocks) else None
-        call.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
+        for k, operand in enumerate(_BLOCKS.values()):
+            self.args[self.binder.slot[operand]] = blocks[k][1] if k < len(blocks) else None
+        self.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
 
-    def run(ws, call, frame, m, n, degree, settings, ssim_lambda, batch, before=None) -> float:
-        args, records = call.args, bool(settings.cache_blend_state)
-        if records is not call.records:
-            place_blocks(ws, call, unsized[records])
-            call.records = records
-        for at, value in zip(per_call, (degree, int(records), float(ssim_lambda), float(batch))):
-            args[at] = value
-        if before is not None:
-            before()
-        out = call.arenas["out"]
-        width, height, sub = frame
+    def run(self, frame, m: int, degree: int, settings, ssim_lambda, batch, before=None) -> float:
+        """Take the lease, write the per-call scalars, call ``before()`` and
+        the step — again, its render's blocks grown, while it reports them
+        short — and return the loss, the lease held.  A failing stage
+        (:data:`_STEP_STAGES`) raises what that entry point would, the
+        lease released."""
+        args, slot, records = self.args, self.binder.slot, bool(settings.cache_blend_state)
+        if records is not self.records:
+            self._place_blocks(_kept_blocks(records, dict.fromkeys(
+                ("m", "tiles", "entries", "cap", "sub"), 0,
+            )))
+            self.records = records
+        args[slot["degree"]], args[slot["records"]] = degree, int(records)
+        args[slot["ssim_lambda"]], args[slot["batch"]] = float(ssim_lambda), float(batch)
+        out, (width, height, sub) = self.arenas["out"], frame
+        ws, step = self.ws, getattr(self.lib, self.binder.name)
+        ws.lease()
         try:
+            if before is not None:
+                before()
             while True:
                 try:
-                    getattr(lib, entry)(*args)
+                    step(*args)
                     break
                 except _ArenaShort:
                     # Nothing the caller reads was written: size the
                     # render's blocks by its counts and go again.
                     survivors, _, busy, entries, area = out[2:7].tolist()
-                    place_blocks(ws, call, _kept_blocks(records, dict(
+                    self._place_blocks(_kept_blocks(records, dict(
                         m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
                     )))
         except _StageFailed:
+            ws.release()
             stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
             exc, text = _STAGE_RAISES[stage].get(
                 status, (RuntimeError, f" returned status {status}")
             )
             raise exc(
-                f"native {entry}: {stage}" + text.format(
+                f"native {self.binder.name}: {stage}" + text.format(
                     width=width, height=height, sub=sub, h=height, w=width, m=m,
-                    entries=int(out[5]), total=n,
+                    entries=int(out[5]), total=self.dims["n"],
                 )
             ) from None
+        except BaseException:
+            ws.release()
+            raise
         forward_ns, backward_ns = out[7:9].tolist()
         ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
-        ws.rendered_on = name
-        return float(call.arenas["value"][0])
-
-    return types.SimpleNamespace(prepare=prepare, view=view, fits=fits, place=place, run=run)
+        ws.rendered_on = self.name
+        return float(self.arenas["value"][0])
 
 
 def _bind_train(lib, name: str) -> Callable:
-    """``view_train``: one prepared call over a workspace's arenas that reads
-    the working set ``rows`` of the model (every row when None) in place and
-    adds its gradients into ``into`` at those rows; a warmed call binds only
-    its rows."""
+    """``view_train``: one prepared call (:class:`_Prepared`) over a
+    workspace's arenas that reads the working set ``rows`` of the model
+    (every row when None) in place and adds its gradients into ``into`` at
+    those rows; a warmed call binds only its rows."""
     from repro.gaussians.loss import TargetMoments
 
     binder = _binder("view_train")
-    slot = binder.slot
-    step = _stepper(lib, "view_train", name)
-    rows_at, m_at, sh_rows_at = slot["rows"], slot["m"], slot["sh_rows"]
+    rows_at, m_at, sh_rows_at = (binder.slot[p] for p in ("rows", "m", "sh_rows"))
 
     def view_train(
         camera, model, settings, target, moments, ssim_lambda, batch,
@@ -1851,40 +1860,26 @@ def _bind_train(lib, name: str) -> Callable:
         if moments is None:  # as the reference's loss: the target's own
             moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
-        call = step.prepare(ws)
-        try:
-            # The model and the full-size gradients (absent: NULL).
-            into = into or {}
-            owners = (
-                model.positions, model.log_scales, model.quaternions, model.sh,
-                model.opacity_logits, *[into.get(attr) for attr in _MODEL.values()],
-            )
-            if len(call.owners) != len(owners) or any(map(operator.is_not, call.owners, owners)):
-                resident = ws.binding(
-                    "resident", owners, binder.take, dict(zip(_RESIDENT, owners)),
-                )
-                binder.put(call.args, resident.values)
-                call.owners, call.dims = owners, resident.dims
-            frame = step.view(ws, call, camera, settings, target, moments)
-            args, n = call.args, call.dims["n"]
-            if rows is None:  # every row, read where it is: no SH rows to copy
-                m, extra = n, -1
-                args[m_at], args[rows_at] = n, None
-            else:
-                counted = {}
-                rows = binder.rows(args, "rows", rows, counted)
-                m = extra = counted["m"]
-            if not step.fits(call, frame, m, extra):
-                sized = _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),)
-                step.place(ws, call, frame, m, extra, sized)
-            args[sh_rows_at] = None if rows is None else call.at["sh_rows"]
-            loss = step.run(
-                ws, call, frame, m, n, _sh_degree(model, settings), settings, ssim_lambda,
-                batch,
-            )
-        except BaseException:
-            ws.release()
-            raise
+        call = _Prepared.of(ws, lib, "view_train", name)
+        # The model and the full-size gradients (absent: NULL).
+        into = into or {}
+        owners = (
+            model.positions, model.log_scales, model.quaternions, model.sh,
+            model.opacity_logits, *[into.get(attr) for attr in _MODEL.values()],
+        )
+        call.rebind(ws.binding("resident", owners, binder.take, dict(zip(_RESIDENT, owners))))
+        frame = call.view(camera, settings, target, moments)
+        args, n = call.args, call.dims["n"]
+        if rows is None:  # every row, read where it is: no SH rows to copy
+            m, extra = n, -1
+            args[m_at], args[rows_at] = n, None
+        else:
+            counted = {}
+            rows = binder.rows(args, "rows", rows, counted)
+            m = extra = counted["m"]
+        call.ensure(frame, m, extra, _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),))
+        args[sh_rows_at] = None if rows is None else call.at["sh_rows"]
+        loss = call.run(frame, m, _sh_degree(model, settings), settings, ssim_lambda, batch)
         return loss, _StepGrads(call.arenas["grads"], m, call.dims["k_stored"])
 
     return view_train
@@ -1894,8 +1889,16 @@ def _bind_train(lib, name: str) -> Callable:
 _NOT_HELD = (None, 0, None, None)
 
 
+@functools.lru_cache(maxsize=2)
+def _step_pairs(arenas: tuple) -> tuple:
+    """The ``(arena, operand)`` of both of ``arenas``' blocks and carries."""
+    return tuple(
+        (arena, operand) for pair in arenas for arena, operand in zip(pair, ("block", "carry"))
+    )
+
+
 def _bind_step(lib, name: str) -> Callable:
-    """``train_step``: one prepared call over a
+    """``train_step``: one prepared call (:class:`_Prepared`) over a
     :class:`~repro.core.stores.GpuWorkingSet`, its stores and a workspace's
     arenas, with the checks of the ops it fuses; the last step's cached rows
     and carried gradients are read where this binding put them, so a warmed
@@ -1905,7 +1908,6 @@ def _bind_step(lib, name: str) -> Callable:
 
     binder = _binder("train_step")
     slot = binder.slot
-    step = _stepper(lib, "train_step", name)
     held_lo, held_hi = slot["prev"], slot["carried_opacity"] + 1
     block_at, carry_at = slot["block"], slot["carry"]
 
@@ -1916,71 +1918,58 @@ def _bind_step(lib, name: str) -> Callable:
         if moments is None:  # as the reference's loss: the target's own
             moments = TargetMoments.of(target)
         ws = Workspace() if workspace is None else workspace
-        call = step.prepare(ws)
-        try:
-            cpu, gpu = working.cpu_store, working.gpu_store
-            owners = call.owners
-            # A store never replaces its buffers: a new store (rebuild) rebinds.
-            if len(owners) != 2 or owners[0] is not cpu or owners[1] is not gpu:
-                stores = ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu)
-                binder.put(call.args, stores.values)
-                call.owners, call.dims, call.lent = (cpu, gpu), stores.dims, None
-            frame = step.view(ws, call, camera, settings, target, moments)
-            args, dims = call.args, dict(call.dims)
-            held = binder.bind(args, dict(
-                ws=step_rows.working_set, loads=step_rows.loads, cached=step_rows.cached,
-                stores=step_rows.stores, carried=step_rows.carried,
-            ), dims)
-            m, nc, cached = dims["m"], dims["num_carried"], dims["num_cached"]
-            if cached and working.indices is None:
-                raise RuntimeError("cache copy requested with no previous buffer")
-            if not step.fits(call, frame, m, nc):
-                pairs = tuple(
-                    (arena, operand) for pair in _STEP_ARENAS
-                    for arena, operand in zip(pair, ("block", "carry"))
-                )
-                step.place(ws, call, frame, m, nc, _SIZED + pairs, num_carried=nc)
-                # The two pairs may share no memory: a step reads one and
-                # writes the other (``restrict``), and a call run again must
-                # not read what it wrote.
-                _disjoint("train_step", [
-                    (call.at[arena], call.arenas[arena].nbytes, operand) for arena, operand in pairs
-                ])
-            block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
-            block, carry = call.arenas[block_name], call.arenas[carry_name]
-            args[block_at], args[carry_at] = call.at[block_name], call.at[carry_name]
-            lent = call.lent
-            if lent is not None and (not cached or working.noncrit is lent[0]) and (
-                carried is None or carried is lent[1]
-            ):
-                # What the last call handed on, where it wrote it.
-                args[held_lo:held_hi] = (lent[2] if cached else _NOT_HELD) + (
-                    _NOT_HELD if carried is None else lent[3]
-                )
-            else:
-                args[held_lo:held_hi] = _NOT_HELD + _NOT_HELD
-                reads = _held_rows(
-                    cached, (working.indices, working.noncrit), carried,
-                    ("carried_in", "carried_sh", "carried_opacity"),
-                )
-                if reads:
-                    # Bound as declared: ``restrict`` against the block and
-                    # carry this step writes.
-                    size, carried_size = binder.size("block", dims), binder.size("carry", dims)
-                    held += binder.bind(
-                        args, dict(reads, block=block[:size], carry=carry[:carried_size]), dims,
-                    )
-            k3 = dims["k3"]
-            degree = _DEGREE[k3 // 3]
-            if settings.active_sh_degree is not None:
-                degree = min(settings.active_sh_degree, degree)
-            loss_value = step.run(
-                ws, call, frame, m, dims["n"], degree, settings, ssim_lambda, batch,
-                lambda: working.reserve(m),
+        call = _Prepared.of(ws, lib, "train_step", name)
+        cpu, gpu = working.cpu_store, working.gpu_store
+        # A store never replaces its buffers: a new store (rebuild) rebinds.
+        call.rebind(ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu))
+        frame = call.view(camera, settings, target, moments)
+        args, dims = call.args, dict(call.dims)
+        held = binder.bind(args, dict(
+            ws=step_rows.working_set, loads=step_rows.loads, cached=step_rows.cached,
+            stores=step_rows.stores, carried=step_rows.carried,
+        ), dims)
+        m, nc, cached = dims["m"], dims["num_carried"], dims["num_cached"]
+        if cached and working.indices is None:
+            raise RuntimeError("cache copy requested with no previous buffer")
+        pairs = _step_pairs(_STEP_ARENAS)
+        if call.ensure(frame, m, nc, _SIZED + pairs, num_carried=nc):
+            # The two pairs may share no memory: a step reads one and
+            # writes the other (``restrict``), and a call run again must
+            # not read what it wrote.
+            _disjoint("train_step", [
+                (call.at[arena], call.arenas[arena].nbytes, operand) for arena, operand in pairs
+            ])
+        block_name, carry_name = _STEP_ARENAS[ws.steps & 1]
+        block, carry = call.arenas[block_name], call.arenas[carry_name]
+        args[block_at], args[carry_at] = call.at[block_name], call.at[carry_name]
+        lent = call.lent
+        if lent is not None and (not cached or working.noncrit is lent[0]) and (
+            carried is None or carried is lent[1]
+        ):
+            # What the last call handed on, where it wrote it.
+            args[held_lo:held_hi] = (lent[2] if cached else _NOT_HELD) + (
+                _NOT_HELD if carried is None else lent[3]
             )
-        except BaseException:
-            ws.release()
-            raise
+        else:
+            args[held_lo:held_hi] = _NOT_HELD + _NOT_HELD
+            reads = _held_rows(
+                cached, (working.indices, working.noncrit), carried,
+                ("carried_in", "carried_sh", "carried_opacity"),
+            )
+            if reads:
+                # Bound as declared: ``restrict`` against the block and
+                # carry this step writes.
+                size, carried_size = binder.size("block", dims), binder.size("carry", dims)
+                held += binder.bind(
+                    args, dict(reads, block=block[:size], carry=carry[:carried_size]), dims,
+                )
+        k3 = dims["k3"]
+        degree = _DEGREE[k3 // 3]
+        if settings.active_sh_degree is not None:
+            degree = min(settings.active_sh_degree, degree)
+        loss_value = call.run(
+            frame, m, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
+        )
         ws.steps += 1
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
         k, mk = k3 // 3, m * k3

@@ -38,10 +38,11 @@ stores in place, so the addresses stand.  A binding's key names its slot
 the slot and the objects it held are freed.
 
 Each step op keeps a **prepared call** here (:attr:`Workspace.calls`): an
-argument list whose store or model, view, target and arena slots are
-written only when their source changes (a ``rebuild``, fresh model or
-gradient arrays, a replaced camera or target, a larger view; a restore
-writes in place), so a warmed step writes only its rows, counts and scalars.
+argument list whose store or model, view and target slots are written only
+when the binding they come from is made again (a ``rebuild``, fresh model
+or gradient arrays, a replaced camera or target; a restore writes in
+place), and whose arena slots only when a view needs more than they were
+placed for, so a warmed step writes only its rows, counts and scalars.
 
 The per-view gradients ``view_train`` and ``train_step`` return (the
 full-size ones are already added into) are slices of an arena, so they

@@ -57,9 +57,10 @@ VARIANTS = {
     "clm_sharded": ("clm_sharded", {"num_devices": 2}),
 }
 BATCHES = 40
-#: A densification cadence the drives never reach through ``train_batch``
-#: (which does not densify) but which turns the densify hook on.
-DENSIFY = 1000
+#: The densification cadence the drives' sessions are built with: any
+#: positive one turns the densify hook on, and ``train_batch`` never
+#: densifies by itself.
+HOOK_EVERY = 1000
 #: Batches after which the drive checkpoints, restores that checkpoint,
 #: densifies and prunes, and (sharded) removes a device.
 CHECKPOINT, RESTORE, DENSIFY, REMOVE = 8, 14, 22, 30
@@ -117,7 +118,7 @@ def drive(recipes, recipe, variant, tmp_path, pool=True, **config):
     # session hands every batch the densify hook, which records here.
     sess = repro.session(
         inputs.scene, engine=engine_name, config=cfg,
-        trainer_config=TrainerConfig(densify_every=DENSIFY),
+        trainer_config=TrainerConfig(densify_every=HOOK_EVERY),
         initial_model=None if inputs.initial_model is None else inputs.initial_model.clone(),
     )
     seen, record = [], sess._trainer._record_grads
@@ -420,7 +421,8 @@ def test_stale_capacities_in_the_caps_arena_are_overwritten(recipes, records):
 
 def test_a_replaced_camera_or_target_overwrites_its_binding(recipes):
     """Bindings are keyed by view: a fresh target or camera for the same
-    view rebinds in place instead of pinning the old one."""
+    view rebinds in place (one binding holds both) instead of pinning the
+    old one."""
     engine, plan, targets = working_sets(recipes)
     step, op, ws = plan.steps[0], step_op(), Workspace()
 
@@ -438,7 +440,7 @@ def test_a_replaced_camera_or_target_overwrites_its_binding(recipes):
         run(camera, target.copy())
         assert (len(ws._bindings), ws.bindings) == (held, made + turn)
     run(replace(camera), target)
-    assert (len(ws._bindings), ws.bindings) == (held, made + 5)
+    assert (len(ws._bindings), ws.bindings) == (held, made + 4)
     engine.close()
 
 
@@ -546,11 +548,6 @@ def test_a_restore_that_rebinds_to_a_copy_is_caught(recipes, stepped, tmp_path, 
         ))
         bound = native_backend._bind_stores(copies[-1], copies[-1])
         self._workspace._bindings["stores"] = ((cpu, gpu), bound)
-        # The prepared call's store slots, which a warmed step does not
-        # write again, rebound with them.
-        native_backend._binder("train_step").put(
-            self._workspace.calls["train_step"].args, bound.values
-        )
 
     monkeypatch.setattr(CLMEngine, "load_parameters", load_parameters)
     with pytest.raises(AssertionError):
@@ -641,8 +638,9 @@ ROWS = ("cached", "carried", "loads", "stores", "ws")
 
 def count_preparation(monkeypatch, ws):
     """Counters the preparation of a step writes into: the operands of each
-    ``_Binder.bind`` call of the two step entry points, and the
-    ``Workspace.arena`` and ``Workspace.binding`` calls on ``ws``."""
+    ``_Binder.bind`` call of the two step entry points, the
+    ``Workspace.arena`` calls on ``ws`` and the keys of the bindings
+    ``Workspace.binding`` makes on it (a kept one returned is none)."""
     seen = {"bind": [], "arena": [], "binding": []}
     bind, arena, binding = native_backend._Binder.bind, Workspace.arena, Workspace.binding
 
@@ -656,10 +654,13 @@ def count_preparation(monkeypatch, ws):
             seen["arena"].append(name)
         return arena(self, name, *args, **kwargs)
 
-    def counted_binding(self, key, *args):
-        if self is ws:
-            seen["binding"].append(key)
-        return binding(self, key, *args)
+    def counted_binding(self, key, owners, bind, *args):
+        def made(*args):
+            if self is ws:
+                seen["binding"].append(key)
+            return bind(*args)
+
+        return binding(self, key, owners, made, *args)
 
     monkeypatch.setattr(native_backend._Binder, "bind", counted_bind)
     monkeypatch.setattr(Workspace, "arena", counted_arena)
@@ -744,9 +745,9 @@ def test_each_change_re_prepares_once_and_the_step_after_is_a_fresh_ones(
     got = pass_of(engine, plan, targets, ws, moments)
     rows = [ROWS] * len(plan.steps)
     if event == "arena growth":
-        assert seen["binding"] == [("view", big.view_id), ("target", "train_step", big.view_id)]
+        assert seen["binding"] == [("view", "train_step", big.view_id)]
         # The new view's camera and target, then every step's rows.
-        assert seen["bind"][2:] == rows and len(seen["bind"]) == len(rows) + 2
+        assert seen["bind"][1:] == rows and len(seen["bind"]) == len(rows) + 1
         assert ws.allocations > allocations
         assert len(seen["arena"]) == len(set(seen["arena"])) > 0
     elif event == "rebuild":
@@ -755,8 +756,7 @@ def test_each_change_re_prepares_once_and_the_step_after_is_a_fresh_ones(
             rows + [("critical", "critical_grads", "k3", "pinned", "pinned_grads")]
         )
     else:
-        # Asked for the view's bindings (the camera's is kept), made one.
-        assert seen["binding"] == [("view", view), ("target", "train_step", view)]
+        assert seen["binding"] == [("view", "train_step", view)]
         assert ws.bindings == made + 1
         assert len(seen["bind"]) == len(rows) + 1 and seen["arena"] == []
     assert_passes_equal(got, pass_of(engine, plan, targets, Workspace(), {}))
@@ -777,7 +777,7 @@ def test_a_restore_re_prepares_nothing_and_trains_as_a_fresh_engine(recipes, tmp
 
     def session():
         return repro.session(
-            inputs.scene, engine="clm", trainer_config=TrainerConfig(densify_every=DENSIFY),
+            inputs.scene, engine="clm", trainer_config=TrainerConfig(densify_every=HOOK_EVERY),
             config=EngineConfig(batch_size=spec.batch_size, kernel_backend="native"),
             initial_model=starting_model(inputs),
         )
