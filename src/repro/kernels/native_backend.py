@@ -1708,11 +1708,15 @@ class _Prepared:
     their addresses ``at``) and the ``(frame, dims, rows, extra)`` they
     ``fit``; the render blocks' blend-record flag; what the last
     ``train_step`` handed on (``lent``).  A slot is written when its source
-    changes, so a warmed step writes only its rows and per-call scalars."""
+    changes, so a warmed step writes only its rows and per-call scalars.
+    The call does not hold its workspace (each method is handed it): the
+    workspace holds the call, and a cycle between them would keep a
+    dropped engine's arenas and stores alive until the cycle collector
+    ran."""
 
     __slots__ = (
-        "ws", "lib", "name", "binder", "args", "taken", "dims", "arenas", "at", "fit",
-        "records", "lent",
+        "lib", "name", "binder", "args", "taken", "dims", "arenas", "at", "fit", "records",
+        "lent",
     )
 
     @classmethod
@@ -1724,7 +1728,7 @@ class _Prepared:
 
     def __init__(self, ws, lib, entry: str, name: str) -> None:
         binder = _binder(entry)
-        self.ws, self.lib, self.name, self.binder = ws, lib, name, binder
+        self.lib, self.name, self.binder = lib, name, binder
         self.args, self.taken, self.dims, self.arenas, self.at = binder.blank(), None, {}, {}, {}
         self.fit = self.records = self.lent = None
         for operand, arena, size, dtype in (
@@ -1741,13 +1745,13 @@ class _Prepared:
             self.binder.put(self.args, taken.values)
             self.taken, self.dims, self.lent = taken, taken.dims, None
 
-    def view(self, camera, settings, target, moments) -> tuple:
+    def view(self, ws, camera, settings, target, moments) -> tuple:
         """Write a view's slots (:func:`_bind_target`, kept by
         :meth:`Workspace.binding`); its ``(width, height, sub)``."""
         entry, slot = self.binder.name, self.binder.slot
         # Keyed by view: a replaced camera or target overwrites its binding
         # rather than pinning the old one.
-        values, frame, _ = self.ws.binding(
+        values, frame, _ = ws.binding(
             ("view", entry, camera.view_id),
             (camera, frustum_planes(camera), settings.alpha_threshold,
              settings.transmittance_min, settings.max_alpha, settings.background,
@@ -1757,7 +1761,7 @@ class _Prepared:
         self.args[slot["planes"] : slot["batch"] + 1] = values
         return frame
 
-    def ensure(self, frame, m: int, extra: int, arenas, **dims) -> bool:
+    def ensure(self, ws, frame, m: int, extra: int, arenas, **dims) -> bool:
         """Place ``arenas`` — ``(arena, operand)`` pairs — for a view of
         ``frame`` and ``m`` rows (and ``extra``, another count they are
         sized by) unless the placement in force holds them: made for the
@@ -1773,15 +1777,15 @@ class _Prepared:
         dims.update(self.dims, m=m, width=width, height=height, sub=sub)
         binder = self.binder
         for arena, operand in arenas:
-            array, at = self.ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
+            array, at = ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
             self.arenas[arena], self.at[arena] = array, at
             if arena == operand:
                 self.args[binder.slot[arena]] = at
         self.fit = (frame, self.dims, m, extra)
         return True
 
-    def _place_blocks(self, kept) -> None:
-        blocks = [self.ws.arena(block, size, dtype) for block, size, dtype in kept]
+    def _place_blocks(self, ws, kept) -> None:
+        blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
         # Every slot: the C checks all six, and an arena is not cleared
         # when it is allocated.
         caps = self.arenas["caps"]
@@ -1791,7 +1795,9 @@ class _Prepared:
             self.args[self.binder.slot[operand]] = blocks[k][1] if k < len(blocks) else None
         self.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
 
-    def run(self, frame, m: int, degree: int, settings, ssim_lambda, batch, before=None) -> float:
+    def run(
+        self, ws, frame, m: int, degree: int, settings, ssim_lambda, batch, before=None,
+    ) -> float:
         """Take the lease, write the per-call scalars, call ``before()`` and
         the step — again, its render's blocks grown, while it reports them
         short — and return the loss, the lease held.  A failing stage
@@ -1799,14 +1805,14 @@ class _Prepared:
         lease released."""
         args, slot, records = self.args, self.binder.slot, bool(settings.cache_blend_state)
         if records is not self.records:
-            self._place_blocks(_kept_blocks(records, dict.fromkeys(
+            self._place_blocks(ws, _kept_blocks(records, dict.fromkeys(
                 ("m", "tiles", "entries", "cap", "sub"), 0,
             )))
             self.records = records
         args[slot["degree"]], args[slot["records"]] = degree, int(records)
         args[slot["ssim_lambda"]], args[slot["batch"]] = float(ssim_lambda), float(batch)
         out, (width, height, sub) = self.arenas["out"], frame
-        ws, step = self.ws, getattr(self.lib, self.binder.name)
+        step = getattr(self.lib, self.binder.name)
         ws.lease()
         try:
             if before is not None:
@@ -1819,7 +1825,7 @@ class _Prepared:
                     # Nothing the caller reads was written: size the
                     # render's blocks by its counts and go again.
                     survivors, _, busy, entries, area = out[2:7].tolist()
-                    self._place_blocks(_kept_blocks(records, dict(
+                    self._place_blocks(ws, _kept_blocks(records, dict(
                         m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
                     )))
         except _StageFailed:
@@ -1868,7 +1874,7 @@ def _bind_train(lib, name: str) -> Callable:
             model.opacity_logits, *[into.get(attr) for attr in _MODEL.values()],
         )
         call.rebind(ws.binding("resident", owners, binder.take, dict(zip(_RESIDENT, owners))))
-        frame = call.view(camera, settings, target, moments)
+        frame = call.view(ws, camera, settings, target, moments)
         args, n = call.args, call.dims["n"]
         if rows is None:  # every row, read where it is: no SH rows to copy
             m, extra = n, -1
@@ -1877,9 +1883,10 @@ def _bind_train(lib, name: str) -> Callable:
             counted = {}
             rows = binder.rows(args, "rows", rows, counted)
             m = extra = counted["m"]
-        call.ensure(frame, m, extra, _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),))
+        sized = _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),)
+        call.ensure(ws, frame, m, extra, sized)
         args[sh_rows_at] = None if rows is None else call.at["sh_rows"]
-        loss = call.run(frame, m, _sh_degree(model, settings), settings, ssim_lambda, batch)
+        loss = call.run(ws, frame, m, _sh_degree(model, settings), settings, ssim_lambda, batch)
         return loss, _StepGrads(call.arenas["grads"], m, call.dims["k_stored"])
 
     return view_train
@@ -1922,7 +1929,7 @@ def _bind_step(lib, name: str) -> Callable:
         cpu, gpu = working.cpu_store, working.gpu_store
         # A store never replaces its buffers: a new store (rebuild) rebinds.
         call.rebind(ws.binding("stores", (cpu, gpu), _bind_stores, cpu, gpu))
-        frame = call.view(camera, settings, target, moments)
+        frame = call.view(ws, camera, settings, target, moments)
         args, dims = call.args, dict(call.dims)
         held = binder.bind(args, dict(
             ws=step_rows.working_set, loads=step_rows.loads, cached=step_rows.cached,
@@ -1932,7 +1939,7 @@ def _bind_step(lib, name: str) -> Callable:
         if cached and working.indices is None:
             raise RuntimeError("cache copy requested with no previous buffer")
         pairs = _step_pairs(_STEP_ARENAS)
-        if call.ensure(frame, m, nc, _SIZED + pairs, num_carried=nc):
+        if call.ensure(ws, frame, m, nc, _SIZED + pairs, num_carried=nc):
             # The two pairs may share no memory: a step reads one and
             # writes the other (``restrict``), and a call run again must
             # not read what it wrote.
@@ -1968,7 +1975,7 @@ def _bind_step(lib, name: str) -> Callable:
         if settings.active_sh_degree is not None:
             degree = min(settings.active_sh_degree, degree)
         loss_value = call.run(
-            frame, m, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
+            ws, frame, m, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
         )
         ws.steps += 1
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.

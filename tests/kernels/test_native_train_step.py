@@ -16,8 +16,10 @@ and renders pinned to another backend take the composition, and each
 mutant of the binding below fails the comparison or raises.
 """
 
+import gc
 import os
 import sys
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -764,6 +766,26 @@ def test_each_change_re_prepares_once_and_the_step_after_is_a_fresh_ones(
         found.clear()
     pass_of(engine, plan, targets, ws, moments)
     assert seen == {"bind": rows, "arena": [], "binding": []}
+    engine.close()
+
+
+def test_a_dropped_workspace_is_freed_without_the_cycle_collector(recipes):
+    """The prepared call a workspace keeps does not hold the workspace: once
+    its last reference goes, the workspace — its arenas, and the stores and
+    targets its bindings hold — is freed at once, not when the cycle
+    collector next runs."""
+    engine, plan, targets = working_sets(recipes, "sparse")
+    ws = Workspace()
+    pass_of(engine, plan, targets, ws)
+    assert "train_step" in ws.calls
+    freed, collecting = weakref.ref(ws), gc.isenabled()
+    gc.disable()
+    try:
+        del ws
+        assert freed() is None
+    finally:
+        if collecting:
+            gc.enable()
     engine.close()
 
 
