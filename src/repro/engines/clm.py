@@ -15,16 +15,21 @@ NumPy arrays:
    working set (cache copies + pinned-store loads), render, compute loss,
    backprop, accumulate gradients (GPU-resident for critical attributes,
    working-buffer for non-critical with carried accumulation) and offload
-   the finalized ones — on ``native`` one ``train_step`` kernel call, like
-   the paper's one stream per microbatch (§5.2–5.4), with the pool
-   accounting, the transfer counters, the loss and the densify hook left
-   in Python.  An ``adam`` node is the eager CPU Adam of chunk
+   the finalized ones.  An ``adam`` node is the eager CPU Adam of chunk
    ``F_j`` — with ``config.overlap_workers >= 1`` its fused packed-row
    update executes on a worker thread while the training thread renders
-   microbatch ``j+1`` (§4.2.2 for real, not simulated);
-4. finish the batch: ``critical_adam``, the GPU-side fused Adam update of
-   the critical attributes, then the batch-end barrier that joins every
-   in-flight chunk and surfaces worker errors.
+   microbatch ``j+1`` (§4.2.2 for real, not simulated); the last node,
+   ``critical_adam``, is the GPU-side fused Adam update of the critical
+   attributes.  Inline on ``native`` the whole list is one
+   ``train_batch`` kernel call, like the paper's pipelined schedule with
+   nothing on its critical path waiting on the host (§4.2, §5.2–5.4): the
+   pool accounting is replayed before it, the transfer counters and the
+   losses are summed after it.  The pooled executors, a densify hook and a
+   custom renderer pair walk the nodes (:func:`train_batch`): each step
+   one ``train_step`` kernel call on ``native``, with the pool accounting,
+   the counters, the loss and the hook in Python each step;
+4. finish the batch: the barrier that joins every in-flight chunk and
+   surfaces worker errors.
 
 Both optimizers are fused :class:`repro.optim.packed_adam.PackedSparseAdam`
 instances over the stores' packed row layouts — one ``adam_rows`` kernel
@@ -81,6 +86,39 @@ class _BatchRun:
     fused: Optional[Callable] = None
     loss: float = 0.0
     per_view_loss: Dict[int, float] = field(default_factory=dict)
+
+
+def _bind_node(engine: "CLMEngine", plan, run: _BatchRun, node) -> tuple:
+    """``(fn, args)`` that run ``node`` of ``plan``'s lowered list."""
+    if node.kind == "step":
+        return engine._run_step, (run, plan.steps[node.index])
+    if node.kind == "adam":
+        return engine._apply_noncritical_adam, (plan.adam_chunks[node.index],)
+    return engine._apply_critical_adam, (plan.touched,)
+
+
+def train_batch(
+    engine: "CLMEngine", plan, run: _BatchRun, nodes, workers: int = 0
+) -> "tuple[float, float]":
+    """The node walk: the reference of the ``train_batch`` kernel op, and
+    what a pooled, hooked or custom-rendered batch runs.  The touched
+    rows' gradients zeroed in both stores, then ``nodes`` in order — each
+    ``step`` on the training thread, each ``adam`` handed to the
+    :class:`OverlapExecutor` of ``workers`` threads (none: run inline), the
+    ``critical_adam`` last — and one barrier.  Returns the noncritical Adam
+    seconds and, of those, the seconds hidden under the steps."""
+    engine.cpu_store.zero_grads(plan.touched)
+    engine.gpu_store.zero_grads(plan.touched)
+    runtime = engine._overlap_runtime(workers)
+    for node in nodes:
+        fn, args = _bind_node(engine, plan, run, node)
+        if node.kind == "adam":
+            runtime.submit(fn, *args)
+        else:
+            fn(*args)
+    runtime.barrier()
+    stats = runtime.drain_stats()
+    return stats.task_s, stats.hidden_s
 
 
 @register_engine(
@@ -263,11 +301,13 @@ class CLMEngine(EngineBase):
     ) -> "tuple[BatchResult, float, float]":
         """Execute the batch's :func:`~repro.planning.lower_batch` nodes.
 
-        The same node list runs either inline — ``step`` and
-        ``critical_adam`` on the training thread, every ``adam`` handed to
-        the :class:`OverlapExecutor`, one barrier at batch end — or, with
-        ``config.use_task_graph``, bound into a :class:`TaskGraph` for
-        the :class:`GraphExecutor`.
+        The same node list runs inline — the ``train_batch`` op: on
+        ``native`` one call, else :func:`train_batch`, the walk — or on a
+        pool: the walk with every ``adam`` handed to the
+        :class:`OverlapExecutor`, one barrier at batch end, or, with
+        ``config.use_task_graph``, bound into a :class:`TaskGraph` for the
+        :class:`GraphExecutor`.  The walk is what a densify hook, a custom
+        renderer pair or renders on another backend than the stores' run.
 
         Concurrency contract: every ``adam`` node updates a *finalized*
         chunk — rows no later microbatch loads, stores, or re-finalizes
@@ -280,46 +320,34 @@ class CLMEngine(EngineBase):
         Returns ``(result, noncritical_adam_s, hidden_s)``.
         """
         touched = plan.touched
-        self.cpu_store.zero_grads(touched)
-        self.gpu_store.zero_grads(touched)
         run = _BatchRun(
             targets,
             plan.batch_size,
             position_grad_hook,
             working=self._new_working_set(),
         )
-
-        def bind(node):
-            if node.kind == "step":
-                return self._run_step, (run, plan.steps[node.index])
-            if node.kind == "adam":
-                chunk = plan.adam_chunks[node.index]
-                return self._apply_noncritical_adam, (chunk,)
-            return self._apply_critical_adam, (touched,)
-
         nodes = lower_batch(plan, self.config.enable_overlap_adam)
         if self.config.use_task_graph:
+            self.cpu_store.zero_grads(touched)
+            self.gpu_store.zero_grads(touched)
             graph = TaskGraph(name="clm-batch")
             for node in nodes:
-                fn, args = bind(node)
+                fn, args = _bind_node(self, plan, run, node)
                 graph.add(
                     fn, *args, name=node.name, kind=node.kind, deps=node.deps
                 )
             stats = self._graph_runtime(workers).run(graph)
             adam_noncritical_s = stats.kind_s.get("adam", 0.0)
+            hidden_s = stats.hidden_s
         else:
-            runtime = self._overlap_runtime(workers)
-            for node in nodes:
-                fn, args = bind(node)
-                if node.kind == "adam":
-                    runtime.submit(fn, *args)
-                else:
-                    fn(*args)
-            runtime.barrier()
-            stats = runtime.drain_stats()
-            adam_noncritical_s = stats.task_s
+            batch = None
+            if not workers and self.tuner is None and position_grad_hook is None:
+                batch = self._fused_op(run.working, self.raster_settings, "train_batch")
+            adam_noncritical_s, hidden_s = (batch or train_batch)(
+                self, plan, run, nodes, workers
+            )
         self._step_adam_s += adam_noncritical_s
-        self._step_overlap_hidden_s += stats.hidden_s
+        self._step_overlap_hidden_s += hidden_s
         run.working.release()
         counters = run.working.counters
         result = BatchResult(
@@ -334,7 +362,7 @@ class CLMEngine(EngineBase):
             stored_bytes=counters.stored_bytes(),
             adam_chunk_sizes=plan.adam_chunk_sizes,
         )
-        return result, adam_noncritical_s, stats.hidden_s
+        return result, adam_noncritical_s, hidden_s
 
     def _build_stores(self, model: GaussianModel) -> None:
         backend = self.kernel_backend
@@ -367,10 +395,7 @@ class CLMEngine(EngineBase):
         ws, working = self._workspace, run.working
         if settings is None:
             settings = run.settings = self.raster_settings
-            if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
-                run.fused = working._ops("train_step")
-                if working._ops.active == REFERENCE_BACKEND:
-                    run.fused = None
+            run.fused = self._fused_op(working, settings, "train_step")
         moments = self._target_moments(cam.view_id, target)
         fused = run.fused
         try:
@@ -394,6 +419,16 @@ class CLMEngine(EngineBase):
         run.per_view_loss[step.view_id] = loss
         run.loss += loss / run.batch
 
+    def _fused_op(self, working: GpuWorkingSet, settings, op: str) -> Optional[Callable]:
+        """``working``'s op ``op`` where it runs this engine's renders itself
+        — the library's renderer pair, renders on the stores' backend, and
+        that backend not the reference — else None: the composition."""
+        if self._own_renderer() and settings.kernel_backend in (None, self.kernel_backend):
+            fused = working._ops(op)
+            if working._ops.active != REFERENCE_BACKEND:
+                return fused
+        return None
+
     # ------------------------------------------------------------------
     def _apply_noncritical_adam(self, rows: np.ndarray) -> None:
         """Fused CPU Adam over one finalized chunk (the §5.4 thread's
@@ -414,7 +449,10 @@ class CLMEngine(EngineBase):
         self.adam_critical.step_packed(
             self.gpu_store.packed_params, self.gpu_store.packed_grads, rows
         )
-        elapsed = time.perf_counter() - start
+        self._critical_adam_done(rows, time.perf_counter() - start)
+
+    def _critical_adam_done(self, rows: np.ndarray, elapsed: float) -> None:
+        """Account a critical Adam over ``rows`` that took ``elapsed`` s."""
         self._step_adam_s += elapsed
         # Split out for the tuner: critical Adam is serial-on-main in the
         # prediction DAG, unlike the overlappable noncritical chunks.

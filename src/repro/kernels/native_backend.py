@@ -1,9 +1,9 @@
 """The ``native`` kernel backend — a view, its loss, CLM's data path, a
 batch's plan and a whole CLM microbatch in C, built at first use.
 
-``native_kernels.c`` exports fourteen entry points; each of its sections
+``native_kernels.c`` exports fifteen entry points; each of its sections
 documents its loops and the NumPy reference it reproduces.  Python binds
-them to the ten kernel ops:
+them to the eleven kernel ops:
 
 - ``exact_cull`` — the 3-sigma frustum verdict (``static in_frustum``, the
   one arithmetic ``view_project`` and ``grid_cull`` apply too) on named
@@ -46,7 +46,13 @@ them to the ten kernel ops:
   so a call can be run again when its render outgrows the arenas
   (``STATUS_ARENA_SHORT``); a failing stage (:data:`_STEP_STAGES`) raises
   what that entry point would.  Both steps share ``static view_step`` in C
-  and :class:`_Prepared` here: a prepared call, whose warmed calls bind only rows.
+  and :class:`_Prepared` here: a prepared call, whose warmed calls bind only rows;
+- ``train_batch`` — a CLM engine's inline batch in one call
+  (:func:`_bind_batch`): its lowered node list as opcodes, interpreted in C
+  — the touched rows zeroed, each step ``train_step``'s ``static
+  clm_step``, each Adam chunk and the critical update ``adam_rows`` —
+  over one buffer of the plan's rows, each step resumable where its render
+  outgrew the arenas, the stages stamped.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -114,7 +120,7 @@ lands on NumPy silently.  A build, parse or load that fails raises from
 :func:`~repro.kernels.registry.compile_with_fallback` turns into one
 :class:`RuntimeWarning`; from then on the backend reports itself
 unavailable (``repro backends`` shows why).  That is the only way an op
-leaves this backend: it runs all ten, by name, over whatever it is handed
+leaves this backend: it runs all eleven, by name, over whatever it is handed
 — an operand its declaration does not take (a float32 or strided model
 array, a grayscale image) is converted where the declaration says
 ``cast`` and otherwise refused by the binder, never rerouted.  L1 alone
@@ -132,6 +138,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import re
 import shlex
@@ -202,18 +209,43 @@ _PARAMS = (
 #: tables; a render's blocks larger than the arenas ``train_step`` was
 #: handed.  ``OK`` is 0, so a nonzero status is a failure on both sides.
 _STATUS = ("OK", "NO_MEMORY", "OUT_OF_RANGE", "VIOLATED", "TABLES_SHORT", "ARENA_SHORT")
-#: The entry points ``train_step`` calls, in order (``STAGE_<NAME>`` in C):
-#: the one that failed is reported at ``out[OUT_STAGE]``.
+#: The calls a step or a batch makes, in order (``STAGE_<NAME>`` in C), then
+#: ``train_batch``'s check of its plan: the one that failed is reported at
+#: ``out[OUT_STAGE]``.
 _STEP_STAGES = (
     "assemble_rows", "view_project", "view_composite", "photometric_loss",
-    "view_backward", "retire_rows",
+    "view_backward", "retire_rows", "adam_rows", "plan",
 )
-#: ``train_step``'s ``out`` vector, slot by slot (``OUT_<NAME>`` in C): the
-#: failing stage and its status, ``view_project``'s five counts, the
-#: nanoseconds of the forward and backward halves.
+#: What a step's or a batch's stamps time, in order: zeroing the touched rows
+#: (and the batch's plan check), the load, the forward's two halves, the loss,
+#: the backward, the gradients added and offloaded, the noncritical Adam
+#: chunks and the critical Adam.  Each has its ``<stage>_ns`` report slot.
+_STAMPS = (
+    "zero", "assemble", "project", "composite", "loss", "backward", "retire", "adam",
+    "critical_adam",
+)
+#: ``train_step``'s and ``view_train``'s ``out`` vector, slot by slot
+#: (``OUT_<NAME>`` in C): the failing stage and its status,
+#: ``view_project``'s five counts, the nanoseconds of each stage.
 _STEP_OUT = (
     "stage", "status", "survivors", "binned", "tiles", "entries", "area",
-    "forward_ns", "backward_ns",
+    *(f"{stage}_ns" for stage in _STAMPS),
+)
+#: ``train_batch``'s: a step's, then the node a render outgrew its arenas at
+#: and the nanoseconds of the whole call.
+_BATCH_OUT = _STEP_OUT + ("node", "total_ns")
+_OUT = {slot: k for k, slot in enumerate(_BATCH_OUT)}
+_STAMPED = slice(_OUT["zero_ns"], _OUT["critical_adam_ns"] + 1)
+#: The node kinds of a lowered batch (``NODE_<KIND>`` in C), as
+#: :func:`~repro.planning.lowering.lower_batch` names them.
+_NODES = ("step", "adam", "critical_adam")
+#: A step's row vectors in a batch's plan buffer, in order (``PLAN_VECTORS``).
+_PLAN_VECTORS = ("working_set", "loads", "cached", "stores", "carried")
+#: A row of ``train_batch``'s views table (``VIEW_<NAME>`` in C): the
+#: addresses of the view's planes, params, target, moments and window taps,
+#: its size and its taps' count.
+_VIEW_ROW = (
+    "planes", "params", "width", "height", "target", "uy", "uy2_c1", "vy_c2", "taps", "size",
 )
 #: Parameter types of an entry point: the scalars ctypes passes by value,
 #: and the element types of the arrays passed by address (``c_void_p``),
@@ -353,13 +385,22 @@ _VIEW_STEP = (
     " double taps[size]; int64_t size; double ssim_lambda; double c1; double c2;"
     " double batch"
 )
-#: The arenas a step renders in, last: ``{0}`` is the SH values a row.
-_STEP_ARENAS_OF = (
+#: The arenas a step renders in: ``{0}`` is the SH values a row.
+_RENDER_ARENAS_OF = (
     f"double scratch[{_SCRATCH} * m] write; int64_t work[{_WORK.format('m')}] write;"
     f" {_RENDER.format('write')}; int64_t caps[6]; double image[height, width, 3] write;"
     " double trans[height, width] write; double d_image[height, width, 3] write;"
-    " double grads[(11 + {0}) * m] write; double value[1] write;"
-    f" int64_t out[{len(_STEP_OUT)}] write"
+    " double grads[(11 + {0}) * m] write"
+)
+#: ... and a step's loss and report, last.
+_STEP_ARENAS_OF = (
+    _RENDER_ARENAS_OF + f"; double value[1] write; int64_t out[{len(_STEP_OUT)}] write"
+)
+#: An optimizer's moments, step counts and per-column rates over ``{1}``
+#: columns: ``{0}`` names them.
+_ADAM_STATE = (
+    "double m_{0}[n, {1}] write; double v_{0}[n, {1}] write; int64_t steps_{0}[n] write;"
+    " double lr_{0}[{1}]"
 )
 
 #: Every exported entry point's parameters, in prototype order: the names,
@@ -455,6 +496,21 @@ _OPERANDS = {name: _declare(text) for name, text in {
         " double carry[num_carried * (k3 + 1)] write restrict;"
         f" {_STEP_ARENAS_OF.format('k3')}"
     ),
+    "train_batch": (
+        "int64_t n; int64_t k3; int64_t stride; double pinned[n, stride] write;"
+        " double pinned_grads[n, stride] write; double critical[n, 10] write;"
+        " double critical_grads[n, 10] write; int64_t program[nodes, 2]; int64_t nodes;"
+        " int64_t rows[total] index(n); int64_t total;"
+        f" int64_t offsets[{len(_PLAN_VECTORS) + 1} * count + 2]; int64_t count;"
+        f" int64_t views[count, {len(_VIEW_ROW)}]; int64_t degree; int64_t ts; int64_t sub;"
+        " int64_t records; double ssim_lambda; double c1; double c2; double batch;"
+        f" {_ADAM_STATE.format('nc', 'stride')}; {_ADAM_STATE.format('c', 10)};"
+        " double beta1; double beta2; double eps; double bc1[table]; double rsqrt_bc2[table];"
+        " int64_t table; double blocks[2 * block_size] write; int64_t block_size;"
+        " double carries[2 * carry_size] write; int64_t carry_size;"
+        f" {_RENDER_ARENAS_OF.format('k3')}; double value[count] write; int64_t start;"
+        f" int64_t out[{len(_BATCH_OUT)}] write"
+    ),
     "view_train": (
         "int64_t m; int64_t rows[m] index(n) optional; int64_t n; double positions[n, 3];"
         " double log_scales[n, 3]; double quats[n, 4]; double sh[n, k_stored, 3];"
@@ -495,7 +551,12 @@ def header() -> str:
         enum(f"P_{p.upper()} = {at}" for p, _, at, _ in params),
         enum(f"STATUS_{status} = {code}" for code, status in enumerate(_STATUS)),
         enum(f"STAGE_{stage.upper()} = {k}" for k, stage in enumerate(_STEP_STAGES)),
-        enum(f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_STEP_OUT)),
+        enum(f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_BATCH_OUT)),
+        enum(f"NODE_{kind.upper()} = {k}" for k, kind in enumerate(_NODES)),
+        enum(
+            [f"VIEW_{slot.upper()} = {k}" for k, slot in enumerate(_VIEW_ROW)]
+            + [f"VIEW_SLOTS = {len(_VIEW_ROW)}", f"PLAN_VECTORS = {len(_PLAN_VECTORS)}"]
+        ),
         f"#define FOOTPRINT_MARGIN {rasterizer._FOOTPRINT_MARGIN!r}",
         f"#define PREFILTER_MARGIN {_PREFILTER_MARGIN!r}",
         *(f"#define SH_C{d} {c!r}" for d, c in enumerate((sh._C0, sh._C1))),
@@ -553,19 +614,20 @@ def prototypes(source: str) -> dict:
 # What a status raises
 # ---------------------------------------------------------------------------
 class _TablesShort(Exception):
-    """``adam_rows`` met a step past the bias-correction tables it was
-    handed (nothing was written): grow them and call again."""
+    """``adam_rows`` or ``train_batch`` met a step past the bias-correction
+    tables it was handed (nothing was written): grow them and call again."""
 
 
 class _ArenaShort(Exception):
-    """``train_step`` counted a render larger than the arenas it was handed
-    (before writing any store), or ``grid_cull`` more rows than its output
-    buffer holds: grow them and call again."""
+    """A step counted a render larger than the arenas it was handed (before
+    writing any store; ``train_batch`` reports that step's node), or
+    ``grid_cull`` more rows than its output buffer holds: grow them and call
+    again."""
 
 
 class _StageFailed(Exception):
-    """A call inside ``train_step`` failed: ``out`` names it and its status,
-    and the binding raises what that call raises."""
+    """A call inside a step or a batch failed: ``out`` names it and its
+    status, and the binding raises what that call raises."""
 
 
 class _Malformed(Exception):
@@ -589,6 +651,8 @@ def _no_memory(what: str) -> dict:
     return {"NO_MEMORY": (MemoryError, f" could not allocate its {what}")}
 
 
+#: A step's: a failing stage's status is what that stage raises.
+_STEPPED = {**dict.fromkeys(_STATUS[1:], (_StageFailed, "")), "ARENA_SHORT": (_ArenaShort, "")}
 #: What each exported entry point's nonzero status raises: the exception and
 #: the message after ``native <name>``, formatted with the call's arguments
 #: by their names in its prototype.  A status an entry point has no entry
@@ -618,14 +682,19 @@ _RAISES = {
         **_no_memory("scratch ({count} sets)"),
         "OUT_OF_RANGE": (_Malformed, ""), "VIOLATED": (_Malformed, ""),
     },
-    **dict.fromkeys(("train_step", "view_train"), {
-        **dict.fromkeys(_STATUS[1:], (_StageFailed, "")),
-        "ARENA_SHORT": (_ArenaShort, ""),
-    }),
+    **dict.fromkeys(("train_step", "view_train"), _STEPPED),
+    "train_batch": {**_STEPPED, "TABLES_SHORT": (_TablesShort, "")},
 }
-#: What a failing stage of a step (:data:`_STEP_STAGES`) raises: its entry
-#: point's entry, or the ``static`` ``retire_rows``'s.
-_STAGE_RAISES = {**_RAISES, "retire_rows": _ROWS}
+#: What a failing stage of a step or a batch (:data:`_STEP_STAGES`) raises:
+#: its entry point's entry, or the ``static`` ``retire_rows``'s, or the
+#: batch's plan check's.
+_STAGE_RAISES = {
+    **_RAISES, "retire_rows": _ROWS,
+    "plan": {
+        **_no_memory("chunk marks"), "OUT_OF_RANGE": (IndexError, ": a row outside the store"),
+        "VIOLATED": (ValueError, ": a malformed node list or row vector"),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1513,11 +1582,27 @@ def _held_rows(cached: int, prev, carried, names=("carried", "carried_sh", "carr
     return held
 
 
+def _tables(binder, args, beta1, beta2, reached=None) -> tuple:
+    """Bias-correction tables covering step ``reached`` written into
+    ``binder``'s ``bc1`` / ``rsqrt_bc2`` / ``table`` slots of ``args``;
+    the tables, for the caller to hold.  ``reached`` is where a call found
+    the tables in ``args`` short: tables that already cover it fell short
+    only of a negative step count."""
+    from repro.optim.kernels import tables_for
+
+    if reached is not None and reached < args[binder.slot["table"]]:
+        raise ValueError(f"native {binder.name}: a negative step count") from None
+    bc1, rsqrt_bc2 = tables_for(beta1, beta2).covering(reached or 0)
+    binder.put(args, dict(
+        bc1=_address(bc1), rsqrt_bc2=_address(rsqrt_bc2), table=min(bc1.size, rsqrt_bc2.size),
+    ))
+    return bc1, rsqrt_bc2
+
+
 def _bind_rows(lib, op: str) -> Callable:
     """The data-path op ``op`` as one call into the loaded library: its
     operands checked as declared, rows by the C call before it writes
     anything."""
-    from repro.optim.kernels import tables_for
 
     def assemble_rows(ws, working_set, loads, cached, carried_grads):
         cpu, k = ws.cpu_store, ws.cpu_store.sh_basis
@@ -1537,24 +1622,20 @@ def _bind_rows(lib, op: str) -> Callable:
 
     zeroer, adam = _binder("zero_rows"), _binder("adam_rows")
     buffers, state = _Kept(zeroer), _Kept(adam)
-    bump_at, table_at = adam.slot["bump"], adam.slot["table"]
-    tables_at = slice(adam.slot["bc1"], table_at + 1)
+    bump_at, tables_at = adam.slot["bump"], slice(adam.slot["bc1"], adam.slot["table"] + 1)
 
     def zero_rows(buffer, rows):
         args = buffers(dict(buffer=buffer)).call[0].copy()
         rows = zeroer.rows(args, "rows", rows, {})
         lib.zero_rows(*args)
 
-    def settle(kept, lr, beta1, beta2, eps, t_max=0) -> None:
+    def settle(kept, lr, beta1, beta2, eps, reached=None) -> None:
         # Rates, betas and tables into a new list: a call copying the old
         # one meanwhile holds its arrays.
         args = list(kept.call[0])
         held = adam.bind(args, dict(beta1=beta1, beta2=beta2, eps=eps, lr=lr), dict(kept.dims))
-        bc1, rsqrt_bc2 = tables_for(beta1, beta2).covering(t_max)
-        adam.put(args, dict(
-            bc1=_address(bc1), rsqrt_bc2=_address(rsqrt_bc2), table=min(bc1.size, rsqrt_bc2.size),
-        ))
-        kept.call, kept.settled = (args, (held, bc1, rsqrt_bc2)), (lr, beta1, beta2, eps)
+        tables = _tables(adam, args, beta1, beta2, reached)
+        kept.call, kept.settled = (args, (held, *tables)), (lr, beta1, beta2, eps)
 
     def adam_rows(
         params, grads, m, v, steps, rows, lr, beta1, beta2, eps, bump=True,
@@ -1573,12 +1654,10 @@ def _bind_rows(lib, op: str) -> Callable:
                 return lib.adam_rows(*args)
             except _TablesShort:
                 # A step past the tables' end: grow them, then go again
-                # (nothing was written); tables that cover the rows' steps
-                # fall short only of a negative one.
-                reached = int(steps[rows].max()) + int(bump)
-                if attempt or reached < args[table_at]:
+                # (nothing was written).
+                if attempt:
                     raise ValueError("native adam_rows: a negative step count") from None
-                settle(kept, lr, beta1, beta2, eps, reached)
+                settle(kept, lr, beta1, beta2, eps, int(steps[rows].max()) + int(bump))
                 args[tables_at], held = kept.call[0][tables_at], kept.call[1]
 
     return {
@@ -1674,6 +1753,21 @@ def _bind_target(entry, camera, settings, target, moments) -> tuple:
     return args[binder.slot["planes"] : binder.slot["batch"] + 1], frame, held
 
 
+def _view_binding(ws, entry, camera, settings, target, moments) -> tuple:
+    """Step ``entry``'s view slots (:func:`_bind_target`), kept by
+    :meth:`Workspace.binding`, and the view's ``(width, height, sub)``."""
+    # Keyed by view: a replaced camera or target overwrites its binding
+    # rather than pinning the old one.
+    values, frame, _ = ws.binding(
+        ("view", entry, camera.view_id),
+        (camera, frustum_planes(camera), settings.alpha_threshold,
+         settings.transmittance_min, settings.max_alpha, settings.background,
+         settings.tile_size, target, moments),
+        _bind_target, entry, camera, settings, target, moments,
+    )
+    return values, frame
+
+
 class _StepGrads(Mapping):
     """A step's five gradients in its ``grads`` arena (``m`` rows, ``k`` SH
     bases, ``model.parameters()`` order), each cut when it is read."""
@@ -1701,22 +1795,23 @@ def _grad_layout(k: int) -> dict:
 
 
 class _Prepared:
-    """Step ``entry``'s prepared call on one workspace (its
+    """Step or batch ``entry``'s prepared call on one workspace (its
     :attr:`~repro.kernels.workspace.Workspace.calls` entry): the argument
     list; the take whose slots it holds (the stores, or the model and the
     full-size gradients) and its ``dims``; the arenas placed (``arenas``,
-    their addresses ``at``) and the ``(frame, dims, rows, extra)`` they
-    ``fit``; the render blocks' blend-record flag; what the last
-    ``train_step`` handed on (``lent``).  A slot is written when its source
-    changes, so a warmed step writes only its rows and per-call scalars.
-    The call does not hold its workspace (each method is handed it): the
-    workspace holds the call, and a cycle between them would keep a
-    dropped engine's arenas and stores alive until the cycle collector
-    ran."""
+    their addresses ``at``; a batch's named apart from a step's, so neither
+    moves the other's) and the ``(frame, dims, counts)`` they ``fit``; the
+    render blocks' blend-record flag; what the last ``train_step`` handed on
+    (``lent``), or the Adam tables a batch grew (``tables``).  A slot is
+    written when its source changes, so a warmed call writes only its rows
+    and per-call scalars.  The call does not hold its workspace (each method
+    is handed it): the workspace holds the call, and a cycle between them
+    would keep a dropped engine's arenas and stores alive until the cycle
+    collector ran."""
 
     __slots__ = (
-        "lib", "name", "binder", "args", "taken", "dims", "arenas", "at", "fit", "records",
-        "lent",
+        "lib", "name", "binder", "prefix", "args", "taken", "dims", "arenas", "at", "fit",
+        "records", "lent", "tables",
     )
 
     @classmethod
@@ -1729,13 +1824,17 @@ class _Prepared:
     def __init__(self, ws, lib, entry: str, name: str) -> None:
         binder = _binder(entry)
         self.lib, self.name, self.binder = lib, name, binder
+        self.prefix = "batch " if entry == "train_batch" else ""
         self.args, self.taken, self.dims, self.arenas, self.at = binder.blank(), None, {}, {}, {}
-        self.fit = self.records = self.lent = None
-        for operand, arena, size, dtype in (
-            ("value", "value", 1, np.float64), ("out", "step out", len(_STEP_OUT), np.int64),
-            ("caps", "step caps", len(_BLOCKS), np.int64),
-        ):
-            self.arenas[operand], self.args[binder.slot[operand]] = ws.arena(arena, size, dtype)
+        self.fit = self.records = self.lent = self.tables = None
+        fixed = [("out", "step out", binder.size("out", {}), np.int64),
+                 ("caps", "step caps", len(_BLOCKS), np.int64)]
+        if not self.prefix:  # a batch's losses are sized by its steps
+            fixed.append(("value", "value", 1, np.float64))
+        for operand, arena, size, dtype in fixed:
+            self.arenas[operand], self.args[binder.slot[operand]] = ws.arena(
+                self.prefix + arena, size, dtype,
+            )
 
     def rebind(self, taken: _Taken) -> None:
         """Write ``taken``'s slots unless they are the ones written; a new
@@ -1743,49 +1842,51 @@ class _Prepared:
         on."""
         if taken is not self.taken:
             self.binder.put(self.args, taken.values)
-            self.taken, self.dims, self.lent = taken, taken.dims, None
+            self.taken, self.dims, self.lent, self.tables = taken, taken.dims, None, None
 
     def view(self, ws, camera, settings, target, moments) -> tuple:
-        """Write a view's slots (:func:`_bind_target`, kept by
-        :meth:`Workspace.binding`); its ``(width, height, sub)``."""
-        entry, slot = self.binder.name, self.binder.slot
-        # Keyed by view: a replaced camera or target overwrites its binding
-        # rather than pinning the old one.
-        values, frame, _ = ws.binding(
-            ("view", entry, camera.view_id),
-            (camera, frustum_planes(camera), settings.alpha_threshold,
-             settings.transmittance_min, settings.max_alpha, settings.background,
-             settings.tile_size, target, moments),
-            _bind_target, entry, camera, settings, target, moments,
-        )
+        """Write a view's slots (:func:`_view_binding`); its ``(width,
+        height, sub)``."""
+        slot = self.binder.slot
+        values, frame = _view_binding(ws, self.binder.name, camera, settings, target, moments)
         self.args[slot["planes"] : slot["batch"] + 1] = values
         return frame
 
-    def ensure(self, ws, frame, m: int, extra: int, arenas, **dims) -> bool:
+    def ensure(self, ws, frame, counts: tuple, arenas, **dims) -> bool:
         """Place ``arenas`` — ``(arena, operand)`` pairs — for a view of
-        ``frame`` and ``m`` rows (and ``extra``, another count they are
-        sized by) unless the placement in force holds them: made for the
-        same frame and take dims (the SH width), at least as many rows;
-        True when placed."""
+        ``frame`` and ``counts`` (the rows ``m`` first, then other counts
+        they are sized by, each in ``dims`` too) unless the placement in
+        force holds them: made for the same frame and take dims (the SH
+        width), at least as many of each count; True when placed."""
         fit = self.fit
         if (
-            fit is not None and fit[0] == frame and fit[1] == self.dims and fit[2] >= m
-            and fit[3] >= extra
+            fit is not None and fit[0] == frame and fit[1] == self.dims
+            and all(held >= count for held, count in zip(fit[2], counts))
         ):
             return False
         width, height, sub = frame
-        dims.update(self.dims, m=m, width=width, height=height, sub=sub)
+        dims.update(self.dims, m=counts[0], width=width, height=height, sub=sub)
         binder = self.binder
         for arena, operand in arenas:
-            array, at = ws.arena(arena, binder.size(operand, dims), binder.dtype(operand))
+            array, at = ws.arena(
+                self.prefix + arena, binder.size(operand, dims), binder.dtype(operand),
+            )
             self.arenas[arena], self.at[arena] = array, at
             if arena == operand:
                 self.args[binder.slot[arena]] = at
-        self.fit = (frame, self.dims, m, extra)
+        self.fit = (frame, self.dims, counts)
         return True
 
-    def _place_blocks(self, ws, kept) -> None:
-        blocks = [ws.arena(block, size, dtype) for block, size, dtype in kept]
+    def blocks(self, ws, records: bool, counts=None) -> None:
+        """Place the render's own blocks for ``records``, sized by the
+        ``(survivors, binned, tiles, entries, area)`` a call reported short
+        (none: empty, so the first render reports its sizes)."""
+        survivors, _, busy, entries, area = counts or (0,) * 5
+        kept = _kept_blocks(records, dict(
+            m=survivors, tiles=busy, entries=entries, cap=area,
+            sub=self.args[self.binder.slot["sub"]],
+        ))
+        blocks = [ws.arena(self.prefix + block, size, dtype) for block, size, dtype in kept]
         # Every slot: the C checks all six, and an arena is not cleared
         # when it is allocated.
         caps = self.arenas["caps"]
@@ -1794,6 +1895,26 @@ class _Prepared:
         for k, operand in enumerate(_BLOCKS.values()):
             self.args[self.binder.slot[operand]] = blocks[k][1] if k < len(blocks) else None
         self.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
+        self.records = records
+
+    def failed(self, frame, m: int) -> Exception:
+        """What the stage ``out`` names as failed raises."""
+        out, (width, height, sub) = self.arenas["out"], frame
+        stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
+        exc, text = _STAGE_RAISES[stage].get(status, (RuntimeError, f" returned status {status}"))
+        return exc(f"native {self.binder.name}: {stage}" + text.format(
+            width=width, height=height, sub=sub, h=height, w=width, m=m,
+            entries=int(out[5]), total=self.dims["n"],
+        ))
+
+    def stamped(self, ws) -> list:
+        """The forward (project + composite) and backward seconds of the
+        call's stamps into ``ws``, and this backend as what rendered; the
+        stamps (:data:`_STAMPS`), in nanoseconds."""
+        ns = self.arenas["out"][_STAMPED].tolist()
+        ws.forward_s, ws.backward_s = (ns[2] + ns[3]) * 1e-9, ns[5] * 1e-9
+        ws.rendered_on = self.name
+        return ns
 
     def run(
         self, ws, frame, m: int, degree: int, settings, ssim_lambda, batch, before=None,
@@ -1805,13 +1926,10 @@ class _Prepared:
         lease released."""
         args, slot, records = self.args, self.binder.slot, bool(settings.cache_blend_state)
         if records is not self.records:
-            self._place_blocks(ws, _kept_blocks(records, dict.fromkeys(
-                ("m", "tiles", "entries", "cap", "sub"), 0,
-            )))
-            self.records = records
+            self.blocks(ws, records)
         args[slot["degree"]], args[slot["records"]] = degree, int(records)
         args[slot["ssim_lambda"]], args[slot["batch"]] = float(ssim_lambda), float(batch)
-        out, (width, height, sub) = self.arenas["out"], frame
+        out = self.arenas["out"]
         step = getattr(self.lib, self.binder.name)
         ws.lease()
         try:
@@ -1824,28 +1942,14 @@ class _Prepared:
                 except _ArenaShort:
                     # Nothing the caller reads was written: size the
                     # render's blocks by its counts and go again.
-                    survivors, _, busy, entries, area = out[2:7].tolist()
-                    self._place_blocks(ws, _kept_blocks(records, dict(
-                        m=survivors, tiles=busy, entries=entries, cap=area, sub=sub,
-                    )))
+                    self.blocks(ws, records, out[2:7].tolist())
         except _StageFailed:
             ws.release()
-            stage, status = _STEP_STAGES[out[0]], _STATUS[out[1]]
-            exc, text = _STAGE_RAISES[stage].get(
-                status, (RuntimeError, f" returned status {status}")
-            )
-            raise exc(
-                f"native {self.binder.name}: {stage}" + text.format(
-                    width=width, height=height, sub=sub, h=height, w=width, m=m,
-                    entries=int(out[5]), total=self.dims["n"],
-                )
-            ) from None
+            raise self.failed(frame, m) from None
         except BaseException:
             ws.release()
             raise
-        forward_ns, backward_ns = out[7:9].tolist()
-        ws.forward_s, ws.backward_s = forward_ns * 1e-9, backward_ns * 1e-9
-        ws.rendered_on = self.name
+        self.stamped(ws)
         return float(self.arenas["value"][0])
 
 
@@ -1884,7 +1988,7 @@ def _bind_train(lib, name: str) -> Callable:
             rows = binder.rows(args, "rows", rows, counted)
             m = extra = counted["m"]
         sized = _SIZED if rows is None else _SIZED + (("sh_rows", "sh_rows"),)
-        call.ensure(ws, frame, m, extra, sized)
+        call.ensure(ws, frame, (m, extra), sized)
         args[sh_rows_at] = None if rows is None else call.at["sh_rows"]
         loss = call.run(ws, frame, m, _sh_degree(model, settings), settings, ssim_lambda, batch)
         return loss, _StepGrads(call.arenas["grads"], m, call.dims["k_stored"])
@@ -1902,6 +2006,12 @@ def _step_pairs(arenas: tuple) -> tuple:
     return tuple(
         (arena, operand) for pair in arenas for arena, operand in zip(pair, ("block", "carry"))
     )
+
+
+def _degree(k3: int, settings) -> int:
+    """The SH degree a step renders: its rows', capped by the settings'."""
+    degree = _DEGREE[k3 // 3]
+    return degree if settings.active_sh_degree is None else min(settings.active_sh_degree, degree)
 
 
 def _bind_step(lib, name: str) -> Callable:
@@ -1939,7 +2049,7 @@ def _bind_step(lib, name: str) -> Callable:
         if cached and working.indices is None:
             raise RuntimeError("cache copy requested with no previous buffer")
         pairs = _step_pairs(_STEP_ARENAS)
-        if call.ensure(ws, frame, m, nc, _SIZED + pairs, num_carried=nc):
+        if call.ensure(ws, frame, (m, nc), _SIZED + pairs, num_carried=nc):
             # The two pairs may share no memory: a step reads one and
             # writes the other (``restrict``), and a call run again must
             # not read what it wrote.
@@ -1971,11 +2081,9 @@ def _bind_step(lib, name: str) -> Callable:
                     args, dict(reads, block=block[:size], carry=carry[:carried_size]), dims,
                 )
         k3 = dims["k3"]
-        degree = _DEGREE[k3 // 3]
-        if settings.active_sh_degree is not None:
-            degree = min(settings.active_sh_degree, degree)
         loss_value = call.run(
-            ws, frame, m, degree, settings, ssim_lambda, batch, lambda: working.reserve(m),
+            ws, frame, m, _degree(k3, settings), settings, ssim_lambda, batch,
+            lambda: working.reserve(m),
         )
         ws.steps += 1
         # The block: sh | opacity | grad_sh | grad_opacity | critical rows.
@@ -2000,6 +2108,144 @@ def _bind_step(lib, name: str) -> Callable:
         return loss_value, _StepGrads(call.arenas["grads"], m, k), handed
 
     return train_step
+
+
+#: The arenas a batch places beyond a step's: both halves of the working
+#: set's block and of its carry, the steps' losses and their views table.
+_BATCH_SIZED = _SIZED + tuple((a, a) for a in ("blocks", "carries", "value", "views"))
+_NODE_KINDS = {kind: k for k, kind in enumerate(_NODES)}
+
+
+def _bind_batch_state(cpu, gpu, noncritical, critical) -> _Taken:
+    """``train_batch``'s take of the two stores and their optimizers (one
+    ``AdamConfig``, as a CLM engine builds them), with the bias-correction
+    tables as they stand."""
+    from repro.gaussians.loss import _C1, _C2
+    from repro.optim.kernels import tables_for
+
+    adam = noncritical.config
+    bc1, rsqrt_bc2 = tables_for(adam.beta1, adam.beta2).covering(0)
+    for opt in (noncritical, critical):
+        opt._ops("adam_rows")  # their step runs on this backend
+    return _binder("train_batch").take(dict(
+        k3=3 * cpu.sh_basis, pinned=cpu.params, pinned_grads=cpu.grads,
+        critical=gpu.packed_params, critical_grads=gpu.packed_grads,
+        **{f"{state}_{side}": getattr(opt, attr) for side, opt in (("nc", noncritical), ("c", critical))
+           for state, attr in (("m", "packed_m"), ("v", "packed_v"), ("steps", "steps"),
+                               ("lr", "lr_columns"))},
+        beta1=adam.beta1, beta2=adam.beta2, eps=adam.eps, bc1=bc1, rsqrt_bc2=rsqrt_bc2,
+        c1=_C1, c2=_C2,
+    ), {"k": cpu.sh_basis})
+
+
+def _program(nodes) -> np.ndarray:
+    """A :func:`~repro.planning.lowering.lower_batch` node list as the C
+    reads it: ``(NODE_<kind>, index)`` a node."""
+    return np.array([(_NODE_KINDS[n.kind], n.index) for n in nodes], np.int64)
+
+
+def _bind_batch(lib, name: str) -> Callable:
+    """``train_batch``: a CLM engine's lowered batch as one prepared call
+    (:class:`_Prepared`) over its workspace — the stores and optimizers
+    bound once, each view by its ``train_step`` binding, the plan's rows one
+    buffer a call — with the walk's accounting: the pool replayed before the
+    call, then the counters, the losses in step order, the stamps' seconds,
+    the critical Adam's moved rows.  Returns the noncritical Adam's seconds,
+    none hidden."""
+    binder, view_slot = _binder("train_batch"), _binder("train_step").slot
+    slot = binder.slot
+    start_at, rows_at = slot["start"], slot["rows"]
+    # A view's row of the views table, cut from its train_step slots.
+    view_row = operator.itemgetter(
+        *(view_slot[name] - view_slot["planes"] for name in _VIEW_ROW)
+    )
+    scalars = [slot[name] for name in (
+        "program", "nodes", "total", "offsets", "degree", "ts", "sub", "records", "ssim_lambda",
+        "batch", "block_size", "carry_size", "count",
+    )]
+
+    def train_batch(engine, plan, run, nodes, workers=0):  # inline: no workers
+        if not nodes:
+            return 0.0, 0.0
+        ws, working, steps, count = engine._workspace, run.working, plan.steps, plan.batch_size
+        settings, opts = engine.raster_settings, (engine.adam_noncritical, engine.adam_critical)
+        adam = opts[0].config
+        call = _Prepared.of(ws, lib, "train_batch", name)
+        owners = [working.cpu_store, working.gpu_store, adam.beta1, adam.beta2, adam.eps]
+        for opt in opts:
+            owners += (opt.packed_m, opt.packed_v, opt.steps, opt.lr_columns)
+        call.rebind(ws.binding("batch", tuple(owners), _bind_batch_state, *owners[:2], *opts))
+        views, width, height = [], 0, 0
+        for step in steps:
+            view_id = step.view_id
+            camera, target = engine.cameras[view_id], run.targets[view_id]
+            moments = engine._target_moments(view_id, target)
+            # The step's binding: a view alternating between the two calls
+            # is bound once.
+            values, frame = _view_binding(ws, "train_step", camera, settings, target, moments)
+            views += view_row(values)
+            width, height = max(width, frame[0]), max(height, frame[1])
+        frame = (width, height, frame[2])
+        vectors = [
+            v for step in steps
+            for v in (step.working_set, step.loads, step.cached, step.stores, step.carried)
+        ]
+        vectors += (plan.touched, *plan.adam_chunks)
+        sizes = list(map(len, vectors))
+        offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.int64, len(sizes) + 1)
+        ws_sizes, nc, k3 = sizes[0 : 5 * count : 5], max(sizes[4 : 5 * count : 5]), call.dims["k3"]
+        m = max(ws_sizes)
+        block_size, carry_size = m * (2 * k3 + 12), nc * (k3 + 1)
+        call.ensure(
+            ws, frame, (m, nc, count), _BATCH_SIZED,
+            block_size=block_size, carry_size=carry_size, count=count,
+        )
+        call.arenas["views"][: len(views)] = views
+        args, program, records = call.args, _program(nodes), bool(settings.cache_blend_state)
+        rows = np.concatenate(vectors).astype(np.int64, copy=False)  # held past the call
+        args[rows_at] = _address(rows)  # not NULL when empty: C offsets it
+        for at, value in zip(scalars, (
+            _address(program), len(nodes), rows.size, _address(offsets), _degree(k3, settings),
+            int(settings.tile_size), frame[2], int(records), float(engine.config.ssim_lambda),
+            float(count), block_size, carry_size, count,
+        )):
+            args[at] = value
+        if records is not call.records:
+            call.blocks(ws, records)
+        for size in ws_sizes:
+            working.reserve(size)
+        out, args[start_at] = call.arenas["out"], 0
+        ws.lease()
+        try:
+            while True:
+                try:
+                    lib.train_batch(*args)
+                    break
+                except _ArenaShort:  # that step wrote nothing: grow, resume at it
+                    args[start_at] = int(out[_OUT["node"]])
+                    call.blocks(ws, records, out[2:7].tolist())
+                except _TablesShort:  # nothing was written: longer tables, from the start
+                    reached = 1 + max(int(opt.steps[plan.touched].max()) for opt in opts)
+                    call.tables = _tables(binder, args, adam.beta1, adam.beta2, reached)
+        except _StageFailed:
+            raise call.failed(frame, m) from None
+        finally:
+            ws.release()
+        for step, loss in zip(steps, call.arenas["value"][:count].tolist()):
+            run.per_view_loss[step.view_id] = loss
+            run.loss += loss / run.batch
+        counters, end = working.counters, 5 * count
+        counters.loaded_gaussians += sum(sizes[1:end:5])
+        counters.cached_gaussians += sum(sizes[2:end:5])
+        counters.stored_gaussians += sum(sizes[3:end:5])
+        ws.steps += count
+        adam_ns, critical_ns = call.stamped(ws)[-2:]
+        engine._tally_view(ws)
+        if plan.touched.size:
+            engine._critical_adam_done(plan.touched, critical_ns * 1e-9)
+        return adam_ns * 1e-9, 0.0
+
+    return train_batch
 
 
 # ---------------------------------------------------------------------------
@@ -2151,6 +2397,8 @@ class NativeKernelBackend(KernelBackend):
             return _bind_plan(lib)
         if op == "train_step":
             return _bind_step(lib, self.name)
+        if op == "train_batch":
+            return _bind_batch(lib, self.name)
         if op == "view_forward":
             return _bind_view(lib, self.name)
         return _bind_rows(lib, op)

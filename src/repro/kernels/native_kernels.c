@@ -2405,18 +2405,23 @@ int plan_batch(
      * touched-union merge over the working sets. */
     int64_t *at = steps, *prev = NULL, live = 0, n_prev = 0;
     for (int64_t i = 0; i < b; i++) {
-        const int64_t *s = sets + offsets[order[i]];
         const int64_t ns = offsets[order[i] + 1] - offsets[order[i]];
-        memcpy(at, s, (size_t)ns * sizeof(int64_t));
+        /* Every set empty: ``sets`` is NULL, which no memcpy may read. */
+        const int64_t *s = ns ? sets + offsets[order[i]] : NULL;
+        const size_t bytes = (size_t)ns * sizeof(int64_t);
+        if (ns)
+            memcpy(at, s, bytes);
         if (enable_cache && i > 0) {
             merge_pair(prev, n_prev, at, ns, prev + 2 * n_prev, at + ns,
                        &num_stores[i - 1], &num_loads[i]);
         } else {
-            memcpy(at + ns, s, (size_t)ns * sizeof(int64_t));
+            if (ns)
+                memcpy(at + ns, s, bytes);
             num_loads[i] = ns;
         }
         if (!enable_cache || i == b - 1) {
-            memcpy(at + 2 * ns, s, (size_t)ns * sizeof(int64_t));
+            if (ns)
+                memcpy(at + 2 * ns, s, bytes);
             num_stores[i] = ns;
         }
         if (ns)
@@ -2458,7 +2463,8 @@ int plan_batch(
 }
 
 /* ======================================================================
- * A microbatch step: the training view every engine runs, in one call.
+ * A microbatch step: the training view every engine runs, in one call; and a
+ * whole CLM batch, its steps and Adam chunks, in one call.
  *
  * view_step is the view: the m input rows (rows[0 .. m) of n, read in place,
  * or all n when ``rows`` is NULL) rendered, the loss taken, the image
@@ -2470,8 +2476,8 @@ int plan_batch(
  *     -> view_backward
  *
  * Two entry points call it.  train_step (engines/clm.py, CLMEngine._run_step;
- * paper §5.2-5.4) is a CLM microbatch: the selective load before it, the
- * gradient accumulation and offload after.  Its reference is
+ * paper §5.2-5.4) is a CLM microbatch, clm_step: the selective load before
+ * it, the gradient accumulation and offload after.  Its reference is
  * stores.train_step, the composition of GpuWorkingSet.assemble,
  * render.train_view, add_grads and retire; this calls the same functions in
  * the same order (add_grads_rows and retire_rows are static, called from here
@@ -2504,10 +2510,9 @@ int plan_batch(
  * out[OUT_SURVIVORS ..], having written only train_step's block, scratch and
  * work, and the caller grows the arenas and calls again.  Any other failure
  * returns the failing call's status, also at out[OUT_STATUS], with its
- * STAGE_* at out[OUT_STAGE].  The two halves' CLOCK_MONOTONIC nanoseconds go
- * to out[OUT_FORWARD_NS] (view_project + view_composite) and
- * out[OUT_BACKWARD_NS] (the division by ``batch`` + view_backward), the loss
- * to *value.
+ * STAGE_* at out[OUT_STAGE].  Each stage's CLOCK_MONOTONIC nanoseconds are
+ * added to its OUT_*_NS slot (lap: the time since the last stamp, so the
+ * stamps of a call partition it), the loss goes to *value.
  * ====================================================================== */
 
 #define STAGE(name, call)                                                   \
@@ -2519,6 +2524,21 @@ int plan_batch(
             return failed;                                                  \
         }                                                                   \
     } while (0)
+
+/* The nanoseconds since *clock added to out[slot]; *clock is now. */
+static void lap(int64_t *out, int slot, int64_t *clock)
+{
+    const int64_t now = now_ns();
+    out[slot] += now - *clock;
+    *clock = now;
+}
+
+/* Every stage's stamp set to 0: a call's stamps start from its entry. */
+static void clear_stamps(int64_t *out)
+{
+    memset(out + OUT_ZERO_NS, 0,
+           (size_t)(OUT_CRITICAL_ADAM_NS + 1 - OUT_ZERO_NS) * sizeof(int64_t));
+}
 
 static int view_step(
     int64_t m, const int64_t *rows, int64_t n, const double *positions,
@@ -2532,12 +2552,12 @@ static int view_step(
     double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
     int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
     double *trans, double *d_image, double *grads, double *value,
-    int64_t *out)
+    int64_t *out, int64_t *clock)
 {
-    int64_t start = now_ns();
     STAGE(VIEW_PROJECT, view_project(
         m, rows, n, positions, log_scales, quats, sh, logits, planes,
         k_stored, degree, params, width, height, ts, sub, scratch, work));
+    lap(out, OUT_PROJECT_NS, clock);
     const int64_t survivors = work[0], tiles = work[2], entries = work[3];
     const int64_t area = work[4], lead = tiles * sub * sub;
     const int64_t need[] = {
@@ -2556,13 +2576,13 @@ static int view_step(
     STAGE(VIEW_COMPOSITE, view_composite(
         m, scratch, work, params, width, height, sub, kept, ikept, clamp,
         rec_f, rec_p, rec_end, image, trans));
-    out[OUT_FORWARD_NS] = now_ns() - start;
+    lap(out, OUT_COMPOSITE_NS, clock);
 
     STAGE(PHOTOMETRIC_LOSS, photometric_loss(
         height, width, 3, image, target, uy, uy2_c1, vy_c2, taps, size,
         ssim_lambda, c1, c2, d_image, value));
+    lap(out, OUT_LOSS_NS, clock);
 
-    start = now_ns();
     for (int64_t k = 0; k < 3 * width * height; k++)
         d_image[k] = d_image[k] / batch;
     const int64_t k3 = 3 * k_stored;
@@ -2581,7 +2601,55 @@ static int view_step(
         survivors, m, tiles, entries, records ? area : 0, kept, ikept, clamp,
         rec_f, rec_p, rec_end, sh, k_stored, degree, params, width, height,
         sub, d_image, g_positions, g_log_scales, g_quats, g_sh, g_logits));
-    out[OUT_BACKWARD_NS] = now_ns() - start;
+    lap(out, OUT_BACKWARD_NS, clock);
+    return STATUS_OK;
+}
+
+static int clm_step(
+    int64_t n, int64_t k3, int64_t stride, const double *pinned,
+    double *pinned_grads, const double *critical, double *critical_grads,
+    const int64_t *ws, int64_t m, const int64_t *loads, int64_t num_loads,
+    const int64_t *cached, int64_t num_cached, const int64_t *stores,
+    int64_t num_stores, const int64_t *carried, int64_t num_carried,
+    const int64_t *prev, int64_t mp, const double *prev_sh,
+    const double *prev_opacity, const int64_t *carried_in,
+    int64_t num_carried_in, const double *carried_sh,
+    const double *carried_opacity, const double *planes, int64_t degree,
+    const double *params, int64_t width, int64_t height, int64_t ts,
+    int64_t sub, int64_t records, const double *target, const double *uy,
+    const double *uy2_c1, const double *vy_c2, const double *taps,
+    int64_t size, double ssim_lambda, double c1, double c2, double batch,
+    double *block, double *carry, double *scratch, int64_t *work,
+    double *kept, int64_t *ikept, uint8_t *clamp, double *rec_f,
+    int32_t *rec_p, int64_t *rec_end, const int64_t *caps, double *image,
+    double *trans, double *d_image, double *grads, double *value,
+    int64_t *out, int64_t *clock)
+{
+    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
+    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
+    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
+    STAGE(ASSEMBLE_ROWS, assemble_rows(
+        n, k3, stride, pinned, critical, ws, m, loads, num_loads, cached,
+        num_cached, prev, mp, prev_sh, prev_opacity, carried_in,
+        num_carried_in, carried_sh, carried_opacity, block));
+    lap(out, OUT_ASSEMBLE_NS, clock);
+    const int failed = view_step(
+        m, NULL, m, positions, log_scales, quats, sh, opacity, k3 / 3, planes,
+        degree, params, width, height, ts, sub, records, target, uy, uy2_c1,
+        vy_c2, taps, size, ssim_lambda, c1, c2, batch, NULL, scratch, work,
+        kept, ikept, clamp, rec_f, rec_p, rec_end, caps, image, trans,
+        d_image, grads, value, out, clock);
+    if (failed)
+        return failed;
+    double *g_positions = grads, *g_log_scales = g_positions + 3 * m;
+    double *g_quats = g_log_scales + 3 * m, *g_sh = g_quats + 4 * m;
+    add_grads_rows(
+        k3, ws, m, grad_sh, grad_opacity, g_sh, g_sh + m * k3, g_positions,
+        g_log_scales, g_quats, critical_grads);
+    STAGE(RETIRE_ROWS, retire_rows(
+        n, k3, stride, pinned_grads, ws, m, grad_sh, grad_opacity, stores,
+        num_stores, carried, num_carried, carry));
+    lap(out, OUT_RETIRE_NS, clock);
     return STATUS_OK;
 }
 
@@ -2605,30 +2673,17 @@ int train_step(
     double *trans, double *d_image, double *grads, double *value,
     int64_t *out)
 {
-    double *sh = block, *opacity = sh + m * k3, *grad_sh = opacity + m;
-    double *grad_opacity = grad_sh + m * k3, *positions = grad_opacity + m;
-    double *log_scales = positions + 3 * m, *quats = log_scales + 3 * m;
-    STAGE(ASSEMBLE_ROWS, assemble_rows(
-        n, k3, stride, pinned, critical, ws, m, loads, num_loads, cached,
-        num_cached, prev, mp, prev_sh, prev_opacity, carried_in,
-        num_carried_in, carried_sh, carried_opacity, block));
-    const int failed = view_step(
-        m, NULL, m, positions, log_scales, quats, sh, opacity, k3 / 3, planes,
-        degree, params, width, height, ts, sub, records, target, uy, uy2_c1,
-        vy_c2, taps, size, ssim_lambda, c1, c2, batch, NULL, scratch, work,
-        kept, ikept, clamp, rec_f, rec_p, rec_end, caps, image, trans,
-        d_image, grads, value, out);
-    if (failed)
-        return failed;
-    double *g_positions = grads, *g_log_scales = g_positions + 3 * m;
-    double *g_quats = g_log_scales + 3 * m, *g_sh = g_quats + 4 * m;
-    add_grads_rows(
-        k3, ws, m, grad_sh, grad_opacity, g_sh, g_sh + m * k3, g_positions,
-        g_log_scales, g_quats, critical_grads);
-    STAGE(RETIRE_ROWS, retire_rows(
-        n, k3, stride, pinned_grads, ws, m, grad_sh, grad_opacity, stores,
-        num_stores, carried, num_carried, carry));
-    return STATUS_OK;
+    int64_t clock = now_ns();
+    clear_stamps(out);
+    return clm_step(
+        n, k3, stride, pinned, pinned_grads, critical, critical_grads, ws, m,
+        loads, num_loads, cached, num_cached, stores, num_stores, carried,
+        num_carried, prev, mp, prev_sh, prev_opacity, carried_in,
+        num_carried_in, carried_sh, carried_opacity, planes, degree, params,
+        width, height, ts, sub, records, target, uy, uy2_c1, vy_c2, taps, size,
+        ssim_lambda, c1, c2, batch, block, carry, scratch, work, kept, ikept,
+        clamp, rec_f, rec_p, rec_end, caps, image, trans, d_image, grads,
+        value, out, &clock);
 }
 
 /* into[rows[i]] += g[i] over ``width`` values a row, for i < m (rows NULL:
@@ -2661,12 +2716,14 @@ int view_train(
     int64_t *rec_end, const int64_t *caps, double *image, double *trans,
     double *d_image, double *grads, double *value, int64_t *out)
 {
+    int64_t clock = now_ns();
+    clear_stamps(out);
     const int failed = view_step(
         m, rows, n, positions, log_scales, quats, sh, logits, k_stored,
         planes, degree, params, width, height, ts, sub, records, target, uy,
         uy2_c1, vy_c2, taps, size, ssim_lambda, c1, c2, batch, sh_rows,
         scratch, work, kept, ikept, clamp, rec_f, rec_p, rec_end, caps, image,
-        trans, d_image, grads, value, out);
+        trans, d_image, grads, value, out, &clock);
     if (failed)
         return failed;
     const int64_t k3 = 3 * k_stored;
@@ -2675,6 +2732,236 @@ int view_train(
     add_rows(into_quats, grads + 6 * m, rows, m, 4);
     add_rows(into_sh, grads + 10 * m, rows, m, k3);
     add_rows(into_logits, grads + 10 * m + k3 * m, rows, m, 1);
+    lap(out, OUT_RETIRE_NS, &clock);
     return STATUS_OK;
 }
+
+/* ======================================================================
+ * A CLM batch in one call (engines/clm.py, CLMEngine._execute_plan; paper
+ * §4.2, §5.2-5.4).  Its reference is clm.train_batch, the node walk of
+ * planning/lowering.lower_batch: the touched union's gradient rows zeroed in
+ * both stores, then node after node of ``program`` ((kind, index) pairs,
+ * NODE_*): a step is clm_step, an adam node adam_rows over that chunk of the
+ * pinned store, the critical node adam_rows over the touched union of the
+ * critical store.  Each is the function the one-op-a-call path runs, in the
+ * walk's order, so the two are bit-identical.
+ *
+ * The plan's row vectors are one buffer: vector v is rows[offsets[v] ..
+ * offsets[v + 1]), step i's five PLAN_VECTORS from 5 i (working set, loads,
+ * cached, stores, carried), then the touched union, then the chunks.  Step
+ * i's view is row i of ``views`` (VIEW_* slots: addresses of the view's
+ * planes, params, target and moments, its size), its loss value[i].  Step i
+ * writes half i & 1 of ``blocks`` and of ``carries`` and reads the other, the
+ * step before's.
+ *
+ * Nothing is written before the whole plan is checked (STAGE_PLAN) and, when
+ * ``start`` is 0, both optimizers' steps are checked against the tables
+ * (STATUS_TABLES_SHORT).  A step whose render outgrows its arenas returns
+ * STATUS_ARENA_SHORT with its node at out[OUT_NODE], nothing of it written:
+ * the caller grows them and calls again from that node (``start``).  Every
+ * stage's nanoseconds are added to its OUT_*_NS slot (the plan check to
+ * OUT_ZERO_NS), and out[OUT_TOTAL_NS] gains the call's own.
+ * ====================================================================== */
+
+#define VECTOR(v) (rows + offsets[v])
+#define LENGTH(v) (offsets[(v) + 1] - offsets[v])
+
+/* Position of ``key`` in the strictly increasing s[0 .. ns); -1 when it is
+ * not there. */
+static int64_t find(const int64_t *s, int64_t ns, int64_t key)
+{
+    int64_t lo = 0, hi = ns;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (s[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < ns && s[lo] == key ? lo : -1;
+}
+
+/* Whether rows[0 .. count) are distinct members of the strictly increasing
+ * touched[0 .. u): each row's place in it is taken once. */
+static int distinct_members(
+    const int64_t *rows, int64_t count, const int64_t *touched, int64_t u)
+{
+    uint8_t *taken = calloc((size_t)u + 1, 1);
+    if (taken == NULL)
+        return STATUS_NO_MEMORY;
+    int status = STATUS_OK;
+    for (int64_t k = 0; k < count && status == STATUS_OK; k++) {
+        const int64_t at = find(touched, u, rows[k]);
+        if (at < 0 || taken[at]++)
+            status = STATUS_VIOLATED;
+    }
+    free(taken);
+    return status;
+}
+
+/* Whether the node list runs every step once, in order, each chunk after
+ * its step and the critical node last; the offsets cut ``total`` rows in
+ * order; each step's vectors are what assemble_rows and retire_rows take: a
+ * working set, members of it, cached rows of the step before's; and the
+ * chunks are distinct rows of the touched union, an index set, so no row is
+ * stepped twice.  That a chunk's rows are in no later step's working set and
+ * that every working set is in the touched union is the planner's invariant
+ * (planning/adam_overlap.adam_chunks), not checked here. */
+static int check_plan(
+    const int64_t *program, int64_t nodes, const int64_t *rows,
+    int64_t total, const int64_t *offsets, int64_t count, int64_t n)
+{
+    const int64_t vectors = PLAN_VECTORS * count + 1 + count;
+    if (offsets[0] != 0 || offsets[vectors] != total)
+        return STATUS_VIOLATED;
+    for (int64_t v = 0; v < vectors; v++)
+        if (LENGTH(v) < 0)
+            return STATUS_VIOLATED;
+    if (!in_range(rows, total, n))
+        return STATUS_OUT_OF_RANGE;
+    int64_t steps = 0;
+    for (int64_t j = 0; j < nodes; j++) {
+        const int64_t kind = program[2 * j], index = program[2 * j + 1];
+        const int fits = kind == NODE_STEP ? index == steps++
+                       : kind == NODE_ADAM ? index >= 0 && index < steps
+                       : kind == NODE_CRITICAL_ADAM && j == nodes - 1;
+        if (!fits || steps > count)
+            return STATUS_VIOLATED;
+    }
+    if (steps != count || (count && program[2 * nodes - 2] != NODE_CRITICAL_ADAM))
+        return STATUS_VIOLATED;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t v = PLAN_VECTORS * i, m = LENGTH(v);
+        const int64_t *ws = VECTOR(v);
+        if (!index_set(ws, m, n))  /* in range: not sorted or a repeat */
+            return STATUS_VIOLATED;
+        for (int64_t k = 1; k < PLAN_VECTORS; k++)
+            if (!members(VECTOR(v + k), LENGTH(v + k), ws, m))
+                return STATUS_VIOLATED;
+        const int64_t before = v - PLAN_VECTORS;
+        if (!members(VECTOR(v + 2), LENGTH(v + 2), i ? VECTOR(before) : ws, i ? LENGTH(before) : 0) ||
+            (i && !members(VECTOR(before + 4), LENGTH(before + 4), ws, m)))
+            return STATUS_VIOLATED;
+    }
+    const int64_t last = PLAN_VECTORS * count, u = LENGTH(last);
+    if (!index_set(VECTOR(last), u, n))
+        return STATUS_VIOLATED;
+    return distinct_members(
+        VECTOR(last + 1), offsets[vectors] - offsets[last + 1], VECTOR(last), u);
+}
+
+#define BATCH_STAGE(name, call)                                             \
+    do {                                                                    \
+        status = (call);                                                    \
+        if (status) {                                                       \
+            out[OUT_STAGE] = STAGE_##name;                                  \
+            out[OUT_STATUS] = status;                                       \
+            goto done;                                                      \
+        }                                                                   \
+    } while (0)
+
+static inline const double *at_address(int64_t address)
+{
+    return (const double *)(intptr_t)address;
+}
+
+/* An adam node's status: past the plan check and the tables checked on
+ * entry no row can step past the tables (each is bumped once), so a short
+ * table there is reported as a violation, never as TABLES_SHORT, which the
+ * caller would answer by running the batch again over what was written. */
+static inline int chunk_status(int status)
+{
+    return status == STATUS_TABLES_SHORT ? STATUS_VIOLATED : status;
+}
+
+int train_batch(
+    int64_t n, int64_t k3, int64_t stride, double *pinned,
+    double *pinned_grads, double *critical, double *critical_grads,
+    const int64_t *program, int64_t nodes, const int64_t *rows,
+    int64_t total, const int64_t *offsets, int64_t count,
+    const int64_t *views, int64_t degree, int64_t ts, int64_t sub,
+    int64_t records, double ssim_lambda, double c1, double c2, double batch,
+    double *m_nc, double *v_nc, int64_t *steps_nc, const double *lr_nc,
+    double *m_c, double *v_c, int64_t *steps_c, const double *lr_c,
+    double beta1, double beta2, double eps, const double *bc1,
+    const double *rsqrt_bc2, int64_t table, double *blocks,
+    int64_t block_size, double *carries, int64_t carry_size,
+    double *scratch, int64_t *work, double *kept, int64_t *ikept,
+    uint8_t *clamp, double *rec_f, int32_t *rec_p, int64_t *rec_end,
+    const int64_t *caps, double *image, double *trans, double *d_image,
+    double *grads, double *value, int64_t start, int64_t *out)
+{
+    int64_t clock = now_ns();
+    const int64_t entry = clock;
+    if (start == 0) {
+        clear_stamps(out);
+        out[OUT_TOTAL_NS] = 0;
+    }
+    out[OUT_NODE] = -1;
+    int status = STATUS_OK;
+    BATCH_STAGE(PLAN, check_plan(program, nodes, rows, total, offsets, count, n));
+    const int64_t last = PLAN_VECTORS * count, u = LENGTH(last);
+    const int64_t *touched = VECTOR(last);
+    if (start == 0) {
+        /* The chunks are the touched union's rows, each bumped once. */
+        for (int64_t k = 0; k < u; k++) {
+            const int64_t a = steps_nc[touched[k]] + 1, b = steps_c[touched[k]] + 1;
+            if (a < 0 || a >= table || b < 0 || b >= table) {
+                status = STATUS_TABLES_SHORT;
+                goto done;
+            }
+        }
+        zero_rows(n, stride, pinned_grads, touched, u);
+        zero_rows(n, 10, critical_grads, touched, u);
+        lap(out, OUT_ZERO_NS, &clock);
+    }
+    for (int64_t j = start; j < nodes; j++) {
+        const int64_t index = program[2 * j + 1];
+        if (program[2 * j] == NODE_STEP) {
+            const int64_t v = PLAN_VECTORS * index, b = v - PLAN_VECTORS;
+            const int64_t mp = index ? LENGTH(b) : 0, in = index ? LENGTH(b + 4) : 0;
+            double *block = blocks + (index & 1) * block_size;
+            double *carry = carries + (index & 1) * carry_size;
+            const double *held = blocks + (~index & 1) * block_size;
+            const double *carried_in = carries + (~index & 1) * carry_size;
+            const int64_t *view = views + VIEW_SLOTS * index;
+            status = clm_step(
+                n, k3, stride, pinned, pinned_grads, critical, critical_grads,
+                VECTOR(v), LENGTH(v), VECTOR(v + 1), LENGTH(v + 1), VECTOR(v + 2),
+                LENGTH(v + 2), VECTOR(v + 3), LENGTH(v + 3), VECTOR(v + 4),
+                LENGTH(v + 4), index ? VECTOR(b) : NULL, mp, held, held + mp * k3,
+                index ? VECTOR(b + 4) : NULL, in, carried_in, carried_in + in * k3,
+                at_address(view[VIEW_PLANES]), degree, at_address(view[VIEW_PARAMS]),
+                view[VIEW_WIDTH], view[VIEW_HEIGHT], ts, sub, records,
+                at_address(view[VIEW_TARGET]), at_address(view[VIEW_UY]),
+                at_address(view[VIEW_UY2_C1]), at_address(view[VIEW_VY_C2]),
+                at_address(view[VIEW_TAPS]), view[VIEW_SIZE], ssim_lambda, c1,
+                c2, batch, block, carry, scratch, work, kept, ikept, clamp, rec_f,
+                rec_p, rec_end, caps, image, trans, d_image, grads, value + index,
+                out, &clock);
+            if (status) {
+                out[OUT_NODE] = j;
+                goto done;
+            }
+        } else if (program[2 * j] == NODE_ADAM) {
+            const int64_t chunk = last + 1 + index;
+            BATCH_STAGE(ADAM_ROWS, chunk_status(adam_rows(
+                pinned, stride, pinned_grads, stride, m_nc, v_nc, stride, steps_nc,
+                n, VECTOR(chunk), LENGTH(chunk), lr_nc, beta1, beta2, eps, bc1,
+                rsqrt_bc2, table, 1)));
+            lap(out, OUT_ADAM_NS, &clock);
+        } else {
+            BATCH_STAGE(ADAM_ROWS, chunk_status(adam_rows(
+                critical, 10, critical_grads, 10, m_c, v_c, 10, steps_c, n,
+                touched, u, lr_c, beta1, beta2, eps, bc1, rsqrt_bc2, table, 1)));
+            lap(out, OUT_CRITICAL_ADAM_NS, &clock);
+        }
+    }
+done:
+    out[OUT_TOTAL_NS] += now_ns() - entry;
+    return status;
+}
+#undef BATCH_STAGE
+#undef VECTOR
+#undef LENGTH
 #undef STAGE

@@ -53,7 +53,8 @@ own, the backward pass the render's context carries, and the gradients
 scatter-added into the full-size ones through fancy-indexed ``+=``;
 ``train_step`` is :func:`~repro.core.stores.train_step`: the working set's
 ``assemble``, that view, and ``add_grads`` / ``retire``, which accumulate
-through fancy-indexed ``+=`` in place.
+through fancy-indexed ``+=`` in place; ``train_batch`` is
+:func:`~repro.engines.clm.train_batch`, the engine's node walk.
 
 ``plan_batch`` is :func:`repro.planning.planner.plan_batch`: the TSP
 search of :mod:`repro.planning.tsp_order` over a BLAS intersection
@@ -529,6 +530,10 @@ class NumpyKernelBackend(KernelBackend):
             from repro.core.stores import train_step
 
             return train_step
+        if op == "train_batch":
+            from repro.engines.clm import train_batch
+
+            return train_batch
         return {
             "exact_cull": _exact_cull,
             "view_forward": _view_forward,

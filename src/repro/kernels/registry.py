@@ -99,7 +99,12 @@ AUTO = "auto"
 #: ``train_step`` is a CLM microbatch: the load, the training view and the
 #: gradient offload over a :class:`~repro.core.stores.GpuWorkingSet`, to
 #: ``(loss, gradients, carried)``; its reference is the composition
-#: (:func:`repro.core.stores.train_step`).  The compositions call the stages
+#: (:func:`repro.core.stores.train_step`).  ``train_batch`` is a CLM
+#: engine's whole batch — its :func:`~repro.planning.lowering.lower_batch`
+#: node list: the touched rows' gradients zeroed, each step, each Adam
+#: chunk, the critical Adam — run inline; its reference is the node walk
+#: (:func:`repro.engines.clm.train_batch`), ``native`` runs it as one call.
+#: The compositions call the stages
 #: below a unit (the slab compositing, ``add_grads`` / ``retire``) as plain
 #: functions.
 KERNEL_OPS = (
@@ -113,6 +118,7 @@ KERNEL_OPS = (
     "view_train",
     "plan_batch",
     "train_step",
+    "train_batch",
 )
 
 

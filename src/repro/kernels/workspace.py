@@ -26,7 +26,10 @@ capacity is counted in elements of that dtype).
 it carries to the next step (two arenas of each, used in turn by
 :attr:`Workspace.steps`' parity), so the block and carry of the last step,
 which it reads, are never the ones it writes — and a call that finds a
-render's arenas too small can grow them and run again.
+render's arenas too small can grow them and run again.  A CLM engine's
+inline batch, the ``train_batch`` op, runs all its steps in one call over
+arenas of its own (named ``batch ...``, so neither call moves the other's),
+its block and carry each one arena of two halves, used by step parity.
 
 What a step reads that outlives it — the stores' packed buffers, a view's
 camera vectors, a target's moments — is checked and its address taken
@@ -81,8 +84,9 @@ class Workspace:
         #: Bindings made so far, remade ones included: flat while no store,
         #: camera or target is replaced.
         self.bindings = 0
-        #: ``train_step`` calls completed: the parity picks the pair of
-        #: double-buffered arenas the next one writes.
+        #: CLM steps completed (``train_step`` calls and ``train_batch``'s
+        #: steps): the parity picks the pair of double-buffered arenas the
+        #: next ``train_step`` writes.
         self.steps = 0
         #: Seconds of the last view's forward half (project + composite, or
         #: the render) and backward half (gradient scaling + backward).

@@ -96,38 +96,57 @@ def test_one_clm_batch_computes_each_views_geometry_once(setup, monkeypatch):
     assert moments.call_count == 0  # every target's moments were kept
 
 
+def walk_nodes(monkeypatch) -> None:
+    """``clm`` batches walk their nodes, as a hooked, pooled or
+    custom-rendered batch does: a ``train_step`` call a step."""
+    fused = CLMEngine._fused_op
+    monkeypatch.setattr(
+        CLMEngine, "_fused_op",
+        lambda self, working, settings, op: None if op == "train_batch"
+        else fused(self, working, settings, op),
+    )
+
+
 @pytest.mark.skipif(not get_backend("native").available(), reason="no C compiler here")
-def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch):
+@pytest.mark.parametrize("walked", [False, True], ids=["batch call", "walk"])
+def test_one_native_clm_batch_calls_the_loss_once_a_view(setup, monkeypatch, walked):
     """On ``native`` a view's loss is one C call over the kept moments —
-    inside the step's ``train_step`` call, which makes it: no matrix
-    filter, no moments recomputed after the warm-up."""
+    inside the batch's one ``train_batch`` call, or inside each step's
+    ``train_step`` call where the batch walks its nodes, which makes it: no
+    matrix filter, no moments recomputed after the warm-up."""
     _, _, targets = setup
+    if walked:
+        walk_nodes(monkeypatch)
     engine = build("clm", setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: moments, the library
 
     lib = get_backend("native").library().load()
     steps = spy_on(monkeypatch, lib, "train_step")
+    batches = spy_on(monkeypatch, lib, "train_batch")
     calls = spy_on(monkeypatch, lib, "photometric_loss")
     filters = spy_on(monkeypatch, loss, "_filter_planes")
     moments = spy_on(monkeypatch, TargetMoments, "of")
     result = engine.train_batch(BATCH, targets)
     assert np.isfinite(result.loss)
     assert engine.perf.kernel_backend == "native"
-    assert steps.call_count == len(BATCH)
-    assert calls.call_count == 0  # from Python: train_step makes it
+    want = (0, len(BATCH)) if walked else (1, 0)
+    assert (batches.call_count, steps.call_count) == want
+    assert calls.call_count == 0  # from Python: the C step or batch makes it
     assert filters.call_count == 0
     assert moments.call_count == 0
 
 
-#: The entry points a ``native`` training view or step may call.
+#: The entry points a ``native`` training view, step or batch may call.
 ENTRY_POINTS = (
     "assemble_rows", "view_project", "view_composite", "photometric_loss",
-    "view_backward", "train_step", "view_train",
+    "view_backward", "train_step", "view_train", "train_batch",
 )
-#: Each engine's microbatch: the one entry point it calls, and the engine
-#: method around that call.
+#: Each engine's microbatches: the one entry point they call (``clm``: once
+#: a batch, for all of them; a ``clm`` batch that walks its nodes: once a
+#: step), and the engine method around that call.
 STEPS = {
-    "clm": ("train_step", "_run_step"),
+    "clm": ("train_batch", "_execute_plan"),
+    "clm walked": ("train_step", "_run_step"),
     **dict.fromkeys(("naive", "enhanced", "baseline"), ("view_train", "_train_view")),
 }
 
@@ -136,14 +155,18 @@ STEPS = {
 @pytest.mark.parametrize("name", list(STEPS))
 def test_a_native_microbatch_is_one_c_call_and_nothing_else(name, setup, monkeypatch):
     """After a warm-up batch, each microbatch of a repeated batch is one C
-    call — ``train_step`` on ``clm``, ``view_train`` on the engines whose
-    model is resident — and no other: no backend is resolved, nothing
-    compiled or allocated again, no working set gathered and no gradient
-    scattered in NumPy.  Nothing is bound again but, on the resident
+    call — ``view_train`` on the engines whose model is resident; on
+    ``clm`` the whole batch is one, ``train_batch``, or each step one,
+    ``train_step``, where it walks its nodes — and no other: no backend is
+    resolved, nothing compiled or allocated again, no working set gathered
+    and no gradient scattered in NumPy.  Nothing is bound again but, on the resident
     engines, their model and full-size gradients once a batch (the naive
     engine loads a fresh copy, and every engine zeroes fresh gradients)."""
     _, _, targets = setup
     entry, method = STEPS[name]
+    if name == "clm walked":
+        walk_nodes(monkeypatch)
+        name = "clm"
     engine = build(name, setup, kernel_backend="native")
     engine.train_batch(BATCH, targets)  # warm-up: the library, moments, arenas
     ws = engine._workspace
@@ -188,7 +211,8 @@ def test_a_native_microbatch_is_one_c_call_and_nothing_else(name, setup, monkeyp
     result = engine.train_batch(BATCH, targets)
     assert np.isfinite(result.loss)
     assert {e: spy.call_count for e, spy in calls.items()} == {
-        e: len(BATCH) if e == entry else 0 for e in ENTRY_POINTS
+        e: (1 if e == "train_batch" else len(BATCH)) if e == entry else 0
+        for e in ENTRY_POINTS
     }
     assert resolved == []
     # The naive engine's one gather is its modelled whole-model load.

@@ -54,13 +54,13 @@ def enums(text: str) -> dict:
 # ---------------------------------------------------------------------------
 # The C side
 # ---------------------------------------------------------------------------
-def test_the_parsed_prototypes_are_the_fourteen_entry_points_python_calls():
+def test_the_parsed_prototypes_are_the_fifteen_entry_points_python_calls():
     signatures = native_backend.prototypes(kernel_source())
     assert set(signatures) == set(native_backend._RAISES) == {
         "exact_cull", "grid_build", "grid_refit", "grid_cull",
         "view_project", "view_composite", "view_backward",
         "assemble_rows", "zero_rows", "adam_rows", "photometric_loss",
-        "plan_batch", "train_step", "view_train",
+        "plan_batch", "train_step", "view_train", "train_batch",
     }
     assert signatures["zero_rows"] == [
         ("n", "int64_t", False), ("width", "int64_t", False), ("buffer", "double", True),
@@ -257,8 +257,15 @@ def test_the_generated_offsets_are_the_cumulative_field_widths():
     assert generated["F_SCRATCH"] == at == native_backend._SCRATCH == 57
     assert [generated[f"STATUS_{s}"] for s in native_backend._STATUS] == [0, 1, 2, 3, 4, 5]
     stages = [generated[f"STAGE_{s.upper()}"] for s in native_backend._STEP_STAGES]
-    slots = [generated[f"OUT_{s.upper()}"] for s in native_backend._STEP_OUT]
-    assert stages == list(range(6)) and slots == list(range(9))
+    slots = [generated[f"OUT_{s.upper()}"] for s in native_backend._BATCH_OUT]
+    assert stages == list(range(8)) and slots == list(range(18))
+    # A step's report is the head of a batch's, a stamp a stage.
+    assert native_backend._BATCH_OUT[: len(native_backend._STEP_OUT)] == native_backend._STEP_OUT
+    assert [generated[f"OUT_{s.upper()}_NS"] for s in native_backend._STAMPS] == list(range(7, 16))
+    nodes = [generated[f"NODE_{k.upper()}"] for k in native_backend._NODES]
+    views = [generated[f"VIEW_{v.upper()}"] for v in native_backend._VIEW_ROW]
+    assert nodes == [0, 1, 2] and views == list(range(10)) and generated["VIEW_SLOTS"] == 10
+    assert generated["PLAN_VECTORS"] == len(native_backend._PLAN_VECTORS) == 5
 
 
 def test_the_params_vector_fills_the_generated_slots():

@@ -473,7 +473,7 @@ def test_every_exported_entry_point_has_a_case_or_a_reason():
     """The cases cover the entry points a kernel op's caller hands arrays
     to; the rest get their operands from the binding itself."""
     covered = {CASES[c]().entry for c in CASES}
-    by_binding = {"grid_build", "view_composite", "train_step"}
+    by_binding = {"grid_build", "view_composite", "train_step", "train_batch"}
     assert covered | by_binding == set(native_backend._OPERANDS)
 
 

@@ -287,6 +287,19 @@ def test_steps_past_the_bias_correction_table():
     assert np.array_equal(opts["numpy"].packed_v, opts["native"].packed_v)
 
 
+def test_a_negative_step_count_is_refused_with_nothing_written():
+    """A row whose step count is negative falls short of any table: the op
+    refuses it rather than grow the tables again and again."""
+    opt = PackedSparseAdam({"p": (10,)}, 20, kernel_backend="native")
+    params = np.ones((20, 10))
+    opt.steps[3] = -5
+    state = [params, opt.packed_m, opt.packed_v, opt.steps]
+    before = snapshot(*state)
+    with pytest.raises(ValueError, match="native adam_rows: a negative step count"):
+        opt.step_packed(params, np.ones((20, 10)), np.array([2, 3, 4]))
+    assert_unchanged(before, state)
+
+
 def test_three_threads_on_disjoint_chunks_give_the_serial_result():
     """The overlap runtime's shape: workers stepping disjoint chunks of one
     optimizer at once (ctypes releases the GIL), bit-equal to one thread."""

@@ -227,7 +227,7 @@ def test_a_restore_writes_in_place_and_keeps_the_binding(recipes, tmp_path):
     path = str(tmp_path / "ckpt.npz")
     sess.checkpoint(path)
     ws, engine = sess.engine._workspace, sess.engine
-    bound = ws._bindings["stores"][1]
+    bound = ws._bindings["batch"][1]
     cpu, gpu = engine.cpu_store, engine.gpu_store
     addresses = [a.ctypes.data for a in (cpu.params, cpu.grads, gpu.packed_params, gpu.packed_grads)]
     names = ("pinned", "pinned_grads", "critical", "critical_grads")
@@ -238,7 +238,7 @@ def test_a_restore_writes_in_place_and_keeps_the_binding(recipes, tmp_path):
     sess.restore(path)
     sess.train_batch(schedule[3])
     assert ws.bindings == bindings  # nothing was bound again
-    assert ws._bindings["stores"][1] is bound
+    assert ws._bindings["batch"][1] is bound
     assert [a.ctypes.data for a in (cpu.params, cpu.grads, gpu.packed_params, gpu.packed_grads)] == addresses
     sess.engine.close()
 
@@ -869,3 +869,416 @@ def test_the_concurrent_variants_train_to_clms_bits(recipes):
         assert losses == want_losses, variant
         assert all(np.array_equal(params[k], want_params[k]) for k in want_params), variant
         assert all(np.array_equal(a, b) for a, b in zip(m, want_m)), variant
+
+
+# ---------------------------------------------------------------------------
+# The batch: a CLM batch's lowered node list as one native call
+# ---------------------------------------------------------------------------
+def walked(monkeypatch, composed=False) -> None:
+    """The engines walk their batches' nodes (a ``train_step`` call a step,
+    the Adam chunks one call each), as a hooked batch does; ``composed``:
+    each step composed too."""
+    fused = CLMEngine._fused_op
+    monkeypatch.setattr(
+        CLMEngine, "_fused_op",
+        lambda self, working, settings, op: None if op == "train_batch"
+        else fused(self, working, settings, op),
+    )
+    if composed:
+        compose(monkeypatch)
+
+
+def batch_calls(monkeypatch, op=None) -> list:
+    """The ``start`` and outcome of each ``train_batch`` C call, as made;
+    ``op``: the engines run this ``train_batch`` op instead (a mutant's)."""
+    lib = get_backend("native").library().load()
+    made, raw = [], lib.train_batch
+    start_at = native_backend._binder("train_batch").slot["start"]
+
+    def spied(*args):
+        try:
+            raw(*args)
+        except Exception as exc:
+            made.append((args[start_at], type(exc).__name__))
+            raise
+        made.append((args[start_at], "ok"))
+
+    monkeypatch.setattr(lib, "train_batch", spied)
+    if op is not None:
+        fused = CLMEngine._fused_op
+        monkeypatch.setattr(
+            CLMEngine, "_fused_op",
+            lambda self, working, settings, name: op if name == "train_batch"
+            else fused(self, working, settings, name),
+        )
+    return made
+
+
+def steps_past_the_tables(engine) -> int:
+    """A step count past the end of the bias-correction tables as they
+    stand (the tables are shared and only grow)."""
+    from repro.optim.kernels import tables_for
+
+    adam = engine.config.adam
+    return tables_for(adam.beta1, adam.beta2).covering(0)[0].size + 3
+
+
+def run_batches(
+    recipes, recipe, tmp_path, *, batches=12, hooked=lambda k: False, events=None,
+    batch_size=None, **config,
+):
+    """``batches`` of ``recipe``'s schedule through a fresh ``clm`` session
+    on ``native``, the densify hook handed to the batches ``hooked`` picks;
+    ``events[k]`` — a checkpoint, its restore, a rebuild, the optimizers'
+    steps set to ``("tables", count)`` — before batch k.  Returns what must
+    agree: per batch the losses, transfer counts and chunk sizes; the hook's
+    gradients; the parameters and both optimizers' state; the pool peak."""
+    spec, inputs = recipes[recipe]
+    if batch_size is not None:
+        spec = replace(spec, batch_size=batch_size)
+    sess = repro.session(
+        inputs.scene, engine="clm",
+        config=EngineConfig(batch_size=spec.batch_size, kernel_backend="native", **config),
+        initial_model=starting_model(inputs),
+    )
+    engine, targets = sess.engine, sess._trainer.targets
+    path, batches_out, seen = str(tmp_path / "batch.npz"), [], []
+
+    def hook(view_id, rows, position_grads):
+        seen.append((view_id, rows.copy(), position_grads.copy()))
+
+    for k, view_ids in enumerate(batch_schedule(spec, 0, batches)):
+        event = (events or {}).get(k)
+        if event == "checkpoint":
+            sess.checkpoint(path)
+        elif event == "restore":
+            sess.restore(path)
+        elif event == "rebuild":
+            densify(sess)
+        elif event == "isolate":  # every row out of every frustum but one view's
+            params = engine.snapshot_model().parameters()
+            kept = engine.cull_views(view_ids[:1])[0]
+            params["positions"][np.setdiff1d(np.arange(engine.num_gaussians), kept)] += 1e6
+            engine.load_parameters(params)
+        elif event is not None:
+            for opt in (engine.adam_critical, engine.adam_noncritical):
+                opt.steps[:] = event[1]
+        result = engine.train_batch(view_ids, targets, hook if hooked(k) else None)
+        batches_out.append((
+            result.loss.hex(), sorted((v, x.hex()) for v, x in result.per_view_loss.items()),
+            result.loaded_gaussians, result.stored_gaussians, result.cached_gaussians,
+            result.adam_chunk_sizes, result.touched_gaussians,
+        ))
+    engine.close()
+    params = engine.snapshot_model().parameters()
+    state = [params[name] for name in sorted(params)]
+    for opt in (engine.adam_critical, engine.adam_noncritical):
+        state += [opt.packed_m, opt.packed_v, opt.steps]
+    peak = None if engine.pool is None else float(engine.pool.peak).hex()
+    return batches_out, seen, state, peak, engine
+
+
+def assert_same_run(got, want) -> None:
+    batches, seen, state, peak, _ = got
+    want_batches, want_seen, want_state, want_peak, _ = want
+    assert batches == want_batches
+    assert peak == want_peak
+    assert len(seen) == len(want_seen)
+    for (view, rows, grads), (want_view, want_rows, want_grads) in zip(seen, want_seen):
+        assert view == want_view
+        assert np.array_equal(rows, want_rows) and np.array_equal(grads, want_grads)
+    assert len(state) == len(want_state)
+    assert all(np.array_equal(a, b) for a, b in zip(state, want_state))
+
+
+#: The batch call's cases: ``(recipe, run_batches keywords)``.
+BATCH_CASES = {
+    "empty arenas": ("sparse", {}),
+    "tsp order": ("dense", {}),
+    "empty chunks": ("sparse", dict(events={4: "isolate"})),
+    "pooled": ("sparse", dict(gpu_capacity_bytes=1e12)),
+    "one view": ("dense", dict(batch_size=1)),
+    "batch-end adam": ("dense", dict(enable_overlap_adam=False)),
+    "restore and rebuild": ("sparse", dict(events={3: "checkpoint", 5: "restore", 7: "rebuild"})),
+    "tables outgrown": ("dense", dict(events={4: ("tables", None)})),
+    "alternating": ("sparse", dict(hooked=lambda k: k % 3 == 1)),
+}
+
+
+def conformance(recipes, case, tmp_path, monkeypatch, op=None) -> tuple:
+    """``case`` trained three ways — by batch calls (``op``: this
+    ``train_batch`` op), by the walk of native steps and by the walk of
+    composed steps — asserted bit-identical.  Returns the ``train_batch``
+    calls the first made and its run."""
+    recipe, kwargs = BATCH_CASES[case]
+    kwargs = dict(kwargs)
+    if "events" in kwargs:
+        events = dict(kwargs["events"])
+        for k, event in events.items():
+            if event == ("tables", None):  # one count, the same in every run
+                spec, inputs = recipes[recipe]
+                probe = repro.create_engine("clm", starting_model(inputs), inputs.scene.cameras)
+                events[k] = ("tables", steps_past_the_tables(probe))
+                probe.close()
+        kwargs["events"] = events
+    with monkeypatch.context() as patched:
+        made = batch_calls(patched, op)
+        got = run_batches(recipes, recipe, tmp_path, **kwargs)
+    with monkeypatch.context() as patched:
+        walked(patched)
+        walk = run_batches(recipes, recipe, tmp_path, **kwargs)
+    with monkeypatch.context() as patched:
+        walked(patched, composed=True)
+        composed = run_batches(recipes, recipe, tmp_path, **kwargs)
+    assert walk[4]._workspace.calls.get("train_batch") is None
+    assert_same_run(got, walk)
+    assert_same_run(got, composed)
+    return made, got
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_the_batch_call_trains_to_the_walks_and_the_compositions_bits(
+    recipes, case, tmp_path, monkeypatch
+):
+    made, (batches, seen, *_, engine) = conformance(recipes, case, tmp_path, monkeypatch)
+    hooked = BATCH_CASES[case][1].get("hooked", lambda k: False)
+    called = [k for k in range(len(batches)) if not hooked(k)]
+    # One call a batch the hook is off for, more where it resumed.
+    assert sum(status == "ok" for _, status in made) == len(called)
+    assert bool(seen) == (case == "alternating")
+    assert engine._workspace.steps == sum(len(b[1]) for b in batches)
+    if case == "empty arenas":
+        # The first batch: short at step 0, then at a later step, each
+        # resumed where it fell short.
+        first = made[: next(k for k, (_, status) in enumerate(made) if status == "ok") + 1]
+        assert first[0] == (0, "_ArenaShort") and any(start > 0 for start, _ in first)
+    if case == "tsp order":
+        plan = engine.plan_batch(batch_schedule(recipes["dense"][0], 0, 1)[0])
+        assert any(step.cached.size for step in plan.steps)
+        assert any(step.carried.size for step in plan.steps)
+    if case == "tables outgrown":
+        assert "_TablesShort" in {status for _, status in made}
+    if case == "empty chunks":  # beside chunks that are not: no adam node
+        assert any(0 in b[5] and any(b[5]) for b in batches)
+
+
+def test_a_batch_of_empty_sets_plans_and_trains_through_the_call(recipes, monkeypatch):
+    """Every view's set empty (the model moved out of every frustum): the
+    plan's sets reach ``plan_batch`` as no buffer at all, and the batch —
+    steps over no rows, every chunk empty — trains through the call to the
+    walk's bits."""
+    spec, inputs = recipes["sparse"]
+    model = starting_model(inputs)
+    model.positions += 1e6
+    schedule = batch_schedule(spec, 0, 3)
+
+    def train():
+        engine = repro.create_engine(
+            "clm", model.clone(), inputs.scene.cameras,
+            EngineConfig(batch_size=spec.batch_size, kernel_backend="native"),
+        )
+        plan = engine.plan_batch(schedule[0])
+        assert all(step.working_set.size == 0 for step in plan.steps)
+        assert plan.touched.size == 0 and not any(plan.adam_chunk_sizes)
+        losses = [
+            engine.train_batch(view_ids, targets_of(inputs)).loss.hex() for view_ids in schedule
+        ]
+        engine.close()
+        return losses, engine.snapshot_model().parameters()
+
+    with monkeypatch.context() as patched:
+        made = batch_calls(patched)
+        got = train()
+    walked(monkeypatch)
+    want = train()
+    assert [status for _, status in made].count("ok") == len(schedule)
+    assert got[0] == want[0]
+    assert all(np.array_equal(got[1][k], want[1][k]) for k in want[1])
+
+
+def nodes_of(plan):
+    from repro.planning.lowering import lower_batch
+
+    return lower_batch(plan, True)
+
+
+#: A plan or node list made bad one way, and what the call raises.
+MALFORMED = {
+    "a step twice": (
+        lambda plan, nodes, absent: (plan, nodes[:1] + nodes),
+        ValueError, "plan: a malformed node list",
+    ),
+    "a chunk before its step": (
+        lambda plan, nodes, absent: (plan, [nodes[1], nodes[0], *nodes[2:]]),
+        ValueError, "plan: a malformed node list",
+    ),
+    "no critical adam": (
+        lambda plan, nodes, absent: (plan, nodes[:-1]),
+        ValueError, "plan: a malformed node list",
+    ),
+    "a row outside the store": (
+        lambda plan, nodes, absent: (
+            replace(plan, touched=np.append(plan.touched, plan.num_gaussians + 5)), nodes,
+        ),
+        IndexError, "plan: a row outside the store",
+    ),
+    "a load outside its working set": (
+        lambda plan, nodes, absent: (
+            replace(plan, steps=(replace(plan.steps[0], loads=absent),) + plan.steps[1:]), nodes,
+        ),
+        ValueError, "plan: a malformed node list or row vector",
+    ),
+    "a cached row the step before did not hold": (
+        lambda plan, nodes, absent: (
+            replace(plan, steps=plan.steps[:1] + (
+                replace(plan.steps[1], cached=np.setdiff1d(
+                    plan.steps[1].working_set, plan.steps[0].working_set,
+                )[:1]),
+            ) + plan.steps[2:]), nodes,
+        ),
+        ValueError, "plan: a malformed node list or row vector",
+    ),
+    "a chunk row outside the touched union": (
+        lambda plan, nodes, absent: (
+            replace(plan, adam_chunks=(
+                np.union1d(plan.adam_chunks[0], np.setdiff1d(
+                    np.arange(plan.num_gaussians), plan.touched,
+                )[:1]),
+            ) + plan.adam_chunks[1:]), nodes,
+        ),
+        ValueError, "plan: a malformed node list or row vector",
+    ),
+    "a row two chunks share": (
+        lambda plan, nodes, absent: (
+            replace(plan, adam_chunks=(
+                plan.adam_chunks[0], np.union1d(plan.adam_chunks[1], plan.adam_chunks[0][:1]),
+            ) + plan.adam_chunks[2:]), nodes,
+        ),
+        ValueError, "plan: a malformed node list or row vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED))
+def test_a_malformed_plan_is_refused_with_nothing_written(recipes, bad):
+    engine, plan, targets = working_sets(recipes, "sparse")
+    engine.train_batch(plan.view_ids, targets)  # warmed: the arenas, the bindings
+    nodes = nodes_of(plan)
+    assert nodes[1].kind == "adam" and nodes[1].index == 0
+    assert np.setdiff1d(plan.steps[1].working_set, plan.steps[0].working_set).size
+    absent = np.setdiff1d(np.arange(engine.num_gaussians), plan.steps[0].working_set)[:1]
+    make, exc, message = MALFORMED[bad]
+    assert_refused(engine, *make(plan, nodes, absent), targets, exc, message)
+
+
+def assert_refused(engine, plan, nodes, targets, exc, message) -> None:
+    """The batch call over ``plan`` and ``nodes`` raises ``exc`` with
+    ``message`` and writes nothing: no store, optimizer state, loss or
+    counter."""
+    from repro.engines.clm import _BatchRun
+
+    opts = (engine.adam_critical, engine.adam_noncritical)
+    arrays = [
+        engine.cpu_store.params, engine.cpu_store.grads, engine.gpu_store.packed_params,
+        engine.gpu_store.packed_grads,
+    ] + [a for opt in opts for a in (opt.packed_m, opt.packed_v, opt.steps)]
+    before = [a.copy() for a in arrays]
+    run = _BatchRun(targets, plan.batch_size, None, working=engine._new_working_set())
+    op = get_backend("native").compile("train_batch")
+    with pytest.raises(exc, match="native train_batch: " + message):
+        op(engine, plan, run, nodes)
+    assert not engine._workspace.leased
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert run.per_view_loss == {} and run.working.counters.loaded_gaussians == 0
+    engine.close()
+
+
+def test_a_negative_step_count_is_refused_with_nothing_written(recipes):
+    """A touched row's negative step count falls short of any tables: the
+    call refuses it rather than grow the tables again and again."""
+    engine, plan, targets = working_sets(recipes, "sparse")
+    engine.train_batch(plan.view_ids, targets)  # warmed
+    engine.adam_critical.steps[plan.touched[0]] = -5
+    assert_refused(engine, plan, nodes_of(plan), targets, ValueError, "a negative step count")
+
+
+def test_the_stamps_partition_the_call_and_are_the_counters(recipes):
+    """The nine stages' stamps sum to within 2% of the one taken around the
+    whole entry point, each stage of a batch is timed, and the batch's
+    forward, backward and Adam seconds are read from them."""
+    spec, inputs = recipes["sparse"]
+    engine = repro.create_engine(
+        "clm", starting_model(inputs), inputs.scene.cameras,
+        EngineConfig(batch_size=spec.batch_size, kernel_backend="native"),
+    )
+    out = None
+    for view_ids in batch_schedule(spec, 0, 4):
+        result = engine.train_batch(view_ids, targets_of(inputs))
+        out = engine._workspace.calls["train_batch"].arenas["out"]
+        ns = {stage: int(out[native_backend._OUT[f"{stage}_ns"]]) for stage in native_backend._STAMPS}
+        total = int(out[native_backend._OUT["total_ns"]])
+        assert all(t > 0 for t in ns.values()), ns
+        assert abs(sum(ns.values()) - total) <= 0.02 * total, (ns, total)
+        assert result.forward_s == (ns["project"] + ns["composite"]) * 1e-9
+        assert result.backward_s == ns["backward"] * 1e-9
+        assert result.adam_s == pytest.approx((ns["adam"] + ns["critical_adam"]) * 1e-9, rel=1e-12)
+    engine.close()
+
+
+def mutant_batch(monkeypatch, tmp_path, old: str, new: str):
+    """``train_batch`` bound to a library built at -O0 from the source with
+    ``old`` (once there) replaced by ``new``."""
+    monkeypatch.setattr(
+        native_backend, "CFLAGS",
+        tuple("-O0" if f == "-O3" else f for f in native_backend.CFLAGS),
+    )
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    source = native_backend.resources.files("repro.kernels").joinpath(
+        native_backend.SOURCE
+    ).read_text("utf-8")
+    assert source.count(old) == 1
+    return native_backend._bind_batch(NativeLibrary(source.replace(old, new)).load(), "native")
+
+
+#: Seeded mutants of the C interpreter: ``(old, new)`` source text.
+BATCH_MUTANTS = {
+    "an adam node skipped": (
+        "} else if (program[2 * j] == NODE_ADAM) {\n",
+        "} else if (program[2 * j] == NODE_ADAM) {\n            continue;\n",
+    ),
+    "a resume at k + 1": ("out[OUT_NODE] = j;", "out[OUT_NODE] = j + 1;"),
+    "the block and carry parity not flipped": (
+        "            const double *held = blocks + (~index & 1) * block_size;\n"
+        "            const double *carried_in = carries + (~index & 1) * carry_size;\n",
+        "            const double *held = blocks + (index & 1) * block_size;\n"
+        "            const double *carried_in = carries + (index & 1) * carry_size;\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(BATCH_MUTANTS))
+def test_a_seeded_mutant_of_the_interpreter_fails_the_conformance(
+    recipes, mutant, tmp_path, monkeypatch
+):
+    op = mutant_batch(monkeypatch, tmp_path, *BATCH_MUTANTS[mutant])
+    with pytest.raises(AssertionError):
+        conformance(recipes, "empty arenas", tmp_path, monkeypatch, op)
+
+
+def test_a_chunk_lowered_before_its_step_fails_the_conformance(recipes, tmp_path, monkeypatch):
+    """Each Adam chunk encoded ahead of the step that finalizes it: the
+    call refuses the node list."""
+    program = native_backend._program
+
+    def early(nodes):
+        nodes, out = list(nodes), []
+        for node in nodes:
+            if node.kind == "adam":
+                out.insert(next(k for k, n in enumerate(out) if n.index == node.index), node)
+            else:
+                out.append(node)
+        return program(out)
+
+    monkeypatch.setattr(native_backend, "_program", early)
+    with pytest.raises(ValueError, match="native train_batch: plan: a malformed node list"):
+        conformance(recipes, "empty arenas", tmp_path, monkeypatch)

@@ -488,11 +488,11 @@ def test_the_backward_follows_the_context(monkeypatch):
     assert np.abs(grads["positions"]).sum() > 0
 
 
-def test_the_backend_declares_the_ten_units():
+def test_the_backend_declares_the_eleven_units():
     assert KERNEL_OPS == (
         "exact_cull", "grid_cull", "view_forward", "assemble_rows", "zero_rows",
         "adam_rows", "photometric_loss", "view_train", "plan_batch",
-        "train_step",
+        "train_step", "train_batch",
     )
     assert get_backend("native").capabilities() == frozenset(KERNEL_OPS)
     assert get_backend("numpy").capabilities() == frozenset(KERNEL_OPS)

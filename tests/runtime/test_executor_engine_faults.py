@@ -40,7 +40,9 @@ def test_crashed_adam_chunk_leaves_noncritical_params_untouched(
 
     engine._apply_noncritical_adam = poisoned
     with pytest.raises(WorkerError) as excinfo:
-        engine.train_batch([0, 1, 2, 3], targets)
+        # Hooked, so that inline too the batch walks its nodes, each chunk
+        # through the poisoned method (unhooked, it is one native call).
+        engine.train_batch([0, 1, 2, 3], targets, lambda *hooked: None)
     assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     after = engine.snapshot_model()
