@@ -8,9 +8,9 @@ reproducible given the same measurements.
 
 Two deliberate exclusions:
 
-- the ``random`` ordering is rejected: it is plan-cache-exempt and draws
-  from the engine RNG per plan, so tuning over it would both defeat
-  memoization and perturb seeded streams;
+- the ``random`` ordering is rejected: it is the ablation's baseline, a
+  fresh shuffle drawn from the engine RNG every plan, so a makespan
+  predicted for one shuffle says nothing about the next;
 - the kernel backend is not a knob: switching numeric backends mid-run
   changes results within their 1e-10 parity envelope, which would break
   the bit-identical-training guarantee the runtime otherwise keeps.
@@ -54,7 +54,7 @@ class CandidateSpace:
             raise ValueError("negative worker counts are not candidates")
         if "random" in self.orderings:
             raise ValueError(
-                "the 'random' ordering is cache-exempt and RNG-consuming; "
+                "the 'random' ordering is a fresh shuffle every plan; "
                 "it cannot be auto-tuned"
             )
 

@@ -2,8 +2,8 @@
 
 The loop per training batch:
 
-1. the engine plans the batch once per candidate ordering (memoized by
-   the :class:`~repro.planning.PlanCache`, so steady state costs nothing);
+1. the engine culls the batch once and plans it once per candidate
+   ordering;
 2. :meth:`AutoTuner.choose` prices the batch's
    :func:`~repro.planning.lower_batch` node list — the very nodes the
    engine executes — on one :class:`repro.hardware.Simulator` per

@@ -10,7 +10,7 @@ Examples::
     python -m repro.cli backends
     python -m repro.cli train --engine clm --batches 20
     python -m repro.cli train --engine clm --kernel-backend numpy
-    python -m repro.cli train --engine clm --ordering gs_count --plan-cache 16
+    python -m repro.cli train --engine clm --ordering gs_count
     python -m repro.cli serve --stream trajectory --requests 96 --rate 500
     python -m repro.cli bench list
     python -m repro.cli bench run --quick
@@ -218,7 +218,6 @@ def cmd_train(args) -> int:
             batch_size=4,
             seed=args.seed,
             ordering=args.ordering,
-            plan_cache_size=args.plan_cache,
             overlap_workers=args.overlap_workers,
             num_devices=args.devices,
             kernel_backend=args.kernel_backend,
@@ -244,9 +243,7 @@ def cmd_train(args) -> int:
     stats = sess.planner.stats()
     print(
         f"planner: {stats['plans_built']:.0f} plans built, "
-        f"{stats['cache_hits']:.0f} cache hits "
-        f"({100 * stats['hit_rate']:.0f}% of {stats['requests']:.0f} "
-        f"requests), {stats['build_time_s'] * 1e3:.1f} ms planning"
+        f"{stats['build_time_s'] * 1e3:.1f} ms planning"
     )
     perf = sess.perf
     print(
@@ -622,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ordering", choices=STRATEGIES, default="tsp",
                    help="microbatch ordering strategy (Table 4)")
-    p.add_argument("--plan-cache", type=int, default=8,
-                   help="BatchPlan cache capacity (0 disables memoization)")
     p.add_argument("--overlap-workers", type=int, default=0,
                    help="overlap-runtime worker threads for the CPU Adam "
                         "(0 = synchronous fallback; results are "

@@ -36,11 +36,6 @@ class EngineConfig:
     eager per-microbatch Adam chunks (§4.2.2) — with it off, all updates
     run at batch end (functionally identical, different timing).
 
-    ``plan_cache_size`` bounds the engine's
-    :class:`repro.planning.PlanCache` (number of memoized
-    :class:`~repro.planning.BatchPlan` objects; 0 disables memoization and
-    replans every batch).
-
     ``overlap_workers`` sizes the CLM engine's
     :class:`repro.runtime.OverlapExecutor` worker pool: 0 (the default)
     runs the finalized-chunk CPU Adam inline (synchronous fallback), >= 1
@@ -80,7 +75,7 @@ class EngineConfig:
     and executes the argmin, then reconciles predicted vs measured wall
     time back into the cost model.  ``autotune_workers`` /
     ``autotune_orderings`` define the candidate grid (orderings exclude
-    ``random`` — cache-exempt and RNG-consuming; the kernel backend is not
+    ``random`` — a fresh shuffle every plan; the kernel backend is not
     tuned — a switch changes results within the backends' 1e-10 parity
     envelope, breaking bit-identical training).  Auto-tuning changes
     timing only — never results for worker choices, and never pool
@@ -92,7 +87,6 @@ class EngineConfig:
     enable_cache: bool = True
     enable_overlap_adam: bool = True
     overlap_workers: int = 0
-    plan_cache_size: int = 8
     ssim_lambda: float = 0.2
     adam: AdamConfig = field(default_factory=default_adam_config)
     raster: RasterSettings = field(default_factory=RasterSettings)
@@ -158,5 +152,4 @@ class TimingConfig:
     ordering: str = "tsp"
     enable_cache: bool = True
     enable_overlap_adam: bool = True
-    plan_cache_size: int = 8  # BatchPlan memoization across batches
     seed: int = 0

@@ -120,7 +120,6 @@ class TimedSetup:
         self.planner = BatchPlanner(
             ordering=config.ordering,
             enable_cache=config.enable_cache,
-            cache_size=config.plan_cache_size,
             seed=rng,
             tsp_time_limit_s=0.0,
         )

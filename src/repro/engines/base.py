@@ -311,15 +311,16 @@ class EngineBase(Engine):
         self._rng = make_rng(self.config.seed)
         #: Resolved kernel-backend name (``config.kernel_backend`` after
         #: auto-selection/env override — see :mod:`repro.kernels`).  All
-        #: of this engine's raster and packed-Adam calls run on it, and it
-        #: keys the plan fingerprints so plans never leak across backends.
+        #: of this engine's raster and packed-Adam calls run on it, and
+        #: its planner's ``plan_batch`` op.
         from repro.kernels import resolve_backend
 
         self.kernel_backend = resolve_backend(
             getattr(self.config, "kernel_backend", None)
         ).name
         #: The engine's batch planner (shared RNG stream, so the ``random``
-        #: ordering draws from the same sequence the pre-planner code did).
+        #: ordering draws from the same sequence the pre-planner code did);
+        #: it builds every batch's plan, with no plan cache.
         self.planner = BatchPlanner.from_engine_config(
             self.config, seed=self._rng, kernel_backend=self.kernel_backend
         )

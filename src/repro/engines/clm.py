@@ -8,8 +8,7 @@ NumPy arrays:
 2. obtain the :class:`repro.planning.BatchPlan` for the culled sets from
    the engine's :class:`repro.planning.BatchPlanner` — microbatch order
    (TSP by default, §4.2.3), precise-caching transfer steps (§4.2.1) and
-   overlapped-Adam finalization chunks (§4.2.2), memoized by the plan
-   cache;
+   overlapped-Adam finalization chunks (§4.2.2), built for this batch;
 3. lower the plan to its node list (:func:`repro.planning.lower_batch`)
    and execute it.  A ``step`` node is one microbatch: assemble the
    working set (cache copies + pinned-store loads), render, compute loss,
@@ -227,7 +226,7 @@ class CLMEngine(EngineBase):
         knowing about them.
 
         With :attr:`tuner` set (``config.autotune``), the batch is culled
-        once and planned once per candidate ordering (memoized), the tuner
+        once and planned once per candidate ordering, the tuner
         picks the configuration with the smallest simulator-predicted
         makespan, and after execution the prediction is reconciled against
         the measured wall time and fed back into the cost model.  The
@@ -472,9 +471,8 @@ class CLMEngine(EngineBase):
         slice, never the full model.  The pool-accounted working set is
         rendered whole through the forward-only binding.
         """
-        # Ordering is meaningless for one view; identity keeps the plan
-        # cacheable (the 'random' strategy is cache-exempt) and draws
-        # nothing from the RNG stream that orders training batches.
+        # Ordering is meaningless for one view; identity draws nothing
+        # from the RNG stream that orders training batches.
         plan = self.plan_batch([view_id], strategy="identity")
         step = plan.steps[0]
         working = self._new_working_set()

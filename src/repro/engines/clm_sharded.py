@@ -49,8 +49,8 @@ faults (stragglers, lossy links) affect only the simulated schedule;
    the default ``recovery_snapshot_every=1`` exactly **one batch of
    work is lost** per fail-stop;
 3. the surviving rows are re-sharded with :func:`spatial_shard` over the
-   K-1 remaining devices (the plan cache is cleared so ordering-RNG
-   draws replay exactly as a fresh restart from the snapshot would);
+   K-1 remaining devices (the restored RNG state replays the ordering
+   draws exactly as a fresh restart from the snapshot would);
 4. the same batch re-executes on the survivors and its result is
    returned, with ``recovery_s`` / ``lost_batches`` stamped — the
    post-recovery trajectory is bit-identical to a fault-free run
@@ -59,12 +59,11 @@ faults (stragglers, lossy links) affect only the simulated schedule;
 
 The engine inherits :meth:`CLMEngine._setup` unchanged, so the resolved
 kernel backend (``EngineConfig.kernel_backend``, see :mod:`repro.kernels`)
-threads through identically: both packed optimizers and every device's
-render path execute on the same backend, the identity rides
-``PerfCounters.kernel_backend`` and the plan fingerprints, and the K=1
-bit-identity with ``clm`` holds per backend (the fingerprinted plans and
-the fused float64 kernels are backend-parity-pinned by
-``tests/kernels/``).
+threads through identically: both packed optimizers, the planner's
+``plan_batch`` op and every device's render path execute on the same
+backend, the identity rides ``PerfCounters.kernel_backend``, and the K=1
+bit-identity with ``clm`` holds per backend (the plans and the fused
+float64 kernels are backend-parity-pinned by ``tests/kernels/``).
 """
 
 from __future__ import annotations
@@ -174,10 +173,6 @@ class ShardedCLMEngine(CLMEngine):
             restore_engine_state(self, self._snapshot)
         self.alive.remove(device)
         self._reshard()
-        # Replaying from the snapshot must consume ordering-RNG draws
-        # exactly like a fresh restart: memoized plans skip the draw, so
-        # the cache restarts cold alongside the restored RNG state.
-        self.planner.cache.clear()
 
     def _recover(self, failed_devices: Sequence[int]) -> None:
         """Fail-stop recovery: roll back to the last good snapshot and
@@ -192,7 +187,6 @@ class ShardedCLMEngine(CLMEngine):
         restore_engine_state(self, self._snapshot)
         self.alive = survivors
         self._reshard()
-        self.planner.cache.clear()
 
     # ------------------------------------------------------------------
     def _train_batch(

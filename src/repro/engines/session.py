@@ -87,8 +87,8 @@ class TrainingSession:
     @property
     def planner(self):
         """The engine's :class:`repro.planning.BatchPlanner` — inspect
-        ``sess.planner.counters`` for plan-cache hit rates and planning
-        time, or ``sess.planner.cache`` for the memoized plans."""
+        ``sess.planner.counters`` for the plans built and the planning
+        time."""
         return self.engine.planner
 
     @property

@@ -39,7 +39,7 @@ them to the eleven kernel ops:
   (:func:`_bind_train`): the working set's rows of the model read in place,
   their gradients added into the full-size ones, over its workspace;
 - ``plan_batch`` — a batch's plan in one call (:func:`_bind_plan`), into
-  one int64 buffer of which every array of the plan is a read-only slice;
+  one int64 buffer of which every array of the plan is a slice;
 - ``train_step`` — a CLM microbatch in one call (:func:`_bind_step`):
   load, view, loss, backward, gradient offload, over the engine's
   workspace, the working set's block and carried gradients double-buffered
@@ -703,8 +703,8 @@ _STAGE_RAISES = {
 def _address(arr: np.ndarray) -> int:
     """Where an array's data starts.  ``ndarray.ctypes`` builds an object
     (~1.1 us); a ctypes view of a writable contiguous buffer costs ~0.35
-    us, and all but the plans' frozen index sets and the critical store's
-    column views are that."""
+    us, and all but the critical store's column views and the index sets
+    of serving's cached (read-only) plans are that."""
     flags = arr.flags
     if flags.writeable and flags.c_contiguous and arr.size:
         return ctypes.addressof(ctypes.c_char.from_buffer(arr))
@@ -2264,8 +2264,8 @@ def _not_an_order(order) -> ValueError:
 def _bind_plan(lib) -> Callable:
     """``plan_batch`` as one call into the loaded library: the sets
     concatenated into one buffer with offsets, the plan written into one
-    plan-owned int64 buffer whose read-only slices are every array of the
-    returned :class:`~repro.planning.planner.PlannedBatch`."""
+    plan-owned int64 buffer whose slices are every array of the returned
+    :class:`~repro.planning.planner.PlannedBatch`."""
     from repro.planning.caching import MicrobatchStep
     from repro.planning.planner import PlannedBatch, malformed
     from repro.planning.tsp_order import UNTIMED_NODES
@@ -2300,7 +2300,6 @@ def _bind_plan(lib) -> Callable:
             if out[0] < 0:
                 raise _not_an_order(order) from None
             raise malformed(rows, offsets, int(out[0]), num_gaussians) from None
-        out.setflags(write=False)
         head = out[:_PLAN_HEAD + 4 * b].tolist()
         search_ns, num_touched = head[1], head[2]
         order = head[_PLAN_HEAD : _PLAN_HEAD + b]

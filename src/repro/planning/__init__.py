@@ -23,11 +23,12 @@ Module → paper mapping:
   per-microbatch loads/cached/stores/carried partitions (§4.2.1);
 - :mod:`repro.planning.adam_overlap` — finalization maps and eager CPU
   Adam chunks (§4.2.2, Figure 7);
-- :mod:`repro.planning.plan` — the immutable :class:`BatchPlan` product
-  tying those together, with the Figure 14 analytics;
-- :mod:`repro.planning.planner` — :class:`BatchPlanner` +
-  :class:`PlanCache`: fingerprint-keyed memoization so a repeated batch
-  skips TSP and set algebra (tracked by :class:`PlannerCounters`);
+- :mod:`repro.planning.plan` — the :class:`BatchPlan` product tying
+  those together, with the Figure 14 analytics;
+- :mod:`repro.planning.planner` — :class:`BatchPlanner`, which builds
+  each batch's plan, and serving's :class:`PlanCache`: fingerprint-keyed
+  memoization so a repeated request batch skips TSP and set algebra
+  (tracked by :class:`PlannerCounters`);
 - :mod:`repro.planning.lowering` — :func:`lower_batch`: the plan as the
   ``step`` / ``adam`` / ``critical_adam`` node list the CLM executors
   run and the auto-tuner prices (§4.2, Figure 6).

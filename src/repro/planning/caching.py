@@ -20,7 +20,6 @@ microbatch* — which is what makes overlapped CPU Adam (§4.2.2) safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -28,22 +27,32 @@ import numpy as np
 from repro.utils import setops
 
 
-@dataclass(frozen=True)
 class MicrobatchStep:
     """The transfer plan of one microbatch within a batch.
 
-    Frozen: steps are shared through the :class:`repro.planning.PlanCache`
-    (the planner additionally marks the index arrays read-only), so a
-    consumer can neither rebind fields nor silently corrupt a cached plan.
+    A plain ``__slots__`` class: a step belongs to its batch's plan, and
+    the planner builds up to one per view every batch.
     """
 
-    position: int  # 0-based slot in the scheduled order
-    view_id: int
-    working_set: np.ndarray  # S_i
-    loads: np.ndarray  # from CPU
-    cached: np.ndarray  # GPU->GPU copy from previous buffer
-    stores: np.ndarray  # gradients offloaded after BWD_i
-    carried: np.ndarray  # gradients accumulated into the next buffer
+    __slots__ = ("position", "view_id", "working_set", "loads", "cached", "stores", "carried")
+
+    def __init__(
+        self,
+        position: int,  # 0-based slot in the scheduled order
+        view_id: int,
+        working_set: np.ndarray,  # S_i
+        loads: np.ndarray,  # from CPU
+        cached: np.ndarray,  # GPU->GPU copy from previous buffer
+        stores: np.ndarray,  # gradients offloaded after BWD_i
+        carried: np.ndarray,  # gradients accumulated into the next buffer
+    ) -> None:
+        self.position = position
+        self.view_id = view_id
+        self.working_set = working_set
+        self.loads = loads
+        self.cached = cached
+        self.stores = stores
+        self.carried = carried
 
     @property
     def num_loads(self) -> int:

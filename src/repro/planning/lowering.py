@@ -23,14 +23,12 @@ prediction and the tests all read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.planning.plan import BatchPlan
 
 
-@dataclass(frozen=True)
-class BatchNode:
+class BatchNode(NamedTuple):
     """One schedulable unit of a lowered batch."""
 
     name: str

@@ -1,4 +1,4 @@
-"""`BatchPlan` — the immutable product of the batch-planning layer.
+"""`BatchPlan` — the product of the batch-planning layer.
 
 One plan captures everything the paper derives from a batch's culling
 results before any kernel runs (§4.2): the scheduled microbatch order
@@ -155,8 +155,3 @@ class BatchPlan:
             "Adam chunks do not partition the touched union"
         )
 
-
-def freeze_array(arr: np.ndarray) -> np.ndarray:
-    """Mark a plan-owned array read-only so cached plans stay immutable."""
-    arr.setflags(write=False)
-    return arr

@@ -7,15 +7,19 @@ operations per microbatch for the transfer plan (§4.2.1; two membership
 partitions) and the touched union with its finalization chunks (§4.2.2).
 All of it is one kernel op, ``plan_batch``, run on the planner's kernel
 backend: :func:`plan_batch` below is its reference, the composition of
-the planning modules, and ``native`` runs it as one C call.  The
-planner memoizes whole plans in a :class:`PlanCache` keyed by a
-content fingerprint of the in-frustum sets — a repeated batch over an
-unchanged model (steady-state simulation, repeated evaluation renders,
-plan-driven experiments) skips the op entirely, observable
-through :class:`PlannerCounters`.  The ``random`` ordering is exempt: a
-memoized shuffle would replay itself on a repeated batch, so random plans
-always rebuild (and always consume one RNG draw, keeping seeded streams
-independent of the cache configuration).
+the planning modules, and ``native`` runs it as one C call.
+
+A training or simulated plan is built fresh for its batch, as the paper's
+planner derives each batch's schedule from that batch's culling results,
+and its arrays are the batch's own (writable).  Serving alone memoizes:
+its planner is built with a :class:`PlanCache` keyed by a content
+fingerprint of the in-frustum sets, because its request batches repeat,
+and a repeated batch skips the op entirely, observable through
+:class:`PlannerCounters`.  A cached plan is shared, so the cache freezes
+the arrays of the plan it stores.  A hit also skips the op's RNG draw, so
+under a cache a seeded ``tsp`` stream depends on which batches hit.  The
+``random`` ordering is exempt: a memoized shuffle would replay itself on a
+repeated batch, so random plans always rebuild.
 
 The fingerprint hashes each sorted index set *once per view* (an O(total
 set size) pass), never per pair — the same trick
@@ -36,7 +40,7 @@ import numpy as np
 from repro.kernels.registry import OpDispatch
 from repro.planning import adam_overlap, orders, tsp_order
 from repro.planning.caching import MicrobatchStep, build_transfer_plan
-from repro.planning.plan import BatchPlan, freeze_array
+from repro.planning.plan import BatchPlan
 from repro.utils.rng import SeedLike, make_rng
 
 _FINGERPRINT_DIGEST_SIZE = 16
@@ -87,7 +91,7 @@ def plan_fingerprint(
 class PlannedBatch(NamedTuple):
     """What the ``plan_batch`` op returns: the order (input positions in
     scheduled order), the :class:`MicrobatchStep` of each slot, the touched
-    union, the Adam chunks ``F_1 .. F_B`` (all read-only) and the seconds
+    union, the Adam chunks ``F_1 .. F_B`` and the seconds
     the order search took (0 when the order was given)."""
 
     order: Tuple[int, ...]
@@ -149,22 +153,18 @@ def plan_batch(
         start = time.perf_counter()
         order = tsp_order.tsp_order(sets, time_limit_s=time_limit_s, seed=rng)
         search_s = time.perf_counter() - start
-    # Plan-owned copies: the working sets are frozen below, and doing
-    # that to the caller's arrays (e.g. a long-lived CullingIndex)
-    # would leak read-only flags into caller state.
+    # Plan-owned copies: the plan's arrays are its batch's (and frozen
+    # when serving's cache stores it), never the caller's (e.g. a
+    # long-lived CullingIndex).
     ordered = [np.array(sets[k], dtype=np.int64, copy=True) for k in order]
     steps = build_transfer_plan(
         ordered, [int(view_ids[k]) for k in order], enable_cache=enable_cache
     )
-    for step in steps:
-        for arr in (step.working_set, step.loads, step.cached, step.stores, step.carried):
-            freeze_array(arr)
-    chunks = adam_overlap.adam_chunks(ordered, num_gaussians)
     return PlannedBatch(
         order=tuple(int(k) for k in order),
         steps=tuple(steps),
-        touched=freeze_array(adam_overlap.touched_union(ordered)),
-        adam_chunks=tuple(freeze_array(c) for c in chunks),
+        touched=adam_overlap.touched_union(ordered),
+        adam_chunks=tuple(adam_overlap.adam_chunks(ordered, num_gaussians)),
         search_s=search_s,
     )
 
@@ -173,10 +173,9 @@ def plan_batch(
 class PlannerCounters:
     """Cumulative planner statistics (the planner-bench metrics).
 
-    ``plans_built`` counts cache misses (full TSP + set-algebra runs);
-    ``cache_hits`` counts plans served without recomputation.  The
-    acceptance test for the cache asserts ``plans_built`` stays flat
-    across a repeated batch while ``requests`` advances.
+    ``plans_built`` counts the plans the op built (full TSP + set-algebra
+    runs); ``cache_hits`` counts plans a :class:`PlanCache` served without
+    recomputation, so without a cache ``plans_built == requests``.
     """
 
     requests: int = 0
@@ -196,9 +195,9 @@ class PlanCache:
     """A small LRU of finished :class:`BatchPlan` objects.
 
     Keys are :func:`plan_fingerprint` tuples; capacity 0 disables caching
-    (every request rebuilds).  Plans are immutable (frozen dataclass,
-    read-only derived arrays), so handing the same object to several
-    consumers is safe.
+    (every request rebuilds).  :meth:`put` marks every array of the plan
+    it stores read-only: a stored plan is handed to every later request
+    of its batch, so no consumer may write it.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -218,6 +217,11 @@ class PlanCache:
     def put(self, key: Tuple, plan: BatchPlan) -> None:
         if self.capacity <= 0:
             return
+        for step in plan.steps:
+            for arr in (step.working_set, step.loads, step.cached, step.stores, step.carried):
+                arr.setflags(write=False)
+        for arr in (plan.touched, *plan.adam_chunks):
+            arr.setflags(write=False)
         self._plans[key] = plan
         self._plans.move_to_end(key)
         while len(self._plans) > self.capacity:
@@ -229,18 +233,21 @@ class PlanCache:
 
 
 class BatchPlanner:
-    """Turn culling results into a :class:`BatchPlan`, with memoization.
+    """Turn culling results into a :class:`BatchPlan`.
 
-    One planner per engine / simulated run; ``seed`` may be an integer or
-    a shared ``numpy.random.Generator`` (the engines thread their own RNG
-    through so the ``random`` ordering stays on the engine's stream).
+    One planner per engine / simulated run / serving session; ``seed``
+    may be an integer or a shared ``numpy.random.Generator`` (the engines
+    thread their own RNG through so the ``random`` ordering stays on the
+    engine's stream).  ``cache_size`` > 0 memoizes plans in a
+    :class:`PlanCache` (serving's planner); the default 0 builds every
+    plan for its batch.
     """
 
     def __init__(
         self,
         ordering: str = "tsp",
         enable_cache: bool = True,
-        cache_size: int = 8,
+        cache_size: int = 0,
         seed: SeedLike = 0,
         tsp_time_limit_s: float = 1e-3,
         kernel_backend: Optional[str] = None,
@@ -262,13 +269,12 @@ class BatchPlanner:
         kernel_backend: Optional[str] = None,
     ) -> "BatchPlanner":
         """Planner configured from an :class:`repro.core.config.EngineConfig`
-        (or anything with ``ordering`` / ``enable_cache`` /
-        ``plan_cache_size`` attributes).  ``kernel_backend`` is the
-        engine's resolved backend name, which runs ``plan_batch``."""
+        (or anything with ``ordering`` / ``enable_cache`` attributes), with
+        no plan cache.  ``kernel_backend`` is the engine's resolved backend
+        name, which runs ``plan_batch``."""
         return cls(
             ordering=config.ordering,
             enable_cache=config.enable_cache,
-            cache_size=getattr(config, "plan_cache_size", 8),
             seed=config.seed if seed is None else seed,
             kernel_backend=kernel_backend,
         )
@@ -293,8 +299,8 @@ class BatchPlanner:
         set and position.  ``strategy`` overrides the planner's
         configured ordering — the non-pipelined engines pass
         ``"identity"`` to keep the sampled batch order.  The returned
-        plan owns read-only copies of the input sets; the caller's arrays
-        are never touched.
+        plan owns copies of the input sets; the caller's arrays are never
+        touched.
         """
         if len(sets) != len(view_ids):
             raise ValueError("sets and view_ids must align")
@@ -304,8 +310,7 @@ class BatchPlanner:
         self.counters.requests += 1
         # A memoized 'random' plan would replay an earlier shuffle (and
         # skip the RNG draw), changing the ablation's semantics — random
-        # orderings always replan.  With the cache disabled, skip the
-        # fingerprint pass too.
+        # orderings always replan.  Without a cache, no fingerprint pass.
         use_cache = self.cache.capacity > 0 and strategy != "random"
         key = None
         if use_cache:
@@ -360,7 +365,7 @@ class BatchPlanner:
         :class:`repro.sharding.ShardAssignment`.
 
         The global plan comes from the ordinary :meth:`plan` call — same
-        RNG draws, same cache, same ordering — and the per-device split is
+        RNG draws, same ordering — and the per-device split is
         a deterministic derivation on top (see
         :func:`repro.sharding.build_sharded_plan`), which is what keeps
         the K=1 configuration bit-identical to single-device planning.

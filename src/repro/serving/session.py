@@ -71,9 +71,9 @@ class ServingConfig:
 
     ``ordering`` is the request-batch ordering strategy (Table 4 applied
     to requests; ``tsp`` maximizes consecutive working-set overlap);
-    ``plan_cache_size`` bounds the serving plan cache — serving hammers it
-    far harder than training (every batch is forward-only and recurring),
-    so the default is generous compared to the trainer's 8.  ``lod=None``
+    ``plan_cache_size`` bounds the serving plan cache — the only plan
+    cache: request batches recur (every batch is forward-only over a
+    static model), while a training batch's plan is built for it.  ``lod=None``
     disables level-of-detail culling; ``drop_expired`` drops requests
     whose deadline already passed at dispatch time.  ``resilience``
     configures retry/breaker/degraded-mode fault handling (see

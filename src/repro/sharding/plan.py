@@ -1,8 +1,8 @@
 """Splitting one global :class:`~repro.planning.BatchPlan` across devices.
 
 The sharded engine plans a batch *once* through the ordinary
-:class:`~repro.planning.BatchPlanner` — same RNG draws, same ordering,
-same cache — and only then derives per-device plans deterministically.
+:class:`~repro.planning.BatchPlanner` — same RNG draws, same ordering —
+and only then derives per-device plans deterministically.
 That layering is what makes the K=1 configuration bit-identical to the
 single-device ``clm`` engine: at K=1 the derivation collapses to the
 global plan itself.
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core import attributes
 from repro.kernels.registry import OpDispatch
-from repro.planning.plan import BatchPlan, freeze_array
+from repro.planning.plan import BatchPlan
 from repro.sharding.partition import ShardAssignment, assign_views, halo_rows
 from repro.sharding.worker import run_work_stealing
 
@@ -150,13 +150,10 @@ def build_sharded_plan(
                 adam_chunks=planned.adam_chunks,
             )
         )
-        halo.append(freeze_array(halo_rows(planned.touched, assignment, k)))
+        halo.append(halo_rows(planned.touched, assignment, k))
 
     touched = global_plan.touched
-    adam_rows = tuple(
-        freeze_array(touched[assignment.owner[touched] == k])
-        for k in range(k_devices)
-    )
+    adam_rows = tuple(touched[assignment.owner[touched] == k] for k in range(k_devices))
     return ShardedBatchPlan(
         global_plan=global_plan,
         assignment=assignment,

@@ -22,7 +22,7 @@ def make_plans(orderings, seed=0, batch=4):
         np.sort(rng.choice(NUM_GAUSSIANS, size=120, replace=False))
         for _ in range(batch)
     ]
-    planner = BatchPlanner(cache_size=0, seed=seed)
+    planner = BatchPlanner(seed=seed)
     return {
         o: planner.plan(
             sets, list(range(batch)), num_gaussians=NUM_GAUSSIANS, strategy=o

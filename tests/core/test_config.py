@@ -14,7 +14,7 @@ def test_the_knob_sets_are_pinned():
     ]
     assert [f.name for f in fields(EngineConfig)] == [
         "batch_size", "ordering", "enable_cache", "enable_overlap_adam",
-        "overlap_workers", "plan_cache_size", "ssim_lambda",
+        "overlap_workers", "ssim_lambda",
         "adam", "raster", "seed", "gpu_capacity_bytes", "renderer",
         "renderer_backward", "num_devices", "topology", "work_stealing",
         "fault_schedule", "recovery_snapshot_every", "kernel_backend",

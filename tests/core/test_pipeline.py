@@ -27,7 +27,7 @@ def simple_plan(batch=4, size=1000, overlap=500):
     for _ in range(batch):
         sets.append(np.arange(start, start + size, dtype=np.int64))
         start += size - overlap
-    planner = BatchPlanner(ordering="identity", cache_size=0)
+    planner = BatchPlanner(ordering="identity")
     return planner.plan(
         sets, list(range(batch)), num_gaussians=int(sets[-1][-1]) + 1
     )

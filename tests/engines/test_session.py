@@ -32,6 +32,35 @@ def test_session_smoke(trainable_scene):
     assert sess.metrics.loaded_bytes > 0  # CLM reports transfer volume
 
 
+@pytest.mark.parametrize("backend", [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not repro.kernels.get_backend("native").available(),
+        reason="no C compiler here",
+    )),
+])
+def test_a_training_session_plans_every_batch(backend):
+    """Training builds each batch's plan for it, even when batches repeat:
+    with 4 views and batch 4 every batch holds the same views, and under
+    the default ``tsp`` ordering a memoized plan would skip the
+    ``plan_batch`` op's RNG draw, so the trained bits would depend on a
+    cache's size."""
+    scene = repro.make_trainable_scene(
+        reference_gaussians=60, num_views=4, image_size=(16, 12), seed=0
+    )
+    sess = repro.session(
+        scene,
+        config=EngineConfig(batch_size=4, seed=0, kernel_backend=backend),
+        trainer_config=TrainerConfig(batch_size=4, seed=0, num_batches=24),
+    )
+    sess.train()
+    assert sess.config.ordering == "tsp"
+    stats = sess.planner.stats()
+    assert stats["requests"] >= 24
+    assert stats["plans_built"] == stats["requests"]
+    assert stats["cache_hits"] == 0
+
+
 def test_session_unknown_engine(trainable_scene):
     with pytest.raises(UnknownEngineError, match="choose from"):
         make_session(trainable_scene, engine="bogus")

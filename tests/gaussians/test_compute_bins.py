@@ -263,7 +263,6 @@ def batch_plans(draw):
     planner = BatchPlanner(
         ordering=draw(st.sampled_from(["identity", "random", "gs_count", "tsp"])),
         enable_cache=draw(st.booleans()),
-        cache_size=0,
         seed=draw(st.integers(0, 2**16)),
     )
     return planner.plan(

@@ -45,7 +45,7 @@ def cameras_at(xs):
 def plan_on(backend, sets, strategy="tsp", seed=0, cameras=None, n=80, **planner):
     """One plan on ``backend`` and the generator's next draw after it."""
     rng = np.random.default_rng(seed)
-    p = BatchPlanner(ordering=strategy, cache_size=0, seed=rng, kernel_backend=backend, **planner)
+    p = BatchPlanner(ordering=strategy, seed=rng, kernel_backend=backend, **planner)
     plan = p.plan(sets, [10 + k for k in range(len(sets))], cameras, num_gaussians=n)
     return plan, rng.random()
 
@@ -160,7 +160,7 @@ def test_the_search_reaches_the_held_karp_optimum(n):
     assert optimal >= 5
 
 
-def test_the_native_plan_is_one_read_only_buffer():
+def test_the_native_plan_is_one_buffer_the_plan_owns():
     sets = batch_of_views(6, seed=3)
     plan, _ = plan_on("native", sets, n=1000)
     arrays = [plan.touched, *plan.adam_chunks] + [
@@ -169,13 +169,13 @@ def test_the_native_plan_is_one_read_only_buffer():
     ]
     base = plan.touched.base
     assert base is not None and base.dtype == np.int64
-    assert all(arr.base is base and not arr.flags.writeable for arr in arrays)
+    assert all(arr.base is base and arr.flags.writeable for arr in arrays)
     assert not any(np.shares_memory(arr, s) for arr in arrays for s in sets)
 
 
 def test_the_order_search_is_timed_apart_from_the_rest():
     for name in BACKENDS:
-        p = BatchPlanner(cache_size=0, kernel_backend=name)
+        p = BatchPlanner(kernel_backend=name)
         p.plan(batch_of_views(5, 0), list(range(5)), num_gaussians=1000)
         assert 0.0 < p.counters.order_time_s < p.counters.build_time_s
         p.plan([np.arange(4)] * 3, [0, 1, 2], num_gaussians=80, strategy="identity")

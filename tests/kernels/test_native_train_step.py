@@ -38,6 +38,7 @@ from repro.gaussians.rasterizer import RasterSettings
 from repro.gaussians.render import render
 from repro.kernels import Workspace, get_backend, native_backend, registry
 from repro.kernels.native_backend import NativeLibrary
+from repro.planning.caching import MicrobatchStep
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 from bench_e2e.workloads import (  # noqa: E402  (the ruler's recipes, read only)
@@ -49,6 +50,12 @@ from bench_e2e.workloads import (  # noqa: E402  (the ruler's recipes, read only
 pytestmark = pytest.mark.skipif(
     not get_backend("native").available(), reason="no C compiler here"
 )
+
+
+def replace_step(step, **changes) -> MicrobatchStep:
+    """``step`` with ``changes`` to its fields (a step is a slots class)."""
+    fields = {name: getattr(step, name) for name in MicrobatchStep.__slots__}
+    return MicrobatchStep(**{**fields, **changes})
 
 #: variant -> (registered engine, ``EngineConfig`` overrides), as the ruler
 #: names them.
@@ -451,23 +458,23 @@ def test_a_replaced_camera_or_target_overwrites_its_binding(recipes):
 #: ``add_grads_rows`` accumulates over the same rows.
 BAD_STEPS = {
     "store-outside": (
-        lambda step, n, absent: replace(step, stores=np.array([n + 5])),
+        lambda step, n, absent: replace_step(step, stores=np.array([n + 5])),
         IndexError, "retire_rows: a row outside the store",
     ),
     "store-not-a-member": (
-        lambda step, n, absent: replace(step, stores=absent),
+        lambda step, n, absent: replace_step(step, stores=absent),
         ValueError, "retire_rows: a row that is not a member",
     ),
     "stores-out-of-order": (
-        lambda step, n, absent: replace(step, stores=step.working_set[1::-1]),
+        lambda step, n, absent: replace_step(step, stores=step.working_set[1::-1]),
         ValueError, "retire_rows: a row that is not a member",
     ),
     "carried-not-a-member": (
-        lambda step, n, absent: replace(step, carried=absent),
+        lambda step, n, absent: replace_step(step, carried=absent),
         ValueError, "retire_rows: a row that is not a member",
     ),
     "working-set-outside": (
-        lambda step, n, absent: replace(
+        lambda step, n, absent: replace_step(
             step, working_set=np.append(step.working_set, n + 5)
         ),
         IndexError, "assemble_rows: a row outside the store",
@@ -1124,14 +1131,14 @@ MALFORMED = {
     ),
     "a load outside its working set": (
         lambda plan, nodes, absent: (
-            replace(plan, steps=(replace(plan.steps[0], loads=absent),) + plan.steps[1:]), nodes,
+            replace(plan, steps=(replace_step(plan.steps[0], loads=absent),) + plan.steps[1:]), nodes,
         ),
         ValueError, "plan: a malformed node list or row vector",
     ),
     "a cached row the step before did not hold": (
         lambda plan, nodes, absent: (
             replace(plan, steps=plan.steps[:1] + (
-                replace(plan.steps[1], cached=np.setdiff1d(
+                replace_step(plan.steps[1], cached=np.setdiff1d(
                     plan.steps[1].working_set, plan.steps[0].working_set,
                 )[:1]),
             ) + plan.steps[2:]), nodes,

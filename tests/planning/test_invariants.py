@@ -70,7 +70,7 @@ class TestPlanProperties:
     @settings(max_examples=60, deadline=None)
     def test_invariants_any_strategy(self, sets, strategy, enable_cache):
         planner = BatchPlanner(
-            ordering=strategy, enable_cache=enable_cache, cache_size=0,
+            ordering=strategy, enable_cache=enable_cache,
             seed=0,
         )
         plan = planner.plan(sets, list(range(len(sets))), num_gaussians=81)
@@ -80,7 +80,7 @@ class TestPlanProperties:
     @given(sets=batches)
     @settings(max_examples=40, deadline=None)
     def test_touched_is_union_of_sets(self, sets):
-        planner = BatchPlanner(ordering="identity", cache_size=0)
+        planner = BatchPlanner(ordering="identity")
         plan = planner.plan(sets, list(range(len(sets))), num_gaussians=81)
         union = np.empty(0, dtype=np.int64)
         for s in sets:

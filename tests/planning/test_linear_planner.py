@@ -37,7 +37,7 @@ def test_partition_is_intersect_and_difference(a, b):
     both, only_a = setops.partition(a, b)
     assert_same(both, np.intersect1d(a, b))
     assert_same(only_a, np.setdiff1d(a, b))
-    # Fresh arrays, never views of an input: plans freeze what they get.
+    # Fresh arrays, never views of an input: a plan owns what it gets.
     for out in (both, only_a):
         assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
         assert out.flags.writeable
@@ -115,7 +115,6 @@ def assert_plan_matches_oracle(oracle, plan):
     assert len(plan.adam_chunks) == len(want)
     for got, dense in zip(plan.adam_chunks, want):
         assert_same(got, dense)
-        assert not got.flags.writeable
 
 
 def bench_e2e_scenes():
@@ -138,7 +137,7 @@ def test_plans_of_both_bench_e2e_scenes_match_the_oracle(
         sets = cull_batch(
             cameras, model.positions, model.log_scales, model.quaternions
         )
-        planner = BatchPlanner(ordering="tsp", enable_cache=enable_cache, cache_size=0)
+        planner = BatchPlanner(ordering="tsp", enable_cache=enable_cache)
         for first in range(0, len(cameras) - batch + 1, batch):
             views = list(range(first, first + batch))
             plan = planner.plan(

@@ -1,11 +1,19 @@
-"""BatchPlan construction, analytics, and immutability."""
+"""BatchPlan construction, analytics, and who owns its arrays."""
 
 import dataclasses
 
 import pytest
 
+from repro.kernels import get_backend
 from repro.planning import BatchPlanner
 from repro.utils.setops import as_index_set
+
+BACKENDS = [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not get_backend("native").available(), reason="no C compiler here"
+    )),
+]
 
 
 def make_sets(rng, n, universe=200, size_range=(5, 40)):
@@ -18,7 +26,7 @@ def make_sets(rng, n, universe=200, size_range=(5, 40)):
 @pytest.fixture()
 def plan(rng):
     sets = make_sets(rng, 5)
-    planner = BatchPlanner(ordering="tsp", cache_size=0, seed=0)
+    planner = BatchPlanner(ordering="tsp", seed=0)
     return planner.plan(sets, [3, 1, 4, 1 + 5, 9], num_gaussians=200)
 
 
@@ -61,26 +69,38 @@ def test_plan_is_frozen(plan):
         plan.strategy = "random"
 
 
-def test_derived_arrays_read_only(plan):
-    for step in plan.steps:
-        arrays = (step.working_set, step.loads, step.cached, step.stores,
-                  step.carried)
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[:0] = 0  # shape-safe write attempt
-            assert not arr.flags.writeable
-    assert not plan.touched.flags.writeable
-    for chunk in plan.adam_chunks:
-        assert not chunk.flags.writeable
+def plan_arrays(plan):
+    return [plan.touched, *plan.adam_chunks] + [
+        getattr(step, name) for step in plan.steps
+        for name in ("working_set", "loads", "cached", "stores", "carried")
+    ]
 
 
-def test_steps_are_frozen(plan):
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.steps[0].view_id = 42
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_training_plans_arrays_are_writable(rng, backend):
+    """A plan built for its batch (no cache, as every engine plans) owns
+    its arrays, and they stay writable."""
+    planner = BatchPlanner(ordering="tsp", kernel_backend=backend)
+    plan = planner.plan(make_sets(rng, 5), list(range(5)), num_gaussians=200)
+    assert all(arr.flags.writeable for arr in plan_arrays(plan))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_served_plans_arrays_are_read_only(rng, backend):
+    """A cached plan is handed to every request of its batch, so the cache
+    freezes it: a write to any of its arrays raises."""
+    sets = make_sets(rng, 5)
+    planner = BatchPlanner(ordering="tsp", cache_size=4, kernel_backend=backend)
+    plan = planner.plan(sets, list(range(5)), num_gaussians=200)
+    assert planner.plan(sets, list(range(5)), num_gaussians=200) is plan
+    for arr in plan_arrays(plan):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:0] = 0  # shape-safe write attempt
 
 
 def test_out_of_range_indices_rejected_at_plan_time(rng):
-    planner = BatchPlanner(ordering="identity", cache_size=0)
+    planner = BatchPlanner(ordering="identity")
     sets = make_sets(rng, 3, universe=200)
     with pytest.raises(ValueError, match="out of range"):
         planner.plan(sets, [0, 1, 2], num_gaussians=10)
@@ -88,7 +108,7 @@ def test_out_of_range_indices_rejected_at_plan_time(rng):
 
 def test_identity_strategy_keeps_input_order(rng):
     sets = make_sets(rng, 4)
-    planner = BatchPlanner(ordering="identity", cache_size=0)
+    planner = BatchPlanner(ordering="identity")
     plan = planner.plan(sets, [7, 5, 3, 1], num_gaussians=200)
     assert plan.order == (0, 1, 2, 3)
     assert plan.view_ids == (7, 5, 3, 1)
@@ -96,8 +116,7 @@ def test_identity_strategy_keeps_input_order(rng):
 
 def test_no_cache_plan(rng):
     sets = make_sets(rng, 4)
-    planner = BatchPlanner(ordering="identity", enable_cache=False,
-                           cache_size=0)
+    planner = BatchPlanner(ordering="identity", enable_cache=False)
     plan = planner.plan(sets, list(range(4)), num_gaussians=200)
     plan.validate()
     assert plan.total_cached == 0
@@ -105,18 +124,17 @@ def test_no_cache_plan(rng):
 
 
 def test_mismatched_lengths_rejected(rng):
-    planner = BatchPlanner(cache_size=0)
+    planner = BatchPlanner()
     with pytest.raises(ValueError):
         planner.plan(make_sets(rng, 3), [0, 1], num_gaussians=200)
 
 
 def test_adam_chunks_come_with_the_plan(rng):
     """The chunks are built with the rest of the plan (linear in the rows
-    the batch touches), read-only, one per step, partitioning ``touched``."""
+    the batch touches), one per step, partitioning ``touched``."""
     sets = make_sets(rng, 4)
-    planner = BatchPlanner(ordering="identity", cache_size=0)
+    planner = BatchPlanner(ordering="identity")
     plan = planner.plan(sets, list(range(4)), num_gaussians=200)
     assert len(plan.adam_chunks) == plan.batch_size
-    assert not any(c.flags.writeable for c in plan.adam_chunks)
     assert sum(c.size for c in plan.adam_chunks) == plan.touched.size
     plan.validate()

@@ -106,12 +106,11 @@ def test_plan_fingerprint_distinguishes_flags(rng):
 def test_from_engine_config_reads_planning_knobs():
     from repro.core.config import EngineConfig
 
-    cfg = EngineConfig(ordering="gs_count", enable_cache=False,
-                       plan_cache_size=3)
+    cfg = EngineConfig(ordering="gs_count", enable_cache=False)
     planner = BatchPlanner.from_engine_config(cfg)
     assert planner.ordering == "gs_count"
     assert planner.enable_cache is False
-    assert planner.cache.capacity == 3
+    assert planner.cache.capacity == 0
 
 
 def test_random_strategy_is_never_memoized(rng):
@@ -131,8 +130,9 @@ def test_random_strategy_is_never_memoized(rng):
 
 
 def test_caller_arrays_never_frozen(rng):
-    """The plan owns read-only copies; the caller's index sets (e.g. a
-    long-lived CullingIndex) must stay writable."""
+    """The plan owns copies, which a cache freezes when it stores the
+    plan; the caller's index sets (e.g. a long-lived CullingIndex) must
+    stay writable."""
     sets = make_sets(rng, 4)
     planner = BatchPlanner(ordering="identity", cache_size=2)
     plan = planner.plan(sets, [0, 1, 2, 3], num_gaussians=300)
@@ -166,7 +166,7 @@ def test_camera_strategy_key_includes_camera_geometry(rng):
 def test_unsorted_out_of_range_index_rejected(rng):
     import numpy as np
 
-    planner = BatchPlanner(ordering="identity", cache_size=0)
+    planner = BatchPlanner(ordering="identity")
     with pytest.raises(ValueError, match="out of range"):
         planner.plan([np.array([70, 3])], [0], num_gaussians=60)
 

@@ -40,15 +40,24 @@ def engine_and_plan(trainable_scene):
     return engine, plan, targets
 
 
-def test_engine_executes_the_same_plan(engine_and_plan):
-    """train_batch on the same model state hits the plan cache (no
-    replanning — asserted via planner counters) and its functional
-    counters equal the plan's analytics."""
-    engine, plan, targets = engine_and_plan
+def test_engine_executes_the_same_plan(engine_and_plan, monkeypatch):
+    """train_batch plans its batch once (no cache: one plan built) and
+    its functional counters equal the analytics of the plan it executed,
+    captured by a spy on ``engine.plan_batch``."""
+    engine, _, targets = engine_and_plan
+    executed = []
+
+    def spy(*args, **kwargs):
+        executed.append(planned(*args, **kwargs))
+        return executed[-1]
+
+    planned = engine.plan_batch
+    monkeypatch.setattr(engine, "plan_batch", spy)
     built_before = engine.planner.counters.plans_built
     result = engine.train_batch(BATCH, targets)
-    assert engine.planner.counters.plans_built == built_before
-    assert engine.planner.counters.cache_hits >= 1
+    assert engine.planner.counters.plans_built == built_before + 1
+    assert engine.planner.counters.cache_hits == 0
+    (plan,) = executed
 
     assert result.order == list(plan.order)
     assert result.loaded_gaussians == plan.total_loads
@@ -113,11 +122,6 @@ def test_single_view_render_goes_through_planner(engine_and_plan):
     image = engine.render_view(0).image
     assert np.isfinite(image).all()
     assert engine.planner.counters.requests == requests_before + 1
-    # A repeated render of the same view on an unchanged model is a
-    # pure cache hit.
-    built = engine.planner.counters.plans_built
-    engine.render_view(0)
-    assert engine.planner.counters.plans_built == built
 
 
 # -- predicted-makespan reconciliation (the auto-tuner's feedback loop) --
