@@ -1,51 +1,47 @@
-"""Checkpointing: save/resume training across processes.
+"""Engine state: one capture, one restore, in memory or on disk.
 
-Long offloaded runs (the paper trains BigCity for 500k steps) need durable
-state: the Gaussian parameters plus *both* optimizers' moments and per-row
-step counts — without them, resuming silently restarts bias correction and
-perturbs training.  The format is a single ``.npz`` (portable, no pickle).
+An :class:`EngineSnapshot` is everything a training batch mutates: the
+parameters, every optimizer's moments and per-row step counts, and the
+engine's RNG stream (the planner orders batches from it).
+:func:`capture_engine_state` copies it out of any engine and
+:func:`restore_engine_state` writes it back in place, after checking
+every array it writes (presence, destination shape), so a refused
+restore writes nothing.  ``clm_sharded`` keeps one in host memory for
+fail-stop recovery (global rows, so it re-shards over the survivors).
 
-Works with any engine type; CLM's split stores are reassembled through
-``snapshot_model`` and re-split on load.
-
-Hardening (the robustness PR):
-
-- **atomic writes** — every save lands in a same-directory temp file and
-  is published with ``os.replace``, so a crash mid-write never leaves a
-  half-written checkpoint under the real name;
-- **content checksums** — the metadata carries a BLAKE2b digest per
-  array, verified on load, so silent corruption (bit rot, torn copies)
-  is *detected* instead of silently resuming from garbage;
-- **clear errors** — every load failure (truncated zip, garbage bytes,
-  missing arrays, checksum mismatch, bad metadata) surfaces as a
-  :class:`CheckpointError` naming the path (and generation, when known),
-  never a raw exception from deep inside numpy;
-- **retained generations** — :class:`CheckpointManager` writes numbered
-  generations (``ckpt-000042.npz``), keeps the most recent ``keep``, and
-  ``load_latest_good``/``restore_latest_good`` fall back to the newest
-  generation that still verifies instead of crashing on a corrupt tip.
-
-Version-1 checkpoints (pre-checksum, same per-name array layout) still
-load — the checksum pass simply skips when the metadata has none.
+A checkpoint is that snapshot written to one ``.npz`` (no pickle):
+``model.<name>``, ``<optimizer>.m.<name>`` / ``.v.<name>`` / ``.steps``,
+and a JSON metadata record with the RNG state, so a resumed run continues
+the uninterrupted one bit for bit.  ``TrainingSession.checkpoint`` adds
+its trainer's state (``trainer.*`` arrays and metadata).  Saves publish
+atomically (a same-directory temp file and ``os.replace``), the metadata
+carries a BLAKE2b digest per array, and every load or restore failure is
+a :class:`CheckpointError` naming the path and generation.
+:class:`CheckpointManager` keeps numbered generations and falls back to
+the newest one that verifies.  Version-1 (no checksums) and version-2 (no
+RNG state) files still load, with the RNG left as the engine constructed
+it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import warnings
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.gaussians.model import GaussianModel
+from repro.gaussians.model import PARAMETER_NAMES, GaussianModel
 
-#: Version 2 adds per-array checksums + generation metadata; version 1
-#: (no checksums) remains loadable.
-FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+#: Version 3 adds the engine's RNG state, version 2 per-array checksums
+#: and generation metadata; versions 1 and 2 remain loadable.
+FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 class CheckpointError(ValueError):
@@ -75,6 +71,73 @@ class CheckpointError(ValueError):
         super().__init__(message)
 
 
+@dataclass
+class EngineSnapshot:
+    """One restorable point-in-time engine state."""
+
+    #: Full model parameters by name.
+    params: Dict[str, np.ndarray]
+    #: By :meth:`EngineBase.optimizers` name, each optimizer's
+    #: ``state_arrays`` (``m.<name>``, ``v.<name>``, ``steps``).
+    optimizers: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
+    #: The engine RNG's bit-generator state; None leaves it as it is.
+    rng_state: Optional[dict] = None
+    #: Batches completed when the snapshot was taken (metadata only).
+    batches_trained: int = 0
+
+
+def capture_engine_state(engine, batches_trained: int = 0) -> EngineSnapshot:
+    """Copy everything a batch mutates out of ``engine``."""
+    return EngineSnapshot(
+        params=engine.snapshot_model().parameters(),  # owned copies
+        optimizers={
+            name: {k: a.copy() for k, a in opt.state_arrays().items()}
+            for name, opt in engine.optimizers().items()
+        },
+        rng_state=engine._rng.bit_generator.state,
+        batches_trained=batches_trained,
+    )
+
+
+def _check(label: str, dst: dict, src: dict, prefix: str = "") -> None:
+    """Each array of ``dst`` has a source of its shape in ``src``."""
+    for key, arr in dst.items():
+        if key not in src:
+            raise ValueError(f"missing {label} array '{prefix}{key}'")
+        if src[key].shape != arr.shape:
+            raise ValueError(
+                f"{label} array '{prefix}{key}' is {src[key].shape}, "
+                f"its destination {arr.shape}"
+            )
+
+
+def restore_engine_state(engine, snapshot: EngineSnapshot) -> None:
+    """Write ``snapshot`` back into ``engine`` in place.
+
+    Row counts and every array's shape must match (recovery never crosses
+    a densify/prune boundary: snapshots are retaken after ``rebuild``);
+    otherwise ``ValueError``, raised before anything is written.
+    """
+    n = snapshot.params["positions"].shape[0]
+    if n != engine.num_gaussians:
+        raise ValueError(
+            f"snapshot has {n} Gaussians, engine has {engine.num_gaussians}"
+        )
+    _check("model", engine.snapshot_model().parameters(), snapshot.params)
+    optimizers = {
+        name: opt.state_arrays() for name, opt in engine.optimizers().items()
+    }
+    for name, state in optimizers.items():
+        given = snapshot.optimizers.get(name, {})
+        _check("optimizer", state, given, prefix=f"{name}.")
+    engine.load_parameters(snapshot.params)
+    for name, state in optimizers.items():
+        for key, arr in state.items():
+            arr[...] = snapshot.optimizers[name][key]
+    if snapshot.rng_state is not None:
+        engine._rng.bit_generator.state = snapshot.rng_state
+
+
 def _checksum(arr: np.ndarray) -> str:
     """BLAKE2b content digest of one array's raw bytes."""
     return hashlib.blake2b(
@@ -82,65 +145,38 @@ def _checksum(arr: np.ndarray) -> str:
     ).hexdigest()
 
 
-def _optimizer_arrays(prefix: str, opt) -> Dict[str, np.ndarray]:
-    # The per-name serialization works for both optimizer layouts: the
-    # packed-row PackedSparseAdam exposes its moments as per-name views,
-    # so checkpoints stay interchangeable across optimizer generations.
-    out = {}
-    for name, arr in opt.m.items():
-        out[f"{prefix}.m.{name}"] = arr
-    for name, arr in opt.v.items():
-        out[f"{prefix}.v.{name}"] = arr
-    out[f"{prefix}.steps"] = opt.steps
-    return out
-
-
-def _load_optimizer(prefix: str, opt, data) -> None:
-    if hasattr(opt, "packed_m"):  # PackedSparseAdam: write through the views
-        for name, view in opt.m.items():
-            view[:] = data[f"{prefix}.m.{name}"]
-        for name, view in opt.v.items():
-            view[:] = data[f"{prefix}.v.{name}"]
-        opt.steps[:] = data[f"{prefix}.steps"]
-        return
-    for name in opt.m:
-        opt.m[name] = data[f"{prefix}.m.{name}"]
-        opt.v[name] = data[f"{prefix}.v.{name}"]
-    opt.steps = data[f"{prefix}.steps"]
-
-
 def save_checkpoint(
     path: str,
     engine,
     batches_trained: int = 0,
     generation: Optional[int] = None,
+    trainer=None,
 ) -> None:
-    """Serialize an engine's model + optimizer state to ``path`` (.npz).
+    """Write ``engine``'s snapshot, and ``trainer``'s state when given
+    (:meth:`repro.core.trainer.Trainer.state`), to ``path`` (.npz).
 
     The write is atomic: arrays land in ``path + '.tmp'`` and are
     published with ``os.replace``, so concurrent readers (and crashes)
     only ever see the previous complete checkpoint or the new one.
     """
-    model = engine.snapshot_model()
-    arrays: Dict[str, np.ndarray] = {
-        f"model.{k}": v for k, v in model.parameters().items()
-    }
-    if hasattr(engine, "adam_critical"):  # CLMEngine
-        arrays.update(_optimizer_arrays("adam_critical", engine.adam_critical))
-        arrays.update(
-            _optimizer_arrays("adam_noncritical", engine.adam_noncritical)
-        )
-    else:  # GPU-only / naive engines share a single optimizer
-        arrays.update(_optimizer_arrays("optimizer", engine.optimizer))
+    snapshot = capture_engine_state(engine, batches_trained)
+    arrays = {f"model.{k}": v for k, v in snapshot.params.items()}
+    for name, state in snapshot.optimizers.items():
+        arrays.update({f"{name}.{k}": v for k, v in state.items()})
     meta = {
         "version": FORMAT_VERSION,
-        "sh_degree": model.sh_degree,
-        "num_gaussians": model.num_gaussians,
+        # (degree + 1)^2 SH basis functions per colour channel.
+        "sh_degree": math.isqrt(snapshot.params["sh"].shape[1]) - 1,
+        "num_gaussians": engine.num_gaussians,
         "engine": type(engine).__name__,
         "batches_trained": batches_trained,
         "generation": generation,
-        "checksums": {name: _checksum(arr) for name, arr in arrays.items()},
+        "rng": snapshot.rng_state,
     }
+    if trainer is not None:
+        trainer_arrays, meta["trainer"] = trainer.state()
+        arrays.update({f"trainer.{k}": v for k, v in trainer_arrays.items()})
+    meta["checksums"] = {name: _checksum(arr) for name, arr in arrays.items()}
     arrays["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
@@ -166,51 +202,33 @@ def read_checkpoint(
     version, checksum mismatch — raises :class:`CheckpointError` naming
     the path and generation.
     """
+    def error(message: str) -> CheckpointError:
+        return CheckpointError(message, path=path, generation=generation)
+
     try:
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
     except Exception as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint: {exc}", path=path, generation=generation
-        ) from exc
+        raise error(f"unreadable checkpoint: {exc}") from exc
     if "meta" not in arrays:
-        raise CheckpointError(
-            "checkpoint has no metadata record",
-            path=path,
-            generation=generation,
-        )
+        raise error("checkpoint has no metadata record")
     try:
         meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
     except Exception as exc:
-        raise CheckpointError(
-            f"corrupt checkpoint metadata: {exc}",
-            path=path,
-            generation=generation,
-        ) from exc
+        raise error(f"corrupt checkpoint metadata: {exc}") from exc
     version = meta.get("version")
     if version not in _SUPPORTED_VERSIONS:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r}",
-            path=path,
-            generation=generation,
-        )
-    checksums = meta.get("checksums")
-    if checksums:  # absent in version-1 checkpoints
-        for name, expected in checksums.items():
-            if name not in arrays:
-                raise CheckpointError(
-                    f"checkpoint array '{name}' is missing",
-                    path=path,
-                    generation=generation,
-                )
-            actual = _checksum(arrays[name])
-            if actual != expected:
-                raise CheckpointError(
-                    f"checksum mismatch for array '{name}' "
-                    f"(expected {expected}, got {actual})",
-                    path=path,
-                    generation=generation,
-                )
+        raise error(f"unsupported checkpoint version {version!r}")
+    # Version-1 checkpoints carry no checksums.
+    for name, expected in (meta.get("checksums") or {}).items():
+        if name not in arrays:
+            raise error(f"checkpoint array '{name}' is missing")
+        actual = _checksum(arrays[name])
+        if actual != expected:
+            raise error(
+                f"checksum mismatch for array '{name}' "
+                f"(expected {expected}, got {actual})"
+            )
     return arrays, meta
 
 
@@ -221,14 +239,8 @@ def _model_from_arrays(
     generation: Optional[int],
 ) -> GaussianModel:
     try:
-        return GaussianModel(
-            positions=arrays["model.positions"],
-            log_scales=arrays["model.log_scales"],
-            quaternions=arrays["model.quaternions"],
-            sh=arrays["model.sh"],
-            opacity_logits=arrays["model.opacity_logits"],
-            sh_degree=meta["sh_degree"],
-        )
+        params = {name: arrays[f"model.{name}"] for name in PARAMETER_NAMES}
+        return GaussianModel(**params, sh_degree=meta["sh_degree"])
     except KeyError as exc:
         raise CheckpointError(
             f"checkpoint is missing model array {exc}",
@@ -246,37 +258,37 @@ def load_model(
 
 
 def restore_into_engine(
-    path: str, engine, generation: Optional[int] = None
+    path: str, engine, generation: Optional[int] = None, trainer=None
 ) -> dict:
-    """Load a checkpoint into an existing engine of matching shape.
+    """Restore a checkpoint into an engine of matching shape (typically
+    built from ``load_model(path)``), and into ``trainer`` when given and
+    the file carries its state.  Returns the metadata.
 
-    The engine must have been constructed from a model with the same
-    Gaussian count/degree (typically via ``load_model`` + the engine
-    constructor); this routine then overwrites parameters and optimizer
-    state in place so training resumes bit-exactly.
+    The file is read and verified, turned into an :class:`EngineSnapshot`
+    and restored with :func:`restore_engine_state`.  Every array is checked
+    before the first write: a refused restore raises
+    :class:`CheckpointError` and leaves engine and trainer as they were.
     """
     arrays, meta = read_checkpoint(path, generation=generation)
     model = _model_from_arrays(arrays, meta, path, generation)
-    if model.num_gaussians != engine.num_gaussians:
-        raise CheckpointError(
-            f"checkpoint has {model.num_gaussians} Gaussians, engine has "
-            f"{engine.num_gaussians}",
-            path=path,
-            generation=generation,
-        )
-    engine.load_parameters(model.parameters())
+    groups: Dict[str, Dict[str, np.ndarray]] = {}
+    for key, arr in arrays.items():
+        group, _, name = key.partition(".")
+        groups.setdefault(group, {})[name] = arr
+    trainer_arrays = groups.pop("trainer", {})
+    groups.pop("model")  # the rest are the optimizers'
+    snapshot = EngineSnapshot(model.parameters(), groups, meta.get("rng"))
+    trainer_meta = meta.get("trainer") if trainer is not None else None
     try:
-        if hasattr(engine, "adam_critical"):
-            _load_optimizer("adam_critical", engine.adam_critical, arrays)
-            _load_optimizer("adam_noncritical", engine.adam_noncritical, arrays)
-        else:
-            _load_optimizer("optimizer", engine.optimizer, arrays)
-    except KeyError as exc:
+        if trainer_meta is not None:
+            _check("trainer", trainer.state()[0], trainer_arrays)
+        restore_engine_state(engine, snapshot)
+    except ValueError as exc:
         raise CheckpointError(
-            f"checkpoint is missing optimizer array {exc}",
-            path=path,
-            generation=generation,
+            f"checkpoint does not fit: {exc}", path=path, generation=generation
         ) from exc
+    if trainer_meta is not None:
+        trainer.load_state(trainer_arrays, trainer_meta)
     return meta
 
 

@@ -108,12 +108,9 @@ class EngineConfig:
     # Fault tolerance (the clm_sharded engine).  ``fault_schedule``
     # attaches a seeded :class:`repro.resilience.FaultSchedule` the
     # engine's injector replays batch by batch; with one attached, the
-    # engine keeps an in-memory recovery snapshot refreshed every
-    # ``recovery_snapshot_every`` successful batches (1 bounds the loss
-    # to a single batch per fail-stop, the bound
-    # tests/resilience/test_recovery.py asserts).
+    # engine keeps an in-memory recovery snapshot retaken after every
+    # successful batch, so a fail-stop loses exactly one batch.
     fault_schedule: Optional[FaultSchedule] = None
-    recovery_snapshot_every: int = 1
     # Kernel backend for the raster/Adam hot loops ("auto", "numpy",
     # "native", or any registered plugin backend name).
     kernel_backend: str = "auto"

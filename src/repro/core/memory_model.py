@@ -102,13 +102,13 @@ ACT_PER_GAUSSIAN = 500
 #: gradient staging).
 ACT_PER_PIXEL = 240
 
-#: Recovery note: elastic recovery snapshots
-#: (``EngineConfig(recovery_snapshot_every=...)``, used by
-#: ``clm_sharded`` to re-shard onto survivors after a fail-stop) are
-#: transient *host-side* copies of model parameters, optimizer moments,
-#: and RNG state.  They live outside the simulated GPU memory pool and
-#: outside the pinned-store budget of Table 6, exist only between the
-#: snapshot batch and the next overwrite, and restoring one re-populates
+#: Recovery note: elastic recovery snapshots (retaken after every
+#: successful batch by ``clm_sharded`` under a fault schedule, to re-shard
+#: onto survivors after a fail-stop) are transient *host-side* copies of
+#: model parameters, optimizer moments, and RNG state.  They live outside
+#: the simulated GPU memory pool and outside the pinned-store budget of
+#: Table 6, exist only between one batch and the next overwrite, and
+#: restoring one re-populates
 #: the survivors' shards through the same accounted paths as a cold
 #: start — so taking or restoring a snapshot never double-counts pool
 #: bytes, and Figure 8/10 numbers are identical with recovery on or off.

@@ -127,8 +127,8 @@ class Trainer:
     def _next_batch(self) -> List[int]:
         ids = [cam.view_id for cam in self.scene.cameras]
         if len(self._pool) < self.config.batch_size:
-            self._pool = list(self._rng.permutation(ids))
-        return [int(self._pool.pop()) for _ in range(self.config.batch_size)]
+            self._pool = self._rng.permutation(ids).tolist()
+        return [self._pool.pop() for _ in range(self.config.batch_size)]
 
     def evaluate(self) -> float:
         """Mean PSNR over the training views (the Figure 9 metric): the
@@ -196,6 +196,21 @@ class Trainer:
             history.psnrs.append(self.evaluate())
             history.eval_batches.append(last_step)
         return history
+
+    def state(self) -> "tuple[Dict[str, np.ndarray], dict]":
+        """What a resume needs of the loop besides the engine: the
+        densification accumulators (live arrays) and the sampler's RNG state
+        and unused views (JSON)."""
+        densify = self.densify_state
+        arrays = {"grad_accum": densify.grad_accum, "grad_count": densify.grad_count}
+        return arrays, {"rng": self._rng.bit_generator.state, "pool": list(self._pool)}
+
+    def load_state(self, arrays: Dict[str, np.ndarray], meta: dict) -> None:
+        """Write :meth:`state` back, the arrays in place."""
+        for key, arr in self.state()[0].items():
+            arr[:] = arrays[key]
+        self._rng.bit_generator.state = meta["rng"]
+        self._pool = list(meta["pool"])
 
     def _densify_hook(self):
         """:meth:`_record_grads` while densification is on, else None:

@@ -9,8 +9,9 @@ Three pieces live here:
   Gaussians per direction, CLM reports its precise working-set traffic).
 - :class:`Engine` — the abstract protocol: ``train_batch``, ``evaluate``,
   ``render_view``, ``snapshot_model``, ``rebuild``, ``num_gaussians``.
-  ``Trainer``, :class:`repro.engines.session.TrainingSession`, the CLI and
-  the checkpoint machinery program against this interface only.
+  ``Trainer``, :class:`repro.engines.session.TrainingSession` and the CLI
+  program against this interface only; engine-state capture and restore
+  (:mod:`repro.core.checkpoint`) add ``optimizers`` and ``load_parameters``.
 - :class:`EngineBase` — the shared skeleton: camera bookkeeping, renderer
   resolution, the simulated GPU memory pool, pre-rendering frustum culling
   (§5.1), the microbatch loop of the engines whose model is resident — one
@@ -470,6 +471,11 @@ class EngineBase(Engine):
         )
         self._step_cull_s += time.perf_counter() - start
         return sets
+
+    def optimizers(self) -> Dict[str, object]:
+        """The engine's optimizers by name — the name a snapshot and a
+        checkpoint file their state under."""
+        return {"optimizer": self.optimizer}
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
         """Overwrite every parameter in place from full-model arrays by

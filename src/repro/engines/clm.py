@@ -482,6 +482,12 @@ class CLMEngine(EngineBase):
         finally:
             working.release()
 
+    def optimizers(self) -> Dict[str, object]:
+        return {
+            "adam_critical": self.adam_critical,
+            "adam_noncritical": self.adam_noncritical,
+        }
+
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
         """The split stores' writer: critical rows into the resident store,
         the rest into the pinned one."""

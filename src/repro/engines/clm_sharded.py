@@ -45,9 +45,9 @@ faults (stragglers, lossy links) affect only the simulated schedule;
    work is torn, and the failure is *detected at the batch barrier*;
 2. the engine restores the last good in-memory snapshot (parameters,
    both optimizers, the RNG stream — see
-   :mod:`repro.resilience.recovery`), discarding the torn batch: with
-   the default ``recovery_snapshot_every=1`` exactly **one batch of
-   work is lost** per fail-stop;
+   :mod:`repro.core.checkpoint`), discarding the torn batch: the
+   snapshot is retaken after every successful batch, so exactly **one
+   batch of work is lost** per fail-stop;
 3. the surviving rows are re-sharded with :func:`spatial_shard` over the
    K-1 remaining devices (the restored RNG state replays the ordering
    draws exactly as a fresh restart from the snapshot would);
@@ -74,6 +74,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core import attributes
+from repro.core.checkpoint import capture_engine_state, restore_engine_state
 from repro.engines.base import BatchResult, PositionGradHook
 from repro.engines.clm import CLMEngine, _BatchRun
 from repro.engines.registry import register_engine
@@ -87,10 +88,6 @@ from repro.hardware.specs import (
     Testbed,
 )
 from repro.resilience.faults import BatchFaultState, FaultInjector
-from repro.resilience.recovery import (
-    capture_engine_state,
-    restore_engine_state,
-)
 from repro.sharding.partition import spatial_shard
 from repro.sharding.pipeline import add_sharded_batch
 
@@ -214,23 +211,18 @@ class ShardedCLMEngine(CLMEngine):
             # The barrier has retired every device chain of the torn
             # attempt — this is the detection point.  Discard and recover.
             t0 = time.perf_counter()
-            lost = max(
-                1,
-                self.batches_trained - self._snapshot.batches_trained + 1,
-            )
             self._recover(state.new_failures)
             result = self._execute_batch(
                 view_ids, targets, position_grad_hook, state
             )
             result.recovery_s = time.perf_counter() - t0
-            result.lost_batches = lost
+            # The snapshot is of the batch before: only the torn one is lost.
+            result.lost_batches = 1
             result.failed_devices = len(state.new_failures)
         if self.injector is not None:
-            every = max(1, int(self.config.recovery_snapshot_every))
-            if (self.batches_trained + 1) % every == 0:
-                self._snapshot = capture_engine_state(
-                    self, batches_trained=self.batches_trained + 1
-                )
+            self._snapshot = capture_engine_state(
+                self, batches_trained=self.batches_trained + 1
+            )
         return result
 
     def _execute_batch(

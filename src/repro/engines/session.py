@@ -160,12 +160,17 @@ class TrainingSession:
 
     # ------------------------------------------------------------------
     def checkpoint(self, path: str) -> None:
-        """Serialize model + optimizer state to ``path`` (.npz)."""
-        save_checkpoint(path, self.engine, batches_trained=self.batches_trained)
+        """Write the engine's state and the trainer's (sampler, unused
+        views, densification accumulators) to ``path`` (.npz)."""
+        save_checkpoint(
+            path, self.engine, batches_trained=self.batches_trained,
+            trainer=self._trainer,
+        )
 
     def restore(self, path: str) -> dict:
-        """Load a checkpoint saved from an engine of the same shape."""
-        meta = restore_into_engine(path, self.engine)
+        """Load a checkpoint saved from an engine of the same shape; the
+        session then trains on as the one that saved it would have."""
+        meta = restore_into_engine(path, self.engine, trainer=self._trainer)
         self.batches_trained = int(meta.get("batches_trained", 0))
         return meta
 

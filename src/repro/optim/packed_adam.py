@@ -32,6 +32,7 @@ import numpy as np
 from repro.kernels.registry import OpDispatch
 from repro.optim.adam import AdamConfig
 from repro.optim.kernels import DEFAULT_BLOCK_ROWS
+from repro.optim.sparse_adam import SparseAdam
 
 
 class PackedSparseAdam:
@@ -150,6 +151,10 @@ class PackedSparseAdam:
     def v(self) -> Dict[str, np.ndarray]:
         """Per-name views into the packed second moment (no copies)."""
         return self._views(self.packed_v)
+
+    #: The live state by name, as :class:`SparseAdam` names it; the
+    #: moments are the per-name views, so writes land in the packed rows.
+    state_arrays = SparseAdam.state_arrays
 
     def _views(self, packed: np.ndarray) -> Dict[str, np.ndarray]:
         n = packed.shape[0]

@@ -85,6 +85,15 @@ class SparseAdam:
                 bump=k == 0, block_rows=rows.size,
             )
 
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The live state by name: ``m.<name>``, ``v.<name>`` and ``steps``
+        (what a checkpoint stores and a restore writes in place)."""
+        return {
+            **{f"m.{k}": a for k, a in self.m.items()},
+            **{f"v.{k}": a for k, a in self.v.items()},
+            "steps": self.steps,
+        }
+
     @property
     def active_kernel_backend(self) -> Optional[str]:
         """The backend that ran the most recent name's update; None before

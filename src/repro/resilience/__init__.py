@@ -1,15 +1,13 @@
-"""Fault injection and elastic recovery (ROADMAP robustness track).
+"""Fault injection for elastic recovery (ROADMAP robustness track).
 
-Two halves:
-
-- :mod:`repro.resilience.faults` — a seeded, schedule-replayable fault
-  injector layered on :class:`repro.hardware.specs.DeviceTopology` and the
-  discrete-event simulator: device fail-stop at a chosen batch, transient
-  straggler slowdowns on ``gpu{k}.compute``, and lossy/slow PCIe links
-  whose retry + exponential-backoff cost rides ``transfer_time``.
-- :mod:`repro.resilience.recovery` — transient engine-state snapshots
-  (parameters, both optimizers' moments, the RNG stream) that the sharded
-  engine restores on fail-stop before re-sharding over the survivors.
+:mod:`repro.resilience.faults` is a seeded, schedule-replayable fault
+injector layered on :class:`repro.hardware.specs.DeviceTopology` and the
+discrete-event simulator: device fail-stop at a chosen batch, transient
+straggler slowdowns on ``gpu{k}.compute``, and lossy/slow PCIe links whose
+retry + exponential-backoff cost rides ``transfer_time``.  On a fail-stop
+the sharded engine restores the engine state it captured after the last
+good batch (:func:`repro.core.checkpoint.capture_engine_state`, the same
+snapshot a checkpoint writes to disk) and re-shards over the survivors.
 
 The serving-side counterpart (render retries, circuit breaker, degraded
 LOD mode) lives in :mod:`repro.serving.resilience` next to the serving
@@ -27,11 +25,6 @@ from repro.resilience.faults import (
     FaultSchedule,
     FaultStats,
 )
-from repro.resilience.recovery import (
-    EngineSnapshot,
-    capture_engine_state,
-    restore_engine_state,
-)
 
 __all__ = [
     "FAIL_STOP",
@@ -43,7 +36,4 @@ __all__ = [
     "FaultStats",
     "BatchFaultState",
     "DegradedTopology",
-    "EngineSnapshot",
-    "capture_engine_state",
-    "restore_engine_state",
 ]

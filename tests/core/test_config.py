@@ -17,6 +17,6 @@ def test_the_knob_sets_are_pinned():
         "overlap_workers", "ssim_lambda",
         "adam", "raster", "seed", "gpu_capacity_bytes", "renderer",
         "renderer_backward", "num_devices", "topology", "work_stealing",
-        "fault_schedule", "recovery_snapshot_every", "kernel_backend",
+        "fault_schedule", "kernel_backend",
         "use_task_graph", "autotune", "autotune_workers", "autotune_orderings",
     ]

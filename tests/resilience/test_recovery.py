@@ -12,15 +12,11 @@ The acceptance bar of the robustness issue:
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import capture_engine_state, restore_engine_state
 from repro.core.config import EngineConfig
 from repro.engines.clm_sharded import ShardedCLMEngine
 from repro.gaussians.model import GaussianModel
-from repro.resilience import (
-    FaultEvent,
-    FaultSchedule,
-    capture_engine_state,
-    restore_engine_state,
-)
+from repro.resilience import FaultEvent, FaultSchedule
 
 BATCHES = [
     [0, 1, 2, 3],
@@ -74,7 +70,6 @@ def test_snapshot_roundtrip_restores_exact_state(setup):
     for name in before:
         np.testing.assert_array_equal(before[name], after[name])
     assert snap.batches_trained == 1
-    assert snap.num_bytes > 0
 
 
 def test_snapshot_is_a_deep_copy(setup):
@@ -198,20 +193,6 @@ def test_remove_device_validates(setup):
     engine.remove_device(0)
     with pytest.raises(RuntimeError, match="last"):
         engine.remove_device(1)
-
-
-def test_snapshot_cadence_bounds_lost_batches(setup):
-    """recovery_snapshot_every=2 means a fail-stop can lose up to 2
-    batches (the torn one plus the unsnapshotted predecessor)."""
-    scene, init, targets = setup
-    sched = FaultSchedule(events=(FaultEvent.fail_stop(3, 2),))
-    engine = make_engine(
-        scene, init, sched, recovery_snapshot_every=2
-    )
-    for b in BATCHES[:5]:
-        engine.train_batch(b, targets)
-    assert engine.alive == [0, 1, 3]
-    assert 1 <= engine.perf.lost_batches <= 2
 
 
 # -- performance-model faults ------------------------------------------
