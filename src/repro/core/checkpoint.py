@@ -12,7 +12,9 @@ fail-stop recovery (global rows, so it re-shards over the survivors).
 A checkpoint is that snapshot written to one ``.npz`` (no pickle):
 ``model.<name>``, ``<optimizer>.m.<name>`` / ``.v.<name>`` / ``.steps``,
 and a JSON metadata record with the RNG state, so a resumed run continues
-the uninterrupted one bit for bit.  ``TrainingSession.checkpoint`` adds
+the uninterrupted one bit for bit (except under a ``fault_schedule``: the
+fault injector's batch counter and ``clm_sharded``'s alive devices are not
+saved).  ``TrainingSession.checkpoint`` adds
 its trainer's state (``trainer.*`` arrays and metadata).  Saves publish
 atomically (a same-directory temp file and ``os.replace``), the metadata
 carries a BLAKE2b digest per array, and every load or restore failure is
@@ -82,11 +84,9 @@ class EngineSnapshot:
     optimizers: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
     #: The engine RNG's bit-generator state; None leaves it as it is.
     rng_state: Optional[dict] = None
-    #: Batches completed when the snapshot was taken (metadata only).
-    batches_trained: int = 0
 
 
-def capture_engine_state(engine, batches_trained: int = 0) -> EngineSnapshot:
+def capture_engine_state(engine) -> EngineSnapshot:
     """Copy everything a batch mutates out of ``engine``."""
     return EngineSnapshot(
         params=engine.snapshot_model().parameters(),  # owned copies
@@ -95,7 +95,6 @@ def capture_engine_state(engine, batches_trained: int = 0) -> EngineSnapshot:
             for name, opt in engine.optimizers().items()
         },
         rng_state=engine._rng.bit_generator.state,
-        batches_trained=batches_trained,
     )
 
 
@@ -159,7 +158,7 @@ def save_checkpoint(
     published with ``os.replace``, so concurrent readers (and crashes)
     only ever see the previous complete checkpoint or the new one.
     """
-    snapshot = capture_engine_state(engine, batches_trained)
+    snapshot = capture_engine_state(engine)
     arrays = {f"model.{k}": v for k, v in snapshot.params.items()}
     for name, state in snapshot.optimizers.items():
         arrays.update({f"{name}.{k}": v for k, v in state.items()})

@@ -136,7 +136,7 @@ class ShardedCLMEngine(CLMEngine):
         # remove_device() path treats the *current* state as the
         # snapshot when none is kept.
         self._snapshot = (
-            capture_engine_state(self, batches_trained=0)
+            capture_engine_state(self)
             if self.injector is not None
             else None
         )
@@ -220,9 +220,7 @@ class ShardedCLMEngine(CLMEngine):
             result.lost_batches = 1
             result.failed_devices = len(state.new_failures)
         if self.injector is not None:
-            self._snapshot = capture_engine_state(
-                self, batches_trained=self.batches_trained + 1
-            )
+            self._snapshot = capture_engine_state(self)
         return result
 
     def _execute_batch(
@@ -358,6 +356,4 @@ class ShardedCLMEngine(CLMEngine):
         self._reshard()
         if self._snapshot is not None:
             # Row counts changed; the old snapshot is unrestorable.
-            self._snapshot = capture_engine_state(
-                self, batches_trained=self.batches_trained
-            )
+            self._snapshot = capture_engine_state(self)

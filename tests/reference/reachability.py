@@ -2,8 +2,9 @@
 
 Runs the repository's drivers, each in a subprocess under a profile hook:
 
-- CI's CLI smoke lines (``python -m repro.cli ...``, the commands of the
-  "CLI entry point smoke test" step);
+- the ``repro ...`` lines of the "CLI entry point smoke test" step of
+  ``.github/workflows/ci.yml``, read from that file and run as
+  ``python -m repro.cli ...``;
 - every ``examples/*.py``;
 - ``python3 bench_e2e/run.py --smoke``;
 - ``repro bench run --quick --no-log``, then ``bench validate``,
@@ -22,17 +23,17 @@ when it exits.  Standard library only.  It takes about a minute on two
 cores, so it is not a Tier-1 test::
 
     python tests/reference/reachability.py
-    python tests/reference/reachability.py --drivers cli bench_e2e
 
-It exits 1 if a driver failed (its functions then read as unreached);
-``bench compare`` reporting a wall-clock regression is not a failure.
+It exits 1 if a driver failed (its functions then read as unreached) and
+names it; ``bench compare`` reporting a regression after its summary line
+is not a failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -72,31 +73,30 @@ threading.setprofile(_hook)
 sys.setprofile(_hook)
 '''
 
-#: The "CLI entry point smoke test" step of .github/workflows/ci.yml.
-CLI = [
-    ["engines"],
-    ["train", "--engine", "clm", "--batches", "2", "--gaussians", "60"],
-    ["train", "--engine", "clm", "--batches", "2", "--gaussians", "60",
-     "--kernel-backend", "numpy"],
-    ["train", "--engine", "naive", "--batches", "2", "--gaussians", "60"],
-    ["train", "--engine", "enhanced", "--batches", "2", "--gaussians", "60"],
-    ["train", "--engine", "clm", "--batches", "2", "--gaussians", "60",
-     "--ordering", "gs_count"],
-    ["train", "--engine", "clm", "--batches", "2", "--gaussians", "60",
-     "--overlap-workers", "2"],
-    ["serve", "--requests", "48", "--gaussians", "80", "--rate", "400",
-     "--plan-cache", "4"],
-    ["serve", "--requests", "48", "--gaussians", "80", "--stream", "bursty",
-     "--queue-capacity", "8", "--drop-expired", "--slo-ms", "60", "--no-lod"],
-    ["train", "--devices", "4", "--batches", "4", "--gaussians", "60",
-     "--fail-at", "2", "--fail-device", "1"],
-    ["serve", "--requests", "48", "--gaussians", "80", "--fault-rate", "0.2",
-     "--fault-seed", "3", "--degrade"],
-    ["train", "--engine", "clm", "--batches", "2", "--gaussians", "60",
-     "--task-graph"],
-    ["train", "--engine", "clm", "--batches", "4", "--gaussians", "60",
-     "--autotune", "--task-graph"],
-]
+CI = REPO / ".github" / "workflows" / "ci.yml"
+CLI_STEP = "- name: CLI entry point smoke test"
+
+
+def cli_lines(workflow: Path = CI) -> List[List[str]]:
+    """The ``repro ...`` command lines of the CLI smoke step of ``workflow``
+    (backslash continuations joined, a trailing ``| ...`` pipe dropped)."""
+    lines = workflow.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.strip() == CLI_STEP)
+    step_indent = len(lines[at]) - len(lines[at].lstrip())
+    commands, pending = [], ""
+    for line in lines[at + 1:]:
+        text = line.strip()
+        if text and len(line) - len(line.lstrip()) <= step_indent:
+            break  # the next step or job
+        pending += " " + text
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        words = shlex.split(pending.split(" | ")[0])
+        pending = ""
+        if words[:1] == ["repro"]:
+            commands.append(words[1:])
+    return commands
 
 
 def drivers(scratch: Path) -> Dict[str, List[List[str]]]:
@@ -105,7 +105,7 @@ def drivers(scratch: Path) -> Dict[str, List[List[str]]]:
     run_json = str(scratch / "bench_run.json")
     bench = [py, "-m", "repro.cli", "bench"]
     return {
-        "cli": [[py, "-m", "repro.cli", *args] for args in CLI],
+        "cli": [[py, "-m", "repro.cli", *args] for args in cli_lines()],
         "examples": [
             [py, str(path)] for path in sorted((REPO / "examples").glob("*.py"))
         ],
@@ -120,16 +120,23 @@ def drivers(scratch: Path) -> Dict[str, List[List[str]]]:
     }
 
 
-def passed(argv: List[str], returncode: int) -> bool:
-    """Whether a driver ran to its end.  ``bench compare`` exits 1 on a
-    wall-clock regression, which the hook's slowdown of every Python call
-    can cause: that run still walked the whole comparison."""
-    return returncode == 0 or (returncode == 1 and "compare" in argv)
+def passed(argv: List[str], returncode: int, stdout: str) -> bool:
+    """Whether a driver ran to its end.  ``bench compare`` exits 1 when it
+    reports a regression (the hook's slowdown of every Python call can
+    cause a wall-clock one); it walked the whole comparison only if it
+    printed its closing ``compared N records`` line."""
+    if returncode == 0:
+        return True
+    last = stdout.strip().splitlines()[-1:] or [""]
+    return (
+        returncode == 1 and "compare" in argv
+        and last[0].startswith("compared ")
+    )
 
 
-def run_drivers(groups: List[str], scratch: Path) -> Tuple[Set[tuple], List[str]]:
-    """Run the chosen groups under the hook: the reached ``(file, first
-    line, name)`` triples and the command lines that failed."""
+def run_drivers(scratch: Path) -> Tuple[Set[tuple], List[str]]:
+    """Run every driver under the hook: the reached ``(file, first line,
+    name)`` triples and the command lines that failed."""
     hook_dir, dump_dir = scratch / "hook", scratch / "dumps"
     hook_dir.mkdir()
     dump_dir.mkdir()
@@ -142,18 +149,16 @@ def run_drivers(groups: List[str], scratch: Path) -> Tuple[Set[tuple], List[str]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     failed = []
-    table = drivers(scratch)
-    for group in groups:
-        for argv in table[group]:
+    for group, commands in drivers(scratch).items():
+        for argv in commands:
             start = time.perf_counter()
             done = subprocess.run(
-                argv, cwd=REPO, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True,
+                argv, cwd=REPO, env=env, capture_output=True, text=True,
             )
             label = " ".join(argv[1:])
             print(f"[{group}] {label}  ({time.perf_counter() - start:.0f} s)",
                   file=sys.stderr)
-            if not passed(argv, done.returncode):
+            if not passed(argv, done.returncode, done.stdout):
                 failed.append(label)
                 print(done.stderr[-2000:], file=sys.stderr)
     reached = set()
@@ -200,16 +205,9 @@ def unreached(reached: Set[tuple]) -> Tuple[List[tuple], int]:
     return out, defined
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--drivers", nargs="+", default=["cli", "examples", "bench_e2e", "bench"],
-        choices=["cli", "examples", "bench_e2e", "bench"],
-        help="driver groups to run (default: all)",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
-        reached, failed = run_drivers(args.drivers, Path(tmp))
+        reached, failed = run_drivers(Path(tmp))
     missing, defined = unreached(reached)
     by_file: Dict[str, List[tuple]] = {}
     for entry in missing:
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
             print(f"  {first:5d}  {name}  ({lines} lines)")
     total = sum(e[3] for e in missing)
     print(f"{len(missing)} of {defined} src/ functions unreached by the "
-          f"drivers ({', '.join(args.drivers)}): {total} lines")
+          f"drivers: {total} lines")
     for label in failed:
         print(f"driver failed: {label}")
     return 1 if failed else 0
