@@ -49,10 +49,12 @@ them to the eleven kernel ops:
   and :class:`_Prepared` here: a prepared call, whose warmed calls bind only rows;
 - ``train_batch`` — a CLM engine's inline batch in one call
   (:func:`_bind_batch`): its lowered node list as opcodes, interpreted in C
-  — the touched rows zeroed, each step ``train_step``'s ``static
-  clm_step``, each Adam chunk and the critical update ``adam_rows`` —
-  over one buffer of the plan's rows, each step resumable where its render
-  outgrew the arenas, the stages stamped.
+  — the touched rows zeroed, each step ``train_step``'s stages, each Adam
+  chunk and the critical update ``adam_rows`` — over one buffer of the
+  plan's rows: every step's block assembled in order, the views rendered on
+  ``min(views, cores)`` threads (render lanes), the gradients folded and
+  Adam run in node order, so any lane count gives the walk's bits; resumable
+  at the step whose render outgrew the arenas, the stages stamped.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -103,8 +105,10 @@ The library is built at run time (the MOT ``CLFunction`` idiom) with the
 first of ``$CC``, ``cc``, ``gcc``, ``clang`` on ``PATH``:
 
 - flags :data:`CFLAGS` — no ``-ffast-math``, no ``-march``, no FMA
-  contraction, one thread: every operation rounds as an IEEE double in
-  program order, so two runs are ``np.array_equal`` on any host;
+  contraction: every operation rounds as an IEEE double in program order,
+  and ``train_batch``'s render lanes each write only their own slots, which
+  one thread adds in node order, so two runs are ``np.array_equal`` on any
+  host;
 - built once per ``sha256(kernel_source() + flags + "cc --version")`` into
   ``${XDG_CACHE_HOME:-~/.cache}/repro-kernels/`` (created 0700) through a
   temporary file and an atomic rename; the file name carries the digest of
@@ -167,7 +171,7 @@ SOURCE = "native_kernels.c"
 #: not reorder a floating-point operation; ``-fno-math-errno`` only stops
 #: libm calls from writing ``errno``.
 CFLAGS = (
-    "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off",
+    "-O3", "-std=c99", "-fPIC", "-shared", "-pthread", "-ffp-contract=off",
     "-fno-math-errno",
 )
 _COMPILERS = ("cc", "gcc", "clang")
@@ -218,10 +222,11 @@ _STEP_STAGES = (
 )
 #: What a step's or a batch's stamps time, in order: zeroing the touched rows
 #: (and the batch's plan check), the load, the forward's two halves, the loss,
-#: the backward, the gradients added and offloaded, the noncritical Adam
-#: chunks and the critical Adam.  Each has its ``<stage>_ns`` report slot.
+#: the backward, a batch's calling lane starting, waiting for and joining its
+#: other render lanes, the gradients added and offloaded, the noncritical
+#: Adam chunks and the critical Adam.  Each has its ``<stage>_ns`` report slot.
 _STAMPS = (
-    "zero", "assemble", "project", "composite", "loss", "backward", "retire", "adam",
+    "zero", "assemble", "project", "composite", "loss", "backward", "wait", "retire", "adam",
     "critical_adam",
 )
 #: ``train_step``'s and ``view_train``'s ``out`` vector, slot by slot
@@ -231,9 +236,10 @@ _STEP_OUT = (
     "stage", "status", "survivors", "binned", "tiles", "entries", "area",
     *(f"{stage}_ns" for stage in _STAMPS),
 )
-#: ``train_batch``'s: a step's, then the node a render outgrew its arenas at
-#: and the nanoseconds of the whole call.
-_BATCH_OUT = _STEP_OUT + ("node", "total_ns")
+#: ``train_batch``'s, one row a render lane (``OUT_SLOTS`` values): a
+#: step's, then the node of the first failing step, how many threads
+#: rendered and the nanoseconds of the whole call.
+_BATCH_OUT = _STEP_OUT + ("node", "lanes", "total_ns")
 _OUT = {slot: k for k, slot in enumerate(_BATCH_OUT)}
 _STAMPED = slice(_OUT["zero_ns"], _OUT["critical_adam_ns"] + 1)
 #: The node kinds of a lowered batch (``NODE_<KIND>`` in C), as
@@ -396,6 +402,14 @@ _RENDER_ARENAS_OF = (
 _STEP_ARENAS_OF = (
     _RENDER_ARENAS_OF + f"; double value[1] write; int64_t out[{len(_STEP_OUT)}] write"
 )
+#: The arenas a batch renders in: each of a step's once a render lane (the
+#: render's own blocks too, ``caps`` one lane's), the gradients once a step.
+_LANE_ARENAS = (
+    f"double scratch[lanes, {_SCRATCH} * m] write; int64_t work[lanes, {_WORK.format('m')}] write;"
+    f" {_RENDER.format('write')}; int64_t caps[6]; double image[lanes, height, width, 3] write;"
+    " double trans[lanes, height, width] write; double d_image[lanes, height, width, 3] write;"
+    " double grads[count, (11 + k3) * m] write"
+)
 #: An optimizer's moments, step counts and per-column rates over ``{1}``
 #: columns: ``{0}`` names them.
 _ADAM_STATE = (
@@ -506,10 +520,10 @@ _OPERANDS = {name: _declare(text) for name, text in {
         " int64_t records; double ssim_lambda; double c1; double c2; double batch;"
         f" {_ADAM_STATE.format('nc', 'stride')}; {_ADAM_STATE.format('c', 10)};"
         " double beta1; double beta2; double eps; double bc1[table]; double rsqrt_bc2[table];"
-        " int64_t table; double blocks[2 * block_size] write; int64_t block_size;"
+        " int64_t table; double blocks[count, block_size] write; int64_t block_size;"
         " double carries[2 * carry_size] write; int64_t carry_size;"
-        f" {_RENDER_ARENAS_OF.format('k3')}; double value[count] write; int64_t start;"
-        f" int64_t out[{len(_BATCH_OUT)}] write"
+        f" {_LANE_ARENAS}; double value[count] write; int64_t lanes; int64_t start;"
+        f" int64_t out[lanes, {len(_BATCH_OUT)}] write"
     ),
     "view_train": (
         "int64_t m; int64_t rows[m] index(n) optional; int64_t n; double positions[n, 3];"
@@ -551,7 +565,10 @@ def header() -> str:
         enum(f"P_{p.upper()} = {at}" for p, _, at, _ in params),
         enum(f"STATUS_{status} = {code}" for code, status in enumerate(_STATUS)),
         enum(f"STAGE_{stage.upper()} = {k}" for k, stage in enumerate(_STEP_STAGES)),
-        enum(f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_BATCH_OUT)),
+        enum(
+            [f"OUT_{slot.upper()} = {k}" for k, slot in enumerate(_BATCH_OUT)]
+            + [f"OUT_SLOTS = {len(_BATCH_OUT)}"]
+        ),
         enum(f"NODE_{kind.upper()} = {k}" for k, kind in enumerate(_NODES)),
         enum(
             [f"VIEW_{slot.upper()} = {k}" for k, slot in enumerate(_VIEW_ROW)]
@@ -1801,8 +1818,9 @@ class _Prepared:
     full-size gradients) and its ``dims``; the arenas placed (``arenas``,
     their addresses ``at``; a batch's named apart from a step's, so neither
     moves the other's) and the ``(frame, dims, counts)`` they ``fit``; the
-    render blocks' blend-record flag; what the last ``train_step`` handed on
-    (``lent``), or the Adam tables a batch grew (``tables``).  A slot is
+    render blocks' blend-record flag and the render lanes they are cut for
+    (a step's one); what the last ``train_step`` handed on (``lent``), or
+    the Adam tables a batch grew (``tables``).  A slot is
     written when its source changes, so a warmed call writes only its rows
     and per-call scalars.  The call does not hold its workspace (each method
     is handed it): the workspace holds the call, and a cycle between them
@@ -1811,7 +1829,7 @@ class _Prepared:
 
     __slots__ = (
         "lib", "name", "binder", "prefix", "args", "taken", "dims", "arenas", "at", "fit",
-        "records", "lent", "tables",
+        "records", "lanes", "lent", "tables",
     )
 
     @classmethod
@@ -1827,10 +1845,11 @@ class _Prepared:
         self.prefix = "batch " if entry == "train_batch" else ""
         self.args, self.taken, self.dims, self.arenas, self.at = binder.blank(), None, {}, {}, {}
         self.fit = self.records = self.lent = self.tables = None
-        fixed = [("out", "step out", binder.size("out", {}), np.int64),
-                 ("caps", "step caps", len(_BLOCKS), np.int64)]
-        if not self.prefix:  # a batch's losses are sized by its steps
-            fixed.append(("value", "value", 1, np.float64))
+        self.lanes = 1
+        fixed = [("caps", "step caps", len(_BLOCKS), np.int64)]
+        if not self.prefix:  # a batch's losses and report are sized by its steps
+            fixed += [("out", "step out", binder.size("out", {}), np.int64),
+                      ("value", "value", 1, np.float64)]
         for operand, arena, size, dtype in fixed:
             self.arenas[operand], self.args[binder.slot[operand]] = ws.arena(
                 self.prefix + arena, size, dtype,
@@ -1878,20 +1897,24 @@ class _Prepared:
         return True
 
     def blocks(self, ws, records: bool, counts=None) -> None:
-        """Place the render's own blocks for ``records``, sized by the
-        ``(survivors, binned, tiles, entries, area)`` a call reported short
-        (none: empty, so the first render reports its sizes)."""
+        """Place the render's own blocks for ``records``, one a lane, sized
+        by the ``(survivors, binned, tiles, entries, area)`` a call reported
+        short (none: as they are, so a render that needs more reports its
+        sizes)."""
         survivors, _, busy, entries, area = counts or (0,) * 5
         kept = _kept_blocks(records, dict(
             m=survivors, tiles=busy, entries=entries, cap=area,
             sub=self.args[self.binder.slot["sub"]],
         ))
-        blocks = [ws.arena(self.prefix + block, size, dtype) for block, size, dtype in kept]
+        lanes = self.lanes
+        blocks = [
+            ws.arena(self.prefix + block, lanes * size, dtype) for block, size, dtype in kept
+        ]
         # Every slot: the C checks all six, and an arena is not cleared
         # when it is allocated.
         caps = self.arenas["caps"]
         caps[:] = 0
-        caps[: len(blocks)] = [block.size for block, _ in blocks]
+        caps[: len(blocks)] = [block.size // lanes for block, _ in blocks]
         for k, operand in enumerate(_BLOCKS.values()):
             self.args[self.binder.slot[operand]] = blocks[k][1] if k < len(blocks) else None
         self.arenas.update((block, array) for (block, *_), (array, _) in zip(kept, blocks))
@@ -1909,12 +1932,16 @@ class _Prepared:
 
     def stamped(self, ws) -> list:
         """The forward (project + composite) and backward seconds of the
-        call's stamps into ``ws``, and this backend as what rendered; the
-        stamps (:data:`_STAMPS`), in nanoseconds."""
-        ns = self.arenas["out"][_STAMPED].tolist()
-        ws.forward_s, ws.backward_s = (ns[2] + ns[3]) * 1e-9, ns[5] * 1e-9
+        call's stamps, summed over its render lanes, into ``ws``, and this
+        backend as what rendered; the calling lane's stamps
+        (:data:`_STAMPS`), in nanoseconds."""
+        out, lanes = self.arenas["out"], self.lanes
+        rows = out[: lanes * len(_BATCH_OUT)] if self.prefix else out
+        stamps = rows.reshape(lanes, -1)[:, _STAMPED]
+        ws.forward_s = int(stamps[:, 2].sum() + stamps[:, 3].sum()) * 1e-9
+        ws.backward_s = int(stamps[:, 5].sum()) * 1e-9
         ws.rendered_on = self.name
-        return ns
+        return stamps[0].tolist()
 
     def run(
         self, ws, frame, m: int, degree: int, settings, ssim_lambda, batch, before=None,
@@ -2110,9 +2137,9 @@ def _bind_step(lib, name: str) -> Callable:
     return train_step
 
 
-#: The arenas a batch places beyond a step's: both halves of the working
-#: set's block and of its carry, the steps' losses and their views table.
-_BATCH_SIZED = _SIZED + tuple((a, a) for a in ("blocks", "carries", "value", "views"))
+#: The arenas a batch places beyond a step's: a block a step, both halves of
+#: the carry, the steps' losses, their views table and the lanes' report.
+_BATCH_SIZED = _SIZED + tuple((a, a) for a in ("blocks", "carries", "value", "views", "out"))
 _NODE_KINDS = {kind: k for k, kind in enumerate(_NODES)}
 
 
@@ -2144,6 +2171,13 @@ def _program(nodes) -> np.ndarray:
     return np.array([(_NODE_KINDS[n.kind], n.index) for n in nodes], np.int64)
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _bind_batch(lib, name: str) -> Callable:
     """``train_batch``: a CLM engine's lowered batch as one prepared call
     (:class:`_Prepared`) over its workspace — the stores and optimizers
@@ -2161,7 +2195,7 @@ def _bind_batch(lib, name: str) -> Callable:
     )
     scalars = [slot[name] for name in (
         "program", "nodes", "total", "offsets", "degree", "ts", "sub", "records", "ssim_lambda",
-        "batch", "block_size", "carry_size", "count",
+        "batch", "block_size", "carry_size", "count", "lanes",
     )]
 
     def train_batch(engine, plan, run, nodes, workers=0):  # inline: no workers
@@ -2196,9 +2230,11 @@ def _bind_batch(lib, name: str) -> Callable:
         ws_sizes, nc, k3 = sizes[0 : 5 * count : 5], max(sizes[4 : 5 * count : 5]), call.dims["k3"]
         m = max(ws_sizes)
         block_size, carry_size = m * (2 * k3 + 12), nc * (k3 + 1)
+        # Every core the process may run on renders, none idle: a view a lane.
+        lanes = min(count, _cores())
         call.ensure(
-            ws, frame, (m, nc, count), _BATCH_SIZED,
-            block_size=block_size, carry_size=carry_size, count=count,
+            ws, frame, (m, nc, count, lanes), _BATCH_SIZED,
+            block_size=block_size, carry_size=carry_size, count=count, lanes=lanes,
         )
         call.arenas["views"][: len(views)] = views
         args, program, records = call.args, _program(nodes), bool(settings.cache_blend_state)
@@ -2207,10 +2243,11 @@ def _bind_batch(lib, name: str) -> Callable:
         for at, value in zip(scalars, (
             _address(program), len(nodes), rows.size, _address(offsets), _degree(k3, settings),
             int(settings.tile_size), frame[2], int(records), float(engine.config.ssim_lambda),
-            float(count), block_size, carry_size, count,
+            float(count), block_size, carry_size, count, lanes,
         )):
             args[at] = value
-        if records is not call.records:
+        if records is not call.records or lanes != call.lanes:
+            call.lanes = lanes
             call.blocks(ws, records)
         for size in ws_sizes:
             working.reserve(size)

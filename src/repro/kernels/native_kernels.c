@@ -6,8 +6,10 @@
  * microbatch step calling the others (the sixth): a CLM one, and one over a
  * resident model.
  *
- * Plain C99 over libm: no Python headers, no threads, no static state (the
- * caller releases the GIL, so several calls may be inside a kernel at once).
+ * Plain C99 over libm and POSIX threads: no Python headers, no static state
+ * (the caller releases the GIL, so several calls may be inside a kernel at
+ * once).  Only train_batch starts threads, its render lanes, each joined
+ * before it returns and writing only its own arenas and slots.
  * Built by repro/kernels/native_backend.py with -ffp-contract=off and without
  * -ffast-math / -march, so every operation rounds as an IEEE double in program
  * order and two runs over the same operands are bit-identical.
@@ -41,9 +43,10 @@
  * and reads every entry point's argument types from its prototype below.
  */
 
-#define _POSIX_C_SOURCE 199309L  /* clock_gettime: plan_batch, the steps */
+#define _POSIX_C_SOURCE 200112L  /* clock_gettime, pthreads: the steps, a batch's lanes */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -154,6 +157,7 @@ static splat_t *splats_of(
 static inline double unit(double e) { return e > 1.0 ? 1.0 : e; }
 
 static inline int64_t min_i64(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t max_i64(int64_t a, int64_t b) { return a > b ? a : b; }
 
 /* The pixel range [x0, x1] x [y0, y1] of tile t_id, clipped to the image. */
 typedef struct {
@@ -2475,7 +2479,8 @@ int plan_batch(
  *     view_project -> view_composite -> photometric_loss -> (/ batch)
  *     -> view_backward
  *
- * Two entry points call it.  train_step (engines/clm.py, CLMEngine._run_step;
+ * train_batch's render lanes call it too (below).  Two more entry points
+ * call it.  train_step (engines/clm.py, CLMEngine._run_step;
  * paper §5.2-5.4) is a CLM microbatch, clm_step: the selective load before
  * it, the gradient accumulation and offload after.  Its reference is
  * stores.train_step, the composition of GpuWorkingSet.assemble,
@@ -2741,26 +2746,53 @@ int view_train(
  * §4.2, §5.2-5.4).  Its reference is clm.train_batch, the node walk of
  * planning/lowering.lower_batch: the touched union's gradient rows zeroed in
  * both stores, then node after node of ``program`` ((kind, index) pairs,
- * NODE_*): a step is clm_step, an adam node adam_rows over that chunk of the
- * pinned store, the critical node adam_rows over the touched union of the
- * critical store.  Each is the function the one-op-a-call path runs, in the
- * walk's order, so the two are bit-identical.
+ * NODE_*): a step is clm_step's stages, an adam node adam_rows over that
+ * chunk of the pinned store, the critical node adam_rows over the touched
+ * union of the critical store.  A batch's views are independent microbatches
+ * (paper §4.2), so the call runs in three phases:
+ *
+ *   1. assemble, on the calling thread, in step order: step i's working set
+ *      into block i with its gradient half zero (assemble_rows with no
+ *      carried rows), its cached rows read from block i - 1;
+ *   2. render, on ``lanes`` lanes: view_step over block i into gradient slot
+ *      i and value[i], the steps dealt round-robin; lane 0 is the calling
+ *      thread, every other lane a thread started and joined here, each in
+ *      its own render arenas and writing its own row of ``out``;
+ *   3. fold, on the calling thread, in node order: a step's carried
+ *      gradients copied into its block's gradient half (what assemble_rows
+ *      reads in), then add_grads_rows and retire_rows; each Adam chunk and
+ *      the critical Adam at its node.
+ *
+ * Phase 3 is the walk's additions in the walk's order, so the bits are the
+ * walk's for any number of lanes.  That phase 2 may render first is exact
+ * because Adam chunk j holds no row that a later step's working set holds
+ * (the planner's invariant, planning/adam_overlap.adam_chunks), which
+ * check_plan refuses a plan to break: every render reads the parameters as
+ * they stood when the batch began.
  *
  * The plan's row vectors are one buffer: vector v is rows[offsets[v] ..
  * offsets[v + 1]), step i's five PLAN_VECTORS from 5 i (working set, loads,
  * cached, stores, carried), then the touched union, then the chunks.  Step
  * i's view is row i of ``views`` (VIEW_* slots: addresses of the view's
- * planes, params, target and moments, its size), its loss value[i].  Step i
- * writes half i & 1 of ``blocks`` and of ``carries`` and reads the other, the
- * step before's.
+ * planes, params, target and moments, its size), its loss value[i], its
+ * block blocks[i block_size ..), its gradients grads[i (11 + k3) m ..) for
+ * the largest working set m.  Step i's carried gradients go to half i & 1 of
+ * ``carries``.  Lane l's scratch, work, image, trans and d_image start l
+ * strides in (sized by m and the largest view), its render blocks l caps in
+ * (``caps``: one lane's capacities).
  *
  * Nothing is written before the whole plan is checked (STAGE_PLAN) and, when
  * ``start`` is 0, both optimizers' steps are checked against the tables
- * (STATUS_TABLES_SHORT).  A step whose render outgrows its arenas returns
- * STATUS_ARENA_SHORT with its node at out[OUT_NODE], nothing of it written:
- * the caller grows them and calls again from that node (``start``).  Every
- * stage's nanoseconds are added to its OUT_*_NS slot (the plan check to
- * OUT_ZERO_NS), and out[OUT_TOTAL_NS] gains the call's own.
+ * (STATUS_TABLES_SHORT).  The first failing step in node order is reported
+ * in out row 0 (its stage, status and counts, its node at out[OUT_NODE]),
+ * every node before it run and nothing after it folded: later renders wrote
+ * only lane arenas.  A render that outgrew its lane's blocks returns
+ * STATUS_ARENA_SHORT; the caller grows every lane's and calls again from
+ * that node (``start``).  Out row l holds lane l's render stamps, row 0 the
+ * calling lane's every stage, OUT_WAIT_NS the time it spends starting,
+ * waiting for and joining the other lanes (the plan check is in
+ * OUT_ZERO_NS), so its laps partition the call; out[OUT_TOTAL_NS] gains the
+ * call's own and out[OUT_LANES] is how many threads rendered.
  * ====================================================================== */
 
 #define VECTOR(v) (rows + offsets[v])
@@ -2781,21 +2813,55 @@ static int64_t find(const int64_t *s, int64_t ns, int64_t key)
     return lo < ns && s[lo] == key ? lo : -1;
 }
 
-/* Whether rows[0 .. count) are distinct members of the strictly increasing
- * touched[0 .. u): each row's place in it is taken once. */
-static int distinct_members(
-    const int64_t *rows, int64_t count, const int64_t *touched, int64_t u)
+/* find() in s[from .. ns), galloping from ``from`` (the previous key's
+ * position in a walk over increasing keys). */
+static int64_t gallop(const int64_t *s, int64_t ns, int64_t from, int64_t key)
 {
-    uint8_t *taken = calloc((size_t)u + 1, 1);
-    if (taken == NULL)
-        return STATUS_NO_MEMORY;
-    int status = STATUS_OK;
-    for (int64_t k = 0; k < count && status == STATUS_OK; k++) {
-        const int64_t at = find(touched, u, rows[k]);
-        if (at < 0 || taken[at]++)
-            status = STATUS_VIOLATED;
+    int64_t hi = from;
+    for (int64_t step = 1; hi < ns && s[hi] < key; step *= 2) {
+        from = hi + 1;
+        hi += step;
     }
-    free(taken);
+    const int64_t at = find(s + from, (hi < ns ? hi + 1 : ns) - from, key);
+    return at < 0 ? -1 : from + at;
+}
+
+/* Whether every working set lies in the strictly increasing touched union
+ * and the chunks are distinct rows of it, chunk j none that a later step's
+ * working set holds: the last step holding each row is marked, and a row
+ * taken by a chunk is marked past every step. */
+static int chunk_rows(const int64_t *rows, const int64_t *offsets, int64_t count)
+{
+    const int64_t last = PLAN_VECTORS * count, u = LENGTH(last);
+    const int64_t *touched = VECTOR(last);
+    int64_t *held = malloc(((size_t)u + 1) * sizeof *held);
+    if (held == NULL)
+        return STATUS_NO_MEMORY;
+    for (int64_t k = 0; k < u; k++)
+        held[k] = -1;
+    int status = STATUS_OK;
+    for (int64_t i = 0; i < count && status == STATUS_OK; i++) {
+        const int64_t v = PLAN_VECTORS * i;
+        for (int64_t k = 0, at = 0; k < LENGTH(v); k++, at++) {
+            if ((at = gallop(touched, u, at, VECTOR(v)[k])) < 0) {
+                status = STATUS_VIOLATED;
+                break;
+            }
+            held[at] = i;
+        }
+    }
+    for (int64_t j = 0; j < count && status == STATUS_OK; j++) {
+        const int64_t c = last + 1 + j;
+        for (int64_t k = 0; k < LENGTH(c); k++) {
+            const int64_t at = find(touched, u, VECTOR(c)[k]);
+            if (at < 0 || held[at] > j) {
+                status = STATUS_VIOLATED;
+                break;
+            }
+            held[at] = INT64_MAX;
+        }
+    }
+    free(held);
     return status;
 }
 
@@ -2803,10 +2869,7 @@ static int distinct_members(
  * its step and the critical node last; the offsets cut ``total`` rows in
  * order; each step's vectors are what assemble_rows and retire_rows take: a
  * working set, members of it, cached rows of the step before's; and the
- * chunks are distinct rows of the touched union, an index set, so no row is
- * stepped twice.  That a chunk's rows are in no later step's working set and
- * that every working set is in the touched union is the planner's invariant
- * (planning/adam_overlap.adam_chunks), not checked here. */
+ * chunks keep the planner's invariant (chunk_rows). */
 static int check_plan(
     const int64_t *program, int64_t nodes, const int64_t *rows,
     int64_t total, const int64_t *offsets, int64_t count, int64_t n)
@@ -2843,11 +2906,127 @@ static int check_plan(
             (i && !members(VECTOR(before + 4), LENGTH(before + 4), ws, m)))
             return STATUS_VIOLATED;
     }
-    const int64_t last = PLAN_VECTORS * count, u = LENGTH(last);
-    if (!index_set(VECTOR(last), u, n))
+    const int64_t last = PLAN_VECTORS * count;
+    if (!index_set(VECTOR(last), LENGTH(last), n))
         return STATUS_VIOLATED;
-    return distinct_members(
-        VECTOR(last + 1), offsets[vectors] - offsets[last + 1], VECTOR(last), u);
+    return chunk_rows(rows, offsets, count);
+}
+
+static inline const double *at_address(int64_t address)
+{
+    return (const double *)(intptr_t)address;
+}
+
+/* What phase 2 reads (the plan, the views, the blocks, the render arenas
+ * of lane 0 and the strides between lanes: scratch, work, image and
+ * d_image, trans) and where steps [first, limit) write; then the first
+ * step whose render failed (``limit``: none), its status and its lane's
+ * report row. */
+typedef struct {
+    const int64_t *rows, *offsets, *views, *caps;
+    const double *blocks;
+    double *grads, *value, *scratch, *kept, *rec_f, *image, *trans, *d_image;
+    int64_t *work, *ikept, *rec_end;
+    uint8_t *clamp;
+    int32_t *rec_p;
+    int64_t k3, degree, ts, sub, records, block_size, grad_size, first, limit, lanes;
+    int64_t strides[4];
+    double ssim_lambda, c1, c2, batch;
+    int64_t failed;
+    int status;
+    const int64_t *report;
+} renders_t;
+
+/* One lane: its index, its report row, the clock it laps (the calling
+ * lane's, or NULL: its own), its thread, and its first failing step. */
+typedef struct {
+    const renders_t *r;
+    int64_t lane, *out, *clock, failed;
+    int status, started;
+    pthread_t thread;
+} lane_t;
+
+/* Steps first + lane, first + lane + lanes, ... below ``limit``, each
+ * rendered in the lane's arenas, until one fails. */
+static void *render_lane(void *arg)
+{
+    lane_t *self = arg;
+    const renders_t *r = self->r;
+    const int64_t l = self->lane, k3 = r->k3, *caps = r->caps, *s = r->strides;
+    const int64_t *offsets = r->offsets;
+    int64_t clock = now_ns(), *at = self->clock ? self->clock : &clock;
+    self->failed = r->limit;
+    for (int64_t i = r->first + l; i < r->limit; i += r->lanes) {
+        const int64_t m = LENGTH(PLAN_VECTORS * i), *view = r->views + VIEW_SLOTS * i;
+        const double *sh = r->blocks + i * r->block_size, *opacity = sh + m * k3;
+        const double *positions = opacity + m + m * k3 + m;
+        self->status = view_step(
+            m, NULL, m, positions, positions + 3 * m, positions + 6 * m, sh, opacity,
+            k3 / 3, at_address(view[VIEW_PLANES]), r->degree,
+            at_address(view[VIEW_PARAMS]), view[VIEW_WIDTH], view[VIEW_HEIGHT], r->ts,
+            r->sub, r->records, at_address(view[VIEW_TARGET]), at_address(view[VIEW_UY]),
+            at_address(view[VIEW_UY2_C1]), at_address(view[VIEW_VY_C2]),
+            at_address(view[VIEW_TAPS]), view[VIEW_SIZE], r->ssim_lambda, r->c1, r->c2,
+            r->batch, NULL, r->scratch + l * s[0], r->work + l * s[1],
+            r->kept + l * caps[0], r->ikept + l * caps[1], r->clamp + l * caps[2],
+            r->rec_f ? r->rec_f + l * caps[3] : NULL, r->rec_p ? r->rec_p + l * caps[4] : NULL,
+            r->rec_end ? r->rec_end + l * caps[5] : NULL, caps, r->image + l * s[2],
+            r->trans + l * s[3], r->d_image + l * s[2], r->grads + i * r->grad_size,
+            r->value + i, self->out, at);
+        if (self->status) {
+            self->failed = i;
+            break;
+        }
+    }
+    return NULL;
+}
+
+/* Phase 2: lane 0 on the calling thread, lanes 1 .. on threads of their
+ * own (a lane whose thread cannot start runs on the calling one, after
+ * lane 0), then the first failure across lanes. */
+static void render_lanes(renders_t *r, int64_t *out, int64_t *clock)
+{
+    r->failed = r->limit;
+    r->lanes = min_i64(r->lanes, r->limit - r->first);
+    out[OUT_LANES] = 0;
+    if (r->lanes < 1)
+        return;
+    lane_t lane[r->lanes];
+    for (int64_t l = 0; l < r->lanes; l++) {
+        lane[l] = (lane_t){.r = r, .lane = l, .out = out + l * OUT_SLOTS,
+                           .clock = l ? NULL : clock};
+        lane[l].started = l && !pthread_create(&lane[l].thread, NULL, render_lane, &lane[l]);
+    }
+    lap(out, OUT_WAIT_NS, clock);
+    render_lane(&lane[0]);
+    out[OUT_LANES] = 1;
+    for (int64_t l = 1; l < r->lanes; l++) {
+        if (lane[l].started)
+            out[OUT_LANES] += !pthread_join(lane[l].thread, NULL);
+        else
+            render_lane(&lane[l]);
+    }
+    lap(out, OUT_WAIT_NS, clock);
+    for (int64_t l = 0; l < r->lanes; l++)
+        if (lane[l].failed < r->failed) {
+            r->failed = lane[l].failed;
+            r->status = lane[l].status;
+            r->report = lane[l].out;
+        }
+}
+
+/* The gradients of carried[0 .. num_carried) — ``carry``: sh (num_carried,
+ * k3), then opacity — copied into the rows of the working set ws[0 .. m)
+ * that hold them, as assemble_rows reads them in. */
+static void seed_carry(
+    int64_t k3, const int64_t *ws, int64_t m, const int64_t *carried,
+    int64_t num_carried, const double *carry, double *grad_sh, double *grad_opacity)
+{
+    for (int64_t k = 0, i = 0; k < num_carried; k++, i++) {
+        i = walk(ws, m, i, carried[k]);
+        memcpy(grad_sh + i * k3, carry + k * k3, (size_t)k3 * sizeof(double));
+        grad_opacity[i] = carry[num_carried * k3 + k];
+    }
 }
 
 #define BATCH_STAGE(name, call)                                             \
@@ -2859,11 +3038,6 @@ static int check_plan(
             goto done;                                                      \
         }                                                                   \
     } while (0)
-
-static inline const double *at_address(int64_t address)
-{
-    return (const double *)(intptr_t)address;
-}
 
 /* An adam node's status: past the plan check and the tables checked on
  * entry no row can step past the tables (each is bumped once), so a short
@@ -2889,12 +3063,15 @@ int train_batch(
     double *scratch, int64_t *work, double *kept, int64_t *ikept,
     uint8_t *clamp, double *rec_f, int32_t *rec_p, int64_t *rec_end,
     const int64_t *caps, double *image, double *trans, double *d_image,
-    double *grads, double *value, int64_t start, int64_t *out)
+    double *grads, double *value, int64_t lanes, int64_t start, int64_t *out)
 {
+    if (lanes < 1)
+        return STATUS_OUT_OF_RANGE;
     int64_t clock = now_ns();
     const int64_t entry = clock;
     if (start == 0) {
-        clear_stamps(out);
+        for (int64_t l = 0; l < lanes; l++)
+            clear_stamps(out + l * OUT_SLOTS);
         out[OUT_TOTAL_NS] = 0;
     }
     out[OUT_NODE] = -1;
@@ -2913,36 +3090,79 @@ int train_batch(
         }
         zero_rows(n, stride, pinned_grads, touched, u);
         zero_rows(n, 10, critical_grads, touched, u);
-        lap(out, OUT_ZERO_NS, &clock);
     }
+    /* Phase 1, from the step at node ``start`` on; the largest working set
+     * and view size every lane's arenas. */
+    int64_t first = 0, m = 0, width = 0, height = 0;
+    for (int64_t j = 0; j < start && j < nodes; j++)
+        first += program[2 * j] == NODE_STEP;
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t *view = views + VIEW_SLOTS * i;
+        m = max_i64(m, LENGTH(PLAN_VECTORS * i));
+        width = max_i64(width, view[VIEW_WIDTH]);
+        height = max_i64(height, view[VIEW_HEIGHT]);
+    }
+    lap(out, OUT_ZERO_NS, &clock);
+    int64_t limit = count;
+    int assembled = STATUS_OK;
+    for (int64_t i = first; i < count && !assembled; i++) {
+        const int64_t v = PLAN_VECTORS * i, b = v - PLAN_VECTORS, mp = i ? LENGTH(b) : 0;
+        const double *held = blocks + (i ? i - 1 : 0) * block_size;
+        assembled = assemble_rows(
+            n, k3, stride, pinned, critical, VECTOR(v), LENGTH(v), VECTOR(v + 1),
+            LENGTH(v + 1), VECTOR(v + 2), LENGTH(v + 2), i ? VECTOR(b) : NULL, mp, held,
+            held + mp * k3, NULL, 0, NULL, NULL, blocks + i * block_size);
+        limit = assembled ? i : count;
+    }
+    lap(out, OUT_ASSEMBLE_NS, &clock);
+
+    const int64_t area = width * height;
+    renders_t r = {
+        .rows = rows, .offsets = offsets, .views = views, .caps = caps, .blocks = blocks,
+        .grads = grads, .value = value, .scratch = scratch, .kept = kept, .rec_f = rec_f,
+        .image = image, .trans = trans, .d_image = d_image, .work = work, .ikept = ikept,
+        .rec_end = rec_end, .clamp = clamp, .rec_p = rec_p, .k3 = k3, .degree = degree,
+        .ts = ts, .sub = sub, .records = records, .block_size = block_size,
+        .grad_size = (11 + k3) * m, .first = first, .limit = limit, .lanes = lanes,
+        .strides = {
+            F_SCRATCH * m, 5 + 7 * m + ceil_div(width, sub) * ceil_div(height, sub) + (3 * m + 7) / 8,
+            3 * area, area,
+        },
+        .ssim_lambda = ssim_lambda, .c1 = c1, .c2 = c2, .batch = batch,
+    };
+    render_lanes(&r, out, &clock);
+    if (r.failed == limit)
+        r.status = assembled, r.report = NULL;
+
     for (int64_t j = start; j < nodes; j++) {
         const int64_t index = program[2 * j + 1];
         if (program[2 * j] == NODE_STEP) {
-            const int64_t v = PLAN_VECTORS * index, b = v - PLAN_VECTORS;
-            const int64_t mp = index ? LENGTH(b) : 0, in = index ? LENGTH(b + 4) : 0;
-            double *block = blocks + (index & 1) * block_size;
-            double *carry = carries + (index & 1) * carry_size;
-            const double *held = blocks + (~index & 1) * block_size;
-            const double *carried_in = carries + (~index & 1) * carry_size;
-            const int64_t *view = views + VIEW_SLOTS * index;
-            status = clm_step(
-                n, k3, stride, pinned, pinned_grads, critical, critical_grads,
-                VECTOR(v), LENGTH(v), VECTOR(v + 1), LENGTH(v + 1), VECTOR(v + 2),
-                LENGTH(v + 2), VECTOR(v + 3), LENGTH(v + 3), VECTOR(v + 4),
-                LENGTH(v + 4), index ? VECTOR(b) : NULL, mp, held, held + mp * k3,
-                index ? VECTOR(b + 4) : NULL, in, carried_in, carried_in + in * k3,
-                at_address(view[VIEW_PLANES]), degree, at_address(view[VIEW_PARAMS]),
-                view[VIEW_WIDTH], view[VIEW_HEIGHT], ts, sub, records,
-                at_address(view[VIEW_TARGET]), at_address(view[VIEW_UY]),
-                at_address(view[VIEW_UY2_C1]), at_address(view[VIEW_VY_C2]),
-                at_address(view[VIEW_TAPS]), view[VIEW_SIZE], ssim_lambda, c1,
-                c2, batch, block, carry, scratch, work, kept, ikept, clamp, rec_f,
-                rec_p, rec_end, caps, image, trans, d_image, grads, value + index,
-                out, &clock);
-            if (status) {
+            if (index == r.failed) {  /* the first failure: report it */
+                if (r.report == NULL) {
+                    out[OUT_STAGE] = STAGE_ASSEMBLE_ROWS;
+                    out[OUT_STATUS] = r.status;
+                } else if (r.report != out) {
+                    memcpy(out, r.report, (OUT_AREA + 1) * sizeof *out);
+                }
                 out[OUT_NODE] = j;
+                status = r.status;
                 goto done;
             }
+            const int64_t v = PLAN_VECTORS * index, b = v - PLAN_VECTORS, mi = LENGTH(v);
+            double *grad_sh = blocks + index * block_size + mi * (k3 + 1);
+            double *grad_opacity = grad_sh + mi * k3, *g = grads + index * r.grad_size;
+            if (index)
+                seed_carry(
+                    k3, VECTOR(v), mi, VECTOR(b + 4), LENGTH(b + 4),
+                    carries + (~index & 1) * carry_size, grad_sh, grad_opacity);
+            add_grads_rows(
+                k3, VECTOR(v), mi, grad_sh, grad_opacity, g + 10 * mi,
+                g + 10 * mi + mi * k3, g, g + 3 * mi, g + 6 * mi, critical_grads);
+            BATCH_STAGE(RETIRE_ROWS, retire_rows(
+                n, k3, stride, pinned_grads, VECTOR(v), mi, grad_sh, grad_opacity,
+                VECTOR(v + 3), LENGTH(v + 3), VECTOR(v + 4), LENGTH(v + 4),
+                carries + (index & 1) * carry_size));
+            lap(out, OUT_RETIRE_NS, &clock);
         } else if (program[2 * j] == NODE_ADAM) {
             const int64_t chunk = last + 1 + index;
             BATCH_STAGE(ADAM_ROWS, chunk_status(adam_rows(

@@ -258,10 +258,11 @@ def test_the_generated_offsets_are_the_cumulative_field_widths():
     assert [generated[f"STATUS_{s}"] for s in native_backend._STATUS] == [0, 1, 2, 3, 4, 5]
     stages = [generated[f"STAGE_{s.upper()}"] for s in native_backend._STEP_STAGES]
     slots = [generated[f"OUT_{s.upper()}"] for s in native_backend._BATCH_OUT]
-    assert stages == list(range(8)) and slots == list(range(18))
+    assert stages == list(range(8)) and slots == list(range(20))
+    assert generated["OUT_SLOTS"] == len(native_backend._BATCH_OUT) == 20
     # A step's report is the head of a batch's, a stamp a stage.
     assert native_backend._BATCH_OUT[: len(native_backend._STEP_OUT)] == native_backend._STEP_OUT
-    assert [generated[f"OUT_{s.upper()}_NS"] for s in native_backend._STAMPS] == list(range(7, 16))
+    assert [generated[f"OUT_{s.upper()}_NS"] for s in native_backend._STAMPS] == list(range(7, 17))
     nodes = [generated[f"NODE_{k.upper()}"] for k in native_backend._NODES]
     views = [generated[f"VIEW_{v.upper()}"] for v in native_backend._VIEW_ROW]
     assert nodes == [0, 1, 2] and views == list(range(10)) and generated["VIEW_SLOTS"] == 10

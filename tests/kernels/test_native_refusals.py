@@ -509,3 +509,54 @@ def test_an_optimizer_state_bound_once_is_held_weakly_and_bound_again_when_repla
     with pytest.raises(ValueError, match="native adam_rows: v is a read-only"):
         case.run(op, fresh(case, v=read_only(case.operands["v"])))
 
+
+
+# ---------------------------------------------------------------------------
+# train_batch: the invariant its render lanes rely on
+# ---------------------------------------------------------------------------
+from test_native_train_step import (  # noqa: E402
+    assert_refused,
+    nodes_of,
+    recipes,  # noqa: F401  (a fixture)
+    working_sets,
+)
+
+
+def _chunk_row_held_later(plan):
+    """A row step 0 and a later step hold, moved into chunk 0."""
+    later = np.unique(np.concatenate([s.working_set for s in plan.steps[1:]]))
+    row = np.intersect1d(plan.steps[0].working_set, later)[:1]
+    assert row.size
+    chunks = [np.setdiff1d(chunk, row) for chunk in plan.adam_chunks]
+    chunks[0] = np.union1d(chunks[0], row)
+    return dataclasses.replace(plan, adam_chunks=tuple(chunks))
+
+
+def _working_row_untouched(plan):
+    """A row of step 0's working set dropped from the touched union and
+    from its chunk."""
+    row = plan.steps[0].working_set[:1]
+    return dataclasses.replace(
+        plan, touched=np.setdiff1d(plan.touched, row),
+        adam_chunks=tuple(np.setdiff1d(chunk, row) for chunk in plan.adam_chunks),
+    )
+
+
+#: Plans that pass every other check but break the planner's invariant:
+#: every render reads the parameters as the batch began, so an Adam chunk
+#: may hold no row a later step renders, and every rendered row is stepped.
+INVARIANT = {
+    "a chunk row a later step holds": _chunk_row_held_later,
+    "a working-set row outside the touched union": _working_row_untouched,
+}
+
+
+@pytest.mark.parametrize("bad", list(INVARIANT))
+def test_a_plan_breaking_the_chunk_invariant_is_refused_with_nothing_written(recipes, bad):
+    engine, plan, targets = working_sets(recipes, "dense")
+    engine.train_batch(plan.view_ids, targets)  # warmed: the arenas, the bindings
+    broken = INVARIANT[bad](plan)
+    assert_refused(
+        engine, broken, nodes_of(broken), targets, ValueError,
+        "plan: a malformed node list or row vector",
+    )
