@@ -11,10 +11,10 @@ fail-stop recovery (global rows, so it re-shards over the survivors).
 
 A checkpoint is that snapshot written to one ``.npz`` (no pickle):
 ``model.<name>``, ``<optimizer>.m.<name>`` / ``.v.<name>`` / ``.steps``,
-and a JSON metadata record with the RNG state, so a resumed run continues
-the uninterrupted one bit for bit (except under a ``fault_schedule``: the
-fault injector's batch counter and ``clm_sharded``'s alive devices are not
-saved).  ``TrainingSession.checkpoint`` adds
+and a JSON metadata record with the RNG state, the engine's batch count
+(its fault injector keys on it) and ``clm_sharded``'s alive devices, so a
+resumed run continues the uninterrupted one bit for bit, its fault schedule
+included.  ``TrainingSession.checkpoint`` adds
 its trainer's state (``trainer.*`` arrays and metadata).  Saves publish
 atomically (a same-directory temp file and ``os.replace``), the metadata
 carries a BLAKE2b digest per array, and every load or restore failure is
@@ -84,6 +84,10 @@ class EngineSnapshot:
     optimizers: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
     #: The engine RNG's bit-generator state; None leaves it as it is.
     rng_state: Optional[dict] = None
+    #: Batches the engine has trained; None leaves its count as it is.
+    batches_trained: Optional[int] = None
+    #: A sharded engine's alive devices; None leaves them as they are.
+    alive: Optional[List[int]] = None
 
 
 def capture_engine_state(engine) -> EngineSnapshot:
@@ -95,6 +99,8 @@ def capture_engine_state(engine) -> EngineSnapshot:
             for name, opt in engine.optimizers().items()
         },
         rng_state=engine._rng.bit_generator.state,
+        batches_trained=engine.batches_trained,
+        alive=list(engine.alive) if hasattr(engine, "alive") else None,
     )
 
 
@@ -129,12 +135,18 @@ def restore_engine_state(engine, snapshot: EngineSnapshot) -> None:
     for name, state in optimizers.items():
         given = snapshot.optimizers.get(name, {})
         _check("optimizer", state, given, prefix=f"{name}.")
+    if snapshot.alive is not None and not hasattr(engine, "restore_devices"):
+        raise ValueError(f"snapshot has devices {snapshot.alive}, engine has none")
     engine.load_parameters(snapshot.params)
     for name, state in optimizers.items():
         for key, arr in state.items():
             arr[...] = snapshot.optimizers[name][key]
     if snapshot.rng_state is not None:
         engine._rng.bit_generator.state = snapshot.rng_state
+    if snapshot.batches_trained is not None:
+        engine.batches_trained = snapshot.batches_trained
+    if snapshot.alive is not None:
+        engine.restore_devices(snapshot.alive)
 
 
 def _checksum(arr: np.ndarray) -> str:
@@ -171,6 +183,8 @@ def save_checkpoint(
         "batches_trained": batches_trained,
         "generation": generation,
         "rng": snapshot.rng_state,
+        "engine_batches": snapshot.batches_trained,
+        "alive": snapshot.alive,
     }
     if trainer is not None:
         trainer_arrays, meta["trainer"] = trainer.state()
@@ -276,7 +290,10 @@ def restore_into_engine(
         groups.setdefault(group, {})[name] = arr
     trainer_arrays = groups.pop("trainer", {})
     groups.pop("model")  # the rest are the optimizers'
-    snapshot = EngineSnapshot(model.parameters(), groups, meta.get("rng"))
+    snapshot = EngineSnapshot(
+        model.parameters(), groups, meta.get("rng"), meta.get("engine_batches"),
+        meta.get("alive"),
+    )
     trainer_meta = meta.get("trainer") if trainer is not None else None
     try:
         if trainer_meta is not None:

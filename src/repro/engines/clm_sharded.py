@@ -69,6 +69,7 @@ float64 kernels are backend-parity-pinned by ``tests/kernels/``).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -135,11 +136,12 @@ class ShardedCLMEngine(CLMEngine):
         # schedule (they copy params + moments every batch); the elastic
         # remove_device() path treats the *current* state as the
         # snapshot when none is kept.
-        self._snapshot = (
-            capture_engine_state(self)
-            if self.injector is not None
-            else None
-        )
+        self._snapshot = self._recovery_point() if self.injector is not None else None
+
+    def _recovery_point(self):
+        """The state recovery rolls back to: the engine's, but for its batch
+        count — recovery runs the torn batch again, which counts once."""
+        return replace(capture_engine_state(self), batches_trained=None)
 
     def _reshard(self) -> None:
         """(Re)partition rows across the *surviving* devices from the
@@ -170,6 +172,14 @@ class ShardedCLMEngine(CLMEngine):
             restore_engine_state(self, self._snapshot)
         self.alive.remove(device)
         self._reshard()
+
+    def restore_devices(self, alive: Sequence[int]) -> None:
+        """Train on the devices ``alive`` (a snapshot's) from here on,
+        re-sharded over them when they are not the ones training now."""
+        alive = [int(device) for device in alive]
+        if alive != self.alive:
+            self.alive = alive
+            self._reshard()
 
     def _recover(self, failed_devices: Sequence[int]) -> None:
         """Fail-stop recovery: roll back to the last good snapshot and
@@ -220,7 +230,7 @@ class ShardedCLMEngine(CLMEngine):
             result.lost_batches = 1
             result.failed_devices = len(state.new_failures)
         if self.injector is not None:
-            self._snapshot = capture_engine_state(self)
+            self._snapshot = self._recovery_point()
         return result
 
     def _execute_batch(
@@ -356,4 +366,4 @@ class ShardedCLMEngine(CLMEngine):
         self._reshard()
         if self._snapshot is not None:
             # Row counts changed; the old snapshot is unrestorable.
-            self._snapshot = capture_engine_state(self)
+            self._snapshot = self._recovery_point()

@@ -225,3 +225,30 @@ def test_link_fault_costs_retries_into_counters(setup):
     assert engine.perf.link_retries == engine.injector.stats.link_retries
     assert engine.perf.link_retries > 0
     assert sum(r.link_retries for r in results) == engine.perf.link_retries
+
+
+def test_a_resumed_run_replays_its_fault_schedule_at_the_same_batches(setup, tmp_path):
+    """Checkpointed after 3 of 6 batches and restored into a fresh engine,
+    a run fails device 1 at batch index 4 as the uninterrupted one does, and
+    ends with the same 3 devices, losses and parameters."""
+    from repro.core.checkpoint import restore_into_engine, save_checkpoint
+
+    scene, init, targets = setup
+    sched = FaultSchedule(events=(FaultEvent.fail_stop(4, 1),))
+    whole = make_engine(scene, init.clone(), sched)
+    want = [whole.train_batch(b, targets) for b in BATCHES]
+    assert want[4].failed_devices == 1 and whole.alive == [0, 2, 3]
+
+    first = make_engine(scene, init.clone(), sched)
+    for b in BATCHES[:3]:
+        first.train_batch(b, targets)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, first)
+    resumed = make_engine(scene, init.clone(), sched)
+    restore_into_engine(path, resumed)
+    got = [resumed.train_batch(b, targets) for b in BATCHES[3:]]
+    assert [r.failed_devices for r in got] == [r.failed_devices for r in want[3:]]
+    assert got[1].failed_devices == 1 and resumed.alive == [0, 2, 3]
+    assert [r.loss for r in got] == [r.loss for r in want[3:]]
+    got_params, want_params = params_of(resumed), params_of(whole)
+    assert all(np.array_equal(got_params[k], want_params[k]) for k in want_params)
