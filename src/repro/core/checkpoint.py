@@ -13,8 +13,9 @@ A checkpoint is that snapshot written to one ``.npz`` (no pickle):
 ``model.<name>``, ``<optimizer>.m.<name>`` / ``.v.<name>`` / ``.steps``,
 and a JSON metadata record with the RNG state, the engine's batch count
 (its fault injector keys on it) and ``clm_sharded``'s alive devices, so a
-resumed run continues the uninterrupted one bit for bit, its fault schedule
-included.  ``TrainingSession.checkpoint`` adds
+resumed run continues the uninterrupted one bit for bit (under a fault
+schedule: when no device failed before the checkpoint; the simulated
+timings of transient faults start afresh).  ``TrainingSession.checkpoint`` adds
 its trainer's state (``trainer.*`` arrays and metadata).  Saves publish
 atomically (a same-directory temp file and ``os.replace``), the metadata
 carries a BLAKE2b digest per array, and every load or restore failure is
@@ -100,7 +101,7 @@ def capture_engine_state(engine) -> EngineSnapshot:
         },
         rng_state=engine._rng.bit_generator.state,
         batches_trained=engine.batches_trained,
-        alive=list(engine.alive) if hasattr(engine, "alive") else None,
+        alive=engine.devices(),
     )
 
 
@@ -116,12 +117,27 @@ def _check(label: str, dst: dict, src: dict, prefix: str = "") -> None:
             )
 
 
+def _check_progress(engine, snapshot: EngineSnapshot) -> None:
+    """A snapshot's batch count is None or an int >= 0, its devices None or
+    a non-empty, increasing list of the engine's device ids."""
+    count, alive = snapshot.batches_trained, snapshot.alive
+    if count is not None and (type(count) is not int or count < 0):
+        raise ValueError(f"snapshot batch count {count!r} is not an int >= 0")
+    if alive is not None and not (
+        engine.devices() is not None and isinstance(alive, list) and alive
+        and all(type(d) is int for d in alive)
+        and all(a < b for a, b in zip([-1, *alive], [*alive, engine.num_devices]))
+    ):
+        raise ValueError(f"snapshot devices {alive!r} are not the engine's {engine.devices()}")
+
+
 def restore_engine_state(engine, snapshot: EngineSnapshot) -> None:
     """Write ``snapshot`` back into ``engine`` in place.
 
     Row counts and every array's shape must match (recovery never crosses
-    a densify/prune boundary: snapshots are retaken after ``rebuild``);
-    otherwise ``ValueError``, raised before anything is written.
+    a densify/prune boundary: snapshots are retaken after ``rebuild``), the
+    batch count be an int >= 0 and the devices the engine's; otherwise
+    ``ValueError``, raised before anything is written.
     """
     n = snapshot.params["positions"].shape[0]
     if n != engine.num_gaussians:
@@ -135,8 +151,7 @@ def restore_engine_state(engine, snapshot: EngineSnapshot) -> None:
     for name, state in optimizers.items():
         given = snapshot.optimizers.get(name, {})
         _check("optimizer", state, given, prefix=f"{name}.")
-    if snapshot.alive is not None and not hasattr(engine, "restore_devices"):
-        raise ValueError(f"snapshot has devices {snapshot.alive}, engine has none")
+    _check_progress(engine, snapshot)
     engine.load_parameters(snapshot.params)
     for name, state in optimizers.items():
         for key, arr in state.items():
@@ -292,7 +307,7 @@ def restore_into_engine(
     groups.pop("model")  # the rest are the optimizers'
     snapshot = EngineSnapshot(
         model.parameters(), groups, meta.get("rng"), meta.get("engine_batches"),
-        meta.get("alive"),
+        meta.get("alive", engine.devices()),  # older files: the engine's own
     )
     trainer_meta = meta.get("trainer") if trainer is not None else None
     try:

@@ -175,10 +175,10 @@ ACT_PER_PIXEL = 240
 #: five parameter-gradient arrays of one view — and, for a CLM microbatch
 #: run as ``train_step``, the working set's block and carried gradients,
 #: two of each (the double buffer ``CLM_BUFFER_BPG`` charges twice), and
-#: for an inline batch run as ``train_batch`` a block and a gradient slot a
-#: step and the render arenas once a render lane: the paper's device runs
-#: one microbatch at a time, and the lanes are the stand-in device's own
-#: parallelism, so the pool charges them as before.  They are host bytes held at the largest step seen (plus an eighth), for the
+#: for a ``train_batch`` call a block a render lane and one more and the
+#: render arenas and a gradient slot once a lane (the stand-in device's own
+#: parallelism; the paper's runs one microbatch at a time).  They are
+#: host bytes held at the largest step seen (plus an eighth), for the
 #: engine's lifetime, outside the pool model like the records: the pool
 #: still charges each step's double buffer and activations analytically
 #: (``GpuWorkingSet.reserve``, on either path), so ``gpu_peak_bytes`` and

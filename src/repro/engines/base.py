@@ -11,7 +11,8 @@ Three pieces live here:
   ``render_view``, ``snapshot_model``, ``rebuild``, ``num_gaussians``.
   ``Trainer``, :class:`repro.engines.session.TrainingSession` and the CLI
   program against this interface only; engine-state capture and restore
-  (:mod:`repro.core.checkpoint`) add ``optimizers`` and ``load_parameters``.
+  (:mod:`repro.core.checkpoint`) add ``optimizers``, ``load_parameters``,
+  ``devices`` and ``restore_devices``.
 - :class:`EngineBase` — the shared skeleton: camera bookkeeping, renderer
   resolution, the simulated GPU memory pool, pre-rendering frustum culling
   (§5.1), the microbatch loop of the engines whose model is resident — one
@@ -476,6 +477,15 @@ class EngineBase(Engine):
         """The engine's optimizers by name — the name a snapshot and a
         checkpoint file their state under."""
         return {"optimizer": self.optimizer}
+
+    def devices(self) -> Optional[List[int]]:
+        """The ids of the devices the engine trains on (a snapshot's
+        ``alive``), or None: it has none to name."""
+        return None
+
+    def restore_devices(self, alive: List[int]) -> None:
+        """Train on a restored snapshot's devices: none here."""
+        raise ValueError(f"snapshot has devices {alive}, engine has none")
 
     def load_parameters(self, params: Dict[str, np.ndarray]) -> None:
         """Overwrite every parameter in place from full-model arrays by

@@ -169,17 +169,23 @@ class ShardedCLMEngine(CLMEngine):
         if len(self.alive) == 1:
             raise RuntimeError("cannot remove the last surviving device")
         if self._snapshot is not None:
-            restore_engine_state(self, self._snapshot)
+            restore_engine_state(self, replace(self._snapshot, alive=None))
         self.alive.remove(device)
         self._reshard()
 
-    def restore_devices(self, alive: Sequence[int]) -> None:
-        """Train on the devices ``alive`` (a snapshot's) from here on,
-        re-sharded over them when they are not the ones training now."""
-        alive = [int(device) for device in alive]
+    def devices(self) -> List[int]:
+        return list(self.alive)
+
+    def restore_devices(self, alive: List[int]) -> None:
+        """Train on a restored snapshot's devices ``alive``, the injector
+        counting the others failed and the recovery point retaken (a fault
+        right after the restore rolls back to the restored state)."""
         if alive != self.alive:
-            self.alive = alive
+            self.alive = list(alive)
             self._reshard()
+        if self.injector is not None:
+            self.injector.failed.update(set(range(self.num_devices)) - set(alive))
+            self._snapshot = self._recovery_point()
 
     def _recover(self, failed_devices: Sequence[int]) -> None:
         """Fail-stop recovery: roll back to the last good snapshot and
@@ -191,7 +197,7 @@ class ShardedCLMEngine(CLMEngine):
                 f"all devices failed at batch {self.batches_trained}; "
                 f"no survivors to recover onto"
             )
-        restore_engine_state(self, self._snapshot)
+        restore_engine_state(self, replace(self._snapshot, alive=None))
         self.alive = survivors
         self._reshard()
 

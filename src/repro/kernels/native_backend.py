@@ -51,10 +51,10 @@ them to the eleven kernel ops:
   (:func:`_bind_batch`): its lowered node list as opcodes, interpreted in C
   — the touched rows zeroed, each step ``train_step``'s stages, each Adam
   chunk and the critical update ``adam_rows`` — over one buffer of the
-  plan's rows: every step's block assembled in order, the views rendered on
-  ``min(views, cores)`` threads (render lanes), the gradients folded and
-  Adam run in node order, so any lane count gives the walk's bits; resumable
-  at the step whose render outgrew the arenas, the stages stamped.
+  plan's rows, in rounds of ``min(views, cores)`` steps whose views render
+  on as many threads (render lanes) and whose gradients and Adam run in
+  node order, so any lane count gives the walk's bits; resumable at the
+  step whose render outgrew the arenas, the stages stamped.
 
 The view calls are not bit-equal to NumPy (which reduces through BLAS);
 they sit inside the 1e-12 image / 1e-10 gradient bars of the per-tile
@@ -105,10 +105,9 @@ The library is built at run time (the MOT ``CLFunction`` idiom) with the
 first of ``$CC``, ``cc``, ``gcc``, ``clang`` on ``PATH``:
 
 - flags :data:`CFLAGS` — no ``-ffast-math``, no ``-march``, no FMA
-  contraction: every operation rounds as an IEEE double in program order,
-  and ``train_batch``'s render lanes each write only their own slots, which
-  one thread adds in node order, so two runs are ``np.array_equal`` on any
-  host;
+  contraction: every operation rounds as an IEEE double in program order
+  (``train_batch``'s render lanes write their own slots, added by one
+  thread in node order), so two runs are ``np.array_equal`` on any host;
 - built once per ``sha256(kernel_source() + flags + "cc --version")`` into
   ``${XDG_CACHE_HOME:-~/.cache}/repro-kernels/`` (created 0700) through a
   temporary file and an atomic rename; the file name carries the digest of
@@ -403,12 +402,12 @@ _STEP_ARENAS_OF = (
     _RENDER_ARENAS_OF + f"; double value[1] write; int64_t out[{len(_STEP_OUT)}] write"
 )
 #: The arenas a batch renders in: each of a step's once a render lane (the
-#: render's own blocks too, ``caps`` one lane's), the gradients once a step.
+#: render's own blocks too, ``caps`` one lane's), and a gradient slot a lane.
 _LANE_ARENAS = (
     f"double scratch[lanes, {_SCRATCH} * m] write; int64_t work[lanes, {_WORK.format('m')}] write;"
     f" {_RENDER.format('write')}; int64_t caps[6]; double image[lanes, height, width, 3] write;"
     " double trans[lanes, height, width] write; double d_image[lanes, height, width, 3] write;"
-    " double grads[count, (11 + k3) * m] write"
+    " double grads[lanes, (11 + k3) * m] write"
 )
 #: An optimizer's moments, step counts and per-column rates over ``{1}``
 #: columns: ``{0}`` names them.
@@ -520,7 +519,7 @@ _OPERANDS = {name: _declare(text) for name, text in {
         " int64_t records; double ssim_lambda; double c1; double c2; double batch;"
         f" {_ADAM_STATE.format('nc', 'stride')}; {_ADAM_STATE.format('c', 10)};"
         " double beta1; double beta2; double eps; double bc1[table]; double rsqrt_bc2[table];"
-        " int64_t table; double blocks[count, block_size] write; int64_t block_size;"
+        " int64_t table; double blocks[lanes + 1, block_size] write; int64_t block_size;"
         " double carries[2 * carry_size] write; int64_t carry_size;"
         f" {_LANE_ARENAS}; double value[count] write; int64_t lanes; int64_t start;"
         f" int64_t out[lanes, {len(_BATCH_OUT)}] write"
@@ -2137,8 +2136,9 @@ def _bind_step(lib, name: str) -> Callable:
     return train_step
 
 
-#: The arenas a batch places beyond a step's: a block a step, both halves of
-#: the carry, the steps' losses, their views table and the lanes' report.
+#: The arenas a batch places beyond a step's: a block a lane and one more,
+#: both halves of the carry, the steps' losses, their views table and the
+#: lanes' report.
 _BATCH_SIZED = _SIZED + tuple((a, a) for a in ("blocks", "carries", "value", "views", "out"))
 _NODE_KINDS = {kind: k for k, kind in enumerate(_NODES)}
 
@@ -2173,9 +2173,7 @@ def _program(nodes) -> np.ndarray:
 
 def _cores() -> int:
     """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _bind_batch(lib, name: str) -> Callable:

@@ -2749,34 +2749,37 @@ int view_train(
  * NODE_*): a step is clm_step's stages, an adam node adam_rows over that
  * chunk of the pinned store, the critical node adam_rows over the touched
  * union of the critical store.  A batch's views are independent microbatches
- * (paper §4.2), so the call runs in three phases:
+ * (paper §4.2), so the call walks its nodes in rounds of ``lanes`` steps,
+ * each in three phases:
  *
- *   1. assemble, on the calling thread, in step order: step i's working set
- *      into block i with its gradient half zero (assemble_rows with no
- *      carried rows), its cached rows read from block i - 1;
- *   2. render, on ``lanes`` lanes: view_step over block i into gradient slot
- *      i and value[i], the steps dealt round-robin; lane 0 is the calling
- *      thread, every other lane a thread started and joined here, each in
- *      its own render arenas and writing its own row of ``out``;
- *   3. fold, on the calling thread, in node order: a step's carried
- *      gradients copied into its block's gradient half (what assemble_rows
- *      reads in), then add_grads_rows and retire_rows; each Adam chunk and
- *      the critical Adam at its node.
+ *   1. assemble, on the calling thread, in step order: each step's working
+ *      set into its block with its gradient half zero (assemble_rows with no
+ *      carried rows), its cached rows read from the step before's block;
+ *   2. render, one step a lane: view_step over the step's block into its
+ *      gradient slot and value[i]; lane 0 is the calling thread, every other
+ *      lane a thread started and joined here, each in its own render arenas
+ *      and writing its own row of ``out``;
+ *   3. fold, on the calling thread, in node order up to the next round: a
+ *      step's carried gradients copied into its block's gradient half (what
+ *      assemble_rows reads in), then add_grads_rows and retire_rows; each
+ *      Adam chunk and the critical Adam at its node.
  *
  * Phase 3 is the walk's additions in the walk's order, so the bits are the
- * walk's for any number of lanes.  That phase 2 may render first is exact
- * because Adam chunk j holds no row that a later step's working set holds
- * (the planner's invariant, planning/adam_overlap.adam_chunks), which
- * check_plan refuses a plan to break: every render reads the parameters as
- * they stood when the batch began.
+ * walk's for any number of lanes.  That a round's steps assemble and render
+ * before the Adam chunks of its earlier steps run is exact because Adam
+ * chunk j holds no row that a later step's working set holds (the planner's
+ * invariant, planning/adam_overlap.adam_chunks), which check_plan refuses a
+ * plan to break: every render reads the parameters as they stood when the
+ * batch began.
  *
  * The plan's row vectors are one buffer: vector v is rows[offsets[v] ..
  * offsets[v + 1]), step i's five PLAN_VECTORS from 5 i (working set, loads,
  * cached, stores, carried), then the touched union, then the chunks.  Step
  * i's view is row i of ``views`` (VIEW_* slots: addresses of the view's
  * planes, params, target and moments, its size), its loss value[i], its
- * block blocks[i block_size ..), its gradients grads[i (11 + k3) m ..) for
- * the largest working set m.  Step i's carried gradients go to half i & 1 of
+ * block blocks[(i mod (lanes + 1)) block_size ..) (a round's and the step
+ * before it's), its gradients grads[(i mod lanes) (11 + k3) m ..) for the
+ * largest working set m.  Step i's carried gradients go to half i & 1 of
  * ``carries``.  Lane l's scratch, work, image, trans and d_image start l
  * strides in (sized by m and the largest view), its render blocks l caps in
  * (``caps``: one lane's capacities).
@@ -2787,12 +2790,13 @@ int view_train(
  * in out row 0 (its stage, status and counts, its node at out[OUT_NODE]),
  * every node before it run and nothing after it folded: later renders wrote
  * only lane arenas.  A render that outgrew its lane's blocks returns
- * STATUS_ARENA_SHORT; the caller grows every lane's and calls again from
- * that node (``start``).  Out row l holds lane l's render stamps, row 0 the
- * calling lane's every stage, OUT_WAIT_NS the time it spends starting,
- * waiting for and joining the other lanes (the plan check is in
- * OUT_ZERO_NS), so its laps partition the call; out[OUT_TOTAL_NS] gains the
- * call's own and out[OUT_LANES] is how many threads rendered.
+ * STATUS_ARENA_SHORT with the largest counts any render of its round fell
+ * short by; the caller grows every lane's and calls again from that node
+ * (``start``).  Out row l holds lane l's render stamps, row 0 the calling
+ * lane's every stage, OUT_WAIT_NS the time it spends starting, waiting for
+ * and joining the other lanes (the plan check is in OUT_ZERO_NS), so its
+ * laps partition the call; out[OUT_TOTAL_NS] gains the call's own and
+ * out[OUT_LANES] is the most threads a round rendered on.
  * ====================================================================== */
 
 #define VECTOR(v) (rows + offsets[v])
@@ -2919,7 +2923,7 @@ static inline const double *at_address(int64_t address)
 
 /* What phase 2 reads (the plan, the views, the blocks, the render arenas
  * of lane 0 and the strides between lanes: scratch, work, image and
- * d_image, trans) and where steps [first, limit) write; then the first
+ * d_image, trans) and the round's steps [first, limit); then the first
  * step whose render failed (``limit``: none), its status and its lane's
  * report row. */
 typedef struct {
@@ -2934,85 +2938,88 @@ typedef struct {
     double ssim_lambda, c1, c2, batch;
     int64_t failed;
     int status;
-    const int64_t *report;
+    int64_t *report;
 } renders_t;
 
+/* Step i's block: a ring of lanes + 1, a round's and the step before it. */
+static inline double *block_of(double *blocks, int64_t block_size, int64_t lanes, int64_t i)
+{
+    return blocks + (i % (lanes + 1)) * block_size;
+}
+
 /* One lane: its index, its report row, the clock it laps (the calling
- * lane's, or NULL: its own), its thread, and its first failing step. */
+ * lane's, or NULL: its own), its thread, and its render's status. */
 typedef struct {
     const renders_t *r;
-    int64_t lane, *out, *clock, failed;
+    int64_t lane, *out, *clock;
     int status, started;
     pthread_t thread;
 } lane_t;
 
-/* Steps first + lane, first + lane + lanes, ... below ``limit``, each
- * rendered in the lane's arenas, until one fails. */
+/* Step first + lane, rendered in the lane's arenas. */
 static void *render_lane(void *arg)
 {
     lane_t *self = arg;
     const renders_t *r = self->r;
     const int64_t l = self->lane, k3 = r->k3, *caps = r->caps, *s = r->strides;
-    const int64_t *offsets = r->offsets;
-    int64_t clock = now_ns(), *at = self->clock ? self->clock : &clock;
-    self->failed = r->limit;
-    for (int64_t i = r->first + l; i < r->limit; i += r->lanes) {
-        const int64_t m = LENGTH(PLAN_VECTORS * i), *view = r->views + VIEW_SLOTS * i;
-        const double *sh = r->blocks + i * r->block_size, *opacity = sh + m * k3;
-        const double *positions = opacity + m + m * k3 + m;
-        self->status = view_step(
-            m, NULL, m, positions, positions + 3 * m, positions + 6 * m, sh, opacity,
-            k3 / 3, at_address(view[VIEW_PLANES]), r->degree,
-            at_address(view[VIEW_PARAMS]), view[VIEW_WIDTH], view[VIEW_HEIGHT], r->ts,
-            r->sub, r->records, at_address(view[VIEW_TARGET]), at_address(view[VIEW_UY]),
-            at_address(view[VIEW_UY2_C1]), at_address(view[VIEW_VY_C2]),
-            at_address(view[VIEW_TAPS]), view[VIEW_SIZE], r->ssim_lambda, r->c1, r->c2,
-            r->batch, NULL, r->scratch + l * s[0], r->work + l * s[1],
-            r->kept + l * caps[0], r->ikept + l * caps[1], r->clamp + l * caps[2],
-            r->rec_f ? r->rec_f + l * caps[3] : NULL, r->rec_p ? r->rec_p + l * caps[4] : NULL,
-            r->rec_end ? r->rec_end + l * caps[5] : NULL, caps, r->image + l * s[2],
-            r->trans + l * s[3], r->d_image + l * s[2], r->grads + i * r->grad_size,
-            r->value + i, self->out, at);
-        if (self->status) {
-            self->failed = i;
-            break;
-        }
-    }
+    const int64_t *offsets = r->offsets, i = r->first + l;
+    const int64_t m = LENGTH(PLAN_VECTORS * i), *view = r->views + VIEW_SLOTS * i;
+    const double *sh = block_of((double *)r->blocks, r->block_size, r->lanes, i);
+    const double *opacity = sh + m * k3, *positions = opacity + m + m * k3 + m;
+    int64_t clock = now_ns();
+    self->status = view_step(
+        m, NULL, m, positions, positions + 3 * m, positions + 6 * m, sh, opacity,
+        k3 / 3, at_address(view[VIEW_PLANES]), r->degree,
+        at_address(view[VIEW_PARAMS]), view[VIEW_WIDTH], view[VIEW_HEIGHT], r->ts,
+        r->sub, r->records, at_address(view[VIEW_TARGET]), at_address(view[VIEW_UY]),
+        at_address(view[VIEW_UY2_C1]), at_address(view[VIEW_VY_C2]),
+        at_address(view[VIEW_TAPS]), view[VIEW_SIZE], r->ssim_lambda, r->c1, r->c2,
+        r->batch, NULL, r->scratch + l * s[0], r->work + l * s[1],
+        r->kept + l * caps[0], r->ikept + l * caps[1], r->clamp + l * caps[2],
+        r->rec_f ? r->rec_f + l * caps[3] : NULL, r->rec_p ? r->rec_p + l * caps[4] : NULL,
+        r->rec_end ? r->rec_end + l * caps[5] : NULL, caps, r->image + l * s[2],
+        r->trans + l * s[3], r->d_image + l * s[2], r->grads + (i % r->lanes) * r->grad_size,
+        r->value + i, self->out, self->clock ? self->clock : &clock);
     return NULL;
 }
 
 /* Phase 2: lane 0 on the calling thread, lanes 1 .. on threads of their
  * own (a lane whose thread cannot start runs on the calling one, after
- * lane 0), then the first failure across lanes. */
+ * lane 0), then the first failure; when it is a short render, the largest
+ * counts of the round's short renders in its report, so one resume grows
+ * every lane to fit them all. */
 static void render_lanes(renders_t *r, int64_t *out, int64_t *clock)
 {
-    r->failed = r->limit;
-    r->lanes = min_i64(r->lanes, r->limit - r->first);
-    out[OUT_LANES] = 0;
-    if (r->lanes < 1)
+    const int64_t running = r->limit - r->first;
+    r->failed = r->limit, r->status = STATUS_OK, r->report = NULL;
+    if (running < 1)
         return;
-    lane_t lane[r->lanes];
-    for (int64_t l = 0; l < r->lanes; l++) {
+    lane_t lane[running];
+    for (int64_t l = 0; l < running; l++) {
         lane[l] = (lane_t){.r = r, .lane = l, .out = out + l * OUT_SLOTS,
                            .clock = l ? NULL : clock};
         lane[l].started = l && !pthread_create(&lane[l].thread, NULL, render_lane, &lane[l]);
     }
     lap(out, OUT_WAIT_NS, clock);
     render_lane(&lane[0]);
-    out[OUT_LANES] = 1;
-    for (int64_t l = 1; l < r->lanes; l++) {
+    int64_t threads = 1;
+    for (int64_t l = 1; l < running; l++) {
         if (lane[l].started)
-            out[OUT_LANES] += !pthread_join(lane[l].thread, NULL);
+            threads += !pthread_join(lane[l].thread, NULL);
         else
             render_lane(&lane[l]);
     }
     lap(out, OUT_WAIT_NS, clock);
-    for (int64_t l = 0; l < r->lanes; l++)
-        if (lane[l].failed < r->failed) {
-            r->failed = lane[l].failed;
+    out[OUT_LANES] = max_i64(out[OUT_LANES], threads);
+    for (int64_t l = running - 1; l >= 0; l--)
+        if (lane[l].status) {
+            r->failed = r->first + l;
             r->status = lane[l].status;
             r->report = lane[l].out;
         }
+    for (int64_t l = 0; l < running && r->status == STATUS_ARENA_SHORT; l++)
+        for (int k = OUT_SURVIVORS; k <= OUT_AREA && lane[l].status == STATUS_ARENA_SHORT; k++)
+            r->report[k] = max_i64(r->report[k], lane[l].out[k]);
 }
 
 /* The gradients of carried[0 .. num_carried) — ``carry``: sh (num_carried,
@@ -3091,7 +3098,7 @@ int train_batch(
         zero_rows(n, stride, pinned_grads, touched, u);
         zero_rows(n, 10, critical_grads, touched, u);
     }
-    /* Phase 1, from the step at node ``start`` on; the largest working set
+    /* The step at node ``start``, a round's first; the largest working set
      * and view size every lane's arenas. */
     int64_t first = 0, m = 0, width = 0, height = 0;
     for (int64_t j = 0; j < start && j < nodes; j++)
@@ -3102,19 +3109,9 @@ int train_batch(
         width = max_i64(width, view[VIEW_WIDTH]);
         height = max_i64(height, view[VIEW_HEIGHT]);
     }
+    if (start == 0)
+        out[OUT_LANES] = 0;
     lap(out, OUT_ZERO_NS, &clock);
-    int64_t limit = count;
-    int assembled = STATUS_OK;
-    for (int64_t i = first; i < count && !assembled; i++) {
-        const int64_t v = PLAN_VECTORS * i, b = v - PLAN_VECTORS, mp = i ? LENGTH(b) : 0;
-        const double *held = blocks + (i ? i - 1 : 0) * block_size;
-        assembled = assemble_rows(
-            n, k3, stride, pinned, critical, VECTOR(v), LENGTH(v), VECTOR(v + 1),
-            LENGTH(v + 1), VECTOR(v + 2), LENGTH(v + 2), i ? VECTOR(b) : NULL, mp, held,
-            held + mp * k3, NULL, 0, NULL, NULL, blocks + i * block_size);
-        limit = assembled ? i : count;
-    }
-    lap(out, OUT_ASSEMBLE_NS, &clock);
 
     const int64_t area = width * height;
     renders_t r = {
@@ -3123,21 +3120,37 @@ int train_batch(
         .image = image, .trans = trans, .d_image = d_image, .work = work, .ikept = ikept,
         .rec_end = rec_end, .clamp = clamp, .rec_p = rec_p, .k3 = k3, .degree = degree,
         .ts = ts, .sub = sub, .records = records, .block_size = block_size,
-        .grad_size = (11 + k3) * m, .first = first, .limit = limit, .lanes = lanes,
+        .grad_size = (11 + k3) * m, .first = first, .limit = first, .lanes = lanes,
         .strides = {
             F_SCRATCH * m, 5 + 7 * m + ceil_div(width, sub) * ceil_div(height, sub) + (3 * m + 7) / 8,
             3 * area, area,
         },
-        .ssim_lambda = ssim_lambda, .c1 = c1, .c2 = c2, .batch = batch,
+        .ssim_lambda = ssim_lambda, .c1 = c1, .c2 = c2, .batch = batch, .failed = -1,
     };
-    render_lanes(&r, out, &clock);
-    if (r.failed == limit)
-        r.status = assembled, r.report = NULL;
-
     for (int64_t j = start; j < nodes; j++) {
         const int64_t index = program[2 * j + 1];
         if (program[2 * j] == NODE_STEP) {
-            if (index == r.failed) {  /* the first failure: report it */
+            if (index == r.limit) {  /* a round: phase 1, then phase 2 */
+                int assembled = STATUS_OK;
+                const int64_t end = min_i64(index + lanes, count);
+                for (r.first = r.limit = index; r.limit < end; r.limit++) {
+                    const int64_t i = r.limit, v = PLAN_VECTORS * i, b = v - PLAN_VECTORS;
+                    const int64_t mp = i ? LENGTH(b) : 0;
+                    const double *held = block_of(blocks, block_size, lanes, i ? i - 1 : 0);
+                    assembled = assemble_rows(
+                        n, k3, stride, pinned, critical, VECTOR(v), LENGTH(v),
+                        VECTOR(v + 1), LENGTH(v + 1), VECTOR(v + 2), LENGTH(v + 2),
+                        i ? VECTOR(b) : NULL, mp, held, held + mp * k3, NULL, 0, NULL,
+                        NULL, block_of(blocks, block_size, lanes, i));
+                    if (assembled)
+                        break;
+                }
+                lap(out, OUT_ASSEMBLE_NS, &clock);
+                render_lanes(&r, out, &clock);
+                if (r.failed == r.limit)
+                    r.status = assembled;
+            }
+            if (index == r.failed && r.status) {  /* the first failure: report it */
                 if (r.report == NULL) {
                     out[OUT_STAGE] = STAGE_ASSEMBLE_ROWS;
                     out[OUT_STATUS] = r.status;
@@ -3149,8 +3162,9 @@ int train_batch(
                 goto done;
             }
             const int64_t v = PLAN_VECTORS * index, b = v - PLAN_VECTORS, mi = LENGTH(v);
-            double *grad_sh = blocks + index * block_size + mi * (k3 + 1);
-            double *grad_opacity = grad_sh + mi * k3, *g = grads + index * r.grad_size;
+            double *grad_sh = block_of(blocks, block_size, lanes, index) + mi * (k3 + 1);
+            double *grad_opacity = grad_sh + mi * k3;
+            const double *g = grads + (index % lanes) * r.grad_size;
             if (index)
                 seed_carry(
                     k3, VECTOR(v), mi, VECTOR(b + 4), LENGTH(b + 4),

@@ -29,9 +29,9 @@ which it reads, are never the ones it writes — and a call that finds a
 render's arenas too small can grow them and run again.  A CLM engine's
 inline batch, the ``train_batch`` op, runs all its steps in one call over
 arenas of its own (named ``batch ...``, so neither call moves the other's),
-a block a step, its carry one arena of two halves used by step parity,
-and each render arena once a render lane (the views render on several
-threads; their gradients are folded in node order after).
+a block a render lane and one more (a round of steps and the one before),
+its carry one arena of two halves used by step parity, and each render
+arena and a gradient slot once a lane (a round's views render on threads).
 
 What a step reads that outlives it — the stores' packed buffers, a view's
 camera vectors, a target's moments — is checked and its address taken

@@ -1055,10 +1055,11 @@ def test_the_batch_call_trains_to_the_walks_and_the_compositions_bits(
     assert bool(seen) == (case == "alternating")
     assert engine._workspace.steps == sum(len(b[1]) for b in batches)
     if case == "empty arenas":
-        # The first batch: short at step 0, then at a later step, each
-        # resumed where it fell short.
-        first = made[: next(k for k, (_, status) in enumerate(made) if status == "ok") + 1]
-        assert first[0] == (0, "_ArenaShort") and any(start > 0 for start, _ in first)
+        # The first batch short at step 0, and a batch short at a later
+        # step, each resumed where it fell short (one resume grows every
+        # lane for its round's renders, so the later one may be a later
+        # batch's).
+        assert made[0] == (0, "_ArenaShort") and any(start > 0 for start, _ in made)
     if case == "tsp order":
         plan = engine.plan_batch(batch_schedule(recipes["dense"][0], 0, 1)[0])
         assert any(step.cached.size for step in plan.steps)

@@ -227,28 +227,82 @@ def test_link_fault_costs_retries_into_counters(setup):
     assert sum(r.link_retries for r in results) == engine.perf.link_retries
 
 
-def test_a_resumed_run_replays_its_fault_schedule_at_the_same_batches(setup, tmp_path):
+@pytest.mark.parametrize("fail_at, devices_saved", [(4, True), (3, True), (3, False)])
+def test_a_resumed_run_replays_its_fault_schedule_at_the_same_batches(
+    setup, tmp_path, fail_at, devices_saved
+):
     """Checkpointed after 3 of 6 batches and restored into a fresh engine,
-    a run fails device 1 at batch index 4 as the uninterrupted one does, and
-    ends with the same 3 devices, losses and parameters."""
-    from repro.core.checkpoint import restore_into_engine, save_checkpoint
+    a run fails device 1 at batch index ``fail_at`` as the uninterrupted one
+    does, and ends with the same 3 devices, losses and parameters.  At index
+    3, the first batch after the restore, recovery rolls back to the
+    restored state, not to the fresh engine's — also from a file that
+    predates saved devices (the engine keeps its own)."""
+    import json
+
+    from repro.core.checkpoint import read_checkpoint, restore_into_engine, save_checkpoint
 
     scene, init, targets = setup
-    sched = FaultSchedule(events=(FaultEvent.fail_stop(4, 1),))
+    sched = FaultSchedule(events=(FaultEvent.fail_stop(fail_at, 1),))
     whole = make_engine(scene, init.clone(), sched)
     want = [whole.train_batch(b, targets) for b in BATCHES]
-    assert want[4].failed_devices == 1 and whole.alive == [0, 2, 3]
+    assert want[fail_at].failed_devices == 1 and whole.alive == [0, 2, 3]
 
     first = make_engine(scene, init.clone(), sched)
     for b in BATCHES[:3]:
         first.train_batch(b, targets)
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(path, first)
+    if not devices_saved:
+        arrays, meta = read_checkpoint(path)
+        del meta["alive"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
     resumed = make_engine(scene, init.clone(), sched)
     restore_into_engine(path, resumed)
     got = [resumed.train_batch(b, targets) for b in BATCHES[3:]]
     assert [r.failed_devices for r in got] == [r.failed_devices for r in want[3:]]
-    assert got[1].failed_devices == 1 and resumed.alive == [0, 2, 3]
+    assert got[fail_at - 3].failed_devices == 1 and resumed.alive == [0, 2, 3]
     assert [r.loss for r in got] == [r.loss for r in want[3:]]
     got_params, want_params = params_of(resumed), params_of(whole)
     assert all(np.array_equal(got_params[k], want_params[k]) for k in want_params)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alive", []),
+    ("alive", [2, 1]),
+    ("alive", [1, 1]),
+    ("alive", [0, 3]),
+    ("alive", [0, "1"]),
+    ("engine_batches", -1),
+    ("engine_batches", 2.5),
+])
+def test_a_checkpoint_whose_devices_or_count_do_not_fit_is_refused_with_nothing_written(
+    setup, tmp_path, field, value
+):
+    """A file whose devices are not increasing ids of the engine's (here 2
+    devices), or whose batch count is not an int >= 0, is refused before any
+    parameter, device or count is written."""
+    import json
+
+    from repro.core.checkpoint import (
+        CheckpointError, read_checkpoint, restore_into_engine, save_checkpoint,
+    )
+
+    scene, init, targets = setup
+    source = make_engine(scene, init.clone(), None, num_devices=2)
+    source.train_batch(BATCHES[0], targets)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, source)
+    arrays, meta = read_checkpoint(path)
+    meta[field] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    target = make_engine(scene, init.clone(), None, num_devices=2)
+    before = params_of(target)
+    with pytest.raises(CheckpointError, match="does not fit"):
+        restore_into_engine(path, target)
+    after = params_of(target)
+    assert all(np.array_equal(after[k], before[k]) for k in before)
+    assert target.alive == [0, 1] and target.batches_trained == 0
