@@ -8,7 +8,10 @@ trains the very same model by keeping only selection-critical attributes
 
 Everything goes through the public API: engines come from the registry
 (``repro.create_engine``) and training runs through the
-``repro.session(...)`` facade.
+``repro.session(...)`` facade.  The run ends by checkpointing the session,
+restoring the file into a fresh one and training one more batch on each:
+the two losses are equal, because a resumed run continues the
+uninterrupted one bit for bit.
 
 Run:
     python examples/quickstart.py
@@ -17,6 +20,7 @@ Run:
 import os
 
 import repro
+from repro.core.checkpoint import load_model
 from repro.core.config import EngineConfig
 from repro.core.memory_model import CLM_CRITICAL_BPG, MODEL_STATE_FULL_BPG
 from repro.core.trainer import TrainerConfig
@@ -66,14 +70,18 @@ def main() -> None:
         print(f"  OOM, as the paper predicts -> {exc}")
 
     print("\n[2/2] CLM (offloaded) on the same budget:")
-    sess = repro.session(
-        scene,
-        engine="clm",
-        config=EngineConfig(batch_size=4, gpu_capacity_bytes=capacity),
-        trainer_config=TrainerConfig(num_batches=15, batch_size=4,
-                                     eval_every=5),
-        initial_model=init,
-    )
+
+    def clm_session(initial_model):
+        return repro.session(
+            scene,
+            engine="clm",
+            config=EngineConfig(batch_size=4, gpu_capacity_bytes=capacity),
+            trainer_config=TrainerConfig(num_batches=15, batch_size=4,
+                                         eval_every=5),
+            initial_model=initial_model,
+        )
+
+    sess = clm_session(init)
     sess.train()
     print(f"  resident critical attributes: "
           f"{CLM_CRITICAL_BPG * n / 1e6:.2f} MB on the GPU; "
@@ -91,6 +99,17 @@ def main() -> None:
     save_ppm(os.path.join(out_dir, "quickstart_render.ppm"), image)
     save_ppm(os.path.join(out_dir, "quickstart_target.ppm"), scene.images[0])
     print(f"\nSaved a trained render vs ground truth to {out_dir}/")
+
+    path = os.path.join(out_dir, "quickstart.npz")
+    sess.checkpoint(path)
+    resumed = clm_session(load_model(path)[0])
+    resumed.restore(path)
+    loss = sess.train(batches=1).losses[-1]
+    resumed_loss = resumed.train(batches=1).losses[-1]
+    if resumed_loss != loss:
+        raise SystemExit(f"resumed loss {resumed_loss!r} != {loss!r}")
+    print(f"Checkpointed to {path} and restored into a fresh session; one "
+          f"more batch on each: loss {loss!r} on both (equal)")
 
 
 if __name__ == "__main__":

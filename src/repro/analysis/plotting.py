@@ -62,21 +62,3 @@ def ascii_cdf(
     )
     lines.append(f"      {legend}   (y: {y_label})")
     return "\n".join(lines)
-
-
-def ascii_bars(
-    values: "Dict[str, float]", width: int = 50, fmt: str = "{:.2f}"
-) -> str:
-    """Horizontal bar chart for quick magnitude comparison."""
-    if not values:
-        return "(no data)"
-    peak = max(values.values())
-    label_w = max(len(k) for k in values)
-    lines = []
-    for label, v in values.items():
-        n = 0 if peak <= 0 else int(round(width * v / peak))
-        lines.append(
-            f"{label.ljust(label_w)} |{'#' * n}{' ' * (width - n)}| "
-            + fmt.format(v)
-        )
-    return "\n".join(lines)

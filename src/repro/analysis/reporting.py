@@ -90,13 +90,3 @@ class ResultsLog:
         kept.reverse()
         with open(self.path, "w") as f:
             f.writelines(kept)
-
-    def read_all(self) -> List[Dict]:
-        if not os.path.exists(self.path):
-            return []
-        with open(self.path) as f:
-            return [json.loads(line) for line in f if line.strip()]
-
-    def latest(self, experiment: str) -> Optional[Dict]:
-        entries = [e for e in self.read_all() if e["experiment"] == experiment]
-        return entries[-1] if entries else None

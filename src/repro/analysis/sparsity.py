@@ -33,13 +33,3 @@ def sparsity_summary(index: CullingIndex) -> Dict[str, float]:
         "p50": float(np.percentile(rhos, 50)),
         "p90": float(np.percentile(rhos, 90)),
     }
-
-
-def cdf_at(rhos: np.ndarray, cdf: np.ndarray, x: float) -> float:
-    """Fraction of views with rho <= x (reads a Figure 5 curve)."""
-    if rhos.size == 0:
-        return 0.0
-    pos = np.searchsorted(rhos, x, side="right")
-    if pos == 0:
-        return 0.0
-    return float(cdf[pos - 1])

@@ -15,7 +15,7 @@ aligned in pinned memory).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 BYTES_PER_FLOAT = 4
 CACHE_LINE_BYTES = 64
@@ -81,27 +81,3 @@ def critical_bytes(num_gaussians: float) -> float:
 
 def noncritical_bytes(num_gaussians: float) -> float:
     return num_gaussians * noncritical_floats() * BYTES_PER_FLOAT
-
-
-def padded_noncritical_bytes(num_gaussians: float) -> float:
-    """Pinned-memory footprint per Gaussian row including padding."""
-    return num_gaussians * padded_row_floats() * BYTES_PER_FLOAT
-
-
-def attribute_floats(name: str) -> int:
-    for a in ATTRIBUTE_SCHEMA:
-        if a.name == name:
-            return a.floats
-    raise KeyError(f"unknown attribute {name}")
-
-
-def model_param_shapes(sh_basis: int) -> Dict[str, tuple]:
-    """Per-parameter trailing shapes for a model with ``sh_basis`` basis
-    functions (the functional models may store fewer than 16)."""
-    return {
-        "positions": (3,),
-        "log_scales": (3,),
-        "quaternions": (4,),
-        "sh": (sh_basis, 3),
-        "opacity_logits": (),
-    }

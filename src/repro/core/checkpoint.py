@@ -14,8 +14,8 @@ A checkpoint is that snapshot written to one ``.npz`` (no pickle):
 and a JSON metadata record with the RNG state, the engine's batch count
 (its fault injector keys on it) and ``clm_sharded``'s alive devices, so a
 resumed run continues the uninterrupted one bit for bit (under a fault
-schedule: when no device failed before the checkpoint; the simulated
-timings of transient faults start afresh).  ``TrainingSession.checkpoint`` adds
+schedule: when no device failed before the checkpoint).
+``TrainingSession.checkpoint`` adds
 its trainer's state (``trainer.*`` arrays and metadata).  Saves publish
 atomically (a same-directory temp file and ``os.replace``), the metadata
 carries a BLAKE2b digest per array, and every load or restore failure is

@@ -48,7 +48,8 @@ class EngineConfig:
     (paper §8: CLM is backend-agnostic).  ``None`` means the full tile
     rasterizer; any pair with the ``(camera, model, settings) -> result``
     (``.image``, ``.num_rendered``) / ``(result, model, dL_dimage) ->
-    grads`` contract works — see :mod:`repro.gaussians.point_renderer`.
+    grads`` contract works — ``tests/reference/point_renderer.py`` is one,
+    the second renderer the engine-equivalence tests train under.
 
     ``kernel_backend`` selects the compiled kernel backend executing the
     raster/Adam hot loops (:mod:`repro.kernels`): ``"auto"`` (default)

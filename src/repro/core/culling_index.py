@@ -160,13 +160,3 @@ class CullingIndex:
 
     def view_ids(self) -> List[int]:
         return sorted(self.sets)
-
-    def mean_set_size(self) -> float:
-        if not self.sets:
-            return 0.0
-        return float(np.mean([s.size for s in self.sets.values()]))
-
-    def max_set_size(self) -> int:
-        if not self.sets:
-            return 0
-        return int(max(s.size for s in self.sets.values()))

@@ -334,16 +334,3 @@ def pinned_memory_bytes(system: str, num_gaussians: float) -> float:
     else:
         raise ValueError(f"unknown system '{system}'")
     return per * n
-
-
-def host_memory_bytes(system: str, num_gaussians: float) -> float:
-    """Total CPU RAM: pinned tensors plus unpinned optimizer state."""
-    n = float(num_gaussians)
-    pinned = pinned_memory_bytes(system, n)
-    if system == "clm":
-        moments = 2 * attributes.noncritical_floats() * BYTES_PER_FLOAT * n
-    elif system == "naive":
-        moments = 2 * attributes.total_floats() * BYTES_PER_FLOAT * n
-    else:
-        moments = 0.0
-    return pinned + moments

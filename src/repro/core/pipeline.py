@@ -60,7 +60,6 @@ def device_chain(
     tag: str,
     load_deps: Sequence[int],
     first_forward_deps: Sequence[int] = (),
-    compute_scale: float = 1.0,
     prev_cpu_adam: Optional[int] = None,
     blocked_load_counts: Optional[Sequence[float]] = None,
 ) -> Iterator[Tuple[int, int]]:
@@ -74,8 +73,7 @@ def device_chain(
 
     Double buffering is ``LD_i`` depending on ``BWD_{i-2}`` (the buffer
     being overwritten must have been fully consumed).  ``first_forward_deps``
-    gate the first forward (the sharded halo import); ``compute_scale``
-    stretches the compute stream (the straggler model); with
+    gate the first forward (the sharded halo import); with
     ``prev_cpu_adam``, ``blocked_load_counts[i]`` rows of load ``i`` also
     wait for that task (cross-batch pipelining).
     """
@@ -124,8 +122,8 @@ def device_chain(
             fwd_deps.extend(first_forward_deps)
         else:
             fwd_deps.append(bwds[-1])
-        fwd_time = costs.forward_time(n_work, num_pixels) * compute_scale
-        bwd_time = costs.backward_time(n_work, num_pixels) * compute_scale
+        fwd_time = costs.forward_time(n_work, num_pixels)
+        bwd_time = costs.backward_time(n_work, num_pixels)
         fwd = sim.add(
             f"FWD{tag}.{i}",
             compute,

@@ -142,26 +142,12 @@ class PinnedParameterStore:
         flat[:, self.sh_basis * 3] = opacity_grads
         self.grads[indices] += flat
 
-    def gather_grads(self, indices: np.ndarray) -> Dict[str, np.ndarray]:
-        return self._unpack_grads(self.grads[indices])
-
-    def _unpack_grads(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
-        m = rows.shape[0]
-        sh = rows[:, : self.sh_basis * 3].reshape(m, self.sh_basis, 3)
-        opacity = rows[:, self.sh_basis * 3]
-        return {"sh": sh.copy(), "opacity_logits": opacity.copy()}
-
     def zero_grads(self, indices: np.ndarray) -> None:
         self._ops("zero_rows")(self.grads, indices)
 
     @property
     def active_kernel_backend(self) -> Optional[str]:
         return self._ops.active
-
-    def pinned_bytes(self) -> float:
-        """Actual data bytes pinned (params + grads), excluding padding, at
-        canonical fp32 — the Table 6 quantity."""
-        return self.num_rows * 2 * self.data_floats * 4
 
 
 class GpuCriticalStore:

@@ -70,15 +70,6 @@ class TrainingHistory:
     def final_psnr(self) -> float:
         return self.psnrs[-1] if self.psnrs else float("nan")
 
-    @property
-    def batches_per_second(self) -> float:
-        """Functional throughput over the recorded batches (the history
-        does not know the batch size; ``engine.perf.images_per_second``
-        reports per-image throughput)."""
-        if self.wall_time_s <= 0.0 or not self.losses:
-            return 0.0
-        return len(self.losses) / self.wall_time_s
-
 
 class Trainer:
     """Fits a Gaussian model to a :class:`TrainableScene`."""

@@ -115,13 +115,11 @@ class BatchResult:
     device_busy_s: Dict[int, float] = field(default_factory=dict)
     #: Fault-tolerance accounting (zero on fault-free batches): seconds
     #: spent in elastic recovery (snapshot restore + re-shard +
-    #: re-execution), batches of work lost to fail-stops, devices that
-    #: failed this batch, and link retransmissions charged by the fault
-    #: injector's degraded links.
+    #: re-execution), batches of work lost to fail-stops, and devices
+    #: that failed this batch.
     recovery_s: float = 0.0
     lost_batches: int = 0
     failed_devices: int = 0
-    link_retries: int = 0
     #: Adaptive-runtime accounting (zero/None unless the engine ran with
     #: ``config.autotune``): the configuration the tuner chose for this
     #: batch, its simulator-predicted makespan, and the relative error of
@@ -176,12 +174,11 @@ class PerfCounters:
     sim_makespan_s: float = 0.0
     device_busy_s: Dict[int, float] = field(default_factory=dict)
     #: Fault-tolerance tallies (stay zero on fault-free runs): cumulative
-    #: elastic-recovery seconds, batches lost to fail-stops, devices
-    #: failed, and link retransmissions on degraded PCIe links.
+    #: elastic-recovery seconds, batches lost to fail-stops, and devices
+    #: failed.
     recovery_s: float = 0.0
     lost_batches: int = 0
     failed_devices: int = 0
-    link_retries: int = 0
     #: Adaptive-runtime tallies (stay zero without ``config.autotune``):
     #: batches tuned, cumulative predicted makespan, cumulative relative
     #: prediction error, and the most recently chosen configuration.
@@ -230,7 +227,6 @@ class PerfCounters:
         self.recovery_s += result.recovery_s
         self.lost_batches += result.lost_batches
         self.failed_devices += result.failed_devices
-        self.link_retries += result.link_retries
         for k, busy in result.device_busy_s.items():
             self.device_busy_s[k] = self.device_busy_s.get(k, 0.0) + busy
         if result.autotuned:

@@ -37,8 +37,7 @@ on the :class:`~repro.engines.base.BatchResult` — the scaling numbers the
 ``sharding`` benchmark reports.
 
 Fault tolerance (``EngineConfig.fault_schedule``): the engine threads a
-:class:`repro.resilience.FaultInjector` through every batch.  Transient
-faults (stragglers, lossy links) affect only the simulated schedule;
+:class:`repro.resilience.FaultInjector` through every batch, and a
 **fail-stop** triggers elastic recovery:
 
 1. the batch executes with the doomed device still participating — its
@@ -88,7 +87,7 @@ from repro.hardware.specs import (
     DeviceTopology,
     Testbed,
 )
-from repro.resilience.faults import BatchFaultState, FaultInjector
+from repro.resilience.faults import FaultInjector
 from repro.sharding.partition import spatial_shard
 from repro.sharding.pipeline import add_sharded_batch
 
@@ -217,24 +216,20 @@ class ShardedCLMEngine(CLMEngine):
         re-executes on them — its result carries the recovery
         accounting.
         """
-        state: Optional[BatchFaultState] = None
+        failures = ()
         if self.injector is not None:
-            state = self.injector.begin_batch(self.batches_trained)
-        result = self._execute_batch(
-            view_ids, targets, position_grad_hook, state
-        )
-        if state is not None and state.new_failures:
+            failures = self.injector.begin_batch(self.batches_trained).new_failures
+        result = self._execute_batch(view_ids, targets, position_grad_hook)
+        if failures:
             # The barrier has retired every device chain of the torn
             # attempt — this is the detection point.  Discard and recover.
             t0 = time.perf_counter()
-            self._recover(state.new_failures)
-            result = self._execute_batch(
-                view_ids, targets, position_grad_hook, state
-            )
+            self._recover(failures)
+            result = self._execute_batch(view_ids, targets, position_grad_hook)
             result.recovery_s = time.perf_counter() - t0
             # The snapshot is of the batch before: only the torn one is lost.
             result.lost_batches = 1
-            result.failed_devices = len(state.new_failures)
+            result.failed_devices = len(failures)
         if self.injector is not None:
             self._snapshot = self._recovery_point()
         return result
@@ -244,7 +239,6 @@ class ShardedCLMEngine(CLMEngine):
         view_ids: Sequence[int],
         targets: Dict[int, np.ndarray],
         position_grad_hook: Optional[PositionGradHook],
-        fault_state: Optional[BatchFaultState] = None,
     ) -> BatchResult:
         """One sharded CLM attempt: plan globally, split, execute per
         device.
@@ -302,9 +296,7 @@ class ShardedCLMEngine(CLMEngine):
         self._step_adam_s += stats.task_s
         self._step_overlap_hidden_s += stats.hidden_s
 
-        makespan, device_busy, link_retries = self._simulate_batch(
-            splan, fault_state
-        )
+        makespan, device_busy = self._simulate_batch(splan)
         return BatchResult(
             loss=run.loss,
             per_view_loss=run.per_view_loss,
@@ -321,37 +313,22 @@ class ShardedCLMEngine(CLMEngine):
             stolen_microbatches=splan.num_steals,
             sim_makespan_s=makespan,
             device_busy_s=device_busy,
-            link_retries=link_retries,
         )
 
-    def _simulate_batch(
-        self,
-        splan,
-        fault_state: Optional[BatchFaultState] = None,
-    ) -> "tuple[float, Dict[int, float], int]":
+    def _simulate_batch(self, splan) -> "tuple[float, Dict[int, float]]":
         """Schedule this batch's per-device DAG on the topology and read
         off makespan + per-device compute busy seconds (keyed by real
-        device id) + link retransmissions charged by degraded links."""
+        device id)."""
         sim = Simulator(topology=self.topology)
-        costed = self.topology
-        compute_scale = None
-        retries_before = 0
-        if fault_state is not None and self.injector is not None:
-            costed = self.injector.degraded_topology(
-                self.topology, fault_state
-            )
-            compute_scale = fault_state.slowdowns or None
-            retries_before = self.injector.stats.link_retries
         add_sharded_batch(
             sim,
             self._costs,
             splan,
-            costed,
+            self.topology,
             count_scale=1.0,
             num_pixels=self._num_pixels,
             total_gaussians=float(self.num_gaussians),
             device_ids=self.alive,
-            compute_scale=compute_scale,
         )
         schedule = sim.run()
         util = schedule.utilization(self.topology.compute_resources())
@@ -359,12 +336,7 @@ class ShardedCLMEngine(CLMEngine):
             dev: util.busy_s.get(self.topology.compute_resource(dev), 0.0)
             for dev in self.alive
         }
-        link_retries = (
-            self.injector.stats.link_retries - retries_before
-            if self.injector is not None
-            else 0
-        )
-        return schedule.makespan, busy, link_retries
+        return schedule.makespan, busy
 
     # ------------------------------------------------------------------
     def rebuild(self, model: GaussianModel, keep_rows: np.ndarray) -> None:

@@ -15,7 +15,6 @@ from repro.gaussians.frustum import frustum_planes, cull_batch, cull_gaussians
 from repro.gaussians.render import render, render_backward, RenderResult
 from repro.gaussians.loss import l1_loss, ssim, psnr, photometric_loss
 from repro.gaussians.spatial import CullingGrid
-from repro.gaussians.point_renderer import point_render, point_render_backward
 
 __all__ = [
     "GaussianModel",
@@ -33,6 +32,4 @@ __all__ = [
     "psnr",
     "photometric_loss",
     "CullingGrid",
-    "point_render",
-    "point_render_backward",
 ]

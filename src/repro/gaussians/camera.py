@@ -78,41 +78,12 @@ class Camera:
             raise ValueError("require 0 < znear < zfar")
 
     @property
-    def translation(self) -> np.ndarray:
-        """The ``t`` of ``p_cam = W p + t`` (derived from the centre)."""
-        return -self.rotation @ self.center
-
-    @property
-    def fov_x(self) -> float:
-        """Horizontal field of view in radians."""
-        return 2.0 * math.atan(self.width / (2.0 * self.fx))
-
-    @property
-    def fov_y(self) -> float:
-        """Vertical field of view in radians."""
-        return 2.0 * math.atan(self.height / (2.0 * self.fy))
-
-    @property
     def num_pixels(self) -> int:
         return self.width * self.height
 
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Transform world points ``(N, 3)`` into camera space."""
         return (points - self.center) @ self.rotation.T
-
-    def project(self, points: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Project world points to pixel coordinates.
-
-        Returns ``(uv, depth)`` where ``uv`` is ``(N, 2)`` and ``depth`` the
-        camera-space z.  Points behind the camera yield unusable ``uv``;
-        callers must mask on ``depth > znear``.
-        """
-        cam = self.world_to_camera(points)
-        depth = cam[:, 2]
-        safe_z = np.where(np.abs(depth) > 1e-12, depth, 1e-12)
-        u = self.fx * cam[:, 0] / safe_z + self.cx
-        v = self.fy * cam[:, 1] / safe_z + self.cy
-        return np.stack([u, v], axis=-1), depth
 
     def forward_axis(self) -> np.ndarray:
         """The camera's viewing direction in world coordinates."""

@@ -91,17 +91,6 @@ def build_covariance(log_scales: np.ndarray, raw_quats: np.ndarray) -> np.ndarra
     return GaussianShape.of(log_scales, raw_quats).covariance()
 
 
-def build_covariance_backward(
-    dL_dcov: np.ndarray, log_scales: np.ndarray, raw_quats: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Backward of :func:`build_covariance`
-    (:meth:`GaussianShape.covariance_backward` from the raw parameters).
-
-    Returns ``(dL_dlog_scales, dL_draw_quats)``.
-    """
-    return GaussianShape.of(log_scales, raw_quats).covariance_backward(dL_dcov)
-
-
 def perspective_jacobian(
     t_cam: np.ndarray, fx: float, fy: float
 ) -> np.ndarray:

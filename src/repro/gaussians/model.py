@@ -65,7 +65,7 @@ class GaussianModel:
 
     All arrays are float64 for numerical fidelity of the NumPy gradient
     checks; the *accounting* of GPU/CPU memory assumes the 4-byte floats the
-    paper's CUDA implementation uses (see :meth:`training_state_bytes`).
+    paper's CUDA implementation uses (see :mod:`repro.core.memory_model`).
     """
 
     positions: np.ndarray  # (N, 3)
@@ -183,20 +183,6 @@ class GaussianModel:
     def zero_gradients(self) -> Dict[str, np.ndarray]:
         """A fresh gradient dict matching :meth:`parameters` shapes."""
         return {name: np.zeros_like(arr) for name, arr in self.parameters().items()}
-
-    def training_state_bytes(self) -> int:
-        """Canonical training memory of the model state (paper §2.2).
-
-        ``N x 59 params x 4 floats x 4 bytes`` regardless of the stored SH
-        degree, so scaled-down functional models report paper-faithful
-        memory numbers.
-        """
-        return (
-            self.num_gaussians
-            * PARAMS_PER_GAUSSIAN
-            * TRAIN_FLOATS_PER_PARAM
-            * BYTES_PER_FLOAT
-        )
 
     # ------------------------------------------------------------------
     # Structural ops

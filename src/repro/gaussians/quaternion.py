@@ -122,11 +122,3 @@ def backprop_unit(
     """
     inner = np.sum(dL_dunit * unit, axis=-1, keepdims=True)
     return (dL_dunit - unit * inner) / norms
-
-
-def backprop_normalize(
-    dL_dunit: np.ndarray, raw_quats: np.ndarray
-) -> np.ndarray:
-    """Chain gradients through ``q_unit = q_raw / |q_raw|``
-    (:func:`backprop_unit` from the raw quaternions)."""
-    return backprop_unit(dL_dunit, *unit_and_norm(raw_quats))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gaussians.quaternion import backprop_unit, unit_and_norm
 
 # Basis-function counts per degree: degree d uses (d + 1)^2 functions.
 BASIS_PER_DEGREE = {0: 1, 1: 4, 2: 9, 3: 16}
@@ -162,14 +161,3 @@ def sh_backward(
     coeff_grad = np.einsum("nkc,nc->nk", sh_coeffs[:, :k, :], gated)
     dL_ddir = np.einsum("nk,nkd->nd", coeff_grad, jac)
     return dL_dsh, dL_ddir
-
-
-def backprop_direction(
-    dL_ddir: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Chain ``dL/ddir`` to ``dL/dposition`` through normalization.
-
-    ``dir = offset / |offset|`` with ``offset = position - camera_center``,
-    so ``ddir/doffset = (I - dir dir^T) / |offset|``.
-    """
-    return backprop_unit(dL_ddir, *unit_and_norm(offsets))

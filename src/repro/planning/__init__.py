@@ -38,7 +38,6 @@ from repro.planning.adam_overlap import (
     MakespanReconciliation,
     adam_chunks,
     finalization_positions,
-    overlap_fraction,
     reconcile_predicted_makespan,
     touched_union,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "IDENTITY",
     "adam_chunks",
     "finalization_positions",
-    "overlap_fraction",
     "MakespanReconciliation",
     "reconcile_predicted_makespan",
     "touched_union",

@@ -68,16 +68,6 @@ def adam_chunks(
     return [touched[last == position] for position in range(1, len(sets) + 1)]
 
 
-def overlap_fraction(sets: Sequence[np.ndarray], num_gaussians: int) -> float:
-    """Fraction of touched Gaussians finalized *before* the last microbatch
-    — the share of CPU Adam work that can hide under GPU compute."""
-    chunks = adam_chunks(sets, num_gaussians)
-    total = sum(c.size for c in chunks)
-    if total == 0:
-        return 0.0
-    return 1.0 - chunks[-1].size / total
-
-
 @dataclass(frozen=True)
 class MakespanReconciliation:
     """One batch's predicted vs measured end-to-end makespan.

@@ -62,12 +62,6 @@ class MicrobatchStep:
     def num_stores(self) -> int:
         return int(self.stores.size)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        if self.working_set.size == 0:
-            return 0.0
-        return self.cached.size / self.working_set.size
-
 
 def build_transfer_plan(
     sets: Sequence[np.ndarray],
@@ -124,12 +118,12 @@ def total_cached_count(steps: Sequence[MicrobatchStep]) -> int:
 def validate_plan(steps: Sequence[MicrobatchStep]) -> None:
     """Assert the §4.2.1 invariants; raises AssertionError on violation."""
     for step in steps:
-        combined = setops.union(step.loads, step.cached)
+        combined = np.union1d(step.loads, step.cached)
         assert np.array_equal(combined, step.working_set), (
             f"loads+cached != working set at position {step.position}"
         )
         assert setops.intersect(step.loads, step.cached).size == 0
-        combined = setops.union(step.stores, step.carried)
+        combined = np.union1d(step.stores, step.carried)
         assert np.array_equal(combined, step.working_set), (
             f"stores+carried != working set at position {step.position}"
         )

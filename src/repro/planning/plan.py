@@ -4,7 +4,7 @@ One plan captures everything the paper derives from a batch's culling
 results before any kernel runs (§4.2): the scheduled microbatch order
 (§4.2.3), the precise-caching transfer plan (§4.2.1), the overlapped-Adam
 finalization chunks (§4.2.2), and the analytics the evaluation figures
-read off (load/store/cached counts, transfer bytes — Figure 14).
+read off (load/store/cached counts — Figure 14).
 
 The same plan object drives both execution modes:
 
@@ -26,7 +26,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core import attributes
 from repro.planning import adam_overlap
 from repro.planning.caching import (
     MicrobatchStep,
@@ -51,7 +50,8 @@ class BatchPlan:
     - ``adam_chunks`` — the finalized sets ``F_1 .. F_B`` eligible for
       eager CPU Adam (§4.2.2, Figure 7);
     - ``touched`` — the union of all ``S_i`` (the sparse-Adam row set);
-    - ``total_loads`` / ``loaded_bytes`` etc. — the Figure 14 analytics.
+    - ``total_loads`` / ``total_stores`` / ``total_cached`` — the Figure 14
+      analytics.
     """
 
     strategy: str
@@ -92,28 +92,6 @@ class BatchPlan:
     def total_cached(self) -> int:
         """GPU->GPU cache copies (no PCIe traffic)."""
         return total_cached_count(self.steps)
-
-    @property
-    def loaded_bytes(self) -> float:
-        """Parameter bytes over PCIe (non-critical floats only, §4.1)."""
-        return attributes.noncritical_bytes(self.total_loads)
-
-    @property
-    def stored_bytes(self) -> float:
-        return attributes.noncritical_bytes(self.total_stores)
-
-    @property
-    def transfer_bytes(self) -> float:
-        """Both directions combined — the regression-gate metric."""
-        return self.loaded_bytes + self.stored_bytes
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Cached fraction of all working-set rows across the batch."""
-        total = self.total_loads + self.total_cached
-        if total == 0:
-            return 0.0
-        return self.total_cached / total
 
     # -- invariants -----------------------------------------------------
     def validate(self) -> None:

@@ -88,9 +88,6 @@ class ServingReport:
     resilience_stats: Dict[str, float] = field(default_factory=dict)
 
     # -- request populations --------------------------------------------
-    @property
-    def total_requests(self) -> int:
-        return len(self.records)
 
     @property
     def completed(self) -> List[RequestRecord]:

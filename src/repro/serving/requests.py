@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -227,11 +227,3 @@ def build_stream(
             cameras, num_requests, rate_rps, slo_s=slo_s, seed=seed, **kwargs
         )
     raise ValueError(f"unknown stream '{kind}'; choose from {STREAMS}")
-
-
-def stream_span_s(requests: Sequence[RenderRequest]) -> Tuple[float, float]:
-    """``(first_arrival, last_arrival)`` of a stream (0, 0 when empty)."""
-    if not requests:
-        return 0.0, 0.0
-    arrivals = [r.arrival_s for r in requests]
-    return min(arrivals), max(arrivals)

@@ -170,9 +170,6 @@ class CircuitBreaker:
         else:
             self._failures[domain] = count
 
-    def is_open(self, domain: int, now: float) -> bool:
-        return self._open_until.get(domain, -float("inf")) > now
-
 
 class DegradationController:
     """Hysteresis switch between full-detail and degraded serving."""

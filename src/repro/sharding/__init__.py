@@ -40,7 +40,6 @@ from repro.sharding.pipeline import ShardedBatchEndpoints, add_sharded_batch
 from repro.sharding.timed import (
     ShardedTimedResult,
     run_sharded_timed,
-    scaling_curve,
 )
 
 __all__ = [
@@ -56,5 +55,4 @@ __all__ = [
     "add_sharded_batch",
     "ShardedTimedResult",
     "run_sharded_timed",
-    "scaling_curve",
 ]

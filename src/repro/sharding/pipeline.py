@@ -23,7 +23,7 @@ the cross-device synchronization point of the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,16 +84,13 @@ def add_sharded_batch(
     deps: Sequence[int] = (),
     batch_tag: str = "",
     device_ids: Optional[Sequence[int]] = None,
-    compute_scale: Optional[Mapping[int, float]] = None,
 ) -> ShardedBatchEndpoints:
     """Add one sharded CLM batch to ``sim``, task-for-step from the
     per-device plans of ``splan``.
 
     ``device_ids`` maps shard index -> topology device id (identity by
     default); after a fail-stop the surviving shards stay dense while the
-    device ids they run on need not be.  ``compute_scale`` applies a
-    per-*device-id* slowdown factor (>= 1) to every task on that device's
-    compute stream — the fault injector's straggler model.
+    device ids they run on need not be.
     """
     if device_ids is None:
         device_ids = list(range(splan.num_devices))
@@ -108,7 +105,6 @@ def add_sharded_batch(
                 f"device id {dev} out of range for topology "
                 f"'{topology.name}' ({topology.num_devices} devices)"
             )
-    compute_scale = compute_scale or {}
     owner = splan.assignment.owner
     k_devices = splan.num_devices
 
@@ -139,14 +135,13 @@ def add_sharded_batch(
         if not plan.steps:
             continue
         dev = device_ids[k]
-        scale = max(1.0, float(compute_scale.get(dev, 1.0)))
         compute_res = topology.compute_resource(dev)
         comm_res = topology.comm_resource(dev)
 
         cull = sim.add(
             f"CULL{batch_tag}.d{k}",
             compute_res,
-            len(plan.steps) * costs.cull_time(total_gaussians) * scale,
+            len(plan.steps) * costs.cull_time(total_gaussians),
             deps=deps,
             kind="cull",
         )
@@ -182,7 +177,6 @@ def add_sharded_batch(
             tag=f"{batch_tag}.d{k}",
             load_deps=[sched, cull],
             first_forward_deps=[halo_in] if halo_in is not None else (),
-            compute_scale=scale,
         )
 
         halo_out: Optional[int] = None
@@ -215,12 +209,11 @@ def add_sharded_batch(
             and out_counts[j][k] > 0
         ]
         dev = device_ids[k]
-        scale = max(1.0, float(compute_scale.get(dev, 1.0)))
         n_owned = float(splan.adam_rows[k].size) * count_scale
         gadam = sim.add(
             f"GADAM{batch_tag}.d{k}",
             topology.compute_resource(dev),
-            costs.gpu_adam_time(n_owned) * scale,
+            costs.gpu_adam_time(n_owned),
             deps=[last_bwd] + grad_deps,
             kind="gpu_adam",
         )

@@ -11,7 +11,7 @@ images/s, per-device utilization, halo traffic, and steal counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.config import TimingConfig
 from repro.core.culling_index import CullingIndex
@@ -123,23 +123,3 @@ def run_sharded_timed(
         halo_bytes_per_batch=halo_bytes / len(batches),
         total_steals=steals,
     )
-
-
-def scaling_curve(
-    scene: Scene,
-    device_counts: Sequence[int] = (1, 2, 4, 8),
-    config: Optional[TimingConfig] = None,
-    work_stealing: bool = True,
-) -> List[ShardedTimedResult]:
-    """Run the same workload at each device count (shared culling index)."""
-    index = CullingIndex.build(scene.model, scene.cameras)
-    return [
-        run_sharded_timed(
-            scene,
-            index=index,
-            config=config,
-            num_devices=k,
-            work_stealing=work_stealing,
-        )
-        for k in device_counts
-    ]

@@ -1,21 +1,6 @@
 """Shared utilities: seeded RNG helpers and sorted-index set algebra."""
 
 from repro.utils.rng import make_rng
-from repro.utils.setops import (
-    intersect,
-    union,
-    difference,
-    symmetric_difference,
-    symmetric_difference_size,
-    is_sorted_unique,
-)
+from repro.utils.setops import intersect, is_sorted_unique
 
-__all__ = [
-    "make_rng",
-    "intersect",
-    "union",
-    "difference",
-    "symmetric_difference",
-    "symmetric_difference_size",
-    "is_sorted_unique",
-]
+__all__ = ["make_rng", "intersect", "is_sorted_unique"]

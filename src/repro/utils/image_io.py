@@ -25,15 +25,3 @@ def save_ppm(path: str, image: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
         f.write(image.tobytes())
-
-
-def load_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM written by :func:`save_ppm` (uint8 output)."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P6"):
-        raise ValueError("not a binary PPM file")
-    parts = data.split(b"\n", 3)
-    width, height = (int(v) for v in parts[1].split())
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=width * height * 3)
-    return pixels.reshape(height, width, 3)

@@ -25,12 +25,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, n: int) -> list:
-    """Derive ``n`` independent child generators from ``rng``.
-
-    Used when a component needs several decoupled random streams (e.g. one
-    per scene region) whose draws must not interleave.
-    """
-    return [np.random.default_rng(s) for s in rng.integers(0, 2**63 - 1, size=n)]

@@ -44,22 +44,6 @@ def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.intersect1d(a, b, assume_unique=True)
 
 
-def union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a | b`` — the working set touched by either view."""
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    return np.union1d(a, b)
-
-
-def difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a \\ b`` — e.g. the Gaussians that must be freshly loaded."""
-    if a.size == 0 or b.size == 0:
-        return a.copy()
-    return np.setdiff1d(a, b, assume_unique=True)
-
-
 def partition(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """``(a & b, a \\ b)`` from one membership pass — the cached / loaded
     (or carried / stored) halves of a working set against its neighbour.
@@ -72,29 +56,6 @@ def partition(a: np.ndarray, b: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     slot = np.minimum(np.searchsorted(b, a), b.size - 1)
     member = b[slot] == a
     return a[member], a[~member]
-
-
-def symmetric_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a ^ b`` — the TSP edge set between two microbatches."""
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    return np.setxor1d(a, b, assume_unique=True)
-
-
-def symmetric_difference_size(a: np.ndarray, b: np.ndarray) -> int:
-    """``|a ^ b|`` without materializing the set.
-
-    This is the hot path of the TSP distance matrix; using
-    ``|a| + |b| - 2|a & b|`` needs only the intersection size.
-    """
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    return int(a.size + b.size - 2 * inter)
 
 
 def intersection_matrix(sets: list) -> np.ndarray:

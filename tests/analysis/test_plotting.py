@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.plotting import ascii_bars, ascii_cdf
+from repro.analysis.plotting import ascii_cdf
 
 
 def test_cdf_renders_curve():
@@ -35,14 +35,3 @@ def test_cdf_empty():
     assert ascii_cdf({}) == "(no curves)"
     out = ascii_cdf({"e": (np.array([]), np.array([]))})
     assert "e" in out
-
-
-def test_bars_proportional():
-    out = ascii_bars({"big": 10.0, "small": 5.0}, width=20)
-    lines = out.splitlines()
-    assert lines[0].count("#") == 20
-    assert lines[1].count("#") == 10
-
-
-def test_bars_empty():
-    assert ascii_bars({}) == "(no data)"

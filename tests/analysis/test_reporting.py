@@ -6,6 +6,12 @@ import json
 from repro.analysis.reporting import ResultsLog, format_table
 
 
+def read_all(log):
+    """Every record of ``log``'s JSONL file, oldest first."""
+    with open(log.path) as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
 def test_format_table_alignment():
     out = format_table(
         ["scene", "img/s"],
@@ -35,19 +41,10 @@ def test_results_log_roundtrip(tmp_path):
     log = ResultsLog(str(tmp_path / "r.jsonl"))
     log.record("fig8", {"scene": "bigcity", "max_n": 102.2})
     log.record("fig8", {"scene": "rubble", "max_n": 45.2})
-    entries = log.read_all()
+    entries = read_all(log)
     assert len(entries) == 2
     assert entries[0]["scene"] == "bigcity"
     assert all(e["experiment"] == "fig8" for e in entries)
-
-
-def test_results_log_latest(tmp_path):
-    log = ResultsLog(str(tmp_path / "r.jsonl"))
-    assert log.latest("fig8") is None
-    log.record("fig8", {"v": 1})
-    log.record("fig9", {"v": 2})
-    log.record("fig8", {"v": 3})
-    assert log.latest("fig8")["v"] == 3
 
 
 def test_results_log_creates_directory(tmp_path):
@@ -72,7 +69,7 @@ def test_results_log_rotation_bounds_file(tmp_path):
     for i in range(200):
         log.record("x", {"i": i, "pad": "p" * 50})
     assert path.stat().st_size <= 4096
-    entries = log.read_all()
+    entries = read_all(log)
     # Newest entries survive, oldest age out.
     assert entries[-1]["i"] == 199
     assert entries[0]["i"] > 0
@@ -85,7 +82,7 @@ def test_results_log_rotation_keeps_an_oversized_entry(tmp_path):
     path = tmp_path / "r.jsonl"
     log = ResultsLog(str(path), max_bytes=200)
     log.record("big", {"pad": "p" * 500})
-    entries = log.read_all()
+    entries = read_all(log)
     assert len(entries) == 1
     assert entries[0]["experiment"] == "big"
 
@@ -95,4 +92,4 @@ def test_results_log_rotation_disabled(tmp_path):
     log = ResultsLog(str(path), max_bytes=None)
     for i in range(50):
         log.record("x", {"i": i, "pad": "p" * 100})
-    assert len(log.read_all()) == 50
+    assert len(read_all(log)) == 50

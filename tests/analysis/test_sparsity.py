@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sparsity import cdf_at, sparsity_cdf, sparsity_summary
+from repro.analysis.sparsity import sparsity_cdf, sparsity_summary
 from repro.core.culling_index import CullingIndex
 
 
@@ -41,14 +41,6 @@ def test_summary_statistics():
 def test_summary_empty():
     s = sparsity_summary(CullingIndex.from_sets(10, {}))
     assert s["mean"] == 0.0
-
-
-def test_cdf_at_reads_curve():
-    index = index_from_rhos([0.1, 0.2, 0.3, 0.4])
-    rhos, cdf = sparsity_cdf(index)
-    assert cdf_at(rhos, cdf, 0.05) == 0.0
-    assert cdf_at(rhos, cdf, 0.25) == pytest.approx(0.5)
-    assert cdf_at(rhos, cdf, 1.0) == pytest.approx(1.0)
 
 
 def test_scale_invariance(scene_cache):

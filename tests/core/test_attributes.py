@@ -1,6 +1,5 @@
 """Attribute-wise offload schema (§4.1)."""
 
-import pytest
 
 from repro.core import attributes
 
@@ -54,16 +53,3 @@ def test_padded_row_custom_sizes():
 def test_byte_helpers():
     assert attributes.critical_bytes(10) == 10 * 10 * 4
     assert attributes.noncritical_bytes(10) == 10 * 49 * 4
-    assert attributes.padded_noncritical_bytes(10) == 10 * 64 * 4
-
-
-def test_attribute_floats_lookup():
-    assert attributes.attribute_floats("sh") == 48
-    with pytest.raises(KeyError):
-        attributes.attribute_floats("bogus")
-
-
-def test_model_param_shapes():
-    shapes = attributes.model_param_shapes(4)
-    assert shapes["sh"] == (4, 3)
-    assert shapes["opacity_logits"] == ()

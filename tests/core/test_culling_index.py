@@ -56,13 +56,11 @@ def test_missing_view_raises(scene_cache):
 def test_from_sets_roundtrip():
     sets = {0: np.array([1, 5], dtype=np.int64), 1: np.array([2], dtype=np.int64)}
     index = CullingIndex.from_sets(10, sets)
-    assert index.mean_set_size() == 1.5
-    assert index.max_set_size() == 2
+    assert [index.set_for(v).tolist() for v in index.view_ids()] == [[1, 5], [2]]
     assert index.view_ids() == [0, 1]
 
 
 def test_empty_index_statistics():
     index = CullingIndex.from_sets(10, {})
-    assert index.mean_set_size() == 0.0
-    assert index.max_set_size() == 0
+    assert index.view_ids() == []
     assert index.sparsities().size == 0

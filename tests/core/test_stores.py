@@ -53,21 +53,15 @@ class TestPinnedStore:
         op_g = np.ones(2)
         store.accumulate_grads(idx, sh_g, op_g)
         store.accumulate_grads(idx, sh_g, op_g)
-        out = store.gather_grads(idx)
-        np.testing.assert_allclose(out["sh"], 2.0)
-        np.testing.assert_allclose(out["opacity_logits"], 2.0)
+        # One packed row a Gaussian: its SH gradients, then its opacity's.
+        np.testing.assert_allclose(store.grads[idx, : store.sh_basis * 3 + 1], 2.0)
 
     def test_zero_grads(self, model):
         store = PinnedParameterStore(model)
         idx = np.array([1])
         store.accumulate_grads(idx, np.ones((1,) + model.sh.shape[1:]), np.ones(1))
         store.zero_grads(idx)
-        assert not np.any(store.gather_grads(idx)["sh"])
-
-    def test_pinned_bytes_counts_params_and_grads(self, model):
-        store = PinnedParameterStore(model)
-        expected = 20 * 2 * (model.num_sh_basis * 3 + 1) * 4
-        assert store.pinned_bytes() == expected
+        assert not np.any(store.grads[idx])
 
 
 class TestCriticalStore:
@@ -199,8 +193,8 @@ class TestWorkingSet:
 
         # Gaussian 0: only batch 1 -> grad 1.  Gaussian 1: both -> 11.
         # Gaussian 2: only batch 2 -> 10.
-        out = cpu.gather_grads(np.array([0, 1, 2]))
-        np.testing.assert_allclose(out["opacity_logits"], [1.0, 11.0, 10.0])
+        opacity = cpu.grads[[0, 1, 2], cpu.sh_basis * 3]
+        np.testing.assert_allclose(opacity, [1.0, 11.0, 10.0])
 
     def test_pool_enforces_budget(self, model):
         pool = MemoryPool(160 * 20 + 5000)  # critical state + a little

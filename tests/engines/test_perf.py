@@ -126,7 +126,6 @@ def test_session_exposes_perf_and_history_wall_time(trainable_scene):
     assert sess.perf is sess.engine.perf
     assert sess.perf.batches == 3
     assert history.wall_time_s > 0.0
-    assert history.batches_per_second > 0.0
     assert sess.metrics.wall_time_s == pytest.approx(history.wall_time_s)
     # CLM moves bytes both ways; the history carries both directions.
     assert history.loaded_bytes > 0.0

@@ -176,6 +176,20 @@ def test_session_checkpoint_roundtrip(tmp_path, trainable_scene):
         )
 
 
+@pytest.mark.parametrize("engine", repro.available_engines())
+def test_a_restored_session_trains_the_next_batch_to_the_same_loss(
+        tmp_path, trainable_scene, engine):
+    path = str(tmp_path / "session.npz")
+    sess = make_session(trainable_scene, engine=engine)
+    sess.train(batches=2)
+    sess.checkpoint(path)
+    resumed = make_session(trainable_scene, engine=engine)
+    resumed.restore(path)
+    loss = sess.train(batches=1).losses[-1]
+    assert resumed.train(batches=1).losses[-1] == loss
+    assert resumed.batches_trained == sess.batches_trained == 3
+
+
 def test_session_all_engines_constructible(trainable_scene):
     for name in repro.available_engines():
         sess = make_session(trainable_scene, engine=name)

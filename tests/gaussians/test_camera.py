@@ -19,9 +19,9 @@ def test_look_at_points_forward_at_target():
 def test_target_projects_to_principal_point():
     cam = look_at_camera(eye=(1.0, -2.0, 0.5), target=(0.2, 0.3, 0.1),
                          width=80, height=60)
-    uv, depth = cam.project(np.array([[0.2, 0.3, 0.1]]))
-    assert depth[0] > 0
-    np.testing.assert_allclose(uv[0], [cam.cx, cam.cy], atol=1e-9)
+    x, y, depth = cam.world_to_camera(np.array([[0.2, 0.3, 0.1]]))[0]
+    assert depth > 0
+    np.testing.assert_allclose([x, y], 0.0, atol=1e-12)  # on the optical axis
 
 
 def test_world_to_camera_rigid(rng):
@@ -36,7 +36,7 @@ def test_world_to_camera_rigid(rng):
 
 def test_depth_sign():
     cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0))
-    _, depth = cam.project(np.array([[0.0, 0.0, 0.0], [0.0, -6.0, 0.0]]))
+    depth = cam.world_to_camera(np.array([[0.0, 0.0, 0.0], [0.0, -6.0, 0.0]]))[:, 2]
     assert depth[0] > 0  # in front
     assert depth[1] < 0  # behind
 
@@ -44,7 +44,8 @@ def test_depth_sign():
 def test_fov_matches_intrinsics():
     cam = look_at_camera(eye=(0, -3, 0), target=(0, 0, 0),
                          fov_y_deg=60.0, width=100, height=80)
-    assert math.degrees(cam.fov_y) == pytest.approx(60.0)
+    fov_y = 2.0 * math.atan(cam.height / (2.0 * cam.fy))
+    assert math.degrees(fov_y) == pytest.approx(60.0)
 
 
 def test_rotation_is_orthonormal():
@@ -55,9 +56,11 @@ def test_rotation_is_orthonormal():
 
 
 def test_translation_consistent_with_center():
+    # p_cam = W (p - centre): the eye is the camera-space origin.
     cam = look_at_camera(eye=(1, 2, 3), target=(0, 0, 0))
+    np.testing.assert_allclose(cam.center, [1.0, 2.0, 3.0])
     np.testing.assert_allclose(
-        cam.rotation @ cam.center + cam.translation, 0.0, atol=1e-12
+        cam.world_to_camera(cam.center[None]), 0.0, atol=1e-12
     )
 
 

@@ -45,7 +45,8 @@ def test_build_covariance_backward_fd(rng):
     def loss(ls_, q_):
         return np.sum(covariance.build_covariance(ls_, q_) * upstream)
 
-    d_ls, d_q = covariance.build_covariance_backward(upstream, ls, q)
+    shape = covariance.GaussianShape.of(ls, q)
+    d_ls, d_q = shape.covariance_backward(upstream)
     eps = 1e-7
     for arr, grad in ((ls, d_ls), (q, d_q)):
         flat, gflat = arr.reshape(-1), grad.reshape(-1)

@@ -31,13 +31,6 @@ def test_random_reproducible():
     np.testing.assert_array_equal(a.positions, b.positions)
 
 
-def test_training_state_bytes_formula():
-    """N x 59 x 4 floats x 4 bytes (paper §2.2) regardless of stored degree."""
-    for degree in (1, 3):
-        m = GaussianModel.random(100, sh_degree=degree, seed=0)
-        assert m.training_state_bytes() == 100 * 59 * 4 * 4
-
-
 def test_from_point_cloud_uses_colors():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     colors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -6,7 +6,7 @@ import pytest
 from repro.gaussians.camera import look_at_camera
 from repro.gaussians.loss import l1_loss
 from repro.gaussians.model import GaussianModel
-from repro.gaussians.point_renderer import point_render, point_render_backward
+from point_renderer import point_render, point_render_backward
 
 
 @pytest.fixture(scope="module")

@@ -76,7 +76,7 @@ def test_backprop_rotation_contracts_jacobian(rng):
 def test_backprop_normalize_matches_finite_difference(rng):
     raw = rng.normal(size=(6, 4)) * 2.0
     upstream = rng.normal(size=(6, 4))
-    grad = quaternion.backprop_normalize(upstream, raw)
+    grad = quaternion.backprop_unit(upstream, *quaternion.unit_and_norm(raw))
     eps = 1e-7
     fd = np.zeros_like(raw)
     for k in range(4):
@@ -91,8 +91,8 @@ def test_backprop_normalize_matches_finite_difference(rng):
 def test_normalize_gradient_orthogonal_to_unit(rng):
     """The normalization gradient lives in the unit sphere's tangent space."""
     raw = rng.normal(size=(10, 4))
-    unit = quaternion.normalize(raw)
-    grad = quaternion.backprop_normalize(rng.normal(size=(10, 4)), raw)
+    unit, norms = quaternion.unit_and_norm(raw)
+    grad = quaternion.backprop_unit(rng.normal(size=(10, 4)), unit, norms)
     np.testing.assert_allclose(np.sum(grad * unit, axis=1), 0.0, atol=1e-10)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gaussians import sh
+from repro.gaussians import quaternion, sh
 
 
 def unit_dirs(rng, n):
@@ -103,8 +103,12 @@ def test_sh_backward_matches_finite_difference(rng):
 
 
 def test_backprop_direction_tangent(rng):
+    # dir = offset / |offset|: the position gradient is dL/ddir chained
+    # through that normalization, tangent to the unit sphere.
     offsets = rng.normal(size=(8, 3)) * 3.0
-    grad = sh.backprop_direction(rng.normal(size=(8, 3)), offsets)
+    grad = quaternion.backprop_unit(
+        rng.normal(size=(8, 3)), *quaternion.unit_and_norm(offsets)
+    )
     unit = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
     np.testing.assert_allclose(np.sum(grad * unit, axis=1), 0.0, atol=1e-10)
 

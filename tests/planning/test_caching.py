@@ -89,15 +89,10 @@ def test_view_ids_length_mismatch():
         build_transfer_plan([arr(1)], view_ids=[1, 2])
 
 
-def test_cache_hit_rate():
-    steps = build_transfer_plan([arr(1, 2), arr(1, 2, 3, 4)])
-    assert steps[1].cache_hit_rate == pytest.approx(0.5)
-
-
 def test_empty_working_set():
     steps = build_transfer_plan([arr(), arr(1)])
     assert steps[0].num_loads == 0
-    assert steps[0].cache_hit_rate == 0.0
+    assert steps[0].cached.size == 0
 
 
 class TestPlanProperties:
@@ -120,7 +115,7 @@ class TestPlanProperties:
         )
         touched = sets[0]
         for s in sets[1:]:
-            touched = setops.union(touched, s)
+            touched = np.union1d(touched, s)
         assert np.array_equal(np.unique(all_stores), touched)
 
     @given(sets=batches)

@@ -30,9 +30,9 @@ flags = st.booleans()
 def assert_plan_invariants(plan):
     for step, chunk in zip(plan.steps, plan.adam_chunks):
         s = step.working_set
-        assert np.array_equal(setops.union(step.loads, step.cached), s)
+        assert np.array_equal(np.union1d(step.loads, step.cached), s)
         assert setops.intersect(step.loads, step.cached).size == 0
-        assert np.array_equal(setops.union(step.stores, step.carried), s)
+        assert np.array_equal(np.union1d(step.stores, step.carried), s)
         assert setops.intersect(step.stores, step.carried).size == 0
         assert np.isin(chunk, s).all()
     # Adam chunks partition the touched union.
@@ -84,7 +84,7 @@ class TestPlanProperties:
         plan = planner.plan(sets, list(range(len(sets))), num_gaussians=81)
         union = np.empty(0, dtype=np.int64)
         for s in sets:
-            union = setops.union(union, s)
+            union = np.union1d(union, s)
         assert np.array_equal(plan.touched, union)
 
 

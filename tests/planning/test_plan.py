@@ -43,9 +43,6 @@ def test_analytics_match_step_sums(plan):
     assert plan.total_loads == sum(s.num_loads for s in plan.steps)
     assert plan.total_stores == sum(s.num_stores for s in plan.steps)
     assert plan.total_cached == sum(s.cached.size for s in plan.steps)
-    assert plan.loaded_bytes == plan.total_loads * 49 * 4
-    assert plan.stored_bytes == plan.total_stores * 49 * 4
-    assert plan.transfer_bytes == plan.loaded_bytes + plan.stored_bytes
 
 
 def test_adam_chunks_partition_touched(plan):
@@ -53,8 +50,7 @@ def test_adam_chunks_partition_touched(plan):
     assert plan.batch_size == len(plan.adam_chunks) == 5
 
 
-def test_cache_hit_rate_bounded(plan):
-    assert 0.0 <= plan.cache_hit_rate <= 1.0
+def test_loads_and_cached_cover_every_working_set_row(plan):
     # loads + cached together cover every working-set row.
     covered = plan.total_loads + plan.total_cached
     assert covered == sum(s.working_set.size for s in plan.steps)

@@ -10,6 +10,7 @@ independently and could silently diverge.
 import numpy as np
 import pytest
 
+from repro.core import attributes
 from repro.core.config import EngineConfig
 from repro.core.pipeline import add_clm_batch
 from repro.engines import CLMEngine
@@ -63,8 +64,8 @@ def test_engine_executes_the_same_plan(engine_and_plan, monkeypatch):
     assert result.loaded_gaussians == plan.total_loads
     assert result.stored_gaussians == plan.total_stores
     assert result.cached_gaussians == plan.total_cached
-    assert result.loaded_bytes == plan.loaded_bytes
-    assert result.stored_bytes == plan.stored_bytes
+    assert result.loaded_bytes == attributes.noncritical_bytes(plan.total_loads)
+    assert result.stored_bytes == attributes.noncritical_bytes(plan.total_stores)
     assert result.touched_gaussians == plan.touched.size
     assert result.adam_chunk_sizes == plan.adam_chunk_sizes
 
@@ -95,8 +96,8 @@ def test_simulator_dag_reconciles_with_functional_path(engine_and_plan):
     sim_loaded = sum(r.task.payload["rx_bytes"] for r in loads)
     sim_stored = sum(r.task.payload["tx_bytes"] for r in stores)
     # Simulated transfer volume == plan analytics == functional counters.
-    assert sim_loaded == plan.loaded_bytes
-    assert sim_stored == plan.stored_bytes
+    assert sim_loaded == attributes.noncritical_bytes(plan.total_loads)
+    assert sim_stored == attributes.noncritical_bytes(plan.total_stores)
 
 
 def test_count_scale_scales_volumes_linearly(engine_and_plan):

@@ -16,7 +16,8 @@ Gradients flow to positions, log-scales, SH (DC) and opacity; the
 quaternion gradient is identically zero (orientation is invisible to an
 isotropic splat).  The engine equivalence tests run CLM vs the GPU-only
 baseline under this backend too — offloading must be invisible regardless
-of the renderer.
+of the renderer.  It is a test fixture, not a shipped renderer: it is
+passed in through ``EngineConfig.renderer`` / ``renderer_backward``.
 """
 
 from __future__ import annotations

@@ -1,39 +1,52 @@
-"""Which ``src/`` functions no driver reaches.
+"""Which ``src/`` functions no driver reaches, held to an allowlist.
 
-Runs the repository's drivers, each in a subprocess under a profile hook:
+Runs the repository's drivers, each in a subprocess under a profile hook,
+from a scratch work directory:
 
-- the ``repro ...`` lines of the "CLI entry point smoke test" step of
-  ``.github/workflows/ci.yml``, read from that file and run as
-  ``python -m repro.cli ...``;
+- every ``repro ...`` command of ``.github/workflows/ci.yml``, read from
+  that file (all jobs and steps: the CLI smoke lines, ``repro backends``,
+  the ``bench`` job's ``bench run --quick`` / ``validate`` / ``gate`` /
+  ``compare``) and run as ``python -m repro.cli ...``;
 - every ``examples/*.py``;
-- ``python3 bench_e2e/run.py --smoke``;
-- ``repro bench run --quick --no-log``, then ``bench validate``,
-  ``bench gate`` and ``bench compare`` against ``BENCH_results.json``.
+- ``python3 bench_e2e/run.py --smoke``.
 
 It then prints every function defined under ``src/`` that none of them
 called, grouped by file, with its line count (decorators through its last
-line) and the totals.  A function nested in an unreached one is counted
-with it, not again; abstract methods are skipped (nothing calls them).
+line), its allowlist reason and the totals.  A function nested in an
+unreached one is counted with it, not again; abstract methods are skipped
+(nothing calls them).
+
+``tests/reference/unreached.txt`` is the allowlist: one sorted
+``src/<path>.py:<qualname> <reason>`` line for each function that stays in
+``src/`` with no driver reaching it, the reason one of :data:`REASONS`.
+The probe exits 1 when a driver failed (its functions then read as
+unreached) or a function is unreached and not on the list, and names
+each.  A listed function that a run did reach is only reported: whether
+some of them run depends on the machine (``NativeLibrary._build`` runs
+where the build cache is cold, as on CI).  ``tests/test_reachability.py``
+checks, without running a driver, that every listed function exists, every
+reason is known and the list is sorted, so a deletion also shrinks it.
 
 The hook is a ``sitecustomize`` module written to a temporary directory
 put first on ``PYTHONPATH``: every Python process the drivers start,
 subprocesses included, installs ``sys.setprofile`` and
 ``threading.setprofile`` at start-up and writes the code objects it saw
 when it exits.  Standard library only.  It takes about a minute on two
-cores, so it is not a Tier-1 test::
+cores, so it is not a Tier-1 test (CI's ``bench`` job runs it)::
 
     python tests/reference/reachability.py
 
-It exits 1 if a driver failed (its functions then read as unreached) and
-names it; ``bench compare`` reporting a regression after its summary line
-is not a failure.
+``bench compare`` reporting a regression after its summary line is not a
+failure.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,49 +87,85 @@ sys.setprofile(_hook)
 '''
 
 CI = REPO / ".github" / "workflows" / "ci.yml"
-CLI_STEP = "- name: CLI entry point smoke test"
+ALLOWLIST = Path(__file__).with_name("unreached.txt")
+
+#: Why a function may stay in ``src/`` with no driver reaching it.
+REASONS = {
+    "oracle": "a Tier-1 test holds shipped code to it",
+    "error": "it raises or reports on bad input or a failed call",
+    "recovery": "it runs only on a fault, a corrupt file or a restore",
+    "protocol": "a protocol requires it",
+    "densify": "it runs only when densification is on",
+    "cold-cache": "it runs only when the build cache is cold",
+    "full-run": "it runs only in a full-tier run, not --quick / --smoke",
+    "option": "it runs only under an option no driver sets",
+    "plugin": "it registers or removes a plugin, which no driver does",
+    "test-api": "public API of a shipped type that only Tier-1 tests call",
+}
 
 
-def cli_lines(workflow: Path = CI) -> List[List[str]]:
-    """The ``repro ...`` command lines of the CLI smoke step of ``workflow``
-    (backslash continuations joined, a trailing ``| ...`` pipe dropped)."""
-    lines = workflow.read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.strip() == CLI_STEP)
-    step_indent = len(lines[at]) - len(lines[at].lstrip())
-    commands, pending = [], ""
-    for line in lines[at + 1:]:
-        text = line.strip()
-        if text and len(line) - len(line.lstrip()) <= step_indent:
-            break  # the next step or job
-        pending += " " + text
-        if pending.endswith("\\"):
-            pending = pending[:-1]
+def _run_blocks(workflow: str):
+    """The shell text of every ``run:`` value of ``workflow``: one string a
+    command (a ``>`` block folded into one, a ``|`` block split into its
+    lines, backslash continuations joined)."""
+    lines = workflow.splitlines()
+    at = 0
+    while at < len(lines):
+        match = re.match(r"^\s*(?:- )?run:\s*(.*)$", lines[at])
+        at += 1
+        if not match:
             continue
-        words = shlex.split(pending.split(" | ")[0])
+        style = match.group(1).strip()
+        if style not in ("|", ">"):
+            yield style
+            continue
+        column = lines[at - 1].index("run:")
+        body = []
+        while at < len(lines) and (
+            not lines[at].strip()
+            or len(lines[at]) - len(lines[at].lstrip()) > column
+        ):
+            body.append(lines[at].strip())
+            at += 1
+        if style == ">":
+            yield " ".join(line for line in body if line)
+            continue
         pending = ""
-        if words[:1] == ["repro"]:
-            commands.append(words[1:])
+        for line in body:
+            pending += " " + line
+            if pending.endswith("\\"):
+                pending = pending[:-1]
+                continue
+            yield pending.strip()
+            pending = ""
+
+
+def cli_lines(workflow: str) -> List[List[str]]:
+    """The arguments of every ``repro ...`` command of ``workflow`` (the
+    text of a GitHub Actions file), in order and once each: a leading
+    ``!`` and everything from the first ``|`` on are dropped."""
+    commands = []
+    for command in _run_blocks(workflow):
+        head = command.split("|")[0].strip()
+        head = head[1:].strip() if head.startswith("!") else head
+        if head.split()[:1] != ["repro"]:
+            continue
+        words = shlex.split(head)[1:]
+        if words not in commands:
+            commands.append(words)
     return commands
 
 
-def drivers(scratch: Path) -> Dict[str, List[List[str]]]:
-    """Each driver group's command lines (run from the repository root)."""
+def drivers() -> Dict[str, List[List[str]]]:
+    """Each driver group's command lines."""
     py = sys.executable
-    run_json = str(scratch / "bench_run.json")
-    bench = [py, "-m", "repro.cli", "bench"]
     return {
-        "cli": [[py, "-m", "repro.cli", *args] for args in cli_lines()],
+        "ci": [[py, "-m", "repro.cli", *args]
+               for args in cli_lines(CI.read_text())],
         "examples": [
             [py, str(path)] for path in sorted((REPO / "examples").glob("*.py"))
         ],
-        "bench_e2e": [[py, "bench_e2e/run.py", "--smoke"]],
-        "bench": [
-            [*bench, "run", "--quick", "--quiet", "--no-log", "--output", run_json],
-            [*bench, "validate", run_json],
-            [*bench, "gate", run_json],
-            [*bench, "compare", "--baseline", "BENCH_results.json",
-             "--current", run_json],
-        ],
+        "bench_e2e": [[py, str(REPO / "bench_e2e" / "run.py"), "--smoke"]],
     }
 
 
@@ -135,11 +184,14 @@ def passed(argv: List[str], returncode: int, stdout: str) -> bool:
 
 
 def run_drivers(scratch: Path) -> Tuple[Set[tuple], List[str]]:
-    """Run every driver under the hook: the reached ``(file, first line,
-    name)`` triples and the command lines that failed."""
-    hook_dir, dump_dir = scratch / "hook", scratch / "dumps"
-    hook_dir.mkdir()
-    dump_dir.mkdir()
+    """Run every driver under the hook, from a work directory holding a
+    copy of ``BENCH_results.json`` (what CI's ``bench`` job writes lands
+    there): the reached ``(file, first line, name)`` triples and the
+    command lines that failed."""
+    hook_dir, dump_dir, work = scratch / "hook", scratch / "dumps", scratch / "work"
+    for path in (hook_dir, dump_dir, work):
+        path.mkdir()
+    shutil.copy(REPO / "BENCH_results.json", work)
     (hook_dir / "sitecustomize.py").write_text(
         SITECUSTOMIZE.format(out=str(dump_dir))
     )
@@ -149,11 +201,11 @@ def run_drivers(scratch: Path) -> Tuple[Set[tuple], List[str]]:
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     failed = []
-    for group, commands in drivers(scratch).items():
+    for group, commands in drivers().items():
         for argv in commands:
             start = time.perf_counter()
             done = subprocess.run(
-                argv, cwd=REPO, env=env, capture_output=True, text=True,
+                argv, cwd=work, env=env, capture_output=True, text=True,
             )
             label = " ".join(argv[1:])
             print(f"[{group}] {label}  ({time.perf_counter() - start:.0f} s)",
@@ -177,55 +229,90 @@ def _is_abstract(node: ast.AST) -> bool:
     )
 
 
-def unreached(reached: Set[tuple]) -> Tuple[List[tuple], int]:
-    """``(file, first line, name, lines)`` of every outermost ``src/``
-    function not in ``reached``, and the number of functions defined."""
-    out, defined = [], 0
+def functions(src: Path = SRC):
+    """``(file, first line, qualname, lines, enclosing function's qualname
+    or None)`` of every function defined under ``src`` but the abstract
+    methods (nothing calls them), in source order.  ``file`` is relative to
+    the repository; a nested function's qualname reads
+    ``outer.<locals>.inner``."""
 
-    def visit(node, path):
-        nonlocal defined
+    def visit(node, rel, prefix, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _is_abstract(child):
                     continue
-                defined += 1
                 first = min(
                     [child.lineno] + [d.lineno for d in child.decorator_list]
                 )
-                if (path, first, child.name) not in reached:
-                    out.append(
-                        (path, first, child.name, child.end_lineno - first + 1)
-                    )
-                    continue
-            visit(child, path)
+                name = prefix + child.name
+                yield rel, first, name, child.end_lineno - first + 1, owner
+                yield from visit(child, rel, f"{name}.<locals>.", name)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, rel, f"{prefix}{child.name}.", owner)
+            else:
+                yield from visit(child, rel, prefix, owner)
 
-    for file in sorted(SRC.rglob("*.py")):
-        path = os.path.realpath(file)
-        visit(ast.parse(file.read_text(), filename=path), path)
+    for file in sorted(src.rglob("*.py")):
+        rel = file.relative_to(REPO).as_posix()
+        yield from visit(ast.parse(file.read_text(), filename=str(file)),
+                         rel, "", None)
+
+
+def unreached(reached: Set[tuple]) -> Tuple[List[tuple], int]:
+    """``(file, first line, qualname, lines)`` of every outermost ``src/``
+    function not in ``reached`` (a function nested in an unreached one is
+    counted with it, not again), and the number of functions defined."""
+    out, defined, skipped = [], 0, set()
+    for rel, first, name, lines, owner in functions():
+        defined += 1
+        if owner in skipped:
+            skipped.add(name)
+            continue
+        short = name.rsplit(".", 1)[-1]
+        if (os.path.realpath(REPO / rel), first, short) not in reached:
+            out.append((rel, first, name, lines))
+            skipped.add(name)
     return out, defined
+
+
+def read_allowlist(path: Path = ALLOWLIST) -> Dict[str, str]:
+    """``{"file:qualname": reason}`` of the allowlist: one
+    ``src/...py:Qual.name reason`` line an unreached function that stays."""
+    entries = {}
+    for line in path.read_text().splitlines():
+        key, reason = line.rsplit(" ", 1)
+        entries[key] = reason
+    return entries
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         reached, failed = run_drivers(Path(tmp))
     missing, defined = unreached(reached)
+    allowed = read_allowlist()
     by_file: Dict[str, List[tuple]] = {}
     for entry in missing:
         by_file.setdefault(entry[0], []).append(entry)
-    for path, entries in sorted(
+    for rel, entries in sorted(
         by_file.items(), key=lambda kv: -sum(e[3] for e in kv[1])
     ):
-        rel = os.path.relpath(path, REPO)
         print(f"{rel}  ({len(entries)} functions, "
               f"{sum(e[3] for e in entries)} lines)")
         for _, first, name, lines in entries:
-            print(f"  {first:5d}  {name}  ({lines} lines)")
+            reason = allowed.get(f"{rel}:{name}", "NOT ALLOWLISTED")
+            print(f"  {first:5d}  {name}  ({lines} lines)  {reason}")
     total = sum(e[3] for e in missing)
     print(f"{len(missing)} of {defined} src/ functions unreached by the "
           f"drivers: {total} lines")
+    keys = {f"{e[0]}:{e[2]}" for e in missing}
+    for key in sorted(set(allowed) - keys):
+        print(f"allowlisted but reached: {key}")
+    unlisted = sorted(keys - set(allowed))
+    for key in unlisted:
+        print(f"unreached and not allowlisted: {key}")
     for label in failed:
         print(f"driver failed: {label}")
-    return 1 if failed else 0
+    return 1 if failed or unlisted else 0
 
 
 if __name__ == "__main__":

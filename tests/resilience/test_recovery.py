@@ -11,6 +11,7 @@ The acceptance bar of the robustness issue:
 
 import numpy as np
 import pytest
+from fault_schedules import generate_schedule
 
 from repro.core.checkpoint import capture_engine_state, restore_engine_state
 from repro.core.config import EngineConfig
@@ -141,10 +142,10 @@ def test_failover_matches_explicit_removal_bit_exactly(setup):
 
 def test_same_seed_replays_identically(setup):
     scene, init, targets = setup
-    sched = FaultSchedule.generate(
-        seed=11, num_devices=4, num_batches=len(BATCHES),
-        fail_stop_prob=0.15, straggler_prob=0.2, link_fault_prob=0.2,
+    sched = generate_schedule(
+        seed=11, num_devices=4, num_batches=len(BATCHES), fail_stop_prob=0.15
     )
+    assert sched.events
 
     def run():
         engine = make_engine(scene, init, sched)
@@ -153,8 +154,7 @@ def test_same_seed_replays_identically(setup):
         return engine
 
     a, b = run(), run()
-    assert a.injector.log_json() == b.injector.log_json()
-    assert a.injector.stats.as_dict() == b.injector.stats.as_dict()
+    assert a.injector.event_log == b.injector.event_log
     pa, pb = params_of(a), params_of(b)
     for name in pa:
         np.testing.assert_array_equal(pa[name], pb[name], err_msg=name)
@@ -192,39 +192,6 @@ def test_remove_device_validates(setup):
     engine.remove_device(0)
     with pytest.raises(RuntimeError, match="last"):
         engine.remove_device(1)
-
-
-# -- performance-model faults ------------------------------------------
-def test_straggler_slows_makespan_but_not_results(setup):
-    scene, init, targets = setup
-    clean = make_engine(scene, init, None)
-    rc = [clean.train_batch(b, targets) for b in BATCHES[:3]]
-    strag = make_engine(
-        scene, init,
-        FaultSchedule(events=(FaultEvent.straggler(1, 0, 3.0),)),
-    )
-    rs = [strag.train_batch(b, targets) for b in BATCHES[:3]]
-    assert rs[1].sim_makespan_s > rc[1].sim_makespan_s
-    assert rs[2].sim_makespan_s == pytest.approx(rc[2].sim_makespan_s)
-    pc, ps = params_of(clean), params_of(strag)
-    for name in pc:
-        np.testing.assert_array_equal(pc[name], ps[name], err_msg=name)
-
-
-def test_link_fault_costs_retries_into_counters(setup):
-    scene, init, targets = setup
-    sched = FaultSchedule(
-        events=(
-            FaultEvent.link_fault(
-                1, 0, peer=1, factor=2.0, loss_prob=0.5, duration=2
-            ),
-        )
-    )
-    engine = make_engine(scene, init, sched)
-    results = [engine.train_batch(b, targets) for b in BATCHES[:4]]
-    assert engine.perf.link_retries == engine.injector.stats.link_retries
-    assert engine.perf.link_retries > 0
-    assert sum(r.link_retries for r in results) == engine.perf.link_retries
 
 
 @pytest.mark.parametrize("fail_at, devices_saved", [(4, True), (3, True), (3, False)])

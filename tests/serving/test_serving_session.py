@@ -36,7 +36,7 @@ def test_serve_accounts_for_every_request(model, cams):
     sess = ServingSession(model, ServingConfig(
         max_batch=4, queue_capacity=8, lod=LOD, seed=0))
     report = sess.serve(stream)
-    assert report.total_requests == n
+    assert len(report.records) == n
     assert [r.request_id for r in report.records] == list(range(n))
     assert len(report.completed) + report.shed_count \
         + report.expired_count == n
@@ -131,6 +131,6 @@ def test_no_lod_config_serves_full_detail(model, cams):
 
 def test_empty_stream(model):
     report = ServingSession(model, ServingConfig(seed=0)).serve([])
-    assert report.total_requests == 0
+    assert len(report.records) == 0
     assert report.throughput_rps == 0.0
     assert np.isnan(report.p50_ms)

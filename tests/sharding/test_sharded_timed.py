@@ -14,7 +14,6 @@ from repro.sharding import (
     add_sharded_batch,
     build_sharded_plan,
     run_sharded_timed,
-    scaling_curve,
     spatial_shard,
 )
 from repro.utils.rng import make_rng
@@ -98,9 +97,12 @@ def test_run_sharded_timed_reports_per_device_numbers(index_cache):
 
 
 def test_scaling_curve_is_monotone(index_cache):
-    scene, _ = index_cache("bicycle")
+    scene, index = index_cache("bicycle")
     cfg = TimingConfig(num_batches=2, batch_size=16)
-    curve = scaling_curve(scene, (1, 2, 4), config=cfg)
+    curve = [
+        run_sharded_timed(scene, index=index, config=cfg, num_devices=k)
+        for k in (1, 2, 4)
+    ]
     rates = [r.images_per_second for r in curve]
     assert rates == sorted(rates)
     assert all(np.isfinite(rates))

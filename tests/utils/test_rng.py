@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import make_rng, spawn
+from repro.utils.rng import make_rng
 
 
 def test_int_seed_reproducible():
@@ -18,16 +18,3 @@ def test_generator_passthrough():
 
 def test_none_gives_generator():
     assert isinstance(make_rng(None), np.random.Generator)
-
-
-def test_spawn_streams_are_independent():
-    parent = make_rng(3)
-    children = spawn(parent, 3)
-    draws = [c.integers(0, 2**31, 5).tolist() for c in children]
-    assert draws[0] != draws[1] != draws[2]
-
-
-def test_spawn_deterministic_given_parent_seed():
-    a = [g.integers(0, 100, 3).tolist() for g in spawn(make_rng(5), 2)]
-    b = [g.integers(0, 100, 3).tolist() for g in spawn(make_rng(5), 2)]
-    assert a == b
